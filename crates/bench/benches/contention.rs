@@ -47,7 +47,7 @@
 //!
 //! * **`stream-off`** — the full session, no export attached.
 //! * **`stream-on`** — the same session with a [`DeltaDrainer`](djxperf::DeltaDrainer)
-//!   streaming every retired epoch delta through `ChunkedJsonSink` into `io::sink()`
+//!   streaming every retired epoch delta through `BinaryChunkedSink` into `io::sink()`
 //!   (5 ms tick, coalescing backpressure), so the rows isolate the retirement
 //!   hand-off + queue cost of `djxperf::export`.
 //!
@@ -72,8 +72,6 @@
 //! * `query_vs_legacy_ratio`         = query-eval / analyze-legacy (gate ≥ 0.909)
 //! * `fleet_multi_thread_ratio`      = fleet-on@N / stream-off@N  (gate ≥ 0.909)
 //! * `fleet_single_thread_ratio`     = fleet-on@1 / stream-off@1  (gate ≥ 0.909)
-//! * `codec_encode_decode_speedup`   = binary / JSON codec throughput (gate ≥ 2×)
-//! * `codec_bytes_per_sample_ratio`  = binary / JSON log bytes per sample (gate ≤ 0.4)
 //! * `wal_multi_thread_ratio`        = wal-on@N / wal-off@N   (gate ≥ 1/1.15)
 //! * `wal_single_thread_ratio`       = wal-on@1 / wal-off@1   (gate ≥ 1/1.15)
 //! * `recovery_replay_frames_per_sec` = recover() over a ~20k-frame WAL (gate ≥ 100k/s)
@@ -85,10 +83,7 @@
 //! 0.90× floor, `--smoke-query` (CI) to gate query-over-snapshot evaluation at
 //! within 1.10× of the legacy analyzer on the same profile, `--smoke-fleet` (CI)
 //! to gate per-producer ingest with a socket-backed fleet sink at within 1.10× of
-//! `stream-off` against a loopback aggregator, `--smoke-codec` (CI) to gate the
-//! binary epoch-frame codec (`djxperf::wire`) at ≥ 2× JSON encode+decode throughput
-//! and ≤ 0.4× JSON bytes per sample over the same delta stream, or
-//! `--smoke-recovery` (CI) to gate the fault-tolerance tier: WAL-on fleet ingest
+//! `stream-off` against a loopback aggregator, or `--smoke-recovery` (CI) to gate the fault-tolerance tier: WAL-on fleet ingest
 //! within 1.15× of WAL-off under `FsyncPolicy::Never`, and
 //! `FleetAggregator::recover` replay at ≥ 100k frames/s over a dense WAL, or
 //! `--smoke-live` (CI) to gate the incremental live query engine: a watched
@@ -110,10 +105,10 @@ use djx_runtime::{
     ObjectMoveEvent, RuntimeListener, ThreadId,
 };
 use djxperf::{
-    AccessContext, AllocSite, AllocSiteId, AllocationStats, AnalysisReport, BinaryChunkedSink, Cct,
-    ChunkedJsonSink, DeltaFold, DrainPolicy, FleetAggregator, FleetSink, FsyncPolicy, Interval,
-    IntervalSplayTree, LiveFold, MetricVector, MonitoredObject, ObjectCentricProfile, ObjectReport,
-    ProfileDelta, ProfileSink, Query, RankBy, Session, SpinLock, ThreadDelta, ThreadProfile,
+    AccessContext, AllocSite, AllocSiteId, AnalysisReport, BinaryChunkedSink, Cct, DrainPolicy,
+    FleetAggregator, FleetSink, FsyncPolicy, Interval, IntervalSplayTree, LiveFold, MetricVector,
+    MonitoredObject, ObjectCentricProfile, ObjectReport, ProfileDelta, ProfileSink, Query, RankBy,
+    Session, SpinLock, ThreadDelta, ThreadProfile,
 };
 
 const MULTI_THREADS: u64 = 4;
@@ -380,7 +375,7 @@ impl SessionPipeline {
     /// A streaming-throughput pipeline: the full three-collector session (default
     /// resolution cache) with or without an asynchronous export drainer attached.
     /// The drainer ticks every 5 ms and serializes each retired delta through
-    /// the chunked-JSON codec into `io::sink()`, so the rows measure exactly the
+    /// the binary epoch-log codec into `io::sink()`, so the rows measure exactly the
     /// ingest-side cost of continuous-push export — epoch retirement hand-off and
     /// queue traffic — with no disk variance.
     fn streaming(drainer: bool) -> Self {
@@ -396,7 +391,7 @@ impl SessionPipeline {
             .collect_numa();
         let builder = if drainer {
             builder.stream_to(
-                Arc::new(ChunkedJsonSink::new()),
+                Arc::new(BinaryChunkedSink::new()),
                 Box::new(io::sink()),
                 DrainPolicy::new().capacity(8).coalesce().tick(Duration::from_millis(5)),
             )
@@ -594,129 +589,6 @@ fn measure_fold(
         },
         folded,
     )
-}
-
-// -----------------------------------------------------------------------------------
-// Wire-codec encode/decode throughput and density (the --smoke-codec gate)
-// -----------------------------------------------------------------------------------
-
-/// Assembles the finish profile that terminates the codec streams: the fold of the
-/// synthetic delta stream plus a site table covering every referenced site id.
-fn build_codec_finish(deltas: &[ProfileDelta]) -> ObjectCentricProfile {
-    let mut fold = DeltaFold::new();
-    for delta in deltas {
-        fold.absorb(delta);
-    }
-    let sites: Vec<AllocSite> = (0..8)
-        .map(|s| AllocSite {
-            id: AllocSiteId(s),
-            class_name: format!("codec{s}[]"),
-            call_path: vec![Frame::new(MethodId(s), 0), Frame::new(MethodId(s + 8), 4)],
-        })
-        .collect();
-    fold.assemble(
-        PmuEvent::L1Miss,
-        FULL_PERIOD,
-        1024,
-        sites,
-        std::iter::empty(),
-        AllocationStats::default(),
-    )
-}
-
-/// Encodes the delta stream + finish through `encode`, folds the log back through
-/// `decode`, and returns the two rows (throughput = samples/second) plus the encoded
-/// log size in bytes.
-fn measure_codec(
-    encode_name: &'static str,
-    decode_name: &'static str,
-    samples: u64,
-    reps: usize,
-    encode: impl Fn() -> Vec<u8>,
-    decode: impl Fn(&[u8]) -> u64,
-) -> (Measurement, Measurement, u64) {
-    let mut log = Vec::new();
-    let mut best_encode = Duration::MAX;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let out = encode();
-        best_encode = best_encode.min(start.elapsed());
-        log = out;
-    }
-    let mut best_decode = Duration::MAX;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let folded = decode(&log);
-        best_decode = best_decode.min(start.elapsed());
-        assert_eq!(folded, samples, "decoding folds every encoded sample");
-    }
-    let row = |name, best| Measurement {
-        pipeline: name,
-        threads: FOLD_THREADS,
-        accesses: samples,
-        samples,
-        best,
-        cache_hit_rate: None,
-    };
-    (row(encode_name, best_encode), row(decode_name, best_decode), log.len() as u64)
-}
-
-/// The four codec rows over the shared synthetic delta stream, plus the ratio rows
-/// the `--smoke-codec` gate enforces (encode+decode speedup and bytes/sample).
-fn run_codec_family(reps: usize) -> (Vec<Measurement>, Vec<(&'static str, f64)>) {
-    let deltas = build_fold_deltas();
-    let finish = build_codec_finish(&deltas);
-    let samples = finish.total_samples();
-    let json = ChunkedJsonSink::new();
-    let binary = BinaryChunkedSink::new();
-    let encode_json = || {
-        let mut out = Vec::new();
-        for delta in &deltas {
-            json.on_delta(delta.epoch, delta, &mut out).expect("json delta encodes");
-        }
-        json.on_finish(&finish, &mut out).expect("json finish encodes");
-        out
-    };
-    let encode_binary = || {
-        let mut out = Vec::new();
-        for delta in &deltas {
-            binary.on_delta(delta.epoch, delta, &mut out).expect("binary delta encodes");
-        }
-        binary.on_finish(&finish, &mut out).expect("binary finish encodes");
-        out
-    };
-    // Cross-codec identity before any throughput counts: both logs fold to the same
-    // profile, byte for byte.
-    let from_json = json
-        .read_log(std::str::from_utf8(&encode_json()).expect("json log is utf-8"))
-        .expect("json log replays");
-    let from_binary = binary.read_log_bytes(&encode_binary()).expect("binary log replays");
-    assert_eq!(from_binary.to_text(), from_json.to_text(), "identical folds across codecs");
-
-    let (json_enc, json_dec, json_bytes) =
-        measure_codec("codec-json-enc", "codec-json-dec", samples, reps, encode_json, |log| {
-            json.read_log(std::str::from_utf8(log).expect("json log is utf-8"))
-                .expect("json log replays")
-                .total_samples()
-        });
-    let (bin_enc, bin_dec, bin_bytes) =
-        measure_codec("codec-bin-enc", "codec-bin-dec", samples, reps, encode_binary, |log| {
-            binary.read_log_bytes(log).expect("binary log replays").total_samples()
-        });
-
-    let encode_speedup = bin_enc.throughput() / json_enc.throughput();
-    let decode_speedup = bin_dec.throughput() / json_dec.throughput();
-    let encode_decode_speedup = (json_enc.best + json_dec.best).as_secs_f64()
-        / (bin_enc.best + bin_dec.best).as_secs_f64().max(f64::MIN_POSITIVE);
-    let ratios = vec![
-        ("codec_encode_speedup", encode_speedup),
-        ("codec_decode_speedup", decode_speedup),
-        ("codec_encode_decode_speedup", encode_decode_speedup),
-        ("codec_json_bytes_per_sample", json_bytes as f64 / samples as f64),
-        ("codec_binary_bytes_per_sample", bin_bytes as f64 / samples as f64),
-        ("codec_bytes_per_sample_ratio", bin_bytes as f64 / json_bytes as f64),
-    ];
-    (vec![json_enc, json_dec, bin_enc, bin_dec], ratios)
 }
 
 // -----------------------------------------------------------------------------------
@@ -1166,14 +1038,12 @@ fn main() {
     let smoke_streaming = args.iter().any(|a| a == "--smoke-streaming");
     let smoke_query = args.iter().any(|a| a == "--smoke-query");
     let smoke_fleet = args.iter().any(|a| a == "--smoke-fleet");
-    let smoke_codec = args.iter().any(|a| a == "--smoke-codec");
     let smoke_recovery = args.iter().any(|a| a == "--smoke-recovery");
     let smoke_live = args.iter().any(|a| a == "--smoke-live");
     let quick = smoke
         || smoke_streaming
         || smoke_query
         || smoke_fleet
-        || smoke_codec
         || smoke_recovery
         || smoke_live
         || args.iter().any(|a| a == "--quick")
@@ -1457,45 +1327,6 @@ fn main() {
         return;
     }
 
-    if smoke_codec {
-        // CI regression gate for the binary epoch-frame codec: over the same wide
-        // delta stream, binary encode+decode must run at least 2x the JSON codec's
-        // throughput, and the binary log must cost at most 0.4x the JSON bytes per
-        // sample — the two claims that justify binary as the default fleet wire
-        // format and the compact epoch-log choice.
-        println!("== wire-codec contention smoke (CI gate) ==\n");
-        let (results, ratios) = run_codec_family(7);
-        print_results(&results);
-        let ratio_of = |name: &str| ratios.iter().find(|(n, _)| *n == name).expect("computed").1;
-        let speedup = ratio_of("codec_encode_decode_speedup");
-        let density = ratio_of("codec_bytes_per_sample_ratio");
-        println!(
-            "\nbinary/json encode+decode speedup: {speedup:.2}x (gate >= 2.0)\n\
-             binary/json bytes per sample:      {density:.2} (gate <= 0.40; \
-             {:.1} vs {:.1} bytes/sample)",
-            ratio_of("codec_binary_bytes_per_sample"),
-            ratio_of("codec_json_bytes_per_sample"),
-        );
-        if let Ok(path) = std::env::var("BENCH_CONTENTION_OUT") {
-            write_json(&path, &results, &ratios);
-            println!("recorded {path}");
-        }
-        let mut failed = false;
-        if speedup < 2.0 {
-            eprintln!("FAIL: binary encode+decode speedup fell below 2x of JSON ({speedup:.2}x)");
-            failed = true;
-        }
-        if density > 0.40 {
-            eprintln!("FAIL: binary bytes/sample rose above 0.4x of JSON ({density:.2})");
-            failed = true;
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        println!("smoke OK");
-        return;
-    }
-
     if smoke_live {
         // CI regression gate for the incremental live query engine: on a profile
         // with >= 10k hot sites, one dashboard tick (absorb a small epoch delta,
@@ -1757,12 +1588,7 @@ fn main() {
     results.push(measure_eval("query-eval", reps, query_samples, || {
         query.evaluate(&query_profile).expect("owned profiles evaluate").groups.len() as u64
     }));
-    // Family 6 — the wire codec: binary vs JSON encode/decode throughput and log
-    // density over the same delta stream (the --smoke-codec CI gate's ratios).
-    let (codec_rows, codec_ratios) = run_codec_family(reps);
-    results.extend(codec_rows);
-
-    // Family 7 — the live query engine: per-tick cost of an incrementally
+    // Family 6 — the live query engine: per-tick cost of an incrementally
     // maintained watch vs a full re-evaluation over a 10k-site fold (the
     // --smoke-live CI gate's ratio).
     let live_query = Query::new().rank_by(RankBy::WeightedEvents).top(32).min_samples(1);
@@ -1819,10 +1645,6 @@ fn main() {
         / throughput_of(&results, "fleet-off", MULTI_THREADS);
     let fleet_single =
         throughput_of(&results, "fleet-on", 1) / throughput_of(&results, "fleet-off", 1);
-    let codec_ratio_of =
-        |name: &str| codec_ratios.iter().find(|(n, _)| *n == name).expect("computed").1;
-    let codec_speedup = codec_ratio_of("codec_encode_decode_speedup");
-    let codec_density = codec_ratio_of("codec_bytes_per_sample_ratio");
     let live_speedup =
         throughput_of(&results, "live-watch", 1) / throughput_of(&results, "poll-evaluate", 1);
 
@@ -1839,8 +1661,6 @@ fn main() {
          query/legacy evaluation:    {query_ratio:.2} (gate >= 0.909)\n\
          fleet-on/off   @{MULTI_THREADS} threads:  {fleet_multi:.2} (gate >= 0.909)\n\
          fleet-on/off   @1 thread:   {fleet_single:.2} (gate >= 0.909)\n\
-         binary/json codec speedup:  {codec_speedup:.2}x (gate >= 2.0)\n\
-         binary/json bytes/sample:   {codec_density:.2} (gate <= 0.40)\n\
          live-watch/poll-evaluate:   {live_speedup:.2}x (gate >= 5.0)"
     );
 
@@ -1852,7 +1672,7 @@ fn main() {
             Err(_) => "BENCH_contention.json".to_string(),
         }
     });
-    let mut ratios: Vec<(&str, f64)> = vec![
+    let ratios: Vec<(&str, f64)> = vec![
         ("multi_thread_speedup", multi_speedup),
         ("single_thread_ratio", single_ratio),
         ("cached_multi_thread_speedup", cached_multi),
@@ -1867,7 +1687,6 @@ fn main() {
         ("fleet_single_thread_ratio", fleet_single),
         ("live_query_tick_speedup", live_speedup),
     ];
-    ratios.extend(codec_ratios);
     write_json(&path, &results, &ratios);
     println!("\nrecorded {path}");
 }

@@ -38,7 +38,7 @@
 //! Every sample the session ever attributes is in exactly one streamed delta (plus
 //! the terminal flush): folding the streamed deltas with
 //! [`DeltaFold`](crate::profile::DeltaFold) — or replaying a
-//! [`ChunkedJsonSink`](crate::sink::ChunkedJsonSink) epoch log — reproduces a profile
+//! [`BinaryChunkedSink`](crate::wire::BinaryChunkedSink) epoch log — reproduces a profile
 //! **byte-identical** to a terminal [`Session::snapshot`](crate::session::Session)
 //! once ingestion has quiesced. Deltas appear on the wire in strictly increasing
 //! epoch order; empty epochs are skipped.

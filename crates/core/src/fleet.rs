@@ -4,7 +4,7 @@
 //! DJXPerf profiles one process; the production-scale deployment profiles fleets.
 //! This module crosses the process boundary with the pieces the in-process pipeline
 //! already guarantees: the export drainer ([`crate::export`]) retires epoch deltas,
-//! the chunked codec ([`ChunkedJsonSink`]) frames them replayably, and
+//! the binary frame codec ([`crate::wire`]) frames them replayably, and
 //! [`DeltaFold`] folds them back incrementally. Three parts:
 //!
 //! * [`FleetSink`] — a [`ProfileSink`] that ships each epoch frame over a TCP or
@@ -18,40 +18,28 @@
 //! * [`FleetClient`] — sends queries/status requests to an aggregator and returns
 //!   the rendered results.
 //!
-//! # Wire protocol (`djxperf-fleet`, version 1)
+//! # Wire protocol (`djxperf-fleet`, version 2)
 //!
-//! Control frames are newline-delimited JSON in both directions. Epoch frames are
-//! **exactly** the epoch-log records of the negotiated codec — NDJSON
-//! ([`parse_log_record`]) or the binary frame format of [`crate::wire`] — so one
-//! decoder per format serves log files and sockets and the transports can never
-//! drift apart.
+//! Two kinds of frames share a connection, told apart by their first byte. **Epoch
+//! frames** (`0xDF`, the binary magic) are exactly the [`crate::wire`] frames of a
+//! [`BinaryChunkedSink`] log, so one frame parser serves log files, sockets and the
+//! write-ahead log. **Control records** (`{`) are newline-delimited JSON. Every
+//! inbound frame and control line is bounded by the wire's 16 MiB frame cap; a
+//! peer exceeding it gets an error record and a close.
 //!
 //! Producer → aggregator:
 //!
 //! | frame | layout |
 //! |---|---|
-//! | hello | `{"record":"hello","format":"djxperf-fleet","version":1,"producer":NAME,"event":EVENT,"period":P,"size_filter":S,"codecs":["binary","json"]}` (`codecs` is optional; absent means JSON only, the v1 wire) |
-//! | delta | the [`ChunkedJsonSink`] `delta` record, verbatim — or a [`crate::wire`] delta frame when binary was negotiated |
-//! | finish | the [`ChunkedJsonSink`] `finish` record, verbatim (site table, allocation rows, `total_samples` checksum) — or the [`crate::wire`] finish frame |
+//! | hello | `{"record":"hello","format":"djxperf-fleet","version":2,"producer":NAME,"event":EVENT,"period":P,"size_filter":S}` plus, once nonzero, the producer's `spilled_frames`/`dropped_epochs`/`backoff_ms` counters |
+//! | delta | a [`crate::wire`] delta frame |
+//! | finish | the [`crate::wire`] finish frame (site table, allocation rows, `total_samples` checksum) |
 //!
 //! Aggregator → producer: `{"record":"ack","epoch":E}` after the hello and after
 //! every delta, `{"record":"ack","epoch":E,"final":true}` after the finish, and
-//! `{"record":"error","message":M}` for protocol violations. Acknowledgements are
-//! always JSON text, whatever the epoch-frame codec.
-//!
-//! # Codec negotiation
-//!
-//! The hello's optional `codecs` array advertises what the producer can encode; the
-//! aggregator picks the best it supports and announces the choice in the hello
-//! acknowledgement (`{"record":"ack","epoch":E,"codec":"binary"}`; no `codec` key
-//! means JSON). A v1 aggregator ignores the unknown `codecs` key and acks plainly —
-//! so a new producer falls back to JSON — and a v1 producer never advertises, so a
-//! new aggregator answers it in JSON. Epoch frames are additionally **sniffed per
-//! frame** by their first byte (`{` → text, `0xDF` → binary magic), so frames
-//! buffered under one codec and delivered after a renegotiating reconnect still
-//! decode. The negotiated codec is observable on both ends:
-//! [`FleetSinkStats::codec`] and the per-producer wire counters
-//! ([`ProducerStatus::bytes_received`], [`ProducerStatus::frames_received`]).
+//! `{"record":"error","message":M}` for protocol violations — a hello of any
+//! other version, an epoch frame before the hello, a JSON `delta`/`finish`
+//! record, a corrupt frame — each followed by a close.
 //!
 //! Client → aggregator: `{"record":"query",…}` (a serialized [`Query`]) and
 //! `{"record":"status"}`. The aggregator answers with
@@ -91,19 +79,18 @@
 //!
 //! An aggregator built with [`FleetAggregatorBuilder::wal`] appends every
 //! **accepted** epoch frame to a per-producer write-ahead log *before* sending the
-//! acknowledgement, so an acknowledged frame is always on disk. The WAL reuses the
-//! [`crate::wire`] binary frame codec verbatim:
+//! acknowledgement, so an acknowledged frame is always on disk. The WAL body is
+//! the received frame bytes, appended verbatim — never decoded and re-encoded:
 //!
 //! ```text
 //! <one JSON header line>\n        {"record":"wal","format":"djxperf-wal","version":1,
 //!                                  "producer":NAME,"event":E,"period":P,"size_filter":S}
 //! <binary delta frame>            exactly crate::wire's delta frame (magic DF 4A 58 42)
 //! <binary delta frame>            …one per accepted epoch, in fold order…
-//! <binary finish frame>           the finish record, re-encoded, if the run finished
+//! <binary finish frame>           the finish frame as received, if the run finished
 //! ```
 //!
-//! Frames received as JSON are re-encoded as binary frames, so one WAL format
-//! covers both wire codecs and [`BinaryFrameReader`] replays it unmodified.
+//! [`BinaryFrameReader`] replays it unmodified.
 //! [`FleetAggregator::recover`] scans a WAL directory, replays every log through a
 //! fresh [`DeltaFold`] (truncating a torn tail after a mid-append crash), and
 //! returns a builder whose aggregator resumes exactly where the old one died:
@@ -151,16 +138,16 @@ use crate::profile::{
 };
 use crate::query::{GroupBy, ProfileSource, Query, QueryError, QueryResult, RankBy};
 use crate::sink::{
-    json_path, json_string, parse_log_record, ChunkedJsonSink, FinishRecord, JsonParser, LogRecord,
-    ProfileSink, Reader,
+    json_path, json_string, FinishRecord, JsonParser, LogRecord, ProfileSink, Reader,
 };
-use crate::wire::{self, BinaryChunkedSink, BinaryFrameReader, FrameCodec};
+use crate::wire::{self, BinaryChunkedSink, BinaryFrameReader};
 
 /// Format tag carried by every hello frame.
 const FLEET_FORMAT: &str = "djxperf-fleet";
 
-/// Current version of the fleet wire protocol.
-const FLEET_VERSION: u64 = 1;
+/// Current version of the fleet wire protocol: version 2 carries epoch frames
+/// only in the binary [`crate::wire`] format.
+const FLEET_VERSION: u64 = 2;
 
 /// Format tag carried by the WAL header line.
 const WAL_FORMAT: &str = "djxperf-wal";
@@ -352,7 +339,7 @@ impl Target {
 /// One aggregator reply frame, as producers and clients decode it.
 #[derive(Debug)]
 enum Reply {
-    Ack { epoch: u64, terminal: bool, codec: FrameCodec },
+    Ack { epoch: u64, terminal: bool },
     Error { message: String },
     Result { text: String, json: String },
     Status { producers: Vec<ProducerStatus> },
@@ -360,6 +347,47 @@ enum Reply {
 
 fn protocol_error(message: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, message.into())
+}
+
+/// Reads one newline-terminated control line into `line`, newline stripped,
+/// reading at most [`wire::MAX_PAYLOAD_LEN`] bytes before the newline — the same
+/// cap that bounds a binary frame, so no peer can make a reader buffer more.
+/// `Ok(false)` is a clean end of stream.
+fn read_control_line<R: BufRead>(reader: &mut R, line: &mut Vec<u8>) -> io::Result<bool> {
+    line.clear();
+    let limit = wire::MAX_PAYLOAD_LEN as u64 + 1;
+    reader.take(limit).read_until(b'\n', line)?;
+    if line.is_empty() {
+        return Ok(false);
+    }
+    if line.pop() != Some(b'\n') {
+        return Err(if line.len() as u64 + 1 == limit {
+            protocol_error(format!(
+                "control line exceeds the {}-byte cap without a newline",
+                wire::MAX_PAYLOAD_LEN
+            ))
+        } else {
+            io::Error::new(io::ErrorKind::UnexpectedEof, "connection closed mid-line")
+        });
+    }
+    if line.last() == Some(&b'\r') {
+        line.pop();
+    }
+    Ok(true)
+}
+
+/// Reads and decodes one aggregator reply line.
+fn read_reply<R: BufRead>(reader: &mut R) -> io::Result<Reply> {
+    let mut line = Vec::new();
+    if !read_control_line(reader, &mut line)? {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "aggregator closed the connection",
+        ));
+    }
+    let line = std::str::from_utf8(&line)
+        .map_err(|e| protocol_error(format!("aggregator reply is not UTF-8: {e}")))?;
+    parse_reply(line)
 }
 
 /// Decodes one aggregator reply line.
@@ -375,14 +403,6 @@ fn parse_reply(line: &str) -> io::Result<Reply> {
                 terminal: match record.optional("final") {
                     Some(v) => doc.boolean(v, 0)?,
                     None => false,
-                },
-                codec: match record.optional("codec") {
-                    Some(v) => {
-                        let name = doc.string(v, 0)?;
-                        FrameCodec::from_name(&name)
-                            .ok_or_else(|| doc.error(0, format!("unknown codec {name:?}")))?
-                    }
-                    None => FrameCodec::Json,
                 },
             }),
             "error" => Ok(Reply::Error { message: doc.string(record.required("message", 0)?, 0)? }),
@@ -494,18 +514,6 @@ fn ack_line(epoch: u64, terminal: bool) -> String {
         format!("{{\"record\":\"ack\",\"epoch\":{epoch},\"final\":true}}\n")
     } else {
         format!("{{\"record\":\"ack\",\"epoch\":{epoch}}}\n")
-    }
-}
-
-/// The hello acknowledgement, announcing the negotiated epoch-frame codec. The
-/// `codec` key appears only when the hello advertised more than the v1 JSON wire,
-/// so v1 producers see byte-identical acks.
-fn hello_ack_line(epoch: u64, codec: FrameCodec) -> String {
-    match codec {
-        FrameCodec::Json => ack_line(epoch, false),
-        FrameCodec::Binary => {
-            format!("{{\"record\":\"ack\",\"epoch\":{epoch},\"codec\":\"binary\"}}\n")
-        }
     }
 }
 
@@ -1010,9 +1018,6 @@ pub struct FleetSinkStats {
     pub frames_trimmed: u64,
     /// Highest epoch the aggregator has acknowledged.
     pub acked_epoch: u64,
-    /// The epoch-frame codec negotiated at the most recent hello handshake
-    /// ([`FrameCodec::Json`] until the first connection completes).
-    pub codec: FrameCodec,
     /// Frames awaiting delivery right now (in memory plus spilled to disk).
     pub pending_frames: u64,
     /// Frames that have ever overflowed to the spill tier
@@ -1041,19 +1046,6 @@ struct Conn {
     reader: BufReader<WireStream>,
 }
 
-impl Conn {
-    fn read_reply(&mut self) -> io::Result<Reply> {
-        let mut line = String::new();
-        if self.reader.read_line(&mut line)? == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "aggregator closed the connection",
-            ));
-        }
-        parse_reply(line.trim_end_matches(['\n', '\r']))
-    }
-}
-
 /// The sink-side failure knobs, frozen at build time.
 #[derive(Debug)]
 struct LinkConfig {
@@ -1072,10 +1064,6 @@ struct Link {
     pending: PendingBuffer,
     severed: bool,
     stats: FleetSinkStats,
-    /// The epoch-frame codec the aggregator chose at the last hello handshake.
-    /// New frames are encoded with it at enqueue time; already-buffered frames
-    /// keep their original encoding (the aggregator sniffs per frame).
-    codec: FrameCodec,
     config: LinkConfig,
     backoff: Backoff,
     /// While set, reconnection is gated: attempts before this instant fail fast
@@ -1085,9 +1073,7 @@ struct Link {
 }
 
 impl Link {
-    /// The hello frame: the v1 handshake, plus the loss/backoff counters once any
-    /// are nonzero — a clean producer's hello stays byte-identical to the v1
-    /// wire, and a v1 aggregator ignores the extra keys.
+    /// The hello frame, plus the loss/backoff counters once any are nonzero.
     fn hello_line(&self) -> String {
         let spilled = self.pending.spilled_frames;
         let dropped = self.pending.dropped_epochs;
@@ -1145,15 +1131,13 @@ impl Link {
         let mut conn = Conn { writer, reader };
         conn.writer.write_all(self.hello_line().as_bytes())?;
         conn.writer.flush()?;
-        let (acked, codec) = match conn.read_reply()? {
-            Reply::Ack { epoch, codec, .. } => (epoch, codec),
+        let acked = match read_reply(&mut conn.reader)? {
+            Reply::Ack { epoch, .. } => epoch,
             Reply::Error { message } => {
                 return Err(protocol_error(format!("aggregator refused hello: {message}")))
             }
             _ => return Err(protocol_error("expected an ack to the hello frame")),
         };
-        self.codec = codec;
-        self.stats.codec = codec;
         self.stats.connects += 1;
         self.stats.acked_epoch = self.stats.acked_epoch.max(acked);
         self.stats.frames_trimmed += self.pending.trim_acked(acked);
@@ -1186,9 +1170,8 @@ impl Link {
                 }
                 Some(FaultEffect::Corrupt) => {
                     let mut corrupted = frame.bytes.clone();
-                    // Flip the second-to-last byte: inside the binary frame's
-                    // checksum, or the closing brace of a JSON record — either
-                    // way the aggregator rejects the frame, never folds it.
+                    // Flip the second-to-last byte, inside the frame's checksum:
+                    // the aggregator rejects the frame, never folds it.
                     if let Some(i) = corrupted.len().checked_sub(2) {
                         corrupted[i] ^= 0xFF;
                     }
@@ -1196,7 +1179,7 @@ impl Link {
                 }
                 None => conn.writer.write_all(&frame.bytes).and_then(|()| conn.writer.flush()),
             };
-            let delivery = written.and_then(|()| conn.read_reply());
+            let delivery = written.and_then(|()| read_reply(&mut conn.reader));
             let is_finish = frame.epoch.is_none();
             match delivery {
                 Ok(Reply::Ack { epoch, terminal, .. }) => {
@@ -1238,7 +1221,7 @@ impl Link {
 }
 
 /// The producer-side transport: a [`ProfileSink`] that frames every epoch delta
-/// with the chunked codec and ships it to a [`FleetAggregator`] over a socket,
+/// as a [`crate::wire`] frame and ships it to a [`FleetAggregator`] over a socket,
 /// synchronously acknowledged. Wire the sink into a session with
 /// [`SessionBuilder::stream_to_fleet`](crate::session::SessionBuilder::stream_to_fleet);
 /// the export drainer then drives it exactly like a file sink.
@@ -1264,8 +1247,7 @@ pub struct FleetSink {
 impl FleetSink {
     /// Connects to an aggregator over TCP and runs the hello handshake, announcing
     /// `producer` as this process's fleet-wide name. Fails fast when the aggregator
-    /// is unreachable. The hello advertises the binary epoch-frame codec (with JSON
-    /// as the fallback); the aggregator's pick is in [`FleetSinkStats::codec`].
+    /// is unreachable.
     ///
     /// # Errors
     ///
@@ -1277,7 +1259,7 @@ impl FleetSink {
         period: u64,
         size_filter: u64,
     ) -> io::Result<FleetSink> {
-        Self::connect_with_codec(addr, producer, event, period, size_filter, FrameCodec::Binary)
+        Self::builder(producer, event, period, size_filter).connect(addr)
     }
 
     /// [`FleetSink::connect`] over a Unix domain socket.
@@ -1293,55 +1275,10 @@ impl FleetSink {
         period: u64,
         size_filter: u64,
     ) -> io::Result<FleetSink> {
-        Self::connect_unix_with_codec(
-            path,
-            producer,
-            event,
-            period,
-            size_filter,
-            FrameCodec::Binary,
-        )
+        Self::builder(producer, event, period, size_filter).connect_unix(path)
     }
 
-    /// [`FleetSink::connect`] with an explicit codec ceiling: `codec` is the best
-    /// format the hello advertises. [`FrameCodec::Json`] sends a plain v1 hello
-    /// (no `codecs` key at all) — for v1 aggregators, wire debugging with text
-    /// tools, or A/B measurements against the binary codec.
-    ///
-    /// # Errors
-    ///
-    /// Connection or handshake failures.
-    pub fn connect_with_codec(
-        addr: &str,
-        producer: &str,
-        event: PmuEvent,
-        period: u64,
-        size_filter: u64,
-        codec: FrameCodec,
-    ) -> io::Result<FleetSink> {
-        Self::builder(producer, event, period, size_filter).codec(codec).connect(addr)
-    }
-
-    /// [`FleetSink::connect_with_codec`] over a Unix domain socket.
-    ///
-    /// # Errors
-    ///
-    /// Connection or handshake failures.
-    #[cfg(unix)]
-    pub fn connect_unix_with_codec(
-        path: &Path,
-        producer: &str,
-        event: PmuEvent,
-        period: u64,
-        size_filter: u64,
-        codec: FrameCodec,
-    ) -> io::Result<FleetSink> {
-        Self::builder(producer, event, period, size_filter)
-            .codec(codec)
-            .connect_unix(path)
-    }
-
-    /// Starts configuring a sink with explicit failure-model knobs: codec,
+    /// Starts configuring a sink with explicit failure-model knobs:
     /// connect/ack/finish deadlines, reconnect backoff, buffer budget, overflow
     /// policy, spill location and fault injection. The plain `connect*`
     /// constructors above are shorthands for the builder's defaults.
@@ -1356,7 +1293,6 @@ impl FleetSink {
             event,
             period,
             size_filter,
-            codec: FrameCodec::Binary,
             connect_timeout: Some(DEFAULT_CONNECT_TIMEOUT),
             ack_deadline: Some(DEFAULT_ACK_DEADLINE),
             finish_deadline: DEFAULT_FINISH_DEADLINE,
@@ -1433,7 +1369,6 @@ impl Drop for FleetSink {
 ///
 /// | knob | default |
 /// |---|---|
-/// | [`codec`](Self::codec) | binary (JSON fallback negotiated) |
 /// | [`connect_timeout`](Self::connect_timeout) | 10 s |
 /// | [`ack_deadline`](Self::ack_deadline) | 5 s |
 /// | [`finish_deadline`](Self::finish_deadline) | 5 s |
@@ -1449,7 +1384,6 @@ pub struct FleetSinkBuilder {
     event: PmuEvent,
     period: u64,
     size_filter: u64,
-    codec: FrameCodec,
     connect_timeout: Option<Duration>,
     ack_deadline: Option<Duration>,
     finish_deadline: Duration,
@@ -1462,14 +1396,6 @@ pub struct FleetSinkBuilder {
 }
 
 impl FleetSinkBuilder {
-    /// Codec ceiling for the hello's advertisement ([`FrameCodec::Json`] sends a
-    /// plain v1 hello with no `codecs` key at all).
-    #[must_use]
-    pub fn codec(mut self, codec: FrameCodec) -> Self {
-        self.codec = codec;
-        self
-    }
-
     /// Bounds each TCP connection attempt (`None` = the OS default, minutes
     /// against a black-holed address). Unix-socket connects are local and take
     /// no timeout.
@@ -1564,14 +1490,8 @@ impl FleetSinkBuilder {
     }
 
     fn connect_target(self, target: Target) -> io::Result<FleetSink> {
-        // A JSON-only sink sends the exact v1 hello — no codecs key — so old
-        // aggregators see a byte-identical handshake.
-        let codecs = match self.codec {
-            FrameCodec::Json => String::new(),
-            FrameCodec::Binary => ",\"codecs\":[\"binary\",\"json\"]".to_string(),
-        };
         let hello_prefix = format!(
-            "{{\"record\":\"hello\",\"format\":\"{FLEET_FORMAT}\",\"version\":{FLEET_VERSION},\"producer\":{},\"event\":{},\"period\":{},\"size_filter\":{}{codecs}",
+            "{{\"record\":\"hello\",\"format\":\"{FLEET_FORMAT}\",\"version\":{FLEET_VERSION},\"producer\":{},\"event\":{},\"period\":{},\"size_filter\":{}",
             json_string(&self.producer),
             json_string(self.event.hardware_name()),
             self.period,
@@ -1590,7 +1510,6 @@ impl FleetSinkBuilder {
             ),
             severed: false,
             stats: FleetSinkStats::default(),
-            codec: FrameCodec::Json,
             config: LinkConfig {
                 connect_timeout: self.connect_timeout,
                 ack_deadline: self.ack_deadline,
@@ -1631,7 +1550,7 @@ impl ProfileSink for FleetSink {
         })
     }
 
-    /// Frames the delta with the negotiated epoch-frame codec and ships it (`out`
+    /// Frames the delta as a [`crate::wire`] delta frame and ships it (`out`
     /// is unused — the socket is the destination). Transport failures are
     /// absorbed: the frame stays buffered (spilling to disk past the byte budget
     /// under the default policy) and the next delta (or the finish) retries after
@@ -1649,12 +1568,7 @@ impl ProfileSink for FleetSink {
                 Some(bytes) => bytes,
                 None => {
                     let mut bytes = Vec::new();
-                    match link.codec {
-                        FrameCodec::Json => ChunkedJsonSink.on_delta(epoch, delta, &mut bytes)?,
-                        FrameCodec::Binary => {
-                            BinaryChunkedSink.on_delta(epoch, delta, &mut bytes)?
-                        }
-                    }
+                    BinaryChunkedSink.on_delta(epoch, delta, &mut bytes)?;
                     bytes
                 }
             };
@@ -1686,10 +1600,7 @@ impl ProfileSink for FleetSink {
             return Err(protocol_error("fleet link severed before the finish frame"));
         }
         let mut bytes = Vec::new();
-        match link.codec {
-            FrameCodec::Json => ChunkedJsonSink.on_finish(profile, &mut bytes)?,
-            FrameCodec::Binary => BinaryChunkedSink.on_finish(profile, &mut bytes)?,
-        }
+        BinaryChunkedSink.on_finish(profile, &mut bytes)?;
         if link.pending.offer(PendingFrame { epoch: None, bytes }).is_err() {
             // Only a failing spill tier refuses a finish frame; queueing it in
             // memory would deliver it ahead of the spilled deltas, so surface
@@ -1767,10 +1678,9 @@ pub struct ProducerStatus {
     /// Epoch frames (deltas and the finish) received on the wire, including
     /// re-sent duplicates — the frame-level traffic counter.
     pub frames_received: u64,
-    /// Wire bytes of those epoch frames, framing included (the newline of a JSON
-    /// record; header and checksum of a binary frame). Together with
-    /// `frames_received` and `samples` this makes codec efficiency observable per
-    /// producer, not just in benches.
+    /// Wire bytes of those epoch frames, header and checksum included. Together
+    /// with `frames_received` and `samples` this makes wire efficiency observable
+    /// per producer, not just in benches.
     pub bytes_received: u64,
     /// Bytes in this producer's write-ahead log (0 on a WAL-less aggregator).
     pub wal_bytes: u64,
@@ -1843,10 +1753,9 @@ fn parse_wal_header(line: &str) -> Result<(String, PmuEvent, u64, u64), ProfileP
     ))
 }
 
-/// One producer's write-ahead log: the JSON header line followed by verbatim
-/// [`crate::wire`] binary frames, appended **before** each acknowledgement.
-/// Frames that arrived as JSON are re-encoded — one WAL format serves both wire
-/// codecs and [`BinaryFrameReader`] replays it unmodified.
+/// One producer's write-ahead log: the JSON header line followed by the received
+/// [`crate::wire`] frames, appended verbatim **before** each acknowledgement, so
+/// [`BinaryFrameReader`] replays it unmodified.
 #[derive(Debug)]
 struct Wal {
     file: File,
@@ -1901,18 +1810,6 @@ impl Wal {
             self.appends_since_sync = 0;
         }
         Ok(())
-    }
-
-    fn append_delta(&mut self, delta: &ProfileDelta) -> io::Result<()> {
-        let mut frame = Vec::with_capacity(256);
-        wire::write_delta_frame(delta.epoch, &delta.threads, &mut frame)?;
-        self.append(&frame)
-    }
-
-    fn append_finish(&mut self, record: &FinishRecord) -> io::Result<()> {
-        let mut frame = Vec::with_capacity(256);
-        wire::write_finish_record_frame(record, &mut frame)?;
-        self.append(&frame)
     }
 }
 
@@ -2093,9 +1990,10 @@ struct FleetState {
     /// Keyed by producer name: deterministic iteration order, so the fleet view
     /// lists producers the same way on every snapshot.
     producers: BTreeMap<String, ProducerState>,
-    /// Clones of every accepted connection, for shutdown.
-    conns: Vec<WireStream>,
-    handlers: Vec<JoinHandle<()>>,
+    /// One row per connection handler that may still be running: its join handle
+    /// and a clone of its stream, for shutdown. Finished rows are reaped at every
+    /// accept, so reconnect churn cannot grow this without bound.
+    handlers: Vec<(JoinHandle<()>, Option<WireStream>)>,
     /// Live query subscriptions ([`FleetAggregator::watch`]), fed under the state
     /// lock as producer frames are accepted; dead watches are pruned on the way.
     watches: Vec<std::sync::Weak<crate::query::live::WatchShared>>,
@@ -2454,18 +2352,16 @@ impl FleetAggregator {
             let _ = UnixStream::connect(path);
         }
         let _ = accept_handle.join();
-        let (conns, handlers, watches) = {
+        let (handlers, watches) = {
             let mut state = self.shared.state.lock().expect("fleet state lock");
-            (
-                std::mem::take(&mut state.conns),
-                std::mem::take(&mut state.handlers),
-                std::mem::take(&mut state.watches),
-            )
+            (std::mem::take(&mut state.handlers), std::mem::take(&mut state.watches))
         };
-        for conn in &conns {
-            let _ = conn.shutdown();
+        for (_, conn) in &handlers {
+            if let Some(conn) = conn {
+                let _ = conn.shutdown();
+            }
         }
-        for handle in handlers {
+        for (handle, _) in handlers {
             let _ = handle.join();
         }
         // Close the live watches: no more frames can arrive, so blocked
@@ -2587,10 +2483,12 @@ fn accept_loop(listener: WireListener, shared: Arc<AggregatorShared>) {
         let handler_shared = Arc::clone(&shared);
         let handle = thread::spawn(move || handle_connection(stream, handler_shared));
         let mut state = shared.state.lock().expect("fleet state lock");
-        if let Some(clone) = conn_clone {
-            state.conns.push(clone);
+        // Reap exited handlers (joining a finished thread does not block) and
+        // close the last clone of each one's stream.
+        for (finished, _) in state.handlers.extract_if(.., |(h, _)| h.is_finished()) {
+            let _ = finished.join();
         }
-        state.handlers.push(handle);
+        state.handlers.push((handle, conn_clone));
     }
 }
 
@@ -2608,48 +2506,44 @@ fn handle_connection(stream: WireStream, shared: Arc<AggregatorShared>) {
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
     let mut ctx = ConnCtx { producer: None };
-    let mut line = String::new();
+    // One buffer for both frame kinds, reused across frames: the raw bytes of a
+    // binary epoch frame (appended verbatim to the WAL) or one control line.
+    let mut frame = Vec::new();
     loop {
-        // Sniff the codec per frame from the first byte: JSON control/epoch frames
-        // start with '{', binary epoch frames with the magic byte (never valid
-        // UTF-8). Per-frame sniffing — rather than trusting the negotiated codec —
-        // keeps mixed streams decodable: frames a producer buffered under one
-        // codec may be delivered after a reconnect renegotiated another.
+        // Dispatch on the first byte: binary epoch frames open with the magic
+        // byte (never valid UTF-8), everything else is a JSON control line.
         let first = match reader.fill_buf() {
             Ok([]) => break,
             Ok(buf) => buf[0],
             Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => break,
         };
-        if first == wire::BINARY_MAGIC[0] {
-            match wire::read_binary_frame(&mut reader) {
-                Ok((record, len)) => {
-                    if dispatch_epoch_record(record, len as u64, &mut ctx, &shared, &mut writer)
-                        .is_err()
-                    {
-                        break;
-                    }
-                }
-                Err(e) => {
-                    let _ = writer.write_all(error_line(&e.message).as_bytes());
-                    break;
-                }
+        let handled = if first == wire::BINARY_MAGIC[0] {
+            match wire::read_binary_frame(&mut reader, &mut frame) {
+                Ok(record) => dispatch_epoch_record(record, &frame, &mut ctx, &shared, &mut writer),
+                Err(e) => refuse(&mut writer, e.message),
             }
-            continue;
-        }
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {}
-        }
-        let frame = line.trim_end_matches(['\n', '\r']);
-        if frame.trim().is_empty() {
-            continue;
-        }
-        if dispatch_frame(frame, &mut ctx, &shared, &mut writer).is_err() {
+        } else {
+            match read_control_line(&mut reader, &mut frame) {
+                Ok(false) => break,
+                Ok(true) => match std::str::from_utf8(&frame) {
+                    Ok(line) if line.trim().is_empty() => Ok(()),
+                    Ok(line) => dispatch_frame(line, &mut ctx, &shared, &mut writer),
+                    Err(e) => refuse(&mut writer, format!("control line is not UTF-8: {e}")),
+                },
+                Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                    refuse(&mut writer, e.to_string())
+                }
+                Err(_) => break,
+            }
+        };
+        if handled.is_err() {
             break;
         }
     }
+    // The handler owns the connection's lifetime: close it now rather than when
+    // the accept loop reaps the stream clone it keeps for shutdown.
+    let _ = writer.shutdown();
     // Disconnect cleanup: mark the producer dead unless a newer connection has
     // already taken the name over.
     if let Some((name, generation)) = ctx.producer {
@@ -2662,6 +2556,12 @@ fn handle_connection(stream: WireStream, shared: Arc<AggregatorShared>) {
     }
 }
 
+/// Sends an error record and fails, so the caller closes the connection.
+fn refuse(writer: &mut WireStream, message: String) -> io::Result<()> {
+    let _ = writer.write_all(error_line(&message).as_bytes());
+    Err(protocol_error(message))
+}
+
 /// Handles one inbound frame; an `Err` closes the connection (the peer already got
 /// an error record where one applies).
 fn dispatch_frame(
@@ -2672,14 +2572,17 @@ fn dispatch_frame(
 ) -> io::Result<()> {
     let kind = match frame_kind(frame) {
         Ok(kind) => kind,
-        Err(e) => {
-            let _ = writer.write_all(error_line(&e.message).as_bytes());
-            return Err(protocol_error(e.message));
-        }
+        Err(e) => return refuse(writer, e.message),
     };
     match kind.as_str() {
         "hello" => dispatch_hello(frame, ctx, shared, writer),
-        "delta" | "finish" => dispatch_epoch_frame(frame, ctx, shared, writer),
+        "delta" | "finish" => refuse(
+            writer,
+            format!(
+                "JSON {kind} records are not epoch frames: fleet protocol version \
+                 {FLEET_VERSION} carries epochs as binary frames only"
+            ),
+        ),
         "query" => dispatch_query(frame, shared, writer),
         "status" => {
             let line = {
@@ -2688,11 +2591,7 @@ fn dispatch_frame(
             };
             writer.write_all(line.as_bytes())
         }
-        other => {
-            let message = format!("unknown frame kind {other:?}");
-            let _ = writer.write_all(error_line(&message).as_bytes());
-            Err(protocol_error(message))
-        }
+        other => refuse(writer, format!("unknown frame kind {other:?}")),
     }
 }
 
@@ -2714,7 +2613,6 @@ fn dispatch_hello(
         event: PmuEvent,
         period: u64,
         size_filter: u64,
-        codec: FrameCodec,
         spilled_frames: u64,
         dropped_epochs: u64,
         backoff_ms: u64,
@@ -2734,19 +2632,8 @@ fn dispatch_hello(
         let event_value = record.required("event", 0)?;
         let event = event_from_name(&doc.string(event_value, 0)?)
             .map_err(|e| doc.error(event_value.start, e.to_string()))?;
-        // Codec negotiation: pick binary when the producer offers it, JSON
-        // otherwise. Unknown codec names are skipped, not errors — a future
-        // producer offering codecs this build predates still interoperates.
-        let mut codec = FrameCodec::Json;
-        if let Some(value) = record.optional("codecs") {
-            for offered in doc.array(value, 0)? {
-                if FrameCodec::from_name(&doc.string(offered, 0)?) == Some(FrameCodec::Binary) {
-                    codec = FrameCodec::Binary;
-                }
-            }
-        }
-        // Loss/backoff counters: optional (absent from v1 producers and from
-        // producers with nothing to report).
+        // Loss/backoff counters: optional (absent from producers with nothing to
+        // report).
         let counter = |key: &str| -> Result<u64, ProfileParseError> {
             record.optional(key).map_or(Ok(0), |value| doc.integer(value, 0))
         };
@@ -2758,7 +2645,6 @@ fn dispatch_hello(
             event,
             period: doc.integer(record.required("period", 0)?, 0)?,
             size_filter: doc.integer(record.required("size_filter", 0)?, 0)?,
-            codec,
             spilled_frames,
             dropped_epochs,
             backoff_ms,
@@ -2766,10 +2652,7 @@ fn dispatch_hello(
     })();
     let hello = match hello {
         Ok(hello) => hello,
-        Err(e) => {
-            let _ = writer.write_all(error_line(&e.message).as_bytes());
-            return Err(protocol_error(e.message));
-        }
+        Err(e) => return refuse(writer, e.message),
     };
     let acked = {
         let mut state = shared.state.lock().expect("fleet state lock");
@@ -2808,9 +2691,7 @@ fn dispatch_hello(
                     Err(e) => {
                         // Refuse the hello rather than silently running
                         // undurable: the producer keeps buffering and retrying.
-                        let message = format!("WAL create failed: {e}");
-                        let _ = writer.write_all(error_line(&message).as_bytes());
-                        return Err(protocol_error(message));
+                        return refuse(writer, format!("WAL create failed: {e}"));
                     }
                 }
             }
@@ -2830,40 +2711,20 @@ fn dispatch_hello(
         }
         acked
     };
-    writer.write_all(hello_ack_line(acked, hello.codec).as_bytes())
+    writer.write_all(ack_line(acked, false).as_bytes())
 }
 
-fn dispatch_epoch_frame(
-    frame: &str,
-    ctx: &mut ConnCtx,
-    shared: &Arc<AggregatorShared>,
-    writer: &mut WireStream,
-) -> io::Result<()> {
-    let record = match parse_log_record(frame) {
-        Ok(record) => record,
-        Err(e) => {
-            let _ = writer.write_all(error_line(&e.message).as_bytes());
-            return Err(protocol_error(e.message));
-        }
-    };
-    // +1 for the newline the reader stripped: wire bytes, not payload bytes.
-    dispatch_epoch_record(record, frame.len() as u64 + 1, ctx, shared, writer)
-}
-
-/// Folds one decoded epoch record, whatever codec carried it — the shared tail of
-/// the JSON and binary frame paths, so ack/resume/duplicate semantics cannot
-/// differ between codecs.
+/// Folds one decoded epoch frame; `frame` holds its raw bytes, which an accepted
+/// frame appends verbatim to the producer's WAL.
 fn dispatch_epoch_record(
     record: LogRecord,
-    wire_bytes: u64,
+    frame: &[u8],
     ctx: &mut ConnCtx,
     shared: &Arc<AggregatorShared>,
     writer: &mut WireStream,
 ) -> io::Result<()> {
     let Some((name, _)) = &ctx.producer else {
-        let message = "epoch frames require a hello frame first";
-        let _ = writer.write_all(error_line(message).as_bytes());
-        return Err(protocol_error(message));
+        return refuse(writer, "epoch frames require a hello frame first".to_string());
     };
     // Aggregator-side fault injection, resolved before any state changes so a
     // dropped or black-holed frame leaves no trace in the fold or the WAL.
@@ -2896,7 +2757,7 @@ fn dispatch_epoch_record(
             // Counted per received epoch frame, duplicates included: these measure
             // wire traffic, not fold outcomes.
             p.frames_received += 1;
-            p.bytes_received += wire_bytes;
+            p.bytes_received += frame.len() as u64;
             match record {
                 LogRecord::Delta(delta) => {
                     if p.finish.is_some() {
@@ -2914,7 +2775,7 @@ fn dispatch_epoch_record(
                         // Durability order: log, then fold, then ack. A WAL append
                         // failure refuses the frame — the producer re-sends it, and
                         // the fold never holds a sample the log doesn't.
-                        match p.wal.as_mut().map_or(Ok(()), |w| w.append_delta(&delta)) {
+                        match p.wal.as_mut().map_or(Ok(()), |w| w.append(frame)) {
                             Err(e) => (Err(format!("WAL append failed: {e}")), None),
                             Ok(()) => match p.fold.absorb_ordered(&delta) {
                                 Ok(()) => {
@@ -2941,16 +2802,14 @@ fn dispatch_epoch_record(
                             p.fold.verify_checksum(finish.total_samples).map_err(|e| e.to_string())
                         };
                         match checksum {
-                            Ok(()) => {
-                                match p.wal.as_mut().map_or(Ok(()), |w| w.append_finish(&finish)) {
-                                    Err(e) => (Err(format!("WAL append failed: {e}")), None),
-                                    Ok(()) => {
-                                        p.finish = Some(finish);
-                                        let ack = ack_line(p.fold.last_epoch().unwrap_or(0), true);
-                                        (Ok(ack), Some(WatchFeed::Finish))
-                                    }
+                            Ok(()) => match p.wal.as_mut().map_or(Ok(()), |w| w.append(frame)) {
+                                Err(e) => (Err(format!("WAL append failed: {e}")), None),
+                                Ok(()) => {
+                                    p.finish = Some(finish);
+                                    let ack = ack_line(p.fold.last_epoch().unwrap_or(0), true);
+                                    (Ok(ack), Some(WatchFeed::Finish))
                                 }
-                            }
+                            },
                             Err(message) => (Err(message), None),
                         }
                     }
@@ -3036,10 +2895,7 @@ fn dispatch_epoch_record(
             }
             _ => writer.write_all(line.as_bytes()),
         },
-        Err(message) => {
-            let _ = writer.write_all(error_line(&message).as_bytes());
-            Err(protocol_error(message))
-        }
+        Err(message) => refuse(writer, message),
     }
 }
 
@@ -3050,10 +2906,7 @@ fn dispatch_query(
 ) -> io::Result<()> {
     let query = match parse_query_record(frame) {
         Ok(query) => query,
-        Err(e) => {
-            let _ = writer.write_all(error_line(&e.message).as_bytes());
-            return Err(protocol_error(e.message));
-        }
+        Err(e) => return refuse(writer, e.message),
     };
     // Snapshot under the lock, evaluate outside it: queries never stall ingestion.
     let view = {
@@ -3069,11 +2922,7 @@ fn dispatch_query(
             );
             writer.write_all(line.as_bytes())
         }
-        Err(e) => {
-            let message = e.to_string();
-            let _ = writer.write_all(error_line(&message).as_bytes());
-            Err(protocol_error(message))
-        }
+        Err(e) => refuse(writer, e.to_string()),
     }
 }
 
@@ -3092,8 +2941,8 @@ pub struct RemoteQueryResult {
 }
 
 /// A client connection to a [`FleetAggregator`]: sends query and status requests
-/// over the same NDJSON wire the producers use, one request-response pair per
-/// call.
+/// as JSON control records over the same wire the producers use, one
+/// request-response pair per call.
 #[derive(Debug)]
 pub struct FleetClient {
     writer: WireStream,
@@ -3129,14 +2978,7 @@ impl FleetClient {
     fn round_trip(&mut self, request: &str) -> io::Result<Reply> {
         self.writer.write_all(request.as_bytes())?;
         self.writer.flush()?;
-        let mut line = String::new();
-        if self.reader.read_line(&mut line)? == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "aggregator closed the connection",
-            ));
-        }
-        parse_reply(line.trim_end_matches(['\n', '\r']))
+        read_reply(&mut self.reader)
     }
 
     /// Evaluates `query` over the aggregator's current fleet view and returns both
@@ -3216,10 +3058,9 @@ mod tests {
     #[test]
     fn reply_parser_handles_all_kinds() {
         match parse_reply("{\"record\":\"ack\",\"epoch\":4}").unwrap() {
-            Reply::Ack { epoch, terminal, codec } => {
+            Reply::Ack { epoch, terminal } => {
                 assert_eq!(epoch, 4);
                 assert!(!terminal);
-                assert_eq!(codec, FrameCodec::Json, "no codec key means the v1 JSON wire");
             }
             other => panic!("unexpected reply {other:?}"),
         }
@@ -3230,14 +3071,6 @@ mod tests {
             }
             other => panic!("unexpected reply {other:?}"),
         }
-        match parse_reply("{\"record\":\"ack\",\"epoch\":2,\"codec\":\"binary\"}").unwrap() {
-            Reply::Ack { epoch, codec, .. } => {
-                assert_eq!(epoch, 2);
-                assert_eq!(codec, FrameCodec::Binary);
-            }
-            other => panic!("unexpected reply {other:?}"),
-        }
-        assert!(parse_reply("{\"record\":\"ack\",\"epoch\":2,\"codec\":\"morse\"}").is_err());
         match parse_reply("{\"record\":\"error\",\"message\":\"nope\"}").unwrap() {
             Reply::Error { message } => assert_eq!(message, "nope"),
             other => panic!("unexpected reply {other:?}"),
@@ -3292,46 +3125,6 @@ mod tests {
         assert_eq!(stats.connects, 1);
         assert_eq!(stats.frames_sent, 2);
         assert_eq!(stats.acked_epoch, 2);
-        assert_eq!(stats.codec, FrameCodec::Binary, "binary negotiated by default");
-    }
-
-    #[test]
-    fn json_forced_sink_sends_v1_hello_and_fatter_frames() {
-        let aggregator = FleetAggregator::bind("127.0.0.1:0").expect("bind");
-        let addr = aggregator.local_addr().expect("tcp addr").to_string();
-        let mut out = io::sink();
-
-        let binary =
-            FleetSink::connect(&addr, "bin", PmuEvent::DEFAULT, 16, 0).expect("connect binary");
-        let json = FleetSink::connect_with_codec(
-            &addr,
-            "json",
-            PmuEvent::DEFAULT,
-            16,
-            0,
-            FrameCodec::Json,
-        )
-        .expect("connect json");
-        assert_eq!(binary.stats().codec, FrameCodec::Binary);
-        assert_eq!(json.stats().codec, FrameCodec::Json);
-
-        // The identical delta through both codecs: same fold, different wire cost.
-        for epoch in 1..=4u64 {
-            binary.on_delta(epoch, &delta(epoch, 7, 5), &mut out).expect("binary delta");
-            json.on_delta(epoch, &delta(epoch, 7, 5), &mut out).expect("json delta");
-        }
-        let status = aggregator.status();
-        let by_name =
-            |name: &str| status.iter().find(|s| s.producer == name).expect("producer row").clone();
-        let (bin_row, json_row) = (by_name("bin"), by_name("json"));
-        assert_eq!(bin_row.samples, json_row.samples, "identical folds");
-        assert_eq!(bin_row.frames_received, json_row.frames_received);
-        assert!(
-            bin_row.bytes_received * 2 < json_row.bytes_received,
-            "binary wire bytes {} should be well under half of JSON's {}",
-            bin_row.bytes_received,
-            json_row.bytes_received
-        );
     }
 
     #[test]
@@ -3471,8 +3264,11 @@ mod tests {
         let mut wal =
             Wal::create(&dir, "proc/0", PmuEvent::DEFAULT, 16, 1024, FsyncPolicy::EveryN(2))
                 .expect("wal creates");
-        wal.append_delta(&delta(1, 9, 4)).expect("append 1");
-        wal.append_delta(&delta(2, 9, 6)).expect("append 2");
+        for d in [delta(1, 9, 4), delta(2, 9, 6)] {
+            let mut frame = Vec::new();
+            BinaryChunkedSink.on_delta(d.epoch, &d, &mut frame).expect("delta encodes");
+            wal.append(&frame).expect("append");
+        }
         let clean_bytes = wal.bytes;
         drop(wal);
         let path = wal_path(&dir, "proc/0");
@@ -3505,6 +3301,75 @@ mod tests {
         assert_eq!(fs::metadata(&path).expect("stat").len(), clean_bytes);
         assert_eq!(state.fold.total_samples(), 10);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn wal_body_is_the_concatenation_of_the_sent_frames() {
+        let dir = scratch_dir("wal-body");
+        let aggregator = FleetAggregator::builder()
+            .wal(&dir, FsyncPolicy::Never)
+            .bind("127.0.0.1:0")
+            .expect("durable bind");
+        let addr = aggregator.local_addr().expect("tcp addr").to_string();
+        let sink =
+            FleetSink::connect(&addr, "verbatim", PmuEvent::DEFAULT, 16, 0).expect("connect");
+        let (mut out, mut sent, mut fold) = (io::sink(), Vec::new(), DeltaFold::new());
+        for epoch in 1..=3u64 {
+            let d = delta(epoch, 7, epoch + 2);
+            fold.absorb_ordered(&d).expect("ordered");
+            sink.on_delta(epoch, &d, &mut out).expect("delta ships");
+            BinaryChunkedSink.on_delta(epoch, &d, &mut sent).expect("delta encodes");
+        }
+        let profile = fold.assemble(
+            PmuEvent::DEFAULT,
+            16,
+            0,
+            Vec::new(),
+            std::iter::empty(),
+            AllocationStats::default(),
+        );
+        sink.on_finish(&profile, &mut out).expect("finish ships");
+        BinaryChunkedSink.on_finish(&profile, &mut sent).expect("finish encodes");
+
+        // Every frame was logged before its acknowledgement, byte for byte as sent.
+        let wal = fs::read(wal_path(&dir, "verbatim")).expect("WAL reads");
+        let header_end = wal.iter().position(|b| *b == b'\n').expect("header line");
+        let body = &wal[header_end + 1..];
+        assert_eq!(body, &sent[..], "the WAL body is the frames the producer sent");
+        let replayed = BinaryChunkedSink.read_log_bytes(body).expect("the body replays");
+        assert_eq!(replayed.to_text(), profile.to_text());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn finished_handlers_are_reaped_under_reconnect_churn() {
+        let aggregator = FleetAggregator::bind("127.0.0.1:0").expect("bind");
+        let addr = aggregator.local_addr().expect("tcp addr").to_string();
+        // (rows, rows whose handler still runs)
+        let handlers = || {
+            let state = aggregator.shared.state.lock().expect("fleet state lock");
+            let running = state.handlers.iter().filter(|(h, _)| !h.is_finished()).count();
+            (state.handlers.len(), running)
+        };
+        let wait_until = |what: &str, done: &dyn Fn() -> bool| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !done() {
+                assert!(Instant::now() < deadline, "timed out waiting until {what}");
+                thread::sleep(Duration::from_millis(2));
+            }
+        };
+        for _ in 0..50 {
+            let mut client = FleetClient::connect(&addr).expect("client connects");
+            client.status().expect("status answers");
+        }
+        // Accepting `first` orders its row after every churned row; once only its
+        // handler still runs, the next accept reaps all 50 churned rows.
+        let mut first = FleetClient::connect(&addr).expect("client connects");
+        first.status().expect("status answers");
+        wait_until("every churned handler exits", &|| handlers().1 == 1);
+        let mut second = FleetClient::connect(&addr).expect("client connects");
+        second.status().expect("status answers");
+        wait_until("rows are bounded by the live connections", &|| handlers() == (2, 2));
     }
 
     #[test]

@@ -30,8 +30,8 @@
 //! | [`object`] | §4.2 | allocation-site identity (allocation call paths) |
 //! | [`agent`] | §4.1, §4.5 | the allocation ("Java") agent and the shared object index |
 //! | [`session`] | §5.1, Fig. 1 | the unified [`Session`]: one sampling stream, pluggable collectors |
-//! | [`sink`] | §5.2 | streaming [`ProfileSink`] export backends (text, JSON, chunked epoch log) |
-//! | [`wire`] | §5.2 | binary epoch-frame codec: compact replayable logs and fleet frames |
+//! | [`sink`] | §5.2 | streaming [`ProfileSink`] export backends (text and JSON renderings, the binary epoch log) and [`read_any_profile`] |
+//! | [`wire`] | §5.2 | binary epoch frames: the one epoch-stream format for logs, the fleet wire and its WAL |
 //! | [`export`] | §5.2 | asynchronous delta export: background [`DeltaDrainer`] over epoch-retired snapshot deltas |
 //! | [`profiler`] | §5.1 | [`DjxPerf`], the legacy single-view collector (session shim) |
 //! | [`profile`] | §5.1/§5.2 | per-thread profiles and the profile-file codec |
@@ -151,10 +151,7 @@ pub use session::{
     adaptive_shard_count, BatchContext, Collector, NumaProfile, SampleContext, Session,
     SessionBuilder, SessionConfig, SessionSnapshot, DEFAULT_EXPECTED_LIVE_OBJECTS,
 };
-pub use sink::{
-    parse_log_record, read_any_profile, ChunkedJsonSink, EpochFrameReader, FinishRecord, JsonSink,
-    LogRecord, ProfileSink, TextSink,
-};
+pub use sink::{read_any_profile, FinishRecord, JsonSink, LogRecord, ProfileSink, TextSink};
 pub use splay::{Interval, IntervalSplayTree, LookupStats};
 pub use sync::{Epoch, SpinLock, SpinLockGuard};
-pub use wire::{read_any_profile_bytes, BinaryChunkedSink, BinaryFrameReader, FrameCodec};
+pub use wire::{BinaryChunkedSink, BinaryFrameReader};

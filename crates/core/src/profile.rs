@@ -170,7 +170,7 @@ pub type AllocationRow = (ThreadId, AllocSiteId, u64, u64);
 /// Folds per-(thread, site) allocation counts into assembled thread profiles, creating
 /// an `<allocation-only>` thread for rows whose thread recorded no samples — the final
 /// assembly step shared by `Session::object_profile` and the streamed-delta replay
-/// ([`DeltaFold::assemble`], [`ChunkedJsonSink`](crate::sink::ChunkedJsonSink)). Rows
+/// ([`DeltaFold::assemble`], [`BinaryChunkedSink`](crate::wire::BinaryChunkedSink)). Rows
 /// must arrive in a deterministic order for byte-identical renderings.
 pub(crate) fn fold_allocation_rows(
     threads: &mut Vec<ThreadProfile>,
@@ -297,7 +297,7 @@ impl ProfileDelta {
 /// [`DeltaFold`] was reordered, replayed, or truncated in a way the fold can prove.
 ///
 /// These are the two checks every consumer of a delta stream performs — the epoch-log
-/// replay ([`ChunkedJsonSink::read_log`](crate::sink::ChunkedJsonSink::read_log)) maps
+/// replay ([`BinaryChunkedSink::read_log_bytes`](crate::wire::BinaryChunkedSink::read_log_bytes)) maps
 /// them onto [`ProfileParseError`] with the offending line, and the fleet aggregator
 /// ([`crate::fleet`]) uses them to reject out-of-order frames per producer and to
 /// refuse a finish record whose checksum disagrees with what was actually folded.

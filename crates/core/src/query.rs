@@ -6,8 +6,8 @@
 //! pipeline grew sharded indexes, pause-free snapshots and delta streaming, the same
 //! analysis question ("which objects cause the misses?") can be asked of very
 //! differently-shaped data: a still-running [`Session`], a terminal snapshot, a
-//! [`ChunkedJsonSink`] epoch log replayed from disk or a
-//! socket, or a fold of N logs streamed by N processes. This module makes all of them
+//! binary epoch log ([`BinaryChunkedSink`](crate::wire::BinaryChunkedSink))
+//! replayed from disk or a socket, or a fold of N logs streamed by N processes. This module makes all of them
 //! answer **the same query identically**: a [`Query`] value evaluated against any
 //! [`ProfileSource`] produces the same [`QueryResult`] whenever the sources describe
 //! the same samples — asserted end to end by `examples/query.rs` and the
@@ -29,7 +29,7 @@
 //! | [`live::LiveFold`] | the epoch-retired delta stream, folded incrementally ([`Session::watch`], [`FleetAggregator::watch`](crate::fleet::FleetAggregator::watch), [`live::LiveFold::feed`]) | repeated queries over a changing run: dashboards, watch loops, aggregator daemons |
 //! | [`ObjectCentricProfile`] | an owned snapshot | offline analysis of extracted profiles |
 //! | `[ObjectCentricProfile]` | a sequence of snapshots | the classic one-file-per-process merge workflow |
-//! | [`EpochLog`] | a replayed epoch log ([`ChunkedJsonSink::read_log`](crate::sink::ChunkedJsonSink::read_log) → [`DeltaFold`](crate::profile::DeltaFold)); [`EpochLog::open`] caches the terminal fold per file | re-querying a streamed run after the fact |
+//! | [`EpochLog`] | a replayed binary epoch log ([`read_any_profile`] → [`DeltaFold`](crate::profile::DeltaFold)); [`EpochLog::open`] caches the terminal fold per file | re-querying a streamed run after the fact |
 //! | [`MultiSource`] | a fold of any other sources | cross-machine / multi-process merging |
 //! | [`NumaProfile`] | the NUMA collector's per-site view | NUMA-only sessions (no per-context breakdown, node traffic matrix not carried) |
 //! | [`CodeCentricProfile`] | the perf-like baseline | run-level totals and locality splits only (no objects by construction) |
@@ -130,7 +130,7 @@ use crate::profile::{
     encode_path, ObjectCentricProfile, ProfileParseError, SiteMetrics, ThreadProfile,
 };
 use crate::session::{NumaProfile, Session};
-use crate::sink::{json_metrics, json_path, json_string, read_any_profile, ChunkedJsonSink};
+use crate::sink::{json_metrics, json_path, json_string, read_any_profile};
 
 pub mod live;
 
@@ -604,10 +604,10 @@ impl ProfileSource for CodeCentricProfile {
     }
 }
 
-/// A replayed [`ChunkedJsonSink`] epoch log: the deltas
-/// are folded in epoch order through [`DeltaFold`](crate::profile::DeltaFold) at
-/// construction (checksum-verified, exactly the stream's loss-free replay), and every
-/// evaluation reads the folded profile.
+/// A replayed epoch log: the binary frames are folded in epoch order through
+/// [`DeltaFold`](crate::profile::DeltaFold) at construction (checksum-verified,
+/// exactly the stream's loss-free replay), and every evaluation reads the folded
+/// profile.
 #[derive(Debug, Clone)]
 pub struct EpochLog {
     profile: Arc<ObjectCentricProfile>,
@@ -627,24 +627,17 @@ fn fold_cache() -> &'static Mutex<HashMap<PathBuf, CachedFold>> {
 }
 
 impl EpochLog {
-    /// Replays a [`ChunkedJsonSink`] epoch log.
+    /// Replays a binary epoch log — or any other serialization the built-in sinks
+    /// produce, sniffed by [`read_any_profile`]: epoch logs fold, documents parse
+    /// directly.
     ///
     /// # Errors
     ///
-    /// Returns [`ProfileParseError`] for malformed records, out-of-order epochs,
+    /// Returns [`ProfileParseError`] for malformed frames, out-of-order epochs,
     /// truncated streams and checksum mismatches (see
-    /// [`ChunkedJsonSink::read_log`](crate::sink::ChunkedJsonSink::read_log)).
-    pub fn replay(input: &str) -> Result<Self, ProfileParseError> {
-        Ok(Self { profile: Arc::new(ChunkedJsonSink::new().read_log(input)?) })
-    }
-
-    /// Replays any profile serialization the built-in sinks produce, sniffing the
-    /// format ([`read_any_profile`]): epoch logs fold, documents parse directly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProfileParseError`] for malformed input.
-    pub fn replay_any(input: &str) -> Result<Self, ProfileParseError> {
+    /// [`BinaryChunkedSink::read_log_bytes`](crate::wire::BinaryChunkedSink::read_log_bytes)),
+    /// and for malformed documents.
+    pub fn replay(input: &[u8]) -> Result<Self, ProfileParseError> {
         Ok(Self { profile: Arc::new(read_any_profile(input)?) })
     }
 
@@ -657,9 +650,8 @@ impl EpochLog {
     /// and re-cached on the next open. (For tailing a *live* log incrementally,
     /// feed its bytes to a [`LiveFold`](live::LiveFold) instead.)
     ///
-    /// The format is sniffed byte-level
-    /// ([`read_any_profile_bytes`](crate::wire::read_any_profile_bytes)): JSON and
-    /// binary epoch logs fold, profile documents parse directly.
+    /// The file is read like [`EpochLog::replay`] reads bytes: epoch logs fold,
+    /// profile documents parse directly.
     ///
     /// # Errors
     ///
@@ -680,7 +672,7 @@ impl EpochLog {
             }
         }
         let bytes = std::fs::read(path).map_err(io_err)?;
-        let profile = Arc::new(crate::wire::read_any_profile_bytes(&bytes)?);
+        let profile = Arc::new(read_any_profile(&bytes)?);
         cache.insert(path.to_path_buf(), CachedFold { len, mtime, profile: Arc::clone(&profile) });
         Ok(Self { profile })
     }
@@ -1744,11 +1736,15 @@ mod tests {
         let query = Query::new().rank_by(RankBy::WeightedEvents);
         let direct = query.evaluate(&profile).unwrap();
 
-        // The same profile through the chunked-log codec (write → replay).
+        // The same profile through the binary epoch-log codec (write → replay).
         let mut log = Vec::new();
-        crate::sink::ProfileSink::write_profile(&ChunkedJsonSink::new(), &profile, &mut log)
-            .unwrap();
-        let replayed = EpochLog::replay(&String::from_utf8(log).unwrap()).unwrap();
+        crate::sink::ProfileSink::write_profile(
+            &crate::wire::BinaryChunkedSink,
+            &profile,
+            &mut log,
+        )
+        .unwrap();
+        let replayed = EpochLog::replay(&log).unwrap();
         let from_log = query.evaluate(&replayed).unwrap();
         assert_eq!(from_log.to_text(), direct.to_text());
         assert_eq!(from_log.to_json(), direct.to_json());
@@ -1797,11 +1793,10 @@ mod tests {
 
     #[test]
     fn parse_failures_surface_as_query_errors() {
-        let err = EpochLog::replay("garbage").unwrap_err();
+        let err = EpochLog::replay(b"garbage").unwrap_err();
         let query_err: QueryError = err.into();
         assert!(matches!(query_err, QueryError::Parse(_)));
         assert!(query_err.to_string().contains("parse"));
-        assert!(EpochLog::replay_any("garbage").is_err());
     }
 
     #[test]

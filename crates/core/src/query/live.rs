@@ -14,12 +14,10 @@
 //!   [`Session::live_fold`](crate::session::Session::live_fold) register the fold as
 //!   a tap on the streaming drainer — every epoch the drainer retires is handed to
 //!   the fold under the same hand-off gate that orders the export queue, so the fold
-//!   observes exactly the stream a [`ChunkedJsonSink`](crate::sink::ChunkedJsonSink)
-//!   would have logged;
-//! * **replayed / tailed logs**: [`LiveFold::feed`] pushes raw bytes (NDJSON or the
-//!   binary epoch-frame codec, sniffed automatically) through a
-//!   [`FrameTail`] — tail a growing log file and feed each
-//!   read;
+//!   observes exactly the stream a
+//!   [`BinaryChunkedSink`](crate::wire::BinaryChunkedSink) would have logged;
+//! * **replayed / tailed logs**: [`LiveFold::feed`] pushes raw binary epoch-log
+//!   bytes through a [`FrameTail`] — tail a growing log file and feed each read;
 //! * **manual**: [`LiveFold::absorb`] / [`LiveFold::finish`] for decoded records
 //!   (the fleet aggregator drives its per-producer watches this way).
 //!
@@ -67,7 +65,8 @@ use crate::profile::{
     AllocationRow, AllocationStats, DeltaFold, FoldError, ObjectCentricProfile, ProfileDelta,
     ProfileParseError, ThreadProfile,
 };
-use crate::sink::{FinishRecord, FrameTail, LogRecord};
+use crate::sink::{FinishRecord, LogRecord};
+use crate::wire::FrameTail;
 
 use super::{GroupAcc, GroupState, ProfileSource, Query, QueryError, QueryResult, RankValue};
 
@@ -274,38 +273,22 @@ impl LiveState {
 
     /// Terminal-profile variant of [`LiveState::finish_with`]: extracts the
     /// allocation rows from an assembled profile exactly the way the sink's finish
-    /// record does, so folding them back is loss-free.
+    /// frame does ([`FinishRecord::of_profile`]), so folding them back is
+    /// loss-free.
     fn apply_terminal(&mut self, profile: &ObjectCentricProfile) {
-        let rows = extract_alloc_rows(profile);
+        self.finish_record(FinishRecord::of_profile(profile, true));
+    }
+
+    fn finish_record(&mut self, record: FinishRecord) {
         self.finish_with(
-            profile.event,
-            profile.period,
-            profile.size_filter,
-            profile.sites.clone(),
-            rows,
-            profile.allocation_stats,
+            record.event,
+            record.period,
+            record.size_filter,
+            record.sites,
+            record.allocs,
+            record.allocation_stats,
         );
     }
-}
-
-/// Extracts the per-(thread, site) allocation rows of an assembled profile — the
-/// same extraction [`ChunkedJsonSink`](crate::sink::ChunkedJsonSink) performs for
-/// the terminal finish record, and the inverse of
-/// [`fold_allocation_rows`](crate::profile): threads in profile order, site ids
-/// ascending, rows with any allocation counter.
-fn extract_alloc_rows(profile: &ObjectCentricProfile) -> Vec<AllocationRow> {
-    let mut rows = Vec::new();
-    for thread in &profile.threads {
-        let mut site_ids: Vec<_> = thread.sites.keys().copied().collect();
-        site_ids.sort_unstable();
-        for sid in site_ids {
-            let m = &thread.sites[&sid].total;
-            if m.allocations > 0 || m.allocated_bytes > 0 {
-                rows.push((thread.thread, sid, m.allocations, m.allocated_bytes));
-            }
-        }
-    }
-    rows
 }
 
 impl DeltaTap for LiveShared {
@@ -363,14 +346,7 @@ impl LiveFold {
     pub fn finish(&self, record: FinishRecord) -> Result<(), FoldError> {
         let mut st = self.state();
         st.fold.verify_checksum(record.total_samples)?;
-        st.finish_with(
-            record.event,
-            record.period,
-            record.size_filter,
-            record.sites,
-            record.allocs,
-            record.allocation_stats,
-        );
+        st.finish_record(record);
         Ok(())
     }
 
@@ -382,10 +358,10 @@ impl LiveFold {
         self.state().extend_sites(sites);
     }
 
-    /// Pushes raw epoch-log bytes — NDJSON or the binary epoch-frame codec, sniffed
-    /// from the first bytes — decoding and folding every complete frame. This is the
-    /// log-tailing entry point: read a growing log in chunks and feed each read;
-    /// partial frames buffer until completed by a later feed.
+    /// Pushes raw binary epoch-log bytes ([`crate::wire`] frames), decoding and
+    /// folding every complete frame. This is the log-tailing entry point: read a
+    /// growing log in chunks and feed each read; partial frames buffer until
+    /// completed by a later feed.
     ///
     /// # Errors
     ///
@@ -403,24 +379,13 @@ impl LiveFold {
                 Err(e) => return Err(e),
             };
             let frame = st.tail.frames();
-            match record {
-                LogRecord::Delta(delta) => st
-                    .absorb_delta(&delta)
-                    .map_err(|e| ProfileParseError { line: frame, message: e.to_string() })?,
+            let folded = match record {
+                LogRecord::Delta(delta) => st.absorb_delta(&delta),
                 LogRecord::Finish(record) => {
-                    st.fold
-                        .verify_checksum(record.total_samples)
-                        .map_err(|e| ProfileParseError { line: frame, message: e.to_string() })?;
-                    st.finish_with(
-                        record.event,
-                        record.period,
-                        record.size_filter,
-                        record.sites,
-                        record.allocs,
-                        record.allocation_stats,
-                    );
+                    st.fold.verify_checksum(record.total_samples).map(|()| st.finish_record(record))
                 }
-            }
+            };
+            folded.map_err(|e| ProfileParseError { line: frame, message: e.to_string() })?;
         }
     }
 

@@ -1151,11 +1151,10 @@ impl SessionBuilder {
     /// Streams the session's epoch deltas as a compact **binary** epoch log into
     /// `out`: [`SessionBuilder::stream_to`] with a
     /// [`BinaryChunkedSink`](crate::wire::BinaryChunkedSink). The log replays
-    /// byte-identically to its JSON counterpart
+    /// byte-identically to the session's terminal snapshot
     /// ([`BinaryChunkedSink::read_log_bytes`](crate::wire::BinaryChunkedSink::read_log_bytes)
-    /// or [`read_any_profile_bytes`](crate::wire::read_any_profile_bytes)) at a
-    /// fraction of the bytes and codec cost — see [`crate::wire`] for the frame
-    /// format and the format-choice guidance.
+    /// or [`read_any_profile`](crate::sink::read_any_profile)) — see
+    /// [`crate::wire`] for the frame format.
     pub fn stream_to_binary(self, out: Box<dyn io::Write + Send>, policy: DrainPolicy) -> Self {
         self.stream_to(Arc::new(crate::wire::BinaryChunkedSink::new()), out, policy)
     }

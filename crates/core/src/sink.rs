@@ -3,21 +3,24 @@
 //! A [`ProfileSink`] turns an [`ObjectCentricProfile`] into bytes on any `io::Write`
 //! (files, sockets, in-memory buffers) and parses them back, so the offline analyzer
 //! and cross-machine merging (§5.2 of the paper) are independent of the on-disk format.
-//! Two backends ship:
+//! Three backends ship:
 //!
 //! * [`TextSink`] — the original line-oriented profile-file codec
 //!   ([`ObjectCentricProfile::to_text`]/[`parse`](ObjectCentricProfile::parse)), moved
 //!   behind the trait with its round-trip guarantees intact;
 //! * [`JsonSink`] — a machine-readable JSON document for dashboards and external
-//!   tooling, hand-rolled (writer *and* parser) because this build is offline.
+//!   tooling, hand-rolled (writer *and* parser) because this build is offline;
+//! * [`BinaryChunkedSink`] — the replayable binary
+//!   epoch log, the one epoch-stream format (see [`crate::wire`]).
 //!
-//! Both backends are lossless: `sink.read_profile(sink written profile)` reproduces the
+//! Every backend is lossless: reading back what a sink wrote reproduces the
 //! original sites, per-thread metrics, access contexts and allocation statistics, which
 //! the codec property tests check for arbitrary multi-thread profiles.
 //! [`Session::stream_snapshot`](crate::session::Session::stream_snapshot) streams a
-//! live session through any sink mid-run.
+//! live session through any sink mid-run; [`read_any_profile`] reads whatever a
+//! built-in sink wrote.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, Write};
 
 use djx_runtime::{Frame, MethodId, ThreadId};
 
@@ -25,8 +28,9 @@ use crate::metrics::MetricVector;
 use crate::object::{AllocSite, AllocSiteId};
 use crate::profile::{
     event_from_name, thread_to_text, AllocationRow, AllocationStats, DeltaFold,
-    ObjectCentricProfile, ProfileDelta, ProfileParseError, ThreadDelta, ThreadProfile,
+    ObjectCentricProfile, ProfileDelta, ProfileParseError, ThreadProfile,
 };
+use crate::wire::{BinaryChunkedSink, BINARY_MAGIC};
 
 /// A serialization backend for object-centric profiles.
 ///
@@ -36,8 +40,9 @@ use crate::profile::{
 /// [`ProfileSink::on_delta`] for every retired epoch and [`ProfileSink::on_finish`]
 /// once at the end of the stream. The default `on_delta` reports
 /// [`io::ErrorKind::Unsupported`]; all built-in sinks override it, and
-/// [`ChunkedJsonSink`] additionally makes its delta stream *replayable* — folding the
-/// emitted epoch log reproduces the terminal profile byte-identically.
+/// [`BinaryChunkedSink`] additionally makes its delta
+/// stream *replayable* — folding the emitted epoch log reproduces the terminal
+/// profile byte-identically.
 pub trait ProfileSink: Send + Sync {
     /// Short format name (`"text"`, `"json"`), used for diagnostics and file naming.
     fn format_name(&self) -> &'static str;
@@ -96,7 +101,8 @@ pub trait ProfileSink: Send + Sync {
 /// [`ProfileSink::on_delta`] emits a `delta epoch=…` header followed by the standard
 /// per-thread blocks, and [`ProfileSink::on_finish`] appends the full profile.
 /// The combined stream is a log for humans and tail-based tooling, **not** a parseable
-/// profile file — use [`ChunkedJsonSink`] when the stream must be replayed.
+/// profile file — use [`BinaryChunkedSink`] when
+/// the stream must be replayed.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TextSink;
 
@@ -174,7 +180,7 @@ impl ProfileSink for JsonSink {
     fn on_delta(&self, epoch: u64, delta: &ProfileDelta, out: &mut dyn Write) -> io::Result<()> {
         // One NDJSON line per delta; the terminal flush appends the usual whole-profile
         // document on its own line. The combined stream is a dashboard/log feed — the
-        // replayable format is `ChunkedJsonSink`.
+        // replayable format is `BinaryChunkedSink`.
         write!(
             out,
             "{{\"delta\":{{\"epoch\":{},\"samples\":{},\"threads\":[",
@@ -221,8 +227,7 @@ impl ProfileSink for JsonSink {
 
         let mut threads = Vec::new();
         for thread_value in doc.array(top.required("threads", 0)?, 0)? {
-            let (_, profile) = read_thread_json(&doc, thread_value)?;
-            threads.push(profile);
+            threads.push(read_thread_json(&doc, thread_value)?);
         }
 
         Ok(ObjectCentricProfile {
@@ -237,159 +242,7 @@ impl ProfileSink for JsonSink {
 }
 
 // ---------------------------------------------------------------------------------------
-// ChunkedJsonSink: the replayable epoch log
-// ---------------------------------------------------------------------------------------
-
-/// Epoch-log format tag carried by every finish record.
-const EPOCH_LOG_FORMAT: &str = "djxperf-epoch-log";
-
-/// Current version of the epoch-log layout.
-const EPOCH_LOG_VERSION: u64 = 1;
-
-/// The **replayable** streaming backend: newline-delimited JSON with one `delta`
-/// record per streamed epoch and one terminal `finish` record carrying the run
-/// configuration, the site table, the per-(thread, site) allocation rows and a
-/// total-sample checksum.
-///
-/// Unlike the delta streams of [`TextSink`] / [`JsonSink`] (human/dashboard logs),
-/// a chunked log is a complete, self-verifying serialization of the run:
-/// [`ChunkedJsonSink::read_log`] folds the delta records in epoch order
-/// ([`DeltaFold`]), applies the finish record, verifies the checksum, and returns a
-/// profile **byte-identical** to the terminal snapshot of the session that streamed
-/// it. Out-of-order epochs, a missing finish record, or a folded sample count that
-/// disagrees with the checksum are parse errors — a truncated or reordered stream
-/// can never silently masquerade as a whole profile.
-///
-/// The sink also works as a regular document codec: [`ProfileSink::write_profile`]
-/// emits a degenerate single-delta log, and [`ProfileSink::read_profile`] is
-/// [`ChunkedJsonSink::read_log`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ChunkedJsonSink;
-
-impl ChunkedJsonSink {
-    /// Creates the sink.
-    pub fn new() -> Self {
-        Self
-    }
-
-    fn write_delta_record(
-        epoch: u64,
-        threads: &[ThreadDelta],
-        out: &mut dyn Write,
-    ) -> io::Result<()> {
-        let samples: u64 = threads.iter().map(|t| t.profile.samples).sum();
-        write!(
-            out,
-            "{{\"record\":\"delta\",\"epoch\":{epoch},\"samples\":{samples},\"threads\":["
-        )?;
-        for (i, td) in threads.iter().enumerate() {
-            if i > 0 {
-                out.write_all(b",")?;
-            }
-            write_thread_json(&td.profile, Some(td.seq), out)?;
-        }
-        out.write_all(b"]}\n")
-    }
-
-    fn write_finish_record(
-        profile: &ObjectCentricProfile,
-        include_allocs: bool,
-        out: &mut dyn Write,
-    ) -> io::Result<()> {
-        write!(
-            out,
-            "{{\"record\":\"finish\",\"format\":\"{EPOCH_LOG_FORMAT}\",\"version\":{EPOCH_LOG_VERSION},\"event\":{},\"period\":{},\"size_filter\":{},\"total_samples\":{}",
-            json_string(profile.event.hardware_name()),
-            profile.period,
-            profile.size_filter,
-            profile.total_samples()
-        )?;
-        out.write_all(b",\"allocation_stats\":")?;
-        write_alloc_stats_json(&profile.allocation_stats, out)?;
-        out.write_all(b",\"sites\":")?;
-        write_sites_json(&profile.sites, out)?;
-        // Streamed delta fragments carry no allocation counts (the collector records
-        // samples only; allocations are folded in at assembly), so the terminal
-        // profile's per-(thread, site) allocation totals are exactly the rows the
-        // replay must re-fold. A whole-profile document instead inlines its threads
-        // complete with allocation metrics, so its finish record carries no rows.
-        out.write_all(b",\"allocs\":[")?;
-        if include_allocs {
-            let mut first = true;
-            for thread in &profile.threads {
-                let mut site_ids: Vec<_> = thread.sites.keys().copied().collect();
-                site_ids.sort_unstable();
-                for sid in site_ids {
-                    let m = &thread.sites[&sid].total;
-                    if m.allocations > 0 || m.allocated_bytes > 0 {
-                        if !first {
-                            out.write_all(b",")?;
-                        }
-                        first = false;
-                        write!(
-                            out,
-                            "[{},{},{},{}]",
-                            thread.thread.0, sid.0, m.allocations, m.allocated_bytes
-                        )?;
-                    }
-                }
-            }
-        }
-        out.write_all(b"]}\n")
-    }
-
-    /// Replays an epoch log: folds the delta records in order, applies the finish
-    /// record's site table, allocation rows and statistics, and verifies the
-    /// total-sample checksum. The result is byte-identical (as rendered by
-    /// [`ObjectCentricProfile::to_text`]) to the terminal snapshot of the session
-    /// that streamed the log.
-    ///
-    /// This is a thin wrapper over the incremental machinery: an
-    /// [`EpochFrameReader`] decodes one frame at a time, a
-    /// [`DeltaFold`] accumulates them
-    /// ([`absorb_ordered`](crate::profile::DeltaFold::absorb_ordered)), and the
-    /// terminal [`FinishRecord`] assembles the profile — exactly the loop a fleet
-    /// aggregator runs per producer over a socket instead of a file
-    /// ([`crate::fleet`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProfileParseError`] for malformed records, out-of-order epochs,
-    /// records after (or a log without) the finish record, and checksum mismatches.
-    pub fn read_log(&self, input: &str) -> Result<ObjectCentricProfile, ProfileParseError> {
-        let mut reader = EpochFrameReader::new(input.as_bytes());
-        let mut fold = DeltaFold::new();
-        let mut finish: Option<FinishRecord> = None;
-        while let Some(record) = reader.next_record()? {
-            let line = reader.line_number();
-            if finish.is_some() {
-                return Err(ProfileParseError {
-                    line,
-                    message: "records after the finish record".to_string(),
-                });
-            }
-            match record {
-                LogRecord::Delta(delta) => fold
-                    .absorb_ordered(&delta)
-                    .map_err(|e| ProfileParseError { line, message: e.to_string() })?,
-                LogRecord::Finish(record) => finish = Some(record),
-            }
-        }
-        let line = reader.line_number().max(1);
-        let Some(finish) = finish else {
-            return Err(ProfileParseError {
-                line,
-                message: "epoch log has no finish record (truncated stream?)".to_string(),
-            });
-        };
-        finish
-            .assemble(fold)
-            .map_err(|e| ProfileParseError { line, message: e.to_string() })
-    }
-}
-
-// ---------------------------------------------------------------------------------------
-// Epoch-log frames: the incremental decoding layer shared by file replay and sockets
+// Epoch-log records: what every binary frame decodes to
 // ---------------------------------------------------------------------------------------
 
 /// The decoded payload of an epoch log's terminal `finish` frame: run configuration,
@@ -415,6 +268,37 @@ pub struct FinishRecord {
 }
 
 impl FinishRecord {
+    /// The finish record closing a stream whose terminal profile is `profile`.
+    /// With `include_allocs` it carries the per-(thread, site) allocation rows —
+    /// threads in profile order, site ids ascending, rows with any allocation
+    /// counter — which streamed deltas never carry (the collector records samples
+    /// only; allocations are folded in at assembly). A whole-profile document
+    /// inlines its threads complete with allocation metrics instead, so its finish
+    /// record carries no rows.
+    pub(crate) fn of_profile(profile: &ObjectCentricProfile, include_allocs: bool) -> FinishRecord {
+        let mut allocs = Vec::new();
+        let threads = if include_allocs { &profile.threads[..] } else { &[] };
+        for thread in threads {
+            let mut site_ids: Vec<_> = thread.sites.keys().copied().collect();
+            site_ids.sort_unstable();
+            for sid in site_ids {
+                let m = &thread.sites[&sid].total;
+                if m.allocations > 0 || m.allocated_bytes > 0 {
+                    allocs.push((thread.thread, sid, m.allocations, m.allocated_bytes));
+                }
+            }
+        }
+        FinishRecord {
+            event: profile.event,
+            period: profile.period,
+            size_filter: profile.size_filter,
+            sites: profile.sites.clone(),
+            allocs,
+            allocation_stats: profile.allocation_stats,
+            total_samples: profile.total_samples(),
+        }
+    }
+
     /// Closes a fold with this record: verifies the total-sample checksum against
     /// what was actually folded, then assembles the complete profile the way the
     /// live session would have.
@@ -464,352 +348,6 @@ pub enum LogRecord {
     Delta(ProfileDelta),
     /// The terminal record closing the stream.
     Finish(FinishRecord),
-}
-
-/// Decodes one epoch-log frame (one NDJSON line, without its newline). This is the
-/// single parser behind every transport: [`ChunkedJsonSink::read_log`] feeds it file
-/// lines through an [`EpochFrameReader`], and the fleet aggregator
-/// ([`crate::fleet`]) feeds it socket lines — a log file and a wire stream can never
-/// drift apart because there is exactly one decoder.
-///
-/// Reported error lines are relative to the frame itself (always 1 for a
-/// single-line frame); callers tracking a position re-anchor them.
-///
-/// # Errors
-///
-/// [`ProfileParseError`] for malformed JSON, unknown record kinds, or a finish
-/// record with the wrong format tag or version.
-pub fn parse_log_record(line: &str) -> Result<LogRecord, ProfileParseError> {
-    let root = JsonParser::new(line).parse_document()?;
-    let doc = Reader::new(line);
-    let record = doc.object(&root, 0)?;
-    let kind = doc.string(record.required("record", 0)?, 0)?;
-    match kind.as_str() {
-        "delta" => {
-            let epoch = doc.integer(record.required("epoch", 0)?, 0)?;
-            let mut threads = Vec::new();
-            for thread_value in doc.array(record.required("threads", 0)?, 0)? {
-                let (seq, profile) = read_thread_json(&doc, thread_value)?;
-                let seq = seq.ok_or_else(|| {
-                    doc.error(
-                        thread_value.start,
-                        "delta thread fragment misses its seq".to_string(),
-                    )
-                })?;
-                threads.push(ThreadDelta { seq, profile });
-            }
-            Ok(LogRecord::Delta(ProfileDelta { epoch, threads }))
-        }
-        "finish" => {
-            let format = doc.string(record.required("format", 0)?, 0)?;
-            if format != EPOCH_LOG_FORMAT {
-                return Err(doc.error(0, format!("unexpected log format {format:?}")));
-            }
-            let version = doc.integer(record.required("version", 0)?, 0)?;
-            if version != EPOCH_LOG_VERSION {
-                return Err(doc.error(0, format!("unsupported log version {version}")));
-            }
-            let event_value = record.required("event", 0)?;
-            let event = event_from_name(&doc.string(event_value, 0)?)
-                .map_err(|e| doc.error(event_value.start, e.to_string()))?;
-            let mut allocs = Vec::new();
-            for row in doc.array(record.required("allocs", 0)?, 0)? {
-                let cells = doc.array(row, row.start)?;
-                if cells.len() != 4 {
-                    return Err(doc.error(
-                        row.start,
-                        "an alloc row is [thread, site, count, bytes]".to_string(),
-                    ));
-                }
-                allocs.push((
-                    ThreadId(doc.integer(&cells[0], row.start)?),
-                    AllocSiteId(doc.integer_u32(&cells[1], row.start)?),
-                    doc.integer(&cells[2], row.start)?,
-                    doc.integer(&cells[3], row.start)?,
-                ));
-            }
-            Ok(LogRecord::Finish(FinishRecord {
-                event,
-                period: doc.integer(record.required("period", 0)?, 0)?,
-                size_filter: doc.integer(record.required("size_filter", 0)?, 0)?,
-                sites: read_sites_json(&doc, record.required("sites", 0)?)?,
-                allocs,
-                allocation_stats: read_alloc_stats_json(
-                    &doc,
-                    record.required("allocation_stats", 0)?,
-                )?,
-                total_samples: doc.integer(record.required("total_samples", 0)?, 0)?,
-            }))
-        }
-        other => Err(doc.error(0, format!("unknown record kind {other:?}"))),
-    }
-}
-
-/// Incremental epoch-frame reader over any [`BufRead`]: yields one decoded
-/// [`LogRecord`] per frame, skipping blank lines, so a consumer can feed frames into
-/// a [`DeltaFold`] as they arrive — from a finished log
-/// file, a pipe still being written, or a socket. [`ChunkedJsonSink::read_log`] is
-/// this reader run to completion.
-///
-/// ```
-/// use djxperf::{DeltaFold, EpochFrameReader, LogRecord};
-///
-/// let log = "{\"record\":\"delta\",\"epoch\":1,\"samples\":0,\"threads\":[]}\n";
-/// let mut reader = EpochFrameReader::new(log.as_bytes());
-/// let mut fold = DeltaFold::new();
-/// while let Some(record) = reader.next_record().unwrap() {
-///     if let LogRecord::Delta(delta) = record {
-///         fold.absorb_ordered(&delta).unwrap();
-///     }
-/// }
-/// assert_eq!(fold.deltas(), 1);
-/// ```
-#[derive(Debug)]
-pub struct EpochFrameReader<R> {
-    input: R,
-    line: String,
-    line_number: usize,
-}
-
-impl<R: BufRead> EpochFrameReader<R> {
-    /// Wraps a buffered reader positioned at the start of a frame stream.
-    pub fn new(input: R) -> Self {
-        Self { input, line: String::new(), line_number: 0 }
-    }
-
-    /// The 1-based line number of the most recently returned frame (0 before the
-    /// first read) — for re-anchoring parse errors to the stream position.
-    pub fn line_number(&self) -> usize {
-        self.line_number
-    }
-
-    /// Decodes the next frame, or `None` at end of stream. Blank lines are skipped
-    /// (but counted).
-    ///
-    /// # Errors
-    ///
-    /// [`ProfileParseError`] (anchored to the stream's line number) for malformed
-    /// frames; transport failures of the underlying reader surface the same way,
-    /// with the [`io::Error`] as the message.
-    pub fn next_record(&mut self) -> Result<Option<LogRecord>, ProfileParseError> {
-        loop {
-            self.line.clear();
-            let read = self.input.read_line(&mut self.line).map_err(|e| ProfileParseError {
-                line: self.line_number + 1,
-                message: format!("frame stream read error: {e}"),
-            })?;
-            if read == 0 {
-                return Ok(None);
-            }
-            self.line_number += 1;
-            if self.line.trim().is_empty() {
-                continue;
-            }
-            let frame = self.line.trim_end_matches(['\n', '\r']);
-            return match parse_log_record(frame) {
-                Ok(record) => Ok(Some(record)),
-                Err(mut e) => {
-                    // Re-anchor to the stream position and quote the offending
-                    // frame (truncated), so a corrupt record in a large log can be
-                    // found without counting lines by hand.
-                    e.line = self.line_number;
-                    e.message = format!(
-                        "line {}: {} — in frame {}",
-                        self.line_number,
-                        e.message,
-                        snippet_of(frame)
-                    );
-                    Err(e)
-                }
-            };
-        }
-    }
-}
-
-/// An incremental, push-driven epoch-frame decoder for **tailing a log that is
-/// still being written**: feed it byte chunks as they arrive ([`FrameTail::push`] —
-/// from a growing file, a pipe, a socket) and pull complete decoded [`LogRecord`]s
-/// out ([`FrameTail::next_record`]); partial frames stay buffered until their bytes
-/// arrive. The format is sniffed from the first bytes — [`ChunkedJsonSink`] NDJSON
-/// records and [`BinaryChunkedSink`](crate::wire::BinaryChunkedSink) frames both
-/// decode, through the same single-frame parsers every other transport uses.
-///
-/// This is the pull counterpart of [`EpochFrameReader`] for sources that cannot
-/// block on a reader, and the decoding layer behind
-/// [`LiveFold::feed`](crate::query::live::LiveFold::feed).
-#[derive(Debug, Default)]
-pub struct FrameTail {
-    buf: Vec<u8>,
-    /// Offset of the first unconsumed byte; consumed prefixes are compacted away
-    /// once they outgrow the unconsumed remainder.
-    pos: usize,
-    format: Option<TailFormat>,
-    frames: usize,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TailFormat {
-    Json,
-    Binary,
-}
-
-impl FrameTail {
-    /// An empty tail; the format is sniffed from the first pushed bytes.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends newly arrived bytes to the tail buffer.
-    pub fn push(&mut self, bytes: &[u8]) {
-        if self.pos > 0 && self.pos >= self.buf.len().saturating_sub(self.pos) {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Number of buffered bytes not yet consumed by a decoded frame.
-    pub fn buffered(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Number of complete frames decoded so far (the position parse errors anchor
-    /// to).
-    pub fn frames(&self) -> usize {
-        self.frames
-    }
-
-    /// Decodes the next complete frame, or `Ok(None)` when the buffered bytes end
-    /// mid-frame — push more and try again.
-    ///
-    /// # Errors
-    ///
-    /// [`ProfileParseError`] for malformed frames, anchored to the running frame
-    /// count. A tail that errored is not recoverable: the stream position inside a
-    /// corrupt frame is unknowable.
-    pub fn next_record(&mut self) -> Result<Option<LogRecord>, ProfileParseError> {
-        use crate::wire::{read_binary_frame, BINARY_MAGIC, HEADER_LEN, MAX_PAYLOAD_LEN};
-        loop {
-            let avail = &self.buf[self.pos..];
-            if avail.is_empty() {
-                return Ok(None);
-            }
-            let format = match self.format {
-                Some(format) => format,
-                None => {
-                    // Sniff like read_any_profile_bytes: the magic's leading pair is
-                    // never valid UTF-8, so any prefix match means binary (wait for
-                    // the full magic before committing), anything else means text.
-                    let head = &avail[..avail.len().min(BINARY_MAGIC.len())];
-                    if head == &BINARY_MAGIC[..head.len()] {
-                        if head.len() < BINARY_MAGIC.len() {
-                            return Ok(None);
-                        }
-                        self.format = Some(TailFormat::Binary);
-                        TailFormat::Binary
-                    } else {
-                        self.format = Some(TailFormat::Json);
-                        TailFormat::Json
-                    }
-                }
-            };
-            match format {
-                TailFormat::Json => {
-                    let Some(nl) = avail.iter().position(|&b| b == b'\n') else {
-                        return Ok(None);
-                    };
-                    let line = &avail[..nl];
-                    let text = std::str::from_utf8(line).map_err(|e| ProfileParseError {
-                        line: self.frames + 1,
-                        message: format!("frame {}: invalid UTF-8: {e}", self.frames + 1),
-                    })?;
-                    let text = text.trim_matches(['\r', ' ', '\t']);
-                    if text.is_empty() {
-                        self.pos += nl + 1;
-                        continue;
-                    }
-                    let record = parse_log_record(text).map_err(|mut e| {
-                        e.line = self.frames + 1;
-                        e.message = format!(
-                            "frame {}: {} — in frame {}",
-                            self.frames + 1,
-                            e.message,
-                            snippet_of(text)
-                        );
-                        e
-                    })?;
-                    self.pos += nl + 1;
-                    self.frames += 1;
-                    return Ok(Some(record));
-                }
-                TailFormat::Binary => {
-                    if avail.len() < HEADER_LEN {
-                        return Ok(None);
-                    }
-                    let len = u32::from_le_bytes(avail[6..10].try_into().expect("4 length bytes"));
-                    // Reject an absurd length up front: waiting for bytes that a
-                    // corrupt prefix promises would stall the tail forever.
-                    if len > MAX_PAYLOAD_LEN {
-                        return Err(ProfileParseError {
-                            line: self.frames + 1,
-                            message: format!(
-                                "frame {}: payload length {len} exceeds the \
-                                 {MAX_PAYLOAD_LEN}-byte cap",
-                                self.frames + 1
-                            ),
-                        });
-                    }
-                    let total = HEADER_LEN + len as usize + 4;
-                    if avail.len() < total {
-                        return Ok(None);
-                    }
-                    let (record, size) =
-                        read_binary_frame(&mut &avail[..total]).map_err(|mut e| {
-                            e.line = self.frames + 1;
-                            e.message = format!("frame {}: {}", self.frames + 1, e.message);
-                            e
-                        })?;
-                    self.pos += size;
-                    self.frames += 1;
-                    return Ok(Some(record));
-                }
-            }
-        }
-    }
-}
-
-impl ProfileSink for ChunkedJsonSink {
-    fn format_name(&self) -> &'static str {
-        "chunked-json"
-    }
-
-    /// Writes the profile as a degenerate one-delta epoch log (the threads inlined
-    /// complete with their allocation metrics, so the finish record carries no
-    /// allocation rows).
-    fn write_profile(&self, profile: &ObjectCentricProfile, out: &mut dyn Write) -> io::Result<()> {
-        if !profile.threads.is_empty() {
-            let threads: Vec<ThreadDelta> = profile
-                .threads
-                .iter()
-                .enumerate()
-                .map(|(i, t)| ThreadDelta { seq: i as u64, profile: t.clone() })
-                .collect();
-            Self::write_delta_record(1, &threads, out)?;
-        }
-        Self::write_finish_record(profile, false, out)
-    }
-
-    fn read_profile(&self, input: &str) -> Result<ObjectCentricProfile, ProfileParseError> {
-        self.read_log(input)
-    }
-
-    fn on_delta(&self, epoch: u64, delta: &ProfileDelta, out: &mut dyn Write) -> io::Result<()> {
-        Self::write_delta_record(epoch, &delta.threads, out)
-    }
-
-    fn on_finish(&self, profile: &ObjectCentricProfile, out: &mut dyn Write) -> io::Result<()> {
-        Self::write_finish_record(profile, true, out)
-    }
 }
 
 // ---------------------------------------------------------------------------------------
@@ -870,8 +408,7 @@ pub(crate) fn json_metrics(m: &MetricVector) -> String {
     )
 }
 
-/// Writes the allocation-stats object (shared by the whole-profile document and the
-/// epoch log's finish record).
+/// Writes the allocation-stats object of the whole-profile document.
 fn write_alloc_stats_json(s: &AllocationStats, out: &mut dyn Write) -> io::Result<()> {
     write!(
         out,
@@ -880,8 +417,7 @@ fn write_alloc_stats_json(s: &AllocationStats, out: &mut dyn Write) -> io::Resul
     )
 }
 
-/// Writes the site-table array (shared by the whole-profile document and the epoch
-/// log's finish record).
+/// Writes the site-table array of the whole-profile document.
 fn write_sites_json(sites: &[AllocSite], out: &mut dyn Write) -> io::Result<()> {
     out.write_all(b"[")?;
     for (i, site) in sites.iter().enumerate() {
@@ -992,18 +528,13 @@ fn read_sites_json(
     Ok(sites)
 }
 
-/// Reads one thread's profile object written by [`write_thread_json`], returning the
-/// first-seen `seq` when the fragment carries one.
+/// Reads one thread's profile object written by [`write_thread_json`].
 fn read_thread_json(
     doc: &Reader<'_>,
     thread_value: &JsonValue,
-) -> Result<(Option<u64>, ThreadProfile), ProfileParseError> {
+) -> Result<ThreadProfile, ProfileParseError> {
     let at = thread_value.start;
     let thread = doc.object(thread_value, at)?;
-    let seq = match thread.optional("seq") {
-        Some(value) => Some(doc.integer(value, at)?),
-        None => None,
-    };
     let mut profile = ThreadProfile::new(
         ThreadId(doc.integer(thread.required("id", at)?, at)?),
         &doc.string(thread.required("name", at)?, at)?,
@@ -1030,7 +561,7 @@ fn read_thread_json(
                 .insert(ctx, metrics);
         }
     }
-    Ok((seq, profile))
+    Ok(profile)
 }
 
 // ---------------------------------------------------------------------------------------
@@ -1289,20 +820,6 @@ impl<'a> JsonParser<'a> {
     }
 }
 
-/// Quotes the head of an offending frame for an error message, truncated to a
-/// grep-able prefix on a character boundary.
-fn snippet_of(frame: &str) -> String {
-    const MAX: usize = 80;
-    if frame.len() <= MAX {
-        return format!("{frame:?}");
-    }
-    let mut end = MAX;
-    while !frame.is_char_boundary(end) {
-        end -= 1;
-    }
-    format!("{:?}…", &frame[..end])
-}
-
 /// 1-based line number of a byte offset.
 fn line_of(input: &str, at: usize) -> usize {
     input.as_bytes()[..at.min(input.len())].iter().filter(|b| **b == b'\n').count() + 1
@@ -1442,25 +959,27 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Parses profile files written by any of the built-in sinks, detecting the format
-/// from the first bytes (`{"record":` → chunked epoch log, `{` → JSON document,
-/// anything else → text). The offline analyzer uses this so a mixed directory of
-/// text profiles, JSON documents and streamed epoch logs merges transparently.
-/// Binary epoch logs are bytes, not text — sniff those with
-/// [`read_any_profile_bytes`](crate::wire::read_any_profile_bytes), which falls
-/// back to this function for everything UTF-8.
+/// Parses profile bytes written by any of the built-in sinks, detecting the format
+/// from the first bytes: the binary magic → a [`BinaryChunkedSink`] epoch log
+/// (folded and checksum-verified), `{` → a [`JsonSink`] document, anything else →
+/// a [`TextSink`] profile. The offline analyzer uses this so a directory of streamed
+/// logs, JSON snapshots and text profiles merges transparently.
 ///
 /// # Errors
 ///
-/// Returns [`ProfileParseError`] for malformed input.
-pub fn read_any_profile(input: &str) -> Result<ObjectCentricProfile, ProfileParseError> {
-    let head = input.trim_start();
-    if head.starts_with("{\"record\":") {
-        ChunkedJsonSink::new().read_log(input)
-    } else if head.starts_with('{') {
-        JsonSink::new().read_profile(input)
+/// Returns [`ProfileParseError`] for malformed input of any format.
+pub fn read_any_profile(input: &[u8]) -> Result<ObjectCentricProfile, ProfileParseError> {
+    if input.starts_with(&BINARY_MAGIC) {
+        return BinaryChunkedSink::new().read_log_bytes(input);
+    }
+    let text = std::str::from_utf8(input).map_err(|e| ProfileParseError {
+        line: 1,
+        message: format!("input is neither a binary epoch log nor UTF-8 text: {e}"),
+    })?;
+    if text.trim_start().starts_with('{') {
+        JsonSink::new().read_profile(text)
     } else {
-        TextSink.read_profile(input)
+        TextSink.read_profile(text)
     }
 }
 
@@ -1599,28 +1118,14 @@ mod tests {
         let profile = build_profile();
         let text = TextSink.write_to_string(&profile);
         let json = JsonSink::new().write_to_string(&profile);
-        assert_eq!(read_any_profile(&text).unwrap().to_text(), profile.to_text());
-        assert_eq!(read_any_profile(&json).unwrap().to_text(), profile.to_text());
-        assert!(read_any_profile("garbage").is_err());
-    }
-
-    #[test]
-    fn epoch_frame_reader_errors_quote_the_offending_frame() {
-        let log = "{\"record\":\"delta\",\"epoch\":1,\"samples\":0,\"threads\":[]}\n\
-                   {\"record\":\"bogus\"}\n";
-        let mut reader = EpochFrameReader::new(log.as_bytes());
-        assert!(reader.next_record().unwrap().is_some());
-        let err = reader.next_record().unwrap_err();
-        assert_eq!(err.line, 2);
-        assert!(err.message.contains("line 2"), "{err}");
-        assert!(err.message.contains("bogus"), "snippet quoted: {err}");
-        // Long frames are quoted truncated, not dumped whole.
-        let long =
-            format!("{{\"record\":\"delta\",\"epoch\":x,\"pad\":\"{}\"}}\n", "y".repeat(500));
-        let mut reader = EpochFrameReader::new(long.as_bytes());
-        let err = reader.next_record().unwrap_err();
-        assert!(err.message.contains('…'), "{err}");
-        assert!(err.message.len() < 300, "{err}");
+        let mut log = Vec::new();
+        BinaryChunkedSink::new().write_profile(&profile, &mut log).unwrap();
+        for input in [text.as_bytes(), json.as_bytes(), &log] {
+            assert_eq!(read_any_profile(input).unwrap().to_text(), profile.to_text());
+        }
+        assert!(read_any_profile(b"garbage").is_err());
+        assert!(read_any_profile(&[0xff, 0xfe, 0x00]).is_err(), "non-UTF-8 non-magic");
+        assert!(read_any_profile(&log[..log.len() - 1]).is_err(), "truncated binary log");
     }
 
     #[test]

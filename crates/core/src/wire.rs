@@ -1,16 +1,18 @@
-//! Binary epoch-frame codec: the compact wire format behind [`BinaryChunkedSink`]
-//! logs and binary-negotiated fleet frames ([`crate::fleet`]).
+//! Binary epoch frames: the **one** epoch-stream format. Every replayable delta
+//! stream the profiler emits — [`BinaryChunkedSink`] logs, the fleet wire
+//! ([`crate::fleet`]) and the aggregator's write-ahead log — is a sequence of the
+//! frames specified here: the [`LogRecord`] stream (deltas + one terminal finish),
+//! encoded as length-prefixed, checksummed binary frames. JSON survives only as a
+//! render target ([`JsonSink`](crate::sink::JsonSink) snapshots,
+//! [`QueryResult::to_json`](crate::query::QueryResult::to_json)), never as a
+//! transport.
 //!
-//! The chunked NDJSON epoch log ([`ChunkedJsonSink`](crate::sink::ChunkedJsonSink))
-//! is human-greppable but pays text-codec CPU per delta — on the export drainer's
-//! thread and again per socket frame — and roughly 10x the necessary bytes. This
-//! module is the measured answer: the same [`LogRecord`] stream (deltas + one
-//! terminal finish), encoded as length-prefixed, checksummed binary frames. One
-//! decoder ([`BinaryFrameReader`], mirroring
-//! [`EpochFrameReader`](crate::sink::EpochFrameReader)) serves log files and
-//! sockets, the frames fold through the same [`DeltaFold`], and the result is
-//! **byte-identical** (as rendered by [`ObjectCentricProfile::to_text`], the query
-//! layer, and every other consumer) to replaying the JSON log of the same run.
+//! One frame parser serves every source, through two thin drivers: the pull-driven
+//! [`BinaryFrameReader`] (files, sockets — anything [`BufRead`]) and the
+//! push-driven [`FrameTail`] (byte chunks of a log still being written). Folding
+//! the frames through [`DeltaFold`] reproduces the streaming session's terminal
+//! profile **byte-identically** (as rendered by [`ObjectCentricProfile::to_text`],
+//! the query layer, and every other consumer).
 //!
 //! # Frame layout
 //!
@@ -21,7 +23,7 @@
 //! | magic | 4 bytes | `DF 4A 58 42` (`0xDF` then `"JXB"`; `0xDF 0x4A` is never valid UTF-8, so binary logs cannot be mistaken for text) |
 //! | version | 1 byte | `0x01` ([`BINARY_VERSION`]) |
 //! | kind | 1 byte | `0x01` = delta, `0x02` = finish |
-//! | payload length | 4 bytes | `u32`, little-endian, length of the payload that follows |
+//! | payload length | 4 bytes | `u32`, little-endian, length of the payload that follows (at most 16 MiB: writers refuse larger frames, readers reject them before reading the payload) |
 //! | payload | *length* bytes | varint-encoded record body (below) |
 //! | checksum | 4 bytes | `u32`, little-endian, FNV-1a over the payload bytes |
 //!
@@ -58,21 +60,20 @@
 //! | field | encoding |
 //! |---|---|
 //! | event | varint byte length + UTF-8 hardware event name |
-//! | period, size filter, total samples | varints (`total_samples` is the end-to-end loss checksum, exactly as in the JSON finish record) |
+//! | period, size filter, total samples | varints (`total_samples` is the end-to-end loss checksum) |
 //! | allocation stats | six varints: callbacks, monitored, filtered, relocations, unknown moves, reclamations |
 //! | site count | varint |
-//! | per site: class name | varint byte length + UTF-8 bytes (site ids are implicit — dense and ascending from 0, the same invariant the JSON codec enforces on read) |
+//! | per site: class name | varint byte length + UTF-8 bytes (site ids are implicit — dense and ascending from 0) |
 //! | … call path | varint frame count + method/BCI varint pairs |
 //! | alloc row count | varint |
 //! | per row | four varints: thread id, site id, allocation count, allocated bytes |
 //!
-//! # Choosing a format
+//! # Reading any profile
 //!
-//! JSON logs are for humans: `grep`-able, diff-able, self-describing. Binary logs
-//! are for volume: the `--smoke-codec` bench gate holds encode+decode throughput at
-//! ≥ 2x and bytes/sample at ≤ 0.4x of the JSON codec. Mixed directories stay
-//! readable — [`read_any_profile_bytes`] sniffs the magic and falls back to the
-//! text formats.
+//! [`read_any_profile`](crate::sink::read_any_profile) sniffs the magic and
+//! replays binary logs; anything else is a [`JsonSink`](crate::sink::JsonSink)
+//! document or a text profile, so a directory of logs and snapshots merges
+//! transparently.
 //!
 //! ```
 //! use djxperf::{BinaryChunkedSink, BinaryFrameReader, DeltaFold, LogRecord, ProfileSink};
@@ -96,7 +97,6 @@
 //! assert_eq!(fold.total_samples(), 3);
 //! ```
 
-use std::fmt;
 use std::io::{self, BufRead, Read, Write};
 
 use djx_runtime::{Frame, MethodId, ThreadId};
@@ -107,7 +107,7 @@ use crate::profile::{
     event_from_name, AllocationStats, DeltaFold, ObjectCentricProfile, ProfileDelta,
     ProfileParseError, ThreadDelta, ThreadProfile,
 };
-use crate::sink::{read_any_profile, FinishRecord, LogRecord, ProfileSink};
+use crate::sink::{FinishRecord, LogRecord, ProfileSink};
 
 /// The four magic bytes opening every binary frame: `0xDF` then `"JXB"`. The
 /// leading pair `0xDF 0x4A` is never valid UTF-8, so a binary log can always be
@@ -124,48 +124,14 @@ const KIND_DELTA: u8 = 1;
 const KIND_FINISH: u8 = 2;
 
 /// Fixed frame header size: magic + version + kind + payload length.
-pub(crate) const HEADER_LEN: usize = 10;
+const HEADER_LEN: usize = 10;
 
-/// Upper bound on a single frame's payload, so a corrupt length prefix cannot
-/// provoke an absurd allocation.
-pub(crate) const MAX_PAYLOAD_LEN: u32 = 1 << 30;
-
-/// The epoch-frame codec a transport endpoint speaks: the NDJSON v1 records or the
-/// binary frames of this module. The fleet handshake negotiates one per connection
-/// ([`crate::fleet`]); [`FrameCodec::Json`] is the backward-compatible default.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum FrameCodec {
-    /// Newline-delimited JSON epoch-log records (the v1 wire format).
-    #[default]
-    Json,
-    /// The binary frames specified in this module's docs.
-    Binary,
-}
-
-impl FrameCodec {
-    /// The codec's wire name, as advertised in fleet hello frames.
-    pub fn name(self) -> &'static str {
-        match self {
-            FrameCodec::Json => "json",
-            FrameCodec::Binary => "binary",
-        }
-    }
-
-    /// Parses a wire name back into a codec.
-    pub(crate) fn from_name(name: &str) -> Option<FrameCodec> {
-        match name {
-            "json" => Some(FrameCodec::Json),
-            "binary" => Some(FrameCodec::Binary),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for FrameCodec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
+/// The one bound on every inbound read: a frame payload, and (in
+/// [`crate::fleet`]) a JSON control line. Readers reject a larger length prefix
+/// before reading the payload, so a corrupt or hostile header cannot make a
+/// reader allocate more than this; writers refuse to emit a frame readers would
+/// reject.
+pub(crate) const MAX_PAYLOAD_LEN: usize = 16 << 20;
 
 // ---------------------------------------------------------------------------------------
 // Checksum and varint primitives
@@ -336,7 +302,7 @@ fn encode_delta_payload(epoch: u64, threads: &[ThreadDelta]) -> Vec<u8> {
             prev = id;
             let sm = &td.profile.sites[sid];
             put_metrics(&mut p, &sm.total);
-            // Canonical context order (by call path), matching the JSON codec.
+            // Canonical context order (by call path).
             let mut contexts: Vec<(Vec<Frame>, &MetricVector)> =
                 sm.by_context.iter().map(|(ctx, m)| (td.profile.cct.path_of(*ctx), m)).collect();
             contexts.sort_by(|a, b| a.0.cmp(&b.0));
@@ -393,60 +359,10 @@ fn decode_delta_payload(payload: &[u8]) -> Result<ProfileDelta, ProfileParseErro
     Ok(ProfileDelta { epoch, threads })
 }
 
-fn encode_finish_payload(profile: &ObjectCentricProfile, include_allocs: bool) -> Vec<u8> {
-    let mut p = Vec::with_capacity(64);
-    put_string(&mut p, profile.event.hardware_name());
-    put_varint(&mut p, profile.period);
-    put_varint(&mut p, profile.size_filter);
-    put_varint(&mut p, profile.total_samples());
-    let s = &profile.allocation_stats;
-    put_varint(&mut p, s.callbacks);
-    put_varint(&mut p, s.monitored);
-    put_varint(&mut p, s.filtered);
-    put_varint(&mut p, s.relocations);
-    put_varint(&mut p, s.unknown_moves);
-    put_varint(&mut p, s.reclamations);
-    // Site ids are implicit (dense, ascending from 0) — the invariant the JSON
-    // codec enforces on read is simply never written here.
-    put_varint(&mut p, profile.sites.len() as u64);
-    for site in &profile.sites {
-        put_string(&mut p, &site.class_name);
-        put_path(&mut p, &site.call_path);
-    }
-    let mut rows = Vec::new();
-    if include_allocs {
-        for thread in &profile.threads {
-            let mut site_ids: Vec<_> = thread.sites.keys().copied().collect();
-            site_ids.sort_unstable();
-            for sid in site_ids {
-                let m = &thread.sites[&sid].total;
-                if m.allocations > 0 || m.allocated_bytes > 0 {
-                    rows.push((
-                        thread.thread.0,
-                        u64::from(sid.0),
-                        m.allocations,
-                        m.allocated_bytes,
-                    ));
-                }
-            }
-        }
-    }
-    put_varint(&mut p, rows.len() as u64);
-    for (thread, site, count, bytes) in rows {
-        put_varint(&mut p, thread);
-        put_varint(&mut p, site);
-        put_varint(&mut p, count);
-        put_varint(&mut p, bytes);
-    }
-    p
-}
-
-/// Encodes a decoded [`FinishRecord`] back into the finish-frame payload — the
-/// exact inverse of [`decode_finish_payload`], used by the fleet aggregator's
-/// write-ahead log to persist a received finish record verbatim. Round-tripping
-/// through decode → encode → decode is lossless: both directions share one field
-/// order and the site-id invariant (dense, ascending, implicit).
-fn encode_finish_record_payload(record: &FinishRecord) -> Vec<u8> {
+/// Encodes a [`FinishRecord`] into the finish-frame payload — the exact inverse of
+/// [`decode_finish_payload`]: both directions share one field order and the site-id
+/// invariant (dense, ascending, implicit, so ids are never written).
+fn encode_finish_payload(record: &FinishRecord) -> Vec<u8> {
     let mut p = Vec::with_capacity(64);
     put_string(&mut p, record.event.hardware_name());
     put_varint(&mut p, record.period);
@@ -516,7 +432,15 @@ fn decode_finish_payload(payload: &[u8]) -> Result<FinishRecord, ProfileParseErr
 // ---------------------------------------------------------------------------------------
 
 fn write_frame(kind: u8, payload: &[u8], out: &mut dyn Write) -> io::Result<()> {
-    debug_assert!(payload.len() as u64 <= u64::from(MAX_PAYLOAD_LEN));
+    if payload.len() > MAX_PAYLOAD_LEN {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "frame payload of {} bytes exceeds the {MAX_PAYLOAD_LEN}-byte cap",
+                payload.len()
+            ),
+        ));
+    }
     let mut frame = Vec::with_capacity(HEADER_LEN + payload.len() + 4);
     frame.extend_from_slice(&BINARY_MAGIC);
     frame.push(BINARY_VERSION);
@@ -527,106 +451,99 @@ fn write_frame(kind: u8, payload: &[u8], out: &mut dyn Write) -> io::Result<()> 
     out.write_all(&frame)
 }
 
-/// Encodes one delta frame into `out` (exposed to the fleet transport so it can
-/// buffer the encoded bytes for acknowledged delivery).
-pub(crate) fn write_delta_frame(
-    epoch: u64,
-    threads: &[ThreadDelta],
-    out: &mut dyn Write,
-) -> io::Result<()> {
+/// Encodes one delta frame into `out`.
+///
+/// # Errors
+///
+/// Write errors from `out`, and [`io::ErrorKind::InvalidInput`] for a delta whose
+/// payload exceeds the frame cap.
+fn write_delta_frame(epoch: u64, threads: &[ThreadDelta], out: &mut dyn Write) -> io::Result<()> {
     write_frame(KIND_DELTA, &encode_delta_payload(epoch, threads), out)
 }
 
 /// Encodes one finish frame into `out`.
-pub(crate) fn write_finish_frame(
-    profile: &ObjectCentricProfile,
-    include_allocs: bool,
-    out: &mut dyn Write,
-) -> io::Result<()> {
-    write_frame(KIND_FINISH, &encode_finish_payload(profile, include_allocs), out)
+fn write_finish_frame(record: &FinishRecord, out: &mut dyn Write) -> io::Result<()> {
+    write_frame(KIND_FINISH, &encode_finish_payload(record), out)
 }
 
-/// Encodes one finish frame from a decoded [`FinishRecord`] — what the fleet
-/// aggregator's write-ahead log appends, so a WAL replay decodes the identical
-/// record the wire delivered.
-pub(crate) fn write_finish_record_frame(
-    record: &FinishRecord,
-    out: &mut dyn Write,
-) -> io::Result<()> {
-    write_frame(KIND_FINISH, &encode_finish_record_payload(record), out)
+fn frame_error(message: String) -> ProfileParseError {
+    ProfileParseError { line: 0, message }
+}
+
+/// Validates a frame header (magic, version, kind, payload cap) and returns the
+/// frame's total length: header + payload + checksum.
+fn frame_len(header: &[u8; HEADER_LEN]) -> Result<usize, ProfileParseError> {
+    if header[..4] != BINARY_MAGIC {
+        return Err(frame_error(format!(
+            "bad frame magic {:02x} {:02x} {:02x} {:02x} (expected df 4a 58 42)",
+            header[0], header[1], header[2], header[3]
+        )));
+    }
+    if header[4] != BINARY_VERSION {
+        return Err(frame_error(format!("unsupported binary frame version {}", header[4])));
+    }
+    if header[5] != KIND_DELTA && header[5] != KIND_FINISH {
+        return Err(frame_error(format!("unknown frame kind byte {:#04x}", header[5])));
+    }
+    let len = u32::from_le_bytes(header[6..10].try_into().expect("4 length bytes")) as usize;
+    if len > MAX_PAYLOAD_LEN {
+        return Err(frame_error(format!(
+            "frame payload length {len} exceeds the {MAX_PAYLOAD_LEN}-byte cap"
+        )));
+    }
+    Ok(HEADER_LEN + len + 4)
+}
+
+/// Verifies and decodes one complete frame whose header [`frame_len`] accepted.
+fn decode_frame(frame: &[u8]) -> Result<LogRecord, ProfileParseError> {
+    let (body, stored) = frame.split_at(frame.len() - 4);
+    let payload = &body[HEADER_LEN..];
+    let stored = u32::from_le_bytes(stored.try_into().expect("4 checksum bytes"));
+    let computed = fnv1a(payload);
+    if stored != computed {
+        return Err(frame_error(format!(
+            "frame checksum mismatch: stored {stored:08x}, computed {computed:08x}"
+        )));
+    }
+    Ok(match frame[5] {
+        KIND_DELTA => LogRecord::Delta(decode_delta_payload(payload)?),
+        _ => LogRecord::Finish(decode_finish_payload(payload)?),
+    })
 }
 
 /// Reads and decodes exactly one binary frame from `input`, which must be
-/// positioned at a frame boundary with at least one byte available. Returns the
-/// record and the total frame size in bytes (header + payload + checksum).
+/// positioned at a frame boundary with at least one byte available — the single
+/// frame parser behind every reader. `frame` receives the frame's raw bytes (the
+/// fleet aggregator appends them verbatim to its write-ahead log); its length is
+/// the frame's size on the wire.
 ///
-/// Errors carry payload-relative byte context in the message and `line == 0`;
-/// callers tracking a stream position ([`BinaryFrameReader`], the fleet
-/// aggregator's per-frame sniffer) re-anchor them.
+/// The payload is read through [`Read::take`], never into a buffer pre-sized from
+/// the untrusted length prefix. Errors carry payload-relative byte context in the
+/// message and `line == 0`; callers tracking a stream position
+/// ([`BinaryFrameReader`], [`FrameTail`]) re-anchor them.
 pub(crate) fn read_binary_frame<R: Read>(
     input: &mut R,
-) -> Result<(LogRecord, usize), ProfileParseError> {
-    let truncated = |what: &str| ProfileParseError {
-        line: 0,
-        message: format!("frame truncated mid-{what} (short read)"),
-    };
+    frame: &mut Vec<u8>,
+) -> Result<LogRecord, ProfileParseError> {
+    let truncated = |what: &str| frame_error(format!("frame truncated mid-{what} (short read)"));
     let mut header = [0u8; HEADER_LEN];
     input.read_exact(&mut header).map_err(|_| truncated("header"))?;
-    if header[..4] != BINARY_MAGIC {
-        return Err(ProfileParseError {
-            line: 0,
-            message: format!(
-                "bad frame magic {:02x} {:02x} {:02x} {:02x} (expected df 4a 58 42)",
-                header[0], header[1], header[2], header[3]
-            ),
-        });
+    let total = frame_len(&header)?;
+    frame.clear();
+    frame.extend_from_slice(&header);
+    input
+        .take((total - HEADER_LEN) as u64)
+        .read_to_end(frame)
+        .map_err(|e| frame_error(format!("frame stream read error: {e}")))?;
+    if frame.len() < total {
+        return Err(truncated(if frame.len() < total - 4 { "payload" } else { "checksum" }));
     }
-    if header[4] != BINARY_VERSION {
-        return Err(ProfileParseError {
-            line: 0,
-            message: format!("unsupported binary frame version {}", header[4]),
-        });
-    }
-    let kind = header[5];
-    if kind != KIND_DELTA && kind != KIND_FINISH {
-        return Err(ProfileParseError {
-            line: 0,
-            message: format!("unknown frame kind byte {kind:#04x}"),
-        });
-    }
-    let len = u32::from_le_bytes(header[6..10].try_into().expect("4 header bytes"));
-    if len > MAX_PAYLOAD_LEN {
-        return Err(ProfileParseError {
-            line: 0,
-            message: format!("frame payload length {len} exceeds the {MAX_PAYLOAD_LEN}-byte cap"),
-        });
-    }
-    let mut payload = vec![0u8; len as usize];
-    input.read_exact(&mut payload).map_err(|_| truncated("payload"))?;
-    let mut stored = [0u8; 4];
-    input.read_exact(&mut stored).map_err(|_| truncated("checksum"))?;
-    let stored = u32::from_le_bytes(stored);
-    let computed = fnv1a(&payload);
-    if stored != computed {
-        return Err(ProfileParseError {
-            line: 0,
-            message: format!(
-                "frame checksum mismatch: stored {stored:08x}, computed {computed:08x}"
-            ),
-        });
-    }
-    let record = match kind {
-        KIND_DELTA => LogRecord::Delta(decode_delta_payload(&payload)?),
-        _ => LogRecord::Finish(decode_finish_payload(&payload)?),
-    };
-    Ok((record, HEADER_LEN + len as usize + 4))
+    decode_frame(frame)
 }
 
-/// Incremental binary-frame reader over any [`BufRead`]: the binary mirror of
-/// [`EpochFrameReader`](crate::sink::EpochFrameReader), yielding one decoded
-/// [`LogRecord`] per frame. One decoder serves finished log files, pipes still
-/// being written, and sockets — the fleet aggregator reads the same frames off its
-/// connections.
+/// Pull driver over the frame parser: an incremental frame reader over any
+/// [`BufRead`], yielding one decoded [`LogRecord`] per frame. One reader serves
+/// finished log files, pipes still being written, and sockets.
 ///
 /// Errors are anchored to the 1-based frame number (in
 /// [`ProfileParseError::line`]) and the absolute byte offset of the offending
@@ -634,6 +551,7 @@ pub(crate) fn read_binary_frame<R: Read>(
 #[derive(Debug)]
 pub struct BinaryFrameReader<R> {
     input: R,
+    frame: Vec<u8>,
     frame_number: usize,
     offset: u64,
 }
@@ -641,12 +559,11 @@ pub struct BinaryFrameReader<R> {
 impl<R: BufRead> BinaryFrameReader<R> {
     /// Wraps a buffered reader positioned at the start of a frame stream.
     pub fn new(input: R) -> Self {
-        Self { input, frame_number: 0, offset: 0 }
+        Self { input, frame: Vec::new(), frame_number: 0, offset: 0 }
     }
 
     /// The 1-based number of the most recently returned frame (0 before the first
-    /// read) — the binary analogue of
-    /// [`EpochFrameReader::line_number`](crate::sink::EpochFrameReader::line_number).
+    /// read).
     pub fn frame_number(&self) -> usize {
         self.frame_number
     }
@@ -681,9 +598,9 @@ impl<R: BufRead> BinaryFrameReader<R> {
         }
         let start = self.offset;
         self.frame_number += 1;
-        match read_binary_frame(&mut self.input) {
-            Ok((record, len)) => {
-                self.offset += len as u64;
+        match read_binary_frame(&mut self.input, &mut self.frame) {
+            Ok(record) => {
+                self.offset += self.frame.len() as u64;
                 Ok(Some(record))
             }
             Err(e) => Err(ProfileParseError {
@@ -697,25 +614,121 @@ impl<R: BufRead> BinaryFrameReader<R> {
     }
 }
 
+/// Push driver over the frame parser, for **tailing a log that is still being
+/// written**: feed it byte chunks as they arrive ([`FrameTail::push`] — from a
+/// growing file, a pipe, a socket) and pull complete decoded [`LogRecord`]s out
+/// ([`FrameTail::next_record`]); partial frames stay buffered until their bytes
+/// arrive. The decoding layer behind
+/// [`LiveFold::feed`](crate::query::live::LiveFold::feed).
+///
+/// ```
+/// use djxperf::wire::FrameTail;
+/// use djxperf::{BinaryChunkedSink, LogRecord, ProfileDelta, ProfileSink};
+///
+/// let mut log = Vec::new();
+/// let delta = ProfileDelta { epoch: 1, threads: Vec::new() };
+/// BinaryChunkedSink::new().on_delta(1, &delta, &mut log).unwrap();
+///
+/// let mut tail = FrameTail::new();
+/// let (head, rest) = log.split_at(7);
+/// tail.push(head);
+/// assert!(tail.next_record().unwrap().is_none(), "a partial frame waits");
+/// tail.push(rest);
+/// assert!(matches!(tail.next_record().unwrap(), Some(LogRecord::Delta(d)) if d.epoch == 1));
+/// assert_eq!((tail.frames(), tail.buffered()), (1, 0));
+/// ```
+#[derive(Debug, Default)]
+pub struct FrameTail {
+    buf: Vec<u8>,
+    /// Offset of the first unconsumed byte; consumed prefixes are compacted away
+    /// once they outgrow the unconsumed remainder.
+    pos: usize,
+    frames: usize,
+}
+
+impl FrameTail {
+    /// An empty tail.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Appends newly arrived bytes to the tail buffer.
+    pub fn push(&mut self, bytes: &[u8]) {
+        if self.pos > 0 && self.pos >= self.buf.len().saturating_sub(self.pos) {
+            self.buf.drain(..self.pos);
+            self.pos = 0;
+        }
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// Number of buffered bytes not yet consumed by a decoded frame.
+    pub fn buffered(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    /// Number of complete frames decoded so far (the position parse errors anchor
+    /// to).
+    pub fn frames(&self) -> usize {
+        self.frames
+    }
+
+    /// Decodes the next complete frame, or `Ok(None)` when the buffered bytes end
+    /// mid-frame — push more and try again.
+    ///
+    /// # Errors
+    ///
+    /// [`ProfileParseError`] for malformed frames, anchored to the running frame
+    /// count. A header is validated as soon as it is buffered, so a corrupt length
+    /// prefix fails fast instead of stalling the tail on bytes that never come. A
+    /// tail that errored is not recoverable: the stream position inside a corrupt
+    /// frame is unknowable.
+    pub fn next_record(&mut self) -> Result<Option<LogRecord>, ProfileParseError> {
+        let avail = &self.buf[self.pos..];
+        let Some(header) = avail.first_chunk::<HEADER_LEN>() else {
+            return Ok(None);
+        };
+        let anchor = |e: ProfileParseError| ProfileParseError {
+            line: self.frames + 1,
+            message: format!("frame {}: {}", self.frames + 1, e.message),
+        };
+        let total = frame_len(header).map_err(anchor)?;
+        let Some(frame) = avail.get(..total) else {
+            return Ok(None);
+        };
+        let record = decode_frame(frame).map_err(anchor)?;
+        self.pos += total;
+        self.frames += 1;
+        Ok(Some(record))
+    }
+}
+
 // ---------------------------------------------------------------------------------------
 // BinaryChunkedSink: the replayable binary epoch log
 // ---------------------------------------------------------------------------------------
 
-/// The binary counterpart of [`ChunkedJsonSink`](crate::sink::ChunkedJsonSink): a
-/// [`ProfileSink`] whose delta stream is a replayable **binary** epoch log in the
-/// frame format specified by this module's docs. Wire it into a session with
+/// The replayable streaming backend: a [`ProfileSink`] whose delta stream is a
+/// binary epoch log in the frame format specified by this module's docs — one
+/// delta frame per streamed epoch and one terminal finish frame carrying the run
+/// configuration, the site table, the per-(thread, site) allocation rows and a
+/// total-sample checksum. Wire it into a session with
 /// [`SessionBuilder::stream_to_binary`](crate::session::SessionBuilder::stream_to_binary).
 ///
-/// Replaying a binary log ([`BinaryChunkedSink::read_log_bytes`]) runs the exact
-/// fold-and-assemble loop of the JSON log — same [`DeltaFold`], same
-/// [`FinishRecord`], same checksum verification — so the two formats can never
-/// disagree on what a run looked like.
+/// Unlike the delta streams of [`TextSink`](crate::sink::TextSink) /
+/// [`JsonSink`](crate::sink::JsonSink) (human/dashboard feeds), a binary log is a
+/// complete, self-verifying serialization of the run:
+/// [`BinaryChunkedSink::read_log_bytes`] folds the delta frames in epoch order
+/// ([`DeltaFold`]), applies the finish frame, verifies the checksum, and returns a
+/// profile **byte-identical** to the terminal snapshot of the session that
+/// streamed it. Out-of-order epochs, a missing finish frame, or a folded sample
+/// count that disagrees with the checksum are parse errors — a truncated or
+/// reordered stream can never silently masquerade as a whole profile.
 ///
 /// Binary logs are not UTF-8: use byte-based outputs
 /// ([`SharedBuffer`](crate::export::SharedBuffer), files) and
-/// [`read_any_profile_bytes`] / [`BinaryChunkedSink::read_log_bytes`] to read them.
-/// The `&str`-based [`ProfileSink::read_profile`] and
-/// [`ProfileSink::write_to_string`] cannot represent them and fail.
+/// [`read_any_profile`](crate::sink::read_any_profile) /
+/// [`BinaryChunkedSink::read_log_bytes`] to read them. The `&str`-based
+/// [`ProfileSink::read_profile`] and [`ProfileSink::write_to_string`] cannot
+/// represent them and fail.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BinaryChunkedSink;
 
@@ -726,9 +739,7 @@ impl BinaryChunkedSink {
     }
 
     /// Replays a binary epoch log: folds the delta frames in order, applies the
-    /// finish frame, and verifies the total-sample checksum — the byte-format twin
-    /// of [`ChunkedJsonSink::read_log`](crate::sink::ChunkedJsonSink::read_log),
-    /// with identical output.
+    /// finish frame, and verifies the total-sample checksum.
     ///
     /// # Errors
     ///
@@ -742,9 +753,7 @@ impl BinaryChunkedSink {
         if head != &BINARY_MAGIC[..head.len()] {
             return Err(ProfileParseError {
                 line: 1,
-                message: "stream does not start with the binary epoch-log magic (JSON logs \
-                          replay via ChunkedJsonSink::read_log or read_any_profile)"
-                    .to_string(),
+                message: "stream does not start with the binary epoch-log magic".to_string(),
             });
         }
         let mut reader = BinaryFrameReader::new(input);
@@ -785,8 +794,7 @@ impl ProfileSink for BinaryChunkedSink {
 
     /// Writes the profile as a degenerate one-delta binary epoch log (the threads
     /// inlined complete with their allocation metrics, so the finish frame carries
-    /// no allocation rows) — the byte-format twin of the chunked JSON document
-    /// form.
+    /// no allocation rows).
     fn write_profile(&self, profile: &ObjectCentricProfile, out: &mut dyn Write) -> io::Result<()> {
         if !profile.threads.is_empty() {
             let threads: Vec<ThreadDelta> = profile
@@ -797,7 +805,7 @@ impl ProfileSink for BinaryChunkedSink {
                 .collect();
             write_delta_frame(1, &threads, out)?;
         }
-        write_finish_frame(profile, false, out)
+        write_finish_frame(&FinishRecord::of_profile(profile, false), out)
     }
 
     /// Binary logs cannot travel through `&str`; this always fails and points at
@@ -806,7 +814,7 @@ impl ProfileSink for BinaryChunkedSink {
         Err(ProfileParseError {
             line: 1,
             message: "binary epoch logs are bytes, not UTF-8 text — use \
-                      BinaryChunkedSink::read_log_bytes or read_any_profile_bytes"
+                      BinaryChunkedSink::read_log_bytes or read_any_profile"
                 .to_string(),
         })
     }
@@ -816,34 +824,13 @@ impl ProfileSink for BinaryChunkedSink {
     }
 
     fn on_finish(&self, profile: &ObjectCentricProfile, out: &mut dyn Write) -> io::Result<()> {
-        write_finish_frame(profile, true, out)
+        write_finish_frame(&FinishRecord::of_profile(profile, true), out)
     }
-}
-
-/// Parses profile bytes written by any of the built-in sinks: the byte-level
-/// superset of [`read_any_profile`]. Binary epoch logs are detected by their
-/// magic bytes; anything else must be UTF-8 and goes through the text-format
-/// sniffing (chunked JSON log, JSON document, text profile) — so a mixed
-/// directory of old JSON logs and new binary logs merges transparently.
-///
-/// # Errors
-///
-/// Returns [`ProfileParseError`] for malformed input of any format.
-pub fn read_any_profile_bytes(input: &[u8]) -> Result<ObjectCentricProfile, ProfileParseError> {
-    if input.starts_with(&BINARY_MAGIC) {
-        return BinaryChunkedSink::new().read_log_bytes(input);
-    }
-    let text = std::str::from_utf8(input).map_err(|e| ProfileParseError {
-        line: 1,
-        message: format!("input is neither a binary epoch log nor UTF-8 text: {e}"),
-    })?;
-    read_any_profile(text)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::{ChunkedJsonSink, JsonSink, TextSink};
     use djx_pmu::PmuEvent;
 
     fn f(m: u32, bci: u32) -> Frame {
@@ -895,9 +882,9 @@ mod tests {
             .collect()
     }
 
-    /// Streams the same deltas through both chunked sinks and returns
-    /// (json log, binary log, terminal profile).
-    fn stream_both() -> (String, Vec<u8>, ObjectCentricProfile) {
+    /// Streams three deltas and their finish through the sink and returns
+    /// (binary log, terminal profile).
+    fn stream() -> (Vec<u8>, ObjectCentricProfile) {
         let deltas = vec![
             delta(
                 1,
@@ -918,17 +905,13 @@ mod tests {
             std::iter::empty(),
             AllocationStats { callbacks: 9, monitored: 3, filtered: 6, ..Default::default() },
         );
-        let json_sink = ChunkedJsonSink::new();
-        let bin_sink = BinaryChunkedSink::new();
-        let mut json_log = Vec::new();
-        let mut bin_log = Vec::new();
+        let sink = BinaryChunkedSink::new();
+        let mut log = Vec::new();
         for d in &deltas {
-            json_sink.on_delta(d.epoch, d, &mut json_log).unwrap();
-            bin_sink.on_delta(d.epoch, d, &mut bin_log).unwrap();
+            sink.on_delta(d.epoch, d, &mut log).unwrap();
         }
-        json_sink.on_finish(&profile, &mut json_log).unwrap();
-        bin_sink.on_finish(&profile, &mut bin_log).unwrap();
-        (String::from_utf8(json_log).unwrap(), bin_log, profile)
+        sink.on_finish(&profile, &mut log).unwrap();
+        (log, profile)
     }
 
     #[test]
@@ -947,10 +930,9 @@ mod tests {
 
     #[test]
     fn finish_record_reencodes_byte_identically() {
-        // The WAL persists received finish records by re-encoding them; the frame
-        // it writes must be byte-for-byte the frame the wire delivered, or a WAL
-        // replay and a live stream could diverge.
-        let (_, bin_log, _) = stream_both();
+        // One finish encoder serves every writer: decoding a finish frame and
+        // encoding the record again must reproduce the frame byte for byte.
+        let (bin_log, profile) = stream();
         let mut reader = BinaryFrameReader::new(&bin_log[..]);
         let mut finish_offset = 0;
         let mut finish_record = None;
@@ -964,31 +946,14 @@ mod tests {
         let record = finish_record.expect("stream ends with a finish frame");
         let original = &bin_log[finish_offset..];
         let mut reencoded = Vec::new();
-        write_finish_record_frame(&record, &mut reencoded).unwrap();
+        write_finish_frame(&record, &mut reencoded).unwrap();
         assert_eq!(reencoded, original, "decode → encode must be the identity");
-    }
-
-    #[test]
-    fn binary_fold_is_byte_identical_to_json_fold() {
-        let (json_log, bin_log, profile) = stream_both();
-        let from_json = ChunkedJsonSink::new().read_log(&json_log).unwrap();
-        let from_bin = BinaryChunkedSink::new().read_log_bytes(&bin_log).unwrap();
-        assert_eq!(from_bin.to_text(), from_json.to_text());
-        assert_eq!(from_bin.to_text(), profile.to_text());
-        assert_eq!(from_bin.sites, profile.sites);
-        assert_eq!(from_bin.allocation_stats, profile.allocation_stats);
-        // The compactness claim, at unit scale: well under half the JSON bytes.
-        assert!(
-            bin_log.len() * 2 < json_log.len(),
-            "binary log is {} bytes vs {} JSON",
-            bin_log.len(),
-            json_log.len()
-        );
+        assert_eq!(record.total_samples, profile.total_samples());
     }
 
     #[test]
     fn document_form_round_trips_via_write_profile() {
-        let (_, _, profile) = stream_both();
+        let (_, profile) = stream();
         let sink = BinaryChunkedSink::new();
         let mut doc = Vec::new();
         sink.write_profile(&profile, &mut doc).unwrap();
@@ -1002,24 +967,25 @@ mod tests {
 
     #[test]
     fn read_any_profile_bytes_detects_every_format() {
-        let (json_log, bin_log, profile) = stream_both();
+        use crate::sink::{read_any_profile, JsonSink, TextSink};
+        let (bin_log, profile) = stream();
         let text = TextSink.write_to_string(&profile);
         let json_doc = JsonSink::new().write_to_string(&profile);
-        for input in [text.as_bytes(), json_doc.as_bytes(), json_log.as_bytes(), &bin_log] {
-            assert_eq!(read_any_profile_bytes(input).unwrap().to_text(), profile.to_text());
+        for input in [text.as_bytes(), json_doc.as_bytes(), &bin_log] {
+            assert_eq!(read_any_profile(input).unwrap().to_text(), profile.to_text());
         }
-        assert!(read_any_profile_bytes(b"garbage").is_err());
-        assert!(read_any_profile_bytes(&[0xff, 0xfe, 0x00]).is_err(), "non-UTF-8 non-magic");
+        assert!(read_any_profile(b"garbage").is_err());
+        assert!(read_any_profile(&[0xff, 0xfe, 0x00]).is_err(), "non-UTF-8 non-magic");
     }
 
     #[test]
     fn rejects_garbage_magic() {
-        let (_, mut bin_log, _) = stream_both();
+        let (mut bin_log, _) = stream();
         bin_log[0] = b'X';
         let err = BinaryChunkedSink::new().read_log_bytes(&bin_log).unwrap_err();
         assert!(err.message.contains("magic"), "{err}");
         // Mid-stream garbage is caught at the offending frame, with its offset.
-        let (_, bin_log, _) = stream_both();
+        let (bin_log, _) = stream();
         let mut reader = BinaryFrameReader::new(bin_log.as_slice());
         reader.next_record().unwrap().unwrap();
         let tail_start = reader.byte_offset();
@@ -1035,7 +1001,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_checksum() {
-        let (_, mut bin_log, _) = stream_both();
+        let (mut bin_log, _) = stream();
         // Flip one payload byte of the first frame; its checksum no longer matches.
         bin_log[HEADER_LEN] ^= 0x40;
         let err = BinaryChunkedSink::new().read_log_bytes(&bin_log).unwrap_err();
@@ -1045,7 +1011,7 @@ mod tests {
 
     #[test]
     fn rejects_short_frames() {
-        let (_, bin_log, _) = stream_both();
+        let (bin_log, _) = stream();
         // Truncation at every boundary class: mid-header, mid-payload, mid-checksum.
         for cut in [2, HEADER_LEN - 1, HEADER_LEN + 3, bin_log.len() - 2] {
             let err = BinaryChunkedSink::new().read_log_bytes(&bin_log[..cut]).unwrap_err();
@@ -1064,7 +1030,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_version_and_kind() {
-        let (_, bin_log, _) = stream_both();
+        let (bin_log, _) = stream();
         let mut bad_version = bin_log.clone();
         bad_version[4] = 9;
         let err = BinaryChunkedSink::new().read_log_bytes(&bad_version).unwrap_err();
@@ -1077,23 +1043,30 @@ mod tests {
 
     #[test]
     fn rejects_oversized_length_prefix() {
-        let mut frame = Vec::new();
-        frame.extend_from_slice(&BINARY_MAGIC);
-        frame.push(BINARY_VERSION);
-        frame.push(KIND_DELTA);
-        frame.extend_from_slice(&u32::MAX.to_le_bytes());
-        frame.extend_from_slice(&[0u8; 16]);
-        let err = BinaryChunkedSink::new().read_log_bytes(&frame).unwrap_err();
-        assert!(err.message.contains("cap"), "{err}");
-    }
-
-    #[test]
-    fn frame_codec_names_round_trip() {
-        for codec in [FrameCodec::Json, FrameCodec::Binary] {
-            assert_eq!(FrameCodec::from_name(codec.name()), Some(codec));
-            assert_eq!(codec.to_string(), codec.name());
+        for len in [MAX_PAYLOAD_LEN as u32 + 1, u32::MAX] {
+            let mut frame = Vec::new();
+            frame.extend_from_slice(&BINARY_MAGIC);
+            frame.push(BINARY_VERSION);
+            frame.push(KIND_DELTA);
+            frame.extend_from_slice(&len.to_le_bytes());
+            frame.extend_from_slice(&[0u8; 16]);
+            let err = BinaryChunkedSink::new().read_log_bytes(&frame).unwrap_err();
+            assert!(err.message.contains("cap"), "{err}");
+            // The push driver rejects the header alone instead of waiting for
+            // payload bytes a corrupt prefix promises.
+            let mut tail = FrameTail::new();
+            tail.push(&frame[..HEADER_LEN]);
+            let err = tail.next_record().unwrap_err();
+            assert!(err.message.contains("cap"), "{err}");
         }
-        assert_eq!(FrameCodec::from_name("protobuf"), None);
-        assert_eq!(FrameCodec::default(), FrameCodec::Json);
+        // A payload over the cap is refused by the writer instead of emitted as a
+        // frame every reader rejects.
+        let mut profile = ThreadProfile::new(ThreadId(1), "");
+        profile.thread_name = "x".repeat(MAX_PAYLOAD_LEN);
+        let delta = ProfileDelta { epoch: 1, threads: vec![ThreadDelta { seq: 0, profile }] };
+        let mut out = Vec::new();
+        let err = BinaryChunkedSink::new().on_delta(1, &delta, &mut out).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(out.is_empty(), "nothing of the refused frame was written");
     }
 }

@@ -304,13 +304,11 @@ fn stream_op() -> impl Strategy<Value = StreamOp> {
     ]
 }
 
-/// Replays one interleaving of heap/access/pull operations into a JSON streaming
-/// session, a binary streaming session, and a never-drained reference session,
-/// finishes both streams, and returns
-/// `(streaming session, reference session, JSON epoch log, binary epoch log)`.
+/// Replays one interleaving of heap/access/pull operations into a streaming
+/// session (binary epoch log) and a never-drained reference session, finishes the
+/// stream, and returns `(streaming session, reference session, epoch log)`.
 /// Shared by the fold-identity and the query-identity properties below.
-type StreamRun =
-    (std::sync::Arc<djxperf::Session>, std::sync::Arc<djxperf::Session>, String, Vec<u8>);
+type StreamRun = (std::sync::Arc<djxperf::Session>, std::sync::Arc<djxperf::Session>, Vec<u8>);
 
 fn run_stream_ops(ops: Vec<StreamOp>) -> Result<StreamRun, TestCaseError> {
     use std::sync::Arc;
@@ -321,27 +319,23 @@ fn run_stream_ops(ops: Vec<StreamOp>) -> Result<StreamRun, TestCaseError> {
         AllocationEvent, ClassId, GcEvent, GcId, MemoryAccessEvent, ObjectId, ObjectMoveEvent,
         ObjectReclaimEvent, RuntimeListener,
     };
-    use djxperf::{ChunkedJsonSink, DrainPolicy, Session, SharedBuffer};
+    use djxperf::{DrainPolicy, Session, SharedBuffer};
 
     let buffer = SharedBuffer::new();
-    let binary_buffer = SharedBuffer::new();
     // Long tick: the proptest's explicit pulls (and its snapshots) drive the epoch
     // boundaries; the drainer still writes them.
-    let policy = || DrainPolicy::new().capacity(4).tick(Duration::from_secs(60));
-    let streaming = Session::builder()
+    let streaming: Arc<Session> = Session::builder()
         .period(4)
         .size_filter(1024)
-        .stream_to(Arc::new(ChunkedJsonSink::new()), Box::new(buffer.clone()), policy())
-        .build();
-    let binary = Session::builder()
-        .period(4)
-        .size_filter(1024)
-        .stream_to_binary(Box::new(binary_buffer.clone()), policy())
+        .stream_to_binary(
+            Box::new(buffer.clone()),
+            DrainPolicy::new().capacity(4).tick(Duration::from_secs(60)),
+        )
         .build();
     let reference = Session::builder().period(4).size_filter(1024).collect_objects().build();
-    let sessions = [&streaming, &binary, &reference];
+    let sessions = [&streaming, &reference];
 
-    // Live watches on the JSON streaming session, one per query shape: after every
+    // Live watches on the streaming session, one per query shape: after every
     // pull each must render byte-identically to a cold evaluation over the live
     // fold's snapshot (the incremental-vs-recompute identity of the live module).
     use djxperf::{GroupBy, Query, RankBy};
@@ -435,8 +429,7 @@ fn run_stream_ops(ops: Vec<StreamOp>) -> Result<StreamRun, TestCaseError> {
                 }
             }
             StreamOp::Pull => {
-                prop_assert!(streaming.flush_export(), "the JSON stream accepts pulls");
-                prop_assert!(binary.flush_export(), "the binary stream accepts pulls");
+                prop_assert!(streaming.flush_export(), "the stream accepts pulls");
                 let snapshot = live_fold.snapshot();
                 for (query, lq) in shapes.iter().zip(&mut watches) {
                     let live = lq.current();
@@ -452,17 +445,11 @@ fn run_stream_ops(ops: Vec<StreamOp>) -> Result<StreamRun, TestCaseError> {
         }
     }
 
-    let stats = streaming.finish_export().expect("the JSON stream finishes cleanly");
+    let stats = streaming.finish_export().expect("the stream finishes cleanly");
     prop_assert_eq!(
         stats.samples_streamed,
         streaming.total_samples(),
         "every sample is in exactly one streamed delta"
-    );
-    let binary_stats = binary.finish_export().expect("the binary stream finishes cleanly");
-    prop_assert_eq!(
-        binary_stats.samples_streamed,
-        stats.samples_streamed,
-        "both codecs stream the identical sample population"
     );
     prop_assert_eq!(streaming.total_samples(), reference.total_samples());
 
@@ -478,8 +465,7 @@ fn run_stream_ops(ops: Vec<StreamOp>) -> Result<StreamRun, TestCaseError> {
         prop_assert_eq!(live.result.to_json(), cold.to_json());
     }
 
-    let log = String::from_utf8(buffer.contents()).unwrap();
-    Ok((streaming, reference, log, binary_buffer.contents()))
+    Ok((streaming, reference, buffer.contents()))
 }
 
 proptest! {
@@ -488,38 +474,28 @@ proptest! {
     /// Any interleaving of insert/free/relocate/access with drainer pulls streams a
     /// delta log that folds to the same profile a sequential, never-drained replay of
     /// the identical event sequence produces — and draining never perturbs the
-    /// streaming session's own profile either. The epoch partition must be invisible,
-    /// and so must the wire codec: the binary epoch log folds byte-identically to the
-    /// JSON one.
+    /// streaming session's own profile either. The epoch partition must be invisible.
     #[test]
     fn streamed_deltas_fold_like_a_sequential_replay_under_insert_free_relocate(
         ops in prop::collection::vec(stream_op(), 1..120),
     ) {
-        use djxperf::{read_any_profile_bytes, BinaryChunkedSink, ChunkedJsonSink};
+        use djxperf::{read_any_profile, BinaryChunkedSink};
 
-        let (streaming, reference, log, binary_log) = run_stream_ops(ops)?;
+        let (streaming, reference, log) = run_stream_ops(ops)?;
         let reference_text = reference.object_profile().unwrap().to_text();
         prop_assert_eq!(
             &streaming.object_profile().unwrap().to_text(),
             &reference_text,
             "epoch pulls must not perturb the streaming session's own profile"
         );
-        let replayed = ChunkedJsonSink::new().read_log(&log).expect("the epoch log replays");
+        let replayed = BinaryChunkedSink::new().read_log_bytes(&log).expect("the epoch log replays");
         prop_assert_eq!(
             &replayed.to_text(),
             &reference_text,
             "folded stream must equal the sequential replay"
         );
-        let from_binary = BinaryChunkedSink::new()
-            .read_log_bytes(&binary_log)
-            .expect("the binary epoch log replays");
         prop_assert_eq!(
-            &from_binary.to_text(),
-            &reference_text,
-            "binary fold must be byte-identical to the JSON fold"
-        );
-        prop_assert_eq!(
-            &read_any_profile_bytes(&binary_log).expect("sniffed replay").to_text(),
+            &read_any_profile(&log).expect("sniffed replay").to_text(),
             &reference_text,
             "format sniffing must route binary logs to the binary reader"
         );
@@ -535,7 +511,7 @@ proptest! {
     ) {
         use djxperf::{EpochLog, GroupBy, Query, RankBy};
 
-        let (streaming, reference, log, _binary_log) = run_stream_ops(ops)?;
+        let (streaming, reference, log) = run_stream_ops(ops)?;
         let replayed = EpochLog::replay(&log).expect("the epoch log replays");
         let queries = [
             Query::new(),

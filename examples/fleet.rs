@@ -12,7 +12,7 @@
 //! 1. bind a [`FleetAggregator`] on a loopback port;
 //! 2. start three producer sessions, each streaming through a socket-backed
 //!    [`FleetSink`] (`SessionBuilder::stream_to_fleet`) **and** writing the same
-//!    events to a local `ChunkedJsonSink` epoch log — the comparison baseline;
+//!    events to a local binary epoch log — the comparison baseline;
 //! 3. mid-run, drop producer 0's connection: the sink reconnects, resumes from the
 //!    acknowledged epoch, and nothing is lost or double-counted;
 //! 4. query the fleet both in-process (`aggregator.query`) and over the wire
@@ -29,8 +29,8 @@ use djx_runtime::{
     ThreadId,
 };
 use djxperf::{
-    ChunkedJsonSink, DrainPolicy, EpochLog, FleetAggregator, FleetClient, FleetSink, GroupBy,
-    MultiSource, Query, RankBy, Session, SharedBuffer,
+    DrainPolicy, EpochLog, FleetAggregator, FleetClient, FleetSink, GroupBy, MultiSource, Query,
+    RankBy, Session, SharedBuffer,
 };
 
 const PRODUCERS: u64 = 3;
@@ -120,7 +120,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .period(PERIOD)
                 .index_shards(8)
                 .size_filter(SIZE_FILTER)
-                .stream_to(Arc::new(ChunkedJsonSink::new()), Box::new(buffer.clone()), policy())
+                .stream_to_binary(Box::new(buffer.clone()), policy())
                 .build()
         })
         .collect();
@@ -182,7 +182,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The single-process baseline: fold the three local logs.
     let mut replayed = Vec::new();
     for buffer in &buffers {
-        replayed.push(EpochLog::replay(&String::from_utf8(buffer.contents())?)?);
+        replayed.push(EpochLog::replay(&buffer.contents())?);
     }
     let mut fold = MultiSource::new();
     for log in &replayed {

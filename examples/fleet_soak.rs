@@ -39,8 +39,8 @@ use djx_runtime::{
     ThreadId,
 };
 use djxperf::{
-    BackoffPolicy, ChunkedJsonSink, DrainPolicy, EpochLog, FaultPlan, FleetAggregator, FleetClient,
-    FleetSink, FsyncPolicy, GroupBy, MultiSource, Query, RankBy, Session, SharedBuffer,
+    BackoffPolicy, DrainPolicy, EpochLog, FaultPlan, FleetAggregator, FleetClient, FleetSink,
+    FsyncPolicy, GroupBy, MultiSource, Query, RankBy, Session, SharedBuffer,
 };
 
 const PRODUCERS: u64 = 3;
@@ -246,7 +246,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .period(PERIOD)
                 .index_shards(8)
                 .size_filter(SIZE_FILTER)
-                .stream_to(Arc::new(ChunkedJsonSink::new()), Box::new(buffer.clone()), policy())
+                .stream_to_binary(Box::new(buffer.clone()), policy())
                 .build()
         })
         .collect();
@@ -332,7 +332,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The uninterrupted single-process baseline: fold the three pristine logs.
     let mut replayed = Vec::new();
     for buffer in &buffers {
-        replayed.push(EpochLog::replay(&String::from_utf8(buffer.contents())?)?);
+        replayed.push(EpochLog::replay(&buffer.contents())?);
     }
     let mut fold = MultiSource::new();
     for log in &replayed {

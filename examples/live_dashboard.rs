@@ -18,7 +18,6 @@
 //! [`LiveFold`]: djxperf::LiveFold
 //! [`LiveQuery::next_epoch_timeout`]: djxperf::LiveQuery::next_epoch_timeout
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use djx_memsim::{HierarchyConfig, MemoryAccess, MemoryHierarchy};
@@ -26,7 +25,7 @@ use djx_runtime::{
     AllocationEvent, ClassId, Frame, MemoryAccessEvent, MethodId, ObjectId, RuntimeListener,
     ThreadId,
 };
-use djxperf::{ChunkedJsonSink, DrainPolicy, Query, RankBy, Session, SharedBuffer};
+use djxperf::{DrainPolicy, Query, RankBy, Session, SharedBuffer};
 
 const THREADS: u64 = 4;
 const OBJECTS_PER_THREAD: u64 = 16;
@@ -72,8 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let session = Session::builder()
         .period(64)
         .size_filter(1024)
-        .stream_to(
-            Arc::new(ChunkedJsonSink::new()),
+        .stream_to_binary(
             Box::new(log.clone()),
             DrainPolicy::new().capacity(8).coalesce().tick(Duration::from_millis(5)),
         )

@@ -7,7 +7,7 @@
 //!
 //! The walkthrough simulates the cross-machine merge workflow the query redesign
 //! unlocks: two "processes" each profile their own half of a workload and stream a
-//! replayable `ChunkedJsonSink` epoch log, while an aggregator session observes the
+//! replayable binary epoch log, while an aggregator session observes the
 //! union of both event streams (and streams its own log). One `Query` — rank objects
 //! by weighted L1 misses — is then evaluated against
 //!
@@ -30,10 +30,7 @@ use djx_runtime::{
     AllocationEvent, ClassId, Frame, MemoryAccessEvent, MethodId, ObjectId, RuntimeListener,
     ThreadId,
 };
-use djxperf::{
-    ChunkedJsonSink, DrainPolicy, EpochLog, GroupBy, MultiSource, Query, RankBy, Session,
-    SharedBuffer,
-};
+use djxperf::{DrainPolicy, EpochLog, GroupBy, MultiSource, Query, RankBy, Session, SharedBuffer};
 
 /// One simulated process: a thread hammering a few monitored arrays.
 struct Process {
@@ -94,8 +91,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Session::builder()
             .period(64)
             .index_shards(8)
-            .stream_to(
-                Arc::new(ChunkedJsonSink::new()),
+            .stream_to_binary(
                 Box::new(buffer.clone()),
                 DrainPolicy::new().capacity(8).coalesce().tick(Duration::from_millis(2)),
             )
@@ -164,11 +160,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let snapshot = aggregator.object_profile().expect("object collector registered");
     let from_snapshot = query.evaluate(&snapshot)?;
     // Source 3: the aggregator's epoch log, replayed (DeltaFold under the hood).
-    let replayed = EpochLog::replay(&String::from_utf8(log_all.contents())?)?;
+    let replayed = EpochLog::replay(&log_all.contents())?;
     let from_log = query.evaluate(&replayed)?;
     // Source 4: the cross-machine path — fold the two per-process logs.
-    let replay_a = EpochLog::replay(&String::from_utf8(log_a.contents())?)?;
-    let replay_b = EpochLog::replay(&String::from_utf8(log_b.contents())?)?;
+    let replay_a = EpochLog::replay(&log_a.contents())?;
+    let replay_b = EpochLog::replay(&log_b.contents())?;
     let fold = MultiSource::new().with(&replay_a).with(&replay_b);
     let from_fold = query.evaluate(&fold)?;
 

@@ -6,35 +6,30 @@
 //! cargo run --release --example streaming_export
 //! ```
 //!
-//! The session is built with [`SessionBuilder::stream_to`]: a [`DeltaDrainer`]
+//! The session is built with [`SessionBuilder::stream_to_binary`]: a [`DeltaDrainer`]
 //! background thread closes buffer epochs every few milliseconds and appends each
-//! non-empty delta to a [`ChunkedJsonSink`] epoch log (newline-delimited JSON).
+//! non-empty delta to a binary epoch log (`djxperf::wire` frames).
 //! Export cost scales with the *delta* — what changed since the last epoch — not
 //! with the whole accumulated profile, and the sampling hot path never blocks on the
 //! writer. At the end, [`Session::finish_export`] flushes the terminal record, and
 //! the example proves the headline guarantee by replaying the log: the folded deltas
 //! are byte-identical to the session's own final profile.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use djx_runtime::{dsl, Runtime, RuntimeConfig};
-use djxperf::{
-    read_any_profile_bytes, BinaryChunkedSink, ChunkedJsonSink, DrainPolicy, ProfileSink,
-    SharedBuffer,
-};
-use djxperf::{Query, Session};
+use djxperf::{read_any_profile, BinaryChunkedSink, DrainPolicy, JsonSink, ProfileSink};
+use djxperf::{Query, Session, SharedBuffer};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. A session streaming its object-centric profile continuously: every retired
-    //    epoch delta goes through the chunked-JSON sink into the shared buffer (a
-    //    file or socket writer works the same way).
+    //    epoch delta goes through the binary epoch-log sink into the shared buffer
+    //    (a file or socket writer works the same way).
     let log = SharedBuffer::new();
     let mut rt = Runtime::new(RuntimeConfig::evaluation());
     let session = Session::builder()
         .period(128)
-        .stream_to(
-            Arc::new(ChunkedJsonSink::new()),
+        .stream_to_binary(
             Box::new(log.clone()),
             DrainPolicy::new().capacity(8).coalesce().tick(Duration::from_millis(2)),
         )
@@ -83,16 +78,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    folds every streamed delta back into a profile byte-identical to the
     //    session's terminal snapshot.
     let terminal = session.object_profile().expect("object collector registered");
-    let contents = String::from_utf8(log.contents())?;
-    let replayed = ChunkedJsonSink::new().read_log(&contents)?;
+    let contents = log.contents();
+    let replayed = BinaryChunkedSink::new().read_log_bytes(&contents)?;
     assert_eq!(
         replayed.to_text(),
         terminal.to_text(),
         "replayed epoch log must be byte-identical to the terminal profile"
     );
     println!(
-        "replayed {} log lines -> {} samples, byte-identical to the terminal profile ✓",
-        contents.lines().count(),
+        "replayed {} log bytes -> {} samples, byte-identical to the terminal profile ✓",
+        contents.len(),
         replayed.total_samples(),
     );
 
@@ -109,25 +104,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         hottest.fraction_of_total * 100.0
     );
 
-    // 6. The same profile through both log codecs: the binary epoch-frame format
-    //    (`SessionBuilder::stream_to_binary` for live streams) carries the identical
-    //    fold in a fraction of the bytes, and `read_any_profile_bytes` sniffs the
-    //    magic so consumers never need to be told which format a log is in.
-    let mut json_doc = Vec::new();
-    ChunkedJsonSink::new().write_profile(&terminal, &mut json_doc)?;
-    let mut binary_doc = Vec::new();
-    BinaryChunkedSink::new().write_profile(&terminal, &mut binary_doc)?;
-    let sniffed = read_any_profile_bytes(&binary_doc)?;
-    assert_eq!(
-        sniffed.to_text(),
-        terminal.to_text(),
-        "the binary log must fold byte-identically to the JSON log"
-    );
+    // 6. JSON is a render target, not a transport: the terminal snapshot as a JSON
+    //    document for dashboards reads back to the same profile, and
+    //    `read_any_profile` sniffs the format so consumers never need to be told
+    //    whether they hold a streamed log or a snapshot.
+    let json_doc = JsonSink::new().write_to_string(&terminal);
+    for (name, bytes) in [("epoch log", &contents[..]), ("JSON snapshot", json_doc.as_bytes())] {
+        assert_eq!(
+            read_any_profile(bytes)?.to_text(),
+            terminal.to_text(),
+            "the {name} must read back byte-identically to the terminal profile"
+        );
+    }
     println!(
-        "binary epoch log: {} bytes vs {} bytes JSON ({:.1}x smaller), identical fold ✓",
-        binary_doc.len(),
+        "binary epoch log: {} bytes vs {} bytes for the JSON snapshot, identical profile ✓",
+        contents.len(),
         json_doc.len(),
-        json_doc.len() as f64 / binary_doc.len() as f64,
     );
     Ok(())
 }

@@ -8,7 +8,7 @@
 //! `MultiSource` fold of the same producers' epoch logs. Same frames, same fold,
 //! same assembly, one codepath.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -20,10 +20,9 @@ use djx_runtime::{
     ThreadId,
 };
 use djxperf::{
-    AllocationStats, BackoffPolicy, ChunkedJsonSink, DeltaFold, DrainPolicy, EpochLog, FaultPlan,
-    FleetAggregator, FleetClient, FleetSink, FrameCodec, FsyncPolicy, GroupBy, MultiSource,
-    OverflowPolicy, ProfileDelta, ProfileSink, Query, RankBy, Session, SharedBuffer, ThreadDelta,
-    ThreadProfile,
+    AllocationStats, BackoffPolicy, BinaryChunkedSink, DeltaFold, DrainPolicy, EpochLog, FaultPlan,
+    FleetAggregator, FleetClient, FleetSink, FsyncPolicy, GroupBy, MultiSource, OverflowPolicy,
+    ProfileDelta, ProfileSink, Query, RankBy, Session, SharedBuffer, ThreadDelta, ThreadProfile,
 };
 
 const PROCESSES: u64 = 3;
@@ -114,7 +113,7 @@ fn log_session(buffer: &SharedBuffer) -> Arc<Session> {
         .period(PERIOD)
         .index_shards(8)
         .size_filter(SIZE_FILTER)
-        .stream_to(Arc::new(ChunkedJsonSink::new()), Box::new(buffer.clone()), drain_policy())
+        .stream_to_binary(Box::new(buffer.clone()), drain_policy())
         .build()
 }
 
@@ -135,13 +134,6 @@ fn fleet_query_is_byte_identical_to_multisource_fold() {
     // events into a local epoch log — the single-process comparison baseline.
     let sinks: Vec<Arc<FleetSink>> =
         (0..PROCESSES).map(|p| connect_sink(&addr, &format!("proc{p}"))).collect();
-    for sink in &sinks {
-        assert_eq!(
-            sink.stats().codec,
-            FrameCodec::Binary,
-            "a default connect negotiates the binary frame codec"
-        );
-    }
     let fleet_sessions: Vec<Arc<Session>> = sinks.iter().map(fleet_session).collect();
     let buffers: Vec<SharedBuffer> = (0..PROCESSES).map(|_| SharedBuffer::new()).collect();
     let log_sessions: Vec<Arc<Session>> = buffers.iter().map(log_session).collect();
@@ -177,11 +169,6 @@ fn fleet_query_is_byte_identical_to_multisource_fold() {
     // The faulted producer reconnected: a second connect on the sink, a resume on
     // the aggregator — and no producer ended truncated.
     assert!(sinks[0].stats().connects >= 2, "producer 0 reconnected");
-    assert_eq!(
-        sinks[0].stats().codec,
-        FrameCodec::Binary,
-        "the reconnect handshake renegotiated binary"
-    );
     let status = aggregator.status();
     assert_eq!(status.len(), PROCESSES as usize);
     assert!(status.iter().any(|s| s.producer == "proc0" && s.resumes >= 1));
@@ -193,7 +180,7 @@ fn fleet_query_is_byte_identical_to_multisource_fold() {
     // The single-process baseline: a MultiSource fold over the replayed logs.
     let replayed: Vec<EpochLog> = buffers
         .iter()
-        .map(|b| EpochLog::replay(&String::from_utf8(b.contents()).unwrap()).expect("log replays"))
+        .map(|b| EpochLog::replay(&b.contents()).expect("log replays"))
         .collect();
     let mut fold = MultiSource::new();
     for log in &replayed {
@@ -225,78 +212,6 @@ fn fleet_query_is_byte_identical_to_multisource_fold() {
 
     // The wire status matches the in-process status.
     assert_eq!(client.status().expect("wire status answers"), aggregator.status());
-}
-
-#[test]
-fn json_forced_and_binary_producers_render_byte_identically() {
-    let logs = build_process_logs();
-    let log = &logs[0];
-
-    // The identical workload through each codec, against its own aggregator — with a
-    // mid-stream disconnect so the reconnect handshake renegotiates the codec too.
-    let run = |codec: FrameCodec| {
-        let aggregator = FleetAggregator::bind("127.0.0.1:0").expect("aggregator binds");
-        let addr = aggregator.local_addr().expect("tcp aggregator").to_string();
-        let sink = Arc::new(
-            FleetSink::connect_with_codec(
-                &addr,
-                "proc0",
-                PmuEvent::DEFAULT,
-                PERIOD,
-                SIZE_FILTER,
-                codec,
-            )
-            .expect("producer connects"),
-        );
-        assert_eq!(sink.stats().codec, codec, "the aggregator honors the offered codec");
-        let session = fleet_session(&sink);
-        replay_allocs(&session, log);
-        let half = ACCESSES_PER_PROCESS as usize / 2;
-        replay_accesses(&session, log, 0..half);
-        sink.disconnect();
-        replay_accesses(&session, log, half..ACCESSES_PER_PROCESS as usize);
-        session.finish_export().expect("stream finishes");
-        assert!(sink.stats().connects >= 2, "the producer reconnected");
-        assert_eq!(sink.stats().codec, codec, "renegotiation picked the same codec");
-        aggregator
-    };
-    let json = run(FrameCodec::Json);
-    let binary = run(FrameCodec::Binary);
-
-    // The wire codec is invisible to queries: both folds render byte-identically.
-    for query in [
-        Query::new(),
-        Query::new().rank_by(RankBy::Samples),
-        Query::new().group_by(GroupBy::Thread).rank_by(RankBy::Samples),
-    ] {
-        let from_json = json.query(&query).expect("json fleet evaluates");
-        let from_binary = binary.query(&query).expect("binary fleet evaluates");
-        assert_eq!(
-            from_binary.to_text(),
-            from_json.to_text(),
-            "codec-independent text for {query:?}"
-        );
-        assert_eq!(
-            from_binary.to_json(),
-            from_json.to_json(),
-            "codec-independent json for {query:?}"
-        );
-    }
-
-    // But not to the wire: the binary producer shipped the same fold in far fewer bytes.
-    let row = |aggregator: &FleetAggregator| {
-        aggregator.status().into_iter().next().expect("one producer row")
-    };
-    let (json_row, binary_row) = (row(&json), row(&binary));
-    assert_eq!(json_row.samples, binary_row.samples, "identical folds");
-    assert!(json_row.finished && binary_row.finished);
-    assert!(json_row.frames_received > 0 && binary_row.frames_received > 0);
-    assert!(
-        binary_row.bytes_received * 2 < json_row.bytes_received,
-        "binary wire bytes {} should be well under half of JSON's {}",
-        binary_row.bytes_received,
-        json_row.bytes_received
-    );
 }
 
 #[test]
@@ -356,9 +271,20 @@ fn crashed_producer_stays_queryable_flagged_truncated() {
     sink.sever();
     drop(session);
 
+    // The aggregator learns of the crash when its connection handler reads the
+    // closed socket — asynchronously, so wait for that before reading the flags.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let dead = loop {
+        let status = aggregator.status();
+        let dead = status.into_iter().find(|s| s.producer == "proc2").expect("producer 2 known");
+        if !dead.connected {
+            break dead;
+        }
+        assert!(Instant::now() < deadline, "producer 2's disconnect was never noticed");
+        std::thread::sleep(Duration::from_millis(2));
+    };
+
     // No silent loss: the dead producer's partial fold stays queryable, flagged.
-    let status = aggregator.status();
-    let dead = status.iter().find(|s| s.producer == "proc2").expect("producer 2 known");
     assert!(!dead.finished);
     assert!(dead.truncated);
     assert!(dead.samples > 0, "the partial fold kept the pre-crash samples");
@@ -381,7 +307,8 @@ fn crashed_producer_stays_queryable_flagged_truncated() {
     assert_eq!(from_fleet.to_json(), from_union.to_json(), "json identity after the crash");
 }
 
-/// A raw-socket probe speaking the wire protocol by hand.
+/// A raw-socket probe speaking the wire protocol by hand: JSON control lines and
+/// binary epoch frames.
 struct RawProducer {
     writer: TcpStream,
     reader: BufReader<TcpStream>,
@@ -390,36 +317,57 @@ struct RawProducer {
 impl RawProducer {
     fn connect(addr: &str) -> RawProducer {
         let writer = TcpStream::connect(addr).expect("probe connects");
+        writer
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("probe read timeout");
         let reader = BufReader::new(writer.try_clone().expect("probe clones"));
         RawProducer { writer, reader }
     }
 
-    fn round_trip(&mut self, frame: &str) -> String {
-        self.writer.write_all(frame.as_bytes()).expect("probe writes");
+    /// Sends `frame` and returns the aggregator's one-line reply.
+    fn round_trip(&mut self, frame: &[u8]) -> String {
+        self.writer.write_all(frame).expect("probe writes");
         let mut reply = String::new();
         self.reader.read_line(&mut reply).expect("probe reads");
         reply
     }
 
-    fn hello(&mut self, producer: &str) -> String {
+    fn hello_version(&mut self, producer: &str, version: u64) -> String {
         let event = PmuEvent::DEFAULT.hardware_name();
-        self.round_trip(&format!(
-            "{{\"record\":\"hello\",\"format\":\"djxperf-fleet\",\"version\":1,\
-             \"producer\":\"{producer}\",\"event\":\"{event}\",\"period\":{PERIOD},\
-             \"size_filter\":{SIZE_FILTER}}}\n"
-        ))
+        self.round_trip(
+            format!(
+                "{{\"record\":\"hello\",\"format\":\"djxperf-fleet\",\"version\":{version},\
+                 \"producer\":\"{producer}\",\"event\":\"{event}\",\"period\":{PERIOD},\
+                 \"size_filter\":{SIZE_FILTER}}}\n"
+            )
+            .as_bytes(),
+        )
+    }
+
+    fn hello(&mut self, producer: &str) -> String {
+        self.hello_version(producer, 2)
+    }
+
+    /// Asserts the aggregator closed the connection after its last reply.
+    fn assert_closed(&mut self) {
+        let mut rest = Vec::new();
+        self.reader
+            .read_to_end(&mut rest)
+            .expect("the aggregator closes the connection");
+        assert!(rest.is_empty(), "nothing follows the error record: {rest:?}");
     }
 }
 
-fn delta_frame(epoch: u64, thread: u64, samples: u64) -> String {
+/// A binary delta frame, encoded exactly as a producer's sink encodes it.
+fn delta_frame(epoch: u64, thread: u64, samples: u64) -> Vec<u8> {
     let mut profile = ThreadProfile::new(ThreadId(thread), "probe");
     profile.samples = samples;
     let delta = ProfileDelta { epoch, threads: vec![ThreadDelta { seq: 0, profile }] };
     let mut bytes = Vec::new();
-    ChunkedJsonSink::new()
+    BinaryChunkedSink::new()
         .on_delta(epoch, &delta, &mut bytes)
         .expect("delta serializes");
-    String::from_utf8(bytes).expect("frames are utf-8")
+    bytes
 }
 
 #[test]
@@ -451,6 +399,7 @@ fn aggregator_rejects_checksum_mismatch_and_orphan_frames() {
     // Epoch frames before a hello are refused.
     let mut orphan = RawProducer::connect(&addr);
     assert!(orphan.round_trip(&delta_frame(1, 9, 4)).contains("\"record\":\"error\""));
+    orphan.assert_closed();
 
     // A finish whose sample count disagrees with the folded stream is refused —
     // lost deltas cannot be papered over by a finish frame.
@@ -460,16 +409,62 @@ fn aggregator_rejects_checksum_mismatch_and_orphan_frames() {
     // The finish of an *empty* session counts 0 total samples — the folded stream
     // counts 4.
     let empty = Session::builder().period(PERIOD).collect_objects().build();
-    let mut bytes = Vec::new();
-    ChunkedJsonSink::new()
-        .on_finish(&empty.object_profile().unwrap(), &mut bytes)
+    let mut finish = Vec::new();
+    BinaryChunkedSink::new()
+        .on_finish(&empty.object_profile().unwrap(), &mut finish)
         .expect("finish serializes");
-    let finish = String::from_utf8(bytes).unwrap();
     let reply = probe.round_trip(&finish);
     assert!(reply.contains("\"record\":\"error\""), "mismatched finish refused: {reply}");
+    probe.assert_closed();
     let status = aggregator.status();
     let row = status.iter().find(|s| s.producer == "mismatch").unwrap();
     assert!(!row.finished, "the mismatched finish was not folded");
+}
+
+#[test]
+fn v1_hellos_and_json_epoch_records_get_an_error_and_a_close() {
+    let aggregator = FleetAggregator::bind("127.0.0.1:0").expect("aggregator binds");
+    let addr = aggregator.local_addr().unwrap().to_string();
+
+    // A version-1 producer (JSON epoch frames) is turned away at the hello.
+    let mut v1 = RawProducer::connect(&addr);
+    let reply = v1.hello_version("old", 1);
+    assert!(reply.contains("\"record\":\"error\""), "{reply}");
+    assert!(reply.contains("unsupported fleet version 1"), "{reply}");
+    v1.assert_closed();
+
+    // A JSON delta line after a valid hello is refused, never folded.
+    let mut probe = RawProducer::connect(&addr);
+    assert_eq!(probe.hello("json"), "{\"record\":\"ack\",\"epoch\":0}\n");
+    let reply =
+        probe.round_trip(b"{\"record\":\"delta\",\"epoch\":1,\"samples\":0,\"threads\":[]}\n");
+    assert!(reply.contains("\"record\":\"error\""), "{reply}");
+    assert!(reply.contains("binary"), "the error names the epoch-frame format: {reply}");
+    probe.assert_closed();
+    let status = aggregator.status();
+    assert_eq!(status.len(), 1, "the v1 producer never registered");
+    assert_eq!((status[0].producer.as_str(), status[0].deltas), ("json", 0));
+}
+
+#[test]
+fn oversized_control_line_is_refused_and_the_aggregator_keeps_serving() {
+    // The wire's one inbound cap (16 MiB) bounds control lines too: a peer that
+    // streams one byte more without a newline is refused, not buffered forever.
+    const CAP: usize = 16 << 20;
+    let aggregator = FleetAggregator::bind("127.0.0.1:0").expect("aggregator binds");
+    let addr = aggregator.local_addr().unwrap().to_string();
+    let mut hostile = RawProducer::connect(&addr);
+    let mut flood = vec![b'x'; CAP + 1];
+    flood[0] = b'{';
+    let reply = hostile.round_trip(&flood);
+    assert!(reply.contains("\"record\":\"error\""), "{reply}");
+    assert!(reply.contains("cap"), "{reply}");
+    hostile.assert_closed();
+
+    // The aggregator survived: a second producer is still served.
+    let mut probe = RawProducer::connect(&addr);
+    assert_eq!(probe.hello("after"), "{\"record\":\"ack\",\"epoch\":0}\n");
+    assert_eq!(probe.round_trip(&delta_frame(1, 9, 4)), "{\"record\":\"ack\",\"epoch\":1}\n");
 }
 
 /// A scratch directory that cleans itself up.
@@ -630,7 +625,7 @@ fn aggregator_kill_restart_with_wal_recovery_is_byte_identical() {
     // Byte identity against the uninterrupted single-process baseline.
     let replayed: Vec<EpochLog> = buffers
         .iter()
-        .map(|b| EpochLog::replay(&String::from_utf8(b.contents()).unwrap()).expect("log replays"))
+        .map(|b| EpochLog::replay(&b.contents()).expect("log replays"))
         .collect();
     let mut fold = MultiSource::new();
     for log in &replayed {
@@ -844,9 +839,32 @@ fn fleet_over_unix_domain_sockets() {
     assert!(!path.exists(), "the socket file is removed on shutdown");
 }
 
+/// Waits until nothing is in flight between the producers and the aggregator:
+/// each producer's status row reports every sample its session took, and its sink
+/// has no frame left to deliver. `Session::flush_export` only enqueues a delta —
+/// the drainer delivers it later — so without this a frame can land between a
+/// live render and the cold query it is compared with.
+fn quiesce(aggregator: &FleetAggregator, producers: &[(&str, &Session, &FleetSink)]) {
+    let deadline = Instant::now() + Duration::from_secs(20);
+    for &(name, session, sink) in producers {
+        session.flush_export();
+        loop {
+            let taken = session.total_samples();
+            let status = aggregator.status();
+            let folded = status.iter().find(|s| s.producer == name).map_or(0, |s| s.samples);
+            // `flush_pending` also delivers frames a failed attempt left buffered.
+            if folded == taken && sink.flush_pending() == 0 {
+                break;
+            }
+            assert!(Instant::now() < deadline, "{name} never quiesced: {folded}/{taken} folded");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+}
+
 /// Renders every live watch and asserts byte-identity (text and JSON) against a
-/// cold `aggregator.query` over the same merged view. Callers quiesce first
-/// (every producer flushed, nothing in flight), so the comparison is exact.
+/// cold `aggregator.query` over the same merged view. Callers [`quiesce`] first,
+/// so the comparison is exact.
 fn assert_watch_identity(aggregator: &FleetAggregator, watches: &mut [djxperf::LiveQuery]) {
     for lq in watches.iter_mut() {
         let live = lq.current();
@@ -878,11 +896,11 @@ fn live_fleet_watches_stay_identical_across_reconnect() {
     replay_allocs(&session0, &logs[0]);
     replay_allocs(&session1, &logs[1]);
 
+    let producers01 = [("proc0", &*session0, &*sink0), ("proc1", &*session1, &*sink1)];
     let half = ACCESSES_PER_PROCESS as usize / 2;
     replay_accesses(&session0, &logs[0], 0..half);
     replay_accesses(&session1, &logs[1], 0..half / 2);
-    session0.flush_export();
-    session1.flush_export();
+    quiesce(&aggregator, &producers01);
     assert_watch_identity(&aggregator, &mut early);
 
     // A watch attached mid-run is seeded with everything already folded.
@@ -893,13 +911,14 @@ fn live_fleet_watches_stay_identical_across_reconnect() {
     // duplicate frames are pre-dropped and never reach the watches.
     sink0.disconnect();
     replay_accesses(&session0, &logs[0], half..ACCESSES_PER_PROCESS as usize);
-    session0.flush_export();
+    quiesce(&aggregator, &producers01);
     assert!(sink0.stats().connects >= 2, "the severed producer reconnected");
     assert_watch_identity(&aggregator, &mut early);
     assert_watch_identity(&aggregator, &mut late);
 
     // Producer 0 finishes: its site table arrives and the deferred rows replay.
     session0.finish_export().expect("producer 0 finishes");
+    quiesce(&aggregator, &producers01);
     assert_watch_identity(&aggregator, &mut early);
 
     // A third producer joins mid-watch (fleet meta refresh), streams, finishes.
@@ -908,11 +927,14 @@ fn live_fleet_watches_stay_identical_across_reconnect() {
     replay_allocs(&session2, &logs[2]);
     replay_accesses(&session2, &logs[2], 0..ACCESSES_PER_PROCESS as usize);
     session2.finish_export().expect("producer 2 finishes");
+    quiesce(&aggregator, &producers01);
+    quiesce(&aggregator, &[("proc2", &*session2, &*sink2)]);
     assert_watch_identity(&aggregator, &mut early);
     assert_watch_identity(&aggregator, &mut late);
 
     replay_accesses(&session1, &logs[1], half / 2..ACCESSES_PER_PROCESS as usize);
     session1.finish_export().expect("producer 1 finishes");
+    quiesce(&aggregator, &producers01);
     assert_watch_identity(&aggregator, &mut early);
     assert_watch_identity(&aggregator, &mut late);
 

@@ -14,7 +14,7 @@ use djx_runtime::{
 };
 use djxperf::query::live::LiveFold;
 use djxperf::query::{GroupBy, Query, RankBy};
-use djxperf::{ChunkedJsonSink, DrainPolicy, Session, SharedBuffer};
+use djxperf::{read_any_profile, DrainPolicy, JsonSink, ProfileSink, Session, SharedBuffer};
 
 const THREADS: u64 = 4;
 const OBJECTS_PER_THREAD: u64 = 24;
@@ -127,8 +127,7 @@ fn live_watches_track_the_stream_under_concurrent_ingestion() {
     let session: Arc<Session> = Session::builder()
         .period(PERIOD)
         .collect_objects()
-        .stream_to(
-            Arc::new(ChunkedJsonSink::new()),
+        .stream_to_binary(
             Box::new(buffer.clone()),
             DrainPolicy::new().tick(Duration::from_millis(1)),
         )
@@ -159,7 +158,19 @@ fn live_watches_track_the_stream_under_concurrent_ingestion() {
         }
     });
 
-    // Quiesced but unfinished: the identity check now always applies.
+    // Quiesce: the workers are done, but the drainer retires their last epochs
+    // asynchronously. Wait until the fold has absorbed every sample the session
+    // took — then nothing is in flight and the identity check always applies.
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    loop {
+        session.flush_export();
+        let (folded, taken) = (fold.snapshot().total_samples(), session.total_samples());
+        if folded == taken {
+            break;
+        }
+        assert!(std::time::Instant::now() < deadline, "fold never caught up: {folded}/{taken}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
     for (query, lq) in queries.iter().zip(watches.iter_mut()) {
         assert!(check_identity(query, lq, &fold), "no epochs move on a quiesced stream");
         applied += 1;
@@ -191,8 +202,7 @@ fn a_watch_attached_mid_run_is_seeded_with_the_past() {
     let session: Arc<Session> = Session::builder()
         .period(PERIOD)
         .collect_objects()
-        .stream_to(
-            Arc::new(ChunkedJsonSink::new()),
+        .stream_to_binary(
             Box::new(buffer.clone()),
             DrainPolicy::new().capacity(4).tick(Duration::from_secs(60)),
         )
@@ -231,7 +241,7 @@ fn a_watch_after_the_stream_finished_renders_the_terminal_state() {
     let session: Arc<Session> = Session::builder()
         .period(PERIOD)
         .collect_objects()
-        .stream_to(Arc::new(ChunkedJsonSink::new()), Box::new(buffer.clone()), DrainPolicy::new())
+        .stream_to_binary(Box::new(buffer.clone()), DrainPolicy::new())
         .build();
     for log in &logs {
         replay_allocs(&session, log);
@@ -255,8 +265,7 @@ fn a_fold_fed_replayed_log_bytes_matches_the_cold_replay() {
     let session: Arc<Session> = Session::builder()
         .period(PERIOD)
         .collect_objects()
-        .stream_to(
-            Arc::new(ChunkedJsonSink::new()),
+        .stream_to_binary(
             Box::new(buffer.clone()),
             DrainPolicy::new().capacity(4).tick(Duration::from_secs(60)),
         )
@@ -299,48 +308,42 @@ fn a_fold_fed_replayed_log_bytes_matches_the_cold_replay() {
 
 #[test]
 fn a_fold_fed_binary_log_bytes_matches_the_json_replay() {
+    // The binary epoch log is the transport, JSON the render target: a fold fed
+    // the log bytes renders exactly what a query over the terminal profile's JSON
+    // document — written, then read back — renders.
     let logs = build_logs(2, 6_000);
-    let json_buffer = SharedBuffer::new();
-    let binary_buffer = SharedBuffer::new();
-    let policy = || DrainPolicy::new().capacity(4).tick(Duration::from_secs(60));
-    let json_session: Arc<Session> = Session::builder()
+    let buffer = SharedBuffer::new();
+    let session: Arc<Session> = Session::builder()
         .period(PERIOD)
         .collect_objects()
-        .stream_to(Arc::new(ChunkedJsonSink::new()), Box::new(json_buffer.clone()), policy())
-        .build();
-    let binary_session: Arc<Session> = Session::builder()
-        .period(PERIOD)
-        .collect_objects()
-        .stream_to_binary(Box::new(binary_buffer.clone()), policy())
+        .stream_to_binary(
+            Box::new(buffer.clone()),
+            DrainPolicy::new().capacity(4).tick(Duration::from_secs(60)),
+        )
         .build();
     for log in &logs {
-        replay_allocs(&json_session, log);
-        replay_allocs(&binary_session, log);
+        replay_allocs(&session, log);
     }
     for log in &logs {
-        replay_accesses(&json_session, log);
-        replay_accesses(&binary_session, log);
-        json_session.flush_export();
-        binary_session.flush_export();
+        replay_accesses(&session, log);
+        session.flush_export();
     }
-    json_session.finish_export().expect("finish");
-    binary_session.finish_export().expect("finish");
+    session.finish_export().expect("finish");
+    let terminal = session.object_profile().expect("object collector registered");
+    let json = JsonSink::new().write_to_string(&terminal);
+    let from_json = read_any_profile(json.as_bytes()).expect("the JSON document reads back");
 
     let query = Query::new().top(8);
-    let render = |bytes: &[u8]| {
-        let fold = LiveFold::new();
-        let mut lq = query.watch(&fold);
-        for chunk in bytes.chunks(61) {
-            fold.feed(chunk).expect("the log bytes replay cleanly");
-        }
-        assert!(fold.is_finished());
-        lq.current().result.to_text()
-    };
-    assert_eq!(
-        render(&json_buffer.contents()),
-        render(&binary_buffer.contents()),
-        "the two wire formats describe the same run"
-    );
+    let fold = LiveFold::new();
+    let mut lq = query.watch(&fold);
+    for chunk in buffer.contents().chunks(61) {
+        fold.feed(chunk).expect("the log bytes replay cleanly");
+    }
+    assert!(fold.is_finished());
+    let live = lq.current().result;
+    let cold = query.evaluate(&from_json).expect("cold evaluation succeeds");
+    assert_eq!(live.to_text(), cold.to_text(), "the log and the JSON snapshot describe one run");
+    assert_eq!(live.to_json(), cold.to_json());
 }
 
 // -----------------------------------------------------------------------------------

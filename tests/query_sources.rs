@@ -4,7 +4,7 @@
 //!
 //! The load-bearing scenario is the **multi-log fold** (the cross-machine merge
 //! path): N sessions profile disjoint thread sets concurrently, each streaming its
-//! own replayable `ChunkedJsonSink` epoch log, while one union session ingests
+//! own replayable binary epoch log, while one union session ingests
 //! everything. A `MultiSource` query over the N replayed logs must render
 //! byte-identically to the same query over the union session — across grouping
 //! axes and ranking metrics, in text and JSON.
@@ -20,8 +20,8 @@ use djx_runtime::{
 #[allow(deprecated)] // the shim-identity test below deliberately drives the legacy Analyzer
 use djxperf::Analyzer;
 use djxperf::{
-    ChunkedJsonSink, DrainPolicy, EpochLog, GroupBy, MultiSource, Query, RankBy, Report, Session,
-    SharedBuffer,
+    BinaryFrameReader, DrainPolicy, EpochLog, GroupBy, LogRecord, MultiSource, Query, RankBy,
+    Report, Session, SharedBuffer,
 };
 
 const PROCESSES: u64 = 3;
@@ -96,8 +96,7 @@ fn streaming_session(buffer: &SharedBuffer) -> Arc<Session> {
     Session::builder()
         .period(PERIOD)
         .index_shards(8)
-        .stream_to(
-            Arc::new(ChunkedJsonSink::new()),
+        .stream_to_binary(
             Box::new(buffer.clone()),
             DrainPolicy::new().capacity(8).coalesce().tick(Duration::from_millis(1)),
         )
@@ -106,7 +105,7 @@ fn streaming_session(buffer: &SharedBuffer) -> Arc<Session> {
 
 /// Runs N concurrent streaming sessions over disjoint thread ids plus one union
 /// session ingesting everything; returns the union session and the N epoch logs.
-fn run_union_and_per_process_logs() -> (Arc<Session>, Vec<String>) {
+fn run_union_and_per_process_logs() -> (Arc<Session>, Vec<Vec<u8>>) {
     let logs = build_process_logs();
     let buffers: Vec<SharedBuffer> = (0..PROCESSES).map(|_| SharedBuffer::new()).collect();
     let sessions: Vec<Arc<Session>> = buffers.iter().map(streaming_session).collect();
@@ -133,7 +132,7 @@ fn run_union_and_per_process_logs() -> (Arc<Session>, Vec<String>) {
         streamed += session.finish_export().expect("stream finishes cleanly").samples_streamed;
     }
     assert_eq!(streamed, union.total_samples(), "disjoint processes partition the union");
-    (union, buffers.iter().map(|b| String::from_utf8(b.contents()).unwrap()).collect())
+    (union, buffers.iter().map(SharedBuffer::contents).collect())
 }
 
 #[test]
@@ -250,19 +249,23 @@ fn analyzer_shim_and_query_render_identical_object_sections() {
 fn truncated_or_reordered_logs_cannot_masquerade_as_sources() {
     let (_union, logs) = run_union_and_per_process_logs();
     let log = &logs[0];
-    // Drop the finish record: the replay must refuse.
-    let truncated: String = log
-        .lines()
-        .filter(|l| !l.contains("\"record\":\"finish\""))
-        .map(|l| format!("{l}\n"))
-        .collect();
-    assert!(EpochLog::replay(&truncated).is_err(), "truncated stream rejected");
-    assert!(EpochLog::replay("not a log").is_err());
-    // replay_any sniffs whole-profile documents too.
+    // Drop the finish frame: the replay must refuse.
+    let mut reader = BinaryFrameReader::new(log.as_slice());
+    let mut finish_at = 0;
+    while let Some(record) = reader.next_record().expect("the log decodes") {
+        if matches!(record, LogRecord::Finish(_)) {
+            break;
+        }
+        finish_at = reader.byte_offset() as usize;
+    }
+    assert!(finish_at > 0, "the log carries delta frames before its finish");
+    assert!(EpochLog::replay(&log[..finish_at]).is_err(), "truncated stream rejected");
+    assert!(EpochLog::replay(b"not a log").is_err());
+    // Replay sniffs whole-profile documents too.
     let document = djxperf::JsonSink::new();
     let profile = EpochLog::replay(log).unwrap().into_profile();
     let json = djxperf::ProfileSink::write_to_string(&document, &profile);
-    let sniffed = EpochLog::replay_any(&json).unwrap();
+    let sniffed = EpochLog::replay(json.as_bytes()).unwrap();
     assert_eq!(
         Query::new().evaluate(&sniffed).unwrap().to_text(),
         Query::new().evaluate(&profile).unwrap().to_text()

@@ -3,7 +3,7 @@
 //! [`ProfileDelta`] through a [`ProfileSink`] while ingestion keeps running.
 //!
 //! The load-bearing property is **loss-free, order-preserving replay**: folding the
-//! streamed deltas (here by replaying the [`ChunkedJsonSink`] epoch log) must
+//! streamed deltas (here by replaying the binary [`BinaryChunkedSink`] epoch log) must
 //! reproduce a profile *byte-identical* to a terminal [`Session::snapshot`] — under
 //! concurrent ingestion racing the drainer, under both backpressure policies, and
 //! across user-driven snapshots that retire epochs mid-stream.
@@ -18,7 +18,7 @@ use djx_runtime::{
     ThreadId,
 };
 use djxperf::{
-    read_any_profile, ChunkedJsonSink, DrainPolicy, ObjectCentricProfile, ProfileDelta,
+    read_any_profile, BinaryChunkedSink, DrainPolicy, ObjectCentricProfile, ProfileDelta,
     ProfileSink, Session, SharedBuffer,
 };
 
@@ -94,15 +94,16 @@ fn streaming_session(policy: DrainPolicy, buffer: &SharedBuffer) -> Arc<Session>
     Session::builder()
         .period(PERIOD)
         .collect_objects()
-        .stream_to(Arc::new(ChunkedJsonSink::new()), Box::new(buffer.clone()), policy)
+        .stream_to_binary(Box::new(buffer.clone()), policy)
         .build()
 }
 
 /// Replays the captured epoch log and checks it folds byte-identically to the
 /// session's terminal profile.
 fn assert_log_replays_terminal(buffer: &SharedBuffer, terminal: &ObjectCentricProfile) {
-    let log = String::from_utf8(buffer.contents()).expect("the log is UTF-8");
-    let replayed = ChunkedJsonSink::new().read_log(&log).expect("the epoch log replays");
+    let replayed = BinaryChunkedSink::new()
+        .read_log_bytes(&buffer.contents())
+        .expect("the epoch log replays");
     assert_eq!(
         replayed.to_text(),
         terminal.to_text(),
@@ -156,72 +157,7 @@ fn streamed_deltas_fold_byte_identically_under_concurrent_ingestion() {
     assert_log_replays_terminal(&buffer, &terminal);
 
     // The offline analyzer's format sniffing picks the epoch log up transparently.
-    let log = String::from_utf8(buffer.contents()).unwrap();
-    assert_eq!(read_any_profile(&log).unwrap().to_text(), terminal.to_text());
-}
-
-#[test]
-fn binary_epoch_log_folds_byte_identically_to_the_json_log() {
-    use djxperf::{read_any_profile_bytes, BinaryChunkedSink};
-
-    let logs = build_logs(2, 8_000);
-    let json_buffer = SharedBuffer::new();
-    let binary_buffer = SharedBuffer::new();
-    let policy = || DrainPolicy::new().capacity(4).tick(Duration::from_secs(60));
-    let json_session = streaming_session(policy(), &json_buffer);
-    let binary_session = Session::builder()
-        .period(PERIOD)
-        .collect_objects()
-        .stream_to_binary(Box::new(binary_buffer.clone()), policy())
-        .build();
-    for log in &logs {
-        replay_allocs(&json_session, log);
-        replay_allocs(&binary_session, log);
-    }
-    for (i, log) in logs.iter().enumerate() {
-        // Stagger explicit flushes so the two logs carry several multi-epoch frames.
-        for chunk in log.outcomes.chunks(1024 * (i + 1)) {
-            for outcome in chunk {
-                for session in [&json_session, &binary_session] {
-                    session.on_memory_access(&MemoryAccessEvent {
-                        thread: log.thread,
-                        outcome: *outcome,
-                        call_trace: &log.call_trace,
-                        object: None,
-                    });
-                }
-            }
-            assert!(json_session.flush_export() && binary_session.flush_export());
-        }
-    }
-    let json_stats = json_session.finish_export().expect("json stream finishes");
-    let binary_stats = binary_session.finish_export().expect("binary stream finishes");
-    assert_eq!(json_stats.samples_streamed, binary_stats.samples_streamed);
-
-    let terminal = json_session.object_profile().unwrap();
-    assert_log_replays_terminal(&json_buffer, &terminal);
-    let binary_log = binary_buffer.contents();
-    let from_binary = BinaryChunkedSink::new()
-        .read_log_bytes(&binary_log)
-        .expect("the binary epoch log replays");
-    assert_eq!(
-        from_binary.to_text(),
-        terminal.to_text(),
-        "binary fold must be byte-identical to the JSON fold"
-    );
-    // Sniffing routes each format to its reader without being told which is which.
-    assert_eq!(read_any_profile_bytes(&binary_log).unwrap().to_text(), terminal.to_text());
-    assert_eq!(
-        read_any_profile_bytes(&json_buffer.contents()).unwrap().to_text(),
-        terminal.to_text()
-    );
-    // The compactness claim, on a real profile rather than a microbenchmark.
-    assert!(
-        binary_log.len() * 2 < json_buffer.contents().len(),
-        "binary log ({} bytes) should be well under half the JSON log ({} bytes)",
-        binary_log.len(),
-        json_buffer.contents().len()
-    );
+    assert_eq!(read_any_profile(&buffer.contents()).unwrap().to_text(), terminal.to_text());
 }
 
 #[test]
@@ -359,8 +295,9 @@ fn dropping_a_streaming_session_finishes_the_stream() {
         terminal_text = session.object_profile().unwrap().to_text();
         // No explicit finish: dropping the last reference must drain-on-drop.
     }
-    let log = String::from_utf8(buffer.contents()).unwrap();
-    let replayed = ChunkedJsonSink::new().read_log(&log).expect("drop flushed a complete log");
+    let replayed = BinaryChunkedSink::new()
+        .read_log_bytes(&buffer.contents())
+        .expect("drop flushed a complete log");
     assert_eq!(replayed.to_text(), terminal_text);
 }
 
