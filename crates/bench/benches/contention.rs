@@ -60,7 +60,7 @@
 //! linear scan + re-sort, the merge step of the Coalesce-backpressure queue and of
 //! `DeltaFold` replay) and **query evaluation** (`query-eval` vs `analyze-legacy` —
 //! `Query::evaluate` over a wide snapshot against a reconstruction of the
-//! pre-redesign `Analyzer::analyze_many` aggregation).
+//! pre-redesign analyzer's `analyze_many` aggregation).
 //!
 //! * `multi_thread_speedup`          = sharded-full@N / global@N  (target ≥ 2×)
 //! * `single_thread_ratio`           = sharded-full@1 / global@1  (target ≥ 0.95)
@@ -105,10 +105,10 @@ use djx_runtime::{
     ObjectMoveEvent, RuntimeListener, ThreadId,
 };
 use djxperf::{
-    AccessContext, AllocSite, AllocSiteId, AnalysisReport, BinaryChunkedSink, Cct, DrainPolicy,
-    FleetAggregator, FleetSink, FsyncPolicy, Interval, IntervalSplayTree, LiveFold, MetricVector,
-    MonitoredObject, ObjectCentricProfile, ObjectReport, ProfileDelta, ProfileSink, Query, RankBy,
-    Session, SpinLock, ThreadDelta, ThreadProfile,
+    AccessContext, AllocSite, AllocSiteId, BinaryChunkedSink, Cct, DrainPolicy, FleetAggregator,
+    FleetSink, FsyncPolicy, Interval, IntervalSplayTree, LiveFold, MetricVector, MonitoredObject,
+    ObjectCentricProfile, ProfileDelta, ProfileSink, Query, RankBy, Session, SpinLock, ThreadDelta,
+    ThreadProfile,
 };
 
 const MULTI_THREADS: u64 = 4;
@@ -651,10 +651,35 @@ fn build_query_profile() -> ObjectCentricProfile {
     }
 }
 
-/// A faithful in-bench reconstruction of the pre-redesign `Analyzer::analyze_many`
+/// The pre-redesign analyzer's report: run totals plus ranked object rows. Every field
+/// is built, as the old analyzer built it, so the baseline does the same work; only
+/// the ranking and the metrics are read back.
+#[allow(dead_code)]
+struct LegacyReport {
+    event: PmuEvent,
+    period: u64,
+    total_samples: u64,
+    total_weighted_events: u64,
+    attributed_weighted_events: u64,
+    objects: Vec<LegacyObject>,
+}
+
+/// One ranked object row of a [`LegacyReport`].
+#[allow(dead_code)]
+struct LegacyObject {
+    site: AllocSiteId,
+    class_name: String,
+    alloc_path: Vec<Frame>,
+    metrics: MetricVector,
+    fraction_of_total: f64,
+    remote_fraction: f64,
+    access_contexts: Vec<AccessContext>,
+}
+
+/// A faithful in-bench reconstruction of the pre-redesign analyzer's `analyze_many`
 /// aggregation (merge sites by identity, coalesce contexts, rank by weighted
 /// events) — the baseline the `--smoke-query` gate compares query evaluation against.
-fn legacy_analyze(profile: &ObjectCentricProfile) -> AnalysisReport {
+fn legacy_analyze(profile: &ObjectCentricProfile) -> LegacyReport {
     let mut total_samples = 0u64;
     let mut total_weighted = 0u64;
     let mut merged_index: HashMap<(String, Vec<Frame>), usize> = HashMap::new();
@@ -693,7 +718,7 @@ fn legacy_analyze(profile: &ObjectCentricProfile) -> AnalysisReport {
         }
     }
     let attributed_weighted: u64 = merged.iter().map(|m| m.metrics.weighted_events).sum();
-    let mut objects: Vec<ObjectReport> = merged
+    let mut objects: Vec<LegacyObject> = merged
         .into_iter()
         .map(|m| {
             let object_weighted = m.metrics.weighted_events;
@@ -716,7 +741,7 @@ fn legacy_analyze(profile: &ObjectCentricProfile) -> AnalysisReport {
                     .cmp(&a.metrics.weighted_events)
                     .then_with(|| a.path.cmp(&b.path))
             });
-            ObjectReport {
+            LegacyObject {
                 site: m.site.id,
                 class_name: m.site.class_name,
                 alloc_path: m.site.call_path,
@@ -738,7 +763,7 @@ fn legacy_analyze(profile: &ObjectCentricProfile) -> AnalysisReport {
             .then_with(|| a.class_name.cmp(&b.class_name))
             .then_with(|| a.alloc_path.cmp(&b.alloc_path))
     });
-    AnalysisReport {
+    LegacyReport {
         event: profile.event,
         period: profile.period,
         total_samples,
@@ -1403,10 +1428,10 @@ fn main() {
 
     if smoke_query {
         // CI regression gate for the query layer: evaluating a Query over a snapshot
-        // must stay within 1.10x of the pre-redesign Analyzer::analyze aggregation
-        // (reconstructed in-bench as `legacy_analyze`) on the same profile — the
-        // Analyzer shim routes through Query, so a slow query layer would silently
-        // tax every analysis consumer.
+        // must stay within 1.10x of the pre-redesign analyzer aggregation
+        // (reconstructed in-bench as `legacy_analyze`) on the same profile — every
+        // analysis consumer routes through Query, so a slow query layer would
+        // silently tax all of them.
         println!("== query-evaluation contention smoke (CI gate) ==\n");
         let profile = build_query_profile();
         let query = Query::new();

@@ -22,13 +22,12 @@ fn main() {
     let mut found_all = true;
     for bench in accuracy_benchmarks() {
         let run = run_profiled(&bench.build(), config);
-        let position =
-            run.report.objects.iter().position(|o| o.class_name == bench.known_issue_class);
+        let position = run.report.groups.iter().position(|o| o.label == bench.known_issue_class);
         let found = position.is_some();
         found_all &= found;
         let (rank, share, allocs) = match position {
             Some(i) => {
-                let o = &run.report.objects[i];
+                let o = &run.report.groups[i];
                 (
                     (i + 1).to_string(),
                     fmt_percent(o.fraction_of_total),

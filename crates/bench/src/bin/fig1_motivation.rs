@@ -43,18 +43,18 @@ fn main() {
 
     // (c) object-centric profiling, from the same samples.
     let profile = session.object_profile().expect("object collector registered");
-    let report = djxperf::Query::new().evaluate(&[profile][..]).unwrap().into_analysis_report();
+    let report = Query::new().evaluate(&profile).unwrap();
     let mut object_table = Table::new(&["object", "paper share", "measured share", "access sites"]);
-    for obj in &report.objects {
+    for obj in &report.groups {
         let paper = (1..=3)
-            .find(|i| obj.class_name == format!("Object O{i}"))
+            .find(|i| obj.label == format!("Object O{i}"))
             .map(|i| format!("{}%", expected_object_percent(i)))
             .unwrap_or_default();
         object_table.row(&[
-            obj.class_name.clone(),
+            obj.label.clone(),
             paper,
             fmt_percent(obj.fraction_of_total),
-            obj.access_contexts.len().to_string(),
+            obj.contexts.len().to_string(),
         ]);
     }
     println!("(c) object-centric profiling (DJXPerf):");
@@ -70,10 +70,10 @@ fn main() {
     println!("\nFull object-centric report for the top object:\n");
     println!(
         "{}",
-        render_object_report(
-            &report,
-            rt.methods(),
-            ReportOptions { top_objects: 1, top_contexts: 6, full_alloc_paths: true }
-        )
+        Report::query(&report, rt.methods()).with_options(ReportOptions {
+            top_objects: 1,
+            top_contexts: 6,
+            full_alloc_paths: true
+        })
     );
 }

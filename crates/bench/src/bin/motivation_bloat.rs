@@ -66,10 +66,10 @@ fn main() {
     println!("\nDJXPerf report for Listing 1 (baseline batik kernel):\n");
     println!(
         "{}",
-        render_object_report(
-            &run.report,
-            &run.methods,
-            ReportOptions { top_objects: 2, top_contexts: 3, full_alloc_paths: true }
-        )
+        Report::query(&run.report, &run.methods).with_options(ReportOptions {
+            top_objects: 2,
+            top_contexts: 3,
+            full_alloc_paths: true
+        })
     );
 }

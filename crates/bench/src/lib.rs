@@ -2,8 +2,9 @@
 //!
 //! One binary per table/figure of the paper's evaluation, plus Criterion
 //! microbenchmarks for the profiler's hot data structures. The binaries print the same
-//! rows/series the paper reports so `EXPERIMENTS.md` can record paper-vs-measured for
-//! every experiment:
+//! rows/series the paper reports, so their stdout sits beside the paper's numbers (the
+//! end-to-end and per-layer pipeline benchmark is `perfbench/`, declared in
+//! `BENCHMARK.json`):
 //!
 //! | binary | regenerates |
 //! |---|---|
@@ -35,7 +36,7 @@ pub const DEFAULT_REPETITIONS: usize = 3;
 ///
 /// The paper samples every 5M L1 misses over multi-minute executions; the simulated
 /// workloads execute 10⁵–10⁷ accesses, so the period is scaled to keep the paper's
-/// "tens to hundreds of samples per thread" regime (see DESIGN.md).
+/// "tens to hundreds of samples per thread" regime (see [`djxperf::DEFAULT_SAMPLE_PERIOD`]).
 pub const EVALUATION_PERIOD: u64 = 2048;
 
 /// The profiler configuration used by the evaluation harnesses.
@@ -178,7 +179,7 @@ pub fn measure_overhead_point(
         paper_memory_overhead: bench.paper_memory_overhead,
         allocation_callbacks: profiled.profile.allocation_stats.callbacks,
         samples: profiled.profile.total_samples(),
-        splay: profiled.profiler.splay_lookup_stats(),
+        splay: profiled.session.splay_lookup_stats(),
     }
 }
 
@@ -239,7 +240,7 @@ pub fn measure_case_study(
     let optimized = build(Variant::Optimized);
 
     let profiled = run_profiled(baseline.as_ref(), config);
-    let object = profiled.report.objects.iter().find(|o| o.class_name == problem_class);
+    let object = profiled.report.find_class(problem_class);
 
     let base_outcome = run_unprofiled(baseline.as_ref());
     let opt_outcome = run_unprofiled(optimized.as_ref());
@@ -288,10 +289,7 @@ pub mod prelude {
         runtime_overhead, speedup,
     };
     pub use djx_workloads::{table1_case_studies, Variant, Workload};
-    pub use djxperf::{
-        render_code_centric, render_numa_report, render_object_report, LookupStats, ProfilerConfig,
-        Query, Report, ReportOptions,
-    };
+    pub use djxperf::{LookupStats, ProfilerConfig, Query, Report, ReportOptions};
 }
 
 #[cfg(test)]

@@ -1,110 +1,22 @@
-//! The code-centric baseline profiler (the "Linux perf" stand-in).
+//! The code-centric baseline view (the "Linux perf" stand-in).
 //!
 //! Figure 1 of the paper contrasts *code-centric* profiling — PMU samples attributed
 //! only to the instructions/calling contexts where they fired — with DJXPerf's
-//! *object-centric* profiling. [`CodeCentricProfiler`] implements the baseline: it
-//! drives the same per-thread virtual PMUs, but attributes every sample solely to the
-//! sampling calling context, with no notion of objects. The evaluation harness uses it to
-//! regenerate the Figure 1 comparison and the case-study discussions of why code-centric
-//! views scatter an object's misses over many locations.
+//! *object-centric* profiling. A [`Session`](crate::session::Session) registered with
+//! [`collect_code`](crate::session::SessionBuilder::collect_code) collects the baseline
+//! through its [`CodeCentricCollector`](crate::session::CodeCentricCollector): the same
+//! sampling stream as every other collector, with every sample attributed solely to
+//! its sampling calling context and no notion of objects. This module holds the
+//! resulting [`CodeCentricProfile`] and its ranked [`CodeLocation`]s, which the
+//! evaluation harness reads to regenerate the Figure 1 comparison and the
+//! case-study discussions of why code-centric views scatter an object's misses over
+//! many locations.
 
-use std::collections::HashMap;
-
-use parking_lot::Mutex;
-
-use djx_pmu::{PerfEventBuilder, PmuEvent, ThreadPmu};
-use djx_runtime::{
-    Frame, MemoryAccessEvent, MethodRegistry, RuntimeListener, ThreadEvent, ThreadId,
-};
+use djx_pmu::PmuEvent;
+use djx_runtime::{Frame, MethodRegistry};
 
 use crate::cct::Cct;
 use crate::metrics::MetricVector;
-
-#[derive(Debug, Default)]
-struct CodeState {
-    pmus: HashMap<ThreadId, ThreadPmu>,
-    cct: Cct,
-    samples: u64,
-}
-
-/// A sampling profiler that attributes metrics to code contexts only.
-#[derive(Debug)]
-pub struct CodeCentricProfiler {
-    builder: PerfEventBuilder,
-    period: u64,
-    event: PmuEvent,
-    state: Mutex<CodeState>,
-}
-
-impl CodeCentricProfiler {
-    /// Creates a code-centric profiler sampling `event` every `period` occurrences.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is zero.
-    pub fn new(event: PmuEvent, period: u64) -> Self {
-        Self {
-            builder: PerfEventBuilder::new(event).sample_period(period),
-            period,
-            event,
-            state: Mutex::new(CodeState::default()),
-        }
-    }
-
-    /// The sampled event.
-    pub fn event(&self) -> PmuEvent {
-        self.event
-    }
-
-    /// Total samples collected.
-    pub fn total_samples(&self) -> u64 {
-        self.state.lock().samples
-    }
-
-    /// Snapshot of the measurement as a [`CodeCentricProfile`].
-    pub fn profile(&self) -> CodeCentricProfile {
-        let state = self.state.lock();
-        CodeCentricProfile {
-            event: self.event,
-            period: self.period,
-            cct: state.cct.clone(),
-            total_samples: state.samples,
-        }
-    }
-}
-
-impl RuntimeListener for CodeCentricProfiler {
-    fn on_thread_start(&self, event: &ThreadEvent<'_>) {
-        let mut state = self.state.lock();
-        state
-            .pmus
-            .entry(event.thread)
-            .or_insert_with(|| self.builder.open_for_thread(event.thread.0));
-    }
-
-    fn on_thread_end(&self, event: &ThreadEvent<'_>) {
-        if let Some(pmu) = self.state.lock().pmus.get_mut(&event.thread) {
-            pmu.disable();
-        }
-    }
-
-    fn on_memory_access(&self, event: &MemoryAccessEvent<'_>) {
-        let mut state = self.state.lock();
-        state
-            .pmus
-            .entry(event.thread)
-            .or_insert_with(|| self.builder.open_for_thread(event.thread.0));
-        let samples = state.pmus.get_mut(&event.thread).unwrap().observe(&event.outcome);
-        if samples.is_empty() {
-            return;
-        }
-        let node = state.cct.insert_path(event.call_trace);
-        for sample in &samples {
-            state.samples += 1;
-            state.cct.metrics_mut(node).record_sample(sample, self.period);
-        }
-    }
-}
 
 /// One ranked code location in a code-centric profile.
 #[derive(Debug, Clone)]
@@ -133,7 +45,8 @@ impl CodeLocation {
     }
 }
 
-/// The assembled output of a [`CodeCentricProfiler`].
+/// The assembled code-centric view of a session
+/// ([`Session::code_profile`](crate::session::Session::code_profile)).
 #[derive(Debug, Clone)]
 pub struct CodeCentricProfile {
     /// Sampled event.
@@ -177,18 +90,27 @@ impl CodeCentricProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
     use djx_memsim::{HierarchyConfig, MemoryAccess, MemoryHierarchy};
-    use djx_runtime::MethodId;
+    use djx_runtime::{MemoryAccessEvent, MethodId, RuntimeListener, ThreadEvent, ThreadId};
+
+    use crate::session::Session;
 
     fn f(m: u32, bci: u32) -> Frame {
         Frame::new(MethodId(m), bci)
     }
 
-    fn drive(profiler: &CodeCentricProfiler, thread: u64, base: u64, count: u64, trace: &[Frame]) {
+    /// A session collecting only the code-centric view, driven directly as a listener.
+    fn code_session(period: u64) -> Arc<Session> {
+        Session::builder().period(period).collect_code().build()
+    }
+
+    fn drive(session: &Session, thread: u64, base: u64, count: u64, trace: &[Frame]) {
         let mut hier = MemoryHierarchy::new(HierarchyConfig::tiny());
         for i in 0..count {
             let outcome = hier.access(MemoryAccess::load(0, base + i * 64, 8));
-            profiler.on_memory_access(&MemoryAccessEvent {
+            session.on_memory_access(&MemoryAccessEvent {
                 thread: ThreadId(thread),
                 outcome,
                 call_trace: trace,
@@ -199,16 +121,16 @@ mod tests {
 
     #[test]
     fn samples_attach_to_code_contexts() {
-        let profiler = CodeCentricProfiler::new(PmuEvent::L1Miss, 4);
-        profiler.on_thread_start(&ThreadEvent { thread: ThreadId(1), name: "main", cpu: 0 });
+        let session = code_session(4);
+        session.on_thread_start(&ThreadEvent { thread: ThreadId(1), name: "main", cpu: 0 });
         let hot = [f(1, 0), f(2, 4)];
         let cold = [f(1, 0), f(3, 8)];
-        drive(&profiler, 1, 0x10_0000, 512, &hot);
-        drive(&profiler, 1, 0x20_0000, 64, &cold);
+        drive(&session, 1, 0x10_0000, 512, &hot);
+        drive(&session, 1, 0x20_0000, 64, &cold);
 
-        assert!(profiler.total_samples() > 0);
-        let profile = profiler.profile();
-        assert_eq!(profile.total_samples, profiler.total_samples());
+        assert!(session.total_samples() > 0);
+        let profile = session.code_profile().unwrap();
+        assert_eq!(profile.total_samples, session.total_samples());
         let top = profile.top_locations(10);
         assert!(top.len() >= 2);
         assert_eq!(top[0].path, hot.to_vec(), "hot context ranks first");
@@ -221,26 +143,25 @@ mod tests {
 
     #[test]
     fn threads_without_start_event_are_handled() {
-        let profiler = CodeCentricProfiler::new(PmuEvent::L1Miss, 2);
-        drive(&profiler, 9, 0x30_0000, 64, &[f(5, 0)]);
-        assert!(profiler.total_samples() > 0);
+        let session = code_session(2);
+        drive(&session, 9, 0x30_0000, 64, &[f(5, 0)]);
+        assert!(session.total_samples() > 0);
     }
 
     #[test]
     fn thread_end_disables_sampling() {
-        let profiler = CodeCentricProfiler::new(PmuEvent::L1Miss, 1);
-        profiler.on_thread_start(&ThreadEvent { thread: ThreadId(1), name: "t", cpu: 0 });
-        drive(&profiler, 1, 0x10_0000, 16, &[]);
-        let before = profiler.total_samples();
-        profiler.on_thread_end(&ThreadEvent { thread: ThreadId(1), name: "t", cpu: 0 });
-        drive(&profiler, 1, 0x10_0000, 16, &[]);
-        assert_eq!(profiler.total_samples(), before);
+        let session = code_session(1);
+        session.on_thread_start(&ThreadEvent { thread: ThreadId(1), name: "t", cpu: 0 });
+        drive(&session, 1, 0x10_0000, 16, &[]);
+        let before = session.total_samples();
+        session.on_thread_end(&ThreadEvent { thread: ThreadId(1), name: "t", cpu: 0 });
+        drive(&session, 1, 0x10_0000, 16, &[]);
+        assert_eq!(session.total_samples(), before);
     }
 
     #[test]
     fn empty_profile_has_no_locations() {
-        let profiler = CodeCentricProfiler::new(PmuEvent::L1Miss, 100);
-        let profile = profiler.profile();
+        let profile = code_session(100).code_profile().unwrap();
         assert!(profile.top_locations(5).is_empty());
         assert_eq!(profile.hottest_location_fraction(), 0.0);
     }
@@ -248,7 +169,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-zero")]
     fn zero_period_rejected() {
-        let _ = CodeCentricProfiler::new(PmuEvent::L1Miss, 0);
+        let _ = code_session(0);
     }
 
     #[test]

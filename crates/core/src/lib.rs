@@ -29,15 +29,13 @@
 //! | [`metrics`] | §4.1 | metric vectors attributed to sites and contexts |
 //! | [`object`] | §4.2 | allocation-site identity (allocation call paths) |
 //! | [`agent`] | §4.1, §4.5 | the allocation ("Java") agent and the shared object index |
-//! | [`session`] | §5.1, Fig. 1 | the unified [`Session`]: one sampling stream, pluggable collectors |
+//! | [`session`] | §5, Fig. 1 | the one profiler: [`Session`] (one sampling stream, pluggable collectors), configured by [`ProfilerConfig`] |
 //! | [`sink`] | §5.2 | streaming [`ProfileSink`] export backends (text and JSON renderings, the binary epoch log) and [`read_any_profile`] |
 //! | [`wire`] | §5.2 | binary epoch frames: the one epoch-stream format for logs, the fleet wire and its WAL |
 //! | [`export`] | §5.2 | asynchronous delta export: background [`DeltaDrainer`] over epoch-retired snapshot deltas |
-//! | [`profiler`] | §5.1 | [`DjxPerf`], the legacy single-view collector (session shim) |
 //! | [`profile`] | §5.1/§5.2 | per-thread profiles and the profile-file codec |
-//! | [`query`] | §5.2, §6 | the unified query layer: [`ProfileSource`] + composable [`Query`] over live sessions, snapshots, logs and folds |
-//! | [`analyzer`] | §5.2 | the offline analyzer (merge, rank, filter — a [`Query`] shim) |
-//! | [`codecentric`] | §1, Fig. 1 | the code-centric (perf-like) baseline |
+//! | [`query`] | §5.2, §6 | the offline analyzer: [`ProfileSource`] + composable [`Query`] (merge, rank, filter) over live sessions, snapshots, logs and folds |
+//! | [`codecentric`] | §1, Fig. 1 | the code-centric (perf-like) baseline view |
 //! | [`report`] | Fig. 5 | the [`Report`] views (the GUI stand-in) |
 //!
 //! ## Quick start
@@ -81,13 +79,8 @@
 //! assert_eq!(hottest.label, "float[]");
 //! println!("{}", Report::query(&ranked, rt.methods()));
 //!
-//! // The legacy AnalysisReport shape is still available, bridged from the same
-//! // query evaluator (the deprecated Analyzer shim routed through this exact path).
-//! let profile = session.object_profile().expect("object collector registered");
-//! let report = Query::new().top(10).evaluate(&[profile.clone()][..])?.into_analysis_report();
-//! assert_eq!(report.hottest().unwrap().class_name, "float[]");
-//!
 //! // The code-centric baseline of Figure 1, from the same single pass.
+//! let profile = session.object_profile().expect("object collector registered");
 //! let code = session.code_profile().expect("code collector registered");
 //! assert_eq!(code.total_samples, profile.total_samples());
 //!
@@ -100,7 +93,6 @@
 //! ```
 
 pub mod agent;
-pub mod analyzer;
 pub mod cct;
 pub mod codecentric;
 pub mod export;
@@ -108,7 +100,6 @@ pub mod fleet;
 pub mod metrics;
 pub mod object;
 pub mod profile;
-pub mod profiler;
 pub mod query;
 pub mod report;
 pub mod session;
@@ -121,11 +112,8 @@ pub use agent::{
     AllocationAgent, AllocationConfig, ResolutionCache, SharedObjectIndex,
     DEFAULT_RESOLUTION_CACHE_SLOTS, DEFAULT_SHARD_COUNT, DEFAULT_SIZE_FILTER,
 };
-pub use analyzer::{AccessContext, AnalysisReport, ObjectReport};
-#[allow(deprecated)]
-pub use analyzer::{Analyzer, AnalyzerBuilder};
 pub use cct::{Cct, CctNodeId};
-pub use codecentric::{CodeCentricProfile, CodeCentricProfiler, CodeLocation};
+pub use codecentric::{CodeCentricProfile, CodeLocation};
 pub use export::{Backpressure, DeltaDrainer, DrainPolicy, ExportStats, SharedBuffer};
 pub use fleet::{
     BackoffPolicy, FaultAction, FaultPlan, FleetAggregator, FleetAggregatorBuilder, FleetClient,
@@ -138,18 +126,15 @@ pub use profile::{
     AllocationRow, AllocationStats, DeltaFold, FoldError, ObjectCentricProfile, ProfileDelta,
     ProfileParseError, SiteMetrics, ThreadDelta, ThreadProfile, UnknownEventError,
 };
-pub use profiler::{DjxPerf, ProfilerConfig, DEFAULT_SAMPLE_PERIOD};
 pub use query::live::{LiveFold, LiveQuery, LiveResult, WatchTimeout};
 pub use query::{
-    EpochLog, GroupBy, GroupKey, Locality, MultiSource, ProfileSource, Query, QueryError,
-    QueryGroup, QueryResult, RankBy, UnknownGroupByError, UnknownRankByError,
+    AccessContext, EpochLog, GroupBy, GroupKey, Locality, MultiSource, ProfileSource, Query,
+    QueryError, QueryGroup, QueryResult, RankBy, UnknownGroupByError, UnknownRankByError,
 };
-pub use report::{
-    render_code_centric, render_numa_report, render_object_report, Report, ReportOptions,
-};
+pub use report::{Report, ReportOptions};
 pub use session::{
-    adaptive_shard_count, BatchContext, Collector, NumaProfile, SampleContext, Session,
-    SessionBuilder, SessionConfig, SessionSnapshot, DEFAULT_EXPECTED_LIVE_OBJECTS,
+    adaptive_shard_count, BatchContext, Collector, NumaProfile, ProfilerConfig, SampleContext,
+    Session, SessionBuilder, SessionSnapshot, DEFAULT_EXPECTED_LIVE_OBJECTS, DEFAULT_SAMPLE_PERIOD,
 };
 pub use sink::{read_any_profile, FinishRecord, JsonSink, LogRecord, ProfileSink, TextSink};
 pub use splay::{Interval, IntervalSplayTree, LookupStats};

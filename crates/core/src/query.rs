@@ -95,34 +95,28 @@
 //! assert_eq!(live.to_text(), offline.to_text());
 //! ```
 //!
-//! # Migrating from `Analyzer` / `Report`
+//! # Reading results
 //!
-//! [`Analyzer`](crate::analyzer::Analyzer) (now carrying `#[deprecated]`) and the
-//! free `render_*` functions of [`report`](crate::report) are **thin shims over
-//! this module** since the query redesign:
-//! `Analyzer::builder().rank_by(r).top(k).min_samples(n)` is
-//! `Query::new().group_by(GroupBy::Object).rank_by(r).top(k).min_samples(n)`, and
-//! `Analyzer::analyze(&profile)` is `query.evaluate(&profile)` followed by
-//! [`QueryResult::into_analysis_report`] — call that bridge yourself where legacy
-//! code still consumes the [`AnalysisReport`](crate::analyzer::AnalysisReport)
-//! shape. The shim keeps producing bit-identical output until it is removed; new
-//! code should query directly — a [`QueryResult`] renders through
-//! [`Report::query`](crate::report::Report::query) with symbolized frames, through
-//! its own [`Display`](std::fmt::Display) without a method registry, and through
-//! [`QueryResult::to_json`] for dashboards.
+//! Grouped by [`GroupBy::Object`] (the default), a [`QueryResult`] is the offline
+//! analyzer's ranked object list (§5.2): profiles merge top-down, sites coalesce by
+//! `(class name, allocation path)` across threads and processes, and
+//! [`QueryResult::find_class`] looks an object up by class. Ranking by
+//! [`RankBy::RemoteSamples`] gives the NUMA view (§4.3). A result renders through
+//! [`Report::query`](crate::report::Report::query) with symbolized frames (the
+//! Figure 5 layout), through its own [`Display`](std::fmt::Display) without a method
+//! registry, and through [`QueryResult::to_json`] for dashboards.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::SystemTime;
 
 use djx_pmu::PmuEvent;
 use djx_runtime::{Frame, ThreadId};
 
-use crate::analyzer::AccessContext;
 use crate::codecentric::CodeCentricProfile;
 use crate::metrics::MetricVector;
 use crate::object::AllocSite;
@@ -206,7 +200,7 @@ impl std::error::Error for UnknownGroupByError {}
 // RankBy: the ranking metric, including derived ratios
 // ---------------------------------------------------------------------------------------
 
-/// Ranking key for query (and analyzer) orderings: either a raw [`MetricVector`]
+/// Ranking key for query orderings: either a raw [`MetricVector`]
 /// counter or a ratio derived from two of them.
 ///
 /// With the default L1-miss event, [`RankBy::EventsPerByte`] is the per-byte L1 miss
@@ -360,8 +354,7 @@ impl RankValue {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GroupBy {
     /// By object identity — allocation class plus full allocation call path (the
-    /// paper's object-centric view; what [`Analyzer`](crate::analyzer::Analyzer)
-    /// ranks).
+    /// paper's object-centric view).
     #[default]
     Object,
     /// By allocation-site source location — the leaf frame of the allocation call
@@ -621,9 +614,15 @@ struct CachedFold {
     profile: Arc<ObjectCentricProfile>,
 }
 
-fn fold_cache() -> &'static Mutex<HashMap<PathBuf, CachedFold>> {
+/// The process-wide fold cache, locked. The cache is only a memo and every entry is
+/// inserted whole, so a lock poisoned by a panicking holder is recovered, not
+/// propagated.
+fn fold_cache() -> MutexGuard<'static, HashMap<PathBuf, CachedFold>> {
     static CACHE: OnceLock<Mutex<HashMap<PathBuf, CachedFold>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+    CACHE
+        .get_or_init(|| Mutex::new(HashMap::new()))
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
 }
 
 impl EpochLog {
@@ -665,22 +664,25 @@ impl EpochLog {
         };
         let meta = std::fs::metadata(path).map_err(io_err)?;
         let (len, mtime) = (meta.len(), meta.modified().ok());
-        let mut cache = fold_cache().lock().expect("epoch log fold cache lock");
-        if let Some(hit) = cache.get(path) {
+        // The lock guards lookup and insert only: reading and folding happen outside
+        // it, so one slow or blocked file (a FIFO, a stalled mount) cannot stall every
+        // other open in the process.
+        if let Some(hit) = fold_cache().get(path) {
             if hit.len == len && hit.mtime == mtime {
                 return Ok(Self { profile: Arc::clone(&hit.profile) });
             }
         }
         let bytes = std::fs::read(path).map_err(io_err)?;
         let profile = Arc::new(read_any_profile(&bytes)?);
-        cache.insert(path.to_path_buf(), CachedFold { len, mtime, profile: Arc::clone(&profile) });
+        fold_cache()
+            .insert(path.to_path_buf(), CachedFold { len, mtime, profile: Arc::clone(&profile) });
         Ok(Self { profile })
     }
 
     /// Drops every cached fold (see [`EpochLog::open`]). Useful in long-lived
     /// daemons after log files are rotated away.
     pub fn evict_fold_cache() {
-        fold_cache().lock().expect("epoch log fold cache lock").clear();
+        fold_cache().clear();
     }
 
     /// The folded profile.
@@ -908,7 +910,6 @@ impl Query {
 pub(crate) struct GroupAcc {
     key: GroupKey,
     label: String,
-    first_seen: u64,
     metrics: MetricVector,
     contexts: HashMap<Vec<Frame>, MetricVector>,
 }
@@ -994,7 +995,6 @@ impl GroupState {
                 self.groups.push(GroupAcc {
                     label: if label.is_empty() { key.basic_label() } else { label.to_string() },
                     key: key.clone(),
-                    first_seen: slot as u64,
                     metrics: MetricVector::default(),
                     contexts: HashMap::new(),
                 });
@@ -1183,8 +1183,8 @@ impl GroupState {
         for thread in &profile.threads {
             // The thread's own group slot (Thread axis), resolved lazily once.
             let mut thread_slot = self.absorb_thread_header(query, thread, &thread.thread_name);
-            // Site rows in id order, so group first-encounter order (and thus the
-            // analyzer shim's merged site ids) never depends on hash-map iteration.
+            // Site rows in id order, so group first-encounter order never depends on
+            // hash-map iteration.
             let mut thread_sites: Vec<_> = thread.sites.iter().collect();
             thread_sites.sort_unstable_by_key(|(id, _)| **id);
             for (site_id, sm) in thread_sites {
@@ -1248,7 +1248,6 @@ impl GroupState {
                     key: acc.key,
                     metrics: acc.metrics,
                     contexts,
-                    first_seen: acc.first_seen,
                 }
             })
             .collect();
@@ -1282,6 +1281,17 @@ impl GroupState {
 // QueryResult
 // ---------------------------------------------------------------------------------------
 
+/// One access calling context of a group, with its share of the group's metric.
+#[derive(Debug, Clone)]
+pub struct AccessContext {
+    /// The access calling context, root-first.
+    pub path: Vec<Frame>,
+    /// Metrics attributed to the group at this context.
+    pub metrics: MetricVector,
+    /// This context's fraction of the group's weighted events, in `[0, 1]`.
+    pub fraction_of_object: f64,
+}
+
 /// One ranked group of a [`QueryResult`].
 #[derive(Debug, Clone)]
 pub struct QueryGroup {
@@ -1300,11 +1310,6 @@ pub struct QueryGroup {
     /// Access calling contexts ordered by contribution, hottest first (empty under
     /// [`GroupBy::NumaNode`] and for sources without per-context breakdowns).
     pub contexts: Vec<AccessContext>,
-    /// First-encounter ordinal during evaluation (the analyzer shim's merged site
-    /// id). Deterministic for a given source, but *not* part of the cross-source
-    /// identity guarantee — two sources folding the same samples in different thread
-    /// order may encounter groups in different order, while rendering identically.
-    pub(crate) first_seen: u64,
 }
 
 /// The result of evaluating a [`Query`]: run-level totals plus the ranked groups.
@@ -1435,43 +1440,6 @@ impl QueryResult {
         out.push_str("]}");
         out
     }
-
-    /// Converts an object-grouped result into the legacy
-    /// [`AnalysisReport`](crate::analyzer::AnalysisReport) shape — the migration
-    /// bridge for code that still consumes the deprecated
-    /// [`Analyzer`](crate::analyzer::Analyzer)'s report: evaluate a [`Query`]
-    /// grouped by [`GroupBy::Object`] and convert, bit-identically to the
-    /// pre-redesign analyzer output. Non-object groupings convert on a
-    /// best-effort basis (the group label stands in for the class name and the
-    /// allocation path is empty).
-    pub fn into_analysis_report(self) -> crate::analyzer::AnalysisReport {
-        crate::analyzer::AnalysisReport {
-            event: self.event,
-            period: self.period,
-            total_samples: self.total_samples,
-            total_weighted_events: self.total_weighted_events,
-            attributed_weighted_events: self.attributed_weighted_events,
-            objects: self
-                .groups
-                .into_iter()
-                .map(|group| {
-                    let (class_name, alloc_path) = match group.key {
-                        GroupKey::Object { class_name, alloc_path } => (class_name, alloc_path),
-                        _ => (group.label, Vec::new()),
-                    };
-                    crate::analyzer::ObjectReport {
-                        site: crate::object::AllocSiteId(group.first_seen as u32),
-                        class_name,
-                        alloc_path,
-                        metrics: group.metrics,
-                        fraction_of_total: group.fraction_of_total,
-                        remote_fraction: group.remote_fraction,
-                        access_contexts: group.contexts,
-                    }
-                })
-                .collect(),
-        }
-    }
 }
 
 impl fmt::Display for QueryResult {
@@ -1548,7 +1516,7 @@ mod tests {
     }
 
     /// Two sites (one hot, two contexts, two threads; one cold), one unattributed
-    /// sample — the same shape the analyzer tests use.
+    /// sample.
     fn two_site_profile() -> ObjectCentricProfile {
         let hot = AllocSite {
             id: AllocSiteId(0),
@@ -1585,6 +1553,148 @@ mod tests {
             threads: vec![t1, t2],
             allocation_stats: AllocationStats::default(),
         }
+    }
+
+    #[test]
+    fn ranking_orders_objects_by_weighted_events() {
+        let result = Query::new().evaluate(&two_site_profile()).unwrap();
+        assert_eq!(result.groups.len(), 2);
+        assert_eq!(result.groups[0].label, "float[]");
+        assert_eq!(result.groups[1].label, "TopDocCollector");
+        assert!(
+            result.groups[0].metrics.weighted_events > result.groups[1].metrics.weighted_events
+        );
+        assert_eq!(result.hottest().unwrap().label, "float[]");
+        assert_eq!(result.find_class("TopDocCollector").unwrap().metrics.samples, 1);
+        assert!(result.find_class("nothing").is_none());
+    }
+
+    #[test]
+    fn cross_thread_merge_coalesces_contexts() {
+        let result = Query::new().evaluate(&two_site_profile()).unwrap();
+        let hot = &result.groups[0];
+        // 6 + 4 samples from the shared context [f(1,5), f(9,1)] across two threads,
+        // plus 2 from [f(1,5), f(8,7)].
+        assert_eq!(hot.metrics.samples, 12);
+        assert_eq!(hot.metrics.allocations, 1);
+        assert_eq!(hot.contexts.len(), 2);
+        assert_eq!(hot.contexts[0].path, vec![f(1, 5), f(9, 1)]);
+        assert_eq!(hot.contexts[0].metrics.samples, 10);
+        assert!(hot.contexts[0].fraction_of_object > hot.contexts[1].fraction_of_object);
+        let frac_sum: f64 = hot.contexts.iter().map(|c| c.fraction_of_object).sum();
+        assert!((frac_sum - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn fractions_account_for_unattributed_samples() {
+        let result = Query::new().evaluate(&two_site_profile()).unwrap();
+        // 14 samples total: 12 hot + 1 cold + 1 unattributed; each weighs 100.
+        assert_eq!(result.total_samples, 14);
+        assert_eq!(result.total_weighted_events, 1400);
+        assert_eq!(result.attributed_weighted_events, 1300);
+        assert!((result.attributed_fraction() - 13.0 / 14.0).abs() < 1e-9);
+        assert!((result.groups[0].fraction_of_total - 12.0 / 14.0).abs() < 1e-9);
+        assert!((result.top_n_fraction(1) - 12.0 / 14.0).abs() < 1e-9);
+        assert!((result.top_n_fraction(2) - 13.0 / 14.0).abs() < 1e-9);
+        assert!(result.top_n_fraction(0) < 1e-12);
+    }
+
+    /// The groups with remote samples, ranked by remote samples (the §4.3 view).
+    fn remote_groups(profile: &ObjectCentricProfile) -> Vec<QueryGroup> {
+        let result = Query::new().rank_by(RankBy::RemoteSamples).evaluate(profile).unwrap();
+        result.groups.into_iter().filter(|g| g.metrics.remote_samples > 0).collect()
+    }
+
+    #[test]
+    fn remote_ranking_filters_and_orders() {
+        let remote = remote_groups(&two_site_profile());
+        assert_eq!(remote.len(), 1, "only the hot site has remote samples");
+        assert_eq!(remote[0].label, "float[]");
+        assert_eq!(remote[0].metrics.remote_samples, 6);
+        assert!((remote[0].remote_fraction - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn analyze_many_merges_sites_across_profiles_by_identity() {
+        let p1 = two_site_profile();
+        // A second profile (e.g. another service instance) whose site table assigns
+        // different ids to the same (class, path) identities.
+        let hot = AllocSite {
+            id: AllocSiteId(0),
+            class_name: "TopDocCollector".into(),
+            call_path: vec![f(2, 3)],
+        };
+        let mut t = ThreadProfile::new(ThreadId(9), "svc-2");
+        for _ in 0..5 {
+            t.record_attributed(AllocSiteId(0), &[f(2, 3), f(7, 7)], &sample(false), 100);
+        }
+        let p2 = ObjectCentricProfile { sites: vec![hot], threads: vec![t], ..p1.clone() };
+        let result = Query::new().evaluate(&[p1, p2][..]).unwrap();
+        assert_eq!(result.groups.len(), 2, "TopDocCollector merges across profiles");
+        assert_eq!(result.find_class("TopDocCollector").unwrap().metrics.samples, 6);
+        assert_eq!(result.total_samples, 19);
+    }
+
+    #[test]
+    fn analyze_texts_round_trips_through_the_codec() {
+        let profile = two_site_profile();
+        let parsed = [ObjectCentricProfile::parse(&profile.to_text()).unwrap()];
+        let from_text = Query::new().evaluate(&parsed[..]).unwrap();
+        let direct = Query::new().evaluate(&profile).unwrap();
+        assert_eq!(from_text.total_samples, direct.total_samples);
+        assert_eq!(from_text.groups.len(), direct.groups.len());
+        assert_eq!(
+            from_text.groups[0].metrics.weighted_events,
+            direct.groups[0].metrics.weighted_events
+        );
+        assert!(ObjectCentricProfile::parse("garbage").is_err());
+    }
+
+    #[test]
+    fn builder_configures_ranking_truncation_and_noise_floor() {
+        let profile = two_site_profile();
+        let default_result = Query::new().evaluate(&profile).unwrap();
+
+        // An explicit object grouping is the default.
+        let built = Query::new().group_by(GroupBy::Object).evaluate(&profile).unwrap();
+        assert_eq!(built.groups.len(), default_result.groups.len());
+        assert_eq!(built.groups[0].label, default_result.groups[0].label);
+
+        // Remote ranking puts the only site with remote samples first and agrees with
+        // the filtered remote view.
+        let remote = Query::new().rank_by(RankBy::RemoteSamples).evaluate(&profile).unwrap();
+        assert_eq!(remote.groups[0].label, "float[]");
+        assert_eq!(
+            remote.groups[0].metrics.remote_samples,
+            remote_groups(&profile)[0].metrics.remote_samples
+        );
+
+        // Truncation keeps run-level totals intact.
+        let top1 = Query::new().top(1).evaluate(&profile).unwrap();
+        assert_eq!(top1.groups.len(), 1);
+        assert_eq!(top1.total_samples, default_result.total_samples);
+        assert_eq!(top1.total_weighted_events, default_result.total_weighted_events);
+
+        // The noise floor drops the single-sample TopDocCollector site.
+        let filtered = Query::new().min_samples(2).evaluate(&profile).unwrap();
+        assert_eq!(filtered.groups.len(), 1);
+        assert_eq!(filtered.groups[0].label, "float[]");
+
+        // Alternative ranking keys order without panicking.
+        for rank in [RankBy::Latency, RankBy::Allocations, RankBy::AllocatedBytes] {
+            assert_eq!(Query::new().rank_by(rank).evaluate(&profile).unwrap().groups.len(), 2);
+        }
+    }
+
+    #[test]
+    fn empty_profile_produces_empty_report() {
+        let profile = ObjectCentricProfile { sites: vec![], threads: vec![], ..two_site_profile() };
+        let result = Query::new().evaluate(&profile).unwrap();
+        assert!(result.groups.is_empty());
+        assert_eq!(result.total_samples, 0);
+        assert_eq!(result.attributed_fraction(), 0.0);
+        assert!(result.hottest().is_none());
+        assert_eq!(result.top_n_fraction(3), 0.0);
     }
 
     #[test]

@@ -4,26 +4,18 @@
 //! path, and the access call paths ordered by their contribution to the object's
 //! locality loss.
 //!
-//! The unified entry point is [`Report`], a `Display`able view selected by constructor
-//! — [`Report::object`], [`Report::numa`], [`Report::code_centric`],
-//! [`Report::numa_view`], [`Report::query`] — so every rendering composes with
-//! `println!`, `format!` and logging. The free `render_*` functions remain as thin
-//! wrappers over it.
-//!
-//! Since the query redesign the object renderer is shared: [`Report::object`] (over a
-//! legacy [`AnalysisReport`]) and [`Report::query`] (over a
-//! [`QueryResult`] grouped by objects) symbolize through
-//! the same code path, so the analyzer shim's reports stay bit-identical while new
-//! query-first code gets the same Figure-5 rendering.
+//! The one entry point is [`Report`], a `Display`able view selected by constructor —
+//! [`Report::query`] over any [`QueryResult`] (object-grouped results in the Figure 5
+//! layout), [`Report::numa_view`] over the session's [`NumaProfile`], and
+//! [`Report::code_centric`] over the perf-like baseline — so every rendering composes
+//! with `println!`, `format!` and logging.
 
 use std::fmt::{self, Write as _};
 
 use djx_runtime::{Frame, MethodRegistry};
 
-use crate::analyzer::{AccessContext, AnalysisReport, ObjectReport};
 use crate::codecentric::CodeCentricProfile;
-use crate::metrics::MetricVector;
-use crate::query::{GroupBy, GroupKey, QueryResult};
+use crate::query::{GroupBy, GroupKey, QueryGroup, QueryResult};
 use crate::session::NumaProfile;
 
 /// Renders one frame as `Class.method (File:line)` using the method registry — the same
@@ -70,12 +62,12 @@ impl Default for ReportOptions {
     }
 }
 
-/// One renderable view over analysis results: construct with [`Report::object`],
-/// [`Report::numa`], [`Report::code_centric`] or [`Report::numa_view`], tune with
+/// One renderable view over analysis results: construct with [`Report::query`],
+/// [`Report::code_centric`] or [`Report::numa_view`], tune with
 /// [`Report::with_options`], and render via [`Display`](fmt::Display):
 ///
 /// ```ignore
-/// println!("{}", Report::object(&analysis, rt.methods()));
+/// println!("{}", Report::query(&result, rt.methods()));
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct Report<'a> {
@@ -86,30 +78,16 @@ pub struct Report<'a> {
 
 #[derive(Debug, Clone, Copy)]
 enum ReportKind<'a> {
-    /// The object-centric ranking (Figure 5).
-    Object(&'a AnalysisReport),
-    /// The remote-access ranking derived from an analysis (§4.3).
-    Numa(&'a AnalysisReport),
     /// The code-centric (perf-like) baseline view (Figure 1b).
     CodeCentric(&'a CodeCentricProfile),
     /// The session NUMA collector's own view, including the node traffic matrix.
     NumaView(&'a NumaProfile),
-    /// A query result, symbolized (object-grouped results share the Figure 5
-    /// renderer; other groupings list their groups).
+    /// A query result, symbolized (object-grouped results in the Figure 5 layout;
+    /// other groupings list their groups).
     Query(&'a QueryResult),
 }
 
 impl<'a> Report<'a> {
-    /// The object-centric report of an analysis.
-    pub fn object(report: &'a AnalysisReport, methods: &'a MethodRegistry) -> Self {
-        Self { kind: ReportKind::Object(report), methods, options: ReportOptions::default() }
-    }
-
-    /// The NUMA view of an analysis: objects ordered by remote accesses.
-    pub fn numa(report: &'a AnalysisReport, methods: &'a MethodRegistry) -> Self {
-        Self { kind: ReportKind::Numa(report), methods, options: ReportOptions::default() }
-    }
-
     /// The code-centric (perf-like) view used for the Figure 1 comparison.
     pub fn code_centric(profile: &'a CodeCentricProfile, methods: &'a MethodRegistry) -> Self {
         Self { kind: ReportKind::CodeCentric(profile), methods, options: ReportOptions::default() }
@@ -120,9 +98,9 @@ impl<'a> Report<'a> {
         Self { kind: ReportKind::NumaView(profile), methods, options: ReportOptions::default() }
     }
 
-    /// A symbolized view of a [`QueryResult`]: object-grouped results render through
-    /// the same Figure 5 object renderer [`Report::object`] uses; site, thread and
-    /// NUMA groupings list their ranked groups with resolved frames.
+    /// A symbolized view of a [`QueryResult`]: object-grouped results render in the
+    /// Figure 5 layout (allocation site, allocation path, access contexts); site,
+    /// thread and NUMA groupings list their ranked groups with resolved frames.
     pub fn query(result: &'a QueryResult, methods: &'a MethodRegistry) -> Self {
         Self { kind: ReportKind::Query(result), methods, options: ReportOptions::default() }
     }
@@ -137,10 +115,6 @@ impl<'a> Report<'a> {
 impl fmt::Display for Report<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let text = match self.kind {
-            ReportKind::Object(report) => render_object_text(report, self.methods, self.options),
-            ReportKind::Numa(report) => {
-                render_numa_text(report, self.methods, self.options.top_objects)
-            }
             ReportKind::CodeCentric(profile) => {
                 render_code_centric_text(profile, self.methods, self.options.top_objects)
             }
@@ -153,69 +127,13 @@ impl fmt::Display for Report<'_> {
     }
 }
 
-/// Renders the object-centric report of an analysis. Equivalent to
-/// `Report::object(report, methods).with_options(options).to_string()`.
-pub fn render_object_report(
-    report: &AnalysisReport,
-    methods: &MethodRegistry,
-    options: ReportOptions,
-) -> String {
-    Report::object(report, methods).with_options(options).to_string()
-}
-
-fn render_object_text(
-    report: &AnalysisReport,
-    methods: &MethodRegistry,
-    options: ReportOptions,
-) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "== DJXPerf object-centric profile ==");
-    let _ = writeln!(
-        out,
-        "event {}  period {}  samples {}  attributed {:.1}%",
-        report.event.hardware_name(),
-        report.period,
-        report.total_samples,
-        report.attributed_fraction() * 100.0
-    );
-    if report.objects.is_empty() {
-        let _ = writeln!(out, "(no monitored object received any sample)");
-        return out;
-    }
-    for (rank, object) in report.objects.iter().take(options.top_objects).enumerate() {
-        out.push_str(&render_one_object(rank + 1, &ObjectRow::from(object), methods, options));
-    }
-    out
-}
-
-/// The data one ranked object line needs — the shared shape of an
-/// [`ObjectReport`] and an object-grouped [`QueryGroup`](crate::query::QueryGroup),
-/// so both views symbolize through one renderer (bit-identical by construction).
-struct ObjectRow<'a> {
-    class_name: &'a str,
-    alloc_path: &'a [Frame],
-    metrics: &'a MetricVector,
-    fraction_of_total: f64,
-    remote_fraction: f64,
-    contexts: &'a [AccessContext],
-}
-
-impl<'a> From<&'a ObjectReport> for ObjectRow<'a> {
-    fn from(object: &'a ObjectReport) -> Self {
-        Self {
-            class_name: &object.class_name,
-            alloc_path: &object.alloc_path,
-            metrics: &object.metrics,
-            fraction_of_total: object.fraction_of_total,
-            remote_fraction: object.remote_fraction,
-            contexts: &object.access_contexts,
-        }
-    }
-}
-
+/// One ranked object in the Figure 5 layout: its class, share and locality, its
+/// allocation path, and its hottest access contexts.
 fn render_one_object(
     rank: usize,
-    object: &ObjectRow<'_>,
+    class_name: &str,
+    alloc_path: &[Frame],
+    object: &QueryGroup,
     methods: &MethodRegistry,
     options: ReportOptions,
 ) -> String {
@@ -223,7 +141,7 @@ fn render_one_object(
     let _ = writeln!(
         out,
         "#{rank} {}  —  {:.1}% of sampled events ({} samples, {} allocations, {} bytes)",
-        object.class_name,
+        class_name,
         object.fraction_of_total * 100.0,
         object.metrics.samples,
         object.metrics.allocations,
@@ -237,8 +155,8 @@ fn render_one_object(
     );
     let _ = writeln!(out, "    allocated at:");
     if options.full_alloc_paths {
-        out.push_str(&describe_path(object.alloc_path, methods, 8));
-    } else if let Some(leaf) = object.alloc_path.last() {
+        out.push_str(&describe_path(alloc_path, methods, 8));
+    } else if let Some(leaf) = alloc_path.last() {
         let _ = writeln!(out, "        {}", describe_frame(leaf, methods));
     } else {
         let _ = writeln!(out, "        <no calling context>");
@@ -284,17 +202,15 @@ fn render_query_text(
     }
     for (rank, group) in result.groups.iter().take(options.top_objects).enumerate() {
         match (&result.group_by, &group.key) {
-            // Object-grouped results share the Figure 5 renderer with Report::object.
             (GroupBy::Object, GroupKey::Object { class_name, alloc_path }) => {
-                let row = ObjectRow {
+                out.push_str(&render_one_object(
+                    rank + 1,
                     class_name,
                     alloc_path,
-                    metrics: &group.metrics,
-                    fraction_of_total: group.fraction_of_total,
-                    remote_fraction: group.remote_fraction,
-                    contexts: &group.contexts,
-                };
-                out.push_str(&render_one_object(rank + 1, &row, methods, options));
+                    group,
+                    methods,
+                    options,
+                ));
             }
             _ => {
                 let label = match &group.key {
@@ -323,48 +239,6 @@ fn render_query_text(
         }
     }
     out
-}
-
-/// Renders the NUMA view of an analysis: objects ordered by remote accesses, with the
-/// remote fraction DJXPerf uses to flag candidates for interleaved allocation or
-/// first-touch parallel initialization (§4.3, §7.5, §7.6). Equivalent to
-/// `Report::numa(report, methods)` with `top_objects = top`.
-pub fn render_numa_report(report: &AnalysisReport, methods: &MethodRegistry, top: usize) -> String {
-    render_numa_text(report, methods, top)
-}
-
-fn render_numa_text(report: &AnalysisReport, methods: &MethodRegistry, top: usize) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "== DJXPerf NUMA locality report ==");
-    let remote = report.ranked_by_remote();
-    if remote.is_empty() {
-        let _ = writeln!(out, "(no monitored object shows remote accesses)");
-        return out;
-    }
-    for object in remote.iter().take(top) {
-        let _ = writeln!(
-            out,
-            "{}  remote {:.1}% ({} of {} samples)",
-            object.class_name,
-            object.remote_fraction * 100.0,
-            object.metrics.remote_samples,
-            object.metrics.samples
-        );
-        let _ = writeln!(out, "    allocated at:");
-        out.push_str(&describe_path(&object.alloc_path, methods, 8));
-    }
-    out
-}
-
-/// Renders a code-centric profile (the Linux-perf-style view used for comparison in
-/// Figure 1 and the case studies). Equivalent to `Report::code_centric(profile, methods)`
-/// with `top_objects = top`.
-pub fn render_code_centric(
-    profile: &CodeCentricProfile,
-    methods: &MethodRegistry,
-    top: usize,
-) -> String {
-    render_code_centric_text(profile, methods, top)
 }
 
 fn render_code_centric_text(
@@ -436,9 +310,9 @@ mod tests {
     use djx_pmu::PmuEvent;
     use djx_runtime::MethodId;
 
-    use crate::analyzer::AccessContext;
     use crate::metrics::MetricVector;
-    use crate::object::AllocSiteId;
+    use crate::object::{AllocSite, AllocSiteId};
+    use crate::query::{AccessContext, RankBy};
 
     fn registry() -> MethodRegistry {
         let mut methods = MethodRegistry::new();
@@ -452,8 +326,8 @@ mod tests {
         methods
     }
 
-    fn object_report() -> ObjectReport {
-        let metrics = MetricVector {
+    fn object_metrics() -> MetricVector {
+        MetricVector {
             allocations: 2478,
             allocated_bytes: 2478 * 2048,
             samples: 100,
@@ -462,30 +336,51 @@ mod tests {
             remote_samples: 25,
             local_samples: 75,
             ..MetricVector::default()
-        };
-        ObjectReport {
-            site: AllocSiteId(0),
-            class_name: "float[]".into(),
-            alloc_path: vec![Frame::new(MethodId(0), 5)],
-            metrics,
-            fraction_of_total: 0.21,
-            remote_fraction: 0.25,
-            access_contexts: vec![AccessContext {
-                path: vec![Frame::new(MethodId(1), 0)],
+        }
+    }
+
+    /// An object-grouped result with one `float[]` object.
+    fn result() -> QueryResult {
+        let metrics = object_metrics();
+        QueryResult {
+            event: PmuEvent::L1Miss,
+            period: 512,
+            group_by: GroupBy::Object,
+            rank_by: RankBy::WeightedEvents,
+            total_samples: 476,
+            total_weighted_events: 476 * 512,
+            attributed_weighted_events: 100 * 512,
+            groups: vec![QueryGroup {
+                key: GroupKey::Object {
+                    class_name: "float[]".into(),
+                    alloc_path: vec![Frame::new(MethodId(0), 5)],
+                },
+                label: "float[]".into(),
                 metrics,
-                fraction_of_object: 1.0,
+                fraction_of_total: 0.21,
+                remote_fraction: 0.25,
+                contexts: vec![AccessContext {
+                    path: vec![Frame::new(MethodId(1), 0)],
+                    metrics,
+                    fraction_of_object: 1.0,
+                }],
             }],
         }
     }
 
-    fn report() -> AnalysisReport {
-        AnalysisReport {
+    /// The NUMA view of the same `float[]` object.
+    fn numa_profile() -> NumaProfile {
+        NumaProfile {
             event: PmuEvent::L1Miss,
             period: 512,
-            total_samples: 476,
-            total_weighted_events: 476 * 512,
-            attributed_weighted_events: 100 * 512,
-            objects: vec![object_report()],
+            sites: vec![AllocSite {
+                id: AllocSiteId(0),
+                class_name: "float[]".into(),
+                call_path: vec![Frame::new(MethodId(0), 5)],
+            }],
+            per_site: vec![(AllocSiteId(0), object_metrics())],
+            unattributed: MetricVector::default(),
+            node_traffic: vec![((0, 0), 75), ((0, 1), 25)],
         }
     }
 
@@ -506,7 +401,7 @@ mod tests {
     #[test]
     fn object_report_mentions_class_site_and_contexts() {
         let methods = registry();
-        let text = render_object_report(&report(), &methods, ReportOptions::default());
+        let text = Report::query(&result(), &methods).to_string();
         assert!(text.contains("float[]"));
         assert!(text.contains("21.0% of sampled events"));
         assert!(text.contains("2478 allocations"));
@@ -519,31 +414,24 @@ mod tests {
     fn compact_alloc_path_option_shows_only_the_leaf() {
         let methods = registry();
         let options = ReportOptions { full_alloc_paths: false, ..ReportOptions::default() };
-        let text = render_object_report(&report(), &methods, options);
+        let text = Report::query(&result(), &methods).with_options(options).to_string();
         assert!(text.contains("makeRoom"));
     }
 
     #[test]
     fn empty_report_renders_placeholder() {
         let methods = registry();
-        let empty = AnalysisReport {
-            event: PmuEvent::L1Miss,
-            period: 512,
-            total_samples: 0,
-            total_weighted_events: 0,
-            attributed_weighted_events: 0,
-            objects: vec![],
-        };
-        let text = render_object_report(&empty, &methods, ReportOptions::default());
-        assert!(text.contains("no monitored object"));
-        let numa = render_numa_report(&empty, &methods, 5);
-        assert!(numa.contains("no monitored object"));
+        let empty = QueryResult { groups: vec![], ..result() };
+        let text = Report::query(&empty, &methods).to_string();
+        assert!(text.contains("no group matched the query"));
+        let numa = NumaProfile { per_site: vec![], node_traffic: vec![], ..numa_profile() };
+        assert!(Report::numa_view(&numa, &methods).to_string().contains("no monitored object"));
     }
 
     #[test]
     fn numa_report_lists_remote_objects() {
         let methods = registry();
-        let text = render_numa_report(&report(), &methods, 5);
+        let text = Report::numa_view(&numa_profile(), &methods).to_string();
         assert!(text.contains("float[]"));
         assert!(text.contains("remote 25.0%"));
         assert!(text.contains("makeRoom"));
@@ -551,30 +439,26 @@ mod tests {
 
     #[test]
     fn report_display_subsumes_the_free_render_functions() {
+        // `Display` is the one rendering entry point: default options are implied, and
+        // options only narrow what is shown.
         let methods = registry();
-        let analysis = report();
+        let result = result();
+        let full = Report::query(&result, &methods).to_string();
         assert_eq!(
-            Report::object(&analysis, &methods).to_string(),
-            render_object_report(&analysis, &methods, ReportOptions::default())
-        );
-        assert_eq!(
-            Report::numa(&analysis, &methods)
-                .with_options(ReportOptions { top_objects: 10, ..ReportOptions::default() })
-                .to_string(),
-            render_numa_report(&analysis, &methods, 10)
+            full,
+            Report::query(&result, &methods)
+                .with_options(ReportOptions::default())
+                .to_string()
         );
         let options = ReportOptions { top_objects: 1, top_contexts: 1, full_alloc_paths: false };
-        let compact = Report::object(&analysis, &methods).with_options(options).to_string();
-        assert_eq!(compact, render_object_report(&analysis, &methods, options));
-        assert!(format!("{}", Report::object(&analysis, &methods)).contains("float[]"));
+        let compact = Report::query(&result, &methods).with_options(options).to_string();
+        assert!(compact.contains("float[]"));
+        assert!(compact.len() <= full.len());
+        assert_eq!(format!("{}", Report::query(&result, &methods)), full);
     }
 
     #[test]
     fn numa_view_report_renders_traffic_matrix_and_sites() {
-        use crate::metrics::MetricVector;
-        use crate::object::{AllocSite, AllocSiteId};
-        use crate::session::NumaProfile;
-
         let methods = registry();
         let metrics = MetricVector {
             samples: 8,
@@ -615,7 +499,8 @@ mod tests {
         cct.metrics_mut(node).samples = 1;
         let profile =
             CodeCentricProfile { event: PmuEvent::L1Miss, period: 512, cct, total_samples: 1 };
-        let text = render_code_centric(&profile, &methods, 3);
+        let options = ReportOptions { top_objects: 3, ..ReportOptions::default() };
+        let text = Report::code_centric(&profile, &methods).with_options(options).to_string();
         assert!(text.contains("code-centric"));
         assert!(text.contains("SAHashMap.getNode:120"));
         assert!(text.contains("100.0%"));

@@ -1,11 +1,10 @@
-//! The unified profiling session: one sampling substrate, any number of collectors.
+//! The unified profiling session — the crate's one online profiler (the paper's
+//! agent, §5.1): one sampling substrate, any number of collectors.
 //!
-//! Historically this crate exposed three separate `RuntimeListener` implementations —
-//! [`DjxPerf`](crate::profiler::DjxPerf) (object-centric), a code-centric baseline and
-//! ad-hoc NUMA reporting — each driving its *own* per-thread virtual PMUs, so comparing
-//! views (the paper's Figure 1) meant attaching several profilers or running the
-//! workload repeatedly. A [`Session`] inverts that architecture, the way PROMPT-style
-//! pipelines organize memory profilers: the session owns
+//! Comparing views (the paper's Figure 1) must not take one profiler per view, each
+//! driving its *own* per-thread virtual PMUs, or a re-run of the workload. A
+//! [`Session`] organizes the profiler the way PROMPT-style pipelines organize memory
+//! profilers: the session owns
 //!
 //! * the per-thread PMUs (one sampling stream for the whole session),
 //! * the allocation agent and the shared object index (splay tree + site registry),
@@ -18,7 +17,9 @@
 //! [`SessionBuilder::with_collector`].
 //!
 //! Sessions are configured with [`SessionBuilder`] (events, period, size filter, jitter,
-//! launch/attach mode), attach to a [`Runtime`] as one composite listener, and support
+//! launch/attach mode — one by one, or at once as a [`ProfilerConfig`] through
+//! [`SessionBuilder::config`]), attach to a [`Runtime`] as one composite listener, and
+//! support
 //! incremental observation: [`Session::snapshot`] extracts every collector's current
 //! profile mid-run without stopping measurement, and
 //! [`Session::stream_snapshot`] pushes the object-centric profile through any
@@ -117,14 +118,96 @@ use crate::object::{AllocSite, AllocSiteId};
 use crate::profile::{
     fold_allocation_rows, ObjectCentricProfile, ProfileDelta, ThreadDelta, ThreadProfile,
 };
-use crate::profiler::ProfilerConfig;
 use crate::sink::ProfileSink;
 use crate::splay::LookupStats;
 use crate::sync::{Epoch, SpinLock};
 
-/// Session configuration is the same value object the legacy profiler used; the alias
-/// names it for the session-first API.
-pub type SessionConfig = ProfilerConfig;
+/// Default sampling period for simulated runs.
+///
+/// The paper samples L1 misses every 5,000,000 events, tuned for multi-minute executions
+/// on real hardware (20–200 samples/s/thread). The simulated workloads in this repository
+/// perform 10⁵–10⁷ accesses, so the default period is scaled down to keep the same
+/// "tens to hundreds of samples per thread" regime; [`ProfilerConfig::paper_default`]
+/// restores the paper's literal setting.
+pub const DEFAULT_SAMPLE_PERIOD: u64 = 512;
+
+/// Configuration of the profiler.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ProfilerConfig {
+    /// The precise memory event to sample (L1 miss by default, as in the paper).
+    pub event: PmuEvent,
+    /// Sampling period in events.
+    pub period: u64,
+    /// Size filter `S` in bytes: allocations smaller than this are not monitored.
+    pub size_filter: u64,
+    /// Randomize the sampling period slightly around its nominal value to avoid
+    /// lock-step bias.
+    pub jitter: bool,
+    /// Attach mode: objects first seen when the GC moves them are tracked under an
+    /// unattributed site instead of being dropped.
+    pub attach_mode: bool,
+}
+
+impl Default for ProfilerConfig {
+    fn default() -> Self {
+        Self {
+            event: PmuEvent::L1Miss,
+            period: DEFAULT_SAMPLE_PERIOD,
+            size_filter: crate::agent::DEFAULT_SIZE_FILTER,
+            jitter: false,
+            attach_mode: false,
+        }
+    }
+}
+
+impl ProfilerConfig {
+    /// The paper's literal evaluation settings: L1 misses sampled every 5M events,
+    /// S = 1 KiB.
+    pub fn paper_default() -> Self {
+        Self { period: 5_000_000, ..Self::default() }
+    }
+
+    /// Replaces the sampled event.
+    pub fn with_event(mut self, event: PmuEvent) -> Self {
+        self.event = event;
+        self
+    }
+
+    /// Replaces the sampling period.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `period` is zero.
+    pub fn with_period(mut self, period: u64) -> Self {
+        assert!(period > 0, "sampling period must be non-zero");
+        self.period = period;
+        self
+    }
+
+    /// Replaces the size filter `S`.
+    pub fn with_size_filter(mut self, bytes: u64) -> Self {
+        self.size_filter = bytes;
+        self
+    }
+
+    /// Monitors every allocation (S = 0), the costly extreme evaluated in §6.
+    pub fn monitor_all_objects(mut self) -> Self {
+        self.size_filter = 0;
+        self
+    }
+
+    /// Enables period jitter.
+    pub fn with_jitter(mut self, jitter: bool) -> Self {
+        self.jitter = jitter;
+        self
+    }
+
+    /// Enables attach mode.
+    pub fn with_attach_mode(mut self, attach: bool) -> Self {
+        self.attach_mode = attach;
+        self
+    }
+}
 
 /// One PMU sample enriched with everything the session resolved for it: the calling
 /// context the sample fired at and the allocation site of the enclosing monitored
@@ -678,8 +761,7 @@ impl AbsorbDelta for CodeState {
 
 /// The code-centric collector (the "Linux perf" view of Figure 1): attributes every
 /// sample of the shared stream solely to its sampling calling context, with no notion
-/// of objects. Replaces a second profiling pass with
-/// [`CodeCentricProfiler`](crate::codecentric::CodeCentricProfiler).
+/// of objects, from the same pass as every other view.
 ///
 /// Each thread grows its own CCT; [`CodeCentricCollector::profile`] merges them
 /// top-down (§5.2) outside every lock.
@@ -986,7 +1068,7 @@ pub fn adaptive_shard_count(threads: usize, expected_live_objects: usize) -> usi
 /// [`SessionBuilder::attach`] registers the finished session with a runtime in one
 /// step.
 pub struct SessionBuilder {
-    config: SessionConfig,
+    config: ProfilerConfig,
     objects: bool,
     code: bool,
     numa: bool,
@@ -1008,7 +1090,7 @@ struct ExportConfig {
 impl Default for SessionBuilder {
     fn default() -> Self {
         Self {
-            config: SessionConfig::default(),
+            config: ProfilerConfig::default(),
             objects: false,
             code: false,
             numa: false,
@@ -1029,7 +1111,7 @@ impl SessionBuilder {
     }
 
     /// Replaces the whole configuration at once.
-    pub fn config(mut self, config: SessionConfig) -> Self {
+    pub fn config(mut self, config: ProfilerConfig) -> Self {
         self.config = config;
         self
     }
@@ -1251,7 +1333,7 @@ impl SessionBuilder {
 /// agent, the shared per-thread PMUs, and every registered collector. See the
 /// [module documentation](self).
 pub struct Session {
-    config: SessionConfig,
+    config: ProfilerConfig,
     shared: Arc<SharedObjectIndex>,
     allocation: AllocationAgent,
     sampler: Sampler,
@@ -1297,7 +1379,7 @@ impl Session {
     }
 
     /// The session's configuration.
-    pub fn config(&self) -> SessionConfig {
+    pub fn config(&self) -> ProfilerConfig {
         self.config
     }
 
@@ -1760,7 +1842,6 @@ mod tests {
     use djx_runtime::{dsl, RuntimeConfig};
     use parking_lot::Mutex;
 
-    use crate::profiler::DjxPerf;
     use crate::sink::{JsonSink, TextSink};
 
     /// Runs the standard bloat kernel against a fresh runtime with `listener` attached.
@@ -1780,6 +1861,28 @@ mod tests {
         rt.finish_thread(t).unwrap();
         rt.shutdown();
         (rt, session)
+    }
+
+    /// The bloat kernel under an objects-only session.
+    fn bloat_run(config: ProfilerConfig) -> Arc<Session> {
+        bloat_run_with(|rt| Session::builder().config(config).collect_objects().attach(rt)).1
+    }
+
+    #[test]
+    fn config_builders_compose() {
+        let c = ProfilerConfig::default()
+            .with_event(PmuEvent::DtlbMiss)
+            .with_period(128)
+            .with_size_filter(4096)
+            .with_jitter(true)
+            .with_attach_mode(true);
+        assert_eq!(c.event, PmuEvent::DtlbMiss);
+        assert_eq!(c.period, 128);
+        assert_eq!(c.size_filter, 4096);
+        assert!(c.jitter);
+        assert!(c.attach_mode);
+        assert_eq!(ProfilerConfig::paper_default().period, 5_000_000);
+        assert_eq!(ProfilerConfig::default().monitor_all_objects().size_filter, 0);
     }
 
     #[test]
@@ -1808,6 +1911,97 @@ mod tests {
     #[should_panic(expected = "non-zero")]
     fn zero_period_rejected() {
         let _ = Session::builder().period(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-zero")]
+    fn config_zero_period_rejected() {
+        let _ = ProfilerConfig::default().with_period(0);
+    }
+
+    #[test]
+    fn end_to_end_bloat_run_attributes_samples_to_the_allocation_site() {
+        let session = bloat_run(ProfilerConfig::default().with_period(16));
+        let stats = session.allocation_stats();
+        assert_eq!(stats.callbacks, 200);
+        assert_eq!(stats.monitored, 200, "each 512-element float[] is 2 KiB > S");
+        assert!(session.total_samples() > 0);
+
+        let profile = session.object_profile().unwrap();
+        assert_eq!(profile.sites.len(), 1, "all 200 arrays share one allocation site");
+        let site = &profile.sites[0];
+        assert_eq!(site.class_name, "float[]");
+        assert!(!site.call_path.is_empty());
+
+        let main = &profile.threads[0];
+        let sm = main.sites.values().next().unwrap();
+        assert_eq!(sm.total.allocations, 200);
+        assert!(sm.total.samples > 0);
+        assert!(
+            sm.total.samples * 2 >= main.samples,
+            "most samples land inside the hot arrays ({} of {})",
+            sm.total.samples,
+            main.samples
+        );
+        let stats = session.splay_lookup_stats();
+        assert!(
+            stats.resolutions() >= main.samples,
+            "every sample resolves through the cache or a shard"
+        );
+        assert!(stats.hits + stats.cache_hits > 0);
+        assert!(stats.cache_hits > 0, "the hot bloat loop re-references its arrays");
+        assert_eq!(stats.read_lookups, 0, "the hot path never uses read-only resolution");
+        assert!(session.memory_footprint_bytes() > 0);
+    }
+
+    #[test]
+    fn size_filter_controls_monitoring() {
+        let small_filter =
+            bloat_run(ProfilerConfig::default().with_period(16).with_size_filter(64));
+        let huge_filter =
+            bloat_run(ProfilerConfig::default().with_period(16).with_size_filter(1 << 20));
+        assert_eq!(small_filter.allocation_stats().monitored, 200);
+        assert_eq!(huge_filter.allocation_stats().monitored, 0);
+        assert_eq!(huge_filter.allocation_stats().filtered, 200);
+        // With nothing monitored, every sample is unattributed.
+        let profile = huge_filter.object_profile().unwrap();
+        assert_eq!(profile.threads[0].attributed_samples(), 0);
+    }
+
+    #[test]
+    fn gc_keeps_attribution_correct() {
+        let mut rt = Runtime::new(RuntimeConfig::small());
+        let session = Session::builder().period(4).collect_objects().attach(&mut rt);
+        let class = rt.register_array_class("long[]", 8);
+        let t = rt.spawn_thread("main");
+        // A short-lived object followed by a survivor: after collection the survivor
+        // slides to the heap base, reusing the dead object's address range.
+        let dead = rt.alloc_array(t, class, 2048).unwrap();
+        let survivor = rt.alloc_array(t, class, 2048).unwrap();
+        rt.release(&dead).unwrap();
+        rt.collect_garbage();
+        dsl::sequential_sweep(&mut rt, t, &survivor).unwrap();
+        rt.shutdown();
+
+        let profile = session.object_profile().unwrap();
+        // Both objects share one call path, hence one site — so check the splay tree's
+        // live view instead of per-site attribution.
+        assert_eq!(session.live_monitored_objects(), 1);
+        assert_eq!(session.allocation_stats().relocations, 1);
+        assert_eq!(session.allocation_stats().reclamations, 1);
+        assert!(profile.total_samples() > 0);
+        assert_eq!(profile.threads[0].unattributed.samples, 0, "post-GC samples still resolve");
+    }
+
+    #[test]
+    fn profile_snapshots_are_independent() {
+        let session = bloat_run(ProfilerConfig::default().with_period(32));
+        let a = session.object_profile().unwrap();
+        let b = session.object_profile().unwrap();
+        assert_eq!(a.total_samples(), b.total_samples());
+        let sa = a.threads[0].sites.values().next().unwrap().total;
+        let sb = b.threads[0].sites.values().next().unwrap().total;
+        assert_eq!(sa, sb, "taking a second profile must not double-count allocations");
     }
 
     #[test]
@@ -1905,32 +2099,16 @@ mod tests {
 
     #[test]
     fn session_object_view_is_identical_to_legacy_djxperf() {
+        // An objects + code session against an objects-only one on an identical,
+        // independently seeded runtime.
         let config = ProfilerConfig::default().with_period(16);
-        let (_rt_a, session) = bloat_run_with(|rt| {
+        let (_rt, session) = bloat_run_with(|rt| {
             Session::builder().config(config).collect_objects().collect_code().attach(rt)
         });
-
-        // The legacy path on an identical, independently seeded runtime.
-        let mut rt = Runtime::new(RuntimeConfig::small());
-        let legacy = DjxPerf::attach(&mut rt, config);
-        let class = rt.register_array_class("float[]", 4);
-        let method = dsl::MethodSpec::at_line(
-            "ExtendedGeneralPath",
-            "makeRoom",
-            "ExtendedGeneralPath.java",
-            743,
-        )
-        .register(&mut rt);
-        let t = rt.spawn_thread("main");
-        dsl::bloat_loop(&mut rt, t, class, method, 0, 200, 512, 64).unwrap();
-        rt.finish_thread(t).unwrap();
-        rt.shutdown();
-
-        let from_session = session.object_profile().unwrap();
-        let from_legacy = legacy.profile();
+        let objects_only = bloat_run(config);
         assert_eq!(
-            from_session.to_text(),
-            from_legacy.to_text(),
+            session.object_profile().unwrap().to_text(),
+            objects_only.object_profile().unwrap().to_text(),
             "multi-collector session must not perturb object-centric results"
         );
     }
@@ -2002,6 +2180,22 @@ mod tests {
         let after = session.snapshot();
         assert_eq!(after.total_samples, before.total_samples);
         assert_eq!(after.code.unwrap().total_samples, before.code.unwrap().total_samples);
+        assert!(!session.detach(&mut rt), "double detach is a no-op");
+    }
+
+    #[test]
+    fn objects_only_detach_stops_measurement() {
+        let mut rt = Runtime::new(RuntimeConfig::small());
+        let session = Session::builder().period(8).collect_objects().attach(&mut rt);
+        let class = rt.register_array_class("byte[]", 1);
+        let t = rt.spawn_thread("main");
+        let arr = rt.alloc_array(t, class, 8192).unwrap();
+        dsl::sequential_sweep(&mut rt, t, &arr).unwrap();
+        let before = session.total_samples();
+        assert!(before > 0);
+        assert!(session.detach(&mut rt));
+        dsl::sequential_sweep(&mut rt, t, &arr).unwrap();
+        assert_eq!(session.total_samples(), before);
         assert!(!session.detach(&mut rt), "double detach is a no-op");
     }
 

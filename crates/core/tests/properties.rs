@@ -718,16 +718,14 @@ proptest! {
         let parsed = ObjectCentricProfile::parse(&text).expect("round trip");
         prop_assert_eq!(parsed.to_text(), text, "serialization is a fixed point");
 
-        let analyze = |p: &ObjectCentricProfile| {
-            djxperf::Query::new().evaluate(std::slice::from_ref(p)).unwrap().into_analysis_report()
-        };
+        let analyze = |p: &ObjectCentricProfile| djxperf::Query::new().evaluate(p).unwrap();
         let a = analyze(&profile);
         let b = analyze(&parsed);
         prop_assert_eq!(a.total_samples, b.total_samples);
         prop_assert_eq!(a.total_weighted_events, b.total_weighted_events);
-        prop_assert_eq!(a.objects.len(), b.objects.len());
-        for (x, y) in a.objects.iter().zip(&b.objects) {
-            prop_assert_eq!(&x.class_name, &y.class_name);
+        prop_assert_eq!(a.groups.len(), b.groups.len());
+        for (x, y) in a.groups.iter().zip(&b.groups) {
+            prop_assert_eq!(&x.label, &y.label);
             prop_assert_eq!(x.metrics, y.metrics);
         }
     }

@@ -271,7 +271,7 @@ impl Workload for LusearchCollectorWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{run_profiled, run_unprofiled, speedup};
+    use crate::runner::{alloc_leaf, run_profiled, run_unprofiled, speedup};
     use djxperf::ProfilerConfig;
 
     fn quick_config() -> ProfilerConfig {
@@ -301,10 +301,7 @@ mod tests {
     fn batik_profile_ranks_nvals_with_a_significant_share() {
         let run =
             run_profiled(&BatikNvalsWorkload::new(Variant::Baseline).scaled(0.4), quick_config());
-        let nvals = run
-            .report
-            .find_by_class("float[] (nvals)")
-            .expect("nvals must be in the report");
+        let nvals = run.report.find_class("float[] (nvals)").expect("nvals must be in the report");
         assert!(
             nvals.fraction_of_total > 0.08,
             "nvals should account for a significant share of misses, got {:.3}",
@@ -312,7 +309,7 @@ mod tests {
         );
         assert!(nvals.metrics.allocations > 100);
         // The allocation site resolves to makeRoom at line 743.
-        let leaf = nvals.alloc_path.last().unwrap();
+        let leaf = alloc_leaf(nvals);
         let info = run.methods.get(leaf.method).unwrap();
         assert_eq!(info.name, "makeRoom");
         assert_eq!(info.line_for_bci(leaf.bci), 743);
@@ -324,7 +321,7 @@ mod tests {
             &LusearchCollectorWorkload::new(Variant::Baseline).scaled(0.4),
             quick_config(),
         );
-        let collector = run.report.find_by_class("TopDocCollector");
+        let collector = run.report.find_class("TopDocCollector");
         let fraction = collector.map(|c| c.fraction_of_total).unwrap_or(0.0);
         assert!(
             fraction < 0.05,
@@ -354,12 +351,12 @@ mod tests {
         );
         let nvals_share = batik
             .report
-            .find_by_class("float[] (nvals)")
+            .find_class("float[] (nvals)")
             .map(|o| o.fraction_of_total)
             .unwrap_or(0.0);
         let collector_share = lusearch
             .report
-            .find_by_class("TopDocCollector")
+            .find_class("TopDocCollector")
             .map(|o| o.fraction_of_total)
             .unwrap_or(0.0);
         assert!(

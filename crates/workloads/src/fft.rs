@@ -180,14 +180,14 @@ mod tests {
             &FftWorkload::new(Variant::Baseline),
             ProfilerConfig::default().with_period(256),
         );
-        let data = run.report.find_by_class("double[] (data)").expect("data array sampled");
+        let data = run.report.find_class("double[] (data)").expect("data array sampled");
         assert!(
             data.fraction_of_total > 0.5,
             "the data array must dominate misses (paper: 75.5%), got {:.2}",
             data.fraction_of_total
         );
         // The hottest access context sits inside transform_internal.
-        let hottest_ctx = &data.access_contexts[0];
+        let hottest_ctx = &data.contexts[0];
         let leaf = hottest_ctx.path.last().unwrap();
         assert_eq!(run.methods.get(leaf.method).unwrap().name, "transform_internal");
     }

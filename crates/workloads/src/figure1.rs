@@ -140,10 +140,8 @@ impl Workload for Figure1Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{run_profiled, run_unprofiled};
-    use djx_runtime::Runtime;
-    use djxperf::{CodeCentricProfiler, DjxPerf, ProfilerConfig, Query};
-    use std::sync::Arc;
+    use crate::runner::{run_profiled, run_session, run_unprofiled};
+    use djxperf::ProfilerConfig;
 
     #[test]
     fn shares_in_the_table_sum_to_one_hundred_percent() {
@@ -166,30 +164,23 @@ mod tests {
     fn object_centric_view_ranks_o1_first_with_half_the_misses() {
         let run = run_profiled(&Figure1Workload::new(), ProfilerConfig::default().with_period(8));
         let top = run.report.hottest().unwrap();
-        assert_eq!(top.class_name, "Object O1");
+        assert_eq!(top.label, "Object O1");
         assert!(
             (0.40..0.60).contains(&top.fraction_of_total),
             "O1 should carry ~50% of misses, got {:.2}",
             top.fraction_of_total
         );
         // O1's misses are scattered over six access sites.
-        assert_eq!(top.access_contexts.len(), 6);
+        assert_eq!(top.contexts.len(), 6);
     }
 
     #[test]
     fn code_centric_view_ranks_ic_first_with_a_quarter_of_the_misses() {
-        let workload = Figure1Workload::new();
-        let mut rt = Runtime::new(workload.runtime_config());
-        let code = Arc::new(CodeCentricProfiler::new(djx_pmu::PmuEvent::L1Miss, 8));
-        let object = DjxPerf::attach(&mut rt, ProfilerConfig::default().with_period(8));
-        rt.add_listener(code.clone());
-        workload.run(&mut rt).unwrap();
-        rt.shutdown();
-
-        let code_profile = code.profile();
+        let run = run_session(&Figure1Workload::new(), ProfilerConfig::default().with_period(8));
+        let code_profile = run.session.code_profile().unwrap();
         let top_code = &code_profile.top_locations(1)[0];
         let leaf = top_code.leaf.unwrap();
-        assert_eq!(rt.methods().get(leaf.method).unwrap().name, "Ic");
+        assert_eq!(run.methods.get(leaf.method).unwrap().name, "Ic");
         assert!(
             (0.18..0.30).contains(&top_code.fraction),
             "Ic should carry ~24% of misses, got {:.2}",
@@ -198,8 +189,7 @@ mod tests {
 
         // The hottest object beats the hottest instruction by roughly 2x, which is the
         // argument Figure 1 makes for object-centric profiling.
-        let report = Query::new().evaluate(&[object.profile()][..]).unwrap().into_analysis_report();
-        let top_object = report.hottest().unwrap();
+        let top_object = run.report.hottest().unwrap();
         assert!(top_object.fraction_of_total > top_code.fraction + 0.15);
     }
 }

@@ -160,7 +160,7 @@ impl Workload for FindBugsWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{run_profiled, run_unprofiled, speedup};
+    use crate::runner::{alloc_leaf, run_profiled, run_unprofiled, speedup};
     use djxperf::ProfilerConfig;
 
     #[test]
@@ -189,14 +189,14 @@ mod tests {
             &FindBugsWorkload::new(Variant::Baseline).scaled(0.5),
             ProfilerConfig::default().with_period(64),
         );
-        let buf = run.report.find_by_class("char[] (buf)").expect("buf must be reported");
-        let map = run.report.find_by_class("IdentityHashMap").expect("map must be reported");
+        let buf = run.report.find_class("char[] (buf)").expect("buf must be reported");
+        let map = run.report.find_class("IdentityHashMap").expect("map must be reported");
         let combined = buf.fraction_of_total + map.fraction_of_total;
         assert!(
             combined > 0.1,
             "the two objects should account for a noticeable share (paper: 32%), got {combined:.2}"
         );
-        let buf_leaf = buf.alloc_path.last().unwrap();
+        let buf_leaf = alloc_leaf(buf);
         let info = run.methods.get(buf_leaf.method).unwrap();
         assert_eq!(info.class_name, "ClassParserUsingASM");
         assert_eq!(info.line_for_bci(buf_leaf.bci), 642);

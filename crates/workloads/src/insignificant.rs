@@ -172,7 +172,7 @@ mod tests {
             let run = run_profiled(&workload, ProfilerConfig::default().with_period(64));
             let class = format!("{} (cold)", case.class_name);
             let fraction =
-                run.report.find_by_class(&class).map(|o| o.fraction_of_total).unwrap_or(0.0);
+                run.report.find_class(&class).map(|o| o.fraction_of_total).unwrap_or(0.0);
             assert!(
                 fraction < 0.08,
                 "{}: the cold object must stay insignificant, got {fraction:.3}",

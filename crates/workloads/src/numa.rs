@@ -256,8 +256,9 @@ impl Workload for DruidBitmapWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{run_profiled, speedup};
+    use crate::runner::{alloc_leaf, run_profiled, speedup};
     use djxperf::ProfilerConfig;
+    use djxperf::{Query, RankBy};
 
     fn numa_profiler() -> ProfilerConfig {
         ProfilerConfig::default().with_period(64)
@@ -269,15 +270,16 @@ mod tests {
             run_profiled(&EclipseCollectionsWorkload::new(Variant::Baseline), numa_profiler());
         let result = run
             .report
-            .find_by_class("Integer[] (result)")
+            .find_class("Integer[] (result)")
             .expect("result array must be reported");
         assert!(
             result.remote_fraction > 0.5,
             "most sampled accesses must be remote (paper: 73.4%), got {:.2}",
             result.remote_fraction
         );
-        let remote_ranked = run.report.ranked_by_remote();
-        assert_eq!(remote_ranked[0].class_name, "Integer[] (result)");
+        let remote_ranked =
+            Query::new().rank_by(RankBy::RemoteSamples).evaluate(&run.profile).unwrap();
+        assert_eq!(remote_ranked.groups[0].label, "Integer[] (result)");
     }
 
     #[test]
@@ -299,7 +301,7 @@ mod tests {
     #[test]
     fn druid_baseline_is_majority_remote_and_fix_localizes_accesses() {
         let base = run_profiled(&DruidBitmapWorkload::new(Variant::Baseline), numa_profiler());
-        let bitmap = base.report.find_by_class("long[] (bitmap)").expect("bitmap must be reported");
+        let bitmap = base.report.find_class("long[] (bitmap)").expect("bitmap must be reported");
         assert!(
             bitmap.remote_fraction > 0.4,
             "more than half the accesses should be remote, got {:.2}",
@@ -321,9 +323,9 @@ mod tests {
     fn scaled_variants_run_quickly_and_keep_the_allocation_site() {
         let run =
             run_profiled(&DruidBitmapWorkload::new(Variant::Baseline).scaled(0.4), numa_profiler());
-        let bitmap = run.report.find_by_class("long[] (bitmap)");
+        let bitmap = run.report.find_class("long[] (bitmap)");
         assert!(bitmap.is_some());
-        let leaf = bitmap.unwrap().alloc_path.last().unwrap();
+        let leaf = alloc_leaf(bitmap.unwrap());
         let info = run.methods.get(leaf.method).unwrap();
         assert_eq!(info.class_name, "WrappedImmutableBitSetBitmap");
         assert_eq!(info.line_for_bci(leaf.bci), 37);

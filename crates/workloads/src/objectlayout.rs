@@ -151,7 +151,7 @@ impl Workload for ObjectLayoutWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{run_profiled, run_unprofiled, speedup};
+    use crate::runner::{alloc_leaf, run_profiled, run_unprofiled, speedup};
     use djxperf::ProfilerConfig;
 
     #[test]
@@ -190,9 +190,9 @@ mod tests {
         assert!(top3 > 0.6, "top objects must dominate (paper: 84%), got {top3:.2}");
         let storage = run
             .report
-            .find_by_class("int[] (intAddressableElements)")
+            .find_class("int[] (intAddressableElements)")
             .expect("element storage must be reported");
-        let leaf = storage.alloc_path.last().unwrap();
+        let leaf = alloc_leaf(storage);
         let method = run.methods.get(leaf.method).unwrap();
         assert_eq!(method.name, "allocateInternalStorage");
         assert_eq!(method.line_for_bci(leaf.bci), 292);

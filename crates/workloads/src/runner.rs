@@ -8,10 +8,7 @@ use std::time::{Duration, Instant};
 
 use djx_memsim::HierarchyStats;
 use djx_runtime::{MethodRegistry, Runtime, RuntimeStats};
-use djxperf::{
-    AnalysisReport, CodeCentricProfile, DjxPerf, NumaProfile, ObjectCentricProfile, ProfilerConfig,
-    Query, Session,
-};
+use djxperf::{ObjectCentricProfile, ProfilerConfig, Query, QueryResult, Session, SessionBuilder};
 
 use crate::Workload;
 
@@ -45,15 +42,16 @@ pub struct ProfiledRun {
     pub outcome: RunOutcome,
     /// The assembled object-centric profile.
     pub profile: ObjectCentricProfile,
-    /// The merged, ranked analysis of that profile.
-    pub report: AnalysisReport,
+    /// The merged, ranked analysis of that profile: objects by weighted events.
+    pub report: QueryResult,
     /// The runtime's method registry, for symbolizing reports.
     pub methods: MethodRegistry,
     /// Approximate resident bytes of the profiler's data structures at the end of the
     /// run.
     pub profiler_bytes: usize,
-    /// The profiler handle (e.g. to inspect splay-tree statistics).
-    pub profiler: Arc<DjxPerf>,
+    /// The session that profiled the run: lookup statistics, and the code-centric and
+    /// NUMA views when the run collected them ([`run_session`]).
+    pub session: Arc<Session>,
 }
 
 fn finish(name: &str, rt: &Runtime, wall: Duration) -> RunOutcome {
@@ -80,92 +78,63 @@ pub fn run_unprofiled(workload: &dyn Workload) -> RunOutcome {
     finish(&workload.name(), &rt, start.elapsed())
 }
 
-/// Runs a workload with DJXPerf attached from the start (launch mode) and returns both
-/// the measurement and the profiler's output.
+/// Runs a workload with DJXPerf attached from the start (launch mode) collecting the
+/// object-centric view only — the configuration Figure 4's overhead measures — and
+/// returns both the measurement and the profiler's output.
 ///
 /// # Panics
 ///
 /// Panics if the workload itself fails.
 pub fn run_profiled(workload: &dyn Workload, config: ProfilerConfig) -> ProfiledRun {
-    let mut rt = Runtime::new(workload.runtime_config());
-    let profiler = DjxPerf::attach(&mut rt, config);
-    let start = Instant::now();
-    workload.run(&mut rt).expect("workload must run to completion");
-    rt.shutdown();
-    let wall = start.elapsed();
-
-    let profile = profiler.profile();
-    let report = Query::new()
-        .evaluate(std::slice::from_ref(&profile))
-        .unwrap()
-        .into_analysis_report();
-    ProfiledRun {
-        outcome: finish(&workload.name(), &rt, wall),
-        profile,
-        report,
-        methods: rt.methods().clone(),
-        profiler_bytes: profiler.memory_footprint_bytes(),
-        profiler,
-    }
+    run_with(workload, Session::builder().config(config).collect_objects())
 }
 
-/// The outcome of a session-profiled run: the measurement plus every view one pass of
-/// the unified [`Session`] produces — the object-centric profile and its analysis, the
-/// code-centric baseline and the NUMA view. This replaces the two-run workflow the
-/// Figure 1 comparison previously required.
-pub struct SessionRun {
-    /// The run measurement (wall time includes the profiler's work).
-    pub outcome: RunOutcome,
-    /// The assembled object-centric profile.
-    pub profile: ObjectCentricProfile,
-    /// The merged, ranked analysis of that profile.
-    pub report: AnalysisReport,
-    /// The code-centric (perf-like) profile from the same sampling stream.
-    pub code: CodeCentricProfile,
-    /// The NUMA view from the same sampling stream.
-    pub numa: NumaProfile,
-    /// The runtime's method registry, for symbolizing reports.
-    pub methods: MethodRegistry,
-    /// Approximate resident bytes of the session's data structures at the end of the
-    /// run.
-    pub profiler_bytes: usize,
-    /// The session handle (e.g. to take further snapshots or stream through a sink).
-    pub session: Arc<Session>,
-}
-
-/// Runs a workload once with a multi-collector [`Session`] attached from the start, and
-/// returns the object-centric, code-centric and NUMA views of that single pass.
+/// Runs a workload once with a session collecting the object-centric, code-centric and
+/// NUMA views of that single pass (Figure 1's comparison without a second run); read
+/// the extra views from [`ProfiledRun::session`].
 ///
 /// # Panics
 ///
 /// Panics if the workload itself fails.
-pub fn run_session(workload: &dyn Workload, config: ProfilerConfig) -> SessionRun {
+pub fn run_session(workload: &dyn Workload, config: ProfilerConfig) -> ProfiledRun {
+    run_with(
+        workload,
+        Session::builder()
+            .config(config)
+            .collect_objects()
+            .collect_code()
+            .collect_numa(),
+    )
+}
+
+fn run_with(workload: &dyn Workload, builder: SessionBuilder) -> ProfiledRun {
     let mut rt = Runtime::new(workload.runtime_config());
-    let session = Session::builder()
-        .config(config)
-        .collect_objects()
-        .collect_code()
-        .collect_numa()
-        .attach(&mut rt);
+    let session = builder.attach(&mut rt);
     let start = Instant::now();
     workload.run(&mut rt).expect("workload must run to completion");
     rt.shutdown();
     let wall = start.elapsed();
 
     let profile = session.object_profile().expect("object collector registered");
-    let report = Query::new()
-        .evaluate(std::slice::from_ref(&profile))
-        .unwrap()
-        .into_analysis_report();
-    SessionRun {
+    let report = Query::new().evaluate(&profile).expect("an owned profile always evaluates");
+    ProfiledRun {
         outcome: finish(&workload.name(), &rt, wall),
-        report,
-        code: session.code_profile().expect("code collector registered"),
-        numa: session.numa_profile().expect("numa collector registered"),
         profile,
+        report,
         methods: rt.methods().clone(),
         profiler_bytes: session.memory_footprint_bytes(),
         session,
+    }
+}
+
+/// The leaf allocation frame of an object-grouped query group (test helper).
+#[cfg(test)]
+pub(crate) fn alloc_leaf(group: &djxperf::QueryGroup) -> djx_runtime::Frame {
+    match &group.key {
+        djxperf::GroupKey::Object { alloc_path, .. } => {
+            *alloc_path.last().expect("allocation path")
+        }
+        other => panic!("not an object group: {other:?}"),
     }
 }
 
@@ -244,19 +213,22 @@ mod tests {
     fn session_run_yields_all_views_and_matches_the_legacy_path() {
         let workload = BatikNvalsWorkload::new(Variant::Baseline).scaled(0.1);
         let config = ProfilerConfig::default().with_period(64);
-        let legacy = run_profiled(&workload, config);
+        let objects_only = run_profiled(&workload, config);
         let session = run_session(&workload, config);
 
-        // The multi-collector single pass reproduces the legacy object-centric profile
-        // bit for bit, and the extra views come from the same sampling stream.
-        assert_eq!(session.profile.to_text(), legacy.profile.to_text());
-        assert_eq!(session.outcome.stats.accesses, legacy.outcome.stats.accesses);
-        assert_eq!(session.outcome.modeled_cycles, legacy.outcome.modeled_cycles);
-        assert_eq!(session.code.total_samples, session.profile.total_samples());
-        assert_eq!(session.numa.total_samples(), session.profile.total_samples());
-        assert!(session.code.hottest_location_fraction() > 0.0);
+        // The multi-collector single pass reproduces the objects-only profile bit for
+        // bit, and the extra views come from the same sampling stream.
+        assert_eq!(session.profile.to_text(), objects_only.profile.to_text());
+        assert_eq!(session.outcome.stats.accesses, objects_only.outcome.stats.accesses);
+        assert_eq!(session.outcome.modeled_cycles, objects_only.outcome.modeled_cycles);
+        let code = session.session.code_profile().unwrap();
+        let numa = session.session.numa_profile().unwrap();
+        assert_eq!(code.total_samples, session.profile.total_samples());
+        assert_eq!(numa.total_samples(), session.profile.total_samples());
+        assert!(code.hottest_location_fraction() > 0.0);
+        assert!(objects_only.session.code_profile().is_none(), "objects only");
         assert!(session.profiler_bytes > 0);
-        assert_eq!(session.report.total_samples, legacy.report.total_samples);
+        assert_eq!(session.report.total_samples, objects_only.report.total_samples);
     }
 
     #[test]

@@ -189,7 +189,7 @@ impl Workload for ScalaStmWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{run_profiled, run_unprofiled, speedup};
+    use crate::runner::{alloc_leaf, run_profiled, run_unprofiled, speedup};
     use djx_runtime::RuntimeConfig as RtConfig;
     use djxperf::ProfilerConfig;
 
@@ -234,24 +234,19 @@ mod tests {
         );
         let dispatch = run
             .report
-            .find_by_class("int[] (_wDispatch)")
+            .find_class("int[] (_wDispatch)")
             .expect("_wDispatch must be reported");
         assert!(
             dispatch.fraction_of_total > 0.03,
             "_wDispatch should carry a visible share of misses, got {:.3}",
             dispatch.fraction_of_total
         );
-        let leaf = dispatch.alloc_path.last().unwrap();
+        let leaf = alloc_leaf(dispatch);
         let info = run.methods.get(leaf.method).unwrap();
         assert_eq!(info.name, "grow");
         assert_eq!(info.line_for_bci(leaf.bci), 619);
         // It ranks among the top few objects.
-        let rank = run
-            .report
-            .objects
-            .iter()
-            .position(|o| o.class_name == "int[] (_wDispatch)")
-            .unwrap();
+        let rank = run.report.groups.iter().position(|o| o.label == "int[] (_wDispatch)").unwrap();
         assert!(rank < 3, "expected a top-3 object, got rank {rank}");
     }
 }

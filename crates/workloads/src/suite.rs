@@ -364,9 +364,9 @@ mod tests {
             run_profiled(&bench.build().scaled(0.4), ProfilerConfig::default().with_period(64));
         let rank = run
             .report
-            .objects
+            .groups
             .iter()
-            .position(|o| o.class_name == bench.known_issue_class)
+            .position(|o| o.label == bench.known_issue_class)
             .expect("the injected issue must be reported");
         assert!(rank < 3, "known issue should rank near the top, got {rank}");
     }

@@ -11,7 +11,7 @@
 use djx_workloads::fft::FftWorkload;
 use djx_workloads::runner::{run_profiled, run_unprofiled, speedup};
 use djx_workloads::Variant;
-use djxperf::{ProfilerConfig, ReportOptions};
+use djxperf::{ProfilerConfig, Report, ReportOptions};
 
 fn main() {
     let config = ProfilerConfig::default().with_period(512);
@@ -20,15 +20,15 @@ fn main() {
     let baseline = run_profiled(&FftWorkload::new(Variant::Baseline), config);
     println!(
         "{}",
-        djxperf::render_object_report(
-            &baseline.report,
-            &baseline.methods,
-            ReportOptions { top_objects: 1, top_contexts: 2, full_alloc_paths: true }
-        )
+        Report::query(&baseline.report, &baseline.methods).with_options(ReportOptions {
+            top_objects: 1,
+            top_contexts: 2,
+            full_alloc_paths: true
+        })
     );
     let data = baseline
         .report
-        .find_by_class("double[] (data)")
+        .find_class("double[] (data)")
         .expect("the data array is sampled");
     println!(
         "data array: {:.1}% of sampled L1 misses (paper: 75.5%)\n",

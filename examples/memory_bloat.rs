@@ -30,7 +30,7 @@ fn study(
     println!("== {name} ==");
     println!(
         "{}",
-        Report::object(&profiled.report, &profiled.methods).with_options(ReportOptions {
+        Report::query(&profiled.report, &profiled.methods).with_options(ReportOptions {
             top_objects: 2,
             top_contexts: 2,
             full_alloc_paths: false
@@ -40,7 +40,7 @@ fn study(
         "one-pass Fig. 1 comparison: hottest object {:.1}% of misses vs hottest single \
          code location {:.1}% (same samples, two attributions)",
         profiled.report.hottest().map(|o| o.fraction_of_total * 100.0).unwrap_or(0.0),
-        profiled.code.hottest_location_fraction() * 100.0,
+        profiled.session.code_profile().unwrap().hottest_location_fraction() * 100.0,
     );
 
     let baseline = run_unprofiled(build(Variant::Baseline).as_ref());

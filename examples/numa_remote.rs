@@ -6,9 +6,9 @@
 //! ```
 
 use djx_workloads::numa::{DruidBitmapWorkload, EclipseCollectionsWorkload};
-use djx_workloads::runner::{run_profiled, speedup};
+use djx_workloads::runner::{run_profiled, run_session, speedup};
 use djx_workloads::{Variant, Workload};
-use djxperf::{render_numa_report, ProfilerConfig};
+use djxperf::{ProfilerConfig, Report, ReportOptions};
 
 fn study(
     name: &str,
@@ -18,14 +18,17 @@ fn study(
     build: impl Fn(Variant) -> Box<dyn Workload>,
 ) {
     let config = ProfilerConfig::default().with_period(128);
-    let baseline = run_profiled(build(Variant::Baseline).as_ref(), config);
+    // One pass yields the object ranking and the session's NUMA view.
+    let baseline = run_session(build(Variant::Baseline).as_ref(), config);
     let optimized = run_profiled(build(Variant::Optimized).as_ref(), config);
 
     println!("== {name} ==");
-    println!("{}", render_numa_report(&baseline.report, &baseline.methods, 3));
+    let numa = baseline.session.numa_profile().expect("numa collector registered");
+    let options = ReportOptions { top_objects: 3, ..ReportOptions::default() };
+    println!("{}", Report::numa_view(&numa, &baseline.methods).with_options(options));
 
-    let base_obj = baseline.report.find_by_class(class_name);
-    let opt_obj = optimized.report.find_by_class(class_name);
+    let base_obj = baseline.report.find_class(class_name);
+    let opt_obj = optimized.report.find_class(class_name);
     let base_remote = base_obj.map(|o| o.remote_fraction).unwrap_or(0.0);
     let opt_remote = opt_obj.map(|o| o.remote_fraction).unwrap_or(0.0);
     println!(

@@ -92,15 +92,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 5. The replayed profile answers offline queries like any profile file.
-    let report = Query::new()
-        .top(3)
-        .min_samples(1)
-        .evaluate(&[replayed][..])?
-        .into_analysis_report();
+    let report = Query::new().top(3).min_samples(1).evaluate(&replayed)?;
     let hottest = report.hottest().expect("the float[] site received samples");
     println!(
         "hottest object from the replayed stream: {} with {:.1}% of sampled misses",
-        hottest.class_name,
+        hottest.label,
         hottest.fraction_of_total * 100.0
     );
 

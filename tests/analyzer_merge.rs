@@ -1,15 +1,11 @@
-//! The offline analyzer (§5.2): merging per-thread profiles of a multi-threaded run,
-//! merging profiles from separate runs (multiple service instances), and the ranking
-//! invariants the case studies rely on.
-//!
-//! `Analyzer` is deprecated in favour of `Query`; these tests deliberately keep
-//! exercising the shim until it is removed.
-#![allow(deprecated)]
+//! The offline analyzer (§5.2), answered by `Query`: merging per-thread profiles of a
+//! multi-threaded run, merging profiles from separate runs (multiple service
+//! instances), and the ranking invariants the case studies rely on.
 
 use djx_workloads::runner::run_profiled;
 use djx_workloads::suite::suite_catalog;
 use djx_workloads::Variant;
-use djxperf::{Analyzer, ProfilerConfig};
+use djxperf::{ObjectCentricProfile, ProfilerConfig, Query};
 
 fn multi_threaded_run() -> djx_workloads::runner::ProfiledRun {
     let mut workload = suite_catalog().iter().find(|b| b.name == "fj-kmeans").unwrap().build();
@@ -32,7 +28,7 @@ fn merging_coalesces_the_same_allocation_site_across_threads() {
     // there must be a single report entry carrying all four allocations.
     let working_set = run
         .report
-        .find_by_class("long[] (working set)")
+        .find_class("long[] (working set)")
         .expect("working-set arrays sampled");
     assert_eq!(working_set.metrics.allocations, 4);
     let per_thread_samples: u64 = run
@@ -42,7 +38,7 @@ fn merging_coalesces_the_same_allocation_site_across_threads() {
         .flat_map(|t| t.sites.values())
         .map(|s| s.total.samples)
         .sum();
-    let merged_samples: u64 = run.report.objects.iter().map(|o| o.metrics.samples).sum();
+    let merged_samples: u64 = run.report.groups.iter().map(|o| o.metrics.samples).sum();
     assert_eq!(per_thread_samples, merged_samples, "merging neither drops nor duplicates samples");
 }
 
@@ -62,41 +58,45 @@ fn profiles_from_multiple_instances_merge_by_site_identity() {
     let run_a = run_profiled(&workload, ProfilerConfig::default().with_period(64));
     let run_b = run_profiled(&workload, ProfilerConfig::default().with_period(64));
 
-    let merged = Analyzer::new().analyze_many(&[run_a.profile.clone(), run_b.profile.clone()]);
-    let single = Analyzer::new().analyze(&run_a.profile);
+    let merged = Query::new()
+        .evaluate(&[run_a.profile.clone(), run_b.profile.clone()][..])
+        .unwrap();
+    let single = Query::new().evaluate(&run_a.profile).unwrap();
 
     assert_eq!(merged.total_samples, run_a.profile.total_samples() + run_b.profile.total_samples());
     assert_eq!(
-        merged.objects.len(),
-        single.objects.len(),
+        merged.groups.len(),
+        single.groups.len(),
         "the same sites must coalesce rather than duplicate"
     );
-    let merged_nvals = merged.find_by_class("float[] (nvals)").unwrap();
-    let a_nvals = Analyzer::new().analyze(&run_a.profile);
-    let b_nvals = Analyzer::new().analyze(&run_b.profile);
+    let merged_nvals = merged.find_class("float[] (nvals)").unwrap();
+    let a_nvals = Query::new().evaluate(&run_a.profile).unwrap();
+    let b_nvals = Query::new().evaluate(&run_b.profile).unwrap();
     assert_eq!(
         merged_nvals.metrics.samples,
-        a_nvals.find_by_class("float[] (nvals)").unwrap().metrics.samples
-            + b_nvals.find_by_class("float[] (nvals)").unwrap().metrics.samples
+        a_nvals.find_class("float[] (nvals)").unwrap().metrics.samples
+            + b_nvals.find_class("float[] (nvals)").unwrap().metrics.samples
     );
 
     // The same merge through the textual profile files.
-    let text_a = run_a.profile.to_text();
-    let text_b = run_b.profile.to_text();
-    let from_text = Analyzer::new().analyze_texts(&[&text_a, &text_b]).unwrap();
+    let from_text: Vec<ObjectCentricProfile> = [run_a.profile.to_text(), run_b.profile.to_text()]
+        .iter()
+        .map(|text| ObjectCentricProfile::parse(text).unwrap())
+        .collect();
+    let from_text = Query::new().evaluate(&from_text[..]).unwrap();
     assert_eq!(from_text.total_samples, merged.total_samples);
-    assert_eq!(from_text.objects.len(), merged.objects.len());
+    assert_eq!(from_text.groups.len(), merged.groups.len());
 }
 
 #[test]
 fn analysis_is_deterministic_for_a_given_profile() {
     let run = multi_threaded_run();
-    let a = Analyzer::new().analyze(&run.profile);
-    let b = Analyzer::new().analyze(&run.profile);
+    let a = Query::new().evaluate(&run.profile).unwrap();
+    let b = Query::new().evaluate(&run.profile).unwrap();
     assert_eq!(a.total_samples, b.total_samples);
-    assert_eq!(a.objects.len(), b.objects.len());
-    for (x, y) in a.objects.iter().zip(&b.objects) {
-        assert_eq!(x.class_name, y.class_name);
+    assert_eq!(a.groups.len(), b.groups.len());
+    for (x, y) in a.groups.iter().zip(&b.groups) {
+        assert_eq!(x.label, y.label);
         assert_eq!(x.metrics, y.metrics);
     }
 }

@@ -17,9 +17,9 @@ fn every_table1_case_surfaces_its_problem_object_near_the_top() {
         );
         let rank = run
             .report
-            .objects
+            .groups
             .iter()
-            .position(|o| o.class_name == case.problem_class)
+            .position(|o| o.label == case.problem_class)
             .unwrap_or_else(|| {
                 panic!("{}: {} missing from the report", case.name, case.problem_class)
             });
@@ -30,7 +30,7 @@ fn every_table1_case_surfaces_its_problem_object_near_the_top() {
             case.problem_class,
             rank + 1
         );
-        let object = &run.report.objects[rank];
+        let object = &run.report.groups[rank];
         match case.kind {
             CaseKind::Numa => assert!(
                 object.remote_fraction > 0.4,
@@ -95,7 +95,7 @@ fn table2_objects_are_insignificant_and_their_optimization_is_futile() {
         let baseline_workload = case.build(Variant::Baseline).scaled(0.4);
         let run = run_profiled(&baseline_workload, ProfilerConfig::default().with_period(128));
         let class = format!("{} (cold)", case.class_name);
-        let fraction = run.report.find_by_class(&class).map(|o| o.fraction_of_total).unwrap_or(0.0);
+        let fraction = run.report.find_class(&class).map(|o| o.fraction_of_total).unwrap_or(0.0);
         assert!(
             fraction < 0.08,
             "{}: Table 2 objects must stay below a few percent of misses, got {fraction:.3}",
@@ -126,8 +126,8 @@ fn hot_objects_rank_above_cold_objects_with_more_allocations() {
         &djx_workloads::bloat::LusearchCollectorWorkload::new(Variant::Baseline),
         ProfilerConfig::default().with_period(256),
     );
-    let nvals = batik.report.find_by_class("float[] (nvals)").unwrap();
-    let collector = lusearch.report.find_by_class("TopDocCollector").unwrap();
+    let nvals = batik.report.find_class("float[] (nvals)").unwrap();
+    let collector = lusearch.report.find_class("TopDocCollector").unwrap();
     assert!(collector.metrics.allocations > nvals.metrics.allocations);
     assert!(nvals.fraction_of_total > 4.0 * collector.fraction_of_total);
 }

@@ -4,7 +4,7 @@
 use djx_workloads::bloat::BatikNvalsWorkload;
 use djx_workloads::runner::run_profiled;
 use djx_workloads::Variant;
-use djxperf::{ObjectCentricProfile, ProfilerConfig, Query, ReportOptions};
+use djxperf::{ObjectCentricProfile, ProfilerConfig, Query, Report, Session};
 
 fn profiled_run() -> djx_workloads::runner::ProfiledRun {
     run_profiled(
@@ -41,14 +41,14 @@ fn report_fractions_are_well_formed_and_ordered() {
     assert!(report.attributed_fraction() <= 1.0 + 1e-9);
     let mut previous = u64::MAX;
     let mut fraction_sum = 0.0;
-    for object in &report.objects {
+    for object in &report.groups {
         assert!(object.metrics.weighted_events <= previous, "objects sorted hottest-first");
         previous = object.metrics.weighted_events;
         assert!((0.0..=1.0).contains(&object.fraction_of_total));
         assert!((0.0..=1.0).contains(&object.remote_fraction));
         fraction_sum += object.fraction_of_total;
-        let ctx_sum: f64 = object.access_contexts.iter().map(|c| c.fraction_of_object).sum();
-        if !object.access_contexts.is_empty() {
+        let ctx_sum: f64 = object.contexts.iter().map(|c| c.fraction_of_object).sum();
+        if !object.contexts.is_empty() {
             assert!((ctx_sum - 1.0).abs() < 1e-6, "per-object context fractions sum to 1");
         }
     }
@@ -74,17 +74,14 @@ fn profile_file_round_trip_preserves_the_analysis() {
     assert!(text.starts_with("djxperf-profile v1"));
 
     let reparsed = ObjectCentricProfile::parse(&text).expect("codec round trip");
-    let analyze = |p: &ObjectCentricProfile| {
-        Query::new().evaluate(std::slice::from_ref(p)).unwrap().into_analysis_report()
-    };
+    let analyze = |p: &ObjectCentricProfile| Query::new().evaluate(p).unwrap();
     let report_a = analyze(&run.profile);
     let report_b = analyze(&reparsed);
     assert_eq!(report_a.total_samples, report_b.total_samples);
-    assert_eq!(report_a.objects.len(), report_b.objects.len());
-    for (a, b) in report_a.objects.iter().zip(&report_b.objects) {
-        assert_eq!(a.class_name, b.class_name);
+    assert_eq!(report_a.groups.len(), report_b.groups.len());
+    for (a, b) in report_a.groups.iter().zip(&report_b.groups) {
+        assert_eq!(a.key, b.key, "same class and allocation path");
         assert_eq!(a.metrics, b.metrics);
-        assert_eq!(a.alloc_path, b.alloc_path);
     }
     // And the offline workflow parses the text back into a queryable profile.
     let report_c = analyze(&ObjectCentricProfile::parse(&text).unwrap());
@@ -94,7 +91,7 @@ fn profile_file_round_trip_preserves_the_analysis() {
 #[test]
 fn rendered_report_names_the_problematic_object_and_its_source_location() {
     let run = profiled_run();
-    let text = djxperf::render_object_report(&run.report, &run.methods, ReportOptions::default());
+    let text = Report::query(&run.report, &run.methods).to_string();
     assert!(text.contains("float[] (nvals)"));
     assert!(text.contains("ExtendedGeneralPath.makeRoom (ExtendedGeneralPath.java:743)"));
     assert!(text.contains("% of sampled events"));
@@ -108,17 +105,17 @@ fn detach_mode_profile_is_a_prefix_of_the_full_measurement() {
 
     let workload = BatikNvalsWorkload::new(Variant::Baseline).scaled(0.2);
     let mut rt = Runtime::new(workload.runtime_config());
-    let profiler = djxperf::DjxPerf::attach(&mut rt, ProfilerConfig::default().with_period(64));
+    let session = Session::builder().period(64).collect_objects().attach(&mut rt);
     workload.run(&mut rt).unwrap();
 
     // Detach, keep the program running, and verify the snapshot is stable afterwards.
-    let snapshot = profiler.profile();
-    assert!(profiler.detach(&mut rt));
+    let snapshot = session.object_profile().unwrap();
+    assert!(session.detach(&mut rt));
     let class = rt.register_array_class("byte[] (post-detach)", 1);
     let t = rt.spawn_thread("late");
     let arr = rt.alloc_array(t, class, 64 * 1024).unwrap();
     dsl::sequential_sweep(&mut rt, t, &arr).unwrap();
-    let after = profiler.profile();
+    let after = session.object_profile().unwrap();
     assert_eq!(snapshot.total_samples(), after.total_samples());
     assert_eq!(snapshot.allocation_stats, after.allocation_stats);
     assert!(after.sites.iter().all(|s| s.class_name != "byte[] (post-detach)"));

@@ -4,13 +4,15 @@
 use std::sync::Arc;
 
 use djx_runtime::{dsl, GcConfig, HeapConfig, Runtime, RuntimeConfig};
-use djxperf::{AnalysisReport, DjxPerf, ObjectCentricProfile, ProfilerConfig, Query};
+use djxperf::{GroupKey, ObjectCentricProfile, ProfilerConfig, Query, QueryResult, Session};
 
-fn analyze(profile: &ObjectCentricProfile) -> AnalysisReport {
-    Query::new()
-        .evaluate(std::slice::from_ref(profile))
-        .unwrap()
-        .into_analysis_report()
+fn analyze(profile: &ObjectCentricProfile) -> QueryResult {
+    Query::new().evaluate(profile).unwrap()
+}
+
+/// An objects-only session with `config`, attached to `rt`.
+fn attach(rt: &mut Runtime, config: ProfilerConfig) -> Arc<Session> {
+    Session::builder().config(config).collect_objects().attach(rt)
 }
 
 /// A runtime with a small heap and an aggressive proactive GC, so compactions (and the
@@ -25,7 +27,7 @@ fn churny_runtime() -> Runtime {
 #[test]
 fn attribution_survives_heavy_compaction() {
     let mut rt = churny_runtime();
-    let profiler = DjxPerf::attach(&mut rt, ProfilerConfig::default().with_period(32));
+    let profiler = attach(&mut rt, ProfilerConfig::default().with_period(32));
     let class = rt.register_array_class("long[] (survivor)", 8);
     let junk_class = rt.register_array_class("byte[] (junk)", 1);
     let site = rt.register_method("Churn", "allocate", "Churn.java", &[(0, 10)]);
@@ -63,8 +65,8 @@ fn attribution_survives_heavy_compaction() {
     assert!(stats.relocations > 0, "the survivor must have been moved and re-indexed");
     assert!(stats.reclamations > 0, "junk must have been removed from the splay tree");
 
-    let report = analyze(&profiler.profile());
-    let survivor_report = report.find_by_class("long[] (survivor)").expect("survivor attributed");
+    let report = analyze(&profiler.object_profile().unwrap());
+    let survivor_report = report.find_class("long[] (survivor)").expect("survivor attributed");
     assert!(survivor_report.metrics.samples > 0);
     // Samples taken after relocations still resolve: nothing leaks into the
     // unattributed bucket beyond a small tail (junk is below its first touch or filtered).
@@ -78,7 +80,7 @@ fn attribution_survives_heavy_compaction() {
 #[test]
 fn address_reuse_after_reclamation_attributes_to_the_new_object() {
     let mut rt = Runtime::new(RuntimeConfig::small());
-    let profiler = DjxPerf::attach(&mut rt, ProfilerConfig::default().with_period(8));
+    let profiler = attach(&mut rt, ProfilerConfig::default().with_period(8));
     let old_class = rt.register_array_class("double[] (old generation)", 8);
     let new_class = rt.register_array_class("double[] (new tenant)", 8);
     let t = rt.spawn_thread("main");
@@ -92,10 +94,10 @@ fn address_reuse_after_reclamation_attributes_to_the_new_object() {
     dsl::sequential_sweep(&mut rt, t, &new).unwrap();
     rt.shutdown();
 
-    let report = analyze(&profiler.profile());
-    let new_report = report.find_by_class("double[] (new tenant)").expect("new object sampled");
+    let report = analyze(&profiler.object_profile().unwrap());
+    let new_report = report.find_class("double[] (new tenant)").expect("new object sampled");
     assert!(new_report.metrics.samples > 0);
-    let old_report = report.find_by_class("double[] (old generation)");
+    let old_report = report.find_class("double[] (old generation)");
     assert_eq!(
         old_report.map(|o| o.metrics.samples).unwrap_or(0),
         0,
@@ -117,7 +119,7 @@ fn attach_mode_tracks_objects_first_seen_when_the_gc_moves_them() {
 
     // Attach mid-run (the paper's attach/detach mode for production services).
     let profiler =
-        DjxPerf::attach(&mut rt, ProfilerConfig::default().with_period(16).with_attach_mode(true));
+        attach(&mut rt, ProfilerConfig::default().with_period(16).with_attach_mode(true));
     assert_eq!(profiler.allocation_stats().callbacks, 0, "the early allocations were missed");
 
     // A collection moves the pre-attach survivor; attach mode must start tracking it.
@@ -126,15 +128,14 @@ fn attach_mode_tracks_objects_first_seen_when_the_gc_moves_them() {
     dsl::sequential_sweep(&mut rt, t, &early).unwrap();
     rt.shutdown();
 
-    let profile = profiler.profile();
-    let report = analyze(&profile);
+    let report = analyze(&profiler.object_profile().unwrap());
     let unattributed_site = report
-        .objects
-        .iter()
-        .find(|o| o.class_name == djxperf::AllocSiteRegistry::UNATTRIBUTED_CLASS)
+        .find_class(djxperf::AllocSiteRegistry::UNATTRIBUTED_CLASS)
         .expect("attach mode records the moved object under the unattributed site");
     assert!(unattributed_site.metrics.samples > 0);
-    assert!(unattributed_site.alloc_path.is_empty());
+    assert!(
+        matches!(&unattributed_site.key, GroupKey::Object { alloc_path, .. } if alloc_path.is_empty())
+    );
 }
 
 #[test]
@@ -144,13 +145,13 @@ fn without_attach_mode_pre_attach_objects_stay_unattributed() {
     let t = rt.spawn_thread("main");
     let early = rt.alloc_array(t, class, 8 * 1024).unwrap();
 
-    let profiler = DjxPerf::attach(&mut rt, ProfilerConfig::default().with_period(16));
+    let profiler = attach(&mut rt, ProfilerConfig::default().with_period(16));
     rt.collect_garbage();
     dsl::sequential_sweep(&mut rt, t, &early).unwrap();
     rt.shutdown();
 
     assert_eq!(profiler.allocation_stats().unknown_moves, 0);
-    let profile = profiler.profile();
+    let profile = profiler.object_profile().unwrap();
     assert!(
         profile.threads[0].unattributed.samples > 0,
         "samples on the unknown object fall through"
@@ -163,6 +164,6 @@ fn listener_sharing_is_thread_safe_by_construction() {
     // The profiler is shared as Arc<dyn RuntimeListener>; assert it is Send + Sync so the
     // logical-thread simulation could be driven from real threads as well.
     fn assert_send_sync<T: Send + Sync>(_: &T) {}
-    let profiler = Arc::new(DjxPerf::new(ProfilerConfig::default()));
+    let profiler = Session::builder().collect_objects().build();
     assert_send_sync(&profiler);
 }

@@ -2,27 +2,34 @@
 //! the behaviour of the remote-access metrics and the NUMA report rendering.
 
 use djx_workloads::numa::{DruidBitmapWorkload, EclipseCollectionsWorkload};
-use djx_workloads::runner::run_profiled;
+use djx_workloads::runner::{run_profiled, run_session, ProfiledRun};
 use djx_workloads::Variant;
-use djxperf::{render_numa_report, ProfilerConfig};
+use djxperf::{ProfilerConfig, Report, ReportOptions};
 
 fn config() -> ProfilerConfig {
     ProfilerConfig::default().with_period(64)
 }
 
+/// The top-3 NUMA report of a run profiled with [`run_session`].
+fn numa_report(run: &ProfiledRun) -> String {
+    let numa = run.session.numa_profile().expect("numa collector registered");
+    let options = ReportOptions { top_objects: 3, ..ReportOptions::default() };
+    Report::numa_view(&numa, &run.methods).with_options(options).to_string()
+}
+
 #[test]
 fn eclipse_result_array_is_flagged_with_a_high_remote_fraction() {
-    let run = run_profiled(&EclipseCollectionsWorkload::new(Variant::Baseline), config());
-    let result = run.report.find_by_class("Integer[] (result)").expect("result array reported");
+    let run = run_session(&EclipseCollectionsWorkload::new(Variant::Baseline), config());
+    let result = run.report.find_class("Integer[] (result)").expect("result array reported");
     assert!(
         result.remote_fraction > 0.5,
         "paper reports 73.4% remote; got {:.2}",
         result.remote_fraction
     );
     // The remote ranking puts it first and the NUMA report names it with its site.
-    let ranked = run.report.ranked_by_remote();
-    assert_eq!(ranked.first().unwrap().class_name, "Integer[] (result)");
-    let text = render_numa_report(&run.report, &run.methods, 3);
+    let numa = run.session.numa_profile().unwrap();
+    assert_eq!(numa.ranked_remote().first().unwrap().0.class_name, "Integer[] (result)");
+    let text = numa_report(&run);
     assert!(text.contains("Integer[] (result)"));
     assert!(text.contains("Interval.toArray (Interval.java:758)"));
 }
@@ -31,8 +38,8 @@ fn eclipse_result_array_is_flagged_with_a_high_remote_fraction() {
 fn eclipse_interleaved_allocation_halves_the_remote_fraction() {
     let base = run_profiled(&EclipseCollectionsWorkload::new(Variant::Baseline), config());
     let opt = run_profiled(&EclipseCollectionsWorkload::new(Variant::Optimized), config());
-    let base_remote = base.report.find_by_class("Integer[] (result)").unwrap().remote_fraction;
-    let opt_remote = opt.report.find_by_class("Integer[] (result)").unwrap().remote_fraction;
+    let base_remote = base.report.find_class("Integer[] (result)").unwrap().remote_fraction;
+    let opt_remote = opt.report.find_class("Integer[] (result)").unwrap().remote_fraction;
     assert!(
         opt_remote < base_remote - 0.1,
         "interleaving must reduce the object's remote fraction: {base_remote:.2} -> {opt_remote:.2}"
@@ -47,8 +54,8 @@ fn eclipse_interleaved_allocation_halves_the_remote_fraction() {
 fn druid_bitmap_remote_accesses_disappear_with_first_touch_initialization() {
     let base = run_profiled(&DruidBitmapWorkload::new(Variant::Baseline), config());
     let opt = run_profiled(&DruidBitmapWorkload::new(Variant::Optimized), config());
-    let base_bitmap = base.report.find_by_class("long[] (bitmap)").unwrap();
-    let opt_bitmap = opt.report.find_by_class("long[] (bitmap)").unwrap();
+    let base_bitmap = base.report.find_class("long[] (bitmap)").unwrap();
+    let opt_bitmap = opt.report.find_class("long[] (bitmap)").unwrap();
     assert!(
         base_bitmap.remote_fraction > 0.4,
         "paper: >50% remote, got {:.2}",
@@ -67,16 +74,16 @@ fn local_workloads_report_no_remote_objects() {
     // A single-node-style workload (everything first-touched and read by the same
     // thread) must not be flagged.
     use djx_workloads::bloat::BatikNvalsWorkload;
-    let run = run_profiled(&BatikNvalsWorkload::new(Variant::Baseline).scaled(0.2), config());
-    for object in &run.report.objects {
+    let run = run_session(&BatikNvalsWorkload::new(Variant::Baseline).scaled(0.2), config());
+    for object in &run.report.groups {
         assert!(
             object.remote_fraction < 0.05,
             "{} should not look remote ({:.2})",
-            object.class_name,
+            object.label,
             object.remote_fraction
         );
     }
-    let text = render_numa_report(&run.report, &run.methods, 3);
+    let text = numa_report(&run);
     assert!(
         text.contains("no monitored object shows remote accesses") || !text.contains("remote 9")
     );
@@ -85,7 +92,7 @@ fn local_workloads_report_no_remote_objects() {
 #[test]
 fn remote_sample_counts_are_consistent_with_fractions() {
     let run = run_profiled(&EclipseCollectionsWorkload::new(Variant::Baseline), config());
-    for object in &run.report.objects {
+    for object in &run.report.groups {
         let m = &object.metrics;
         assert_eq!(m.remote_samples + m.local_samples, m.samples);
         let expected =

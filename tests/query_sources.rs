@@ -14,14 +14,12 @@ use std::time::Duration;
 
 use djx_memsim::{AccessOutcome, HierarchyConfig, MemoryAccess, MemoryHierarchy};
 use djx_runtime::{
-    dsl, AllocationEvent, ClassId, Frame, MemoryAccessEvent, MethodId, ObjectId, Runtime,
-    RuntimeConfig, RuntimeListener, ThreadId,
+    AllocationEvent, ClassId, Frame, MemoryAccessEvent, MethodId, ObjectId, RuntimeListener,
+    ThreadId,
 };
-#[allow(deprecated)] // the shim-identity test below deliberately drives the legacy Analyzer
-use djxperf::Analyzer;
 use djxperf::{
     BinaryFrameReader, DrainPolicy, EpochLog, GroupBy, LogRecord, MultiSource, Query, RankBy,
-    Report, Session, SharedBuffer,
+    Session, SharedBuffer,
 };
 
 const PROCESSES: u64 = 3;
@@ -204,45 +202,53 @@ fn every_source_shape_answers_one_query_identically() {
     assert_eq!(union.query(&query).unwrap().to_text(), live.to_text());
 }
 
+/// A FIFO blocks its reader until a writer shows up: while one thread's
+/// `EpochLog::open` sits in that read, an open of a regular log on another thread must
+/// still return — the process-wide fold cache is not held across file reads.
+#[cfg(unix)]
 #[test]
-#[allow(deprecated)] // deliberately compares the deprecated shim against Query
-fn analyzer_shim_and_query_render_identical_object_sections() {
-    // A runtime-driven workload (GC moves included) through the legacy analyzer and
-    // through the query layer: the shim must stay bit-identical, and the shared
-    // object renderer must produce the same per-object sections for both.
-    let mut rt = Runtime::new(RuntimeConfig::small());
-    let session = Session::builder().period(16).collect_objects().attach(&mut rt);
-    let class = rt.register_array_class("float[]", 4);
-    let method = dsl::MethodSpec::at_line("ExtendedGeneralPath", "makeRoom", "E.java", 743)
-        .register(&mut rt);
-    let thread = rt.spawn_thread("main");
-    dsl::bloat_loop(&mut rt, thread, class, method, 0, 150, 512, 32).unwrap();
-    rt.finish_thread(thread).unwrap();
-    rt.shutdown();
+fn a_blocked_log_read_does_not_stall_other_epoch_log_opens() {
+    use std::io::Write as _;
+    use std::sync::mpsc;
 
-    let profile = session.object_profile().unwrap();
-    let analyzer = Analyzer::builder().top(10).min_samples(1).build();
-    let report = analyzer.analyze(&profile);
-    let query = Query::new().top(10).min_samples(1);
-    let result = query.evaluate(&profile).unwrap();
+    let dir = std::env::temp_dir();
+    let fifo = dir.join(format!("djxperf-epochlog-fifo-{}", std::process::id()));
+    let regular = dir.join(format!("djxperf-epochlog-regular-{}.txt", std::process::id()));
+    let _ = std::fs::remove_file(&fifo);
+    assert!(std::process::Command::new("mkfifo").arg(&fifo).status().unwrap().success());
+    let empty = Session::builder().collect_objects().build().object_profile().unwrap();
+    std::fs::write(&regular, empty.to_text()).unwrap();
 
-    // Same totals, same ranking, same fractions.
-    assert_eq!(report.total_samples, result.total_samples);
-    assert_eq!(report.total_weighted_events, result.total_weighted_events);
-    assert_eq!(report.attributed_weighted_events, result.attributed_weighted_events);
-    assert_eq!(report.objects.len(), result.groups.len());
-    for (object, group) in report.objects.iter().zip(&result.groups) {
-        assert_eq!(object.class_name, group.label);
-        assert_eq!(object.metrics, group.metrics);
-        assert_eq!(object.fraction_of_total, group.fraction_of_total);
-    }
+    let blocked = {
+        let fifo = fifo.clone();
+        std::thread::spawn(move || EpochLog::open(&fifo).is_err())
+    };
+    // The FIFO reader blocks inside a system call, which no barrier can signal from;
+    // give it time to get there.
+    std::thread::sleep(Duration::from_millis(200));
+    let (tx, rx) = mpsc::channel();
+    let other = {
+        let regular = regular.clone();
+        std::thread::spawn(move || {
+            let _ = tx.send(EpochLog::open(&regular).map(|log| log.profile().to_text()));
+        })
+    };
+    let opened = rx.recv_timeout(Duration::from_secs(2));
 
-    // The symbolized renderings share one object renderer: everything after the
-    // title line is byte-identical.
-    let legacy = Report::object(&report, rt.methods()).to_string();
-    let query_view = Report::query(&result, rt.methods()).to_string();
-    let body = |s: &str| s.split_once('\n').unwrap().1.to_string();
-    assert_eq!(body(&legacy), body(&query_view));
+    // Unblock the FIFO reader: it reads garbage and fails to parse.
+    std::fs::File::options()
+        .write(true)
+        .open(&fifo)
+        .unwrap()
+        .write_all(b"garbage")
+        .unwrap();
+    assert!(blocked.join().unwrap(), "garbage from the FIFO does not parse");
+    other.join().unwrap();
+    std::fs::remove_file(&fifo).unwrap();
+    std::fs::remove_file(&regular).unwrap();
+
+    let opened = opened.expect("the regular log opened while the FIFO read was blocked");
+    assert_eq!(opened.unwrap(), empty.to_text());
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! The unified session pipeline, end to end: one pass over a workload yields the
 //! object-centric report, the code-centric report and the NUMA report; the
-//! object-centric results are identical to the legacy `DjxPerf::attach` path on the
-//! same seeded runtime; and both `ProfileSink` backends round-trip the profiles of the
-//! workload suite.
+//! object-centric results are identical to an objects-only session on the same seeded
+//! runtime; and both `ProfileSink` backends round-trip the profiles of the workload
+//! suite.
 
 use djx_workloads::figure1::{expected_object_percent, Figure1Workload};
 use djx_workloads::numa::EclipseCollectionsWorkload;
@@ -18,33 +18,33 @@ fn config() -> ProfilerConfig {
 fn one_session_pass_yields_all_three_reports_and_matches_the_legacy_path() {
     let workload = EclipseCollectionsWorkload::new(Variant::Baseline);
     let session = run_session(&workload, config());
-    let legacy = run_profiled(&workload, config());
+    let objects_only = run_profiled(&workload, config());
 
-    // Object-centric results are identical to the legacy two-listener architecture:
-    // the canonical profile file is bit-for-bit the same.
-    assert_eq!(session.profile.to_text(), legacy.profile.to_text());
+    // Object-centric results are identical to an objects-only session: the canonical
+    // profile file is bit-for-bit the same.
+    assert_eq!(session.profile.to_text(), objects_only.profile.to_text());
 
     // All three views of the single pass render, and they name the same problem object
     // the paper's case study names.
-    let object_text = Report::object(&session.report, &session.methods).to_string();
+    let object_text = Report::query(&session.report, &session.methods).to_string();
     assert!(object_text.contains("Integer[] (result)"));
 
-    let numa_text = Report::numa(&session.report, &session.methods).to_string();
+    let numa = session.session.numa_profile().expect("numa collector registered");
+    let numa_text = Report::numa_view(&numa, &session.methods).to_string();
     assert!(numa_text.contains("Integer[] (result)"));
     assert!(numa_text.contains("Interval.toArray (Interval.java:758)"));
 
-    let code_text = Report::code_centric(&session.code, &session.methods).to_string();
+    let code = session.session.code_profile().expect("code collector registered");
+    let code_text = Report::code_centric(&code, &session.methods).to_string();
     assert!(code_text.contains("code-centric"));
-    assert!(session.code.total_samples > 0);
+    assert!(code.total_samples > 0);
 
-    // The session's own NUMA view agrees with the analyzer's remote ranking and shows
+    // The session's own NUMA view agrees with the query's remote ranking and shows
     // actual cross-node traffic for this two-node workload.
-    let numa_view_text = Report::numa_view(&session.numa, &session.methods).to_string();
-    assert!(numa_view_text.contains("Integer[] (result)"));
-    assert!(session.numa.remote_fraction() > 0.0);
-    assert!(session.numa.node_traffic.iter().any(|((cpu, page), _)| cpu != page));
-    let ranked = session.numa.ranked_remote();
-    assert_eq!(ranked[0].0.class_name, session.report.ranked_by_remote()[0].class_name);
+    assert!(numa.remote_fraction() > 0.0);
+    assert!(numa.node_traffic.iter().any(|((cpu, page), _)| cpu != page));
+    let remote = Query::new().rank_by(RankBy::RemoteSamples).evaluate(&session.profile).unwrap();
+    assert_eq!(numa.ranked_remote()[0].0.class_name, remote.groups[0].label);
 }
 
 #[test]
@@ -55,7 +55,7 @@ fn figure1_comparison_needs_only_one_run() {
     let session = run_session(&Figure1Workload::new(), ProfilerConfig::default().with_period(8));
 
     let hottest_object = session.report.hottest().expect("objects sampled").fraction_of_total;
-    let hottest_code = session.code.hottest_location_fraction();
+    let hottest_code = session.session.code_profile().unwrap().hottest_location_fraction();
     assert!(
         hottest_object > hottest_code,
         "object-centric aggregation must dominate: {hottest_object:.2} vs {hottest_code:.2}"
@@ -113,23 +113,18 @@ fn session_streams_snapshots_through_sinks_after_the_run() {
 fn analyzer_builder_views_agree_with_the_report_helpers() {
     let session = run_session(&EclipseCollectionsWorkload::new(Variant::Baseline), config());
 
-    // Remote ranking through the builder matches the report-level helper.
+    // Remote ranking through the query builder matches the NUMA collector's ranking.
     let remote = Query::new()
         .rank_by(RankBy::RemoteSamples)
         .min_samples(1)
-        .evaluate(std::slice::from_ref(&session.profile))
-        .unwrap()
-        .into_analysis_report();
-    let helper_ranked = session.report.ranked_by_remote();
-    assert_eq!(remote.objects[0].class_name, helper_ranked[0].class_name);
+        .evaluate(&session.profile)
+        .unwrap();
+    let numa = session.session.numa_profile().unwrap();
+    assert_eq!(remote.groups[0].label, numa.ranked_remote()[0].0.class_name);
 
     // Truncation keeps totals (fractions stay comparable across views).
-    let top1 = Query::new()
-        .top(1)
-        .evaluate(std::slice::from_ref(&session.profile))
-        .unwrap()
-        .into_analysis_report();
-    assert_eq!(top1.objects.len(), 1);
+    let top1 = Query::new().top(1).evaluate(&session.profile).unwrap();
+    assert_eq!(top1.groups.len(), 1);
     assert_eq!(top1.total_samples, session.report.total_samples);
-    assert_eq!(top1.objects[0].class_name, session.report.objects[0].class_name);
+    assert_eq!(top1.groups[0].label, session.report.groups[0].label);
 }
