@@ -52,4 +52,8 @@ fn main() {
         "paper: all 5 issues reported by prior work are identified.  reproduction: {}",
         if found_all { "all 5 identified" } else { "NOT all identified" }
     );
+    if !found_all {
+        eprintln!("accuracy: missed the paper anchor (all 5 identified)");
+        std::process::exit(1);
+    }
 }

@@ -60,13 +60,12 @@ fn main() {
     println!("(c) object-centric profiling (DJXPerf):");
     println!("{}", object_table.render());
 
-    let hottest_code = code_profile.hottest_location_fraction();
-    let hottest_object = report.hottest().map(|o| o.fraction_of_total).unwrap_or(0.0);
+    let hottest_code = fmt_percent(code_profile.hottest_location_fraction());
+    let hottest_object = fmt_percent(report.hottest().map(|o| o.fraction_of_total).unwrap_or(0.0));
     println!(
-        "hottest instruction: {}   hottest object: {}   (paper: 24% vs 50%)",
-        fmt_percent(hottest_code),
-        fmt_percent(hottest_object)
+        "hottest instruction: {hottest_code}   hottest object: {hottest_object}   (paper: 24% vs 50%)"
     );
+    let on_anchor = hottest_code == "24.0%" && hottest_object == "50.0%";
     println!("\nFull object-centric report for the top object:\n");
     println!(
         "{}",
@@ -76,4 +75,8 @@ fn main() {
             full_alloc_paths: true
         })
     );
+    if !on_anchor {
+        eprintln!("fig1_motivation: missed the paper anchor (hottest instruction 24.0%, hottest object 50.0%)");
+        std::process::exit(1);
+    }
 }

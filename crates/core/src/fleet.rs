@@ -18,34 +18,28 @@
 //! * [`FleetClient`] — sends queries/status requests to an aggregator and returns
 //!   the rendered results.
 //!
-//! # Wire protocol (`djxperf-fleet`, version 2)
+//! # Wire protocol (`djxperf-fleet`, version 3)
 //!
-//! Two kinds of frames share a connection, told apart by their first byte. **Epoch
-//! frames** (`0xDF`, the binary magic) are exactly the [`crate::wire`] frames of a
-//! [`BinaryChunkedSink`] log, so one frame parser serves log files, sockets and the
-//! write-ahead log. **Control records** (`{`) are newline-delimited JSON. Every
-//! inbound frame and control line is bounded by the wire's 16 MiB frame cap; a
-//! peer exceeding it gets an error record and a close.
+//! A fleet connection is one stream of [`crate::wire`] frames in each direction,
+//! read by the one frame parser with its 16 MiB payload cap and FNV-1a checksum.
+//! **Epoch frames** (kinds `0x01`/`0x02`) are exactly the frames of a
+//! [`BinaryChunkedSink`] log, so one parser serves log files, sockets and the
+//! write-ahead log. **Control records** are frames of their own kinds; their
+//! payload layouts are specified in the [`crate::wire`] module docs. Anything
+//! that is not a frame — a version-2 JSON control line, a corrupt frame — gets an
+//! error frame and a close.
 //!
-//! Producer → aggregator:
-//!
-//! | frame | layout |
-//! |---|---|
-//! | hello | `{"record":"hello","format":"djxperf-fleet","version":2,"producer":NAME,"event":EVENT,"period":P,"size_filter":S}` plus, once nonzero, the producer's `spilled_frames`/`dropped_epochs`/`backoff_ms` counters |
-//! | delta | a [`crate::wire`] delta frame |
-//! | finish | the [`crate::wire`] finish frame (site table, allocation rows, `total_samples` checksum) |
-//!
-//! Aggregator → producer: `{"record":"ack","epoch":E}` after the hello and after
-//! every delta, `{"record":"ack","epoch":E,"final":true}` after the finish, and
-//! `{"record":"error","message":M}` for protocol violations — a hello of any
-//! other version, an epoch frame before the hello, a JSON `delta`/`finish`
-//! record, a corrupt frame — each followed by a close.
-//!
-//! Client → aggregator: `{"record":"query",…}` (a serialized [`Query`]) and
-//! `{"record":"status"}`. The aggregator answers with
-//! `{"record":"result","text":T,"json":J}` (the [`QueryResult`] renderings —
-//! byte-identical to a local evaluation) and a `status` record listing
-//! [`ProducerStatus`] rows.
+//! | direction | frame | kind | content |
+//! |---|---|---|---|
+//! | producer → aggregator | hello | `0x03` | protocol version (`3`), producer name, event, period, size filter, and the producer's spilled-frame / dropped-epoch / backoff-ms counters |
+//! | producer → aggregator | delta | `0x01` | a [`crate::wire`] delta frame |
+//! | producer → aggregator | finish | `0x02` | the [`crate::wire`] finish frame (site table, allocation rows, `total_samples` checksum) |
+//! | aggregator → producer | ack | `0x04` | the fold's last epoch, after the hello and after every delta; the final flag is set only on the ack of the finish |
+//! | aggregator → any peer | error | `0x05` | a message, followed by a close: a hello of any other version, an epoch frame before the hello, a corrupt frame, a refused finish |
+//! | client → aggregator | query | `0x06` | a serialized [`Query`] |
+//! | client → aggregator | status request | `0x07` | empty |
+//! | aggregator → client | result | `0x08` | the [`QueryResult`] text and JSON renderings — byte-identical to a local evaluation |
+//! | aggregator → client | status | `0x09` | one [`ProducerStatus`] row per producer |
 //!
 //! # Epoch / acknowledgement semantics
 //!
@@ -83,14 +77,15 @@
 //! the received frame bytes, appended verbatim — never decoded and re-encoded:
 //!
 //! ```text
-//! <one JSON header line>\n        {"record":"wal","format":"djxperf-wal","version":1,
-//!                                  "producer":NAME,"event":E,"period":P,"size_filter":S}
+//! <one header line>\n             djxperf-wal v2 producer=NAME event=E period=P size_filter=S
 //! <binary delta frame>            exactly crate::wire's delta frame (magic DF 4A 58 42)
 //! <binary delta frame>            …one per accepted epoch, in fold order…
 //! <binary finish frame>           the finish frame as received, if the run finished
 //! ```
 //!
-//! [`BinaryFrameReader`] replays it unmodified.
+//! The header line uses the text profile format's `key=value` fields and escaping
+//! (backslash, space, tab, LF and CR escaped), so any producer name fits on the
+//! one line. [`BinaryFrameReader`] replays the body unmodified.
 //! [`FleetAggregator::recover`] scans a WAL directory, replays every log through a
 //! fresh [`DeltaFold`] (truncating a torn tail after a mid-append crash), and
 //! returns a builder whose aggregator resumes exactly where the old one died:
@@ -123,37 +118,28 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use djx_pmu::PmuEvent;
-use djx_runtime::{Frame, MethodId, ThreadId};
+use djx_runtime::ThreadId;
 
 use crate::profile::{
-    event_from_name, AllocationStats, DeltaFold, ObjectCentricProfile, ProfileDelta,
-    ProfileParseError,
+    escape, event_from_name, parse_kv, parse_u64, unescape, AllocationStats, DeltaFold,
+    ObjectCentricProfile, ProfileDelta,
 };
-use crate::query::{GroupBy, ProfileSource, Query, QueryError, QueryResult, RankBy};
-use crate::sink::{
-    json_path, json_string, FinishRecord, JsonParser, LogRecord, ProfileSink, Reader,
-};
-use crate::wire::{self, BinaryChunkedSink, BinaryFrameReader};
+use crate::query::{ProfileSource, Query, QueryError, QueryResult};
+use crate::sink::{FinishRecord, LogRecord, ProfileSink};
+use crate::wire::{self, BinaryChunkedSink, BinaryFrameReader, Control, Hello, WireRecord};
 
-/// Format tag carried by every hello frame.
-const FLEET_FORMAT: &str = "djxperf-fleet";
+/// Current version of the fleet wire protocol: version 3 carries every record —
+/// epoch frames and control records alike — as a binary [`crate::wire`] frame.
+pub(crate) const FLEET_VERSION: u64 = 3;
 
-/// Current version of the fleet wire protocol: version 2 carries epoch frames
-/// only in the binary [`crate::wire`] format.
-const FLEET_VERSION: u64 = 2;
-
-/// Format tag carried by the WAL header line.
-const WAL_FORMAT: &str = "djxperf-wal";
-
-/// Current version of the WAL header.
-const WAL_VERSION: u64 = 1;
+/// The first two fields of the WAL header line.
+const WAL_MAGIC: &str = "djxperf-wal v2";
 
 /// Default TCP connect timeout ([`FleetSinkBuilder::connect_timeout`]): without
 /// one, a black-holed address hangs the first delivery for the OS default
@@ -333,192 +319,34 @@ impl Target {
 }
 
 // ---------------------------------------------------------------------------------------
-// Wire records beyond the epoch-log frames: hello, ack, error, query, result, status
+// Control-record plumbing
 // ---------------------------------------------------------------------------------------
-
-/// One aggregator reply frame, as producers and clients decode it.
-#[derive(Debug)]
-enum Reply {
-    Ack { epoch: u64, terminal: bool },
-    Error { message: String },
-    Result { text: String, json: String },
-    Status { producers: Vec<ProducerStatus> },
-}
 
 fn protocol_error(message: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, message.into())
 }
 
-/// Reads one newline-terminated control line into `line`, newline stripped,
-/// reading at most [`wire::MAX_PAYLOAD_LEN`] bytes before the newline — the same
-/// cap that bounds a binary frame, so no peer can make a reader buffer more.
-/// `Ok(false)` is a clean end of stream.
-fn read_control_line<R: BufRead>(reader: &mut R, line: &mut Vec<u8>) -> io::Result<bool> {
-    line.clear();
-    let limit = wire::MAX_PAYLOAD_LEN as u64 + 1;
-    reader.take(limit).read_until(b'\n', line)?;
-    if line.is_empty() {
-        return Ok(false);
-    }
-    if line.pop() != Some(b'\n') {
-        return Err(if line.len() as u64 + 1 == limit {
-            protocol_error(format!(
-                "control line exceeds the {}-byte cap without a newline",
-                wire::MAX_PAYLOAD_LEN
-            ))
-        } else {
-            io::Error::new(io::ErrorKind::UnexpectedEof, "connection closed mid-line")
-        });
-    }
-    if line.last() == Some(&b'\r') {
-        line.pop();
-    }
-    Ok(true)
+/// Writes one control record as a frame.
+fn send(writer: &mut impl Write, control: &Control) -> io::Result<()> {
+    writer.write_all(&control.to_frame()?)
 }
 
-/// Reads and decodes one aggregator reply line.
-fn read_reply<R: BufRead>(reader: &mut R) -> io::Result<Reply> {
-    let mut line = Vec::new();
-    if !read_control_line(reader, &mut line)? {
+/// Reads the aggregator's next reply frame. Transport failures (a tripped
+/// deadline, a closed connection) keep their [`io::ErrorKind`]; anything the
+/// frame parser refuses — a bad checksum included — is
+/// [`io::ErrorKind::InvalidData`].
+fn read_reply<R: BufRead>(reader: &mut R) -> io::Result<Control> {
+    if wire::at_end(reader)? {
         return Err(io::Error::new(
             io::ErrorKind::UnexpectedEof,
             "aggregator closed the connection",
         ));
     }
-    let line = std::str::from_utf8(&line)
-        .map_err(|e| protocol_error(format!("aggregator reply is not UTF-8: {e}")))?;
-    parse_reply(line)
-}
-
-/// Decodes one aggregator reply line.
-fn parse_reply(line: &str) -> io::Result<Reply> {
-    (|| -> Result<Reply, ProfileParseError> {
-        let root = JsonParser::new(line).parse_document()?;
-        let doc = Reader::new(line);
-        let record = doc.object(&root, 0)?;
-        let kind = doc.string(record.required("record", 0)?, 0)?;
-        match kind.as_str() {
-            "ack" => Ok(Reply::Ack {
-                epoch: doc.integer(record.required("epoch", 0)?, 0)?,
-                terminal: match record.optional("final") {
-                    Some(v) => doc.boolean(v, 0)?,
-                    None => false,
-                },
-            }),
-            "error" => Ok(Reply::Error { message: doc.string(record.required("message", 0)?, 0)? }),
-            "result" => Ok(Reply::Result {
-                text: doc.string(record.required("text", 0)?, 0)?,
-                json: doc.string(record.required("json", 0)?, 0)?,
-            }),
-            "status" => {
-                let mut producers = Vec::new();
-                for row in doc.array(record.required("producers", 0)?, 0)? {
-                    let row = doc.object(row, 0)?;
-                    producers.push(ProducerStatus {
-                        producer: doc.string(row.required("producer", 0)?, 0)?,
-                        connected: doc.boolean(row.required("connected", 0)?, 0)?,
-                        finished: doc.boolean(row.required("finished", 0)?, 0)?,
-                        truncated: doc.boolean(row.required("truncated", 0)?, 0)?,
-                        deltas: doc.integer(row.required("deltas", 0)?, 0)?,
-                        last_epoch: doc.integer(row.required("last_epoch", 0)?, 0)?,
-                        samples: doc.integer(row.required("samples", 0)?, 0)?,
-                        resumes: doc.integer(row.required("resumes", 0)?, 0)?,
-                        duplicates: doc.integer(row.required("duplicates", 0)?, 0)?,
-                        frames_received: doc.integer(row.required("frames_received", 0)?, 0)?,
-                        bytes_received: doc.integer(row.required("bytes_received", 0)?, 0)?,
-                        wal_bytes: doc.integer(row.required("wal_bytes", 0)?, 0)?,
-                        spilled_frames: doc.integer(row.required("spilled_frames", 0)?, 0)?,
-                        dropped_epochs: doc.integer(row.required("dropped_epochs", 0)?, 0)?,
-                        reconnect_backoff_ms: doc
-                            .integer(row.required("reconnect_backoff_ms", 0)?, 0)?,
-                    });
-                }
-                Ok(Reply::Status { producers })
-            }
-            other => Err(ProfileParseError {
-                line: 1,
-                message: format!("unknown reply record {other:?}"),
-            }),
-        }
-    })()
-    .map_err(|e| protocol_error(format!("malformed aggregator reply: {}", e.message)))
-}
-
-/// Serializes a [`Query`] as one wire frame.
-fn write_query_record(query: &Query) -> String {
-    let mut line = format!(
-        "{{\"record\":\"query\",\"group_by\":{},\"rank_by\":{},\"min_samples\":{}",
-        json_string(query.group_by.name()),
-        json_string(query.rank_by.name()),
-        query.min_samples
-    );
-    if let Some(top) = query.top {
-        line.push_str(&format!(",\"top\":{top}"));
+    match wire::read_binary_frame(reader, &mut Vec::new()) {
+        Ok(WireRecord::Control(control)) => Ok(control),
+        Ok(WireRecord::Log(_)) => Err(protocol_error("aggregator replied with an epoch frame")),
+        Err(e) => Err(protocol_error(format!("malformed aggregator reply: {}", e.message))),
     }
-    line.push_str(",\"classes\":[");
-    for (i, class) in query.classes.iter().enumerate() {
-        if i > 0 {
-            line.push(',');
-        }
-        line.push_str(&json_string(class));
-    }
-    line.push_str("],\"site_frames\":");
-    line.push_str(&json_path(&query.site_frames));
-    line.push_str(",\"threads\":[");
-    for (i, thread) in query.threads.iter().enumerate() {
-        if i > 0 {
-            line.push(',');
-        }
-        line.push_str(&thread.0.to_string());
-    }
-    line.push_str("]}\n");
-    line
-}
-
-/// Rebuilds a [`Query`] from a wire frame (the aggregator side of
-/// [`write_query_record`]).
-fn parse_query_record(line: &str) -> Result<Query, ProfileParseError> {
-    let root = JsonParser::new(line).parse_document()?;
-    let doc = Reader::new(line);
-    let record = doc.object(&root, 0)?;
-    let group_by = doc.string(record.required("group_by", 0)?, 0)?;
-    let rank_by = doc.string(record.required("rank_by", 0)?, 0)?;
-    let mut query = Query::new()
-        .group_by(GroupBy::from_str(&group_by).map_err(|e| doc.error(0, e.to_string()))?)
-        .rank_by(RankBy::from_str(&rank_by).map_err(|e| doc.error(0, e.to_string()))?)
-        .min_samples(doc.integer(record.required("min_samples", 0)?, 0)?);
-    if let Some(top) = record.optional("top") {
-        query = query.top(doc.integer(top, 0)? as usize);
-    }
-    for class in doc.array(record.required("classes", 0)?, 0)? {
-        query = query.filter_class(doc.string(class, 0)?);
-    }
-    for pair in doc.array(record.required("site_frames", 0)?, 0)? {
-        let cells = doc.array(pair, pair.start)?;
-        if cells.len() != 2 {
-            return Err(doc.error(pair.start, "a site frame is [method, bci]".to_string()));
-        }
-        query = query.filter_site(Frame::new(
-            MethodId(doc.integer_u32(&cells[0], pair.start)?),
-            doc.integer_u32(&cells[1], pair.start)?,
-        ));
-    }
-    for thread in doc.array(record.required("threads", 0)?, 0)? {
-        query = query.filter_thread(ThreadId(doc.integer(thread, 0)?));
-    }
-    Ok(query)
-}
-
-fn ack_line(epoch: u64, terminal: bool) -> String {
-    if terminal {
-        format!("{{\"record\":\"ack\",\"epoch\":{epoch},\"final\":true}}\n")
-    } else {
-        format!("{{\"record\":\"ack\",\"epoch\":{epoch}}}\n")
-    }
-}
-
-fn error_line(message: &str) -> String {
-    format!("{{\"record\":\"error\",\"message\":{}}}\n", json_string(message))
 }
 
 // ---------------------------------------------------------------------------------------
@@ -669,9 +497,9 @@ pub enum FaultAction {
     Drop,
     /// Sleep this long before handling the frame (a slow peer).
     Delay(Duration),
-    /// Deliver the frame corrupted: sink-side a flipped payload byte (the
-    /// aggregator's frame checksum rejects it), aggregator-side a mangled
-    /// acknowledgement (the producer's reply parser rejects it).
+    /// Deliver the frame corrupted: sink-side a flipped checksum byte (the
+    /// aggregator rejects the frame), aggregator-side a mangled acknowledgement
+    /// (its checksum fails, so the producer rejects it).
     Corrupt,
 }
 
@@ -752,7 +580,7 @@ impl FaultPlan {
     }
 }
 
-///// Sink-side fault bookkeeping: the plan plus the delivery-attempt counter.
+/// Sink-side fault bookkeeping: the plan plus the delivery-attempt counter.
 #[derive(Debug)]
 struct FaultState {
     plan: FaultPlan,
@@ -1057,9 +885,9 @@ struct LinkConfig {
 #[derive(Debug)]
 struct Link {
     target: Target,
-    /// The hello frame minus its closing brace; [`Link::hello_line`] appends the
-    /// loss/backoff counters (when nonzero) and closes it.
-    hello_prefix: String,
+    /// The hello this producer sends; [`Link::hello_record`] fills in the current
+    /// loss/backoff counters.
+    hello: Hello,
     conn: Option<Conn>,
     pending: PendingBuffer,
     severed: bool,
@@ -1073,19 +901,14 @@ struct Link {
 }
 
 impl Link {
-    /// The hello frame, plus the loss/backoff counters once any are nonzero.
-    fn hello_line(&self) -> String {
-        let spilled = self.pending.spilled_frames;
-        let dropped = self.pending.dropped_epochs;
-        let backoff_ms = self.stats.reconnect_backoff_ms;
-        if spilled == 0 && dropped == 0 && backoff_ms == 0 {
-            format!("{}}}\n", self.hello_prefix)
-        } else {
-            format!(
-                "{},\"spilled_frames\":{spilled},\"dropped_epochs\":{dropped},\"backoff_ms\":{backoff_ms}}}\n",
-                self.hello_prefix
-            )
-        }
+    /// The hello record, carrying the current loss/backoff counters.
+    fn hello_record(&self) -> Control {
+        Control::Hello(Hello {
+            spilled_frames: self.pending.spilled_frames,
+            dropped_epochs: self.pending.dropped_epochs,
+            backoff_ms: self.stats.reconnect_backoff_ms,
+            ..self.hello.clone()
+        })
     }
 
     /// Connects (or reconnects) and runs the hello handshake, under the reconnect
@@ -1129,14 +952,19 @@ impl Link {
         writer.set_io_timeouts(self.config.ack_deadline, self.config.ack_deadline)?;
         let reader = BufReader::new(writer.try_clone()?);
         let mut conn = Conn { writer, reader };
-        conn.writer.write_all(self.hello_line().as_bytes())?;
+        send(&mut conn.writer, &self.hello_record())?;
         conn.writer.flush()?;
         let acked = match read_reply(&mut conn.reader)? {
-            Reply::Ack { epoch, .. } => epoch,
-            Reply::Error { message } => {
+            Control::Ack { epoch, .. } => epoch,
+            Control::Error(message) => {
                 return Err(protocol_error(format!("aggregator refused hello: {message}")))
             }
-            _ => return Err(protocol_error("expected an ack to the hello frame")),
+            other => {
+                return Err(protocol_error(format!(
+                    "expected an ack to the hello frame, got a {} record",
+                    other.name()
+                )))
+            }
         };
         self.stats.connects += 1;
         self.stats.acked_epoch = self.stats.acked_epoch.max(acked);
@@ -1182,7 +1010,7 @@ impl Link {
             let delivery = written.and_then(|()| read_reply(&mut conn.reader));
             let is_finish = frame.epoch.is_none();
             match delivery {
-                Ok(Reply::Ack { epoch, terminal, .. }) => {
+                Ok(Control::Ack { epoch, terminal }) => {
                     if is_finish && !terminal {
                         // The finish frame must be answered by the terminal ack;
                         // anything else means the aggregator never folded it.
@@ -1193,16 +1021,19 @@ impl Link {
                     self.stats.frames_sent += 1;
                     let _ = self.pending.pop_front();
                 }
-                Ok(Reply::Error { message }) => {
+                Ok(Control::Error(message)) => {
                     // A protocol-level refusal (e.g. checksum mismatch), not a
                     // transport blip: surface it. The frame stays pending so the
                     // failure repeats rather than vanishing.
                     self.conn = None;
                     return Err(protocol_error(format!("aggregator rejected frame: {message}")));
                 }
-                Ok(_) => {
+                Ok(other) => {
                     self.conn = None;
-                    return Err(protocol_error("expected an ack frame"));
+                    return Err(protocol_error(format!(
+                        "expected an ack frame, got a {} record",
+                        other.name()
+                    )));
                 }
                 Err(e) => {
                     self.conn = None;
@@ -1296,7 +1127,7 @@ impl FleetSink {
             connect_timeout: Some(DEFAULT_CONNECT_TIMEOUT),
             ack_deadline: Some(DEFAULT_ACK_DEADLINE),
             finish_deadline: DEFAULT_FINISH_DEADLINE,
-            backoff: BackoffPolicy::default(),
+            backoff: None,
             buffer_budget: DEFAULT_BUFFER_BUDGET,
             spill_budget: DEFAULT_SPILL_BUDGET,
             overflow: OverflowPolicy::default(),
@@ -1372,7 +1203,7 @@ impl Drop for FleetSink {
 /// | [`connect_timeout`](Self::connect_timeout) | 10 s |
 /// | [`ack_deadline`](Self::ack_deadline) | 5 s |
 /// | [`finish_deadline`](Self::finish_deadline) | 5 s |
-/// | [`backoff`](Self::backoff) | 50 ms doubling to 2 s, jittered |
+/// | [`backoff`](Self::backoff) | 50 ms doubling to 2 s, jitter seeded from the producer name |
 /// | [`buffer_budget_bytes`](Self::buffer_budget_bytes) | 16 MiB |
 /// | [`overflow`](Self::overflow) | [`OverflowPolicy::SpillThenBlock`] |
 /// | [`spill_dir`](Self::spill_dir) | the OS temp directory |
@@ -1387,7 +1218,8 @@ pub struct FleetSinkBuilder {
     connect_timeout: Option<Duration>,
     ack_deadline: Option<Duration>,
     finish_deadline: Duration,
-    backoff: BackoffPolicy,
+    /// `None` = the default policy, seeded from the producer name.
+    backoff: Option<BackoffPolicy>,
     buffer_budget: usize,
     spill_budget: u64,
     overflow: OverflowPolicy,
@@ -1425,10 +1257,12 @@ impl FleetSinkBuilder {
         self
     }
 
-    /// Reconnect backoff policy (seedable for deterministic tests).
+    /// Reconnect backoff policy (seedable for deterministic tests). Unset, the
+    /// default policy's jitter is seeded from the FNV-1a hash of the producer
+    /// name, so producers restarting together do not reconnect in lockstep.
     #[must_use]
     pub fn backoff(mut self, backoff: BackoffPolicy) -> Self {
-        self.backoff = backoff;
+        self.backoff = Some(backoff);
         self
     }
 
@@ -1489,18 +1323,29 @@ impl FleetSinkBuilder {
         self.connect_target(Target::Unix(path.to_path_buf()))
     }
 
+    /// The backoff policy the sink will run: the configured one, else the
+    /// default seeded from the producer name.
+    fn backoff_policy(&self) -> BackoffPolicy {
+        self.backoff.unwrap_or_else(|| {
+            BackoffPolicy::default().seed(u64::from(wire::fnv1a(self.producer.as_bytes())))
+        })
+    }
+
     fn connect_target(self, target: Target) -> io::Result<FleetSink> {
-        let hello_prefix = format!(
-            "{{\"record\":\"hello\",\"format\":\"{FLEET_FORMAT}\",\"version\":{FLEET_VERSION},\"producer\":{},\"event\":{},\"period\":{},\"size_filter\":{}",
-            json_string(&self.producer),
-            json_string(self.event.hardware_name()),
-            self.period,
-            self.size_filter,
-        );
+        let backoff = Backoff::new(self.backoff_policy());
+        let hello = Hello {
+            producer: self.producer,
+            event: self.event,
+            period: self.period,
+            size_filter: self.size_filter,
+            spilled_frames: 0,
+            dropped_epochs: 0,
+            backoff_ms: 0,
+        };
         let spill_dir = self.spill_dir.unwrap_or_else(std::env::temp_dir);
         let mut link = Link {
             target,
-            hello_prefix,
+            hello,
             conn: None,
             pending: PendingBuffer::new(
                 self.buffer_budget,
@@ -1515,7 +1360,7 @@ impl FleetSinkBuilder {
                 ack_deadline: self.ack_deadline,
                 finish_deadline: self.finish_deadline,
             },
-            backoff: Backoff::new(self.backoff),
+            backoff,
             next_attempt: None,
             faults: self.fault_plan.map(|plan| FaultState { plan, seen: 0 }),
         };
@@ -1539,15 +1384,6 @@ impl ProfileSink for FleetSink {
             io::ErrorKind::Unsupported,
             "the fleet sink streams epoch frames to an aggregator; it has no document form",
         ))
-    }
-
-    fn read_profile(&self, _input: &str) -> Result<ObjectCentricProfile, ProfileParseError> {
-        Err(ProfileParseError {
-            line: 1,
-            message:
-                "the fleet sink streams epoch frames to an aggregator; it has no document form"
-                    .to_string(),
-        })
     }
 
     /// Frames the delta as a [`crate::wire`] delta frame and ships it (`out`
@@ -1705,11 +1541,7 @@ pub struct ProducerStatus {
 /// plus an FNV-1a hash of the exact name for uniqueness (the header line inside
 /// the file carries the authoritative name, so sanitization may be lossy).
 fn wal_path(dir: &Path, producer: &str) -> PathBuf {
-    let mut hash: u32 = 0x811c_9dc5;
-    for b in producer.bytes() {
-        hash ^= u32::from(b);
-        hash = hash.wrapping_mul(0x0100_0193);
-    }
+    let hash = wire::fnv1a(producer.as_bytes());
     let slug: String = producer
         .chars()
         .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '_' { c } else { '_' })
@@ -1720,40 +1552,27 @@ fn wal_path(dir: &Path, producer: &str) -> PathBuf {
 
 fn wal_header_line(producer: &str, event: PmuEvent, period: u64, size_filter: u64) -> String {
     format!(
-        "{{\"record\":\"wal\",\"format\":\"{WAL_FORMAT}\",\"version\":{WAL_VERSION},\"producer\":{},\"event\":{},\"period\":{period},\"size_filter\":{size_filter}}}\n",
-        json_string(producer),
-        json_string(event.hardware_name()),
+        "{WAL_MAGIC} producer={} event={} period={period} size_filter={size_filter}\n",
+        escape(producer),
+        event.hardware_name(),
     )
 }
 
-fn parse_wal_header(line: &str) -> Result<(String, PmuEvent, u64, u64), ProfileParseError> {
-    let root = JsonParser::new(line).parse_document()?;
-    let doc = Reader::new(line);
-    let record = doc.object(&root, 0)?;
-    let kind = doc.string(record.required("record", 0)?, 0)?;
-    if kind != "wal" {
-        return Err(doc.error(0, format!("unexpected WAL header record {kind:?}")));
-    }
-    let format = doc.string(record.required("format", 0)?, 0)?;
-    if format != WAL_FORMAT {
-        return Err(doc.error(0, format!("unexpected WAL format {format:?}")));
-    }
-    let version = doc.integer(record.required("version", 0)?, 0)?;
-    if version != WAL_VERSION {
-        return Err(doc.error(0, format!("unsupported WAL version {version}")));
-    }
-    let event_value = record.required("event", 0)?;
-    let event = event_from_name(&doc.string(event_value, 0)?)
-        .map_err(|e| doc.error(event_value.start, e.to_string()))?;
-    Ok((
-        doc.string(record.required("producer", 0)?, 0)?,
-        event,
-        doc.integer(record.required("period", 0)?, 0)?,
-        doc.integer(record.required("size_filter", 0)?, 0)?,
-    ))
+/// Parses a WAL header line (without its newline) into
+/// `(producer, event, period, size_filter)`.
+fn parse_wal_header(line: &str) -> Result<(String, PmuEvent, u64, u64), String> {
+    let fields = line
+        .strip_prefix(WAL_MAGIC)
+        .filter(|rest| rest.is_empty() || rest.starts_with(' '))
+        .ok_or_else(|| format!("the header does not start with {WAL_MAGIC:?}"))?;
+    let kv = parse_kv(fields.split_whitespace());
+    let producer = kv.get("producer").ok_or("the header misses the producer")?;
+    let event =
+        event_from_name(kv.get("event").map_or("", String::as_str)).map_err(|e| e.to_string())?;
+    Ok((unescape(producer), event, parse_u64(&kv, "period")?, parse_u64(&kv, "size_filter")?))
 }
 
-/// One producer's write-ahead log: the JSON header line followed by the received
+/// One producer's write-ahead log: the header line followed by the received
 /// [`crate::wire`] frames, appended verbatim **before** each acknowledgement, so
 /// [`BinaryFrameReader`] replays it unmodified.
 #[derive(Debug)]
@@ -1842,8 +1661,14 @@ pub struct RecoveryReport {
 }
 
 /// Replays one WAL file. `Ok(None)` means the file never got past its header
-/// (crash mid-create) — nothing was acknowledged from it, so it is skipped and
-/// overwritten when its producer reconnects.
+/// line (crash mid-create) — nothing was acknowledged from it, so it is skipped
+/// and overwritten when its producer reconnects.
+///
+/// # Errors
+///
+/// IO failures, and [`io::ErrorKind::InvalidData`] naming the file when its
+/// header line is complete but does not parse (a foreign or older-format file):
+/// skipping it would let the producer's reconnect overwrite acknowledged frames.
 fn recover_wal_file(
     path: &Path,
     fsync: FsyncPolicy,
@@ -1852,12 +1677,12 @@ fn recover_wal_file(
     let Some(header_end) = data.iter().position(|b| *b == b'\n') else {
         return Ok(None);
     };
-    let Some((producer, event, period, size_filter)) = std::str::from_utf8(&data[..header_end])
-        .ok()
-        .and_then(|line| parse_wal_header(line).ok())
-    else {
-        return Ok(None);
-    };
+    let (producer, event, period, size_filter) = std::str::from_utf8(&data[..header_end])
+        .map_err(|e| e.to_string())
+        .and_then(parse_wal_header)
+        .map_err(|e| {
+            protocol_error(format!("WAL {} has an unreadable header line: {e}", path.display()))
+        })?;
     let body = &data[header_end + 1..];
     let mut reader = BinaryFrameReader::new(body);
     let mut fold = DeltaFold::new();
@@ -1902,20 +1727,10 @@ fn recover_wal_file(
     }
     let state = ProducerState {
         fold,
-        event,
-        period,
-        size_filter,
         finish,
-        connected: false,
-        generation: 0,
-        resumes: 0,
-        duplicates: 0,
-        frames_received: 0,
-        bytes_received: 0,
         wal: Some(Wal::reopen(path, good, fsync)?),
-        spilled_frames: 0,
         dropped_epochs,
-        reconnect_backoff_ms: 0,
+        ..ProducerState::new(event, period, size_filter)
     };
     let recovery = ProducerRecovery {
         producer: producer.clone(),
@@ -1954,6 +1769,27 @@ struct ProducerState {
 }
 
 impl ProducerState {
+    /// A producer with nothing folded, not connected, without a WAL.
+    fn new(event: PmuEvent, period: u64, size_filter: u64) -> ProducerState {
+        ProducerState {
+            fold: DeltaFold::new(),
+            event,
+            period,
+            size_filter,
+            finish: None,
+            connected: false,
+            generation: 0,
+            resumes: 0,
+            duplicates: 0,
+            frames_received: 0,
+            bytes_received: 0,
+            wal: None,
+            spilled_frames: 0,
+            dropped_epochs: 0,
+            reconnect_backoff_ms: 0,
+        }
+    }
+
     /// A declared-lossy stream: epochs were dropped by choice, so the finish
     /// checksum cannot hold and the producer stays flagged truncated.
     fn lossy(&self) -> bool {
@@ -2010,6 +1846,11 @@ impl FleetState {
             Some(f) => (f.event, f.period),
             None => (p.event, p.period),
         })
+    }
+
+    /// Per-producer protocol status, in producer-name order.
+    fn status(&self) -> Vec<ProducerStatus> {
+        self.producers.iter().map(|(name, p)| p.status(name)).collect()
     }
 
     /// Runs `f` for every live watch, pruning the dead ones.
@@ -2130,36 +1971,6 @@ fn snapshot_view(state: &FleetState) -> FleetView {
     FleetView { producers }
 }
 
-fn status_line(state: &FleetState) -> String {
-    let mut line = String::from("{\"record\":\"status\",\"producers\":[");
-    for (i, (name, p)) in state.producers.iter().enumerate() {
-        if i > 0 {
-            line.push(',');
-        }
-        let s = p.status(name);
-        line.push_str(&format!(
-            "{{\"producer\":{},\"connected\":{},\"finished\":{},\"truncated\":{},\"deltas\":{},\"last_epoch\":{},\"samples\":{},\"resumes\":{},\"duplicates\":{},\"frames_received\":{},\"bytes_received\":{},\"wal_bytes\":{},\"spilled_frames\":{},\"dropped_epochs\":{},\"reconnect_backoff_ms\":{}}}",
-            json_string(&s.producer),
-            s.connected,
-            s.finished,
-            s.truncated,
-            s.deltas,
-            s.last_epoch,
-            s.samples,
-            s.resumes,
-            s.duplicates,
-            s.frames_received,
-            s.bytes_received,
-            s.wal_bytes,
-            s.spilled_frames,
-            s.dropped_epochs,
-            s.reconnect_backoff_ms,
-        ));
-    }
-    line.push_str("]}\n");
-    line
-}
-
 /// The aggregator daemon: binds a listener, folds every producer's epoch frames
 /// incrementally, and serves the fleet — as an in-process [`ProfileSource`]
 /// ([`FleetAggregator::view`]) and over the wire to [`FleetClient`]s.
@@ -2216,8 +2027,10 @@ impl FleetAggregator {
     ///
     /// # Errors
     ///
-    /// Propagates directory and file IO failures. Unparseable WAL files (a crash
-    /// mid-header) are skipped, not errors.
+    /// Propagates directory and file IO failures, and fails with
+    /// [`io::ErrorKind::InvalidData`] (naming the file, which is left untouched)
+    /// on a WAL whose header line is complete but does not parse. Only a WAL
+    /// whose header line never got its newline (a crash mid-create) is skipped.
     pub fn recover(dir: &Path) -> io::Result<FleetAggregatorBuilder> {
         let fsync = FsyncPolicy::default();
         let mut paths: Vec<PathBuf> = fs::read_dir(dir)?
@@ -2290,8 +2103,7 @@ impl FleetAggregator {
 
     /// Per-producer protocol status, in producer-name order.
     pub fn status(&self) -> Vec<ProducerStatus> {
-        let state = self.shared.state.lock().expect("fleet state lock");
-        state.producers.iter().map(|(name, p)| p.status(name)).collect()
+        self.shared.state.lock().expect("fleet state lock").status()
     }
 
     /// Evaluates a query over the current fleet view — the same evaluation a
@@ -2506,36 +2318,18 @@ fn handle_connection(stream: WireStream, shared: Arc<AggregatorShared>) {
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
     let mut ctx = ConnCtx { producer: None };
-    // One buffer for both frame kinds, reused across frames: the raw bytes of a
-    // binary epoch frame (appended verbatim to the WAL) or one control line.
+    // The raw bytes of the current frame, reused across frames (an accepted epoch
+    // frame is appended verbatim to the WAL).
     let mut frame = Vec::new();
-    loop {
-        // Dispatch on the first byte: binary epoch frames open with the magic
-        // byte (never valid UTF-8), everything else is a JSON control line.
-        let first = match reader.fill_buf() {
-            Ok([]) => break,
-            Ok(buf) => buf[0],
-            Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => break,
-        };
-        let handled = if first == wire::BINARY_MAGIC[0] {
-            match wire::read_binary_frame(&mut reader, &mut frame) {
-                Ok(record) => dispatch_epoch_record(record, &frame, &mut ctx, &shared, &mut writer),
-                Err(e) => refuse(&mut writer, e.message),
+    while let Ok(false) = wire::at_end(&mut reader) {
+        let handled = match wire::read_binary_frame(&mut reader, &mut frame) {
+            Ok(WireRecord::Log(record)) => {
+                dispatch_epoch_record(record, &frame, &mut ctx, &shared, &mut writer)
             }
-        } else {
-            match read_control_line(&mut reader, &mut frame) {
-                Ok(false) => break,
-                Ok(true) => match std::str::from_utf8(&frame) {
-                    Ok(line) if line.trim().is_empty() => Ok(()),
-                    Ok(line) => dispatch_frame(line, &mut ctx, &shared, &mut writer),
-                    Err(e) => refuse(&mut writer, format!("control line is not UTF-8: {e}")),
-                },
-                Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                    refuse(&mut writer, e.to_string())
-                }
-                Err(_) => break,
+            Ok(WireRecord::Control(control)) => {
+                dispatch_control(control, &mut ctx, &shared, &mut writer)
             }
+            Err(e) => refuse(&mut writer, e.message),
         };
         if handled.is_err() {
             break;
@@ -2558,122 +2352,42 @@ fn handle_connection(stream: WireStream, shared: Arc<AggregatorShared>) {
 
 /// Sends an error record and fails, so the caller closes the connection.
 fn refuse(writer: &mut WireStream, message: String) -> io::Result<()> {
-    let _ = writer.write_all(error_line(&message).as_bytes());
+    let _ = send(writer, &Control::Error(message.clone()));
     Err(protocol_error(message))
 }
 
-/// Handles one inbound frame; an `Err` closes the connection (the peer already got
-/// an error record where one applies).
-fn dispatch_frame(
-    frame: &str,
+/// Handles one inbound control record; an `Err` closes the connection (the peer
+/// already got an error record where one applies).
+fn dispatch_control(
+    control: Control,
     ctx: &mut ConnCtx,
     shared: &Arc<AggregatorShared>,
     writer: &mut WireStream,
 ) -> io::Result<()> {
-    let kind = match frame_kind(frame) {
-        Ok(kind) => kind,
-        Err(e) => return refuse(writer, e.message),
-    };
-    match kind.as_str() {
-        "hello" => dispatch_hello(frame, ctx, shared, writer),
-        "delta" | "finish" => refuse(
-            writer,
-            format!(
-                "JSON {kind} records are not epoch frames: fleet protocol version \
-                 {FLEET_VERSION} carries epochs as binary frames only"
-            ),
-        ),
-        "query" => dispatch_query(frame, shared, writer),
-        "status" => {
-            let line = {
-                let state = shared.state.lock().expect("fleet state lock");
-                status_line(&state)
-            };
-            writer.write_all(line.as_bytes())
+    match control {
+        Control::Hello(hello) => dispatch_hello(hello, ctx, shared, writer),
+        Control::Query(query) => dispatch_query(&query, shared, writer),
+        Control::StatusRequest => {
+            let status = shared.state.lock().expect("fleet state lock").status();
+            send(writer, &Control::Status(status))
         }
-        other => refuse(writer, format!("unknown frame kind {other:?}")),
+        other => refuse(writer, format!("unexpected {} record from a peer", other.name())),
     }
-}
-
-fn frame_kind(frame: &str) -> Result<String, ProfileParseError> {
-    let root = JsonParser::new(frame).parse_document()?;
-    let doc = Reader::new(frame);
-    let record = doc.object(&root, 0)?;
-    doc.string(record.required("record", 0)?, 0)
 }
 
 fn dispatch_hello(
-    frame: &str,
+    hello: Hello,
     ctx: &mut ConnCtx,
     shared: &Arc<AggregatorShared>,
     writer: &mut WireStream,
 ) -> io::Result<()> {
-    struct Hello {
-        name: String,
-        event: PmuEvent,
-        period: u64,
-        size_filter: u64,
-        spilled_frames: u64,
-        dropped_epochs: u64,
-        backoff_ms: u64,
-    }
-    let hello = (|| -> Result<Hello, ProfileParseError> {
-        let root = JsonParser::new(frame).parse_document()?;
-        let doc = Reader::new(frame);
-        let record = doc.object(&root, 0)?;
-        let format = doc.string(record.required("format", 0)?, 0)?;
-        if format != FLEET_FORMAT {
-            return Err(doc.error(0, format!("unexpected fleet format {format:?}")));
-        }
-        let version = doc.integer(record.required("version", 0)?, 0)?;
-        if version != FLEET_VERSION {
-            return Err(doc.error(0, format!("unsupported fleet version {version}")));
-        }
-        let event_value = record.required("event", 0)?;
-        let event = event_from_name(&doc.string(event_value, 0)?)
-            .map_err(|e| doc.error(event_value.start, e.to_string()))?;
-        // Loss/backoff counters: optional (absent from producers with nothing to
-        // report).
-        let counter = |key: &str| -> Result<u64, ProfileParseError> {
-            record.optional(key).map_or(Ok(0), |value| doc.integer(value, 0))
-        };
-        let spilled_frames = counter("spilled_frames")?;
-        let dropped_epochs = counter("dropped_epochs")?;
-        let backoff_ms = counter("backoff_ms")?;
-        Ok(Hello {
-            name: doc.string(record.required("producer", 0)?, 0)?,
-            event,
-            period: doc.integer(record.required("period", 0)?, 0)?,
-            size_filter: doc.integer(record.required("size_filter", 0)?, 0)?,
-            spilled_frames,
-            dropped_epochs,
-            backoff_ms,
-        })
-    })();
-    let hello = match hello {
-        Ok(hello) => hello,
-        Err(e) => return refuse(writer, e.message),
-    };
     let acked = {
         let mut state = shared.state.lock().expect("fleet state lock");
-        let existed = state.producers.contains_key(&hello.name);
-        let p = state.producers.entry(hello.name.clone()).or_insert_with(|| ProducerState {
-            fold: DeltaFold::new(),
-            event: hello.event,
-            period: hello.period,
-            size_filter: hello.size_filter,
-            finish: None,
-            connected: false,
-            generation: 0,
-            resumes: 0,
-            duplicates: 0,
-            frames_received: 0,
-            bytes_received: 0,
-            wal: None,
-            spilled_frames: 0,
-            dropped_epochs: 0,
-            reconnect_backoff_ms: 0,
-        });
+        let existed = state.producers.contains_key(&hello.producer);
+        let p = state
+            .producers
+            .entry(hello.producer.clone())
+            .or_insert_with(|| ProducerState::new(hello.event, hello.period, hello.size_filter));
         if existed {
             p.resumes += 1;
         }
@@ -2686,7 +2400,7 @@ fn dispatch_hello(
         // A producer recovered from disk already carries its reopened log.
         if p.wal.is_none() {
             if let Some((dir, fsync)) = &shared.config.wal {
-                match Wal::create(dir, &hello.name, p.event, p.period, p.size_filter, *fsync) {
+                match Wal::create(dir, &hello.producer, p.event, p.period, p.size_filter, *fsync) {
                     Ok(wal) => p.wal = Some(wal),
                     Err(e) => {
                         // Refuse the hello rather than silently running
@@ -2700,7 +2414,7 @@ fn dispatch_hello(
         p.generation += 1;
         let generation = p.generation;
         let acked = p.fold.last_epoch().unwrap_or(0);
-        ctx.producer = Some((hello.name, generation));
+        ctx.producer = Some((hello.producer, generation));
         // A new producer changes the fleet-wide event/period header a query
         // result reports (cold evaluation adopts the last view profile's, in
         // producer-name order) — live watches adopt the same.
@@ -2711,7 +2425,7 @@ fn dispatch_hello(
         }
         acked
     };
-    writer.write_all(ack_line(acked, false).as_bytes())
+    send(writer, &Control::Ack { epoch: acked, terminal: false })
 }
 
 /// Folds one decoded epoch frame; `frame` holds its raw bytes, which an accepted
@@ -2770,7 +2484,8 @@ fn dispatch_epoch_record(
                         // would double-count. Live watches never see the duplicate
                         // either, for the same reason.
                         p.duplicates += 1;
-                        (Ok(ack_line(p.fold.last_epoch().unwrap_or(0), false)), None)
+                        let epoch = p.fold.last_epoch().unwrap_or(0);
+                        (Ok(Control::Ack { epoch, terminal: false }), None)
                     } else {
                         // Durability order: log, then fold, then ack. A WAL append
                         // failure refuses the frame — the producer re-sends it, and
@@ -2779,7 +2494,7 @@ fn dispatch_epoch_record(
                             Err(e) => (Err(format!("WAL append failed: {e}")), None),
                             Ok(()) => match p.fold.absorb_ordered(&delta) {
                                 Ok(()) => {
-                                    let ack = ack_line(delta.epoch, false);
+                                    let ack = Control::Ack { epoch: delta.epoch, terminal: false };
                                     (Ok(ack), Some(WatchFeed::Delta(delta)))
                                 }
                                 Err(e) => (Err(e.to_string()), None),
@@ -2790,7 +2505,8 @@ fn dispatch_epoch_record(
                 LogRecord::Finish(finish) => {
                     if p.finish.is_some() {
                         // A re-sent finish after a lost final acknowledgement.
-                        (Ok(ack_line(p.fold.last_epoch().unwrap_or(0), true)), None)
+                        let epoch = p.fold.last_epoch().unwrap_or(0);
+                        (Ok(Control::Ack { epoch, terminal: true }), None)
                     } else {
                         // A declared-lossy producer's fold legitimately holds fewer
                         // samples than the finish total; anything else must match.
@@ -2806,8 +2522,11 @@ fn dispatch_epoch_record(
                                 Err(e) => (Err(format!("WAL append failed: {e}")), None),
                                 Ok(()) => {
                                     p.finish = Some(finish);
-                                    let ack = ack_line(p.fold.last_epoch().unwrap_or(0), true);
-                                    (Ok(ack), Some(WatchFeed::Finish))
+                                    let epoch = p.fold.last_epoch().unwrap_or(0);
+                                    (
+                                        Ok(Control::Ack { epoch, terminal: true }),
+                                        Some(WatchFeed::Finish),
+                                    )
                                 }
                             },
                             Err(message) => (Err(message), None),
@@ -2882,32 +2601,29 @@ fn dispatch_epoch_record(
         reply
     };
     match reply {
-        Ok(line) => match effect {
+        Ok(ack) => match effect {
             // Corrupt the acknowledgement, not the state: the frame was folded
-            // and logged, but the producer reads garbage, severs, reconnects,
-            // and gets trimmed by the duplicate pre-check above.
+            // and logged, but the ack's checksum fails at the producer, which
+            // severs, reconnects, and gets trimmed by the duplicate pre-check
+            // above.
             Some(FaultEffect::Corrupt) => {
-                let mut corrupted = line.into_bytes();
+                let mut corrupted = ack.to_frame()?;
                 if let Some(i) = corrupted.len().checked_sub(2) {
                     corrupted[i] ^= 0xFF;
                 }
                 writer.write_all(&corrupted)
             }
-            _ => writer.write_all(line.as_bytes()),
+            _ => send(writer, &ack),
         },
         Err(message) => refuse(writer, message),
     }
 }
 
 fn dispatch_query(
-    frame: &str,
+    query: &Query,
     shared: &Arc<AggregatorShared>,
     writer: &mut WireStream,
 ) -> io::Result<()> {
-    let query = match parse_query_record(frame) {
-        Ok(query) => query,
-        Err(e) => return refuse(writer, e.message),
-    };
     // Snapshot under the lock, evaluate outside it: queries never stall ingestion.
     let view = {
         let state = shared.state.lock().expect("fleet state lock");
@@ -2915,12 +2631,10 @@ fn dispatch_query(
     };
     match query.evaluate(&view) {
         Ok(result) => {
-            let line = format!(
-                "{{\"record\":\"result\",\"text\":{},\"json\":{}}}\n",
-                json_string(&result.to_text()),
-                json_string(&result.to_json()),
-            );
-            writer.write_all(line.as_bytes())
+            match (Control::Result { text: result.to_text(), json: result.to_json() }).to_frame() {
+                Ok(frame) => writer.write_all(&frame),
+                Err(e) => refuse(writer, format!("the query result cannot be sent: {e}")),
+            }
         }
         Err(e) => refuse(writer, e.to_string()),
     }
@@ -2941,8 +2655,10 @@ pub struct RemoteQueryResult {
 }
 
 /// A client connection to a [`FleetAggregator`]: sends query and status requests
-/// as JSON control records over the same wire the producers use, one
-/// request-response pair per call.
+/// as control frames over the same wire the producers use, one request-response
+/// pair per call. Connecting and every reply are bounded by the producers'
+/// default connect timeout (10 s) and acknowledgement deadline (5 s), so a hung
+/// aggregator fails a call instead of blocking it forever.
 #[derive(Debug)]
 pub struct FleetClient {
     writer: WireStream,
@@ -2970,13 +2686,14 @@ impl FleetClient {
     }
 
     fn from_target(target: Target) -> io::Result<FleetClient> {
-        let writer = target.connect(None)?;
+        let writer = target.connect(Some(DEFAULT_CONNECT_TIMEOUT))?;
+        writer.set_io_timeouts(Some(DEFAULT_ACK_DEADLINE), Some(DEFAULT_ACK_DEADLINE))?;
         let reader = BufReader::new(writer.try_clone()?);
         Ok(FleetClient { writer, reader })
     }
 
-    fn round_trip(&mut self, request: &str) -> io::Result<Reply> {
-        self.writer.write_all(request.as_bytes())?;
+    fn round_trip(&mut self, request: &Control) -> io::Result<Control> {
+        send(&mut self.writer, request)?;
         self.writer.flush()?;
         read_reply(&mut self.reader)
     }
@@ -2989,12 +2706,12 @@ impl FleetClient {
     /// Transport failures, and aggregator-side rejections surfaced as
     /// [`io::ErrorKind::InvalidData`].
     pub fn query(&mut self, query: &Query) -> io::Result<RemoteQueryResult> {
-        match self.round_trip(&write_query_record(query))? {
-            Reply::Result { text, json } => Ok(RemoteQueryResult { text, json }),
-            Reply::Error { message } => {
+        match self.round_trip(&Control::Query(query.clone()))? {
+            Control::Result { text, json } => Ok(RemoteQueryResult { text, json }),
+            Control::Error(message) => {
                 Err(protocol_error(format!("aggregator rejected query: {message}")))
             }
-            other => Err(protocol_error(format!("unexpected reply to query: {other:?}"))),
+            other => Err(protocol_error(format!("unexpected {} reply to query", other.name()))),
         }
     }
 
@@ -3005,12 +2722,12 @@ impl FleetClient {
     /// Transport failures, and aggregator-side rejections surfaced as
     /// [`io::ErrorKind::InvalidData`].
     pub fn status(&mut self) -> io::Result<Vec<ProducerStatus>> {
-        match self.round_trip("{\"record\":\"status\"}\n")? {
-            Reply::Status { producers } => Ok(producers),
-            Reply::Error { message } => {
+        match self.round_trip(&Control::StatusRequest)? {
+            Control::Status(producers) => Ok(producers),
+            Control::Error(message) => {
                 Err(protocol_error(format!("aggregator rejected status request: {message}")))
             }
-            other => Err(protocol_error(format!("unexpected reply to status: {other:?}"))),
+            other => Err(protocol_error(format!("unexpected {} reply to status", other.name()))),
         }
     }
 }
@@ -3019,6 +2736,8 @@ impl FleetClient {
 mod tests {
     use super::*;
     use crate::profile::{ThreadDelta, ThreadProfile};
+    use crate::query::{GroupBy, RankBy};
+    use djx_runtime::{Frame, MethodId};
 
     fn delta(epoch: u64, thread: u64, samples: u64) -> ProfileDelta {
         let mut profile = ThreadProfile::new(ThreadId(thread), "worker");
@@ -3026,80 +2745,81 @@ mod tests {
         ProfileDelta { epoch, threads: vec![ThreadDelta { seq: 0, profile }] }
     }
 
+    fn assert_query_round_trips(query: Query) {
+        let frame = Control::Query(query).to_frame().unwrap();
+        let Control::Query(parsed) = read_reply(&mut &frame[..]).expect("decodes") else {
+            panic!("a query frame")
+        };
+        assert_eq!(Control::Query(parsed).to_frame().unwrap(), frame);
+    }
+
     #[test]
     fn query_record_round_trips() {
-        let query = Query::new()
-            .rank_by(RankBy::Samples)
-            .top(7)
-            .min_samples(3)
-            .filter_class("java/util/HashMap")
-            .filter_site(Frame::new(MethodId(4), 2))
-            .filter_site(Frame::new(MethodId(9), 0))
-            .filter_thread(ThreadId(11));
-        let line = write_query_record(&query);
-        let parsed = parse_query_record(line.trim_end()).expect("round trip");
-        assert_eq!(write_query_record(&parsed), line);
+        assert_query_round_trips(
+            Query::new()
+                .rank_by(RankBy::Samples)
+                .top(7)
+                .min_samples(3)
+                .filter_class("java/util/HashMap")
+                .filter_site(Frame::new(MethodId(4), 2))
+                .filter_site(Frame::new(MethodId(9), 0))
+                .filter_thread(ThreadId(11)),
+        );
     }
 
     #[test]
     fn query_record_round_trips_defaults() {
         for query in [
             Query::new(),
+            Query::new().top(0),
             Query::new().group_by(GroupBy::Site),
             Query::new().group_by(GroupBy::Thread).rank_by(RankBy::RemoteFraction),
             Query::new().group_by(GroupBy::NumaNode).rank_by(RankBy::Latency),
         ] {
-            let line = write_query_record(&query);
-            let parsed = parse_query_record(line.trim_end()).expect("round trip");
-            assert_eq!(write_query_record(&parsed), line);
+            assert_query_round_trips(query);
         }
     }
 
     #[test]
     fn reply_parser_handles_all_kinds() {
-        match parse_reply("{\"record\":\"ack\",\"epoch\":4}").unwrap() {
-            Reply::Ack { epoch, terminal } => {
-                assert_eq!(epoch, 4);
-                assert!(!terminal);
-            }
-            other => panic!("unexpected reply {other:?}"),
+        let row = ProducerStatus {
+            producer: "p \t\\".into(),
+            connected: true,
+            finished: false,
+            truncated: true,
+            deltas: 2,
+            last_epoch: 2,
+            samples: 10,
+            resumes: 1,
+            duplicates: 0,
+            frames_received: 3,
+            bytes_received: 412,
+            wal_bytes: 96,
+            spilled_frames: 4,
+            dropped_epochs: 0,
+            reconnect_backoff_ms: 75,
+        };
+        for reply in [
+            Control::Ack { epoch: 4, terminal: false },
+            Control::Ack { epoch: 9, terminal: true },
+            Control::Error("nope".into()),
+            Control::Result { text: "a table\n".into(), json: "{\"x\":1}".into() },
+            Control::Status(vec![row.clone(), row]),
+            Control::StatusRequest,
+        ] {
+            // Decode then re-encode is the identity: every field survives.
+            let frame = reply.to_frame().unwrap();
+            assert_eq!(read_reply(&mut &frame[..]).expect("decodes").to_frame().unwrap(), frame);
         }
-        match parse_reply("{\"record\":\"ack\",\"epoch\":9,\"final\":true}").unwrap() {
-            Reply::Ack { epoch, terminal, .. } => {
-                assert_eq!(epoch, 9);
-                assert!(terminal);
-            }
-            other => panic!("unexpected reply {other:?}"),
-        }
-        match parse_reply("{\"record\":\"error\",\"message\":\"nope\"}").unwrap() {
-            Reply::Error { message } => assert_eq!(message, "nope"),
-            other => panic!("unexpected reply {other:?}"),
-        }
-        match parse_reply(
-            "{\"record\":\"status\",\"producers\":[{\"producer\":\"p\",\"connected\":true,\
-             \"finished\":false,\"truncated\":false,\"deltas\":2,\"last_epoch\":2,\
-             \"samples\":10,\"resumes\":1,\"duplicates\":0,\"frames_received\":3,\
-             \"bytes_received\":412,\"wal_bytes\":96,\"spilled_frames\":4,\
-             \"dropped_epochs\":0,\"reconnect_backoff_ms\":75}]}",
-        )
-        .unwrap()
-        {
-            Reply::Status { producers } => {
-                assert_eq!(producers.len(), 1);
-                assert_eq!(producers[0].producer, "p");
-                assert!(producers[0].connected);
-                assert_eq!(producers[0].resumes, 1);
-                assert_eq!(producers[0].frames_received, 3);
-                assert_eq!(producers[0].bytes_received, 412);
-                assert_eq!(producers[0].wal_bytes, 96);
-                assert_eq!(producers[0].spilled_frames, 4);
-                assert_eq!(producers[0].dropped_epochs, 0);
-                assert_eq!(producers[0].reconnect_backoff_ms, 75);
-            }
-            other => panic!("unexpected reply {other:?}"),
-        }
-        assert!(parse_reply("{\"record\":\"delta\"}").is_err());
-        assert!(parse_reply("not json").is_err());
+        // An epoch frame is not a reply; a JSON line is not a frame.
+        let mut delta_frame = Vec::new();
+        BinaryChunkedSink
+            .on_delta(1, &delta(1, 7, 5), &mut delta_frame)
+            .expect("encodes");
+        assert!(read_reply(&mut &delta_frame[..]).is_err());
+        let err = read_reply(&mut &b"{\"record\":\"ack\",\"epoch\":4}\n"[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("magic"), "{err}");
     }
 
     #[test]
@@ -3185,6 +2905,20 @@ mod tests {
         // A different seed produces a different jitter sequence.
         let mut c = Backoff::new(policy.seed(4));
         assert_ne!(delays, (0..8).map(|_| c.next_delay()).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn default_backoff_is_seeded_from_the_producer_name() {
+        let delays = |builder: FleetSinkBuilder| {
+            let mut backoff = Backoff::new(builder.backoff_policy());
+            (0..8).map(|_| backoff.next_delay()).collect::<Vec<_>>()
+        };
+        let named = |name: &str| FleetSink::builder(name, PmuEvent::DEFAULT, 16, 0);
+        assert_eq!(delays(named("web-1")), delays(named("web-1")), "same name, same schedule");
+        assert_ne!(delays(named("web-1")), delays(named("web-2")), "names decorrelate jitter");
+        // An explicit policy wins over the name-derived seed.
+        let policy = BackoffPolicy::new().seed(7);
+        assert_eq!(delays(named("web-1").backoff(policy)), delays(named("web-2").backoff(policy)));
     }
 
     #[test]

@@ -751,12 +751,60 @@ pub fn event_from_name(name: &str) -> Result<PmuEvent, UnknownEventError> {
     }
 }
 
-fn escape(s: &str) -> String {
-    s.replace(' ', "\\s")
+/// Escapes a value into one `key=value` token of the text format: the token holds
+/// no whitespace (fields are split on it, lines on LF) and [`unescape`] gives the
+/// value back exactly. Backslash, space, tab, LF and CR get short escapes (`\\`,
+/// `\s`, `\t`, `\n`, `\r`); any other whitespace character becomes `\u{hex}`.
+pub(crate) fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            ' ' => out.push_str("\\s"),
+            '\t' => out.push_str("\\t"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            c if c.is_whitespace() => {
+                let _ = write!(out, "\\u{{{:x}}}", u32::from(c));
+            }
+            c => out.push(c),
+        }
+    }
+    out
 }
 
-fn unescape(s: &str) -> String {
-    s.replace("\\s", " ")
+/// The inverse of [`escape`]. A backslash that starts no known escape is kept
+/// as written.
+pub(crate) fn unescape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    let mut rest = s;
+    while let Some(at) = rest.find('\\') {
+        out.push_str(&rest[..at]);
+        let tail = &rest[at + 1..];
+        let (decoded, used) = match tail.chars().next() {
+            Some('\\') => (Some('\\'), 1),
+            Some('s') => (Some(' '), 1),
+            Some('t') => (Some('\t'), 1),
+            Some('n') => (Some('\n'), 1),
+            Some('r') => (Some('\r'), 1),
+            Some('u') => tail
+                .strip_prefix("u{")
+                .and_then(|t| t.split_once('}'))
+                .and_then(|(hex, _)| {
+                    let c = char::from_u32(u32::from_str_radix(hex, 16).ok()?)?;
+                    Some((Some(c), hex.len() + 3))
+                })
+                .unwrap_or((None, 0)),
+            _ => (None, 0),
+        };
+        match decoded {
+            Some(c) => out.push(c),
+            None => out.push('\\'),
+        }
+        rest = &tail[used..];
+    }
+    out.push_str(rest);
+    out
 }
 
 /// Encodes a root-first call path as `method:bci,method:bci,…` (`-` when empty) — the
@@ -802,13 +850,13 @@ fn encode_metrics(m: &MetricVector) -> String {
     )
 }
 
-fn parse_kv<'a>(parts: impl Iterator<Item = &'a str>) -> HashMap<String, String> {
+pub(crate) fn parse_kv<'a>(parts: impl Iterator<Item = &'a str>) -> HashMap<String, String> {
     parts
         .filter_map(|p| p.split_once('=').map(|(k, v)| (k.to_string(), v.to_string())))
         .collect()
 }
 
-fn parse_u64(kv: &HashMap<String, String>, key: &str) -> Result<u64, String> {
+pub(crate) fn parse_u64(kv: &HashMap<String, String>, key: &str) -> Result<u64, String> {
     kv.get(key)
         .ok_or_else(|| format!("missing field {key}"))?
         .parse()

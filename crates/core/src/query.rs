@@ -626,16 +626,15 @@ fn fold_cache() -> MutexGuard<'static, HashMap<PathBuf, CachedFold>> {
 }
 
 impl EpochLog {
-    /// Replays a binary epoch log — or any other serialization the built-in sinks
-    /// produce, sniffed by [`read_any_profile`]: epoch logs fold, documents parse
-    /// directly.
+    /// Replays a binary epoch log — or a text profile, sniffed by
+    /// [`read_any_profile`]: epoch logs fold, text documents parse directly.
     ///
     /// # Errors
     ///
     /// Returns [`ProfileParseError`] for malformed frames, out-of-order epochs,
     /// truncated streams and checksum mismatches (see
     /// [`BinaryChunkedSink::read_log_bytes`](crate::wire::BinaryChunkedSink::read_log_bytes)),
-    /// and for malformed documents.
+    /// for malformed text documents, and for JSON documents (render-only).
     pub fn replay(input: &[u8]) -> Result<Self, ProfileParseError> {
         Ok(Self { profile: Arc::new(read_any_profile(input)?) })
     }

@@ -1842,7 +1842,8 @@ mod tests {
     use djx_runtime::{dsl, RuntimeConfig};
     use parking_lot::Mutex;
 
-    use crate::sink::{JsonSink, TextSink};
+    use crate::sink::{read_any_profile, JsonSink, TextSink};
+    use crate::wire::BinaryChunkedSink;
 
     /// Runs the standard bloat kernel against a fresh runtime with `listener` attached.
     fn bloat_run_with(build: impl FnOnce(&mut Runtime) -> Arc<Session>) -> (Runtime, Arc<Session>) {
@@ -2143,11 +2144,10 @@ mod tests {
             bloat_run_with(|rt| Session::builder().period(16).collect_objects().attach(rt));
         let profile = session.object_profile().unwrap();
 
-        for sink in [&TextSink as &dyn ProfileSink, &JsonSink::new()] {
+        for sink in [&TextSink as &dyn ProfileSink, &BinaryChunkedSink::new()] {
             let mut out = Vec::new();
             session.stream_snapshot(sink, &mut out).unwrap();
-            let text = String::from_utf8(out).unwrap();
-            let parsed = sink.read_profile(&text).unwrap();
+            let parsed = read_any_profile(&out).unwrap();
             assert_eq!(
                 parsed.to_text(),
                 profile.to_text(),
@@ -2155,6 +2155,10 @@ mod tests {
                 sink.format_name()
             );
         }
+        // JSON is write-only: the streamed snapshot is the profile's rendering.
+        let mut json = Vec::new();
+        session.stream_snapshot(&JsonSink::new(), &mut json).unwrap();
+        assert_eq!(String::from_utf8(json).unwrap(), JsonSink::new().write_to_string(&profile));
     }
 
     #[test]

@@ -1,42 +1,42 @@
 //! Streaming profile-export backends.
 //!
 //! A [`ProfileSink`] turns an [`ObjectCentricProfile`] into bytes on any `io::Write`
-//! (files, sockets, in-memory buffers) and parses them back, so the offline analyzer
-//! and cross-machine merging (§5.2 of the paper) are independent of the on-disk format.
-//! Three backends ship:
+//! (files, sockets, in-memory buffers), so the offline analyzer and cross-machine
+//! merging (§5.2 of the paper) are independent of the on-disk format. Three backends
+//! ship:
 //!
-//! * [`TextSink`] — the original line-oriented profile-file codec
-//!   ([`ObjectCentricProfile::to_text`]/[`parse`](ObjectCentricProfile::parse)), moved
-//!   behind the trait with its round-trip guarantees intact;
+//! * [`BinaryChunkedSink`] — the replayable binary epoch log, the one format the
+//!   profiler replays (see [`crate::wire`]);
+//! * [`TextSink`] — the line-oriented profile-file codec
+//!   ([`ObjectCentricProfile::to_text`]/[`parse`](ObjectCentricProfile::parse)), the
+//!   human-readable format that reads back;
 //! * [`JsonSink`] — a machine-readable JSON document for dashboards and external
-//!   tooling, hand-rolled (writer *and* parser) because this build is offline;
-//! * [`BinaryChunkedSink`] — the replayable binary
-//!   epoch log, the one epoch-stream format (see [`crate::wire`]).
+//!   tooling. JSON is **write-only**: a render target, never parsed back.
 //!
-//! Every backend is lossless: reading back what a sink wrote reproduces the
-//! original sites, per-thread metrics, access contexts and allocation statistics, which
-//! the codec property tests check for arbitrary multi-thread profiles.
-//! [`Session::stream_snapshot`](crate::session::Session::stream_snapshot) streams a
-//! live session through any sink mid-run; [`read_any_profile`] reads whatever a
-//! built-in sink wrote.
+//! The two readable formats are lossless: reading back what they wrote reproduces
+//! the original sites, per-thread metrics, access contexts and allocation
+//! statistics, which the codec property tests check for arbitrary multi-thread
+//! profiles. [`Session::stream_snapshot`](crate::session::Session::stream_snapshot)
+//! streams a live session through any sink mid-run; [`read_any_profile`] reads a
+//! binary log or a text profile.
 
 use std::io::{self, Write};
 
-use djx_runtime::{Frame, MethodId, ThreadId};
+use djx_runtime::Frame;
 
 use crate::metrics::MetricVector;
-use crate::object::{AllocSite, AllocSiteId};
+use crate::object::AllocSite;
 use crate::profile::{
-    event_from_name, thread_to_text, AllocationRow, AllocationStats, DeltaFold,
-    ObjectCentricProfile, ProfileDelta, ProfileParseError, ThreadProfile,
+    thread_to_text, AllocationRow, AllocationStats, DeltaFold, ObjectCentricProfile, ProfileDelta,
+    ProfileParseError, ThreadProfile,
 };
 use crate::wire::{BinaryChunkedSink, BINARY_MAGIC};
 
 /// A serialization backend for object-centric profiles.
 ///
-/// Beyond whole-profile documents ([`ProfileSink::write_profile`] /
-/// [`ProfileSink::read_profile`]), a sink can opt into **incremental delta
-/// streaming**: the asynchronous export pipeline ([`crate::export`]) calls
+/// Beyond whole-profile documents ([`ProfileSink::write_profile`]), a sink can opt
+/// into **incremental delta streaming**: the asynchronous export pipeline
+/// ([`crate::export`]) calls
 /// [`ProfileSink::on_delta`] for every retired epoch and [`ProfileSink::on_finish`]
 /// once at the end of the stream. The default `on_delta` reports
 /// [`io::ErrorKind::Unsupported`]; all built-in sinks override it, and
@@ -53,13 +53,6 @@ pub trait ProfileSink: Send + Sync {
     ///
     /// Propagates write errors from `out`.
     fn write_profile(&self, profile: &ObjectCentricProfile, out: &mut dyn Write) -> io::Result<()>;
-
-    /// Parses a profile previously written by this sink.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProfileParseError`] for malformed input.
-    fn read_profile(&self, input: &str) -> Result<ObjectCentricProfile, ProfileParseError>;
 
     /// Streams one retired epoch delta. Called by the export drainer in strictly
     /// increasing epoch order; `epoch` equals `delta.epoch`.
@@ -113,10 +106,6 @@ impl ProfileSink for TextSink {
 
     fn write_profile(&self, profile: &ObjectCentricProfile, out: &mut dyn Write) -> io::Result<()> {
         out.write_all(profile.to_text().as_bytes())
-    }
-
-    fn read_profile(&self, input: &str) -> Result<ObjectCentricProfile, ProfileParseError> {
-        ObjectCentricProfile::parse(input)
     }
 
     fn on_delta(&self, epoch: u64, delta: &ProfileDelta, out: &mut dyn Write) -> io::Result<()> {
@@ -199,45 +188,6 @@ impl ProfileSink for JsonSink {
     fn on_finish(&self, profile: &ObjectCentricProfile, out: &mut dyn Write) -> io::Result<()> {
         self.write_profile(profile, out)?;
         out.write_all(b"\n")
-    }
-
-    fn read_profile(&self, input: &str) -> Result<ObjectCentricProfile, ProfileParseError> {
-        let root = JsonParser::new(input).parse_document()?;
-        let doc = Reader::new(input);
-
-        let top = doc.object(&root, 0)?;
-        let format = doc.string(top.required("format", 0)?, 0)?;
-        if format != "djxperf-profile" {
-            return Err(doc.error(0, format!("unexpected format {format:?}")));
-        }
-        let version = doc.integer(top.required("version", 0)?, 0)?;
-        if version != JSON_VERSION {
-            return Err(doc.error(0, format!("unsupported version {version}")));
-        }
-
-        let event_value = top.required("event", 0)?;
-        let event_name = doc.string(event_value, 0)?;
-        let event = event_from_name(&event_name)
-            .map_err(|e| doc.error(event_value.start, e.to_string()))?;
-
-        let stats_value = top.required("allocation_stats", 0)?;
-        let allocation_stats = read_alloc_stats_json(&doc, stats_value)?;
-
-        let sites = read_sites_json(&doc, top.required("sites", 0)?)?;
-
-        let mut threads = Vec::new();
-        for thread_value in doc.array(top.required("threads", 0)?, 0)? {
-            threads.push(read_thread_json(&doc, thread_value)?);
-        }
-
-        Ok(ObjectCentricProfile {
-            event,
-            period: doc.integer(top.required("period", 0)?, 0)?,
-            size_filter: doc.integer(top.required("size_filter", 0)?, 0)?,
-            sites,
-            threads,
-            allocation_stats,
-        })
     }
 }
 
@@ -487,487 +437,16 @@ fn write_thread_json(
     Ok(())
 }
 
-/// Reads the allocation-stats object written by [`write_alloc_stats_json`].
-fn read_alloc_stats_json(
-    doc: &Reader<'_>,
-    value: &JsonValue,
-) -> Result<AllocationStats, ProfileParseError> {
-    let stats = doc.object(value, value.start)?;
-    let stat = |key: &str| -> Result<u64, ProfileParseError> {
-        doc.integer(stats.required(key, value.start)?, value.start)
-    };
-    Ok(AllocationStats {
-        callbacks: stat("callbacks")?,
-        monitored: stat("monitored")?,
-        filtered: stat("filtered")?,
-        relocations: stat("relocations")?,
-        unknown_moves: stat("unknown_moves")?,
-        reclamations: stat("reclamations")?,
-    })
-}
-
-/// Reads the site-table array written by [`write_sites_json`].
-fn read_sites_json(
-    doc: &Reader<'_>,
-    value: &JsonValue,
-) -> Result<Vec<AllocSite>, ProfileParseError> {
-    let mut sites = Vec::new();
-    for site_value in doc.array(value, value.start)? {
-        let site = doc.object(site_value, site_value.start)?;
-        let at = site_value.start;
-        let id = doc.integer_u32(site.required("id", at)?, at)?;
-        if id as usize != sites.len() {
-            return Err(doc.error(at, "site ids must be dense and ascending".to_string()));
-        }
-        sites.push(AllocSite {
-            id: AllocSiteId(id),
-            class_name: doc.string(site.required("class", at)?, at)?,
-            call_path: doc.path(site.required("path", at)?, at)?,
-        });
-    }
-    Ok(sites)
-}
-
-/// Reads one thread's profile object written by [`write_thread_json`].
-fn read_thread_json(
-    doc: &Reader<'_>,
-    thread_value: &JsonValue,
-) -> Result<ThreadProfile, ProfileParseError> {
-    let at = thread_value.start;
-    let thread = doc.object(thread_value, at)?;
-    let mut profile = ThreadProfile::new(
-        ThreadId(doc.integer(thread.required("id", at)?, at)?),
-        &doc.string(thread.required("name", at)?, at)?,
-    );
-    profile.samples = doc.integer(thread.required("samples", at)?, at)?;
-    profile.unattributed = doc.metrics(thread.required("unattributed", at)?, at)?;
-    for object_value in doc.array(thread.required("objects", at)?, at)? {
-        let oat = object_value.start;
-        let object = doc.object(object_value, oat)?;
-        let site = AllocSiteId(doc.integer_u32(object.required("site", oat)?, oat)?);
-        let entry = profile.sites.entry(site).or_default();
-        entry.total = doc.metrics(object.required("total", oat)?, oat)?;
-        for access_value in doc.array(object.required("accesses", oat)?, oat)? {
-            let aat = access_value.start;
-            let access = doc.object(access_value, aat)?;
-            let path = doc.path(access.required("path", aat)?, aat)?;
-            let metrics = doc.metrics(access.required("metrics", aat)?, aat)?;
-            let ctx = profile.cct.insert_path(&path);
-            profile
-                .sites
-                .get_mut(&site)
-                .expect("entry inserted above")
-                .by_context
-                .insert(ctx, metrics);
-        }
-    }
-    Ok(profile)
-}
-
-// ---------------------------------------------------------------------------------------
-// JSON parsing (recursive descent over a byte cursor; values keep source offsets so
-// errors report the right line)
-// ---------------------------------------------------------------------------------------
-
-/// One parsed JSON value, tagged with its start offset for error reporting.
-#[derive(Debug, Clone)]
-pub(crate) struct JsonValue {
-    pub(crate) start: usize,
-    kind: JsonKind,
-}
-
-#[derive(Debug, Clone)]
-enum JsonKind {
-    Integer(u64),
-    String(String),
-    Array(Vec<JsonValue>),
-    Object(Vec<(String, JsonValue)>),
-    /// Accepted by the grammar for JSON completeness; profiles never contain them, so
-    /// the typed readers reject them.
-    Bool(bool),
-    Null,
-}
-
-pub(crate) struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    input: &'a str,
-}
-
-impl<'a> JsonParser<'a> {
-    pub(crate) fn new(input: &'a str) -> Self {
-        Self { bytes: input.as_bytes(), pos: 0, input }
-    }
-
-    fn error(&self, at: usize, message: impl Into<String>) -> ProfileParseError {
-        ProfileParseError { line: line_of(self.input, at), message: message.into() }
-    }
-
-    pub(crate) fn parse_document(&mut self) -> Result<JsonValue, ProfileParseError> {
-        let value = self.parse_value()?;
-        self.skip_whitespace();
-        if self.pos != self.bytes.len() {
-            return Err(self.error(self.pos, "trailing characters after JSON document"));
-        }
-        Ok(value)
-    }
-
-    fn skip_whitespace(&mut self) {
-        while self.pos < self.bytes.len()
-            && matches!(self.bytes[self.pos], b' ' | b'\t' | b'\n' | b'\r')
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), ProfileParseError> {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.error(self.pos, format!("expected {:?}", byte as char)))
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<JsonValue, ProfileParseError> {
-        self.skip_whitespace();
-        let start = self.pos;
-        match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
-            Some(b'"') => {
-                let s = self.parse_string()?;
-                Ok(JsonValue { start, kind: JsonKind::String(s) })
-            }
-            Some(b't') | Some(b'f') => self.parse_keyword(),
-            Some(b'n') => self.parse_keyword(),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
-            _ => Err(self.error(start, "expected a JSON value")),
-        }
-    }
-
-    fn parse_keyword(&mut self) -> Result<JsonValue, ProfileParseError> {
-        let start = self.pos;
-        for (literal, kind) in [
-            ("true", JsonKind::Bool(true)),
-            ("false", JsonKind::Bool(false)),
-            ("null", JsonKind::Null),
-        ] {
-            if self.input[self.pos..].starts_with(literal) {
-                self.pos += literal.len();
-                return Ok(JsonValue { start, kind });
-            }
-        }
-        Err(self.error(start, "unknown JSON keyword"))
-    }
-
-    fn parse_number(&mut self) -> Result<JsonValue, ProfileParseError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            return Err(self.error(start, "negative numbers do not appear in profiles"));
-        }
-        let mut end = self.pos;
-        while end < self.bytes.len() && self.bytes[end].is_ascii_digit() {
-            end += 1;
-        }
-        if end == self.pos {
-            return Err(self.error(start, "expected digits"));
-        }
-        if end < self.bytes.len() && matches!(self.bytes[end], b'.' | b'e' | b'E') {
-            return Err(self.error(start, "profile numbers are integers"));
-        }
-        let value: u64 = self.input[self.pos..end]
-            .parse()
-            .map_err(|_| self.error(start, "integer out of range"))?;
-        self.pos = end;
-        Ok(JsonValue { start, kind: JsonKind::Integer(value) })
-    }
-
-    fn parse_string(&mut self) -> Result<String, ProfileParseError> {
-        let start = self.pos;
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(c) = self.peek() else {
-                return Err(self.error(start, "unterminated string"));
-            };
-            self.pos += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(escape) = self.peek() else {
-                        return Err(self.error(self.pos, "dangling escape"));
-                    };
-                    self.pos += 1;
-                    match escape {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let code = self.parse_hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&code) {
-                                // Surrogate pair.
-                                self.expect(b'\\')?;
-                                self.expect(b'u')?;
-                                let low = self.parse_hex4()?;
-                                if !(0xDC00..0xE000).contains(&low) {
-                                    return Err(self.error(self.pos, "invalid surrogate pair"));
-                                }
-                                let combined = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-                                char::from_u32(combined)
-                            } else {
-                                char::from_u32(code)
-                            };
-                            out.push(
-                                c.ok_or_else(|| self.error(self.pos, "invalid unicode escape"))?,
-                            );
-                        }
-                        other => {
-                            return Err(
-                                self.error(self.pos, format!("unknown escape \\{}", other as char))
-                            );
-                        }
-                    }
-                }
-                _ => {
-                    // Re-read as UTF-8: back up to the byte and take one char.
-                    self.pos -= 1;
-                    let c = self.input[self.pos..]
-                        .chars()
-                        .next()
-                        .ok_or_else(|| self.error(self.pos, "invalid UTF-8"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn parse_hex4(&mut self) -> Result<u32, ProfileParseError> {
-        let start = self.pos;
-        if self.pos + 4 > self.bytes.len() {
-            return Err(self.error(start, "truncated unicode escape"));
-        }
-        let hex = &self.input[self.pos..self.pos + 4];
-        let code =
-            u32::from_str_radix(hex, 16).map_err(|_| self.error(start, "bad unicode escape"))?;
-        self.pos += 4;
-        Ok(code)
-    }
-
-    fn parse_array(&mut self) -> Result<JsonValue, ProfileParseError> {
-        let start = self.pos;
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_whitespace();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue { start, kind: JsonKind::Array(items) });
-        }
-        loop {
-            items.push(self.parse_value()?);
-            self.skip_whitespace();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue { start, kind: JsonKind::Array(items) });
-                }
-                _ => return Err(self.error(self.pos, "expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<JsonValue, ProfileParseError> {
-        let start = self.pos;
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_whitespace();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue { start, kind: JsonKind::Object(fields) });
-        }
-        loop {
-            self.skip_whitespace();
-            let key = self.parse_string()?;
-            self.skip_whitespace();
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            fields.push((key, value));
-            self.skip_whitespace();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue { start, kind: JsonKind::Object(fields) });
-                }
-                _ => return Err(self.error(self.pos, "expected ',' or '}'")),
-            }
-        }
-    }
-}
-
-/// 1-based line number of a byte offset.
-fn line_of(input: &str, at: usize) -> usize {
-    input.as_bytes()[..at.min(input.len())].iter().filter(|b| **b == b'\n').count() + 1
-}
-
-/// Borrowed view over a parsed object's fields.
-pub(crate) struct JsonObject<'a> {
-    fields: &'a [(String, JsonValue)],
-    input: &'a str,
-}
-
-impl<'a> JsonObject<'a> {
-    pub(crate) fn optional(&self, key: &str) -> Option<&'a JsonValue> {
-        self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    pub(crate) fn required(
-        &self,
-        key: &str,
-        at: usize,
-    ) -> Result<&'a JsonValue, ProfileParseError> {
-        self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v).ok_or_else(|| {
-            ProfileParseError {
-                line: line_of(self.input, at),
-                message: format!("missing field {key:?}"),
-            }
-        })
-    }
-}
-
-/// Typed extraction helpers over parsed values.
-pub(crate) struct Reader<'a> {
-    input: &'a str,
-}
-
-impl<'a> Reader<'a> {
-    pub(crate) fn new(input: &'a str) -> Self {
-        Self { input }
-    }
-
-    pub(crate) fn error(&self, at: usize, message: String) -> ProfileParseError {
-        ProfileParseError { line: line_of(self.input, at), message }
-    }
-
-    pub(crate) fn object(
-        &self,
-        value: &'a JsonValue,
-        at: usize,
-    ) -> Result<JsonObject<'a>, ProfileParseError> {
-        match &value.kind {
-            JsonKind::Object(fields) => Ok(JsonObject { fields, input: self.input }),
-            _ => Err(self.error(at.max(value.start), "expected an object".to_string())),
-        }
-    }
-
-    pub(crate) fn array(
-        &self,
-        value: &'a JsonValue,
-        at: usize,
-    ) -> Result<&'a [JsonValue], ProfileParseError> {
-        match &value.kind {
-            JsonKind::Array(items) => Ok(items),
-            _ => Err(self.error(at.max(value.start), "expected an array".to_string())),
-        }
-    }
-
-    pub(crate) fn integer(&self, value: &JsonValue, at: usize) -> Result<u64, ProfileParseError> {
-        match value.kind {
-            JsonKind::Integer(v) => Ok(v),
-            _ => Err(self.error(at.max(value.start), "expected an integer".to_string())),
-        }
-    }
-
-    /// An integer that must fit in `u32` (site ids, method ids, BCIs). Out-of-range
-    /// values are parse errors, never silent wraps into a different identity.
-    pub(crate) fn integer_u32(
-        &self,
-        value: &JsonValue,
-        at: usize,
-    ) -> Result<u32, ProfileParseError> {
-        let v = self.integer(value, at)?;
-        u32::try_from(v)
-            .map_err(|_| self.error(at.max(value.start), format!("integer {v} exceeds u32 range")))
-    }
-
-    pub(crate) fn string(&self, value: &JsonValue, at: usize) -> Result<String, ProfileParseError> {
-        match &value.kind {
-            JsonKind::String(s) => Ok(s.clone()),
-            _ => Err(self.error(at.max(value.start), "expected a string".to_string())),
-        }
-    }
-
-    /// Booleans appear in the fleet wire records only ([`crate::fleet`]), never in
-    /// profile documents.
-    pub(crate) fn boolean(&self, value: &JsonValue, at: usize) -> Result<bool, ProfileParseError> {
-        match &value.kind {
-            JsonKind::Bool(b) => Ok(*b),
-            _ => Err(self.error(at.max(value.start), "expected a boolean".to_string())),
-        }
-    }
-
-    fn path(&self, value: &'a JsonValue, at: usize) -> Result<Vec<Frame>, ProfileParseError> {
-        let frames = self.array(value, at)?;
-        frames
-            .iter()
-            .map(|frame| {
-                let pair = self.array(frame, frame.start)?;
-                if pair.len() != 2 {
-                    return Err(
-                        self.error(frame.start, "a frame is a [method, bci] pair".to_string())
-                    );
-                }
-                Ok(Frame::new(
-                    MethodId(self.integer_u32(&pair[0], frame.start)?),
-                    self.integer_u32(&pair[1], frame.start)?,
-                ))
-            })
-            .collect()
-    }
-
-    fn metrics(&self, value: &'a JsonValue, at: usize) -> Result<MetricVector, ProfileParseError> {
-        let object = self.object(value, at)?;
-        let field = |key: &str| -> Result<u64, ProfileParseError> {
-            self.integer(object.required(key, value.start)?, value.start)
-        };
-        Ok(MetricVector {
-            samples: field("samples")?,
-            weighted_events: field("weighted")?,
-            latency_cycles: field("latency")?,
-            local_samples: field("local")?,
-            remote_samples: field("remote")?,
-            load_samples: field("loads")?,
-            store_samples: field("stores")?,
-            allocations: field("allocs")?,
-            allocated_bytes: field("bytes")?,
-        })
-    }
-}
-
-/// Parses profile bytes written by any of the built-in sinks, detecting the format
-/// from the first bytes: the binary magic → a [`BinaryChunkedSink`] epoch log
-/// (folded and checksum-verified), `{` → a [`JsonSink`] document, anything else →
-/// a [`TextSink`] profile. The offline analyzer uses this so a directory of streamed
-/// logs, JSON snapshots and text profiles merges transparently.
+/// Parses the profile bytes a readable sink wrote, detecting the format from the
+/// first bytes: the binary magic → a [`BinaryChunkedSink`] epoch log (folded and
+/// checksum-verified), anything else → a [`TextSink`] profile. The offline analyzer
+/// uses this so a directory of streamed logs and text profiles merges
+/// transparently.
 ///
 /// # Errors
 ///
-/// Returns [`ProfileParseError`] for malformed input of any format.
+/// Returns [`ProfileParseError`] for malformed input of either format, and for a
+/// [`JsonSink`] document: JSON is a render-only format.
 pub fn read_any_profile(input: &[u8]) -> Result<ObjectCentricProfile, ProfileParseError> {
     if input.starts_with(&BINARY_MAGIC) {
         return BinaryChunkedSink::new().read_log_bytes(input);
@@ -977,17 +456,23 @@ pub fn read_any_profile(input: &[u8]) -> Result<ObjectCentricProfile, ProfilePar
         message: format!("input is neither a binary epoch log nor UTF-8 text: {e}"),
     })?;
     if text.trim_start().starts_with('{') {
-        JsonSink::new().read_profile(text)
-    } else {
-        TextSink.read_profile(text)
+        return Err(ProfileParseError {
+            line: 1,
+            message: "input is a JSON document; JSON is a render-only format — read back \
+                      a binary epoch log or a text profile instead"
+                .to_string(),
+        });
     }
+    ObjectCentricProfile::parse(text)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::object::AllocSiteId;
     use djx_memsim::{AccessKind, NumaNode};
     use djx_pmu::PmuEvent;
+    use djx_runtime::{MethodId, ThreadId};
 
     fn f(m: u32, bci: u32) -> Frame {
         Frame::new(MethodId(m), bci)
@@ -1023,7 +508,7 @@ mod tests {
         t1.record_attributed(AllocSiteId(0), &[f(1, 5), f(5, 2)], &sample(0x1040, true), 100);
         t1.record_attributed(AllocSiteId(1), &[], &sample(0x2000, false), 100);
         t1.record_unattributed(&sample(0x9000, false), 100);
-        let mut t2 = ThreadProfile::new(ThreadId(2), "worker 1");
+        let mut t2 = ThreadProfile::new(ThreadId(2), "worker\t1");
         t2.record_attributed(AllocSiteId(1), &[f(3, 0), f(6, 6)], &sample(0x2010, true), 100);
         ObjectCentricProfile {
             event: PmuEvent::L1Miss,
@@ -1036,7 +521,7 @@ mod tests {
                 monitored: 2,
                 filtered: 8,
                 relocations: 1,
-                unknown_moves: 0,
+                unknown_moves: 3,
                 reclamations: 1,
             },
         }
@@ -1047,81 +532,108 @@ mod tests {
         let profile = build_profile();
         let text = TextSink.write_to_string(&profile);
         assert_eq!(text, profile.to_text());
-        let parsed = TextSink.read_profile(&text).unwrap();
+        let parsed = ObjectCentricProfile::parse(&text).unwrap();
         assert_eq!(parsed.to_text(), profile.to_text());
         assert_eq!(TextSink.format_name(), "text");
     }
 
     #[test]
     fn json_sink_round_trips_structure_and_metrics() {
-        let profile = build_profile();
-        let json = JsonSink::new().write_to_string(&profile);
-        assert!(json.starts_with("{\"format\":\"djxperf-profile\""));
-        let parsed = JsonSink::new().read_profile(&json).unwrap();
-        assert_eq!(parsed.event, profile.event);
-        assert_eq!(parsed.period, profile.period);
-        assert_eq!(parsed.size_filter, profile.size_filter);
-        assert_eq!(parsed.allocation_stats, profile.allocation_stats);
-        assert_eq!(parsed.sites, profile.sites);
-        assert_eq!(parsed.to_text(), profile.to_text(), "canonical text form is identical");
-        // Re-serialization is a fixed point.
-        assert_eq!(JsonSink::new().write_to_string(&parsed), json);
+        // JSON is write-only, so the writer is pinned by a golden document over a
+        // profile that sets every field.
+        let json = JsonSink::new().write_to_string(&build_profile());
+        let golden = concat!(
+            r#"{"format":"djxperf-profile","version":1,"event":"MEM_LOAD_UOPS_RETIRED:L1_MISS","#,
+            r#""period":100,"size_filter":1024,"allocation_stats":{"callbacks":10,"monitored":2,"#,
+            r#""filtered":8,"relocations":1,"unknown_moves":3,"reclamations":1},"sites":["#,
+            r#"{"id":0,"class":"float[] \"quoted\" \\slash","path":[[1,5],[2,3]]},"#,
+            r#"{"id":1,"class":"Top Doc","path":[]}],"threads":["#,
+            r#"{"id":1,"name":"main","samples":4,"unattributed":{"samples":1,"weighted":100,"#,
+            r#""latency":100,"local":1,"remote":0,"loads":1,"stores":0,"allocs":0,"bytes":0},"#,
+            r#""objects":[{"site":0,"total":{"samples":2,"weighted":200,"latency":200,"local":1,"#,
+            r#""remote":1,"loads":2,"stores":0,"allocs":1,"bytes":4096},"accesses":["#,
+            r#"{"path":[[1,5],[4,9]],"metrics":{"samples":1,"weighted":100,"latency":100,"#,
+            r#""local":1,"remote":0,"loads":1,"stores":0,"allocs":0,"bytes":0}},"#,
+            r#"{"path":[[1,5],[5,2]],"metrics":{"samples":1,"weighted":100,"latency":100,"#,
+            r#""local":0,"remote":1,"loads":1,"stores":0,"allocs":0,"bytes":0}}]},"#,
+            r#"{"site":1,"total":{"samples":1,"weighted":100,"latency":100,"local":1,"remote":0,"#,
+            r#""loads":1,"stores":0,"allocs":0,"bytes":0},"accesses":[{"path":[],"metrics":"#,
+            r#"{"samples":1,"weighted":100,"latency":100,"local":1,"remote":0,"loads":1,"#,
+            r#""stores":0,"allocs":0,"bytes":0}}]}]},"#,
+            r#"{"id":2,"name":"worker\t1","samples":1,"unattributed":{"samples":0,"weighted":0,"#,
+            r#""latency":0,"local":0,"remote":0,"loads":0,"stores":0,"allocs":0,"bytes":0},"#,
+            r#""objects":[{"site":1,"total":{"samples":1,"weighted":100,"latency":100,"local":0,"#,
+            r#""remote":1,"loads":1,"stores":0,"allocs":0,"bytes":0},"accesses":["#,
+            r#"{"path":[[3,0],[6,6]],"metrics":{"samples":1,"weighted":100,"latency":100,"#,
+            r#""local":0,"remote":1,"loads":1,"stores":0,"allocs":0,"bytes":0}}]}]}]}"#,
+        );
+        assert_eq!(json, golden);
         assert_eq!(JsonSink::new().format_name(), "json");
     }
 
     #[test]
     fn json_string_escaping_round_trips() {
-        for name in ["plain", "with \"quotes\"", "back\\slash", "tab\tnewline\n", "unicode λ✓"] {
-            let literal = json_string(name);
-            let mut parser = JsonParser::new(&literal);
-            let parsed = parser.parse_string().unwrap();
-            assert_eq!(parsed, name);
+        for (name, literal) in [
+            ("plain", r#""plain""#),
+            ("with \"quotes\"", r#""with \"quotes\"""#),
+            ("back\\slash", r#""back\\slash""#),
+            ("tab\tnewline\n\r", r#""tab\tnewline\n\r""#),
+            ("bell\u{7}", r#""bell\u0007""#),
+            ("unicode λ✓", r#""unicode λ✓""#),
+        ] {
+            assert_eq!(json_string(name), literal, "{name:?}");
         }
-        // Explicit \u escapes, including a surrogate pair.
-        let mut parser = JsonParser::new("\"a\\u0041\\ud83d\\ude00\"");
-        assert_eq!(parser.parse_string().unwrap(), "aA😀");
     }
 
     #[test]
-    fn json_parse_rejects_malformed_documents() {
-        let sink = JsonSink::new();
-        assert!(sink.read_profile("").is_err());
-        assert!(sink.read_profile("not json").is_err());
-        assert!(sink.read_profile("{\"format\":\"something-else\",\"version\":1}").is_err());
-        assert!(sink.read_profile("{\"format\":\"djxperf-profile\",\"version\":99}").is_err());
-        assert!(sink.read_profile("{\"format\":\"djxperf-profile\"").is_err(), "truncated");
-        let trailing = "{} extra";
-        assert!(sink.read_profile(trailing).is_err());
-        // Site ids beyond u32 must be parse errors, not wraps into another identity.
-        let wrapped = JsonSink::new()
-            .write_to_string(&build_profile())
-            .replace("\"id\":0", "\"id\":4294967296");
-        let err = sink.read_profile(&wrapped).unwrap_err();
-        assert!(err.message.contains("u32"), "{err}");
-        // Unknown event names are parse errors, not silent L1-miss fallbacks.
-        let bad_event = JsonSink::new()
-            .write_to_string(&build_profile())
-            .replace("MEM_LOAD_UOPS_RETIRED:L1_MISS", "NOT_AN_EVENT");
-        let err = sink.read_profile(&bad_event).unwrap_err();
-        assert!(err.message.contains("NOT_AN_EVENT"), "{err}");
-    }
-
-    #[test]
-    fn json_errors_carry_line_numbers() {
-        let err = JsonSink::new().read_profile("{\n\"format\": 3\n}").unwrap_err();
-        assert!(err.line >= 1);
-        assert!(err.to_string().contains("line"));
+    fn text_codec_round_trips_whitespace_and_backslash_names() {
+        let names = [
+            "tab\there",
+            "new\nline",
+            "carriage\rreturn",
+            "lit\\sback",
+            "trailing\\",
+            "two  spaces",
+            "nbsp\u{a0}and\u{2028}sep",
+            "\\u{41}",
+        ];
+        let mut profile = build_profile();
+        for (i, name) in names.iter().enumerate() {
+            let mut thread = ThreadProfile::new(ThreadId(10 + i as u64), name);
+            thread.record_unattributed(&sample(0x9000, false), 100);
+            profile.threads.push(thread);
+            profile.sites.push(AllocSite {
+                id: AllocSiteId(profile.sites.len() as u32),
+                class_name: (*name).to_string(),
+                call_path: vec![],
+            });
+        }
+        let text = profile.to_text();
+        for parsed in [ObjectCentricProfile::parse(&text), read_any_profile(text.as_bytes())] {
+            let parsed = parsed.unwrap();
+            let thread_names: Vec<&str> =
+                parsed.threads[2..].iter().map(|t| t.thread_name.as_str()).collect();
+            assert_eq!(thread_names, names);
+            let class_names: Vec<&str> =
+                parsed.sites[2..].iter().map(|s| s.class_name.as_str()).collect();
+            assert_eq!(class_names, names);
+            assert_eq!(parsed.to_text(), text);
+        }
     }
 
     #[test]
     fn read_any_profile_detects_the_format() {
         let profile = build_profile();
         let text = TextSink.write_to_string(&profile);
-        let json = JsonSink::new().write_to_string(&profile);
         let mut log = Vec::new();
         BinaryChunkedSink::new().write_profile(&profile, &mut log).unwrap();
-        for input in [text.as_bytes(), json.as_bytes(), &log] {
+        for input in [text.as_bytes(), &log] {
             assert_eq!(read_any_profile(input).unwrap().to_text(), profile.to_text());
+        }
+        let json = JsonSink::new().write_to_string(&profile);
+        for input in [json.as_str(), "  {}", "{"] {
+            let err = read_any_profile(input.as_bytes()).unwrap_err();
+            assert!(err.message.contains("render-only"), "{err}");
         }
         assert!(read_any_profile(b"garbage").is_err());
         assert!(read_any_profile(&[0xff, 0xfe, 0x00]).is_err(), "non-UTF-8 non-magic");
@@ -1138,9 +650,11 @@ mod tests {
             threads: vec![],
             allocation_stats: AllocationStats::default(),
         };
-        for sink in [&TextSink as &dyn ProfileSink, &JsonSink::new()] {
-            let out = sink.write_to_string(&profile);
-            let parsed = sink.read_profile(&out).unwrap();
+        let text = TextSink.write_to_string(&profile);
+        let mut log = Vec::new();
+        BinaryChunkedSink::new().write_profile(&profile, &mut log).unwrap();
+        for input in [text.as_bytes(), &log] {
+            let parsed = read_any_profile(input).unwrap();
             assert_eq!(parsed.to_text(), profile.to_text());
             assert_eq!(parsed.event, PmuEvent::RemoteDram);
         }

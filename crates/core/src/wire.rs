@@ -1,18 +1,22 @@
-//! Binary epoch frames: the **one** epoch-stream format. Every replayable delta
-//! stream the profiler emits — [`BinaryChunkedSink`] logs, the fleet wire
+//! Binary frames: the **one** format the profiler reads back. Every replayable
+//! delta stream the profiler emits — [`BinaryChunkedSink`] logs, the fleet wire
 //! ([`crate::fleet`]) and the aggregator's write-ahead log — is a sequence of the
 //! frames specified here: the [`LogRecord`] stream (deltas + one terminal finish),
-//! encoded as length-prefixed, checksummed binary frames. JSON survives only as a
-//! render target ([`JsonSink`](crate::sink::JsonSink) snapshots,
-//! [`QueryResult::to_json`](crate::query::QueryResult::to_json)), never as a
-//! transport.
+//! encoded as length-prefixed, checksummed binary frames. The fleet's control
+//! records (hello, acknowledgements, queries, results, status) are frames of the
+//! same layout with their own kind bytes, so a fleet connection is one frame
+//! stream in both directions. JSON is a render target only
+//! ([`JsonSink`](crate::sink::JsonSink) snapshots,
+//! [`QueryResult::to_json`](crate::query::QueryResult::to_json)); the profiler
+//! never parses it.
 //!
-//! One frame parser serves every source, through two thin drivers: the pull-driven
-//! [`BinaryFrameReader`] (files, sockets — anything [`BufRead`]) and the
-//! push-driven [`FrameTail`] (byte chunks of a log still being written). Folding
-//! the frames through [`DeltaFold`] reproduces the streaming session's terminal
-//! profile **byte-identically** (as rendered by [`ObjectCentricProfile::to_text`],
-//! the query layer, and every other consumer).
+//! One frame parser serves every source, through thin drivers: the pull-driven
+//! [`BinaryFrameReader`] (files, sockets — anything [`BufRead`]), the
+//! push-driven [`FrameTail`] (byte chunks of a log still being written), and the
+//! fleet's producer, client and aggregator connections. Folding the epoch frames
+//! through [`DeltaFold`] reproduces the streaming session's terminal profile
+//! **byte-identically** (as rendered by [`ObjectCentricProfile::to_text`], the
+//! query layer, and every other consumer).
 //!
 //! # Frame layout
 //!
@@ -22,10 +26,25 @@
 //! |---|---|---|
 //! | magic | 4 bytes | `DF 4A 58 42` (`0xDF` then `"JXB"`; `0xDF 0x4A` is never valid UTF-8, so binary logs cannot be mistaken for text) |
 //! | version | 1 byte | `0x01` ([`BINARY_VERSION`]) |
-//! | kind | 1 byte | `0x01` = delta, `0x02` = finish |
-//! | payload length | 4 bytes | `u32`, little-endian, length of the payload that follows (at most 16 MiB: writers refuse larger frames, readers reject them before reading the payload) |
+//! | kind | 1 byte | one of the kinds below |
+//! | payload length | 4 bytes | `u32`, little-endian, length of the payload that follows — at most 16 MiB, the one bound on every inbound read: writers refuse larger frames, readers reject a larger prefix before reading the payload |
 //! | payload | *length* bytes | varint-encoded record body (below) |
-//! | checksum | 4 bytes | `u32`, little-endian, FNV-1a over the payload bytes |
+//! | checksum | 4 bytes | `u32`, little-endian, FNV-1a (32-bit: offset basis `0x811c9dc5`, prime `0x01000193`) over the payload bytes |
+//!
+//! | kind | record | where it travels |
+//! |---|---|---|
+//! | `0x01` | delta | epoch logs, WAL, producer → aggregator |
+//! | `0x02` | finish | epoch logs, WAL, producer → aggregator |
+//! | `0x03` | hello | producer → aggregator, first frame of a producer connection |
+//! | `0x04` | ack | aggregator → producer |
+//! | `0x05` | error | aggregator → producer or client, followed by a close |
+//! | `0x06` | query | client → aggregator |
+//! | `0x07` | status request | client → aggregator (empty payload) |
+//! | `0x08` | result | aggregator → client |
+//! | `0x09` | status | aggregator → client |
+//!
+//! Epoch logs hold delta and finish frames only; a control frame in a log is a
+//! parse error. Every parse error names the byte offset it found the defect at.
 //!
 //! # Varint rule
 //!
@@ -68,12 +87,25 @@
 //! | alloc row count | varint |
 //! | per row | four varints: thread id, site id, allocation count, allocated bytes |
 //!
+//! # Control payloads (kinds `0x03`–`0x09`)
+//!
+//! Strings are a varint byte length + UTF-8 bytes; flags are varints, `0` or `1`.
+//!
+//! | kind | payload fields, in order |
+//! |---|---|
+//! | hello | protocol version varint (`3`); producer name string; event name string; period, size filter varints; then the producer's loss/backoff counters: spilled frames, dropped epochs, backoff milliseconds varints |
+//! | ack | epoch varint (the fold's last epoch); final flag (`1` only for the ack of the finish frame) |
+//! | error | message string |
+//! | query | group-by name string; rank-by name string; min samples varint; top flag, followed by the top varint when the flag is `1`; class count varint + class strings; site frames as a call path (frame count + method/BCI varint pairs); thread count varint + thread id varints |
+//! | status request | empty |
+//! | result | text rendering string; JSON rendering string |
+//! | status | producer count varint; per producer: name string; connected, finished, truncated flags; deltas, last epoch, samples, resumes, duplicates, frames received, bytes received, WAL bytes, spilled frames, dropped epochs, reconnect backoff ms varints |
+//!
 //! # Reading any profile
 //!
 //! [`read_any_profile`](crate::sink::read_any_profile) sniffs the magic and
-//! replays binary logs; anything else is a [`JsonSink`](crate::sink::JsonSink)
-//! document or a text profile, so a directory of logs and snapshots merges
-//! transparently.
+//! replays binary logs; anything else is read as a text profile. A JSON document
+//! is refused: JSON is render-only.
 //!
 //! ```
 //! use djxperf::{BinaryChunkedSink, BinaryFrameReader, DeltaFold, LogRecord, ProfileSink};
@@ -98,15 +130,19 @@
 //! ```
 
 use std::io::{self, BufRead, Read, Write};
+use std::str::FromStr;
 
+use djx_pmu::PmuEvent;
 use djx_runtime::{Frame, MethodId, ThreadId};
 
+use crate::fleet::{ProducerStatus, FLEET_VERSION};
 use crate::metrics::MetricVector;
 use crate::object::{AllocSite, AllocSiteId};
 use crate::profile::{
     event_from_name, AllocationStats, DeltaFold, ObjectCentricProfile, ProfileDelta,
     ProfileParseError, ThreadDelta, ThreadProfile,
 };
+use crate::query::{GroupBy, Query, RankBy};
 use crate::sink::{FinishRecord, LogRecord, ProfileSink};
 
 /// The four magic bytes opening every binary frame: `0xDF` then `"JXB"`. The
@@ -123,23 +159,33 @@ const KIND_DELTA: u8 = 1;
 /// Frame kind byte: the terminal finish record.
 const KIND_FINISH: u8 = 2;
 
+/// Frame kind bytes of the fleet control records (see [`Control`]).
+const KIND_HELLO: u8 = 3;
+const KIND_ACK: u8 = 4;
+const KIND_ERROR: u8 = 5;
+const KIND_QUERY: u8 = 6;
+const KIND_STATUS_REQUEST: u8 = 7;
+const KIND_RESULT: u8 = 8;
+const KIND_STATUS: u8 = 9;
+
 /// Fixed frame header size: magic + version + kind + payload length.
 const HEADER_LEN: usize = 10;
 
-/// The one bound on every inbound read: a frame payload, and (in
-/// [`crate::fleet`]) a JSON control line. Readers reject a larger length prefix
-/// before reading the payload, so a corrupt or hostile header cannot make a
-/// reader allocate more than this; writers refuse to emit a frame readers would
-/// reject.
+/// The one bound on every inbound read: the payload of a frame of any kind —
+/// epoch log, WAL, and both directions of a fleet connection. Readers reject a
+/// larger length prefix before reading the payload, so a corrupt or hostile
+/// header cannot make a reader allocate more than this; writers refuse to emit a
+/// frame readers would reject.
 pub(crate) const MAX_PAYLOAD_LEN: usize = 16 << 20;
 
 // ---------------------------------------------------------------------------------------
 // Checksum and varint primitives
 // ---------------------------------------------------------------------------------------
 
-/// 32-bit FNV-1a over the payload bytes — cheap, dependency-free, and plenty to
-/// catch the torn writes and bit flips a frame checksum is for.
-fn fnv1a(bytes: &[u8]) -> u32 {
+/// 32-bit FNV-1a — cheap, dependency-free, and plenty to catch the torn writes
+/// and bit flips a frame checksum is for. The fleet also hashes producer names
+/// with it (WAL file names, default backoff seeds).
+pub(crate) fn fnv1a(bytes: &[u8]) -> u32 {
     let mut hash: u32 = 0x811c_9dc5;
     for &b in bytes {
         hash ^= u32::from(b);
@@ -232,15 +278,25 @@ impl<'a> PayloadReader<'a> {
         u32::try_from(v).map_err(|_| self.error(format!("integer {v} exceeds u32 range")))
     }
 
+    /// A `0`/`1` varint.
+    fn flag(&mut self) -> Result<bool, ProfileParseError> {
+        match self.varint()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            v => Err(self.error(format!("flag value {v} is neither 0 nor 1"))),
+        }
+    }
+
     fn string(&mut self) -> Result<String, ProfileParseError> {
-        let len = self.varint()? as usize;
-        let Some(bytes) = self.bytes.get(self.pos..self.pos + len) else {
+        let len = self.varint()?;
+        let end = usize::try_from(len).ok().and_then(|len| self.pos.checked_add(len));
+        let Some(bytes) = end.and_then(|end| self.bytes.get(self.pos..end)) else {
             return Err(self.error(format!("string of {len} bytes runs past the payload end")));
         };
         let s = std::str::from_utf8(bytes)
             .map_err(|e| self.error(format!("string is not UTF-8: {e}")))?
             .to_string();
-        self.pos += len;
+        self.pos += bytes.len();
         Ok(s)
     }
 
@@ -332,12 +388,12 @@ fn decode_delta_payload(payload: &[u8]) -> Result<ProfileDelta, ProfileParseErro
         let mut prev = 0u64;
         for j in 0..site_count {
             let delta_id = r.varint()?;
-            let id = if j == 0 { delta_id } else { prev + delta_id };
-            prev = id;
-            let site = AllocSiteId(
-                u32::try_from(id)
-                    .map_err(|_| r.error(format!("site id {id} exceeds u32 range")))?,
-            );
+            let id = if j == 0 { Some(delta_id) } else { prev.checked_add(delta_id) };
+            let Some(site) = id.and_then(|id| u32::try_from(id).ok()) else {
+                return Err(r.error(format!("site id delta {delta_id} leaves the u32 range")));
+            };
+            prev = u64::from(site);
+            let site = AllocSiteId(site);
             let entry = profile.sites.entry(site).or_default();
             entry.total = r.metrics()?;
             let context_count = r.varint()? as usize;
@@ -428,6 +484,212 @@ fn decode_finish_payload(payload: &[u8]) -> Result<FinishRecord, ProfileParseErr
 }
 
 // ---------------------------------------------------------------------------------------
+// Fleet control records
+// ---------------------------------------------------------------------------------------
+
+/// The hello frame a producer opens every fleet connection with: its name, the
+/// profiled run's configuration (so the aggregator can expose a partial fold
+/// before the finish frame arrives), and its lifetime loss/backoff counters.
+#[derive(Debug, Clone)]
+pub(crate) struct Hello {
+    pub(crate) producer: String,
+    pub(crate) event: PmuEvent,
+    pub(crate) period: u64,
+    pub(crate) size_filter: u64,
+    pub(crate) spilled_frames: u64,
+    pub(crate) dropped_epochs: u64,
+    pub(crate) backoff_ms: u64,
+}
+
+/// A fleet control record: every frame on a fleet connection that is not an
+/// epoch frame. Payload layouts are in the module docs.
+#[derive(Debug)]
+pub(crate) enum Control {
+    Hello(Hello),
+    Ack { epoch: u64, terminal: bool },
+    Error(String),
+    Query(Query),
+    StatusRequest,
+    Result { text: String, json: String },
+    Status(Vec<ProducerStatus>),
+}
+
+impl Control {
+    /// The record name used in protocol errors.
+    pub(crate) fn name(&self) -> &'static str {
+        match self {
+            Control::Hello(_) => "hello",
+            Control::Ack { .. } => "ack",
+            Control::Error(_) => "error",
+            Control::Query(_) => "query",
+            Control::StatusRequest => "status request",
+            Control::Result { .. } => "result",
+            Control::Status(_) => "status",
+        }
+    }
+
+    /// Encodes the record as one complete frame.
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::InvalidInput`] when the payload exceeds the frame cap (a
+    /// query result or status too large to send).
+    pub(crate) fn to_frame(&self) -> io::Result<Vec<u8>> {
+        let mut p = Vec::new();
+        let kind = match self {
+            Control::Hello(h) => {
+                put_varint(&mut p, FLEET_VERSION);
+                put_string(&mut p, &h.producer);
+                put_string(&mut p, h.event.hardware_name());
+                for v in [h.period, h.size_filter, h.spilled_frames, h.dropped_epochs, h.backoff_ms]
+                {
+                    put_varint(&mut p, v);
+                }
+                KIND_HELLO
+            }
+            Control::Ack { epoch, terminal } => {
+                put_varint(&mut p, *epoch);
+                put_varint(&mut p, u64::from(*terminal));
+                KIND_ACK
+            }
+            Control::Error(message) => {
+                put_string(&mut p, message);
+                KIND_ERROR
+            }
+            Control::Query(q) => {
+                put_string(&mut p, q.group_by.name());
+                put_string(&mut p, q.rank_by.name());
+                put_varint(&mut p, q.min_samples);
+                put_varint(&mut p, u64::from(q.top.is_some()));
+                if let Some(top) = q.top {
+                    put_varint(&mut p, top as u64);
+                }
+                put_varint(&mut p, q.classes.len() as u64);
+                for class in &q.classes {
+                    put_string(&mut p, class);
+                }
+                put_path(&mut p, &q.site_frames);
+                put_varint(&mut p, q.threads.len() as u64);
+                for thread in &q.threads {
+                    put_varint(&mut p, thread.0);
+                }
+                KIND_QUERY
+            }
+            Control::StatusRequest => KIND_STATUS_REQUEST,
+            Control::Result { text, json } => {
+                put_string(&mut p, text);
+                put_string(&mut p, json);
+                KIND_RESULT
+            }
+            Control::Status(rows) => {
+                put_varint(&mut p, rows.len() as u64);
+                for s in rows {
+                    put_string(&mut p, &s.producer);
+                    for flag in [s.connected, s.finished, s.truncated] {
+                        put_varint(&mut p, u64::from(flag));
+                    }
+                    for v in [
+                        s.deltas,
+                        s.last_epoch,
+                        s.samples,
+                        s.resumes,
+                        s.duplicates,
+                        s.frames_received,
+                        s.bytes_received,
+                        s.wal_bytes,
+                        s.spilled_frames,
+                        s.dropped_epochs,
+                        s.reconnect_backoff_ms,
+                    ] {
+                        put_varint(&mut p, v);
+                    }
+                }
+                KIND_STATUS
+            }
+        };
+        let mut frame = Vec::with_capacity(HEADER_LEN + p.len() + 4);
+        write_frame(kind, &p, &mut frame)?;
+        Ok(frame)
+    }
+}
+
+fn decode_control_payload(kind: u8, payload: &[u8]) -> Result<Control, ProfileParseError> {
+    let mut r = PayloadReader::new(payload);
+    let control = match kind {
+        KIND_HELLO => {
+            let version = r.varint()?;
+            if version != FLEET_VERSION {
+                return Err(r.error(format!("unsupported fleet version {version}")));
+            }
+            let producer = r.string()?;
+            let event_name = r.string()?;
+            let event = event_from_name(&event_name).map_err(|e| r.error(e.to_string()))?;
+            Control::Hello(Hello {
+                producer,
+                event,
+                period: r.varint()?,
+                size_filter: r.varint()?,
+                spilled_frames: r.varint()?,
+                dropped_epochs: r.varint()?,
+                backoff_ms: r.varint()?,
+            })
+        }
+        KIND_ACK => Control::Ack { epoch: r.varint()?, terminal: r.flag()? },
+        KIND_ERROR => Control::Error(r.string()?),
+        KIND_QUERY => {
+            let group_by = r.string()?;
+            let group_by = GroupBy::from_str(&group_by).map_err(|e| r.error(e.to_string()))?;
+            let rank_by = r.string()?;
+            let rank_by = RankBy::from_str(&rank_by).map_err(|e| r.error(e.to_string()))?;
+            let mut query = Query::new().group_by(group_by).rank_by(rank_by);
+            query.min_samples = r.varint()?;
+            if r.flag()? {
+                let top = r.varint()?;
+                query.top = Some(
+                    usize::try_from(top).map_err(|_| r.error(format!("top {top} overflows")))?,
+                );
+            }
+            for _ in 0..r.varint()? {
+                query.classes.push(r.string()?);
+            }
+            query.site_frames = r.path()?;
+            for _ in 0..r.varint()? {
+                query.threads.push(ThreadId(r.varint()?));
+            }
+            Control::Query(query)
+        }
+        KIND_STATUS_REQUEST => Control::StatusRequest,
+        KIND_RESULT => Control::Result { text: r.string()?, json: r.string()? },
+        _ => {
+            let count = r.varint()? as usize;
+            let mut rows = Vec::with_capacity(count.min(1024));
+            for _ in 0..count {
+                rows.push(ProducerStatus {
+                    producer: r.string()?,
+                    connected: r.flag()?,
+                    finished: r.flag()?,
+                    truncated: r.flag()?,
+                    deltas: r.varint()?,
+                    last_epoch: r.varint()?,
+                    samples: r.varint()?,
+                    resumes: r.varint()?,
+                    duplicates: r.varint()?,
+                    frames_received: r.varint()?,
+                    bytes_received: r.varint()?,
+                    wal_bytes: r.varint()?,
+                    spilled_frames: r.varint()?,
+                    dropped_epochs: r.varint()?,
+                    reconnect_backoff_ms: r.varint()?,
+                });
+            }
+            Control::Status(rows)
+        }
+    };
+    r.finish()?;
+    Ok(control)
+}
+
+// ---------------------------------------------------------------------------------------
 // Frame encode/decode
 // ---------------------------------------------------------------------------------------
 
@@ -475,40 +737,66 @@ fn frame_error(message: String) -> ProfileParseError {
 fn frame_len(header: &[u8; HEADER_LEN]) -> Result<usize, ProfileParseError> {
     if header[..4] != BINARY_MAGIC {
         return Err(frame_error(format!(
-            "bad frame magic {:02x} {:02x} {:02x} {:02x} (expected df 4a 58 42)",
+            "frame byte 0: bad frame magic {:02x} {:02x} {:02x} {:02x} (expected df 4a 58 42)",
             header[0], header[1], header[2], header[3]
         )));
     }
     if header[4] != BINARY_VERSION {
-        return Err(frame_error(format!("unsupported binary frame version {}", header[4])));
+        return Err(frame_error(format!(
+            "frame byte 4: unsupported binary frame version {}",
+            header[4]
+        )));
     }
-    if header[5] != KIND_DELTA && header[5] != KIND_FINISH {
-        return Err(frame_error(format!("unknown frame kind byte {:#04x}", header[5])));
+    if !(KIND_DELTA..=KIND_STATUS).contains(&header[5]) {
+        return Err(frame_error(format!(
+            "frame byte 5: unknown frame kind byte {:#04x}",
+            header[5]
+        )));
     }
     let len = u32::from_le_bytes(header[6..10].try_into().expect("4 length bytes")) as usize;
     if len > MAX_PAYLOAD_LEN {
         return Err(frame_error(format!(
-            "frame payload length {len} exceeds the {MAX_PAYLOAD_LEN}-byte cap"
+            "frame byte 6: frame payload length {len} exceeds the {MAX_PAYLOAD_LEN}-byte cap"
         )));
     }
     Ok(HEADER_LEN + len + 4)
 }
 
+/// One decoded frame of any kind: an epoch-log record or a fleet control record.
+#[derive(Debug)]
+pub(crate) enum WireRecord {
+    Log(LogRecord),
+    Control(Control),
+}
+
 /// Verifies and decodes one complete frame whose header [`frame_len`] accepted.
-fn decode_frame(frame: &[u8]) -> Result<LogRecord, ProfileParseError> {
+fn decode_frame(frame: &[u8]) -> Result<WireRecord, ProfileParseError> {
     let (body, stored) = frame.split_at(frame.len() - 4);
     let payload = &body[HEADER_LEN..];
     let stored = u32::from_le_bytes(stored.try_into().expect("4 checksum bytes"));
     let computed = fnv1a(payload);
     if stored != computed {
         return Err(frame_error(format!(
-            "frame checksum mismatch: stored {stored:08x}, computed {computed:08x}"
+            "frame byte {}: frame checksum mismatch: stored {stored:08x}, computed {computed:08x}",
+            body.len()
         )));
     }
     Ok(match frame[5] {
-        KIND_DELTA => LogRecord::Delta(decode_delta_payload(payload)?),
-        _ => LogRecord::Finish(decode_finish_payload(payload)?),
+        KIND_DELTA => WireRecord::Log(LogRecord::Delta(decode_delta_payload(payload)?)),
+        KIND_FINISH => WireRecord::Log(LogRecord::Finish(decode_finish_payload(payload)?)),
+        kind => WireRecord::Control(decode_control_payload(kind, payload)?),
     })
+}
+
+/// An epoch log holds delta and finish frames only.
+fn log_record(record: WireRecord) -> Result<LogRecord, ProfileParseError> {
+    match record {
+        WireRecord::Log(record) => Ok(record),
+        WireRecord::Control(control) => Err(frame_error(format!(
+            "frame byte 5: a {} control frame has no place in an epoch log",
+            control.name()
+        ))),
+    }
 }
 
 /// Reads and decodes exactly one binary frame from `input`, which must be
@@ -518,27 +806,50 @@ fn decode_frame(frame: &[u8]) -> Result<LogRecord, ProfileParseError> {
 /// the frame's size on the wire.
 ///
 /// The payload is read through [`Read::take`], never into a buffer pre-sized from
-/// the untrusted length prefix. Errors carry payload-relative byte context in the
-/// message and `line == 0`; callers tracking a stream position
-/// ([`BinaryFrameReader`], [`FrameTail`]) re-anchor them.
+/// the untrusted length prefix. Errors name the frame-relative byte offset of the
+/// defect (payload decode errors the payload-relative one) and carry `line == 0`;
+/// callers tracking a stream position ([`BinaryFrameReader`], [`FrameTail`])
+/// re-anchor them.
 pub(crate) fn read_binary_frame<R: Read>(
     input: &mut R,
     frame: &mut Vec<u8>,
-) -> Result<LogRecord, ProfileParseError> {
-    let truncated = |what: &str| frame_error(format!("frame truncated mid-{what} (short read)"));
-    let mut header = [0u8; HEADER_LEN];
-    input.read_exact(&mut header).map_err(|_| truncated("header"))?;
-    let total = frame_len(&header)?;
+) -> Result<WireRecord, ProfileParseError> {
+    let mut read =
+        |frame: &mut Vec<u8>, up_to: usize| {
+            let want = (up_to - frame.len()) as u64;
+            input.by_ref().take(want).read_to_end(frame).map_err(|e| {
+                frame_error(format!("frame byte {}: stream read error: {e}", frame.len()))
+            })
+        };
+    let truncated = |got: usize, what: &str| {
+        frame_error(format!("frame byte {got}: frame truncated mid-{what} (short read)"))
+    };
     frame.clear();
-    frame.extend_from_slice(&header);
-    input
-        .take((total - HEADER_LEN) as u64)
-        .read_to_end(frame)
-        .map_err(|e| frame_error(format!("frame stream read error: {e}")))?;
+    read(frame, HEADER_LEN)?;
+    let Some(header) = frame.first_chunk::<HEADER_LEN>() else {
+        return Err(truncated(frame.len(), "header"));
+    };
+    let total = frame_len(header)?;
+    read(frame, total)?;
     if frame.len() < total {
-        return Err(truncated(if frame.len() < total - 4 { "payload" } else { "checksum" }));
+        return Err(truncated(
+            frame.len(),
+            if frame.len() < total - 4 { "payload" } else { "checksum" },
+        ));
     }
     decode_frame(frame)
+}
+
+/// Waits for the next byte of `input`; `Ok(true)` is a clean end of stream at a
+/// frame boundary.
+pub(crate) fn at_end<R: BufRead>(input: &mut R) -> io::Result<bool> {
+    loop {
+        match input.fill_buf() {
+            Ok(buf) => return Ok(buf.is_empty()),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        }
+    }
 }
 
 /// Pull driver over the frame parser: an incremental frame reader over any
@@ -578,38 +889,26 @@ impl<R: BufRead> BinaryFrameReader<R> {
     /// # Errors
     ///
     /// [`ProfileParseError`] (anchored to the frame number and byte offset) for
-    /// truncated, corrupted or malformed frames; transport failures of the
-    /// underlying reader surface the same way.
+    /// truncated, corrupted or malformed frames and control frames; transport
+    /// failures of the underlying reader surface the same way.
     pub fn next_record(&mut self) -> Result<Option<LogRecord>, ProfileParseError> {
-        let at_end = loop {
-            match self.input.fill_buf() {
-                Ok(buf) => break buf.is_empty(),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    return Err(ProfileParseError {
-                        line: self.frame_number + 1,
-                        message: format!("frame stream read error: {e}"),
-                    })
-                }
-            }
-        };
-        if at_end {
-            return Ok(None);
-        }
         let start = self.offset;
+        let anchor = |frame_number: usize, message: String| ProfileParseError {
+            line: frame_number,
+            message: format!("binary frame {frame_number} at byte offset {start}: {message}"),
+        };
+        match at_end(&mut self.input) {
+            Ok(true) => return Ok(None),
+            Ok(false) => {}
+            Err(e) => return Err(anchor(self.frame_number + 1, format!("stream read error: {e}"))),
+        }
         self.frame_number += 1;
-        match read_binary_frame(&mut self.input, &mut self.frame) {
+        match read_binary_frame(&mut self.input, &mut self.frame).and_then(log_record) {
             Ok(record) => {
                 self.offset += self.frame.len() as u64;
                 Ok(Some(record))
             }
-            Err(e) => Err(ProfileParseError {
-                line: self.frame_number,
-                message: format!(
-                    "binary frame {} at byte offset {start}: {}",
-                    self.frame_number, e.message
-                ),
-            }),
+            Err(e) => Err(anchor(self.frame_number, e.message)),
         }
     }
 }
@@ -677,11 +976,11 @@ impl FrameTail {
     ///
     /// # Errors
     ///
-    /// [`ProfileParseError`] for malformed frames, anchored to the running frame
-    /// count. A header is validated as soon as it is buffered, so a corrupt length
-    /// prefix fails fast instead of stalling the tail on bytes that never come. A
-    /// tail that errored is not recoverable: the stream position inside a corrupt
-    /// frame is unknowable.
+    /// [`ProfileParseError`] for malformed frames and control frames, anchored to
+    /// the running frame count. A header is validated as soon as it is buffered,
+    /// so a corrupt length prefix fails fast instead of stalling the tail on bytes
+    /// that never come. A tail that errored is not recoverable: the stream
+    /// position inside a corrupt frame is unknowable.
     pub fn next_record(&mut self) -> Result<Option<LogRecord>, ProfileParseError> {
         let avail = &self.buf[self.pos..];
         let Some(header) = avail.first_chunk::<HEADER_LEN>() else {
@@ -695,7 +994,7 @@ impl FrameTail {
         let Some(frame) = avail.get(..total) else {
             return Ok(None);
         };
-        let record = decode_frame(frame).map_err(anchor)?;
+        let record = decode_frame(frame).and_then(log_record).map_err(anchor)?;
         self.pos += total;
         self.frames += 1;
         Ok(Some(record))
@@ -727,8 +1026,7 @@ impl FrameTail {
 /// ([`SharedBuffer`](crate::export::SharedBuffer), files) and
 /// [`read_any_profile`](crate::sink::read_any_profile) /
 /// [`BinaryChunkedSink::read_log_bytes`] to read them. The `&str`-based
-/// [`ProfileSink::read_profile`] and [`ProfileSink::write_to_string`] cannot
-/// represent them and fail.
+/// [`ProfileSink::write_to_string`] cannot represent them and panics.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BinaryChunkedSink;
 
@@ -806,17 +1104,6 @@ impl ProfileSink for BinaryChunkedSink {
             write_delta_frame(1, &threads, out)?;
         }
         write_finish_frame(&FinishRecord::of_profile(profile, false), out)
-    }
-
-    /// Binary logs cannot travel through `&str`; this always fails and points at
-    /// [`BinaryChunkedSink::read_log_bytes`].
-    fn read_profile(&self, _input: &str) -> Result<ObjectCentricProfile, ProfileParseError> {
-        Err(ProfileParseError {
-            line: 1,
-            message: "binary epoch logs are bytes, not UTF-8 text — use \
-                      BinaryChunkedSink::read_log_bytes or read_any_profile"
-                .to_string(),
-        })
     }
 
     fn on_delta(&self, epoch: u64, delta: &ProfileDelta, out: &mut dyn Write) -> io::Result<()> {
@@ -960,9 +1247,6 @@ mod tests {
         let parsed = sink.read_log_bytes(&doc).unwrap();
         assert_eq!(parsed.to_text(), profile.to_text());
         assert_eq!(sink.format_name(), "binary");
-        // The &str entry point is a clear error, not a mangled decode.
-        let err = sink.read_profile("{\"record\":\"delta\"}").unwrap_err();
-        assert!(err.message.contains("read_log_bytes"), "{err}");
     }
 
     #[test]
@@ -970,10 +1254,13 @@ mod tests {
         use crate::sink::{read_any_profile, JsonSink, TextSink};
         let (bin_log, profile) = stream();
         let text = TextSink.write_to_string(&profile);
-        let json_doc = JsonSink::new().write_to_string(&profile);
-        for input in [text.as_bytes(), json_doc.as_bytes(), &bin_log] {
+        for input in [text.as_bytes(), &bin_log] {
             assert_eq!(read_any_profile(input).unwrap().to_text(), profile.to_text());
         }
+        // JSON is render-only: a document is recognized and refused, not misread.
+        let json_doc = JsonSink::new().write_to_string(&profile);
+        let err = read_any_profile(json_doc.as_bytes()).unwrap_err();
+        assert!(err.message.contains("render-only"), "{err}");
         assert!(read_any_profile(b"garbage").is_err());
         assert!(read_any_profile(&[0xff, 0xfe, 0x00]).is_err(), "non-UTF-8 non-magic");
     }
@@ -1036,9 +1323,14 @@ mod tests {
         let err = BinaryChunkedSink::new().read_log_bytes(&bad_version).unwrap_err();
         assert!(err.message.contains("version 9"), "{err}");
         let mut bad_kind = bin_log.clone();
-        bad_kind[5] = 7;
+        bad_kind[5] = 0x2a;
         let err = BinaryChunkedSink::new().read_log_bytes(&bad_kind).unwrap_err();
         assert!(err.message.contains("kind"), "{err}");
+        // A well-formed control frame is still no epoch-log record.
+        let err = BinaryChunkedSink::new()
+            .read_log_bytes(&Control::StatusRequest.to_frame().unwrap())
+            .unwrap_err();
+        assert!(err.message.contains("status request control frame"), "{err}");
     }
 
     #[test]

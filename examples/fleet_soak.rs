@@ -169,20 +169,28 @@ fn ingest(
     }
 }
 
-/// Waits until every producer has delivered its whole buffer (nothing pending
-/// producer-side) and the aggregator has folded samples from all of them.
-/// `flush_pending` drives the delivery: an idle sink retries buffered frames
-/// only when asked (normally the next delta or the finish asks), so a fault
-/// that hit a phase's **last** frame heals here instead of waiting for more
-/// traffic.
-fn quiesce(sinks: &[Arc<FleetSink>], aggregator: &FleetAggregator, what: &str) {
+/// Waits until the aggregator has folded every sample each producer session has
+/// taken so far and no producer has frames pending. Counting samples (not just
+/// an empty sink buffer) waits out the export drainer too, which hands its
+/// queued deltas to the sink asynchronously. `flush_pending` drives the
+/// delivery: an idle sink retries buffered frames only when asked (normally the
+/// next delta or the finish asks), so a fault that hit a phase's **last** frame
+/// heals here instead of waiting for more traffic.
+fn quiesce(
+    sessions: &[Arc<Session>],
+    sinks: &[Arc<FleetSink>],
+    aggregator: &FleetAggregator,
+    what: &str,
+) {
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         let drained = sinks.iter().all(|s| s.flush_pending() == 0);
-        let folded = {
-            let status = aggregator.status();
-            status.len() == PRODUCERS as usize && status.iter().all(|s| s.samples > 0)
-        };
+        let status = aggregator.status();
+        let folded = status.len() == PRODUCERS as usize
+            && status
+                .iter()
+                .zip(sessions)
+                .all(|(s, session)| s.samples == session.total_samples());
         if drained && folded {
             return;
         }
@@ -259,7 +267,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Phase 1: first third under the (faulty) first incarnation. ---
     ingest(&fleet_sessions, &log_sessions, &procs, 0..third, 2);
-    quiesce(&sinks, &aggregator, "incarnation 1");
+    quiesce(&fleet_sessions, &sinks, &aggregator, "incarnation 1");
     for s in aggregator.status() {
         assert!(s.wal_bytes > 0, "{} logged frames before the first kill", s.producer);
     }
@@ -289,7 +297,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         assert!(row.frames > 0 && row.last_epoch > 0 && !row.finished);
     }
     ingest(&fleet_sessions, &log_sessions, &procs, third + third / 2..2 * third, 2);
-    quiesce(&sinks, &aggregator, "incarnation 2");
+    quiesce(&fleet_sessions, &sinks, &aggregator, "incarnation 2");
 
     // --- Kill #2; part of phase 3 lands during the second outage. ---
     aggregator.shutdown();

@@ -100,21 +100,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         hottest.fraction_of_total * 100.0
     );
 
-    // 6. JSON is a render target, not a transport: the terminal snapshot as a JSON
-    //    document for dashboards reads back to the same profile, and
-    //    `read_any_profile` sniffs the format so consumers never need to be told
-    //    whether they hold a streamed log or a snapshot.
-    let json_doc = JsonSink::new().write_to_string(&terminal);
-    for (name, bytes) in [("epoch log", &contents[..]), ("JSON snapshot", json_doc.as_bytes())] {
+    // 6. JSON is a render target, not a transport: the terminal snapshot renders as
+    //    a JSON document for dashboards but never reads back. `read_any_profile`
+    //    sniffs the two readable formats — a streamed log or a text snapshot — so
+    //    consumers never need to be told which they hold.
+    let text_doc = terminal.to_text();
+    for (name, bytes) in [("epoch log", &contents[..]), ("text snapshot", text_doc.as_bytes())] {
         assert_eq!(
             read_any_profile(bytes)?.to_text(),
             terminal.to_text(),
             "the {name} must read back byte-identically to the terminal profile"
         );
     }
+    let json_doc = JsonSink::new().write_to_string(&terminal);
+    assert!(read_any_profile(json_doc.as_bytes()).is_err(), "JSON is render-only");
     println!(
-        "binary epoch log: {} bytes vs {} bytes for the JSON snapshot, identical profile ✓",
+        "binary epoch log: {} bytes vs {} bytes for the text snapshot, identical profile ✓ \
+         (JSON rendering: {} bytes, write-only)",
         contents.len(),
+        text_doc.len(),
         json_doc.len(),
     );
     Ok(())

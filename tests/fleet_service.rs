@@ -8,7 +8,7 @@
 //! `MultiSource` fold of the same producers' epoch logs. Same frames, same fold,
 //! same assembly, one codepath.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -307,11 +307,85 @@ fn crashed_producer_stays_queryable_flagged_truncated() {
     assert_eq!(from_fleet.to_json(), from_union.to_json(), "json identity after the crash");
 }
 
-/// A raw-socket probe speaking the wire protocol by hand: JSON control lines and
-/// binary epoch frames.
+/// A raw-socket probe speaking the wire protocol by hand. Its control-frame
+/// encoder and reply decoder are written from the `djxperf::wire` module-doc
+/// tables alone (frame layout, kind bytes, varint rule, control payloads), which
+/// checks that the documented layout is implementable from the docs.
 struct RawProducer {
     writer: TcpStream,
     reader: BufReader<TcpStream>,
+}
+
+/// An aggregator reply, as the probe decodes it.
+#[derive(Debug, PartialEq, Eq)]
+enum Reply {
+    Ack { epoch: u64, terminal: bool },
+    Error(String),
+}
+
+fn ack(epoch: u64) -> Reply {
+    Reply::Ack { epoch, terminal: false }
+}
+
+/// Unsigned LEB128.
+fn put_varint(out: &mut Vec<u8>, mut value: u64) {
+    while value >= 0x80 {
+        out.push(value as u8 | 0x80);
+        value >>= 7;
+    }
+    out.push(value as u8);
+}
+
+fn put_string(out: &mut Vec<u8>, s: &str) {
+    put_varint(out, s.len() as u64);
+    out.extend_from_slice(s.as_bytes());
+}
+
+/// 32-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u32 {
+    bytes
+        .iter()
+        .fold(0x811c_9dc5, |hash, &b| (hash ^ u32::from(b)).wrapping_mul(0x0100_0193))
+}
+
+/// A frame header: magic `DF 4A 58 42`, version 1, kind, little-endian length.
+fn frame_header(kind: u8, len: u32) -> Vec<u8> {
+    let mut frame = vec![0xDF, 0x4A, 0x58, 0x42, 0x01, kind];
+    frame.extend_from_slice(&len.to_le_bytes());
+    frame
+}
+
+fn frame(kind: u8, payload: &[u8]) -> Vec<u8> {
+    let mut frame = frame_header(kind, payload.len() as u32);
+    frame.extend_from_slice(payload);
+    frame.extend_from_slice(&fnv1a(payload).to_le_bytes());
+    frame
+}
+
+/// A hello (kind `0x03`) speaking protocol `version`, with zero loss counters.
+fn hello_frame(producer: &str, version: u64) -> Vec<u8> {
+    let mut payload = Vec::new();
+    put_varint(&mut payload, version);
+    put_string(&mut payload, producer);
+    put_string(&mut payload, PmuEvent::DEFAULT.hardware_name());
+    for value in [PERIOD, SIZE_FILTER, 0, 0, 0] {
+        put_varint(&mut payload, value);
+    }
+    frame(0x03, &payload)
+}
+
+/// Reads one varint at `*pos`.
+fn take_varint(payload: &[u8], pos: &mut usize) -> u64 {
+    let mut value = 0;
+    for shift in (0..64).step_by(7) {
+        let byte = payload[*pos];
+        *pos += 1;
+        value |= u64::from(byte & 0x7f) << shift;
+        if byte & 0x80 == 0 {
+            break;
+        }
+    }
+    value
 }
 
 impl RawProducer {
@@ -324,28 +398,41 @@ impl RawProducer {
         RawProducer { writer, reader }
     }
 
-    /// Sends `frame` and returns the aggregator's one-line reply.
-    fn round_trip(&mut self, frame: &[u8]) -> String {
-        self.writer.write_all(frame).expect("probe writes");
-        let mut reply = String::new();
-        self.reader.read_line(&mut reply).expect("probe reads");
+    /// Sends `bytes` and decodes the aggregator's one reply frame.
+    fn round_trip(&mut self, bytes: &[u8]) -> Reply {
+        self.writer.write_all(bytes).expect("probe writes");
+        let mut header = [0u8; 10];
+        self.reader.read_exact(&mut header).expect("probe reads a reply header");
+        assert_eq!(header[..5], [0xDF, 0x4A, 0x58, 0x42, 0x01], "reply frame magic + version");
+        let len = u32::from_le_bytes(header[6..].try_into().unwrap()) as usize;
+        let mut payload = vec![0u8; len + 4];
+        self.reader.read_exact(&mut payload).expect("probe reads a reply payload");
+        let checksum = payload.split_off(len);
+        assert_eq!(checksum, fnv1a(&payload).to_le_bytes(), "reply checksum");
+        let mut pos = 0;
+        let reply = match header[5] {
+            0x04 => {
+                let epoch = take_varint(&payload, &mut pos);
+                let terminal = take_varint(&payload, &mut pos) == 1;
+                Reply::Ack { epoch, terminal }
+            }
+            0x05 => {
+                let len = take_varint(&payload, &mut pos) as usize;
+                pos += len;
+                Reply::Error(String::from_utf8(payload[pos - len..pos].to_vec()).expect("UTF-8"))
+            }
+            kind => panic!("unexpected reply kind {kind:#04x}"),
+        };
+        assert_eq!(pos, payload.len(), "the reply payload is consumed exactly");
         reply
     }
 
-    fn hello_version(&mut self, producer: &str, version: u64) -> String {
-        let event = PmuEvent::DEFAULT.hardware_name();
-        self.round_trip(
-            format!(
-                "{{\"record\":\"hello\",\"format\":\"djxperf-fleet\",\"version\":{version},\
-                 \"producer\":\"{producer}\",\"event\":\"{event}\",\"period\":{PERIOD},\
-                 \"size_filter\":{SIZE_FILTER}}}\n"
-            )
-            .as_bytes(),
-        )
+    fn hello_version(&mut self, producer: &str, version: u64) -> Reply {
+        self.round_trip(&hello_frame(producer, version))
     }
 
-    fn hello(&mut self, producer: &str) -> String {
-        self.hello_version(producer, 2)
+    fn hello(&mut self, producer: &str) -> Reply {
+        self.hello_version(producer, 3)
     }
 
     /// Asserts the aggregator closed the connection after its last reply.
@@ -355,6 +442,14 @@ impl RawProducer {
             .read_to_end(&mut rest)
             .expect("the aggregator closes the connection");
         assert!(rest.is_empty(), "nothing follows the error record: {rest:?}");
+    }
+}
+
+/// The message of an error reply.
+fn error_message(reply: Reply) -> String {
+    match reply {
+        Reply::Error(message) => message,
+        other => panic!("expected an error reply, got {other:?}"),
     }
 }
 
@@ -375,20 +470,20 @@ fn aggregator_deduplicates_replayed_epochs() {
     let aggregator = FleetAggregator::bind("127.0.0.1:0").expect("aggregator binds");
     let addr = aggregator.local_addr().unwrap().to_string();
     let mut probe = RawProducer::connect(&addr);
-    assert_eq!(probe.hello("dup"), "{\"record\":\"ack\",\"epoch\":0}\n");
-    assert_eq!(probe.round_trip(&delta_frame(1, 9, 4)), "{\"record\":\"ack\",\"epoch\":1}\n");
-    assert_eq!(probe.round_trip(&delta_frame(2, 9, 6)), "{\"record\":\"ack\",\"epoch\":2}\n");
+    assert_eq!(probe.hello("dup"), ack(0));
+    assert_eq!(probe.round_trip(&delta_frame(1, 9, 4)), ack(1));
+    assert_eq!(probe.round_trip(&delta_frame(2, 9, 6)), ack(2));
     // A replayed backfill overlap: folded once, dropped and re-acked the second
     // time — never double-counted.
-    assert_eq!(probe.round_trip(&delta_frame(2, 9, 6)), "{\"record\":\"ack\",\"epoch\":2}\n");
-    assert_eq!(probe.round_trip(&delta_frame(1, 9, 4)), "{\"record\":\"ack\",\"epoch\":2}\n");
+    assert_eq!(probe.round_trip(&delta_frame(2, 9, 6)), ack(2));
+    assert_eq!(probe.round_trip(&delta_frame(1, 9, 4)), ack(2));
     let status = aggregator.status();
     assert_eq!(status[0].deltas, 2);
     assert_eq!(status[0].duplicates, 2);
     assert_eq!(status[0].samples, 10);
     // A reconnecting producer resumes from the acked epoch.
     let mut reborn = RawProducer::connect(&addr);
-    assert_eq!(reborn.hello("dup"), "{\"record\":\"ack\",\"epoch\":2}\n");
+    assert_eq!(reborn.hello("dup"), ack(2));
 }
 
 #[test]
@@ -398,7 +493,7 @@ fn aggregator_rejects_checksum_mismatch_and_orphan_frames() {
 
     // Epoch frames before a hello are refused.
     let mut orphan = RawProducer::connect(&addr);
-    assert!(orphan.round_trip(&delta_frame(1, 9, 4)).contains("\"record\":\"error\""));
+    error_message(orphan.round_trip(&delta_frame(1, 9, 4)));
     orphan.assert_closed();
 
     // A finish whose sample count disagrees with the folded stream is refused —
@@ -413,8 +508,7 @@ fn aggregator_rejects_checksum_mismatch_and_orphan_frames() {
     BinaryChunkedSink::new()
         .on_finish(&empty.object_profile().unwrap(), &mut finish)
         .expect("finish serializes");
-    let reply = probe.round_trip(&finish);
-    assert!(reply.contains("\"record\":\"error\""), "mismatched finish refused: {reply}");
+    error_message(probe.round_trip(&finish));
     probe.assert_closed();
     let status = aggregator.status();
     let row = status.iter().find(|s| s.producer == "mismatch").unwrap();
@@ -426,45 +520,56 @@ fn v1_hellos_and_json_epoch_records_get_an_error_and_a_close() {
     let aggregator = FleetAggregator::bind("127.0.0.1:0").expect("aggregator binds");
     let addr = aggregator.local_addr().unwrap().to_string();
 
-    // A version-1 producer (JSON epoch frames) is turned away at the hello.
-    let mut v1 = RawProducer::connect(&addr);
-    let reply = v1.hello_version("old", 1);
-    assert!(reply.contains("\"record\":\"error\""), "{reply}");
-    assert!(reply.contains("unsupported fleet version 1"), "{reply}");
-    v1.assert_closed();
+    // A version-2 producer's JSON hello line is not a frame: a binary error
+    // frame answers it, then the connection closes.
+    let mut json = RawProducer::connect(&addr);
+    let reply = json.round_trip(
+        format!(
+            "{{\"record\":\"hello\",\"format\":\"djxperf-fleet\",\"version\":2,\
+             \"producer\":\"old\",\"event\":\"{}\",\"period\":{PERIOD},\
+             \"size_filter\":{SIZE_FILTER}}}\n",
+            PmuEvent::DEFAULT.hardware_name()
+        )
+        .as_bytes(),
+    );
+    assert!(error_message(reply).contains("magic"));
+    json.assert_closed();
+
+    // A binary hello of another protocol version is turned away too.
+    let mut v2 = RawProducer::connect(&addr);
+    let message = error_message(v2.hello_version("old", 2));
+    assert!(message.contains("unsupported fleet version 2"), "{message}");
+    v2.assert_closed();
 
     // A JSON delta line after a valid hello is refused, never folded.
     let mut probe = RawProducer::connect(&addr);
-    assert_eq!(probe.hello("json"), "{\"record\":\"ack\",\"epoch\":0}\n");
+    assert_eq!(probe.hello("json"), ack(0));
     let reply =
         probe.round_trip(b"{\"record\":\"delta\",\"epoch\":1,\"samples\":0,\"threads\":[]}\n");
-    assert!(reply.contains("\"record\":\"error\""), "{reply}");
-    assert!(reply.contains("binary"), "the error names the epoch-frame format: {reply}");
+    assert!(error_message(reply).contains("magic"));
     probe.assert_closed();
     let status = aggregator.status();
-    assert_eq!(status.len(), 1, "the v1 producer never registered");
+    assert_eq!(status.len(), 1, "the refused producers never registered");
     assert_eq!((status[0].producer.as_str(), status[0].deltas), ("json", 0));
 }
 
 #[test]
 fn oversized_control_line_is_refused_and_the_aggregator_keeps_serving() {
-    // The wire's one inbound cap (16 MiB) bounds control lines too: a peer that
-    // streams one byte more without a newline is refused, not buffered forever.
-    const CAP: usize = 16 << 20;
+    // The wire's one inbound cap (16 MiB) bounds control frames too: a length
+    // prefix one byte over it is refused from the header alone, before any
+    // payload is read or buffered.
+    const CAP: u32 = 16 << 20;
     let aggregator = FleetAggregator::bind("127.0.0.1:0").expect("aggregator binds");
     let addr = aggregator.local_addr().unwrap().to_string();
     let mut hostile = RawProducer::connect(&addr);
-    let mut flood = vec![b'x'; CAP + 1];
-    flood[0] = b'{';
-    let reply = hostile.round_trip(&flood);
-    assert!(reply.contains("\"record\":\"error\""), "{reply}");
-    assert!(reply.contains("cap"), "{reply}");
+    let message = error_message(hostile.round_trip(&frame_header(0x03, CAP + 1)));
+    assert!(message.contains("cap"), "{message}");
     hostile.assert_closed();
 
     // The aggregator survived: a second producer is still served.
     let mut probe = RawProducer::connect(&addr);
-    assert_eq!(probe.hello("after"), "{\"record\":\"ack\",\"epoch\":0}\n");
-    assert_eq!(probe.round_trip(&delta_frame(1, 9, 4)), "{\"record\":\"ack\",\"epoch\":1}\n");
+    assert_eq!(probe.hello("after"), ack(0));
+    assert_eq!(probe.round_trip(&delta_frame(1, 9, 4)), ack(1));
 }
 
 /// A scratch directory that cleans itself up.
@@ -653,6 +758,76 @@ fn probe_delta(epoch: u64, samples: u64) -> ProfileDelta {
     ProfileDelta { epoch, threads: vec![ThreadDelta { seq: 0, profile }] }
 }
 
+/// A complete WAL header line that does not parse is an error naming the file,
+/// never a skip: skipping would let the producer's reconnect truncate the file
+/// and lose its acknowledged frames. Only a header cut before its newline (a
+/// crash mid-create) is skipped.
+#[test]
+fn recover_refuses_a_complete_but_unparseable_header() {
+    let dir = TempDir::new("wal-bad-header");
+    let mut bytes = b"not a header\n".to_vec();
+    BinaryChunkedSink::new()
+        .on_delta(1, &probe_delta(1, 5), &mut bytes)
+        .expect("encodes");
+    let path = dir.0.join("stranger.wal");
+    std::fs::write(&path, &bytes).expect("write the WAL");
+    let err = FleetAggregator::recover(&dir.0).expect_err("an unreadable header is an error");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("stranger.wal"), "{err}");
+    assert_eq!(std::fs::read(&path).expect("WAL reads"), bytes, "the file is left untouched");
+
+    std::fs::write(&path, b"djxperf-wal v2 producer=torn").expect("write the WAL");
+    let builder = FleetAggregator::recover(&dir.0).expect("a torn header is skipped");
+    assert!(builder.recovery_report().expect("report").producers.is_empty());
+}
+
+/// Producer names travel through the WAL header line escaped, so recovery
+/// gives back names with spaces, tabs, line breaks and backslashes exactly.
+#[test]
+fn recover_round_trips_awkward_producer_names() {
+    let dir = TempDir::new("wal-names");
+    let names = ["web 1", "tab\there", "new\nline", "back\\slash", "cr\r\\s", ""];
+    let mut aggregator = FleetAggregator::builder()
+        .wal(&dir.0, FsyncPolicy::Never)
+        .bind("127.0.0.1:0")
+        .expect("durable bind");
+    let addr = aggregator.local_addr().unwrap().to_string();
+    for (i, name) in names.iter().enumerate() {
+        let sink = FleetSink::connect(&addr, name, PmuEvent::DEFAULT, PERIOD, SIZE_FILTER)
+            .expect("producer connects");
+        sink.on_delta(1, &probe_delta(1, i as u64 + 1), &mut std::io::sink())
+            .expect("delta");
+        assert_eq!(sink.stats().acked_epoch, 1, "{name:?} was folded and logged");
+    }
+    aggregator.shutdown();
+    let builder = FleetAggregator::recover(&dir.0).expect("recovery replays");
+    let mut recovered: Vec<&str> = builder
+        .recovery_report()
+        .expect("report")
+        .producers
+        .iter()
+        .map(|p| p.producer.as_str())
+        .collect();
+    let mut expected = names.to_vec();
+    recovered.sort_unstable();
+    expected.sort_unstable();
+    assert_eq!(recovered, expected);
+}
+
+/// A peer that accepts and never answers: the client's reply wait is bounded by
+/// the producers' acknowledgement deadline (5 s) instead of hanging forever.
+#[test]
+fn fleet_client_times_out_on_a_silent_aggregator() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let silent = std::thread::spawn(move || listener.accept().map(|(stream, _)| stream));
+    let mut client = FleetClient::connect(&addr).expect("client connects");
+    let start = Instant::now();
+    assert!(client.query(&Query::new()).is_err(), "a silent peer fails the query");
+    assert!(start.elapsed() < Duration::from_secs(10), "took {:?}", start.elapsed());
+    drop(silent.join());
+}
+
 /// The chosen-loss path: a producer with `DropOldestEpochsFlaggedLossy` outlives
 /// an outage bigger than its buffer; the drops are counted, declared in the next
 /// hello, and the aggregator accepts the (now checksum-unmeetable) finish while
@@ -808,6 +983,40 @@ fn sink_fault_plan_heals_losslessly() {
     let row = &aggregator.status()[0];
     assert!(row.finished && !row.truncated);
     assert_eq!(row.samples, declared, "zero loss through the fault schedule");
+}
+
+/// Aggregator-side corruption: the acknowledgement of frame 2 goes out with a
+/// flipped checksum byte. The producer's frame parser rejects it, the producer
+/// drops the connection, and the reconnect handshake trims the frame the
+/// aggregator had already folded — nothing is lost or double-counted.
+#[test]
+fn corrupted_acks_fail_their_checksum_at_the_producer() {
+    let aggregator = FleetAggregator::builder()
+        .fault_plan(FaultPlan::new().corrupt_at(2))
+        .bind("127.0.0.1:0")
+        .expect("aggregator binds");
+    let addr = aggregator.local_addr().expect("tcp aggregator").to_string();
+    let sink = FleetSink::builder("acked", PmuEvent::DEFAULT, PERIOD, SIZE_FILTER)
+        .backoff(fast_backoff(9))
+        .connect(&addr)
+        .expect("producer connects");
+    let mut out = std::io::sink();
+    for epoch in 1..=2u64 {
+        sink.on_delta(epoch, &probe_delta(epoch, epoch), &mut out).expect("delta");
+    }
+    let stats = sink.stats();
+    assert_eq!((stats.connects, stats.frames_sent, stats.pending_frames), (1, 1, 1), "{stats:?}");
+    assert_eq!(aggregator.status()[0].deltas, 2, "the frame behind the bad ack was folded");
+    // The next delivery reconnects; the hello ack trims the already-folded frame.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while sink.flush_pending() > 0 {
+        assert!(Instant::now() < deadline, "the producer never reconnected");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let stats = sink.stats();
+    assert_eq!((stats.connects, stats.frames_trimmed), (2, 1), "{stats:?}");
+    let row = &aggregator.status()[0];
+    assert_eq!((row.deltas, row.samples, row.duplicates), (2, 3, 0));
 }
 
 #[cfg(unix)]

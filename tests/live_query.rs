@@ -308,9 +308,9 @@ fn a_fold_fed_replayed_log_bytes_matches_the_cold_replay() {
 
 #[test]
 fn a_fold_fed_binary_log_bytes_matches_the_json_replay() {
-    // The binary epoch log is the transport, JSON the render target: a fold fed
-    // the log bytes renders exactly what a query over the terminal profile's JSON
-    // document — written, then read back — renders.
+    // The binary epoch log is the transport, JSON a write-only render target: a
+    // fold fed the log bytes renders exactly what a query over the terminal
+    // profile renders, and the JSON document is refused on read-back.
     let logs = build_logs(2, 6_000);
     let buffer = SharedBuffer::new();
     let session: Arc<Session> = Session::builder()
@@ -331,7 +331,8 @@ fn a_fold_fed_binary_log_bytes_matches_the_json_replay() {
     session.finish_export().expect("finish");
     let terminal = session.object_profile().expect("object collector registered");
     let json = JsonSink::new().write_to_string(&terminal);
-    let from_json = read_any_profile(json.as_bytes()).expect("the JSON document reads back");
+    let err = read_any_profile(json.as_bytes()).expect_err("JSON is render-only");
+    assert!(err.message.contains("render-only"), "{err}");
 
     let query = Query::new().top(8);
     let fold = LiveFold::new();
@@ -341,8 +342,8 @@ fn a_fold_fed_binary_log_bytes_matches_the_json_replay() {
     }
     assert!(fold.is_finished());
     let live = lq.current().result;
-    let cold = query.evaluate(&from_json).expect("cold evaluation succeeds");
-    assert_eq!(live.to_text(), cold.to_text(), "the log and the JSON snapshot describe one run");
+    let cold = query.evaluate(&terminal).expect("cold evaluation succeeds");
+    assert_eq!(live.to_text(), cold.to_text(), "the log and the terminal profile describe one run");
     assert_eq!(live.to_json(), cold.to_json());
 }
 

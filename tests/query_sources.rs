@@ -267,15 +267,15 @@ fn truncated_or_reordered_logs_cannot_masquerade_as_sources() {
     assert!(finish_at > 0, "the log carries delta frames before its finish");
     assert!(EpochLog::replay(&log[..finish_at]).is_err(), "truncated stream rejected");
     assert!(EpochLog::replay(b"not a log").is_err());
-    // Replay sniffs whole-profile documents too.
-    let document = djxperf::JsonSink::new();
+    // Replay sniffs text profile documents too; JSON is render-only and refused.
     let profile = EpochLog::replay(log).unwrap().into_profile();
-    let json = djxperf::ProfileSink::write_to_string(&document, &profile);
-    let sniffed = EpochLog::replay(json.as_bytes()).unwrap();
+    let sniffed = EpochLog::replay(profile.to_text().as_bytes()).unwrap();
     assert_eq!(
         Query::new().evaluate(&sniffed).unwrap().to_text(),
         Query::new().evaluate(&profile).unwrap().to_text()
     );
+    let json = djxperf::ProfileSink::write_to_string(&djxperf::JsonSink::new(), &profile);
+    assert!(EpochLog::replay(json.as_bytes()).is_err(), "JSON is not replayed");
 }
 
 #[test]

@@ -8,7 +8,10 @@ use djx_workloads::figure1::{expected_object_percent, Figure1Workload};
 use djx_workloads::numa::EclipseCollectionsWorkload;
 use djx_workloads::runner::{run_profiled, run_session};
 use djx_workloads::{table1_case_studies, Variant};
-use djxperf::{JsonSink, ProfileSink, ProfilerConfig, Query, RankBy, Report, TextSink};
+use djxperf::{
+    read_any_profile, BinaryChunkedSink, JsonSink, ProfileSink, ProfilerConfig, Query, RankBy,
+    Report, TextSink,
+};
 
 fn config() -> ProfilerConfig {
     ProfilerConfig::default().with_period(64)
@@ -79,15 +82,25 @@ fn text_and_json_sinks_round_trip_the_workload_suite() {
             ProfilerConfig::default().with_period(512),
         );
         let canonical = run.profile.to_text();
-        for sink in [&TextSink as &dyn ProfileSink, &JsonSink::new()] {
-            let written = sink.write_to_string(&run.profile);
-            let parsed = sink.read_profile(&written).unwrap_or_else(|e| {
+        for sink in [&TextSink as &dyn ProfileSink, &BinaryChunkedSink::new()] {
+            let mut written = Vec::new();
+            sink.write_profile(&run.profile, &mut written).expect("writing to a Vec");
+            let parsed = read_any_profile(&written).unwrap_or_else(|e| {
                 panic!("{}: {} sink failed: {e}", case.name, sink.format_name())
             });
             assert_eq!(
                 parsed.to_text(),
                 canonical,
                 "{}: {} sink must round-trip",
+                case.name,
+                sink.format_name()
+            );
+            // JSON is write-only: it renders the round-tripped profile exactly as
+            // it renders the original.
+            assert_eq!(
+                JsonSink::new().write_to_string(&parsed),
+                JsonSink::new().write_to_string(&run.profile),
+                "{}: JSON rendering after the {} round trip",
                 case.name,
                 sink.format_name()
             );
@@ -101,12 +114,18 @@ fn session_streams_snapshots_through_sinks_after_the_run() {
         &EclipseCollectionsWorkload::new(Variant::Baseline),
         ProfilerConfig::default().with_period(128),
     );
-    for sink in [&TextSink as &dyn ProfileSink, &JsonSink::new()] {
+    for sink in [&TextSink as &dyn ProfileSink, &BinaryChunkedSink::new()] {
         let mut out = Vec::new();
         session.session.stream_snapshot(sink, &mut out).expect("streaming succeeds");
-        let parsed = sink.read_profile(&String::from_utf8(out).unwrap()).unwrap();
+        let parsed = read_any_profile(&out).unwrap();
         assert_eq!(parsed.to_text(), session.profile.to_text());
     }
+    let mut json = Vec::new();
+    session
+        .session
+        .stream_snapshot(&JsonSink::new(), &mut json)
+        .expect("streaming succeeds");
+    assert_eq!(String::from_utf8(json).unwrap(), JsonSink::new().write_to_string(&session.profile));
 }
 
 #[test]

@@ -326,12 +326,6 @@ fn sink_without_delta_support_surfaces_at_finish() {
         ) -> io::Result<()> {
             out.write_all(profile.to_text().as_bytes())
         }
-        fn read_profile(
-            &self,
-            input: &str,
-        ) -> Result<ObjectCentricProfile, djxperf::ProfileParseError> {
-            ObjectCentricProfile::parse(input)
-        }
     }
 
     let logs = build_logs(1, 2_000);
@@ -370,12 +364,6 @@ fn panicking_sink_surfaces_at_finish_instead_of_hanging() {
             out: &mut dyn io::Write,
         ) -> io::Result<()> {
             out.write_all(profile.to_text().as_bytes())
-        }
-        fn read_profile(
-            &self,
-            input: &str,
-        ) -> Result<ObjectCentricProfile, djxperf::ProfileParseError> {
-            ObjectCentricProfile::parse(input)
         }
         fn on_delta(
             &self,
