@@ -279,7 +279,7 @@ impl Pipeline for GlobalLockPipeline {
         let samples: Vec<Sample> = {
             let mut sampler = self.sampler.lock();
             let pmu = sampler.pmus.get_mut(&log.thread).expect("ensured above");
-            let samples = pmu.observe(outcome);
+            let samples = pmu.observe(outcome).to_vec();
             sampler.total_samples += samples.len() as u64;
             samples
         };

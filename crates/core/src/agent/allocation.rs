@@ -8,7 +8,6 @@
 //! end (the `memmove`-interposition + MXBean-notification scheme), and removes reclaimed
 //! objects (the `finalize`-interception scheme).
 
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -19,6 +18,7 @@ use djx_runtime::{
     ThreadId,
 };
 
+use crate::fxhash::FxHashMap;
 use crate::object::{AllocSiteId, MonitoredObject};
 use crate::profile::AllocationStats;
 use crate::splay::Interval;
@@ -36,7 +36,10 @@ pub struct AllocationConfig {
     pub size_filter: u64,
     /// When `true`, objects first seen when the collector moves them (because the
     /// profiler attached after they were allocated) are inserted into the splay tree
-    /// under an unattributed site instead of being ignored.
+    /// under an unattributed site instead of being ignored — unless they are smaller
+    /// than `size_filter`: the agent keeps no record of the allocations it filtered,
+    /// so it re-applies the filter to the size every move and reclaim event carries,
+    /// and an object it never saw allocated is judged by that size alone.
     pub attach_mode: bool,
 }
 
@@ -57,15 +60,12 @@ struct PendingMove {
 
 #[derive(Debug, Default)]
 struct AllocationState {
-    /// Allocations that were seen but filtered out by the size filter; their moves and
-    /// reclamations must be ignored rather than treated as attach-mode unknowns.
-    filtered: HashSet<ObjectId>,
     /// The per-collection relocation map (§4.5): moves are batched here and applied to
     /// the splay tree when the collection finishes.
     relocation_map: Vec<PendingMove>,
     /// Per (allocating thread, site) allocation counts and bytes, merged into the
     /// thread profiles when the final profile is assembled.
-    allocations: HashMap<(ThreadId, AllocSiteId), (u64, u64)>,
+    allocations: FxHashMap<(ThreadId, AllocSiteId), (u64, u64)>,
     stats: AllocationStats,
 }
 
@@ -109,11 +109,17 @@ impl AllocationAgent {
     /// accounting; the shared splay tree is accounted separately).
     pub fn approx_bytes(&self) -> usize {
         let state = self.state.lock();
-        state.filtered.len() * std::mem::size_of::<ObjectId>() * 2
-            + state.relocation_map.len() * std::mem::size_of::<PendingMove>()
+        state.relocation_map.len() * std::mem::size_of::<PendingMove>()
             + state.allocations.len()
                 * (std::mem::size_of::<(ThreadId, AllocSiteId)>()
                     + std::mem::size_of::<(u64, u64)>())
+    }
+
+    /// `true` for objects the size filter keeps out of the index. Allocation, move and
+    /// reclaim events all carry the object's size, so the filter is re-applied to each
+    /// instead of remembering which objects it rejected.
+    fn filters(&self, size: u64) -> bool {
+        size < self.config.size_filter
     }
 
     fn apply_relocations(&self, state: &mut AllocationState) {
@@ -122,9 +128,6 @@ impl AllocationAgent {
         }
         let pending = std::mem::take(&mut state.relocation_map);
         for mv in pending {
-            if state.filtered.contains(&mv.object) {
-                continue;
-            }
             // Identity check via a read-only probe: a stale view (the profiler never
             // saw this object's allocation, and the old range now belongs to someone
             // else) must not disturb whatever live object owns the range. `find` also
@@ -173,8 +176,7 @@ impl RuntimeListener for AllocationAgent {
     fn on_object_alloc(&self, event: &AllocationEvent<'_>) {
         let mut state = self.state.lock();
         state.stats.callbacks += 1;
-        if event.size < self.config.size_filter {
-            state.filtered.insert(event.object);
+        if self.filters(event.size) {
             state.stats.filtered += 1;
             return;
         }
@@ -192,6 +194,9 @@ impl RuntimeListener for AllocationAgent {
     }
 
     fn on_object_move(&self, event: &ObjectMoveEvent) {
+        if self.filters(event.size) {
+            return;
+        }
         // Updating the splay tree on every memmove would be costly; record the move in
         // the relocation map and batch-apply at GC end (§4.5).
         self.state.lock().relocation_map.push(PendingMove {
@@ -208,10 +213,10 @@ impl RuntimeListener for AllocationAgent {
     }
 
     fn on_object_reclaim(&self, event: &ObjectReclaimEvent) {
-        let mut state = self.state.lock();
-        if state.filtered.remove(&event.object) {
+        if self.filters(event.size) {
             return;
         }
+        let mut state = self.state.lock();
         if self.shared.remove(event.addr).is_some() {
             state.stats.reclamations += 1;
         }
@@ -439,6 +444,33 @@ mod tests {
     }
 
     #[test]
+    fn unknown_moves_below_the_size_filter_are_skipped_in_attach_mode() {
+        // The agent keeps no record of filtered allocations, so an unknown object is
+        // judged by the size its move carries: a small one stays untracked even in
+        // attach mode, a large one is inserted under the unattributed site.
+        let (agent, shared) = agent(AllocationConfig { size_filter: 1024, attach_mode: true });
+        for (object, old_addr, size) in [(7u64, 0x5000, 512u64), (8, 0x9000, 1024)] {
+            agent.on_object_move(&ObjectMoveEvent {
+                gc: GcId(1),
+                object: ObjectId(object),
+                old_addr,
+                new_addr: old_addr + 0x1000,
+                size,
+            });
+        }
+        agent.on_gc_end(&GcEvent {
+            gc: GcId(1),
+            heap_used: 0,
+            objects_moved: 2,
+            objects_reclaimed: 0,
+        });
+        assert!(shared.lookup(0x6100).is_none(), "the 512-byte object stays untracked");
+        assert_eq!(shared.lookup(0xa100).unwrap().1.object, ObjectId(8));
+        assert_eq!(shared.live_objects(), 1);
+        assert_eq!(agent.stats().unknown_moves, 1);
+    }
+
+    #[test]
     fn reclamation_removes_from_tree() {
         let (agent, shared) = agent(AllocationConfig::default());
         agent.on_object_alloc(&alloc_event(1, 0x1000, 2048, "float[]", &[]));
@@ -492,10 +524,34 @@ mod tests {
 
     #[test]
     fn approx_bytes_reflects_state_growth() {
-        let (agent, _shared) = agent(AllocationConfig { size_filter: 1 << 20, attach_mode: false });
+        let (agent, _shared) = agent(AllocationConfig { size_filter: 1024, attach_mode: false });
         let before = agent.approx_bytes();
+        // Filtered allocations (and their reclaims) leave no state behind.
         for i in 0..100u64 {
             agent.on_object_alloc(&alloc_event(i, 0x1000 + i * 0x100, 64, "tiny", &[]));
+        }
+        assert_eq!(agent.approx_bytes(), before);
+        for i in 0..100u64 {
+            agent.on_object_reclaim(&ObjectReclaimEvent {
+                gc: GcId(1),
+                object: ObjectId(i),
+                addr: 0x1000 + i * 0x100,
+                size: 64,
+                class: ClassId(0),
+            });
+        }
+        assert_eq!(agent.approx_bytes(), before);
+        assert_eq!(agent.stats().filtered, 100);
+        // Monitored allocations grow the per-(thread, site) allocation table.
+        for i in 0..10u64 {
+            let trace = [Frame::new(MethodId(i as u32), 0)];
+            agent.on_object_alloc(&alloc_event(
+                100 + i,
+                0x10_0000 + i * 0x1000,
+                2048,
+                "big[]",
+                &trace,
+            ));
         }
         assert!(agent.approx_bytes() > before);
     }

@@ -281,12 +281,12 @@ impl SharedObjectIndex {
     pub fn resolve_batch<'a>(
         &self,
         addrs: impl Iterator<Item = &'a Addr>,
-        out: &mut Vec<Option<crate::object::AllocSiteId>>,
+        out: &mut impl Extend<Option<crate::object::AllocSiteId>>,
     ) {
         let mut guard = ShardGuard::new(self);
-        for &addr in addrs {
-            out.push(guard.tree(self.shard_of(addr)).lookup(addr).map(|(_, mo)| mo.site));
-        }
+        out.extend(
+            addrs.map(|&addr| guard.tree(self.shard_of(addr)).lookup(addr).map(|(_, mo)| mo.site)),
+        );
     }
 
     /// Resolves a batch of sampled addresses through the caller's per-thread
@@ -299,10 +299,10 @@ impl SharedObjectIndex {
         &self,
         cache: &mut ResolutionCache,
         addrs: impl Iterator<Item = &'a Addr>,
-        out: &mut Vec<Option<crate::object::AllocSiteId>>,
+        out: &mut impl Extend<Option<crate::object::AllocSiteId>>,
     ) {
         let mut guard = ShardGuard::new(self);
-        for &addr in addrs {
+        out.extend(addrs.map(|&addr| {
             let region = addr >> Self::REGION_SHIFT;
             let shard_index = (region & self.mask) as usize;
             let shard = &self.shards[shard_index];
@@ -314,22 +314,17 @@ impl SharedObjectIndex {
                     && shard.epoch.validate(entry.epoch)
                 {
                     cache.hits += 1;
-                    out.push(Some(entry.value.site));
-                    continue;
+                    return Some(entry.value.site);
                 }
             }
             let tree = guard.tree(shard_index);
             // The lock is held, so the epoch recorded next to the refilled entry is
             // exactly the epoch the resolved value was read under.
             let epoch = shard.epoch.current();
-            match tree.lookup(addr) {
-                Some((interval, mo)) => {
-                    cache.entries[slot] = Some(CacheEntry { region, epoch, interval, value: *mo });
-                    out.push(Some(mo.site));
-                }
-                None => out.push(None),
-            }
-        }
+            let (interval, mo) = tree.lookup(addr)?;
+            cache.entries[slot] = Some(CacheEntry { region, epoch, interval, value: *mo });
+            Some(mo.site)
+        }));
     }
 
     /// Number of live monitored objects (distinct objects, not shard copies).

@@ -6,10 +6,9 @@
 //! top-down (§5.2). Nodes are identified by [`CctNodeId`]; each node can carry a
 //! [`MetricVector`] so the same structure serves the code-centric baseline profiler.
 
-use std::collections::HashMap;
-
 use djx_runtime::Frame;
 
+use crate::fxhash::FxHashMap;
 use crate::metrics::MetricVector;
 
 /// Identifier of a node within one [`Cct`]. The root (the empty calling context) is
@@ -21,7 +20,7 @@ pub struct CctNodeId(pub u32);
 struct CctNode {
     frame: Option<Frame>,
     parent: Option<CctNodeId>,
-    children: HashMap<Frame, CctNodeId>,
+    children: FxHashMap<Frame, CctNodeId>,
     metrics: MetricVector,
 }
 
@@ -47,7 +46,7 @@ impl Cct {
             nodes: vec![CctNode {
                 frame: None,
                 parent: None,
-                children: HashMap::new(),
+                children: FxHashMap::default(),
                 metrics: MetricVector::default(),
             }],
         }
@@ -82,7 +81,7 @@ impl Cct {
         self.nodes.push(CctNode {
             frame: Some(frame),
             parent: Some(parent),
-            children: HashMap::new(),
+            children: FxHashMap::default(),
             metrics: MetricVector::default(),
         });
         self.nodes[parent.0 as usize].children.insert(frame, id);

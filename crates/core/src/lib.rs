@@ -26,6 +26,7 @@
 //! | [`splay`] | §4.2 | interval splay tree mapping live object address ranges |
 //! | [`sync`] | §5.1 | signal-handler-safe spin lock for the ingestion hot path |
 //! | [`cct`] | §4.4, §5.1 | compact calling context tree |
+//! | [`fxhash`] | §5.1 | the hot-path hasher for runtime-issued ids |
 //! | [`metrics`] | §4.1 | metric vectors attributed to sites and contexts |
 //! | [`object`] | §4.2 | allocation-site identity (allocation call paths) |
 //! | [`agent`] | §4.1, §4.5 | the allocation ("Java") agent and the shared object index |
@@ -97,6 +98,7 @@ pub mod cct;
 pub mod codecentric;
 pub mod export;
 pub mod fleet;
+pub mod fxhash;
 pub mod metrics;
 pub mod object;
 pub mod profile;

@@ -7,9 +7,11 @@
 //! paths; the splay tree then maps live address ranges to `(object id, site id)` pairs so
 //! that a sampled address resolves to a site in two steps.
 
-use std::collections::HashMap;
+use std::hash::BuildHasher;
 
 use djx_runtime::{Frame, ObjectId};
+
+use crate::fxhash::FxHashMap;
 
 /// Identifier of an interned allocation site (allocation calling context + class).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -44,7 +46,10 @@ impl AllocSite {
 #[derive(Debug, Default, Clone)]
 pub struct AllocSiteRegistry {
     sites: Vec<AllocSite>,
-    by_key: HashMap<(String, Vec<Frame>), AllocSiteId>,
+    /// Site ids by the hash of their `(class name, call path)`. A probe compares the
+    /// candidates' stored keys against the borrowed ones, so interning an existing
+    /// site — every monitored allocation but the first per site — allocates nothing.
+    by_hash: FxHashMap<u64, Vec<AllocSiteId>>,
 }
 
 impl AllocSiteRegistry {
@@ -60,14 +65,23 @@ impl AllocSiteRegistry {
     /// Interns `(class name, allocation call path)` and returns its site id. Repeated
     /// interning of the same pair returns the same id.
     pub fn intern(&mut self, class_name: &str, call_path: &[Frame]) -> AllocSiteId {
-        let key = (class_name.to_string(), call_path.to_vec());
-        if let Some(id) = self.by_key.get(&key) {
-            return *id;
+        let hash = self.by_hash.hasher().hash_one((class_name, call_path));
+        let candidates = self.by_hash.entry(hash).or_default();
+        let sites = &self.sites;
+        let existing = candidates.iter().copied().find(|id| {
+            let site = &sites[id.0 as usize];
+            site.class_name == class_name && site.call_path == call_path
+        });
+        if let Some(id) = existing {
+            return id;
         }
         let id = AllocSiteId(self.sites.len() as u32);
-        self.sites
-            .push(AllocSite { id, class_name: key.0.clone(), call_path: key.1.clone() });
-        self.by_key.insert(key, id);
+        candidates.push(id);
+        self.sites.push(AllocSite {
+            id,
+            class_name: class_name.to_string(),
+            call_path: call_path.to_vec(),
+        });
         id
     }
 
@@ -103,15 +117,19 @@ impl AllocSiteRegistry {
 
     /// Approximate resident bytes (memory-overhead accounting).
     pub fn approx_bytes(&self) -> usize {
-        self.sites
+        let sites = self
+            .sites
             .iter()
             .map(|s| {
                 std::mem::size_of::<AllocSite>()
                     + s.class_name.len()
                     + s.call_path.len() * std::mem::size_of::<Frame>()
             })
-            .sum::<usize>()
-            * 2 // the by_key index duplicates the key data
+            .sum::<usize>();
+        let index = self.by_hash.len()
+            * (std::mem::size_of::<u64>() + std::mem::size_of::<Vec<AllocSiteId>>())
+            + self.sites.len() * std::mem::size_of::<AllocSiteId>();
+        sites + index
     }
 }
 

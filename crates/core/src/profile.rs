@@ -10,6 +10,7 @@ use djx_pmu::PmuEvent;
 use djx_runtime::{Frame, MethodId, ThreadId};
 
 use crate::cct::{Cct, CctNodeId};
+use crate::fxhash::FxHashMap;
 use crate::metrics::MetricVector;
 use crate::object::{AllocSite, AllocSiteId};
 
@@ -20,7 +21,7 @@ pub struct SiteMetrics {
     /// Aggregate over every sample attributed to the site by this thread.
     pub total: MetricVector,
     /// Breakdown by access calling context (node of the thread's CCT).
-    pub by_context: HashMap<CctNodeId, MetricVector>,
+    pub by_context: FxHashMap<CctNodeId, MetricVector>,
 }
 
 impl SiteMetrics {
@@ -46,7 +47,7 @@ pub struct ThreadProfile {
     /// Calling context tree holding the access contexts referenced by `sites`.
     pub cct: Cct,
     /// Per-allocation-site metrics.
-    pub sites: HashMap<AllocSiteId, SiteMetrics>,
+    pub sites: FxHashMap<AllocSiteId, SiteMetrics>,
     /// Samples whose effective address was not enclosed by any monitored object
     /// (unmonitored small objects, stack/runtime memory).
     pub unattributed: MetricVector,
@@ -61,7 +62,7 @@ impl ThreadProfile {
             thread,
             thread_name: thread_name.to_string(),
             cct: Cct::new(),
-            sites: HashMap::new(),
+            sites: FxHashMap::default(),
             unattributed: MetricVector::default(),
             samples: 0,
         }

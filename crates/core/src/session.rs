@@ -40,7 +40,11 @@
 //!
 //! 1. **Sampler** — the per-thread virtual PMUs live in a [`ThreadId`]-striped table;
 //!    observing an access locks only the owning thread's stripe (uncontended unless two
-//!    thread ids collide on a stripe).
+//!    thread ids collide on a stripe). An overflow's samples are dispatched through the
+//!    two layers below straight out of the PMU's reused sample buffer, with that stripe
+//!    still held, so the whole path — unsampled or sampled — allocates nothing once the
+//!    thread's state exists, and every per-thread table on it hashes its runtime-issued
+//!    keys with [`FxHasher`](crate::fxhash::FxHasher) instead of SipHash.
 //! 2. **Object index** — sample addresses resolve in three levels (see
 //!    [`crate::agent`]): a per-thread direct-mapped
 //!    [`ResolutionCache`] first — repeat samples on hot
@@ -103,7 +107,7 @@ use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
 
-use djx_pmu::{PerfEventBuilder, PmuCounts, PmuEvent, Sample, ThreadPmu};
+use djx_pmu::{PerfEventBuilder, PmuCounts, PmuEvent, Sample, ThreadPmu, MAX_SAMPLED_EVENTS};
 use djx_runtime::{
     AllocationEvent, Frame, GcEvent, MemoryAccessEvent, ObjectMoveEvent, ObjectReclaimEvent,
     Runtime, RuntimeListener, ThreadEvent, ThreadId,
@@ -113,6 +117,7 @@ use crate::agent::{AllocationAgent, AllocationConfig, ResolutionCache, SharedObj
 use crate::cct::Cct;
 use crate::codecentric::CodeCentricProfile;
 use crate::export::{DeltaDrainer, DrainPolicy, ExportShared, ExportStats};
+use crate::fxhash::FxHashMap;
 use crate::metrics::MetricVector;
 use crate::object::{AllocSite, AllocSiteId};
 use crate::profile::{
@@ -144,7 +149,8 @@ pub struct ProfilerConfig {
     /// lock-step bias.
     pub jitter: bool,
     /// Attach mode: objects first seen when the GC moves them are tracked under an
-    /// unattributed site instead of being dropped.
+    /// unattributed site instead of being dropped — when the move's size passes the
+    /// size filter (see [`SessionBuilder::attach_mode`]).
     pub attach_mode: bool,
 }
 
@@ -280,6 +286,12 @@ impl<'a> BatchContext<'a> {
 /// All methods take `&self`: collectors are invoked through a shared `Arc` from
 /// listener callbacks and use interior mutability, exactly like runtime listeners.
 /// Every non-sample hook has a default no-op implementation.
+///
+/// The sample hooks, and [`Collector::on_thread_seen`] for a thread first seen through
+/// an access, run on the sampling thread while the session holds that thread's sampler
+/// stripe — a non-reentrant spin lock. They must not call back into the session
+/// methods that visit every sampler stripe ([`Session::thread_count`],
+/// [`Session::merged_counts`], [`Session::memory_footprint_bytes`]).
 pub trait Collector: Send + Sync {
     /// Short collector name, used in diagnostics.
     fn name(&self) -> &'static str;
@@ -345,12 +357,12 @@ struct PerThread<T> {
 }
 
 /// One stripe of a [`PerThread`] table: thread → (first-seen sequence, state).
-type Stripe<T> = SpinLock<HashMap<ThreadId, (u64, T)>>;
+type Stripe<T> = SpinLock<FxHashMap<ThreadId, (u64, T)>>;
 
 impl<T> Default for PerThread<T> {
     fn default() -> Self {
         Self {
-            stripes: (0..THREAD_STRIPES).map(|_| SpinLock::new(HashMap::new())).collect(),
+            stripes: (0..THREAD_STRIPES).map(|_| SpinLock::new(FxHashMap::default())).collect(),
             seq: AtomicU64::new(0),
         }
     }
@@ -415,7 +427,7 @@ impl<T> PerThread<T> {
     /// Takes every entry out, stripe by stripe. Each stripe lock is held only for the
     /// O(1) map swap — never while entries are visited. Snapshot-side like
     /// [`PerThread::fold`], so contended stripes are acquired yielding.
-    fn take_all(&self) -> Vec<HashMap<ThreadId, (u64, T)>> {
+    fn take_all(&self) -> Vec<FxHashMap<ThreadId, (u64, T)>> {
         self.stripes
             .iter()
             .map(|stripe| std::mem::take(&mut *stripe.lock_yielding()))
@@ -825,10 +837,10 @@ impl Collector for CodeCentricCollector {
 
 #[derive(Debug, Clone, Default)]
 struct NumaState {
-    per_site: HashMap<AllocSiteId, MetricVector>,
+    per_site: FxHashMap<AllocSiteId, MetricVector>,
     unattributed: MetricVector,
     /// Samples per (CPU node, page node) pair — the machine-level traffic matrix.
-    node_traffic: HashMap<(u32, u32), u64>,
+    node_traffic: FxHashMap<(u32, u32), u64>,
 }
 
 impl NumaState {
@@ -975,7 +987,11 @@ impl NumaProfile {
 /// The session's sampling substrate. The per-thread PMUs live in a [`ThreadId`]-striped
 /// table: observing an access — the hottest operation of the whole session, it runs for
 /// every memory access, sampled or not — locks only the owning thread's stripe, so
-/// concurrently profiled threads do not serialize here.
+/// concurrently profiled threads do not serialize here. The stripe stays held while an
+/// overflow is dispatched (the samples borrow the PMU's buffer); every lock the
+/// dispatch takes — resolution-cache stripe, index shards, collector stripes — nests
+/// inside it, and none of their holders ever takes a sampler stripe, so no cycle
+/// exists.
 #[derive(Debug)]
 struct Sampler {
     builder: PerfEventBuilder,
@@ -1001,21 +1017,25 @@ impl Sampler {
     /// Feeds one access outcome to the thread's PMU, programming the PMU first when
     /// the thread is new to the session — presence check and observation share **one**
     /// stripe acquisition (the pre-sharding sampler paid two global lock round-trips
-    /// per access here). Returns whether the thread is new, and any overflow samples.
-    fn observe_ensuring(&self, event: &MemoryAccessEvent<'_>) -> (bool, Vec<Sample>) {
-        let mut created = false;
-        let samples = self.pmus.with(
+    /// per access here). Hands `f` whether the thread is new and the overflow samples,
+    /// which borrow the PMU's reused sample buffer — so `f` runs with the thread's
+    /// stripe still held.
+    fn observe_ensuring(&self, event: &MemoryAccessEvent<'_>, f: impl FnOnce(bool, &[Sample])) {
+        let created = std::cell::Cell::new(false);
+        self.pmus.with(
             event.thread,
             || {
-                created = true;
+                created.set(true);
                 self.builder.open_for_thread(event.thread.0)
             },
-            |pmu| pmu.observe(&event.outcome),
-        );
-        if !samples.is_empty() {
-            self.total_samples.fetch_add(samples.len() as u64, Ordering::Relaxed);
-        }
-        (created, samples)
+            |pmu| {
+                let samples = pmu.observe(&event.outcome);
+                if !samples.is_empty() {
+                    self.total_samples.fetch_add(samples.len() as u64, Ordering::Relaxed);
+                }
+                f(created.get(), samples)
+            },
+        )
     }
 
     fn total_samples(&self) -> u64 {
@@ -1035,6 +1055,30 @@ impl Sampler {
 
     fn approx_bytes(&self) -> usize {
         self.thread_count() * std::mem::size_of::<ThreadPmu>()
+    }
+}
+
+/// The allocation sites resolved for one access's overflow samples, parallel to them and
+/// held inline — an access yields at most one sample per programmed event, so
+/// [`MAX_SAMPLED_EVENTS`] slots always suffice and dispatching allocates nothing.
+#[derive(Default)]
+struct SiteBatch {
+    len: usize,
+    sites: [Option<AllocSiteId>; MAX_SAMPLED_EVENTS],
+}
+
+impl SiteBatch {
+    fn as_slice(&self) -> &[Option<AllocSiteId>] {
+        &self.sites[..self.len]
+    }
+}
+
+impl Extend<Option<AllocSiteId>> for SiteBatch {
+    fn extend<I: IntoIterator<Item = Option<AllocSiteId>>>(&mut self, sites: I) {
+        for site in sites {
+            self.sites[self.len] = site;
+            self.len += 1;
+        }
     }
 }
 
@@ -1150,6 +1194,10 @@ impl SessionBuilder {
     /// unattributed site instead of being dropped. Use when the session attaches to an
     /// already-running workload; launch mode (the default) assumes the session observes
     /// the program from the start.
+    ///
+    /// The size filter applies to these objects too: the allocation agent keeps no
+    /// record of the allocations it filtered, so it judges every move by the size the
+    /// move carries, and an unknown object smaller than the filter stays untracked.
     pub fn attach_mode(mut self, attach: bool) -> Self {
         self.config.attach_mode = attach;
         self
@@ -1340,8 +1388,9 @@ pub struct Session {
     /// Per-thread object-resolution caches (level 1 of the resolution path), striped
     /// by thread id like every other per-thread table; `None` when the builder
     /// disabled the cache. The owning thread's stripe lock is held across the batch
-    /// resolution (shard locks nest inside it; shard locks never take stripe locks,
-    /// so no cycle exists) — the same whole-batch stripe hold every built-in
+    /// resolution (nested inside the thread's sampler stripe; shard locks nest inside
+    /// it, and shard locks never take stripe locks, so no cycle exists) — the same
+    /// whole-batch stripe hold every built-in
     /// collector uses, and one stripe acquisition per batch instead of a
     /// checkout/return pair, which measures ~2× cheaper at batch size 1. The cost is
     /// that two threads whose ids collide modulo the stripe count serialize their
@@ -1718,7 +1767,7 @@ impl Session {
         // when enabled (repeat samples on hot objects take no shard lock at all),
         // falling back to the index shards the batch touches (the guard is reused
         // across the batch's spatially local addresses).
-        let mut sites = Vec::with_capacity(samples.len());
+        let mut sites = SiteBatch::default();
         let addrs = || samples.iter().map(|s| &s.effective_addr);
         match &self.caches {
             Some(caches) => caches.with(event.thread, ResolutionCache::default, |cache| {
@@ -1732,7 +1781,7 @@ impl Session {
             call_trace: event.call_trace,
             period: self.config.period,
             samples,
-            sites: &sites,
+            sites: sites.as_slice(),
         };
         for collector in &self.collectors {
             collector.on_sample_batch(&batch);
@@ -1801,16 +1850,18 @@ impl RuntimeListener for Session {
 
     fn on_memory_access(&self, event: &MemoryAccessEvent<'_>) {
         // Threads that started before the session attached get a PMU lazily; the
-        // presence check and the observation share a single stripe acquisition.
-        let (is_new, samples) = self.sampler.observe_ensuring(event);
-        if is_new {
-            for collector in &self.collectors {
-                collector.on_thread_seen(event.thread, "<attached>");
+        // presence check and the observation share a single stripe acquisition, and
+        // the overflow samples are dispatched straight out of the PMU's buffer.
+        self.sampler.observe_ensuring(event, |is_new, samples| {
+            if is_new {
+                for collector in &self.collectors {
+                    collector.on_thread_seen(event.thread, "<attached>");
+                }
             }
-        }
-        if !samples.is_empty() {
-            self.dispatch_samples(event, &samples);
-        }
+            if !samples.is_empty() {
+                self.dispatch_samples(event, samples);
+            }
+        });
     }
 
     fn on_gc_start(&self, event: &GcEvent) {

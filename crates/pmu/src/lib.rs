@@ -16,7 +16,7 @@
 //! * [`ThreadPmu`] is the per-thread PMU: it observes every
 //!   [`AccessOutcome`](djx_memsim::AccessOutcome) a thread produces, counts events, and
 //!   emits [`Sample`]s on overflow — exactly what a signal handler would receive from the
-//!   kernel,
+//!   kernel — from a buffer the PMU reuses, so observing an access never allocates,
 //! * [`PerfEventBuilder`] is a `perf_event_open`-style configuration facade.
 //!
 //! ## Example
@@ -33,7 +33,9 @@
 //! let mut samples = Vec::new();
 //! for i in 0..64u64 {
 //!     let outcome = hier.access(MemoryAccess::load(0, 0x10_0000 + i * 64, 8));
-//!     samples.extend(pmu.observe(&outcome));
+//!     let fired = pmu.observe(&outcome); // at most one sample per programmed event
+//!     assert!(fired.len() <= 1);
+//!     samples.extend_from_slice(fired);
 //! }
 //! assert!(!samples.is_empty(), "cold strided loads overflow the L1-miss counter");
 //! assert!(samples.iter().all(|s| s.thread_id == 7));
@@ -48,7 +50,7 @@ pub mod sample;
 pub use counter::EventCounter;
 pub use event::PmuEvent;
 pub use perf_event::PerfEventBuilder;
-pub use pmu::{PmuCounts, ThreadPmu};
+pub use pmu::{PmuCounts, ThreadPmu, MAX_SAMPLED_EVENTS};
 pub use sample::Sample;
 
 /// Identifier of a simulated application thread (the analogue of a Linux TID).

@@ -85,6 +85,11 @@ impl PerfEventBuilder {
     /// "Opens" the configured events for a thread, returning its virtual PMU. The
     /// analogue of calling `perf_event_open` with this attribute for a specific TID and
     /// enabling the fd.
+    ///
+    /// # Panics
+    ///
+    /// Panics if more than [`MAX_SAMPLED_EVENTS`](crate::MAX_SAMPLED_EVENTS) events are
+    /// programmed.
     pub fn open_for_thread(&self, thread_id: ThreadId) -> ThreadPmu {
         ThreadPmu::new(thread_id, &self.events, self.jitter)
     }

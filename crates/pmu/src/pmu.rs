@@ -42,17 +42,25 @@ impl PmuCounts {
     }
 }
 
+/// Most events one [`ThreadPmu`] can sample at once — the analogue of a core's
+/// programmable counters (eight per core on the Intel parts DJXPerf targets).
+pub const MAX_SAMPLED_EVENTS: usize = 8;
+
 /// A per-thread virtual PMU.
 ///
 /// DJXPerf programs the PMU of every Java thread when JVMTI reports the thread start
-/// (§4.1); this type is what that programming produces in the simulation. One or more
-/// events are opened in sampling mode; [`ThreadPmu::observe`] plays the role of the
-/// hardware counting retired memory operations, and returns the samples whose counters
-/// overflowed on this access (the "signal handler" payload).
+/// (§4.1); this type is what that programming produces in the simulation. Up to
+/// [`MAX_SAMPLED_EVENTS`] events are opened in sampling mode; [`ThreadPmu::observe`]
+/// plays the role of the hardware counting retired memory operations, and returns the
+/// samples whose counters overflowed on this access (the "signal handler" payload).
 #[derive(Debug, Clone)]
 pub struct ThreadPmu {
     thread_id: ThreadId,
     sampled: Vec<(PmuEvent, EventCounter)>,
+    /// The samples the last observed access produced. Each counter overflows at most
+    /// once per access, so the capacity reserved for one sample per programmed event
+    /// is never exceeded and observing never allocates.
+    fired: Vec<Sample>,
     counts: PmuCounts,
     enabled: bool,
 }
@@ -60,12 +68,27 @@ pub struct ThreadPmu {
 impl ThreadPmu {
     /// Creates a PMU for `thread_id` with the given sampled events and periods. Jitter is
     /// applied when `jitter` is true (seeded by the thread id, so runs are reproducible).
+    ///
+    /// # Panics
+    ///
+    /// Panics if more than [`MAX_SAMPLED_EVENTS`] events are programmed.
     pub fn new(thread_id: ThreadId, events: &[(PmuEvent, u64)], jitter: bool) -> Self {
+        assert!(
+            events.len() <= MAX_SAMPLED_EVENTS,
+            "a PMU samples at most {MAX_SAMPLED_EVENTS} events, {} programmed",
+            events.len()
+        );
         let sampled = events
             .iter()
             .map(|(ev, period)| (*ev, EventCounter::with_jitter(*period, jitter, thread_id)))
             .collect();
-        Self { thread_id, sampled, counts: PmuCounts::default(), enabled: true }
+        Self {
+            thread_id,
+            sampled,
+            fired: Vec::with_capacity(events.len()),
+            counts: PmuCounts::default(),
+            enabled: true,
+        }
     }
 
     /// The thread this PMU belongs to.
@@ -107,12 +130,14 @@ impl ThreadPmu {
 
     /// Observes one access outcome: advances counting-mode totals for every event and
     /// the sampling counters for the programmed events, returning a sample per counter
-    /// that overflowed.
+    /// that overflowed — at most one per programmed event. The samples live in a buffer
+    /// the PMU reuses for every access, so observing never allocates.
     ///
-    /// Returns an empty vector when the PMU is disabled.
-    pub fn observe(&mut self, outcome: &AccessOutcome) -> Vec<Sample> {
+    /// Returns no samples when the PMU is disabled.
+    pub fn observe(&mut self, outcome: &AccessOutcome) -> &[Sample] {
+        self.fired.clear();
         if !self.enabled {
-            return Vec::new();
+            return &self.fired;
         }
         // Counting mode: track every known event so accuracy tests can compare the
         // sampled attribution against the full counts.
@@ -120,14 +145,18 @@ impl ThreadPmu {
             self.counts.add(ev, ev.increment_for(outcome));
         }
 
-        let mut samples = Vec::new();
         for (ev, counter) in &mut self.sampled {
             let inc = ev.increment_for(outcome);
             if inc > 0 && counter.add(inc) {
-                samples.push(Sample::from_outcome(*ev, self.thread_id, outcome, counter.total()));
+                self.fired.push(Sample::from_outcome(
+                    *ev,
+                    self.thread_id,
+                    outcome,
+                    counter.total(),
+                ));
             }
         }
-        samples
+        &self.fired
     }
 }
 
@@ -189,6 +218,13 @@ mod tests {
         assert_eq!(loads, pmu.counts().count(PmuEvent::Loads) / 7);
         assert_eq!(misses, pmu.counts().count(PmuEvent::L1Miss) / 13);
         assert_eq!(pmu.samples_emitted(), loads + misses);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 8 events")]
+    fn more_events_than_counters_rejected() {
+        let events = [(PmuEvent::Loads, 1); MAX_SAMPLED_EVENTS + 1];
+        let _ = ThreadPmu::new(5, &events, false);
     }
 
     #[test]
