@@ -14,7 +14,7 @@
 //!   check + observe), one lock around a single interval splay tree (locked per
 //!   overflow batch), and one lock per collector, taken **per sample per collector**.
 //! * **`sharded-full`** — the real [`Session`] with all three built-in collectors
-//!   (address-sharded object index, striped per-thread PMU table and collector state,
+//!   (address-sharded object index, per-thread slots for the PMU and collector state,
 //!   one `on_sample_batch` call per collector) and the resolution cache disabled.
 //!
 //! **Resolution substrate** (collector-free sessions, sampling period
@@ -279,7 +279,8 @@ impl Pipeline for GlobalLockPipeline {
         let samples: Vec<Sample> = {
             let mut sampler = self.sampler.lock();
             let pmu = sampler.pmus.get_mut(&log.thread).expect("ensured above");
-            let samples = pmu.observe(outcome).to_vec();
+            let mut samples = Vec::new();
+            pmu.observe(outcome, |fired| samples = fired.to_vec());
             sampler.total_samples += samples.len() as u64;
             samples
         };
@@ -358,7 +359,7 @@ impl SessionPipeline {
     }
 
     /// A substrate pipeline: collector-free on purpose. The session still runs the
-    /// full listener path — striped PMU observation, batched resolution, allocation
+    /// full listener path — per-thread PMU countdown, batched resolution, allocation
     /// agent — so these rows isolate the stage the resolution cache optimizes
     /// (collector attribution costs are identical across topologies and measured by
     /// the attribution bench).

@@ -2,8 +2,8 @@
 //! epoch-retired snapshot deltas through a [`ProfileSink`].
 //!
 //! The snapshot machinery of [`crate::session`] already partitions every collector's
-//! state into **per-epoch deltas**: retiring a buffer epoch swaps each stripe's map out
-//! in O(1) and absorbs the taken deltas into a retired buffer. Before this module, the
+//! state into **per-epoch deltas**: retiring a buffer epoch takes each thread slot's
+//! open delta out in O(1) and absorbs the taken deltas into a retired buffer. Before this module, the
 //! only consumer of that partition was [`Session::snapshot`](crate::session::Session) —
 //! which re-clones the *whole* retired buffer on every call, so exporting a live
 //! profile costs O(accumulated profile) each time. `djxperf::export` turns the
@@ -15,9 +15,9 @@
 //! # Pipeline
 //!
 //! ```text
-//! sampling threads ──► active stripes ──drain──► ProfileDelta ──queue──► DeltaDrainer ──► sink
-//!                          (hot path,    (epoch     (bounded,    (background   (on_delta /
-//!                           untouched)   retire)    in-process)     thread)     on_finish)
+//! sampling threads ──► active slots ──drain──► ProfileDelta ──queue──► DeltaDrainer ──► sink
+//!                        (hot path,    (epoch     (bounded,    (background   (on_delta /
+//!                         untouched)   retire)    in-process)     thread)     on_finish)
 //! ```
 //!
 //! Configure with [`SessionBuilder::stream_to`](crate::session::SessionBuilder::stream_to);

@@ -1,10 +1,9 @@
 //! A small, fast hasher for the maps on the sample-ingestion hot path.
 //!
-//! Every sample looks up a handful of maps keyed by small ids: the per-thread stripe
-//! tables ([`ThreadId`](djx_runtime::ThreadId)), the calling context tree's child maps
-//! ([`Frame`](djx_runtime::Frame)), a thread profile's site and context maps
-//! ([`AllocSiteId`](crate::object::AllocSiteId), [`CctNodeId`](crate::cct::CctNodeId))
-//! and the NUMA traffic matrix (node pairs). The standard library's SipHash-1-3 spends
+//! Every sample looks up a handful of maps keyed by small ids: the calling context
+//! tree's child maps ([`Frame`](djx_runtime::Frame)), a thread profile's site and
+//! context maps ([`AllocSiteId`](crate::object::AllocSiteId),
+//! [`CctNodeId`](crate::cct::CctNodeId)) and the NUMA traffic matrix (node pairs). The standard library's SipHash-1-3 spends
 //! tens of nanoseconds on each of those keys; [`FxHasher`] spends one rotate, xor and
 //! multiply per word (the mixing step of rustc's `FxHasher`) plus one widening multiply
 //! to finish.

@@ -106,6 +106,7 @@ pub mod query;
 pub mod report;
 pub mod session;
 pub mod sink;
+mod slots;
 pub mod splay;
 pub mod sync;
 pub mod wire;

@@ -33,17 +33,21 @@
 //! query answers identically over the terminal snapshot, a replayed epoch log, or a
 //! multi-process fold (see [`crate::query`]).
 //!
-//! # Contention-free ingestion: thread cache, sharded index, per-thread collector state
+//! # Contention-free ingestion: thread slots, sharded index, per-thread collector state
 //!
-//! The per-sample hot path crosses three layers, and every one of them is built so two
+//! Every per-thread table of the session — the PMUs, the resolution caches, each
+//! collector's open deltas — gives each profiled thread one slot, registered once and
+//! found by indexing with the runtime-issued [`ThreadId`]: no hash, no lock. An access
+//! that overflows no counter touches nothing but its thread's PMU countdown; the
+//! per-sample path then crosses three layers, and every one of them is built so two
 //! profiled threads do not serialize on a shared lock in the common case:
 //!
-//! 1. **Sampler** — the per-thread virtual PMUs live in a [`ThreadId`]-striped table;
-//!    observing an access locks only the owning thread's stripe (uncontended unless two
-//!    thread ids collide on a stripe). An overflow's samples are dispatched through the
-//!    two layers below straight out of the PMU's reused sample buffer, with that stripe
+//! 1. **Sampler** — each thread's virtual PMU counts down to its next overflow with a
+//!    relaxed load and store, and only an overflow takes the PMU's lock (see
+//!    [`djx_pmu::ThreadPmu`]). An overflow's samples are dispatched through the two
+//!    layers below straight out of the PMU's reused sample buffer, with that lock
 //!    still held, so the whole path — unsampled or sampled — allocates nothing once the
-//!    thread's state exists, and every per-thread table on it hashes its runtime-issued
+//!    thread's slots exist, and every per-thread map on it hashes its runtime-issued
 //!    keys with [`FxHasher`](crate::fxhash::FxHasher) instead of SipHash.
 //! 2. **Object index** — sample addresses resolve in three levels (see
 //!    [`crate::agent`]): a per-thread direct-mapped
@@ -57,19 +61,24 @@
 //!    on by default; [`SessionBuilder::resolution_cache`] disables it.
 //! 3. **Collectors** — each resolved batch is delivered **once per collector** via
 //!    [`Collector::on_sample_batch`] instead of `samples × collectors` individual lock
-//!    round-trips, and every built-in collector keeps *per-thread* state in the same
-//!    striped layout (a thread's samples arrive from that thread, so the state is
-//!    logically thread-private).
+//!    round-trips, and every built-in collector keeps *per-thread* state in its own
+//!    thread slots (a thread's samples arrive from that thread, so the state is
+//!    logically thread-private; the slot's spin lock is shared only with snapshots).
+//!
+//! The slots assume what JVMTI and `djx_runtime` guarantee: one logical thread is
+//! driven by one OS thread at a time. A caller that drives one [`ThreadId`] from two OS
+//! threads at once loses PMU increments, never samples or memory safety — overflows,
+//! resolution caches and collector state stay behind their per-slot locks.
 //!
 //! # Pause-free snapshots: epoch-retired double buffering
 //!
 //! The read paths — [`Session::object_profile`], [`Session::code_profile`],
 //! [`Session::numa_profile`] — must not stall ingestion. Collector state therefore
-//! lives in an epoch-buffered striped table: each snapshot advances the buffer epoch
-//! and **retires** every stripe's accumulated state by swapping the stripe's map out
-//! under its spin lock — an O(1) pointer exchange, the only instant a sampling thread
-//! can even notice — then absorbs the retired deltas into a snapshot-side buffer and
-//! clones *that* outside every sampling lock. A sampling thread arriving mid-snapshot
+//! lives in epoch-buffered thread slots: each snapshot advances the buffer epoch
+//! and **retires** every slot's accumulated delta by taking it out under the slot's
+//! spin lock — an O(1) move, the only instant a sampling thread can even notice — then
+//! absorbs the retired deltas into a snapshot-side buffer and clones *that* outside
+//! every sampling lock. A sampling thread arriving mid-snapshot
 //! simply starts a fresh delta; delta absorption is exact (metric sums, CCT merges
 //! re-keyed by call path), so profiles assembled from any snapshot cadence render
 //! identically to a single-piece run. Per-thread views merge in thread-first-seen
@@ -107,7 +116,7 @@ use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
 
-use djx_pmu::{PerfEventBuilder, PmuCounts, PmuEvent, Sample, ThreadPmu, MAX_SAMPLED_EVENTS};
+use djx_pmu::{PerfEventBuilder, PmuEvent, Sample, ThreadPmu, MAX_SAMPLED_EVENTS};
 use djx_runtime::{
     AllocationEvent, Frame, GcEvent, MemoryAccessEvent, ObjectMoveEvent, ObjectReclaimEvent,
     Runtime, RuntimeListener, ThreadEvent, ThreadId,
@@ -124,6 +133,7 @@ use crate::profile::{
     fold_allocation_rows, ObjectCentricProfile, ProfileDelta, ThreadDelta, ThreadProfile,
 };
 use crate::sink::ProfileSink;
+use crate::slots::ThreadSlots;
 use crate::splay::LookupStats;
 use crate::sync::{Epoch, SpinLock};
 
@@ -287,11 +297,9 @@ impl<'a> BatchContext<'a> {
 /// listener callbacks and use interior mutability, exactly like runtime listeners.
 /// Every non-sample hook has a default no-op implementation.
 ///
-/// The sample hooks, and [`Collector::on_thread_seen`] for a thread first seen through
-/// an access, run on the sampling thread while the session holds that thread's sampler
-/// stripe — a non-reentrant spin lock. They must not call back into the session
-/// methods that visit every sampler stripe ([`Session::thread_count`],
-/// [`Session::merged_counts`], [`Session::memory_footprint_bytes`]).
+/// The sample hooks run on the sampling thread while the session holds that thread's
+/// PMU lock, which is not reentrant. They must not call back into
+/// [`Session::event_totals`], which takes every thread's PMU lock.
 pub trait Collector: Send + Sync {
     /// Short collector name, used in diagnostics.
     fn name(&self) -> &'static str;
@@ -333,109 +341,6 @@ pub trait Collector: Send + Sync {
 }
 
 // ---------------------------------------------------------------------------------------
-// Per-thread striped state
-// ---------------------------------------------------------------------------------------
-
-/// Number of stripes of a [`PerThread`] table. Power of two.
-const THREAD_STRIPES: usize = 16;
-
-/// Per-thread state striped over several locks, keyed by [`ThreadId`].
-///
-/// A profiled thread's samples arrive *from that thread* (the PMU overflow fires in the
-/// thread's own signal handler), so collector state keyed by thread id is logically
-/// thread-private. Striping the map means two threads contend only when their ids
-/// collide on a stripe, instead of serializing every sample of every thread on one
-/// collector-wide mutex. Stripe locks are [`SpinLock`]s — the signal-handler-safe
-/// primitive (see [`crate::sync`]), sound here precisely because striping makes the
-/// common case uncontended. Entries carry a first-seen sequence number so merged views
-/// assemble in thread-first-seen order — which keeps single-threaded profiles
-/// bit-identical to the pre-sharding implementation.
-#[derive(Debug)]
-struct PerThread<T> {
-    stripes: Box<[Stripe<T>]>,
-    seq: AtomicU64,
-}
-
-/// One stripe of a [`PerThread`] table: thread → (first-seen sequence, state).
-type Stripe<T> = SpinLock<FxHashMap<ThreadId, (u64, T)>>;
-
-impl<T> Default for PerThread<T> {
-    fn default() -> Self {
-        Self {
-            stripes: (0..THREAD_STRIPES).map(|_| SpinLock::new(FxHashMap::default())).collect(),
-            seq: AtomicU64::new(0),
-        }
-    }
-}
-
-impl<T> PerThread<T> {
-    fn new() -> Self {
-        Self::default()
-    }
-
-    fn stripe(&self, thread: ThreadId) -> &Stripe<T> {
-        &self.stripes[(thread.0 as usize) & (THREAD_STRIPES - 1)]
-    }
-
-    /// Runs `f` on the thread's state, creating it with `init` on first sight. Only the
-    /// thread's stripe is locked.
-    fn with<R>(
-        &self,
-        thread: ThreadId,
-        init: impl FnOnce() -> T,
-        f: impl FnOnce(&mut T) -> R,
-    ) -> R {
-        let mut stripe = self.stripe(thread).lock();
-        let entry = stripe
-            .entry(thread)
-            .or_insert_with(|| (self.seq.fetch_add(1, Ordering::Relaxed), init()));
-        f(&mut entry.1)
-    }
-
-    /// Runs `f` on the thread's state if the thread has one.
-    fn with_existing<R>(&self, thread: ThreadId, f: impl FnOnce(&mut T) -> R) -> Option<R> {
-        let mut stripe = self.stripe(thread).lock();
-        stripe.get_mut(&thread).map(|(_, state)| f(state))
-    }
-
-    /// Inserts state for a thread unless it already has some; returns `true` when the
-    /// thread is new.
-    fn insert_if_absent(&self, thread: ThreadId, init: impl FnOnce() -> T) -> bool {
-        let mut stripe = self.stripe(thread).lock();
-        match stripe.entry(thread) {
-            std::collections::hash_map::Entry::Occupied(_) => false,
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert((self.seq.fetch_add(1, Ordering::Relaxed), init()));
-                true
-            }
-        }
-    }
-
-    /// Folds over every entry, stripe by stripe (never holding two stripe locks).
-    /// Runs in normal thread context (snapshot readers), so contended stripes are
-    /// acquired yielding — a preempted sampling thread inside the lock gets the CPU
-    /// instead of being spun against for its whole timeslice.
-    fn fold<A>(&self, mut acc: A, mut f: impl FnMut(A, ThreadId, &T) -> A) -> A {
-        for stripe in self.stripes.iter() {
-            for (thread, (_, state)) in stripe.lock_yielding().iter() {
-                acc = f(acc, *thread, state);
-            }
-        }
-        acc
-    }
-
-    /// Takes every entry out, stripe by stripe. Each stripe lock is held only for the
-    /// O(1) map swap — never while entries are visited. Snapshot-side like
-    /// [`PerThread::fold`], so contended stripes are acquired yielding.
-    fn take_all(&self) -> Vec<FxHashMap<ThreadId, (u64, T)>> {
-        self.stripes
-            .iter()
-            .map(|stripe| std::mem::take(&mut *stripe.lock_yielding()))
-            .collect()
-    }
-}
-
-// ---------------------------------------------------------------------------------------
 // Epoch-retired double buffering (pause-free snapshots)
 // ---------------------------------------------------------------------------------------
 
@@ -448,18 +353,23 @@ trait AbsorbDelta {
 
 /// Per-thread collector state with epoch-based double buffering.
 ///
-/// The **active** side is the [`PerThread`] striped table the sampling hot path
-/// writes. A snapshot advances [`SnapshotBuffered::epoch`] and retires the active
-/// buffer: every stripe's map is swapped out under its spin lock (O(1) — the only
-/// moment a sampling thread can block on a snapshot) and the taken deltas are absorbed
-/// into the **retired** buffer, which only snapshot-side threads touch (a blocking
-/// mutex, never held while a stripe lock is held... it *encloses* brief stripe swaps,
-/// but sampling threads never take it, so no lock-order cycle exists). The stripe
-/// clone of the pre-epoch design — O(state) under a spin lock — happens on the retired
-/// buffer instead, outside every sampling lock.
+/// The **active** side is a [`ThreadSlots`] table the sampling hot path writes: each
+/// thread's slot holds the delta it accumulated in the open epoch, behind a spin lock
+/// only that thread and snapshot readers take. A snapshot advances
+/// [`SnapshotBuffered::epoch`] and retires the active buffer: every slot's delta is
+/// taken out under its spin lock (O(1) — the only moment a sampling thread can block
+/// on a snapshot) and the taken deltas are absorbed into the **retired** buffer, which
+/// only snapshot-side threads touch (a blocking mutex, never held while a slot lock is
+/// held... it *encloses* brief slot takes, but sampling threads never take it, so no
+/// lock-order cycle exists). The clone a snapshot returns is made from the retired
+/// buffer, outside every sampling lock.
 #[derive(Debug)]
 struct SnapshotBuffered<T> {
-    active: PerThread<T>,
+    /// Thread → its open delta with the delta's first-seen sequence (`None` until the
+    /// thread records something in the open epoch).
+    active: ThreadSlots<SpinLock<Option<(u64, T)>>>,
+    /// Next first-seen sequence: one is drawn whenever a thread opens a delta.
+    seq: AtomicU64,
     /// Thread → (first-seen sequence, absorbed state). Guarded by a blocking mutex:
     /// only snapshot/read paths running in normal thread context take it.
     retired: Mutex<HashMap<ThreadId, (u64, T)>>,
@@ -469,7 +379,12 @@ struct SnapshotBuffered<T> {
 
 impl<T> Default for SnapshotBuffered<T> {
     fn default() -> Self {
-        Self { active: PerThread::new(), retired: Mutex::new(HashMap::new()), epoch: Epoch::new() }
+        Self {
+            active: ThreadSlots::new(),
+            seq: AtomicU64::new(0),
+            retired: Mutex::new(HashMap::new()),
+            epoch: Epoch::new(),
+        }
     }
 }
 
@@ -478,16 +393,32 @@ impl<T> SnapshotBuffered<T> {
         Self::default()
     }
 
-    /// Runs `f` on the thread's active-delta state, creating it with `init` on first
-    /// sight within the current epoch. Only the thread's stripe is locked — the
-    /// sampling-side entry point, identical to [`PerThread::with`].
+    /// Runs `f` on the thread's open delta, creating it with `init` on first sight
+    /// within the current epoch — the sampling-side entry point. Only the thread's own
+    /// slot is locked.
     fn with<R>(
         &self,
         thread: ThreadId,
         init: impl FnOnce() -> T,
         f: impl FnOnce(&mut T) -> R,
     ) -> R {
-        self.active.with(thread, init, f)
+        let (slot, _) = self.active.get_or_register(thread, || SpinLock::new(None));
+        let mut delta = slot.lock();
+        let (_, state) =
+            delta.get_or_insert_with(|| (self.seq.fetch_add(1, Ordering::Relaxed), init()));
+        f(state)
+    }
+
+    /// Takes every open delta out, slot by slot, as `(thread, (seq, delta))`. Each slot
+    /// lock is held only for the O(1) take. Runs in normal thread context (snapshot
+    /// readers), so contended slots are acquired yielding — a preempted sampling
+    /// thread inside the lock gets the CPU instead of being spun against for its whole
+    /// timeslice.
+    fn take_active(&self) -> Vec<(ThreadId, (u64, T))> {
+        self.active
+            .iter()
+            .filter_map(|(thread, slot)| slot.lock_yielding().take().map(|delta| (thread, delta)))
+            .collect()
     }
 
     /// Folds over every *partial* state — retired first, then the open deltas. A
@@ -496,15 +427,26 @@ impl<T> SnapshotBuffered<T> {
     /// (names, thread counts) belong on [`SnapshotBuffered::merged`].
     ///
     /// The retired mutex is held across *both* reads: a retirement completing between
-    /// them would move state out of the active stripes after they were visited but
-    /// into the retired buffer after it was visited, making pre-snapshot state vanish
-    /// from the fold entirely. Holding the mutex excludes [`SnapshotBuffered::merged`]
-    /// for the duration (same retired → stripe lock order, so no deadlock; sampling
-    /// threads only ever take stripe locks).
+    /// them would move state out of the active slots after they were visited but into
+    /// the retired buffer after it was visited, making pre-snapshot state vanish from
+    /// the fold entirely. Holding the mutex excludes [`SnapshotBuffered::merged`] for
+    /// the duration (same retired → slot lock order, so no deadlock; sampling threads
+    /// only ever take slot locks).
     fn fold<A>(&self, acc: A, mut f: impl FnMut(A, ThreadId, &T) -> A) -> A {
         let retired = self.retired.lock();
         let acc = retired.iter().fold(acc, |acc, (t, (_, s))| f(acc, *t, s));
-        self.active.fold(acc, f)
+        self.active
+            .iter()
+            .fold(acc, |acc, (thread, slot)| match &*slot.lock_yielding() {
+                Some((_, state)) => f(acc, thread, state),
+                None => acc,
+            })
+    }
+
+    /// Resident bytes of the active table itself (the states are counted through
+    /// [`SnapshotBuffered::fold`]).
+    fn slot_bytes(&self) -> usize {
+        self.active.approx_bytes()
     }
 
     /// Number of completed retirements (diagnostics).
@@ -514,8 +456,8 @@ impl<T> SnapshotBuffered<T> {
 }
 
 impl<T: AbsorbDelta + Clone> SnapshotBuffered<T> {
-    /// Closes the open epoch under an already-held retired lock: every active stripe's
-    /// map is swapped out (O(1) under its spin lock) and the taken deltas are absorbed
+    /// Closes the open epoch under an already-held retired lock: every active slot's
+    /// delta is taken out (O(1) under its spin lock) and the taken deltas are absorbed
     /// into the retired buffer. When `collect` is given, the drained deltas are also
     /// handed out through it as `(first-seen seq, thread, delta)` tuples, each tagged
     /// with the seq the *retired* entry keeps, so any stream of drains sorts threads
@@ -528,26 +470,24 @@ impl<T: AbsorbDelta + Clone> SnapshotBuffered<T> {
         mut collect: Option<&mut Vec<(u64, ThreadId, T)>>,
     ) -> u64 {
         let epoch = self.epoch.bump();
-        for taken in self.active.take_all() {
-            for (thread, (seq, delta)) in taken {
-                match retired.entry(thread) {
-                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                        // The retired entry is older: keep its seq and identity.
-                        e.get_mut().1.absorb(&delta);
-                        if let Some(out) = collect.as_deref_mut() {
-                            out.push((e.get().0, thread, delta));
-                        }
+        for (thread, (seq, delta)) in self.take_active() {
+            match retired.entry(thread) {
+                std::collections::hash_map::Entry::Occupied(mut e) => {
+                    // The retired entry is older: keep its seq and identity.
+                    e.get_mut().1.absorb(&delta);
+                    if let Some(out) = collect.as_deref_mut() {
+                        out.push((e.get().0, thread, delta));
                     }
-                    std::collections::hash_map::Entry::Vacant(v) => match collect.as_deref_mut() {
-                        Some(out) => {
-                            v.insert((seq, delta.clone()));
-                            out.push((seq, thread, delta));
-                        }
-                        None => {
-                            v.insert((seq, delta));
-                        }
-                    },
                 }
+                std::collections::hash_map::Entry::Vacant(v) => match collect.as_deref_mut() {
+                    Some(out) => {
+                        v.insert((seq, delta.clone()));
+                        out.push((seq, thread, delta));
+                    }
+                    None => {
+                        v.insert((seq, delta));
+                    }
+                },
             }
         }
         epoch
@@ -572,7 +512,7 @@ impl<T: AbsorbDelta + Clone> SnapshotBuffered<T> {
     }
 
     /// Clones the retired buffer in thread-first-seen order **without** closing the
-    /// open epoch: deltas still accumulating in the active stripes are not included.
+    /// open epoch: deltas still accumulating in the active slots are not included.
     /// After a [`SnapshotBuffered::drain`], this is by construction the fold of every
     /// delta ever drained.
     fn retired_clone(&self) -> Vec<(ThreadId, T)> {
@@ -591,7 +531,7 @@ impl<T: AbsorbDelta + Clone> SnapshotBuffered<T> {
     }
 
     /// Retires the open epoch and clones the merged state out in thread-first-seen
-    /// order. Stripe locks are held only for the O(1) buffer swap; absorption, cloning
+    /// order. Slot locks are held only for the O(1) delta take; absorption, cloning
     /// and sorting all happen on the retired buffer outside every sampling lock. The
     /// retirement itself collects nothing — this caller only wants the merged whole.
     fn merged(&self) -> Vec<(ThreadId, T)> {
@@ -614,8 +554,8 @@ impl AbsorbDelta for ThreadProfile {
 /// The object-centric collector (§4.2/§5.1 of the paper): builds one
 /// [`ThreadProfile`] per thread, attributing each sample to the allocation site of the
 /// enclosing object — or to the thread's unattributed bucket. State is per-thread and
-/// epoch-buffered (see [the module docs](self)); a batch locks its thread's stripe
-/// exactly once, and snapshots retire state instead of cloning it under the stripe
+/// epoch-buffered (see [the module docs](self)); a batch locks its thread's slot
+/// exactly once, and snapshots retire state instead of cloning it under the slot
 /// lock.
 #[derive(Debug, Default)]
 pub struct ObjectCentricCollector {
@@ -746,7 +686,7 @@ impl Collector for ObjectCentricCollector {
     }
 
     fn approx_bytes(&self) -> usize {
-        self.state.fold(0, |acc, _, p| acc + p.approx_bytes())
+        self.state.fold(self.state.slot_bytes(), |acc, _, p| acc + p.approx_bytes())
     }
 }
 
@@ -798,9 +738,10 @@ impl CodeCentricCollector {
     /// Snapshot of the measurement as a [`CodeCentricProfile`], identical in shape to
     /// the standalone profiler's output.
     ///
-    /// The per-thread CCTs are cloned stripe by stripe — the only work done under a
-    /// lock — and merged into the owned profile outside every lock, so a snapshot of a
-    /// large CCT no longer stalls sample ingestion for the duration of the clone.
+    /// The open per-thread deltas are taken out slot by slot — the only work done
+    /// under a sampling lock — and the CCTs are merged into the owned profile outside
+    /// every such lock, so a snapshot of a large CCT never stalls sample ingestion for
+    /// the duration of the clone.
     pub fn profile(&self) -> CodeCentricProfile {
         let per_thread = self.state.merged();
         let mut cct = Cct::new();
@@ -831,7 +772,7 @@ impl Collector for CodeCentricCollector {
     }
 
     fn approx_bytes(&self) -> usize {
-        self.state.fold(0, |acc, _, s| acc + s.cct.approx_bytes())
+        self.state.fold(self.state.slot_bytes(), |acc, _, s| acc + s.cct.approx_bytes())
     }
 }
 
@@ -896,8 +837,8 @@ impl NumaCollector {
     }
 
     /// Merges the per-thread states into one (deterministic: all fields are
-    /// commutative sums). Clones happen stripe by stripe; the merge runs outside every
-    /// lock.
+    /// commutative sums). Deltas are taken out slot by slot; the merge runs outside
+    /// every sampling lock.
     fn merged_state(&self) -> NumaState {
         let mut merged = NumaState::default();
         for (_, state) in self.state.merged() {
@@ -925,7 +866,7 @@ impl Collector for NumaCollector {
     }
 
     fn approx_bytes(&self) -> usize {
-        self.state.fold(0, |acc, _, s| acc + s.approx_bytes())
+        self.state.fold(self.state.slot_bytes(), |acc, _, s| acc + s.approx_bytes())
     }
 }
 
@@ -984,77 +925,89 @@ impl NumaProfile {
 // The sampler: one virtual PMU per thread, shared by every collector
 // ---------------------------------------------------------------------------------------
 
-/// The session's sampling substrate. The per-thread PMUs live in a [`ThreadId`]-striped
-/// table: observing an access — the hottest operation of the whole session, it runs for
-/// every memory access, sampled or not — locks only the owning thread's stripe, so
-/// concurrently profiled threads do not serialize here. The stripe stays held while an
-/// overflow is dispatched (the samples borrow the PMU's buffer); every lock the
-/// dispatch takes — resolution-cache stripe, index shards, collector stripes — nests
-/// inside it, and none of their holders ever takes a sampler stripe, so no cycle
-/// exists.
+/// The session's sampling substrate: one [`ThreadPmu`] per thread, in a
+/// [`ThreadSlots`] table. Observing an access — the hottest operation of the whole
+/// session, it runs for every memory access, sampled or not — finds the thread's PMU
+/// with two loads and advances its lock-free countdown; only an overflow takes the
+/// PMU's lock. The lock stays held while the overflow is dispatched (the samples
+/// borrow the PMU's buffer); every lock the dispatch takes — the thread's
+/// resolution-cache slot, index shards, collector slots — nests inside it, and none of
+/// their holders ever takes a PMU lock, so no cycle exists.
 #[derive(Debug)]
 struct Sampler {
     builder: PerfEventBuilder,
-    pmus: PerThread<ThreadPmu>,
+    pmus: ThreadSlots<ThreadPmu>,
     total_samples: AtomicU64,
 }
 
 impl Sampler {
     fn new(builder: PerfEventBuilder) -> Self {
-        Self { builder, pmus: PerThread::new(), total_samples: AtomicU64::new(0) }
+        Self { builder, pmus: ThreadSlots::new(), total_samples: AtomicU64::new(0) }
     }
 
     /// Programs a PMU for `thread` if none exists yet; returns `true` when the thread
     /// is new to the session.
     fn ensure_thread(&self, thread: ThreadId) -> bool {
-        self.pmus.insert_if_absent(thread, || self.builder.open_for_thread(thread.0))
+        self.pmus.get_or_register(thread, || self.builder.open_for_thread(thread.0)).1
     }
 
     fn disable_thread(&self, thread: ThreadId) {
-        self.pmus.with_existing(thread, |pmu| pmu.disable());
+        if let Some(pmu) = self.pmus.get(thread) {
+            pmu.disable();
+        }
     }
 
-    /// Feeds one access outcome to the thread's PMU, programming the PMU first when
-    /// the thread is new to the session — presence check and observation share **one**
-    /// stripe acquisition (the pre-sharding sampler paid two global lock round-trips
-    /// per access here). Hands `f` whether the thread is new and the overflow samples,
-    /// which borrow the PMU's reused sample buffer — so `f` runs with the thread's
-    /// stripe still held.
-    fn observe_ensuring(&self, event: &MemoryAccessEvent<'_>, f: impl FnOnce(bool, &[Sample])) {
-        let created = std::cell::Cell::new(false);
-        self.pmus.with(
-            event.thread,
-            || {
-                created.set(true);
-                self.builder.open_for_thread(event.thread.0)
-            },
-            |pmu| {
-                let samples = pmu.observe(&event.outcome);
-                if !samples.is_empty() {
-                    self.total_samples.fetch_add(samples.len() as u64, Ordering::Relaxed);
+    /// Feeds one access outcome to the thread's PMU, programming the PMU first — and
+    /// calling `on_new` — when the thread is new to the session. `on_overflow` gets the
+    /// overflow samples, which borrow the PMU's reused sample buffer, so it runs with
+    /// the PMU's lock held; an access that overflows nothing takes no lock at all.
+    #[inline]
+    fn observe_ensuring(
+        &self,
+        event: &MemoryAccessEvent<'_>,
+        on_new: impl FnOnce(),
+        on_overflow: impl FnOnce(&[Sample]),
+    ) {
+        let pmu = match self.pmus.get(event.thread) {
+            Some(pmu) => pmu,
+            None => {
+                let (pmu, registered) = self
+                    .pmus
+                    .get_or_register(event.thread, || self.builder.open_for_thread(event.thread.0));
+                if registered {
+                    on_new();
                 }
-                f(created.get(), samples)
-            },
-        )
+                pmu
+            }
+        };
+        pmu.observe(&event.outcome, |samples| {
+            self.total_samples.fetch_add(samples.len() as u64, Ordering::Relaxed);
+            on_overflow(samples);
+        });
     }
 
     fn total_samples(&self) -> u64 {
         self.total_samples.load(Ordering::Relaxed)
     }
 
-    fn merged_counts(&self) -> PmuCounts {
-        self.pmus.fold(PmuCounts::default(), |mut merged, _, pmu| {
-            merged.merge(pmu.counts());
-            merged
-        })
+    /// Per programmed event, the events its counters counted across every thread.
+    fn event_totals(&self) -> Vec<(PmuEvent, u64)> {
+        let mut totals: Vec<(PmuEvent, u64)> =
+            self.builder.events().iter().map(|(event, _)| (*event, 0)).collect();
+        for (_, pmu) in self.pmus.iter() {
+            for ((_, total), (_, counter)) in totals.iter_mut().zip(pmu.counters()) {
+                *total += counter.total();
+            }
+        }
+        totals
     }
 
     fn thread_count(&self) -> usize {
-        self.pmus.fold(0, |acc, _, _| acc + 1)
+        self.pmus.len()
     }
 
     fn approx_bytes(&self) -> usize {
-        self.thread_count() * std::mem::size_of::<ThreadPmu>()
+        self.pmus.approx_bytes()
     }
 }
 
@@ -1354,7 +1307,7 @@ impl SessionBuilder {
             shared,
             allocation,
             sampler: Sampler::new(builder),
-            caches: self.resolution_cache.then(PerThread::new),
+            caches: self.resolution_cache.then(ThreadSlots::new),
             collectors,
             objects,
             code,
@@ -1385,17 +1338,13 @@ pub struct Session {
     shared: Arc<SharedObjectIndex>,
     allocation: AllocationAgent,
     sampler: Sampler,
-    /// Per-thread object-resolution caches (level 1 of the resolution path), striped
-    /// by thread id like every other per-thread table; `None` when the builder
-    /// disabled the cache. The owning thread's stripe lock is held across the batch
-    /// resolution (nested inside the thread's sampler stripe; shard locks nest inside
-    /// it, and shard locks never take stripe locks, so no cycle exists) — the same
-    /// whole-batch stripe hold every built-in
-    /// collector uses, and one stripe acquisition per batch instead of a
-    /// checkout/return pair, which measures ~2× cheaper at batch size 1. The cost is
-    /// that two threads whose ids collide modulo the stripe count serialize their
-    /// resolutions, the shared exposure of every [`PerThread`] table here.
-    caches: Option<PerThread<ResolutionCache>>,
+    /// Per-thread object-resolution caches (level 1 of the resolution path), one slot
+    /// per thread like every other per-thread table; `None` when the builder disabled
+    /// the cache. The slot's spin lock is held across the batch resolution (nested
+    /// inside the thread's PMU lock; shard locks nest inside it, and shard locks never
+    /// take slot locks, so no cycle exists). Only the owning thread and
+    /// [`Session::splay_lookup_stats`] readers take it.
+    caches: Option<ThreadSlots<SpinLock<ResolutionCache>>>,
     collectors: Vec<Arc<dyn Collector>>,
     objects: Option<Arc<ObjectCentricCollector>>,
     code: Option<Arc<CodeCentricCollector>>,
@@ -1470,9 +1419,11 @@ impl Session {
         self.sampler.thread_count()
     }
 
-    /// Merged raw PMU counts across every thread (ground truth for attribution checks).
-    pub fn merged_counts(&self) -> PmuCounts {
-        self.sampler.merged_counts()
+    /// Per programmed event, in programming order, the number of events its counters
+    /// counted across every thread — the exact count the samples estimate (ground
+    /// truth for attribution checks). Takes every thread's PMU lock.
+    pub fn event_totals(&self) -> Vec<(PmuEvent, u64)> {
+        self.sampler.event_totals()
     }
 
     /// Object-index lookup statistics, merged over every shard and every per-thread
@@ -1484,8 +1435,8 @@ impl Session {
     pub fn splay_lookup_stats(&self) -> LookupStats {
         let stats = self.shared.lookup_stats();
         match &self.caches {
-            Some(caches) => caches.fold(stats, |mut acc, _, cache| {
-                acc.merge(&cache.stats());
+            Some(caches) => caches.iter().fold(stats, |mut acc, (_, cache)| {
+                acc.merge(&cache.lock_yielding().stats());
                 acc
             }),
             None => stats,
@@ -1576,7 +1527,13 @@ impl Session {
     /// behind the paper's memory-overhead figure (Fig. 4b).
     pub fn memory_footprint_bytes(&self) -> usize {
         let cache_bytes = match &self.caches {
-            Some(caches) => caches.fold(0usize, |acc, _, cache| acc + cache.approx_bytes()),
+            Some(caches) => {
+                caches.approx_bytes()
+                    + caches
+                        .iter()
+                        .map(|(_, cache)| cache.lock_yielding().approx_bytes())
+                        .sum::<usize>()
+            }
             None => 0,
         };
         self.shared.approx_bytes()
@@ -1770,9 +1727,11 @@ impl Session {
         let mut sites = SiteBatch::default();
         let addrs = || samples.iter().map(|s| &s.effective_addr);
         match &self.caches {
-            Some(caches) => caches.with(event.thread, ResolutionCache::default, |cache| {
-                self.shared.resolve_batch_cached(cache, addrs(), &mut sites)
-            }),
+            Some(caches) => {
+                let (cache, _) = caches
+                    .get_or_register(event.thread, || SpinLock::new(ResolutionCache::default()));
+                self.shared.resolve_batch_cached(&mut cache.lock(), addrs(), &mut sites)
+            }
             None => self.shared.resolve_batch(addrs(), &mut sites),
         }
         // One batch call per collector — not samples × collectors lock round-trips.
@@ -1849,19 +1808,17 @@ impl RuntimeListener for Session {
     }
 
     fn on_memory_access(&self, event: &MemoryAccessEvent<'_>) {
-        // Threads that started before the session attached get a PMU lazily; the
-        // presence check and the observation share a single stripe acquisition, and
-        // the overflow samples are dispatched straight out of the PMU's buffer.
-        self.sampler.observe_ensuring(event, |is_new, samples| {
-            if is_new {
+        // Threads that started before the session attached get a PMU lazily, and the
+        // overflow samples are dispatched straight out of the PMU's buffer.
+        self.sampler.observe_ensuring(
+            event,
+            || {
                 for collector in &self.collectors {
                     collector.on_thread_seen(event.thread, "<attached>");
                 }
-            }
-            if !samples.is_empty() {
-                self.dispatch_samples(event, samples);
-            }
-        });
+            },
+            |samples| self.dispatch_samples(event, samples),
+        );
     }
 
     fn on_gc_start(&self, event: &GcEvent) {

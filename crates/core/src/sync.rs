@@ -10,10 +10,10 @@
 //! preempted lock holder on an oversubscribed machine makes every spinner burn its
 //! timeslice. That is exactly the contract of the sharded ingestion pipeline (see
 //! [`crate::session`]): every hot-path lock (an index shard, a per-thread state
-//! stripe) is private to one thread in the common case, so the spin fast path is one
-//! uncontended compare-and-swap — cheaper than a mutex — and the pathological spin
-//! case is reserved for genuine cross-thread collisions, which the sharding makes
-//! rare and short.
+//! slot) is private to one thread in the common case, so the spin fast path is one
+//! uncontended swap — cheaper than a mutex — and the pathological spin case is
+//! reserved for genuine cross-thread collisions (a shard two threads sample into, a
+//! slot a snapshot is retiring), which the sharding makes rare and short.
 //!
 //! Cold paths that run in normal thread context (the allocation agent's bookkeeping,
 //! the site registry) keep using blocking mutexes; use [`SpinLock`] only where the

@@ -11,12 +11,18 @@ use rand::{Rng, SeedableRng};
 /// to the next overflow within ±25 % of the nominal period, which avoids lock-step
 /// resonance between the sampling period and periodic program behaviour (the same reason
 /// profilers randomize perf periods).
+///
+/// A [`ThreadPmu`](crate::ThreadPmu) does not call [`EventCounter::add`] per access:
+/// the owning thread counts down [`EventCounter::armed`] on its own, and the counter is
+/// touched only when that countdown would reach zero — [`EventCounter::fold`] first
+/// catches it up with the increments counted so far, then [`EventCounter::add`]
+/// overflows it.
 #[derive(Debug, Clone)]
 pub struct EventCounter {
     period: u64,
     jitter: bool,
     rng: SmallRng,
-    /// Total events counted since creation (counting mode value).
+    /// Total events counted since creation, up to the last fold or add.
     total: u64,
     /// Events remaining until the next overflow.
     until_overflow: u64,
@@ -70,7 +76,8 @@ impl EventCounter {
         self.period
     }
 
-    /// Total number of events counted (the counting-mode read-out).
+    /// Total number of events counted, as of the last [`EventCounter::fold`] or
+    /// [`EventCounter::add`].
     pub fn total(&self) -> u64 {
         self.total
     }
@@ -78,6 +85,29 @@ impl EventCounter {
     /// Number of overflows generated so far.
     pub fn overflows(&self) -> u64 {
         self.overflows
+    }
+
+    /// Events still to count before the next overflow.
+    pub fn armed(&self) -> u64 {
+        self.until_overflow
+    }
+
+    /// Catches the counter up with a countdown that started at [`EventCounter::armed`]
+    /// and now stands at `remaining`: the events counted in between are added to the
+    /// total, and `remaining` becomes the distance to the next overflow. Never
+    /// overflows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `remaining` is zero or above [`EventCounter::armed`].
+    pub fn fold(&mut self, remaining: u64) {
+        assert!(
+            (1..=self.until_overflow).contains(&remaining),
+            "countdown {remaining} outside 1..={}",
+            self.until_overflow
+        );
+        self.total += self.until_overflow - remaining;
+        self.until_overflow = remaining;
     }
 
     /// Adds `increment` events to the counter. Returns `true` if the counter overflowed

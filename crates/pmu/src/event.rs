@@ -79,24 +79,6 @@ impl PmuEvent {
 
     /// All events with their default configuration, useful for enumeration in tools and
     /// tests.
-    /// A dense index for this event (ignoring parameters such as the latency
-    /// threshold), used by counting-mode storage.
-    pub fn index(&self) -> usize {
-        match self {
-            PmuEvent::L1Miss => 0,
-            PmuEvent::L2Miss => 1,
-            PmuEvent::L3Miss => 2,
-            PmuEvent::DtlbMiss => 3,
-            PmuEvent::LoadLatency { .. } => 4,
-            PmuEvent::Loads => 5,
-            PmuEvent::Stores => 6,
-            PmuEvent::RemoteDram => 7,
-        }
-    }
-
-    /// Number of distinct event kinds (the size of counting-mode storage).
-    pub const KIND_COUNT: usize = 8;
-
     pub fn all() -> [PmuEvent; 8] {
         [
             PmuEvent::L1Miss,

@@ -14,9 +14,10 @@
 //! * [`EventCounter`] is one virtual hardware counter with a sampling period and
 //!   overflow detection,
 //! * [`ThreadPmu`] is the per-thread PMU: it observes every
-//!   [`AccessOutcome`](djx_memsim::AccessOutcome) a thread produces, counts events, and
-//!   emits [`Sample`]s on overflow — exactly what a signal handler would receive from the
-//!   kernel — from a buffer the PMU reuses, so observing an access never allocates,
+//!   [`AccessOutcome`](djx_memsim::AccessOutcome) a thread produces by counting down
+//!   lock-free to the next overflow, and only on overflow takes its lock and emits
+//!   [`Sample`]s — exactly what a signal handler would receive from the kernel — from a
+//!   buffer the PMU reuses, so observing an access never allocates,
 //! * [`PerfEventBuilder`] is a `perf_event_open`-style configuration facade.
 //!
 //! ## Example
@@ -26,16 +27,18 @@
 //! use djx_pmu::{PerfEventBuilder, PmuEvent};
 //!
 //! let mut hier = MemoryHierarchy::new(HierarchyConfig::tiny());
-//! let mut pmu = PerfEventBuilder::new(PmuEvent::L1Miss)
+//! let pmu = PerfEventBuilder::new(PmuEvent::L1Miss)
 //!     .sample_period(2)
 //!     .open_for_thread(7);
 //!
 //! let mut samples = Vec::new();
 //! for i in 0..64u64 {
 //!     let outcome = hier.access(MemoryAccess::load(0, 0x10_0000 + i * 64, 8));
-//!     let fired = pmu.observe(&outcome); // at most one sample per programmed event
-//!     assert!(fired.len() <= 1);
-//!     samples.extend_from_slice(fired);
+//!     // Runs only when a counter overflows: at most one sample per programmed event.
+//!     pmu.observe(&outcome, |fired| {
+//!         assert!(fired.len() <= 1);
+//!         samples.extend_from_slice(fired);
+//!     });
 //! }
 //! assert!(!samples.is_empty(), "cold strided loads overflow the L1-miss counter");
 //! assert!(samples.iter().all(|s| s.thread_id == 7));
@@ -50,7 +53,7 @@ pub mod sample;
 pub use counter::EventCounter;
 pub use event::PmuEvent;
 pub use perf_event::PerfEventBuilder;
-pub use pmu::{PmuCounts, ThreadPmu, MAX_SAMPLED_EVENTS};
+pub use pmu::{ThreadPmu, MAX_SAMPLED_EVENTS};
 pub use sample::Sample;
 
 /// Identifier of a simulated application thread (the analogue of a Linux TID).

@@ -14,6 +14,7 @@
 use std::sync::Arc;
 
 use djx_memsim::{HierarchyConfig, MemoryAccess, MemoryHierarchy};
+use djx_pmu::PmuEvent;
 use djx_runtime::{
     AllocationEvent, ClassId, Frame, MemoryAccessEvent, MethodId, ObjectId, RuntimeListener,
     ThreadId,
@@ -148,8 +149,15 @@ fn concurrent_ingestion_loses_no_samples_and_merges_like_a_sequential_replay() {
     assert_eq!(code.total_samples, total, "code-centric view dropped samples");
     assert_eq!(numa.total_samples(), total, "NUMA view dropped samples");
 
-    // The PMU ground truth agrees between the runs: same streams, same counts.
-    assert_eq!(concurrent.merged_counts(), sequential.merged_counts());
+    // The PMU ground truth agrees between the runs: same streams, same counts — and
+    // both count exactly the L1-missing loads the streams hold.
+    let l1_missing_loads = logs
+        .iter()
+        .flat_map(|log| &log.outcomes)
+        .filter(|o| o.l1_miss && o.access.kind == djx_memsim::AccessKind::Load)
+        .count() as u64;
+    assert_eq!(concurrent.event_totals(), vec![(PmuEvent::L1Miss, l1_missing_loads)]);
+    assert_eq!(concurrent.event_totals(), sequential.event_totals());
     assert_eq!(total, sequential.total_samples());
 
     // -- Merge fidelity ----------------------------------------------------------------
@@ -232,11 +240,11 @@ fn disabling_the_resolution_cache_preserves_profiles_exactly() {
 #[test]
 fn continuous_snapshots_never_lose_samples_and_merge_like_a_sequential_replay() {
     // The pause-free snapshot path: a snapshot retires each collector's open buffer
-    // epoch (an O(1) stripe swap) instead of cloning state under the sampling locks.
-    // Snapshotting *continuously* while four threads ingest must therefore (a) keep
-    // every intermediate view internally consistent, (b) lose no samples, and (c)
-    // leave the final profiles byte-identical to a sequential replay that was never
-    // snapshotted — delta retirement must be exact.
+    // epoch (an O(1) take from each thread slot) instead of cloning state under the
+    // sampling locks. Snapshotting *continuously* while four threads ingest must
+    // therefore (a) keep every intermediate view internally consistent, (b) lose no
+    // samples, and (c) leave the final profiles byte-identical to a sequential replay
+    // that was never snapshotted — delta retirement must be exact.
     let logs = Arc::new(build_logs());
     let session = new_session();
     for log in logs.iter() {
@@ -316,4 +324,49 @@ fn continuous_snapshots_never_lose_samples_and_merge_like_a_sequential_replay() 
     concurrent_paths.sort_by(|a, b| a.0.cmp(&b.0));
     sequential_paths.sort_by(|a, b| a.0.cmp(&b.0));
     assert_eq!(concurrent_paths, sequential_paths);
+}
+
+#[test]
+fn one_thread_id_driven_from_two_os_threads_loses_counts_but_never_consistency() {
+    // A caller breaking the one-driver-per-thread contract: two OS threads replay the
+    // same thread's stream under the same `ThreadId` at once. Increments may be lost
+    // to the racing countdown stores, but nothing may panic or deadlock, no overflow
+    // may be fabricated, and every view must still account for every sample taken.
+    let logs = build_logs();
+    let log = &logs[0];
+    let session = new_session();
+    replay_allocs(&session, log);
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|| {
+                start.wait();
+                replay_accesses(&session, log);
+            });
+        }
+    });
+
+    let l1_missing_loads = log
+        .outcomes
+        .iter()
+        .filter(|o| o.l1_miss && o.access.kind == djx_memsim::AccessKind::Load)
+        .count() as u64;
+    let total = session.total_samples();
+    assert!(total > 0, "the racing drivers must still sample");
+    assert!(
+        total <= 2 * l1_missing_loads / PERIOD,
+        "{total} samples from 2 × {l1_missing_loads} events at period {PERIOD}"
+    );
+    let [(PmuEvent::L1Miss, counted)] = session.event_totals()[..] else {
+        panic!("one programmed event");
+    };
+    assert!(counted <= 2 * l1_missing_loads, "{counted} events counted");
+    assert_eq!(session.thread_count(), 1);
+
+    let object = session.object_profile().expect("object collector registered");
+    assert_eq!(object.threads.len(), 1);
+    assert_eq!(object.total_samples(), total, "object-centric view dropped samples");
+    assert_eq!(session.code_profile().unwrap().total_samples, total, "code view dropped samples");
+    assert_eq!(session.numa_profile().unwrap().total_samples(), total, "NUMA view dropped samples");
+    assert_eq!(session.splay_lookup_stats().resolutions(), total);
 }
