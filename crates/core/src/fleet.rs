@@ -83,7 +83,7 @@
 //! <binary finish frame>           the finish frame as received, if the run finished
 //! ```
 //!
-//! The header line uses the text profile format's `key=value` fields and escaping
+//! The header line uses the text rendering's `key=value` fields and escaping
 //! (backslash, space, tab, LF and CR escaped), so any producer name fits on the
 //! one line. [`BinaryFrameReader`] replays the body unmodified.
 //! [`FleetAggregator::recover`] scans a WAL directory, replays every log through a
@@ -1666,9 +1666,10 @@ pub struct RecoveryReport {
 ///
 /// # Errors
 ///
-/// IO failures, and [`io::ErrorKind::InvalidData`] naming the file when its
-/// header line is complete but does not parse (a foreign or older-format file):
-/// skipping it would let the producer's reconnect overwrite acknowledged frames.
+/// IO failures, and [`io::ErrorKind::InvalidData`] when its header line is
+/// complete but does not parse (a foreign or older-format file): skipping it
+/// would let the producer's reconnect overwrite acknowledged frames. The caller
+/// names the file in every error.
 fn recover_wal_file(
     path: &Path,
     fsync: FsyncPolicy,
@@ -1680,9 +1681,7 @@ fn recover_wal_file(
     let (producer, event, period, size_filter) = std::str::from_utf8(&data[..header_end])
         .map_err(|e| e.to_string())
         .and_then(parse_wal_header)
-        .map_err(|e| {
-            protocol_error(format!("WAL {} has an unreadable header line: {e}", path.display()))
-        })?;
+        .map_err(|e| protocol_error(format!("unreadable header line: {e}")))?;
     let body = &data[header_end + 1..];
     let mut reader = BinaryFrameReader::new(body);
     let mut fold = DeltaFold::new();
@@ -2027,9 +2026,10 @@ impl FleetAggregator {
     ///
     /// # Errors
     ///
-    /// Propagates directory and file IO failures, and fails with
-    /// [`io::ErrorKind::InvalidData`] (naming the file, which is left untouched)
-    /// on a WAL whose header line is complete but does not parse. Only a WAL
+    /// Propagates directory and file IO failures (a file's error names the
+    /// file), and fails with [`io::ErrorKind::InvalidData`] (naming the file,
+    /// which is left untouched) on a WAL whose header line is complete but does
+    /// not parse. Only a WAL
     /// whose header line never got its newline (a crash mid-create) is skipped.
     pub fn recover(dir: &Path) -> io::Result<FleetAggregatorBuilder> {
         let fsync = FsyncPolicy::default();
@@ -2041,7 +2041,9 @@ impl FleetAggregator {
         let mut recovered = BTreeMap::new();
         let mut report = RecoveryReport::default();
         for path in paths {
-            if let Some((producer, state, row)) = recover_wal_file(&path, fsync)? {
+            let recovered_file = recover_wal_file(&path, fsync)
+                .map_err(|e| io::Error::new(e.kind(), format!("WAL {}: {e}", path.display())))?;
+            if let Some((producer, state, row)) = recovered_file {
                 report.producers.push(row);
                 recovered.insert(producer, state);
             }

@@ -31,10 +31,10 @@
 //! | [`object`] | §4.2 | allocation-site identity (allocation call paths) |
 //! | [`agent`] | §4.1, §4.5 | the allocation ("Java") agent and the shared object index |
 //! | [`session`] | §5, Fig. 1 | the one profiler: [`Session`] (one sampling stream, pluggable collectors), configured by [`ProfilerConfig`] |
-//! | [`sink`] | §5.2 | streaming [`ProfileSink`] export backends (text and JSON renderings, the binary epoch log) and [`read_any_profile`] |
-//! | [`wire`] | §5.2 | binary epoch frames: the one epoch-stream format for logs, the fleet wire and its WAL |
+//! | [`sink`] | §5.2 | [`ProfileSink`] export backends: render-only text and JSON documents, and the binary epoch log |
+//! | [`wire`] | §5.2 | binary epoch frames: the one format the profiler reads back, for logs, the fleet wire and its WAL ([`BinaryChunkedSink::read_log_bytes`]) |
 //! | [`export`] | §5.2 | asynchronous delta export: background [`DeltaDrainer`] over epoch-retired snapshot deltas |
-//! | [`profile`] | §5.1/§5.2 | per-thread profiles and the profile-file codec |
+//! | [`profile`] | §5.1/§5.2 | per-thread profiles and their render-only text form |
 //! | [`query`] | §5.2, §6 | the offline analyzer: [`ProfileSource`] + composable [`Query`] (merge, rank, filter) over live sessions, snapshots, logs and folds |
 //! | [`codecentric`] | §1, Fig. 1 | the code-centric (perf-like) baseline view |
 //! | [`report`] | Fig. 5 | the [`Report`] views (the GUI stand-in) |
@@ -137,9 +137,9 @@ pub use query::{
 pub use report::{Report, ReportOptions};
 pub use session::{
     adaptive_shard_count, BatchContext, Collector, NumaProfile, ProfilerConfig, SampleContext,
-    Session, SessionBuilder, SessionSnapshot, DEFAULT_EXPECTED_LIVE_OBJECTS, DEFAULT_SAMPLE_PERIOD,
+    Session, SessionBuilder, SessionSnapshot, DEFAULT_SAMPLE_PERIOD,
 };
-pub use sink::{read_any_profile, FinishRecord, JsonSink, LogRecord, ProfileSink, TextSink};
+pub use sink::{FinishRecord, JsonSink, LogRecord, ProfileSink, TextSink};
 pub use splay::{Interval, IntervalSplayTree, LookupStats};
 pub use sync::{Epoch, SpinLock, SpinLockGuard};
 pub use wire::{BinaryChunkedSink, BinaryFrameReader};

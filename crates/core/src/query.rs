@@ -6,7 +6,7 @@
 //! pipeline grew sharded indexes, pause-free snapshots and delta streaming, the same
 //! analysis question ("which objects cause the misses?") can be asked of very
 //! differently-shaped data: a still-running [`Session`], a terminal snapshot, a
-//! binary epoch log ([`BinaryChunkedSink`](crate::wire::BinaryChunkedSink))
+//! binary epoch log ([`BinaryChunkedSink`])
 //! replayed from disk or a socket, or a fold of N logs streamed by N processes. This module makes all of them
 //! answer **the same query identically**: a [`Query`] value evaluated against any
 //! [`ProfileSource`] produces the same [`QueryResult`] whenever the sources describe
@@ -29,7 +29,7 @@
 //! | [`live::LiveFold`] | the epoch-retired delta stream, folded incrementally ([`Session::watch`], [`FleetAggregator::watch`](crate::fleet::FleetAggregator::watch), [`live::LiveFold::feed`]) | repeated queries over a changing run: dashboards, watch loops, aggregator daemons |
 //! | [`ObjectCentricProfile`] | an owned snapshot | offline analysis of extracted profiles |
 //! | `[ObjectCentricProfile]` | a sequence of snapshots | the classic one-file-per-process merge workflow |
-//! | [`EpochLog`] | a replayed binary epoch log ([`read_any_profile`] → [`DeltaFold`](crate::profile::DeltaFold)); [`EpochLog::open`] caches the terminal fold per file | re-querying a streamed run after the fact |
+//! | [`EpochLog`] | a replayed binary epoch log ([`BinaryChunkedSink::read_log_bytes`] → [`DeltaFold`](crate::profile::DeltaFold)) | re-querying a streamed run after the fact |
 //! | [`MultiSource`] | a fold of any other sources | cross-machine / multi-process merging |
 //! | [`NumaProfile`] | the NUMA collector's per-site view | NUMA-only sessions (no per-context breakdown, node traffic matrix not carried) |
 //! | [`CodeCentricProfile`] | the perf-like baseline | run-level totals and locality splits only (no objects by construction) |
@@ -109,10 +109,8 @@
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::str::FromStr;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
-use std::time::SystemTime;
 
 use djx_pmu::PmuEvent;
 use djx_runtime::{Frame, ThreadId};
@@ -124,7 +122,8 @@ use crate::profile::{
     encode_path, ObjectCentricProfile, ProfileParseError, SiteMetrics, ThreadProfile,
 };
 use crate::session::{NumaProfile, Session};
-use crate::sink::{json_metrics, json_path, json_string, read_any_profile};
+use crate::sink::{json_metrics, json_path, json_string};
+use crate::wire::BinaryChunkedSink;
 
 pub mod live;
 
@@ -603,96 +602,47 @@ impl ProfileSource for CodeCentricProfile {
 /// profile.
 #[derive(Debug, Clone)]
 pub struct EpochLog {
-    profile: Arc<ObjectCentricProfile>,
-}
-
-/// One cached terminal fold of an on-disk epoch log, keyed by the file's length and
-/// modification time (see [`EpochLog::open`]).
-struct CachedFold {
-    len: u64,
-    mtime: Option<SystemTime>,
-    profile: Arc<ObjectCentricProfile>,
-}
-
-/// The process-wide fold cache, locked. The cache is only a memo and every entry is
-/// inserted whole, so a lock poisoned by a panicking holder is recovered, not
-/// propagated.
-fn fold_cache() -> MutexGuard<'static, HashMap<PathBuf, CachedFold>> {
-    static CACHE: OnceLock<Mutex<HashMap<PathBuf, CachedFold>>> = OnceLock::new();
-    CACHE
-        .get_or_init(|| Mutex::new(HashMap::new()))
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
+    profile: ObjectCentricProfile,
 }
 
 impl EpochLog {
-    /// Replays a binary epoch log — or a text profile, sniffed by
-    /// [`read_any_profile`]: epoch logs fold, text documents parse directly.
+    /// Replays a binary epoch log through
+    /// [`BinaryChunkedSink::read_log_bytes`].
     ///
     /// # Errors
     ///
     /// Returns [`ProfileParseError`] for malformed frames, out-of-order epochs,
-    /// truncated streams and checksum mismatches (see
-    /// [`BinaryChunkedSink::read_log_bytes`](crate::wire::BinaryChunkedSink::read_log_bytes)),
-    /// for malformed text documents, and for JSON documents (render-only).
+    /// truncated streams and checksum mismatches, and for text and JSON renders
+    /// (both render-only).
     pub fn replay(input: &[u8]) -> Result<Self, ProfileParseError> {
-        Ok(Self { profile: Arc::new(read_any_profile(input)?) })
+        Ok(Self { profile: BinaryChunkedSink::new().read_log_bytes(input)? })
     }
 
-    /// Replays an on-disk log file, caching the terminal fold process-wide.
-    ///
-    /// The first open of a path reads and folds the whole file; subsequent opens of
-    /// the same path reuse the cached fold as long as the file's length and
-    /// modification time are unchanged, so repeated cold queries over the same log
-    /// stop paying O(file) each time. A log that grew or was rewritten is re-read
-    /// and re-cached on the next open. (For tailing a *live* log incrementally,
-    /// feed its bytes to a [`LiveFold`](live::LiveFold) instead.)
-    ///
-    /// The file is read like [`EpochLog::replay`] reads bytes: epoch logs fold,
-    /// profile documents parse directly.
+    /// Reads an on-disk log file and replays it like [`EpochLog::replay`]. Every
+    /// open reads the whole file; to tail a log that is still growing, feed its
+    /// bytes to a [`LiveFold`](live::LiveFold) instead.
     ///
     /// # Errors
     ///
-    /// Returns [`ProfileParseError`] for unreadable files (the I/O error is carried
+    /// Returns [`ProfileParseError`] for unreadable files (frame 0, the I/O error
     /// in the message) and for malformed input.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, ProfileParseError> {
         let path = path.as_ref();
-        let io_err = |e: std::io::Error| ProfileParseError {
-            line: 0,
+        let bytes = std::fs::read(path).map_err(|e| ProfileParseError {
+            frame: 0,
             message: format!("cannot read epoch log {}: {e}", path.display()),
-        };
-        let meta = std::fs::metadata(path).map_err(io_err)?;
-        let (len, mtime) = (meta.len(), meta.modified().ok());
-        // The lock guards lookup and insert only: reading and folding happen outside
-        // it, so one slow or blocked file (a FIFO, a stalled mount) cannot stall every
-        // other open in the process.
-        if let Some(hit) = fold_cache().get(path) {
-            if hit.len == len && hit.mtime == mtime {
-                return Ok(Self { profile: Arc::clone(&hit.profile) });
-            }
-        }
-        let bytes = std::fs::read(path).map_err(io_err)?;
-        let profile = Arc::new(read_any_profile(&bytes)?);
-        fold_cache()
-            .insert(path.to_path_buf(), CachedFold { len, mtime, profile: Arc::clone(&profile) });
-        Ok(Self { profile })
-    }
-
-    /// Drops every cached fold (see [`EpochLog::open`]). Useful in long-lived
-    /// daemons after log files are rotated away.
-    pub fn evict_fold_cache() {
-        fold_cache().clear();
+        })?;
+        Self::replay(&bytes)
     }
 
     /// The folded profile.
     pub fn profile(&self) -> &ObjectCentricProfile {
-        self.profile.as_ref()
+        &self.profile
     }
 
-    /// Consumes the log into its folded profile (cloning only if the fold is still
-    /// shared with the process-wide cache).
+    /// Consumes the log into its folded profile.
     pub fn into_profile(self) -> ObjectCentricProfile {
-        Arc::try_unwrap(self.profile).unwrap_or_else(|shared| (*shared).clone())
+        self.profile
     }
 }
 
@@ -702,7 +652,7 @@ impl ProfileSource for EpochLog {
     }
 
     fn object_profiles(&self) -> Result<Vec<Cow<'_, ObjectCentricProfile>>, QueryError> {
-        Ok(vec![Cow::Borrowed(self.profile.as_ref())])
+        Ok(vec![Cow::Borrowed(&self.profile)])
     }
 }
 
@@ -1494,6 +1444,7 @@ mod tests {
 
     use crate::object::AllocSiteId;
     use crate::profile::{AllocationStats, ThreadProfile};
+    use crate::sink::ProfileSink;
 
     fn f(m: u32, bci: u32) -> Frame {
         Frame::new(MethodId(m), bci)
@@ -1637,16 +1588,19 @@ mod tests {
     #[test]
     fn analyze_texts_round_trips_through_the_codec() {
         let profile = two_site_profile();
-        let parsed = [ObjectCentricProfile::parse(&profile.to_text()).unwrap()];
-        let from_text = Query::new().evaluate(&parsed[..]).unwrap();
+        let sink = BinaryChunkedSink::new();
+        let mut doc = Vec::new();
+        sink.write_profile(&profile, &mut doc).unwrap();
+        let parsed = [sink.read_log_bytes(&doc).unwrap()];
+        let replayed = Query::new().evaluate(&parsed[..]).unwrap();
         let direct = Query::new().evaluate(&profile).unwrap();
-        assert_eq!(from_text.total_samples, direct.total_samples);
-        assert_eq!(from_text.groups.len(), direct.groups.len());
+        assert_eq!(replayed.total_samples, direct.total_samples);
+        assert_eq!(replayed.groups.len(), direct.groups.len());
         assert_eq!(
-            from_text.groups[0].metrics.weighted_events,
+            replayed.groups[0].metrics.weighted_events,
             direct.groups[0].metrics.weighted_events
         );
-        assert!(ObjectCentricProfile::parse("garbage").is_err());
+        assert!(sink.read_log_bytes(b"garbage").is_err());
     }
 
     #[test]

@@ -385,7 +385,7 @@ impl LiveFold {
                     st.fold.verify_checksum(record.total_samples).map(|()| st.finish_record(record))
                 }
             };
-            folded.map_err(|e| ProfileParseError { line: frame, message: e.to_string() })?;
+            folded.map_err(|e| ProfileParseError { frame, message: e.to_string() })?;
         }
     }
 

@@ -1039,9 +1039,8 @@ impl Extend<Option<AllocSiteId>> for SiteBatch {
 // SessionBuilder
 // ---------------------------------------------------------------------------------------
 
-/// Default expected live-object volume used by the adaptive shard heuristic when the
-/// caller gives no sizing hint.
-pub const DEFAULT_EXPECTED_LIVE_OBJECTS: usize = 2048;
+/// Expected live-object volume the default build feeds the adaptive shard heuristic.
+const DEFAULT_EXPECTED_LIVE_OBJECTS: usize = 2048;
 
 /// The adaptive shard-count heuristic: sizes a [`SharedObjectIndex`] from the expected
 /// thread parallelism and live-object volume.
@@ -1071,8 +1070,6 @@ pub struct SessionBuilder {
     numa: bool,
     custom: Vec<Arc<dyn Collector>>,
     index_shards: Option<usize>,
-    expected_threads: Option<usize>,
-    expected_live_objects: usize,
     resolution_cache: bool,
     export: Option<ExportConfig>,
 }
@@ -1093,8 +1090,6 @@ impl Default for SessionBuilder {
             numa: false,
             custom: Vec::new(),
             index_shards: None,
-            expected_threads: None,
-            expected_live_objects: DEFAULT_EXPECTED_LIVE_OBJECTS,
             resolution_cache: true,
             export: None,
         }
@@ -1188,21 +1183,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Expected number of concurrently sampling threads, a sizing hint for the
-    /// adaptive shard heuristic ([`adaptive_shard_count`]). Defaults to the machine's
-    /// available parallelism.
-    pub fn expected_threads(mut self, threads: usize) -> Self {
-        self.expected_threads = Some(threads.max(1));
-        self
-    }
-
-    /// Expected number of simultaneously live monitored objects, the volume input of
-    /// the adaptive shard heuristic. Defaults to [`DEFAULT_EXPECTED_LIVE_OBJECTS`].
-    pub fn expected_live_objects(mut self, objects: usize) -> Self {
-        self.expected_live_objects = objects;
-        self
-    }
-
     /// Enables or disables the per-thread object-resolution cache in front of the
     /// index shards (on by default). Disable to measure the bare sharded topology or
     /// when the sampled address stream has no re-reference locality at all.
@@ -1236,7 +1216,7 @@ impl SessionBuilder {
     /// [`BinaryChunkedSink`](crate::wire::BinaryChunkedSink). The log replays
     /// byte-identically to the session's terminal snapshot
     /// ([`BinaryChunkedSink::read_log_bytes`](crate::wire::BinaryChunkedSink::read_log_bytes)
-    /// or [`read_any_profile`](crate::sink::read_any_profile)) — see
+    /// or [`EpochLog::replay`](crate::query::EpochLog::replay)) — see
     /// [`crate::wire`] for the frame format.
     pub fn stream_to_binary(self, out: Box<dyn io::Write + Send>, policy: DrainPolicy) -> Self {
         self.stream_to(Arc::new(crate::wire::BinaryChunkedSink::new()), out, policy)
@@ -1264,10 +1244,8 @@ impl SessionBuilder {
     pub fn build(self) -> Arc<Session> {
         let config = self.config;
         let shards = self.index_shards.unwrap_or_else(|| {
-            let threads = self.expected_threads.unwrap_or_else(|| {
-                std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
-            });
-            adaptive_shard_count(threads, self.expected_live_objects)
+            let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
+            adaptive_shard_count(threads, DEFAULT_EXPECTED_LIVE_OBJECTS)
         });
         let shared = SharedObjectIndex::with_shards(shards);
         let allocation = AllocationAgent::new(
@@ -1850,7 +1828,7 @@ mod tests {
     use djx_runtime::{dsl, RuntimeConfig};
     use parking_lot::Mutex;
 
-    use crate::sink::{read_any_profile, JsonSink, TextSink};
+    use crate::sink::{JsonSink, TextSink};
     use crate::wire::BinaryChunkedSink;
 
     /// Runs the standard bloat kernel against a fresh runtime with `listener` attached.
@@ -2030,18 +2008,18 @@ mod tests {
 
     #[test]
     fn builder_shard_knobs_control_the_index() {
-        let adaptive = Session::builder().expected_threads(8).expected_live_objects(256).build();
-        assert_eq!(adaptive.index_shard_count(), 32);
-        let by_volume =
-            Session::builder().expected_threads(1).expected_live_objects(40_000).build();
-        assert_eq!(by_volume.index_shard_count(), 64);
-        let pinned = Session::builder().index_shards(2).build();
-        assert_eq!(pinned.index_shard_count(), 2, "an explicit override wins");
         // The default is the heuristic over the machine's parallelism: always a power
         // of two within the mask width.
         let default = Session::builder().build();
+        let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
+        assert_eq!(
+            default.index_shard_count(),
+            adaptive_shard_count(threads, DEFAULT_EXPECTED_LIVE_OBJECTS)
+        );
         assert!(default.index_shard_count().is_power_of_two());
         assert!((4..=64).contains(&default.index_shard_count()));
+        let pinned = Session::builder().index_shards(2).build();
+        assert_eq!(pinned.index_shard_count(), 2, "an explicit override wins");
     }
 
     #[test]
@@ -2152,21 +2130,17 @@ mod tests {
             bloat_run_with(|rt| Session::builder().period(16).collect_objects().attach(rt));
         let profile = session.object_profile().unwrap();
 
-        for sink in [&TextSink as &dyn ProfileSink, &BinaryChunkedSink::new()] {
+        let mut out = Vec::new();
+        session.stream_snapshot(&BinaryChunkedSink::new(), &mut out).unwrap();
+        let parsed = BinaryChunkedSink::new().read_log_bytes(&out).unwrap();
+        assert_eq!(parsed.to_text(), profile.to_text(), "binary sink round trip");
+        // Text and JSON are render-only: the streamed snapshot is the profile's
+        // rendering.
+        for sink in [&TextSink as &dyn ProfileSink, &JsonSink::new()] {
             let mut out = Vec::new();
             session.stream_snapshot(sink, &mut out).unwrap();
-            let parsed = read_any_profile(&out).unwrap();
-            assert_eq!(
-                parsed.to_text(),
-                profile.to_text(),
-                "{} sink round trip",
-                sink.format_name()
-            );
+            assert_eq!(String::from_utf8(out).unwrap(), sink.write_to_string(&profile));
         }
-        // JSON is write-only: the streamed snapshot is the profile's rendering.
-        let mut json = Vec::new();
-        session.stream_snapshot(&JsonSink::new(), &mut json).unwrap();
-        assert_eq!(String::from_utf8(json).unwrap(), JsonSink::new().write_to_string(&profile));
     }
 
     #[test]

@@ -1,24 +1,23 @@
-//! Streaming profile-export backends.
+//! Profile export backends.
 //!
 //! A [`ProfileSink`] turns an [`ObjectCentricProfile`] into bytes on any `io::Write`
 //! (files, sockets, in-memory buffers), so the offline analyzer and cross-machine
 //! merging (§5.2 of the paper) are independent of the on-disk format. Three backends
 //! ship:
 //!
-//! * [`BinaryChunkedSink`] — the replayable binary epoch log, the one format the
-//!   profiler replays (see [`crate::wire`]);
-//! * [`TextSink`] — the line-oriented profile-file codec
-//!   ([`ObjectCentricProfile::to_text`]/[`parse`](ObjectCentricProfile::parse)), the
-//!   human-readable format that reads back;
+//! * [`BinaryChunkedSink`](crate::wire::BinaryChunkedSink) — the replayable binary
+//!   epoch log, the one format the profiler reads back (see [`crate::wire`]);
+//! * [`TextSink`] — the line-oriented profile file
+//!   ([`ObjectCentricProfile::to_text`]) for humans;
 //! * [`JsonSink`] — a machine-readable JSON document for dashboards and external
-//!   tooling. JSON is **write-only**: a render target, never parsed back.
+//!   tooling.
 //!
-//! The two readable formats are lossless: reading back what they wrote reproduces
-//! the original sites, per-thread metrics, access contexts and allocation
-//! statistics, which the codec property tests check for arbitrary multi-thread
-//! profiles. [`Session::stream_snapshot`](crate::session::Session::stream_snapshot)
-//! streams a live session through any sink mid-run; [`read_any_profile`] reads a
-//! binary log or a text profile.
+//! Text and JSON are **render-only**: whole-profile documents that nothing parses
+//! back, and neither streams deltas. One function turns bytes into a profile:
+//! [`BinaryChunkedSink::read_log_bytes`](crate::wire::BinaryChunkedSink::read_log_bytes),
+//! which refuses a text or JSON render with an error saying so.
+//! [`Session::stream_snapshot`](crate::session::Session::stream_snapshot) streams a
+//! live session through any sink mid-run.
 
 use std::io::{self, Write};
 
@@ -27,10 +26,8 @@ use djx_runtime::Frame;
 use crate::metrics::MetricVector;
 use crate::object::AllocSite;
 use crate::profile::{
-    thread_to_text, AllocationRow, AllocationStats, DeltaFold, ObjectCentricProfile, ProfileDelta,
-    ProfileParseError, ThreadProfile,
+    AllocationRow, AllocationStats, DeltaFold, ObjectCentricProfile, ProfileDelta, ThreadProfile,
 };
-use crate::wire::{BinaryChunkedSink, BINARY_MAGIC};
 
 /// A serialization backend for object-centric profiles.
 ///
@@ -39,10 +36,11 @@ use crate::wire::{BinaryChunkedSink, BINARY_MAGIC};
 /// ([`crate::export`]) calls
 /// [`ProfileSink::on_delta`] for every retired epoch and [`ProfileSink::on_finish`]
 /// once at the end of the stream. The default `on_delta` reports
-/// [`io::ErrorKind::Unsupported`]; all built-in sinks override it, and
-/// [`BinaryChunkedSink`] additionally makes its delta
-/// stream *replayable* — folding the emitted epoch log reproduces the terminal
-/// profile byte-identically.
+/// [`io::ErrorKind::Unsupported`]; only
+/// [`BinaryChunkedSink`](crate::wire::BinaryChunkedSink) and
+/// [`FleetSink`](crate::fleet::FleetSink) override it. Their delta stream is
+/// *replayable*: folding the emitted epoch log reproduces the terminal profile
+/// byte-identically.
 pub trait ProfileSink: Send + Sync {
     /// Short format name (`"text"`, `"json"`), used for diagnostics and file naming.
     fn format_name(&self) -> &'static str;
@@ -88,14 +86,10 @@ pub trait ProfileSink: Send + Sync {
     }
 }
 
-/// The line-oriented text backend (the paper's "profile files").
-///
-/// Delta streaming is supported as a human-readable log: every
-/// [`ProfileSink::on_delta`] emits a `delta epoch=…` header followed by the standard
-/// per-thread blocks, and [`ProfileSink::on_finish`] appends the full profile.
-/// The combined stream is a log for humans and tail-based tooling, **not** a parseable
-/// profile file — use [`BinaryChunkedSink`] when
-/// the stream must be replayed.
+/// The line-oriented text backend (the paper's "profile files"): a render-only
+/// whole-profile document. It does not stream deltas; stream a
+/// [`BinaryChunkedSink`](crate::wire::BinaryChunkedSink) log when the run must be
+/// replayed.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TextSink;
 
@@ -107,22 +101,10 @@ impl ProfileSink for TextSink {
     fn write_profile(&self, profile: &ObjectCentricProfile, out: &mut dyn Write) -> io::Result<()> {
         out.write_all(profile.to_text().as_bytes())
     }
-
-    fn on_delta(&self, epoch: u64, delta: &ProfileDelta, out: &mut dyn Write) -> io::Result<()> {
-        let mut block = format!(
-            "delta epoch={} threads={} samples={}\n",
-            epoch,
-            delta.threads.len(),
-            delta.total_samples()
-        );
-        for td in &delta.threads {
-            thread_to_text(&td.profile, &mut block);
-        }
-        out.write_all(block.as_bytes())
-    }
 }
 
-/// The machine-readable JSON backend.
+/// The machine-readable JSON backend: a render-only whole-profile document that
+/// does not stream deltas.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct JsonSink;
 
@@ -160,34 +142,10 @@ impl ProfileSink for JsonSink {
             if i > 0 {
                 out.write_all(b",")?;
             }
-            write_thread_json(thread, None, out)?;
+            write_thread_json(thread, out)?;
         }
         out.write_all(b"]}")?;
         Ok(())
-    }
-
-    fn on_delta(&self, epoch: u64, delta: &ProfileDelta, out: &mut dyn Write) -> io::Result<()> {
-        // One NDJSON line per delta; the terminal flush appends the usual whole-profile
-        // document on its own line. The combined stream is a dashboard/log feed — the
-        // replayable format is `BinaryChunkedSink`.
-        write!(
-            out,
-            "{{\"delta\":{{\"epoch\":{},\"samples\":{},\"threads\":[",
-            epoch,
-            delta.total_samples()
-        )?;
-        for (i, td) in delta.threads.iter().enumerate() {
-            if i > 0 {
-                out.write_all(b",")?;
-            }
-            write_thread_json(&td.profile, Some(td.seq), out)?;
-        }
-        out.write_all(b"]}}\n")
-    }
-
-    fn on_finish(&self, profile: &ObjectCentricProfile, out: &mut dyn Write) -> io::Result<()> {
-        self.write_profile(profile, out)?;
-        out.write_all(b"\n")
     }
 }
 
@@ -385,21 +343,11 @@ fn write_sites_json(sites: &[AllocSite], out: &mut dyn Write) -> io::Result<()> 
     out.write_all(b"]")
 }
 
-/// Writes one thread's profile object — the shape shared by the whole-profile
-/// document's `threads` array and the per-delta thread fragments (which additionally
-/// carry the thread's first-seen `seq`).
-fn write_thread_json(
-    thread: &ThreadProfile,
-    seq: Option<u64>,
-    out: &mut dyn Write,
-) -> io::Result<()> {
-    out.write_all(b"{")?;
-    if let Some(seq) = seq {
-        write!(out, "\"seq\":{seq},")?;
-    }
+/// Writes one element of the whole-profile document's `threads` array.
+fn write_thread_json(thread: &ThreadProfile, out: &mut dyn Write) -> io::Result<()> {
     write!(
         out,
-        "\"id\":{},\"name\":{},\"samples\":{},\"unattributed\":{}",
+        "{{\"id\":{},\"name\":{},\"samples\":{},\"unattributed\":{}",
         thread.thread.0,
         json_string(&thread.thread_name),
         thread.samples,
@@ -415,7 +363,7 @@ fn write_thread_json(
         let sm = &thread.sites[sid];
         write!(out, "{{\"site\":{},\"total\":{}", sid.0, json_metrics(&sm.total))?;
         out.write_all(b",\"accesses\":[")?;
-        // Canonical context order (by encoded path), matching the text codec.
+        // Canonical context order (by encoded path), matching the text rendering.
         let mut contexts: Vec<(String, Vec<Frame>, &MetricVector)> = sm
             .by_context
             .iter()
@@ -437,39 +385,11 @@ fn write_thread_json(
     Ok(())
 }
 
-/// Parses the profile bytes a readable sink wrote, detecting the format from the
-/// first bytes: the binary magic → a [`BinaryChunkedSink`] epoch log (folded and
-/// checksum-verified), anything else → a [`TextSink`] profile. The offline analyzer
-/// uses this so a directory of streamed logs and text profiles merges
-/// transparently.
-///
-/// # Errors
-///
-/// Returns [`ProfileParseError`] for malformed input of either format, and for a
-/// [`JsonSink`] document: JSON is a render-only format.
-pub fn read_any_profile(input: &[u8]) -> Result<ObjectCentricProfile, ProfileParseError> {
-    if input.starts_with(&BINARY_MAGIC) {
-        return BinaryChunkedSink::new().read_log_bytes(input);
-    }
-    let text = std::str::from_utf8(input).map_err(|e| ProfileParseError {
-        line: 1,
-        message: format!("input is neither a binary epoch log nor UTF-8 text: {e}"),
-    })?;
-    if text.trim_start().starts_with('{') {
-        return Err(ProfileParseError {
-            line: 1,
-            message: "input is a JSON document; JSON is a render-only format — read back \
-                      a binary epoch log or a text profile instead"
-                .to_string(),
-        });
-    }
-    ObjectCentricProfile::parse(text)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::object::AllocSiteId;
+    use crate::wire::BinaryChunkedSink;
     use djx_memsim::{AccessKind, NumaNode};
     use djx_pmu::PmuEvent;
     use djx_runtime::{MethodId, ThreadId};
@@ -532,8 +452,6 @@ mod tests {
         let profile = build_profile();
         let text = TextSink.write_to_string(&profile);
         assert_eq!(text, profile.to_text());
-        let parsed = ObjectCentricProfile::parse(&text).unwrap();
-        assert_eq!(parsed.to_text(), profile.to_text());
         assert_eq!(TextSink.format_name(), "text");
     }
 
@@ -586,58 +504,23 @@ mod tests {
     }
 
     #[test]
-    fn text_codec_round_trips_whitespace_and_backslash_names() {
-        let names = [
-            "tab\there",
-            "new\nline",
-            "carriage\rreturn",
-            "lit\\sback",
-            "trailing\\",
-            "two  spaces",
-            "nbsp\u{a0}and\u{2028}sep",
-            "\\u{41}",
-        ];
-        let mut profile = build_profile();
-        for (i, name) in names.iter().enumerate() {
-            let mut thread = ThreadProfile::new(ThreadId(10 + i as u64), name);
-            thread.record_unattributed(&sample(0x9000, false), 100);
-            profile.threads.push(thread);
-            profile.sites.push(AllocSite {
-                id: AllocSiteId(profile.sites.len() as u32),
-                class_name: (*name).to_string(),
-                call_path: vec![],
-            });
-        }
-        let text = profile.to_text();
-        for parsed in [ObjectCentricProfile::parse(&text), read_any_profile(text.as_bytes())] {
-            let parsed = parsed.unwrap();
-            let thread_names: Vec<&str> =
-                parsed.threads[2..].iter().map(|t| t.thread_name.as_str()).collect();
-            assert_eq!(thread_names, names);
-            let class_names: Vec<&str> =
-                parsed.sites[2..].iter().map(|s| s.class_name.as_str()).collect();
-            assert_eq!(class_names, names);
-            assert_eq!(parsed.to_text(), text);
-        }
-    }
-
-    #[test]
     fn read_any_profile_detects_the_format() {
+        // The binary log is the one format read back; text and JSON renders are
+        // recognized as such and refused rather than misread.
         let profile = build_profile();
-        let text = TextSink.write_to_string(&profile);
+        let sink = BinaryChunkedSink::new();
         let mut log = Vec::new();
-        BinaryChunkedSink::new().write_profile(&profile, &mut log).unwrap();
-        for input in [text.as_bytes(), &log] {
-            assert_eq!(read_any_profile(input).unwrap().to_text(), profile.to_text());
-        }
+        sink.write_profile(&profile, &mut log).unwrap();
+        assert_eq!(sink.read_log_bytes(&log).unwrap().to_text(), profile.to_text());
+        let text = TextSink.write_to_string(&profile);
         let json = JsonSink::new().write_to_string(&profile);
-        for input in [json.as_str(), "  {}", "{"] {
-            let err = read_any_profile(input.as_bytes()).unwrap_err();
+        for input in [text.as_str(), json.as_str(), "  {}", "{"] {
+            let err = sink.read_log_bytes(input.as_bytes()).unwrap_err();
             assert!(err.message.contains("render-only"), "{err}");
         }
-        assert!(read_any_profile(b"garbage").is_err());
-        assert!(read_any_profile(&[0xff, 0xfe, 0x00]).is_err(), "non-UTF-8 non-magic");
-        assert!(read_any_profile(&log[..log.len() - 1]).is_err(), "truncated binary log");
+        assert!(sink.read_log_bytes(b"garbage").is_err());
+        assert!(sink.read_log_bytes(&[0xff, 0xfe, 0x00]).is_err(), "non-UTF-8 non-magic");
+        assert!(sink.read_log_bytes(&log[..log.len() - 1]).is_err(), "truncated binary log");
     }
 
     #[test]
@@ -650,13 +533,11 @@ mod tests {
             threads: vec![],
             allocation_stats: AllocationStats::default(),
         };
-        let text = TextSink.write_to_string(&profile);
+        let sink = BinaryChunkedSink::new();
         let mut log = Vec::new();
-        BinaryChunkedSink::new().write_profile(&profile, &mut log).unwrap();
-        for input in [text.as_bytes(), &log] {
-            let parsed = read_any_profile(input).unwrap();
-            assert_eq!(parsed.to_text(), profile.to_text());
-            assert_eq!(parsed.event, PmuEvent::RemoteDram);
-        }
+        sink.write_profile(&profile, &mut log).unwrap();
+        let parsed = sink.read_log_bytes(&log).unwrap();
+        assert_eq!(parsed.to_text(), profile.to_text());
+        assert_eq!(parsed.event, PmuEvent::RemoteDram);
     }
 }

@@ -5,10 +5,10 @@
 //! encoded as length-prefixed, checksummed binary frames. The fleet's control
 //! records (hello, acknowledgements, queries, results, status) are frames of the
 //! same layout with their own kind bytes, so a fleet connection is one frame
-//! stream in both directions. JSON is a render target only
-//! ([`JsonSink`](crate::sink::JsonSink) snapshots,
-//! [`QueryResult::to_json`](crate::query::QueryResult::to_json)); the profiler
-//! never parses it.
+//! stream in both directions. Text and JSON are render targets only
+//! ([`TextSink`](crate::sink::TextSink) and [`JsonSink`](crate::sink::JsonSink)
+//! snapshots, [`QueryResult::to_json`](crate::query::QueryResult::to_json)); the
+//! profiler never parses either.
 //!
 //! One frame parser serves every source, through thin drivers: the pull-driven
 //! [`BinaryFrameReader`] (files, sockets — anything [`BufRead`]), the
@@ -101,11 +101,12 @@
 //! | result | text rendering string; JSON rendering string |
 //! | status | producer count varint; per producer: name string; connected, finished, truncated flags; deltas, last epoch, samples, resumes, duplicates, frames received, bytes received, WAL bytes, spilled frames, dropped epochs, reconnect backoff ms varints |
 //!
-//! # Reading any profile
+//! # Reading a profile back
 //!
-//! [`read_any_profile`](crate::sink::read_any_profile) sniffs the magic and
-//! replays binary logs; anything else is read as a text profile. A JSON document
-//! is refused: JSON is render-only.
+//! [`BinaryChunkedSink::read_log_bytes`] is the one function that turns bytes into
+//! a profile; [`EpochLog`](crate::query::EpochLog) wraps it as a query source.
+//! Input without the frame magic — a text or JSON render — is refused with an
+//! error saying those formats are render-only.
 //!
 //! ```
 //! use djxperf::{BinaryChunkedSink, BinaryFrameReader, DeltaFold, LogRecord, ProfileSink};
@@ -249,7 +250,7 @@ impl<'a> PayloadReader<'a> {
 
     fn error(&self, message: impl Into<String>) -> ProfileParseError {
         ProfileParseError {
-            line: 0,
+            frame: 0,
             message: format!("payload byte {}: {}", self.pos, message.into()),
         }
     }
@@ -729,7 +730,7 @@ fn write_finish_frame(record: &FinishRecord, out: &mut dyn Write) -> io::Result<
 }
 
 fn frame_error(message: String) -> ProfileParseError {
-    ProfileParseError { line: 0, message }
+    ProfileParseError { frame: 0, message }
 }
 
 /// Validates a frame header (magic, version, kind, payload cap) and returns the
@@ -807,7 +808,7 @@ fn log_record(record: WireRecord) -> Result<LogRecord, ProfileParseError> {
 ///
 /// The payload is read through [`Read::take`], never into a buffer pre-sized from
 /// the untrusted length prefix. Errors name the frame-relative byte offset of the
-/// defect (payload decode errors the payload-relative one) and carry `line == 0`;
+/// defect (payload decode errors the payload-relative one) and carry `frame == 0`;
 /// callers tracking a stream position ([`BinaryFrameReader`], [`FrameTail`])
 /// re-anchor them.
 pub(crate) fn read_binary_frame<R: Read>(
@@ -857,7 +858,7 @@ pub(crate) fn at_end<R: BufRead>(input: &mut R) -> io::Result<bool> {
 /// finished log files, pipes still being written, and sockets.
 ///
 /// Errors are anchored to the 1-based frame number (in
-/// [`ProfileParseError::line`]) and the absolute byte offset of the offending
+/// [`ProfileParseError::frame`]) and the absolute byte offset of the offending
 /// frame (in the message).
 #[derive(Debug)]
 pub struct BinaryFrameReader<R> {
@@ -894,7 +895,7 @@ impl<R: BufRead> BinaryFrameReader<R> {
     pub fn next_record(&mut self) -> Result<Option<LogRecord>, ProfileParseError> {
         let start = self.offset;
         let anchor = |frame_number: usize, message: String| ProfileParseError {
-            line: frame_number,
+            frame: frame_number,
             message: format!("binary frame {frame_number} at byte offset {start}: {message}"),
         };
         match at_end(&mut self.input) {
@@ -987,7 +988,7 @@ impl FrameTail {
             return Ok(None);
         };
         let anchor = |e: ProfileParseError| ProfileParseError {
-            line: self.frames + 1,
+            frame: self.frames + 1,
             message: format!("frame {}: {}", self.frames + 1, e.message),
         };
         let total = frame_len(header).map_err(anchor)?;
@@ -1012,9 +1013,10 @@ impl FrameTail {
 /// total-sample checksum. Wire it into a session with
 /// [`SessionBuilder::stream_to_binary`](crate::session::SessionBuilder::stream_to_binary).
 ///
-/// Unlike the delta streams of [`TextSink`](crate::sink::TextSink) /
-/// [`JsonSink`](crate::sink::JsonSink) (human/dashboard feeds), a binary log is a
-/// complete, self-verifying serialization of the run:
+/// Unlike the render-only [`TextSink`](crate::sink::TextSink) /
+/// [`JsonSink`](crate::sink::JsonSink) documents, a binary log is a complete,
+/// self-verifying serialization of the run, and the one format the profiler reads
+/// back:
 /// [`BinaryChunkedSink::read_log_bytes`] folds the delta frames in epoch order
 /// ([`DeltaFold`]), applies the finish frame, verifies the checksum, and returns a
 /// profile **byte-identical** to the terminal snapshot of the session that
@@ -1024,7 +1026,6 @@ impl FrameTail {
 ///
 /// Binary logs are not UTF-8: use byte-based outputs
 /// ([`SharedBuffer`](crate::export::SharedBuffer), files) and
-/// [`read_any_profile`](crate::sink::read_any_profile) /
 /// [`BinaryChunkedSink::read_log_bytes`] to read them. The `&str`-based
 /// [`ProfileSink::write_to_string`] cannot represent them and panics.
 #[derive(Debug, Clone, Copy, Default)]
@@ -1037,11 +1038,35 @@ impl BinaryChunkedSink {
     }
 
     /// Replays a binary epoch log: folds the delta frames in order, applies the
-    /// finish frame, and verifies the total-sample checksum.
+    /// finish frame, and verifies the total-sample checksum. This is the one
+    /// function that turns bytes into a profile.
+    ///
+    /// ```
+    /// use djxperf::{BinaryChunkedSink, ObjectCentricProfile, ProfileSink, TextSink};
+    ///
+    /// let profile = ObjectCentricProfile {
+    ///     event: djx_pmu::PmuEvent::L1Miss,
+    ///     period: 64,
+    ///     size_filter: 1024,
+    ///     sites: Vec::new(),
+    ///     threads: Vec::new(),
+    ///     allocation_stats: Default::default(),
+    /// };
+    /// let sink = BinaryChunkedSink::new();
+    /// let mut log = Vec::new();
+    /// sink.write_profile(&profile, &mut log).unwrap();
+    /// assert_eq!(sink.read_log_bytes(&log).unwrap().to_text(), profile.to_text());
+    ///
+    /// // A text render does not read back.
+    /// let text = TextSink.write_to_string(&profile);
+    /// let err = sink.read_log_bytes(text.as_bytes()).unwrap_err();
+    /// assert!(err.message.contains("render-only"));
+    /// ```
     ///
     /// # Errors
     ///
-    /// Returns [`ProfileParseError`] for corrupted or truncated frames,
+    /// Returns [`ProfileParseError`] for input without the frame magic (text and
+    /// JSON renders among it: both are render-only), corrupted or truncated frames,
     /// out-of-order epochs, frames after (or a log without) the finish frame, and
     /// checksum mismatches.
     pub fn read_log_bytes(&self, input: &[u8]) -> Result<ObjectCentricProfile, ProfileParseError> {
@@ -1050,38 +1075,40 @@ impl BinaryChunkedSink {
         let head = &input[..input.len().min(BINARY_MAGIC.len())];
         if head != &BINARY_MAGIC[..head.len()] {
             return Err(ProfileParseError {
-                line: 1,
-                message: "stream does not start with the binary epoch-log magic".to_string(),
+                frame: 1,
+                message: "input does not start with the binary epoch-log magic; text and \
+                          JSON profiles are render-only — replay a binary epoch log instead"
+                    .to_string(),
             });
         }
         let mut reader = BinaryFrameReader::new(input);
         let mut fold = DeltaFold::new();
         let mut finish: Option<FinishRecord> = None;
         while let Some(record) = reader.next_record()? {
-            let line = reader.frame_number();
+            let frame = reader.frame_number();
             if finish.is_some() {
                 return Err(ProfileParseError {
-                    line,
+                    frame,
                     message: "frames after the finish frame".to_string(),
                 });
             }
             match record {
                 LogRecord::Delta(delta) => fold
                     .absorb_ordered(&delta)
-                    .map_err(|e| ProfileParseError { line, message: e.to_string() })?,
+                    .map_err(|e| ProfileParseError { frame, message: e.to_string() })?,
                 LogRecord::Finish(record) => finish = Some(record),
             }
         }
-        let line = reader.frame_number().max(1);
+        let frame = reader.frame_number().max(1);
         let Some(finish) = finish else {
             return Err(ProfileParseError {
-                line,
+                frame,
                 message: "binary epoch log has no finish frame (truncated stream?)".to_string(),
             });
         };
         finish
             .assemble(fold)
-            .map_err(|e| ProfileParseError { line, message: e.to_string() })
+            .map_err(|e| ProfileParseError { frame, message: e.to_string() })
     }
 }
 
@@ -1251,18 +1278,25 @@ mod tests {
 
     #[test]
     fn read_any_profile_bytes_detects_every_format() {
-        use crate::sink::{read_any_profile, JsonSink, TextSink};
+        use crate::sink::{JsonSink, TextSink};
         let (bin_log, profile) = stream();
+        let sink = BinaryChunkedSink::new();
+        assert_eq!(sink.read_log_bytes(&bin_log).unwrap().to_text(), profile.to_text());
+        let mut doc = Vec::new();
+        sink.write_profile(&profile, &mut doc).unwrap();
+        assert_eq!(sink.read_log_bytes(&doc).unwrap().to_text(), profile.to_text());
+        // Text and JSON are render-only: a render is recognized and refused, not
+        // misread.
         let text = TextSink.write_to_string(&profile);
-        for input in [text.as_bytes(), &bin_log] {
-            assert_eq!(read_any_profile(input).unwrap().to_text(), profile.to_text());
+        let json = JsonSink::new().write_to_string(&profile);
+        for input in [text.as_str(), json.as_str(), "  {}", "{"] {
+            let err = sink.read_log_bytes(input.as_bytes()).unwrap_err();
+            assert!(err.message.contains("render-only"), "{err}");
+            assert_eq!(err.frame, 1);
         }
-        // JSON is render-only: a document is recognized and refused, not misread.
-        let json_doc = JsonSink::new().write_to_string(&profile);
-        let err = read_any_profile(json_doc.as_bytes()).unwrap_err();
-        assert!(err.message.contains("render-only"), "{err}");
-        assert!(read_any_profile(b"garbage").is_err());
-        assert!(read_any_profile(&[0xff, 0xfe, 0x00]).is_err(), "non-UTF-8 non-magic");
+        assert!(sink.read_log_bytes(b"garbage").is_err());
+        assert!(sink.read_log_bytes(&[0xff, 0xfe, 0x00]).is_err(), "non-UTF-8 non-magic");
+        assert!(sink.read_log_bytes(&doc[..doc.len() - 1]).is_err(), "truncated binary log");
     }
 
     #[test]
@@ -1281,7 +1315,7 @@ mod tests {
         let mut reader = BinaryFrameReader::new(corrupted.as_slice());
         reader.next_record().unwrap().unwrap();
         let err = reader.next_record().unwrap_err();
-        assert_eq!(err.line, 2, "anchored to the frame number");
+        assert_eq!(err.frame, 2, "anchored to the frame number");
         assert!(err.message.contains(&format!("byte offset {tail_start}")), "{err}");
         assert!(err.message.contains("magic"), "{err}");
     }
@@ -1292,7 +1326,7 @@ mod tests {
         // Flip one payload byte of the first frame; its checksum no longer matches.
         bin_log[HEADER_LEN] ^= 0x40;
         let err = BinaryChunkedSink::new().read_log_bytes(&bin_log).unwrap_err();
-        assert_eq!(err.line, 1);
+        assert_eq!(err.frame, 1);
         assert!(err.message.contains("checksum mismatch"), "{err}");
     }
 

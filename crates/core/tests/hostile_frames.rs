@@ -5,6 +5,12 @@
 //! length prefix or count size an allocation, and name the byte offset of every
 //! defect it reports.
 //!
+//! The one profile reader (`BinaryChunkedSink::read_log_bytes`, and `EpochLog::replay`
+//! over it) gets arbitrary bytes and the render-only text and JSON documents: it
+//! must refuse all of them, naming text and JSON render-only. WAL recovery gets
+//! write-ahead logs with a valid header and a hostile body, and header lines of
+//! random bytes: it must never panic, and every error must name the file.
+//!
 //! Control frames are built by a small encoder written from the `djxperf::wire`
 //! module-doc tables; the log drivers decode them fully before refusing them, so
 //! every payload decoder is exercised.
@@ -19,7 +25,8 @@ use djx_runtime::{Frame, MethodId, ThreadId};
 use djxperf::wire::FrameTail;
 use djxperf::{
     AllocSite, AllocSiteId, AllocationStats, BinaryChunkedSink, BinaryFrameReader, DeltaFold,
-    ProfileDelta, ProfileSink, ThreadDelta, ThreadProfile,
+    EpochLog, FleetAggregator, JsonSink, ObjectCentricProfile, ProfileDelta, ProfileSink,
+    ThreadDelta, ThreadProfile,
 };
 
 // --------------------------------------------------------------------------------------
@@ -338,5 +345,199 @@ proptest! {
         check_hostile(&truncated)?;
         reseal(&mut truncated);
         check_hostile(&truncated)?;
+    }
+}
+
+// --------------------------------------------------------------------------------------
+// The one profile reader
+// --------------------------------------------------------------------------------------
+
+/// Feeds `bytes` to both entry points of the profile reader; both must refuse it.
+/// Returns the reader's error message.
+fn check_refused(bytes: &[u8]) -> Result<String, TestCaseError> {
+    let direct = BinaryChunkedSink::new().read_log_bytes(bytes);
+    let replayed = EpochLog::replay(bytes);
+    prop_assert!(direct.is_err(), "read_log_bytes accepted {} hostile bytes", bytes.len());
+    prop_assert!(replayed.is_err(), "EpochLog::replay accepted {} hostile bytes", bytes.len());
+    let message = direct.err().map(|e| e.message).unwrap_or_default();
+    prop_assert_eq!(replayed.err().map(|e| e.message), Some(message.clone()));
+    Ok(message)
+}
+
+/// Arbitrary names, with control characters, whitespace and replacement
+/// characters the renderings must escape.
+fn name_strategy() -> impl Strategy<Value = String> {
+    prop::collection::vec(any::<u8>(), 0..16)
+        .prop_map(|bytes| String::from_utf8_lossy(&bytes).into_owned())
+}
+
+/// A profile with arbitrary names and counters, to render as text and JSON.
+fn render_profile(names: &[String], samples: u64, event: usize) -> ObjectCentricProfile {
+    let sites = names
+        .iter()
+        .enumerate()
+        .map(|(i, name)| AllocSite {
+            id: AllocSiteId(i as u32),
+            class_name: name.clone(),
+            call_path: vec![Frame::new(MethodId(i as u32), 3)],
+        })
+        .collect();
+    let threads = names
+        .iter()
+        .enumerate()
+        .map(|(i, name)| {
+            let mut thread = ThreadProfile::new(ThreadId(i as u64), name);
+            thread.samples = samples;
+            thread.record_allocation(AllocSiteId(i as u32), samples);
+            thread
+        })
+        .collect();
+    ObjectCentricProfile {
+        event: PmuEvent::all()[event % PmuEvent::all().len()],
+        period: samples.max(1),
+        size_filter: samples,
+        sites,
+        threads,
+        allocation_stats: AllocationStats { callbacks: samples, ..Default::default() },
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn profile_reader_refuses_arbitrary_bytes(
+        bytes in prop::collection::vec(any::<u8>(), 0..512),
+    ) {
+        check_refused(&bytes)?;
+    }
+
+    #[test]
+    fn profile_reader_refuses_text_and_json_renders(
+        names in prop::collection::vec(name_strategy(), 0..4),
+        samples in any::<u64>(),
+        event in 0usize..8,
+    ) {
+        let profile = render_profile(&names, samples, event);
+        for (format, render) in [
+            ("text", profile.to_text()),
+            ("JSON", JsonSink::new().write_to_string(&profile)),
+        ] {
+            let message = check_refused(render.as_bytes())?;
+            prop_assert!(
+                message.contains("render-only"),
+                "the {} render is not named render-only: {}",
+                format,
+                message
+            );
+        }
+    }
+}
+
+// --------------------------------------------------------------------------------------
+// WAL recovery
+// --------------------------------------------------------------------------------------
+
+/// A scratch WAL directory, removed on drop.
+struct WalDir(std::path::PathBuf);
+
+impl WalDir {
+    fn new(tag: &str) -> WalDir {
+        let path =
+            std::env::temp_dir().join(format!("djxperf-hostile-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&path);
+        std::fs::create_dir_all(&path).expect("scratch dir creates");
+        WalDir(path)
+    }
+
+    /// Writes `bytes` as the directory's one WAL file and runs recovery over it.
+    /// Recovery must not panic, and an error must name the file.
+    fn recover(&self, bytes: &[u8]) -> Result<bool, TestCaseError> {
+        let name = "hostile.wal";
+        std::fs::write(self.0.join(name), bytes).expect("WAL writes");
+        match FleetAggregator::recover(&self.0) {
+            Ok(_) => Ok(true),
+            Err(e) => {
+                prop_assert!(e.to_string().contains(name), "error names no file: {}", e);
+                Ok(false)
+            }
+        }
+    }
+}
+
+impl Drop for WalDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// A valid WAL header line, written from the fleet module's WAL format.
+const WAL_HEADER: &str = "djxperf-wal v2 producer=web\\s1 event=MEM_LOAD_UOPS_RETIRED:L1_MISS \
+                          period=64 size_filter=1024\n";
+
+#[test]
+fn a_valid_wal_recovers() {
+    let dir = WalDir::new("valid-wal");
+    let mut wal = WAL_HEADER.as_bytes().to_vec();
+    for frame in &frames_of_every_kind()[..2] {
+        wal.extend_from_slice(frame);
+    }
+    let builder = FleetAggregator::recover(&dir.0).expect("an empty directory recovers");
+    assert!(builder.recovery_report().expect("report").producers.is_empty());
+    std::fs::write(dir.0.join("hostile.wal"), &wal).expect("WAL writes");
+    let builder = FleetAggregator::recover(&dir.0).expect("a valid WAL recovers");
+    let report = builder.recovery_report().expect("report");
+    assert_eq!(report.producers.len(), 1);
+    assert_eq!(report.producers[0].producer, "web 1");
+    assert!(report.producers[0].finished && !report.producers[0].torn_tail);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn wal_recovery_survives_hostile_bodies(
+        at in any::<usize>(),
+        value in any::<u8>(),
+        cut in any::<usize>(),
+        extra in prop::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let dir = WalDir::new("wal-body");
+        let frames = frames_of_every_kind();
+        let mut body: Vec<u8> = frames[..2].concat();
+        let mut wal = WAL_HEADER.as_bytes().to_vec();
+        // One byte mutated anywhere in the body.
+        let mut mutated = body.clone();
+        mutated[at % body.len()] = value;
+        dir.recover(&[&wal[..], &mutated].concat())?;
+        // The body cut short, then followed by arbitrary bytes.
+        body.truncate(cut % body.len());
+        dir.recover(&[&wal[..], &body].concat())?;
+        body.extend_from_slice(&extra);
+        dir.recover(&[&wal[..], &body].concat())?;
+        // A control frame where a log holds only epoch frames.
+        wal.extend_from_slice(&frames[2 + at % (frames.len() - 2)]);
+        dir.recover(&wal)?;
+    }
+
+    #[test]
+    fn wal_recovery_refuses_a_header_line_of_random_bytes(
+        header in prop::collection::vec(any::<u8>(), 0..96),
+        at in any::<usize>(),
+        value in any::<u8>(),
+    ) {
+        let dir = WalDir::new("wal-header");
+        let body = frames_of_every_kind()[..2].concat();
+        // Random bytes up to the newline: a complete header line that does not
+        // parse is an error, never a skip.
+        let line: Vec<u8> = header.into_iter().filter(|b| *b != b'\n').collect();
+        let recovered = dir.recover(&[&line[..], b"\n", &body].concat())?;
+        prop_assert!(!recovered, "a header line of random bytes was accepted");
+        // One byte of a valid header line mutated: recovery may accept what still
+        // parses, but never panics and names the file in any error.
+        let mut mutated = WAL_HEADER.as_bytes().to_vec();
+        let at = at % (mutated.len() - 1);
+        mutated[at] = value;
+        dir.recover(&[&mutated[..], &body].concat())?;
     }
 }

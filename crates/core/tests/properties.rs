@@ -1,7 +1,8 @@
 //! Property-based tests over the profiler's core data structures: the interval splay
 //! tree is checked against a naive model, the calling context tree against path
-//! round-trips and merge conservation, the metric vector against merge algebra, and the
-//! profile text codec against arbitrary profiles.
+//! round-trips and merge conservation, the metric vector against merge algebra, the
+//! binary profile codec against arbitrary profiles, and the render-only text form
+//! against every single-field mutation (it must tell any two profiles apart).
 
 use std::collections::HashMap;
 
@@ -11,9 +12,8 @@ use djx_memsim::{AccessKind, NumaNode};
 use djx_pmu::{PmuEvent, Sample};
 use djx_runtime::{Frame, MethodId, ThreadId};
 use djxperf::{
-    read_any_profile, AllocSite, AllocSiteId, AllocSiteRegistry, AllocationStats,
-    BinaryChunkedSink, Cct, Interval, IntervalSplayTree, MetricVector, ObjectCentricProfile,
-    ProfileSink, TextSink, ThreadProfile,
+    AllocSite, AllocSiteId, AllocSiteRegistry, AllocationStats, BinaryChunkedSink, Cct, EpochLog,
+    Interval, IntervalSplayTree, MetricVector, ObjectCentricProfile, ProfileSink, ThreadProfile,
 };
 
 // --------------------------------------------------------------------------------------
@@ -495,9 +495,9 @@ proptest! {
             "folded stream must equal the sequential replay"
         );
         prop_assert_eq!(
-            &read_any_profile(&log).expect("sniffed replay").to_text(),
+            &EpochLog::replay(&log).expect("query-source replay").profile().to_text(),
             &reference_text,
-            "format sniffing must route binary logs to the binary reader"
+            "the query source must replay through the same reader"
         );
     }
 
@@ -669,10 +669,10 @@ proptest! {
 }
 
 // --------------------------------------------------------------------------------------
-// Profile text codec
+// Profile codec
 // --------------------------------------------------------------------------------------
 
-/// Class names with the characters the text codec must escape: spaces, tabs,
+/// Class names with the characters the text rendering must escape: spaces, tabs,
 /// line breaks and backslashes.
 fn class_name_strategy() -> impl Strategy<Value = String> {
     "[A-Za-z][A-Za-z0-9 .\\[\\]\t\n\r\\\\]{0,18}"
@@ -681,8 +681,8 @@ fn class_name_strategy() -> impl Strategy<Value = String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Arbitrary profiles survive the text codec: parse(to_text(p)) analyzes identically
-    /// and re-serializes to the same text.
+    /// Arbitrary profiles survive the binary codec: a replayed document analyzes
+    /// identically and renders to the same text.
     #[test]
     fn profile_codec_round_trips(
         class_names in prop::collection::vec(class_name_strategy(), 1..4),
@@ -716,9 +716,11 @@ proptest! {
             allocation_stats: AllocationStats { callbacks: 10, monitored: 5, filtered: 5, ..Default::default() },
         };
 
-        let text = profile.to_text();
-        let parsed = ObjectCentricProfile::parse(&text).expect("round trip");
-        prop_assert_eq!(parsed.to_text(), text, "serialization is a fixed point");
+        let sink = BinaryChunkedSink::new();
+        let mut doc = Vec::new();
+        sink.write_profile(&profile, &mut doc).expect("writing to a Vec cannot fail");
+        let parsed = sink.read_log_bytes(&doc).expect("round trip");
+        prop_assert_eq!(parsed.to_text(), profile.to_text(), "serialization is a fixed point");
 
         let analyze = |p: &ObjectCentricProfile| djxperf::Query::new().evaluate(p).unwrap();
         let a = analyze(&profile);
@@ -771,12 +773,106 @@ fn assert_profiles_equivalent(
     Ok(())
 }
 
+/// A multi-thread profile over the generated sites and samples, with the attach-mode
+/// unattributed site interned through the real registry so its identity matches
+/// production behaviour. Every thread records an allocation at that site; samples
+/// cycle through the real sites *and* the unattributed one.
+fn multi_thread_profile(
+    class_names: &[String],
+    alloc_paths: &[Vec<Frame>],
+    samples_per_thread: &[Vec<(usize, Vec<Frame>, Sample)>],
+    unknown_moves: u64,
+    period: u64,
+) -> ObjectCentricProfile {
+    let mut registry = AllocSiteRegistry::new();
+    let site_count = class_names.len().min(alloc_paths.len());
+    for i in 0..site_count {
+        registry.intern(&class_names[i], &alloc_paths[i]);
+    }
+    let unattributed_site = registry.intern_unattributed();
+    let sites = registry.snapshot();
+
+    let mut threads = Vec::new();
+    for (t, samples) in samples_per_thread.iter().enumerate() {
+        let mut thread = ThreadProfile::new(ThreadId(t as u64 + 1), &format!("worker {t}"));
+        for (site_index, path, sample) in samples {
+            let site = AllocSiteId((site_index % (site_count + 1)) as u32);
+            thread.record_attributed(site, path, sample, period);
+        }
+        thread.record_allocation(unattributed_site, 0);
+        threads.push(thread);
+    }
+
+    ObjectCentricProfile {
+        event: PmuEvent::RemoteDram,
+        period,
+        size_filter: 1024,
+        sites,
+        threads,
+        allocation_stats: AllocationStats {
+            callbacks: 40,
+            monitored: 30,
+            filtered: 10,
+            relocations: 3,
+            unknown_moves,
+            reclamations: 2,
+        },
+    }
+}
+
+/// Field accessors over every [`MetricVector`] counter.
+const METRIC_COUNTERS: [fn(&mut MetricVector) -> &mut u64; 9] = [
+    |m| &mut m.samples,
+    |m| &mut m.weighted_events,
+    |m| &mut m.latency_cycles,
+    |m| &mut m.local_samples,
+    |m| &mut m.remote_samples,
+    |m| &mut m.load_samples,
+    |m| &mut m.store_samples,
+    |m| &mut m.allocations,
+    |m| &mut m.allocated_bytes,
+];
+
+/// Field accessors over every [`AllocationStats`] counter.
+const ALLOCATION_COUNTERS: [fn(&mut AllocationStats) -> &mut u64; 6] = [
+    |s| &mut s.callbacks,
+    |s| &mut s.monitored,
+    |s| &mut s.filtered,
+    |s| &mut s.relocations,
+    |s| &mut s.unknown_moves,
+    |s| &mut s.reclamations,
+];
+
+/// Moves one access context of the first site with a non-empty context path to
+/// the same path with its leaf frame's BCI bumped. Returns `false` when no
+/// thread has such a context.
+fn bump_a_context_frame(profile: &mut ObjectCentricProfile) -> bool {
+    for thread in &mut profile.threads {
+        let cct = &mut thread.cct;
+        for sm in thread.sites.values_mut() {
+            let Some((ctx, mut path)) = sm
+                .by_context
+                .keys()
+                .map(|ctx| (*ctx, cct.path_of(*ctx)))
+                .find(|(_, path)| !path.is_empty())
+            else {
+                continue;
+            };
+            let metrics = sm.by_context.remove(&ctx).expect("context listed above");
+            let leaf = path.last_mut().expect("non-empty path");
+            *leaf = Frame::new(leaf.method, leaf.bci.wrapping_add(1));
+            sm.by_context.entry(cct.insert_path(&path)).or_default().merge(&metrics);
+            return true;
+        }
+    }
+    false
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Multi-thread profiles — including the attach-mode unattributed site — survive
-    /// both readable sinks, text and binary, with identical `SiteMetrics` and
-    /// `AllocationStats`.
+    /// the binary sink with identical `SiteMetrics` and `AllocationStats`.
     #[test]
     fn sink_backends_round_trip_multi_thread_profiles(
         class_names in prop::collection::vec(class_name_strategy(), 1..3),
@@ -788,54 +884,122 @@ proptest! {
         unknown_moves in 0u64..5,
         period in 1u64..100_000,
     ) {
-        // Site table: the interned sites plus the attach-mode unattributed site, built
-        // through the real registry so its identity matches production behaviour.
-        let mut registry = AllocSiteRegistry::new();
-        let site_count = class_names.len().min(alloc_paths.len());
-        for i in 0..site_count {
-            registry.intern(&class_names[i], &alloc_paths[i]);
-        }
-        let unattributed_site = registry.intern_unattributed();
-        let sites = registry.snapshot();
-
-        let mut threads = Vec::new();
-        for (t, samples) in samples_per_thread.iter().enumerate() {
-            let mut thread = ThreadProfile::new(ThreadId(t as u64 + 1), &format!("worker {t}"));
-            for (site_index, path, sample) in samples {
-                // Cycle through the real sites *and* the unattributed one.
-                let site = AllocSiteId((site_index % (site_count + 1)) as u32);
-                thread.record_attributed(site, path, sample, period);
-            }
-            thread.record_allocation(unattributed_site, 0);
-            threads.push(thread);
-        }
-
-        let profile = ObjectCentricProfile {
-            event: PmuEvent::RemoteDram,
+        let profile = multi_thread_profile(
+            &class_names,
+            &alloc_paths,
+            &samples_per_thread,
+            unknown_moves,
             period,
-            size_filter: 1024,
-            sites,
-            threads,
-            allocation_stats: AllocationStats {
-                callbacks: 40,
-                monitored: 30,
-                filtered: 10,
-                relocations: 3,
-                unknown_moves,
-                reclamations: 2,
-            },
-        };
+        );
         prop_assert!(profile.sites.iter().any(|s| s.is_unattributed()));
 
-        for sink in [&TextSink as &dyn ProfileSink, &BinaryChunkedSink::new()] {
-            let mut written = Vec::new();
-            sink.write_profile(&profile, &mut written).expect("writing to a Vec cannot fail");
-            let reparsed = read_any_profile(&written).expect("sink round trip");
-            assert_profiles_equivalent(&profile, &reparsed)?;
-            // Re-serialization through the same sink is a fixed point.
-            let mut rewritten = Vec::new();
-            sink.write_profile(&reparsed, &mut rewritten).expect("writing to a Vec cannot fail");
-            prop_assert_eq!(rewritten, written);
+        let sink = BinaryChunkedSink::new();
+        let mut written = Vec::new();
+        sink.write_profile(&profile, &mut written).expect("writing to a Vec cannot fail");
+        let reparsed = sink.read_log_bytes(&written).expect("sink round trip");
+        assert_profiles_equivalent(&profile, &reparsed)?;
+        // Re-serialization through the same sink is a fixed point.
+        let mut rewritten = Vec::new();
+        sink.write_profile(&reparsed, &mut rewritten).expect("writing to a Vec cannot fail");
+        prop_assert_eq!(rewritten, written);
+    }
+
+    /// `to_text` is the profile equality the tests rely on, so it must be
+    /// lossless: every single-field mutation of a profile changes its rendering.
+    #[test]
+    fn every_single_field_mutation_changes_to_text(
+        class_names in prop::collection::vec(class_name_strategy(), 1..3),
+        alloc_paths in prop::collection::vec(path_strategy(), 1..3),
+        samples_per_thread in prop::collection::vec(
+            prop::collection::vec((0usize..4, path_strategy(), sample_strategy()), 0..25),
+            1..4,
+        ),
+        unknown_moves in 0u64..5,
+        period in 1u64..100_000,
+    ) {
+        let profile = multi_thread_profile(
+            &class_names,
+            &alloc_paths,
+            &samples_per_thread,
+            unknown_moves,
+            period,
+        );
+        let rendered = profile.to_text();
+        let changes = |what: &str, mutate: &dyn Fn(&mut ObjectCentricProfile) -> bool| {
+            let mut mutated = profile.clone();
+            if mutate(&mut mutated) {
+                prop_assert!(
+                    mutated.to_text() != rendered,
+                    "mutating the {what} left to_text unchanged"
+                );
+            }
+            Ok(())
+        };
+
+        for (i, counter) in METRIC_COUNTERS.iter().enumerate() {
+            changes(&format!("site total counter {i}"), &|p| {
+                let site = p.threads[0].sites.values_mut().next().expect("allocation site");
+                *counter(&mut site.total) += 1;
+                true
+            })?;
+            changes(&format!("access context counter {i}"), &|p| {
+                let entry = p
+                    .threads
+                    .iter_mut()
+                    .flat_map(|t| t.sites.values_mut())
+                    .find_map(|sm| sm.by_context.values_mut().next());
+                entry.map(|m| *counter(m) += 1).is_some()
+            })?;
+            changes(&format!("unattributed counter {i}"), &|p| {
+                *counter(&mut p.threads[0].unattributed) += 1;
+                true
+            })?;
         }
+        for (i, counter) in ALLOCATION_COUNTERS.iter().enumerate() {
+            changes(&format!("allocation stats counter {i}"), &|p| {
+                *counter(&mut p.allocation_stats) += 1;
+                true
+            })?;
+        }
+        changes("class name", &|p| {
+            p.sites[0].class_name.push('\t');
+            true
+        })?;
+        changes("site call-path frame", &|p| {
+            let Some(frame) = p.sites.iter_mut().find_map(|s| s.call_path.last_mut()) else {
+                return false;
+            };
+            *frame = Frame::new(frame.method, frame.bci.wrapping_add(1));
+            true
+        })?;
+        changes("access context-path frame", &bump_a_context_frame)?;
+        changes("thread id", &|p| {
+            p.threads[0].thread = ThreadId(p.threads[0].thread.0 + 1);
+            true
+        })?;
+        changes("thread name", &|p| {
+            p.threads[0].thread_name.push(' ');
+            true
+        })?;
+        changes("thread samples", &|p| {
+            p.threads[0].samples += 1;
+            true
+        })?;
+        changes("event", &|p| {
+            let current = p.event.hardware_name();
+            p.event = PmuEvent::all()
+                .into_iter()
+                .find(|e| e.hardware_name() != current)
+                .expect("more than one event");
+            true
+        })?;
+        changes("period", &|p| {
+            p.period += 1;
+            true
+        })?;
+        changes("size filter", &|p| {
+            p.size_filter += 1;
+            true
+        })?;
     }
 }

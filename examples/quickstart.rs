@@ -88,8 +88,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut json = Vec::new();
     session.stream_snapshot(&JsonSink::new(), &mut json)?;
     println!(
-        "JSON snapshot: {} bytes (a write-only render; read back a text profile or an \
-         epoch log with read_any_profile); query result JSON: {} bytes",
+        "JSON snapshot: {} bytes (a write-only render; only a binary epoch log reads \
+         back, through read_log_bytes); query result JSON: {} bytes",
         json.len(),
         ranked.to_json().len()
     );

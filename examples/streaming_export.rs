@@ -18,7 +18,7 @@
 use std::time::Duration;
 
 use djx_runtime::{dsl, Runtime, RuntimeConfig};
-use djxperf::{read_any_profile, BinaryChunkedSink, DrainPolicy, JsonSink, ProfileSink};
+use djxperf::{BinaryChunkedSink, DrainPolicy, JsonSink, ProfileSink};
 use djxperf::{Query, Session, SharedBuffer};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -100,23 +100,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         hottest.fraction_of_total * 100.0
     );
 
-    // 6. JSON is a render target, not a transport: the terminal snapshot renders as
-    //    a JSON document for dashboards but never reads back. `read_any_profile`
-    //    sniffs the two readable formats — a streamed log or a text snapshot — so
-    //    consumers never need to be told which they hold.
+    // 6. Text and JSON are render targets, not transports: the terminal snapshot
+    //    renders as a text profile for humans and a JSON document for dashboards,
+    //    and neither reads back. The epoch log is the one format that does.
     let text_doc = terminal.to_text();
-    for (name, bytes) in [("epoch log", &contents[..]), ("text snapshot", text_doc.as_bytes())] {
-        assert_eq!(
-            read_any_profile(bytes)?.to_text(),
-            terminal.to_text(),
-            "the {name} must read back byte-identically to the terminal profile"
-        );
-    }
     let json_doc = JsonSink::new().write_to_string(&terminal);
-    assert!(read_any_profile(json_doc.as_bytes()).is_err(), "JSON is render-only");
+    for (name, render) in [("text", &text_doc), ("JSON", &json_doc)] {
+        let err = BinaryChunkedSink::new()
+            .read_log_bytes(render.as_bytes())
+            .expect_err("renders do not read back");
+        assert!(err.message.contains("render-only"), "{name}: {err}");
+    }
     println!(
-        "binary epoch log: {} bytes vs {} bytes for the text snapshot, identical profile ✓ \
-         (JSON rendering: {} bytes, write-only)",
+        "binary epoch log: {} bytes, the one format that reads back ✓ \
+         (text snapshot: {} bytes, JSON rendering: {} bytes, both render-only)",
         contents.len(),
         text_doc.len(),
         json_doc.len(),

@@ -5,7 +5,7 @@
 use djx_workloads::runner::run_profiled;
 use djx_workloads::suite::suite_catalog;
 use djx_workloads::Variant;
-use djxperf::{ObjectCentricProfile, ProfilerConfig, Query};
+use djxperf::{BinaryChunkedSink, ObjectCentricProfile, ProfileSink, ProfilerConfig, Query};
 
 fn multi_threaded_run() -> djx_workloads::runner::ProfiledRun {
     let mut workload = suite_catalog().iter().find(|b| b.name == "fj-kmeans").unwrap().build();
@@ -78,14 +78,19 @@ fn profiles_from_multiple_instances_merge_by_site_identity() {
             + b_nvals.find_class("float[] (nvals)").unwrap().metrics.samples
     );
 
-    // The same merge through the textual profile files.
-    let from_text: Vec<ObjectCentricProfile> = [run_a.profile.to_text(), run_b.profile.to_text()]
+    // The same merge through profile files: one binary document per run.
+    let sink = BinaryChunkedSink::new();
+    let from_files: Vec<ObjectCentricProfile> = [&run_a.profile, &run_b.profile]
         .iter()
-        .map(|text| ObjectCentricProfile::parse(text).unwrap())
+        .map(|profile| {
+            let mut file = Vec::new();
+            sink.write_profile(profile, &mut file).unwrap();
+            sink.read_log_bytes(&file).unwrap()
+        })
         .collect();
-    let from_text = Query::new().evaluate(&from_text[..]).unwrap();
-    assert_eq!(from_text.total_samples, merged.total_samples);
-    assert_eq!(from_text.groups.len(), merged.groups.len());
+    let from_files = Query::new().evaluate(&from_files[..]).unwrap();
+    assert_eq!(from_files.total_samples, merged.total_samples);
+    assert_eq!(from_files.groups.len(), merged.groups.len());
 }
 
 #[test]

@@ -4,7 +4,10 @@
 use djx_workloads::bloat::BatikNvalsWorkload;
 use djx_workloads::runner::run_profiled;
 use djx_workloads::Variant;
-use djxperf::{ObjectCentricProfile, ProfilerConfig, Query, Report, Session};
+use djxperf::{
+    BinaryChunkedSink, EpochLog, ObjectCentricProfile, ProfileSink, ProfilerConfig, Query, Report,
+    Session,
+};
 
 fn profiled_run() -> djx_workloads::runner::ProfiledRun {
     run_profiled(
@@ -70,10 +73,12 @@ fn sampling_estimate_tracks_ground_truth_miss_count() {
 #[test]
 fn profile_file_round_trip_preserves_the_analysis() {
     let run = profiled_run();
-    let text = run.profile.to_text();
-    assert!(text.starts_with("djxperf-profile v1"));
+    assert!(run.profile.to_text().starts_with("djxperf-profile v1"));
+    let sink = BinaryChunkedSink::new();
+    let mut file = Vec::new();
+    sink.write_profile(&run.profile, &mut file).expect("writing to a Vec");
 
-    let reparsed = ObjectCentricProfile::parse(&text).expect("codec round trip");
+    let reparsed = sink.read_log_bytes(&file).expect("codec round trip");
     let analyze = |p: &ObjectCentricProfile| Query::new().evaluate(p).unwrap();
     let report_a = analyze(&run.profile);
     let report_b = analyze(&reparsed);
@@ -83,8 +88,8 @@ fn profile_file_round_trip_preserves_the_analysis() {
         assert_eq!(a.key, b.key, "same class and allocation path");
         assert_eq!(a.metrics, b.metrics);
     }
-    // And the offline workflow parses the text back into a queryable profile.
-    let report_c = analyze(&ObjectCentricProfile::parse(&text).unwrap());
+    // And the offline workflow replays the file into a queryable profile.
+    let report_c = analyze(&EpochLog::replay(&file).unwrap().into_profile());
     assert_eq!(report_c.total_samples, report_a.total_samples);
 }
 

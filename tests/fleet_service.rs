@@ -781,6 +781,15 @@ fn recover_refuses_a_complete_but_unparseable_header() {
     assert!(builder.recovery_report().expect("report").producers.is_empty());
 }
 
+/// An I/O failure reading one WAL fails recovery with an error naming that file.
+#[test]
+fn recover_names_the_file_in_io_errors() {
+    let dir = TempDir::new("wal-io-error");
+    std::fs::create_dir(dir.0.join("unreadable.wal")).expect("a directory named like a WAL");
+    let err = FleetAggregator::recover(&dir.0).expect_err("a WAL that cannot be read");
+    assert!(err.to_string().contains("unreadable.wal"), "{err}");
+}
+
 /// Producer names travel through the WAL header line escaped, so recovery
 /// gives back names with spaces, tabs, line breaks and backslashes exactly.
 #[test]

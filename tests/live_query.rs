@@ -14,7 +14,7 @@ use djx_runtime::{
 };
 use djxperf::query::live::LiveFold;
 use djxperf::query::{GroupBy, Query, RankBy};
-use djxperf::{read_any_profile, DrainPolicy, JsonSink, ProfileSink, Session, SharedBuffer};
+use djxperf::{BinaryChunkedSink, DrainPolicy, JsonSink, ProfileSink, Session, SharedBuffer};
 
 const THREADS: u64 = 4;
 const OBJECTS_PER_THREAD: u64 = 24;
@@ -331,7 +331,9 @@ fn a_fold_fed_binary_log_bytes_matches_the_json_replay() {
     session.finish_export().expect("finish");
     let terminal = session.object_profile().expect("object collector registered");
     let json = JsonSink::new().write_to_string(&terminal);
-    let err = read_any_profile(json.as_bytes()).expect_err("JSON is render-only");
+    let err = BinaryChunkedSink::new()
+        .read_log_bytes(json.as_bytes())
+        .expect_err("JSON is render-only");
     assert!(err.message.contains("render-only"), "{err}");
 
     let query = Query::new().top(8);

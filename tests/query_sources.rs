@@ -18,8 +18,8 @@ use djx_runtime::{
     ThreadId,
 };
 use djxperf::{
-    BinaryFrameReader, DrainPolicy, EpochLog, GroupBy, LogRecord, MultiSource, Query, RankBy,
-    Session, SharedBuffer,
+    BinaryChunkedSink, BinaryFrameReader, DrainPolicy, EpochLog, GroupBy, JsonSink, LogRecord,
+    MultiSource, ProfileSink, Query, RankBy, Session, SharedBuffer,
 };
 
 const PROCESSES: u64 = 3;
@@ -204,7 +204,7 @@ fn every_source_shape_answers_one_query_identically() {
 
 /// A FIFO blocks its reader until a writer shows up: while one thread's
 /// `EpochLog::open` sits in that read, an open of a regular log on another thread must
-/// still return — the process-wide fold cache is not held across file reads.
+/// still return — no process-wide state is held across file reads.
 #[cfg(unix)]
 #[test]
 fn a_blocked_log_read_does_not_stall_other_epoch_log_opens() {
@@ -213,11 +213,13 @@ fn a_blocked_log_read_does_not_stall_other_epoch_log_opens() {
 
     let dir = std::env::temp_dir();
     let fifo = dir.join(format!("djxperf-epochlog-fifo-{}", std::process::id()));
-    let regular = dir.join(format!("djxperf-epochlog-regular-{}.txt", std::process::id()));
+    let regular = dir.join(format!("djxperf-epochlog-regular-{}.log", std::process::id()));
     let _ = std::fs::remove_file(&fifo);
     assert!(std::process::Command::new("mkfifo").arg(&fifo).status().unwrap().success());
     let empty = Session::builder().collect_objects().build().object_profile().unwrap();
-    std::fs::write(&regular, empty.to_text()).unwrap();
+    let mut empty_log = Vec::new();
+    BinaryChunkedSink::new().write_profile(&empty, &mut empty_log).unwrap();
+    std::fs::write(&regular, empty_log).unwrap();
 
     let blocked = {
         let fifo = fifo.clone();
@@ -267,53 +269,11 @@ fn truncated_or_reordered_logs_cannot_masquerade_as_sources() {
     assert!(finish_at > 0, "the log carries delta frames before its finish");
     assert!(EpochLog::replay(&log[..finish_at]).is_err(), "truncated stream rejected");
     assert!(EpochLog::replay(b"not a log").is_err());
-    // Replay sniffs text profile documents too; JSON is render-only and refused.
+    // Text and JSON are render-only: neither replays.
     let profile = EpochLog::replay(log).unwrap().into_profile();
-    let sniffed = EpochLog::replay(profile.to_text().as_bytes()).unwrap();
-    assert_eq!(
-        Query::new().evaluate(&sniffed).unwrap().to_text(),
-        Query::new().evaluate(&profile).unwrap().to_text()
-    );
-    let json = djxperf::ProfileSink::write_to_string(&djxperf::JsonSink::new(), &profile);
-    assert!(EpochLog::replay(json.as_bytes()).is_err(), "JSON is not replayed");
-}
-
-#[test]
-fn opened_log_files_cache_the_terminal_fold_until_the_file_changes() {
-    let (_union, logs) = run_union_and_per_process_logs();
-    let path = std::env::temp_dir().join(format!("djxperf-epochlog-{}.log", std::process::id()));
-    std::fs::write(&path, &logs[0]).unwrap();
-
-    let first = EpochLog::open(&path).expect("the log file replays");
-    let cold = Query::new().evaluate(&first).unwrap();
-    assert_eq!(
-        cold.to_text(),
-        Query::new().evaluate(&EpochLog::replay(&logs[0]).unwrap()).unwrap().to_text()
-    );
-
-    // Same length, same mtime: the cached fold answers without re-reading. Proof:
-    // overwrite the file with unparseable bytes of the same length and restore the
-    // modification time — a re-read would fail, the cache does not.
-    let mtime = std::fs::metadata(&path).unwrap().modified().unwrap();
-    std::fs::write(&path, "x".repeat(logs[0].len())).unwrap();
-    let file = std::fs::File::options().write(true).open(&path).unwrap();
-    file.set_modified(mtime).unwrap();
-    drop(file);
-    let cached =
-        EpochLog::open(&path).expect("an unchanged (len, mtime) fingerprint hits the cache");
-    assert_eq!(Query::new().evaluate(&cached).unwrap().to_text(), cold.to_text());
-
-    // A different length invalidates: the garbage is now actually read and rejected.
-    std::fs::write(&path, "garbage").unwrap();
-    assert!(EpochLog::open(&path).is_err(), "a changed file is re-read, not served stale");
-
-    // A rewritten valid log re-folds and re-caches.
-    std::fs::write(&path, &logs[1]).unwrap();
-    let refolded = EpochLog::open(&path).expect("the rewritten log replays");
-    assert_eq!(
-        Query::new().evaluate(&refolded).unwrap().to_text(),
-        Query::new().evaluate(&EpochLog::replay(&logs[1]).unwrap()).unwrap().to_text()
-    );
-    std::fs::remove_file(&path).unwrap();
-    EpochLog::evict_fold_cache();
+    let json = JsonSink::new().write_to_string(&profile);
+    for (name, render) in [("text", profile.to_text()), ("JSON", json)] {
+        let err = EpochLog::replay(render.as_bytes()).expect_err(name);
+        assert!(err.message.contains("render-only"), "{name}: {err}");
+    }
 }

@@ -1,16 +1,15 @@
 //! The unified session pipeline, end to end: one pass over a workload yields the
 //! object-centric report, the code-centric report and the NUMA report; the
 //! object-centric results are identical to an objects-only session on the same seeded
-//! runtime; and both `ProfileSink` backends round-trip the profiles of the workload
-//! suite.
+//! runtime; the binary `ProfileSink` round-trips the profiles of the workload suite,
+//! and the render-only text and JSON sinks write their canonical renderings.
 
 use djx_workloads::figure1::{expected_object_percent, Figure1Workload};
 use djx_workloads::numa::EclipseCollectionsWorkload;
 use djx_workloads::runner::{run_profiled, run_session};
 use djx_workloads::{table1_case_studies, Variant};
 use djxperf::{
-    read_any_profile, BinaryChunkedSink, JsonSink, ProfileSink, ProfilerConfig, Query, RankBy,
-    Report, TextSink,
+    BinaryChunkedSink, JsonSink, ProfileSink, ProfilerConfig, Query, RankBy, Report, TextSink,
 };
 
 fn config() -> ProfilerConfig {
@@ -82,29 +81,23 @@ fn text_and_json_sinks_round_trip_the_workload_suite() {
             ProfilerConfig::default().with_period(512),
         );
         let canonical = run.profile.to_text();
-        for sink in [&TextSink as &dyn ProfileSink, &BinaryChunkedSink::new()] {
-            let mut written = Vec::new();
-            sink.write_profile(&run.profile, &mut written).expect("writing to a Vec");
-            let parsed = read_any_profile(&written).unwrap_or_else(|e| {
-                panic!("{}: {} sink failed: {e}", case.name, sink.format_name())
-            });
-            assert_eq!(
-                parsed.to_text(),
-                canonical,
-                "{}: {} sink must round-trip",
-                case.name,
-                sink.format_name()
-            );
-            // JSON is write-only: it renders the round-tripped profile exactly as
-            // it renders the original.
-            assert_eq!(
-                JsonSink::new().write_to_string(&parsed),
-                JsonSink::new().write_to_string(&run.profile),
-                "{}: JSON rendering after the {} round trip",
-                case.name,
-                sink.format_name()
-            );
-        }
+        // Text is render-only: the sink writes the canonical rendering.
+        assert_eq!(TextSink.write_to_string(&run.profile), canonical, "{}", case.name);
+        let sink = BinaryChunkedSink::new();
+        let mut written = Vec::new();
+        sink.write_profile(&run.profile, &mut written).expect("writing to a Vec");
+        let parsed = sink
+            .read_log_bytes(&written)
+            .unwrap_or_else(|e| panic!("{}: binary sink failed: {e}", case.name));
+        assert_eq!(parsed.to_text(), canonical, "{}: binary sink must round-trip", case.name);
+        // JSON is write-only: it renders the round-tripped profile exactly as it
+        // renders the original.
+        assert_eq!(
+            JsonSink::new().write_to_string(&parsed),
+            JsonSink::new().write_to_string(&run.profile),
+            "{}: JSON rendering after the binary round trip",
+            case.name
+        );
     }
 }
 
@@ -114,18 +107,19 @@ fn session_streams_snapshots_through_sinks_after_the_run() {
         &EclipseCollectionsWorkload::new(Variant::Baseline),
         ProfilerConfig::default().with_period(128),
     );
-    for sink in [&TextSink as &dyn ProfileSink, &BinaryChunkedSink::new()] {
-        let mut out = Vec::new();
-        session.session.stream_snapshot(sink, &mut out).expect("streaming succeeds");
-        let parsed = read_any_profile(&out).unwrap();
-        assert_eq!(parsed.to_text(), session.profile.to_text());
-    }
-    let mut json = Vec::new();
+    let mut out = Vec::new();
     session
         .session
-        .stream_snapshot(&JsonSink::new(), &mut json)
+        .stream_snapshot(&BinaryChunkedSink::new(), &mut out)
         .expect("streaming succeeds");
-    assert_eq!(String::from_utf8(json).unwrap(), JsonSink::new().write_to_string(&session.profile));
+    let parsed = BinaryChunkedSink::new().read_log_bytes(&out).unwrap();
+    assert_eq!(parsed.to_text(), session.profile.to_text());
+    // Text and JSON stream the profile's render-only documents.
+    for sink in [&TextSink as &dyn ProfileSink, &JsonSink::new()] {
+        let mut out = Vec::new();
+        session.session.stream_snapshot(sink, &mut out).expect("streaming succeeds");
+        assert_eq!(String::from_utf8(out).unwrap(), sink.write_to_string(&session.profile));
+    }
 }
 
 #[test]

@@ -18,8 +18,8 @@ use djx_runtime::{
     ThreadId,
 };
 use djxperf::{
-    read_any_profile, BinaryChunkedSink, DrainPolicy, ObjectCentricProfile, ProfileDelta,
-    ProfileSink, Session, SharedBuffer,
+    BinaryChunkedSink, DrainPolicy, EpochLog, JsonSink, ObjectCentricProfile, ProfileDelta,
+    ProfileSink, Session, SharedBuffer, TextSink,
 };
 
 const THREADS: u64 = 4;
@@ -156,8 +156,11 @@ fn streamed_deltas_fold_byte_identically_under_concurrent_ingestion() {
     assert_eq!(terminal.total_samples(), session.total_samples());
     assert_log_replays_terminal(&buffer, &terminal);
 
-    // The offline analyzer's format sniffing picks the epoch log up transparently.
-    assert_eq!(read_any_profile(&buffer.contents()).unwrap().to_text(), terminal.to_text());
+    // The offline analyzer's query source replays the epoch log transparently.
+    assert_eq!(
+        EpochLog::replay(&buffer.contents()).unwrap().profile().to_text(),
+        terminal.to_text()
+    );
 }
 
 #[test]
@@ -328,24 +331,37 @@ fn sink_without_delta_support_surfaces_at_finish() {
         }
     }
 
-    let logs = build_logs(1, 2_000);
-    let buffer = SharedBuffer::new();
-    let session = Session::builder()
-        .period(PERIOD)
-        .stream_to(Arc::new(DocumentOnlySink), Box::new(buffer.clone()), DrainPolicy::new())
-        .build();
-    replay_allocs(&session, &logs[0]);
-    replay_accesses(&session, &logs[0]);
-    session.flush_export();
-    let err = session.finish_export().expect_err("the default on_delta rejects streaming");
-    assert_eq!(err.kind(), io::ErrorKind::Unsupported, "the sink's error kind survives finish");
-    assert!(
-        err.to_string().contains("does not support delta streaming"),
-        "unexpected error: {err}"
-    );
-    // Replayed finishes keep the kind too (the first error is cached as kind+message).
-    let replayed = session.finish_export().unwrap_err();
-    assert_eq!(replayed.kind(), io::ErrorKind::Unsupported);
+    // The render-only text and JSON sinks are document-only too.
+    for sink in [
+        Arc::new(DocumentOnlySink) as Arc<dyn ProfileSink>,
+        Arc::new(TextSink),
+        Arc::new(JsonSink::new()),
+    ] {
+        let logs = build_logs(1, 2_000);
+        let buffer = SharedBuffer::new();
+        let name = sink.format_name();
+        let session = Session::builder()
+            .period(PERIOD)
+            .stream_to(sink, Box::new(buffer.clone()), DrainPolicy::new())
+            .build();
+        replay_allocs(&session, &logs[0]);
+        replay_accesses(&session, &logs[0]);
+        session.flush_export();
+        let err = session.finish_export().expect_err("the default on_delta rejects streaming");
+        assert_eq!(
+            err.kind(),
+            io::ErrorKind::Unsupported,
+            "{name}: the sink's error kind survives finish"
+        );
+        assert!(
+            err.to_string().contains("does not support delta streaming"),
+            "{name}: unexpected error: {err}"
+        );
+        // Replayed finishes keep the kind too (the first error is cached as
+        // kind+message).
+        let replayed = session.finish_export().unwrap_err();
+        assert_eq!(replayed.kind(), io::ErrorKind::Unsupported, "{name}");
+    }
 }
 
 #[test]
@@ -397,32 +413,6 @@ fn panicking_sink_surfaces_at_finish_instead_of_hanging() {
     // Repeated finishes replay the failure; profiles stay readable.
     assert!(session.finish_export().is_err());
     assert!(session.object_profile().unwrap().total_samples() > 0);
-}
-
-#[test]
-fn text_and_json_sinks_emit_streaming_logs() {
-    for (sink, needle) in [
-        (Arc::new(djxperf::TextSink) as Arc<dyn ProfileSink>, "delta epoch="),
-        (Arc::new(djxperf::JsonSink::new()) as Arc<dyn ProfileSink>, "{\"delta\":{\"epoch\":"),
-    ] {
-        let logs = build_logs(1, 2_000);
-        let buffer = SharedBuffer::new();
-        let session = Session::builder()
-            .period(PERIOD)
-            .stream_to(sink, Box::new(buffer.clone()), DrainPolicy::new())
-            .build();
-        replay_allocs(&session, &logs[0]);
-        replay_accesses(&session, &logs[0]);
-        session.flush_export();
-        let stats = session.finish_export().unwrap();
-        assert!(stats.deltas_streamed > 0);
-        let log = String::from_utf8(buffer.contents()).unwrap();
-        assert!(log.contains(needle), "missing {needle:?} in:\n{log}");
-        // The terminal flush appends the full document, so the log's tail parses as a
-        // whole profile through the same sink's document reader.
-        let terminal = session.object_profile().unwrap();
-        assert!(log.ends_with('\n') || log.contains(&terminal.to_text()[..32]));
-    }
 }
 
 #[test]
