@@ -1,114 +1,65 @@
-//! Multi-thread sample-ingestion contention benchmark (the before/after evidence for
-//! the sharded-index pipeline and the per-thread resolution cache in front of it).
+//! Contention gates: sample ingestion and the analysis hot paths, as one table.
 //!
-//! All pipelines ingest identical precomputed access streams and are built on the same
-//! signal-handler-safe [`SpinLock`] primitive (the paper's overflow handler cannot
-//! block, §5.1; see `djxperf::sync`), so within each row family the **only** variable
-//! is the resolution/locking topology. Two families are measured:
+//! [`GATES`] is the whole bench. Each entry names a gate, the rows it measures (a
+//! [`Pipe`] at a thread count, all at the entry's accesses and best-of reps) and the
+//! ratios it checks, each as `(json key, numerator row, denominator row, threads,
+//! floor)`. One loop in [`main`] measures the selected entries, prints the rows as a
+//! Figure-4-style table followed by the ratios, writes every row and ratio to
+//! `BENCH_CONTENTION_OUT`, and exits 1 when a ratio misses its floor.
 //!
-//! **Full pipelines** (three collectors, sampling period [`FULL_PERIOD`]) — the PR 2
-//! before/after evidence for sharded ingestion:
+//! * `--smoke-<gate>` runs one entry and gates it (what CI runs, one step per gate).
+//!   A name not in the table exits 2 and lists the gates.
+//! * `--quick`, or no flag, runs every entry plus [`REPORT_ONLY`] (the 8-thread and
+//!   GC-churn cache rows) and only reports: no floor fails the run. It writes
+//!   `BENCH_contention.json` at the workspace root unless `BENCH_CONTENTION_OUT`
+//!   names another path.
 //!
-//! * **`global-lock`** — a faithful in-bench reconstruction of the pre-sharding
-//!   session: one lock around the thread→PMU table (locked twice per access: thread
-//!   check + observe), one lock around a single interval splay tree (locked per
-//!   overflow batch), and one lock per collector, taken **per sample per collector**.
-//! * **`sharded-full`** — the real [`Session`] with all three built-in collectors
-//!   (address-sharded object index, per-thread slots for the PMU and collector state,
-//!   one `on_sample_batch` call per collector) and the resolution cache disabled.
+//! Ingest rows replay identical precomputed access streams through a real
+//! [`Session`], so within an entry the only variable is the pipeline:
 //!
-//! **Resolution substrate** (collector-free sessions, sampling period
-//! [`SUBSTRATE_PERIOD`] = 1, i.e. *every missing access resolves*) — the stress bench
-//! of the stage the per-thread cache optimizes. Collector attribution is identical
-//! across these topologies and measured by the `attribution`/`overhead` benches;
-//! removing it isolates PMU observation + sample resolution:
-//!
-//! * **`sharded`** — collector-free session, cache disabled: every resolution locks a
-//!   shard and splays (a write), exactly the PR 2 hot path.
-//! * **`cached`** — the same session with the per-thread direct-mapped
-//!   [`ResolutionCache`](djxperf::ResolutionCache) enabled (the session default):
-//!   repeat samples on hot objects resolve with no shard lock and no splay, validated
-//!   by the per-shard mutation epochs.
+//! * **substrate** rows (`sharded`, `cached`) are collector-free sessions sampling
+//!   every counted event ([`SUBSTRATE_PERIOD`] = 1), with the per-thread
+//!   [`ResolutionCache`](djxperf::ResolutionCache) off or on. They isolate PMU
+//!   observation plus address resolution, the stage the cache optimizes. The `-churn`
+//!   rows add a background thread that relocates hot objects at GC end, invalidating
+//!   cache entries at a rate no real collector approaches.
+//! * **full** rows run all three built-in collectors: `stream-off` with no export,
+//!   `stream-on` with a [`DeltaDrainer`](djxperf::DeltaDrainer) writing the binary
+//!   epoch log into `io::sink()`, and `fleet-on`/`wal-off`/`wal-on` shipping every
+//!   retired delta over a loopback socket to a [`FleetAggregator`] without or with a
+//!   write-ahead log (`FsyncPolicy::Never`).
 //!
 //! The access streams are **hot-object skewed** (⅞ of accesses hit a few hot objects
-//! per thread), the distribution object-centric profiling exploits — and, by the
+//! per thread), the distribution object-centric profiling exploits. By the
 //! region-interleaved shard routing, the same hot-object index of every thread lands
-//! on the *same shard*, so the sharded pipeline's hot shard takes cross-thread lock
+//! on the *same shard*, so the uncached pipeline's hot shard takes cross-thread lock
 //! transfers and splay-root thrashing that the cache never sees.
 //!
-//! Substrate pipelines run at 1, `MULTI_THREADS` and `WIDE_THREADS` threads, plus an
-//! adversarial **GC-relocation churn** scenario: a background thread relocates hot
-//! monitored objects (move out + move back, applied at GC end) while `MULTI_THREADS`
-//! threads ingest, bumping shard epochs and invalidating cache entries at a rate no
-//! real collector approaches.
-//!
-//! **Streaming throughput** (full three-collector pipelines, default resolution
-//! cache) — the PR 4 evidence that continuous-push export stays off the hot path:
-//!
-//! * **`stream-off`** — the full session, no export attached.
-//! * **`stream-on`** — the same session with a [`DeltaDrainer`](djxperf::DeltaDrainer)
-//!   streaming every retired epoch delta through `BinaryChunkedSink` into `io::sink()`
-//!   (5 ms tick, coalescing backpressure), so the rows isolate the retirement
-//!   hand-off + queue cost of `djxperf::export`.
-//!
-//! Results are printed as a Figure-4-style table and recorded in
-//! `BENCH_contention.json` with the acceptance ratios:
-//!
-//! Two further families measure the analysis-side hot paths the query redesign
-//! touched: **delta-fold accumulation** (`fold-linear` vs `fold-keyed` — the keyed
-//! `ProfileDelta::merge_from` against a reconstruction of the old per-fragment
-//! linear scan + re-sort, the merge step of the Coalesce-backpressure queue and of
-//! `DeltaFold` replay) and **query evaluation** (`query-eval` vs `analyze-legacy` —
-//! `Query::evaluate` over a wide snapshot against a reconstruction of the
-//! pre-redesign analyzer's `analyze_many` aggregation).
-//!
-//! * `multi_thread_speedup`          = sharded-full@N / global@N  (target ≥ 2×)
-//! * `single_thread_ratio`           = sharded-full@1 / global@1  (target ≥ 0.95)
-//! * `cached_multi_thread_speedup`   = cached@N / sharded@N       (target ≥ 1.5×)
-//! * `cached_single_thread_ratio`    = cached@1 / sharded@1       (target ≥ 0.95)
-//! * `streaming_multi_thread_ratio`  = stream-on@N / stream-off@N (target ≥ 0.90)
-//! * `streaming_single_thread_ratio` = stream-on@1 / stream-off@1 (target ≥ 0.90)
-//! * `coalesce_fold_speedup`         = fold-keyed / fold-linear   (target ≥ 1×)
-//! * `query_vs_legacy_ratio`         = query-eval / analyze-legacy (gate ≥ 0.909)
-//! * `fleet_multi_thread_ratio`      = fleet-on@N / stream-off@N  (gate ≥ 0.909)
-//! * `fleet_single_thread_ratio`     = fleet-on@1 / stream-off@1  (gate ≥ 0.909)
-//! * `wal_multi_thread_ratio`        = wal-on@N / wal-off@N   (gate ≥ 1/1.15)
-//! * `wal_single_thread_ratio`       = wal-on@1 / wal-off@1   (gate ≥ 1/1.15)
-//! * `recovery_replay_frames_per_sec` = recover() over a ~20k-frame WAL (gate ≥ 100k/s)
-//!
-//! Run with `--quick` (or `CONTENTION_QUICK=1`) for a short smoke iteration,
-//! `--smoke-cached` (CI) to run only the sharded/cached comparison quickly and **exit
-//! non-zero** if the cached fast path regresses below safety margins,
-//! `--smoke-streaming` (CI) to gate the drainer-on/drainer-off ingest ratio at the
-//! 0.90× floor, `--smoke-query` (CI) to gate query-over-snapshot evaluation at
-//! within 1.10× of the legacy analyzer on the same profile, `--smoke-fleet` (CI)
-//! to gate per-producer ingest with a socket-backed fleet sink at within 1.10× of
-//! `stream-off` against a loopback aggregator, or `--smoke-recovery` (CI) to gate the fault-tolerance tier: WAL-on fleet ingest
-//! within 1.15× of WAL-off under `FsyncPolicy::Never`, and
-//! `FleetAggregator::recover` replay at ≥ 100k frames/s over a dense WAL, or
-//! `--smoke-live` (CI) to gate the incremental live query engine: a watched
-//! `LiveQuery` tick (absorb a small epoch delta + render `top(32)`) must be ≥ 5×
-//! cheaper than absorb + full `Query::evaluate` re-evaluation on a 10k-site
-//! profile.
+//! The other rows time the analysis side: `query-eval` (`Query::evaluate` over a wide
+//! snapshot) against `analyze-legacy` (an in-bench reconstruction of the pre-query
+//! analyzer's aggregation), `live-watch` (an incrementally maintained `top(32)` watch)
+//! against `poll-evaluate` (a full re-evaluation per tick) on a 10k-site fold, and
+//! `wal-replay` (`FleetAggregator::recover` over a ~20k-frame WAL, timed once).
 
+use std::cell::{Cell, OnceCell};
 use std::collections::HashMap;
 use std::io;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use djx_memsim::{
     AccessKind, AccessOutcome, HierarchyConfig, MemoryAccess, MemoryHierarchy, NumaNode,
 };
-use djx_pmu::{PerfEventBuilder, PmuEvent, Sample, ThreadPmu};
+use djx_pmu::{PmuEvent, Sample};
 use djx_runtime::{
     AllocationEvent, ClassId, Frame, GcEvent, GcId, MemoryAccessEvent, MethodId, ObjectId,
     ObjectMoveEvent, RuntimeListener, ThreadId,
 };
 use djxperf::{
-    AccessContext, AllocSite, AllocSiteId, BinaryChunkedSink, Cct, DrainPolicy, FleetAggregator,
-    FleetSink, FsyncPolicy, Interval, IntervalSplayTree, LiveFold, MetricVector, MonitoredObject,
-    ObjectCentricProfile, ProfileDelta, ProfileSink, Query, RankBy, Session, SpinLock, ThreadDelta,
-    ThreadProfile,
+    AccessContext, AllocSite, AllocSiteId, DrainPolicy, FleetAggregator, FleetSink, FsyncPolicy,
+    LiveFold, MetricVector, ObjectCentricProfile, ProfileDelta, ProfileSink, Query, RankBy,
+    Session, SessionBuilder, ThreadDelta, ThreadProfile,
 };
 
 const MULTI_THREADS: u64 = 4;
@@ -118,7 +69,7 @@ const OBJECTS_PER_THREAD: u64 = 2048;
 const HOT_OBJECTS: u64 = 16;
 /// Hot objects are spaced [`INDEX_SHARDS`] object slots apart, so — regions
 /// interleaving round-robin — **every hot object of every thread routes to the same
-/// shard**: the adversarial case for the sharded pipeline (alternating hot lookups
+/// shard**: the adversarial case for the uncached pipeline (alternating hot lookups
 /// restructure that shard's splay tree on every sample, under one contended lock)
 /// and the representative case for the cache (each hot region keeps its own slot).
 const HOT_STRIDE: u64 = INDEX_SHARDS as u64;
@@ -128,15 +79,14 @@ const FULL_PERIOD: u64 = 8;
 /// Sampling period of the substrate pipelines: 1, so every counted event resolves —
 /// the pure stress of the resolution stage.
 const SUBSTRATE_PERIOD: u64 = 1;
-/// Sampling period of the `--smoke-fleet` gate rows (both sides). The fleet gate
-/// measures *producer-side* ingest overhead of the socket transport at a
+/// Sampling period of the fleet and WAL rows (both sides of each ratio). These gates
+/// measure *producer-side* ingest overhead of the socket transport at a
 /// deployment-realistic cadence (production default is 512); under the stress
-/// period the single-core CI runner time-slices the aggregator's decode+fold onto
-/// the ingest core and the row measures aggregator CPU instead of producer
-/// overhead.
+/// period a single-core runner time-slices the aggregator's decode+fold onto the
+/// ingest core and the row measures aggregator CPU instead of producer overhead.
 const FLEET_PERIOD: u64 = 64;
-/// Index shard count pinned on both session pipelines so the resolution cache is the
-/// only variable between `sharded` and `cached`.
+/// Index shard count pinned on every session so the resolution cache is the only
+/// variable between `sharded` and `cached`.
 const INDEX_SHARDS: usize = 16;
 /// Churn relocation target: far inside the owning thread's arena, outside the accessed
 /// object range.
@@ -144,6 +94,250 @@ const SHADOW_OFFSET: u64 = 0x800_0000;
 /// GC-relocation rounds per churn run, per 100k accesses (fixed work, so churned runs
 /// of different pipelines stay comparable).
 const CHURN_ROUNDS_PER_100K: u64 = 2_000;
+/// Frames in the WAL the `wal-replay` row recovers.
+const REPLAY_FRAMES: u64 = 20_000;
+
+// -----------------------------------------------------------------------------------
+// The gate table
+// -----------------------------------------------------------------------------------
+
+/// One table entry: a gate and everything it measures and checks.
+struct Gate {
+    /// `--smoke-<name>` runs this entry alone.
+    name: &'static str,
+    /// What the gate guards, printed as the entry's heading.
+    title: &'static str,
+    /// Accesses per thread for ingest rows; evaluations or ticks per rep otherwise.
+    accesses: u64,
+    /// Each row reports its best wall clock over this many reps.
+    reps: usize,
+    /// Measured in order.
+    rows: &'static [Row],
+    ratios: &'static [Ratio],
+}
+
+struct Row {
+    name: &'static str,
+    pipe: Pipe,
+    threads: u64,
+}
+
+/// `throughput(numerator @ threads) / throughput(denominator @ threads)`, or the
+/// numerator's own throughput when there is no denominator.
+struct Ratio {
+    key: &'static str,
+    numerator: &'static str,
+    denominator: Option<&'static str>,
+    threads: u64,
+    /// `None` reports the value without gating it.
+    floor: Option<f64>,
+}
+
+#[derive(Clone, Copy)]
+enum Pipe {
+    /// Ingest of the precomputed access streams through a session.
+    Ingest(Ingest),
+    /// `FleetAggregator::recover` over a [`REPLAY_FRAMES`]-frame WAL, timed once.
+    WalReplay,
+    /// [`legacy_analyze`] over the wide query profile.
+    LegacyAnalyze,
+    /// `Query::new().evaluate` over the same profile.
+    QueryEval,
+    /// A watched `top(32)` absorbing a 64-site delta per tick.
+    LiveWatch,
+    /// The same ticks with a full `Query::evaluate` per tick.
+    PollEvaluate,
+}
+
+#[derive(Clone, Copy)]
+enum Ingest {
+    /// Collector-free session at [`SUBSTRATE_PERIOD`]; `churn` adds the relocation
+    /// thread.
+    Substrate { cache: bool, churn: bool },
+    /// The three-collector session at `period`, no export.
+    Full { period: u64 },
+    /// The three-collector session at [`FULL_PERIOD`], streaming the binary epoch log
+    /// into `io::sink()` (5 ms tick, coalescing backpressure).
+    Stream,
+    /// The three-collector session at [`FLEET_PERIOD`], streaming to a loopback
+    /// aggregator with or without a WAL.
+    Fleet { wal: bool },
+}
+
+const SHARDED: Pipe = Pipe::Ingest(Ingest::Substrate { cache: false, churn: false });
+const CACHED: Pipe = Pipe::Ingest(Ingest::Substrate { cache: true, churn: false });
+const STREAM_OFF: Pipe = Pipe::Ingest(Ingest::Full { period: FULL_PERIOD });
+const STREAM_ON: Pipe = Pipe::Ingest(Ingest::Stream);
+const FLEET_OFF: Pipe = Pipe::Ingest(Ingest::Full { period: FLEET_PERIOD });
+const FLEET_ON: Pipe = Pipe::Ingest(Ingest::Fleet { wal: false });
+const WAL_ON: Pipe = Pipe::Ingest(Ingest::Fleet { wal: true });
+
+const fn row(name: &'static str, pipe: Pipe, threads: u64) -> Row {
+    Row { name, pipe, threads }
+}
+
+const fn gate(
+    key: &'static str,
+    numerator: &'static str,
+    denominator: &'static str,
+    threads: u64,
+    floor: f64,
+) -> Ratio {
+    Ratio { key, numerator, denominator: Some(denominator), threads, floor: Some(floor) }
+}
+
+const fn report(
+    key: &'static str,
+    numerator: &'static str,
+    denominator: &'static str,
+    threads: u64,
+) -> Ratio {
+    Ratio { key, numerator, denominator: Some(denominator), threads, floor: None }
+}
+
+/// Rows of the `--quick` run that no gate reads.
+const REPORT_ONLY: Gate = Gate {
+    name: "report",
+    title: "cache at 8 threads and under GC-relocation churn (report only)",
+    accesses: 150_000,
+    reps: 2,
+    rows: &[
+        row("sharded", SHARDED, WIDE_THREADS),
+        row("cached", CACHED, WIDE_THREADS),
+        row(
+            "sharded-churn",
+            Pipe::Ingest(Ingest::Substrate { cache: false, churn: true }),
+            MULTI_THREADS,
+        ),
+        row(
+            "cached-churn",
+            Pipe::Ingest(Ingest::Substrate { cache: true, churn: true }),
+            MULTI_THREADS,
+        ),
+    ],
+    ratios: &[
+        report("cached_wide_thread_speedup", "cached", "sharded", WIDE_THREADS),
+        report("gc_churn_ratio", "cached-churn", "sharded-churn", MULTI_THREADS),
+    ],
+};
+
+const GATES: &[Gate] = &[
+    // The cache's floors sit under its acceptance targets (1.5x multi-thread, 0.95
+    // single-thread) so an oversubscribed runner does not flake while a real
+    // regression still fails.
+    Gate {
+        name: "cached",
+        title: "cached resolution fast path",
+        accesses: 150_000,
+        reps: 2,
+        rows: &[
+            row("sharded", SHARDED, 1),
+            row("cached", CACHED, 1),
+            row("sharded", SHARDED, MULTI_THREADS),
+            row("cached", CACHED, MULTI_THREADS),
+        ],
+        ratios: &[
+            gate("cached_multi_thread_speedup", "cached", "sharded", MULTI_THREADS, 1.20),
+            gate("cached_single_thread_ratio", "cached", "sharded", 1, 0.85),
+        ],
+    },
+    // Export drains are off the ingest path, so the expected ratio is ~1.0 and there
+    // is no structural speedup to absorb runner noise: more, shorter reps let the
+    // best of each side converge on the scheduler's good case.
+    Gate {
+        name: "streaming",
+        title: "streaming export overhead",
+        accesses: 100_000,
+        reps: 7,
+        rows: &[
+            row("stream-off", STREAM_OFF, 1),
+            row("stream-on", STREAM_ON, 1),
+            row("stream-off", STREAM_OFF, MULTI_THREADS),
+            row("stream-on", STREAM_ON, MULTI_THREADS),
+        ],
+        ratios: &[
+            gate("streaming_multi_thread_ratio", "stream-on", "stream-off", MULTI_THREADS, 0.90),
+            gate("streaming_single_thread_ratio", "stream-on", "stream-off", 1, 0.90),
+        ],
+    },
+    // Every analysis consumer routes through Query, so query evaluation stays within
+    // 1.10x of the analyzer it replaced.
+    Gate {
+        name: "query",
+        title: "query evaluation vs the legacy analyzer",
+        accesses: 30,
+        reps: 7,
+        rows: &[
+            row("analyze-legacy", Pipe::LegacyAnalyze, QUERY_THREADS),
+            row("query-eval", Pipe::QueryEval, QUERY_THREADS),
+        ],
+        ratios: &[gate(
+            "query_vs_legacy_ratio",
+            "query-eval",
+            "analyze-legacy",
+            QUERY_THREADS,
+            1.0 / 1.10,
+        )],
+    },
+    // A fleet sink (sync ack per frame, coalescing drainer) must not block epoch
+    // retirement: within 1.10x of the same session without export.
+    Gate {
+        name: "fleet",
+        title: "fleet transport overhead",
+        accesses: 100_000,
+        reps: 7,
+        rows: &[
+            row("stream-off", FLEET_OFF, 1),
+            row("fleet-on", FLEET_ON, 1),
+            row("stream-off", FLEET_OFF, MULTI_THREADS),
+            row("fleet-on", FLEET_ON, MULTI_THREADS),
+        ],
+        ratios: &[
+            gate("fleet_multi_thread_ratio", "fleet-on", "stream-off", MULTI_THREADS, 1.0 / 1.10),
+            gate("fleet_single_thread_ratio", "fleet-on", "stream-off", 1, 1.0 / 1.10),
+        ],
+    },
+    // Durability stays an aggregator-disk concern (WAL-on ingest within 1.15x of
+    // WAL-off), and restart cost is proportional to the log, not to the outage.
+    Gate {
+        name: "recovery",
+        title: "WAL ingest overhead and recovery replay",
+        accesses: 100_000,
+        reps: 7,
+        rows: &[
+            row("wal-off", FLEET_ON, 1),
+            row("wal-on", WAL_ON, 1),
+            row("wal-off", FLEET_ON, MULTI_THREADS),
+            row("wal-on", WAL_ON, MULTI_THREADS),
+            row("wal-replay", Pipe::WalReplay, 1),
+        ],
+        ratios: &[
+            gate("wal_multi_thread_ratio", "wal-on", "wal-off", MULTI_THREADS, 1.0 / 1.15),
+            gate("wal_single_thread_ratio", "wal-on", "wal-off", 1, 1.0 / 1.15),
+            Ratio {
+                key: "recovery_replay_frames_per_sec",
+                numerator: "wal-replay",
+                denominator: None,
+                threads: 1,
+                floor: Some(100_000.0),
+            },
+        ],
+    },
+    // One dashboard tick (absorb a small delta, render the watched top(32)) at least
+    // 5x cheaper than what a poll loop pays on a 10k-site profile.
+    Gate {
+        name: "live",
+        title: "live watch vs per-tick re-evaluation",
+        accesses: 50,
+        reps: 5,
+        rows: &[row("live-watch", Pipe::LiveWatch, 1), row("poll-evaluate", Pipe::PollEvaluate, 1)],
+        ratios: &[gate("live_query_tick_speedup", "live-watch", "poll-evaluate", 1, 5.0)],
+    },
+];
+
+// -----------------------------------------------------------------------------------
+// Ingest rows: precomputed access streams through a session
+// -----------------------------------------------------------------------------------
 
 struct ThreadLog {
     thread: ThreadId,
@@ -183,263 +377,43 @@ fn build_logs(threads: u64, accesses: u64) -> Vec<ThreadLog> {
         .collect()
 }
 
-/// The ingestion surface all pipelines implement.
-trait Pipeline: Send + Sync {
-    fn alloc(&self, log: &ThreadLog);
-    fn access(&self, log: &ThreadLog, outcome: &AccessOutcome);
-    fn total_samples(&self) -> u64;
-    /// One adversarial GC-relocation round: move one object per arena out and back,
-    /// applying each batch at GC end. Only session pipelines implement it.
-    fn churn_step(&self, _logs: &[ThreadLog], _round: u64) {}
-    /// Cache hit rate of the resolution path, when the pipeline has a cache.
-    fn cache_hit_rate(&self) -> Option<f64> {
-        None
-    }
-}
-
-// -----------------------------------------------------------------------------------
-// Baseline: the pre-sharding design. One global lock per layer, per-sample collector
-// lock round-trips.
-// -----------------------------------------------------------------------------------
-
-#[derive(Default)]
-struct GlobalSampler {
-    pmus: HashMap<ThreadId, ThreadPmu>,
-    total_samples: u64,
-}
-
-#[derive(Default)]
-struct GlobalObjectState {
-    profiles: HashMap<ThreadId, ThreadProfile>,
-}
-
-#[derive(Default)]
-struct GlobalCodeState {
-    cct: Cct,
-    samples: u64,
-}
-
-#[derive(Default)]
-struct GlobalNumaState {
-    per_site: HashMap<AllocSiteId, MetricVector>,
-    unattributed: MetricVector,
-    node_traffic: HashMap<(u32, u32), u64>,
-}
-
-struct GlobalLockPipeline {
-    builder: PerfEventBuilder,
-    sampler: SpinLock<GlobalSampler>,
-    tree: SpinLock<IntervalSplayTree<MonitoredObject>>,
-    object: SpinLock<GlobalObjectState>,
-    code: SpinLock<GlobalCodeState>,
-    numa: SpinLock<GlobalNumaState>,
-}
-
-impl GlobalLockPipeline {
-    fn new() -> Self {
-        Self {
-            builder: PerfEventBuilder::new(PmuEvent::L1Miss)
-                .sample_period(FULL_PERIOD)
-                .jitter(false),
-            sampler: SpinLock::new(GlobalSampler::default()),
-            tree: SpinLock::new(IntervalSplayTree::new()),
-            object: SpinLock::new(GlobalObjectState::default()),
-            code: SpinLock::new(GlobalCodeState::default()),
-            numa: SpinLock::new(GlobalNumaState::default()),
-        }
-    }
-}
-
-impl Pipeline for GlobalLockPipeline {
-    fn alloc(&self, log: &ThreadLog) {
-        for i in 0..OBJECTS_PER_THREAD {
-            let start = log.base + i * OBJECT_SIZE;
-            self.tree.lock().insert(
-                Interval::new(start, start + OBJECT_SIZE),
-                MonitoredObject {
-                    object: ObjectId((log.thread.0 - 1) * OBJECTS_PER_THREAD + i + 1),
-                    site: AllocSiteId(log.thread.0 as u32 - 1),
-                    size: OBJECT_SIZE,
-                },
-            );
-        }
-    }
-
-    fn access(&self, log: &ThreadLog, outcome: &AccessOutcome) {
-        // Thread visibility check + observe: two acquisitions of the one sampler lock,
-        // exactly like the pre-sharding Sampler.
-        {
-            let mut sampler = self.sampler.lock();
-            let builder = &self.builder;
-            sampler
-                .pmus
-                .entry(log.thread)
-                .or_insert_with(|| builder.open_for_thread(log.thread.0));
-        }
-        let samples: Vec<Sample> = {
-            let mut sampler = self.sampler.lock();
-            let pmu = sampler.pmus.get_mut(&log.thread).expect("ensured above");
-            let mut samples = Vec::new();
-            pmu.observe(outcome, |fired| samples = fired.to_vec());
-            sampler.total_samples += samples.len() as u64;
-            samples
-        };
-        if samples.is_empty() {
-            return;
-        }
-        // One global tree lock per overflow batch...
-        let resolved: Vec<Option<AllocSiteId>> = {
-            let mut tree = self.tree.lock();
-            samples
-                .iter()
-                .map(|s| tree.lookup(s.effective_addr).map(|(_, mo)| mo.site))
-                .collect()
-        };
-        // ...then samples × collectors individual lock round-trips.
-        for (sample, site) in samples.iter().zip(resolved) {
-            {
-                let mut object = self.object.lock();
-                let profile = object
-                    .profiles
-                    .entry(log.thread)
-                    .or_insert_with(|| ThreadProfile::new(log.thread, "<bench>"));
-                match site {
-                    Some(site) => {
-                        profile.record_attributed(site, &log.call_trace, sample, FULL_PERIOD)
-                    }
-                    None => profile.record_unattributed(sample, FULL_PERIOD),
-                }
-            }
-            {
-                let mut code = self.code.lock();
-                let node = code.cct.insert_path(&log.call_trace);
-                code.samples += 1;
-                code.cct.metrics_mut(node).record_sample(sample, FULL_PERIOD);
-            }
-            {
-                let mut numa = self.numa.lock();
-                match site {
-                    Some(site) => {
-                        numa.per_site.entry(site).or_default().record_sample(sample, FULL_PERIOD)
-                    }
-                    None => numa.unattributed.record_sample(sample, FULL_PERIOD),
-                }
-                *numa.node_traffic.entry((sample.cpu_node.0, sample.page_node.0)).or_insert(0) += 1;
-            }
-        }
-    }
-
-    fn total_samples(&self) -> u64 {
-        self.sampler.lock().total_samples
-    }
-}
-
-// -----------------------------------------------------------------------------------
-// The real session, with and without the per-thread resolution cache.
-// -----------------------------------------------------------------------------------
-
 struct SessionPipeline {
     session: Arc<Session>,
 }
 
 impl SessionPipeline {
-    /// A full pipeline: all three built-in collectors, PR 2's comparison against the
-    /// global-lock reconstruction.
-    fn full() -> Self {
-        Self {
-            session: Session::builder()
-                .period(FULL_PERIOD)
-                .index_shards(INDEX_SHARDS)
-                .resolution_cache(false)
-                .collect_objects()
-                .collect_code()
-                .collect_numa()
-                .build(),
-        }
-    }
-
-    /// A substrate pipeline: collector-free on purpose. The session still runs the
-    /// full listener path — per-thread PMU countdown, batched resolution, allocation
-    /// agent — so these rows isolate the stage the resolution cache optimizes
-    /// (collector attribution costs are identical across topologies and measured by
-    /// the attribution bench).
-    fn substrate(resolution_cache: bool) -> Self {
-        Self {
-            session: Session::builder()
-                .period(SUBSTRATE_PERIOD)
-                .index_shards(INDEX_SHARDS)
-                .resolution_cache(resolution_cache)
-                .build(),
-        }
-    }
-
-    /// A streaming-throughput pipeline: the full three-collector session (default
-    /// resolution cache) with or without an asynchronous export drainer attached.
-    /// The drainer ticks every 5 ms and serializes each retired delta through
-    /// the binary epoch-log codec into `io::sink()`, so the rows measure exactly the
-    /// ingest-side cost of continuous-push export — epoch retirement hand-off and
-    /// queue traffic — with no disk variance.
-    fn streaming(drainer: bool) -> Self {
-        Self::streaming_at(FULL_PERIOD, drainer)
-    }
-
-    fn streaming_at(period: u64, drainer: bool) -> Self {
-        let builder = Session::builder()
-            .period(period)
-            .index_shards(INDEX_SHARDS)
-            .collect_objects()
-            .collect_code()
-            .collect_numa();
-        let builder = if drainer {
-            builder.stream_to(
-                Arc::new(BinaryChunkedSink::new()),
-                Box::new(io::sink()),
-                DrainPolicy::new().capacity(8).coalesce().tick(Duration::from_millis(5)),
-            )
-        } else {
-            builder
+    fn new(ingest: Ingest, fixtures: &Fixtures) -> Self {
+        let base = Session::builder().index_shards(INDEX_SHARDS);
+        let full = |base: SessionBuilder, period| {
+            base.period(period).collect_objects().collect_code().collect_numa()
+        };
+        let policy = DrainPolicy::new().capacity(8).coalesce().tick(Duration::from_millis(5));
+        let builder = match ingest {
+            Ingest::Substrate { cache, .. } => {
+                base.period(SUBSTRATE_PERIOD).resolution_cache(cache)
+            }
+            Ingest::Full { period } => full(base, period),
+            Ingest::Stream => {
+                full(base, FULL_PERIOD).stream_to_binary(Box::new(io::sink()), policy)
+            }
+            Ingest::Fleet { wal } => {
+                full(base, FLEET_PERIOD).stream_to_fleet(Arc::new(fixtures.fleet_sink(wal)), policy)
+            }
         };
         Self { session: builder.build() }
-    }
-
-    /// A fleet-transport pipeline: the same full three-collector session as
-    /// [`SessionPipeline::streaming`], but the drainer ships each retired delta
-    /// through a socket-backed `FleetSink` to a loopback aggregator instead of a
-    /// local writer — the `--smoke-fleet` gate compares its ingest throughput
-    /// against `stream-off`. Producer names must be unique per pipeline (each
-    /// session restarts its epochs at 1, which a resumed fold would reject).
-    fn fleet(addr: &str, producer: &str) -> Self {
-        let sink = FleetSink::connect(addr, producer, PmuEvent::DEFAULT, FLEET_PERIOD, 1024)
-            .expect("loopback aggregator reachable");
-        Self {
-            session: Session::builder()
-                .period(FLEET_PERIOD)
-                .index_shards(INDEX_SHARDS)
-                .collect_objects()
-                .collect_code()
-                .collect_numa()
-                .stream_to_fleet(
-                    Arc::new(sink),
-                    DrainPolicy::new().capacity(8).coalesce().tick(Duration::from_millis(5)),
-                )
-                .build(),
-        }
     }
 
     fn object_id(thread: ThreadId, index: u64) -> ObjectId {
         ObjectId((thread.0 - 1) * OBJECTS_PER_THREAD + index + 1)
     }
-}
 
-impl Pipeline for SessionPipeline {
     fn alloc(&self, log: &ThreadLog) {
         for i in 0..OBJECTS_PER_THREAD {
-            let start = log.base + i * OBJECT_SIZE;
             self.session.on_object_alloc(&AllocationEvent {
                 object: Self::object_id(log.thread, i),
                 class: ClassId(0),
                 class_name: "bench[]",
-                start,
+                start: log.base + i * OBJECT_SIZE,
                 size: OBJECT_SIZE,
                 thread: log.thread,
                 call_trace: &log.call_trace,
@@ -456,15 +430,11 @@ impl Pipeline for SessionPipeline {
         });
     }
 
-    fn total_samples(&self) -> u64 {
-        self.session.total_samples()
-    }
-
+    /// One adversarial GC-relocation round: relocate one (hot) object per arena out
+    /// to a shadow range and back, each half applied at a GC end. Epochs on both
+    /// ranges' shards bump, every cached entry for the object invalidates, and the
+    /// index returns to its baseline so rounds compose indefinitely.
     fn churn_step(&self, logs: &[ThreadLog], round: u64) {
-        // Relocate one (hot) object per arena out to a shadow range and back, each
-        // half applied at a GC end: epochs on both ranges' shards bump, every cached
-        // entry for the object invalidates, and the index returns to its baseline so
-        // rounds compose indefinitely.
         let index = (round % HOT_OBJECTS) * HOT_STRIDE;
         for (half, flip) in [(0u64, false), (1, true)] {
             // One GC id per half, shared by the moves and their matching GC end.
@@ -496,104 +466,200 @@ impl Pipeline for SessionPipeline {
     }
 }
 
-// -----------------------------------------------------------------------------------
-// Delta-fold accumulation: the Coalesce-backpressure / DeltaFold merge step
-// -----------------------------------------------------------------------------------
-
-/// Thread fragments per synthetic delta (wide deltas are exactly where the old
-/// per-fragment linear scan hurt).
-const FOLD_THREADS: u64 = 256;
-/// Deltas folded into one growing accumulator per measured fold — the access pattern
-/// of a back-pressured Coalesce queue (every full-queue push merges into the same
-/// queued delta) and of `DeltaFold` replay.
-const FOLD_DELTAS: u64 = 128;
-
-fn build_fold_deltas() -> Vec<ProfileDelta> {
-    let bench_sample = |addr: u64| Sample {
-        event: PmuEvent::L1Miss,
-        thread_id: 1,
-        cpu: 0,
-        cpu_node: NumaNode(0),
-        page_node: NumaNode(0),
-        effective_addr: addr,
-        kind: AccessKind::Load,
-        value: 1,
-        latency: 120,
-        counter_value: 1,
-    };
-    (0..FOLD_DELTAS)
-        .map(|epoch| ProfileDelta {
-            epoch: epoch + 1,
-            threads: (0..FOLD_THREADS)
-                .map(|t| {
-                    let mut profile = ThreadProfile::new(ThreadId(t + 1), "fold");
-                    let path = [Frame::new(MethodId(1), 0), Frame::new(MethodId(2), 4)];
-                    // One sample per fragment: the per-fragment profile merge is
-                    // identical across fold implementations, so thin fragments keep
-                    // the measured difference on the accumulator bookkeeping the
-                    // keyed fold replaced (the linear re-scan and the re-sort).
-                    profile.record_attributed(
-                        AllocSiteId((t % 8) as u32),
-                        &path,
-                        &bench_sample(0x1000 + (epoch * FOLD_THREADS + t) * 8),
-                        FULL_PERIOD,
-                    );
-                    ThreadDelta { seq: t, profile }
-                })
-                .collect(),
-        })
-        .collect()
-}
-
-/// A faithful in-bench reconstruction of the pre-redesign `ProfileDelta::merge_from`:
-/// an O(threads) linear scan per fragment plus a full re-sort per fold — the baseline
-/// the keyed accumulator replaced.
-fn merge_from_linear(acc: &mut ProfileDelta, later: &ProfileDelta) {
-    acc.epoch = acc.epoch.max(later.epoch);
-    for td in &later.threads {
-        match acc.threads.iter_mut().find(|t| t.profile.thread == td.profile.thread) {
-            Some(existing) => existing.profile.merge_from(&td.profile),
-            None => acc.threads.push(td.clone()),
-        }
+/// Allocates every arena, then replays each thread's stream on its own OS thread.
+/// With `churn_rounds > 0`, a concurrent thread performs that **fixed** number of
+/// GC-relocation rounds (fixed work keeps churned runs of different pipelines
+/// comparable) and the wall clock covers both.
+fn run_once(pipeline: &SessionPipeline, logs: &[ThreadLog], churn_rounds: u64) -> Duration {
+    for log in logs {
+        pipeline.alloc(log);
     }
-    acc.threads.sort_by_key(|t| (t.seq, t.profile.thread));
+    let start = Instant::now();
+    std::thread::scope(|scope| {
+        for log in logs {
+            scope.spawn(|| {
+                for outcome in &log.outcomes {
+                    pipeline.access(log, outcome);
+                }
+            });
+        }
+        if churn_rounds > 0 {
+            scope.spawn(|| {
+                for round in 1..=churn_rounds {
+                    pipeline.churn_step(logs, round);
+                    if round % 64 == 0 {
+                        // Let ingestion interleave on narrow machines instead of
+                        // applying the whole relocation storm in one burst.
+                        std::thread::yield_now();
+                    }
+                }
+            });
+        }
+    });
+    start.elapsed()
 }
 
-/// Folds the delta stream into one accumulator with `merge`, returning the best wall
-/// clock over `reps` and the final accumulator (for the equivalence sanity check).
-fn measure_fold(
-    name: &'static str,
-    deltas: &[ProfileDelta],
+fn measure_ingest(
+    row: &Row,
+    ingest: Ingest,
+    accesses: u64,
     reps: usize,
-    merge: impl Fn(&mut ProfileDelta, &ProfileDelta),
-) -> (Measurement, ProfileDelta) {
-    let mut best = Duration::MAX;
-    let mut folded = ProfileDelta::empty(0);
-    for _ in 0..reps {
-        let mut acc = ProfileDelta::empty(0);
-        let start = Instant::now();
-        for delta in deltas {
-            merge(&mut acc, delta);
+    fixtures: &Fixtures,
+) -> Measurement {
+    let logs = build_logs(row.threads, accesses);
+    let churn_rounds = match ingest {
+        Ingest::Substrate { churn: true, .. } => {
+            (accesses / 100_000).max(1) * CHURN_ROUNDS_PER_100K
         }
-        best = best.min(start.elapsed());
-        folded = acc;
+        _ => 0,
+    };
+    let mut best = Duration::MAX;
+    let mut samples = 0;
+    let mut cache_hit_rate = None;
+    for _ in 0..reps {
+        let pipeline = SessionPipeline::new(ingest, fixtures);
+        best = best.min(run_once(&pipeline, &logs, churn_rounds));
+        samples = pipeline.session.total_samples();
+        cache_hit_rate = pipeline.cache_hit_rate();
     }
-    let fragments = FOLD_DELTAS * FOLD_THREADS;
-    (
-        Measurement {
-            pipeline: name,
-            threads: FOLD_THREADS,
-            accesses: fragments,
-            samples: folded.total_samples(),
-            best,
-            cache_hit_rate: None,
-        },
-        folded,
-    )
+    Measurement {
+        pipeline: row.name,
+        threads: row.threads,
+        accesses: row.threads * accesses,
+        samples,
+        best,
+        cache_hit_rate,
+    }
 }
 
 // -----------------------------------------------------------------------------------
-// Query-over-snapshot evaluation vs the legacy analyzer aggregation
+// Shared fixtures
+// -----------------------------------------------------------------------------------
+
+/// What a run's rows share, each made on first use: the loopback aggregators the
+/// fleet rows stream to, and the query and live-watch inputs (each sanity-checked
+/// once, before anything is timed).
+struct Fixtures {
+    scratch: PathBuf,
+    /// Producer names must be unique per aggregator: each session restarts its
+    /// epochs at 1, which a resumed fold would reject.
+    producers: Cell<u64>,
+    plain: OnceCell<Loopback>,
+    durable: OnceCell<Loopback>,
+    query_profile: OnceCell<ObjectCentricProfile>,
+    live_seed: OnceCell<ProfileDelta>,
+}
+
+struct Loopback {
+    aggregator: FleetAggregator,
+    addr: String,
+}
+
+impl Loopback {
+    fn bind(wal: Option<&Path>) -> Self {
+        let aggregator = match wal {
+            Some(dir) => {
+                FleetAggregator::builder().wal(dir, FsyncPolicy::Never).bind("127.0.0.1:0")
+            }
+            None => FleetAggregator::bind("127.0.0.1:0"),
+        }
+        .expect("loopback aggregator binds");
+        let addr = aggregator.local_addr().expect("tcp aggregator").to_string();
+        Self { aggregator, addr }
+    }
+}
+
+impl Fixtures {
+    fn new() -> Self {
+        let scratch =
+            std::env::temp_dir().join(format!("djxperf-contention-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&scratch);
+        Self {
+            scratch,
+            producers: Cell::new(0),
+            plain: OnceCell::new(),
+            durable: OnceCell::new(),
+            query_profile: OnceCell::new(),
+            live_seed: OnceCell::new(),
+        }
+    }
+
+    fn fleet_sink(&self, wal: bool) -> FleetSink {
+        let loopback = if wal {
+            self.durable
+                .get_or_init(|| Loopback::bind(Some(&self.scratch.join("ingest-wal"))))
+        } else {
+            self.plain.get_or_init(|| Loopback::bind(None))
+        };
+        let id = self.producers.replace(self.producers.get() + 1);
+        FleetSink::connect(
+            &loopback.addr,
+            &format!("bench{id}"),
+            PmuEvent::DEFAULT,
+            FLEET_PERIOD,
+            1024,
+        )
+        .expect("loopback aggregator reachable")
+    }
+
+    /// The wide query profile, after checking that the query layer and the legacy
+    /// aggregation agree on its ranking.
+    fn query_profile(&self) -> &ObjectCentricProfile {
+        self.query_profile.get_or_init(|| {
+            let profile = build_query_profile();
+            let legacy = legacy_analyze(&profile);
+            let result = Query::new().evaluate(&profile).expect("owned profiles evaluate");
+            assert_eq!(legacy.objects.len(), result.groups.len());
+            for (object, group) in legacy.objects.iter().zip(&result.groups) {
+                assert_eq!(object.class_name, group.label, "identical ranking");
+                assert_eq!(object.metrics, group.metrics, "identical aggregation");
+            }
+            profile
+        })
+    }
+
+    /// The 10k-site seed epoch, after checking that a watch and a cold evaluation
+    /// agree byte for byte after every one of `ticks` ticks.
+    fn live_seed(&self, ticks: u32) -> &ProfileDelta {
+        self.live_seed.get_or_init(|| {
+            let seed = live_delta(1, 0..LIVE_SITES);
+            let query = live_query();
+            let fold = LiveFold::new();
+            fold.provide_sites(live_sites());
+            let mut watch = query.watch(&fold);
+            fold.absorb(&seed).expect("seed epoch folds");
+            for tick in 0..ticks {
+                fold.absorb(&live_tick_delta(tick)).expect("tick delta folds");
+                let cold = query.evaluate(&fold.snapshot()).expect("cold evaluation");
+                assert_eq!(
+                    watch.current().result.to_text(),
+                    cold.to_text(),
+                    "live == cold per tick"
+                );
+            }
+            seed
+        })
+    }
+
+    /// Checks that every producer delivered its stream loss-free (and, with a WAL,
+    /// left a non-empty log), then shuts the aggregators down.
+    fn finish(self) {
+        for (loopback, wal) in [(self.plain.into_inner(), false), (self.durable.into_inner(), true)]
+        {
+            for status in loopback.iter().flat_map(|l| l.aggregator.status()) {
+                assert!(
+                    status.finished && !status.truncated && (!wal || status.wal_bytes > 0),
+                    "producer {} did not finish cleanly",
+                    status.producer
+                );
+            }
+        }
+        let _ = std::fs::remove_dir_all(&self.scratch);
+    }
+}
+
+// -----------------------------------------------------------------------------------
+// Analysis rows
 // -----------------------------------------------------------------------------------
 
 /// Shape of the synthetic snapshot the query/analyzer comparison evaluates: wide
@@ -601,11 +667,9 @@ fn measure_fold(
 const QUERY_THREADS: u64 = 16;
 const QUERY_SITES: u32 = 64;
 const QUERY_CONTEXTS: u32 = 4;
-/// Query/analyzer evaluations per measured rep.
-const QUERY_EVALS: u32 = 30;
 
-fn build_query_profile() -> ObjectCentricProfile {
-    let bench_sample = |addr: u64, remote: bool| Sample {
+fn bench_sample(addr: u64, remote: bool, latency: u64) -> Sample {
+    Sample {
         event: PmuEvent::L1Miss,
         thread_id: 1,
         cpu: 0,
@@ -614,9 +678,12 @@ fn build_query_profile() -> ObjectCentricProfile {
         effective_addr: addr,
         kind: AccessKind::Load,
         value: 1,
-        latency: 150,
+        latency,
         counter_value: 1,
-    };
+    }
+}
+
+fn build_query_profile() -> ObjectCentricProfile {
     let sites: Vec<AllocSite> = (0..QUERY_SITES)
         .map(|s| AllocSite {
             id: AllocSiteId(s),
@@ -633,7 +700,7 @@ fn build_query_profile() -> ObjectCentricProfile {
                     profile.record_attributed(
                         AllocSiteId(s),
                         &path,
-                        &bench_sample(u64::from(s * 64 + c) * 8, c % 2 == 0),
+                        &bench_sample(u64::from(s * 64 + c) * 8, c % 2 == 0, 150),
                         FULL_PERIOD,
                     );
                 }
@@ -774,17 +841,14 @@ fn legacy_analyze(profile: &ObjectCentricProfile) -> LegacyReport {
     }
 }
 
-// -----------------------------------------------------------------------------------
-// Live query engine: incremental watch vs per-tick re-evaluation (the --smoke-live
-// gate)
-// -----------------------------------------------------------------------------------
-
-/// Hot-site population of the live gate's profile (the ISSUE floor is >= 10k).
+/// Hot-site population of the live rows' profile.
 const LIVE_SITES: u32 = 10_000;
 /// Sites touched per epoch delta — a small dashboard tick.
 const LIVE_DELTA_SITES: u32 = 64;
-/// Measured ticks per run.
-const LIVE_TICKS: u32 = 50;
+
+fn live_query() -> Query {
+    Query::new().rank_by(RankBy::WeightedEvents).top(32).min_samples(1)
+}
 
 fn live_sites() -> Vec<AllocSite> {
     (0..LIVE_SITES)
@@ -797,101 +861,88 @@ fn live_sites() -> Vec<AllocSite> {
 }
 
 fn live_delta(epoch: u64, sites: impl Iterator<Item = u32>) -> ProfileDelta {
-    let bench_sample = |addr: u64, remote: bool| Sample {
-        event: PmuEvent::L1Miss,
-        thread_id: 1,
-        cpu: 0,
-        cpu_node: NumaNode(0),
-        page_node: NumaNode(u32::from(remote)),
-        effective_addr: addr,
-        kind: AccessKind::Load,
-        value: 1,
-        latency: 150,
-        counter_value: 1,
-    };
     let path = [Frame::new(MethodId(7), 0)];
     let mut fragment = ThreadProfile::new(ThreadId(1), "live");
     for s in sites {
         fragment.record_attributed(
             AllocSiteId(s),
             &path,
-            &bench_sample(u64::from(s) * 8, s % 2 == 0),
+            &bench_sample(u64::from(s) * 8, s % 2 == 0, 150),
             FULL_PERIOD,
         );
     }
     ProfileDelta { epoch, threads: vec![ThreadDelta { seq: 0, profile: fragment }] }
 }
 
-/// Epoch 1: one sample on every site, so the fold carries the full 10k-site state.
-fn build_live_seed_delta() -> ProfileDelta {
-    live_delta(1, 0..LIVE_SITES)
-}
-
 /// Epoch `tick + 2`: a rotating window of [`LIVE_DELTA_SITES`] sites.
-fn build_live_tick_delta(tick: u32) -> ProfileDelta {
+fn live_tick_delta(tick: u32) -> ProfileDelta {
     let start = (tick * LIVE_DELTA_SITES) % LIVE_SITES;
     live_delta(u64::from(tick) + 2, (start..start + LIVE_DELTA_SITES).map(|s| s % LIVE_SITES))
 }
 
-/// Times `run` (seed + [`LIVE_TICKS`] ticks), best of `reps`; throughput is ticks
-/// per second.
-fn measure_live(
-    name: &'static str,
-    reps: usize,
-    samples: u64,
-    run: impl Fn() -> u64,
-) -> Measurement {
-    let mut best = Duration::MAX;
-    let mut checksum = 0;
-    for _ in 0..reps {
-        let start = Instant::now();
-        checksum = run();
-        best = best.min(start.elapsed());
+/// Seeds a fresh fold and runs `ticks` ticks; each tick reads the top groups from a
+/// watch, or from a full evaluation of a snapshot when `watch` is false.
+fn live_run(query: &Query, seed: &ProfileDelta, ticks: u32, watch: bool) -> u64 {
+    let fold = LiveFold::new();
+    fold.provide_sites(live_sites());
+    let mut watched = watch.then(|| query.watch(&fold));
+    fold.absorb(seed).expect("seed epoch folds");
+    let mut checksum = 0u64;
+    for tick in 0..ticks {
+        fold.absorb(&live_tick_delta(tick)).expect("tick delta folds");
+        let groups = match &mut watched {
+            Some(watched) => watched.current().result.groups.len(),
+            None => query.evaluate(&fold.snapshot()).expect("cold evaluation").groups.len(),
+        };
+        checksum += groups as u64;
     }
-    assert!(checksum > 0, "ticks must not be optimized away");
-    Measurement {
-        pipeline: name,
-        threads: 1,
-        accesses: u64::from(LIVE_TICKS),
-        samples,
-        best,
-        cache_hit_rate: None,
-    }
+    checksum
 }
 
-/// Measures repeated whole-profile evaluations; `throughput` is evaluations/second
-/// (the `accesses` column carries the evaluation count).
-fn measure_eval(
-    name: &'static str,
-    reps: usize,
-    samples: u64,
-    eval: impl Fn() -> u64,
-) -> Measurement {
-    let mut best = Duration::MAX;
-    let mut checksum = 0;
-    for _ in 0..reps {
-        let start = Instant::now();
-        for _ in 0..QUERY_EVALS {
-            checksum = eval();
-        }
-        best = best.min(start.elapsed());
+/// Streams a dense WAL (one thin frame per epoch) through a durable aggregator,
+/// shuts it down, and times `FleetAggregator::recover` — which replays every log
+/// through a fresh `DeltaFold` — over the directory it left behind.
+fn measure_replay(row: &Row, dir: &Path) -> Measurement {
+    let source = Loopback::bind(Some(dir));
+    let sink = FleetSink::connect(&source.addr, "replay", PmuEvent::DEFAULT, FLEET_PERIOD, 1024)
+        .expect("replay producer connects");
+    let path = [Frame::new(MethodId(1), 0), Frame::new(MethodId(2), 4)];
+    let mut devnull = io::sink();
+    for epoch in 1..=REPLAY_FRAMES {
+        let mut profile = ThreadProfile::new(ThreadId(1), "replay");
+        profile.record_attributed(
+            AllocSiteId((epoch % 32) as u32),
+            &path,
+            &bench_sample(0x1000 + epoch * 8, false, 120),
+            FLEET_PERIOD,
+        );
+        let delta = ProfileDelta { epoch, threads: vec![ThreadDelta { seq: 0, profile }] };
+        sink.on_delta(epoch, &delta, &mut devnull).expect("replay frame acked");
     }
-    assert!(checksum > 0, "evaluations must not be optimized away");
+    drop(sink);
+    drop(source);
+    let start = Instant::now();
+    let recovered = FleetAggregator::recover(dir).expect("recovery replays the WAL");
+    let best = start.elapsed();
+    let report = recovered.recovery_report().expect("recovered producers");
+    let frames: u64 = report.producers.iter().map(|p| p.frames).sum();
+    assert_eq!(frames, REPLAY_FRAMES, "every logged frame replays");
+    // One attributed sample per logged frame, so the samples column doubles as a
+    // fold sanity check.
     Measurement {
-        pipeline: name,
-        threads: QUERY_THREADS,
-        accesses: u64::from(QUERY_EVALS),
-        samples,
+        pipeline: row.name,
+        threads: row.threads,
+        accesses: frames,
+        samples: frames,
         best,
         cache_hit_rate: None,
     }
 }
 
 // -----------------------------------------------------------------------------------
-// Measurement
+// Measurement, reporting, and the one loop
 // -----------------------------------------------------------------------------------
 
-#[derive(Debug, Clone)]
 struct Measurement {
     pipeline: &'static str,
     threads: u64,
@@ -907,88 +958,73 @@ impl Measurement {
     }
 }
 
-fn run_once(pipeline: &dyn Pipeline, logs: &[ThreadLog]) -> Duration {
-    for log in logs {
-        pipeline.alloc(log);
-    }
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for log in logs {
-            scope.spawn(|| {
-                for outcome in &log.outcomes {
-                    pipeline.access(log, outcome);
-                }
-            });
-        }
-    });
-    start.elapsed()
-}
-
-/// Like [`run_once`] but with a concurrent churn thread performing a **fixed** number
-/// of GC-relocation rounds (fixed work keeps churned runs of different pipelines
-/// comparable); the measured wall clock covers both the ingestion and the churn.
-fn run_once_with_churn(pipeline: &dyn Pipeline, logs: &[ThreadLog], accesses: u64) -> Duration {
-    for log in logs {
-        pipeline.alloc(log);
-    }
-    let rounds = (accesses / 100_000).max(1) * CHURN_ROUNDS_PER_100K;
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for log in logs {
-            scope.spawn(|| {
-                for outcome in &log.outcomes {
-                    pipeline.access(log, outcome);
-                }
-            });
-        }
-        scope.spawn(|| {
-            for round in 1..=rounds {
-                pipeline.churn_step(logs, round);
-                if round % 64 == 0 {
-                    // Let ingestion interleave on narrow machines instead of applying
-                    // the whole relocation storm in one burst.
-                    std::thread::yield_now();
-                }
-            }
-        });
-    });
-    start.elapsed()
-}
-
-fn measure(
-    name: &'static str,
-    build: impl Fn() -> Box<dyn Pipeline>,
-    threads: u64,
+/// Best wall clock of `reps` calls of `run`, one rep doing `accesses` units of work.
+/// `run` returns a checksum that must be non-zero, so the work cannot be optimized
+/// away.
+fn best_of(
+    row: &Row,
     accesses: u64,
     reps: usize,
-    churn: bool,
+    samples: u64,
+    run: impl Fn() -> u64,
 ) -> Measurement {
-    let logs = build_logs(threads, accesses);
     let mut best = Duration::MAX;
-    let mut samples = 0;
-    let mut cache_hit_rate = None;
+    let mut checksum = 0;
     for _ in 0..reps {
-        let pipeline = build();
-        let elapsed = if churn {
-            run_once_with_churn(pipeline.as_ref(), &logs, accesses)
-        } else {
-            run_once(pipeline.as_ref(), &logs)
-        };
-        samples = pipeline.total_samples();
-        cache_hit_rate = pipeline.cache_hit_rate();
-        best = best.min(elapsed);
+        let start = Instant::now();
+        checksum = run();
+        best = best.min(start.elapsed());
     }
+    assert!(checksum > 0, "{}: the measured work must not be optimized away", row.name);
     Measurement {
-        pipeline: name,
-        threads,
-        accesses: threads * accesses,
+        pipeline: row.name,
+        threads: row.threads,
+        accesses,
         samples,
         best,
-        cache_hit_rate,
+        cache_hit_rate: None,
     }
 }
 
-fn json_escape_free_number(value: f64) -> String {
+fn measure_row(row: &Row, gate: &Gate, fixtures: &Fixtures) -> Measurement {
+    let (accesses, reps) = (gate.accesses, gate.reps);
+    match row.pipe {
+        Pipe::Ingest(ingest) => measure_ingest(row, ingest, accesses, reps, fixtures),
+        Pipe::WalReplay => measure_replay(row, &fixtures.scratch.join("replay-wal")),
+        Pipe::LegacyAnalyze => {
+            let profile = fixtures.query_profile();
+            best_of(row, accesses, reps, profile.total_samples(), || {
+                (0..accesses).map(|_| legacy_analyze(profile).objects.len() as u64).sum()
+            })
+        }
+        Pipe::QueryEval => {
+            let profile = fixtures.query_profile();
+            let query = Query::new();
+            best_of(row, accesses, reps, profile.total_samples(), || {
+                (0..accesses)
+                    .map(|_| query.evaluate(profile).expect("owned profiles evaluate").groups.len())
+                    .sum::<usize>() as u64
+            })
+        }
+        Pipe::LiveWatch | Pipe::PollEvaluate => {
+            let ticks = accesses as u32;
+            let seed = fixtures.live_seed(ticks);
+            let query = live_query();
+            let watch = matches!(row.pipe, Pipe::LiveWatch);
+            let samples = u64::from(LIVE_SITES) + accesses * u64::from(LIVE_DELTA_SITES);
+            best_of(row, accesses, reps, samples, || live_run(&query, seed, ticks, watch))
+        }
+    }
+}
+
+fn throughput_of(rows: &[Measurement], name: &str, threads: u64) -> f64 {
+    rows.iter()
+        .find(|m| m.pipeline == name && m.threads == threads)
+        .unwrap_or_else(|| panic!("ratio names an unmeasured row: {name} @{threads}"))
+        .throughput()
+}
+
+fn json_number(value: f64) -> String {
     if value.is_finite() {
         format!("{value:.3}")
     } else {
@@ -996,45 +1032,46 @@ fn json_escape_free_number(value: f64) -> String {
     }
 }
 
-fn write_json(path: &str, results: &[Measurement], ratios: &[(&str, f64)]) {
-    let mut rows = Vec::new();
-    for m in results {
-        let cache = match m.cache_hit_rate {
-            Some(rate) => format!(", \"cache_hit_rate\": {}", json_escape_free_number(rate)),
-            None => String::new(),
-        };
-        rows.push(format!(
-            "    {{\"pipeline\": \"{}\", \"threads\": {}, \"accesses\": {}, \"samples\": {}, \"best_secs\": {}, \"throughput_accesses_per_sec\": {}{}}}",
-            m.pipeline,
-            m.threads,
-            m.accesses,
-            m.samples,
-            json_escape_free_number(m.best.as_secs_f64()),
-            json_escape_free_number(m.throughput()),
-            cache,
-        ));
-    }
+fn write_json(path: &str, results: &[(&str, Measurement)], ratios: &[(&Ratio, f64)]) {
+    let rows: Vec<String> = results
+        .iter()
+        .map(|(gate, m)| {
+            let cache = match m.cache_hit_rate {
+                Some(rate) => format!(", \"cache_hit_rate\": {}", json_number(rate)),
+                None => String::new(),
+            };
+            format!(
+                "    {{\"gate\": \"{gate}\", \"pipeline\": \"{}\", \"threads\": {}, \"accesses\": {}, \"samples\": {}, \"best_secs\": {}, \"throughput_accesses_per_sec\": {}{cache}}}",
+                m.pipeline,
+                m.threads,
+                m.accesses,
+                m.samples,
+                json_number(m.best.as_secs_f64()),
+                json_number(m.throughput()),
+            )
+        })
+        .collect();
     let ratio_lines: Vec<String> = ratios
         .iter()
-        .map(|(name, value)| format!("  \"{name}\": {}", json_escape_free_number(*value)))
+        .map(|(ratio, value)| format!("  \"{}\": {}", ratio.key, json_number(*value)))
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"contention\",\n  \"multi_threads\": {},\n  \"results\": [\n{}\n  ],\n{}\n}}\n",
-        MULTI_THREADS,
+        "{{\n  \"bench\": \"contention\",\n  \"multi_threads\": {MULTI_THREADS},\n  \"results\": [\n{}\n  ],\n{}\n}}\n",
         rows.join(",\n"),
         ratio_lines.join(",\n"),
     );
-    if let Err(err) = std::fs::write(path, json) {
-        eprintln!("warning: could not write {path}: {err}");
+    match std::fs::write(path, json) {
+        Ok(()) => println!("recorded {path}"),
+        Err(err) => eprintln!("warning: could not write {path}: {err}"),
     }
 }
 
-fn print_results(results: &[Measurement]) {
+fn print_rows(rows: &[Measurement]) {
     println!(
         "{:<16} {:>8} {:>12} {:>10} {:>14} {:>16} {:>12}",
         "pipeline", "threads", "accesses", "samples", "best (ms)", "accesses/s", "cache hits"
     );
-    for m in results {
+    for m in rows {
         println!(
             "{:<16} {:>8} {:>12} {:>10} {:>14.2} {:>16.0} {:>12}",
             m.pipeline,
@@ -1050,669 +1087,84 @@ fn print_results(results: &[Measurement]) {
     }
 }
 
-fn throughput_of(results: &[Measurement], name: &str, threads: u64) -> f64 {
-    results
-        .iter()
-        .find(|m| m.pipeline == name && m.threads == threads)
-        .expect("measured above")
-        .throughput()
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke-cached");
-    let smoke_streaming = args.iter().any(|a| a == "--smoke-streaming");
-    let smoke_query = args.iter().any(|a| a == "--smoke-query");
-    let smoke_fleet = args.iter().any(|a| a == "--smoke-fleet");
-    let smoke_recovery = args.iter().any(|a| a == "--smoke-recovery");
-    let smoke_live = args.iter().any(|a| a == "--smoke-live");
-    let quick = smoke
-        || smoke_streaming
-        || smoke_query
-        || smoke_fleet
-        || smoke_recovery
-        || smoke_live
-        || args.iter().any(|a| a == "--quick")
-        || std::env::var("CONTENTION_QUICK").map(|v| v == "1").unwrap_or(false);
-    // Best-of-5 in the full run: spin locks on an oversubscribed machine suffer
-    // stochastic preemption storms (a descheduled lock holder burns every spinner's
-    // timeslice), so single runs are noisy in exactly the topologies under test.
-    let (accesses, reps) = if quick { (150_000u64, 2usize) } else { (400_000u64, 5usize) };
-
-    let sharded = || Box::new(SessionPipeline::substrate(false)) as Box<dyn Pipeline>;
-    let cached = || Box::new(SessionPipeline::substrate(true)) as Box<dyn Pipeline>;
-    let stream_off = || Box::new(SessionPipeline::streaming(false)) as Box<dyn Pipeline>;
-    let stream_on = || Box::new(SessionPipeline::streaming(true)) as Box<dyn Pipeline>;
-
-    if smoke_streaming {
-        // CI regression gate for the asynchronous export pipeline: the full
-        // three-collector session with a delta drainer attached must keep at least
-        // 0.90x of the drainer-off ingest throughput — continuous-push export is only
-        // viable when its hand-off cost stays off the hot path.
-        //
-        // The expected ratio is ~1.0 (the drains are off the ingest path entirely),
-        // so unlike the cached gate there is no structural speedup to absorb runner
-        // noise — the best-of window does that instead: more, shorter reps, so the
-        // minimum of each side converges on the scheduler's good case.
-        println!("== streaming-export contention smoke (CI gate) ==\n");
-        let (accesses, reps) = (100_000u64, 7usize);
-        let mut results = Vec::new();
-        for threads in [1, MULTI_THREADS] {
-            results.push(measure("stream-off", stream_off, threads, accesses, reps, false));
-            results.push(measure("stream-on", stream_on, threads, accesses, reps, false));
-        }
-        print_results(&results);
-        let multi = throughput_of(&results, "stream-on", MULTI_THREADS)
-            / throughput_of(&results, "stream-off", MULTI_THREADS);
-        let single =
-            throughput_of(&results, "stream-on", 1) / throughput_of(&results, "stream-off", 1);
-        println!(
-            "\nstream-on/stream-off @{MULTI_THREADS} threads: {multi:.2} (gate >= 0.90)\n\
-             stream-on/stream-off @1 thread:  {single:.2} (gate >= 0.90)"
-        );
-        if let Ok(path) = std::env::var("BENCH_CONTENTION_OUT") {
-            write_json(
-                &path,
-                &results,
-                &[
-                    ("streaming_multi_thread_ratio", multi),
-                    ("streaming_single_thread_ratio", single),
-                ],
-            );
-            println!("recorded {path}");
-        }
-        let mut failed = false;
-        if multi < 0.90 {
-            eprintln!("FAIL: drainer-on ingest dropped below 0.90x multi-thread ({multi:.2})");
-            failed = true;
-        }
-        if single < 0.90 {
-            eprintln!("FAIL: drainer-on ingest dropped below 0.90x single-thread ({single:.2})");
-            failed = true;
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        println!("smoke OK");
-        return;
-    }
-
-    if smoke_fleet {
-        // CI regression gate for the fleet transport: a producer session whose
-        // drainer ships every retired delta over a loopback socket (sync ack per
-        // frame) must keep at least 1/1.10 of the stream-off ingest throughput.
-        // The drains are off the ingest hot path and the Coalesce policy bounds
-        // the frame rate, so the expected ratio is ~1.0 — the gate catches a
-        // transport that starts blocking epoch retirement.
-        println!("== fleet-transport contention smoke (CI gate) ==\n");
-        let aggregator = FleetAggregator::bind("127.0.0.1:0").expect("loopback aggregator binds");
-        let addr = aggregator.local_addr().expect("tcp aggregator").to_string();
-        let producer_seq = std::sync::atomic::AtomicU64::new(0);
-        let fleet_off =
-            || Box::new(SessionPipeline::streaming_at(FLEET_PERIOD, false)) as Box<dyn Pipeline>;
-        let fleet_on = || {
-            let id = producer_seq.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            Box::new(SessionPipeline::fleet(&addr, &format!("bench{id}"))) as Box<dyn Pipeline>
-        };
-        let (accesses, reps) = (100_000u64, 7usize);
-        let mut results = Vec::new();
-        for threads in [1, MULTI_THREADS] {
-            results.push(measure("stream-off", fleet_off, threads, accesses, reps, false));
-            results.push(measure("fleet-on", fleet_on, threads, accesses, reps, false));
-        }
-        print_results(&results);
-        // Every producer delivered its stream loss-free before its ratio counts.
-        for status in aggregator.status() {
-            assert!(
-                status.finished && !status.truncated,
-                "producer {} did not finish cleanly",
-                status.producer
-            );
-        }
-        let multi = throughput_of(&results, "fleet-on", MULTI_THREADS)
-            / throughput_of(&results, "stream-off", MULTI_THREADS);
-        let single =
-            throughput_of(&results, "fleet-on", 1) / throughput_of(&results, "stream-off", 1);
-        println!(
-            "\nfleet-on/stream-off @{MULTI_THREADS} threads: {multi:.2} (gate >= 0.909)\n\
-             fleet-on/stream-off @1 thread:  {single:.2} (gate >= 0.909)"
-        );
-        if let Ok(path) = std::env::var("BENCH_CONTENTION_OUT") {
-            write_json(
-                &path,
-                &results,
-                &[("fleet_multi_thread_ratio", multi), ("fleet_single_thread_ratio", single)],
-            );
-            println!("recorded {path}");
-        }
-        let mut failed = false;
-        if multi < 1.0 / 1.10 {
-            eprintln!(
-                "FAIL: fleet-sink ingest slower than 1.10x of stream-off multi-thread ({multi:.2})"
-            );
-            failed = true;
-        }
-        if single < 1.0 / 1.10 {
-            eprintln!("FAIL: fleet-sink ingest slower than 1.10x of stream-off single-thread ({single:.2})");
-            failed = true;
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        println!("smoke OK");
-        return;
-    }
-
-    if smoke_recovery {
-        // CI regression gate for the fault-tolerance tier, two claims:
-        //
-        //  * a WAL-backed aggregator (append each accepted frame before acking,
-        //    `FsyncPolicy::Never`) must keep producer-side ingest within 1.15x of a
-        //    WAL-off aggregator — durability must stay an aggregator-disk concern,
-        //    never a producer hot-path one;
-        //  * `FleetAggregator::recover` must replay at least 100k frames/s, so
-        //    restart cost is proportional to the log, not to the outage.
-        println!("== wal-recovery contention smoke (CI gate) ==\n");
-        let scratch =
-            std::env::temp_dir().join(format!("djxperf-smoke-recovery-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&scratch);
-
-        let mut plain = FleetAggregator::bind("127.0.0.1:0").expect("loopback aggregator binds");
-        let plain_addr = plain.local_addr().expect("tcp aggregator").to_string();
-        let mut durable = FleetAggregator::builder()
-            .wal(scratch.join("ingest-wal"), FsyncPolicy::Never)
-            .bind("127.0.0.1:0")
-            .expect("durable aggregator binds");
-        let durable_addr = durable.local_addr().expect("tcp aggregator").to_string();
-        let producer_seq = std::sync::atomic::AtomicU64::new(0);
-        let wal_off = || {
-            let id = producer_seq.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            Box::new(SessionPipeline::fleet(&plain_addr, &format!("off{id}"))) as Box<dyn Pipeline>
-        };
-        let wal_on = || {
-            let id = producer_seq.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            Box::new(SessionPipeline::fleet(&durable_addr, &format!("on{id}"))) as Box<dyn Pipeline>
-        };
-        let (accesses, reps) = (100_000u64, 7usize);
-        let mut results = Vec::new();
-        for threads in [1, MULTI_THREADS] {
-            results.push(measure("wal-off", wal_off, threads, accesses, reps, false));
-            results.push(measure("wal-on", wal_on, threads, accesses, reps, false));
-        }
-        // Durability must not have cost delivery: every producer on the WAL side
-        // finished loss-free and left a non-empty log behind.
-        for status in durable.status() {
-            assert!(
-                status.finished && !status.truncated && status.wal_bytes > 0,
-                "producer {} did not finish cleanly into the WAL",
-                status.producer
-            );
-        }
-
-        // Recovery replay throughput: stream a dense WAL (~20k thin frames) through
-        // a durable aggregator, kill it, and time `recover` — which replays every
-        // log through a fresh DeltaFold — over the directory it left behind.
-        const REPLAY_FRAMES: u64 = 20_000;
-        let replay_dir = scratch.join("replay-wal");
-        let mut source = FleetAggregator::builder()
-            .wal(&replay_dir, FsyncPolicy::Never)
-            .bind("127.0.0.1:0")
-            .expect("replay aggregator binds");
-        let source_addr = source.local_addr().expect("tcp aggregator").to_string();
-        let sink =
-            FleetSink::connect(&source_addr, "replay", PmuEvent::DEFAULT, FLEET_PERIOD, 1024)
-                .expect("replay producer connects");
-        let path = [Frame::new(MethodId(1), 0), Frame::new(MethodId(2), 4)];
-        let mut devnull = io::sink();
-        for epoch in 1..=REPLAY_FRAMES {
-            let mut profile = ThreadProfile::new(ThreadId(1), "replay");
-            profile.record_attributed(
-                AllocSiteId((epoch % 32) as u32),
-                &path,
-                &Sample {
-                    event: PmuEvent::L1Miss,
-                    thread_id: 1,
-                    cpu: 0,
-                    cpu_node: NumaNode(0),
-                    page_node: NumaNode(0),
-                    effective_addr: 0x1000 + epoch * 8,
-                    kind: AccessKind::Load,
-                    value: 1,
-                    latency: 120,
-                    counter_value: 1,
-                },
-                FLEET_PERIOD,
-            );
-            let delta = ProfileDelta { epoch, threads: vec![ThreadDelta { seq: 0, profile }] };
-            sink.on_delta(epoch, &delta, &mut devnull).expect("replay frame acked");
-        }
-        drop(sink);
-        source.shutdown();
-        drop(source);
-        let start = Instant::now();
-        let recovered = FleetAggregator::recover(&replay_dir).expect("recovery replays the WAL");
-        let elapsed = start.elapsed();
-        let report = recovered.recovery_report().expect("recovered producers").clone();
-        let frames: u64 = report.producers.iter().map(|p| p.frames).sum();
-        assert_eq!(frames, REPLAY_FRAMES, "every logged frame replays");
-        // One attributed sample per logged frame (the stream above records exactly
-        // one), so the samples column doubles as a fold sanity check.
-        results.push(Measurement {
-            pipeline: "wal-replay",
-            threads: 1,
-            accesses: frames,
-            samples: frames,
-            best: elapsed,
-            cache_hit_rate: None,
-        });
-        print_results(&results);
-
-        let multi = throughput_of(&results, "wal-on", MULTI_THREADS)
-            / throughput_of(&results, "wal-off", MULTI_THREADS);
-        let single = throughput_of(&results, "wal-on", 1) / throughput_of(&results, "wal-off", 1);
-        let replay_rate = frames as f64 / elapsed.as_secs_f64().max(f64::MIN_POSITIVE);
-        println!(
-            "\nwal-on/wal-off @{MULTI_THREADS} threads: {multi:.2} (gate >= 0.870)\n\
-             wal-on/wal-off @1 thread:  {single:.2} (gate >= 0.870)\n\
-             recovery replay: {replay_rate:.0} frames/s (gate >= 100000)"
-        );
-        if let Ok(path) = std::env::var("BENCH_CONTENTION_OUT") {
-            write_json(
-                &path,
-                &results,
-                &[
-                    ("wal_multi_thread_ratio", multi),
-                    ("wal_single_thread_ratio", single),
-                    ("recovery_replay_frames_per_sec", replay_rate),
-                ],
-            );
-            println!("recorded {path}");
-        }
-        plain.shutdown();
-        durable.shutdown();
-        let _ = std::fs::remove_dir_all(&scratch);
-        let mut failed = false;
-        if multi < 1.0 / 1.15 {
-            eprintln!("FAIL: WAL-on ingest slower than 1.15x of WAL-off multi-thread ({multi:.2})");
-            failed = true;
-        }
-        if single < 1.0 / 1.15 {
-            eprintln!(
-                "FAIL: WAL-on ingest slower than 1.15x of WAL-off single-thread ({single:.2})"
-            );
-            failed = true;
-        }
-        if replay_rate < 100_000.0 {
-            eprintln!("FAIL: recovery replay below 100k frames/s ({replay_rate:.0})");
-            failed = true;
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        println!("smoke OK");
-        return;
-    }
-
-    if smoke_live {
-        // CI regression gate for the incremental live query engine: on a profile
-        // with >= 10k hot sites, one dashboard tick (absorb a small epoch delta,
-        // render the watched top(32)) must be at least 5x cheaper than what a poll
-        // loop pays (absorb the same delta, snapshot, full Query::evaluate). The
-        // watch updates O(delta) group slots and maintains the top-k heap
-        // incrementally; re-evaluation re-aggregates all sites every tick.
-        println!("== live-query incremental smoke (CI gate) ==\n");
-        let query = Query::new().rank_by(RankBy::WeightedEvents).top(32).min_samples(1);
-        let seed = build_live_seed_delta();
-        let samples = u64::from(LIVE_SITES) + u64::from(LIVE_TICKS) * u64::from(LIVE_DELTA_SITES);
-
-        // Identity sanity before timing anything: after every tick the watch and a
-        // cold evaluation agree byte for byte.
-        {
-            let fold = LiveFold::new();
-            fold.provide_sites(live_sites());
-            let mut lq = query.watch(&fold);
-            fold.absorb(&seed).expect("seed epoch folds");
-            for tick in 0..LIVE_TICKS {
-                fold.absorb(&build_live_tick_delta(tick)).expect("tick delta folds");
-                let live = lq.current();
-                let cold = query.evaluate(&fold.snapshot()).expect("cold evaluation");
-                assert_eq!(live.result.to_text(), cold.to_text(), "live == cold per tick");
-            }
-        }
-
-        let reps = 5usize;
-        let mut results = Vec::new();
-        results.push(measure_live("live-watch", reps, samples, || {
-            let fold = LiveFold::new();
-            fold.provide_sites(live_sites());
-            let mut lq = query.watch(&fold);
-            fold.absorb(&seed).expect("seed epoch folds");
-            let mut checksum = 0u64;
-            for tick in 0..LIVE_TICKS {
-                fold.absorb(&build_live_tick_delta(tick)).expect("tick delta folds");
-                checksum += lq.current().result.groups.len() as u64;
-            }
-            checksum
-        }));
-        results.push(measure_live("poll-evaluate", reps, samples, || {
-            let fold = LiveFold::new();
-            fold.provide_sites(live_sites());
-            fold.absorb(&seed).expect("seed epoch folds");
-            let mut checksum = 0u64;
-            for tick in 0..LIVE_TICKS {
-                fold.absorb(&build_live_tick_delta(tick)).expect("tick delta folds");
-                let result = query.evaluate(&fold.snapshot()).expect("cold evaluation");
-                checksum += result.groups.len() as u64;
-            }
-            checksum
-        }));
-        print_results(&results);
-        let ratio =
-            throughput_of(&results, "live-watch", 1) / throughput_of(&results, "poll-evaluate", 1);
-        println!(
-            "\nlive-watch/poll-evaluate per-tick speedup: {ratio:.2}x \
-             (gate >= 5.0 at {LIVE_SITES} sites, {LIVE_DELTA_SITES}-site deltas, top(32))"
-        );
-        if let Ok(path) = std::env::var("BENCH_CONTENTION_OUT") {
-            write_json(&path, &results, &[("live_query_tick_speedup", ratio)]);
-            println!("recorded {path}");
-        }
-        if ratio < 5.0 {
-            eprintln!(
-                "FAIL: incremental live ticks fell below 5x of full re-evaluation ({ratio:.2}x)"
-            );
-            std::process::exit(1);
-        }
-        println!("smoke OK");
-        return;
-    }
-
-    if smoke_query {
-        // CI regression gate for the query layer: evaluating a Query over a snapshot
-        // must stay within 1.10x of the pre-redesign analyzer aggregation
-        // (reconstructed in-bench as `legacy_analyze`) on the same profile — every
-        // analysis consumer routes through Query, so a slow query layer would
-        // silently tax all of them.
-        println!("== query-evaluation contention smoke (CI gate) ==\n");
-        let profile = build_query_profile();
-        let query = Query::new();
-        // Sanity: the query layer and the legacy aggregation agree on the ranking.
-        let legacy_report = legacy_analyze(&profile);
-        let query_result = query.evaluate(&profile).expect("owned profiles evaluate");
-        assert_eq!(legacy_report.objects.len(), query_result.groups.len());
-        for (object, group) in legacy_report.objects.iter().zip(&query_result.groups) {
-            assert_eq!(object.class_name, group.label, "identical ranking");
-            assert_eq!(object.metrics, group.metrics, "identical aggregation");
-        }
-        let reps = 7usize;
-        let samples = profile.total_samples();
-        let mut results = Vec::new();
-        results.push(measure_eval("analyze-legacy", reps, samples, || {
-            legacy_analyze(&profile).objects.len() as u64
-        }));
-        results.push(measure_eval("query-eval", reps, samples, || {
-            query.evaluate(&profile).expect("owned profiles evaluate").groups.len() as u64
-        }));
-        print_results(&results);
-        let ratio = throughput_of(&results, "query-eval", QUERY_THREADS)
-            / throughput_of(&results, "analyze-legacy", QUERY_THREADS);
-        println!(
-            "\nquery-eval/analyze-legacy throughput: {ratio:.2} \
-             (gate >= 0.909, i.e. query within 1.10x of the legacy analyzer)"
-        );
-        if let Ok(path) = std::env::var("BENCH_CONTENTION_OUT") {
-            write_json(&path, &results, &[("query_vs_legacy_ratio", ratio)]);
-            println!("recorded {path}");
-        }
-        if ratio < 1.0 / 1.10 {
-            eprintln!(
-                "FAIL: query evaluation slower than 1.10x of the legacy analyzer ({ratio:.2})"
-            );
-            std::process::exit(1);
-        }
-        println!("smoke OK");
-        return;
-    }
-
-    if smoke {
-        // CI regression gate for the cached fast path: sharded vs cached only, quick
-        // streams, thresholds with a safety margin under the acceptance targets so an
-        // oversubscribed runner does not flake while a real regression still fails.
-        println!("== cached-pipeline contention smoke (CI gate) ==\n");
-        let mut results = Vec::new();
-        for threads in [1, MULTI_THREADS] {
-            results.push(measure("sharded", sharded, threads, accesses, reps, false));
-            results.push(measure("cached", cached, threads, accesses, reps, false));
-        }
-        print_results(&results);
-        let multi = throughput_of(&results, "cached", MULTI_THREADS)
-            / throughput_of(&results, "sharded", MULTI_THREADS);
-        let single = throughput_of(&results, "cached", 1) / throughput_of(&results, "sharded", 1);
-        println!(
-            "\ncached/sharded @{MULTI_THREADS} threads: {multi:.2}x (gate >= 1.20)\n\
-             cached/sharded @1 thread:  {single:.2} (gate >= 0.85)"
-        );
-        // Record the smoke rows too — CI points BENCH_CONTENTION_OUT at a scratch
-        // path so this cannot clobber the full run's artifact.
-        if let Ok(path) = std::env::var("BENCH_CONTENTION_OUT") {
-            write_json(
-                &path,
-                &results,
-                &[("cached_multi_thread_speedup", multi), ("cached_single_thread_ratio", single)],
-            );
-            println!("recorded {path}");
-        }
-        let mut failed = false;
-        if multi < 1.20 {
-            eprintln!(
-                "FAIL: cached pipeline lost its multi-thread advantage ({multi:.2}x < 1.20x)"
-            );
-            failed = true;
-        }
-        if single < 0.85 {
-            eprintln!(
-                "FAIL: cached pipeline regressed single-thread throughput ({single:.2} < 0.85)"
-            );
-            failed = true;
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        println!("smoke OK");
-        return;
-    }
-
-    println!(
-        "== sample-ingestion contention: full pipelines (period {}) + resolution substrate (period {}) ==\n\
-         ({} accesses/thread, {} objects/thread ({} hot), best of {} reps{})\n",
-        FULL_PERIOD,
-        SUBSTRATE_PERIOD,
-        accesses,
-        OBJECTS_PER_THREAD,
-        HOT_OBJECTS,
-        reps,
-        if quick { ", quick mode" } else { "" }
-    );
-
-    let mut results = Vec::new();
-    // Family 1 — full three-collector pipelines: the PR 2 sharded-vs-global evidence.
-    for threads in [1, MULTI_THREADS] {
-        results.push(measure(
-            "global-lock",
-            || Box::new(GlobalLockPipeline::new()) as Box<dyn Pipeline>,
-            threads,
-            accesses,
-            reps,
-            false,
-        ));
-        results.push(measure(
-            "sharded-full",
-            || Box::new(SessionPipeline::full()) as Box<dyn Pipeline>,
-            threads,
-            accesses,
-            reps,
-            false,
-        ));
-    }
-    // Family 2 — the resolution substrate: sharded vs cached at 1, MULTI and WIDE
-    // threads (the global baseline's spin storm at WIDE on an oversubscribed runner
-    // would dominate the wall clock without adding information).
-    for threads in [1, MULTI_THREADS, WIDE_THREADS] {
-        results.push(measure("sharded", sharded, threads, accesses, reps, false));
-        results.push(measure("cached", cached, threads, accesses, reps, false));
-    }
-    // Adversarial GC-relocation churn: a background thread relocates hot objects
-    // continuously while MULTI_THREADS ingest. The cache must degrade gracefully
-    // (epoch invalidations), never fall behind the uncached sharded path.
-    results.push(measure("sharded-churn", sharded, MULTI_THREADS, accesses, reps, true));
-    results.push(measure("cached-churn", cached, MULTI_THREADS, accesses, reps, true));
-    // Family 3 — streaming throughput: the full pipeline with and without a delta
-    // drainer continuously exporting retired epochs (PR 4's ingest-overhead
-    // evidence; the drainer serializes into io::sink so only the hand-off is
-    // measured).
-    for threads in [1, MULTI_THREADS] {
-        results.push(measure("stream-off", stream_off, threads, accesses, reps, false));
-        results.push(measure("stream-on", stream_on, threads, accesses, reps, false));
-    }
-    // Family 3b — fleet transport: the drainer shipping every retired delta over a
-    // loopback socket to an aggregator daemon, vs the same session with no export
-    // (`fleet-off` = stream-off at [`FLEET_PERIOD`]; the --smoke-fleet CI gate
-    // enforces the ratio).
-    let fleet_aggregator = FleetAggregator::bind("127.0.0.1:0").expect("loopback bind");
-    let fleet_addr = fleet_aggregator.local_addr().expect("tcp aggregator").to_string();
-    let fleet_seq = std::sync::atomic::AtomicU64::new(0);
-    let fleet_off =
-        || Box::new(SessionPipeline::streaming_at(FLEET_PERIOD, false)) as Box<dyn Pipeline>;
-    let fleet_on = || {
-        let id = fleet_seq.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        Box::new(SessionPipeline::fleet(&fleet_addr, &format!("bench{id}"))) as Box<dyn Pipeline>
+    let smoke: Vec<String> = std::env::args()
+        .filter_map(|a| a.strip_prefix("--smoke-").map(str::to_string))
+        .collect();
+    let gated = !smoke.is_empty();
+    let selected: Vec<&Gate> = if gated {
+        smoke
+            .iter()
+            .map(|name| {
+                GATES.iter().find(|g| g.name == name.as_str()).unwrap_or_else(|| {
+                    let names: Vec<&str> = GATES.iter().map(|g| g.name).collect();
+                    eprintln!("unknown gate --smoke-{name}; the gates are: {}", names.join(", "));
+                    std::process::exit(2)
+                })
+            })
+            .collect()
+    } else {
+        GATES.iter().chain([&REPORT_ONLY]).collect()
     };
-    for threads in [1, MULTI_THREADS] {
-        results.push(measure("fleet-off", fleet_off, threads, accesses, reps, false));
-        results.push(measure("fleet-on", fleet_on, threads, accesses, reps, false));
+
+    let fixtures = Fixtures::new();
+    let mut results: Vec<(&str, Measurement)> = Vec::new();
+    let mut ratios: Vec<(&Ratio, f64)> = Vec::new();
+    for gate in &selected {
+        println!(
+            "== {}: {} ({} per rep, best of {}) ==\n",
+            gate.name, gate.title, gate.accesses, gate.reps
+        );
+        let rows: Vec<Measurement> =
+            gate.rows.iter().map(|row| measure_row(row, gate, &fixtures)).collect();
+        print_rows(&rows);
+        println!();
+        for ratio in gate.ratios {
+            let numerator = throughput_of(&rows, ratio.numerator, ratio.threads);
+            let value = match ratio.denominator {
+                Some(denominator) => numerator / throughput_of(&rows, denominator, ratio.threads),
+                None => numerator,
+            };
+            let over = ratio.denominator.map(|d| format!("/{d}")).unwrap_or_default();
+            let verdict = match ratio.floor {
+                Some(floor) if value >= floor => format!("gate >= {floor:.3}"),
+                Some(floor) => format!("gate >= {floor:.3}: MISSED"),
+                None => "report only".to_string(),
+            };
+            println!(
+                "{:<32} {}{over} @{}: {value:.2} ({verdict})",
+                ratio.key, ratio.numerator, ratio.threads
+            );
+            ratios.push((ratio, value));
+        }
+        println!();
+        results.extend(rows.into_iter().map(|m| (gate.name, m)));
     }
-    // Family 4 — delta-fold accumulation (the Coalesce-backpressure merge step and
-    // DeltaFold replay): the keyed ProfileDelta::merge_from against the pre-redesign
-    // linear-scan + re-sort reconstruction, over the same wide delta stream.
-    let fold_deltas = build_fold_deltas();
-    let (linear_row, linear_acc) =
-        measure_fold("fold-linear", &fold_deltas, reps, merge_from_linear);
-    let (keyed_row, keyed_acc) =
-        measure_fold("fold-keyed", &fold_deltas, reps, |acc, delta| acc.merge_from(delta));
-    assert_eq!(keyed_acc.total_samples(), linear_acc.total_samples(), "identical folds");
-    assert_eq!(keyed_acc.threads.len(), linear_acc.threads.len());
-    results.push(linear_row);
-    results.push(keyed_row);
-    // Family 5 — query-over-snapshot evaluation vs the legacy analyzer aggregation
-    // (the ratio the --smoke-query CI gate enforces).
-    let query_profile = build_query_profile();
-    let query = Query::new();
-    let query_samples = query_profile.total_samples();
-    results.push(measure_eval("analyze-legacy", reps, query_samples, || {
-        legacy_analyze(&query_profile).objects.len() as u64
-    }));
-    results.push(measure_eval("query-eval", reps, query_samples, || {
-        query.evaluate(&query_profile).expect("owned profiles evaluate").groups.len() as u64
-    }));
-    // Family 6 — the live query engine: per-tick cost of an incrementally
-    // maintained watch vs a full re-evaluation over a 10k-site fold (the
-    // --smoke-live CI gate's ratio).
-    let live_query = Query::new().rank_by(RankBy::WeightedEvents).top(32).min_samples(1);
-    let live_seed = build_live_seed_delta();
-    let live_samples = u64::from(LIVE_SITES) + u64::from(LIVE_TICKS) * u64::from(LIVE_DELTA_SITES);
-    results.push(measure_live("live-watch", reps, live_samples, || {
-        let fold = LiveFold::new();
-        fold.provide_sites(live_sites());
-        let mut lq = live_query.watch(&fold);
-        fold.absorb(&live_seed).expect("seed epoch folds");
-        let mut checksum = 0u64;
-        for tick in 0..LIVE_TICKS {
-            fold.absorb(&build_live_tick_delta(tick)).expect("tick delta folds");
-            checksum += lq.current().result.groups.len() as u64;
-        }
-        checksum
-    }));
-    results.push(measure_live("poll-evaluate", reps, live_samples, || {
-        let fold = LiveFold::new();
-        fold.provide_sites(live_sites());
-        fold.absorb(&live_seed).expect("seed epoch folds");
-        let mut checksum = 0u64;
-        for tick in 0..LIVE_TICKS {
-            fold.absorb(&build_live_tick_delta(tick)).expect("tick delta folds");
-            checksum +=
-                live_query.evaluate(&fold.snapshot()).expect("cold evaluation").groups.len() as u64;
-        }
-        checksum
-    }));
+    fixtures.finish();
 
-    print_results(&results);
-
-    let multi_speedup = throughput_of(&results, "sharded-full", MULTI_THREADS)
-        / throughput_of(&results, "global-lock", MULTI_THREADS);
-    let single_ratio =
-        throughput_of(&results, "sharded-full", 1) / throughput_of(&results, "global-lock", 1);
-    let cached_multi = throughput_of(&results, "cached", MULTI_THREADS)
-        / throughput_of(&results, "sharded", MULTI_THREADS);
-    let cached_single =
-        throughput_of(&results, "cached", 1) / throughput_of(&results, "sharded", 1);
-    let cached_wide = throughput_of(&results, "cached", WIDE_THREADS)
-        / throughput_of(&results, "sharded", WIDE_THREADS);
-    let churn_ratio = throughput_of(&results, "cached-churn", MULTI_THREADS)
-        / throughput_of(&results, "sharded-churn", MULTI_THREADS);
-    let streaming_multi = throughput_of(&results, "stream-on", MULTI_THREADS)
-        / throughput_of(&results, "stream-off", MULTI_THREADS);
-    let streaming_single =
-        throughput_of(&results, "stream-on", 1) / throughput_of(&results, "stream-off", 1);
-    let fold_speedup = throughput_of(&results, "fold-keyed", FOLD_THREADS)
-        / throughput_of(&results, "fold-linear", FOLD_THREADS);
-    let query_ratio = throughput_of(&results, "query-eval", QUERY_THREADS)
-        / throughput_of(&results, "analyze-legacy", QUERY_THREADS);
-    let fleet_multi = throughput_of(&results, "fleet-on", MULTI_THREADS)
-        / throughput_of(&results, "fleet-off", MULTI_THREADS);
-    let fleet_single =
-        throughput_of(&results, "fleet-on", 1) / throughput_of(&results, "fleet-off", 1);
-    let live_speedup =
-        throughput_of(&results, "live-watch", 1) / throughput_of(&results, "poll-evaluate", 1);
-
-    println!(
-        "\nsharded/global @{MULTI_THREADS} threads:  {multi_speedup:.2}x (target >= 2x)\n\
-         sharded/global @1 thread:   {single_ratio:.2} (target >= 0.95)\n\
-         cached/sharded @{MULTI_THREADS} threads:  {cached_multi:.2}x (target >= 1.5x)\n\
-         cached/sharded @1 thread:   {cached_single:.2} (target >= 0.95)\n\
-         cached/sharded @{WIDE_THREADS} threads:  {cached_wide:.2}x\n\
-         cached/sharded under churn: {churn_ratio:.2}\n\
-         stream-on/off  @{MULTI_THREADS} threads:  {streaming_multi:.2} (target >= 0.90)\n\
-         stream-on/off  @1 thread:   {streaming_single:.2} (target >= 0.90)\n\
-         keyed/linear delta fold:    {fold_speedup:.2}x (target >= 1x)\n\
-         query/legacy evaluation:    {query_ratio:.2} (gate >= 0.909)\n\
-         fleet-on/off   @{MULTI_THREADS} threads:  {fleet_multi:.2} (gate >= 0.909)\n\
-         fleet-on/off   @1 thread:   {fleet_single:.2} (gate >= 0.909)\n\
-         live-watch/poll-evaluate:   {live_speedup:.2}x (gate >= 5.0)"
-    );
-
-    // Cargo runs benches with the package directory as CWD; record the results at the
-    // workspace root (override with BENCH_CONTENTION_OUT).
-    let path = std::env::var("BENCH_CONTENTION_OUT").unwrap_or_else(|_| {
-        match std::env::var("CARGO_MANIFEST_DIR") {
+    // A gated run records only when asked; the report run defaults to the workspace
+    // root (cargo runs benches with the package directory as CWD).
+    let path = std::env::var("BENCH_CONTENTION_OUT").ok().or_else(|| {
+        (!gated).then(|| match std::env::var("CARGO_MANIFEST_DIR") {
             Ok(dir) => format!("{dir}/../../BENCH_contention.json"),
             Err(_) => "BENCH_contention.json".to_string(),
-        }
+        })
     });
-    let ratios: Vec<(&str, f64)> = vec![
-        ("multi_thread_speedup", multi_speedup),
-        ("single_thread_ratio", single_ratio),
-        ("cached_multi_thread_speedup", cached_multi),
-        ("cached_single_thread_ratio", cached_single),
-        ("cached_wide_thread_speedup", cached_wide),
-        ("gc_churn_ratio", churn_ratio),
-        ("streaming_multi_thread_ratio", streaming_multi),
-        ("streaming_single_thread_ratio", streaming_single),
-        ("coalesce_fold_speedup", fold_speedup),
-        ("query_vs_legacy_ratio", query_ratio),
-        ("fleet_multi_thread_ratio", fleet_multi),
-        ("fleet_single_thread_ratio", fleet_single),
-        ("live_query_tick_speedup", live_speedup),
-    ];
-    write_json(&path, &results, &ratios);
-    println!("\nrecorded {path}");
+    if let Some(path) = path {
+        write_json(&path, &results, &ratios);
+    }
+
+    if gated {
+        let mut failed = false;
+        for (ratio, value) in &ratios {
+            if let Some(floor) = ratio.floor.filter(|floor| value < floor) {
+                eprintln!("FAIL: {} = {value:.2}, below its floor {floor:.3}", ratio.key);
+                failed = true;
+            }
+        }
+        if failed {
+            std::process::exit(1);
+        }
+        println!("smoke OK");
+    }
 }

@@ -10,6 +10,7 @@ use djx_bench::{evaluation_profiler, EVALUATION_PERIOD};
 use djx_workloads::runner::{run_profiled, run_unprofiled};
 use djx_workloads::suite::suite_catalog;
 use djx_workloads::suite::SyntheticAppWorkload;
+use djxperf::ProfilerConfig;
 
 fn workload() -> SyntheticAppWorkload {
     let bench = suite_catalog()
@@ -35,7 +36,7 @@ fn bench_overhead(c: &mut Criterion) {
     group.bench_function("djxperf_monitor_all_objects", |b| {
         b.iter(|| {
             black_box(
-                run_profiled(&w, evaluation_profiler().monitor_all_objects())
+                run_profiled(&w, ProfilerConfig { size_filter: 0, ..evaluation_profiler() })
                     .profile
                     .total_samples(),
             )

@@ -263,7 +263,7 @@ pub fn measure_filter_overhead(
     size_filter: u64,
     repetitions: usize,
 ) -> (f64, u64) {
-    let config = evaluation_profiler().with_size_filter(size_filter);
+    let config = ProfilerConfig { size_filter, ..evaluation_profiler() };
     let repetitions = repetitions.max(1);
     let mut plain = Vec::new();
     let mut profiled = Vec::new();

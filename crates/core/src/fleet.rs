@@ -1644,11 +1644,13 @@ pub struct ProducerRecovery {
     /// `true` when the finish frame was recovered (the run completed before the
     /// crash).
     pub finished: bool,
-    /// `true` when a torn tail (a crash mid-append) was truncated away. The
-    /// truncated frames were never acknowledged under
-    /// [`FsyncPolicy::EveryFrame`]; the producer still buffers them and re-sends
-    /// after its reconnect handshake.
-    pub torn_tail: bool,
+    /// Why a torn tail (a crash mid-append) was truncated away, or `None` when the
+    /// log replayed to its end. The message carries the frame-reader or fold
+    /// error that ended replay (naming the frame and its byte offset in the log
+    /// body), the number of bytes cut and the file offset the log was cut at. The
+    /// truncated frames were never acknowledged under [`FsyncPolicy::EveryFrame`];
+    /// the producer still buffers them and re-sends after its reconnect handshake.
+    pub torn_tail: Option<String>,
     /// Log length after any truncation.
     pub wal_bytes: u64,
 }
@@ -1687,18 +1689,19 @@ fn recover_wal_file(
     let mut fold = DeltaFold::new();
     let mut finish = None;
     let mut frames = 0u64;
-    let mut torn = false;
+    let mut torn = None;
     let mut dropped_epochs = 0u64;
     let mut good = header_end as u64 + 1;
     loop {
+        let start = reader.byte_offset();
         match reader.next_record() {
             Ok(Some(LogRecord::Delta(delta))) => match fold.absorb_ordered(&delta) {
                 Ok(()) => {
                     frames += 1;
                     good = header_end as u64 + 1 + reader.byte_offset();
                 }
-                Err(_) => {
-                    torn = true;
+                Err(e) => {
+                    torn = Some(format!("binary frame {} at byte offset {start}: {e}", frames + 1));
                     break;
                 }
             },
@@ -1714,13 +1717,17 @@ fn recover_wal_file(
                 good = header_end as u64 + 1 + reader.byte_offset();
             }
             Ok(None) => break,
-            Err(_) => {
-                torn = true;
+            Err(e) => {
+                torn = Some(e.to_string());
                 break;
             }
         }
     }
-    if torn {
+    let torn = torn.map(|why| {
+        let cut = data.len() as u64 - good;
+        format!("{why}; cut {cut} bytes at file offset {good}")
+    });
+    if torn.is_some() {
         let file = OpenOptions::new().write(true).open(path)?;
         file.set_len(good)?;
     }
@@ -3017,7 +3024,7 @@ mod tests {
         assert_eq!(name, "proc/0");
         assert_eq!(report.frames, 2);
         assert_eq!(report.last_epoch, 2);
-        assert!(!report.torn_tail);
+        assert_eq!(report.torn_tail, None);
         assert!(!report.finished);
         assert_eq!(report.wal_bytes, clean_bytes);
         assert_eq!(state.fold.total_samples(), 10);
@@ -3031,7 +3038,9 @@ mod tests {
         let (_, state, report) = recover_wal_file(&path, FsyncPolicy::Never)
             .expect("replay reads")
             .expect("header parsed");
-        assert!(report.torn_tail, "the tear was detected");
+        let why = report.torn_tail.expect("the tear was detected");
+        assert!(why.contains(&format!("cut 3 bytes at file offset {clean_bytes}")), "{why}");
+        assert!(why.contains("binary frame 3 at byte offset "), "names the torn frame: {why}");
         assert_eq!(report.frames, 2, "the good prefix survives");
         assert_eq!(report.wal_bytes, clean_bytes, "the tail was truncated");
         assert_eq!(fs::metadata(&path).expect("stat").len(), clean_bytes);

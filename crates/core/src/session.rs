@@ -183,12 +183,6 @@ impl ProfilerConfig {
         Self { period: 5_000_000, ..Self::default() }
     }
 
-    /// Replaces the sampled event.
-    pub fn with_event(mut self, event: PmuEvent) -> Self {
-        self.event = event;
-        self
-    }
-
     /// Replaces the sampling period.
     ///
     /// # Panics
@@ -197,30 +191,6 @@ impl ProfilerConfig {
     pub fn with_period(mut self, period: u64) -> Self {
         assert!(period > 0, "sampling period must be non-zero");
         self.period = period;
-        self
-    }
-
-    /// Replaces the size filter `S`.
-    pub fn with_size_filter(mut self, bytes: u64) -> Self {
-        self.size_filter = bytes;
-        self
-    }
-
-    /// Monitors every allocation (S = 0), the costly extreme evaluated in §6.
-    pub fn monitor_all_objects(mut self) -> Self {
-        self.size_filter = 0;
-        self
-    }
-
-    /// Enables period jitter.
-    pub fn with_jitter(mut self, jitter: bool) -> Self {
-        self.jitter = jitter;
-        self
-    }
-
-    /// Enables attach mode.
-    pub fn with_attach_mode(mut self, attach: bool) -> Self {
-        self.attach_mode = attach;
         self
     }
 }
@@ -1857,19 +1827,20 @@ mod tests {
 
     #[test]
     fn config_builders_compose() {
-        let c = ProfilerConfig::default()
-            .with_event(PmuEvent::DtlbMiss)
-            .with_period(128)
-            .with_size_filter(4096)
-            .with_jitter(true)
-            .with_attach_mode(true);
+        let c = ProfilerConfig {
+            event: PmuEvent::DtlbMiss,
+            size_filter: 4096,
+            jitter: true,
+            attach_mode: true,
+            ..ProfilerConfig::default()
+        }
+        .with_period(128);
         assert_eq!(c.event, PmuEvent::DtlbMiss);
         assert_eq!(c.period, 128);
         assert_eq!(c.size_filter, 4096);
         assert!(c.jitter);
         assert!(c.attach_mode);
         assert_eq!(ProfilerConfig::paper_default().period, 5_000_000);
-        assert_eq!(ProfilerConfig::default().monitor_all_objects().size_filter, 0);
     }
 
     #[test]
@@ -1943,10 +1914,12 @@ mod tests {
 
     #[test]
     fn size_filter_controls_monitoring() {
-        let small_filter =
-            bloat_run(ProfilerConfig::default().with_period(16).with_size_filter(64));
-        let huge_filter =
-            bloat_run(ProfilerConfig::default().with_period(16).with_size_filter(1 << 20));
+        let small_filter = bloat_run(
+            ProfilerConfig { size_filter: 64, ..ProfilerConfig::default() }.with_period(16),
+        );
+        let huge_filter = bloat_run(
+            ProfilerConfig { size_filter: 1 << 20, ..ProfilerConfig::default() }.with_period(16),
+        );
         assert_eq!(small_filter.allocation_stats().monitored, 200);
         assert_eq!(huge_filter.allocation_stats().monitored, 0);
         assert_eq!(huge_filter.allocation_stats().filtered, 200);

@@ -489,7 +489,7 @@ fn a_valid_wal_recovers() {
     let report = builder.recovery_report().expect("report");
     assert_eq!(report.producers.len(), 1);
     assert_eq!(report.producers[0].producer, "web 1");
-    assert!(report.producers[0].finished && !report.producers[0].torn_tail);
+    assert!(report.producers[0].finished && report.producers[0].torn_tail.is_none());
 }
 
 proptest! {

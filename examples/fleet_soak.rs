@@ -292,7 +292,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             row.producer,
             row.frames,
             row.last_epoch,
-            if row.torn_tail { " (torn tail truncated)" } else { "" },
+            if row.torn_tail.is_some() { " (torn tail truncated)" } else { "" },
         );
         assert!(row.frames > 0 && row.last_epoch > 0 && !row.finished);
     }

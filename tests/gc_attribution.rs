@@ -118,8 +118,10 @@ fn attach_mode_tracks_objects_first_seen_when_the_gc_moves_them() {
     rt.release(&dead).unwrap();
 
     // Attach mid-run (the paper's attach/detach mode for production services).
-    let profiler =
-        attach(&mut rt, ProfilerConfig::default().with_period(16).with_attach_mode(true));
+    let profiler = attach(
+        &mut rt,
+        ProfilerConfig { attach_mode: true, ..ProfilerConfig::default() }.with_period(16),
+    );
     assert_eq!(profiler.allocation_stats().callbacks, 0, "the early allocations were missed");
 
     // A collection moves the pre-attach survivor; attach mode must start tracking it.

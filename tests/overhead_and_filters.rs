@@ -66,7 +66,7 @@ fn size_filter_trades_monitored_objects_for_work() {
     let monitored = |filter: u64| {
         let run = run_profiled(
             &workload,
-            ProfilerConfig::default().with_period(512).with_size_filter(filter),
+            ProfilerConfig { size_filter: filter, ..ProfilerConfig::default() }.with_period(512),
         );
         let stats = run.profile.allocation_stats;
         assert_eq!(stats.callbacks, stats.monitored + stats.filtered);
@@ -101,8 +101,10 @@ fn smaller_sampling_periods_collect_more_samples_with_the_same_ranking() {
 fn jittered_sampling_still_estimates_the_same_totals() {
     let workload = djx_workloads::bloat::BatikNvalsWorkload::new(Variant::Baseline).scaled(0.3);
     let plain = run_profiled(&workload, ProfilerConfig::default().with_period(128));
-    let jittered =
-        run_profiled(&workload, ProfilerConfig::default().with_period(128).with_jitter(true));
+    let jittered = run_profiled(
+        &workload,
+        ProfilerConfig { jitter: true, ..ProfilerConfig::default() }.with_period(128),
+    );
     let a = plain.report.total_weighted_events as f64;
     let b = jittered.report.total_weighted_events as f64;
     assert!(b > 0.5 * a && b < 2.0 * a, "jitter must not bias the estimate ({a} vs {b})");
