@@ -37,9 +37,10 @@
 //!
 //! The other rows time the analysis side: `query-eval` (`Query::evaluate` over a wide
 //! snapshot) against `analyze-legacy` (an in-bench reconstruction of the pre-query
-//! analyzer's aggregation), `live-watch` (an incrementally maintained `top(32)` watch)
-//! against `poll-evaluate` (a full re-evaluation per tick) on a 10k-site fold, and
-//! `wal-replay` (`FleetAggregator::recover` over a ~20k-frame WAL, timed once).
+//! analyzer's aggregation), `live-watch` (a `top(32)` watch whose groups update
+//! incrementally and rank at render) against `poll-evaluate` (a full re-evaluation
+//! per tick) on a 10k-site fold, and `wal-replay` (`FleetAggregator::recover` over
+//! a ~20k-frame WAL, timed once).
 
 use std::cell::{Cell, OnceCell};
 use std::collections::HashMap;

@@ -127,9 +127,10 @@ use djx_pmu::PmuEvent;
 use djx_runtime::ThreadId;
 
 use crate::profile::{
-    escape, event_from_name, parse_kv, parse_u64, unescape, AllocationStats, DeltaFold,
+    escape, event_from_name, parse_kv, parse_u64, unescape, AllocationStats, DeltaFold, FoldError,
     ObjectCentricProfile, ProfileDelta,
 };
+use crate::query::live::{for_watches, note_thread_names, StreamCtx};
 use crate::query::{ProfileSource, Query, QueryError, QueryResult};
 use crate::sink::{FinishRecord, LogRecord, ProfileSink};
 use crate::wire::{self, BinaryChunkedSink, BinaryFrameReader, Control, Hello, WireRecord};
@@ -1686,16 +1687,14 @@ fn recover_wal_file(
         .map_err(|e| protocol_error(format!("unreadable header line: {e}")))?;
     let body = &data[header_end + 1..];
     let mut reader = BinaryFrameReader::new(body);
-    let mut fold = DeltaFold::new();
-    let mut finish = None;
+    let mut state = ProducerState::new(event, period, size_filter);
     let mut frames = 0u64;
     let mut torn = None;
-    let mut dropped_epochs = 0u64;
     let mut good = header_end as u64 + 1;
     loop {
         let start = reader.byte_offset();
         match reader.next_record() {
-            Ok(Some(LogRecord::Delta(delta))) => match fold.absorb_ordered(&delta) {
+            Ok(Some(LogRecord::Delta(delta))) => match state.absorb(&delta) {
                 Ok(()) => {
                     frames += 1;
                     good = header_end as u64 + 1 + reader.byte_offset();
@@ -1706,13 +1705,13 @@ fn recover_wal_file(
                 }
             },
             Ok(Some(LogRecord::Finish(record))) => {
-                if fold.verify_checksum(record.total_samples).is_err() {
+                if state.fold.verify_checksum(record.total_samples).is_err() {
                     // Ingest only ever accepted a checksum-failing finish from a
                     // declared-lossy producer; restore the lossy flag (the exact
                     // drop count returns with the producer's next hello).
-                    dropped_epochs = 1;
+                    state.dropped_epochs = 1;
                 }
-                finish = Some(record);
+                state.finish = Some(record);
                 frames += 1;
                 good = header_end as u64 + 1 + reader.byte_offset();
             }
@@ -1731,13 +1730,7 @@ fn recover_wal_file(
         let file = OpenOptions::new().write(true).open(path)?;
         file.set_len(good)?;
     }
-    let state = ProducerState {
-        fold,
-        finish,
-        wal: Some(Wal::reopen(path, good, fsync)?),
-        dropped_epochs,
-        ..ProducerState::new(event, period, size_filter)
-    };
+    state.wal = Some(Wal::reopen(path, good, fsync)?);
     let recovery = ProducerRecovery {
         producer: producer.clone(),
         frames,
@@ -1753,6 +1746,9 @@ fn recover_wal_file(
 #[derive(Debug)]
 struct ProducerState {
     fold: DeltaFold,
+    /// First-seen thread names of the fold, kept as it absorbs: the names live
+    /// watches label threads with (see [`StreamCtx`]).
+    thread_names: HashMap<ThreadId, String>,
     event: PmuEvent,
     period: u64,
     size_filter: u64,
@@ -1779,6 +1775,7 @@ impl ProducerState {
     fn new(event: PmuEvent, period: u64, size_filter: u64) -> ProducerState {
         ProducerState {
             fold: DeltaFold::new(),
+            thread_names: HashMap::new(),
             event,
             period,
             size_filter,
@@ -1794,6 +1791,13 @@ impl ProducerState {
             dropped_epochs: 0,
             reconnect_backoff_ms: 0,
         }
+    }
+
+    /// Folds an epoch in order and records its threads' first-seen names.
+    fn absorb(&mut self, delta: &ProfileDelta) -> Result<(), FoldError> {
+        self.fold.absorb_ordered(delta)?;
+        note_thread_names(&mut self.thread_names, &delta.threads);
+        Ok(())
     }
 
     /// A declared-lossy stream: epochs were dropped by choice, so the finish
@@ -1857,17 +1861,6 @@ impl FleetState {
     /// Per-producer protocol status, in producer-name order.
     fn status(&self) -> Vec<ProducerStatus> {
         self.producers.iter().map(|(name, p)| p.status(name)).collect()
-    }
-
-    /// Runs `f` for every live watch, pruning the dead ones.
-    fn feed_watches(&mut self, mut f: impl FnMut(&crate::query::live::WatchShared)) {
-        self.watches.retain(|w| match w.upgrade() {
-            Some(w) => {
-                f(&w);
-                true
-            }
-            None => false,
-        });
     }
 }
 
@@ -2429,7 +2422,7 @@ fn dispatch_hello(
         // producer-name order) — live watches adopt the same.
         if !existed {
             if let Some((event, period)) = state.fleet_meta() {
-                state.feed_watches(|w| w.refresh_meta(event, period));
+                for_watches(&mut state.watches, |w| w.refresh_meta(event, period));
             }
         }
         acked
@@ -2501,7 +2494,7 @@ fn dispatch_epoch_record(
                         // the fold never holds a sample the log doesn't.
                         match p.wal.as_mut().map_or(Ok(()), |w| w.append(frame)) {
                             Err(e) => (Err(format!("WAL append failed: {e}")), None),
-                            Ok(()) => match p.fold.absorb_ordered(&delta) {
+                            Ok(()) => match p.absorb(&delta) {
                                 Ok(()) => {
                                     let ack = Control::Ack { epoch: delta.epoch, terminal: false };
                                     (Ok(ack), Some(WatchFeed::Delta(delta)))
@@ -2551,57 +2544,34 @@ fn dispatch_epoch_record(
                 let meta = state.fleet_meta();
                 let FleetState { producers, watches, .. } = &mut *state;
                 let p = producers.get(name.as_str()).expect("hello inserted the producer");
-                // Authoritative first-seen thread names come from the fold — later
-                // fragments of a thread carry the `<attached>` placeholder.
-                let mut names: HashMap<ThreadId, String> = HashMap::new();
-                for td in &p.fold.acc().threads {
-                    names
-                        .entry(td.profile.thread)
-                        .or_insert_with(|| td.profile.thread_name.clone());
-                }
+                let names = &p.thread_names;
                 match feed {
                     WatchFeed::Delta(delta) => {
                         // The producer's site table is unknown until its finish
                         // record, so every row defers — exactly matching a cold
                         // evaluation over the view, whose pre-finish profiles
                         // carry no site table either.
-                        let ctx =
-                            crate::query::live::StreamCtx { key: name, sites: &[], names: &names };
-                        watches.retain(|w| match w.upgrade() {
-                            Some(w) => {
-                                w.feed_fragment(&ctx, &delta);
-                                true
-                            }
-                            None => false,
-                        });
+                        let ctx = StreamCtx { key: name, sites: &[], names };
+                        for_watches(watches, |w| w.feed_fragment(&ctx, &delta));
                     }
                     WatchFeed::Finish => {
                         let finish = p.finish.as_ref().expect("set while accepting the frame");
-                        let ctx = crate::query::live::StreamCtx {
-                            key: name,
-                            sites: &finish.sites,
-                            names: &names,
-                        };
+                        let ctx = StreamCtx { key: name, sites: &finish.sites, names };
                         let (event, period) = meta.expect("this producer exists");
-                        watches.retain(|w| match w.upgrade() {
-                            Some(w) => {
-                                // Every sample row of this producer deferred until
-                                // now; replay them against the complete site
-                                // table, then fold the terminal allocation rows.
-                                // `close: false` — one producer finishing does not
-                                // end the fleet.
-                                w.replay_rows(&ctx, &p.fold.acc().threads, 0);
-                                w.feed_finish(
-                                    &ctx,
-                                    &finish.allocs,
-                                    event,
-                                    period,
-                                    p.fold.last_epoch(),
-                                    false,
-                                );
-                                true
-                            }
-                            None => false,
+                        for_watches(watches, |w| {
+                            // Every sample row of this producer deferred until now;
+                            // replay them against the complete site table, then fold
+                            // the terminal allocation rows. `close: false` — one
+                            // producer finishing does not end the fleet.
+                            w.replay_rows(&ctx, &p.fold.acc().threads, 0);
+                            w.feed_finish(
+                                &ctx,
+                                &finish.allocs,
+                                event,
+                                period,
+                                p.fold.last_epoch(),
+                                false,
+                            );
                         });
                     }
                 }

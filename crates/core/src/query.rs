@@ -19,9 +19,9 @@
 //! [`Query::evaluate`] — O(profile) per call, right for one-shot and offline
 //! questions. The **live** source ([`live::LiveFold`]) follows the epoch-retired
 //! delta stream and pays O(delta) per epoch instead: [`Query::watch`] registers a
-//! query whose group and top-k state update incrementally as epochs retire, and the
-//! resulting [`live::LiveQuery`] renders on demand — the path for dashboards,
-//! daemons and anything that would otherwise re-evaluate in a loop.
+//! query whose group state updates incrementally as epochs retire, and the
+//! resulting [`live::LiveQuery`] ranks and renders on demand — the path for
+//! dashboards, daemons and anything that would otherwise re-evaluate in a loop.
 //!
 //! | source | backing data | when to use |
 //! |---|---|---|
@@ -845,8 +845,7 @@ impl Query {
         for profile in profiles {
             state.absorb_profile(self, profile);
         }
-        let groups = std::mem::take(&mut state.groups);
-        state.materialize(self, groups)
+        state.into_result(self)
     }
 }
 
@@ -871,7 +870,8 @@ pub(crate) struct GroupAcc {
 ///
 /// The state is absorb-only and append-only: group slots are stable once created, so
 /// a long-lived consumer (a [`live::LiveQuery`]) can memoize site→slot resolutions
-/// across ticks and maintain a top-k over slot indices.
+/// across ticks. Both consumers rank at render time through the one
+/// [`GroupState::ranked`].
 #[derive(Debug, Clone)]
 pub(crate) struct GroupState {
     event: PmuEvent,
@@ -881,11 +881,6 @@ pub(crate) struct GroupState {
     attributed_weighted: u64,
     index: HashMap<GroupKey, usize>,
     groups: Vec<GroupAcc>,
-    /// Slots created or mutated since the last [`GroupState::take_touched`],
-    /// deduplicated by stamp — what the live top-k feeds on after each fragment.
-    touched: Vec<usize>,
-    touch_stamp: Vec<u64>,
-    stamp: u64,
 }
 
 impl GroupState {
@@ -898,9 +893,6 @@ impl GroupState {
             attributed_weighted: 0,
             index: HashMap::new(),
             groups: Vec::new(),
-            touched: Vec::new(),
-            touch_stamp: Vec::new(),
-            stamp: 1,
         }
     }
 
@@ -915,44 +907,21 @@ impl GroupState {
         self.groups.len()
     }
 
-    /// The group accumulators, indexed by slot.
-    pub(crate) fn groups(&self) -> &[GroupAcc] {
-        &self.groups
-    }
-
-    fn touch(&mut self, slot: usize) {
-        if self.touch_stamp[slot] != self.stamp {
-            self.touch_stamp[slot] = self.stamp;
-            self.touched.push(slot);
-        }
-    }
-
-    /// Drains the slots created or mutated since the previous drain.
-    pub(crate) fn take_touched(&mut self) -> Vec<usize> {
-        self.stamp += 1;
-        std::mem::take(&mut self.touched)
-    }
-
     /// Resolves (or creates) the slot of a group. Callers on the row path construct
     /// the key only on memo misses — see the site-slot memo in
     /// [`GroupState::absorb_profile`].
     fn slot(&mut self, key: GroupKey, label: &str) -> usize {
-        let slot = match self.index.get(&key) {
-            Some(&slot) => slot,
-            None => {
-                let slot = self.groups.len();
-                self.groups.push(GroupAcc {
-                    label: if label.is_empty() { key.basic_label() } else { label.to_string() },
-                    key: key.clone(),
-                    metrics: MetricVector::default(),
-                    contexts: HashMap::new(),
-                });
-                self.index.insert(key, slot);
-                self.touch_stamp.push(0);
-                slot
-            }
-        };
-        self.touch(slot);
+        if let Some(&slot) = self.index.get(&key) {
+            return slot;
+        }
+        let slot = self.groups.len();
+        self.groups.push(GroupAcc {
+            label: if label.is_empty() { key.basic_label() } else { label.to_string() },
+            key: key.clone(),
+            metrics: MetricVector::default(),
+            contexts: HashMap::new(),
+        });
+        self.index.insert(key, slot);
         slot
     }
 
@@ -1064,7 +1033,6 @@ impl GroupState {
             let path = thread.cct.path_of(*ctx);
             group.contexts.entry(path).or_default().merge(m);
         }
-        self.touch(slot);
     }
 
     /// One terminal allocation row, seen the way cold evaluation sees it *after*
@@ -1116,7 +1084,6 @@ impl GroupState {
             GroupBy::NumaNode => return,
         };
         self.groups[slot].metrics.merge(&delta);
-        self.touch(slot);
     }
 
     /// Folds one whole profile — the cold evaluation step, and the snapshot seed of
@@ -1152,19 +1119,57 @@ impl GroupState {
         }
     }
 
-    /// Materializes a set of group accumulators into a ranked [`QueryResult`] — the
-    /// single rendering path shared by cold evaluation (which passes every group)
-    /// and a live watch (which passes its maintained top-k members): retain → rank →
-    /// truncate over the same comparator, so both render byte-identically.
-    pub(crate) fn materialize(&self, query: &Query, accs: Vec<GroupAcc>) -> QueryResult {
+    /// The slots of the groups a query shows, best first: groups under the
+    /// `min_samples` noise floor drop out, the rest order by rank descending,
+    /// weighted events descending, then group key ascending, and only the first
+    /// `top` survive. Group keys are unique, so the order is total. The one
+    /// ranking cold evaluation and live watches both render through.
+    fn ranked(&self, query: &Query) -> Vec<usize> {
+        let by_rank = |a: &usize, b: &usize| {
+            let (a, b) = (&self.groups[*a], &self.groups[*b]);
+            query
+                .rank_by
+                .key_value(&b.metrics)
+                .cmp_key(&query.rank_by.key_value(&a.metrics))
+                .then_with(|| b.metrics.weighted_events.cmp(&a.metrics.weighted_events))
+                .then_with(|| a.key.cmp(&b.key))
+        };
+        let mut slots: Vec<usize> = (0..self.groups.len())
+            .filter(|&slot| self.groups[slot].metrics.samples >= query.min_samples)
+            .collect();
+        if let Some(top) = query.top.filter(|&top| top < slots.len()) {
+            slots.select_nth_unstable_by(top, by_rank);
+            slots.truncate(top);
+        }
+        slots.sort_unstable_by(by_rank);
+        slots
+    }
+
+    /// Cold evaluation's result: moves the surviving groups out of the state.
+    pub(crate) fn into_result(mut self, query: &Query) -> QueryResult {
+        let ranked = self.ranked(query);
+        let mut groups: Vec<Option<GroupAcc>> =
+            std::mem::take(&mut self.groups).into_iter().map(Some).collect();
+        let accs = ranked.into_iter().map(|slot| groups[slot].take().expect("ranked once"));
+        self.result(query, accs)
+    }
+
+    /// A live watch's render: clones only the surviving groups, so the state keeps
+    /// absorbing.
+    pub(crate) fn materialize(&self, query: &Query) -> QueryResult {
+        let accs = self.ranked(query).into_iter().map(|slot| self.groups[slot].clone());
+        self.result(query, accs)
+    }
+
+    /// Renders ranked group accumulators, in the order given, with the run totals.
+    fn result(&self, query: &Query, accs: impl Iterator<Item = GroupAcc>) -> QueryResult {
         // Fractions are weighted-events based; the NumaNode axis only carries sample
         // counts (see GroupBy::NumaNode), so its fractions are sample-based instead.
         let (fraction_total, fraction_of): (u64, fn(&MetricVector) -> u64) = match query.group_by {
             GroupBy::NumaNode => (self.total_samples, |m| m.samples),
             _ => (self.total_weighted, |m| m.weighted_events),
         };
-        let mut ranked: Vec<QueryGroup> = accs
-            .into_iter()
+        let groups = accs
             .map(|acc| {
                 let group_weighted = acc.metrics.weighted_events;
                 let mut contexts: Vec<AccessContext> = acc
@@ -1200,18 +1205,6 @@ impl GroupState {
                 }
             })
             .collect();
-        ranked.retain(|g| g.metrics.samples >= query.min_samples);
-        ranked.sort_by(|a, b| {
-            query
-                .rank_by
-                .key_value(&b.metrics)
-                .cmp_key(&query.rank_by.key_value(&a.metrics))
-                .then_with(|| b.metrics.weighted_events.cmp(&a.metrics.weighted_events))
-                .then_with(|| a.key.cmp(&b.key))
-        });
-        if let Some(top) = query.top {
-            ranked.truncate(top);
-        }
 
         QueryResult {
             event: self.event,
@@ -1221,7 +1214,7 @@ impl GroupState {
             total_samples: self.total_samples,
             total_weighted_events: self.total_weighted,
             attributed_weighted_events: self.attributed_weighted,
-            groups: ranked,
+            groups,
         }
     }
 }
@@ -1636,6 +1629,36 @@ mod tests {
         // Alternative ranking keys order without panicking.
         for rank in [RankBy::Latency, RankBy::Allocations, RankBy::AllocatedBytes] {
             assert_eq!(Query::new().rank_by(rank).evaluate(&profile).unwrap().groups.len(), 2);
+        }
+
+        // The truncation boundary: under every ranking, `top(k)` is exactly the first
+        // k groups of the untruncated result, for k = 0 and k past the end too. The
+        // wider profile has rank and weighted-event ties broken only by the key.
+        let mut wide = two_site_profile();
+        for i in 2..9u32 {
+            let path = [f(10 + i, 0)];
+            wide.sites.push(AllocSite {
+                id: AllocSiteId(i),
+                class_name: format!("C{}", i % 3),
+                call_path: path.to_vec(),
+            });
+            for j in 0..i % 4 {
+                wide.threads[1].record_attributed(AllocSiteId(i), &path, &sample(j % 2 == 0), 100);
+            }
+            if i % 2 == 0 {
+                wide.threads[0].record_allocation(AllocSiteId(i), 64 * u64::from(i));
+            }
+        }
+        for rank in RankBy::all() {
+            let full = Query::new().rank_by(rank).evaluate(&wide).unwrap();
+            let n = full.groups.len();
+            assert_eq!(n, 9, "every site is a group under {rank}");
+            for k in [0, 1, n - 1, n, n + 1] {
+                let top = Query::new().rank_by(rank).top(k).evaluate(&wide).unwrap();
+                let keys =
+                    |r: &QueryResult| r.groups.iter().map(|g| g.key.clone()).collect::<Vec<_>>();
+                assert_eq!(keys(&top), keys(&full)[..k.min(n)], "top({k}) under {rank}");
+            }
         }
     }
 

@@ -25,9 +25,10 @@
 //!
 //! At every point in the stream, a watch's [`LiveQuery::current`] renders
 //! **byte-identically** to a cold `query.evaluate(&fold.snapshot())` — the absorb
-//! path and cold evaluation run the *same* `GroupState` code, and rendering goes
-//! through the same `GroupState::materialize`. Mid-run the reference is the fold
-//! itself (the delta stream carries no allocation counters; those arrive with the
+//! path and cold evaluation run the *same* `GroupState` code. Groups accumulate
+//! per epoch; a render ranks the current groups through `GroupState::ranked`, the
+//! one function cold evaluation ranks with. Mid-run the reference is the fold itself
+//! (the delta stream carries no allocation counters; those arrive with the
 //! terminal record, exactly as in a cold replay), and once the stream finishes the
 //! snapshot *is* the terminal profile by the loss-free streaming guarantee, so the
 //! final render equals a cold evaluation of the session's own profile.
@@ -38,23 +39,11 @@
 //! way cold evaluation skips unresolvable rows, and replayed from the fold the
 //! moment the table extends — the watch never diverges from the cold render over
 //! the same snapshot.
-//!
-//! # Incremental top-k
-//!
-//! A truncated query (`query.top(k)`) does not re-rank every group per epoch: the
-//! watch keeps a threshold-tracked min-heap of the current k strongest groups.
-//! Counter-backed ranks only grow, so a touched member sifts down in `O(log k)` and
-//! a non-member enters only by beating the heap root (the *threshold*). Ratio ranks
-//! ([`RankBy::RemoteFraction`](crate::query::RankBy) and friends) can shrink; a
-//! decrease-key marks the heap dirty and the next render rebuilds it lazily in
-//! `O(groups · log k)` — decreases are rare, so the amortized per-epoch cost stays
-//! `O(touched · log k)`.
 
 use std::borrow::Cow;
-use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use djx_pmu::PmuEvent;
 use djx_runtime::ThreadId;
@@ -63,12 +52,12 @@ use crate::export::DeltaTap;
 use crate::object::AllocSite;
 use crate::profile::{
     AllocationRow, AllocationStats, DeltaFold, FoldError, ObjectCentricProfile, ProfileDelta,
-    ProfileParseError, ThreadProfile,
+    ProfileParseError, ThreadDelta, ThreadProfile,
 };
 use crate::sink::{FinishRecord, LogRecord};
 use crate::wire::FrameTail;
 
-use super::{GroupAcc, GroupState, ProfileSource, Query, QueryError, QueryResult, RankValue};
+use super::{GroupState, ProfileSource, Query, QueryError, QueryResult};
 
 // ---------------------------------------------------------------------------------------
 // LiveFold
@@ -168,17 +157,6 @@ impl LiveState {
         )
     }
 
-    /// Runs `f` for every live watch, dropping the dead ones on the way.
-    fn for_watches(watches: &mut Vec<Weak<WatchShared>>, mut f: impl FnMut(&WatchShared)) {
-        watches.retain(|w| match w.upgrade() {
-            Some(w) => {
-                f(&w);
-                true
-            }
-            None => false,
-        });
-    }
-
     /// Extends the site table (prefix-stable: allocation-site interning is
     /// append-only) and replays rows deferred on the previously unresolvable ids
     /// from the fold into every watch. Must run *before* a new fragment enters the
@@ -193,7 +171,7 @@ impl LiveState {
         self.sites = sites;
         let LiveState { watches, sites, thread_names, fold, .. } = self;
         let ctx = StreamCtx { key: "", sites, names: thread_names };
-        Self::for_watches(watches, |w| w.replay_rows(&ctx, &fold.acc().threads, from));
+        for_watches(watches, |w| w.replay_rows(&ctx, &fold.acc().threads, from));
     }
 
     /// Folds one streamed delta: resolve newly referenced sites (replaying deferred
@@ -226,15 +204,11 @@ impl LiveState {
                 self.extend_sites(refreshed);
             }
         }
-        for td in &delta.threads {
-            self.thread_names
-                .entry(td.profile.thread)
-                .or_insert_with(|| td.profile.thread_name.clone());
-        }
+        note_thread_names(&mut self.thread_names, &delta.threads);
         {
             let LiveState { watches, sites, thread_names, .. } = self;
             let ctx = StreamCtx { key: "", sites, names: thread_names };
-            Self::for_watches(watches, |w| w.feed_fragment(&ctx, delta));
+            for_watches(watches, |w| w.feed_fragment(&ctx, delta));
         }
         // Already validated above; plain absorb keeps the fold/watch feed atomic.
         self.fold.absorb(delta);
@@ -266,7 +240,7 @@ impl LiveState {
         let epoch = self.fold.last_epoch();
         let LiveState { watches, sites, thread_names, alloc_rows, .. } = self;
         let ctx = StreamCtx { key: "", sites, names: thread_names };
-        Self::for_watches(watches, |w| {
+        for_watches(watches, |w| {
             w.feed_finish(&ctx, alloc_rows, event, period, epoch, true);
         });
     }
@@ -417,11 +391,7 @@ impl LiveFold {
     /// tap sees only epochs after the seed, the seed carries everything before it.
     pub(crate) fn adopt_seed(&self, acc: ProfileDelta) {
         let mut st = self.state();
-        for td in &acc.threads {
-            st.thread_names
-                .entry(td.profile.thread)
-                .or_insert_with(|| td.profile.thread_name.clone());
-        }
+        note_thread_names(&mut st.thread_names, &acc.threads);
         st.fold = DeltaFold::seed_from(acc);
         if st.site_refresh.is_some() {
             let refreshed = st.site_refresh.as_mut().map(|f| f()).unwrap_or_default();
@@ -459,10 +429,7 @@ impl LiveFold {
                     .threads
                     .iter()
                     .enumerate()
-                    .map(|(seq, t)| crate::profile::ThreadDelta {
-                        seq: seq as u64,
-                        profile: t.clone(),
-                    })
+                    .map(|(seq, t)| ThreadDelta { seq: seq as u64, profile: t.clone() })
                     .collect(),
             });
             st.sites = profile.sites.clone();
@@ -483,22 +450,12 @@ impl LiveFold {
     /// subscribe it to subsequent fragments.
     fn register(&self, query: Query) -> LiveQuery {
         let mut st = self.state();
-        let mut inner = WatchInner {
-            state: GroupState::new(),
-            topk: query.top.map(TopK::new),
-            memos: HashMap::new(),
-            version: 1,
-            epoch: st.fold.last_epoch(),
-            finished: st.finished,
-        };
-        inner.state.absorb_profile(&query, &st.snapshot_profile());
-        let touched = inner.state.take_touched();
-        if let Some(topk) = inner.topk.as_mut() {
-            for slot in touched {
-                topk.update(slot, inner.state.groups(), &query);
-            }
-        }
-        let watch = Arc::new(WatchShared { query, inner: Mutex::new(inner), cv: Condvar::new() });
+        let watch = LiveQuery::seed_watch(
+            query,
+            std::iter::once(st.snapshot_profile()),
+            st.fold.last_epoch(),
+            st.finished,
+        );
         st.watches.push(Arc::downgrade(&watch));
         LiveQuery { watch, _source: Some(Arc::clone(&self.shared)), last_seen: 1 }
     }
@@ -543,8 +500,8 @@ impl Query {
     /// Subscribes this query to a [`LiveFold`]: the returned [`LiveQuery`] is seeded
     /// from the fold's current snapshot and updated incrementally on every folded
     /// epoch — [`LiveQuery::current`] always renders byte-identically to a cold
-    /// [`Query::evaluate`] over [`LiveFold::snapshot`], without re-evaluating
-    /// anything.
+    /// [`Query::evaluate`] over [`LiveFold::snapshot`], without re-folding the
+    /// profile: a render only ranks the current groups.
     pub fn watch(&self, fold: &LiveFold) -> LiveQuery {
         fold.register(self.clone())
     }
@@ -554,6 +511,27 @@ impl Query {
 // Watches
 // ---------------------------------------------------------------------------------------
 
+/// Runs `f` for every live watch, dropping the dead ones on the way — the one
+/// fan-out every feeder uses (a [`LiveFold`], the fleet aggregator).
+pub(crate) fn for_watches(watches: &mut Vec<Weak<WatchShared>>, mut f: impl FnMut(&WatchShared)) {
+    watches.retain(|w| match w.upgrade() {
+        Some(w) => {
+            f(&w);
+            true
+        }
+        None => false,
+    });
+}
+
+/// Records each fragment thread's name unless the thread was seen before: later
+/// fragments of a thread carry the `<attached>` placeholder, and cold evaluation
+/// keeps the first-seen name (see [`StreamCtx`]).
+pub(crate) fn note_thread_names(names: &mut HashMap<ThreadId, String>, threads: &[ThreadDelta]) {
+    for td in threads {
+        names.entry(td.profile.thread).or_insert_with(|| td.profile.thread_name.clone());
+    }
+}
+
 pub(crate) struct WatchShared {
     query: Query,
     inner: Mutex<WatchInner>,
@@ -562,7 +540,6 @@ pub(crate) struct WatchShared {
 
 struct WatchInner {
     state: GroupState,
-    topk: Option<TopK>,
     /// Per-stream site-id → group-slot memos (slots are stable, so the memo
     /// survives across fragments; one vector per stream key because different
     /// streams have different site tables).
@@ -570,6 +547,21 @@ struct WatchInner {
     version: u64,
     epoch: Option<u64>,
     finished: bool,
+}
+
+impl WatchInner {
+    /// The stream's site-id → slot memo, grown to cover its site table. The key is
+    /// allocated only the first time a stream is seen.
+    fn memo(&mut self, ctx: &StreamCtx<'_>) -> (&mut GroupState, &mut Vec<Option<usize>>) {
+        if !self.memos.contains_key(ctx.key) {
+            self.memos.insert(ctx.key.to_string(), Vec::new());
+        }
+        let memo = self.memos.get_mut(ctx.key).expect("inserted above");
+        if memo.len() < ctx.sites.len() {
+            memo.resize(ctx.sites.len(), None);
+        }
+        (&mut self.state, memo)
+    }
 }
 
 impl WatchShared {
@@ -584,11 +576,7 @@ impl WatchShared {
     /// when the table extends).
     pub(crate) fn feed_fragment(&self, ctx: &StreamCtx<'_>, delta: &ProfileDelta) {
         let mut inner = self.lock();
-        let WatchInner { state, memos, .. } = &mut *inner;
-        let memo = memos.entry(ctx.key.to_string()).or_default();
-        if memo.len() < ctx.sites.len() {
-            memo.resize(ctx.sites.len(), None);
-        }
+        let (state, memo) = inner.memo(ctx);
         for td in &delta.threads {
             let thread = &td.profile;
             let mut thread_slot =
@@ -615,19 +603,10 @@ impl WatchShared {
     /// Replays rows deferred on site ids in `[from, ctx.sites.len())` from the
     /// accumulated fold — called exactly once per id range, when the site table
     /// extends past it.
-    pub(crate) fn replay_rows(
-        &self,
-        ctx: &StreamCtx<'_>,
-        threads: &[crate::profile::ThreadDelta],
-        from: usize,
-    ) {
+    pub(crate) fn replay_rows(&self, ctx: &StreamCtx<'_>, threads: &[ThreadDelta], from: usize) {
         let mut inner = self.lock();
-        let WatchInner { state, memos, .. } = &mut *inner;
-        let memo = memos.entry(ctx.key.to_string()).or_default();
-        if memo.len() < ctx.sites.len() {
-            memo.resize(ctx.sites.len(), None);
-        }
-        let mut touched_any = false;
+        let (state, memo) = inner.memo(ctx);
+        let mut replayed = false;
         for td in threads {
             let thread = &td.profile;
             // The thread header was absorbed when its fragments arrived; only the
@@ -646,7 +625,7 @@ impl WatchShared {
             for (site_id, sm) in thread_sites {
                 let idx = site_id.0 as usize;
                 let Some(site) = ctx.sites.get(idx) else { continue };
-                touched_any = true;
+                replayed = true;
                 state.absorb_row(
                     &self.query,
                     thread,
@@ -658,11 +637,9 @@ impl WatchShared {
                 );
             }
         }
-        if touched_any {
+        // Nothing replayed: no version bump.
+        if replayed {
             self.commit(inner, None, false);
-        } else {
-            // Nothing replayed: drop the (empty) touched set without a version bump.
-            let _ = inner.state.take_touched();
         }
     }
 
@@ -715,16 +692,8 @@ impl WatchShared {
         }
     }
 
-    /// Publishes a batch: feed the touched slots to the top-k, bump the version,
-    /// wake pullers.
+    /// Publishes a batch: bump the version, wake pullers.
     fn commit(&self, mut inner: MutexGuard<'_, WatchInner>, epoch: Option<u64>, finished: bool) {
-        let touched = inner.state.take_touched();
-        let WatchInner { state, topk, .. } = &mut *inner;
-        if let Some(topk) = topk.as_mut() {
-            for slot in touched {
-                topk.update(slot, state.groups(), &self.query);
-            }
-        }
         if let Some(epoch) = epoch {
             inner.epoch = Some(epoch);
         }
@@ -735,165 +704,15 @@ impl WatchShared {
         self.cv.notify_all();
     }
 
-    /// Renders the watch's current state — the member set comes from the maintained
-    /// top-k when the query truncates (rebuilding lazily after a decrease-key), or
-    /// from every group otherwise; ranking and formatting go through the same
-    /// [`GroupState::materialize`] cold evaluation uses.
+    /// Renders the watch's current state: ranks the groups through the function cold
+    /// evaluation ranks with, then formats only the survivors.
     fn render(&self) -> LiveResult {
-        let mut inner = self.lock();
-        let WatchInner { state, topk, .. } = &mut *inner;
-        let accs: Vec<GroupAcc> = match topk.as_mut() {
-            Some(topk) => {
-                if topk.dirty {
-                    topk.rebuild(state.groups(), &self.query);
-                }
-                topk.members().iter().map(|&slot| state.groups()[slot].clone()).collect()
-            }
-            None => state.groups().to_vec(),
-        };
+        let inner = self.lock();
         LiveResult {
             epoch: inner.epoch,
             version: inner.version,
             finished: inner.finished,
-            result: inner.state.materialize(&self.query, accs),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------------------
-// Incremental top-k
-// ---------------------------------------------------------------------------------------
-
-#[derive(Clone, Copy)]
-struct TopKEntry {
-    slot: usize,
-    rank: RankValue,
-    weighted: u64,
-}
-
-/// Threshold-tracked top-k over group slots: a min-heap whose root is the weakest
-/// member (the admission threshold). Members whose rank grows sift down in
-/// `O(log k)`; a shrinking rank (only ratio-valued [`RankBy`](crate::query::RankBy)
-/// variants can shrink) marks the heap dirty and the next render rebuilds. See the
-/// module docs for the complexity argument.
-struct TopK {
-    k: usize,
-    heap: Vec<TopKEntry>,
-    /// slot → heap index of the current members.
-    pos: HashMap<usize, usize>,
-    /// Set on decrease-key; [`TopK::rebuild`] clears it.
-    dirty: bool,
-}
-
-impl TopK {
-    fn new(k: usize) -> Self {
-        Self { k, heap: Vec::new(), pos: HashMap::new(), dirty: false }
-    }
-
-    /// Ascending strength: `Greater` means `a` ranks ahead of `b` in the final
-    /// ordering — the exact comparator [`GroupState::materialize`] sorts by
-    /// (rank desc, weighted events desc, group key asc), flipped to "strength".
-    fn strength(a: &TopKEntry, b: &TopKEntry, groups: &[GroupAcc]) -> Ordering {
-        a.rank
-            .cmp_key(&b.rank)
-            .then_with(|| a.weighted.cmp(&b.weighted))
-            .then_with(|| groups[b.slot].key.cmp(&groups[a.slot].key))
-    }
-
-    fn entry(slot: usize, groups: &[GroupAcc], query: &Query) -> TopKEntry {
-        let metrics = &groups[slot].metrics;
-        TopKEntry {
-            slot,
-            rank: query.rank_by.key_value(metrics),
-            weighted: metrics.weighted_events,
-        }
-    }
-
-    /// Re-evaluates one touched slot against the heap.
-    fn update(&mut self, slot: usize, groups: &[GroupAcc], query: &Query) {
-        if self.k == 0 || self.dirty {
-            return;
-        }
-        let entry = Self::entry(slot, groups, query);
-        if let Some(&i) = self.pos.get(&slot) {
-            match Self::strength(&entry, &self.heap[i], groups) {
-                // Decrease-key: the member may no longer belong, and the strongest
-                // excluded group is unknown without a scan — rebuild lazily.
-                Ordering::Less => self.dirty = true,
-                Ordering::Equal => {}
-                Ordering::Greater => {
-                    self.heap[i] = entry;
-                    self.sift_down(i, groups);
-                }
-            }
-            return;
-        }
-        if groups[slot].metrics.samples < query.min_samples {
-            return;
-        }
-        if self.heap.len() < self.k {
-            self.heap.push(entry);
-            self.pos.insert(slot, self.heap.len() - 1);
-            self.sift_up(self.heap.len() - 1, groups);
-        } else if Self::strength(&entry, &self.heap[0], groups) == Ordering::Greater {
-            let evicted = self.heap[0].slot;
-            self.pos.remove(&evicted);
-            self.heap[0] = entry;
-            self.pos.insert(slot, 0);
-            self.sift_down(0, groups);
-        }
-    }
-
-    /// Full rescan after a decrease-key: every eligible group competes again.
-    fn rebuild(&mut self, groups: &[GroupAcc], query: &Query) {
-        self.heap.clear();
-        self.pos.clear();
-        self.dirty = false;
-        for slot in 0..groups.len() {
-            self.update(slot, groups, query);
-        }
-    }
-
-    fn members(&self) -> Vec<usize> {
-        self.heap.iter().map(|e| e.slot).collect()
-    }
-
-    fn sift_up(&mut self, mut i: usize, groups: &[GroupAcc]) {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if Self::strength(&self.heap[i], &self.heap[parent], groups) == Ordering::Less {
-                self.heap.swap(i, parent);
-                self.pos.insert(self.heap[i].slot, i);
-                self.pos.insert(self.heap[parent].slot, parent);
-                i = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn sift_down(&mut self, mut i: usize, groups: &[GroupAcc]) {
-        loop {
-            let left = 2 * i + 1;
-            let right = 2 * i + 2;
-            let mut weakest = i;
-            if left < self.heap.len()
-                && Self::strength(&self.heap[left], &self.heap[weakest], groups) == Ordering::Less
-            {
-                weakest = left;
-            }
-            if right < self.heap.len()
-                && Self::strength(&self.heap[right], &self.heap[weakest], groups) == Ordering::Less
-            {
-                weakest = right;
-            }
-            if weakest == i {
-                break;
-            }
-            self.heap.swap(i, weakest);
-            self.pos.insert(self.heap[i].slot, i);
-            self.pos.insert(self.heap[weakest].slot, weakest);
-            i = weakest;
+            result: inner.state.materialize(&self.query),
         }
     }
 }
@@ -943,17 +762,8 @@ impl LiveQuery {
     /// state was already observed — the natural end of a
     /// `while let Some(r) = lq.next_epoch()` loop.
     pub fn next_epoch(&mut self) -> Option<LiveResult> {
-        let mut inner = self.watch.lock();
-        loop {
-            if inner.version > self.last_seen {
-                drop(inner);
-                return Some(self.current());
-            }
-            if inner.finished {
-                return None;
-            }
-            inner = self.watch.cv.wait(inner).expect("live watch lock");
-        }
+        // Without a deadline the wait cannot time out.
+        self.wait(None).ok().flatten()
     }
 
     /// [`LiveQuery::next_epoch`] with a timeout: `Ok(None)` means the stream
@@ -962,7 +772,14 @@ impl LiveQuery {
         &mut self,
         timeout: Duration,
     ) -> Result<Option<LiveResult>, WatchTimeout> {
-        let deadline = std::time::Instant::now() + timeout;
+        self.wait(Some(Instant::now() + timeout))
+    }
+
+    /// The one wait behind [`LiveQuery::next_epoch`] and
+    /// [`LiveQuery::next_epoch_timeout`]: a render once the watch advances past the
+    /// last observed version, `Ok(None)` once it finished, `Err` once `deadline`
+    /// passes first.
+    fn wait(&mut self, deadline: Option<Instant>) -> Result<Option<LiveResult>, WatchTimeout> {
         let mut inner = self.watch.lock();
         loop {
             if inner.version > self.last_seen {
@@ -972,13 +789,16 @@ impl LiveQuery {
             if inner.finished {
                 return Ok(None);
             }
-            let now = std::time::Instant::now();
-            let Some(remaining) = deadline.checked_duration_since(now).filter(|d| !d.is_zero())
-            else {
-                return Err(WatchTimeout);
+            inner = match deadline {
+                None => self.watch.cv.wait(inner).expect("live watch lock"),
+                Some(deadline) => {
+                    let remaining = deadline
+                        .checked_duration_since(Instant::now())
+                        .filter(|d| !d.is_zero())
+                        .ok_or(WatchTimeout)?;
+                    self.watch.cv.wait_timeout(inner, remaining).expect("live watch lock").0
+                }
             };
-            let (guard, _) = self.watch.cv.wait_timeout(inner, remaining).expect("live watch lock");
-            inner = guard;
         }
     }
 
@@ -998,31 +818,19 @@ impl LiveQuery {
         Self { watch, _source: None, last_seen: 0 }
     }
 
-    /// Builds the watch shell an external feeder registers: seeded group state from
-    /// `profiles`, version 1.
+    /// Builds the one watch shell every feeder registers (a [`LiveFold`], the fleet
+    /// aggregator): group state seeded from `profiles`, version 1.
     pub(crate) fn seed_watch(
         query: Query,
         profiles: impl Iterator<Item = ObjectCentricProfile>,
         epoch: Option<u64>,
         finished: bool,
     ) -> Arc<WatchShared> {
-        let mut inner = WatchInner {
-            state: GroupState::new(),
-            topk: query.top.map(TopK::new),
-            memos: HashMap::new(),
-            version: 1,
-            epoch,
-            finished,
-        };
+        let mut state = GroupState::new();
         for profile in profiles {
-            inner.state.absorb_profile(&query, &profile);
+            state.absorb_profile(&query, &profile);
         }
-        let touched = inner.state.take_touched();
-        if let Some(topk) = inner.topk.as_mut() {
-            for slot in touched {
-                topk.update(slot, inner.state.groups(), &query);
-            }
-        }
+        let inner = WatchInner { state, memos: HashMap::new(), version: 1, epoch, finished };
         Arc::new(WatchShared { query, inner: Mutex::new(inner), cv: Condvar::new() })
     }
 }

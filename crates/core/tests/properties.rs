@@ -345,6 +345,7 @@ fn run_stream_ops(ops: Vec<StreamOp>) -> Result<StreamRun, TestCaseError> {
         Query::new().rank_by(RankBy::Samples).min_samples(1),
         Query::new().group_by(GroupBy::Thread).rank_by(RankBy::Samples),
         Query::new().rank_by(RankBy::RemoteFraction).top(2).min_samples(1),
+        Query::new().rank_by(RankBy::Samples).top(1),
     ];
     let live_fold = streaming.live_fold().expect("the streaming session taps its export");
     let mut watches: Vec<djxperf::LiveQuery> = shapes.iter().map(|q| q.watch(&live_fold)).collect();

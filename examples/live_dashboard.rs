@@ -8,7 +8,8 @@
 //!
 //! The session streams epoch-retired deltas through a background [`DeltaDrainer`];
 //! [`Session::watch`] registers a [`Query`] on the session's [`LiveFold`], whose
-//! group accumulators and top-k heap update incrementally as each delta retires.
+//! group accumulators update incrementally as each delta retires; each render
+//! ranks them the way a cold evaluation does.
 //! A watcher thread renders at ~1 Hz via [`LiveQuery::next_epoch_timeout`] — a
 //! *wait*, not a re-evaluation. At the end the example asserts the headline
 //! guarantee: the final watched result is byte-identical to a cold

@@ -20,9 +20,10 @@ use djx_runtime::{
     ThreadId,
 };
 use djxperf::{
-    AllocationStats, BackoffPolicy, BinaryChunkedSink, DeltaFold, DrainPolicy, EpochLog, FaultPlan,
-    FleetAggregator, FleetClient, FleetSink, FsyncPolicy, GroupBy, MultiSource, OverflowPolicy,
-    ProfileDelta, ProfileSink, Query, RankBy, Session, SharedBuffer, ThreadDelta, ThreadProfile,
+    AllocSite, AllocSiteId, AllocationStats, BackoffPolicy, BinaryChunkedSink, DeltaFold,
+    DrainPolicy, EpochLog, FaultPlan, FleetAggregator, FleetClient, FleetSink, FsyncPolicy,
+    GroupBy, MultiSource, ObjectCentricProfile, OverflowPolicy, ProfileDelta, ProfileSink, Query,
+    RankBy, Session, SharedBuffer, ThreadDelta, ThreadProfile,
 };
 
 const PROCESSES: u64 = 3;
@@ -779,6 +780,60 @@ fn recover_refuses_a_complete_but_unparseable_header() {
     std::fs::write(&path, b"djxperf-wal v2 producer=torn").expect("write the WAL");
     let builder = FleetAggregator::recover(&dir.0).expect("a torn header is skipped");
     assert!(builder.recovery_report().expect("report").producers.is_empty());
+}
+
+/// A thread's later fragments carry the `<attached>` placeholder; a live watch
+/// labels the thread with its first-seen name, across an aggregator restart too
+/// (the names come back with the WAL), exactly as cold evaluation does.
+#[test]
+fn live_thread_labels_keep_the_first_seen_name() {
+    let dir = TempDir::new("wal-thread-names");
+    let mut first = FleetAggregator::builder()
+        .wal(&dir.0, FsyncPolicy::Never)
+        .bind("127.0.0.1:0")
+        .expect("durable bind");
+    let addr = first.local_addr().expect("tcp aggregator").to_string();
+    let mut out = std::io::sink();
+    let sink = connect_sink(&addr, "unit");
+    sink.on_delta(1, &probe_delta(1, 5), &mut out).expect("delta 1");
+    first.shutdown();
+    drop(first);
+
+    let second = FleetAggregator::recover(&dir.0)
+        .expect("recovery replays")
+        .bind("127.0.0.1:0")
+        .expect("recovered bind");
+    // The Thread group appears only with the terminal allocation row (the class
+    // filter keeps the unattributed samples out), so its label is decided after
+    // the `<attached>` fragment arrived.
+    let query = Query::new().group_by(GroupBy::Thread).filter_class("float[]");
+    let mut watch = second.watch(&query);
+    let sink = connect_sink(&second.local_addr().expect("tcp aggregator").to_string(), "unit");
+    let mut attached = probe_delta(2, 3);
+    attached.threads[0].profile.thread_name = "<attached>".into();
+    sink.on_delta(2, &attached, &mut out).expect("delta 2");
+    let site = AllocSite {
+        id: AllocSiteId(0),
+        class_name: "float[]".into(),
+        call_path: vec![Frame::new(MethodId(1), 0)],
+    };
+    let mut thread = ThreadProfile::new(ThreadId(7), "probe");
+    thread.samples = 8;
+    thread.record_allocation(site.id, 2048);
+    let terminal = ObjectCentricProfile {
+        event: PmuEvent::DEFAULT,
+        period: PERIOD,
+        size_filter: SIZE_FILTER,
+        sites: vec![site],
+        threads: vec![thread],
+        allocation_stats: AllocationStats::default(),
+    };
+    sink.on_finish(&terminal, &mut out).expect("finish");
+
+    let live = watch.current().result;
+    assert_eq!(live.groups.len(), 1);
+    assert_eq!(live.groups[0].label, "probe");
+    assert_eq!(live.to_text(), second.query(&query).expect("cold evaluates").to_text());
 }
 
 /// An I/O failure reading one WAL fails recovery with an error naming that file.

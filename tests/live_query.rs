@@ -350,7 +350,7 @@ fn a_fold_fed_binary_log_bytes_matches_the_json_replay() {
 }
 
 // -----------------------------------------------------------------------------------
-// Incremental top-k unit tests: decrease-key (lazy rebuild) and count-rank overtake.
+// Truncated watches: a shrinking ratio rank and a count-rank overtake.
 // -----------------------------------------------------------------------------------
 
 fn numa_sample(addr: u64, remote: bool) -> djx_pmu::Sample {
@@ -401,8 +401,8 @@ fn topk_delta(epoch: u64, batches: &[(u32, bool, u64)]) -> djxperf::ProfileDelta
 }
 
 /// A ratio rank can *decrease*: local traffic dilutes a site's remote fraction until a
-/// site outside the top-k overtakes it. The incremental top-k must lazily rebuild and
-/// still render byte-identically to a cold evaluation.
+/// site outside the top 2 overtakes it. The truncated watch must drop it and still
+/// render byte-identically to a cold evaluation.
 #[test]
 fn top_k_follows_a_decreasing_ratio_rank_out_of_the_heap() {
     let fold = LiveFold::new();
@@ -421,7 +421,7 @@ fn top_k_follows_a_decreasing_ratio_rank_out_of_the_heap() {
     assert_eq!(labels, ["A[]", "B[]"]);
 
     // Epoch 2: fourteen local accesses dilute A to 2/16 = 12.5% remote, below C's
-    // 25% — A leaves the heap it was a member of (decrease-key), C takes its place.
+    // 25% — A leaves the top 2 it was a member of, C takes its place.
     fold.absorb(&topk_delta(2, &[(0, false, 14)])).expect("epoch 2 folds");
     check_identity(&query, &mut lq, &fold);
     let labels: Vec<String> = lq.current().result.groups.iter().map(|g| g.label.clone()).collect();
@@ -429,7 +429,7 @@ fn top_k_follows_a_decreasing_ratio_rank_out_of_the_heap() {
 }
 
 /// Monotone count ranks only ever grow: a cold site overtaking the weakest member
-/// must evict it in-place (heap replace + sift), again byte-identical to cold.
+/// must push it out of the top 2, again byte-identical to cold.
 #[test]
 fn top_k_eviction_when_a_hotter_site_overtakes_a_member() {
     let fold = LiveFold::new();
