@@ -61,7 +61,8 @@ pub struct CodeCentricProfile {
 
 impl CodeCentricProfile {
     /// The contexts ranked by attributed (weighted) events, hottest first, truncated to
-    /// `top_n` entries (`usize::MAX` for all).
+    /// `top_n` entries (`usize::MAX` for all). Ties order by call path ascending, so
+    /// the ranking does not depend on the order the CCT's nodes were created in.
     pub fn top_locations(&self, top_n: usize) -> Vec<CodeLocation> {
         let total: u64 = self.cct.nodes_with_metrics().map(|(_, _, m)| m.weighted_events).sum();
         let mut locations: Vec<CodeLocation> = self
@@ -74,7 +75,12 @@ impl CodeCentricProfile {
                 fraction: if total == 0 { 0.0 } else { m.weighted_events as f64 / total as f64 },
             })
             .collect();
-        locations.sort_by_key(|l| std::cmp::Reverse(l.metrics.weighted_events));
+        locations.sort_by(|a, b| {
+            b.metrics
+                .weighted_events
+                .cmp(&a.metrics.weighted_events)
+                .then_with(|| a.path.cmp(&b.path))
+        });
         locations.truncate(top_n);
         locations
     }
@@ -95,6 +101,7 @@ mod tests {
     use djx_memsim::{HierarchyConfig, MemoryAccess, MemoryHierarchy};
     use djx_runtime::{MemoryAccessEvent, MethodId, RuntimeListener, ThreadEvent, ThreadId};
 
+    use crate::report::Report;
     use crate::session::Session;
 
     fn f(m: u32, bci: u32) -> Frame {
@@ -139,6 +146,48 @@ mod tests {
         let sum: f64 = top.iter().map(|l| l.fraction).sum();
         assert!((sum - 1.0).abs() < 1e-9, "fractions sum to 1, got {sum}");
         assert!(profile.hottest_location_fraction() > 0.5);
+    }
+
+    #[test]
+    fn tied_locations_rank_by_path_whatever_the_insertion_order() {
+        let mut methods = MethodRegistry::new();
+        for name in ["a", "b", "c"] {
+            methods.register("Tie", name, "Tie.java", &[(0, 1)]);
+        }
+        // Three equally hot contexts and one hotter one, as path → metrics.
+        let contexts: Vec<(Vec<Frame>, u64)> = vec![
+            (vec![f(0, 0), f(2, 0)], 10),
+            (vec![f(1, 0)], 10),
+            (vec![f(0, 0), f(1, 0)], 10),
+            (vec![f(2, 0)], 30),
+        ];
+        let profile = |order: &mut dyn Iterator<Item = &(Vec<Frame>, u64)>| {
+            let mut cct = Cct::new();
+            for (path, weighted) in order {
+                let node = cct.insert_path(path);
+                cct.metrics_mut(node).weighted_events = *weighted;
+                cct.metrics_mut(node).samples = 1;
+            }
+            CodeCentricProfile { event: PmuEvent::L1Miss, period: 1, cct, total_samples: 4 }
+        };
+        let forward = profile(&mut contexts.iter());
+        let backward = profile(&mut contexts.iter().rev());
+        let ranked = |p: &CodeCentricProfile| {
+            p.top_locations(usize::MAX)
+                .into_iter()
+                .map(|l| (l.path, l.metrics, l.fraction))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(ranked(&forward), ranked(&backward));
+        let paths: Vec<Vec<Frame>> = ranked(&forward).into_iter().map(|(p, _, _)| p).collect();
+        assert_eq!(
+            paths,
+            vec![vec![f(2, 0)], vec![f(0, 0), f(1, 0)], vec![f(0, 0), f(2, 0)], vec![f(1, 0)]]
+        );
+        assert_eq!(
+            Report::code_centric(&forward, &methods).to_string(),
+            Report::code_centric(&backward, &methods).to_string()
+        );
     }
 
     #[test]

@@ -250,6 +250,8 @@ enum WireListener {
 }
 
 impl WireListener {
+    /// Accepts one connection. An error ends only this attempt: a stream whose
+    /// `set_nodelay` fails is dropped here, and the listener stays usable.
     fn accept(&self) -> io::Result<WireStream> {
         match self {
             WireListener::Tcp(l) => {
@@ -2078,7 +2080,8 @@ impl FleetAggregator {
             fault_frames: AtomicU64::new(0),
         });
         let accept_shared = Arc::clone(&shared);
-        let accept_handle = thread::spawn(move || accept_loop(listener, accept_shared));
+        let accept_handle =
+            thread::spawn(move || accept_loop(move || listener.accept(), accept_shared));
         FleetAggregator {
             shared,
             accept_handle: Some(accept_handle),
@@ -2284,15 +2287,23 @@ impl FleetAggregatorBuilder {
     }
 }
 
-fn accept_loop(listener: WireListener, shared: Arc<AggregatorShared>) {
+/// How long the accept loop backs off after a failed accept, so a persistent
+/// failure (`EMFILE`) does not spin a core.
+const ACCEPT_RETRY_DELAY: Duration = Duration::from_millis(10);
+
+/// Serves every connection `accept` yields until shutdown — the only thing that
+/// ends the loop. A failed accept (`ECONNABORTED`, `EMFILE`, a stream that could
+/// not be configured) loses that one connection, never the listener.
+fn accept_loop(mut accept: impl FnMut() -> io::Result<WireStream>, shared: Arc<AggregatorShared>) {
     loop {
-        let stream = match listener.accept() {
-            Ok(stream) => stream,
-            Err(_) => break,
-        };
+        let accepted = accept();
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
+        let Ok(stream) = accepted else {
+            thread::sleep(ACCEPT_RETRY_DELAY);
+            continue;
+        };
         let conn_clone = stream.try_clone().ok();
         let handler_shared = Arc::clone(&shared);
         let handle = thread::spawn(move || handle_connection(stream, handler_shared));
@@ -3054,6 +3065,41 @@ mod tests {
         let replayed = BinaryChunkedSink.read_log_bytes(body).expect("the body replays");
         assert_eq!(replayed.to_text(), profile.to_text());
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn accept_errors_lose_one_connection_not_the_listener() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("tcp addr");
+        let shared = Arc::new(AggregatorShared {
+            state: Mutex::new(FleetState::default()),
+            shutdown: AtomicBool::new(false),
+            config: AggregatorConfig::default(),
+            fault_frames: AtomicU64::new(0),
+        });
+        // The first accept fails the way an aborted handshake does; every later one
+        // accepts for real.
+        let mut failed = false;
+        let accept = move || {
+            if !std::mem::replace(&mut failed, true) {
+                return Err(io::Error::from(io::ErrorKind::ConnectionAborted));
+            }
+            listener.accept().map(|(stream, _)| WireStream::Tcp(stream))
+        };
+        let loop_shared = Arc::clone(&shared);
+        let accept_thread = thread::spawn(move || accept_loop(accept, loop_shared));
+
+        let mut client = FleetClient::connect(&addr.to_string()).expect("client connects");
+        client.status().expect("the connection after a failed accept is served");
+        drop(client);
+
+        shared.shutdown.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(addr);
+        accept_thread.join().expect("shutdown ends the accept loop");
+        let handlers = std::mem::take(&mut shared.state.lock().expect("fleet state lock").handlers);
+        for (handle, _) in handlers {
+            handle.join().expect("handler exits");
+        }
     }
 
     #[test]

@@ -30,14 +30,14 @@
 //! | [`metrics`] | §4.1 | metric vectors attributed to sites and contexts |
 //! | [`object`] | §4.2 | allocation-site identity (allocation call paths) |
 //! | [`agent`] | §4.1, §4.5 | the allocation ("Java") agent and the shared object index |
-//! | [`session`] | §5, Fig. 1 | the one profiler: [`Session`] (one sampling stream, pluggable collectors), configured by [`ProfilerConfig`] |
+//! | [`session`] | §5, Fig. 1 | the one profiler: [`Session`] (one sampling stream, pluggable collectors: per-object metrics, the code-centric CCT, the NUMA node traffic matrix), configured by [`ProfilerConfig`] |
 //! | [`sink`] | §5.2 | [`ProfileSink`] export backends: render-only text and JSON documents, and the binary epoch log |
 //! | [`wire`] | §5.2 | binary epoch frames: the one format the profiler reads back, for logs, the fleet wire and its WAL ([`BinaryChunkedSink::read_log_bytes`]) |
 //! | [`export`] | §5.2 | asynchronous delta export: background [`DeltaDrainer`] over epoch-retired snapshot deltas |
 //! | [`profile`] | §5.1/§5.2 | per-thread profiles and their render-only text form |
 //! | [`query`] | §5.2, §6 | the offline analyzer: [`ProfileSource`] + composable [`Query`] (merge, rank, filter) over live sessions, snapshots, logs and folds |
 //! | [`codecentric`] | §1, Fig. 1 | the code-centric (perf-like) baseline view |
-//! | [`report`] | Fig. 5 | the [`Report`] views (the GUI stand-in) |
+//! | [`report`] | Fig. 5, §4.3 | the [`Report`] views (the GUI stand-in): query results, the code-centric baseline, and the NUMA view (traffic matrix plus a remote-ranked query) |
 //!
 //! ## Quick start
 //!
@@ -84,6 +84,12 @@
 //! let profile = session.object_profile().expect("object collector registered");
 //! let code = session.code_profile().expect("code collector registered");
 //! assert_eq!(code.total_samples, profile.total_samples());
+//!
+//! // The NUMA view (§4.3): the collector's node-to-node traffic matrix, and the
+//! // objects ranked by remote samples with a Query over the same object profile.
+//! let numa = session.numa_profile().expect("numa collector registered");
+//! let remote = Query::new().rank_by(RankBy::RemoteSamples).evaluate(&profile)?;
+//! println!("{}", Report::numa_view(&numa, &remote, rt.methods()));
 //!
 //! // Machine-readable export for dashboards or cross-machine merging.
 //! let json = djxperf::sink::JsonSink::new();

@@ -31,8 +31,6 @@
 //! | `[ObjectCentricProfile]` | a sequence of snapshots | the classic one-file-per-process merge workflow |
 //! | [`EpochLog`] | a replayed binary epoch log ([`BinaryChunkedSink::read_log_bytes`] → [`DeltaFold`](crate::profile::DeltaFold)) | re-querying a streamed run after the fact |
 //! | [`MultiSource`] | a fold of any other sources | cross-machine / multi-process merging |
-//! | [`NumaProfile`] | the NUMA collector's per-site view | NUMA-only sessions (no per-context breakdown, node traffic matrix not carried) |
-//! | [`CodeCentricProfile`] | the perf-like baseline | run-level totals and locality splits only (no objects by construction) |
 //!
 //! # Watching instead of polling
 //!
@@ -101,7 +99,9 @@
 //! analyzer's ranked object list (§5.2): profiles merge top-down, sites coalesce by
 //! `(class name, allocation path)` across threads and processes, and
 //! [`QueryResult::find_class`] looks an object up by class. Ranking by
-//! [`RankBy::RemoteSamples`] gives the NUMA view (§4.3). A result renders through
+//! [`RankBy::RemoteSamples`] gives the per-object NUMA ranking (§4.3);
+//! [`Report::numa_view`](crate::report::Report::numa_view) lists it next to the NUMA
+//! collector's node traffic matrix. A result renders through
 //! [`Report::query`](crate::report::Report::query) with symbolized frames (the
 //! Figure 5 layout), through its own [`Display`](std::fmt::Display) without a method
 //! registry, and through [`QueryResult::to_json`] for dashboards.
@@ -115,13 +115,12 @@ use std::str::FromStr;
 use djx_pmu::PmuEvent;
 use djx_runtime::{Frame, ThreadId};
 
-use crate::codecentric::CodeCentricProfile;
 use crate::metrics::MetricVector;
 use crate::object::AllocSite;
 use crate::profile::{
     encode_path, ObjectCentricProfile, ProfileParseError, SiteMetrics, ThreadProfile,
 };
-use crate::session::{NumaProfile, Session};
+use crate::session::Session;
 use crate::sink::{json_metrics, json_path, json_string};
 use crate::wire::BinaryChunkedSink;
 
@@ -365,9 +364,10 @@ pub enum GroupBy {
     Thread,
     /// By NUMA locality of the sampled access — the local/remote partition of the
     /// §4.3 signal. The object-centric substrate aggregates per-node pairs down to
-    /// local vs remote (the full node-to-node matrix lives in
-    /// [`NumaProfile::node_traffic`]), so groups under this axis carry the
-    /// partitionable sample counters only and their fractions are sample-based.
+    /// local vs remote; the node-to-node matrix is the NUMA collector's one piece of
+    /// state ([`NumaProfile::node_traffic`](crate::session::NumaProfile::node_traffic)).
+    /// Groups under this axis carry the partitionable sample counters only and their
+    /// fractions are sample-based.
     NumaNode,
 }
 
@@ -539,60 +539,6 @@ impl ProfileSource for Session {
                     .to_string(),
             )),
         }
-    }
-}
-
-/// The NUMA collector's view as a query source: per-site metric totals join the site
-/// table under one synthetic thread. Per-context breakdowns do not exist in a
-/// [`NumaProfile`] (its groups carry no access contexts) and the node-to-node traffic
-/// matrix is not representable object-centrically — read
-/// [`NumaProfile::node_traffic`] directly for the full pairs.
-impl ProfileSource for NumaProfile {
-    fn describe(&self) -> String {
-        "NUMA snapshot".to_string()
-    }
-
-    fn object_profiles(&self) -> Result<Vec<Cow<'_, ObjectCentricProfile>>, QueryError> {
-        let mut thread = crate::profile::ThreadProfile::new(ThreadId(0), "<numa>");
-        thread.samples = self.total_samples();
-        thread.unattributed = self.unattributed;
-        for (site, metrics) in &self.per_site {
-            thread.sites.entry(*site).or_default().total = *metrics;
-        }
-        Ok(vec![Cow::Owned(ObjectCentricProfile {
-            event: self.event,
-            period: self.period,
-            size_filter: 0,
-            sites: self.sites.clone(),
-            threads: vec![thread],
-            allocation_stats: crate::profile::AllocationStats::default(),
-        })])
-    }
-}
-
-/// The code-centric baseline as a query source: by construction it has no objects, so
-/// every sample surfaces as unattributed under one synthetic thread — queries yield
-/// run-level totals and locality splits (the Figure 1 "what a perf-like profiler can
-/// tell you" comparison), and [`GroupBy::Object`] grouping is empty.
-impl ProfileSource for CodeCentricProfile {
-    fn describe(&self) -> String {
-        "code-centric snapshot".to_string()
-    }
-
-    fn object_profiles(&self) -> Result<Vec<Cow<'_, ObjectCentricProfile>>, QueryError> {
-        let mut thread = crate::profile::ThreadProfile::new(ThreadId(0), "<code-centric>");
-        thread.samples = self.total_samples;
-        for (_, _, metrics) in self.cct.nodes_with_metrics() {
-            thread.unattributed.merge(metrics);
-        }
-        Ok(vec![Cow::Owned(ObjectCentricProfile {
-            event: self.event,
-            period: self.period,
-            size_filter: 0,
-            sites: Vec::new(),
-            threads: vec![thread],
-            allocation_stats: crate::profile::AllocationStats::default(),
-        })])
     }
 }
 
@@ -1883,51 +1829,6 @@ mod tests {
         let query_err: QueryError = err.into();
         assert!(matches!(query_err, QueryError::Parse(_)));
         assert!(query_err.to_string().contains("parse"));
-    }
-
-    #[test]
-    fn numa_profile_source_degrades_to_per_site_totals() {
-        let mut remote_metrics = MetricVector::default();
-        remote_metrics.record_sample(&sample(true), 100);
-        remote_metrics.record_sample(&sample(false), 100);
-        let numa = NumaProfile {
-            event: PmuEvent::L1Miss,
-            period: 100,
-            sites: vec![AllocSite {
-                id: AllocSiteId(0),
-                class_name: "long[]".into(),
-                call_path: vec![f(4, 2)],
-            }],
-            per_site: vec![(AllocSiteId(0), remote_metrics)],
-            unattributed: MetricVector::default(),
-            node_traffic: vec![((0, 0), 1), ((0, 1), 1)],
-        };
-        let result = Query::new().rank_by(RankBy::RemoteSamples).evaluate(&numa).unwrap();
-        assert_eq!(result.groups.len(), 1);
-        assert_eq!(result.groups[0].label, "long[]");
-        assert_eq!(result.groups[0].metrics.remote_samples, 1);
-        assert!(result.groups[0].contexts.is_empty(), "NUMA snapshots carry no contexts");
-        assert_eq!(numa.describe(), "NUMA snapshot");
-    }
-
-    #[test]
-    fn code_centric_source_has_totals_but_no_objects() {
-        let mut cct = crate::cct::Cct::new();
-        let node = cct.insert_path(&[f(1, 0)]);
-        cct.metrics_mut(node).record_sample(&sample(true), 100);
-        let code =
-            CodeCentricProfile { event: PmuEvent::L1Miss, period: 100, cct, total_samples: 1 };
-        let objects = Query::new().evaluate(&code).unwrap();
-        assert!(objects.groups.is_empty(), "no objects by construction");
-        assert_eq!(objects.total_samples, 1);
-        let locality = Query::new()
-            .group_by(GroupBy::NumaNode)
-            .rank_by(RankBy::Samples)
-            .evaluate(&code)
-            .unwrap();
-        assert_eq!(locality.groups.len(), 1);
-        assert_eq!(locality.groups[0].key, GroupKey::NumaNode(Locality::Remote));
-        assert_eq!(code.describe(), "code-centric snapshot");
     }
 
     #[test]

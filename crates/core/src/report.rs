@@ -6,9 +6,12 @@
 //!
 //! The one entry point is [`Report`], a `Display`able view selected by constructor —
 //! [`Report::query`] over any [`QueryResult`] (object-grouped results in the Figure 5
-//! layout), [`Report::numa_view`] over the session's [`NumaProfile`], and
+//! layout), [`Report::numa_view`] over the session's [`NumaProfile`] traffic matrix
+//! plus a [`QueryResult`] ranked by
+//! [`RankBy::RemoteSamples`](crate::query::RankBy::RemoteSamples), and
 //! [`Report::code_centric`] over the perf-like baseline — so every rendering composes
-//! with `println!`, `format!` and logging.
+//! with `println!`, `format!` and logging. Reports rank nothing themselves: the NUMA
+//! view lists objects in the order its query result gives them.
 
 use std::fmt::{self, Write as _};
 
@@ -80,8 +83,8 @@ pub struct Report<'a> {
 enum ReportKind<'a> {
     /// The code-centric (perf-like) baseline view (Figure 1b).
     CodeCentric(&'a CodeCentricProfile),
-    /// The session NUMA collector's own view, including the node traffic matrix.
-    NumaView(&'a NumaProfile),
+    /// The NUMA collector's node traffic matrix and the objects with remote samples.
+    NumaView(&'a NumaProfile, &'a QueryResult),
     /// A query result, symbolized (object-grouped results in the Figure 5 layout;
     /// other groupings list their groups).
     Query(&'a QueryResult),
@@ -93,9 +96,20 @@ impl<'a> Report<'a> {
         Self { kind: ReportKind::CodeCentric(profile), methods, options: ReportOptions::default() }
     }
 
-    /// The session NUMA collector's view, including the node-to-node traffic matrix.
-    pub fn numa_view(profile: &'a NumaProfile, methods: &'a MethodRegistry) -> Self {
-        Self { kind: ReportKind::NumaView(profile), methods, options: ReportOptions::default() }
+    /// The NUMA view (§4.3): the collector's node-to-node traffic matrix, then the
+    /// groups of `objects` with at least one remote sample, in the result's order.
+    /// Pass a result grouped by object and ranked by
+    /// [`RankBy::RemoteSamples`](crate::query::RankBy::RemoteSamples).
+    pub fn numa_view(
+        profile: &'a NumaProfile,
+        objects: &'a QueryResult,
+        methods: &'a MethodRegistry,
+    ) -> Self {
+        Self {
+            kind: ReportKind::NumaView(profile, objects),
+            methods,
+            options: ReportOptions::default(),
+        }
     }
 
     /// A symbolized view of a [`QueryResult`]: object-grouped results render in the
@@ -118,8 +132,8 @@ impl fmt::Display for Report<'_> {
             ReportKind::CodeCentric(profile) => {
                 render_code_centric_text(profile, self.methods, self.options.top_objects)
             }
-            ReportKind::NumaView(profile) => {
-                render_numa_view_text(profile, self.methods, self.options.top_objects)
+            ReportKind::NumaView(profile, objects) => {
+                render_numa_view_text(profile, objects, self.methods, self.options.top_objects)
             }
             ReportKind::Query(result) => render_query_text(result, self.methods, self.options),
         };
@@ -266,7 +280,12 @@ fn render_code_centric_text(
     out
 }
 
-fn render_numa_view_text(profile: &NumaProfile, methods: &MethodRegistry, top: usize) -> String {
+fn render_numa_view_text(
+    profile: &NumaProfile,
+    objects: &QueryResult,
+    methods: &MethodRegistry,
+    top: usize,
+) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "== DJXPerf NUMA session view ==");
     let _ = writeln!(
@@ -284,22 +303,25 @@ fn render_numa_view_text(profile: &NumaProfile, methods: &MethodRegistry, top: u
             if cpu_node == page_node { "" } else { "  (remote)" }
         );
     }
-    let remote = profile.ranked_remote();
-    if remote.is_empty() {
+    let mut remote = objects.groups.iter().filter(|g| g.metrics.remote_samples > 0).peekable();
+    if remote.peek().is_none() {
         let _ = writeln!(out, "(no monitored object shows remote accesses)");
         return out;
     }
-    for (site, metrics) in remote.iter().take(top) {
+    for group in remote.take(top) {
+        let metrics = &group.metrics;
         let _ = writeln!(
             out,
             "{}  remote {:.1}% ({} of {} samples)",
-            site.class_name,
+            group.label,
             metrics.remote_fraction() * 100.0,
             metrics.remote_samples,
             metrics.samples
         );
-        let _ = writeln!(out, "    allocated at:");
-        out.push_str(&describe_path(&site.call_path, methods, 8));
+        if let GroupKey::Object { alloc_path, .. } = &group.key {
+            let _ = writeln!(out, "    allocated at:");
+            out.push_str(&describe_path(alloc_path, methods, 8));
+        }
     }
     out
 }
@@ -311,7 +333,6 @@ mod tests {
     use djx_runtime::MethodId;
 
     use crate::metrics::MetricVector;
-    use crate::object::{AllocSite, AllocSiteId};
     use crate::query::{AccessContext, RankBy};
 
     fn registry() -> MethodRegistry {
@@ -341,7 +362,11 @@ mod tests {
 
     /// An object-grouped result with one `float[]` object.
     fn result() -> QueryResult {
-        let metrics = object_metrics();
+        one_object("float[]", object_metrics())
+    }
+
+    /// An object-grouped result with one object of `class_name`.
+    fn one_object(class_name: &str, metrics: MetricVector) -> QueryResult {
         QueryResult {
             event: PmuEvent::L1Miss,
             period: 512,
@@ -352,13 +377,13 @@ mod tests {
             attributed_weighted_events: 100 * 512,
             groups: vec![QueryGroup {
                 key: GroupKey::Object {
-                    class_name: "float[]".into(),
+                    class_name: class_name.into(),
                     alloc_path: vec![Frame::new(MethodId(0), 5)],
                 },
-                label: "float[]".into(),
+                label: class_name.into(),
                 metrics,
                 fraction_of_total: 0.21,
-                remote_fraction: 0.25,
+                remote_fraction: metrics.remote_fraction(),
                 contexts: vec![AccessContext {
                     path: vec![Frame::new(MethodId(1), 0)],
                     metrics,
@@ -368,18 +393,11 @@ mod tests {
         }
     }
 
-    /// The NUMA view of the same `float[]` object.
+    /// The traffic matrix of the same `float[]` object's samples.
     fn numa_profile() -> NumaProfile {
         NumaProfile {
             event: PmuEvent::L1Miss,
             period: 512,
-            sites: vec![AllocSite {
-                id: AllocSiteId(0),
-                class_name: "float[]".into(),
-                call_path: vec![Frame::new(MethodId(0), 5)],
-            }],
-            per_site: vec![(AllocSiteId(0), object_metrics())],
-            unattributed: MetricVector::default(),
             node_traffic: vec![((0, 0), 75), ((0, 1), 25)],
         }
     }
@@ -424,14 +442,15 @@ mod tests {
         let empty = QueryResult { groups: vec![], ..result() };
         let text = Report::query(&empty, &methods).to_string();
         assert!(text.contains("no group matched the query"));
-        let numa = NumaProfile { per_site: vec![], node_traffic: vec![], ..numa_profile() };
-        assert!(Report::numa_view(&numa, &methods).to_string().contains("no monitored object"));
+        let numa = NumaProfile { node_traffic: vec![], ..numa_profile() };
+        let text = Report::numa_view(&numa, &empty, &methods).to_string();
+        assert!(text.contains("no monitored object"));
     }
 
     #[test]
     fn numa_report_lists_remote_objects() {
         let methods = registry();
-        let text = Report::numa_view(&numa_profile(), &methods).to_string();
+        let text = Report::numa_view(&numa_profile(), &result(), &methods).to_string();
         assert!(text.contains("float[]"));
         assert!(text.contains("remote 25.0%"));
         assert!(text.contains("makeRoom"));
@@ -469,24 +488,22 @@ mod tests {
         let profile = NumaProfile {
             event: PmuEvent::L1Miss,
             period: 512,
-            sites: vec![AllocSite {
-                id: AllocSiteId(0),
-                class_name: "long[] (bitmap)".into(),
-                call_path: vec![Frame::new(MethodId(0), 5)],
-            }],
-            per_site: vec![(AllocSiteId(0), metrics)],
-            unattributed: MetricVector::default(),
             node_traffic: vec![((0, 0), 2), ((0, 1), 6)],
         };
-        let text = Report::numa_view(&profile, &methods).to_string();
+        let bitmap = one_object("long[] (bitmap)", metrics);
+        let text = Report::numa_view(&profile, &bitmap, &methods).to_string();
         assert!(text.contains("NUMA session view"));
+        assert!(text.contains("samples 8  remote 75.0%"));
         assert!(text.contains("node 0 -> node 1: 6 samples  (remote)"));
         assert!(text.contains("long[] (bitmap)  remote 75.0% (6 of 8 samples)"));
         assert!(text.contains("makeRoom"));
 
-        let empty = NumaProfile { per_site: vec![], node_traffic: vec![], ..profile };
-        let text = Report::numa_view(&empty, &methods).to_string();
+        // An object without remote samples is no NUMA finding.
+        let local = MetricVector { remote_samples: 0, local_samples: 8, ..metrics };
+        let text = Report::numa_view(&profile, &one_object("long[] (bitmap)", local), &methods)
+            .to_string();
         assert!(text.contains("no monitored object shows remote accesses"));
+        assert!(!text.contains("long[] (bitmap)"));
     }
 
     #[test]

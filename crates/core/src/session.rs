@@ -11,9 +11,19 @@
 //!
 //! resolves every sample's effective address to its enclosing monitored object **once**,
 //! and fans the enriched sample out to every registered [`Collector`]. The built-in
-//! collectors reproduce the three classic views — [`ObjectCentricCollector`],
-//! [`CodeCentricCollector`], [`NumaCollector`] — from the *same* samples of a *single*
-//! pass; custom collectors implement [`Collector`] and register via
+//! collectors reproduce the three classic views from the *same* samples of a *single*
+//! pass, and no two hold the same data:
+//!
+//! * [`ObjectCentricCollector`] — per thread, each allocation site's metrics (samples,
+//!   weighted events, latency, remote and local samples) and access contexts: every
+//!   per-object ranking, the NUMA one included, is a [`Query`](crate::query::Query)
+//!   over this profile;
+//! * [`CodeCentricCollector`] — a calling context tree with per-context metrics, the
+//!   perf-like baseline;
+//! * [`NumaCollector`] — the node-to-node traffic matrix, the one NUMA signal the
+//!   object profile does not carry.
+//!
+//! Custom collectors implement [`Collector`] and register via
 //! [`SessionBuilder::with_collector`].
 //!
 //! Sessions are configured with [`SessionBuilder`] (events, period, size filter, jitter,
@@ -127,8 +137,7 @@ use crate::cct::Cct;
 use crate::codecentric::CodeCentricProfile;
 use crate::export::{DeltaDrainer, DrainPolicy, ExportShared, ExportStats};
 use crate::fxhash::FxHashMap;
-use crate::metrics::MetricVector;
-use crate::object::{AllocSite, AllocSiteId};
+use crate::object::AllocSiteId;
 use crate::profile::{
     fold_allocation_rows, ObjectCentricProfile, ProfileDelta, ThreadDelta, ThreadProfile,
 };
@@ -248,8 +257,8 @@ impl<'a> BatchContext<'a> {
         self.samples.is_empty()
     }
 
-    /// Iterates the batch at the per-sample granularity [`Collector::on_sample`]
-    /// consumes.
+    /// Iterates the batch one resolved sample at a time — the per-sample view a
+    /// collector loops over inside [`Collector::on_sample_batch`].
     pub fn iter(&self) -> impl Iterator<Item = SampleContext<'a>> + '_ {
         self.samples.iter().zip(self.sites.iter()).map(|(sample, site)| SampleContext {
             thread: self.thread,
@@ -274,18 +283,10 @@ pub trait Collector: Send + Sync {
     /// Short collector name, used in diagnostics.
     fn name(&self) -> &'static str;
 
-    /// One resolved PMU sample from the shared stream.
-    fn on_sample(&self, ctx: &SampleContext<'_>);
-
-    /// One resolved overflow batch from a single thread — the session's actual dispatch
-    /// granularity. The default forwards each sample to [`Collector::on_sample`];
-    /// collectors that guard state with a lock should override it to acquire the lock
-    /// once per batch instead of once per sample (all built-in collectors do).
-    fn on_sample_batch(&self, batch: &BatchContext<'_>) {
-        for ctx in batch.iter() {
-            self.on_sample(&ctx);
-        }
-    }
+    /// One resolved overflow batch from a single thread — the session's one sample
+    /// hook. [`BatchContext::iter`] walks it sample by sample; a collector that guards
+    /// state with a lock takes the lock once per batch, not once per sample.
+    fn on_sample_batch(&self, batch: &BatchContext<'_>);
 
     /// A thread became visible to the session. Called exactly once per thread — with
     /// the thread's real name when the session saw it start, or `"<attached>"` when the
@@ -635,14 +636,6 @@ impl Collector for ObjectCentricCollector {
         self.state.with(thread, || ThreadProfile::new(thread, name), |_| ());
     }
 
-    fn on_sample(&self, ctx: &SampleContext<'_>) {
-        self.state.with(
-            ctx.thread,
-            || ThreadProfile::new(ctx.thread, "<attached>"),
-            |profile| record_object_sample(profile, ctx),
-        );
-    }
-
     fn on_sample_batch(&self, batch: &BatchContext<'_>) {
         self.state.with(
             batch.thread,
@@ -729,10 +722,6 @@ impl Collector for CodeCentricCollector {
         "code-centric"
     }
 
-    fn on_sample(&self, ctx: &SampleContext<'_>) {
-        self.state.with(ctx.thread, CodeState::default, |state| state.record(ctx));
-    }
-
     fn on_sample_batch(&self, batch: &BatchContext<'_>) {
         self.state.with(batch.thread, CodeState::default, |state| {
             for ctx in batch.iter() {
@@ -746,55 +735,27 @@ impl Collector for CodeCentricCollector {
     }
 }
 
+/// Samples per `(cpu_node, page_node)` pair — the machine-level traffic matrix, the
+/// one NUMA signal the object profile does not hold (it keeps per-site remote and
+/// local counts, not node pairs).
 #[derive(Debug, Clone, Default)]
 struct NumaState {
-    per_site: FxHashMap<AllocSiteId, MetricVector>,
-    unattributed: MetricVector,
-    /// Samples per (CPU node, page node) pair — the machine-level traffic matrix.
     node_traffic: FxHashMap<(u32, u32), u64>,
-}
-
-impl NumaState {
-    fn record(&mut self, ctx: &SampleContext<'_>) {
-        match ctx.site {
-            Some(site) => {
-                self.per_site.entry(site).or_default().record_sample(ctx.sample, ctx.period)
-            }
-            None => self.unattributed.record_sample(ctx.sample, ctx.period),
-        }
-        *self
-            .node_traffic
-            .entry((ctx.sample.cpu_node.0, ctx.sample.page_node.0))
-            .or_insert(0) += 1;
-    }
-
-    fn merge(&mut self, other: &NumaState) {
-        for (site, metrics) in &other.per_site {
-            self.per_site.entry(*site).or_default().merge(metrics);
-        }
-        self.unattributed.merge(&other.unattributed);
-        for (pair, samples) in &other.node_traffic {
-            *self.node_traffic.entry(*pair).or_insert(0) += samples;
-        }
-    }
-
-    fn approx_bytes(&self) -> usize {
-        self.per_site.len()
-            * (std::mem::size_of::<AllocSiteId>() + std::mem::size_of::<MetricVector>())
-            + self.node_traffic.len() * std::mem::size_of::<((u32, u32), u64)>()
-    }
 }
 
 impl AbsorbDelta for NumaState {
     fn absorb(&mut self, delta: &Self) {
-        self.merge(delta);
+        for (pair, samples) in &delta.node_traffic {
+            *self.node_traffic.entry(*pair).or_insert(0) += samples;
+        }
     }
 }
 
-/// The NUMA collector (§4.3): folds each sample's CPU-node/page-node relationship into
-/// per-site local/remote counters and a node-to-node traffic matrix, the signals DJXPerf
-/// uses to flag candidates for interleaved allocation or first-touch initialization.
-/// State is per-thread and epoch-buffered; the commutative sums merge at snapshot time.
+/// The NUMA collector (§4.3): folds each sample's CPU node and page node into a
+/// node-to-node traffic matrix. Per-object remote and local counts live in the
+/// object-centric profile's metrics; rank objects by them with
+/// [`RankBy::RemoteSamples`](crate::query::RankBy::RemoteSamples). State is
+/// per-thread and epoch-buffered; the sums merge at snapshot time.
 #[derive(Debug, Default)]
 pub struct NumaCollector {
     state: SnapshotBuffered<NumaState>,
@@ -805,17 +766,6 @@ impl NumaCollector {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Merges the per-thread states into one (deterministic: all fields are
-    /// commutative sums). Deltas are taken out slot by slot; the merge runs outside
-    /// every sampling lock.
-    fn merged_state(&self) -> NumaState {
-        let mut merged = NumaState::default();
-        for (_, state) in self.state.merged() {
-            merged.merge(&state);
-        }
-        merged
-    }
 }
 
 impl Collector for NumaCollector {
@@ -823,37 +773,29 @@ impl Collector for NumaCollector {
         "numa"
     }
 
-    fn on_sample(&self, ctx: &SampleContext<'_>) {
-        self.state.with(ctx.thread, NumaState::default, |state| state.record(ctx));
-    }
-
     fn on_sample_batch(&self, batch: &BatchContext<'_>) {
         self.state.with(batch.thread, NumaState::default, |state| {
-            for ctx in batch.iter() {
-                state.record(&ctx);
+            for s in batch.samples {
+                *state.node_traffic.entry((s.cpu_node.0, s.page_node.0)).or_insert(0) += 1;
             }
         });
     }
 
     fn approx_bytes(&self) -> usize {
-        self.state.fold(self.state.slot_bytes(), |acc, _, s| acc + s.approx_bytes())
+        self.state.fold(self.state.slot_bytes(), |acc, _, s| {
+            acc + s.node_traffic.len() * std::mem::size_of::<((u32, u32), u64)>()
+        })
     }
 }
 
-/// The NUMA view assembled from a [`NumaCollector`]: per-site NUMA metrics joined with
-/// the session's allocation-site table, plus the node traffic matrix.
+/// The NUMA view assembled from a [`NumaCollector`]: the node-to-node traffic matrix.
+/// A pair with different nodes is a remote access ([`Sample::is_remote_access`]).
 #[derive(Debug, Clone)]
 pub struct NumaProfile {
     /// Sampled event.
     pub event: PmuEvent,
     /// Sampling period.
     pub period: u64,
-    /// The allocation-site table (indexed by [`AllocSiteId`]).
-    pub sites: Vec<AllocSite>,
-    /// Per-site metrics, ordered by remote samples descending (site id breaks ties).
-    pub per_site: Vec<(AllocSiteId, MetricVector)>,
-    /// Metrics of samples outside any monitored object.
-    pub unattributed: MetricVector,
     /// Samples per `(cpu_node, page_node)` pair, ordered by node pair.
     pub node_traffic: Vec<((u32, u32), u64)>,
 }
@@ -861,33 +803,24 @@ pub struct NumaProfile {
 impl NumaProfile {
     /// Total samples the collector saw.
     pub fn total_samples(&self) -> u64 {
-        self.per_site.iter().map(|(_, m)| m.samples).sum::<u64>() + self.unattributed.samples
+        self.node_traffic.iter().map(|(_, n)| n).sum()
+    }
+
+    /// Samples whose page lived on another node than the sampling CPU.
+    pub fn remote_samples(&self) -> u64 {
+        self.node_traffic
+            .iter()
+            .filter(|((cpu, page), _)| cpu != page)
+            .map(|(_, n)| n)
+            .sum()
     }
 
     /// Machine-wide fraction of samples that were remote accesses.
     pub fn remote_fraction(&self) -> f64 {
-        let total = self.total_samples();
-        if total == 0 {
-            return 0.0;
+        match self.total_samples() {
+            0 => 0.0,
+            total => self.remote_samples() as f64 / total as f64,
         }
-        let remote: u64 = self.per_site.iter().map(|(_, m)| m.remote_samples).sum::<u64>()
-            + self.unattributed.remote_samples;
-        remote as f64 / total as f64
-    }
-
-    /// Sites with at least one remote sample, hottest-remote first, joined with their
-    /// site records.
-    pub fn ranked_remote(&self) -> Vec<(&AllocSite, &MetricVector)> {
-        self.per_site
-            .iter()
-            .filter(|(_, m)| m.remote_samples > 0)
-            .filter_map(|(id, m)| self.site(*id).map(|s| (s, m)))
-            .collect()
-    }
-
-    /// Looks up a site by id.
-    pub fn site(&self, id: AllocSiteId) -> Option<&AllocSite> {
-        self.sites.get(id.0 as usize)
     }
 }
 
@@ -1610,26 +1543,18 @@ impl Session {
         self.code.as_ref().map(|c| c.profile())
     }
 
-    /// The NUMA collector's current view joined with the allocation-site table, or
-    /// `None` when no [`NumaCollector`] is registered. The per-thread states are
-    /// merged, sorted and assembled outside every collector lock.
+    /// The NUMA collector's current traffic matrix, or `None` when no
+    /// [`NumaCollector`] is registered. The per-thread states are merged and sorted
+    /// outside every collector lock.
     pub fn numa_profile(&self) -> Option<NumaProfile> {
         let collector = self.numa.as_ref()?;
-        let state = collector.merged_state();
-        let mut per_site: Vec<(AllocSiteId, MetricVector)> =
-            state.per_site.iter().map(|(id, m)| (*id, *m)).collect();
-        per_site.sort_by(|a, b| b.1.remote_samples.cmp(&a.1.remote_samples).then(a.0.cmp(&b.0)));
-        let mut node_traffic: Vec<((u32, u32), u64)> =
-            state.node_traffic.iter().map(|(k, v)| (*k, *v)).collect();
-        node_traffic.sort_unstable_by_key(|(k, _)| *k);
-        Some(NumaProfile {
-            event: self.config.event,
-            period: self.config.period,
-            sites: self.shared.sites.lock().snapshot(),
-            per_site,
-            unattributed: state.unattributed,
-            node_traffic,
-        })
+        let mut traffic = NumaState::default();
+        for (_, state) in collector.state.merged() {
+            traffic.absorb(&state);
+        }
+        let mut node_traffic: Vec<((u32, u32), u64)> = traffic.node_traffic.into_iter().collect();
+        node_traffic.sort_unstable_by_key(|(pair, _)| *pair);
+        Some(NumaProfile { event: self.config.event, period: self.config.period, node_traffic })
     }
 
     /// Extracts every built-in collector's current profile without stopping
@@ -1798,6 +1723,7 @@ mod tests {
     use djx_runtime::{dsl, RuntimeConfig};
     use parking_lot::Mutex;
 
+    use crate::query::{Query, RankBy};
     use crate::sink::{JsonSink, TextSink};
     use crate::wire::BinaryChunkedSink;
 
@@ -2050,11 +1976,13 @@ mod tests {
         assert_eq!(object.sites.len(), 1);
         assert_eq!(object.sites[0].class_name, "float[]");
         assert!(!code.top_locations(5).is_empty());
-        assert_eq!(numa.per_site.len(), 1, "all attributed samples share one site");
-        // Single-node runtime: nothing is remote.
-        assert!(numa.ranked_remote().is_empty());
+        // Single-node runtime: the traffic matrix is one local cell holding every
+        // sample, and the one object ranks with zero remote samples.
+        assert_eq!(numa.node_traffic, vec![((0, 0), session.total_samples())]);
         assert_eq!(numa.remote_fraction(), 0.0);
-        assert_eq!(numa.node_traffic.iter().map(|(_, n)| n).sum::<u64>(), numa.total_samples());
+        let remote = Query::new().rank_by(RankBy::RemoteSamples).evaluate(&object).unwrap();
+        assert_eq!(remote.groups.len(), 1, "all attributed samples share one site");
+        assert_eq!(remote.groups[0].metrics.remote_samples, 0);
     }
 
     #[test]
@@ -2169,8 +2097,8 @@ mod tests {
             fn name(&self) -> &'static str {
                 "counting"
             }
-            fn on_sample(&self, _ctx: &SampleContext<'_>) {
-                *self.samples.lock() += 1;
+            fn on_sample_batch(&self, batch: &BatchContext<'_>) {
+                *self.samples.lock() += batch.iter().count() as u64;
             }
             fn on_thread_seen(&self, _thread: ThreadId, name: &str) {
                 self.threads.lock().push(name.to_string());

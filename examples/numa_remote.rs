@@ -8,7 +8,7 @@
 use djx_workloads::numa::{DruidBitmapWorkload, EclipseCollectionsWorkload};
 use djx_workloads::runner::{run_profiled, run_session, speedup};
 use djx_workloads::{Variant, Workload};
-use djxperf::{ProfilerConfig, Report, ReportOptions};
+use djxperf::{ProfilerConfig, Query, RankBy, Report, ReportOptions};
 
 fn study(
     name: &str,
@@ -18,14 +18,20 @@ fn study(
     build: impl Fn(Variant) -> Box<dyn Workload>,
 ) {
     let config = ProfilerConfig::default().with_period(128);
-    // One pass yields the object ranking and the session's NUMA view.
+    // One pass yields the object profile and the NUMA collector's traffic matrix.
     let baseline = run_session(build(Variant::Baseline).as_ref(), config);
     let optimized = run_profiled(build(Variant::Optimized).as_ref(), config);
 
     println!("== {name} ==");
+    // The NUMA view: the node-to-node traffic matrix, then the objects ranked by
+    // remote samples — a Query over the object profile, the one per-object ranking.
     let numa = baseline.session.numa_profile().expect("numa collector registered");
+    let remote = Query::new()
+        .rank_by(RankBy::RemoteSamples)
+        .evaluate(&baseline.profile)
+        .expect("an owned profile always evaluates");
     let options = ReportOptions { top_objects: 3, ..ReportOptions::default() };
-    println!("{}", Report::numa_view(&numa, &baseline.methods).with_options(options));
+    println!("{}", Report::numa_view(&numa, &remote, &baseline.methods).with_options(options));
 
     let base_obj = baseline.report.find_class(class_name);
     let opt_obj = optimized.report.find_class(class_name);

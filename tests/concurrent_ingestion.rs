@@ -171,10 +171,9 @@ fn concurrent_ingestion_loses_no_samples_and_merges_like_a_sequential_replay() {
         "concurrent merge must equal a single-threaded replay"
     );
 
-    // The NUMA view is all commutative sums and sorted outputs: exact equality.
+    // The NUMA traffic matrix is commutative sums, sorted: exact equality. (Per-site
+    // remote counts live in the object profile compared above.)
     let sequential_numa = sequential.numa_profile().unwrap();
-    assert_eq!(numa.per_site, sequential_numa.per_site);
-    assert_eq!(numa.unattributed, sequential_numa.unattributed);
     assert_eq!(numa.node_traffic, sequential_numa.node_traffic);
 
     // The code-centric CCTs may assign node ids in different merge orders; compare the
@@ -304,8 +303,6 @@ fn continuous_snapshots_never_lose_samples_and_merge_like_a_sequential_replay() 
     );
     let sequential_numa = sequential.numa_profile().unwrap();
     let numa = final_snapshot.numa.unwrap();
-    assert_eq!(numa.per_site, sequential_numa.per_site);
-    assert_eq!(numa.unattributed, sequential_numa.unattributed);
     assert_eq!(numa.node_traffic, sequential_numa.node_traffic);
     let mut concurrent_paths: Vec<_> = final_snapshot
         .code

@@ -4,17 +4,24 @@
 use djx_workloads::numa::{DruidBitmapWorkload, EclipseCollectionsWorkload};
 use djx_workloads::runner::{run_profiled, run_session, ProfiledRun};
 use djx_workloads::Variant;
-use djxperf::{ProfilerConfig, Report, ReportOptions};
+use djxperf::{ProfilerConfig, Query, QueryResult, RankBy, Report, ReportOptions};
 
 fn config() -> ProfilerConfig {
     ProfilerConfig::default().with_period(64)
 }
 
-/// The top-3 NUMA report of a run profiled with [`run_session`].
-fn numa_report(run: &ProfiledRun) -> String {
+/// The run's objects ranked by remote samples — the one per-object NUMA ranking.
+fn remote_ranking(run: &ProfiledRun) -> QueryResult {
+    Query::new().rank_by(RankBy::RemoteSamples).evaluate(&run.profile).unwrap()
+}
+
+/// The top-`top` NUMA report of a run profiled with [`run_session`].
+fn numa_report(run: &ProfiledRun, top: usize) -> String {
     let numa = run.session.numa_profile().expect("numa collector registered");
-    let options = ReportOptions { top_objects: 3, ..ReportOptions::default() };
-    Report::numa_view(&numa, &run.methods).with_options(options).to_string()
+    let options = ReportOptions { top_objects: top, ..ReportOptions::default() };
+    Report::numa_view(&numa, &remote_ranking(run), &run.methods)
+        .with_options(options)
+        .to_string()
 }
 
 #[test]
@@ -27,10 +34,9 @@ fn eclipse_result_array_is_flagged_with_a_high_remote_fraction() {
         result.remote_fraction
     );
     // The remote ranking puts it first and the NUMA report names it with its site.
-    let numa = run.session.numa_profile().unwrap();
-    assert_eq!(numa.ranked_remote().first().unwrap().0.class_name, "Integer[] (result)");
-    let text = numa_report(&run);
-    assert!(text.contains("Integer[] (result)"));
+    assert_eq!(remote_ranking(&run).groups[0].label, "Integer[] (result)");
+    let text = numa_report(&run, 1);
+    assert!(text.contains("Integer[] (result)  remote"));
     assert!(text.contains("Interval.toArray (Interval.java:758)"));
 }
 
@@ -83,10 +89,8 @@ fn local_workloads_report_no_remote_objects() {
             object.remote_fraction
         );
     }
-    let text = numa_report(&run);
-    assert!(
-        text.contains("no monitored object shows remote accesses") || !text.contains("remote 9")
-    );
+    let text = numa_report(&run, 3);
+    assert!(text.contains("no monitored object shows remote accesses"), "{text}");
 }
 
 #[test]

@@ -8,8 +8,10 @@ use djx_workloads::figure1::{expected_object_percent, Figure1Workload};
 use djx_workloads::numa::EclipseCollectionsWorkload;
 use djx_workloads::runner::{run_profiled, run_session};
 use djx_workloads::{table1_case_studies, Variant};
+use djxperf::report::describe_frame;
 use djxperf::{
-    BinaryChunkedSink, JsonSink, ProfileSink, ProfilerConfig, Query, RankBy, Report, TextSink,
+    BinaryChunkedSink, GroupKey, JsonSink, ProfileSink, ProfilerConfig, Query, RankBy, Report,
+    TextSink,
 };
 
 fn config() -> ProfilerConfig {
@@ -32,7 +34,8 @@ fn one_session_pass_yields_all_three_reports_and_matches_the_legacy_path() {
     assert!(object_text.contains("Integer[] (result)"));
 
     let numa = session.session.numa_profile().expect("numa collector registered");
-    let numa_text = Report::numa_view(&numa, &session.methods).to_string();
+    let remote = Query::new().rank_by(RankBy::RemoteSamples).evaluate(&session.profile).unwrap();
+    let numa_text = Report::numa_view(&numa, &remote, &session.methods).to_string();
     assert!(numa_text.contains("Integer[] (result)"));
     assert!(numa_text.contains("Interval.toArray (Interval.java:758)"));
 
@@ -41,12 +44,32 @@ fn one_session_pass_yields_all_three_reports_and_matches_the_legacy_path() {
     assert!(code_text.contains("code-centric"));
     assert!(code.total_samples > 0);
 
-    // The session's own NUMA view agrees with the query's remote ranking and shows
-    // actual cross-node traffic for this two-node workload.
-    assert!(numa.remote_fraction() > 0.0);
-    assert!(numa.node_traffic.iter().any(|((cpu, page), _)| cpu != page));
-    let remote = Query::new().rank_by(RankBy::RemoteSamples).evaluate(&session.profile).unwrap();
-    assert_eq!(numa.ranked_remote()[0].0.class_name, remote.groups[0].label);
+    // The top remote object is the case study's result array at its allocation site.
+    let GroupKey::Object { class_name, alloc_path } = &remote.groups[0].key else {
+        panic!("an object group")
+    };
+    assert_eq!(class_name, "Integer[] (result)");
+    assert_eq!(
+        describe_frame(alloc_path.last().unwrap(), &session.methods),
+        "Interval.toArray (Interval.java:758)"
+    );
+
+    // The NUMA collector's traffic matrix shows actual cross-node traffic for this
+    // two-node workload and agrees with the object profile: every sample lands in one
+    // cell, and the off-diagonal cells hold exactly the remote samples of every site
+    // plus the unattributed ones.
+    assert!(numa.remote_samples() > 0);
+    assert_eq!(numa.total_samples(), session.profile.total_samples());
+    let object_remote: u64 = session
+        .profile
+        .threads
+        .iter()
+        .map(|t| {
+            t.unattributed.remote_samples
+                + t.sites.values().map(|s| s.total.remote_samples).sum::<u64>()
+        })
+        .sum();
+    assert_eq!(numa.remote_samples(), object_remote);
 }
 
 #[test]
@@ -126,14 +149,17 @@ fn session_streams_snapshots_through_sinks_after_the_run() {
 fn analyzer_builder_views_agree_with_the_report_helpers() {
     let session = run_session(&EclipseCollectionsWorkload::new(Variant::Baseline), config());
 
-    // Remote ranking through the query builder matches the NUMA collector's ranking.
+    // The remote ranking names the case study's object first, noise floor or not.
     let remote = Query::new()
         .rank_by(RankBy::RemoteSamples)
         .min_samples(1)
         .evaluate(&session.profile)
         .unwrap();
-    let numa = session.session.numa_profile().unwrap();
-    assert_eq!(remote.groups[0].label, numa.ranked_remote()[0].0.class_name);
+    assert_eq!(remote.groups[0].label, "Integer[] (result)");
+    assert_eq!(
+        remote.groups[0].metrics,
+        session.report.find_class("Integer[] (result)").unwrap().metrics
+    );
 
     // Truncation keeps totals (fractions stay comparable across views).
     let top1 = Query::new().top(1).evaluate(&session.profile).unwrap();
