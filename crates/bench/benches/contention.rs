@@ -698,8 +698,8 @@ fn build_query_profile() -> ObjectCentricProfile {
             for s in 0..QUERY_SITES {
                 for c in 0..QUERY_CONTEXTS {
                     let path = [Frame::new(MethodId(s), 5), Frame::new(MethodId(200 + c), c)];
-                    profile.record_attributed(
-                        AllocSiteId(s),
+                    profile.record_sample(
+                        Some(AllocSiteId(s)),
                         &path,
                         &bench_sample(u64::from(s * 64 + c) * 8, c % 2 == 0, 150),
                         FULL_PERIOD,
@@ -865,8 +865,8 @@ fn live_delta(epoch: u64, sites: impl Iterator<Item = u32>) -> ProfileDelta {
     let path = [Frame::new(MethodId(7), 0)];
     let mut fragment = ThreadProfile::new(ThreadId(1), "live");
     for s in sites {
-        fragment.record_attributed(
-            AllocSiteId(s),
+        fragment.record_sample(
+            Some(AllocSiteId(s)),
             &path,
             &bench_sample(u64::from(s) * 8, s % 2 == 0, 150),
             FULL_PERIOD,
@@ -911,8 +911,8 @@ fn measure_replay(row: &Row, dir: &Path) -> Measurement {
     let mut devnull = io::sink();
     for epoch in 1..=REPLAY_FRAMES {
         let mut profile = ThreadProfile::new(ThreadId(1), "replay");
-        profile.record_attributed(
-            AllocSiteId((epoch % 32) as u32),
+        profile.record_sample(
+            Some(AllocSiteId((epoch % 32) as u32)),
             &path,
             &bench_sample(0x1000 + epoch * 8, false, 120),
             FLEET_PERIOD,

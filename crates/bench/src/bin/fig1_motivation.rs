@@ -24,7 +24,7 @@ fn main() {
     println!("== Figure 1: the same execution, two attributions, one sampling pass ==\n");
 
     // (b) code-centric profiling.
-    let code_profile = session.code_profile().expect("code collector registered");
+    let code_profile = session.code_profile().expect("object collector registered");
     let mut code_table = Table::new(&["instruction", "paper share", "measured share"]);
     for location in code_profile.top_locations(10) {
         let name = location

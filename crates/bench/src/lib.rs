@@ -285,8 +285,8 @@ pub mod prelude {
         OverheadPoint, OverheadSummary, Table, DEFAULT_REPETITIONS, EVALUATION_PERIOD,
     };
     pub use djx_workloads::runner::{
-        geometric_mean, median, memory_overhead, run_profiled, run_session, run_unprofiled,
-        runtime_overhead, speedup,
+        geometric_mean, median, memory_overhead, run_profiled, run_unprofiled, runtime_overhead,
+        speedup,
     };
     pub use djx_workloads::{table1_case_studies, Variant, Workload};
     pub use djxperf::{LookupStats, ProfilerConfig, Query, Report, ReportOptions};

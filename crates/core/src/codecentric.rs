@@ -1,22 +1,27 @@
-//! The code-centric baseline view (the "Linux perf" stand-in).
+//! The two views read off the object profile: the code-centric baseline (the "Linux
+//! perf" stand-in) and the NUMA traffic matrix.
 //!
 //! Figure 1 of the paper contrasts *code-centric* profiling — PMU samples attributed
 //! only to the instructions/calling contexts where they fired — with DJXPerf's
-//! *object-centric* profiling. A [`Session`](crate::session::Session) registered with
-//! [`collect_code`](crate::session::SessionBuilder::collect_code) collects the baseline
-//! through its [`CodeCentricCollector`](crate::session::CodeCentricCollector): the same
-//! sampling stream as every other collector, with every sample attributed solely to
-//! its sampling calling context and no notion of objects. This module holds the
-//! resulting [`CodeCentricProfile`] and its ranked [`CodeLocation`]s, which the
-//! evaluation harness reads to regenerate the Figure 1 comparison and the
-//! case-study discussions of why code-centric views scatter an object's misses over
-//! many locations.
+//! *object-centric* profiling, both from one set of samples. Here every sample is
+//! recorded once, into its thread's [`ThreadProfile`](crate::profile::ThreadProfile):
+//! its calling context's CCT node carries the sample's metrics whether or not an
+//! object enclosed the address, and the thread's traffic matrix counts its
+//! `(cpu_node, page_node)` pair. The views in this module are reads of that record —
+//! [`CodeCentricProfile::from_profile`] merges the thread CCTs,
+//! [`NumaProfile::from_profile`] sums the matrices — so a live
+//! [`Session`](crate::session::Session), a replayed epoch log and a fleet fold answer
+//! them alike. The evaluation harness reads [`CodeLocation`] rankings to regenerate
+//! the Figure 1 comparison and the case-study discussions of why code-centric views
+//! scatter an object's misses over many locations.
 
 use djx_pmu::PmuEvent;
 use djx_runtime::{Frame, MethodRegistry};
 
 use crate::cct::Cct;
+use crate::fxhash::FxHashMap;
 use crate::metrics::MetricVector;
+use crate::profile::ObjectCentricProfile;
 
 /// One ranked code location in a code-centric profile.
 #[derive(Debug, Clone)]
@@ -45,7 +50,8 @@ impl CodeLocation {
     }
 }
 
-/// The assembled code-centric view of a session
+/// The code-centric view of a profile: every sample attributed solely to its
+/// sampling calling context, with no notion of objects
 /// ([`Session::code_profile`](crate::session::Session::code_profile)).
 #[derive(Debug, Clone)]
 pub struct CodeCentricProfile {
@@ -60,6 +66,21 @@ pub struct CodeCentricProfile {
 }
 
 impl CodeCentricProfile {
+    /// Reads the view off an object profile: its thread CCTs merged top-down (§5.2)
+    /// in thread order.
+    pub fn from_profile(profile: &ObjectCentricProfile) -> Self {
+        let mut cct = Cct::new();
+        for thread in &profile.threads {
+            cct.merge(&thread.cct);
+        }
+        Self {
+            event: profile.event,
+            period: profile.period,
+            cct,
+            total_samples: profile.total_samples(),
+        }
+    }
+
     /// The contexts ranked by attributed (weighted) events, hottest first, truncated to
     /// `top_n` entries (`usize::MAX` for all). Ties order by call path ascending, so
     /// the ranking does not depend on the order the CCT's nodes were created in.
@@ -90,6 +111,58 @@ impl CodeCentricProfile {
     /// *object's* fraction.
     pub fn hottest_location_fraction(&self) -> f64 {
         self.top_locations(1).first().map(|l| l.fraction).unwrap_or(0.0)
+    }
+}
+
+/// The NUMA view of a profile: the node-to-node traffic matrix
+/// ([`Session::numa_profile`](crate::session::Session::numa_profile)). A pair with
+/// different nodes is a remote access
+/// ([`Sample::is_remote_access`](djx_pmu::Sample::is_remote_access)).
+/// Per-object remote and local counts live in the object profile's metrics; rank
+/// objects by them with [`RankBy::RemoteSamples`](crate::query::RankBy::RemoteSamples).
+#[derive(Debug, Clone)]
+pub struct NumaProfile {
+    /// Sampled event.
+    pub event: PmuEvent,
+    /// Sampling period.
+    pub period: u64,
+    /// Samples per `(cpu_node, page_node)` pair, ordered by node pair.
+    pub node_traffic: Vec<((u32, u32), u64)>,
+}
+
+impl NumaProfile {
+    /// Reads the view off an object profile: its thread matrices summed, sorted by
+    /// node pair.
+    pub fn from_profile(profile: &ObjectCentricProfile) -> Self {
+        let mut traffic: FxHashMap<(u32, u32), u64> = FxHashMap::default();
+        for (pair, samples) in profile.threads.iter().flat_map(|t| &t.node_traffic) {
+            *traffic.entry(*pair).or_insert(0) += samples;
+        }
+        let mut node_traffic: Vec<((u32, u32), u64)> = traffic.into_iter().collect();
+        node_traffic.sort_unstable();
+        Self { event: profile.event, period: profile.period, node_traffic }
+    }
+
+    /// Total samples in the matrix.
+    pub fn total_samples(&self) -> u64 {
+        self.node_traffic.iter().map(|(_, n)| n).sum()
+    }
+
+    /// Samples whose page lived on another node than the sampling CPU.
+    pub fn remote_samples(&self) -> u64 {
+        self.node_traffic
+            .iter()
+            .filter(|((cpu, page), _)| cpu != page)
+            .map(|(_, n)| n)
+            .sum()
+    }
+
+    /// Machine-wide fraction of samples that were remote accesses.
+    pub fn remote_fraction(&self) -> f64 {
+        match self.total_samples() {
+            0 => 0.0,
+            total => self.remote_samples() as f64 / total as f64,
+        }
     }
 }
 

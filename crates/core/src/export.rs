@@ -1,7 +1,7 @@
 //! Asynchronous, incremental profile export: a background drainer streaming
 //! epoch-retired snapshot deltas through a [`ProfileSink`].
 //!
-//! The snapshot machinery of [`crate::session`] already partitions every collector's
+//! The snapshot machinery of [`crate::session`] already partitions the collector's
 //! state into **per-epoch deltas**: retiring a buffer epoch takes each thread slot's
 //! open delta out in O(1) and absorbs the taken deltas into a retired buffer. Before this module, the
 //! only consumer of that partition was [`Session::snapshot`](crate::session::Session) —

@@ -77,7 +77,7 @@
 //! the received frame bytes, appended verbatim — never decoded and re-encoded:
 //!
 //! ```text
-//! <one header line>\n             djxperf-wal v2 producer=NAME event=E period=P size_filter=S
+//! <one header line>\n             djxperf-wal v3 producer=NAME event=E period=P size_filter=S
 //! <binary delta frame>            exactly crate::wire's delta frame (magic DF 4A 58 42)
 //! <binary delta frame>            …one per accepted epoch, in fold order…
 //! <binary finish frame>           the finish frame as received, if the run finished
@@ -139,8 +139,11 @@ use crate::wire::{self, BinaryChunkedSink, BinaryFrameReader, Control, Hello, Wi
 /// epoch frames and control records alike — as a binary [`crate::wire`] frame.
 pub(crate) const FLEET_VERSION: u64 = 3;
 
-/// The first two fields of the WAL header line.
-const WAL_MAGIC: &str = "djxperf-wal v2";
+/// The first two fields of the WAL header line. The version moves with
+/// [`BINARY_VERSION`](crate::wire::BINARY_VERSION): v3 logs hold version-2 frames.
+/// Recovery refuses a WAL of another version instead of reading its frames as a
+/// torn tail and truncating them.
+const WAL_MAGIC: &str = "djxperf-wal v3";
 
 /// Default TCP connect timeout ([`FleetSinkBuilder::connect_timeout`]): without
 /// one, a black-holed address hangs the first delivery for the OS default
@@ -1564,10 +1567,16 @@ fn wal_header_line(producer: &str, event: PmuEvent, period: u64, size_filter: u6
 /// Parses a WAL header line (without its newline) into
 /// `(producer, event, period, size_filter)`.
 fn parse_wal_header(line: &str) -> Result<(String, PmuEvent, u64, u64), String> {
+    let version = line.strip_prefix("djxperf-wal ").and_then(|rest| rest.split(' ').next());
     let fields = line
         .strip_prefix(WAL_MAGIC)
         .filter(|rest| rest.is_empty() || rest.starts_with(' '))
-        .ok_or_else(|| format!("the header does not start with {WAL_MAGIC:?}"))?;
+        .ok_or_else(|| match version {
+            Some(version) => format!(
+                "WAL format version {version} is not supported (this build reads {WAL_MAGIC:?})"
+            ),
+            None => format!("the header does not start with {WAL_MAGIC:?}"),
+        })?;
     let kv = parse_kv(fields.split_whitespace());
     let producer = kv.get("producer").ok_or("the header misses the producer")?;
     let event =

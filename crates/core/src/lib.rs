@@ -30,37 +30,33 @@
 //! | [`metrics`] | §4.1 | metric vectors attributed to sites and contexts |
 //! | [`object`] | §4.2 | allocation-site identity (allocation call paths) |
 //! | [`agent`] | §4.1, §4.5 | the allocation ("Java") agent and the shared object index |
-//! | [`session`] | §5, Fig. 1 | the one profiler: [`Session`] (one sampling stream, pluggable collectors: per-object metrics, the code-centric CCT, the NUMA node traffic matrix), configured by [`ProfilerConfig`] |
+//! | [`session`] | §5, Fig. 1 | the one profiler: [`Session`] (one sampling stream, one record per sample — each thread's [`ThreadProfile`] — that all three views read, plus pluggable custom collectors), configured by [`ProfilerConfig`] |
 //! | [`sink`] | §5.2 | [`ProfileSink`] export backends: render-only text and JSON documents, and the binary epoch log |
 //! | [`wire`] | §5.2 | binary epoch frames: the one format the profiler reads back, for logs, the fleet wire and its WAL ([`BinaryChunkedSink::read_log_bytes`]) |
 //! | [`export`] | §5.2 | asynchronous delta export: background [`DeltaDrainer`] over epoch-retired snapshot deltas |
 //! | [`profile`] | §5.1/§5.2 | per-thread profiles and their render-only text form |
 //! | [`query`] | §5.2, §6 | the offline analyzer: [`ProfileSource`] + composable [`Query`] (merge, rank, filter) over live sessions, snapshots, logs and folds |
-//! | [`codecentric`] | §1, Fig. 1 | the code-centric (perf-like) baseline view |
+//! | [`codecentric`] | §1, Fig. 1, §4.3 | the views read off the object profile: the code-centric (perf-like) baseline and the NUMA traffic matrix |
 //! | [`report`] | Fig. 5, §4.3 | the [`Report`] views (the GUI stand-in): query results, the code-centric baseline, and the NUMA view (traffic matrix plus a remote-ranked query) |
 //!
 //! ## Quick start
 //!
 //! A [`SessionBuilder`] configures the sampling substrate once — event, period, size
-//! filter, jitter, launch/attach mode — registers any number of collectors, and attaches
-//! to a runtime as one listener. A single pass then yields the object-centric ranking,
-//! the code-centric baseline and the NUMA view; [`Session::snapshot`] extracts all of
-//! them mid-run, and a [`ProfileSink`] streams profiles out for offline merging.
+//! filter, jitter, launch/attach mode — and attaches to a runtime as one listener. Each
+//! sample is recorded once, and a single pass yields the object-centric ranking, the
+//! code-centric baseline and the NUMA view as reads of that record;
+//! [`Session::snapshot`] extracts all three mid-run from one retirement, and a
+//! [`ProfileSink`] streams profiles out — views included — for offline merging.
 //!
 //! ```
 //! use djx_runtime::{dsl, Runtime, RuntimeConfig};
-//! use djxperf::{Query, RankBy, Report, Session};
+//! use djxperf::{CodeCentricProfile, NumaProfile, Query, RankBy, Report, Session};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! // A runtime running a memory-bloat workload: a float[] allocated in a loop,
-//! // profiled by a session collecting all three views in one pass.
+//! // profiled by a session whose one record answers all three views.
 //! let mut rt = Runtime::new(RuntimeConfig::small());
-//! let session = Session::builder()
-//!     .period(64)
-//!     .collect_objects()
-//!     .collect_code()
-//!     .collect_numa()
-//!     .attach(&mut rt);
+//! let session = Session::builder().period(64).collect_objects().attach(&mut rt);
 //!
 //! let class = rt.register_array_class("float[]", 4);
 //! let make_room = dsl::MethodSpec::at_line(
@@ -80,14 +76,15 @@
 //! assert_eq!(hottest.label, "float[]");
 //! println!("{}", Report::query(&ranked, rt.methods()));
 //!
-//! // The code-centric baseline of Figure 1, from the same single pass.
+//! // The code-centric baseline of Figure 1, read off the same object profile —
+//! // as it would be off a replayed epoch log or a fleet fold.
 //! let profile = session.object_profile().expect("object collector registered");
-//! let code = session.code_profile().expect("code collector registered");
+//! let code = CodeCentricProfile::from_profile(&profile);
 //! assert_eq!(code.total_samples, profile.total_samples());
 //!
-//! // The NUMA view (§4.3): the collector's node-to-node traffic matrix, and the
-//! // objects ranked by remote samples with a Query over the same object profile.
-//! let numa = session.numa_profile().expect("numa collector registered");
+//! // The NUMA view (§4.3): the node-to-node traffic matrix, and the objects ranked
+//! // by remote samples with a Query over the same object profile.
+//! let numa = NumaProfile::from_profile(&profile);
 //! let remote = Query::new().rank_by(RankBy::RemoteSamples).evaluate(&profile)?;
 //! println!("{}", Report::numa_view(&numa, &remote, rt.methods()));
 //!
@@ -122,7 +119,7 @@ pub use agent::{
     DEFAULT_RESOLUTION_CACHE_SLOTS, DEFAULT_SHARD_COUNT, DEFAULT_SIZE_FILTER,
 };
 pub use cct::{Cct, CctNodeId};
-pub use codecentric::{CodeCentricProfile, CodeLocation};
+pub use codecentric::{CodeCentricProfile, CodeLocation, NumaProfile};
 pub use export::{Backpressure, DeltaDrainer, DrainPolicy, ExportStats, SharedBuffer};
 pub use fleet::{
     BackoffPolicy, FaultAction, FaultPlan, FleetAggregator, FleetAggregatorBuilder, FleetClient,
@@ -142,8 +139,8 @@ pub use query::{
 };
 pub use report::{Report, ReportOptions};
 pub use session::{
-    adaptive_shard_count, BatchContext, Collector, NumaProfile, ProfilerConfig, SampleContext,
-    Session, SessionBuilder, SessionSnapshot, DEFAULT_SAMPLE_PERIOD,
+    adaptive_shard_count, BatchContext, Collector, ProfilerConfig, SampleContext, Session,
+    SessionBuilder, SessionSnapshot, DEFAULT_SAMPLE_PERIOD,
 };
 pub use sink::{FinishRecord, JsonSink, LogRecord, ProfileSink, TextSink};
 pub use splay::{Interval, IntervalSplayTree, LookupStats};

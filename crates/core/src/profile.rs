@@ -38,20 +38,26 @@ impl SiteMetrics {
     }
 }
 
-/// The object-centric profile one thread produces.
+/// The profile one thread produces — the one record every view reads: the
+/// object-centric view from `sites`, the code-centric view from the CCT's node
+/// metrics, and the NUMA view from `node_traffic`.
 #[derive(Debug, Clone)]
 pub struct ThreadProfile {
     /// The thread.
     pub thread: ThreadId,
     /// Thread name.
     pub thread_name: String,
-    /// Calling context tree holding the access contexts referenced by `sites`.
+    /// Calling context tree of every sample the thread took: each node's metrics
+    /// hold the samples taken at that context, attributed or not, and `sites`
+    /// reference its nodes as access contexts.
     pub cct: Cct,
     /// Per-allocation-site metrics.
     pub sites: FxHashMap<AllocSiteId, SiteMetrics>,
     /// Samples whose effective address was not enclosed by any monitored object
     /// (unmonitored small objects, stack/runtime memory).
     pub unattributed: MetricVector,
+    /// Samples per `(cpu_node, page_node)` pair — the node-to-node traffic matrix.
+    pub node_traffic: FxHashMap<(u32, u32), u64>,
     /// Total PMU samples this thread received.
     pub samples: u64,
 }
@@ -65,27 +71,29 @@ impl ThreadProfile {
             cct: Cct::new(),
             sites: FxHashMap::default(),
             unattributed: MetricVector::default(),
+            node_traffic: FxHashMap::default(),
             samples: 0,
         }
     }
 
-    /// Records a sample attributed to `site` at the access calling context `path`.
-    pub fn record_attributed(
+    /// Records one sample taken at the calling context `path`: into the context's
+    /// CCT node, the traffic matrix, and `site` — or the unattributed bucket when the
+    /// sampled address belonged to no monitored object.
+    pub fn record_sample(
         &mut self,
-        site: AllocSiteId,
+        site: Option<AllocSiteId>,
         path: &[Frame],
         sample: &djx_pmu::Sample,
         period: u64,
     ) {
         self.samples += 1;
         let ctx = self.cct.insert_path(path);
-        self.sites.entry(site).or_default().record_sample(ctx, sample, period);
-    }
-
-    /// Records a sample that could not be attributed to any monitored object.
-    pub fn record_unattributed(&mut self, sample: &djx_pmu::Sample, period: u64) {
-        self.samples += 1;
-        self.unattributed.record_sample(sample, period);
+        self.cct.metrics_mut(ctx).record_sample(sample, period);
+        *self.node_traffic.entry((sample.cpu_node.0, sample.page_node.0)).or_insert(0) += 1;
+        match site {
+            Some(site) => self.sites.entry(site).or_default().record_sample(ctx, sample, period),
+            None => self.unattributed.record_sample(sample, period),
+        }
     }
 
     /// Records an allocation at `site` performed by this thread.
@@ -94,15 +102,19 @@ impl ThreadProfile {
     }
 
     /// Merges a later delta of the same thread's profile into this one: metric totals
-    /// sum, per-context breakdowns are re-keyed through a CCT merge, and this profile's
-    /// identity (thread id, first-seen name) wins. Merging partitioned deltas is exact:
-    /// the result renders byte-identically to a profile built in one piece
+    /// and traffic counts sum, CCT node metrics and per-context breakdowns are
+    /// re-keyed through a CCT merge, and this profile's identity (thread id,
+    /// first-seen name) wins. Merging partitioned deltas is exact: the result renders
+    /// byte-identically to a profile built in one piece
     /// ([`ObjectCentricProfile::to_text`] canonicalizes contexts by call path, not node
     /// id). This is the retirement step of the session's pause-free snapshots.
     pub fn merge_from(&mut self, delta: &ThreadProfile) {
         let mapping = self.cct.merge(&delta.cct);
         self.samples += delta.samples;
         self.unattributed.merge(&delta.unattributed);
+        for (pair, samples) in &delta.node_traffic {
+            *self.node_traffic.entry(*pair).or_insert(0) += samples;
+        }
         for (site, metrics) in &delta.sites {
             let target = self.sites.entry(*site).or_default();
             target.total.merge(&metrics.total);
@@ -120,6 +132,7 @@ impl ThreadProfile {
     /// Approximate resident bytes of the profile (memory-overhead accounting).
     pub fn approx_bytes(&self) -> usize {
         self.cct.approx_bytes()
+            + self.node_traffic.len() * std::mem::size_of::<((u32, u32), u64)>()
             + self
                 .sites
                 .values()
@@ -542,6 +555,17 @@ impl ObjectCentricProfile {
                 t.samples
             );
             let _ = writeln!(out, "  unattributed {}", encode_metrics(&t.unattributed));
+            let mut contexts: Vec<_> =
+                t.cct.nodes_with_metrics().map(|(_, path, m)| (encode_path(&path), m)).collect();
+            contexts.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+            for (path, m) in contexts {
+                let _ = writeln!(out, "  context {} {}", path, encode_metrics(m));
+            }
+            let mut traffic: Vec<_> = t.node_traffic.iter().collect();
+            traffic.sort_unstable();
+            for ((cpu, page), samples) in traffic {
+                let _ = writeln!(out, "  traffic {cpu}->{page} samples={samples}");
+            }
             let mut site_ids: Vec<_> = t.sites.keys().copied().collect();
             site_ids.sort_unstable();
             for sid in site_ids {
@@ -754,14 +778,14 @@ mod tests {
         ];
         let mut t1 = ThreadProfile::new(ThreadId(1), "main");
         t1.record_allocation(site_a, 4096);
-        t1.record_attributed(site_a, &[f(1, 5), f(4, 9)], &sample(0x1000, false), 100);
-        t1.record_attributed(site_a, &[f(1, 5), f(5, 2)], &sample(0x1040, true), 100);
-        t1.record_attributed(site_b, &[f(3, 0)], &sample(0x2000, false), 100);
-        t1.record_unattributed(&sample(0x9000, false), 100);
+        t1.record_sample(Some(site_a), &[f(1, 5), f(4, 9)], &sample(0x1000, false), 100);
+        t1.record_sample(Some(site_a), &[f(1, 5), f(5, 2)], &sample(0x1040, true), 100);
+        t1.record_sample(Some(site_b), &[f(3, 0)], &sample(0x2000, false), 100);
+        t1.record_sample(None, &[], &sample(0x9000, false), 100);
 
         let mut t2 = ThreadProfile::new(ThreadId(2), "worker 1");
         t2.record_allocation(site_b, 64);
-        t2.record_attributed(site_b, &[f(3, 0), f(6, 6)], &sample(0x2010, true), 100);
+        t2.record_sample(Some(site_b), &[f(3, 0), f(6, 6)], &sample(0x2010, true), 100);
 
         ObjectCentricProfile {
             event: PmuEvent::L1Miss,
@@ -797,21 +821,21 @@ mod tests {
 
         let mut continuous = ThreadProfile::new(ThreadId(1), "main");
         for (site, path, s) in &events {
-            continuous.record_attributed(*site, path, s, 100);
+            continuous.record_sample(Some(*site), path, s, 100);
         }
-        continuous.record_unattributed(&sample(0x9000, false), 100);
+        continuous.record_sample(None, &[], &sample(0x9000, false), 100);
 
         let mut merged = ThreadProfile::new(ThreadId(1), "main");
         for chunk in events.chunks(2) {
             // Later deltas carry the placeholder name, as live retirement produces.
             let mut delta = ThreadProfile::new(ThreadId(1), "<attached>");
             for (site, path, s) in chunk {
-                delta.record_attributed(*site, path, s, 100);
+                delta.record_sample(Some(*site), path, s, 100);
             }
             merged.merge_from(&delta);
         }
         let mut tail = ThreadProfile::new(ThreadId(1), "<attached>");
-        tail.record_unattributed(&sample(0x9000, false), 100);
+        tail.record_sample(None, &[], &sample(0x9000, false), 100);
         merged.merge_from(&tail);
 
         assert_eq!(merged.thread_name, "main", "first-seen identity wins");

@@ -363,9 +363,9 @@ pub enum GroupBy {
     /// thread's group).
     Thread,
     /// By NUMA locality of the sampled access — the local/remote partition of the
-    /// §4.3 signal. The object-centric substrate aggregates per-node pairs down to
-    /// local vs remote; the node-to-node matrix is the NUMA collector's one piece of
-    /// state ([`NumaProfile::node_traffic`](crate::session::NumaProfile::node_traffic)).
+    /// §4.3 signal. Site metrics aggregate per-node pairs down to local vs remote;
+    /// the node-to-node matrix is each thread profile's `node_traffic`, summed by
+    /// [`NumaProfile::from_profile`](crate::codecentric::NumaProfile::from_profile).
     /// Groups under this axis carry the partitionable sample counters only and their
     /// fractions are sample-based.
     NumaNode,
@@ -1420,18 +1420,18 @@ mod tests {
 
         let mut t1 = ThreadProfile::new(ThreadId(1), "main");
         for _ in 0..6 {
-            t1.record_attributed(AllocSiteId(0), &[f(1, 5), f(9, 1)], &sample(false), 100);
+            t1.record_sample(Some(AllocSiteId(0)), &[f(1, 5), f(9, 1)], &sample(false), 100);
         }
         for _ in 0..2 {
-            t1.record_attributed(AllocSiteId(0), &[f(1, 5), f(8, 7)], &sample(true), 100);
+            t1.record_sample(Some(AllocSiteId(0)), &[f(1, 5), f(8, 7)], &sample(true), 100);
         }
-        t1.record_attributed(AllocSiteId(1), &[f(2, 3)], &sample(false), 100);
-        t1.record_unattributed(&sample(false), 100);
+        t1.record_sample(Some(AllocSiteId(1)), &[f(2, 3)], &sample(false), 100);
+        t1.record_sample(None, &[], &sample(false), 100);
         t1.record_allocation(AllocSiteId(0), 2048);
 
         let mut t2 = ThreadProfile::new(ThreadId(2), "worker");
         for _ in 0..4 {
-            t2.record_attributed(AllocSiteId(0), &[f(1, 5), f(9, 1)], &sample(true), 100);
+            t2.record_sample(Some(AllocSiteId(0)), &[f(1, 5), f(9, 1)], &sample(true), 100);
         }
 
         ObjectCentricProfile {
@@ -1515,7 +1515,7 @@ mod tests {
         };
         let mut t = ThreadProfile::new(ThreadId(9), "svc-2");
         for _ in 0..5 {
-            t.record_attributed(AllocSiteId(0), &[f(2, 3), f(7, 7)], &sample(false), 100);
+            t.record_sample(Some(AllocSiteId(0)), &[f(2, 3), f(7, 7)], &sample(false), 100);
         }
         let p2 = ObjectCentricProfile { sites: vec![hot], threads: vec![t], ..p1.clone() };
         let result = Query::new().evaluate(&[p1, p2][..]).unwrap();
@@ -1589,7 +1589,12 @@ mod tests {
                 call_path: path.to_vec(),
             });
             for j in 0..i % 4 {
-                wide.threads[1].record_attributed(AllocSiteId(i), &path, &sample(j % 2 == 0), 100);
+                wide.threads[1].record_sample(
+                    Some(AllocSiteId(i)),
+                    &path,
+                    &sample(j % 2 == 0),
+                    100,
+                );
             }
             if i % 2 == 0 {
                 wide.threads[0].record_allocation(AllocSiteId(i), 64 * u64::from(i));
@@ -1817,7 +1822,7 @@ mod tests {
 
     #[test]
     fn session_without_object_collector_is_a_source_error() {
-        let session = Session::builder().collect_code().build();
+        let session = Session::builder().build();
         let err = Query::new().evaluate(&*session).unwrap_err();
         assert!(matches!(err, QueryError::SourceUnavailable(_)));
         assert!(err.to_string().contains("collect_objects"));

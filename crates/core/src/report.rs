@@ -17,9 +17,8 @@ use std::fmt::{self, Write as _};
 
 use djx_runtime::{Frame, MethodRegistry};
 
-use crate::codecentric::CodeCentricProfile;
+use crate::codecentric::{CodeCentricProfile, NumaProfile};
 use crate::query::{GroupBy, GroupKey, QueryGroup, QueryResult};
-use crate::session::NumaProfile;
 
 /// Renders one frame as `Class.method (File:line)` using the method registry — the same
 /// symbolization JVMTI provides via method IDs, `GetLineNumberTable` and class queries.
@@ -83,7 +82,7 @@ pub struct Report<'a> {
 enum ReportKind<'a> {
     /// The code-centric (perf-like) baseline view (Figure 1b).
     CodeCentric(&'a CodeCentricProfile),
-    /// The NUMA collector's node traffic matrix and the objects with remote samples.
+    /// The NUMA view's node traffic matrix and the objects with remote samples.
     NumaView(&'a NumaProfile, &'a QueryResult),
     /// A query result, symbolized (object-grouped results in the Figure 5 layout;
     /// other groupings list their groups).
@@ -96,7 +95,7 @@ impl<'a> Report<'a> {
         Self { kind: ReportKind::CodeCentric(profile), methods, options: ReportOptions::default() }
     }
 
-    /// The NUMA view (§4.3): the collector's node-to-node traffic matrix, then the
+    /// The NUMA view (§4.3): the profile's node-to-node traffic matrix, then the
     /// groups of `objects` with at least one remote sample, in the result's order.
     /// Pass a result grouped by object and ranked by
     /// [`RankBy::RemoteSamples`](crate::query::RankBy::RemoteSamples).

@@ -10,28 +10,34 @@
 //! * the allocation agent and the shared object index (splay tree + site registry),
 //!
 //! resolves every sample's effective address to its enclosing monitored object **once**,
-//! and fans the enriched sample out to every registered [`Collector`]. The built-in
-//! collectors reproduce the three classic views from the *same* samples of a *single*
-//! pass, and no two hold the same data:
+//! and fans the enriched sample out to every registered [`Collector`]. There is one
+//! built-in collector, [`ObjectCentricCollector`], and it records each sample once,
+//! into its thread's [`ThreadProfile`]: the call path's CCT node, the allocation
+//! site (or the unattributed bucket), and the node-to-node traffic matrix. The three
+//! classic views are reads of that one record, from the *same* samples of a
+//! *single* pass:
 //!
-//! * [`ObjectCentricCollector`] — per thread, each allocation site's metrics (samples,
-//!   weighted events, latency, remote and local samples) and access contexts: every
-//!   per-object ranking, the NUMA one included, is a [`Query`](crate::query::Query)
-//!   over this profile;
-//! * [`CodeCentricCollector`] — a calling context tree with per-context metrics, the
-//!   perf-like baseline;
-//! * [`NumaCollector`] — the node-to-node traffic matrix, the one NUMA signal the
-//!   object profile does not carry.
+//! * the **object-centric** view ([`Session::object_profile`]) — per allocation site,
+//!   its metrics and access contexts; every per-object ranking, the NUMA one
+//!   included, is a [`Query`](crate::query::Query) over it;
+//! * the **code-centric** view ([`Session::code_profile`]) — the merge of the thread
+//!   CCTs, whose node metrics hold every sample at its calling context: the perf-like
+//!   baseline;
+//! * the **NUMA** view ([`Session::numa_profile`]) — the sum of the thread traffic
+//!   matrices.
 //!
-//! Custom collectors implement [`Collector`] and register via
+//! Because the views are fields of one record, a replayed epoch log or a fleet
+//! aggregator's fold answers all three too
+//! ([`CodeCentricProfile::from_profile`], [`NumaProfile::from_profile`]). Custom
+//! collectors implement [`Collector`] and register via
 //! [`SessionBuilder::with_collector`].
 //!
 //! Sessions are configured with [`SessionBuilder`] (events, period, size filter, jitter,
 //! launch/attach mode — one by one, or at once as a [`ProfilerConfig`] through
 //! [`SessionBuilder::config`]), attach to a [`Runtime`] as one composite listener, and
 //! support
-//! incremental observation: [`Session::snapshot`] extracts every collector's current
-//! profile mid-run without stopping measurement, and
+//! incremental observation: [`Session::snapshot`] extracts the three views mid-run
+//! without stopping measurement, and
 //! [`Session::stream_snapshot`] pushes the object-centric profile through any
 //! [`ProfileSink`] backend for live export — and [`SessionBuilder::stream_to`]
 //! upgrades that to **continuous push**: a background drainer streams every retired
@@ -71,7 +77,7 @@
 //!    on by default; [`SessionBuilder::resolution_cache`] disables it.
 //! 3. **Collectors** — each resolved batch is delivered **once per collector** via
 //!    [`Collector::on_sample_batch`] instead of `samples × collectors` individual lock
-//!    round-trips, and every built-in collector keeps *per-thread* state in its own
+//!    round-trips, and the built-in collector keeps *per-thread* state in its own
 //!    thread slots (a thread's samples arrive from that thread, so the state is
 //!    logically thread-private; the slot's spin lock is shared only with snapshots).
 //!
@@ -83,7 +89,8 @@
 //! # Pause-free snapshots: epoch-retired double buffering
 //!
 //! The read paths — [`Session::object_profile`], [`Session::code_profile`],
-//! [`Session::numa_profile`] — must not stall ingestion. Collector state therefore
+//! [`Session::numa_profile`], [`Session::snapshot`] — must not stall ingestion.
+//! Collector state therefore
 //! lives in epoch-buffered thread slots: each snapshot advances the buffer epoch
 //! and **retires** every slot's accumulated delta by taking it out under the slot's
 //! spin lock — an O(1) move, the only instant a sampling thread can even notice — then
@@ -115,8 +122,10 @@
 //! rt.shutdown();
 //!
 //! let snapshot = session.snapshot();
-//! assert!(snapshot.object.unwrap().total_samples() > 0);
-//! assert!(snapshot.code.unwrap().total_samples > 0);
+//! let samples = snapshot.object.unwrap().total_samples();
+//! assert!(samples > 0);
+//! assert_eq!(snapshot.code.unwrap().total_samples, samples);
+//! assert_eq!(snapshot.numa.unwrap().total_samples(), samples);
 //! ```
 
 use std::collections::HashMap;
@@ -133,10 +142,8 @@ use djx_runtime::{
 };
 
 use crate::agent::{AllocationAgent, AllocationConfig, ResolutionCache, SharedObjectIndex};
-use crate::cct::Cct;
-use crate::codecentric::CodeCentricProfile;
+use crate::codecentric::{CodeCentricProfile, NumaProfile};
 use crate::export::{DeltaDrainer, DrainPolicy, ExportShared, ExportStats};
-use crate::fxhash::FxHashMap;
 use crate::object::AllocSiteId;
 use crate::profile::{
     fold_allocation_rows, ObjectCentricProfile, ProfileDelta, ThreadDelta, ThreadProfile,
@@ -315,14 +322,8 @@ pub trait Collector: Send + Sync {
 // Epoch-retired double buffering (pause-free snapshots)
 // ---------------------------------------------------------------------------------------
 
-/// Collector state that can absorb a later delta of itself exactly (snapshot
-/// retirement; see [the module docs](self)). Absorbing partitioned deltas in order
-/// must be equivalent to having recorded every sample into one piece.
-trait AbsorbDelta {
-    fn absorb(&mut self, delta: &Self);
-}
-
-/// Per-thread collector state with epoch-based double buffering.
+/// Per-thread [`ThreadProfile`]s with epoch-based double buffering. Each entry is a
+/// [`ThreadDelta`]: the profile tagged with its thread's first-seen sequence.
 ///
 /// The **active** side is a [`ThreadSlots`] table the sampling hot path writes: each
 /// thread's slot holds the delta it accumulated in the open epoch, behind a spin lock
@@ -335,20 +336,20 @@ trait AbsorbDelta {
 /// lock-order cycle exists). The clone a snapshot returns is made from the retired
 /// buffer, outside every sampling lock.
 #[derive(Debug)]
-struct SnapshotBuffered<T> {
-    /// Thread → its open delta with the delta's first-seen sequence (`None` until the
-    /// thread records something in the open epoch).
-    active: ThreadSlots<SpinLock<Option<(u64, T)>>>,
+struct SnapshotBuffered {
+    /// Thread → its open delta (`None` until the thread records something in the
+    /// open epoch).
+    active: ThreadSlots<SpinLock<Option<ThreadDelta>>>,
     /// Next first-seen sequence: one is drawn whenever a thread opens a delta.
     seq: AtomicU64,
-    /// Thread → (first-seen sequence, absorbed state). Guarded by a blocking mutex:
-    /// only snapshot/read paths running in normal thread context take it.
-    retired: Mutex<HashMap<ThreadId, (u64, T)>>,
+    /// Thread → its absorbed state. Guarded by a blocking mutex: only snapshot/read
+    /// paths running in normal thread context take it.
+    retired: Mutex<HashMap<ThreadId, ThreadDelta>>,
     /// Buffer generation; each retirement closes one epoch.
     epoch: Epoch,
 }
 
-impl<T> Default for SnapshotBuffered<T> {
+impl Default for SnapshotBuffered {
     fn default() -> Self {
         Self {
             active: ThreadSlots::new(),
@@ -359,40 +360,31 @@ impl<T> Default for SnapshotBuffered<T> {
     }
 }
 
-impl<T> SnapshotBuffered<T> {
-    fn new() -> Self {
-        Self::default()
-    }
+/// Sorts deltas into thread-first-seen order.
+fn first_seen_order(deltas: &mut [ThreadDelta]) {
+    deltas.sort_unstable_by_key(|d| (d.seq, d.profile.thread));
+}
 
+impl SnapshotBuffered {
     /// Runs `f` on the thread's open delta, creating it with `init` on first sight
     /// within the current epoch — the sampling-side entry point. Only the thread's own
     /// slot is locked.
     fn with<R>(
         &self,
         thread: ThreadId,
-        init: impl FnOnce() -> T,
-        f: impl FnOnce(&mut T) -> R,
+        init: impl FnOnce() -> ThreadProfile,
+        f: impl FnOnce(&mut ThreadProfile) -> R,
     ) -> R {
         let (slot, _) = self.active.get_or_register(thread, || SpinLock::new(None));
         let mut delta = slot.lock();
-        let (_, state) =
-            delta.get_or_insert_with(|| (self.seq.fetch_add(1, Ordering::Relaxed), init()));
-        f(state)
+        let delta = delta.get_or_insert_with(|| ThreadDelta {
+            seq: self.seq.fetch_add(1, Ordering::Relaxed),
+            profile: init(),
+        });
+        f(&mut delta.profile)
     }
 
-    /// Takes every open delta out, slot by slot, as `(thread, (seq, delta))`. Each slot
-    /// lock is held only for the O(1) take. Runs in normal thread context (snapshot
-    /// readers), so contended slots are acquired yielding — a preempted sampling
-    /// thread inside the lock gets the CPU instead of being spun against for its whole
-    /// timeslice.
-    fn take_active(&self) -> Vec<(ThreadId, (u64, T))> {
-        self.active
-            .iter()
-            .filter_map(|(thread, slot)| slot.lock_yielding().take().map(|delta| (thread, delta)))
-            .collect()
-    }
-
-    /// Folds over every *partial* state — retired first, then the open deltas. A
+    /// Folds over every *partial* profile — retired first, then the open deltas. A
     /// thread present on both sides is visited twice with complementary partitions of
     /// its samples, so `f` must be a commutative accumulation (sums); identity reads
     /// (names, thread counts) belong on [`SnapshotBuffered::merged`].
@@ -403,15 +395,13 @@ impl<T> SnapshotBuffered<T> {
     /// the fold entirely. Holding the mutex excludes [`SnapshotBuffered::merged`] for
     /// the duration (same retired → slot lock order, so no deadlock; sampling threads
     /// only ever take slot locks).
-    fn fold<A>(&self, acc: A, mut f: impl FnMut(A, ThreadId, &T) -> A) -> A {
+    fn fold<A>(&self, acc: A, mut f: impl FnMut(A, &ThreadProfile) -> A) -> A {
         let retired = self.retired.lock();
-        let acc = retired.iter().fold(acc, |acc, (t, (_, s))| f(acc, *t, s));
-        self.active
-            .iter()
-            .fold(acc, |acc, (thread, slot)| match &*slot.lock_yielding() {
-                Some((_, state)) => f(acc, thread, state),
-                None => acc,
-            })
+        let acc = retired.values().fold(acc, |acc, d| f(acc, &d.profile));
+        self.active.iter().fold(acc, |acc, (_, slot)| match &*slot.lock_yielding() {
+            Some(d) => f(acc, &d.profile),
+            None => acc,
+        })
     }
 
     /// Resident bytes of the active table itself (the states are counted through
@@ -424,39 +414,39 @@ impl<T> SnapshotBuffered<T> {
     fn retirements(&self) -> u64 {
         self.epoch.current()
     }
-}
 
-impl<T: AbsorbDelta + Clone> SnapshotBuffered<T> {
     /// Closes the open epoch under an already-held retired lock: every active slot's
-    /// delta is taken out (O(1) under its spin lock) and the taken deltas are absorbed
-    /// into the retired buffer. When `collect` is given, the drained deltas are also
-    /// handed out through it as `(first-seen seq, thread, delta)` tuples, each tagged
-    /// with the seq the *retired* entry keeps, so any stream of drains sorts threads
-    /// exactly the way [`SnapshotBuffered::merged`] would; without a collector, the
-    /// vacant arm moves the delta into the retired buffer outright — no clone.
-    /// Returns the epoch the retirement closed.
+    /// delta is taken out (O(1) under its spin lock; contended slots are acquired
+    /// yielding, since this runs in normal thread context) and absorbed into the
+    /// retired buffer. When `collect` is given, the taken deltas are also handed out
+    /// through it, each tagged with the seq the *retired* entry keeps, so any stream
+    /// of drains sorts threads exactly the way [`SnapshotBuffered::merged`] would;
+    /// without a collector, the vacant arm moves the delta into the retired buffer
+    /// outright — no clone. Returns the epoch the retirement closed.
     fn retire_locked(
         &self,
-        retired: &mut HashMap<ThreadId, (u64, T)>,
-        mut collect: Option<&mut Vec<(u64, ThreadId, T)>>,
+        retired: &mut HashMap<ThreadId, ThreadDelta>,
+        mut collect: Option<&mut Vec<ThreadDelta>>,
     ) -> u64 {
         let epoch = self.epoch.bump();
-        for (thread, (seq, delta)) in self.take_active() {
+        for (thread, slot) in self.active.iter() {
+            let Some(mut delta) = slot.lock_yielding().take() else { continue };
             match retired.entry(thread) {
                 std::collections::hash_map::Entry::Occupied(mut e) => {
                     // The retired entry is older: keep its seq and identity.
-                    e.get_mut().1.absorb(&delta);
+                    e.get_mut().profile.merge_from(&delta.profile);
+                    delta.seq = e.get().seq;
                     if let Some(out) = collect.as_deref_mut() {
-                        out.push((e.get().0, thread, delta));
+                        out.push(delta);
                     }
                 }
                 std::collections::hash_map::Entry::Vacant(v) => match collect.as_deref_mut() {
                     Some(out) => {
-                        v.insert((seq, delta.clone()));
-                        out.push((seq, thread, delta));
+                        v.insert(delta.clone());
+                        out.push(delta);
                     }
                     None => {
-                        v.insert((seq, delta));
+                        v.insert(delta);
                     }
                 },
             }
@@ -467,70 +457,53 @@ impl<T: AbsorbDelta + Clone> SnapshotBuffered<T> {
     /// Closes the open epoch and hands its deltas out in thread-first-seen order
     /// (absorbing them into the retired buffer on the way) — the producer side of the
     /// asynchronous export pipeline.
-    fn drain(&self) -> (u64, Vec<(u64, ThreadId, T)>) {
-        let mut drained = Vec::new();
-        let epoch = self.retire_locked(&mut self.retired.lock(), Some(&mut drained));
-        drained.sort_unstable_by_key(|(seq, t, _)| (*seq, *t));
-        (epoch, drained)
+    fn drain(&self) -> ProfileDelta {
+        let mut threads = Vec::new();
+        let epoch = self.retire_locked(&mut self.retired.lock(), Some(&mut threads));
+        first_seen_order(&mut threads);
+        ProfileDelta { epoch, threads }
     }
 
     /// Clones an already-locked retired buffer in thread-first-seen order.
-    fn clone_locked(retired: &HashMap<ThreadId, (u64, T)>) -> Vec<(ThreadId, T)> {
-        let mut all: Vec<(u64, ThreadId, T)> =
-            retired.iter().map(|(t, (seq, s))| (*seq, *t, s.clone())).collect();
-        all.sort_unstable_by_key(|(seq, t, _)| (*seq, *t));
-        all.into_iter().map(|(_, t, s)| (t, s)).collect()
+    fn clone_locked(retired: &HashMap<ThreadId, ThreadDelta>) -> Vec<ThreadDelta> {
+        let mut all: Vec<ThreadDelta> = retired.values().cloned().collect();
+        first_seen_order(&mut all);
+        all
     }
 
     /// Clones the retired buffer in thread-first-seen order **without** closing the
     /// open epoch: deltas still accumulating in the active slots are not included.
     /// After a [`SnapshotBuffered::drain`], this is by construction the fold of every
     /// delta ever drained.
-    fn retired_clone(&self) -> Vec<(ThreadId, T)> {
+    fn retired_clone(&self) -> Vec<ThreadDelta> {
         Self::clone_locked(&self.retired.lock())
     }
 
-    /// Like [`SnapshotBuffered::retired_clone`], but keeping each entry's first-seen
-    /// sequence — what a live tap seeds its fold from, so its thread order matches
-    /// the order the drained stream would have produced.
-    fn retired_clone_with_seq(&self) -> Vec<(u64, ThreadId, T)> {
-        let retired = self.retired.lock();
-        let mut all: Vec<(u64, ThreadId, T)> =
-            retired.iter().map(|(t, (seq, s))| (*seq, *t, s.clone())).collect();
-        all.sort_unstable_by_key(|(seq, t, _)| (*seq, *t));
-        all
-    }
-
-    /// Retires the open epoch and clones the merged state out in thread-first-seen
+    /// Retires the open epoch and clones the merged profiles out in thread-first-seen
     /// order. Slot locks are held only for the O(1) delta take; absorption, cloning
     /// and sorting all happen on the retired buffer outside every sampling lock. The
     /// retirement itself collects nothing — this caller only wants the merged whole.
-    fn merged(&self) -> Vec<(ThreadId, T)> {
+    fn merged(&self) -> Vec<ThreadProfile> {
         let mut retired = self.retired.lock();
         let _ = self.retire_locked(&mut retired, None);
-        Self::clone_locked(&retired)
-    }
-}
-
-impl AbsorbDelta for ThreadProfile {
-    fn absorb(&mut self, delta: &Self) {
-        self.merge_from(delta);
+        Self::clone_locked(&retired).into_iter().map(|d| d.profile).collect()
     }
 }
 
 // ---------------------------------------------------------------------------------------
-// Built-in collectors
+// The built-in collector
 // ---------------------------------------------------------------------------------------
 
-/// The object-centric collector (§4.2/§5.1 of the paper): builds one
-/// [`ThreadProfile`] per thread, attributing each sample to the allocation site of the
-/// enclosing object — or to the thread's unattributed bucket. State is per-thread and
-/// epoch-buffered (see [the module docs](self)); a batch locks its thread's slot
-/// exactly once, and snapshots retire state instead of cloning it under the slot
-/// lock.
+/// The object-centric collector (§4.2/§5.1 of the paper) — the session's one built-in
+/// collector: builds one [`ThreadProfile`] per thread, recording each sample at its
+/// calling context, in the traffic matrix, and at the allocation site of the
+/// enclosing object — or in the thread's unattributed bucket. Every view the session
+/// offers reads this record. State is per-thread and epoch-buffered (see [the module
+/// docs](self)); a batch locks its thread's slot exactly once, and snapshots retire
+/// state instead of cloning it under the slot lock.
 #[derive(Debug, Default)]
 pub struct ObjectCentricCollector {
-    state: SnapshotBuffered<ThreadProfile>,
+    state: SnapshotBuffered,
     /// The export stream this collector feeds, when the session attached one
     /// ([`SessionBuilder::stream_to`]). Weak — the drainer owns the collector, never
     /// the other way around. While the stream runs, every profile read that retires
@@ -538,13 +511,6 @@ pub struct ObjectCentricCollector {
     /// [`ObjectCentricCollector::thread_profiles`]), which is what keeps the stream
     /// loss-free no matter who triggers the retirement.
     stream: SpinLock<Option<Weak<ExportShared>>>,
-}
-
-fn record_object_sample(profile: &mut ThreadProfile, ctx: &SampleContext<'_>) {
-    match ctx.site {
-        Some(site) => profile.record_attributed(site, ctx.call_trace, ctx.sample, ctx.period),
-        None => profile.record_unattributed(ctx.sample, ctx.period),
-    }
 }
 
 impl ObjectCentricCollector {
@@ -568,7 +534,7 @@ impl ObjectCentricCollector {
                 return self.retired_profiles();
             }
         }
-        self.state.merged().into_iter().map(|(_, p)| p).collect()
+        self.state.merged()
     }
 
     /// Registers the export stream this collector feeds (called when the drainer
@@ -587,21 +553,14 @@ impl ObjectCentricCollector {
     /// whole-profile reads still see them) — the hand-off the asynchronous export
     /// pipeline streams instead of re-cloning the whole retired buffer.
     pub(crate) fn drain_delta(&self) -> ProfileDelta {
-        let (epoch, drained) = self.state.drain();
-        ProfileDelta {
-            epoch,
-            threads: drained
-                .into_iter()
-                .map(|(seq, _, profile)| ThreadDelta { seq, profile })
-                .collect(),
-        }
+        self.state.drain()
     }
 
     /// Clones the retired per-thread profiles in thread-first-seen order without
     /// closing the open epoch. Immediately after [`ObjectCentricCollector::drain_delta`]
     /// this is, by construction, the fold of every delta ever drained.
     pub(crate) fn retired_profiles(&self) -> Vec<ThreadProfile> {
-        self.state.retired_clone().into_iter().map(|(_, p)| p).collect()
+        self.state.retired_clone().into_iter().map(|d| d.profile).collect()
     }
 
     /// The retired buffer as an already-merged [`ProfileDelta`] at the current epoch
@@ -610,20 +569,12 @@ impl ObjectCentricCollector {
     /// that gate, so under it the retired buffer is exactly the fold of every delta
     /// streamed so far and no epoch can close concurrently.
     pub(crate) fn retired_delta(&self) -> ProfileDelta {
-        ProfileDelta {
-            epoch: self.state.retirements(),
-            threads: self
-                .state
-                .retired_clone_with_seq()
-                .into_iter()
-                .map(|(seq, _, profile)| ThreadDelta { seq, profile })
-                .collect(),
-        }
+        ProfileDelta { epoch: self.state.retirements(), threads: self.state.retired_clone() }
     }
 
     /// Total samples recorded across every thread.
     pub fn total_samples(&self) -> u64 {
-        self.state.fold(0, |acc, _, p| acc + p.samples)
+        self.state.fold(0, |acc, p| acc + p.samples)
     }
 }
 
@@ -642,185 +593,14 @@ impl Collector for ObjectCentricCollector {
             || ThreadProfile::new(batch.thread, "<attached>"),
             |profile| {
                 for ctx in batch.iter() {
-                    record_object_sample(profile, &ctx);
+                    profile.record_sample(ctx.site, ctx.call_trace, ctx.sample, ctx.period);
                 }
             },
         );
     }
 
     fn approx_bytes(&self) -> usize {
-        self.state.fold(self.state.slot_bytes(), |acc, _, p| acc + p.approx_bytes())
-    }
-}
-
-#[derive(Debug, Clone, Default)]
-struct CodeState {
-    cct: Cct,
-    samples: u64,
-}
-
-impl CodeState {
-    fn record(&mut self, ctx: &SampleContext<'_>) {
-        let node = self.cct.insert_path(ctx.call_trace);
-        self.samples += 1;
-        self.cct.metrics_mut(node).record_sample(ctx.sample, ctx.period);
-    }
-}
-
-impl AbsorbDelta for CodeState {
-    fn absorb(&mut self, delta: &Self) {
-        self.cct.merge(&delta.cct);
-        self.samples += delta.samples;
-    }
-}
-
-/// The code-centric collector (the "Linux perf" view of Figure 1): attributes every
-/// sample of the shared stream solely to its sampling calling context, with no notion
-/// of objects, from the same pass as every other view.
-///
-/// Each thread grows its own CCT; [`CodeCentricCollector::profile`] merges them
-/// top-down (§5.2) outside every lock.
-#[derive(Debug)]
-pub struct CodeCentricCollector {
-    event: PmuEvent,
-    period: u64,
-    state: SnapshotBuffered<CodeState>,
-}
-
-impl CodeCentricCollector {
-    /// Creates a collector labelled with the session's event and period.
-    pub fn new(event: PmuEvent, period: u64) -> Self {
-        Self { event, period, state: SnapshotBuffered::new() }
-    }
-
-    /// Total samples recorded.
-    pub fn total_samples(&self) -> u64 {
-        self.state.fold(0, |acc, _, s| acc + s.samples)
-    }
-
-    /// Snapshot of the measurement as a [`CodeCentricProfile`], identical in shape to
-    /// the standalone profiler's output.
-    ///
-    /// The open per-thread deltas are taken out slot by slot — the only work done
-    /// under a sampling lock — and the CCTs are merged into the owned profile outside
-    /// every such lock, so a snapshot of a large CCT never stalls sample ingestion for
-    /// the duration of the clone.
-    pub fn profile(&self) -> CodeCentricProfile {
-        let per_thread = self.state.merged();
-        let mut cct = Cct::new();
-        let mut total_samples = 0;
-        for (_, state) in &per_thread {
-            cct.merge(&state.cct);
-            total_samples += state.samples;
-        }
-        CodeCentricProfile { event: self.event, period: self.period, cct, total_samples }
-    }
-}
-
-impl Collector for CodeCentricCollector {
-    fn name(&self) -> &'static str {
-        "code-centric"
-    }
-
-    fn on_sample_batch(&self, batch: &BatchContext<'_>) {
-        self.state.with(batch.thread, CodeState::default, |state| {
-            for ctx in batch.iter() {
-                state.record(&ctx);
-            }
-        });
-    }
-
-    fn approx_bytes(&self) -> usize {
-        self.state.fold(self.state.slot_bytes(), |acc, _, s| acc + s.cct.approx_bytes())
-    }
-}
-
-/// Samples per `(cpu_node, page_node)` pair — the machine-level traffic matrix, the
-/// one NUMA signal the object profile does not hold (it keeps per-site remote and
-/// local counts, not node pairs).
-#[derive(Debug, Clone, Default)]
-struct NumaState {
-    node_traffic: FxHashMap<(u32, u32), u64>,
-}
-
-impl AbsorbDelta for NumaState {
-    fn absorb(&mut self, delta: &Self) {
-        for (pair, samples) in &delta.node_traffic {
-            *self.node_traffic.entry(*pair).or_insert(0) += samples;
-        }
-    }
-}
-
-/// The NUMA collector (§4.3): folds each sample's CPU node and page node into a
-/// node-to-node traffic matrix. Per-object remote and local counts live in the
-/// object-centric profile's metrics; rank objects by them with
-/// [`RankBy::RemoteSamples`](crate::query::RankBy::RemoteSamples). State is
-/// per-thread and epoch-buffered; the sums merge at snapshot time.
-#[derive(Debug, Default)]
-pub struct NumaCollector {
-    state: SnapshotBuffered<NumaState>,
-}
-
-impl NumaCollector {
-    /// Creates an empty collector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Collector for NumaCollector {
-    fn name(&self) -> &'static str {
-        "numa"
-    }
-
-    fn on_sample_batch(&self, batch: &BatchContext<'_>) {
-        self.state.with(batch.thread, NumaState::default, |state| {
-            for s in batch.samples {
-                *state.node_traffic.entry((s.cpu_node.0, s.page_node.0)).or_insert(0) += 1;
-            }
-        });
-    }
-
-    fn approx_bytes(&self) -> usize {
-        self.state.fold(self.state.slot_bytes(), |acc, _, s| {
-            acc + s.node_traffic.len() * std::mem::size_of::<((u32, u32), u64)>()
-        })
-    }
-}
-
-/// The NUMA view assembled from a [`NumaCollector`]: the node-to-node traffic matrix.
-/// A pair with different nodes is a remote access ([`Sample::is_remote_access`]).
-#[derive(Debug, Clone)]
-pub struct NumaProfile {
-    /// Sampled event.
-    pub event: PmuEvent,
-    /// Sampling period.
-    pub period: u64,
-    /// Samples per `(cpu_node, page_node)` pair, ordered by node pair.
-    pub node_traffic: Vec<((u32, u32), u64)>,
-}
-
-impl NumaProfile {
-    /// Total samples the collector saw.
-    pub fn total_samples(&self) -> u64 {
-        self.node_traffic.iter().map(|(_, n)| n).sum()
-    }
-
-    /// Samples whose page lived on another node than the sampling CPU.
-    pub fn remote_samples(&self) -> u64 {
-        self.node_traffic
-            .iter()
-            .filter(|((cpu, page), _)| cpu != page)
-            .map(|(_, n)| n)
-            .sum()
-    }
-
-    /// Machine-wide fraction of samples that were remote accesses.
-    pub fn remote_fraction(&self) -> f64 {
-        match self.total_samples() {
-            0 => 0.0,
-            total => self.remote_samples() as f64 / total as f64,
-        }
+        self.state.fold(self.state.slot_bytes(), |acc, p| acc + p.approx_bytes())
     }
 }
 
@@ -969,8 +749,6 @@ pub fn adaptive_shard_count(threads: usize, expected_live_objects: usize) -> usi
 pub struct SessionBuilder {
     config: ProfilerConfig,
     objects: bool,
-    code: bool,
-    numa: bool,
     custom: Vec<Arc<dyn Collector>>,
     index_shards: Option<usize>,
     resolution_cache: bool,
@@ -989,8 +767,6 @@ impl Default for SessionBuilder {
         Self {
             config: ProfilerConfig::default(),
             objects: false,
-            code: false,
-            numa: false,
             custom: Vec::new(),
             index_shards: None,
             resolution_cache: true,
@@ -1060,16 +836,16 @@ impl SessionBuilder {
         self
     }
 
-    /// Registers the built-in [`CodeCentricCollector`].
-    pub fn collect_code(mut self) -> Self {
-        self.code = true;
-        self
+    /// Alias of [`SessionBuilder::collect_objects`]: the code-centric view is a read
+    /// of the object profile ([`Session::code_profile`]).
+    pub fn collect_code(self) -> Self {
+        self.collect_objects()
     }
 
-    /// Registers the built-in [`NumaCollector`].
-    pub fn collect_numa(mut self) -> Self {
-        self.numa = true;
-        self
+    /// Alias of [`SessionBuilder::collect_objects`]: the NUMA view is a read of the
+    /// object profile ([`Session::numa_profile`]).
+    pub fn collect_numa(self) -> Self {
+        self.collect_objects()
     }
 
     /// Registers a custom collector. The session keeps one `Arc`; keep a clone to read
@@ -1161,10 +937,6 @@ impl SessionBuilder {
 
         let objects = (self.objects || self.export.is_some())
             .then(|| Arc::new(ObjectCentricCollector::new()));
-        let code = self
-            .code
-            .then(|| Arc::new(CodeCentricCollector::new(config.event, config.period)));
-        let numa = self.numa.then(|| Arc::new(NumaCollector::new()));
         let export = self.export.map(|cfg| {
             let collector =
                 objects.clone().expect("stream_to registers the object-centric collector");
@@ -1173,12 +945,6 @@ impl SessionBuilder {
 
         let mut collectors: Vec<Arc<dyn Collector>> = Vec::new();
         if let Some(c) = &objects {
-            collectors.push(c.clone());
-        }
-        if let Some(c) = &code {
-            collectors.push(c.clone());
-        }
-        if let Some(c) = &numa {
             collectors.push(c.clone());
         }
         collectors.extend(self.custom);
@@ -1191,8 +957,6 @@ impl SessionBuilder {
             caches: self.resolution_cache.then(ThreadSlots::new),
             collectors,
             objects,
-            code,
-            numa,
             export,
         })
     }
@@ -1228,24 +992,22 @@ pub struct Session {
     caches: Option<ThreadSlots<SpinLock<ResolutionCache>>>,
     collectors: Vec<Arc<dyn Collector>>,
     objects: Option<Arc<ObjectCentricCollector>>,
-    code: Option<Arc<CodeCentricCollector>>,
-    numa: Option<Arc<NumaCollector>>,
     /// The asynchronous export pipeline, when the builder configured
     /// [`SessionBuilder::stream_to`]. While it runs, every epoch retirement of the
     /// object-centric collector routes its delta into the stream.
     export: Option<DeltaDrainer>,
 }
 
-/// One incremental extraction of every built-in collector's state
-/// (see [`Session::snapshot`]). Each field is `None` when the corresponding collector
-/// was not registered.
+/// One incremental extraction of the three views (see [`Session::snapshot`]), all
+/// read from the same retirement. Each view is `None` when no
+/// [`ObjectCentricCollector`] is registered.
 #[derive(Debug, Clone)]
 pub struct SessionSnapshot {
-    /// The object-centric profile, when an [`ObjectCentricCollector`] is registered.
+    /// The object-centric profile.
     pub object: Option<ObjectCentricProfile>,
-    /// The code-centric profile, when a [`CodeCentricCollector`] is registered.
+    /// The code-centric view of `object`.
     pub code: Option<CodeCentricProfile>,
-    /// The NUMA view, when a [`NumaCollector`] is registered.
+    /// The NUMA traffic matrix of `object`.
     pub numa: Option<NumaProfile>,
     /// Total PMU samples delivered when the snapshot was taken.
     pub total_samples: u64,
@@ -1537,34 +1299,28 @@ impl Session {
         Ok(query.watch(&self.live_fold()?))
     }
 
-    /// The code-centric collector's current profile, or `None` when no
-    /// [`CodeCentricCollector`] is registered.
+    /// The current code-centric view — the object profile's thread CCTs merged — or
+    /// `None` when no [`ObjectCentricCollector`] is registered.
     pub fn code_profile(&self) -> Option<CodeCentricProfile> {
-        self.code.as_ref().map(|c| c.profile())
+        self.object_profile().as_ref().map(CodeCentricProfile::from_profile)
     }
 
-    /// The NUMA collector's current traffic matrix, or `None` when no
-    /// [`NumaCollector`] is registered. The per-thread states are merged and sorted
-    /// outside every collector lock.
+    /// The current NUMA traffic matrix — the object profile's thread matrices summed —
+    /// or `None` when no [`ObjectCentricCollector`] is registered.
     pub fn numa_profile(&self) -> Option<NumaProfile> {
-        let collector = self.numa.as_ref()?;
-        let mut traffic = NumaState::default();
-        for (_, state) in collector.state.merged() {
-            traffic.absorb(&state);
-        }
-        let mut node_traffic: Vec<((u32, u32), u64)> = traffic.node_traffic.into_iter().collect();
-        node_traffic.sort_unstable_by_key(|(pair, _)| *pair);
-        Some(NumaProfile { event: self.config.event, period: self.config.period, node_traffic })
+        self.object_profile().as_ref().map(NumaProfile::from_profile)
     }
 
-    /// Extracts every built-in collector's current profile without stopping
-    /// measurement — the live-observation entry point for long-running workloads.
-    /// Snapshots are independent: later samples never mutate an earlier snapshot.
+    /// Extracts all three views without stopping measurement — the live-observation
+    /// entry point for long-running workloads. The views read one retirement, so
+    /// they always count the same samples. Snapshots are independent: later samples
+    /// never mutate an earlier snapshot.
     pub fn snapshot(&self) -> SessionSnapshot {
+        let object = self.object_profile();
         SessionSnapshot {
-            object: self.object_profile(),
-            code: self.code_profile(),
-            numa: self.numa_profile(),
+            code: object.as_ref().map(CodeCentricProfile::from_profile),
+            numa: object.as_ref().map(NumaProfile::from_profile),
+            object,
             total_samples: self.total_samples(),
         }
     }
@@ -1787,7 +1543,8 @@ mod tests {
         assert_eq!(config.size_filter, 4096);
         assert!(config.jitter);
         assert!(config.attach_mode);
-        assert_eq!(session.collector_names(), vec!["object-centric", "code-centric", "numa"]);
+        // The code-centric and NUMA views are reads of the object profile.
+        assert_eq!(session.collector_names(), vec!["object-centric"]);
         assert!(format!("{session:?}").contains("object-centric"));
     }
 
@@ -1967,8 +1724,8 @@ mod tests {
         });
 
         let object = session.object_profile().expect("object collector registered");
-        let code = session.code_profile().expect("code collector registered");
-        let numa = session.numa_profile().expect("numa collector registered");
+        let code = session.code_profile().expect("object collector registered");
+        let numa = session.numa_profile().expect("object collector registered");
 
         assert!(object.total_samples() > 0);
         assert_eq!(object.total_samples(), code.total_samples, "one shared sampling stream");
@@ -2022,7 +1779,9 @@ mod tests {
             "earlier snapshot is unchanged by later samples"
         );
         assert_eq!(second.object.unwrap().total_samples(), second.total_samples);
-        assert!(second.numa.is_none(), "unregistered collectors snapshot as None");
+        assert_eq!(second.numa.unwrap().total_samples(), second.total_samples);
+        let bare = Session::builder().build().snapshot();
+        assert!(bare.object.is_none() && bare.code.is_none() && bare.numa.is_none());
     }
 
     #[test]
@@ -2046,7 +1805,7 @@ mod tests {
 
     #[test]
     fn stream_snapshot_without_object_collector_errors() {
-        let session = Session::builder().collect_code().build();
+        let session = Session::builder().build();
         let mut out = Vec::new();
         let err = session.stream_snapshot(&TextSink, &mut out).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::Unsupported);

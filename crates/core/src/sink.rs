@@ -424,12 +424,12 @@ mod tests {
         ];
         let mut t1 = ThreadProfile::new(ThreadId(1), "main");
         t1.record_allocation(AllocSiteId(0), 4096);
-        t1.record_attributed(AllocSiteId(0), &[f(1, 5), f(4, 9)], &sample(0x1000, false), 100);
-        t1.record_attributed(AllocSiteId(0), &[f(1, 5), f(5, 2)], &sample(0x1040, true), 100);
-        t1.record_attributed(AllocSiteId(1), &[], &sample(0x2000, false), 100);
-        t1.record_unattributed(&sample(0x9000, false), 100);
+        t1.record_sample(Some(AllocSiteId(0)), &[f(1, 5), f(4, 9)], &sample(0x1000, false), 100);
+        t1.record_sample(Some(AllocSiteId(0)), &[f(1, 5), f(5, 2)], &sample(0x1040, true), 100);
+        t1.record_sample(Some(AllocSiteId(1)), &[], &sample(0x2000, false), 100);
+        t1.record_sample(None, &[], &sample(0x9000, false), 100);
         let mut t2 = ThreadProfile::new(ThreadId(2), "worker\t1");
-        t2.record_attributed(AllocSiteId(1), &[f(3, 0), f(6, 6)], &sample(0x2010, true), 100);
+        t2.record_sample(Some(AllocSiteId(1)), &[f(3, 0), f(6, 6)], &sample(0x2010, true), 100);
         ObjectCentricProfile {
             event: PmuEvent::L1Miss,
             period: 100,

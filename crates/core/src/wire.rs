@@ -25,7 +25,7 @@
 //! | field | size | value |
 //! |---|---|---|
 //! | magic | 4 bytes | `DF 4A 58 42` (`0xDF` then `"JXB"`; `0xDF 0x4A` is never valid UTF-8, so binary logs cannot be mistaken for text) |
-//! | version | 1 byte | `0x01` ([`BINARY_VERSION`]) |
+//! | version | 1 byte | `0x02` ([`BINARY_VERSION`]; a reader refuses any other version rather than misreading it) |
 //! | kind | 1 byte | one of the kinds below |
 //! | payload length | 4 bytes | `u32`, little-endian, length of the payload that follows — at most 16 MiB, the one bound on every inbound read: writers refuse larger frames, readers reject a larger prefix before reading the payload |
 //! | payload | *length* bytes | varint-encoded record body (below) |
@@ -44,7 +44,9 @@
 //! | `0x09` | status | aggregator → client |
 //!
 //! Epoch logs hold delta and finish frames only; a control frame in a log is a
-//! parse error. Every parse error names the byte offset it found the defect at.
+//! parse error. Every parse error names the byte offset it found the defect at —
+//! including a context index past the table's end and a table whose paths do not
+//! strictly ascend.
 //!
 //! # Varint rule
 //!
@@ -63,12 +65,20 @@
 //! | … thread name | varint byte length + UTF-8 bytes |
 //! | … samples | varint |
 //! | … unattributed metrics | metric vector (below) |
+//! | … context table size | varint |
+//! | … per table entry: call path | varint frame count, then per frame: method id varint + BCI varint; entries are strictly ascending by path (frame by frame: method id, then BCI; a prefix sorts first), and the table holds every CCT node that carries metrics or that a site below references |
+//! | … … node metrics | metric vector: every sample the thread took at this context, attributed or not (the code-centric view) |
 //! | … site count | varint |
 //! | … per site: site id | varint, **delta-encoded**: the first site's id is absolute, every subsequent one stores the difference from the previous id (sites are sorted ascending, so the deltas stay small) |
 //! | … … total metrics | metric vector |
 //! | … … context count | varint |
-//! | … … per context: call path | varint frame count, then per frame: method id varint + BCI varint (contexts sorted by path, the codec-wide canonical order) |
+//! | … … per context: table index | varint, 0-based index into the thread's context table (ascending, so contexts keep the table's path order) |
 //! | … … … metrics | metric vector |
+//! | … traffic pair count | varint |
+//! | … per pair: cpu node, page node, samples | three varints, pairs strictly ascending by `(cpu node, page node)` (the NUMA traffic matrix) |
+//!
+//! Each call path crosses the wire once per thread fragment: sites name their access
+//! contexts by table index.
 //!
 //! A **metric vector** is nine varints in declaration order: samples, weighted
 //! events, latency cycles, local samples, remote samples, load samples, store
@@ -136,6 +146,7 @@ use std::str::FromStr;
 use djx_pmu::PmuEvent;
 use djx_runtime::{Frame, MethodId, ThreadId};
 
+use crate::cct::CctNodeId;
 use crate::fleet::{ProducerStatus, FLEET_VERSION};
 use crate::metrics::MetricVector;
 use crate::object::{AllocSite, AllocSiteId};
@@ -151,8 +162,10 @@ use crate::sink::{FinishRecord, LogRecord, ProfileSink};
 /// told apart from the text formats by its first bytes.
 pub const BINARY_MAGIC: [u8; 4] = [0xDF, 0x4A, 0x58, 0x42];
 
-/// Current version of the binary frame layout.
-pub const BINARY_VERSION: u8 = 1;
+/// Current version of the binary frame layout. Version 2 added the per-thread
+/// context table and traffic matrix to delta frames; readers refuse every other
+/// version.
+pub const BINARY_VERSION: u8 = 2;
 
 /// Frame kind byte: a streamed epoch delta.
 const KIND_DELTA: u8 = 1;
@@ -343,12 +356,33 @@ fn encode_delta_payload(epoch: u64, threads: &[ThreadDelta]) -> Vec<u8> {
     put_varint(&mut p, epoch);
     put_varint(&mut p, threads.len() as u64);
     for td in threads {
+        let profile = &td.profile;
         put_varint(&mut p, td.seq);
-        put_varint(&mut p, td.profile.thread.0);
-        put_string(&mut p, &td.profile.thread_name);
-        put_varint(&mut p, td.profile.samples);
-        put_metrics(&mut p, &td.profile.unattributed);
-        let mut site_ids: Vec<_> = td.profile.sites.keys().copied().collect();
+        put_varint(&mut p, profile.thread.0);
+        put_string(&mut p, &profile.thread_name);
+        put_varint(&mut p, profile.samples);
+        put_metrics(&mut p, &profile.unattributed);
+        // The context table: every node with metrics or a site reference, by path.
+        let cct = &profile.cct;
+        let mut in_table: Vec<bool> =
+            cct.node_ids().map(|id| !cct.metrics(id).is_empty()).collect();
+        for ctx in profile.sites.values().flat_map(|sm| sm.by_context.keys()) {
+            in_table[ctx.0 as usize] = true;
+        }
+        let mut table: Vec<(Vec<Frame>, CctNodeId)> = cct
+            .node_ids()
+            .filter(|id| in_table[id.0 as usize])
+            .map(|id| (cct.path_of(id), id))
+            .collect();
+        table.sort_unstable();
+        let mut index = vec![0u64; cct.len()];
+        put_varint(&mut p, table.len() as u64);
+        for (i, (path, id)) in table.iter().enumerate() {
+            index[id.0 as usize] = i as u64;
+            put_path(&mut p, path);
+            put_metrics(&mut p, cct.metrics(*id));
+        }
+        let mut site_ids: Vec<_> = profile.sites.keys().copied().collect();
         site_ids.sort_unstable();
         put_varint(&mut p, site_ids.len() as u64);
         let mut prev = 0u64;
@@ -357,17 +391,24 @@ fn encode_delta_payload(epoch: u64, threads: &[ThreadDelta]) -> Vec<u8> {
             // Delta-encoded within the frame: ascending ids shrink to tiny varints.
             put_varint(&mut p, if j == 0 { id } else { id - prev });
             prev = id;
-            let sm = &td.profile.sites[sid];
+            let sm = &profile.sites[sid];
             put_metrics(&mut p, &sm.total);
-            // Canonical context order (by call path).
-            let mut contexts: Vec<(Vec<Frame>, &MetricVector)> =
-                sm.by_context.iter().map(|(ctx, m)| (td.profile.cct.path_of(*ctx), m)).collect();
-            contexts.sort_by(|a, b| a.0.cmp(&b.0));
+            let mut contexts: Vec<(u64, &MetricVector)> =
+                sm.by_context.iter().map(|(ctx, m)| (index[ctx.0 as usize], m)).collect();
+            contexts.sort_unstable_by_key(|(i, _)| *i);
             put_varint(&mut p, contexts.len() as u64);
-            for (path, m) in contexts {
-                put_path(&mut p, &path);
+            for (i, m) in contexts {
+                put_varint(&mut p, i);
                 put_metrics(&mut p, m);
             }
+        }
+        let mut traffic: Vec<_> = profile.node_traffic.iter().collect();
+        traffic.sort_unstable();
+        put_varint(&mut p, traffic.len() as u64);
+        for ((cpu, page), samples) in traffic {
+            put_varint(&mut p, u64::from(*cpu));
+            put_varint(&mut p, u64::from(*page));
+            put_varint(&mut p, *samples);
         }
     }
     p
@@ -385,6 +426,19 @@ fn decode_delta_payload(payload: &[u8]) -> Result<ProfileDelta, ProfileParseErro
         let mut profile = ThreadProfile::new(thread, &name);
         profile.samples = r.varint()?;
         profile.unattributed = r.metrics()?;
+        let table_len = r.varint()? as usize;
+        let mut table = Vec::with_capacity(table_len.min(4096));
+        let mut prev_path: Option<Vec<Frame>> = None;
+        for _ in 0..table_len {
+            let path = r.path()?;
+            if prev_path.as_ref().is_some_and(|prev| *prev >= path) {
+                return Err(r.error("context table paths do not strictly ascend"));
+            }
+            let node = profile.cct.insert_path(&path);
+            *profile.cct.metrics_mut(node) = r.metrics()?;
+            table.push(node);
+            prev_path = Some(path);
+        }
         let site_count = r.varint()? as usize;
         let mut prev = 0u64;
         for j in 0..site_count {
@@ -394,21 +448,26 @@ fn decode_delta_payload(payload: &[u8]) -> Result<ProfileDelta, ProfileParseErro
                 return Err(r.error(format!("site id delta {delta_id} leaves the u32 range")));
             };
             prev = u64::from(site);
-            let site = AllocSiteId(site);
-            let entry = profile.sites.entry(site).or_default();
+            let entry = profile.sites.entry(AllocSiteId(site)).or_default();
             entry.total = r.metrics()?;
-            let context_count = r.varint()? as usize;
-            for _ in 0..context_count {
-                let path = r.path()?;
-                let metrics = r.metrics()?;
-                let ctx = profile.cct.insert_path(&path);
-                profile
-                    .sites
-                    .get_mut(&site)
-                    .expect("entry inserted above")
-                    .by_context
-                    .insert(ctx, metrics);
+            for _ in 0..r.varint()? {
+                let index = r.varint()?;
+                let Some(&node) = usize::try_from(index).ok().and_then(|i| table.get(i)) else {
+                    return Err(r.error(format!(
+                        "context index {index} is past the end of a {table_len}-entry table"
+                    )));
+                };
+                entry.by_context.insert(node, r.metrics()?);
             }
+        }
+        let mut prev_pair = None;
+        for _ in 0..r.varint()? {
+            let pair = (r.varint_u32()?, r.varint_u32()?);
+            if prev_pair.is_some_and(|prev| prev >= pair) {
+                return Err(r.error("traffic pairs do not strictly ascend"));
+            }
+            profile.node_traffic.insert(pair, r.varint()?);
+            prev_pair = Some(pair);
         }
         threads.push(ThreadDelta { seq, profile });
     }
@@ -1365,6 +1424,67 @@ mod tests {
             .read_log_bytes(&Control::StatusRequest.to_frame().unwrap())
             .unwrap_err();
         assert!(err.message.contains("status request control frame"), "{err}");
+    }
+
+    #[test]
+    fn refuses_version_1_frames() {
+        // A log written before the context table existed is refused, never misread.
+        let (mut bin_log, _) = stream();
+        bin_log[4] = 1;
+        let err = BinaryChunkedSink::new().read_log_bytes(&bin_log).unwrap_err();
+        assert_eq!(err.frame, 1);
+        assert!(err.message.contains("unsupported binary frame version 1"), "{err}");
+    }
+
+    /// A one-thread, one-site delta payload whose context table holds `paths` and
+    /// whose site names its one access context by `index`.
+    fn table_payload(paths: &[Vec<Frame>], index: u64) -> Vec<u8> {
+        let mut p = Vec::new();
+        for v in [1, 1, 0, 7] {
+            put_varint(&mut p, v); // epoch, thread count, seq, thread id
+        }
+        put_string(&mut p, "t");
+        put_varint(&mut p, 1);
+        put_metrics(&mut p, &MetricVector::default());
+        put_varint(&mut p, paths.len() as u64);
+        for path in paths {
+            put_path(&mut p, path);
+            put_metrics(&mut p, &metrics(1));
+        }
+        for v in [1, 0] {
+            put_varint(&mut p, v); // site count, site id
+        }
+        put_metrics(&mut p, &metrics(1));
+        put_varint(&mut p, 1);
+        put_varint(&mut p, index);
+        put_metrics(&mut p, &metrics(1));
+        put_varint(&mut p, 0); // no traffic pairs
+        p
+    }
+
+    #[test]
+    fn decoder_checks_the_context_table() {
+        let (a, b) = (vec![f(1, 5)], vec![f(1, 5), f(4, 9)]);
+        let delta = decode_delta_payload(&table_payload(&[a.clone(), b.clone()], 1)).unwrap();
+        let profile = &delta.threads[0].profile;
+        let (ctx, _) = profile.sites[&AllocSiteId(0)].by_context.iter().next().unwrap();
+        assert_eq!(profile.cct.path_of(*ctx), b);
+        assert_eq!(profile.cct.nodes_with_metrics().count(), 2);
+
+        let refused = |payload: Vec<u8>, what: &str| {
+            let err = decode_delta_payload(&payload).unwrap_err();
+            assert!(err.message.contains(what), "{err}");
+            assert!(err.message.starts_with("payload byte "), "{err}");
+            // Through the frame reader, the offset survives the re-anchoring.
+            let mut frame = Vec::new();
+            write_frame(KIND_DELTA, &payload, &mut frame).unwrap();
+            let err = BinaryFrameReader::new(frame.as_slice()).next_record().unwrap_err();
+            assert!(err.message.contains(what) && err.message.contains("payload byte"), "{err}");
+        };
+        refused(table_payload(&[a.clone(), b.clone()], 2), "context index 2 is past the end");
+        refused(table_payload(&[], 0), "context index 0 is past the end of a 0-entry table");
+        refused(table_payload(&[b.clone(), a.clone()], 0), "do not strictly ascend");
+        refused(table_payload(&[a.clone(), a], 0), "do not strictly ascend");
     }
 
     #[test]

@@ -113,7 +113,7 @@ fn fnv1a(bytes: &[u8]) -> u32 {
 }
 
 fn frame(kind: u8, payload: &[u8]) -> Vec<u8> {
-    let mut frame = vec![0xDF, 0x4A, 0x58, 0x42, 0x01, kind];
+    let mut frame = vec![0xDF, 0x4A, 0x58, 0x42, 0x02, kind];
     frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     frame.extend_from_slice(payload);
     frame.extend_from_slice(&fnv1a(payload).to_le_bytes());
@@ -472,7 +472,7 @@ impl Drop for WalDir {
 }
 
 /// A valid WAL header line, written from the fleet module's WAL format.
-const WAL_HEADER: &str = "djxperf-wal v2 producer=web\\s1 event=MEM_LOAD_UOPS_RETIRED:L1_MISS \
+const WAL_HEADER: &str = "djxperf-wal v3 producer=web\\s1 event=MEM_LOAD_UOPS_RETIRED:L1_MISS \
                           period=64 size_filter=1024\n";
 
 #[test]

@@ -2,7 +2,10 @@
 //! tree is checked against a naive model, the calling context tree against path
 //! round-trips and merge conservation, the metric vector against merge algebra, the
 //! binary profile codec against arbitrary profiles, and the render-only text form
-//! against every single-field mutation (it must tell any two profiles apart).
+//! against every single-field mutation (it must tell any two profiles apart). Streamed
+//! sessions are checked against a sequential replay, and their code-centric and NUMA
+//! views against a reference collector recording every batch the way separate
+//! collectors did.
 
 use std::collections::HashMap;
 
@@ -12,8 +15,9 @@ use djx_memsim::{AccessKind, NumaNode};
 use djx_pmu::{PmuEvent, Sample};
 use djx_runtime::{Frame, MethodId, ThreadId};
 use djxperf::{
-    AllocSite, AllocSiteId, AllocSiteRegistry, AllocationStats, BinaryChunkedSink, Cct, EpochLog,
-    Interval, IntervalSplayTree, MetricVector, ObjectCentricProfile, ProfileSink, ThreadProfile,
+    AllocSite, AllocSiteId, AllocSiteRegistry, AllocationStats, BatchContext, BinaryChunkedSink,
+    Cct, CodeCentricProfile, Collector, EpochLog, Interval, IntervalSplayTree, MetricVector,
+    NumaProfile, ObjectCentricProfile, ProfileSink, ThreadProfile,
 };
 
 // --------------------------------------------------------------------------------------
@@ -305,11 +309,60 @@ fn stream_op() -> impl Strategy<Value = StreamOp> {
     ]
 }
 
+/// The code-centric and NUMA views as separate collectors computed them: every
+/// sample of every batch recorded at its call path in a CCT of its own, and its
+/// `(cpu_node, page_node)` pair counted — the reference the session's views, read
+/// off the object profile, must equal.
+#[derive(Default)]
+struct ReferenceViews {
+    cct: std::sync::Mutex<Cct>,
+    traffic: std::sync::Mutex<HashMap<(u32, u32), u64>>,
+}
+
+impl Collector for ReferenceViews {
+    fn name(&self) -> &'static str {
+        "reference-views"
+    }
+
+    fn on_sample_batch(&self, batch: &BatchContext<'_>) {
+        let (mut cct, mut traffic) = (self.cct.lock().unwrap(), self.traffic.lock().unwrap());
+        for ctx in batch.iter() {
+            let node = cct.insert_path(ctx.call_trace);
+            cct.metrics_mut(node).record_sample(ctx.sample, ctx.period);
+            *traffic.entry((ctx.sample.cpu_node.0, ctx.sample.page_node.0)).or_insert(0) += 1;
+        }
+    }
+}
+
+impl ReferenceViews {
+    fn check(&self, code: &CodeCentricProfile, numa: &NumaProfile) -> Result<(), TestCaseError> {
+        let (cct, traffic) = (self.cct.lock().unwrap(), self.traffic.lock().unwrap());
+        prop_assert_eq!(contexts(&code.cct), contexts(&cct), "code-centric contexts");
+        let mut traffic: Vec<((u32, u32), u64)> = traffic.iter().map(|(p, n)| (*p, *n)).collect();
+        traffic.sort_unstable();
+        prop_assert_eq!(&numa.node_traffic, &traffic, "NUMA traffic matrix");
+        Ok(())
+    }
+}
+
+/// A CCT's `(path, metrics)` pairs, by path: node ids are tree-local.
+fn contexts(cct: &Cct) -> Vec<(Vec<Frame>, MetricVector)> {
+    let mut contexts: Vec<_> = cct.nodes_with_metrics().map(|(_, path, m)| (path, *m)).collect();
+    contexts.sort_by(|a, b| a.0.cmp(&b.0));
+    contexts
+}
+
 /// Replays one interleaving of heap/access/pull operations into a streaming
 /// session (binary epoch log) and a never-drained reference session, finishes the
-/// stream, and returns `(streaming session, reference session, epoch log)`.
-/// Shared by the fold-identity and the query-identity properties below.
-type StreamRun = (std::sync::Arc<djxperf::Session>, std::sync::Arc<djxperf::Session>, Vec<u8>);
+/// stream, and returns `(streaming session, reference session, epoch log, the
+/// streaming session's reference views)`. Shared by the fold-identity and the
+/// query-identity properties below.
+type StreamRun = (
+    std::sync::Arc<djxperf::Session>,
+    std::sync::Arc<djxperf::Session>,
+    Vec<u8>,
+    std::sync::Arc<ReferenceViews>,
+);
 
 fn run_stream_ops(ops: Vec<StreamOp>) -> Result<StreamRun, TestCaseError> {
     use std::sync::Arc;
@@ -323,11 +376,13 @@ fn run_stream_ops(ops: Vec<StreamOp>) -> Result<StreamRun, TestCaseError> {
     use djxperf::{DrainPolicy, Session, SharedBuffer};
 
     let buffer = SharedBuffer::new();
+    let views = Arc::new(ReferenceViews::default());
     // Long tick: the proptest's explicit pulls (and its snapshots) drive the epoch
     // boundaries; the drainer still writes them.
     let streaming: Arc<Session> = Session::builder()
         .period(4)
         .size_filter(1024)
+        .with_collector(views.clone())
         .stream_to_binary(
             Box::new(buffer.clone()),
             DrainPolicy::new().capacity(4).tick(Duration::from_secs(60)),
@@ -352,6 +407,9 @@ fn run_stream_ops(ops: Vec<StreamOp>) -> Result<StreamRun, TestCaseError> {
 
     let thread = ThreadId(1);
     let call_trace = [Frame::new(MethodId(1), 0), Frame::new(MethodId(2), 4)];
+    // Accesses fire at three contexts: the allocating one, a sibling, and the root.
+    let access_traces: [&[Frame]; 3] =
+        [&call_trace, &[Frame::new(MethodId(1), 0), Frame::new(MethodId(3), 8)], &[]];
     let slot_addr = |slot: u64| 0x4000_0000 + slot * STREAM_OBJECT_SIZE;
     let mut hierarchy = MemoryHierarchy::new(HierarchyConfig::broadwell_like());
     let mut slots: HashMap<u64, ObjectId> = HashMap::new();
@@ -425,7 +483,7 @@ fn run_stream_ops(ops: Vec<StreamOp>) -> Result<StreamRun, TestCaseError> {
                     session.on_memory_access(&MemoryAccessEvent {
                         thread,
                         outcome,
-                        call_trace: &call_trace,
+                        call_trace: access_traces[(offset % 3) as usize],
                         object: None,
                     });
                 }
@@ -467,7 +525,7 @@ fn run_stream_ops(ops: Vec<StreamOp>) -> Result<StreamRun, TestCaseError> {
         prop_assert_eq!(live.result.to_json(), cold.to_json());
     }
 
-    Ok((streaming, reference, buffer.contents()))
+    Ok((streaming, reference, buffer.contents(), views))
 }
 
 proptest! {
@@ -482,7 +540,7 @@ proptest! {
         ops in prop::collection::vec(stream_op(), 1..120),
     ) {
 
-        let (streaming, reference, log) = run_stream_ops(ops)?;
+        let (streaming, reference, log, views) = run_stream_ops(ops)?;
         let reference_text = reference.object_profile().unwrap().to_text();
         prop_assert_eq!(
             &streaming.object_profile().unwrap().to_text(),
@@ -500,6 +558,13 @@ proptest! {
             &reference_text,
             "the query source must replay through the same reader"
         );
+        // The code-centric and NUMA views, live and replayed, equal what separate
+        // collectors recorded from the same batches.
+        views.check(&streaming.code_profile().unwrap(), &streaming.numa_profile().unwrap())?;
+        views.check(
+            &CodeCentricProfile::from_profile(&replayed),
+            &NumaProfile::from_profile(&replayed),
+        )?;
     }
 
     /// The query layer's cross-source identity under the same arbitrary
@@ -512,7 +577,7 @@ proptest! {
     ) {
         use djxperf::{EpochLog, GroupBy, Query, RankBy};
 
-        let (streaming, reference, log) = run_stream_ops(ops)?;
+        let (streaming, reference, log, _) = run_stream_ops(ops)?;
         let replayed = EpochLog::replay(&log).expect("the epoch log replays");
         let queries = [
             Query::new(),
@@ -701,10 +766,12 @@ proptest! {
             })
             .collect();
 
+        // One index past the site table records the sample unattributed.
         let mut thread = ThreadProfile::new(ThreadId(1), "prop thread");
         for (site_index, path, sample) in &samples {
-            let site = AllocSiteId((site_index % site_count) as u32);
-            thread.record_attributed(site, path, sample, period);
+            let index = site_index % (site_count + 1);
+            let site = (index < site_count).then_some(AllocSiteId(index as u32));
+            thread.record_sample(site, path, sample, period);
         }
         thread.record_allocation(AllocSiteId(0), 4096);
 
@@ -722,6 +789,15 @@ proptest! {
         sink.write_profile(&profile, &mut doc).expect("writing to a Vec cannot fail");
         let parsed = sink.read_log_bytes(&doc).expect("round trip");
         prop_assert_eq!(parsed.to_text(), profile.to_text(), "serialization is a fixed point");
+        // Node metrics and the traffic matrix cross the codec: both views read back.
+        prop_assert_eq!(
+            contexts(&CodeCentricProfile::from_profile(&parsed).cct),
+            contexts(&profile.threads[0].cct)
+        );
+        prop_assert_eq!(
+            NumaProfile::from_profile(&parsed).node_traffic,
+            NumaProfile::from_profile(&profile).node_traffic
+        );
 
         let analyze = |p: &ObjectCentricProfile| djxperf::Query::new().evaluate(p).unwrap();
         let a = analyze(&profile);
@@ -798,7 +874,7 @@ fn multi_thread_profile(
         let mut thread = ThreadProfile::new(ThreadId(t as u64 + 1), &format!("worker {t}"));
         for (site_index, path, sample) in samples {
             let site = AllocSiteId((site_index % (site_count + 1)) as u32);
-            thread.record_attributed(site, path, sample, period);
+            thread.record_sample(Some(site), path, sample, period);
         }
         thread.record_allocation(unattributed_site, 0);
         threads.push(thread);
@@ -955,6 +1031,12 @@ proptest! {
                 *counter(&mut p.threads[0].unattributed) += 1;
                 true
             })?;
+            changes(&format!("context node counter {i}"), &|p| {
+                p.threads.iter_mut().any(|t| {
+                    let node = t.cct.nodes_with_metrics().next().map(|(id, _, _)| id);
+                    node.map(|id| *counter(t.cct.metrics_mut(id)) += 1).is_some()
+                })
+            })?;
         }
         for (i, counter) in ALLOCATION_COUNTERS.iter().enumerate() {
             changes(&format!("allocation stats counter {i}"), &|p| {
@@ -974,6 +1056,20 @@ proptest! {
             true
         })?;
         changes("access context-path frame", &bump_a_context_frame)?;
+        changes("traffic count", &|p| {
+            let count = p.threads.iter_mut().find_map(|t| t.node_traffic.values_mut().next());
+            count.map(|n| *n += 1).is_some()
+        })?;
+        changes("traffic node pair", &|p| {
+            p.threads.iter_mut().any(|t| {
+                let Some((&(cpu, page), &n)) = t.node_traffic.iter().next() else {
+                    return false;
+                };
+                t.node_traffic.remove(&(cpu, page));
+                *t.node_traffic.entry((cpu, page ^ 2)).or_insert(0) += n;
+                true
+            })
+        })?;
         changes("thread id", &|p| {
             p.threads[0].thread = ThreadId(p.threads[0].thread.0 + 1);
             true

@@ -140,7 +140,7 @@ impl Workload for Figure1Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{run_profiled, run_session, run_unprofiled};
+    use crate::runner::{run_profiled, run_unprofiled};
     use djxperf::ProfilerConfig;
 
     #[test]
@@ -176,7 +176,7 @@ mod tests {
 
     #[test]
     fn code_centric_view_ranks_ic_first_with_a_quarter_of_the_misses() {
-        let run = run_session(&Figure1Workload::new(), ProfilerConfig::default().with_period(8));
+        let run = run_profiled(&Figure1Workload::new(), ProfilerConfig::default().with_period(8));
         let code_profile = run.session.code_profile().unwrap();
         let top_code = &code_profile.top_locations(1)[0];
         let leaf = top_code.leaf.unwrap();

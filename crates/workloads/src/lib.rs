@@ -37,7 +37,7 @@ pub mod runner;
 pub mod scala_stm;
 pub mod suite;
 
-pub use runner::{run_profiled, run_session, run_unprofiled, speedup, ProfiledRun, RunOutcome};
+pub use runner::{run_profiled, run_unprofiled, speedup, ProfiledRun, RunOutcome};
 
 /// Which side of a case study to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]

@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 
 use djx_memsim::HierarchyStats;
 use djx_runtime::{MethodRegistry, Runtime, RuntimeStats};
-use djxperf::{ObjectCentricProfile, ProfilerConfig, Query, QueryResult, Session, SessionBuilder};
+use djxperf::{ObjectCentricProfile, ProfilerConfig, Query, QueryResult, Session};
 
 use crate::Workload;
 
@@ -50,7 +50,7 @@ pub struct ProfiledRun {
     /// run.
     pub profiler_bytes: usize,
     /// The session that profiled the run: lookup statistics, and the code-centric and
-    /// NUMA views when the run collected them ([`run_session`]).
+    /// NUMA views read off its object profile.
     pub session: Arc<Session>,
 }
 
@@ -78,38 +78,18 @@ pub fn run_unprofiled(workload: &dyn Workload) -> RunOutcome {
     finish(&workload.name(), &rt, start.elapsed())
 }
 
-/// Runs a workload with DJXPerf attached from the start (launch mode) collecting the
-/// object-centric view only — the configuration Figure 4's overhead measures — and
-/// returns both the measurement and the profiler's output.
+/// Runs a workload with DJXPerf attached from the start (launch mode) — the
+/// configuration Figure 4's overhead measures — and returns both the measurement and
+/// the profiler's output. The one pass answers all three views: the object profile,
+/// and the code-centric and NUMA views read off it (Figure 1's comparison without a
+/// second run).
 ///
 /// # Panics
 ///
 /// Panics if the workload itself fails.
 pub fn run_profiled(workload: &dyn Workload, config: ProfilerConfig) -> ProfiledRun {
-    run_with(workload, Session::builder().config(config).collect_objects())
-}
-
-/// Runs a workload once with a session collecting the object-centric, code-centric and
-/// NUMA views of that single pass (Figure 1's comparison without a second run); read
-/// the extra views from [`ProfiledRun::session`].
-///
-/// # Panics
-///
-/// Panics if the workload itself fails.
-pub fn run_session(workload: &dyn Workload, config: ProfilerConfig) -> ProfiledRun {
-    run_with(
-        workload,
-        Session::builder()
-            .config(config)
-            .collect_objects()
-            .collect_code()
-            .collect_numa(),
-    )
-}
-
-fn run_with(workload: &dyn Workload, builder: SessionBuilder) -> ProfiledRun {
     let mut rt = Runtime::new(workload.runtime_config());
-    let session = builder.attach(&mut rt);
+    let session = Session::builder().config(config).collect_objects().attach(&mut rt);
     let start = Instant::now();
     workload.run(&mut rt).expect("workload must run to completion");
     rt.shutdown();
@@ -213,22 +193,21 @@ mod tests {
     fn session_run_yields_all_views_and_matches_the_legacy_path() {
         let workload = BatikNvalsWorkload::new(Variant::Baseline).scaled(0.1);
         let config = ProfilerConfig::default().with_period(64);
-        let objects_only = run_profiled(&workload, config);
-        let session = run_session(&workload, config);
+        let rerun = run_profiled(&workload, config);
+        let session = run_profiled(&workload, config);
 
-        // The multi-collector single pass reproduces the objects-only profile bit for
-        // bit, and the extra views come from the same sampling stream.
-        assert_eq!(session.profile.to_text(), objects_only.profile.to_text());
-        assert_eq!(session.outcome.stats.accesses, objects_only.outcome.stats.accesses);
-        assert_eq!(session.outcome.modeled_cycles, objects_only.outcome.modeled_cycles);
+        // A second pass reproduces the profile bit for bit, and the code-centric and
+        // NUMA views read the same samples off it.
+        assert_eq!(session.profile.to_text(), rerun.profile.to_text());
+        assert_eq!(session.outcome.stats.accesses, rerun.outcome.stats.accesses);
+        assert_eq!(session.outcome.modeled_cycles, rerun.outcome.modeled_cycles);
         let code = session.session.code_profile().unwrap();
         let numa = session.session.numa_profile().unwrap();
         assert_eq!(code.total_samples, session.profile.total_samples());
         assert_eq!(numa.total_samples(), session.profile.total_samples());
         assert!(code.hottest_location_fraction() > 0.0);
-        assert!(objects_only.session.code_profile().is_none(), "objects only");
         assert!(session.profiler_bytes > 0);
-        assert_eq!(session.report.total_samples, objects_only.report.total_samples);
+        assert_eq!(session.report.total_samples, rerun.report.total_samples);
     }
 
     #[test]

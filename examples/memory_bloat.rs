@@ -11,7 +11,7 @@
 //! object-level attribution with PMU metrics.
 
 use djx_workloads::bloat::{BatikNvalsWorkload, LusearchCollectorWorkload};
-use djx_workloads::runner::{run_session, run_unprofiled, speedup};
+use djx_workloads::runner::{run_profiled, run_unprofiled, speedup};
 use djx_workloads::{Variant, Workload};
 use djxperf::{ProfilerConfig, Report, ReportOptions};
 
@@ -25,7 +25,7 @@ fn study(
     // One session pass yields both sides of the paper's Figure 1 comparison — the
     // object-centric ranking below *and* the code-centric baseline — where the original
     // architecture needed two profiled runs of the workload.
-    let profiled = run_session(build(Variant::Baseline).as_ref(), config);
+    let profiled = run_profiled(build(Variant::Baseline).as_ref(), config);
 
     println!("== {name} ==");
     println!(

@@ -6,7 +6,7 @@
 //! ```
 
 use djx_workloads::numa::{DruidBitmapWorkload, EclipseCollectionsWorkload};
-use djx_workloads::runner::{run_profiled, run_session, speedup};
+use djx_workloads::runner::{run_profiled, speedup};
 use djx_workloads::{Variant, Workload};
 use djxperf::{ProfilerConfig, Query, RankBy, Report, ReportOptions};
 
@@ -18,14 +18,14 @@ fn study(
     build: impl Fn(Variant) -> Box<dyn Workload>,
 ) {
     let config = ProfilerConfig::default().with_period(128);
-    // One pass yields the object profile and the NUMA collector's traffic matrix.
-    let baseline = run_session(build(Variant::Baseline).as_ref(), config);
+    // One pass yields the object profile; the NUMA traffic matrix is read off it.
+    let baseline = run_profiled(build(Variant::Baseline).as_ref(), config);
     let optimized = run_profiled(build(Variant::Optimized).as_ref(), config);
 
     println!("== {name} ==");
     // The NUMA view: the node-to-node traffic matrix, then the objects ranked by
     // remote samples — a Query over the object profile, the one per-object ranking.
-    let numa = baseline.session.numa_profile().expect("numa collector registered");
+    let numa = baseline.session.numa_profile().expect("object collector registered");
     let remote = Query::new()
         .rank_by(RankBy::RemoteSamples)
         .evaluate(&baseline.profile)

@@ -6,11 +6,10 @@
 //! ```
 //!
 //! The program allocates a `float[]` inside a loop (the batik Listing 1 pattern), works
-//! over it, and throws it away. A [`Session`] samples L1 misses once and feeds every
-//! registered collector from that single stream: the object-centric collector
-//! attributes each sample to the object (allocation site) enclosing the sampled
-//! address, the code-centric collector keeps the perf-like baseline for comparison, and
-//! the NUMA collector watches cross-node traffic. Analysis is one composable [`Query`]
+//! over it, and throws it away. A [`Session`] samples L1 misses once and records each
+//! sample once: at the object (allocation site) enclosing the sampled address, at its
+//! calling context — the perf-like baseline, for comparison — and in the cross-node
+//! traffic matrix. Analysis is one composable [`Query`]
 //! evaluated straight against the session — the hot `float[]` should come out on top,
 //! with its allocation call path resolved to
 //! `ExtendedGeneralPath.makeRoom (ExtendedGeneralPath.java:743)`. The same query value
@@ -22,15 +21,11 @@ use djxperf::{GroupBy, JsonSink, Query, RankBy, Report, Session};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. A simulated managed runtime (the JVM stand-in) with a session attached at
-    //    launch: the sampling substrate is configured once, then any number of
-    //    collectors share it.
+    //    launch: the sampling substrate is configured once, each sample is recorded
+    //    once, and the object-centric, code-centric and NUMA views all read that
+    //    record.
     let mut rt = Runtime::new(RuntimeConfig::evaluation());
-    let session = Session::builder()
-        .period(128)
-        .collect_objects()
-        .collect_code()
-        .collect_numa()
-        .attach(&mut rt);
+    let session = Session::builder().period(128).collect_objects().attach(&mut rt);
 
     // 2. The monitored program: 500 iterations, each allocating an 8 KiB float[] in
     //    makeRoom and doing a read-modify-write pass over it.
@@ -76,8 +71,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         hottest.metrics.allocations
     );
 
-    // 4. The same pass also produced the code-centric baseline ...
-    let code = session.code_profile().expect("code collector registered");
+    // 4. The same record also answers the code-centric baseline ...
+    let code = session.code_profile().expect("object collector registered");
     println!(
         "\ncode-centric baseline from the same pass: hottest single location {:.1}%",
         code.hottest_location_fraction() * 100.0

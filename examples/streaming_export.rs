@@ -13,12 +13,15 @@
 //! with the whole accumulated profile, and the sampling hot path never blocks on the
 //! writer. At the end, [`Session::finish_export`] flushes the terminal record, and
 //! the example proves the headline guarantee by replaying the log: the folded deltas
-//! are byte-identical to the session's own final profile.
+//! are byte-identical to the session's own final profile, and the replay answers the
+//! code-centric view and the NUMA traffic matrix exactly as the session does.
 
 use std::time::Duration;
 
 use djx_runtime::{dsl, Runtime, RuntimeConfig};
-use djxperf::{BinaryChunkedSink, DrainPolicy, JsonSink, ProfileSink};
+use djxperf::{
+    BinaryChunkedSink, CodeCentricProfile, DrainPolicy, JsonSink, NumaProfile, ProfileSink,
+};
 use djxperf::{Query, Session, SharedBuffer};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -90,6 +93,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         contents.len(),
         replayed.total_samples(),
     );
+
+    // The log carries every view: the replay's code-centric contexts and NUMA
+    // traffic matrix equal the session's own.
+    let code = session.code_profile().expect("object collector registered");
+    let replayed_code = CodeCentricProfile::from_profile(&replayed);
+    let contexts = |c: &CodeCentricProfile| {
+        let mut contexts: Vec<_> = c.cct.nodes_with_metrics().map(|(_, p, m)| (p, *m)).collect();
+        contexts.sort_by(|a, b| a.0.cmp(&b.0));
+        contexts
+    };
+    assert_eq!(contexts(&replayed_code), contexts(&code), "replayed code view");
+    assert_eq!(replayed_code.total_samples, code.total_samples);
+    let numa = session.numa_profile().expect("object collector registered");
+    assert_eq!(NumaProfile::from_profile(&replayed).node_traffic, numa.node_traffic);
+    println!("replayed code view and NUMA traffic matrix equal the session's ✓");
 
     // 5. The replayed profile answers offline queries like any profile file.
     let report = Query::new().top(3).min_samples(1).evaluate(&replayed)?;

@@ -5,13 +5,16 @@
 //! runs on that thread. The test asserts the two properties the sharded index and the
 //! per-thread collector state must preserve under concurrency:
 //!
-//! 1. **Zero lost samples**: every sample emitted by any thread's PMU is present in the
-//!    merged profiles of every collector.
+//! 1. **Zero lost samples**: every sample emitted by any thread's PMU is present in
+//!    every view of the merged profiles.
 //! 2. **Merge fidelity**: the concurrently built per-thread profiles merge to exactly
 //!    the profiles a single-threaded replay of the same event log produces — the
-//!    interleaving of threads must not change any attributed metric.
+//!    interleaving of threads must not change any attributed metric — and the
+//!    code-centric and NUMA views read off them equal what a reference collector,
+//!    recording every batch at its call path the way separate collectors did, saw.
 
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 
 use djx_memsim::{HierarchyConfig, MemoryAccess, MemoryHierarchy};
 use djx_pmu::PmuEvent;
@@ -19,7 +22,10 @@ use djx_runtime::{
     AllocationEvent, ClassId, Frame, MemoryAccessEvent, MethodId, ObjectId, RuntimeListener,
     ThreadId,
 };
-use djxperf::{ObjectCentricProfile, Session};
+use djxperf::{
+    BatchContext, Cct, CodeCentricProfile, Collector, MetricVector, NumaProfile,
+    ObjectCentricProfile, Session,
+};
 
 const THREADS: u64 = 4;
 const OBJECTS_PER_THREAD: u64 = 64;
@@ -103,6 +109,58 @@ fn new_session() -> Arc<Session> {
         .build()
 }
 
+/// The code-centric and NUMA views as separate collectors computed them: every
+/// sample of every batch recorded at its call path in a CCT of its own, and its
+/// `(cpu_node, page_node)` pair counted.
+#[derive(Default)]
+struct ReferenceViews {
+    cct: Mutex<Cct>,
+    traffic: Mutex<HashMap<(u32, u32), u64>>,
+}
+
+impl Collector for ReferenceViews {
+    fn name(&self) -> &'static str {
+        "reference-views"
+    }
+
+    fn on_sample_batch(&self, batch: &BatchContext<'_>) {
+        let (mut cct, mut traffic) = (self.cct.lock().unwrap(), self.traffic.lock().unwrap());
+        for ctx in batch.iter() {
+            let node = cct.insert_path(ctx.call_trace);
+            cct.metrics_mut(node).record_sample(ctx.sample, ctx.period);
+            *traffic.entry((ctx.sample.cpu_node.0, ctx.sample.page_node.0)).or_insert(0) += 1;
+        }
+    }
+}
+
+impl ReferenceViews {
+    fn check(&self, code: &CodeCentricProfile, numa: &NumaProfile) {
+        let (cct, traffic) = (self.cct.lock().unwrap(), self.traffic.lock().unwrap());
+        assert_eq!(contexts(&code.cct), contexts(&cct), "code-centric contexts");
+        let mut traffic: Vec<((u32, u32), u64)> = traffic.iter().map(|(p, n)| (*p, *n)).collect();
+        traffic.sort_unstable();
+        assert_eq!(numa.node_traffic, traffic, "NUMA traffic matrix");
+    }
+}
+
+/// A CCT's `(path, metrics)` pairs, by path: node ids are tree-local.
+fn contexts(cct: &Cct) -> Vec<(Vec<Frame>, MetricVector)> {
+    let mut contexts: Vec<_> = cct.nodes_with_metrics().map(|(_, path, m)| (path, *m)).collect();
+    contexts.sort_by(|a, b| a.0.cmp(&b.0));
+    contexts
+}
+
+/// A session with a [`ReferenceViews`] collector registered next to the built-in one.
+fn session_with_reference() -> (Arc<Session>, Arc<ReferenceViews>) {
+    let views = Arc::new(ReferenceViews::default());
+    let session = Session::builder()
+        .period(PERIOD)
+        .collect_objects()
+        .with_collector(views.clone())
+        .build();
+    (session, views)
+}
+
 /// Renders the profile with threads in id order, so comparisons are independent of the
 /// first-seen order concurrency happens to produce.
 fn canonical_text(mut profile: ObjectCentricProfile) -> String {
@@ -116,7 +174,7 @@ fn concurrent_ingestion_loses_no_samples_and_merges_like_a_sequential_replay() {
 
     // Concurrent run: all allocations first (the log's program order), then every
     // thread replays its accesses from its own OS thread.
-    let concurrent = new_session();
+    let (concurrent, views) = session_with_reference();
     for log in logs.iter() {
         replay_allocs(&concurrent, log);
     }
@@ -143,8 +201,8 @@ fn concurrent_ingestion_loses_no_samples_and_merges_like_a_sequential_replay() {
     assert_eq!(concurrent.thread_count(), THREADS as usize);
 
     let object = concurrent.object_profile().expect("object collector registered");
-    let code = concurrent.code_profile().expect("code collector registered");
-    let numa = concurrent.numa_profile().expect("numa collector registered");
+    let code = concurrent.code_profile().expect("object collector registered");
+    let numa = concurrent.numa_profile().expect("object collector registered");
     assert_eq!(object.total_samples(), total, "object-centric view dropped samples");
     assert_eq!(code.total_samples, total, "code-centric view dropped samples");
     assert_eq!(numa.total_samples(), total, "NUMA view dropped samples");
@@ -171,24 +229,9 @@ fn concurrent_ingestion_loses_no_samples_and_merges_like_a_sequential_replay() {
         "concurrent merge must equal a single-threaded replay"
     );
 
-    // The NUMA traffic matrix is commutative sums, sorted: exact equality. (Per-site
-    // remote counts live in the object profile compared above.)
-    let sequential_numa = sequential.numa_profile().unwrap();
-    assert_eq!(numa.node_traffic, sequential_numa.node_traffic);
-
-    // The code-centric CCTs may assign node ids in different merge orders; compare the
-    // path → metrics mapping instead.
-    let mut concurrent_paths: Vec<_> =
-        code.cct.nodes_with_metrics().map(|(_, path, m)| (path, *m)).collect();
-    let sequential_code = sequential.code_profile().unwrap();
-    let mut sequential_paths: Vec<_> = sequential_code
-        .cct
-        .nodes_with_metrics()
-        .map(|(_, path, m)| (path, *m))
-        .collect();
-    concurrent_paths.sort_by(|a, b| a.0.cmp(&b.0));
-    sequential_paths.sort_by(|a, b| a.0.cmp(&b.0));
-    assert_eq!(concurrent_paths, sequential_paths);
+    // The text above renders the code-centric contexts and the traffic matrix too;
+    // both views also equal what the reference collector recorded concurrently.
+    views.check(&code, &numa);
 
     // The index saw every object, and every sample resolved through either a thread's
     // private cache or a shard lookup — the two partition the hot path.
@@ -238,14 +281,14 @@ fn disabling_the_resolution_cache_preserves_profiles_exactly() {
 
 #[test]
 fn continuous_snapshots_never_lose_samples_and_merge_like_a_sequential_replay() {
-    // The pause-free snapshot path: a snapshot retires each collector's open buffer
+    // The pause-free snapshot path: a snapshot retires the collector's open buffer
     // epoch (an O(1) take from each thread slot) instead of cloning state under the
     // sampling locks. Snapshotting *continuously* while four threads ingest must
     // therefore (a) keep every intermediate view internally consistent, (b) lose no
     // samples, and (c) leave the final profiles byte-identical to a sequential replay
     // that was never snapshotted — delta retirement must be exact.
     let logs = Arc::new(build_logs());
-    let session = new_session();
+    let (session, views) = session_with_reference();
     for log in logs.iter() {
         replay_allocs(&session, log);
     }
@@ -268,6 +311,9 @@ fn continuous_snapshots_never_lose_samples_and_merge_like_a_sequential_replay() 
                 object.threads.iter().map(|t| t.samples).sum::<u64>(),
                 "snapshot view is internally consistent"
             );
+            // The three views read one retirement: they count the same samples.
+            assert_eq!(snapshot.code.expect("code view").total_samples, object.total_samples());
+            assert_eq!(snapshot.numa.expect("NUMA view").total_samples(), object.total_samples());
             assert!(
                 snapshot.total_samples <= session.total_samples(),
                 "a snapshot never reports samples from the future"
@@ -301,26 +347,7 @@ fn continuous_snapshots_never_lose_samples_and_merge_like_a_sequential_replay() 
         canonical_text(sequential.object_profile().unwrap()),
         "continuous snapshotting must not perturb the final object profile"
     );
-    let sequential_numa = sequential.numa_profile().unwrap();
-    let numa = final_snapshot.numa.unwrap();
-    assert_eq!(numa.node_traffic, sequential_numa.node_traffic);
-    let mut concurrent_paths: Vec<_> = final_snapshot
-        .code
-        .as_ref()
-        .unwrap()
-        .cct
-        .nodes_with_metrics()
-        .map(|(_, path, m)| (path, *m))
-        .collect();
-    let sequential_code = sequential.code_profile().unwrap();
-    let mut sequential_paths: Vec<_> = sequential_code
-        .cct
-        .nodes_with_metrics()
-        .map(|(_, path, m)| (path, *m))
-        .collect();
-    concurrent_paths.sort_by(|a, b| a.0.cmp(&b.0));
-    sequential_paths.sort_by(|a, b| a.0.cmp(&b.0));
-    assert_eq!(concurrent_paths, sequential_paths);
+    views.check(&final_snapshot.code.unwrap(), &final_snapshot.numa.unwrap());
 }
 
 #[test]

