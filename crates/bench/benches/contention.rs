@@ -626,7 +626,6 @@ impl Fixtures {
             let seed = live_delta(1, 0..LIVE_SITES);
             let query = live_query();
             let fold = LiveFold::new();
-            fold.provide_sites(live_sites());
             let mut watch = query.watch(&fold);
             fold.absorb(&seed).expect("seed epoch folds");
             for tick in 0..ticks {
@@ -872,7 +871,14 @@ fn live_delta(epoch: u64, sites: impl Iterator<Item = u32>) -> ProfileDelta {
             FULL_PERIOD,
         );
     }
-    ProfileDelta { epoch, threads: vec![ThreadDelta { seq: 0, profile: fragment }] }
+    // The seed epoch defines every site; the ticks only reference them.
+    let seed = epoch == 1;
+    ProfileDelta {
+        epoch,
+        threads: vec![ThreadDelta { seq: 0, profile: fragment }],
+        site_base: if seed { 0 } else { LIVE_SITES as usize },
+        sites: if seed { live_sites() } else { Vec::new() },
+    }
 }
 
 /// Epoch `tick + 2`: a rotating window of [`LIVE_DELTA_SITES`] sites.
@@ -885,7 +891,6 @@ fn live_tick_delta(tick: u32) -> ProfileDelta {
 /// watch, or from a full evaluation of a snapshot when `watch` is false.
 fn live_run(query: &Query, seed: &ProfileDelta, ticks: u32, watch: bool) -> u64 {
     let fold = LiveFold::new();
-    fold.provide_sites(live_sites());
     let mut watched = watch.then(|| query.watch(&fold));
     fold.absorb(seed).expect("seed epoch folds");
     let mut checksum = 0u64;
@@ -917,7 +922,11 @@ fn measure_replay(row: &Row, dir: &Path) -> Measurement {
             &bench_sample(0x1000 + epoch * 8, false, 120),
             FLEET_PERIOD,
         );
-        let delta = ProfileDelta { epoch, threads: vec![ThreadDelta { seq: 0, profile }] };
+        let delta = ProfileDelta {
+            epoch,
+            threads: vec![ThreadDelta { seq: 0, profile }],
+            ..Default::default()
+        };
         sink.on_delta(epoch, &delta, &mut devnull).expect("replay frame acked");
     }
     drop(sink);

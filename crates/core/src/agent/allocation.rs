@@ -8,6 +8,7 @@
 //! end (the `memmove`-interposition + MXBean-notification scheme), and removes reclaimed
 //! objects (the `finalize`-interception scheme).
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -15,10 +16,8 @@ use parking_lot::Mutex;
 use djx_memsim::Addr;
 use djx_runtime::{
     AllocationEvent, GcEvent, ObjectId, ObjectMoveEvent, ObjectReclaimEvent, RuntimeListener,
-    ThreadId,
 };
 
-use crate::fxhash::FxHashMap;
 use crate::object::{AllocSiteId, MonitoredObject};
 use crate::profile::AllocationStats;
 use crate::splay::Interval;
@@ -58,29 +57,43 @@ struct PendingMove {
     size: u64,
 }
 
+/// The GC side of the agent: only GC callbacks take its mutex.
 #[derive(Debug, Default)]
 struct AllocationState {
     /// The per-collection relocation map (§4.5): moves are batched here and applied to
     /// the splay tree when the collection finishes.
     relocation_map: Vec<PendingMove>,
-    /// Per (allocating thread, site) allocation counts and bytes, merged into the
-    /// thread profiles when the final profile is assembled.
-    allocations: FxHashMap<(ThreadId, AllocSiteId), (u64, u64)>,
-    stats: AllocationStats,
+    relocations: u64,
+    unknown_moves: u64,
+    reclamations: u64,
 }
 
 /// The allocation agent. See the [`crate::agent`] module documentation.
+///
+/// The allocation callback takes no agent lock: its counters are relaxed atomics,
+/// and the per-(thread, site) allocation counts live in the allocating thread's own
+/// profile (the session records them there with the site this callback returns).
 #[derive(Debug)]
 pub struct AllocationAgent {
     config: AllocationConfig,
     shared: Arc<SharedObjectIndex>,
+    callbacks: AtomicU64,
+    monitored: AtomicU64,
+    filtered: AtomicU64,
     state: Mutex<AllocationState>,
 }
 
 impl AllocationAgent {
     /// Creates an agent over the shared object index.
     pub fn new(config: AllocationConfig, shared: Arc<SharedObjectIndex>) -> Self {
-        Self { config, shared, state: Mutex::new(AllocationState::default()) }
+        Self {
+            config,
+            shared,
+            callbacks: AtomicU64::new(0),
+            monitored: AtomicU64::new(0),
+            filtered: AtomicU64::new(0),
+            state: Mutex::new(AllocationState::default()),
+        }
     }
 
     /// The agent's configuration.
@@ -90,29 +103,39 @@ impl AllocationAgent {
 
     /// Counters describing what the agent has seen so far.
     pub fn stats(&self) -> AllocationStats {
-        self.state.lock().stats
-    }
-
-    /// Snapshot of per-(thread, site) allocation counts and bytes.
-    pub fn allocations_by_thread(&self) -> Vec<(ThreadId, AllocSiteId, u64, u64)> {
         let state = self.state.lock();
-        let mut v: Vec<_> = state
-            .allocations
-            .iter()
-            .map(|((t, s), (count, bytes))| (*t, *s, *count, *bytes))
-            .collect();
-        v.sort_unstable_by_key(|(t, s, _, _)| (*t, *s));
-        v
+        AllocationStats {
+            callbacks: self.callbacks.load(Ordering::Relaxed),
+            monitored: self.monitored.load(Ordering::Relaxed),
+            filtered: self.filtered.load(Ordering::Relaxed),
+            relocations: state.relocations,
+            unknown_moves: state.unknown_moves,
+            reclamations: state.reclamations,
+        }
     }
 
     /// Approximate resident bytes of the agent's private state (memory-overhead
     /// accounting; the shared splay tree is accounted separately).
     pub fn approx_bytes(&self) -> usize {
-        let state = self.state.lock();
-        state.relocation_map.len() * std::mem::size_of::<PendingMove>()
-            + state.allocations.len()
-                * (std::mem::size_of::<(ThreadId, AllocSiteId)>()
-                    + std::mem::size_of::<(u64, u64)>())
+        self.state.lock().relocation_map.len() * std::mem::size_of::<PendingMove>()
+    }
+
+    /// One allocation callback: inserts a monitored object into the shared index and
+    /// returns its interned site, or `None` when the size filter rejects the object.
+    /// Takes no agent lock; the caller records the allocation against the site.
+    pub fn on_object_alloc(&self, event: &AllocationEvent<'_>) -> Option<AllocSiteId> {
+        self.callbacks.fetch_add(1, Ordering::Relaxed);
+        if self.filters(event.size) {
+            self.filtered.fetch_add(1, Ordering::Relaxed);
+            return None;
+        }
+        self.monitored.fetch_add(1, Ordering::Relaxed);
+        let site = self.shared.sites.lock().intern(event.class_name, event.call_trace);
+        self.shared.insert(
+            Interval::new(event.start, event.start + event.size),
+            MonitoredObject { object: event.object, site, size: event.size },
+        );
+        Some(site)
     }
 
     /// `true` for objects the size filter keeps out of the index. Allocation, move and
@@ -154,7 +177,7 @@ impl AllocationAgent {
                         self.shared.insert(new_range, mo);
                         self.shared.remove(mv.old_addr);
                     }
-                    state.stats.relocations += 1;
+                    state.relocations += 1;
                 }
                 None if self.config.attach_mode => {
                     // Attach mode missed the allocation; insert the new range directly
@@ -164,7 +187,7 @@ impl AllocationAgent {
                         Interval::new(mv.new_addr, mv.new_addr + mv.size),
                         MonitoredObject { object: mv.object, site, size: mv.size },
                     );
-                    state.stats.unknown_moves += 1;
+                    state.unknown_moves += 1;
                 }
                 None => {}
             }
@@ -174,23 +197,7 @@ impl AllocationAgent {
 
 impl RuntimeListener for AllocationAgent {
     fn on_object_alloc(&self, event: &AllocationEvent<'_>) {
-        let mut state = self.state.lock();
-        state.stats.callbacks += 1;
-        if self.filters(event.size) {
-            state.stats.filtered += 1;
-            return;
-        }
-        state.stats.monitored += 1;
-
-        let site = self.shared.sites.lock().intern(event.class_name, event.call_trace);
-        let entry = state.allocations.entry((event.thread, site)).or_insert((0, 0));
-        entry.0 += 1;
-        entry.1 += event.size;
-
-        self.shared.insert(
-            Interval::new(event.start, event.start + event.size),
-            MonitoredObject { object: event.object, site, size: event.size },
-        );
+        AllocationAgent::on_object_alloc(self, event);
     }
 
     fn on_object_move(&self, event: &ObjectMoveEvent) {
@@ -218,7 +225,7 @@ impl RuntimeListener for AllocationAgent {
         }
         let mut state = self.state.lock();
         if self.shared.remove(event.addr).is_some() {
-            state.stats.reclamations += 1;
+            state.reclamations += 1;
         }
     }
 
@@ -233,7 +240,7 @@ impl RuntimeListener for AllocationAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use djx_runtime::{ClassId, Frame, GcId, MethodId};
+    use djx_runtime::{ClassId, Frame, GcId, MethodId, ThreadId};
 
     fn alloc_event<'a>(
         object: u64,
@@ -262,8 +269,9 @@ mod tests {
     fn monitored_allocation_is_inserted_and_interned() {
         let (agent, shared) = agent(AllocationConfig::default());
         let trace = [Frame::new(MethodId(3), 5)];
-        agent.on_object_alloc(&alloc_event(1, 0x1000, 2048, "float[]", &trace));
+        let site = agent.on_object_alloc(&alloc_event(1, 0x1000, 2048, "float[]", &trace));
 
+        assert_eq!(site, Some(AllocSiteId(0)));
         assert_eq!(shared.live_objects(), 1);
         assert_eq!(shared.site_count(), 1);
         let mo = shared.lookup(0x17ff).unwrap().1;
@@ -273,15 +281,13 @@ mod tests {
         assert_eq!(stats.callbacks, 1);
         assert_eq!(stats.monitored, 1);
         assert_eq!(stats.filtered, 0);
-        let allocs = agent.allocations_by_thread();
-        assert_eq!(allocs, vec![(ThreadId(1), AllocSiteId(0), 1, 2048)]);
     }
 
     #[test]
     fn size_filter_skips_small_objects() {
         let (agent, shared) = agent(AllocationConfig { size_filter: 1024, attach_mode: false });
-        agent.on_object_alloc(&alloc_event(1, 0x1000, 64, "small", &[]));
-        agent.on_object_alloc(&alloc_event(2, 0x2000, 4096, "big[]", &[]));
+        assert_eq!(agent.on_object_alloc(&alloc_event(1, 0x1000, 64, "small", &[])), None);
+        assert!(agent.on_object_alloc(&alloc_event(2, 0x2000, 4096, "big[]", &[])).is_some());
         assert_eq!(shared.live_objects(), 1);
         let stats = agent.stats();
         assert_eq!(stats.filtered, 1);
@@ -304,11 +310,11 @@ mod tests {
     fn same_call_path_shares_a_site() {
         let (agent, shared) = agent(AllocationConfig::default());
         let trace = [Frame::new(MethodId(1), 5), Frame::new(MethodId(2), 9)];
-        agent.on_object_alloc(&alloc_event(1, 0x1000, 2048, "float[]", &trace));
-        agent.on_object_alloc(&alloc_event(2, 0x2000, 2048, "float[]", &trace));
+        let first = agent.on_object_alloc(&alloc_event(1, 0x1000, 2048, "float[]", &trace));
+        let second = agent.on_object_alloc(&alloc_event(2, 0x2000, 2048, "float[]", &trace));
         assert_eq!(shared.site_count(), 1, "objects from one site share the call path");
         assert_eq!(shared.live_objects(), 2);
-        assert_eq!(agent.allocations_by_thread(), vec![(ThreadId(1), AllocSiteId(0), 2, 4096)]);
+        assert_eq!((first, second), (Some(AllocSiteId(0)), Some(AllocSiteId(0))));
     }
 
     #[test]
@@ -542,17 +548,29 @@ mod tests {
         }
         assert_eq!(agent.approx_bytes(), before);
         assert_eq!(agent.stats().filtered, 100);
-        // Monitored allocations grow the per-(thread, site) allocation table.
+        // Monitored allocations keep no per-allocation state in the agent either (their
+        // counts live in the allocating thread's profile); pending relocations do, until
+        // the collection ends and applies them.
         for i in 0..10u64 {
             let trace = [Frame::new(MethodId(i as u32), 0)];
-            agent.on_object_alloc(&alloc_event(
-                100 + i,
-                0x10_0000 + i * 0x1000,
-                2048,
-                "big[]",
-                &trace,
-            ));
+            let addr = 0x10_0000 + i * 0x1000;
+            agent.on_object_alloc(&alloc_event(100 + i, addr, 2048, "big[]", &trace));
+            agent.on_object_move(&ObjectMoveEvent {
+                gc: GcId(2),
+                object: ObjectId(100 + i),
+                old_addr: addr,
+                new_addr: addr + 0x100_0000,
+                size: 2048,
+            });
         }
         assert!(agent.approx_bytes() > before);
+        agent.on_gc_end(&GcEvent {
+            gc: GcId(2),
+            heap_used: 0,
+            objects_moved: 10,
+            objects_reclaimed: 0,
+        });
+        assert_eq!(agent.approx_bytes(), before);
+        assert_eq!(agent.stats().relocations, 10);
     }
 }

@@ -144,6 +144,23 @@ impl Cct {
         frames
     }
 
+    /// Visits every node depth-first, parent before children and children in
+    /// ascending frame order — which is ascending order of the nodes' root-first call
+    /// paths, a prefix first — passing each node's id and path.
+    pub fn walk_sorted(&self, mut visit: impl FnMut(CctNodeId, &[Frame])) {
+        let mut path = Vec::new();
+        let mut stack = vec![(Self::ROOT, 0)];
+        while let Some((id, depth)) = stack.pop() {
+            let node = &self.nodes[id.0 as usize];
+            path.truncate(depth);
+            path.extend(node.frame);
+            visit(id, &path);
+            let mut children: Vec<_> = node.children.iter().collect();
+            children.sort_unstable_by(|a, b| b.0.cmp(a.0));
+            stack.extend(children.into_iter().map(|(_, child)| (*child, path.len())));
+        }
+    }
+
     /// Iterates over every node id (root first, then in creation order).
     pub fn node_ids(&self) -> impl Iterator<Item = CctNodeId> + '_ {
         (0..self.nodes.len() as u32).map(CctNodeId)

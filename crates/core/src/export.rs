@@ -771,7 +771,11 @@ mod tests {
     fn delta(epoch: u64, thread: u64, samples: u64) -> ProfileDelta {
         let mut profile = ThreadProfile::new(ThreadId(thread), "t");
         profile.samples = samples;
-        ProfileDelta { epoch, threads: vec![ThreadDelta { seq: thread, profile }] }
+        ProfileDelta {
+            epoch,
+            threads: vec![ThreadDelta { seq: thread, profile }],
+            ..Default::default()
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! |---|---|---|---|
 //! | producer → aggregator | hello | `0x03` | protocol version (`3`), producer name, event, period, size filter, and the producer's spilled-frame / dropped-epoch / backoff-ms counters |
 //! | producer → aggregator | delta | `0x01` | a [`crate::wire`] delta frame |
-//! | producer → aggregator | finish | `0x02` | the [`crate::wire`] finish frame (site table, allocation rows, `total_samples` checksum) |
+//! | producer → aggregator | finish | `0x02` | the [`crate::wire`] finish frame (configuration, agent counters, `total_samples` checksum) |
 //! | aggregator → producer | ack | `0x04` | the fold's last epoch, after the hello and after every delta; the final flag is set only on the ack of the finish |
 //! | aggregator → any peer | error | `0x05` | a message, followed by a close: a hello of any other version, an epoch frame before the hello, a corrupt frame, a refused finish |
 //! | client → aggregator | query | `0x06` | a serialized [`Query`] |
@@ -63,11 +63,12 @@
 //! ([`ProducerStatus::truncated`], [`FleetProducer::truncated`]) until it
 //! reconnects and finishes — loss is always visible, end to end.
 //!
-//! A producer's partial (pre-finish) fold carries samples but no site table — the
-//! site table arrives with the finish record — so object-grouped queries attribute
-//! its samples only after it finishes; thread- and NUMA-grouped queries see them
-//! immediately. Choosing a deployment (in-process / log replay / fleet daemon) is
-//! covered in the README's "Fleet profiling" section.
+//! Deltas are self-describing — each carries its allocation counts and the sites
+//! interned since the previous one — so a producer's partial (pre-finish) fold,
+//! running or crashed, answers every query axis, object-grouped included, at every
+//! epoch. A delta whose sites do not join the fold's table is refused
+//! ([`crate::profile::FoldError::SiteGap`]). Choosing a deployment (in-process /
+//! log replay / fleet daemon) is covered in the README's "Fleet profiling" section.
 //!
 //! # Durability: the write-ahead log
 //!
@@ -77,7 +78,7 @@
 //! the received frame bytes, appended verbatim — never decoded and re-encoded:
 //!
 //! ```text
-//! <one header line>\n             djxperf-wal v3 producer=NAME event=E period=P size_filter=S
+//! <one header line>\n             djxperf-wal v4 producer=NAME event=E period=P size_filter=S
 //! <binary delta frame>            exactly crate::wire's delta frame (magic DF 4A 58 42)
 //! <binary delta frame>            …one per accepted epoch, in fold order…
 //! <binary finish frame>           the finish frame as received, if the run finished
@@ -140,10 +141,10 @@ use crate::wire::{self, BinaryChunkedSink, BinaryFrameReader, Control, Hello, Wi
 pub(crate) const FLEET_VERSION: u64 = 3;
 
 /// The first two fields of the WAL header line. The version moves with
-/// [`BINARY_VERSION`](crate::wire::BINARY_VERSION): v3 logs hold version-2 frames.
+/// [`BINARY_VERSION`](crate::wire::BINARY_VERSION): v4 logs hold version-3 frames.
 /// Recovery refuses a WAL of another version instead of reading its frames as a
 /// torn tail and truncating them.
-const WAL_MAGIC: &str = "djxperf-wal v3";
+const WAL_MAGIC: &str = "djxperf-wal v4";
 
 /// Default TCP connect timeout ([`FleetSinkBuilder::connect_timeout`]): without
 /// one, a black-holed address hangs the first delivery for the OS default
@@ -470,8 +471,9 @@ pub enum OverflowPolicy {
     #[default]
     SpillThenBlock,
     /// Drop the **oldest** buffered epochs to make room and count them in
-    /// [`FleetSinkStats::dropped_epochs`]; the drop count travels with the next
-    /// hello, so the aggregator flags the producer truncated
+    /// [`FleetSinkStats::dropped_epochs`] — only epochs that define no allocation
+    /// sites, since the fold refuses every delta after a site gap. The drop count
+    /// travels with the next hello, so the aggregator flags the producer truncated
     /// ([`ProducerStatus::dropped_epochs`]) and accepts the lossy finish without
     /// its (now unmeetable) sample checksum. Loss is chosen, bounded and visible
     /// — never silent.
@@ -612,8 +614,8 @@ fn spill_file_path(dir: &Path) -> PathBuf {
 }
 
 /// The disk tier of a [`PendingBuffer`]: a temporary file of
-/// `u64 epoch-key (LE, 0 = finish) · u32 length (LE) · frame bytes` records,
-/// appended at the tail and consumed from a read cursor. Deleted on drop.
+/// `u64 epoch-key (LE, 0 = finish) · u8 sites flag · u32 length (LE) · frame bytes`
+/// records, appended at the tail and consumed from a read cursor. Deleted on drop.
 #[derive(Debug)]
 struct SpillFile {
     file: File,
@@ -634,27 +636,32 @@ impl SpillFile {
         self.write_off - self.read_off
     }
 
-    fn append(&mut self, epoch_key: u64, bytes: &[u8]) -> io::Result<()> {
+    fn append(&mut self, frame: &PendingFrame) -> io::Result<()> {
         self.file.seek(SeekFrom::Start(self.write_off))?;
-        self.file.write_all(&epoch_key.to_le_bytes())?;
-        self.file.write_all(&(bytes.len() as u32).to_le_bytes())?;
-        self.file.write_all(bytes)?;
-        self.write_off += 8 + 4 + bytes.len() as u64;
+        self.file.write_all(&frame.epoch.unwrap_or(0).to_le_bytes())?;
+        self.file.write_all(&[u8::from(frame.sites)])?;
+        self.file.write_all(&(frame.bytes.len() as u32).to_le_bytes())?;
+        self.file.write_all(&frame.bytes)?;
+        self.write_off += 13 + frame.bytes.len() as u64;
         self.frames += 1;
         Ok(())
     }
 
     /// Reads the record at the cursor; the caller tracks `frames`.
-    fn read_next(&mut self) -> io::Result<(u64, Vec<u8>)> {
+    fn read_next(&mut self) -> io::Result<PendingFrame> {
         self.file.seek(SeekFrom::Start(self.read_off))?;
-        let mut header = [0u8; 12];
+        let mut header = [0u8; 13];
         self.file.read_exact(&mut header)?;
         let epoch_key = u64::from_le_bytes(header[..8].try_into().expect("8 bytes"));
-        let len = u32::from_le_bytes(header[8..].try_into().expect("4 bytes"));
+        let len = u32::from_le_bytes(header[9..].try_into().expect("4 bytes"));
         let mut bytes = vec![0u8; len as usize];
         self.file.read_exact(&mut bytes)?;
-        self.read_off += 8 + 4 + u64::from(len);
-        Ok((epoch_key, bytes))
+        self.read_off += 13 + u64::from(len);
+        Ok(PendingFrame {
+            epoch: (epoch_key != 0).then_some(epoch_key),
+            sites: header[8] != 0,
+            bytes,
+        })
     }
 
     /// Rewinds an emptied file so the space is reused instead of growing forever.
@@ -757,7 +764,7 @@ impl PendingBuffer {
                 }
                 // A full disk degrades to blocking too — the frame is handed
                 // back intact, never half-written (append seeks per record).
-                match spill.append(frame.epoch.unwrap_or(0), &frame.bytes) {
+                match spill.append(&frame) {
                     Ok(()) => {
                         self.spilled_frames += 1;
                         Ok(())
@@ -766,10 +773,14 @@ impl PendingBuffer {
                 }
             }
             OverflowPolicy::DropOldestEpochsFlaggedLossy => {
-                while self.mem_bytes + len > self.budget
-                    && self.mem.front().is_some_and(|f| f.epoch.is_some())
-                {
-                    let dropped = self.mem.pop_front().expect("front checked");
+                // Frames carrying site definitions survive: without one, every
+                // later delta would be refused for its site gap.
+                while self.mem_bytes + len > self.budget {
+                    let Some(oldest) = self.mem.iter().position(|f| f.epoch.is_some() && !f.sites)
+                    else {
+                        break;
+                    };
+                    let dropped = self.mem.remove(oldest).expect("position is in range");
                     self.mem_bytes -= dropped.bytes.len();
                     self.dropped_epochs += 1;
                 }
@@ -810,17 +821,14 @@ impl PendingBuffer {
             return Ok(0);
         };
         while spill.frames > 0 && (self.mem.is_empty() || self.mem_bytes < self.budget) {
-            let (epoch_key, bytes) = spill.read_next()?;
+            let frame = spill.read_next()?;
             spill.frames -= 1;
-            if epoch_key != 0 && epoch_key <= self.trim_below {
+            if frame.epoch.is_some_and(|e| e <= self.trim_below) {
                 trimmed += 1;
                 continue;
             }
-            self.mem_bytes += bytes.len();
-            self.mem.push_back(PendingFrame {
-                epoch: if epoch_key == 0 { None } else { Some(epoch_key) },
-                bytes,
-            });
+            self.mem_bytes += frame.bytes.len();
+            self.mem.push_back(frame);
         }
         if spill.frames == 0 {
             spill.reset()?;
@@ -871,6 +879,8 @@ pub struct FleetSinkStats {
 #[derive(Debug)]
 struct PendingFrame {
     epoch: Option<u64>,
+    /// The frame defines allocation sites: never dropped for room.
+    sites: bool,
     bytes: Vec<u8>,
 }
 
@@ -1414,7 +1424,8 @@ impl ProfileSink for FleetSink {
                     bytes
                 }
             };
-            match link.pending.offer(PendingFrame { epoch: Some(epoch), bytes }) {
+            let frame = PendingFrame { epoch: Some(epoch), sites: !delta.sites.is_empty(), bytes };
+            match link.pending.offer(frame) {
                 Ok(()) => {
                     let _ = link.pump();
                     return Ok(());
@@ -1443,7 +1454,7 @@ impl ProfileSink for FleetSink {
         }
         let mut bytes = Vec::new();
         BinaryChunkedSink.on_finish(profile, &mut bytes)?;
-        if link.pending.offer(PendingFrame { epoch: None, bytes }).is_err() {
+        if link.pending.offer(PendingFrame { epoch: None, sites: false, bytes }).is_err() {
             // Only a failing spill tier refuses a finish frame; queueing it in
             // memory would deliver it ahead of the spilled deltas, so surface
             // the loss instead.
@@ -1902,8 +1913,9 @@ pub struct FleetProducer {
     /// `true` when the producer died without a finish frame: the profile below is a
     /// partial fold — real samples, but not the whole run.
     pub truncated: bool,
-    /// The producer's assembled profile: complete (sites, allocation rows, verified
-    /// checksum) once finished, the partial fold otherwise.
+    /// The producer's assembled profile: complete (agent counters, verified
+    /// checksum) once finished, the partial fold otherwise — sites and allocation
+    /// counts included either way.
     pub profile: ObjectCentricProfile,
 }
 
@@ -1966,14 +1978,7 @@ fn snapshot_view(state: &FleetState) -> FleetView {
                 Some(finish) => {
                     finish.clone().assemble(fold).expect("finish checksum was verified at ingest")
                 }
-                None => fold.assemble(
-                    p.event,
-                    p.period,
-                    p.size_filter,
-                    Vec::new(),
-                    std::iter::empty(),
-                    AllocationStats::default(),
-                ),
+                None => fold.assemble(p.event, p.period, p.size_filter, AllocationStats::default()),
             };
             FleetProducer { producer: name.clone(), truncated: p.truncated(), profile }
         })
@@ -2508,19 +2513,21 @@ fn dispatch_epoch_record(
                         p.duplicates += 1;
                         let epoch = p.fold.last_epoch().unwrap_or(0);
                         (Ok(Control::Ack { epoch, terminal: false }), None)
+                    } else if let Err(e) = p.fold.check(&delta) {
+                        // A site gap: refused before the WAL sees it, so replaying
+                        // the log never hits a frame the fold refused.
+                        (Err(e.to_string()), None)
                     } else {
                         // Durability order: log, then fold, then ack. A WAL append
                         // failure refuses the frame — the producer re-sends it, and
                         // the fold never holds a sample the log doesn't.
                         match p.wal.as_mut().map_or(Ok(()), |w| w.append(frame)) {
                             Err(e) => (Err(format!("WAL append failed: {e}")), None),
-                            Ok(()) => match p.absorb(&delta) {
-                                Ok(()) => {
-                                    let ack = Control::Ack { epoch: delta.epoch, terminal: false };
-                                    (Ok(ack), Some(WatchFeed::Delta(delta)))
-                                }
-                                Err(e) => (Err(e.to_string()), None),
-                            },
+                            Ok(()) => {
+                                p.absorb(&delta).expect("checked above");
+                                let ack = Control::Ack { epoch: delta.epoch, terminal: false };
+                                (Ok(ack), Some(WatchFeed::Delta(delta)))
+                            }
                         }
                     }
                 }
@@ -2567,32 +2574,16 @@ fn dispatch_epoch_record(
                 let names = &p.thread_names;
                 match feed {
                     WatchFeed::Delta(delta) => {
-                        // The producer's site table is unknown until its finish
-                        // record, so every row defers — exactly matching a cold
-                        // evaluation over the view, whose pre-finish profiles
-                        // carry no site table either.
-                        let ctx = StreamCtx { key: name, sites: &[], names };
+                        // The producer's fold already holds the delta's sites.
+                        let ctx = StreamCtx { key: name, sites: p.fold.sites(), names };
                         for_watches(watches, |w| w.feed_fragment(&ctx, &delta));
                     }
                     WatchFeed::Finish => {
-                        let finish = p.finish.as_ref().expect("set while accepting the frame");
-                        let ctx = StreamCtx { key: name, sites: &finish.sites, names };
+                        // The finish adds no rows, only the run header; `close:
+                        // false` — one producer finishing does not end the fleet.
                         let (event, period) = meta.expect("this producer exists");
-                        for_watches(watches, |w| {
-                            // Every sample row of this producer deferred until now;
-                            // replay them against the complete site table, then fold
-                            // the terminal allocation rows. `close: false` — one
-                            // producer finishing does not end the fleet.
-                            w.replay_rows(&ctx, &p.fold.acc().threads, 0);
-                            w.feed_finish(
-                                &ctx,
-                                &finish.allocs,
-                                event,
-                                period,
-                                p.fold.last_epoch(),
-                                false,
-                            );
-                        });
+                        let epoch = p.fold.last_epoch();
+                        for_watches(watches, |w| w.feed_finish(event, period, epoch, false));
                     }
                 }
             }
@@ -2741,7 +2732,7 @@ mod tests {
     fn delta(epoch: u64, thread: u64, samples: u64) -> ProfileDelta {
         let mut profile = ThreadProfile::new(ThreadId(thread), "worker");
         profile.samples = samples;
-        ProfileDelta { epoch, threads: vec![ThreadDelta { seq: 0, profile }] }
+        ProfileDelta { epoch, threads: vec![ThreadDelta { seq: 0, profile }], ..Default::default() }
     }
 
     fn assert_query_round_trips(query: Query) {
@@ -2946,7 +2937,11 @@ mod tests {
             PendingBuffer::new(48, OverflowPolicy::SpillThenBlock, dir.clone(), 1 << 20);
         for epoch in 1..=6u64 {
             pending
-                .offer(PendingFrame { epoch: Some(epoch), bytes: vec![epoch as u8; 40] })
+                .offer(PendingFrame {
+                    epoch: Some(epoch),
+                    sites: false,
+                    bytes: vec![epoch as u8; 40],
+                })
                 .expect("spill tier absorbs the overflow");
         }
         assert_eq!(pending.len(), 6);
@@ -2975,11 +2970,11 @@ mod tests {
             PendingBuffer::new(96, OverflowPolicy::DropOldestEpochsFlaggedLossy, dir.clone(), 0);
         for epoch in 1..=5u64 {
             pending
-                .offer(PendingFrame { epoch: Some(epoch), bytes: vec![0; 40] })
+                .offer(PendingFrame { epoch: Some(epoch), sites: false, bytes: vec![0; 40] })
                 .expect("the lossy policy always accepts");
         }
         pending
-            .offer(PendingFrame { epoch: None, bytes: vec![0; 40] })
+            .offer(PendingFrame { epoch: None, sites: false, bytes: vec![0; 40] })
             .expect("finish queues");
         assert!(pending.dropped_epochs >= 3, "oldest epochs were shed: {}", pending.dropped_epochs);
         let mut kept = Vec::new();
@@ -2988,6 +2983,27 @@ mod tests {
         }
         assert_eq!(kept.last(), Some(&None), "the finish frame survives every drop");
         assert!(kept.iter().flatten().all(|e| *e >= 4), "only the newest epochs remain");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn lossy_buffer_keeps_frames_that_define_sites() {
+        let dir = scratch_dir("lossy-sites");
+        let mut pending =
+            PendingBuffer::new(96, OverflowPolicy::DropOldestEpochsFlaggedLossy, dir.clone(), 0);
+        for epoch in 1..=6u64 {
+            // Epochs 1 and 4 define sites; the rest only reference them.
+            let sites = epoch % 3 == 1;
+            pending
+                .offer(PendingFrame { epoch: Some(epoch), sites, bytes: vec![0; 40] })
+                .expect("the lossy policy always accepts");
+        }
+        assert_eq!(pending.dropped_epochs, 3, "three site-free epochs were shed");
+        let mut kept = Vec::new();
+        while let Some(frame) = pending.pop_front() {
+            kept.push(frame.epoch.expect("no finish was offered"));
+        }
+        assert_eq!(kept, vec![1, 4, 6], "site-defining epochs survive the squeeze, in order");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -3055,14 +3071,7 @@ mod tests {
             sink.on_delta(epoch, &d, &mut out).expect("delta ships");
             BinaryChunkedSink.on_delta(epoch, &d, &mut sent).expect("delta encodes");
         }
-        let profile = fold.assemble(
-            PmuEvent::DEFAULT,
-            16,
-            0,
-            Vec::new(),
-            std::iter::empty(),
-            AllocationStats::default(),
-        );
+        let profile = fold.assemble(PmuEvent::DEFAULT, 16, 0, AllocationStats::default());
         sink.on_finish(&profile, &mut out).expect("finish ships");
         BinaryChunkedSink.on_finish(&profile, &mut sent).expect("finish encodes");
 

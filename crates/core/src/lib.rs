@@ -129,8 +129,8 @@ pub use fleet::{
 pub use metrics::MetricVector;
 pub use object::{AllocSite, AllocSiteId, AllocSiteRegistry, MonitoredObject};
 pub use profile::{
-    AllocationRow, AllocationStats, DeltaFold, FoldError, ObjectCentricProfile, ProfileDelta,
-    ProfileParseError, SiteMetrics, ThreadDelta, ThreadProfile, UnknownEventError,
+    AllocationStats, DeltaFold, FoldError, ObjectCentricProfile, ProfileDelta, ProfileParseError,
+    SiteMetrics, ThreadDelta, ThreadProfile, UnknownEventError,
 };
 pub use query::live::{LiveFold, LiveQuery, LiveResult, WatchTimeout};
 pub use query::{

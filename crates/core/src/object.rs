@@ -110,9 +110,11 @@ impl AllocSiteRegistry {
         self.sites.iter()
     }
 
-    /// A clone of every interned site (profile snapshots).
-    pub fn snapshot(&self) -> Vec<AllocSite> {
-        self.sites.clone()
+    /// A clone of every site interned at or after id `from`, in interning order — the
+    /// whole table for a profile snapshot (`from` 0), the suffix a streamed delta
+    /// carries otherwise.
+    pub fn since(&self, from: usize) -> Vec<AllocSite> {
+        self.sites.get(from..).unwrap_or_default().to_vec()
     }
 
     /// Approximate resident bytes (memory-overhead accounting).
@@ -183,8 +185,10 @@ mod tests {
     fn snapshot_and_iter_preserve_order() {
         let mut reg = AllocSiteRegistry::new();
         let ids: Vec<_> = (0..5u32).map(|i| reg.intern("C", &[f(i, 0)])).collect();
-        let snap = reg.snapshot();
+        let snap = reg.since(0);
         assert_eq!(snap.len(), 5);
+        assert_eq!(reg.since(3), snap[3..], "a suffix is the tail of the table");
+        assert!(reg.since(9).is_empty());
         for (i, site) in reg.iter().enumerate() {
             assert_eq!(site.id, ids[i]);
             assert_eq!(snap[i], *site);

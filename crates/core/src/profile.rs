@@ -146,33 +146,6 @@ impl ThreadProfile {
     }
 }
 
-/// One per-(thread, site) allocation-count row, as the allocation agent reports them:
-/// `(thread, site, allocation count, allocated bytes)`.
-pub type AllocationRow = (ThreadId, AllocSiteId, u64, u64);
-
-/// Folds per-(thread, site) allocation counts into assembled thread profiles, creating
-/// an `<allocation-only>` thread for rows whose thread recorded no samples — the final
-/// assembly step shared by `Session::object_profile` and the streamed-delta replay
-/// ([`DeltaFold::assemble`], [`BinaryChunkedSink`](crate::wire::BinaryChunkedSink)). Rows
-/// must arrive in a deterministic order for byte-identical renderings.
-pub(crate) fn fold_allocation_rows(
-    threads: &mut Vec<ThreadProfile>,
-    rows: impl IntoIterator<Item = AllocationRow>,
-) {
-    for (thread, site, count, bytes) in rows {
-        let profile = match threads.iter_mut().find(|p| p.thread == thread) {
-            Some(p) => p,
-            None => {
-                threads.push(ThreadProfile::new(thread, "<allocation-only>"));
-                threads.last_mut().unwrap()
-            }
-        };
-        let sm = profile.sites.entry(site).or_default();
-        sm.total.allocations += count;
-        sm.total.allocated_bytes += bytes;
-    }
-}
-
 // ---------------------------------------------------------------------------------------
 // Epoch deltas: the unit of incremental export
 // ---------------------------------------------------------------------------------------
@@ -195,12 +168,17 @@ pub struct ThreadDelta {
 /// The object-centric state one retired buffer epoch accumulated — the unit the
 /// asynchronous export pipeline streams (see [`crate::export`]).
 ///
+/// A delta is **self-describing**: besides the per-thread fragments (samples and
+/// allocation counts alike) it carries the allocation sites interned since the
+/// previous delta of its stream, so every site id its fragments reference resolves
+/// against the sites of the deltas up to and including it.
+///
 /// A delta is a *partition* of the run: folding every delta of a session in epoch
-/// order (plus the terminal allocation rows) reproduces the session's own
-/// [`ObjectCentricProfile`] byte-identically. [`ProfileDelta::merge_from`] is the fold
-/// step; it is also how the export queue coalesces adjacent deltas under backpressure
-/// — merging two deltas first is equivalent to folding them one after the other.
-#[derive(Debug, Clone)]
+/// order reproduces the session's own [`ObjectCentricProfile`] byte-identically.
+/// [`ProfileDelta::merge_from`] is the fold step; it is also how the export queue
+/// coalesces adjacent deltas under backpressure — merging two deltas first is
+/// equivalent to folding them one after the other.
+#[derive(Debug, Clone, Default)]
 pub struct ProfileDelta {
     /// The buffer epoch this delta closed. Epochs are strictly monotonic per session
     /// but not dense in a stream: empty epochs are never streamed, and coalesced
@@ -208,17 +186,24 @@ pub struct ProfileDelta {
     pub epoch: u64,
     /// Per-thread fragments, ordered by `(seq, thread)` — thread-first-seen order.
     pub threads: Vec<ThreadDelta>,
+    /// Id of the first entry of `sites`: the number of sites earlier deltas of the
+    /// stream carried.
+    pub site_base: usize,
+    /// The sites interned since the previous delta, in id order (ids
+    /// `site_base..site_base + sites.len()`).
+    pub sites: Vec<AllocSite>,
 }
 
 impl ProfileDelta {
     /// An empty delta for epoch `epoch`.
     pub fn empty(epoch: u64) -> Self {
-        Self { epoch, threads: Vec::new() }
+        Self { epoch, ..Self::default() }
     }
 
-    /// `true` when no thread recorded anything during the epoch.
+    /// `true` when no thread recorded anything during the epoch and no site was
+    /// interned.
     pub fn is_empty(&self) -> bool {
-        self.threads.is_empty()
+        self.threads.is_empty() && self.sites.is_empty()
     }
 
     /// Total PMU samples across every thread fragment.
@@ -228,9 +213,15 @@ impl ProfileDelta {
 
     /// Folds a **later** delta of the same session into this one: fragments of the
     /// same thread merge exactly ([`ThreadProfile::merge_from`] — this delta's
-    /// first-seen identity wins), new threads are adopted with their sequence, and the
-    /// epoch advances to the later delta's. Folding partitioned deltas in epoch order
-    /// is exact: the result renders byte-identically to a profile built in one piece.
+    /// first-seen identity wins), new threads are adopted with their sequence, the
+    /// later delta's sites extend this one's, and the epoch advances to the later
+    /// delta's. Folding partitioned deltas in epoch order is exact: the result
+    /// renders byte-identically to a profile built in one piece.
+    ///
+    /// Site suffixes concatenate where they meet; entries this delta already holds
+    /// are not appended twice, and a later suffix that starts past this delta's end
+    /// (a gap) is not appended at all, so `sites` always stays a prefix-exact run of
+    /// the stream's table ([`DeltaFold::absorb_ordered`] refuses such a gap).
     ///
     /// The fold is keyed: one thread→slot map is built per call, so absorbing a delta
     /// costs O(self + later) instead of the old O(self × later) linear re-scan per
@@ -241,6 +232,11 @@ impl ProfileDelta {
     /// adversarial orders fall back to one sort.
     pub fn merge_from(&mut self, later: &ProfileDelta) {
         self.epoch = self.epoch.max(later.epoch);
+        let end = self.site_base + self.sites.len();
+        if let Some(new) = end.checked_sub(later.site_base).and_then(|skip| later.sites.get(skip..))
+        {
+            self.sites.extend_from_slice(new);
+        }
         if later.threads.is_empty() {
             return;
         }
@@ -279,11 +275,12 @@ impl ProfileDelta {
 /// A violation of the incremental-fold contract: the stream of deltas feeding a
 /// [`DeltaFold`] was reordered, replayed, or truncated in a way the fold can prove.
 ///
-/// These are the two checks every consumer of a delta stream performs — the epoch-log
+/// These are the checks every consumer of a delta stream performs — the epoch-log
 /// replay ([`BinaryChunkedSink::read_log_bytes`](crate::wire::BinaryChunkedSink::read_log_bytes)) maps
 /// them onto [`ProfileParseError`] with the offending line, and the fleet aggregator
-/// ([`crate::fleet`]) uses them to reject out-of-order frames per producer and to
-/// refuse a finish record whose checksum disagrees with what was actually folded.
+/// ([`crate::fleet`]) uses them to reject out-of-order or site-gapped frames per
+/// producer and to refuse a finish record whose checksum disagrees with what was
+/// actually folded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FoldError {
     /// A delta arrived whose epoch is not strictly greater than the last folded one.
@@ -295,6 +292,15 @@ pub enum FoldError {
         epoch: u64,
         /// The last epoch the fold accepted.
         last: u64,
+    },
+    /// A delta's site suffix does not start where the fold's site table ends: a
+    /// delta carrying site definitions was lost, so the ids of every later site
+    /// would resolve to the wrong allocation site.
+    SiteGap {
+        /// The offending delta's [`ProfileDelta::site_base`].
+        base: usize,
+        /// The length of the fold's site table.
+        table: usize,
     },
     /// The folded sample total disagrees with the terminal record's checksum: deltas
     /// were lost or duplicated between the producer and this fold.
@@ -312,6 +318,10 @@ impl fmt::Display for FoldError {
             FoldError::OutOfOrderEpoch { epoch, last } => write!(
                 f,
                 "out-of-order epoch {epoch} after {last} — a loss-free stream is strictly increasing"
+            ),
+            FoldError::SiteGap { base, table } => write!(
+                f,
+                "delta sites start at id {base} but the fold's site table holds {table} — a delta carrying site definitions was lost"
             ),
             FoldError::ChecksumMismatch { folded, expected } => write!(
                 f,
@@ -335,8 +345,11 @@ impl std::error::Error for FoldError {}
 /// frame, not to the run so far. The fold also carries the stream's integrity state:
 /// [`DeltaFold::last_epoch`] is the resume point a reconnecting producer backfills
 /// from, [`absorb_ordered`](DeltaFold::absorb_ordered) proves epochs strictly
-/// increase, and [`verify_checksum`](DeltaFold::verify_checksum) proves the terminal
-/// sample count was reached — the three checks that make loss detectable end to end.
+/// increase and site suffixes join without a gap, and
+/// [`verify_checksum`](DeltaFold::verify_checksum) proves the terminal sample count
+/// was reached — the checks that make loss detectable end to end. The fold owns the
+/// stream's site table ([`DeltaFold::sites`]), so a fold answers object-centric
+/// queries at every epoch, not only after the terminal record.
 ///
 /// ```
 /// use djxperf::{DeltaFold, FoldError, ProfileDelta};
@@ -370,42 +383,61 @@ impl DeltaFold {
     }
 
     /// A fold seeded from an already-merged accumulator — how a live tap attaching
-    /// mid-stream adopts everything retired before it subscribed. A seed at epoch 0
-    /// is the empty pre-stream state, so ordering starts unconstrained there.
+    /// mid-stream adopts everything retired before it subscribed (its sites must
+    /// start at id 0). A seed at epoch 0 is the empty pre-stream state, so ordering
+    /// starts unconstrained there.
     pub(crate) fn seed_from(acc: ProfileDelta) -> Self {
         let last_epoch = (acc.epoch > 0).then_some(acc.epoch);
         Self { acc, deltas: 0, last_epoch }
     }
 
-    /// The running accumulator: every fragment folded so far, merged per thread in
-    /// thread-first-seen order. Live watches replay deferred site rows out of this.
-    pub(crate) fn acc(&self) -> &ProfileDelta {
-        &self.acc
+    /// The stream's site table so far: every site the folded deltas carried, indexed
+    /// by id.
+    pub fn sites(&self) -> &[AllocSite] {
+        &self.acc.sites
     }
 
-    /// Folds one streamed delta in without checking its epoch. Deltas must arrive in
-    /// stream (epoch) order for the fold to be exact; callers that cannot trust the
-    /// transport should use [`DeltaFold::absorb_ordered`] instead.
+    /// Folds one streamed delta in without checking its epoch or site base. Deltas
+    /// must arrive in stream (epoch) order for the fold to be exact; callers that
+    /// cannot trust the transport should use [`DeltaFold::absorb_ordered`] instead.
     pub fn absorb(&mut self, delta: &ProfileDelta) {
         self.acc.merge_from(delta);
         self.deltas += 1;
         self.last_epoch = Some(self.last_epoch.map_or(delta.epoch, |e| e.max(delta.epoch)));
     }
 
-    /// Folds one streamed delta in, first proving the stream order: the delta's epoch
-    /// must be strictly greater than [`DeltaFold::last_epoch`]. On violation the fold
-    /// is left untouched and the caller decides — a log replay fails the parse, a
-    /// fleet aggregator drops the duplicate frame and re-acknowledges.
+    /// Proves that `delta` may be folded next without folding it: its epoch must be
+    /// strictly greater than [`DeltaFold::last_epoch`], and its site suffix must
+    /// start where [`DeltaFold::sites`] ends.
     ///
     /// # Errors
     ///
-    /// [`FoldError::OutOfOrderEpoch`] when the epoch repeats or regresses.
-    pub fn absorb_ordered(&mut self, delta: &ProfileDelta) -> Result<(), FoldError> {
+    /// [`FoldError::OutOfOrderEpoch`] when the epoch repeats or regresses,
+    /// [`FoldError::SiteGap`] when the site suffix does not join the table.
+    pub fn check(&self, delta: &ProfileDelta) -> Result<(), FoldError> {
         if let Some(last) = self.last_epoch {
             if delta.epoch <= last {
                 return Err(FoldError::OutOfOrderEpoch { epoch: delta.epoch, last });
             }
         }
+        let table = self.acc.sites.len();
+        if delta.site_base != table {
+            return Err(FoldError::SiteGap { base: delta.site_base, table });
+        }
+        Ok(())
+    }
+
+    /// Folds one streamed delta in, first proving the stream order
+    /// ([`DeltaFold::check`]). On violation the fold is left untouched and the
+    /// caller decides — a log replay fails the parse, a fleet aggregator drops the
+    /// duplicate frame and re-acknowledges.
+    ///
+    /// # Errors
+    ///
+    /// [`FoldError::OutOfOrderEpoch`] when the epoch repeats or regresses,
+    /// [`FoldError::SiteGap`] when the site suffix does not join the table.
+    pub fn absorb_ordered(&mut self, delta: &ProfileDelta) -> Result<(), FoldError> {
+        self.check(delta)?;
         self.absorb(delta);
         Ok(())
     }
@@ -446,26 +478,19 @@ impl DeltaFold {
         self.acc.total_samples()
     }
 
-    /// The folded per-thread profiles in thread-first-seen order.
-    pub fn into_threads(self) -> Vec<ThreadProfile> {
-        self.acc.threads.into_iter().map(|t| t.profile).collect()
-    }
-
-    /// Assembles the fold into a complete [`ObjectCentricProfile`], applying the
-    /// terminal allocation rows exactly the way the live session does — the replay
-    /// endpoint of the loss-free guarantee: with the rows, site table and stats of a
-    /// quiesced session, the result is byte-identical to that session's own profile.
+    /// Assembles the fold into a complete [`ObjectCentricProfile`] with the run's
+    /// configuration and agent counters — the replay endpoint of the loss-free
+    /// guarantee: with the configuration and stats of a quiesced session, the result
+    /// is byte-identical to that session's own profile.
     pub fn assemble(
         self,
         event: PmuEvent,
         period: u64,
         size_filter: u64,
-        sites: Vec<AllocSite>,
-        allocations: impl IntoIterator<Item = AllocationRow>,
         allocation_stats: AllocationStats,
     ) -> ObjectCentricProfile {
-        let mut threads = self.into_threads();
-        fold_allocation_rows(&mut threads, allocations);
+        let sites = self.acc.sites;
+        let threads = self.acc.threads.into_iter().map(|t| t.profile).collect();
         ObjectCentricProfile { event, period, size_filter, sites, threads, allocation_stats }
     }
 }

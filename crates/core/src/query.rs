@@ -981,57 +981,6 @@ impl GroupState {
         }
     }
 
-    /// One terminal allocation row, seen the way cold evaluation sees it *after*
-    /// [`fold_allocation_rows`](crate::profile) assembly: the allocation counters
-    /// merge into the row's group, a thread that never sampled surfaces as the
-    /// `<allocation-only>` thread block (a group of its own under the Thread axis),
-    /// and no sample-derived total moves — allocation rows carry no weighted events.
-    ///
-    /// `thread_name` is the label a freshly created Thread-axis slot would carry:
-    /// the thread's first-seen name if it ever sampled, `<allocation-only>`
-    /// otherwise — exactly what assembly leaves in the merged profile.
-    pub(crate) fn absorb_alloc_row(
-        &mut self,
-        query: &Query,
-        row: crate::profile::AllocationRow,
-        site: Option<&AllocSite>,
-        thread_name: &str,
-    ) {
-        let (thread, _site_id, count, bytes) = row;
-        let mut thread_slot =
-            if query.group_by == GroupBy::Thread && query.unattributed_passes(thread) {
-                // The assembled profile holds a thread block for this row's thread even
-                // when it never sampled; slot() keeps the real label if the thread was
-                // already seen, exactly like the fold keeping the first-seen name.
-                Some(self.slot(GroupKey::Thread(thread), thread_name))
-            } else {
-                None
-            };
-        let Some(site) = site else { return };
-        if !query.row_passes(site, thread) {
-            return;
-        }
-        let delta =
-            MetricVector { allocations: count, allocated_bytes: bytes, ..MetricVector::default() };
-        let slot = match query.group_by {
-            GroupBy::Object => self.slot(
-                GroupKey::Object {
-                    class_name: site.class_name.clone(),
-                    alloc_path: site.call_path.clone(),
-                },
-                site.class_name.as_str(),
-            ),
-            GroupBy::Site => self.slot(GroupKey::Site(site.call_path.last().copied()), ""),
-            GroupBy::Thread => match thread_slot.take() {
-                Some(slot) => slot,
-                None => self.slot(GroupKey::Thread(thread), thread_name),
-            },
-            // Allocation counters carry no locality partition: nothing to fold.
-            GroupBy::NumaNode => return,
-        };
-        self.groups[slot].metrics.merge(&delta);
-    }
-
     /// Folds one whole profile — the cold evaluation step, and the snapshot seed of
     /// a freshly registered live watch.
     pub(crate) fn absorb_profile(&mut self, query: &Query, profile: &ObjectCentricProfile) {

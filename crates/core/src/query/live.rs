@@ -27,18 +27,13 @@
 //! **byte-identically** to a cold `query.evaluate(&fold.snapshot())` — the absorb
 //! path and cold evaluation run the *same* `GroupState` code. Groups accumulate
 //! per epoch; a render ranks the current groups through `GroupState::ranked`, the
-//! one function cold evaluation ranks with. Mid-run the reference is the fold itself
-//! (the delta stream carries no allocation counters; those arrive with the
-//! terminal record, exactly as in a cold replay), and once the stream finishes the
-//! snapshot *is* the terminal profile by the loss-free streaming guarantee, so the
-//! final render equals a cold evaluation of the session's own profile.
-//!
-//! Rows referencing allocation sites the fold cannot resolve yet (the site table
-//! trails the delta stream: in-process it refreshes from the interner on demand, a
-//! log replay learns the table from the terminal record) are deferred exactly the
-//! way cold evaluation skips unresolvable rows, and replayed from the fold the
-//! moment the table extends — the watch never diverges from the cold render over
-//! the same snapshot.
+//! one function cold evaluation ranks with. Mid-run the reference is the fold itself:
+//! deltas are self-describing — each carries its allocation counts and the sites
+//! interned since the previous delta — so every row a fragment brings resolves
+//! against the fold's site table the moment it arrives, and object-grouped watches
+//! are complete at every epoch. Once the stream finishes the snapshot *is* the
+//! terminal profile by the loss-free streaming guarantee, so the final render equals
+//! a cold evaluation of the session's own profile.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -51,8 +46,8 @@ use djx_runtime::ThreadId;
 use crate::export::DeltaTap;
 use crate::object::AllocSite;
 use crate::profile::{
-    AllocationRow, AllocationStats, DeltaFold, FoldError, ObjectCentricProfile, ProfileDelta,
-    ProfileParseError, ThreadDelta, ThreadProfile,
+    AllocationStats, DeltaFold, FoldError, ObjectCentricProfile, ProfileDelta, ProfileParseError,
+    ThreadDelta, ThreadProfile,
 };
 use crate::sink::{FinishRecord, LogRecord};
 use crate::wire::FrameTail;
@@ -64,8 +59,8 @@ use super::{GroupState, ProfileSource, Query, QueryError, QueryResult};
 // ---------------------------------------------------------------------------------------
 
 /// A [`ProfileSource`] that follows the epoch-retired delta stream: the running
-/// [`DeltaFold`], the trailing site table, the terminal allocation rows once the
-/// stream finishes — and the set of registered live watches it feeds incrementally.
+/// [`DeltaFold`] (site table included), the terminal configuration once the stream
+/// finishes — and the set of registered live watches it feeds incrementally.
 ///
 /// Cloning is cheap and shares the fold: every clone sees the same stream, and
 /// watches registered through any clone survive as long as one clone (or the
@@ -107,20 +102,11 @@ struct LiveState {
     event: PmuEvent,
     period: u64,
     size_filter: u64,
-    /// The stream's site table so far. Trails the delta stream; extended through
-    /// [`LiveState::extend_sites`], which replays previously deferred rows.
-    sites: Vec<AllocSite>,
-    /// Terminal allocation rows (empty until the stream finishes — sample deltas
-    /// never carry allocation counters).
-    alloc_rows: Vec<AllocationRow>,
     stats: AllocationStats,
     /// First-seen thread names, kept across fragments (see [`StreamCtx`]).
     thread_names: HashMap<ThreadId, String>,
     finished: bool,
     watches: Vec<Weak<WatchShared>>,
-    /// In-process taps resolve a trailing site table against the session's interner
-    /// on demand; transport-fed folds have none and wait for the terminal record.
-    site_refresh: Option<Box<dyn FnMut() -> Vec<AllocSite> + Send>>,
     /// Byte-stream decoder backing [`LiveFold::feed`].
     tail: FrameTail,
 }
@@ -132,13 +118,10 @@ impl LiveState {
             event,
             period,
             size_filter,
-            sites: Vec::new(),
-            alloc_rows: Vec::new(),
             stats: AllocationStats::default(),
             thread_names: HashMap::new(),
             finished: false,
             watches: Vec::new(),
-            site_refresh: None,
             tail: FrameTail::new(),
         }
     }
@@ -147,38 +130,14 @@ impl LiveState {
     /// with everything known so far. [`LiveQuery::current`] is byte-identical to a
     /// cold evaluation of this snapshot.
     fn snapshot_profile(&self) -> ObjectCentricProfile {
-        self.fold.clone().assemble(
-            self.event,
-            self.period,
-            self.size_filter,
-            self.sites.clone(),
-            self.alloc_rows.iter().copied(),
-            self.stats,
-        )
+        self.fold
+            .clone()
+            .assemble(self.event, self.period, self.size_filter, self.stats)
     }
 
-    /// Extends the site table (prefix-stable: allocation-site interning is
-    /// append-only) and replays rows deferred on the previously unresolvable ids
-    /// from the fold into every watch. Must run *before* a new fragment enters the
-    /// fold so each row is replayed exactly once: rows below the old length were
-    /// absorbed when their fragments arrived, rows in `[old, new)` replay here from
-    /// the accumulated fold, rows at or above the new length stay deferred.
-    fn extend_sites(&mut self, sites: Vec<AllocSite>) {
-        if sites.len() <= self.sites.len() {
-            return;
-        }
-        let from = self.sites.len();
-        self.sites = sites;
-        let LiveState { watches, sites, thread_names, fold, .. } = self;
-        let ctx = StreamCtx { key: "", sites, names: thread_names };
-        for_watches(watches, |w| w.replay_rows(&ctx, &fold.acc().threads, from));
-    }
-
-    /// Folds one streamed delta: resolve newly referenced sites (replaying deferred
-    /// rows), record first-seen thread names, validate the epoch order, feed the
-    /// watches, then fold. Order matters — validation precedes the watch feed so a
-    /// rejected delta leaves every watch untouched, and the site-table extension
-    /// precedes both so replay never double-counts this delta's rows.
+    /// Folds one streamed delta: validate the epoch order and site base (a rejected
+    /// delta leaves the fold and every watch untouched), fold it — extending the site
+    /// table — record first-seen thread names, then feed the watches.
     fn absorb_delta(&mut self, delta: &ProfileDelta) -> Result<(), FoldError> {
         if self.finished {
             // The stream ended; any further epoch is out of order by definition.
@@ -187,81 +146,27 @@ impl LiveState {
                 last: self.fold.last_epoch().unwrap_or(0),
             });
         }
-        if let Some(last) = self.fold.last_epoch() {
-            if delta.epoch <= last {
-                return Err(FoldError::OutOfOrderEpoch { epoch: delta.epoch, last });
-            }
-        }
-        let max_site = delta
-            .threads
-            .iter()
-            .flat_map(|td| td.profile.sites.keys())
-            .map(|id| id.0 as usize)
-            .max();
-        if let (Some(max), Some(_)) = (max_site, self.site_refresh.as_ref()) {
-            if max >= self.sites.len() {
-                let refreshed = self.site_refresh.as_mut().map(|f| f()).unwrap_or_default();
-                self.extend_sites(refreshed);
-            }
-        }
+        self.fold.absorb_ordered(delta)?;
         note_thread_names(&mut self.thread_names, &delta.threads);
-        {
-            let LiveState { watches, sites, thread_names, .. } = self;
-            let ctx = StreamCtx { key: "", sites, names: thread_names };
-            for_watches(watches, |w| w.feed_fragment(&ctx, delta));
-        }
-        // Already validated above; plain absorb keeps the fold/watch feed atomic.
-        self.fold.absorb(delta);
+        let LiveState { watches, fold, thread_names, .. } = self;
+        let ctx = StreamCtx { key: "", sites: fold.sites(), names: thread_names };
+        for_watches(watches, |w| w.feed_fragment(&ctx, delta));
         Ok(())
     }
 
-    /// Closes the stream: adopt the terminal metadata, site table and allocation
-    /// rows, replay any still-deferred sample rows, and feed the allocation rows to
-    /// every watch. Idempotent — a second finish is ignored.
-    fn finish_with(
-        &mut self,
-        event: PmuEvent,
-        period: u64,
-        size_filter: u64,
-        sites: Vec<AllocSite>,
-        rows: Vec<AllocationRow>,
-        stats: AllocationStats,
-    ) {
+    /// Closes the stream: adopt the terminal metadata and counters and close every
+    /// watch. Idempotent — a second finish is ignored.
+    fn finish_record(&mut self, record: FinishRecord) {
         if self.finished {
             return;
         }
-        self.extend_sites(sites);
-        self.event = event;
-        self.period = period;
-        self.size_filter = size_filter;
-        self.stats = stats;
-        self.alloc_rows = rows;
+        self.event = record.event;
+        self.period = record.period;
+        self.size_filter = record.size_filter;
+        self.stats = record.allocation_stats;
         self.finished = true;
         let epoch = self.fold.last_epoch();
-        let LiveState { watches, sites, thread_names, alloc_rows, .. } = self;
-        let ctx = StreamCtx { key: "", sites, names: thread_names };
-        for_watches(watches, |w| {
-            w.feed_finish(&ctx, alloc_rows, event, period, epoch, true);
-        });
-    }
-
-    /// Terminal-profile variant of [`LiveState::finish_with`]: extracts the
-    /// allocation rows from an assembled profile exactly the way the sink's finish
-    /// frame does ([`FinishRecord::of_profile`]), so folding them back is
-    /// loss-free.
-    fn apply_terminal(&mut self, profile: &ObjectCentricProfile) {
-        self.finish_record(FinishRecord::of_profile(profile, true));
-    }
-
-    fn finish_record(&mut self, record: FinishRecord) {
-        self.finish_with(
-            record.event,
-            record.period,
-            record.size_filter,
-            record.sites,
-            record.allocs,
-            record.allocation_stats,
-        );
+        for_watches(&mut self.watches, |w| w.feed_finish(record.event, record.period, epoch, true));
     }
 }
 
@@ -274,7 +179,8 @@ impl DeltaTap for LiveShared {
     }
 
     fn on_finish(&self, profile: &ObjectCentricProfile) {
-        self.state.lock().expect("live fold state lock").apply_terminal(profile);
+        let record = FinishRecord::of_profile(profile);
+        self.state.lock().expect("live fold state lock").finish_record(record);
     }
 }
 
@@ -305,13 +211,14 @@ impl LiveFold {
     /// # Errors
     ///
     /// [`FoldError::OutOfOrderEpoch`] when the epoch repeats or regresses (or the
-    /// stream already finished); the fold and all watches are left untouched.
+    /// stream already finished), [`FoldError::SiteGap`] when the delta's sites do
+    /// not join the fold's table; the fold and all watches are left untouched.
     pub fn absorb(&self, delta: &ProfileDelta) -> Result<(), FoldError> {
         self.state().absorb_delta(delta)
     }
 
     /// Closes the stream with a terminal record: verifies the loss-free checksum,
-    /// then adopts metadata, site table and allocation rows and feeds every watch.
+    /// then adopts the run configuration and counters and closes every watch.
     ///
     /// # Errors
     ///
@@ -322,14 +229,6 @@ impl LiveFold {
         st.fold.verify_checksum(record.total_samples)?;
         st.finish_record(record);
         Ok(())
-    }
-
-    /// Provides (or extends) the stream's site table out of band — e.g. from a
-    /// previously replayed log of the same run. The table is append-only and
-    /// prefix-stable; a shorter table than already known is a no-op. Rows deferred
-    /// on previously unresolvable sites replay into every watch.
-    pub fn provide_sites(&self, sites: Vec<AllocSite>) {
-        self.state().extend_sites(sites);
     }
 
     /// Pushes raw binary epoch-log bytes ([`crate::wire`] frames), decoding and
@@ -393,22 +292,6 @@ impl LiveFold {
         let mut st = self.state();
         note_thread_names(&mut st.thread_names, &acc.threads);
         st.fold = DeltaFold::seed_from(acc);
-        if st.site_refresh.is_some() {
-            let refreshed = st.site_refresh.as_mut().map(|f| f()).unwrap_or_default();
-            st.extend_sites(refreshed);
-        }
-    }
-
-    /// Installs the on-demand site-table resolver (the in-process tap points this at
-    /// the session's interner). Also resolves once eagerly.
-    pub(crate) fn set_site_refresh(
-        &self,
-        mut refresh: impl FnMut() -> Vec<AllocSite> + Send + 'static,
-    ) {
-        let mut st = self.state();
-        let eager = refresh();
-        st.extend_sites(eager);
-        st.site_refresh = Some(Box::new(refresh));
     }
 
     /// A finished fold equivalent to a terminal profile — the fallback when the
@@ -420,9 +303,6 @@ impl LiveFold {
             for thread in &profile.threads {
                 st.thread_names.insert(thread.thread, thread.thread_name.clone());
             }
-            // The terminal profile's threads already carry their allocation
-            // counters folded in, so the seed holds them verbatim and the terminal
-            // row list stays empty — assembly must not fold them twice.
             st.fold = DeltaFold::seed_from(ProfileDelta {
                 epoch: 0,
                 threads: profile
@@ -431,8 +311,9 @@ impl LiveFold {
                     .enumerate()
                     .map(|(seq, t)| ThreadDelta { seq: seq as u64, profile: t.clone() })
                     .collect(),
+                site_base: 0,
+                sites: profile.sites.clone(),
             });
-            st.sites = profile.sites.clone();
             st.stats = profile.allocation_stats;
             st.finished = true;
         }
@@ -473,7 +354,7 @@ impl std::fmt::Debug for LiveFold {
         f.debug_struct("LiveFold")
             .field("deltas", &st.fold.deltas())
             .field("last_epoch", &st.fold.last_epoch())
-            .field("sites", &st.sites.len())
+            .field("sites", &st.fold.sites().len())
             .field("finished", &st.finished)
             .field("watches", &st.watches.len())
             .finish()
@@ -570,10 +451,8 @@ impl WatchShared {
     }
 
     /// Absorbs one epoch delta. Mirrors [`GroupState::absorb_profile`] exactly —
-    /// same header/row code, same id-ordered row walk — except that rows whose site
-    /// id is not resolvable yet are deferred (cold evaluation over the equivalent
-    /// snapshot skips them identically; [`WatchShared::replay_rows`] folds them in
-    /// when the table extends).
+    /// same header/row code, same id-ordered row walk — with the site table of the
+    /// fold the delta was just folded into.
     pub(crate) fn feed_fragment(&self, ctx: &StreamCtx<'_>, delta: &ProfileDelta) {
         let mut inner = self.lock();
         let (state, memo) = inner.memo(ctx);
@@ -600,75 +479,20 @@ impl WatchShared {
         self.commit(inner, Some(delta.epoch), false);
     }
 
-    /// Replays rows deferred on site ids in `[from, ctx.sites.len())` from the
-    /// accumulated fold — called exactly once per id range, when the site table
-    /// extends past it.
-    pub(crate) fn replay_rows(&self, ctx: &StreamCtx<'_>, threads: &[ThreadDelta], from: usize) {
-        let mut inner = self.lock();
-        let (state, memo) = inner.memo(ctx);
-        let mut replayed = false;
-        for td in threads {
-            let thread = &td.profile;
-            // The thread header was absorbed when its fragments arrived; only the
-            // deferred rows fold in here. A Thread-axis slot resolves through the
-            // group index (slots are identity-stable), so `None` is correct.
-            let mut thread_slot = None;
-            let mut thread_sites: Vec<_> = thread
-                .sites
-                .iter()
-                .filter(|(id, _)| {
-                    let idx = id.0 as usize;
-                    idx >= from && idx < ctx.sites.len()
-                })
-                .collect();
-            thread_sites.sort_unstable_by_key(|(id, _)| **id);
-            for (site_id, sm) in thread_sites {
-                let idx = site_id.0 as usize;
-                let Some(site) = ctx.sites.get(idx) else { continue };
-                replayed = true;
-                state.absorb_row(
-                    &self.query,
-                    thread,
-                    ctx.name_of(thread),
-                    &mut thread_slot,
-                    site,
-                    &mut memo[idx],
-                    sm,
-                );
-            }
-        }
-        // Nothing replayed: no version bump.
-        if replayed {
-            self.commit(inner, None, false);
-        }
-    }
-
-    /// Folds one stream's terminal allocation rows in. With `close` the watch
-    /// finishes: pending [`LiveQuery::next_epoch`] calls observe one final result
-    /// and then `None`. A multi-stream feeder (the fleet aggregator) passes
+    /// Adopts a stream's terminal event/period header and epoch. With `close` the
+    /// watch finishes: pending [`LiveQuery::next_epoch`] calls observe one final
+    /// result and then `None`. A multi-stream feeder (the fleet aggregator) passes
     /// `close = false` — one producer finishing does not end the fleet.
     pub(crate) fn feed_finish(
         &self,
-        ctx: &StreamCtx<'_>,
-        rows: &[AllocationRow],
         event: PmuEvent,
         period: u64,
         epoch: Option<u64>,
         close: bool,
     ) {
         let mut inner = self.lock();
-        let WatchInner { state, .. } = &mut *inner;
-        state.set_meta(event, period);
-        for row in rows {
-            let (thread, site_id, _, _) = *row;
-            let site = ctx.sites.get(site_id.0 as usize);
-            let name = ctx.names.get(&thread).map(String::as_str).unwrap_or("<allocation-only>");
-            state.absorb_alloc_row(&self.query, *row, site, name);
-        }
-        if let Some(epoch) = epoch {
-            inner.epoch = Some(epoch);
-        }
-        self.commit(inner, None, close);
+        inner.state.set_meta(event, period);
+        self.commit(inner, epoch, close);
     }
 
     /// Adopts a new run-level event/period header without new samples — the fleet

@@ -130,7 +130,7 @@
 
 use std::collections::HashMap;
 use std::io;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
@@ -145,9 +145,7 @@ use crate::agent::{AllocationAgent, AllocationConfig, ResolutionCache, SharedObj
 use crate::codecentric::{CodeCentricProfile, NumaProfile};
 use crate::export::{DeltaDrainer, DrainPolicy, ExportShared, ExportStats};
 use crate::object::AllocSiteId;
-use crate::profile::{
-    fold_allocation_rows, ObjectCentricProfile, ProfileDelta, ThreadDelta, ThreadProfile,
-};
+use crate::profile::{ObjectCentricProfile, ProfileDelta, ThreadDelta, ThreadProfile};
 use crate::sink::ProfileSink;
 use crate::slots::ThreadSlots;
 use crate::splay::LookupStats;
@@ -456,12 +454,12 @@ impl SnapshotBuffered {
 
     /// Closes the open epoch and hands its deltas out in thread-first-seen order
     /// (absorbing them into the retired buffer on the way) — the producer side of the
-    /// asynchronous export pipeline.
+    /// asynchronous export pipeline. The delta carries no sites yet.
     fn drain(&self) -> ProfileDelta {
         let mut threads = Vec::new();
         let epoch = self.retire_locked(&mut self.retired.lock(), Some(&mut threads));
         first_seen_order(&mut threads);
-        ProfileDelta { epoch, threads }
+        ProfileDelta { epoch, threads, ..ProfileDelta::default() }
     }
 
     /// Clones an already-locked retired buffer in thread-first-seen order.
@@ -497,13 +495,19 @@ impl SnapshotBuffered {
 /// The object-centric collector (§4.2/§5.1 of the paper) — the session's one built-in
 /// collector: builds one [`ThreadProfile`] per thread, recording each sample at its
 /// calling context, in the traffic matrix, and at the allocation site of the
-/// enclosing object — or in the thread's unattributed bucket. Every view the session
-/// offers reads this record. State is per-thread and epoch-buffered (see [the module
-/// docs](self)); a batch locks its thread's slot exactly once, and snapshots retire
-/// state instead of cloning it under the slot lock.
-#[derive(Debug, Default)]
+/// enclosing object — or in the thread's unattributed bucket — and each monitored
+/// allocation at its site. Every view the session offers reads this record. State
+/// is per-thread and epoch-buffered (see [the module docs](self)); a batch locks its
+/// thread's slot exactly once, and snapshots retire state instead of cloning it
+/// under the slot lock.
+#[derive(Debug)]
 pub struct ObjectCentricCollector {
     state: SnapshotBuffered,
+    /// The index whose site registry the recorded site ids point into.
+    index: Arc<SharedObjectIndex>,
+    /// How many sites the drained deltas have carried so far. Only drains advance
+    /// it, and every drain runs under the export hand-off gate.
+    sites_sent: AtomicUsize,
     /// The export stream this collector feeds, when the session attached one
     /// ([`SessionBuilder::stream_to`]). Weak — the drainer owns the collector, never
     /// the other way around. While the stream runs, every profile read that retires
@@ -514,9 +518,24 @@ pub struct ObjectCentricCollector {
 }
 
 impl ObjectCentricCollector {
-    /// Creates an empty collector.
-    pub fn new() -> Self {
-        Self::default()
+    /// Creates an empty collector recording site ids of `index`'s registry.
+    pub fn new(index: Arc<SharedObjectIndex>) -> Self {
+        Self {
+            state: SnapshotBuffered::default(),
+            index,
+            sites_sent: AtomicUsize::new(0),
+            stream: SpinLock::new(None),
+        }
+    }
+
+    /// Records one monitored allocation of `bytes` bytes at `site` into the
+    /// allocating thread's open delta, like a sample.
+    pub(crate) fn record_allocation(&self, thread: ThreadId, site: AllocSiteId, bytes: u64) {
+        self.state.with(
+            thread,
+            || ThreadProfile::new(thread, "<attached>"),
+            |profile| profile.record_allocation(site, bytes),
+        );
     }
 
     /// Clones the per-thread profiles in thread-first-seen order.
@@ -551,9 +570,17 @@ impl ObjectCentricCollector {
     /// Closes the open buffer epoch and hands its accumulated per-thread deltas out as
     /// a [`ProfileDelta`] (absorbing them into the retired buffer on the way, so later
     /// whole-profile reads still see them) — the hand-off the asynchronous export
-    /// pipeline streams instead of re-cloning the whole retired buffer.
+    /// pipeline streams instead of re-cloning the whole retired buffer. The delta
+    /// carries every site interned since the previous drain: sites are interned
+    /// before anything records them, so reading the registry after taking the slots
+    /// covers every id the taken fragments reference. Must run under the export
+    /// hand-off gate, which serializes drains.
     pub(crate) fn drain_delta(&self) -> ProfileDelta {
-        self.state.drain()
+        let mut delta = self.state.drain();
+        delta.site_base = self.sites_sent.load(Ordering::Relaxed);
+        delta.sites = self.index.sites.lock().since(delta.site_base);
+        self.sites_sent.store(delta.site_base + delta.sites.len(), Ordering::Relaxed);
+        delta
     }
 
     /// Clones the retired per-thread profiles in thread-first-seen order without
@@ -569,7 +596,14 @@ impl ObjectCentricCollector {
     /// that gate, so under it the retired buffer is exactly the fold of every delta
     /// streamed so far and no epoch can close concurrently.
     pub(crate) fn retired_delta(&self) -> ProfileDelta {
-        ProfileDelta { epoch: self.state.retirements(), threads: self.state.retired_clone() }
+        let sent = self.sites_sent.load(Ordering::Relaxed);
+        let sites = self.index.sites.lock().iter().take(sent).cloned().collect();
+        ProfileDelta {
+            epoch: self.state.retirements(),
+            threads: self.state.retired_clone(),
+            site_base: 0,
+            sites,
+        }
     }
 
     /// Total samples recorded across every thread.
@@ -936,7 +970,7 @@ impl SessionBuilder {
             .jitter(config.jitter);
 
         let objects = (self.objects || self.export.is_some())
-            .then(|| Arc::new(ObjectCentricCollector::new()));
+            .then(|| Arc::new(ObjectCentricCollector::new(shared.clone())));
         let export = self.export.map(|cfg| {
             let collector =
                 objects.clone().expect("stream_to registers the object-centric collector");
@@ -1187,9 +1221,8 @@ impl Session {
     }
 
     /// Assembles the object-centric collector's current state into an
-    /// [`ObjectCentricProfile`]: per-thread sample profiles, allocation counts folded
-    /// into the owning thread and site, the allocation-site table, and the run
-    /// configuration. Can be called repeatedly (including mid-run); each call produces
+    /// [`ObjectCentricProfile`]: per-thread profiles (samples and allocation counts),
+    /// the allocation-site table, and the run configuration. Can be called repeatedly (including mid-run); each call produces
     /// an independent snapshot. `None` when no [`ObjectCentricCollector`] is registered.
     pub fn object_profile(&self) -> Option<ObjectCentricProfile> {
         let collector = self.objects.as_ref()?;
@@ -1202,16 +1235,12 @@ impl Session {
     /// Joins retired per-thread profiles with the allocation agent's counters, the
     /// site table and the run configuration — the final assembly shared by
     /// [`Session::object_profile`] and the export pipeline's terminal flush.
-    fn assemble_object_profile(&self, mut threads: Vec<ThreadProfile>) -> ObjectCentricProfile {
-        // Fold the allocation agent's per-(thread, site) counters into the thread
-        // profiles so each site's metric vector carries both its sample metrics and its
-        // allocation counts.
-        fold_allocation_rows(&mut threads, self.allocation.allocations_by_thread());
+    fn assemble_object_profile(&self, threads: Vec<ThreadProfile>) -> ObjectCentricProfile {
         ObjectCentricProfile {
             event: self.config.event,
             period: self.config.period,
             size_filter: self.config.size_filter,
-            sites: self.shared.sites.lock().snapshot(),
+            sites: self.shared.sites.lock().since(0),
             threads,
             allocation_stats: self.allocation.stats(),
         }
@@ -1237,8 +1266,7 @@ impl Session {
     /// epoch-retired delta stream: the fold is seeded with everything retired so
     /// far and then fed every epoch the export drainer hands over, under the same
     /// hand-off gate that orders the export queue — the fold observes exactly the
-    /// stream the sink logs. The site table resolves on demand against the
-    /// session's interner, and the terminal flush (an explicit
+    /// stream the sink logs, site table included, and the terminal flush (an explicit
     /// [`Session::finish_export`] or drain-on-drop) closes the fold with the
     /// complete profile.
     ///
@@ -1266,8 +1294,6 @@ impl Session {
         })?;
         let fold =
             LiveFold::with_meta(self.config.event, self.config.period, self.config.size_filter);
-        let shared = Arc::clone(&self.shared);
-        fold.set_site_refresh(move || shared.sites.lock().snapshot());
         let attached = export.attach_tap(collector, |seed| {
             fold.adopt_seed(seed);
             fold.tap_handle()
@@ -1430,7 +1456,10 @@ impl RuntimeListener for Session {
     }
 
     fn on_object_alloc(&self, event: &AllocationEvent<'_>) {
-        self.allocation.on_object_alloc(event);
+        if let (Some(site), Some(objects)) = (self.allocation.on_object_alloc(event), &self.objects)
+        {
+            objects.record_allocation(event.thread, site, event.size);
+        }
         for collector in &self.collectors {
             collector.on_object_alloc(event);
         }

@@ -26,7 +26,7 @@ use djx_runtime::Frame;
 use crate::metrics::MetricVector;
 use crate::object::AllocSite;
 use crate::profile::{
-    AllocationRow, AllocationStats, DeltaFold, ObjectCentricProfile, ProfileDelta, ThreadProfile,
+    AllocationStats, DeltaFold, FoldError, ObjectCentricProfile, ProfileDelta, ThreadProfile,
 };
 
 /// A serialization backend for object-centric profiles.
@@ -67,8 +67,8 @@ pub trait ProfileSink: Send + Sync {
         ))
     }
 
-    /// Ends a delta stream with the terminal whole profile (every streamed delta plus
-    /// the allocation counters, assembled by the session). The default writes the
+    /// Ends a delta stream with the terminal whole profile (the fold of every
+    /// streamed delta, with the run configuration and agent counters). The default writes the
     /// profile as a regular document via [`ProfileSink::write_profile`].
     ///
     /// # Errors
@@ -153,9 +153,10 @@ impl ProfileSink for JsonSink {
 // Epoch-log records: what every binary frame decodes to
 // ---------------------------------------------------------------------------------------
 
-/// The decoded payload of an epoch log's terminal `finish` frame: run configuration,
-/// the site table, the per-(thread, site) allocation rows and the total-sample
-/// checksum — everything [`DeltaFold::assemble`] needs beyond the folded deltas.
+/// The decoded payload of an epoch log's terminal `finish` frame — a trailer: run
+/// configuration, agent counters and the total-sample checksum. The deltas carry
+/// everything else (samples, allocation counts and the site table), so the record
+/// adds nothing [`DeltaFold::assemble`] could not have shown mid-run.
 #[derive(Debug, Clone)]
 pub struct FinishRecord {
     /// The sampled PMU event.
@@ -164,11 +165,6 @@ pub struct FinishRecord {
     pub period: u64,
     /// Size filter S in bytes.
     pub size_filter: u64,
-    /// Interned allocation sites of the finished run.
-    pub sites: Vec<AllocSite>,
-    /// Terminal per-(thread, site) allocation rows (empty for whole-profile
-    /// documents, whose threads inline their allocation metrics).
-    pub allocs: Vec<AllocationRow>,
     /// Allocation-agent counters.
     pub allocation_stats: AllocationStats,
     /// Total PMU samples the producer streamed — the end-to-end loss check.
@@ -177,31 +173,11 @@ pub struct FinishRecord {
 
 impl FinishRecord {
     /// The finish record closing a stream whose terminal profile is `profile`.
-    /// With `include_allocs` it carries the per-(thread, site) allocation rows —
-    /// threads in profile order, site ids ascending, rows with any allocation
-    /// counter — which streamed deltas never carry (the collector records samples
-    /// only; allocations are folded in at assembly). A whole-profile document
-    /// inlines its threads complete with allocation metrics instead, so its finish
-    /// record carries no rows.
-    pub(crate) fn of_profile(profile: &ObjectCentricProfile, include_allocs: bool) -> FinishRecord {
-        let mut allocs = Vec::new();
-        let threads = if include_allocs { &profile.threads[..] } else { &[] };
-        for thread in threads {
-            let mut site_ids: Vec<_> = thread.sites.keys().copied().collect();
-            site_ids.sort_unstable();
-            for sid in site_ids {
-                let m = &thread.sites[&sid].total;
-                if m.allocations > 0 || m.allocated_bytes > 0 {
-                    allocs.push((thread.thread, sid, m.allocations, m.allocated_bytes));
-                }
-            }
-        }
+    pub(crate) fn of_profile(profile: &ObjectCentricProfile) -> FinishRecord {
         FinishRecord {
             event: profile.event,
             period: profile.period,
             size_filter: profile.size_filter,
-            sites: profile.sites.clone(),
-            allocs,
             allocation_stats: profile.allocation_stats,
             total_samples: profile.total_samples(),
         }
@@ -213,21 +189,11 @@ impl FinishRecord {
     ///
     /// # Errors
     ///
-    /// [`FoldError::ChecksumMismatch`](crate::profile::FoldError) when deltas were
-    /// lost or duplicated between the producer and the fold.
-    pub fn assemble(
-        self,
-        fold: DeltaFold,
-    ) -> Result<ObjectCentricProfile, crate::profile::FoldError> {
+    /// [`FoldError::ChecksumMismatch`] when deltas were lost or duplicated between
+    /// the producer and the fold.
+    pub fn assemble(self, fold: DeltaFold) -> Result<ObjectCentricProfile, FoldError> {
         fold.verify_checksum(self.total_samples)?;
-        Ok(fold.assemble(
-            self.event,
-            self.period,
-            self.size_filter,
-            self.sites,
-            self.allocs,
-            self.allocation_stats,
-        ))
+        Ok(self.assemble_lossy(fold))
     }
 
     /// Closes a fold that is **known** to be missing deltas: assembles without the
@@ -238,14 +204,7 @@ impl FinishRecord {
     /// truncated, and this assembles what survived. Everywhere else use
     /// [`FinishRecord::assemble`], which refuses silent gaps.
     pub fn assemble_lossy(self, fold: DeltaFold) -> ObjectCentricProfile {
-        fold.assemble(
-            self.event,
-            self.period,
-            self.size_filter,
-            self.sites,
-            self.allocs,
-            self.allocation_stats,
-        )
+        fold.assemble(self.event, self.period, self.size_filter, self.allocation_stats)
     }
 }
 

@@ -25,7 +25,7 @@
 //! | field | size | value |
 //! |---|---|---|
 //! | magic | 4 bytes | `DF 4A 58 42` (`0xDF` then `"JXB"`; `0xDF 0x4A` is never valid UTF-8, so binary logs cannot be mistaken for text) |
-//! | version | 1 byte | `0x02` ([`BINARY_VERSION`]; a reader refuses any other version rather than misreading it) |
+//! | version | 1 byte | `0x03` ([`BINARY_VERSION`]; a reader refuses any other version rather than misreading it) |
 //! | kind | 1 byte | one of the kinds below |
 //! | payload length | 4 bytes | `u32`, little-endian, length of the payload that follows — at most 16 MiB, the one bound on every inbound read: writers refuse larger frames, readers reject a larger prefix before reading the payload |
 //! | payload | *length* bytes | varint-encoded record body (below) |
@@ -59,6 +59,10 @@
 //! | field | encoding |
 //! |---|---|
 //! | epoch | varint (absolute — every frame stands alone, so a reconnect backfill can resume anywhere) |
+//! | site base | varint: the id of the first site below — how many sites earlier deltas of the stream carried |
+//! | site count | varint: the sites interned since the previous delta |
+//! | per site: class name | varint byte length + UTF-8 bytes (ids are implicit: dense and ascending from the site base) |
+//! | … call path | varint frame count + method/BCI varint pairs |
 //! | thread count | varint |
 //! | per thread: seq | varint (the fragment's first-seen order key) |
 //! | … thread id | varint |
@@ -78,7 +82,10 @@
 //! | … per pair: cpu node, page node, samples | three varints, pairs strictly ascending by `(cpu node, page node)` (the NUMA traffic matrix) |
 //!
 //! Each call path crosses the wire once per thread fragment: sites name their access
-//! contexts by table index.
+//! contexts by table index. Each allocation site crosses the wire once per stream,
+//! in the first delta after it was interned, so every site id a delta's fragments
+//! reference is defined by that delta or an earlier one: a fold of any prefix of the
+//! stream resolves its objects.
 //!
 //! A **metric vector** is nine varints in declaration order: samples, weighted
 //! events, latency cycles, local samples, remote samples, load samples, store
@@ -86,16 +93,14 @@
 //!
 //! # Finish payload (kind `0x02`)
 //!
+//! A trailer: the deltas carry the samples, the allocation counts and the site table;
+//! the finish frame adds only what a mid-run fold need not know.
+//!
 //! | field | encoding |
 //! |---|---|
 //! | event | varint byte length + UTF-8 hardware event name |
 //! | period, size filter, total samples | varints (`total_samples` is the end-to-end loss checksum) |
 //! | allocation stats | six varints: callbacks, monitored, filtered, relocations, unknown moves, reclamations |
-//! | site count | varint |
-//! | per site: class name | varint byte length + UTF-8 bytes (site ids are implicit — dense and ascending from 0) |
-//! | … call path | varint frame count + method/BCI varint pairs |
-//! | alloc row count | varint |
-//! | per row | four varints: thread id, site id, allocation count, allocated bytes |
 //!
 //! # Control payloads (kinds `0x03`–`0x09`)
 //!
@@ -125,7 +130,7 @@
 //!
 //! let mut profile = ThreadProfile::new(ThreadId(7), "worker");
 //! profile.samples = 3;
-//! let delta = ProfileDelta { epoch: 1, threads: vec![ThreadDelta { seq: 0, profile }] };
+//! let delta = ProfileDelta { epoch: 1, threads: vec![ThreadDelta { seq: 0, profile }], ..Default::default() };
 //!
 //! let mut log = Vec::new();
 //! BinaryChunkedSink::new().on_delta(1, &delta, &mut log).unwrap();
@@ -146,7 +151,6 @@ use std::str::FromStr;
 use djx_pmu::PmuEvent;
 use djx_runtime::{Frame, MethodId, ThreadId};
 
-use crate::cct::CctNodeId;
 use crate::fleet::{ProducerStatus, FLEET_VERSION};
 use crate::metrics::MetricVector;
 use crate::object::{AllocSite, AllocSiteId};
@@ -163,9 +167,10 @@ use crate::sink::{FinishRecord, LogRecord, ProfileSink};
 pub const BINARY_MAGIC: [u8; 4] = [0xDF, 0x4A, 0x58, 0x42];
 
 /// Current version of the binary frame layout. Version 2 added the per-thread
-/// context table and traffic matrix to delta frames; readers refuse every other
-/// version.
-pub const BINARY_VERSION: u8 = 2;
+/// context table and traffic matrix to delta frames; version 3 moved the site table
+/// from the finish frame into the deltas and dropped the finish frame's allocation
+/// rows. Readers refuse every other version.
+pub const BINARY_VERSION: u8 = 3;
 
 /// Frame kind byte: a streamed epoch delta.
 const KIND_DELTA: u8 = 1;
@@ -351,37 +356,42 @@ impl<'a> PayloadReader<'a> {
 // Record payload encode/decode
 // ---------------------------------------------------------------------------------------
 
-fn encode_delta_payload(epoch: u64, threads: &[ThreadDelta]) -> Vec<u8> {
+fn encode_delta_payload(epoch: u64, delta: &ProfileDelta) -> Vec<u8> {
     let mut p = Vec::with_capacity(64);
     put_varint(&mut p, epoch);
-    put_varint(&mut p, threads.len() as u64);
-    for td in threads {
+    put_varint(&mut p, delta.site_base as u64);
+    put_varint(&mut p, delta.sites.len() as u64);
+    for site in &delta.sites {
+        put_string(&mut p, &site.class_name);
+        put_path(&mut p, &site.call_path);
+    }
+    put_varint(&mut p, delta.threads.len() as u64);
+    for td in &delta.threads {
         let profile = &td.profile;
         put_varint(&mut p, td.seq);
         put_varint(&mut p, profile.thread.0);
         put_string(&mut p, &profile.thread_name);
         put_varint(&mut p, profile.samples);
         put_metrics(&mut p, &profile.unattributed);
-        // The context table: every node with metrics or a site reference, by path.
+        // The context table: every node with metrics or a site reference, in path
+        // order — the order a sorted pre-order walk visits them in.
         let cct = &profile.cct;
         let mut in_table: Vec<bool> =
             cct.node_ids().map(|id| !cct.metrics(id).is_empty()).collect();
         for ctx in profile.sites.values().flat_map(|sm| sm.by_context.keys()) {
             in_table[ctx.0 as usize] = true;
         }
-        let mut table: Vec<(Vec<Frame>, CctNodeId)> = cct
-            .node_ids()
-            .filter(|id| in_table[id.0 as usize])
-            .map(|id| (cct.path_of(id), id))
-            .collect();
-        table.sort_unstable();
+        put_varint(&mut p, in_table.iter().filter(|&&entry| entry).count() as u64);
         let mut index = vec![0u64; cct.len()];
-        put_varint(&mut p, table.len() as u64);
-        for (i, (path, id)) in table.iter().enumerate() {
-            index[id.0 as usize] = i as u64;
-            put_path(&mut p, path);
-            put_metrics(&mut p, cct.metrics(*id));
-        }
+        let mut entries = 0u64;
+        cct.walk_sorted(|id, path| {
+            if in_table[id.0 as usize] {
+                index[id.0 as usize] = entries;
+                entries += 1;
+                put_path(&mut p, path);
+                put_metrics(&mut p, cct.metrics(id));
+            }
+        });
         let mut site_ids: Vec<_> = profile.sites.keys().copied().collect();
         site_ids.sort_unstable();
         put_varint(&mut p, site_ids.len() as u64);
@@ -417,6 +427,16 @@ fn encode_delta_payload(epoch: u64, threads: &[ThreadDelta]) -> Vec<u8> {
 fn decode_delta_payload(payload: &[u8]) -> Result<ProfileDelta, ProfileParseError> {
     let mut r = PayloadReader::new(payload);
     let epoch = r.varint()?;
+    let site_base = r.varint()?;
+    let site_count = r.varint()?;
+    let Some(site_end) = site_base.checked_add(site_count).filter(|&end| end <= 1 << 32) else {
+        return Err(r.error(format!("{site_count} sites from id {site_base} leave the u32 range")));
+    };
+    let mut sites = Vec::with_capacity((site_count as usize).min(4096));
+    for id in site_base..site_end {
+        let (class_name, call_path) = (r.string()?, r.path()?);
+        sites.push(AllocSite { id: AllocSiteId(id as u32), class_name, call_path });
+    }
     let thread_count = r.varint()? as usize;
     let mut threads = Vec::with_capacity(thread_count.min(1024));
     for _ in 0..thread_count {
@@ -472,36 +492,27 @@ fn decode_delta_payload(payload: &[u8]) -> Result<ProfileDelta, ProfileParseErro
         threads.push(ThreadDelta { seq, profile });
     }
     r.finish()?;
-    Ok(ProfileDelta { epoch, threads })
+    Ok(ProfileDelta { epoch, threads, site_base: site_base as usize, sites })
 }
 
 /// Encodes a [`FinishRecord`] into the finish-frame payload — the exact inverse of
-/// [`decode_finish_payload`]: both directions share one field order and the site-id
-/// invariant (dense, ascending, implicit, so ids are never written).
+/// [`decode_finish_payload`].
 fn encode_finish_payload(record: &FinishRecord) -> Vec<u8> {
     let mut p = Vec::with_capacity(64);
     put_string(&mut p, record.event.hardware_name());
-    put_varint(&mut p, record.period);
-    put_varint(&mut p, record.size_filter);
-    put_varint(&mut p, record.total_samples);
     let s = &record.allocation_stats;
-    put_varint(&mut p, s.callbacks);
-    put_varint(&mut p, s.monitored);
-    put_varint(&mut p, s.filtered);
-    put_varint(&mut p, s.relocations);
-    put_varint(&mut p, s.unknown_moves);
-    put_varint(&mut p, s.reclamations);
-    put_varint(&mut p, record.sites.len() as u64);
-    for site in &record.sites {
-        put_string(&mut p, &site.class_name);
-        put_path(&mut p, &site.call_path);
-    }
-    put_varint(&mut p, record.allocs.len() as u64);
-    for (thread, site, count, bytes) in &record.allocs {
-        put_varint(&mut p, thread.0);
-        put_varint(&mut p, u64::from(site.0));
-        put_varint(&mut p, *count);
-        put_varint(&mut p, *bytes);
+    for v in [
+        record.period,
+        record.size_filter,
+        record.total_samples,
+        s.callbacks,
+        s.monitored,
+        s.filtered,
+        s.relocations,
+        s.unknown_moves,
+        s.reclamations,
+    ] {
+        put_varint(&mut p, v);
     }
     p
 }
@@ -521,26 +532,8 @@ fn decode_finish_payload(payload: &[u8]) -> Result<FinishRecord, ProfileParseErr
         unknown_moves: r.varint()?,
         reclamations: r.varint()?,
     };
-    let site_count = r.varint()? as usize;
-    let mut sites = Vec::with_capacity(site_count.min(4096));
-    for id in 0..site_count {
-        let class_name = r.string()?;
-        let call_path = r.path()?;
-        let id =
-            u32::try_from(id).map_err(|_| r.error(format!("site id {id} exceeds u32 range")))?;
-        sites.push(AllocSite { id: AllocSiteId(id), class_name, call_path });
-    }
-    let row_count = r.varint()? as usize;
-    let mut allocs = Vec::with_capacity(row_count.min(4096));
-    for _ in 0..row_count {
-        let thread = ThreadId(r.varint()?);
-        let site = AllocSiteId(r.varint_u32()?);
-        let count = r.varint()?;
-        let bytes = r.varint()?;
-        allocs.push((thread, site, count, bytes));
-    }
     r.finish()?;
-    Ok(FinishRecord { event, period, size_filter, sites, allocs, allocation_stats, total_samples })
+    Ok(FinishRecord { event, period, size_filter, allocation_stats, total_samples })
 }
 
 // ---------------------------------------------------------------------------------------
@@ -779,8 +772,8 @@ fn write_frame(kind: u8, payload: &[u8], out: &mut dyn Write) -> io::Result<()> 
 ///
 /// Write errors from `out`, and [`io::ErrorKind::InvalidInput`] for a delta whose
 /// payload exceeds the frame cap.
-fn write_delta_frame(epoch: u64, threads: &[ThreadDelta], out: &mut dyn Write) -> io::Result<()> {
-    write_frame(KIND_DELTA, &encode_delta_payload(epoch, threads), out)
+fn write_delta_frame(epoch: u64, delta: &ProfileDelta, out: &mut dyn Write) -> io::Result<()> {
+    write_frame(KIND_DELTA, &encode_delta_payload(epoch, delta), out)
 }
 
 /// Encodes one finish frame into `out`.
@@ -985,7 +978,7 @@ impl<R: BufRead> BinaryFrameReader<R> {
 /// use djxperf::{BinaryChunkedSink, LogRecord, ProfileDelta, ProfileSink};
 ///
 /// let mut log = Vec::new();
-/// let delta = ProfileDelta { epoch: 1, threads: Vec::new() };
+/// let delta = ProfileDelta::empty(1);
 /// BinaryChunkedSink::new().on_delta(1, &delta, &mut log).unwrap();
 ///
 /// let mut tail = FrameTail::new();
@@ -1067,9 +1060,9 @@ impl FrameTail {
 
 /// The replayable streaming backend: a [`ProfileSink`] whose delta stream is a
 /// binary epoch log in the frame format specified by this module's docs — one
-/// delta frame per streamed epoch and one terminal finish frame carrying the run
-/// configuration, the site table, the per-(thread, site) allocation rows and a
-/// total-sample checksum. Wire it into a session with
+/// delta frame per streamed epoch (samples, allocation counts and newly interned
+/// sites) and one terminal finish frame carrying the run configuration, the agent
+/// counters and a total-sample checksum. Wire it into a session with
 /// [`SessionBuilder::stream_to_binary`](crate::session::SessionBuilder::stream_to_binary).
 ///
 /// Unlike the render-only [`TextSink`](crate::sink::TextSink) /
@@ -1176,28 +1169,32 @@ impl ProfileSink for BinaryChunkedSink {
         "binary"
     }
 
-    /// Writes the profile as a degenerate one-delta binary epoch log (the threads
-    /// inlined complete with their allocation metrics, so the finish frame carries
-    /// no allocation rows).
+    /// Writes the profile as a degenerate one-delta binary epoch log: every thread
+    /// and the whole site table in one delta, then the finish frame.
     fn write_profile(&self, profile: &ObjectCentricProfile, out: &mut dyn Write) -> io::Result<()> {
-        if !profile.threads.is_empty() {
-            let threads: Vec<ThreadDelta> = profile
+        let delta = ProfileDelta {
+            epoch: 1,
+            threads: profile
                 .threads
                 .iter()
                 .enumerate()
                 .map(|(i, t)| ThreadDelta { seq: i as u64, profile: t.clone() })
-                .collect();
-            write_delta_frame(1, &threads, out)?;
+                .collect(),
+            site_base: 0,
+            sites: profile.sites.clone(),
+        };
+        if !delta.is_empty() {
+            write_delta_frame(1, &delta, out)?;
         }
-        write_finish_frame(&FinishRecord::of_profile(profile, false), out)
+        write_finish_frame(&FinishRecord::of_profile(profile), out)
     }
 
     fn on_delta(&self, epoch: u64, delta: &ProfileDelta, out: &mut dyn Write) -> io::Result<()> {
-        write_delta_frame(epoch, &delta.threads, out)
+        write_delta_frame(epoch, delta, out)
     }
 
     fn on_finish(&self, profile: &ObjectCentricProfile, out: &mut dyn Write) -> io::Result<()> {
-        write_finish_frame(&FinishRecord::of_profile(profile, true), out)
+        write_finish_frame(&FinishRecord::of_profile(profile), out)
     }
 }
 
@@ -1242,6 +1239,7 @@ mod tests {
                 .into_iter()
                 .map(|(seq, profile)| ThreadDelta { seq, profile })
                 .collect(),
+            ..ProfileDelta::default()
         }
     }
 
@@ -1256,9 +1254,9 @@ mod tests {
     }
 
     /// Streams three deltas and their finish through the sink and returns
-    /// (binary log, terminal profile).
+    /// (binary log, terminal profile). The first delta defines both sites.
     fn stream() -> (Vec<u8>, ObjectCentricProfile) {
-        let deltas = vec![
+        let mut deltas = vec![
             delta(
                 1,
                 vec![(0, thread_fragment(1, "main", 0, 4)), (1, thread_fragment(2, "w", 1, 2))],
@@ -1266,6 +1264,10 @@ mod tests {
             delta(3, vec![(0, thread_fragment(1, "main", 1, 5))]),
             delta(4, vec![(1, thread_fragment(2, "w", 0, 1))]),
         ];
+        deltas[0].sites = sites(2);
+        for later in &mut deltas[1..] {
+            later.site_base = 2;
+        }
         let mut fold = DeltaFold::new();
         for d in &deltas {
             fold.absorb_ordered(d).unwrap();
@@ -1274,8 +1276,6 @@ mod tests {
             PmuEvent::L1Miss,
             100,
             1024,
-            sites(2),
-            std::iter::empty(),
             AllocationStats { callbacks: 9, monitored: 3, filtered: 6, ..Default::default() },
         );
         let sink = BinaryChunkedSink::new();
@@ -1428,20 +1428,36 @@ mod tests {
 
     #[test]
     fn refuses_version_1_frames() {
-        // A log written before the context table existed is refused, never misread.
-        let (mut bin_log, _) = stream();
-        bin_log[4] = 1;
-        let err = BinaryChunkedSink::new().read_log_bytes(&bin_log).unwrap_err();
+        // Logs written before the context table existed (version 1) or before the
+        // deltas carried the site table (version 2) are refused, never misread.
+        for version in [1, 2] {
+            let (mut bin_log, _) = stream();
+            bin_log[4] = version;
+            let err = BinaryChunkedSink::new().read_log_bytes(&bin_log).unwrap_err();
+            assert_eq!(err.frame, 1);
+            let expected = format!("unsupported binary frame version {version}");
+            assert!(err.message.contains(&expected), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_log_missing_a_site_defining_delta_is_refused() {
+        let (log, _) = stream();
+        let first_len = frame_len(log[..HEADER_LEN].try_into().unwrap()).unwrap();
+        let err = BinaryChunkedSink::new().read_log_bytes(&log[first_len..]).unwrap_err();
         assert_eq!(err.frame, 1);
-        assert!(err.message.contains("unsupported binary frame version 1"), "{err}");
+        assert!(
+            err.message.contains("sites start at id 2 but the fold's site table holds 0"),
+            "{err}"
+        );
     }
 
     /// A one-thread, one-site delta payload whose context table holds `paths` and
     /// whose site names its one access context by `index`.
     fn table_payload(paths: &[Vec<Frame>], index: u64) -> Vec<u8> {
         let mut p = Vec::new();
-        for v in [1, 1, 0, 7] {
-            put_varint(&mut p, v); // epoch, thread count, seq, thread id
+        for v in [1, 0, 0, 1, 0, 7] {
+            put_varint(&mut p, v); // epoch, site base, site count, thread count, seq, thread id
         }
         put_string(&mut p, "t");
         put_varint(&mut p, 1);
@@ -1509,7 +1525,11 @@ mod tests {
         // frame every reader rejects.
         let mut profile = ThreadProfile::new(ThreadId(1), "");
         profile.thread_name = "x".repeat(MAX_PAYLOAD_LEN);
-        let delta = ProfileDelta { epoch: 1, threads: vec![ThreadDelta { seq: 0, profile }] };
+        let delta = ProfileDelta {
+            epoch: 1,
+            threads: vec![ThreadDelta { seq: 0, profile }],
+            ..Default::default()
+        };
         let mut out = Vec::new();
         let err = BinaryChunkedSink::new().on_delta(1, &delta, &mut out).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);

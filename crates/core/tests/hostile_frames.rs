@@ -113,7 +113,7 @@ fn fnv1a(bytes: &[u8]) -> u32 {
 }
 
 fn frame(kind: u8, payload: &[u8]) -> Vec<u8> {
-    let mut frame = vec![0xDF, 0x4A, 0x58, 0x42, 0x02, kind];
+    let mut frame = vec![0xDF, 0x4A, 0x58, 0x42, djxperf::wire::BINARY_VERSION, kind];
     frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     frame.extend_from_slice(payload);
     frame.extend_from_slice(&fnv1a(payload).to_le_bytes());
@@ -184,9 +184,7 @@ fn frames_of_every_kind() -> Vec<Vec<u8>> {
         entry.total.samples = 1;
         entry.by_context.insert(ctx, entry.total);
     }
-    let delta = ProfileDelta { epoch: 1, threads: vec![ThreadDelta { seq: 0, profile }] };
-    let mut fold = DeltaFold::new();
-    fold.absorb_ordered(&delta).unwrap();
+    profile.record_allocation(AllocSiteId(2), 4096);
     let sites = (0..6)
         .map(|i| AllocSite {
             id: AllocSiteId(i),
@@ -194,14 +192,15 @@ fn frames_of_every_kind() -> Vec<Vec<u8>> {
             call_path: vec![Frame::new(MethodId(i), 1)],
         })
         .collect();
-    let terminal = fold.assemble(
-        PmuEvent::DEFAULT,
-        64,
-        1024,
+    let delta = ProfileDelta {
+        epoch: 1,
+        threads: vec![ThreadDelta { seq: 0, profile }],
+        site_base: 0,
         sites,
-        [(ThreadId(7), AllocSiteId(2), 1, 4096)],
-        AllocationStats::default(),
-    );
+    };
+    let mut fold = DeltaFold::new();
+    fold.absorb_ordered(&delta).unwrap();
+    let terminal = fold.assemble(PmuEvent::DEFAULT, 64, 1024, AllocationStats::default());
     let sink = BinaryChunkedSink::new();
     let (mut delta_frame, mut finish_frame) = (Vec::new(), Vec::new());
     sink.on_delta(1, &delta, &mut delta_frame).unwrap();
@@ -472,7 +471,7 @@ impl Drop for WalDir {
 }
 
 /// A valid WAL header line, written from the fleet module's WAL format.
-const WAL_HEADER: &str = "djxperf-wal v3 producer=web\\s1 event=MEM_LOAD_UOPS_RETIRED:L1_MISS \
+const WAL_HEADER: &str = "djxperf-wal v4 producer=web\\s1 event=MEM_LOAD_UOPS_RETIRED:L1_MISS \
                           period=64 size_filter=1024\n";
 
 #[test]

@@ -867,7 +867,7 @@ fn multi_thread_profile(
         registry.intern(&class_names[i], &alloc_paths[i]);
     }
     let unattributed_site = registry.intern_unattributed();
-    let sites = registry.snapshot();
+    let sites = registry.since(0);
 
     let mut threads = Vec::new();
     for (t, samples) in samples_per_thread.iter().enumerate() {

@@ -15,6 +15,10 @@
 //! the example proves the headline guarantee by replaying the log: the folded deltas
 //! are byte-identical to the session's own final profile, and the replay answers the
 //! code-centric view and the NUMA traffic matrix exactly as the session does.
+//!
+//! The output is deterministic: how many deltas the drainer cut, and so the log's
+//! size, depends on its tick timing, so the example prints only sample counts and
+//! render sizes, and checks the delta counts instead of printing them.
 
 use std::time::Duration;
 
@@ -55,27 +59,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // is routed into the log instead of being discarded.
         let live = session.snapshot();
         let streamed = session.export_stats().expect("the session streams");
-        println!(
-            "round {round:2}: {:6} samples live, {:3} deltas streamed ({} coalesced), log {} bytes",
-            live.total_samples,
-            streamed.deltas_streamed,
-            streamed.coalesced,
-            log.len(),
-        );
+        assert!(streamed.epochs_drained > u64::from(round), "every snapshot closed an epoch");
+        println!("round {round:2}: {:6} samples live", live.total_samples);
     }
     rt.finish_thread(main_thread)?;
     rt.shutdown();
 
     // 3. Close the stream: final delta, terminal finish record, drainer joined.
     let stats = session.finish_export()?;
-    println!(
-        "\nstream closed: {} deltas / {} samples streamed over {} epochs ({} coalesced, {} blocked)",
-        stats.deltas_streamed,
-        stats.samples_streamed,
-        stats.epochs_drained,
-        stats.coalesced,
-        stats.blocked,
-    );
+    assert!(stats.deltas_streamed > 0 && stats.deltas_streamed <= stats.epochs_drained);
+    println!("\nstream closed: {} samples streamed", stats.samples_streamed);
 
     // 4. The loss-free guarantee, demonstrated end to end: replaying the epoch log
     //    folds every streamed delta back into a profile byte-identical to the
@@ -89,8 +82,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "replayed epoch log must be byte-identical to the terminal profile"
     );
     println!(
-        "replayed {} log bytes -> {} samples, byte-identical to the terminal profile ✓",
-        contents.len(),
+        "replayed the epoch log -> {} samples, byte-identical to the terminal profile ✓",
         replayed.total_samples(),
     );
 
@@ -130,9 +122,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         assert!(err.message.contains("render-only"), "{name}: {err}");
     }
     println!(
-        "binary epoch log: {} bytes, the one format that reads back ✓ \
+        "binary epoch log: the one format that reads back ✓ \
          (text snapshot: {} bytes, JSON rendering: {} bytes, both render-only)",
-        contents.len(),
         text_doc.len(),
         json_doc.len(),
     );

@@ -223,11 +223,9 @@ fn crashed_producer_stays_queryable_flagged_truncated() {
     let half = ACCESSES_PER_PROCESS as usize / 2;
 
     // The union baseline sees what the fleet actually received: producers 0 and 1
-    // in full, the crashed producer 2 only up to the crash point. Producer 2 runs
-    // without allocations on both sides so its partial fold and the union describe
-    // its samples identically (unattributed — a partial fold has no site table).
+    // in full, the crashed producer 2 only up to the crash point.
     let union = Session::builder().period(PERIOD).index_shards(8).collect_objects().build();
-    for log in &logs[..2] {
+    for log in &logs {
         replay_allocs(&union, log);
     }
 
@@ -245,6 +243,7 @@ fn crashed_producer_stays_queryable_flagged_truncated() {
     let sink = connect_sink(&addr, "proc2");
     let session = fleet_session(&sink);
     let quarter = half / 2;
+    replay_allocs(&session, &logs[2]);
     replay_accesses(&session, &logs[2], 0..quarter);
     // The connection drops mid-stream; the samples still to come force the sink to
     // reconnect and resume from the acked epoch.
@@ -311,12 +310,91 @@ fn crashed_producer_stays_queryable_flagged_truncated() {
     assert!(!numa.node_traffic.is_empty(), "the partial fold keeps its traffic matrix");
     assert_eq!(numa.total_samples(), dead.samples);
 
-    // And the fleet query equals the union session over what actually arrived.
-    let query = Query::new().group_by(GroupBy::Thread).rank_by(RankBy::Samples);
-    let from_union = query.evaluate(&*union).expect("union evaluates");
-    let from_fleet = aggregator.query(&query).expect("fleet evaluates");
-    assert_eq!(from_fleet.to_text(), from_union.to_text(), "text identity after the crash");
-    assert_eq!(from_fleet.to_json(), from_union.to_json(), "json identity after the crash");
+    // And the fleet query equals the union session over what actually arrived, on
+    // the object axis too: the streamed deltas carried the crashed producer's sites
+    // and allocation counts, so its samples belong to its objects.
+    for query in [
+        Query::new().group_by(GroupBy::Thread).rank_by(RankBy::Samples),
+        Query::new().group_by(GroupBy::Object).rank_by(RankBy::Samples),
+    ] {
+        let from_union = query.evaluate(&*union).expect("union evaluates");
+        let from_fleet = aggregator.query(&query).expect("fleet evaluates");
+        assert_eq!(from_fleet.to_text(), from_union.to_text(), "text identity after the crash");
+        assert_eq!(from_fleet.to_json(), from_union.to_json(), "json identity after the crash");
+    }
+    let objects = Query::new()
+        .group_by(GroupBy::Object)
+        .evaluate(&view)
+        .expect("the view evaluates");
+    let crashed = objects
+        .groups
+        .iter()
+        .find(|g| g.label == "proc2[]")
+        .expect("the crashed producer's object is a group");
+    assert!(crashed.metrics.samples > 0, "its samples are attributed to its object");
+    assert_eq!(crashed.metrics.allocations, OBJECTS_PER_PROCESS, "with its allocation count");
+}
+
+/// A running producer — no finish frame yet — answers object-grouped queries: the
+/// deltas it streamed so far carry its sites and allocation counts. The answer is
+/// the cold evaluation of a fold of the producer's WAL epochs, and a live watch
+/// renders the same at that point.
+#[test]
+fn running_producer_answers_object_queries_mid_run() {
+    let dir = TempDir::new("mid-run-objects");
+    let aggregator = FleetAggregator::builder()
+        .wal(&dir.0, FsyncPolicy::Never)
+        .bind("127.0.0.1:0")
+        .expect("durable bind");
+    let addr = aggregator.local_addr().expect("tcp aggregator").to_string();
+    let query = Query::new().group_by(GroupBy::Object).rank_by(RankBy::Samples);
+    let mut watch = aggregator.watch(&query);
+    let logs = build_process_logs();
+    let sink = connect_sink(&addr, "running");
+    let session = fleet_session(&sink);
+    replay_allocs(&session, &logs[0]);
+    replay_accesses(&session, &logs[0], 0..ACCESSES_PER_PROCESS as usize / 2);
+    session.flush_export();
+    let target = session.total_samples();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while aggregator.status().iter().map(|s| s.samples).sum::<u64>() < target {
+        assert!(Instant::now() < deadline, "the aggregator never caught up");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert!(!aggregator.status()[0].finished, "the producer is still running");
+
+    let from_fleet = aggregator.query(&query).expect("the fleet evaluates");
+    let object = from_fleet.groups.first().expect("the running producer has an object group");
+    assert_eq!(object.label, "proc0[]");
+    assert_eq!(object.metrics.samples, target, "every sample is attributed to the object");
+    assert_eq!(object.metrics.allocations, OBJECTS_PER_PROCESS);
+
+    // The cold reference: the WAL's delta frames folded and assembled with the
+    // configuration the producer announced.
+    let wal = std::fs::read_dir(&dir.0)
+        .expect("the WAL directory lists")
+        .map(|entry| entry.expect("entry").path())
+        .find(|path| path.extension().is_some_and(|e| e == "wal"))
+        .expect("the producer has a WAL");
+    let wal = std::fs::read(wal).expect("the WAL reads");
+    let body = &wal[wal.iter().position(|b| *b == b'\n').expect("header line") + 1..];
+    let mut reader = djxperf::BinaryFrameReader::new(body);
+    let mut fold = DeltaFold::new();
+    while let Some(record) = reader.next_record().expect("the WAL decodes") {
+        match record {
+            djxperf::LogRecord::Delta(delta) => fold.absorb_ordered(&delta).expect("in order"),
+            djxperf::LogRecord::Finish(_) => panic!("the producer has not finished"),
+        }
+    }
+    let cold = fold.assemble(PmuEvent::DEFAULT, PERIOD, SIZE_FILTER, AllocationStats::default());
+    let cold = query.evaluate(&cold).expect("the fold evaluates");
+    assert_eq!(from_fleet.to_text(), cold.to_text(), "text identity mid-run");
+    assert_eq!(from_fleet.to_json(), cold.to_json(), "json identity mid-run");
+    let live = watch.current().result;
+    assert_eq!(live.to_text(), cold.to_text(), "the live watch renders the same");
+    assert_eq!(live.to_json(), cold.to_json());
+
+    session.finish_export().expect("the producer finishes");
 }
 
 /// A raw-socket probe speaking the wire protocol by hand. Its control-frame
@@ -362,7 +440,7 @@ fn fnv1a(bytes: &[u8]) -> u32 {
 
 /// A frame header: magic `DF 4A 58 42`, version 2, kind, little-endian length.
 fn frame_header(kind: u8, len: u32) -> Vec<u8> {
-    let mut frame = vec![0xDF, 0x4A, 0x58, 0x42, 0x02, kind];
+    let mut frame = vec![0xDF, 0x4A, 0x58, 0x42, djxperf::wire::BINARY_VERSION, kind];
     frame.extend_from_slice(&len.to_le_bytes());
     frame
 }
@@ -415,7 +493,8 @@ impl RawProducer {
         self.writer.write_all(bytes).expect("probe writes");
         let mut header = [0u8; 10];
         self.reader.read_exact(&mut header).expect("probe reads a reply header");
-        assert_eq!(header[..5], [0xDF, 0x4A, 0x58, 0x42, 0x02], "reply frame magic + version");
+        let magic = [0xDF, 0x4A, 0x58, 0x42, djxperf::wire::BINARY_VERSION];
+        assert_eq!(header[..5], magic, "reply frame magic + version");
         let len = u32::from_le_bytes(header[6..].try_into().unwrap()) as usize;
         let mut payload = vec![0u8; len + 4];
         self.reader.read_exact(&mut payload).expect("probe reads a reply payload");
@@ -469,7 +548,11 @@ fn error_message(reply: Reply) -> String {
 fn delta_frame(epoch: u64, thread: u64, samples: u64) -> Vec<u8> {
     let mut profile = ThreadProfile::new(ThreadId(thread), "probe");
     profile.samples = samples;
-    let delta = ProfileDelta { epoch, threads: vec![ThreadDelta { seq: 0, profile }] };
+    let delta = ProfileDelta {
+        epoch,
+        threads: vec![ThreadDelta { seq: 0, profile }],
+        ..Default::default()
+    };
     let mut bytes = Vec::new();
     BinaryChunkedSink::new()
         .on_delta(epoch, &delta, &mut bytes)
@@ -767,7 +850,7 @@ fn aggregator_kill_restart_with_wal_recovery_is_byte_identical() {
 fn probe_delta(epoch: u64, samples: u64) -> ProfileDelta {
     let mut profile = ThreadProfile::new(ThreadId(7), "probe");
     profile.samples = samples;
-    ProfileDelta { epoch, threads: vec![ThreadDelta { seq: 0, profile }] }
+    ProfileDelta { epoch, threads: vec![ThreadDelta { seq: 0, profile }], ..Default::default() }
 }
 
 /// A complete WAL header line that does not parse is an error naming the file,
@@ -788,32 +871,38 @@ fn recover_refuses_a_complete_but_unparseable_header() {
     assert!(err.to_string().contains("stranger.wal"), "{err}");
     assert_eq!(std::fs::read(&path).expect("WAL reads"), bytes, "the file is left untouched");
 
-    std::fs::write(&path, b"djxperf-wal v3 producer=torn").expect("write the WAL");
+    std::fs::write(&path, b"djxperf-wal v4 producer=torn").expect("write the WAL");
     let builder = FleetAggregator::recover(&dir.0).expect("a torn header is skipped");
     assert!(builder.recovery_report().expect("report").producers.is_empty());
 }
 
-/// A WAL written by the previous format (a `djxperf-wal v2` header over version-1
-/// frames) is refused with its version named, and left byte for byte as it was:
-/// reading its frames as a torn tail would truncate every acknowledged frame.
+/// A WAL written by a previous format (a `djxperf-wal v2` header over version-1
+/// frames, or `v3` over version-2 frames) is refused with its version named, and
+/// left byte for byte as it was: reading its frames as a torn tail would truncate
+/// every acknowledged frame.
 #[test]
 fn recover_refuses_a_previous_format_wal_and_leaves_it_untouched() {
-    let dir = TempDir::new("wal-v2");
-    let mut bytes = b"djxperf-wal v2 producer=old event=MEM_LOAD_UOPS_RETIRED:L1_MISS \
-                      period=64 size_filter=1024\n"
-        .to_vec();
-    let frame_start = bytes.len();
-    BinaryChunkedSink::new()
-        .on_delta(1, &probe_delta(1, 5), &mut bytes)
-        .expect("encodes");
-    bytes[frame_start + 4] = 1; // the frame version byte of the previous format
-    let path = dir.0.join("old.wal");
-    std::fs::write(&path, &bytes).expect("write the WAL");
-    let err = FleetAggregator::recover(&dir.0).expect_err("a previous-format WAL is an error");
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    assert!(err.to_string().contains("WAL format version v2 is not supported"), "{err}");
-    assert!(err.to_string().contains("old.wal"), "{err}");
-    assert_eq!(std::fs::read(&path).expect("WAL reads"), bytes, "the file is left untouched");
+    for (wal_version, frame_version) in [("v2", 1), ("v3", 2)] {
+        let dir = TempDir::new(&format!("wal-{wal_version}"));
+        let mut bytes = format!(
+            "djxperf-wal {wal_version} producer=old event=MEM_LOAD_UOPS_RETIRED:L1_MISS \
+             period=64 size_filter=1024\n"
+        )
+        .into_bytes();
+        let frame_start = bytes.len();
+        BinaryChunkedSink::new()
+            .on_delta(1, &probe_delta(1, 5), &mut bytes)
+            .expect("encodes");
+        bytes[frame_start + 4] = frame_version; // the frame version byte of that format
+        let path = dir.0.join("old.wal");
+        std::fs::write(&path, &bytes).expect("write the WAL");
+        let err = FleetAggregator::recover(&dir.0).expect_err("a previous-format WAL is an error");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let expected = format!("WAL format version {wal_version} is not supported");
+        assert!(err.to_string().contains(&expected), "{err}");
+        assert!(err.to_string().contains("old.wal"), "{err}");
+        assert_eq!(std::fs::read(&path).expect("WAL reads"), bytes, "the file is left untouched");
+    }
 }
 
 /// A thread's later fragments carry the `<attached>` placeholder; a live watch
@@ -837,28 +926,29 @@ fn live_thread_labels_keep_the_first_seen_name() {
         .expect("recovery replays")
         .bind("127.0.0.1:0")
         .expect("recovered bind");
-    // The Thread group appears only with the terminal allocation row (the class
-    // filter keeps the unattributed samples out), so its label is decided after
-    // the `<attached>` fragment arrived.
+    // The Thread group appears only with the allocation the `<attached>` fragment
+    // records (the class filter keeps the unattributed samples out), so its label is
+    // decided after that fragment arrived.
     let query = Query::new().group_by(GroupBy::Thread).filter_class("float[]");
     let mut watch = second.watch(&query);
     let sink = connect_sink(&second.local_addr().expect("tcp aggregator").to_string(), "unit");
-    let mut attached = probe_delta(2, 3);
-    attached.threads[0].profile.thread_name = "<attached>".into();
-    sink.on_delta(2, &attached, &mut out).expect("delta 2");
     let site = AllocSite {
         id: AllocSiteId(0),
         class_name: "float[]".into(),
         call_path: vec![Frame::new(MethodId(1), 0)],
     };
+    let mut attached = probe_delta(2, 3);
+    attached.threads[0].profile.thread_name = "<attached>".into();
+    attached.threads[0].profile.record_allocation(site.id, 2048);
+    attached.sites = vec![site];
+    sink.on_delta(2, &attached, &mut out).expect("delta 2");
     let mut thread = ThreadProfile::new(ThreadId(7), "probe");
     thread.samples = 8;
-    thread.record_allocation(site.id, 2048);
     let terminal = ObjectCentricProfile {
         event: PmuEvent::DEFAULT,
         period: PERIOD,
         size_filter: SIZE_FILTER,
-        sites: vec![site],
+        sites: Vec::new(),
         threads: vec![thread],
         allocation_stats: AllocationStats::default(),
     };
@@ -967,14 +1057,7 @@ fn lossy_overflow_policy_drops_oldest_and_flags_truncation() {
     // producer declared itself lossy so the finish is still accepted).
     let restarted = rebind(|| FleetAggregator::bind(&addr));
     let declared = fold.total_samples();
-    let profile = fold.assemble(
-        PmuEvent::DEFAULT,
-        PERIOD,
-        SIZE_FILTER,
-        Vec::new(),
-        std::iter::empty(),
-        AllocationStats::default(),
-    );
+    let profile = fold.assemble(PmuEvent::DEFAULT, PERIOD, SIZE_FILTER, AllocationStats::default());
     sink.on_finish(&profile, &mut out).expect("the lossy finish is accepted");
 
     let status = restarted.status();
@@ -1065,14 +1148,7 @@ fn sink_fault_plan_heals_losslessly() {
             .expect("faults are absorbed, not surfaced");
     }
     let declared = fold.total_samples();
-    let profile = fold.assemble(
-        PmuEvent::DEFAULT,
-        PERIOD,
-        SIZE_FILTER,
-        Vec::new(),
-        std::iter::empty(),
-        AllocationStats::default(),
-    );
+    let profile = fold.assemble(PmuEvent::DEFAULT, PERIOD, SIZE_FILTER, AllocationStats::default());
     sink.on_finish(&profile, &mut out).expect("the finish lands after the faults");
 
     let stats = sink.stats();
@@ -1223,7 +1299,7 @@ fn live_fleet_watches_stay_identical_across_reconnect() {
     assert_watch_identity(&aggregator, &mut early);
     assert_watch_identity(&aggregator, &mut late);
 
-    // Producer 0 finishes: its site table arrives and the deferred rows replay.
+    // Producer 0 finishes: the trailer adds no rows, only its run header.
     session0.finish_export().expect("producer 0 finishes");
     quiesce(&aggregator, &producers01);
     assert_watch_identity(&aggregator, &mut early);

@@ -381,6 +381,7 @@ fn topk_sites() -> Vec<djxperf::AllocSite> {
 }
 
 /// One hand-built epoch delta: `(site, remote, count)` sample batches on thread 1.
+/// Epoch 1 defines the three sites; later epochs reference them.
 fn topk_delta(epoch: u64, batches: &[(u32, bool, u64)]) -> djxperf::ProfileDelta {
     let path = [Frame::new(MethodId(9), 0)];
     let mut fragment = djxperf::ThreadProfile::new(ThreadId(1), "main");
@@ -394,9 +395,12 @@ fn topk_delta(epoch: u64, batches: &[(u32, bool, u64)]) -> djxperf::ProfileDelta
             );
         }
     }
+    let first = epoch == 1;
     djxperf::ProfileDelta {
         epoch,
         threads: vec![djxperf::ThreadDelta { seq: 0, profile: fragment }],
+        site_base: if first { 0 } else { 3 },
+        sites: if first { topk_sites() } else { Vec::new() },
     }
 }
 
@@ -406,7 +410,6 @@ fn topk_delta(epoch: u64, batches: &[(u32, bool, u64)]) -> djxperf::ProfileDelta
 #[test]
 fn top_k_follows_a_decreasing_ratio_rank_out_of_the_heap() {
     let fold = LiveFold::new();
-    fold.provide_sites(topk_sites());
     let query = Query::new().rank_by(RankBy::RemoteFraction).top(2).min_samples(1);
     let mut lq = query.watch(&fold);
 
@@ -433,7 +436,6 @@ fn top_k_follows_a_decreasing_ratio_rank_out_of_the_heap() {
 #[test]
 fn top_k_eviction_when_a_hotter_site_overtakes_a_member() {
     let fold = LiveFold::new();
-    fold.provide_sites(topk_sites());
     let query = Query::new().rank_by(RankBy::Samples).top(2).min_samples(1);
     let mut lq = query.watch(&fold);
 

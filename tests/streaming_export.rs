@@ -486,27 +486,38 @@ fn coalescing_deltas_first_equals_folding_them_in_order() {
         }
         ThreadDelta { seq, profile }
     };
+    let sites = |ids: std::ops::Range<u32>| -> Vec<djxperf::AllocSite> {
+        ids.map(|i| djxperf::AllocSite {
+            id: AllocSiteId(i),
+            class_name: format!("C{i}[]"),
+            call_path: vec![frame(9), frame(i)],
+        })
+        .collect()
+    };
+    // d1 defines sites 0 and 1, d3 site 2: each delta carries the sites interned
+    // since the previous one.
     let d1 = ProfileDelta {
         epoch: 1,
         threads: vec![fragment(1, 0, "main", &[0x10, 0x11]), fragment(2, 1, "worker", &[0x20])],
+        site_base: 0,
+        sites: sites(0..2),
     };
-    let d2 =
-        ProfileDelta { epoch: 2, threads: vec![fragment(1, 0, "<attached>", &[0x12, 0x13, 0x14])] };
+    let d2 = ProfileDelta {
+        epoch: 2,
+        threads: vec![fragment(1, 0, "<attached>", &[0x12, 0x13, 0x14])],
+        site_base: 2,
+        sites: Vec::new(),
+    };
     let d3 = ProfileDelta {
         epoch: 3,
         threads: vec![fragment(2, 1, "<attached>", &[0x21, 0x22]), fragment(3, 2, "late", &[0x30])],
+        site_base: 2,
+        sites: sites(2..3),
     };
 
     let render = |fold: DeltaFold| {
-        fold.assemble(
-            djx_pmu::PmuEvent::L1Miss,
-            PERIOD,
-            1024,
-            Vec::new(),
-            Vec::new(),
-            djxperf::AllocationStats::default(),
-        )
-        .to_text()
+        fold.assemble(djx_pmu::PmuEvent::L1Miss, PERIOD, 1024, djxperf::AllocationStats::default())
+            .to_text()
     };
     let mut sequential = DeltaFold::new();
     for d in [&d1, &d2, &d3] {
@@ -518,9 +529,15 @@ fn coalescing_deltas_first_equals_folding_them_in_order() {
     let mut coalesced_tail = d2.clone();
     coalesced_tail.merge_from(&d3);
     assert_eq!(coalesced_tail.epoch, 3, "coalescing keeps the latest epoch");
+    assert_eq!(
+        (coalesced_tail.site_base, coalesced_tail.sites.len()),
+        (2, 1),
+        "coalescing concatenates the site suffixes"
+    );
     let mut coalesced = DeltaFold::new();
     coalesced.absorb(&d1);
     coalesced.absorb(&coalesced_tail);
 
+    assert_eq!(sequential.sites(), &sites(0..3)[..]);
     assert_eq!(render(sequential), render(coalesced));
 }
