@@ -14,7 +14,8 @@
 //! * [`FleetAggregator`] — the daemon: accepts producer connections, keeps one
 //!   running [`DeltaFold`] per producer (incremental — history is never re-read),
 //!   exposes the merged fleet as a [`ProfileSource`] ([`FleetAggregator::view`]),
-//!   and answers [`Query`] requests over the same wire.
+//!   and answers [`Query`] requests, in process and over the same wire, by
+//!   evaluating straight from the folds ([`FleetAggregator::query`]).
 //! * [`FleetClient`] — sends queries/status requests to an aggregator and returns
 //!   the rendered results.
 //!
@@ -132,7 +133,7 @@ use crate::profile::{
     ObjectCentricProfile, ProfileDelta,
 };
 use crate::query::live::{for_watches, note_thread_names, StreamCtx};
-use crate::query::{ProfileSource, Query, QueryError, QueryResult};
+use crate::query::{GroupState, ProfileSource, Query, QueryError, QueryResult};
 use crate::sink::{FinishRecord, LogRecord, ProfileSink};
 use crate::wire::{self, BinaryChunkedSink, BinaryFrameReader, Control, Hello, WireRecord};
 
@@ -1828,6 +1829,15 @@ impl ProducerState {
         self.dropped_epochs > 0
     }
 
+    /// The event/period header this producer's profile reports: its finish
+    /// record's once finished, its hello's before.
+    fn header(&self) -> (PmuEvent, u64) {
+        match &self.finish {
+            Some(f) => (f.event, f.period),
+            None => (self.event, self.period),
+        }
+    }
+
     fn truncated(&self) -> bool {
         (!self.connected && self.finish.is_none()) || self.lossy()
     }
@@ -1874,10 +1884,7 @@ impl FleetState {
     /// record's. The live path re-derives the same value whenever membership or
     /// finish state changes.
     fn fleet_meta(&self) -> Option<(PmuEvent, u64)> {
-        self.producers.iter().next_back().map(|(_, p)| match &p.finish {
-            Some(f) => (f.event, f.period),
-            None => (p.event, p.period),
-        })
+        self.producers.values().next_back().map(ProducerState::header)
     }
 
     /// Per-producer protocol status, in producer-name order.
@@ -1903,6 +1910,25 @@ struct AggregatorShared {
     /// Aggregator-side fault ordinal: epoch frames received across all
     /// connections, in arrival order. Only advanced when a fault plan is set.
     fault_frames: AtomicU64,
+}
+
+impl AggregatorShared {
+    /// Evaluates a query straight from the producers' folds: each fold's site table
+    /// and thread profiles feed one `GroupState`, producers in name order, each
+    /// under its header — the fold cold evaluation of a [`FleetView`] performs,
+    /// without cloning or assembling a fold. Only that walk holds the state lock:
+    /// the query's filters are built before it, and the groups ranked and
+    /// materialized after it.
+    fn evaluate(&self, query: &Query) -> QueryResult {
+        let mut groups = GroupState::new(query);
+        {
+            let state = self.state.lock().expect("fleet state lock");
+            for p in state.producers.values() {
+                groups.absorb_threads(query, p.header(), p.fold.sites(), p.fold.threads());
+            }
+        }
+        groups.materialize(query)
+    }
 }
 
 /// One producer's slice of a [`FleetView`] snapshot.
@@ -2112,9 +2138,10 @@ impl FleetAggregator {
     }
 
     /// A point-in-time snapshot of the merged fleet: one assembled profile per
-    /// producer. Snapshotting clones the folds under the state lock and assembles
-    /// outside influence of further frames — queries race ingestion without ever
-    /// pausing it.
+    /// producer. The folds are cloned and assembled under the state lock, so the
+    /// view holds whole frames only, and ingestion waits for the copy. Prefer
+    /// [`FleetAggregator::query`] for one-shot questions: it reads the folds in
+    /// place instead of copying them.
     pub fn view(&self) -> FleetView {
         let state = self.shared.state.lock().expect("fleet state lock");
         snapshot_view(&state)
@@ -2125,14 +2152,21 @@ impl FleetAggregator {
         self.shared.state.lock().expect("fleet state lock").status()
     }
 
-    /// Evaluates a query over the current fleet view — the same evaluation a
-    /// [`FleetClient`] triggers over the wire.
+    /// Evaluates a query over the merged fleet — the same evaluation a
+    /// [`FleetClient`] triggers over the wire, and byte-identical to
+    /// `query.evaluate(&aggregator.view())` at the same instant. The evaluation
+    /// reads every producer's fold in place under the state lock: no fold is cloned
+    /// or assembled, and frames arriving meanwhile wait for that walk only — the
+    /// query's filters are built before it and the result ranked after it. A
+    /// thread filter naming many ids costs one pass over them per thread, not one
+    /// per row.
     ///
     /// # Errors
     ///
-    /// Propagates [`QueryError`] from the evaluation.
+    /// Never fails: every fold answers every query. The `Result` mirrors
+    /// [`Query::evaluate`].
     pub fn query(&self, query: &Query) -> Result<QueryResult, QueryError> {
-        query.evaluate(&self.view())
+        Ok(self.shared.evaluate(query))
     }
 
     /// Registers a live subscription over the merged fleet: the watch is seeded
@@ -2614,19 +2648,15 @@ fn dispatch_query(
     shared: &Arc<AggregatorShared>,
     writer: &mut WireStream,
 ) -> io::Result<()> {
-    // Snapshot under the lock, evaluate outside it: queries never stall ingestion.
-    let view = {
-        let state = shared.state.lock().expect("fleet state lock");
-        snapshot_view(&state)
-    };
-    match query.evaluate(&view) {
-        Ok(result) => {
-            match (Control::Result { text: result.to_text(), json: result.to_json() }).to_frame() {
-                Ok(frame) => writer.write_all(&frame),
-                Err(e) => refuse(writer, format!("the query result cannot be sent: {e}")),
-            }
-        }
-        Err(e) => refuse(writer, e.to_string()),
+    // Evaluate straight from the folds: nothing is cloned or assembled, and frames
+    // arriving meanwhile wait only for the walk over the folds. The class and
+    // site-frame sets are built before the lock is taken and the thread list is
+    // scanned once per thread during the walk, so naming millions of ids adds no
+    // cost per row. Ranking, rendering and the send run after the lock is released.
+    let result = shared.evaluate(query);
+    match (Control::Result { text: result.to_text(), json: result.to_json() }).to_frame() {
+        Ok(frame) => writer.write_all(&frame),
+        Err(e) => refuse(writer, format!("the query result cannot be sent: {e}")),
     }
 }
 

@@ -397,6 +397,12 @@ impl DeltaFold {
         &self.acc.sites
     }
 
+    /// The folded per-thread profiles, in first-seen order — the threads
+    /// [`DeltaFold::assemble`] would hand over.
+    pub(crate) fn threads(&self) -> impl Iterator<Item = &ThreadProfile> {
+        self.acc.threads.iter().map(|t| &t.profile)
+    }
+
     /// Folds one streamed delta in without checking its epoch or site base. Deltas
     /// must arrive in stream (epoch) order for the fold to be exact; callers that
     /// cannot trust the transport should use [`DeltaFold::absorb_ordered`] instead.

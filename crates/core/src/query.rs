@@ -107,19 +107,22 @@
 //! registry, and through [`QueryResult::to_json`] for dashboards.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, RandomState};
+use std::collections::{HashMap, HashSet};
 use std::fmt::{self, Write as _};
+use std::hash::BuildHasher;
+use std::ops::Range;
 use std::path::Path;
 use std::str::FromStr;
 
 use djx_pmu::PmuEvent;
 use djx_runtime::{Frame, ThreadId};
 
+use crate::cct::{Cct, CctNodeId};
+use crate::fxhash::FxHashMap;
 use crate::metrics::MetricVector;
 use crate::object::AllocSite;
-use crate::profile::{
-    encode_path, ObjectCentricProfile, ProfileParseError, SiteMetrics, ThreadProfile,
-};
+use crate::profile::{encode_path, ObjectCentricProfile, ProfileParseError, ThreadProfile};
 use crate::session::Session;
 use crate::sink::{json_metrics, json_path, json_string};
 use crate::wire::BinaryChunkedSink;
@@ -763,82 +766,199 @@ impl Query {
         Ok(self.evaluate_profiles(profiles.iter().map(Cow::as_ref)))
     }
 
-    fn thread_passes(&self, thread: ThreadId) -> bool {
-        self.threads.is_empty() || self.threads.contains(&thread)
-    }
-
-    fn row_passes(&self, site: &AllocSite, thread: ThreadId) -> bool {
-        self.thread_passes(thread)
-            && (self.classes.is_empty() || self.classes.contains(&site.class_name))
-            && (self.site_frames.is_empty()
-                || site.call_path.last().is_some_and(|leaf| self.site_frames.contains(leaf)))
-    }
-
-    /// `true` when unattributed samples can contribute to groups: class/site filters
-    /// name object properties unattributed samples do not have.
-    fn unattributed_passes(&self, thread: ThreadId) -> bool {
-        self.classes.is_empty() && self.site_frames.is_empty() && self.thread_passes(thread)
-    }
-
     /// The evaluation core: folds profiles in sequence, exactly the way the offline
     /// analyzer merges one profile file per process — thread blocks in profile order,
-    /// site rows in site-id order, group identities by source-independent key.
+    /// group identities by source-independent key.
     fn evaluate_profiles<'p>(
         &self,
         profiles: impl Iterator<Item = &'p ObjectCentricProfile>,
     ) -> QueryResult {
-        let mut state = GroupState::new();
+        let mut state = GroupState::new(self);
         for profile in profiles {
             state.absorb_profile(self, profile);
         }
-        state.into_result(self)
+        state.materialize(self)
     }
 }
 
 // ---------------------------------------------------------------------------------------
-// GroupState: the group accumulator shared by cold evaluation and live subscriptions
+// GroupState: the group accumulator shared by every evaluation path
 // ---------------------------------------------------------------------------------------
 
+/// A [`GroupKey`] viewed without owning its data: what a row hashes and compares
+/// before anything is stored, and what a stored key reads back as. Variants and
+/// fields follow [`GroupKey`]'s order, so the derived `Ord` orders views exactly as
+/// the keys they become.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+enum KeyView<'a> {
+    Object(&'a str, &'a [Frame]),
+    Site(Option<Frame>),
+    Thread(ThreadId),
+    NumaNode(Locality),
+}
+
+impl KeyView<'_> {
+    fn to_key(self) -> GroupKey {
+        match self {
+            KeyView::Object(class_name, alloc_path) => GroupKey::Object {
+                class_name: class_name.to_string(),
+                alloc_path: alloc_path.to_vec(),
+            },
+            KeyView::Site(frame) => GroupKey::Site(frame),
+            KeyView::Thread(thread) => GroupKey::Thread(thread),
+            KeyView::NumaNode(locality) => GroupKey::NumaNode(locality),
+        }
+    }
+}
+
+/// A stored group key. An object key's class name and allocation path are ranges
+/// of [`GroupState`]'s text and frame arenas, so storing a key allocates nothing of
+/// its own.
+#[derive(Debug)]
+enum StoredKey {
+    Object { class: Range<usize>, path: Range<usize> },
+    Site(Option<Frame>),
+    Thread(ThreadId),
+    NumaNode(Locality),
+}
+
+/// A query's row filters, built once per evaluation (and once per watch): class
+/// names and allocation leaf frames as sets, and the thread filter as one decision
+/// per distinct thread — every row of a thread block shares its thread, so the
+/// query's id list is scanned once per thread seen, never per row.
+#[derive(Debug)]
+struct RowFilter {
+    classes: HashSet<String>,
+    site_frames: HashSet<Frame>,
+    threads: HashMap<ThreadId, bool>,
+}
+
+impl RowFilter {
+    fn new(query: &Query) -> Self {
+        Self {
+            classes: query.classes.iter().cloned().collect(),
+            site_frames: query.site_frames.iter().copied().collect(),
+            threads: HashMap::new(),
+        }
+    }
+
+    fn thread_passes(&mut self, query: &Query, thread: ThreadId) -> bool {
+        query.threads.is_empty()
+            || *self.threads.entry(thread).or_insert_with(|| query.threads.contains(&thread))
+    }
+
+    fn site_passes(&self, site: &AllocSite) -> bool {
+        (self.classes.is_empty() || self.classes.contains(&site.class_name))
+            && (self.site_frames.is_empty()
+                || site.call_path.last().is_some_and(|leaf| self.site_frames.contains(leaf)))
+    }
+
+    /// Class and site filters name object properties unattributed samples do not
+    /// have, so unattributed samples reach groups only without them.
+    fn unattributed_passes(&self) -> bool {
+        self.classes.is_empty() && self.site_frames.is_empty()
+    }
+}
+
+/// Ends a context list, and marks a CCT node whose path id is not resolved yet.
+const NONE: usize = usize::MAX;
+
 /// One group's accumulator — the pre-materialization form of a [`QueryGroup`].
-#[derive(Debug, Clone)]
-pub(crate) struct GroupAcc {
-    key: GroupKey,
-    label: String,
+#[derive(Debug)]
+struct GroupAcc {
+    key: StoredKey,
+    /// A thread group's first-seen thread name: the one label its key cannot give.
+    /// Every other group is labelled by [`GroupKey::basic_label`].
+    name: Option<String>,
     metrics: MetricVector,
-    contexts: HashMap<Vec<Frame>, MetricVector>,
+    /// The group's newest access context in [`GroupState`]'s context list, or
+    /// [`NONE`].
+    last_context: usize,
+    /// The next older slot whose key has the same hash, almost always `None`.
+    same_hash: Option<usize>,
+}
+
+/// One access context of one group: its interned path, its metrics, and the
+/// group's previous context (or [`NONE`]).
+#[derive(Debug)]
+struct ContextAcc {
+    path: usize,
+    metrics: MetricVector,
+    previous: usize,
 }
 
 /// The accumulator one query evaluation maintains: run-level totals plus the group
-/// table. Extracted from the old monolithic evaluation loop so cold
-/// [`Query::evaluate`] and the incremental [`live`] absorb path run the *same* code —
-/// byte-identity between a live subscription and a cold evaluation over the
-/// equivalent snapshot holds by construction, not by parallel reimplementation.
+/// table. Cold [`Query::evaluate`] (and with it [`MultiSource`] folds), the fleet
+/// aggregator's in-place queries and the incremental [`live`] absorb path all run
+/// this code, so byte-identity between them holds by construction, not by parallel
+/// reimplementation.
 ///
 /// The state is absorb-only and append-only: group slots are stable once created, so
 /// a long-lived consumer (a [`live::LiveQuery`]) can memoize site→slot resolutions
-/// across ticks. Both consumers rank at render time through the one
-/// [`GroupState::ranked`].
-#[derive(Debug, Clone)]
+/// across ticks. Every consumer ranks at render time through the one
+/// [`GroupState::ranked`]; no output depends on the order slots were created in.
+///
+/// Absorbing allocates nothing per row, and per group only a thread group's name:
+/// - each group key is hashed once per site table and stored once, an object
+///   key's class name and path in shared arenas; only a thread group stores a
+///   label, the name its key cannot give;
+/// - each access context resolves once per thread block, from its CCT node to an
+///   interned path id, and groups accumulate contexts by that id in one shared
+///   list. Keys and paths become owned values again only for the groups a result
+///   shows.
+///
+/// Keys, frames and thread ids come from producer or client data and hash with the
+/// std keyed hasher. The values the state derives itself — slots, path ids and
+/// keyed hashes — key [`FxHashMap`]s.
+#[derive(Debug)]
 pub(crate) struct GroupState {
     event: PmuEvent,
     period: u64,
     total_samples: u64,
     total_weighted: u64,
     attributed_weighted: u64,
-    index: HashMap<GroupKey, usize>,
+    filter: RowFilter,
+    key_text: String,
+    key_frames: Vec<Frame>,
     groups: Vec<GroupAcc>,
+    hasher: RandomState,
+    /// The keyed hash of a group key → the newest slot with that hash.
+    index: FxHashMap<u64, usize>,
+    contexts: Vec<ContextAcc>,
+    /// `(slot, path id)` → the position of that group's context in `contexts`.
+    context_at: FxHashMap<(usize, usize), usize>,
+    /// Interned access paths: path id `n > 0` is `paths[n - 1]`, the id of its
+    /// parent path and its leaf frame; id 0 is the empty path.
+    paths: Vec<(usize, Frame)>,
+    path_ids: HashMap<(usize, Frame), usize>,
+    /// The path id of each CCT node of the thread block being absorbed, or
+    /// [`NONE`]; indexed by [`CctNodeId`].
+    node_paths: Vec<usize>,
+    /// Scratch stack of [`GroupState::path_id`].
+    climb: Vec<CctNodeId>,
 }
 
 impl GroupState {
-    pub(crate) fn new() -> Self {
+    /// An empty state for `query`, with its filters built.
+    pub(crate) fn new(query: &Query) -> Self {
         Self {
             event: PmuEvent::L1Miss,
             period: 1,
             total_samples: 0,
             total_weighted: 0,
             attributed_weighted: 0,
-            index: HashMap::new(),
+            filter: RowFilter::new(query),
+            key_text: String::new(),
+            key_frames: Vec::new(),
             groups: Vec::new(),
+            hasher: RandomState::new(),
+            index: FxHashMap::default(),
+            contexts: Vec::new(),
+            context_at: FxHashMap::default(),
+            paths: Vec::new(),
+            path_ids: HashMap::new(),
+            node_paths: Vec::new(),
+            climb: Vec::new(),
         }
     }
 
@@ -853,181 +973,252 @@ impl GroupState {
         self.groups.len()
     }
 
-    /// Resolves (or creates) the slot of a group. Callers on the row path construct
-    /// the key only on memo misses — see the site-slot memo in
-    /// [`GroupState::absorb_profile`].
-    fn slot(&mut self, key: GroupKey, label: &str) -> usize {
-        if let Some(&slot) = self.index.get(&key) {
-            return slot;
+    /// The key of a slot.
+    fn key(&self, slot: usize) -> KeyView<'_> {
+        match &self.groups[slot].key {
+            StoredKey::Object { class, path } => {
+                KeyView::Object(&self.key_text[class.clone()], &self.key_frames[path.clone()])
+            }
+            StoredKey::Site(frame) => KeyView::Site(*frame),
+            StoredKey::Thread(thread) => KeyView::Thread(*thread),
+            StoredKey::NumaNode(locality) => KeyView::NumaNode(*locality),
         }
+    }
+
+    /// Resolves (or creates) the slot of a group, hashing its key once. `name` is
+    /// the thread's name under the Thread axis (kept as the label unless empty) and
+    /// `""` otherwise.
+    fn slot(&mut self, key: KeyView<'_>, name: &str) -> usize {
+        let hash = self.hasher.hash_one(key);
+        let mut candidate = self.index.get(&hash).copied();
+        while let Some(slot) = candidate {
+            if self.key(slot) == key {
+                return slot;
+            }
+            candidate = self.groups[slot].same_hash;
+        }
+        let key = match key {
+            KeyView::Object(class_name, alloc_path) => {
+                let class = self.key_text.len()..self.key_text.len() + class_name.len();
+                let path = self.key_frames.len()..self.key_frames.len() + alloc_path.len();
+                self.key_text.push_str(class_name);
+                self.key_frames.extend_from_slice(alloc_path);
+                StoredKey::Object { class, path }
+            }
+            KeyView::Site(frame) => StoredKey::Site(frame),
+            KeyView::Thread(thread) => StoredKey::Thread(thread),
+            KeyView::NumaNode(locality) => StoredKey::NumaNode(locality),
+        };
         let slot = self.groups.len();
         self.groups.push(GroupAcc {
-            label: if label.is_empty() { key.basic_label() } else { label.to_string() },
-            key: key.clone(),
+            key,
+            name: (!name.is_empty()).then(|| name.to_string()),
             metrics: MetricVector::default(),
-            contexts: HashMap::new(),
+            last_context: NONE,
+            same_hash: self.index.insert(hash, slot),
         });
-        self.index.insert(key, slot);
         slot
     }
 
-    /// Folds one locality partition of a vector into its NumaNode group.
-    fn fold_locality(&mut self, locality: Locality, count: u64) {
-        if count == 0 {
-            return;
-        }
-        let slot = self.slot(GroupKey::NumaNode(locality), "");
-        let group = &mut self.groups[slot];
-        group.metrics.samples += count;
-        match locality {
-            Locality::Local => group.metrics.local_samples += count,
-            Locality::Remote => group.metrics.remote_samples += count,
+    /// Folds a vector's local and remote samples into the two NumaNode groups;
+    /// `slots` memoizes their slots across a thread block.
+    fn fold_localities(&mut self, slots: &mut [Option<usize>; 2], m: &MetricVector) {
+        for (locality, count) in
+            [(Locality::Local, m.local_samples), (Locality::Remote, m.remote_samples)]
+        {
+            if count == 0 {
+                continue;
+            }
+            let slot = *slots[locality as usize]
+                .get_or_insert_with(|| self.slot(KeyView::NumaNode(locality), ""));
+            let metrics = &mut self.groups[slot].metrics;
+            metrics.samples += count;
+            match locality {
+                Locality::Local => metrics.local_samples += count,
+                Locality::Remote => metrics.remote_samples += count,
+            }
         }
     }
 
-    /// The thread-block prologue: run totals (unconditional) plus the unattributed
-    /// contribution under the Thread/NumaNode axes. Returns the thread's lazily
-    /// created group slot (Thread axis) for the row loop to reuse.
+    /// The interned path id of a CCT node of the thread block being absorbed: climbs
+    /// to the nearest node resolved before (or the root), then interns one
+    /// `(parent path, frame)` pair per node on the way back down.
+    fn path_id(&mut self, cct: &Cct, node: CctNodeId) -> usize {
+        let mut at = node;
+        let mut id = loop {
+            let known = self.node_paths[at.0 as usize];
+            if known != NONE {
+                break known;
+            }
+            match cct.parent(at) {
+                Some(parent) => {
+                    self.climb.push(at);
+                    at = parent;
+                }
+                None => break 0,
+            }
+        };
+        while let Some(node) = self.climb.pop() {
+            if let Some(frame) = cct.frame(node) {
+                let paths = &mut self.paths;
+                id = *self.path_ids.entry((id, frame)).or_insert_with(|| {
+                    paths.push((id, frame));
+                    paths.len()
+                });
+            }
+            self.node_paths[node.0 as usize] = id;
+        }
+        id
+    }
+
+    /// The root-first frames of an interned path.
+    fn path(&self, mut id: usize) -> Vec<Frame> {
+        let mut frames = Vec::new();
+        while id != 0 {
+            let (parent, frame) = self.paths[id - 1];
+            frames.push(frame);
+            id = parent;
+        }
+        frames.reverse();
+        frames
+    }
+
+    /// Merges one access context's metrics into a group.
+    fn add_context(&mut self, slot: usize, path: usize, metrics: &MetricVector) {
+        match self.context_at.entry((slot, path)) {
+            Entry::Occupied(at) => self.contexts[*at.get()].metrics.merge(metrics),
+            Entry::Vacant(at) => {
+                let group = &mut self.groups[slot];
+                at.insert(self.contexts.len());
+                self.contexts.push(ContextAcc {
+                    path,
+                    metrics: *metrics,
+                    previous: group.last_context,
+                });
+                group.last_context = self.contexts.len() - 1;
+            }
+        }
+    }
+
+    /// Folds one thread block: the run totals (unconditional), the thread's
+    /// unattributed share under the Thread/NumaNode axes, then its site rows.
+    /// `sites` is the table the rows' ids index (a row naming no entry is skipped);
+    /// `site_slots` memoizes each site's group slot under the Object/Site axes —
+    /// across the rows of a profile, and for a live watch across fragments, since
+    /// slots are stable.
     ///
     /// `name` is the thread's *authoritative* first-seen name. Cold evaluation passes
     /// the profile's own (the fold already kept the first-seen identity); the live
     /// absorb path resolves it against the stream's fold, because later fragments of
     /// a thread carry the `<attached>` placeholder.
-    pub(crate) fn absorb_thread_header(
+    pub(crate) fn absorb_thread(
         &mut self,
         query: &Query,
         thread: &ThreadProfile,
         name: &str,
-    ) -> Option<usize> {
+        sites: &[AllocSite],
+        site_slots: &mut Vec<Option<usize>>,
+    ) {
         self.total_samples += thread.samples;
         self.total_weighted += thread.unattributed.weighted_events;
-        let mut thread_slot: Option<usize> = None;
-        if query.unattributed_passes(thread.thread) {
+        let thread_passes = self.filter.thread_passes(query, thread.thread);
+        // The block's own group slots: its thread's, or the two locality groups.
+        let mut thread_slot = None;
+        let mut locality_slots = [None; 2];
+        if thread_passes && self.filter.unattributed_passes() {
             match query.group_by {
                 GroupBy::Thread => {
-                    let slot = self.slot(GroupKey::Thread(thread.thread), name);
-                    thread_slot = Some(slot);
+                    let slot = self.slot(KeyView::Thread(thread.thread), name);
                     self.groups[slot].metrics.merge(&thread.unattributed);
+                    thread_slot = Some(slot);
                 }
                 GroupBy::NumaNode => {
-                    self.fold_locality(Locality::Local, thread.unattributed.local_samples);
-                    self.fold_locality(Locality::Remote, thread.unattributed.remote_samples);
+                    self.fold_localities(&mut locality_slots, &thread.unattributed);
                 }
                 GroupBy::Object | GroupBy::Site => {}
             }
         }
-        thread_slot
+        if site_slots.len() < sites.len() {
+            site_slots.resize(sites.len(), None);
+        }
+        self.node_paths.clear();
+        self.node_paths.resize(thread.cct.len(), NONE);
+        for (site_id, sm) in &thread.sites {
+            let Some(site) = sites.get(site_id.0 as usize) else { continue };
+            self.total_weighted += sm.total.weighted_events;
+            self.attributed_weighted += sm.total.weighted_events;
+            if !thread_passes || !self.filter.site_passes(site) {
+                continue;
+            }
+            let slot = match query.group_by {
+                GroupBy::Object | GroupBy::Site => match site_slots[site_id.0 as usize] {
+                    Some(slot) => slot,
+                    None => {
+                        let key = match query.group_by {
+                            GroupBy::Object => KeyView::Object(&site.class_name, &site.call_path),
+                            _ => KeyView::Site(site.call_path.last().copied()),
+                        };
+                        let slot = self.slot(key, "");
+                        site_slots[site_id.0 as usize] = Some(slot);
+                        slot
+                    }
+                },
+                GroupBy::Thread => *thread_slot
+                    .get_or_insert_with(|| self.slot(KeyView::Thread(thread.thread), name)),
+                GroupBy::NumaNode => {
+                    self.fold_localities(&mut locality_slots, &sm.total);
+                    continue;
+                }
+            };
+            self.groups[slot].metrics.merge(&sm.total);
+            for (ctx, m) in &sm.by_context {
+                let path = self.path_id(&thread.cct, *ctx);
+                self.add_context(slot, path, m);
+            }
+        }
     }
 
-    /// One resolved site row: row totals, the filter gate, and the group merge
-    /// (metrics plus access contexts resolved through the owning thread's CCT).
-    /// `site_slot` memoizes the site's group slot across rows (and, for a live
-    /// watch, across ticks — slots are stable).
-    #[allow(clippy::too_many_arguments)] // one call site; the slots are out-params
-    pub(crate) fn absorb_row(
+    /// Folds one profile's thread blocks against its site table, under its
+    /// event/period header (the last source absorbed wins): the cold evaluation
+    /// step, the seed of a freshly registered live watch, and the fleet
+    /// aggregator's in-place evaluation of each producer's fold.
+    pub(crate) fn absorb_threads<'t>(
         &mut self,
         query: &Query,
-        thread: &ThreadProfile,
-        name: &str,
-        thread_slot: &mut Option<usize>,
-        site: &AllocSite,
-        site_slot: &mut Option<usize>,
-        sm: &SiteMetrics,
+        (event, period): (PmuEvent, u64),
+        sites: &[AllocSite],
+        threads: impl IntoIterator<Item = &'t ThreadProfile>,
     ) {
-        self.total_weighted += sm.total.weighted_events;
-        self.attributed_weighted += sm.total.weighted_events;
-        if !query.row_passes(site, thread.thread) {
-            return;
-        }
-        let slot = match query.group_by {
-            GroupBy::Object | GroupBy::Site => match *site_slot {
-                Some(slot) => slot,
-                None => {
-                    let (key, label) = if query.group_by == GroupBy::Object {
-                        (
-                            GroupKey::Object {
-                                class_name: site.class_name.clone(),
-                                alloc_path: site.call_path.clone(),
-                            },
-                            site.class_name.as_str(),
-                        )
-                    } else {
-                        (GroupKey::Site(site.call_path.last().copied()), "")
-                    };
-                    let slot = self.slot(key, label);
-                    *site_slot = Some(slot);
-                    slot
-                }
-            },
-            GroupBy::Thread => match *thread_slot {
-                Some(slot) => slot,
-                None => {
-                    let slot = self.slot(GroupKey::Thread(thread.thread), name);
-                    *thread_slot = Some(slot);
-                    slot
-                }
-            },
-            GroupBy::NumaNode => {
-                self.fold_locality(Locality::Local, sm.total.local_samples);
-                self.fold_locality(Locality::Remote, sm.total.remote_samples);
-                return;
-            }
-        };
-        let group = &mut self.groups[slot];
-        group.metrics.merge(&sm.total);
-        for (ctx, m) in &sm.by_context {
-            let path = thread.cct.path_of(*ctx);
-            group.contexts.entry(path).or_default().merge(m);
+        self.set_meta(event, period);
+        // Site id -> group slot. Under the Object/Site axes a group is a function
+        // of the site, so each distinct site of this table hashes its key view once,
+        // however many threads have rows at it. Ids index this table only.
+        let mut site_slots = Vec::new();
+        for thread in threads {
+            self.absorb_thread(query, thread, &thread.thread_name, sites, &mut site_slots);
         }
     }
 
-    /// Folds one whole profile — the cold evaluation step, and the snapshot seed of
-    /// a freshly registered live watch.
+    /// [`GroupState::absorb_threads`] over a whole profile.
     pub(crate) fn absorb_profile(&mut self, query: &Query, profile: &ObjectCentricProfile) {
-        self.set_meta(profile.event, profile.period);
-        // Per-profile memo: site id -> resolved group slot. Group identity is a
-        // function of the site (for the Object/Site axes), so each distinct site
-        // constructs and hashes its GroupKey once per profile instead of once
-        // per (thread, site) row — the allocation that would otherwise dominate
-        // wide-profile evaluation.
-        let mut site_slots: Vec<Option<usize>> = vec![None; profile.sites.len()];
-        for thread in &profile.threads {
-            // The thread's own group slot (Thread axis), resolved lazily once.
-            let mut thread_slot = self.absorb_thread_header(query, thread, &thread.thread_name);
-            // Site rows in id order, so group first-encounter order never depends on
-            // hash-map iteration.
-            let mut thread_sites: Vec<_> = thread.sites.iter().collect();
-            thread_sites.sort_unstable_by_key(|(id, _)| **id);
-            for (site_id, sm) in thread_sites {
-                let Some(site) = profile.site(*site_id) else { continue };
-                let memo = &mut site_slots[site_id.0 as usize];
-                self.absorb_row(
-                    query,
-                    thread,
-                    &thread.thread_name,
-                    &mut thread_slot,
-                    site,
-                    memo,
-                    sm,
-                );
-            }
-        }
+        let header = (profile.event, profile.period);
+        self.absorb_threads(query, header, &profile.sites, &profile.threads);
     }
 
     /// The slots of the groups a query shows, best first: groups under the
     /// `min_samples` noise floor drop out, the rest order by rank descending,
     /// weighted events descending, then group key ascending, and only the first
     /// `top` survive. Group keys are unique, so the order is total. The one
-    /// ranking cold evaluation and live watches both render through.
+    /// ranking every consumer renders through.
     fn ranked(&self, query: &Query) -> Vec<usize> {
         let by_rank = |a: &usize, b: &usize| {
-            let (a, b) = (&self.groups[*a], &self.groups[*b]);
+            let (ma, mb) = (&self.groups[*a].metrics, &self.groups[*b].metrics);
             query
                 .rank_by
-                .key_value(&b.metrics)
-                .cmp_key(&query.rank_by.key_value(&a.metrics))
-                .then_with(|| b.metrics.weighted_events.cmp(&a.metrics.weighted_events))
-                .then_with(|| a.key.cmp(&b.key))
+                .key_value(mb)
+                .cmp_key(&query.rank_by.key_value(ma))
+                .then_with(|| mb.weighted_events.cmp(&ma.weighted_events))
+                .then_with(|| self.key(*a).cmp(&self.key(*b)))
         };
         let mut slots: Vec<usize> = (0..self.groups.len())
             .filter(|&slot| self.groups[slot].metrics.samples >= query.min_samples)
@@ -1040,46 +1231,37 @@ impl GroupState {
         slots
     }
 
-    /// Cold evaluation's result: moves the surviving groups out of the state.
-    pub(crate) fn into_result(mut self, query: &Query) -> QueryResult {
-        let ranked = self.ranked(query);
-        let mut groups: Vec<Option<GroupAcc>> =
-            std::mem::take(&mut self.groups).into_iter().map(Some).collect();
-        let accs = ranked.into_iter().map(|slot| groups[slot].take().expect("ranked once"));
-        self.result(query, accs)
-    }
-
-    /// A live watch's render: clones only the surviving groups, so the state keeps
+    /// The query's result: the ranked groups with the run totals. Keys, labels and
+    /// context paths are built only for the groups shown, and the state keeps
     /// absorbing.
     pub(crate) fn materialize(&self, query: &Query) -> QueryResult {
-        let accs = self.ranked(query).into_iter().map(|slot| self.groups[slot].clone());
-        self.result(query, accs)
-    }
-
-    /// Renders ranked group accumulators, in the order given, with the run totals.
-    fn result(&self, query: &Query, accs: impl Iterator<Item = GroupAcc>) -> QueryResult {
         // Fractions are weighted-events based; the NumaNode axis only carries sample
         // counts (see GroupBy::NumaNode), so its fractions are sample-based instead.
         let (fraction_total, fraction_of): (u64, fn(&MetricVector) -> u64) = match query.group_by {
             GroupBy::NumaNode => (self.total_samples, |m| m.samples),
             _ => (self.total_weighted, |m| m.weighted_events),
         };
-        let groups = accs
-            .map(|acc| {
+        let groups = self
+            .ranked(query)
+            .into_iter()
+            .map(|slot| {
+                let (key, acc) = (self.key(slot).to_key(), &self.groups[slot]);
                 let group_weighted = acc.metrics.weighted_events;
-                let mut contexts: Vec<AccessContext> = acc
-                    .contexts
-                    .into_iter()
-                    .map(|(path, metrics)| AccessContext {
-                        path,
+                let mut contexts = Vec::new();
+                let mut at = acc.last_context;
+                while at != NONE {
+                    let ctx = &self.contexts[at];
+                    contexts.push(AccessContext {
+                        path: self.path(ctx.path),
                         fraction_of_object: if group_weighted == 0 {
                             0.0
                         } else {
-                            metrics.weighted_events as f64 / group_weighted as f64
+                            ctx.metrics.weighted_events as f64 / group_weighted as f64
                         },
-                        metrics,
-                    })
-                    .collect();
+                        metrics: ctx.metrics,
+                    });
+                    at = ctx.previous;
+                }
                 contexts.sort_by(|a, b| {
                     b.metrics
                         .weighted_events
@@ -1087,14 +1269,14 @@ impl GroupState {
                         .then_with(|| a.path.cmp(&b.path))
                 });
                 QueryGroup {
-                    label: acc.label,
+                    label: acc.name.clone().unwrap_or_else(|| key.basic_label()),
+                    key,
                     fraction_of_total: if fraction_total == 0 {
                         0.0
                     } else {
                         fraction_of(&acc.metrics) as f64 / fraction_total as f64
                     },
                     remote_fraction: acc.metrics.remote_fraction(),
-                    key: acc.key,
                     metrics: acc.metrics,
                     contexts,
                 }

@@ -430,51 +430,25 @@ struct WatchInner {
     finished: bool,
 }
 
-impl WatchInner {
-    /// The stream's site-id → slot memo, grown to cover its site table. The key is
-    /// allocated only the first time a stream is seen.
-    fn memo(&mut self, ctx: &StreamCtx<'_>) -> (&mut GroupState, &mut Vec<Option<usize>>) {
-        if !self.memos.contains_key(ctx.key) {
-            self.memos.insert(ctx.key.to_string(), Vec::new());
-        }
-        let memo = self.memos.get_mut(ctx.key).expect("inserted above");
-        if memo.len() < ctx.sites.len() {
-            memo.resize(ctx.sites.len(), None);
-        }
-        (&mut self.state, memo)
-    }
-}
-
 impl WatchShared {
     fn lock(&self) -> MutexGuard<'_, WatchInner> {
         self.inner.lock().expect("live watch lock")
     }
 
-    /// Absorbs one epoch delta. Mirrors [`GroupState::absorb_profile`] exactly —
-    /// same header/row code, same id-ordered row walk — with the site table of the
-    /// fold the delta was just folded into.
+    /// Absorbs one epoch delta through [`GroupState::absorb_thread`], the thread
+    /// block step cold evaluation runs, with the site table of the fold the delta
+    /// was just folded into.
     pub(crate) fn feed_fragment(&self, ctx: &StreamCtx<'_>, delta: &ProfileDelta) {
         let mut inner = self.lock();
-        let (state, memo) = inner.memo(ctx);
+        let WatchInner { state, memos, .. } = &mut *inner;
+        // The stream key is allocated only the first time a stream is seen.
+        if !memos.contains_key(ctx.key) {
+            memos.insert(ctx.key.to_string(), Vec::new());
+        }
+        let memo = memos.get_mut(ctx.key).expect("inserted above");
         for td in &delta.threads {
             let thread = &td.profile;
-            let mut thread_slot =
-                state.absorb_thread_header(&self.query, thread, ctx.name_of(thread));
-            let mut thread_sites: Vec<_> = thread.sites.iter().collect();
-            thread_sites.sort_unstable_by_key(|(id, _)| **id);
-            for (site_id, sm) in thread_sites {
-                let idx = site_id.0 as usize;
-                let Some(site) = ctx.sites.get(idx) else { continue };
-                state.absorb_row(
-                    &self.query,
-                    thread,
-                    ctx.name_of(thread),
-                    &mut thread_slot,
-                    site,
-                    &mut memo[idx],
-                    sm,
-                );
-            }
+            state.absorb_thread(&self.query, thread, ctx.name_of(thread), ctx.sites, memo);
         }
         self.commit(inner, Some(delta.epoch), false);
     }
@@ -650,7 +624,7 @@ impl LiveQuery {
         epoch: Option<u64>,
         finished: bool,
     ) -> Arc<WatchShared> {
-        let mut state = GroupState::new();
+        let mut state = GroupState::new(&query);
         for profile in profiles {
             state.absorb_profile(&query, &profile);
         }

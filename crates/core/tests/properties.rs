@@ -5,7 +5,8 @@
 //! against every single-field mutation (it must tell any two profiles apart). Streamed
 //! sessions are checked against a sequential replay, and their code-centric and NUMA
 //! views against a reference collector recording every batch the way separate
-//! collectors did.
+//! collectors did. Query evaluation — cold, folded and live — is checked against a
+//! naive reference evaluator.
 
 use std::collections::HashMap;
 
@@ -15,9 +16,11 @@ use djx_memsim::{AccessKind, NumaNode};
 use djx_pmu::{PmuEvent, Sample};
 use djx_runtime::{Frame, MethodId, ThreadId};
 use djxperf::{
-    AllocSite, AllocSiteId, AllocSiteRegistry, AllocationStats, BatchContext, BinaryChunkedSink,
-    Cct, CodeCentricProfile, Collector, EpochLog, Interval, IntervalSplayTree, MetricVector,
-    NumaProfile, ObjectCentricProfile, ProfileSink, ThreadProfile,
+    AccessContext, AllocSite, AllocSiteId, AllocSiteRegistry, AllocationStats, BatchContext,
+    BinaryChunkedSink, Cct, CodeCentricProfile, Collector, DeltaFold, EpochLog, GroupBy, GroupKey,
+    Interval, IntervalSplayTree, LiveFold, Locality, MetricVector, MultiSource, NumaProfile,
+    ObjectCentricProfile, ProfileDelta, ProfileSink, Query, QueryGroup, QueryResult, RankBy,
+    ThreadDelta, ThreadProfile,
 };
 
 // --------------------------------------------------------------------------------------
@@ -1098,5 +1101,362 @@ proptest! {
             p.size_filter += 1;
             true
         })?;
+    }
+}
+
+// --------------------------------------------------------------------------------------
+// Query evaluation vs a naive reference evaluator
+// --------------------------------------------------------------------------------------
+
+const REF_CLASSES: [&str; 3] = ["A[]", "B[]", "C"];
+const REF_EPOCHS: usize = 3;
+
+/// Frames from a small alphabet, so allocation leaves and access paths collide.
+fn small_frame() -> impl Strategy<Value = Frame> {
+    (0u32..3, 0u32..2).prop_map(|(m, bci)| Frame::new(MethodId(m), bci))
+}
+
+fn small_path() -> impl Strategy<Value = Vec<Frame>> {
+    prop::collection::vec(small_frame(), 0..4)
+}
+
+/// One generated stream: per site a class index and allocation path, then per
+/// sample `(epoch, thread, site index, access path, sample)` (a site index past the
+/// table records the sample unattributed), then per allocation `(epoch, thread,
+/// site index, bytes)`.
+type StreamSpec = (
+    Vec<(usize, Vec<Frame>)>,
+    Vec<(usize, u64, usize, Vec<Frame>, Sample)>,
+    Vec<(usize, u64, usize, u64)>,
+);
+
+fn stream_spec() -> impl Strategy<Value = StreamSpec> {
+    (
+        prop::collection::vec((0usize..3, small_path()), 1..5),
+        prop::collection::vec(
+            (0..REF_EPOCHS, 1u64..5, 0usize..6, small_path(), sample_strategy()),
+            0..30,
+        ),
+        prop::collection::vec((0..REF_EPOCHS, 1u64..5, 0usize..5, 1u64..4096), 0..6),
+    )
+}
+
+/// The fragment of thread `t` among an epoch's `threads`, created on first use. A
+/// thread's first fragment in stream `s` carries its name (thread 4 is unnamed),
+/// later ones the `<attached>` placeholder; `seen` lists the stream's threads in
+/// first-seen order, which is their sequence.
+fn fragment<'a>(
+    threads: &'a mut Vec<ThreadDelta>,
+    seen: &mut Vec<u64>,
+    s: usize,
+    t: u64,
+) -> &'a mut ThreadProfile {
+    let i = match threads.iter().position(|td| td.profile.thread == ThreadId(t)) {
+        Some(i) => i,
+        None => {
+            let name = match seen.contains(&t) {
+                true => "<attached>".to_string(),
+                false if t == 4 => String::new(),
+                false => format!("w{t}.{s}"),
+            };
+            if !seen.contains(&t) {
+                seen.push(t);
+            }
+            let seq = seen.iter().position(|x| *x == t).expect("seen above") as u64;
+            threads.push(ThreadDelta { seq, profile: ThreadProfile::new(ThreadId(t), &name) });
+            threads.len() - 1
+        }
+    };
+    &mut threads[i].profile
+}
+
+/// Builds stream `s` as its epoch deltas. Each delta carries the sites interned
+/// since the previous one, and its rows reference only sites known by then.
+fn stream_deltas(s: usize, (sites, samples, allocs): &StreamSpec) -> Vec<ProfileDelta> {
+    let table: Vec<AllocSite> = sites
+        .iter()
+        .enumerate()
+        .map(|(i, (class, path))| AllocSite {
+            id: AllocSiteId(i as u32),
+            class_name: REF_CLASSES[*class].to_string(),
+            call_path: path.clone(),
+        })
+        .collect();
+    let known = |epoch: usize| (table.len() * (epoch + 1)).div_ceil(REF_EPOCHS);
+    let mut seen = Vec::new();
+    (0..REF_EPOCHS)
+        .map(|epoch| {
+            let (base, end) = (epoch.checked_sub(1).map_or(0, known), known(epoch));
+            let mut threads = Vec::new();
+            for (_, t, site, path, sample) in samples.iter().filter(|x| x.0 == epoch) {
+                let site = (*site < table.len()).then(|| AllocSiteId((*site % end) as u32));
+                fragment(&mut threads, &mut seen, s, *t).record_sample(
+                    site,
+                    path,
+                    sample,
+                    10 + s as u64,
+                );
+            }
+            for (_, t, site, bytes) in allocs.iter().filter(|x| x.0 == epoch) {
+                fragment(&mut threads, &mut seen, s, *t)
+                    .record_allocation(AllocSiteId((*site % end) as u32), *bytes);
+            }
+            threads.sort_by_key(|td| (td.seq, td.profile.thread));
+            let sites = table[base..end].to_vec();
+            ProfileDelta { epoch: epoch as u64 + 1, threads, site_base: base, sites }
+        })
+        .collect()
+}
+
+/// What a query asks, as both the real builder and the reference read it.
+#[derive(Debug, Clone)]
+struct QuerySpec {
+    group_by: GroupBy,
+    rank_by: RankBy,
+    top: Option<usize>,
+    min_samples: u64,
+    classes: Vec<String>,
+    frames: Vec<Frame>,
+    threads: Vec<ThreadId>,
+}
+
+impl QuerySpec {
+    fn query(&self) -> Query {
+        let mut q = Query::new().group_by(self.group_by).rank_by(self.rank_by);
+        q = self.top.map_or(q.clone(), |top| q.top(top)).min_samples(self.min_samples);
+        q = self.classes.iter().fold(q, |q, c| q.filter_class(c.clone()));
+        q = self.frames.iter().fold(q, |q, f| q.filter_site(*f));
+        self.threads.iter().fold(q, |q, t| q.filter_thread(*t))
+    }
+}
+
+fn reference_rank(rank_by: RankBy, a: &MetricVector, b: &MetricVector) -> std::cmp::Ordering {
+    let ratio = |n: u64, d: u64| if d == 0 { 0.0 } else { n as f64 / d as f64 };
+    let count = |f: fn(&MetricVector) -> u64| f(a).cmp(&f(b));
+    let real = |f: &dyn Fn(&MetricVector) -> f64| f(a).total_cmp(&f(b));
+    match rank_by {
+        RankBy::WeightedEvents => count(|m| m.weighted_events),
+        RankBy::Samples => count(|m| m.samples),
+        RankBy::RemoteSamples => count(|m| m.remote_samples),
+        RankBy::Latency => count(|m| m.latency_cycles),
+        RankBy::Allocations => count(|m| m.allocations),
+        RankBy::AllocatedBytes => count(|m| m.allocated_bytes),
+        RankBy::RemoteFraction => real(&|m| m.remote_fraction()),
+        RankBy::MeanLatency => real(&|m| m.mean_latency()),
+        RankBy::EventsPerAllocation => real(&|m| ratio(m.weighted_events, m.allocations)),
+        RankBy::EventsPerByte => real(&|m| ratio(m.weighted_events, m.allocated_bytes)),
+    }
+}
+
+/// The naive reference evaluator: one map from group key to (first-seen label,
+/// metrics, contexts keyed by `Cct::path_of`), a full sort with the documented tie
+/// chain (rank descending, weighted events descending, key ascending), then `top`.
+fn reference_evaluate(spec: &QuerySpec, profiles: &[ObjectCentricProfile]) -> QueryResult {
+    type Acc = (String, MetricVector, HashMap<Vec<Frame>, MetricVector>);
+    let mut out = QueryResult {
+        event: PmuEvent::L1Miss,
+        period: 1,
+        group_by: spec.group_by,
+        rank_by: spec.rank_by,
+        total_samples: 0,
+        total_weighted_events: 0,
+        attributed_weighted_events: 0,
+        groups: Vec::new(),
+    };
+    let mut groups: HashMap<GroupKey, Acc> = HashMap::new();
+    let mut add =
+        |key: GroupKey, name: &str, m: &MetricVector, ctxs: Vec<(Vec<Frame>, MetricVector)>| {
+            let label = match &key {
+                GroupKey::Object { class_name, .. } => class_name.clone(),
+                GroupKey::Site(Some(f)) => format!("{}:{}", f.method.0, f.bci),
+                GroupKey::Site(None) => "<no allocation context>".to_string(),
+                GroupKey::Thread(t) if name.is_empty() => format!("thread {}", t.0),
+                GroupKey::Thread(_) => name.to_string(),
+                GroupKey::NumaNode(l) => l.to_string(),
+            };
+            let acc = groups
+                .entry(key)
+                .or_insert_with(|| (label, MetricVector::default(), HashMap::new()));
+            acc.1.merge(m);
+            for (path, cm) in ctxs {
+                acc.2.entry(path).or_default().merge(&cm);
+            }
+        };
+    let localities = |m: &MetricVector| {
+        [(Locality::Local, m.local_samples), (Locality::Remote, m.remote_samples)]
+            .into_iter()
+            .filter(|(_, n)| *n > 0)
+            .map(|(l, n)| {
+                let mut v = MetricVector { samples: n, ..MetricVector::default() };
+                *match l {
+                    Locality::Local => &mut v.local_samples,
+                    Locality::Remote => &mut v.remote_samples,
+                } = n;
+                (GroupKey::NumaNode(l), v)
+            })
+            .collect::<Vec<_>>()
+    };
+    let filtered = !spec.classes.is_empty() || !spec.frames.is_empty();
+    for profile in profiles {
+        (out.event, out.period) = (profile.event, profile.period);
+        for thread in &profile.threads {
+            let (t, name) = (thread.thread, thread.thread_name.as_str());
+            let thread_ok = spec.threads.is_empty() || spec.threads.contains(&t);
+            out.total_samples += thread.samples;
+            out.total_weighted_events += thread.unattributed.weighted_events;
+            if thread_ok && !filtered {
+                match spec.group_by {
+                    GroupBy::Thread => add(GroupKey::Thread(t), name, &thread.unattributed, vec![]),
+                    GroupBy::NumaNode => localities(&thread.unattributed)
+                        .into_iter()
+                        .for_each(|(k, v)| add(k, "", &v, vec![])),
+                    _ => {}
+                }
+            }
+            for (id, sm) in &thread.sites {
+                let Some(site) = profile.sites.get(id.0 as usize) else { continue };
+                out.total_weighted_events += sm.total.weighted_events;
+                out.attributed_weighted_events += sm.total.weighted_events;
+                let leaf = site.call_path.last().copied();
+                if !thread_ok
+                    || !(spec.classes.is_empty() || spec.classes.contains(&site.class_name))
+                    || !(spec.frames.is_empty() || leaf.is_some_and(|f| spec.frames.contains(&f)))
+                {
+                    continue;
+                }
+                let ctxs =
+                    sm.by_context.iter().map(|(c, m)| (thread.cct.path_of(*c), *m)).collect();
+                let key = match spec.group_by {
+                    GroupBy::Object => GroupKey::Object {
+                        class_name: site.class_name.clone(),
+                        alloc_path: site.call_path.clone(),
+                    },
+                    GroupBy::Site => GroupKey::Site(leaf),
+                    GroupBy::Thread => GroupKey::Thread(t),
+                    GroupBy::NumaNode => {
+                        localities(&sm.total).into_iter().for_each(|(k, v)| add(k, "", &v, vec![]));
+                        continue;
+                    }
+                };
+                add(key, name, &sm.total, ctxs);
+            }
+        }
+    }
+    let mut ranked: Vec<_> =
+        groups.into_iter().filter(|(_, a)| a.1.samples >= spec.min_samples).collect();
+    ranked.sort_by(|(ka, a), (kb, b)| {
+        reference_rank(spec.rank_by, &b.1, &a.1)
+            .then(b.1.weighted_events.cmp(&a.1.weighted_events))
+            .then(ka.cmp(kb))
+    });
+    ranked.truncate(spec.top.unwrap_or(usize::MAX));
+    let (total, of): (u64, fn(&MetricVector) -> u64) = match spec.group_by {
+        GroupBy::NumaNode => (out.total_samples, |m| m.samples),
+        _ => (out.total_weighted_events, |m| m.weighted_events),
+    };
+    let share = |part: u64, whole: u64| if whole == 0 { 0.0 } else { part as f64 / whole as f64 };
+    for (key, (label, metrics, ctxs)) in ranked {
+        let mut contexts: Vec<AccessContext> = ctxs
+            .into_iter()
+            .map(|(path, m)| AccessContext {
+                path,
+                metrics: m,
+                fraction_of_object: share(m.weighted_events, metrics.weighted_events),
+            })
+            .collect();
+        contexts.sort_by(|a, b| {
+            b.metrics
+                .weighted_events
+                .cmp(&a.metrics.weighted_events)
+                .then(a.path.cmp(&b.path))
+        });
+        out.groups.push(QueryGroup {
+            key,
+            label,
+            fraction_of_total: share(of(&metrics), total),
+            remote_fraction: metrics.remote_fraction(),
+            metrics,
+            contexts,
+        });
+    }
+    out
+}
+
+/// The query filters of one case: each is empty half the time.
+fn query_filters() -> impl Strategy<Value = (Option<usize>, u64, u8, Vec<Frame>, u8)> {
+    (
+        prop_oneof![Just(None), (0usize..5).prop_map(Some)],
+        0u64..3,
+        prop_oneof![Just(0u8), 1u8..8],
+        prop_oneof![Just(Vec::new()), prop::collection::vec(small_frame(), 1..3)],
+        prop_oneof![Just(0u8), 1u8..16],
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every `GroupBy` × `RankBy`, under generated `top`, noise floor and thread,
+    /// class and site filters, renders the naive reference evaluator's text and JSON
+    /// through every evaluation path: cold `Query::evaluate` over the profile
+    /// sequence, a `MultiSource` fold of the profiles, and — per stream, at every
+    /// epoch — a `LiveQuery` fed the stream's deltas.
+    #[test]
+    fn every_evaluation_path_matches_the_reference_evaluator(
+        streams in prop::collection::vec(stream_spec(), 1..4),
+        filters in query_filters(),
+    ) {
+        let (top, min_samples, class_mask, frames, thread_mask) = filters;
+        let deltas: Vec<Vec<ProfileDelta>> =
+            streams.iter().enumerate().map(|(s, spec)| stream_deltas(s, spec)).collect();
+        let profiles: Vec<ObjectCentricProfile> = deltas
+            .iter()
+            .enumerate()
+            .map(|(s, stream)| {
+                let mut fold = DeltaFold::new();
+                stream.iter().for_each(|d| fold.absorb_ordered(d).expect("generated in order"));
+                let event = PmuEvent::all()[s % PmuEvent::all().len()];
+                fold.assemble(event, 10 + s as u64, 1024, AllocationStats::default())
+            })
+            .collect();
+        let specs: Vec<QuerySpec> = [GroupBy::Object, GroupBy::Site, GroupBy::Thread, GroupBy::NumaNode]
+            .into_iter()
+            .flat_map(|group_by| RankBy::all().map(|rank_by| (group_by, rank_by)))
+            .map(|(group_by, rank_by)| QuerySpec {
+                group_by,
+                rank_by,
+                top,
+                min_samples,
+                classes: (0..3).filter(|i| class_mask >> i & 1 == 1).map(|i| REF_CLASSES[i].to_string()).collect(),
+                frames: frames.clone(),
+                threads: (1..5).filter(|t| thread_mask >> (t - 1) & 1 == 1).map(ThreadId).collect(),
+            })
+            .collect();
+        let multi = profiles.iter().fold(MultiSource::new(), |m, p| m.with(p));
+        for spec in &specs {
+            let reference = reference_evaluate(spec, &profiles);
+            for (path, result) in [
+                ("cold", spec.query().evaluate(&profiles[..]).unwrap()),
+                ("multi-source", spec.query().evaluate(&multi).unwrap()),
+            ] {
+                prop_assert_eq!(result.to_text(), reference.to_text(), "{} text for {:?}", path, spec);
+                prop_assert_eq!(result.to_json(), reference.to_json(), "{} json for {:?}", path, spec);
+            }
+        }
+        for (s, stream) in deltas.iter().enumerate() {
+            let event = PmuEvent::all()[s % PmuEvent::all().len()];
+            let fold = LiveFold::with_meta(event, 10 + s as u64, 1024);
+            let mut watches: Vec<_> = specs.iter().map(|spec| spec.query().watch(&fold)).collect();
+            for delta in stream {
+                fold.absorb(delta).expect("generated in order");
+                let snapshot = [fold.snapshot()];
+                for (spec, watch) in specs.iter().zip(&mut watches) {
+                    let reference = reference_evaluate(spec, &snapshot);
+                    let live = watch.current().result;
+                    prop_assert_eq!(live.to_text(), reference.to_text(), "live text for {:?}", spec);
+                    prop_assert_eq!(live.to_json(), reference.to_json(), "live json for {:?}", spec);
+                }
+            }
+        }
     }
 }

@@ -13,7 +13,9 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use djx_memsim::{AccessOutcome, HierarchyConfig, MemoryAccess, MemoryHierarchy};
+use djx_memsim::{
+    AccessKind, AccessOutcome, HierarchyConfig, MemoryAccess, MemoryHierarchy, NumaNode,
+};
 use djx_pmu::PmuEvent;
 use djx_runtime::{
     AllocationEvent, ClassId, Frame, MemoryAccessEvent, MethodId, ObjectId, RuntimeListener,
@@ -454,11 +456,16 @@ fn frame(kind: u8, payload: &[u8]) -> Vec<u8> {
 
 /// A hello (kind `0x03`) speaking protocol `version`, with zero loss counters.
 fn hello_frame(producer: &str, version: u64) -> Vec<u8> {
+    hello_frame_with(producer, version, PERIOD, 0)
+}
+
+/// A hello announcing `period` and reporting `dropped_epochs` dropped by choice.
+fn hello_frame_with(producer: &str, version: u64, period: u64, dropped_epochs: u64) -> Vec<u8> {
     let mut payload = Vec::new();
     put_varint(&mut payload, version);
     put_string(&mut payload, producer);
     put_string(&mut payload, PmuEvent::DEFAULT.hardware_name());
-    for value in [PERIOD, SIZE_FILTER, 0, 0, 0] {
+    for value in [period, SIZE_FILTER, 0, dropped_epochs, 0] {
         put_varint(&mut payload, value);
     }
     frame(0x03, &payload)
@@ -1333,4 +1340,272 @@ fn live_fleet_watches_stay_identical_across_reconnect() {
         while lq.next_epoch().is_some() {}
         assert!(lq.is_finished(), "shutdown marks every fleet watch finished");
     }
+}
+
+/// One sampled access of the synthetic fan-out profile; every third is remote.
+fn fanout_sample(i: u64) -> djx_pmu::Sample {
+    djx_pmu::Sample {
+        event: PmuEvent::DEFAULT,
+        thread_id: 0,
+        cpu: 0,
+        cpu_node: NumaNode(0),
+        page_node: NumaNode(u32::from(i.is_multiple_of(3))),
+        effective_addr: 0,
+        kind: AccessKind::Load,
+        value: 1,
+        latency: 100 + i % 50,
+        counter_value: 0,
+    }
+}
+
+/// A delta shaped like the `miss-dense` benchmark's profile. It defines the sites
+/// `sites` (four class names, allocation paths 2–8 frames deep); each thread of
+/// `threads` samples about fifteen in sixteen of the sites up to `sites.end` at one
+/// or two access contexts, allocates at one in five, and takes a few unattributed
+/// samples. Threads are named in epoch 1 and carry the placeholder after.
+fn fanout_delta(
+    epoch: u64,
+    sites: std::ops::Range<usize>,
+    threads: std::ops::Range<u64>,
+    period: u64,
+) -> ProfileDelta {
+    let first = threads.start;
+    let threads = threads
+        .map(|t| {
+            let name = if epoch == 1 { format!("fanout-{t}") } else { "<attached>".to_string() };
+            let mut profile = ThreadProfile::new(ThreadId(t), &name);
+            for id in 0..sites.end as u64 {
+                if !(id * 7 + t + epoch).is_multiple_of(16) {
+                    let site = Some(AllocSiteId(id as u32));
+                    let path = [
+                        Frame::new(MethodId(100 + t as u32), 0),
+                        Frame::new(MethodId(7), id as u32 % 9),
+                    ];
+                    for i in 0..1 + (id + t) % 3 {
+                        profile.record_sample(
+                            site,
+                            &path[..1 + (i as usize % 2)],
+                            &fanout_sample(id + i),
+                            period,
+                        );
+                    }
+                }
+                if id % 5 == t % 5 {
+                    profile.record_allocation(AllocSiteId(id as u32), 4096 + id);
+                }
+            }
+            for i in 0..4 {
+                profile.record_sample(
+                    None,
+                    &[Frame::new(MethodId(200), 0)],
+                    &fanout_sample(i),
+                    period,
+                );
+            }
+            ThreadDelta { seq: t - first, profile }
+        })
+        .collect();
+    let defined = sites
+        .clone()
+        .map(|i| AllocSite {
+            id: AllocSiteId(i as u32),
+            class_name: format!("C{}[]", i % 4),
+            call_path: (0..2 + i % 7)
+                .map(|d| Frame::new(MethodId(d as u32), (i * 4 + d) as u32))
+                .collect(),
+        })
+        .collect();
+    ProfileDelta { epoch, threads, site_base: sites.start, sites: defined }
+}
+
+/// Connects a raw producer announcing `period` (and `dropped_epochs` dropped by
+/// choice) and streams `deltas`; every frame is acknowledged.
+fn raw_stream(
+    addr: &str,
+    producer: &str,
+    period: u64,
+    dropped_epochs: u64,
+    deltas: &[ProfileDelta],
+) -> RawProducer {
+    let mut probe = RawProducer::connect(addr);
+    assert_eq!(probe.round_trip(&hello_frame_with(producer, 3, period, dropped_epochs)), ack(0));
+    for delta in deltas {
+        let mut bytes = Vec::new();
+        BinaryChunkedSink::new()
+            .on_delta(delta.epoch, delta, &mut bytes)
+            .expect("encodes");
+        assert_eq!(probe.round_trip(&bytes), ack(delta.epoch), "{producer} epoch {}", delta.epoch);
+    }
+    probe
+}
+
+/// A finish frame with header `period` counting `total_samples`.
+fn finish_frame(period: u64, total_samples: u64) -> Vec<u8> {
+    let mut thread = ThreadProfile::new(ThreadId(1), "total");
+    thread.samples = total_samples;
+    let profile = ObjectCentricProfile {
+        event: PmuEvent::DEFAULT,
+        period,
+        size_filter: SIZE_FILTER,
+        sites: Vec::new(),
+        threads: vec![thread],
+        allocation_stats: AllocationStats::default(),
+    };
+    let mut bytes = Vec::new();
+    BinaryChunkedSink::new().on_finish(&profile, &mut bytes).expect("encodes");
+    bytes
+}
+
+fn total_samples(deltas: &[ProfileDelta]) -> u64 {
+    deltas.iter().map(ProfileDelta::total_samples).sum()
+}
+
+/// Every grouping axis, with and without ranking, truncation and filters.
+fn fleet_queries() -> Vec<Query> {
+    vec![
+        Query::new(),
+        Query::new().top(5).rank_by(RankBy::Samples),
+        Query::new()
+            .group_by(GroupBy::Site)
+            .rank_by(RankBy::RemoteFraction)
+            .min_samples(3),
+        Query::new().group_by(GroupBy::Thread).rank_by(RankBy::Latency),
+        Query::new().group_by(GroupBy::NumaNode).rank_by(RankBy::Samples),
+        Query::new().filter_class("C1[]").filter_thread(ThreadId(2)).top(3),
+        Query::new()
+            .filter_site(Frame::new(MethodId(2), 10))
+            .rank_by(RankBy::AllocatedBytes),
+        Query::new()
+            .group_by(GroupBy::Thread)
+            .filter_thread(ThreadId(3))
+            .filter_thread(ThreadId(4)),
+    ]
+}
+
+/// `FleetAggregator::query` and `FleetClient::query` render exactly the cold
+/// evaluation of `aggregator.view()`, whose header is `period`.
+fn assert_fleet_queries_match_the_view(aggregator: &FleetAggregator, addr: &str, period: u64) {
+    let view = aggregator.view();
+    let mut client = FleetClient::connect(addr).expect("client connects");
+    for query in fleet_queries() {
+        let cold = query.evaluate(&view).expect("the view evaluates");
+        assert_eq!(cold.period, period, "the last producer's header wins");
+        let local = aggregator.query(&query).expect("the aggregator evaluates");
+        assert_eq!(local.to_text(), cold.to_text(), "in-place text for {query:?}");
+        assert_eq!(local.to_json(), cold.to_json(), "in-place json for {query:?}");
+        let remote = client.query(&query).expect("the wire query answers");
+        assert_eq!(remote.text, cold.to_text(), "wire text for {query:?}");
+        assert_eq!(remote.json, cold.to_json(), "wire json for {query:?}");
+    }
+}
+
+/// The aggregator answers queries from its producers' folds in place. Whatever
+/// state a producer is in — finished, finished lossy, crashed or running — and
+/// whatever headers they announced, the answer is byte-identical to a cold
+/// evaluation of the view: producers in name order, each under its finish
+/// record's header once finished and its hello's before, the last one winning.
+#[test]
+fn fleet_queries_evaluate_the_folds_like_the_view() {
+    let aggregator = FleetAggregator::bind("127.0.0.1:0").expect("aggregator binds");
+    let addr = aggregator.local_addr().expect("tcp aggregator").to_string();
+
+    let finished = [fanout_delta(1, 0..40, 1..3, 16), fanout_delta(2, 40..40, 1..3, 16)];
+    let mut probe = raw_stream(&addr, "a-finished", 16, 0, &finished);
+    let terminal = Reply::Ack { epoch: 2, terminal: true };
+    assert_eq!(probe.round_trip(&finish_frame(24, total_samples(&finished))), terminal);
+
+    // A lossy producer's finish counts more samples than arrived.
+    let lossy = [fanout_delta(1, 0..30, 2..4, 16), fanout_delta(3, 30..30, 2..4, 16)];
+    let mut probe = raw_stream(&addr, "b-lossy", 16, 1, &lossy);
+    let terminal = Reply::Ack { epoch: 3, terminal: true };
+    assert_eq!(probe.round_trip(&finish_frame(16, total_samples(&lossy) + 100)), terminal);
+
+    // A crashed producer: its connection drops without a finish frame.
+    drop(raw_stream(&addr, "c-crashed", 8, 0, &[fanout_delta(1, 0..20, 3..5, 8)]));
+
+    // A running producer, named last: its hello's period is the fleet header.
+    let running = [fanout_delta(1, 0..25, 1..3, 32)];
+    let mut last = raw_stream(&addr, "z-running", 32, 0, &running);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while aggregator.status().iter().any(|s| s.producer == "c-crashed" && s.connected) {
+        assert!(Instant::now() < deadline, "the crash was never noticed");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let flags: Vec<_> = aggregator
+        .status()
+        .iter()
+        .map(|s| (s.producer.clone(), s.finished, s.truncated))
+        .collect();
+    let expected =
+        [("a-finished", true, false), ("b-lossy", true, true), ("c-crashed", false, true)];
+    for (name, finished, truncated) in expected {
+        assert!(flags.contains(&(name.to_string(), finished, truncated)), "{name}: {flags:?}");
+    }
+    assert_fleet_queries_match_the_view(&aggregator, &addr, 32);
+
+    // Once it finishes, its finish record's header wins instead.
+    let terminal = Reply::Ack { epoch: 1, terminal: true };
+    assert_eq!(last.round_trip(&finish_frame(48, total_samples(&running))), terminal);
+    assert_fleet_queries_match_the_view(&aggregator, &addr, 48);
+}
+
+/// A query naming a million thread ids costs one scan of the id list per thread
+/// in the folds, not one per row: on a fold the size of the `miss-dense`
+/// benchmark's profile it evaluates in well under 50 ms, and while such queries
+/// arrive over the wire, another producer's frames keep being acknowledged.
+#[test]
+fn a_million_thread_filter_stays_cheap_under_the_state_lock() {
+    let aggregator = FleetAggregator::bind("127.0.0.1:0").expect("aggregator binds");
+    let addr = aggregator.local_addr().expect("tcp aggregator").to_string();
+    let _fanout = raw_stream(&addr, "fanout", PERIOD, 0, &[fanout_delta(1, 0..318, 1..5, PERIOD)]);
+    let view = aggregator.view();
+    let profile = &view.producers()[0].profile;
+    let rows: usize = profile.threads.iter().map(|t| t.sites.len()).sum();
+    assert_eq!((profile.threads.len(), profile.sites.len()), (4, 318));
+    assert!(rows > 1_150, "a miss-dense-sized fold: {rows} site rows");
+
+    // The fold's own threads are in the list, so every row passes the filter.
+    let hostile = (0..1_000_000u64)
+        .map(|i| ThreadId(1_000 + i))
+        .chain((1..5).map(ThreadId))
+        .fold(Query::new().top(20), Query::filter_thread);
+    // The cost is the best of three runs, so a descheduled run cannot fail it.
+    let took = (0..3)
+        .map(|_| {
+            let start = Instant::now();
+            aggregator.query(&hostile).expect("the aggregator evaluates");
+            start.elapsed()
+        })
+        .min()
+        .expect("three runs");
+    assert!(took < Duration::from_millis(50), "a 1M-id thread filter took {took:?}");
+    let result = aggregator.query(&hostile).expect("the aggregator evaluates");
+    assert_eq!(result.groups.len(), 20);
+    assert_eq!(result.to_text(), hostile.evaluate(&view).expect("cold").to_text());
+
+    // The producer starts streaming once the first hostile query is on its way,
+    // and keeps streaming until the last one is answered.
+    let started = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        let querier = scope.spawn(|| {
+            let mut client = FleetClient::connect(&addr).expect("client connects");
+            started.wait();
+            for _ in 0..3 {
+                let remote = client.query(&hostile).expect("the hostile query answers");
+                assert!(remote.text.starts_with("== djxperf query"), "{}", remote.text);
+            }
+        });
+        let mut steady = RawProducer::connect(&addr);
+        assert_eq!(steady.hello("steady"), ack(0));
+        started.wait();
+        let mut epoch = 0;
+        while epoch < 20 || !querier.is_finished() {
+            epoch += 1;
+            let sent = Instant::now();
+            assert_eq!(steady.round_trip(&delta_frame(epoch, 9, 1)), ack(epoch));
+            let waited = sent.elapsed();
+            assert!(waited < Duration::from_secs(1), "epoch {epoch} waited {waited:?} for its ack");
+        }
+        querier.join().expect("the querier finishes");
+    });
 }
