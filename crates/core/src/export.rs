@@ -67,7 +67,8 @@
 //! # Shutdown
 //!
 //! [`Session::finish_export`](crate::session::Session::finish_export) closes the
-//! stream: a final delta is drained, the terminal whole profile is pushed through
+//! stream: a final delta is drained, the stream's [`FinishRecord`] trailer (run
+//! configuration, agent counters, total-sample checksum) is pushed through
 //! [`ProfileSink::on_finish`], the writer is flushed, and the background thread joins,
 //! returning accumulated [`ExportStats`] (or the first sink/write error). Dropping the
 //! last reference to a streaming session finishes the export as well (drain-on-drop),
@@ -81,9 +82,10 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use crate::profile::{ObjectCentricProfile, ProfileDelta};
-use crate::session::ObjectCentricCollector;
-use crate::sink::ProfileSink;
+use crate::agent::AllocationAgent;
+use crate::profile::ProfileDelta;
+use crate::session::{ObjectCentricCollector, ProfilerConfig};
+use crate::sink::{FinishRecord, ProfileSink};
 use crate::sync::{Epoch, SpinLock};
 
 /// What a producer does when the hand-off queue is full. See the
@@ -230,16 +232,16 @@ impl Write for SharedBuffer {
 pub(crate) trait DeltaTap: Send + Sync {
     /// One non-empty epoch-retired delta, observed before it is queued for the sink.
     fn on_delta(&self, delta: &ProfileDelta);
-    /// The terminal whole profile — the stream's endpoint, after the final delta.
-    fn on_finish(&self, profile: &ObjectCentricProfile);
+    /// The stream's terminal record, after the final delta.
+    fn on_finish(&self, record: &FinishRecord);
 }
 
 /// One queued hand-off item.
 enum ExportItem {
     /// A retired epoch delta.
     Delta(ProfileDelta),
-    /// The terminal whole profile; always the last item of a stream.
-    Finish(Box<ObjectCentricProfile>),
+    /// The stream's terminal record; always the last item of a stream.
+    Finish(FinishRecord),
 }
 
 /// State shared between producers (snapshot threads, the session) and the drainer.
@@ -347,13 +349,13 @@ impl ExportShared {
         });
     }
 
-    /// Feeds the terminal profile to every live tap. Call with the gate held, after
+    /// Feeds the terminal record to every live tap. Call with the gate held, after
     /// the closing [`ExportShared::tap_delta`].
-    fn tap_finish(&self, profile: &ObjectCentricProfile) {
+    fn tap_finish(&self, record: &FinishRecord) {
         let mut taps = self.taps.lock();
         taps.retain(|tap| match tap.upgrade() {
             Some(tap) => {
-                tap.on_finish(profile);
+                tap.on_finish(record);
                 true
             }
             None => false,
@@ -414,8 +416,8 @@ impl ExportShared {
     /// drainer thread is dead, in which case nothing will ever pop the queue and the
     /// caller's join will surface the panic instead. Call with the gate held, before
     /// marking the stream closed.
-    fn push_finish(&self, profile: Box<ObjectCentricProfile>) {
-        let mut pending = Some(profile);
+    fn push_finish(&self, record: FinishRecord) {
+        let mut pending = Some(record);
         loop {
             if self.worker_is_dead() {
                 return;
@@ -498,10 +500,10 @@ impl DrainWorker {
                 }
                 false
             }
-            ExportItem::Finish(profile) => {
+            ExportItem::Finish(record) => {
                 if self.error.is_none() {
                     if let Err(err) =
-                        self.sink.on_finish(&profile, &mut self.out).and_then(|()| self.out.flush())
+                        self.sink.on_finish(&record, &mut self.out).and_then(|()| self.out.flush())
                     {
                         self.error = Some(err);
                     }
@@ -712,14 +714,17 @@ impl DeltaDrainer {
         true
     }
 
-    /// Ends the stream: drains the closing delta, pushes the terminal profile built
-    /// by `assemble` (called on the post-drain retired profiles, under the hand-off
-    /// gate), joins the worker and returns the accumulated statistics or the first
-    /// sink/write error. Idempotent — later calls replay the first outcome.
+    /// Ends the stream: drains the closing delta, pushes the terminal
+    /// [`FinishRecord`] (built under the hand-off gate from `config`, the agent's
+    /// counters and the retired buffer's sample total, so the checksum counts
+    /// exactly the streamed deltas), joins the worker and returns the accumulated
+    /// statistics or the first sink/write error. Idempotent — later calls replay
+    /// the first outcome.
     pub(crate) fn finish(
         &self,
         collector: &ObjectCentricCollector,
-        assemble: impl FnOnce(Vec<crate::profile::ThreadProfile>) -> ObjectCentricProfile,
+        config: &ProfilerConfig,
+        allocation: &AllocationAgent,
     ) -> io::Result<ExportStats> {
         let mut slot = self.result.lock();
         if let Some(previous) = &*slot {
@@ -733,9 +738,15 @@ impl DeltaDrainer {
                 self.shared.tap_delta(&delta);
                 self.shared.push_delta(delta);
             }
-            let profile = assemble(collector.retired_profiles());
-            self.shared.tap_finish(&profile);
-            self.shared.push_finish(Box::new(profile));
+            let record = FinishRecord {
+                event: config.event,
+                period: config.period,
+                size_filter: config.size_filter,
+                allocation_stats: allocation.stats(),
+                total_samples: collector.retired_samples(),
+            };
+            self.shared.tap_finish(&record);
+            self.shared.push_finish(record);
             self.shared.closed.store(true, Ordering::Release);
         }
         self.shared.wake();

@@ -1387,22 +1387,6 @@ impl FleetSinkBuilder {
 }
 
 impl ProfileSink for FleetSink {
-    fn format_name(&self) -> &'static str {
-        "fleet"
-    }
-
-    /// A fleet sink is a transport, not a document codec.
-    fn write_profile(
-        &self,
-        _profile: &ObjectCentricProfile,
-        _out: &mut dyn Write,
-    ) -> io::Result<()> {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "the fleet sink streams epoch frames to an aggregator; it has no document form",
-        ))
-    }
-
     /// Frames the delta as a [`crate::wire`] delta frame and ships it (`out`
     /// is unused — the socket is the destination). Transport failures are
     /// absorbed: the frame stays buffered (spilling to disk past the byte budget
@@ -1448,13 +1432,13 @@ impl ProfileSink for FleetSink {
     /// reconnecting under the backoff policy until the configured finish
     /// deadline. An error here means the aggregator never confirmed the complete
     /// stream — the loss is reported, never silent.
-    fn on_finish(&self, profile: &ObjectCentricProfile, _out: &mut dyn Write) -> io::Result<()> {
+    fn on_finish(&self, record: &FinishRecord, _out: &mut dyn Write) -> io::Result<()> {
         let mut link = self.link.lock().expect("fleet link lock");
         if link.severed {
             return Err(protocol_error("fleet link severed before the finish frame"));
         }
         let mut bytes = Vec::new();
-        BinaryChunkedSink.on_finish(profile, &mut bytes)?;
+        BinaryChunkedSink.on_finish(record, &mut bytes)?;
         if link.pending.offer(PendingFrame { epoch: None, sites: false, bytes }).is_err() {
             // Only a failing spill tier refuses a finish frame; queueing it in
             // memory would deliver it ahead of the spilled deltas, so surface
@@ -3102,8 +3086,9 @@ mod tests {
             BinaryChunkedSink.on_delta(epoch, &d, &mut sent).expect("delta encodes");
         }
         let profile = fold.assemble(PmuEvent::DEFAULT, 16, 0, AllocationStats::default());
-        sink.on_finish(&profile, &mut out).expect("finish ships");
-        BinaryChunkedSink.on_finish(&profile, &mut sent).expect("finish encodes");
+        let record = FinishRecord::of_profile(&profile);
+        sink.on_finish(&record, &mut out).expect("finish ships");
+        BinaryChunkedSink.on_finish(&record, &mut sent).expect("finish encodes");
 
         // Every frame was logged before its acknowledgement, byte for byte as sent.
         let wal = fs::read(wal_path(&dir, "verbatim")).expect("WAL reads");

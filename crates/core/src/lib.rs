@@ -31,10 +31,10 @@
 //! | [`object`] | §4.2 | allocation-site identity (allocation call paths) |
 //! | [`agent`] | §4.1, §4.5 | the allocation ("Java") agent and the shared object index |
 //! | [`session`] | §5, Fig. 1 | the one profiler: [`Session`] (one sampling stream, one record per sample — each thread's [`ThreadProfile`] — that all three views read, plus pluggable custom collectors), configured by [`ProfilerConfig`] |
-//! | [`sink`] | §5.2 | [`ProfileSink`] export backends: render-only text and JSON documents, and the binary epoch log |
+//! | [`sink`] | §5.2 | the streaming [`ProfileSink`] trait, the [`FinishRecord`] trailer, and the render-only JSON document ([`ObjectCentricProfile::to_json`]) |
 //! | [`wire`] | §5.2 | binary epoch frames: the one format the profiler reads back, for logs, the fleet wire and its WAL ([`BinaryChunkedSink::read_log_bytes`]) |
 //! | [`export`] | §5.2 | asynchronous delta export: background [`DeltaDrainer`] over epoch-retired snapshot deltas |
-//! | [`profile`] | §5.1/§5.2 | per-thread profiles and their render-only text form |
+//! | [`profile`] | §5.1/§5.2 | per-thread profiles and their render-only text form ([`ObjectCentricProfile::to_text`]) |
 //! | [`query`] | §5.2, §6 | the offline analyzer: [`ProfileSource`] + composable [`Query`] (merge, rank, filter) over live sessions, snapshots, logs and folds |
 //! | [`codecentric`] | §1, Fig. 1, §4.3 | the views read off the object profile: the code-centric (perf-like) baseline and the NUMA traffic matrix |
 //! | [`report`] | Fig. 5, §4.3 | the [`Report`] views (the GUI stand-in): query results, the code-centric baseline, and the NUMA view (traffic matrix plus a remote-ranked query) |
@@ -45,8 +45,9 @@
 //! filter, jitter, launch/attach mode — and attaches to a runtime as one listener. Each
 //! sample is recorded once, and a single pass yields the object-centric ranking, the
 //! code-centric baseline and the NUMA view as reads of that record;
-//! [`Session::snapshot`] extracts all three mid-run from one retirement, and a
-//! [`ProfileSink`] streams profiles out — views included — for offline merging.
+//! [`Session::snapshot`] extracts all three mid-run from one retirement. A profile
+//! renders as text or JSON, and a [`ProfileSink`] streams its epochs out as a binary
+//! log for offline merging.
 //!
 //! ```
 //! use djx_runtime::{dsl, Runtime, RuntimeConfig};
@@ -88,10 +89,14 @@
 //! let remote = Query::new().rank_by(RankBy::RemoteSamples).evaluate(&profile)?;
 //! println!("{}", Report::numa_view(&numa, &remote, rt.methods()));
 //!
-//! // Machine-readable export for dashboards or cross-machine merging.
-//! let json = djxperf::sink::JsonSink::new();
-//! let mut out = Vec::new();
-//! session.stream_snapshot(&json, &mut out)?;
+//! // Machine-readable render for dashboards, and a binary log that reads back for
+//! // cross-machine merging.
+//! let json = profile.to_json();
+//! assert!(json.starts_with("{\"format\":\"djxperf-profile\""));
+//! let sink = djxperf::BinaryChunkedSink::new();
+//! let mut log = Vec::new();
+//! sink.write_profile(&profile, &mut log)?;
+//! assert_eq!(sink.read_log_bytes(&log)?.to_text(), profile.to_text());
 //! # Ok(())
 //! # }
 //! ```
@@ -134,15 +139,15 @@ pub use profile::{
 };
 pub use query::live::{LiveFold, LiveQuery, LiveResult, WatchTimeout};
 pub use query::{
-    AccessContext, EpochLog, GroupBy, GroupKey, Locality, MultiSource, ProfileSource, Query,
-    QueryError, QueryGroup, QueryResult, RankBy, UnknownGroupByError, UnknownRankByError,
+    AccessContext, GroupBy, GroupKey, Locality, MultiSource, ProfileSource, Query, QueryError,
+    QueryGroup, QueryResult, RankBy, UnknownGroupByError, UnknownRankByError,
 };
 pub use report::{Report, ReportOptions};
 pub use session::{
     adaptive_shard_count, BatchContext, Collector, ProfilerConfig, SampleContext, Session,
     SessionBuilder, SessionSnapshot, DEFAULT_SAMPLE_PERIOD,
 };
-pub use sink::{FinishRecord, JsonSink, LogRecord, ProfileSink, TextSink};
+pub use sink::{FinishRecord, LogRecord, ProfileSink};
 pub use splay::{Interval, IntervalSplayTree, LookupStats};
 pub use sync::{Epoch, SpinLock, SpinLockGuard};
 pub use wire::{BinaryChunkedSink, BinaryFrameReader};

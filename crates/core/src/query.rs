@@ -6,7 +6,7 @@
 //! pipeline grew sharded indexes, pause-free snapshots and delta streaming, the same
 //! analysis question ("which objects cause the misses?") can be asked of very
 //! differently-shaped data: a still-running [`Session`], a terminal snapshot, a
-//! binary epoch log ([`BinaryChunkedSink`])
+//! binary epoch log ([`BinaryChunkedSink`](crate::wire::BinaryChunkedSink))
 //! replayed from disk or a socket, or a fold of N logs streamed by N processes. This module makes all of them
 //! answer **the same query identically**: a [`Query`] value evaluated against any
 //! [`ProfileSource`] produces the same [`QueryResult`] whenever the sources describe
@@ -27,9 +27,8 @@
 //! |---|---|---|
 //! | [`Session`] | live pause-free snapshot ([`Session::object_profile`]) | one-shot queries against a run that is still ingesting |
 //! | [`live::LiveFold`] | the epoch-retired delta stream, folded incrementally ([`Session::watch`], [`FleetAggregator::watch`](crate::fleet::FleetAggregator::watch), [`live::LiveFold::feed`]) | repeated queries over a changing run: dashboards, watch loops, aggregator daemons |
-//! | [`ObjectCentricProfile`] | an owned snapshot | offline analysis of extracted profiles |
+//! | [`ObjectCentricProfile`] | an owned snapshot, or a binary epoch log replayed by [`BinaryChunkedSink::read_log_bytes`](crate::wire::BinaryChunkedSink::read_log_bytes) | offline analysis of extracted profiles; re-querying a streamed run after the fact |
 //! | `[ObjectCentricProfile]` | a sequence of snapshots | the classic one-file-per-process merge workflow |
-//! | [`EpochLog`] | a replayed binary epoch log ([`BinaryChunkedSink::read_log_bytes`] → [`DeltaFold`](crate::profile::DeltaFold)) | re-querying a streamed run after the fact |
 //! | [`MultiSource`] | a fold of any other sources | cross-machine / multi-process merging |
 //!
 //! # Watching instead of polling
@@ -112,7 +111,6 @@ use std::collections::{HashMap, HashSet};
 use std::fmt::{self, Write as _};
 use std::hash::BuildHasher;
 use std::ops::Range;
-use std::path::Path;
 use std::str::FromStr;
 
 use djx_pmu::PmuEvent;
@@ -125,8 +123,6 @@ use crate::object::AllocSite;
 use crate::profile::{encode_path, ObjectCentricProfile, ProfileParseError, ThreadProfile};
 use crate::session::Session;
 use crate::sink::{json_metrics, json_path, json_string};
-use crate::wire::BinaryChunkedSink;
-
 pub mod live;
 
 // ---------------------------------------------------------------------------------------
@@ -492,11 +488,6 @@ impl GroupKey {
 /// [`QueryResult`]s regardless of how the data was captured. See the
 /// [module docs](self) for the source-selection table.
 pub trait ProfileSource {
-    /// Short human-readable description of the source, used in diagnostics.
-    fn describe(&self) -> String {
-        "profile source".to_string()
-    }
-
     /// The object-centric profiles backing query evaluation, in fold order.
     ///
     /// # Errors
@@ -506,20 +497,12 @@ pub trait ProfileSource {
 }
 
 impl ProfileSource for ObjectCentricProfile {
-    fn describe(&self) -> String {
-        "object-centric snapshot".to_string()
-    }
-
     fn object_profiles(&self) -> Result<Vec<Cow<'_, ObjectCentricProfile>>, QueryError> {
         Ok(vec![Cow::Borrowed(self)])
     }
 }
 
 impl ProfileSource for [ObjectCentricProfile] {
-    fn describe(&self) -> String {
-        format!("{} object-centric snapshots", self.len())
-    }
-
     fn object_profiles(&self) -> Result<Vec<Cow<'_, ObjectCentricProfile>>, QueryError> {
         Ok(self.iter().map(Cow::Borrowed).collect())
     }
@@ -529,10 +512,6 @@ impl ProfileSource for [ObjectCentricProfile] {
 /// ([`Session::object_profile`]), so a query can race ingestion and later
 /// evaluations observe later samples.
 impl ProfileSource for Session {
-    fn describe(&self) -> String {
-        "live session".to_string()
-    }
-
     fn object_profiles(&self) -> Result<Vec<Cow<'_, ObjectCentricProfile>>, QueryError> {
         match self.object_profile() {
             Some(profile) => Ok(vec![Cow::Owned(profile)]),
@@ -542,66 +521,6 @@ impl ProfileSource for Session {
                     .to_string(),
             )),
         }
-    }
-}
-
-/// A replayed epoch log: the binary frames are folded in epoch order through
-/// [`DeltaFold`](crate::profile::DeltaFold) at construction (checksum-verified,
-/// exactly the stream's loss-free replay), and every evaluation reads the folded
-/// profile.
-#[derive(Debug, Clone)]
-pub struct EpochLog {
-    profile: ObjectCentricProfile,
-}
-
-impl EpochLog {
-    /// Replays a binary epoch log through
-    /// [`BinaryChunkedSink::read_log_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProfileParseError`] for malformed frames, out-of-order epochs,
-    /// truncated streams and checksum mismatches, and for text and JSON renders
-    /// (both render-only).
-    pub fn replay(input: &[u8]) -> Result<Self, ProfileParseError> {
-        Ok(Self { profile: BinaryChunkedSink::new().read_log_bytes(input)? })
-    }
-
-    /// Reads an on-disk log file and replays it like [`EpochLog::replay`]. Every
-    /// open reads the whole file; to tail a log that is still growing, feed its
-    /// bytes to a [`LiveFold`](live::LiveFold) instead.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProfileParseError`] for unreadable files (frame 0, the I/O error
-    /// in the message) and for malformed input.
-    pub fn open(path: impl AsRef<Path>) -> Result<Self, ProfileParseError> {
-        let path = path.as_ref();
-        let bytes = std::fs::read(path).map_err(|e| ProfileParseError {
-            frame: 0,
-            message: format!("cannot read epoch log {}: {e}", path.display()),
-        })?;
-        Self::replay(&bytes)
-    }
-
-    /// The folded profile.
-    pub fn profile(&self) -> &ObjectCentricProfile {
-        &self.profile
-    }
-
-    /// Consumes the log into its folded profile.
-    pub fn into_profile(self) -> ObjectCentricProfile {
-        self.profile
-    }
-}
-
-impl ProfileSource for EpochLog {
-    fn describe(&self) -> String {
-        "replayed epoch log".to_string()
-    }
-
-    fn object_profiles(&self) -> Result<Vec<Cow<'_, ObjectCentricProfile>>, QueryError> {
-        Ok(vec![Cow::Borrowed(&self.profile)])
     }
 }
 
@@ -646,18 +565,11 @@ impl<'a> MultiSource<'a> {
 
 impl fmt::Debug for MultiSource<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MultiSource").field("sources", &self.describe()).finish()
+        f.debug_struct("MultiSource").field("sources", &self.sources.len()).finish()
     }
 }
 
 impl ProfileSource for MultiSource<'_> {
-    fn describe(&self) -> String {
-        format!(
-            "fold of [{}]",
-            self.sources.iter().map(|s| s.describe()).collect::<Vec<_>>().join(", ")
-        )
-    }
-
     fn object_profiles(&self) -> Result<Vec<Cow<'_, ObjectCentricProfile>>, QueryError> {
         let mut profiles = Vec::new();
         for source in &self.sources {
@@ -1411,7 +1323,7 @@ impl QueryResult {
     }
 
     /// The canonical JSON rendering, through the same codec helpers as the
-    /// [`JsonSink`](crate::sink::JsonSink) profile document. Byte-identical across
+    /// [`ObjectCentricProfile::to_json`] profile document. Byte-identical across
     /// sources describing the same samples.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
@@ -1514,7 +1426,7 @@ mod tests {
 
     use crate::object::AllocSiteId;
     use crate::profile::{AllocationStats, ThreadProfile};
-    use crate::sink::ProfileSink;
+    use crate::wire::BinaryChunkedSink;
 
     fn f(m: u32, bci: u32) -> Frame {
         Frame::new(MethodId(m), bci)
@@ -1905,19 +1817,14 @@ mod tests {
         let direct = query.evaluate(&profile).unwrap();
 
         // The same profile through the binary epoch-log codec (write → replay).
+        let sink = BinaryChunkedSink::new();
         let mut log = Vec::new();
-        crate::sink::ProfileSink::write_profile(
-            &crate::wire::BinaryChunkedSink,
-            &profile,
-            &mut log,
-        )
-        .unwrap();
-        let replayed = EpochLog::replay(&log).unwrap();
+        sink.write_profile(&profile, &mut log).unwrap();
+        let replayed = sink.read_log_bytes(&log).unwrap();
         let from_log = query.evaluate(&replayed).unwrap();
         assert_eq!(from_log.to_text(), direct.to_text());
         assert_eq!(from_log.to_json(), direct.to_json());
-        assert_eq!(replayed.describe(), "replayed epoch log");
-        assert!(replayed.profile().total_samples() > 0);
+        assert!(replayed.total_samples() > 0);
     }
 
     #[test]
@@ -1931,7 +1838,6 @@ mod tests {
         let fold = MultiSource::new().with(&p1).with(&p2);
         assert_eq!(fold.len(), 2);
         assert!(!fold.is_empty());
-        assert!(fold.describe().contains("fold of"));
         let folded = Query::new().evaluate(&fold).unwrap();
         let seq = Query::new().evaluate([p1.clone(), p2.clone()].as_slice()).unwrap();
         assert_eq!(folded.to_text(), seq.to_text());
@@ -1961,7 +1867,7 @@ mod tests {
 
     #[test]
     fn parse_failures_surface_as_query_errors() {
-        let err = EpochLog::replay(b"garbage").unwrap_err();
+        let err = BinaryChunkedSink::new().read_log_bytes(b"garbage").unwrap_err();
         let query_err: QueryError = err.into();
         assert!(matches!(query_err, QueryError::Parse(_)));
         assert!(query_err.to_string().contains("parse"));

@@ -178,9 +178,8 @@ impl DeltaTap for LiveShared {
         let _ = self.state.lock().expect("live fold state lock").absorb_delta(delta);
     }
 
-    fn on_finish(&self, profile: &ObjectCentricProfile) {
-        let record = FinishRecord::of_profile(profile);
-        self.state.lock().expect("live fold state lock").finish_record(record);
+    fn on_finish(&self, record: &FinishRecord) {
+        self.state.lock().expect("live fold state lock").finish_record(record.clone());
     }
 }
 
@@ -362,16 +361,6 @@ impl std::fmt::Debug for LiveFold {
 }
 
 impl ProfileSource for LiveFold {
-    fn describe(&self) -> String {
-        let st = self.state();
-        format!(
-            "live fold ({} deltas, epoch {}{})",
-            st.fold.deltas(),
-            st.fold.last_epoch().unwrap_or(0),
-            if st.finished { ", finished" } else { "" },
-        )
-    }
-
     fn object_profiles(&self) -> Result<Vec<Cow<'_, ObjectCentricProfile>>, QueryError> {
         Ok(vec![Cow::Owned(self.snapshot())])
     }

@@ -37,11 +37,11 @@
 //! [`SessionBuilder::config`]), attach to a [`Runtime`] as one composite listener, and
 //! support
 //! incremental observation: [`Session::snapshot`] extracts the three views mid-run
-//! without stopping measurement, and
-//! [`Session::stream_snapshot`] pushes the object-centric profile through any
-//! [`ProfileSink`] backend for live export — and [`SessionBuilder::stream_to`]
-//! upgrades that to **continuous push**: a background drainer streams every retired
-//! epoch delta incrementally (see [`crate::export`]).
+//! without stopping measurement (render the object profile with
+//! [`ObjectCentricProfile::to_text`] or [`ObjectCentricProfile::to_json`]), and
+//! [`SessionBuilder::stream_to`] adds **continuous push**: a background drainer
+//! streams every retired epoch delta through a [`ProfileSink`] incrementally (see
+//! [`crate::export`]).
 //!
 //! A live session is also a [`ProfileSource`](crate::query::ProfileSource): any
 //! [`Query`](crate::query::Query) evaluates against it directly
@@ -469,6 +469,12 @@ impl SnapshotBuffered {
         all
     }
 
+    /// Total samples in the retired buffer, summed in place **without** closing the
+    /// open epoch or cloning a profile.
+    fn retired_samples(&self) -> u64 {
+        self.retired.lock().values().map(|d| d.profile.samples).sum()
+    }
+
     /// Clones the retired buffer in thread-first-seen order **without** closing the
     /// open epoch: deltas still accumulating in the active slots are not included.
     /// After a [`SnapshotBuffered::drain`], this is by construction the fold of every
@@ -588,6 +594,13 @@ impl ObjectCentricCollector {
     /// this is, by construction, the fold of every delta ever drained.
     pub(crate) fn retired_profiles(&self) -> Vec<ThreadProfile> {
         self.state.retired_clone().into_iter().map(|d| d.profile).collect()
+    }
+
+    /// Total samples in the retired buffer. Immediately after
+    /// [`ObjectCentricCollector::drain_delta`] this is, by construction, the sample
+    /// total of every delta ever drained — the stream's checksum.
+    pub(crate) fn retired_samples(&self) -> u64 {
+        self.state.retired_samples()
     }
 
     /// The retired buffer as an already-merged [`ProfileDelta`] at the current epoch
@@ -928,9 +941,8 @@ impl SessionBuilder {
     /// `out`: [`SessionBuilder::stream_to`] with a
     /// [`BinaryChunkedSink`](crate::wire::BinaryChunkedSink). The log replays
     /// byte-identically to the session's terminal snapshot
-    /// ([`BinaryChunkedSink::read_log_bytes`](crate::wire::BinaryChunkedSink::read_log_bytes)
-    /// or [`EpochLog::replay`](crate::query::EpochLog::replay)) — see
-    /// [`crate::wire`] for the frame format.
+    /// ([`BinaryChunkedSink::read_log_bytes`](crate::wire::BinaryChunkedSink::read_log_bytes))
+    /// — see [`crate::wire`] for the frame format.
     pub fn stream_to_binary(self, out: Box<dyn io::Write + Send>, policy: DrainPolicy) -> Self {
         self.stream_to(Arc::new(crate::wire::BinaryChunkedSink::new()), out, policy)
     }
@@ -1177,8 +1189,9 @@ impl Session {
         }
     }
 
-    /// Ends the export stream: drains the closing delta, writes the terminal whole
-    /// profile through [`ProfileSink::on_finish`], flushes the writer, and joins the
+    /// Ends the export stream: drains the closing delta, writes the stream's
+    /// [`FinishRecord`](crate::sink::FinishRecord) trailer through
+    /// [`ProfileSink::on_finish`], flushes the writer, and joins the
     /// background drainer. Returns the stream's accumulated [`ExportStats`].
     /// Idempotent — repeated calls replay the first outcome. Dropping the session's
     /// last reference calls this implicitly (drain-on-drop), discarding the result.
@@ -1197,7 +1210,7 @@ impl Session {
         })?;
         let collector =
             self.objects.as_ref().expect("stream_to registers the object-centric collector");
-        export.finish(collector, |threads| self.assemble_object_profile(threads))
+        export.finish(collector, &self.config, &self.allocation)
     }
 
     /// Approximate resident bytes of every session-owned data structure — the quantity
@@ -1229,21 +1242,15 @@ impl Session {
         // On a streaming session, thread_profiles routes the epoch this read retires
         // into the export stream (never discarding it), so the profile assembles from
         // the retired buffer — by construction the fold of every streamed delta.
-        Some(self.assemble_object_profile(collector.thread_profiles()))
-    }
-
-    /// Joins retired per-thread profiles with the allocation agent's counters, the
-    /// site table and the run configuration — the final assembly shared by
-    /// [`Session::object_profile`] and the export pipeline's terminal flush.
-    fn assemble_object_profile(&self, threads: Vec<ThreadProfile>) -> ObjectCentricProfile {
-        ObjectCentricProfile {
+        let threads = collector.thread_profiles();
+        Some(ObjectCentricProfile {
             event: self.config.event,
             period: self.config.period,
             size_filter: self.config.size_filter,
             sites: self.shared.sites.lock().since(0),
             threads,
             allocation_stats: self.allocation.stats(),
-        }
+        })
     }
 
     /// Evaluates a [`Query`](crate::query::Query) against the session's live
@@ -1268,7 +1275,7 @@ impl Session {
     /// hand-off gate that orders the export queue — the fold observes exactly the
     /// stream the sink logs, site table included, and the terminal flush (an explicit
     /// [`Session::finish_export`] or drain-on-drop) closes the fold with the
-    /// complete profile.
+    /// stream's finish record.
     ///
     /// When the export stream already finished, the returned fold is the terminal
     /// profile, already closed — watches registered on it render the final state
@@ -1349,27 +1356,6 @@ impl Session {
             object,
             total_samples: self.total_samples(),
         }
-    }
-
-    /// Streams the current object-centric profile through `sink` into `out` — the
-    /// incremental export path (`snapshot → sink`) for live observation.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when no [`ObjectCentricCollector`] is registered, or when the
-    /// sink fails to write.
-    pub fn stream_snapshot(
-        &self,
-        sink: &dyn ProfileSink,
-        out: &mut dyn io::Write,
-    ) -> io::Result<()> {
-        let profile = self.object_profile().ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::Unsupported,
-                "session has no object-centric collector to stream",
-            )
-        })?;
-        sink.write_profile(&profile, out)
     }
 
     /// Dispatches one resolved sample batch to every collector.
@@ -1509,7 +1495,6 @@ mod tests {
     use parking_lot::Mutex;
 
     use crate::query::{Query, RankBy};
-    use crate::sink::{JsonSink, TextSink};
     use crate::wire::BinaryChunkedSink;
 
     /// Runs the standard bloat kernel against a fresh runtime with `listener` attached.
@@ -1814,30 +1799,16 @@ mod tests {
     }
 
     #[test]
-    fn stream_snapshot_round_trips_through_both_sinks() {
+    fn object_profile_round_trips_through_a_binary_log() {
         let (_rt, session) =
             bloat_run_with(|rt| Session::builder().period(16).collect_objects().attach(rt));
         let profile = session.object_profile().unwrap();
 
         let mut out = Vec::new();
-        session.stream_snapshot(&BinaryChunkedSink::new(), &mut out).unwrap();
+        BinaryChunkedSink::new().write_profile(&profile, &mut out).unwrap();
         let parsed = BinaryChunkedSink::new().read_log_bytes(&out).unwrap();
-        assert_eq!(parsed.to_text(), profile.to_text(), "binary sink round trip");
-        // Text and JSON are render-only: the streamed snapshot is the profile's
-        // rendering.
-        for sink in [&TextSink as &dyn ProfileSink, &JsonSink::new()] {
-            let mut out = Vec::new();
-            session.stream_snapshot(sink, &mut out).unwrap();
-            assert_eq!(String::from_utf8(out).unwrap(), sink.write_to_string(&profile));
-        }
-    }
-
-    #[test]
-    fn stream_snapshot_without_object_collector_errors() {
-        let session = Session::builder().build();
-        let mut out = Vec::new();
-        let err = session.stream_snapshot(&TextSink, &mut out).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::Unsupported);
+        assert_eq!(parsed.to_text(), profile.to_text(), "binary log round trip");
+        assert_eq!(parsed.to_json(), profile.to_json());
     }
 
     #[test]

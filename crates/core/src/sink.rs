@@ -1,24 +1,21 @@
-//! Profile export backends.
+//! Profile export: the streaming trait, the records every epoch-log frame decodes
+//! to, and the JSON render.
 //!
-//! A [`ProfileSink`] turns an [`ObjectCentricProfile`] into bytes on any `io::Write`
-//! (files, sockets, in-memory buffers), so the offline analyzer and cross-machine
-//! merging (§5.2 of the paper) are independent of the on-disk format. Three backends
-//! ship:
+//! The export surface is one writer trait, one reader function and two renders:
 //!
-//! * [`BinaryChunkedSink`](crate::wire::BinaryChunkedSink) — the replayable binary
-//!   epoch log, the one format the profiler reads back (see [`crate::wire`]);
-//! * [`TextSink`] — the line-oriented profile file
-//!   ([`ObjectCentricProfile::to_text`]) for humans;
-//! * [`JsonSink`] — a machine-readable JSON document for dashboards and external
-//!   tooling.
-//!
-//! Text and JSON are **render-only**: whole-profile documents that nothing parses
-//! back, and neither streams deltas. One function turns bytes into a profile:
-//! [`BinaryChunkedSink::read_log_bytes`](crate::wire::BinaryChunkedSink::read_log_bytes),
-//! which refuses a text or JSON render with an error saying so.
-//! [`Session::stream_snapshot`](crate::session::Session::stream_snapshot) streams a
-//! live session through any sink mid-run.
+//! * [`ProfileSink`] streams retired epochs. Its implementations are
+//!   [`BinaryChunkedSink`](crate::wire::BinaryChunkedSink) (the replayable binary
+//!   epoch log, see [`crate::wire`]) and [`FleetSink`](crate::fleet::FleetSink)
+//!   (the same frames shipped to an aggregator).
+//! * [`BinaryChunkedSink::read_log_bytes`](crate::wire::BinaryChunkedSink::read_log_bytes)
+//!   is the one function that turns bytes into a profile, so the offline analyzer
+//!   and cross-machine merging (§5.2 of the paper) read every log the same way.
+//! * [`ObjectCentricProfile::to_text`] (the paper's line-oriented profile file) and
+//!   [`ObjectCentricProfile::to_json`] (a document for dashboards and external
+//!   tooling) render a whole profile. Nothing parses either back, and
+//!   `read_log_bytes` refuses them with an error saying so.
 
+use std::fmt::Write as _;
 use std::io::{self, Write};
 
 use djx_runtime::Frame;
@@ -29,123 +26,56 @@ use crate::profile::{
     AllocationStats, DeltaFold, FoldError, ObjectCentricProfile, ProfileDelta, ThreadProfile,
 };
 
-/// A serialization backend for object-centric profiles.
-///
-/// Beyond whole-profile documents ([`ProfileSink::write_profile`]), a sink can opt
-/// into **incremental delta streaming**: the asynchronous export pipeline
-/// ([`crate::export`]) calls
+/// A streaming export backend: the export pipeline ([`crate::export`]) calls
 /// [`ProfileSink::on_delta`] for every retired epoch and [`ProfileSink::on_finish`]
-/// once at the end of the stream. The default `on_delta` reports
-/// [`io::ErrorKind::Unsupported`]; only
-/// [`BinaryChunkedSink`](crate::wire::BinaryChunkedSink) and
-/// [`FleetSink`](crate::fleet::FleetSink) override it. Their delta stream is
-/// *replayable*: folding the emitted epoch log reproduces the terminal profile
-/// byte-identically.
+/// once at the end of the stream. The stream is *replayable*: folding the emitted
+/// epoch log reproduces the terminal profile byte-identically.
 pub trait ProfileSink: Send + Sync {
-    /// Short format name (`"text"`, `"json"`), used for diagnostics and file naming.
-    fn format_name(&self) -> &'static str;
-
-    /// Streams `profile` into `out`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates write errors from `out`.
-    fn write_profile(&self, profile: &ObjectCentricProfile, out: &mut dyn Write) -> io::Result<()>;
-
     /// Streams one retired epoch delta. Called by the export drainer in strictly
     /// increasing epoch order; `epoch` equals `delta.epoch`.
     ///
     /// # Errors
     ///
-    /// The default implementation reports [`io::ErrorKind::Unsupported`] — a sink
-    /// must opt into delta streaming. Implementations propagate write errors.
-    fn on_delta(&self, epoch: u64, delta: &ProfileDelta, out: &mut dyn Write) -> io::Result<()> {
-        let _ = (epoch, delta, out);
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            format!("the {} sink does not support delta streaming", self.format_name()),
-        ))
-    }
+    /// Propagates write errors from `out`.
+    fn on_delta(&self, epoch: u64, delta: &ProfileDelta, out: &mut dyn Write) -> io::Result<()>;
 
-    /// Ends a delta stream with the terminal whole profile (the fold of every
-    /// streamed delta, with the run configuration and agent counters). The default writes the
-    /// profile as a regular document via [`ProfileSink::write_profile`].
+    /// Ends the stream with its trailer: the run configuration, the agent counters
+    /// and the total-sample checksum.
     ///
     /// # Errors
     ///
     /// Propagates write errors from `out`.
-    fn on_finish(&self, profile: &ObjectCentricProfile, out: &mut dyn Write) -> io::Result<()> {
-        self.write_profile(profile, out)
-    }
-
-    /// Convenience: renders the profile to an in-memory string.
-    fn write_to_string(&self, profile: &ObjectCentricProfile) -> String {
-        let mut out = Vec::new();
-        self.write_profile(profile, &mut out).expect("writing to a Vec cannot fail");
-        String::from_utf8(out).expect("sinks produce UTF-8")
-    }
-}
-
-/// The line-oriented text backend (the paper's "profile files"): a render-only
-/// whole-profile document. It does not stream deltas; stream a
-/// [`BinaryChunkedSink`](crate::wire::BinaryChunkedSink) log when the run must be
-/// replayed.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TextSink;
-
-impl ProfileSink for TextSink {
-    fn format_name(&self) -> &'static str {
-        "text"
-    }
-
-    fn write_profile(&self, profile: &ObjectCentricProfile, out: &mut dyn Write) -> io::Result<()> {
-        out.write_all(profile.to_text().as_bytes())
-    }
-}
-
-/// The machine-readable JSON backend: a render-only whole-profile document that
-/// does not stream deltas.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct JsonSink;
-
-impl JsonSink {
-    /// Creates the sink.
-    pub fn new() -> Self {
-        Self
-    }
+    fn on_finish(&self, record: &FinishRecord, out: &mut dyn Write) -> io::Result<()>;
 }
 
 /// Current version of the JSON document layout.
 const JSON_VERSION: u64 = 1;
 
-impl ProfileSink for JsonSink {
-    fn format_name(&self) -> &'static str {
-        "json"
-    }
-
-    fn write_profile(&self, profile: &ObjectCentricProfile, out: &mut dyn Write) -> io::Result<()> {
-        // Streamed element by element: threads and sites are written as they are
-        // visited, never buffered into one document string.
-        write!(
+impl ObjectCentricProfile {
+    /// Renders the profile as a machine-readable JSON document for dashboards and
+    /// external tooling. Render-only: nothing parses it back.
+    pub fn to_json(&self) -> String {
+        let mut out = String::new();
+        let _ = write!(
             out,
             "{{\"format\":\"djxperf-profile\",\"version\":{JSON_VERSION},\"event\":{},\"period\":{},\"size_filter\":{}",
-            json_string(profile.event.hardware_name()),
-            profile.period,
-            profile.size_filter
-        )?;
-        out.write_all(b",\"allocation_stats\":")?;
-        write_alloc_stats_json(&profile.allocation_stats, out)?;
-        out.write_all(b",\"sites\":")?;
-        write_sites_json(&profile.sites, out)?;
-        out.write_all(b",\"threads\":[")?;
-        for (i, thread) in profile.threads.iter().enumerate() {
+            json_string(self.event.hardware_name()),
+            self.period,
+            self.size_filter
+        );
+        out.push_str(",\"allocation_stats\":");
+        write_alloc_stats_json(&self.allocation_stats, &mut out);
+        out.push_str(",\"sites\":");
+        write_sites_json(&self.sites, &mut out);
+        out.push_str(",\"threads\":[");
+        for (i, thread) in self.threads.iter().enumerate() {
             if i > 0 {
-                out.write_all(b",")?;
+                out.push(',');
             }
-            write_thread_json(thread, out)?;
+            write_thread_json(thread, &mut out);
         }
-        out.write_all(b"]}")?;
-        Ok(())
+        out.push_str("]}");
+        out
     }
 }
 
@@ -173,7 +103,7 @@ pub struct FinishRecord {
 
 impl FinishRecord {
     /// The finish record closing a stream whose terminal profile is `profile`.
-    pub(crate) fn of_profile(profile: &ObjectCentricProfile) -> FinishRecord {
+    pub fn of_profile(profile: &ObjectCentricProfile) -> FinishRecord {
         FinishRecord {
             event: profile.event,
             period: profile.period,
@@ -276,72 +206,68 @@ pub(crate) fn json_metrics(m: &MetricVector) -> String {
 }
 
 /// Writes the allocation-stats object of the whole-profile document.
-fn write_alloc_stats_json(s: &AllocationStats, out: &mut dyn Write) -> io::Result<()> {
-    write!(
+fn write_alloc_stats_json(s: &AllocationStats, out: &mut String) {
+    let _ = write!(
         out,
         "{{\"callbacks\":{},\"monitored\":{},\"filtered\":{},\"relocations\":{},\"unknown_moves\":{},\"reclamations\":{}}}",
         s.callbacks, s.monitored, s.filtered, s.relocations, s.unknown_moves, s.reclamations
-    )
+    );
 }
 
 /// Writes the site-table array of the whole-profile document.
-fn write_sites_json(sites: &[AllocSite], out: &mut dyn Write) -> io::Result<()> {
-    out.write_all(b"[")?;
+fn write_sites_json(sites: &[AllocSite], out: &mut String) {
+    out.push('[');
     for (i, site) in sites.iter().enumerate() {
         if i > 0 {
-            out.write_all(b",")?;
+            out.push(',');
         }
-        write!(
+        let _ = write!(
             out,
             "{{\"id\":{},\"class\":{},\"path\":{}}}",
             site.id.0,
             json_string(&site.class_name),
             json_path(&site.call_path)
-        )?;
+        );
     }
-    out.write_all(b"]")
+    out.push(']');
 }
 
 /// Writes one element of the whole-profile document's `threads` array.
-fn write_thread_json(thread: &ThreadProfile, out: &mut dyn Write) -> io::Result<()> {
-    write!(
+fn write_thread_json(thread: &ThreadProfile, out: &mut String) {
+    let _ = write!(
         out,
         "{{\"id\":{},\"name\":{},\"samples\":{},\"unattributed\":{}",
         thread.thread.0,
         json_string(&thread.thread_name),
         thread.samples,
         json_metrics(&thread.unattributed)
-    )?;
-    out.write_all(b",\"objects\":[")?;
+    );
+    out.push_str(",\"objects\":[");
     let mut site_ids: Vec<_> = thread.sites.keys().copied().collect();
     site_ids.sort_unstable();
     for (j, sid) in site_ids.iter().enumerate() {
         if j > 0 {
-            out.write_all(b",")?;
+            out.push(',');
         }
         let sm = &thread.sites[sid];
-        write!(out, "{{\"site\":{},\"total\":{}", sid.0, json_metrics(&sm.total))?;
-        out.write_all(b",\"accesses\":[")?;
+        let _ = write!(out, "{{\"site\":{},\"total\":{}", sid.0, json_metrics(&sm.total));
+        out.push_str(",\"accesses\":[");
         // Canonical context order (by encoded path), matching the text rendering.
-        let mut contexts: Vec<(String, Vec<Frame>, &MetricVector)> = sm
+        let mut contexts: Vec<(String, &MetricVector)> = sm
             .by_context
             .iter()
-            .map(|(ctx, m)| {
-                let path = thread.cct.path_of(*ctx);
-                (json_path(&path), path, m)
-            })
+            .map(|(ctx, m)| (json_path(&thread.cct.path_of(*ctx)), m))
             .collect();
         contexts.sort_by(|a, b| a.0.cmp(&b.0));
-        for (k, (encoded, _, metrics)) in contexts.iter().enumerate() {
+        for (k, (encoded, metrics)) in contexts.iter().enumerate() {
             if k > 0 {
-                out.write_all(b",")?;
+                out.push(',');
             }
-            write!(out, "{{\"path\":{},\"metrics\":{}}}", encoded, json_metrics(metrics))?;
+            let _ = write!(out, "{{\"path\":{},\"metrics\":{}}}", encoded, json_metrics(metrics));
         }
-        out.write_all(b"]}")?;
+        out.push_str("]}");
     }
-    out.write_all(b"]}")?;
-    Ok(())
+    out.push_str("]}");
 }
 
 #[cfg(test)]
@@ -407,18 +333,10 @@ mod tests {
     }
 
     #[test]
-    fn text_sink_matches_the_legacy_codec() {
-        let profile = build_profile();
-        let text = TextSink.write_to_string(&profile);
-        assert_eq!(text, profile.to_text());
-        assert_eq!(TextSink.format_name(), "text");
-    }
-
-    #[test]
     fn json_sink_round_trips_structure_and_metrics() {
         // JSON is write-only, so the writer is pinned by a golden document over a
         // profile that sets every field.
-        let json = JsonSink::new().write_to_string(&build_profile());
+        let json = build_profile().to_json();
         let golden = concat!(
             r#"{"format":"djxperf-profile","version":1,"event":"MEM_LOAD_UOPS_RETIRED:L1_MISS","#,
             r#""period":100,"size_filter":1024,"allocation_stats":{"callbacks":10,"monitored":2,"#,
@@ -445,7 +363,6 @@ mod tests {
             r#""local":0,"remote":1,"loads":1,"stores":0,"allocs":0,"bytes":0}}]}]}]}"#,
         );
         assert_eq!(json, golden);
-        assert_eq!(JsonSink::new().format_name(), "json");
     }
 
     #[test]
@@ -471,8 +388,7 @@ mod tests {
         let mut log = Vec::new();
         sink.write_profile(&profile, &mut log).unwrap();
         assert_eq!(sink.read_log_bytes(&log).unwrap().to_text(), profile.to_text());
-        let text = TextSink.write_to_string(&profile);
-        let json = JsonSink::new().write_to_string(&profile);
+        let (text, json) = (profile.to_text(), profile.to_json());
         for input in [text.as_str(), json.as_str(), "  {}", "{"] {
             let err = sink.read_log_bytes(input.as_bytes()).unwrap_err();
             assert!(err.message.contains("render-only"), "{err}");

@@ -6,9 +6,9 @@
 //! records (hello, acknowledgements, queries, results, status) are frames of the
 //! same layout with their own kind bytes, so a fleet connection is one frame
 //! stream in both directions. Text and JSON are render targets only
-//! ([`TextSink`](crate::sink::TextSink) and [`JsonSink`](crate::sink::JsonSink)
-//! snapshots, [`QueryResult::to_json`](crate::query::QueryResult::to_json)); the
-//! profiler never parses either.
+//! ([`ObjectCentricProfile::to_text`], [`ObjectCentricProfile::to_json`],
+//! [`QueryResult::to_json`](crate::query::QueryResult::to_json)); the profiler
+//! never parses either.
 //!
 //! One frame parser serves every source, through thin drivers: the pull-driven
 //! [`BinaryFrameReader`] (files, sockets — anything [`BufRead`]), the
@@ -111,7 +111,7 @@
 //! | hello | protocol version varint (`3`); producer name string; event name string; period, size filter varints; then the producer's loss/backoff counters: spilled frames, dropped epochs, backoff milliseconds varints |
 //! | ack | epoch varint (the fold's last epoch); final flag (`1` only for the ack of the finish frame) |
 //! | error | message string |
-//! | query | group-by name string; rank-by name string; min samples varint; top flag, followed by the top varint when the flag is `1`; class count varint + class strings; site frames as a call path (frame count + method/BCI varint pairs); thread count varint + thread id varints |
+//! | query | group-by name string; rank-by name string; min samples varint; top flag, followed by the top varint when the flag is `1`; class count varint + class strings; site frames as a call path (frame count + method/BCI varint pairs); thread count varint + thread id varints. Each of the three filter lists holds at most [`MAX_QUERY_FILTER_LEN`] entries: a longer count is refused before the list is built |
 //! | status request | empty |
 //! | result | text rendering string; JSON rendering string |
 //! | status | producer count varint; per producer: name string; connected, finished, truncated flags; deltas, last epoch, samples, resumes, duplicates, frames received, bytes received, WAL bytes, spilled frames, dropped epochs, reconnect backoff ms varints |
@@ -119,9 +119,10 @@
 //! # Reading a profile back
 //!
 //! [`BinaryChunkedSink::read_log_bytes`] is the one function that turns bytes into
-//! a profile; [`EpochLog`](crate::query::EpochLog) wraps it as a query source.
-//! Input without the frame magic — a text or JSON render — is refused with an
-//! error saying those formats are render-only.
+//! a profile; the [`ObjectCentricProfile`] it returns is itself a
+//! [`ProfileSource`](crate::query::ProfileSource) for queries. Input without the
+//! frame magic — a text or JSON render — is refused with an error saying those
+//! formats are render-only.
 //!
 //! ```
 //! use djxperf::{BinaryChunkedSink, BinaryFrameReader, DeltaFold, LogRecord, ProfileSink};
@@ -196,6 +197,11 @@ const HEADER_LEN: usize = 10;
 /// header cannot make a reader allocate more than this; writers refuse to emit a
 /// frame readers would reject.
 pub(crate) const MAX_PAYLOAD_LEN: usize = 16 << 20;
+
+/// The most entries one wire query may carry in each filter list (class names,
+/// site frames, thread ids). Queries name a handful; the cap bounds what one
+/// query frame can make the aggregator build and scan on every evaluation.
+pub const MAX_QUERY_FILTER_LEN: usize = 4096;
 
 // ---------------------------------------------------------------------------------------
 // Checksum and varint primitives
@@ -321,6 +327,11 @@ impl<'a> PayloadReader<'a> {
 
     fn path(&mut self) -> Result<Vec<Frame>, ProfileParseError> {
         let frames = self.varint()? as usize;
+        self.frames(frames)
+    }
+
+    /// `frames` method/BCI varint pairs.
+    fn frames(&mut self, frames: usize) -> Result<Vec<Frame>, ProfileParseError> {
         let mut path = Vec::with_capacity(frames.min(64));
         for _ in 0..frames {
             let method = MethodId(self.varint_u32()?);
@@ -328,6 +339,18 @@ impl<'a> PayloadReader<'a> {
             path.push(Frame::new(method, bci));
         }
         Ok(path)
+    }
+
+    /// The length of one of a query's filter lists, refused past
+    /// [`MAX_QUERY_FILTER_LEN`] before the list is built.
+    fn filter_len(&mut self, list: &str) -> Result<usize, ProfileParseError> {
+        let len = self.varint()?;
+        if len > MAX_QUERY_FILTER_LEN as u64 {
+            return Err(self.error(format!(
+                "query carries {len} {list} filters, over the cap of {MAX_QUERY_FILTER_LEN}"
+            )));
+        }
+        Ok(len as usize)
     }
 
     fn metrics(&mut self) -> Result<MetricVector, ProfileParseError> {
@@ -702,11 +725,12 @@ fn decode_control_payload(kind: u8, payload: &[u8]) -> Result<Control, ProfilePa
                     usize::try_from(top).map_err(|_| r.error(format!("top {top} overflows")))?,
                 );
             }
-            for _ in 0..r.varint()? {
+            for _ in 0..r.filter_len("class-name")? {
                 query.classes.push(r.string()?);
             }
-            query.site_frames = r.path()?;
-            for _ in 0..r.varint()? {
+            let frames = r.filter_len("site-frame")?;
+            query.site_frames = r.frames(frames)?;
+            for _ in 0..r.filter_len("thread-id")? {
                 query.threads.push(ThreadId(r.varint()?));
             }
             Control::Query(query)
@@ -1065,8 +1089,8 @@ impl FrameTail {
 /// counters and a total-sample checksum. Wire it into a session with
 /// [`SessionBuilder::stream_to_binary`](crate::session::SessionBuilder::stream_to_binary).
 ///
-/// Unlike the render-only [`TextSink`](crate::sink::TextSink) /
-/// [`JsonSink`](crate::sink::JsonSink) documents, a binary log is a complete,
+/// Unlike the render-only [`ObjectCentricProfile::to_text`] /
+/// [`ObjectCentricProfile::to_json`] documents, a binary log is a complete,
 /// self-verifying serialization of the run, and the one format the profiler reads
 /// back:
 /// [`BinaryChunkedSink::read_log_bytes`] folds the delta frames in epoch order
@@ -1078,8 +1102,7 @@ impl FrameTail {
 ///
 /// Binary logs are not UTF-8: use byte-based outputs
 /// ([`SharedBuffer`](crate::export::SharedBuffer), files) and
-/// [`BinaryChunkedSink::read_log_bytes`] to read them. The `&str`-based
-/// [`ProfileSink::write_to_string`] cannot represent them and panics.
+/// [`BinaryChunkedSink::read_log_bytes`] to read them.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BinaryChunkedSink;
 
@@ -1089,12 +1112,40 @@ impl BinaryChunkedSink {
         Self
     }
 
+    /// Writes the profile as a degenerate one-delta binary epoch log: every thread
+    /// and the whole site table in one delta, then the finish frame.
+    ///
+    /// # Errors
+    ///
+    /// Propagates write errors from `out`.
+    pub fn write_profile(
+        &self,
+        profile: &ObjectCentricProfile,
+        out: &mut dyn Write,
+    ) -> io::Result<()> {
+        let delta = ProfileDelta {
+            epoch: 1,
+            threads: profile
+                .threads
+                .iter()
+                .enumerate()
+                .map(|(i, t)| ThreadDelta { seq: i as u64, profile: t.clone() })
+                .collect(),
+            site_base: 0,
+            sites: profile.sites.clone(),
+        };
+        if !delta.is_empty() {
+            write_delta_frame(1, &delta, out)?;
+        }
+        write_finish_frame(&FinishRecord::of_profile(profile), out)
+    }
+
     /// Replays a binary epoch log: folds the delta frames in order, applies the
     /// finish frame, and verifies the total-sample checksum. This is the one
     /// function that turns bytes into a profile.
     ///
     /// ```
-    /// use djxperf::{BinaryChunkedSink, ObjectCentricProfile, ProfileSink, TextSink};
+    /// use djxperf::{BinaryChunkedSink, ObjectCentricProfile};
     ///
     /// let profile = ObjectCentricProfile {
     ///     event: djx_pmu::PmuEvent::L1Miss,
@@ -1110,7 +1161,7 @@ impl BinaryChunkedSink {
     /// assert_eq!(sink.read_log_bytes(&log).unwrap().to_text(), profile.to_text());
     ///
     /// // A text render does not read back.
-    /// let text = TextSink.write_to_string(&profile);
+    /// let text = profile.to_text();
     /// let err = sink.read_log_bytes(text.as_bytes()).unwrap_err();
     /// assert!(err.message.contains("render-only"));
     /// ```
@@ -1165,36 +1216,12 @@ impl BinaryChunkedSink {
 }
 
 impl ProfileSink for BinaryChunkedSink {
-    fn format_name(&self) -> &'static str {
-        "binary"
-    }
-
-    /// Writes the profile as a degenerate one-delta binary epoch log: every thread
-    /// and the whole site table in one delta, then the finish frame.
-    fn write_profile(&self, profile: &ObjectCentricProfile, out: &mut dyn Write) -> io::Result<()> {
-        let delta = ProfileDelta {
-            epoch: 1,
-            threads: profile
-                .threads
-                .iter()
-                .enumerate()
-                .map(|(i, t)| ThreadDelta { seq: i as u64, profile: t.clone() })
-                .collect(),
-            site_base: 0,
-            sites: profile.sites.clone(),
-        };
-        if !delta.is_empty() {
-            write_delta_frame(1, &delta, out)?;
-        }
-        write_finish_frame(&FinishRecord::of_profile(profile), out)
-    }
-
     fn on_delta(&self, epoch: u64, delta: &ProfileDelta, out: &mut dyn Write) -> io::Result<()> {
         write_delta_frame(epoch, delta, out)
     }
 
-    fn on_finish(&self, profile: &ObjectCentricProfile, out: &mut dyn Write) -> io::Result<()> {
-        write_finish_frame(&FinishRecord::of_profile(profile), out)
+    fn on_finish(&self, record: &FinishRecord, out: &mut dyn Write) -> io::Result<()> {
+        write_finish_frame(record, out)
     }
 }
 
@@ -1283,7 +1310,7 @@ mod tests {
         for d in &deltas {
             sink.on_delta(d.epoch, d, &mut log).unwrap();
         }
-        sink.on_finish(&profile, &mut log).unwrap();
+        sink.on_finish(&FinishRecord::of_profile(&profile), &mut log).unwrap();
         (log, profile)
     }
 
@@ -1332,12 +1359,10 @@ mod tests {
         sink.write_profile(&profile, &mut doc).unwrap();
         let parsed = sink.read_log_bytes(&doc).unwrap();
         assert_eq!(parsed.to_text(), profile.to_text());
-        assert_eq!(sink.format_name(), "binary");
     }
 
     #[test]
     fn read_any_profile_bytes_detects_every_format() {
-        use crate::sink::{JsonSink, TextSink};
         let (bin_log, profile) = stream();
         let sink = BinaryChunkedSink::new();
         assert_eq!(sink.read_log_bytes(&bin_log).unwrap().to_text(), profile.to_text());
@@ -1346,8 +1371,7 @@ mod tests {
         assert_eq!(sink.read_log_bytes(&doc).unwrap().to_text(), profile.to_text());
         // Text and JSON are render-only: a render is recognized and refused, not
         // misread.
-        let text = TextSink.write_to_string(&profile);
-        let json = JsonSink::new().write_to_string(&profile);
+        let (text, json) = (profile.to_text(), profile.to_json());
         for input in [text.as_str(), json.as_str(), "  {}", "{"] {
             let err = sink.read_log_bytes(input.as_bytes()).unwrap_err();
             assert!(err.message.contains("render-only"), "{err}");

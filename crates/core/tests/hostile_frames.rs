@@ -5,15 +5,15 @@
 //! length prefix or count size an allocation, and name the byte offset of every
 //! defect it reports.
 //!
-//! The one profile reader (`BinaryChunkedSink::read_log_bytes`, and `EpochLog::replay`
-//! over it) gets arbitrary bytes and the render-only text and JSON documents: it
+//! The one profile reader (`BinaryChunkedSink::read_log_bytes`) gets arbitrary bytes and the render-only text and JSON documents: it
 //! must refuse all of them, naming text and JSON render-only. WAL recovery gets
 //! write-ahead logs with a valid header and a hostile body, and header lines of
 //! random bytes: it must never panic, and every error must name the file.
 //!
 //! Control frames are built by a small encoder written from the `djxperf::wire`
 //! module-doc tables; the log drivers decode them fully before refusing them, so
-//! every payload decoder is exercised.
+//! every payload decoder is exercised — including the cap on a query's filter
+//! lists.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -25,8 +25,8 @@ use djx_runtime::{Frame, MethodId, ThreadId};
 use djxperf::wire::FrameTail;
 use djxperf::{
     AllocSite, AllocSiteId, AllocationStats, BinaryChunkedSink, BinaryFrameReader, DeltaFold,
-    EpochLog, FleetAggregator, JsonSink, ObjectCentricProfile, ProfileDelta, ProfileSink,
-    ThreadDelta, ThreadProfile,
+    FinishRecord, FleetAggregator, ObjectCentricProfile, ProfileDelta, ProfileSink, ThreadDelta,
+    ThreadProfile,
 };
 
 // --------------------------------------------------------------------------------------
@@ -204,7 +204,7 @@ fn frames_of_every_kind() -> Vec<Vec<u8>> {
     let sink = BinaryChunkedSink::new();
     let (mut delta_frame, mut finish_frame) = (Vec::new(), Vec::new());
     sink.on_delta(1, &delta, &mut delta_frame).unwrap();
-    sink.on_finish(&terminal, &mut finish_frame).unwrap();
+    sink.on_finish(&FinishRecord::of_profile(&terminal), &mut finish_frame).unwrap();
     let mut frames = vec![delta_frame, finish_frame];
     frames.extend(control_frames());
     frames
@@ -293,6 +293,55 @@ fn a_length_prefix_at_the_cap_allocates_only_what_arrives() {
     }
 }
 
+/// A query frame whose class-name, site-frame and thread-id lists hold
+/// `classes`, `frames` and `threads` entries.
+fn query_frame(classes: usize, frames: usize, threads: usize) -> Vec<u8> {
+    let mut query = Vec::new();
+    put_string(&mut query, "object");
+    put_string(&mut query, "samples");
+    put_varint(&mut query, 0);
+    put_varint(&mut query, 0);
+    put_varint(&mut query, classes as u64);
+    for _ in 0..classes {
+        put_string(&mut query, "a");
+    }
+    put_varint(&mut query, frames as u64);
+    for i in 0..frames {
+        put_varint(&mut query, i as u64);
+        put_varint(&mut query, 1);
+    }
+    put_varint(&mut query, threads as u64);
+    for i in 0..threads {
+        put_varint(&mut query, i as u64);
+    }
+    frame(0x06, &query)
+}
+
+/// The error the log driver reports for `frame`: a query that decodes is refused
+/// by kind, one over a filter cap by the cap.
+fn query_error(frame: &[u8]) -> String {
+    BinaryFrameReader::new(frame).next_record().unwrap_err().message
+}
+
+#[test]
+fn a_query_claiming_a_million_class_names_is_refused() {
+    let err = query_error(&query_frame(1_000_000, 0, 0));
+    let cap = djxperf::wire::MAX_QUERY_FILTER_LEN;
+    assert!(err.contains(&format!("1000000 class-name filters, over the cap of {cap}")), "{err}");
+    assert!(names_byte_offset(&err), "{err}");
+    for (frames, threads, list) in [(cap + 1, 0, "site-frame"), (0, cap + 1, "thread-id")] {
+        let err = query_error(&query_frame(0, frames, threads));
+        assert!(err.contains(&format!("{} {list} filters", cap + 1)), "{err}");
+    }
+}
+
+#[test]
+fn a_query_at_the_filter_cap_still_decodes() {
+    let cap = djxperf::wire::MAX_QUERY_FILTER_LEN;
+    let err = query_error(&query_frame(cap, cap, cap));
+    assert!(err.contains("control frame has no place in an epoch log"), "{err}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -351,16 +400,12 @@ proptest! {
 // The one profile reader
 // --------------------------------------------------------------------------------------
 
-/// Feeds `bytes` to both entry points of the profile reader; both must refuse it.
-/// Returns the reader's error message.
+/// Feeds `bytes` to the profile reader, which must refuse it. Returns the reader's
+/// error message.
 fn check_refused(bytes: &[u8]) -> Result<String, TestCaseError> {
-    let direct = BinaryChunkedSink::new().read_log_bytes(bytes);
-    let replayed = EpochLog::replay(bytes);
-    prop_assert!(direct.is_err(), "read_log_bytes accepted {} hostile bytes", bytes.len());
-    prop_assert!(replayed.is_err(), "EpochLog::replay accepted {} hostile bytes", bytes.len());
-    let message = direct.err().map(|e| e.message).unwrap_or_default();
-    prop_assert_eq!(replayed.err().map(|e| e.message), Some(message.clone()));
-    Ok(message)
+    let read = BinaryChunkedSink::new().read_log_bytes(bytes);
+    prop_assert!(read.is_err(), "read_log_bytes accepted {} hostile bytes", bytes.len());
+    Ok(read.err().map(|e| e.message).unwrap_or_default())
 }
 
 /// Arbitrary names, with control characters, whitespace and replacement
@@ -420,7 +465,7 @@ proptest! {
         let profile = render_profile(&names, samples, event);
         for (format, render) in [
             ("text", profile.to_text()),
-            ("JSON", JsonSink::new().write_to_string(&profile)),
+            ("JSON", profile.to_json()),
         ] {
             let message = check_refused(render.as_bytes())?;
             prop_assert!(

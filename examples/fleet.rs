@@ -29,8 +29,8 @@ use djx_runtime::{
     ThreadId,
 };
 use djxperf::{
-    DrainPolicy, EpochLog, FleetAggregator, FleetClient, FleetSink, GroupBy, MultiSource, Query,
-    RankBy, Session, SharedBuffer,
+    BinaryChunkedSink, DrainPolicy, FleetAggregator, FleetClient, FleetSink, GroupBy, MultiSource,
+    Query, RankBy, Session, SharedBuffer,
 };
 
 const PRODUCERS: u64 = 3;
@@ -182,7 +182,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The single-process baseline: fold the three local logs.
     let mut replayed = Vec::new();
     for buffer in &buffers {
-        replayed.push(EpochLog::replay(&buffer.contents())?);
+        replayed.push(BinaryChunkedSink::new().read_log_bytes(&buffer.contents())?);
     }
     let mut fold = MultiSource::new();
     for log in &replayed {

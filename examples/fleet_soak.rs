@@ -39,8 +39,8 @@ use djx_runtime::{
     ThreadId,
 };
 use djxperf::{
-    BackoffPolicy, DrainPolicy, EpochLog, FaultPlan, FleetAggregator, FleetClient, FleetSink,
-    FsyncPolicy, GroupBy, MultiSource, Query, RankBy, Session, SharedBuffer,
+    BackoffPolicy, BinaryChunkedSink, DrainPolicy, FaultPlan, FleetAggregator, FleetClient,
+    FleetSink, FsyncPolicy, GroupBy, MultiSource, Query, RankBy, Session, SharedBuffer,
 };
 
 const PRODUCERS: u64 = 3;
@@ -340,7 +340,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The uninterrupted single-process baseline: fold the three pristine logs.
     let mut replayed = Vec::new();
     for buffer in &buffers {
-        replayed.push(EpochLog::replay(&buffer.contents())?);
+        replayed.push(BinaryChunkedSink::new().read_log_bytes(&buffer.contents())?);
     }
     let mut fold = MultiSource::new();
     for log in &replayed {

@@ -14,7 +14,7 @@
 //! 1. the **live aggregator session** (first mid-run, racing ingestion, then after
 //!    the run quiesced),
 //! 2. the aggregator's **terminal snapshot** (an owned `ObjectCentricProfile`),
-//! 3. the aggregator's **replayed epoch log** (`EpochLog::replay`), and
+//! 3. the aggregator's **replayed epoch log** (`BinaryChunkedSink::read_log_bytes`), and
 //! 4. a **`MultiSource` fold of the two per-process logs** — N machines, N logs, one
 //!    answer.
 //!
@@ -30,7 +30,9 @@ use djx_runtime::{
     AllocationEvent, ClassId, Frame, MemoryAccessEvent, MethodId, ObjectId, RuntimeListener,
     ThreadId,
 };
-use djxperf::{DrainPolicy, EpochLog, GroupBy, MultiSource, Query, RankBy, Session, SharedBuffer};
+use djxperf::{
+    BinaryChunkedSink, DrainPolicy, GroupBy, MultiSource, Query, RankBy, Session, SharedBuffer,
+};
 
 /// One simulated process: a thread hammering a few monitored arrays.
 struct Process {
@@ -160,11 +162,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let snapshot = aggregator.object_profile().expect("object collector registered");
     let from_snapshot = query.evaluate(&snapshot)?;
     // Source 3: the aggregator's epoch log, replayed (DeltaFold under the hood).
-    let replayed = EpochLog::replay(&log_all.contents())?;
+    let replayed = BinaryChunkedSink::new().read_log_bytes(&log_all.contents())?;
     let from_log = query.evaluate(&replayed)?;
     // Source 4: the cross-machine path — fold the two per-process logs.
-    let replay_a = EpochLog::replay(&log_a.contents())?;
-    let replay_b = EpochLog::replay(&log_b.contents())?;
+    let replay_a = BinaryChunkedSink::new().read_log_bytes(&log_a.contents())?;
+    let replay_b = BinaryChunkedSink::new().read_log_bytes(&log_b.contents())?;
     let fold = MultiSource::new().with(&replay_a).with(&replay_b);
     let from_fold = query.evaluate(&fold)?;
 

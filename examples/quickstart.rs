@@ -17,7 +17,7 @@
 //! (see `examples/query.rs` for that walkthrough).
 
 use djx_runtime::{dsl, Runtime, RuntimeConfig};
-use djxperf::{GroupBy, JsonSink, Query, RankBy, Report, Session};
+use djxperf::{GroupBy, Query, RankBy, Report, Session};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. A simulated managed runtime (the JVM stand-in) with a session attached at
@@ -80,8 +80,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 5. ... and machine-readable exports: the raw profile for offline merging, and
     //    the query result itself for dashboards.
-    let mut json = Vec::new();
-    session.stream_snapshot(&JsonSink::new(), &mut json)?;
+    let json = session.object_profile().expect("object collector registered").to_json();
     println!(
         "JSON snapshot: {} bytes (a write-only render; only a binary epoch log reads \
          back, through read_log_bytes); query result JSON: {} bytes",

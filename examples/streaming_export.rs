@@ -23,9 +23,7 @@
 use std::time::Duration;
 
 use djx_runtime::{dsl, Runtime, RuntimeConfig};
-use djxperf::{
-    BinaryChunkedSink, CodeCentricProfile, DrainPolicy, JsonSink, NumaProfile, ProfileSink,
-};
+use djxperf::{BinaryChunkedSink, CodeCentricProfile, DrainPolicy, NumaProfile};
 use djxperf::{Query, Session, SharedBuffer};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -114,7 +112,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    renders as a text profile for humans and a JSON document for dashboards,
     //    and neither reads back. The epoch log is the one format that does.
     let text_doc = terminal.to_text();
-    let json_doc = JsonSink::new().write_to_string(&terminal);
+    let json_doc = terminal.to_json();
     for (name, render) in [("text", &text_doc), ("JSON", &json_doc)] {
         let err = BinaryChunkedSink::new()
             .read_log_bytes(render.as_bytes())

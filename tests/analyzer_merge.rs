@@ -5,7 +5,7 @@
 use djx_workloads::runner::run_profiled;
 use djx_workloads::suite::suite_catalog;
 use djx_workloads::Variant;
-use djxperf::{BinaryChunkedSink, ObjectCentricProfile, ProfileSink, ProfilerConfig, Query};
+use djxperf::{BinaryChunkedSink, ObjectCentricProfile, ProfilerConfig, Query};
 
 fn multi_threaded_run() -> djx_workloads::runner::ProfiledRun {
     let mut workload = suite_catalog().iter().find(|b| b.name == "fj-kmeans").unwrap().build();

@@ -4,10 +4,7 @@
 use djx_workloads::bloat::BatikNvalsWorkload;
 use djx_workloads::runner::run_profiled;
 use djx_workloads::Variant;
-use djxperf::{
-    BinaryChunkedSink, EpochLog, ObjectCentricProfile, ProfileSink, ProfilerConfig, Query, Report,
-    Session,
-};
+use djxperf::{BinaryChunkedSink, ObjectCentricProfile, ProfilerConfig, Query, Report, Session};
 
 fn profiled_run() -> djx_workloads::runner::ProfiledRun {
     run_profiled(
@@ -89,7 +86,7 @@ fn profile_file_round_trip_preserves_the_analysis() {
         assert_eq!(a.metrics, b.metrics);
     }
     // And the offline workflow replays the file into a queryable profile.
-    let report_c = analyze(&EpochLog::replay(&file).unwrap().into_profile());
+    let report_c = analyze(&BinaryChunkedSink::new().read_log_bytes(&file).unwrap());
     assert_eq!(report_c.total_samples, report_a.total_samples);
 }
 

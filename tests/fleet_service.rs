@@ -21,9 +21,10 @@ use djx_runtime::{
     AllocationEvent, ClassId, Frame, MemoryAccessEvent, MethodId, ObjectId, RuntimeListener,
     ThreadId,
 };
+use djxperf::wire::MAX_QUERY_FILTER_LEN;
 use djxperf::{
     AllocSite, AllocSiteId, AllocationStats, BackoffPolicy, BinaryChunkedSink, CodeCentricProfile,
-    DeltaFold, DrainPolicy, EpochLog, FaultPlan, FleetAggregator, FleetClient, FleetSink,
+    DeltaFold, DrainPolicy, FaultPlan, FinishRecord, FleetAggregator, FleetClient, FleetSink,
     FsyncPolicy, GroupBy, MultiSource, NumaProfile, ObjectCentricProfile, OverflowPolicy,
     ProfileDelta, ProfileSink, Query, RankBy, Session, SharedBuffer, ThreadDelta, ThreadProfile,
 };
@@ -181,9 +182,9 @@ fn fleet_query_is_byte_identical_to_multisource_fold() {
     }
 
     // The single-process baseline: a MultiSource fold over the replayed logs.
-    let replayed: Vec<EpochLog> = buffers
+    let replayed: Vec<ObjectCentricProfile> = buffers
         .iter()
-        .map(|b| EpochLog::replay(&b.contents()).expect("log replays"))
+        .map(|b| BinaryChunkedSink::new().read_log_bytes(&b.contents()).expect("log replays"))
         .collect();
     let mut fold = MultiSource::new();
     for log in &replayed {
@@ -608,7 +609,7 @@ fn aggregator_rejects_checksum_mismatch_and_orphan_frames() {
     let empty = Session::builder().period(PERIOD).collect_objects().build();
     let mut finish = Vec::new();
     BinaryChunkedSink::new()
-        .on_finish(&empty.object_profile().unwrap(), &mut finish)
+        .on_finish(&FinishRecord::of_profile(&empty.object_profile().unwrap()), &mut finish)
         .expect("finish serializes");
     error_message(probe.round_trip(&finish));
     probe.assert_closed();
@@ -830,9 +831,9 @@ fn aggregator_kill_restart_with_wal_recovery_is_byte_identical() {
     }
 
     // Byte identity against the uninterrupted single-process baseline.
-    let replayed: Vec<EpochLog> = buffers
+    let replayed: Vec<ObjectCentricProfile> = buffers
         .iter()
-        .map(|b| EpochLog::replay(&b.contents()).expect("log replays"))
+        .map(|b| BinaryChunkedSink::new().read_log_bytes(&b.contents()).expect("log replays"))
         .collect();
     let mut fold = MultiSource::new();
     for log in &replayed {
@@ -959,7 +960,7 @@ fn live_thread_labels_keep_the_first_seen_name() {
         threads: vec![thread],
         allocation_stats: AllocationStats::default(),
     };
-    sink.on_finish(&terminal, &mut out).expect("finish");
+    sink.on_finish(&FinishRecord::of_profile(&terminal), &mut out).expect("finish");
 
     let live = watch.current().result;
     assert_eq!(live.groups.len(), 1);
@@ -1065,7 +1066,8 @@ fn lossy_overflow_policy_drops_oldest_and_flags_truncation() {
     let restarted = rebind(|| FleetAggregator::bind(&addr));
     let declared = fold.total_samples();
     let profile = fold.assemble(PmuEvent::DEFAULT, PERIOD, SIZE_FILTER, AllocationStats::default());
-    sink.on_finish(&profile, &mut out).expect("the lossy finish is accepted");
+    sink.on_finish(&FinishRecord::of_profile(&profile), &mut out)
+        .expect("the lossy finish is accepted");
 
     let status = restarted.status();
     let row = status.iter().find(|s| s.producer == "lossy").expect("producer known");
@@ -1156,7 +1158,8 @@ fn sink_fault_plan_heals_losslessly() {
     }
     let declared = fold.total_samples();
     let profile = fold.assemble(PmuEvent::DEFAULT, PERIOD, SIZE_FILTER, AllocationStats::default());
-    sink.on_finish(&profile, &mut out).expect("the finish lands after the faults");
+    sink.on_finish(&FinishRecord::of_profile(&profile), &mut out)
+        .expect("the finish lands after the faults");
 
     let stats = sink.stats();
     assert!(stats.connects >= 2, "the dropped connection forced a reconnect: {stats:?}");
@@ -1452,7 +1455,9 @@ fn finish_frame(period: u64, total_samples: u64) -> Vec<u8> {
         allocation_stats: AllocationStats::default(),
     };
     let mut bytes = Vec::new();
-    BinaryChunkedSink::new().on_finish(&profile, &mut bytes).expect("encodes");
+    BinaryChunkedSink::new()
+        .on_finish(&FinishRecord::of_profile(&profile), &mut bytes)
+        .expect("encodes");
     bytes
 }
 
@@ -1551,8 +1556,10 @@ fn fleet_queries_evaluate_the_folds_like_the_view() {
 
 /// A query naming a million thread ids costs one scan of the id list per thread
 /// in the folds, not one per row: on a fold the size of the `miss-dense`
-/// benchmark's profile it evaluates in well under 50 ms, and while such queries
-/// arrive over the wire, another producer's frames keep being acknowledged.
+/// benchmark's profile it evaluates in well under 50 ms. The wire refuses such a
+/// query at decode (a filter list holds at most `MAX_QUERY_FILTER_LEN` entries),
+/// and while queries at that cap arrive over the wire, another producer's frames
+/// keep being acknowledged.
 #[test]
 fn a_million_thread_filter_stays_cheap_under_the_state_lock() {
     let aggregator = FleetAggregator::bind("127.0.0.1:0").expect("aggregator binds");
@@ -1583,15 +1590,24 @@ fn a_million_thread_filter_stays_cheap_under_the_state_lock() {
     assert_eq!(result.groups.len(), 20);
     assert_eq!(result.to_text(), hostile.evaluate(&view).expect("cold").to_text());
 
-    // The producer starts streaming once the first hostile query is on its way,
+    let mut client = FleetClient::connect(&addr).expect("client connects");
+    let err = client.query(&hostile).expect_err("the wire refuses a 1M-id thread filter");
+    let refusal = format!("1000004 thread-id filters, over the cap of {MAX_QUERY_FILTER_LEN}");
+    assert!(err.to_string().contains(&refusal), "{err}");
+
+    // The producer starts streaming once the first capped query is on its way,
     // and keeps streaming until the last one is answered.
+    let capped = (0..MAX_QUERY_FILTER_LEN as u64 - 4)
+        .map(|i| ThreadId(1_000 + i))
+        .chain((1..5).map(ThreadId))
+        .fold(Query::new().top(20), Query::filter_thread);
     let started = std::sync::Barrier::new(2);
     std::thread::scope(|scope| {
         let querier = scope.spawn(|| {
             let mut client = FleetClient::connect(&addr).expect("client connects");
             started.wait();
             for _ in 0..3 {
-                let remote = client.query(&hostile).expect("the hostile query answers");
+                let remote = client.query(&capped).expect("the capped query answers");
                 assert!(remote.text.starts_with("== djxperf query"), "{}", remote.text);
             }
         });

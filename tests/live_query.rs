@@ -14,7 +14,7 @@ use djx_runtime::{
 };
 use djxperf::query::live::LiveFold;
 use djxperf::query::{GroupBy, Query, RankBy};
-use djxperf::{BinaryChunkedSink, DrainPolicy, JsonSink, ProfileSink, Session, SharedBuffer};
+use djxperf::{BinaryChunkedSink, DrainPolicy, Session, SharedBuffer};
 
 const THREADS: u64 = 4;
 const OBJECTS_PER_THREAD: u64 = 24;
@@ -330,7 +330,7 @@ fn a_fold_fed_binary_log_bytes_matches_the_json_replay() {
     }
     session.finish_export().expect("finish");
     let terminal = session.object_profile().expect("object collector registered");
-    let json = JsonSink::new().write_to_string(&terminal);
+    let json = terminal.to_json();
     let err = BinaryChunkedSink::new()
         .read_log_bytes(json.as_bytes())
         .expect_err("JSON is render-only");

@@ -18,8 +18,8 @@ use djx_runtime::{
     ThreadId,
 };
 use djxperf::{
-    BinaryChunkedSink, BinaryFrameReader, DrainPolicy, EpochLog, GroupBy, JsonSink, LogRecord,
-    MultiSource, ProfileSink, Query, RankBy, Session, SharedBuffer,
+    BinaryChunkedSink, BinaryFrameReader, DrainPolicy, GroupBy, LogRecord, MultiSource,
+    ObjectCentricProfile, Query, RankBy, Session, SharedBuffer,
 };
 
 const PROCESSES: u64 = 3;
@@ -136,8 +136,10 @@ fn run_union_and_per_process_logs() -> (Arc<Session>, Vec<Vec<u8>>) {
 #[test]
 fn multi_log_fold_is_byte_identical_to_the_union_session() {
     let (union, logs) = run_union_and_per_process_logs();
-    let replayed: Vec<EpochLog> =
-        logs.iter().map(|log| EpochLog::replay(log).expect("log replays")).collect();
+    let replayed: Vec<ObjectCentricProfile> = logs
+        .iter()
+        .map(|log| BinaryChunkedSink::new().read_log_bytes(log).expect("log replays"))
+        .collect();
     let mut fold = MultiSource::new();
     for log in &replayed {
         fold.push(log);
@@ -183,7 +185,10 @@ fn every_source_shape_answers_one_query_identically() {
     let snapshot = union.object_profile().unwrap();
     let from_snapshot = query.evaluate(&snapshot).unwrap();
     let from_slice = query.evaluate(std::slice::from_ref(&snapshot)).unwrap();
-    let replayed: Vec<EpochLog> = logs.iter().map(|l| EpochLog::replay(l).unwrap()).collect();
+    let replayed: Vec<ObjectCentricProfile> = logs
+        .iter()
+        .map(|l| BinaryChunkedSink::new().read_log_bytes(l).unwrap())
+        .collect();
     let mut fold = MultiSource::new();
     for log in &replayed {
         fold.push(log);
@@ -202,57 +207,6 @@ fn every_source_shape_answers_one_query_identically() {
     assert_eq!(union.query(&query).unwrap().to_text(), live.to_text());
 }
 
-/// A FIFO blocks its reader until a writer shows up: while one thread's
-/// `EpochLog::open` sits in that read, an open of a regular log on another thread must
-/// still return — no process-wide state is held across file reads.
-#[cfg(unix)]
-#[test]
-fn a_blocked_log_read_does_not_stall_other_epoch_log_opens() {
-    use std::io::Write as _;
-    use std::sync::mpsc;
-
-    let dir = std::env::temp_dir();
-    let fifo = dir.join(format!("djxperf-epochlog-fifo-{}", std::process::id()));
-    let regular = dir.join(format!("djxperf-epochlog-regular-{}.log", std::process::id()));
-    let _ = std::fs::remove_file(&fifo);
-    assert!(std::process::Command::new("mkfifo").arg(&fifo).status().unwrap().success());
-    let empty = Session::builder().collect_objects().build().object_profile().unwrap();
-    let mut empty_log = Vec::new();
-    BinaryChunkedSink::new().write_profile(&empty, &mut empty_log).unwrap();
-    std::fs::write(&regular, empty_log).unwrap();
-
-    let blocked = {
-        let fifo = fifo.clone();
-        std::thread::spawn(move || EpochLog::open(&fifo).is_err())
-    };
-    // The FIFO reader blocks inside a system call, which no barrier can signal from;
-    // give it time to get there.
-    std::thread::sleep(Duration::from_millis(200));
-    let (tx, rx) = mpsc::channel();
-    let other = {
-        let regular = regular.clone();
-        std::thread::spawn(move || {
-            let _ = tx.send(EpochLog::open(&regular).map(|log| log.profile().to_text()));
-        })
-    };
-    let opened = rx.recv_timeout(Duration::from_secs(2));
-
-    // Unblock the FIFO reader: it reads garbage and fails to parse.
-    std::fs::File::options()
-        .write(true)
-        .open(&fifo)
-        .unwrap()
-        .write_all(b"garbage")
-        .unwrap();
-    assert!(blocked.join().unwrap(), "garbage from the FIFO does not parse");
-    other.join().unwrap();
-    std::fs::remove_file(&fifo).unwrap();
-    std::fs::remove_file(&regular).unwrap();
-
-    let opened = opened.expect("the regular log opened while the FIFO read was blocked");
-    assert_eq!(opened.unwrap(), empty.to_text());
-}
-
 #[test]
 fn truncated_or_reordered_logs_cannot_masquerade_as_sources() {
     let (_union, logs) = run_union_and_per_process_logs();
@@ -267,13 +221,15 @@ fn truncated_or_reordered_logs_cannot_masquerade_as_sources() {
         finish_at = reader.byte_offset() as usize;
     }
     assert!(finish_at > 0, "the log carries delta frames before its finish");
-    assert!(EpochLog::replay(&log[..finish_at]).is_err(), "truncated stream rejected");
-    assert!(EpochLog::replay(b"not a log").is_err());
+    assert!(
+        BinaryChunkedSink::new().read_log_bytes(&log[..finish_at]).is_err(),
+        "truncated stream rejected"
+    );
+    assert!(BinaryChunkedSink::new().read_log_bytes(b"not a log").is_err());
     // Text and JSON are render-only: neither replays.
-    let profile = EpochLog::replay(log).unwrap().into_profile();
-    let json = JsonSink::new().write_to_string(&profile);
-    for (name, render) in [("text", profile.to_text()), ("JSON", json)] {
-        let err = EpochLog::replay(render.as_bytes()).expect_err(name);
+    let profile = BinaryChunkedSink::new().read_log_bytes(log).unwrap();
+    for (name, render) in [("text", profile.to_text()), ("JSON", profile.to_json())] {
+        let err = BinaryChunkedSink::new().read_log_bytes(render.as_bytes()).expect_err(name);
         assert!(err.message.contains("render-only"), "{name}: {err}");
     }
 }

@@ -1,18 +1,15 @@
 //! The unified session pipeline, end to end: one pass over a workload yields the
 //! object-centric report, the code-centric report and the NUMA report; the
 //! object-centric results are identical to an objects-only session on the same seeded
-//! runtime; the binary `ProfileSink` round-trips the profiles of the workload suite,
-//! and the render-only text and JSON sinks write their canonical renderings.
+//! runtime; the binary epoch log round-trips the profiles of the workload suite, and
+//! the render-only text and JSON documents render them canonically.
 
 use djx_workloads::figure1::{expected_object_percent, Figure1Workload};
 use djx_workloads::numa::EclipseCollectionsWorkload;
 use djx_workloads::runner::run_profiled;
 use djx_workloads::{table1_case_studies, Variant};
 use djxperf::report::describe_frame;
-use djxperf::{
-    BinaryChunkedSink, GroupKey, JsonSink, ProfileSink, ProfilerConfig, Query, RankBy, Report,
-    TextSink,
-};
+use djxperf::{BinaryChunkedSink, GroupKey, ProfilerConfig, Query, RankBy, Report};
 
 fn config() -> ProfilerConfig {
     ProfilerConfig::default().with_period(64)
@@ -104,8 +101,6 @@ fn text_and_json_sinks_round_trip_the_workload_suite() {
             ProfilerConfig::default().with_period(512),
         );
         let canonical = run.profile.to_text();
-        // Text is render-only: the sink writes the canonical rendering.
-        assert_eq!(TextSink.write_to_string(&run.profile), canonical, "{}", case.name);
         let sink = BinaryChunkedSink::new();
         let mut written = Vec::new();
         sink.write_profile(&run.profile, &mut written).expect("writing to a Vec");
@@ -116,8 +111,8 @@ fn text_and_json_sinks_round_trip_the_workload_suite() {
         // JSON is write-only: it renders the round-tripped profile exactly as it
         // renders the original.
         assert_eq!(
-            JsonSink::new().write_to_string(&parsed),
-            JsonSink::new().write_to_string(&run.profile),
+            parsed.to_json(),
+            run.profile.to_json(),
             "{}: JSON rendering after the binary round trip",
             case.name
         );
@@ -130,19 +125,15 @@ fn session_streams_snapshots_through_sinks_after_the_run() {
         &EclipseCollectionsWorkload::new(Variant::Baseline),
         ProfilerConfig::default().with_period(128),
     );
+    let after = session.session.object_profile().expect("object collector registered");
+    let sink = BinaryChunkedSink::new();
     let mut out = Vec::new();
-    session
-        .session
-        .stream_snapshot(&BinaryChunkedSink::new(), &mut out)
-        .expect("streaming succeeds");
-    let parsed = BinaryChunkedSink::new().read_log_bytes(&out).unwrap();
+    sink.write_profile(&after, &mut out).expect("writing to a Vec");
+    let parsed = sink.read_log_bytes(&out).unwrap();
     assert_eq!(parsed.to_text(), session.profile.to_text());
-    // Text and JSON stream the profile's render-only documents.
-    for sink in [&TextSink as &dyn ProfileSink, &JsonSink::new()] {
-        let mut out = Vec::new();
-        session.session.stream_snapshot(sink, &mut out).expect("streaming succeeds");
-        assert_eq!(String::from_utf8(out).unwrap(), sink.write_to_string(&session.profile));
-    }
+    // A read after the run renders the same render-only documents.
+    assert_eq!(after.to_text(), session.profile.to_text());
+    assert_eq!(after.to_json(), session.profile.to_json());
 }
 
 #[test]

@@ -9,6 +9,7 @@
 //! across user-driven snapshots that retire epochs mid-stream.
 
 use std::io;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -18,8 +19,8 @@ use djx_runtime::{
     ThreadId,
 };
 use djxperf::{
-    BinaryChunkedSink, DrainPolicy, EpochLog, JsonSink, ObjectCentricProfile, ProfileDelta,
-    ProfileSink, Session, SharedBuffer, TextSink,
+    BinaryChunkedSink, DrainPolicy, FinishRecord, ObjectCentricProfile, ProfileDelta, ProfileSink,
+    Session, SharedBuffer,
 };
 
 const THREADS: u64 = 4;
@@ -155,12 +156,6 @@ fn streamed_deltas_fold_byte_identically_under_concurrent_ingestion() {
     let terminal = session.object_profile().expect("object collector registered");
     assert_eq!(terminal.total_samples(), session.total_samples());
     assert_log_replays_terminal(&buffer, &terminal);
-
-    // The offline analyzer's query source replays the epoch log transparently.
-    assert_eq!(
-        EpochLog::replay(&buffer.contents()).unwrap().profile().to_text(),
-        terminal.to_text()
-    );
 }
 
 #[test]
@@ -316,51 +311,75 @@ fn session_without_export_reports_unsupported() {
 
 #[test]
 fn sink_without_delta_support_surfaces_at_finish() {
-    /// A sink that only implements the whole-document half of the trait.
-    struct DocumentOnlySink;
-    impl ProfileSink for DocumentOnlySink {
-        fn format_name(&self) -> &'static str {
-            "document-only"
-        }
-        fn write_profile(
+    /// A sink that refuses every delta with an error of a fixed kind.
+    struct RefusingSink;
+    impl ProfileSink for RefusingSink {
+        fn on_delta(
             &self,
-            profile: &ObjectCentricProfile,
-            out: &mut dyn io::Write,
+            _epoch: u64,
+            _delta: &ProfileDelta,
+            _out: &mut dyn io::Write,
         ) -> io::Result<()> {
-            out.write_all(profile.to_text().as_bytes())
+            Err(io::Error::new(io::ErrorKind::Unsupported, "this sink refuses deltas"))
+        }
+        fn on_finish(&self, _record: &FinishRecord, _out: &mut dyn io::Write) -> io::Result<()> {
+            Ok(())
         }
     }
 
-    // The render-only text and JSON sinks are document-only too.
-    for sink in [
-        Arc::new(DocumentOnlySink) as Arc<dyn ProfileSink>,
-        Arc::new(TextSink),
-        Arc::new(JsonSink::new()),
-    ] {
-        let logs = build_logs(1, 2_000);
+    let logs = build_logs(1, 2_000);
+    let buffer = SharedBuffer::new();
+    let session = Session::builder()
+        .period(PERIOD)
+        .stream_to(Arc::new(RefusingSink), Box::new(buffer.clone()), DrainPolicy::new())
+        .build();
+    replay_allocs(&session, &logs[0]);
+    replay_accesses(&session, &logs[0]);
+    session.flush_export();
+    let err = session.finish_export().expect_err("the refused delta surfaces at finish");
+    assert_eq!(err.kind(), io::ErrorKind::Unsupported, "the sink's error kind survives finish");
+    assert!(err.to_string().contains("refuses deltas"), "unexpected error: {err}");
+    // Replayed finishes keep the kind too (the first error is cached as
+    // kind+message).
+    let replayed = session.finish_export().unwrap_err();
+    assert_eq!(replayed.kind(), io::ErrorKind::Unsupported);
+    assert!(replayed.to_string().contains("refuses deltas"), "{replayed}");
+}
+
+#[test]
+fn a_finish_racing_sampling_checksums_exactly_the_streamed_deltas() {
+    // The finish record's sample total must count the retired buffer — every delta
+    // on the wire — and not the samples the workers keep adding to their open
+    // slots while the stream closes. Each round finishes a stream 20 ms into
+    // sampling, with both workers still replaying.
+    let logs = build_logs(2, 4_000);
+    for round in 0..4 {
         let buffer = SharedBuffer::new();
-        let name = sink.format_name();
-        let session = Session::builder()
-            .period(PERIOD)
-            .stream_to(sink, Box::new(buffer.clone()), DrainPolicy::new())
-            .build();
-        replay_allocs(&session, &logs[0]);
-        replay_accesses(&session, &logs[0]);
-        session.flush_export();
-        let err = session.finish_export().expect_err("the default on_delta rejects streaming");
-        assert_eq!(
-            err.kind(),
-            io::ErrorKind::Unsupported,
-            "{name}: the sink's error kind survives finish"
-        );
-        assert!(
-            err.to_string().contains("does not support delta streaming"),
-            "{name}: unexpected error: {err}"
-        );
-        // Replayed finishes keep the kind too (the first error is cached as
-        // kind+message).
-        let replayed = session.finish_export().unwrap_err();
-        assert_eq!(replayed.kind(), io::ErrorKind::Unsupported, "{name}");
+        let session = streaming_session(DrainPolicy::new().tick(Duration::from_millis(1)), &buffer);
+        for log in &logs {
+            replay_allocs(&session, log);
+        }
+        let stop = AtomicBool::new(false);
+        let stats = std::thread::scope(|scope| {
+            for log in &logs {
+                let (session, stop) = (&session, &stop);
+                scope.spawn(move || {
+                    while !stop.load(Ordering::Relaxed) {
+                        replay_accesses(session, log);
+                    }
+                });
+            }
+            std::thread::sleep(Duration::from_millis(20));
+            let stats = session.finish_export();
+            stop.store(true, Ordering::Relaxed);
+            stats.expect("the stream finishes while the workers sample")
+        });
+        let replayed = BinaryChunkedSink::new()
+            .read_log_bytes(&buffer.contents())
+            .unwrap_or_else(|e| panic!("round {round}: the log fails its checksum: {e}"));
+        assert_eq!(stats.samples_streamed, replayed.total_samples(), "round {round}");
+        assert!(stats.samples_streamed > 0, "round {round}");
+        assert!(session.total_samples() >= stats.samples_streamed, "round {round}");
     }
 }
 
@@ -371,16 +390,6 @@ fn panicking_sink_surfaces_at_finish_instead_of_hanging() {
     // surface as finish_export's error — not as a session that hangs on drop.
     struct PanickingSink;
     impl ProfileSink for PanickingSink {
-        fn format_name(&self) -> &'static str {
-            "panicking"
-        }
-        fn write_profile(
-            &self,
-            profile: &ObjectCentricProfile,
-            out: &mut dyn io::Write,
-        ) -> io::Result<()> {
-            out.write_all(profile.to_text().as_bytes())
-        }
         fn on_delta(
             &self,
             _epoch: u64,
@@ -388,6 +397,9 @@ fn panicking_sink_surfaces_at_finish_instead_of_hanging() {
             _out: &mut dyn io::Write,
         ) -> io::Result<()> {
             panic!("sink exploded mid-stream");
+        }
+        fn on_finish(&self, _record: &FinishRecord, _out: &mut dyn io::Write) -> io::Result<()> {
+            Ok(())
         }
     }
 
