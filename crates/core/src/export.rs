@@ -85,7 +85,7 @@ use parking_lot::Mutex;
 use crate::agent::AllocationAgent;
 use crate::profile::ProfileDelta;
 use crate::session::{ObjectCentricCollector, ProfilerConfig};
-use crate::sink::{FinishRecord, ProfileSink};
+use crate::sink::{FinishRecord, LogRecord, ProfileSink};
 use crate::sync::{Epoch, SpinLock};
 
 /// What a producer does when the hand-off queue is full. See the
@@ -236,14 +236,6 @@ pub(crate) trait DeltaTap: Send + Sync {
     fn on_finish(&self, record: &FinishRecord);
 }
 
-/// One queued hand-off item.
-enum ExportItem {
-    /// A retired epoch delta.
-    Delta(ProfileDelta),
-    /// The stream's terminal record; always the last item of a stream.
-    Finish(FinishRecord),
-}
-
 /// State shared between producers (snapshot threads, the session) and the drainer.
 pub(crate) struct ExportShared {
     /// Serializes drain→push hand-offs so epochs are strictly ordered on the wire.
@@ -251,10 +243,10 @@ pub(crate) struct ExportShared {
     /// producer blocking on a full queue can never deadlock against the drainer.
     gate: SpinLock<()>,
     /// The bounded delta queue.
-    queue: SpinLock<VecDeque<ExportItem>>,
+    queue: SpinLock<VecDeque<LogRecord>>,
     capacity: usize,
     backpressure: Backpressure,
-    /// Set under the gate after the [`ExportItem::Finish`] item is queued; deltas
+    /// Set under the gate after the [`LogRecord::Finish`] item is queued; deltas
     /// arriving later (post-finish races) are dropped — they carry samples recorded
     /// after the stream's endpoint by definition.
     closed: AtomicBool,
@@ -332,34 +324,11 @@ impl ExportShared {
         }
     }
 
-    /// Feeds one drained delta to every live tap, pruning dropped subscribers.
-    /// Call with the gate held and only for non-empty deltas — empty epochs are
-    /// skipped on the wire, and taps mirror the wire.
-    fn tap_delta(&self, delta: &ProfileDelta) {
-        let mut taps = self.taps.lock();
-        if taps.is_empty() {
-            return;
-        }
-        taps.retain(|tap| match tap.upgrade() {
-            Some(tap) => {
-                tap.on_delta(delta);
-                true
-            }
-            None => false,
-        });
-    }
-
-    /// Feeds the terminal record to every live tap. Call with the gate held, after
-    /// the closing [`ExportShared::tap_delta`].
-    fn tap_finish(&self, record: &FinishRecord) {
-        let mut taps = self.taps.lock();
-        taps.retain(|tap| match tap.upgrade() {
-            Some(tap) => {
-                tap.on_finish(record);
-                true
-            }
-            None => false,
-        });
+    /// Runs `f` on every live tap, pruning dropped subscribers. Call with the gate
+    /// held, to hand over non-empty deltas only — empty epochs are skipped on the
+    /// wire, and taps mirror the wire — and the finish after the closing delta.
+    fn tap(&self, f: impl Fn(&dyn DeltaTap)) {
+        self.taps.lock().retain(|tap| tap.upgrade().map(|tap| f(&*tap)).is_some());
     }
 
     // Queue accesses acquire yielding throughout: the queue is only ever touched
@@ -367,7 +336,7 @@ impl ExportShared {
     // sampling hot path), and a Coalesce producer merges whole ThreadProfiles under
     // the lock, which a pure spin on the other side would burn a core waiting out.
 
-    fn pop(&self) -> Option<ExportItem> {
+    fn pop(&self) -> Option<LogRecord> {
         self.queue.lock_yielding().pop_front()
     }
 
@@ -389,9 +358,9 @@ impl ExportShared {
             {
                 let mut queue = self.queue.lock_yielding();
                 if queue.len() < self.capacity {
-                    queue.push_back(ExportItem::Delta(pending.take().unwrap()));
+                    queue.push_back(LogRecord::Delta(pending.take().unwrap()));
                 } else if self.backpressure == Backpressure::Coalesce {
-                    if let Some(ExportItem::Delta(back)) = queue.back_mut() {
+                    if let Some(LogRecord::Delta(back)) = queue.back_mut() {
                         back.merge_from(pending.as_ref().unwrap());
                         pending = None;
                         self.coalesced.fetch_add(1, Ordering::Relaxed);
@@ -425,7 +394,7 @@ impl ExportShared {
             {
                 let mut queue = self.queue.lock_yielding();
                 if queue.len() < self.capacity {
-                    queue.push_back(ExportItem::Finish(pending.take().unwrap()));
+                    queue.push_back(LogRecord::Finish(pending.take().unwrap()));
                 }
             }
             if pending.is_none() {
@@ -455,7 +424,7 @@ impl ExportShared {
         let delta = collector.drain_delta();
         self.epochs_drained.fetch_add(1, Ordering::Relaxed);
         if !delta.is_empty() {
-            self.tap_delta(&delta);
+            self.tap(|tap| tap.on_delta(&delta));
             self.push_delta(delta);
         }
         true
@@ -477,9 +446,9 @@ struct DrainWorker {
 
 impl DrainWorker {
     /// Writes one popped item; returns `true` when the item was the terminal flush.
-    fn emit(&mut self, item: ExportItem) -> bool {
+    fn emit(&mut self, item: LogRecord) -> bool {
         match item {
-            ExportItem::Delta(delta) => {
+            LogRecord::Delta(delta) => {
                 if self.error.is_none() {
                     let samples = delta.total_samples();
                     // Flush per delta: the stream advertises a live feed, and a
@@ -500,7 +469,7 @@ impl DrainWorker {
                 }
                 false
             }
-            ExportItem::Finish(record) => {
+            LogRecord::Finish(record) => {
                 if self.error.is_none() {
                     if let Err(err) =
                         self.sink.on_finish(&record, &mut self.out).and_then(|()| self.out.flush())
@@ -573,8 +542,8 @@ impl DrainWorker {
                         if !delta.is_empty() {
                             // This path bypasses push_delta (the pending batch is
                             // emitted outside the gate), so taps fire here too.
-                            self.shared.tap_delta(&delta);
-                            pending.push(ExportItem::Delta(delta));
+                            self.shared.tap(|tap| tap.on_delta(&delta));
+                            pending.push(LogRecord::Delta(delta));
                         }
                     }
                 }
@@ -735,7 +704,7 @@ impl DeltaDrainer {
             let delta = collector.drain_delta();
             self.shared.epochs_drained.fetch_add(1, Ordering::Relaxed);
             if !delta.is_empty() {
-                self.shared.tap_delta(&delta);
+                self.shared.tap(|tap| tap.on_delta(&delta));
                 self.shared.push_delta(delta);
             }
             let record = FinishRecord {
@@ -745,7 +714,7 @@ impl DeltaDrainer {
                 allocation_stats: allocation.stats(),
                 total_samples: collector.retired_samples(),
             };
-            self.shared.tap_finish(&record);
+            self.shared.tap(|tap| tap.on_finish(&record));
             self.shared.push_finish(record);
             self.shared.closed.store(true, Ordering::Release);
         }
@@ -831,7 +800,7 @@ mod tests {
         shared.push_delta(delta(2, 1, 7));
         shared.push_delta(delta(3, 2, 2));
         assert_eq!(shared.stats().coalesced, 2);
-        let Some(ExportItem::Delta(folded)) = shared.pop() else {
+        let Some(LogRecord::Delta(folded)) = shared.pop() else {
             panic!("one coalesced delta expected");
         };
         assert_eq!(folded.epoch, 3, "coalescing keeps the latest epoch");

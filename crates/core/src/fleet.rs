@@ -15,7 +15,10 @@
 //!   running [`DeltaFold`] per producer (incremental — history is never re-read),
 //!   exposes the merged fleet as a [`ProfileSource`] ([`FleetAggregator::view`]),
 //!   and answers [`Query`] requests, in process and over the same wire, by
-//!   evaluating straight from the folds ([`FleetAggregator::query`]).
+//!   evaluating straight from the folds ([`FleetAggregator::query`]). The fold is
+//!   the producer's stream state — header, first-seen thread names, the finish
+//!   record — so ingest, WAL recovery, views and watches all read the same one;
+//!   the aggregator adds only protocol counters and the write-ahead log.
 //! * [`FleetClient`] — sends queries/status requests to an aggregator and returns
 //!   the rendered results.
 //!
@@ -36,7 +39,7 @@
 //! | producer → aggregator | delta | `0x01` | a [`crate::wire`] delta frame |
 //! | producer → aggregator | finish | `0x02` | the [`crate::wire`] finish frame (configuration, agent counters, `total_samples` checksum) |
 //! | aggregator → producer | ack | `0x04` | the fold's last epoch, after the hello and after every delta; the final flag is set only on the ack of the finish |
-//! | aggregator → any peer | error | `0x05` | a message, followed by a close: a hello of any other version, an epoch frame before the hello, a corrupt frame, a refused finish |
+//! | aggregator → any peer | error | `0x05` | a message, followed by a close: a hello of any other version, an epoch frame before the hello, a corrupt frame, a refused finish. A whole query frame whose payload is refused (a filter list over [`wire::MAX_QUERY_FILTER_LEN`]) gets the message without the close |
 //! | client → aggregator | query | `0x06` | a serialized [`Query`] |
 //! | client → aggregator | status request | `0x07` | empty |
 //! | aggregator → client | result | `0x08` | the [`QueryResult`] text and JSON renderings — byte-identical to a local evaluation |
@@ -89,7 +92,9 @@
 //! (backslash, space, tab, LF and CR escaped), so any producer name fits on the
 //! one line. [`BinaryFrameReader`] replays the body unmodified.
 //! [`FleetAggregator::recover`] scans a WAL directory, replays every log through a
-//! fresh [`DeltaFold`] (truncating a torn tail after a mid-append crash), and
+//! fresh [`DeltaFold`] with the calls ingest made — [`DeltaFold::absorb_ordered`]
+//! and [`DeltaFold::finish`], lossy when the checksum cannot hold — truncating a
+//! torn tail after a mid-append crash (any frame the fold refuses ends replay), and
 //! returns a builder whose aggregator resumes exactly where the old one died:
 //! reconnecting producers learn the recovered fold's last epoch from the hello
 //! acknowledgement, re-send what is missing, and have re-sent duplicates dropped
@@ -113,7 +118,7 @@
 //! failure × guarantee.
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -126,13 +131,12 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use djx_pmu::PmuEvent;
-use djx_runtime::ThreadId;
 
 use crate::profile::{
-    escape, event_from_name, parse_kv, parse_u64, unescape, AllocationStats, DeltaFold, FoldError,
+    escape, event_from_name, parse_kv, parse_u64, unescape, DeltaFold, FoldError,
     ObjectCentricProfile, ProfileDelta,
 };
-use crate::query::live::{for_watches, note_thread_names, StreamCtx};
+use crate::query::live::for_watches;
 use crate::query::{GroupState, ProfileSource, Query, QueryError, QueryResult};
 use crate::sink::{FinishRecord, LogRecord, ProfileSink};
 use crate::wire::{self, BinaryChunkedSink, BinaryFrameReader, Control, Hello, WireRecord};
@@ -425,18 +429,26 @@ fn xorshift64(state: &mut u64) -> u64 {
     x
 }
 
-/// Runtime state of a [`BackoffPolicy`]: the attempt counter and jitter stream.
+/// Runtime state of a [`BackoffPolicy`]: the attempt counter, the jitter stream and
+/// the total delay handed out.
 #[derive(Debug)]
 struct Backoff {
     policy: BackoffPolicy,
     attempt: u32,
     rng: u64,
+    waited: Duration,
 }
 
 impl Backoff {
     fn new(policy: BackoffPolicy) -> Backoff {
         // A zero seed would freeze xorshift at zero; nudge it onto the cycle.
-        Backoff { policy, attempt: 0, rng: policy.seed | 1 }
+        Backoff { policy, attempt: 0, rng: policy.seed | 1, waited: Duration::ZERO }
+    }
+
+    /// Every delay handed out so far in whole milliseconds, rounded up: a
+    /// sub-millisecond backoff still reports as waited.
+    fn waited_ms(&self) -> u64 {
+        u64::try_from(self.waited.as_nanos().div_ceil(1_000_000)).unwrap_or(u64::MAX)
     }
 
     /// The next jittered delay; advances the attempt counter.
@@ -446,8 +458,9 @@ impl Backoff {
         let cap = initial.saturating_mul(1u64 << self.attempt.min(20)).min(max).max(1);
         self.attempt = self.attempt.saturating_add(1);
         let half = cap / 2;
-        let jittered = half + xorshift64(&mut self.rng) % (cap - half + 1);
-        Duration::from_micros(jittered)
+        let jittered = Duration::from_micros(half + xorshift64(&mut self.rng) % (cap - half + 1));
+        self.waited += jittered;
+        jittered
     }
 
     /// Back to the initial cap after a successful handshake.
@@ -954,7 +967,7 @@ impl Link {
             }
             Err(e) => {
                 let delay = self.backoff.next_delay();
-                self.stats.reconnect_backoff_ms += delay.as_millis() as u64;
+                self.stats.reconnect_backoff_ms = self.backoff.waited_ms();
                 self.next_attempt = Some(Instant::now() + delay);
                 Err(e)
             }
@@ -1700,34 +1713,28 @@ fn recover_wal_file(
     let mut good = header_end as u64 + 1;
     loop {
         let start = reader.byte_offset();
-        match reader.next_record() {
-            Ok(Some(LogRecord::Delta(delta))) => match state.absorb(&delta) {
-                Ok(()) => {
-                    frames += 1;
-                    good = header_end as u64 + 1 + reader.byte_offset();
-                }
-                Err(e) => {
-                    torn = Some(format!("binary frame {} at byte offset {start}: {e}", frames + 1));
-                    break;
-                }
-            },
+        let folded = match reader.next_record() {
+            Ok(Some(LogRecord::Delta(delta))) => state.fold.absorb_ordered(&delta),
             Ok(Some(LogRecord::Finish(record))) => {
-                if state.fold.verify_checksum(record.total_samples).is_err() {
-                    // Ingest only ever accepted a checksum-failing finish from a
-                    // declared-lossy producer; restore the lossy flag (the exact
-                    // drop count returns with the producer's next hello).
-                    state.dropped_epochs = 1;
-                }
-                state.finish = Some(record);
-                frames += 1;
-                good = header_end as u64 + 1 + reader.byte_offset();
+                // Ingest only ever accepted a checksum-failing finish from a
+                // declared-lossy producer; restore the lossy flag (the exact drop
+                // count returns with the producer's next hello).
+                let lossy = state.fold.check_finish(&record, false).is_err();
+                state.dropped_epochs = state.dropped_epochs.max(u64::from(lossy));
+                state.fold.finish(record, lossy).map(drop)
             }
             Ok(None) => break,
             Err(e) => {
                 torn = Some(e.to_string());
                 break;
             }
+        };
+        if let Err(e) = folded {
+            torn = Some(format!("binary frame {} at byte offset {start}: {e}", frames + 1));
+            break;
         }
+        frames += 1;
+        good = header_end as u64 + 1 + reader.byte_offset();
     }
     let torn = torn.map(|why| {
         let cut = data.len() as u64 - good;
@@ -1742,24 +1749,18 @@ fn recover_wal_file(
         producer: producer.clone(),
         frames,
         last_epoch: state.fold.last_epoch().unwrap_or(0),
-        finished: state.finish.is_some(),
+        finished: state.fold.is_finished(),
         torn_tail: torn,
         wal_bytes: good,
     };
     Ok(Some((producer, state, recovery)))
 }
 
-/// Per-producer aggregator state: the running fold plus the protocol bookkeeping.
-#[derive(Debug)]
+/// Per-producer aggregator state: the producer's fold (header, samples and finish
+/// record) plus the protocol counters and the WAL.
+#[derive(Debug, Default)]
 struct ProducerState {
     fold: DeltaFold,
-    /// First-seen thread names of the fold, kept as it absorbs: the names live
-    /// watches label threads with (see [`StreamCtx`]).
-    thread_names: HashMap<ThreadId, String>,
-    event: PmuEvent,
-    period: u64,
-    size_filter: u64,
-    finish: Option<FinishRecord>,
     connected: bool,
     /// Bumped at every hello; a connection handler only clears `connected` when its
     /// own generation is still current, so a reconnect racing the old handler's
@@ -1778,33 +1779,11 @@ struct ProducerState {
 }
 
 impl ProducerState {
-    /// A producer with nothing folded, not connected, without a WAL.
+    /// A producer whose stream announced `event`, `period` and `size_filter`,
+    /// with nothing folded, not connected, without a WAL.
     fn new(event: PmuEvent, period: u64, size_filter: u64) -> ProducerState {
-        ProducerState {
-            fold: DeltaFold::new(),
-            thread_names: HashMap::new(),
-            event,
-            period,
-            size_filter,
-            finish: None,
-            connected: false,
-            generation: 0,
-            resumes: 0,
-            duplicates: 0,
-            frames_received: 0,
-            bytes_received: 0,
-            wal: None,
-            spilled_frames: 0,
-            dropped_epochs: 0,
-            reconnect_backoff_ms: 0,
-        }
-    }
-
-    /// Folds an epoch in order and records its threads' first-seen names.
-    fn absorb(&mut self, delta: &ProfileDelta) -> Result<(), FoldError> {
-        self.fold.absorb_ordered(delta)?;
-        note_thread_names(&mut self.thread_names, &delta.threads);
-        Ok(())
+        let fold = DeltaFold::with_header(event, period, size_filter);
+        ProducerState { fold, ..ProducerState::default() }
     }
 
     /// A declared-lossy stream: epochs were dropped by choice, so the finish
@@ -1813,24 +1792,15 @@ impl ProducerState {
         self.dropped_epochs > 0
     }
 
-    /// The event/period header this producer's profile reports: its finish
-    /// record's once finished, its hello's before.
-    fn header(&self) -> (PmuEvent, u64) {
-        match &self.finish {
-            Some(f) => (f.event, f.period),
-            None => (self.event, self.period),
-        }
-    }
-
     fn truncated(&self) -> bool {
-        (!self.connected && self.finish.is_none()) || self.lossy()
+        (!self.connected && !self.fold.is_finished()) || self.lossy()
     }
 
     fn status(&self, name: &str) -> ProducerStatus {
         ProducerStatus {
             producer: name.to_string(),
             connected: self.connected,
-            finished: self.finish.is_some(),
+            finished: self.fold.is_finished(),
             truncated: self.truncated(),
             deltas: self.fold.deltas(),
             last_epoch: self.fold.last_epoch().unwrap_or(0),
@@ -1868,7 +1838,16 @@ impl FleetState {
     /// record's. The live path re-derives the same value whenever membership or
     /// finish state changes.
     fn fleet_meta(&self) -> Option<(PmuEvent, u64)> {
-        self.producers.values().next_back().map(ProducerState::header)
+        self.producers.values().next_back().map(|p| p.fold.header())
+    }
+
+    /// Folds every producer's fold into `groups` in place, in name order — what
+    /// evaluating a [`FleetView`] does, for [`AggregatorShared::evaluate`] and
+    /// [`FleetAggregator::watch`].
+    fn absorb_producers(&self, query: &Query, groups: &mut GroupState) {
+        for p in self.producers.values() {
+            groups.absorb_fold(query, &p.fold);
+        }
     }
 
     /// Per-producer protocol status, in producer-name order.
@@ -1897,20 +1876,15 @@ struct AggregatorShared {
 }
 
 impl AggregatorShared {
-    /// Evaluates a query straight from the producers' folds: each fold's site table
-    /// and thread profiles feed one `GroupState`, producers in name order, each
-    /// under its header — the fold cold evaluation of a [`FleetView`] performs,
-    /// without cloning or assembling a fold. Only that walk holds the state lock:
-    /// the query's filters are built before it, and the groups ranked and
-    /// materialized after it.
+    /// Evaluates a query from the producers' folds in place. Only that walk holds
+    /// the state lock: the query's filters are built before it, and the groups
+    /// ranked and materialized after it.
     fn evaluate(&self, query: &Query) -> QueryResult {
         let mut groups = GroupState::new(query);
-        {
-            let state = self.state.lock().expect("fleet state lock");
-            for p in state.producers.values() {
-                groups.absorb_threads(query, p.header(), p.fold.sites(), p.fold.threads());
-            }
-        }
+        self.state
+            .lock()
+            .expect("fleet state lock")
+            .absorb_producers(query, &mut groups);
         groups.materialize(query)
     }
 }
@@ -1972,28 +1946,6 @@ impl ProfileSource for FleetView {
     fn object_profiles(&self) -> Result<Vec<Cow<'_, ObjectCentricProfile>>, QueryError> {
         Ok(self.producers.iter().map(|p| Cow::Borrowed(&p.profile)).collect())
     }
-}
-
-fn snapshot_view(state: &FleetState) -> FleetView {
-    let producers = state
-        .producers
-        .iter()
-        .map(|(name, p)| {
-            let fold = p.fold.clone();
-            let profile = match &p.finish {
-                // A declared-lossy stream assembles without the checksum — the
-                // fold holds less than the producer sampled, by choice, and the
-                // truncated flag below keeps the gap visible.
-                Some(finish) if p.lossy() => finish.clone().assemble_lossy(fold),
-                Some(finish) => {
-                    finish.clone().assemble(fold).expect("finish checksum was verified at ingest")
-                }
-                None => fold.assemble(p.event, p.period, p.size_filter, AllocationStats::default()),
-            };
-            FleetProducer { producer: name.clone(), truncated: p.truncated(), profile }
-        })
-        .collect();
-    FleetView { producers }
 }
 
 /// The aggregator daemon: binds a listener, folds every producer's epoch frames
@@ -2128,7 +2080,12 @@ impl FleetAggregator {
     /// place instead of copying them.
     pub fn view(&self) -> FleetView {
         let state = self.shared.state.lock().expect("fleet state lock");
-        snapshot_view(&state)
+        let producers = state.producers.iter().map(|(name, p)| FleetProducer {
+            producer: name.clone(),
+            truncated: p.truncated(),
+            profile: p.fold.clone().assemble(),
+        });
+        FleetView { producers: producers.collect() }
     }
 
     /// Per-producer protocol status, in producer-name order.
@@ -2154,7 +2111,8 @@ impl FleetAggregator {
     }
 
     /// Registers a live subscription over the merged fleet: the watch is seeded
-    /// from the current view and then fed **incrementally** as producer frames are
+    /// from the producers' folds in place (the walk [`FleetAggregator::query`]
+    /// runs, nothing cloned or assembled) and then fed **incrementally** as producer frames are
     /// accepted, rendering byte-identically to a cold [`FleetAggregator::query`]
     /// over the view at the same instant — without re-assembling or re-evaluating
     /// anything per epoch. Producers may join, reconnect (duplicate frames are
@@ -2171,16 +2129,12 @@ impl FleetAggregator {
     /// view; the group's identity and every metric still agree.
     pub fn watch(&self, query: &Query) -> crate::query::live::LiveQuery {
         use crate::query::live::LiveQuery;
+        let mut groups = GroupState::new(query);
         let mut state = self.shared.state.lock().expect("fleet state lock");
+        state.absorb_producers(query, &mut groups);
         let epoch = state.producers.values().filter_map(|p| p.fold.last_epoch()).max();
-        let view = snapshot_view(&state);
         let finished = self.shared.shutdown.load(Ordering::SeqCst);
-        let watch = LiveQuery::seed_watch(
-            query.clone(),
-            view.producers.into_iter().map(|p| p.profile),
-            epoch,
-            finished,
-        );
+        let watch = LiveQuery::seed_watch(query.clone(), groups, epoch, finished);
         state.watches.push(Arc::downgrade(&watch));
         LiveQuery::from_watch(watch)
     }
@@ -2374,6 +2328,11 @@ fn handle_connection(stream: WireStream, shared: Arc<AggregatorShared>) {
             Ok(WireRecord::Control(control)) => {
                 dispatch_control(control, &mut ctx, &shared, &mut writer)
             }
+            // A whole query frame whose payload was refused costs the client that
+            // query, not the connection: the stream is still at a frame boundary.
+            Err(e) if wire::is_whole_query_frame(&frame) => {
+                send(&mut writer, &Control::Error(e.message))
+            }
             Err(e) => refuse(&mut writer, e.message),
         };
         if handled.is_err() {
@@ -2445,7 +2404,9 @@ fn dispatch_hello(
         // A producer recovered from disk already carries its reopened log.
         if p.wal.is_none() {
             if let Some((dir, fsync)) = &shared.config.wal {
-                match Wal::create(dir, &hello.producer, p.event, p.period, p.size_filter, *fsync) {
+                let (event, period) = p.fold.header();
+                let size_filter = p.fold.size_filter();
+                match Wal::create(dir, &hello.producer, event, period, size_filter, *fsync) {
                     Ok(wal) => p.wal = Some(wal),
                     Err(e) => {
                         // Refuse the hello rather than silently running
@@ -2464,8 +2425,8 @@ fn dispatch_hello(
         // result reports (cold evaluation adopts the last view profile's, in
         // producer-name order) — live watches adopt the same.
         if !existed {
-            if let Some((event, period)) = state.fleet_meta() {
-                for_watches(&mut state.watches, |w| w.refresh_meta(event, period));
+            if let Some(header) = state.fleet_meta() {
+                for_watches(&mut state.watches, |w| w.feed_header(header, None, false));
             }
         }
         acked
@@ -2504,109 +2465,73 @@ fn dispatch_epoch_record(
         Some(FaultEffect::Delay(d)) => thread::sleep(d),
         Some(FaultEffect::Corrupt) | None => {}
     }
-    // What an accepted frame hands to the live watches, after the fold moved.
-    enum WatchFeed {
-        Delta(ProfileDelta),
-        Finish,
-    }
     let reply = {
         let mut state = shared.state.lock().expect("fleet state lock");
-        let (reply, feed) = {
-            let p = state.producers.get_mut(name).expect("hello inserted the producer");
-            // Counted per received epoch frame, duplicates included: these measure
-            // wire traffic, not fold outcomes.
-            p.frames_received += 1;
-            p.bytes_received += frame.len() as u64;
-            match record {
-                LogRecord::Delta(delta) => {
-                    if p.finish.is_some() {
-                        (Err("delta frame after the finish frame".to_string()), None)
-                    } else if p.fold.last_epoch().is_some_and(|last| delta.epoch <= last) {
-                        // An epoch the fold has seen: a backfill overlap (the frame
-                        // was folded but its acknowledgement was lost). Checked
-                        // before the WAL append so replaying the log never hits a
-                        // duplicate; drop it and re-acknowledge — folding twice
-                        // would double-count. Live watches never see the duplicate
-                        // either, for the same reason.
-                        p.duplicates += 1;
-                        let epoch = p.fold.last_epoch().unwrap_or(0);
-                        (Ok(Control::Ack { epoch, terminal: false }), None)
-                    } else if let Err(e) = p.fold.check(&delta) {
-                        // A site gap: refused before the WAL sees it, so replaying
-                        // the log never hits a frame the fold refused.
-                        (Err(e.to_string()), None)
-                    } else {
-                        // Durability order: log, then fold, then ack. A WAL append
-                        // failure refuses the frame — the producer re-sends it, and
-                        // the fold never holds a sample the log doesn't.
-                        match p.wal.as_mut().map_or(Ok(()), |w| w.append(frame)) {
-                            Err(e) => (Err(format!("WAL append failed: {e}")), None),
-                            Ok(()) => {
-                                p.absorb(&delta).expect("checked above");
-                                let ack = Control::Ack { epoch: delta.epoch, terminal: false };
-                                (Ok(ack), Some(WatchFeed::Delta(delta)))
-                            }
-                        }
-                    }
-                }
-                LogRecord::Finish(finish) => {
-                    if p.finish.is_some() {
-                        // A re-sent finish after a lost final acknowledgement.
-                        let epoch = p.fold.last_epoch().unwrap_or(0);
-                        (Ok(Control::Ack { epoch, terminal: true }), None)
-                    } else {
-                        // A declared-lossy producer's fold legitimately holds fewer
-                        // samples than the finish total; anything else must match.
-                        let checksum = if p.lossy()
-                            && p.fold.total_samples() <= finish.total_samples
-                        {
-                            Ok(())
-                        } else {
-                            p.fold.verify_checksum(finish.total_samples).map_err(|e| e.to_string())
-                        };
-                        match checksum {
-                            Ok(()) => match p.wal.as_mut().map_or(Ok(()), |w| w.append(frame)) {
-                                Err(e) => (Err(format!("WAL append failed: {e}")), None),
-                                Ok(()) => {
-                                    p.finish = Some(finish);
-                                    let epoch = p.fold.last_epoch().unwrap_or(0);
-                                    (
-                                        Ok(Control::Ack { epoch, terminal: true }),
-                                        Some(WatchFeed::Finish),
-                                    )
-                                }
-                            },
-                            Err(message) => (Err(message), None),
-                        }
-                    }
-                }
-            }
+        let p = state.producers.get_mut(name).expect("hello inserted the producer");
+        // Counted per received epoch frame, duplicates included: these measure wire
+        // traffic, not fold outcomes.
+        p.frames_received += 1;
+        p.bytes_received += frame.len() as u64;
+        let last = p.fold.last_epoch().unwrap_or(0);
+        let checked = match &record {
+            // A re-sent finish after a lost final acknowledgement is acknowledged
+            // again; the first finish stays.
+            LogRecord::Finish(_) if p.fold.is_finished() => Ok(false),
+            LogRecord::Finish(finish) => p.fold.check_finish(finish, p.lossy()).map(|()| true),
+            LogRecord::Delta(delta) => p.fold.check(delta).map(|()| true),
         };
-        // Feed accepted frames to the live watches under the same state lock, so a
+        // `Ok((ack, folded))`: the acknowledgement, and whether the fold moved.
+        let reply = match checked {
+            // An epoch the fold has seen: a backfill overlap (the frame was folded
+            // but its acknowledgement was lost). Checked before the WAL append so
+            // replaying the log never hits a duplicate; drop it and re-acknowledge
+            // — folding twice would double-count. Live watches never see the
+            // duplicate either, for the same reason.
+            Err(FoldError::OutOfOrderEpoch { last, .. }) => {
+                p.duplicates += 1;
+                Ok((Control::Ack { epoch: last, terminal: false }, false))
+            }
+            // Anything else the fold refuses is refused before the WAL sees it, so
+            // replaying the log never hits a frame the fold refused.
+            Err(e) => Err(e.to_string()),
+            Ok(false) => Ok((Control::Ack { epoch: last, terminal: true }, false)),
+            // Durability order: log, then fold, then ack. A WAL append failure
+            // refuses the frame — the producer re-sends it, and the fold never
+            // holds a sample the log doesn't.
+            Ok(true) => match p.wal.as_mut().map_or(Ok(()), |w| w.append(frame)) {
+                Err(e) => Err(format!("WAL append failed: {e}")),
+                Ok(()) => Ok(match &record {
+                    LogRecord::Delta(delta) => {
+                        p.fold.absorb(delta);
+                        (Control::Ack { epoch: delta.epoch, terminal: false }, true)
+                    }
+                    LogRecord::Finish(finish) => {
+                        p.fold.finish(finish.clone(), p.lossy()).expect("checked above");
+                        (Control::Ack { epoch: last, terminal: true }, true)
+                    }
+                }),
+            },
+        };
+        // Feed folded frames to the live watches under the same state lock, so a
         // watch render interleaves with whole frames, never half of one.
-        if !state.watches.is_empty() {
-            if let Some(feed) = feed {
-                let meta = state.fleet_meta();
-                let FleetState { producers, watches, .. } = &mut *state;
-                let p = producers.get(name.as_str()).expect("hello inserted the producer");
-                let names = &p.thread_names;
-                match feed {
-                    WatchFeed::Delta(delta) => {
-                        // The producer's fold already holds the delta's sites.
-                        let ctx = StreamCtx { key: name, sites: p.fold.sites(), names };
-                        for_watches(watches, |w| w.feed_fragment(&ctx, &delta));
-                    }
-                    WatchFeed::Finish => {
-                        // The finish adds no rows, only the run header; `close:
-                        // false` — one producer finishing does not end the fleet.
-                        let (event, period) = meta.expect("this producer exists");
-                        let epoch = p.fold.last_epoch();
-                        for_watches(watches, |w| w.feed_finish(event, period, epoch, false));
-                    }
+        if matches!(reply, Ok((_, true))) && !state.watches.is_empty() {
+            let meta = state.fleet_meta();
+            let FleetState { producers, watches, .. } = &mut *state;
+            let fold = &producers[name.as_str()].fold;
+            match &record {
+                // The producer's fold already holds the delta's sites.
+                LogRecord::Delta(delta) => {
+                    for_watches(watches, |w| w.feed_fragment(name, fold, delta));
+                }
+                // The finish adds no rows, only the run header; `close: false` —
+                // one producer finishing does not end the fleet.
+                LogRecord::Finish(_) => {
+                    let (header, epoch) = (meta.expect("this producer exists"), fold.last_epoch());
+                    for_watches(watches, |w| w.feed_header(header, epoch, false));
                 }
             }
         }
-        reply
+        reply.map(|(ack, _)| ack)
     };
     match reply {
         Ok(ack) => match effect {
@@ -2632,11 +2557,8 @@ fn dispatch_query(
     shared: &Arc<AggregatorShared>,
     writer: &mut WireStream,
 ) -> io::Result<()> {
-    // Evaluate straight from the folds: nothing is cloned or assembled, and frames
-    // arriving meanwhile wait only for the walk over the folds. The class and
-    // site-frame sets are built before the lock is taken and the thread list is
-    // scanned once per thread during the walk, so naming millions of ids adds no
-    // cost per row. Ranking, rendering and the send run after the lock is released.
+    // Only the walk over the folds holds the state lock; ranking, rendering and the
+    // send run after it is released.
     let result = shared.evaluate(query);
     match (Control::Result { text: result.to_text(), json: result.to_json() }).to_frame() {
         Ok(frame) => writer.write_all(&frame),
@@ -2741,7 +2663,7 @@ mod tests {
     use super::*;
     use crate::profile::{ThreadDelta, ThreadProfile};
     use crate::query::{GroupBy, RankBy};
-    use djx_runtime::{Frame, MethodId};
+    use djx_runtime::{Frame, MethodId, ThreadId};
 
     fn delta(epoch: u64, thread: u64, samples: u64) -> ProfileDelta {
         let mut profile = ThreadProfile::new(ThreadId(thread), "worker");
@@ -2912,6 +2834,14 @@ mod tests {
     }
 
     #[test]
+    fn a_sub_millisecond_backoff_reports_a_whole_millisecond() {
+        let policy = BackoffPolicy::new().initial(Duration::from_millis(1)).seed(7);
+        let mut backoff = Backoff::new(policy);
+        assert!(backoff.next_delay() < Duration::from_millis(1), "under 1 ms initial");
+        assert_eq!(backoff.waited_ms(), 1, "rounded up, not truncated to 0");
+    }
+
+    #[test]
     fn default_backoff_is_seeded_from_the_producer_name() {
         let delays = |builder: FleetSinkBuilder| {
             let mut backoff = Backoff::new(builder.backoff_policy());
@@ -3078,14 +3008,15 @@ mod tests {
         let addr = aggregator.local_addr().expect("tcp addr").to_string();
         let sink =
             FleetSink::connect(&addr, "verbatim", PmuEvent::DEFAULT, 16, 0).expect("connect");
-        let (mut out, mut sent, mut fold) = (io::sink(), Vec::new(), DeltaFold::new());
+        let (mut out, mut sent) = (io::sink(), Vec::new());
+        let mut fold = DeltaFold::with_header(PmuEvent::DEFAULT, 16, 0);
         for epoch in 1..=3u64 {
             let d = delta(epoch, 7, epoch + 2);
             fold.absorb_ordered(&d).expect("ordered");
             sink.on_delta(epoch, &d, &mut out).expect("delta ships");
             BinaryChunkedSink.on_delta(epoch, &d, &mut sent).expect("delta encodes");
         }
-        let profile = fold.assemble(PmuEvent::DEFAULT, 16, 0, AllocationStats::default());
+        let profile = fold.assemble();
         let record = FinishRecord::of_profile(&profile);
         sink.on_finish(&record, &mut out).expect("finish ships");
         BinaryChunkedSink.on_finish(&record, &mut sent).expect("finish encodes");

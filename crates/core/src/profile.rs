@@ -14,6 +14,7 @@ use crate::cct::{Cct, CctNodeId};
 use crate::fxhash::FxHashMap;
 use crate::metrics::MetricVector;
 use crate::object::{AllocSite, AllocSiteId};
+use crate::sink::FinishRecord;
 
 /// Sample-side metrics of one allocation site within one thread: the aggregate over all
 /// accesses, and the breakdown per access calling context.
@@ -211,6 +212,23 @@ impl ProfileDelta {
         self.threads.iter().map(|t| t.profile.samples).sum()
     }
 
+    /// A whole profile as one delta of its own stream: every thread, first-seen in
+    /// profile order, and the whole site table — how a profile is written as a
+    /// one-delta log and how a fold adopts a profile that already finished.
+    pub(crate) fn of_profile(profile: &ObjectCentricProfile, epoch: u64) -> ProfileDelta {
+        ProfileDelta {
+            epoch,
+            threads: profile
+                .threads
+                .iter()
+                .enumerate()
+                .map(|(seq, t)| ThreadDelta { seq: seq as u64, profile: t.clone() })
+                .collect(),
+            site_base: 0,
+            sites: profile.sites.clone(),
+        }
+    }
+
     /// Folds a **later** delta of the same session into this one: fragments of the
     /// same thread merge exactly ([`ThreadProfile::merge_from`] — this delta's
     /// first-seen identity wins), new threads are adopted with their sequence, the
@@ -302,6 +320,12 @@ pub enum FoldError {
         /// The length of the fold's site table.
         table: usize,
     },
+    /// A delta arrived after the stream's finish record: nothing follows the
+    /// trailer of a stream.
+    AfterFinish {
+        /// The offending delta's epoch.
+        epoch: u64,
+    },
     /// The folded sample total disagrees with the terminal record's checksum: deltas
     /// were lost or duplicated between the producer and this fold.
     ChecksumMismatch {
@@ -323,6 +347,9 @@ impl fmt::Display for FoldError {
                 f,
                 "delta sites start at id {base} but the fold's site table holds {table} — a delta carrying site definitions was lost"
             ),
+            FoldError::AfterFinish { epoch } => {
+                write!(f, "delta frame (epoch {epoch}) after the finish frame")
+            }
             FoldError::ChecksumMismatch { folded, expected } => write!(
                 f,
                 "streamed deltas fold to {folded} samples but the finish record counts {expected} — lost or duplicated deltas"
@@ -334,25 +361,27 @@ impl fmt::Display for FoldError {
 impl std::error::Error for FoldError {}
 
 /// Accumulates streamed [`ProfileDelta`]s back into whole per-thread profiles — the
-/// replay side of the export pipeline's loss-free guarantee, and the per-producer
-/// state a fleet aggregator keeps ([`crate::fleet`]). Internally this is one growing
-/// delta folded with [`ProfileDelta::merge_from`], so replay and coalescing share one
-/// exactness argument.
+/// one owner of a delta stream's state. Log replay
+/// ([`BinaryChunkedSink::read_log_bytes`](crate::wire::BinaryChunkedSink::read_log_bytes)),
+/// a [`LiveFold`](crate::query::live::LiveFold), fleet ingest and WAL recovery
+/// ([`crate::fleet`]) all turn a stream into state through it. Internally this is one
+/// growing delta folded with [`ProfileDelta::merge_from`], so replay and coalescing
+/// share one exactness argument.
 ///
 /// The fold is **incremental**: each [`DeltaFold::absorb_ordered`] call does O(delta)
 /// work against the accumulator — history is never re-read, so a long-lived consumer
 /// (a daemon folding an unbounded stream) pays per-frame cost proportional to the
-/// frame, not to the run so far. The fold also carries the stream's integrity state:
-/// [`DeltaFold::last_epoch`] is the resume point a reconnecting producer backfills
-/// from, [`absorb_ordered`](DeltaFold::absorb_ordered) proves epochs strictly
-/// increase and site suffixes join without a gap, and
-/// [`verify_checksum`](DeltaFold::verify_checksum) proves the terminal sample count
-/// was reached — the checks that make loss detectable end to end. The fold owns the
-/// stream's site table ([`DeltaFold::sites`]), so a fold answers object-centric
-/// queries at every epoch, not only after the terminal record.
+/// frame, not to the run so far. [`DeltaFold::last_epoch`] is the resume point a
+/// reconnecting producer backfills from, [`absorb_ordered`](DeltaFold::absorb_ordered)
+/// proves epochs strictly increase, site suffixes join without a gap and nothing
+/// follows the finish, and [`finish`](DeltaFold::finish) proves the terminal sample
+/// count — the checks that make loss detectable end to end. The fold also holds the
+/// site table, each thread's first-seen name ([`DeltaFold::thread_name`]) and the
+/// run header (the one it was created with, then the finish record's), so
+/// [`DeltaFold::assemble`] makes a profile at any epoch, not only after the finish.
 ///
 /// ```
-/// use djxperf::{DeltaFold, FoldError, ProfileDelta};
+/// use djxperf::{DeltaFold, FinishRecord, FoldError, ProfileDelta};
 ///
 /// let mut fold = DeltaFold::new();
 /// fold.absorb_ordered(&ProfileDelta::empty(3)).unwrap();
@@ -360,14 +389,20 @@ impl std::error::Error for FoldError {}
 /// let dup = fold.absorb_ordered(&ProfileDelta::empty(3));
 /// assert_eq!(dup, Err(FoldError::OutOfOrderEpoch { epoch: 3, last: 3 }));
 /// assert_eq!(fold.last_epoch(), Some(3));
-/// // And the terminal checksum confirms nothing was lost.
-/// assert!(fold.verify_checksum(0).is_ok());
+/// // The finish record's checksum confirms nothing was lost, and closes the stream.
+/// let record = FinishRecord::of_profile(&fold.clone().assemble());
+/// assert_eq!(fold.finish(record, false), Ok(true));
+/// assert!(fold.absorb_ordered(&ProfileDelta::empty(4)).is_err());
 /// ```
 #[derive(Debug, Clone)]
 pub struct DeltaFold {
     acc: ProfileDelta,
     deltas: u64,
     last_epoch: Option<u64>,
+    event: PmuEvent,
+    period: u64,
+    size_filter: u64,
+    finish: Option<FinishRecord>,
 }
 
 impl Default for DeltaFold {
@@ -377,18 +412,35 @@ impl Default for DeltaFold {
 }
 
 impl DeltaFold {
-    /// An empty fold.
+    /// An empty fold with a placeholder header (L1 misses, period 1, no size
+    /// filter) until the finish record brings the run's own.
     pub fn new() -> Self {
-        Self { acc: ProfileDelta::empty(0), deltas: 0, last_epoch: None }
+        Self::with_header(PmuEvent::L1Miss, 1, 0)
     }
 
-    /// A fold seeded from an already-merged accumulator — how a live tap attaching
-    /// mid-stream adopts everything retired before it subscribed (its sites must
-    /// start at id 0). A seed at epoch 0 is the empty pre-stream state, so ordering
-    /// starts unconstrained there.
-    pub(crate) fn seed_from(acc: ProfileDelta) -> Self {
-        let last_epoch = (acc.epoch > 0).then_some(acc.epoch);
-        Self { acc, deltas: 0, last_epoch }
+    /// An empty fold that already knows the stream's event, period and size filter
+    /// — what assembling before the finish reports (a fleet producer's hello, a
+    /// session's configuration).
+    pub fn with_header(event: PmuEvent, period: u64, size_filter: u64) -> Self {
+        Self {
+            acc: ProfileDelta::empty(0),
+            deltas: 0,
+            last_epoch: None,
+            event,
+            period,
+            size_filter,
+            finish: None,
+        }
+    }
+
+    /// Replaces the folded state with an already-merged accumulator — how a live
+    /// tap attaching mid-stream adopts everything retired before it subscribed (its
+    /// sites must start at id 0). A seed at epoch 0 is the empty pre-stream state,
+    /// so ordering starts unconstrained there. The header is kept.
+    pub(crate) fn seed(&mut self, acc: ProfileDelta) {
+        self.last_epoch = (acc.epoch > 0).then_some(acc.epoch);
+        self.acc = acc;
+        self.deltas = 0;
     }
 
     /// The stream's site table so far: every site the folded deltas carried, indexed
@@ -397,10 +449,26 @@ impl DeltaFold {
         &self.acc.sites
     }
 
-    /// The folded per-thread profiles, in first-seen order — the threads
-    /// [`DeltaFold::assemble`] would hand over.
+    /// The folded per-thread profiles, in first-seen order, each under its
+    /// first-seen name — the threads [`DeltaFold::assemble`] hands over.
     pub(crate) fn threads(&self) -> impl Iterator<Item = &ThreadProfile> {
         self.acc.threads.iter().map(|t| &t.profile)
+    }
+
+    /// The first-seen name of a folded fragment's thread: later fragments of a
+    /// thread carry the `<attached>` placeholder, the fold keeps the name its first
+    /// fragment brought. The accumulator is sorted by the `(seq, thread)` the
+    /// fragment carries; a thread the fold has not seen keeps the fragment's own.
+    pub fn thread_name<'a>(&'a self, fragment: &'a ThreadDelta) -> &'a str {
+        let thread = fragment.profile.thread;
+        let threads = &self.acc.threads;
+        threads
+            .binary_search_by_key(&(fragment.seq, thread), |t| (t.seq, t.profile.thread))
+            .ok()
+            .map(|at| &threads[at])
+            // A stream whose sequences disagree across fragments still merged by id.
+            .or_else(|| threads.iter().find(|t| t.profile.thread == thread))
+            .map_or(&fragment.profile.thread_name, |t| &t.profile.thread_name)
     }
 
     /// Folds one streamed delta in without checking its epoch or site base. Deltas
@@ -412,15 +480,20 @@ impl DeltaFold {
         self.last_epoch = Some(self.last_epoch.map_or(delta.epoch, |e| e.max(delta.epoch)));
     }
 
-    /// Proves that `delta` may be folded next without folding it: its epoch must be
-    /// strictly greater than [`DeltaFold::last_epoch`], and its site suffix must
-    /// start where [`DeltaFold::sites`] ends.
+    /// Proves that `delta` may be folded next without folding it: the stream must
+    /// not have finished, the epoch must be strictly greater than
+    /// [`DeltaFold::last_epoch`], and the site suffix must start where
+    /// [`DeltaFold::sites`] ends.
     ///
     /// # Errors
     ///
+    /// [`FoldError::AfterFinish`] once the finish record was folded,
     /// [`FoldError::OutOfOrderEpoch`] when the epoch repeats or regresses,
     /// [`FoldError::SiteGap`] when the site suffix does not join the table.
     pub fn check(&self, delta: &ProfileDelta) -> Result<(), FoldError> {
+        if self.finish.is_some() {
+            return Err(FoldError::AfterFinish { epoch: delta.epoch });
+        }
         if let Some(last) = self.last_epoch {
             if delta.epoch <= last {
                 return Err(FoldError::OutOfOrderEpoch { epoch: delta.epoch, last });
@@ -440,36 +513,71 @@ impl DeltaFold {
     ///
     /// # Errors
     ///
-    /// [`FoldError::OutOfOrderEpoch`] when the epoch repeats or regresses,
-    /// [`FoldError::SiteGap`] when the site suffix does not join the table.
+    /// The errors of [`DeltaFold::check`].
     pub fn absorb_ordered(&mut self, delta: &ProfileDelta) -> Result<(), FoldError> {
         self.check(delta)?;
         self.absorb(delta);
         Ok(())
     }
 
-    /// Checks the folded sample total against a terminal record's checksum without
-    /// consuming the fold.
+    /// Proves that `record` may close the stream without closing it: the folded
+    /// sample total must equal the record's checksum. A `lossy` stream — a fleet
+    /// producer that declared the epochs its
+    /// [`DropOldestEpochsFlaggedLossy`](crate::fleet::OverflowPolicy) overflow policy
+    /// dropped — may also hold fewer samples than the record counts, never more.
     ///
     /// # Errors
     ///
-    /// [`FoldError::ChecksumMismatch`] when deltas were lost or duplicated.
-    pub fn verify_checksum(&self, expected: u64) -> Result<(), FoldError> {
-        let folded = self.total_samples();
-        if folded != expected {
-            return Err(FoldError::ChecksumMismatch { folded, expected });
+    /// [`FoldError::ChecksumMismatch`] when the totals disagree under that rule.
+    pub fn check_finish(&self, record: &FinishRecord, lossy: bool) -> Result<(), FoldError> {
+        let (folded, expected) = (self.total_samples(), record.total_samples);
+        if folded == expected || (lossy && folded < expected) {
+            return Ok(());
         }
-        Ok(())
+        Err(FoldError::ChecksumMismatch { folded, expected })
+    }
+
+    /// Closes the stream with its finish record ([`DeltaFold::check_finish`]
+    /// first): the fold adopts the record's header and allocation counters and
+    /// refuses every later delta. `Ok(true)` means the record closed the stream;
+    /// `Ok(false)` that the stream was already closed — the repeat passed the same
+    /// check and is ignored, the first record stays.
+    ///
+    /// # Errors
+    ///
+    /// [`FoldError::ChecksumMismatch`] as [`DeltaFold::check_finish`]; the fold is
+    /// left untouched.
+    pub fn finish(&mut self, record: FinishRecord, lossy: bool) -> Result<bool, FoldError> {
+        self.check_finish(&record, lossy)?;
+        if self.finish.is_some() {
+            return Ok(false);
+        }
+        (self.event, self.period, self.size_filter) =
+            (record.event, record.period, record.size_filter);
+        self.finish = Some(record);
+        Ok(true)
+    }
+
+    /// Whether the finish record has been folded.
+    pub fn is_finished(&self) -> bool {
+        self.finish.is_some()
+    }
+
+    /// The event and period an assembled profile reports: the finish record's once
+    /// finished, the fold's initial header before.
+    pub fn header(&self) -> (PmuEvent, u64) {
+        (self.event, self.period)
+    }
+
+    /// The size filter an assembled profile reports (same rule as
+    /// [`DeltaFold::header`]).
+    pub fn size_filter(&self) -> u64 {
+        self.size_filter
     }
 
     /// Number of deltas folded so far.
     pub fn deltas(&self) -> u64 {
         self.deltas
-    }
-
-    /// Latest epoch folded.
-    pub fn epoch(&self) -> u64 {
-        self.acc.epoch
     }
 
     /// The last epoch accepted by the fold, or `None` while the fold is empty. This
@@ -484,20 +592,19 @@ impl DeltaFold {
         self.acc.total_samples()
     }
 
-    /// Assembles the fold into a complete [`ObjectCentricProfile`] with the run's
-    /// configuration and agent counters — the replay endpoint of the loss-free
-    /// guarantee: with the configuration and stats of a quiesced session, the result
-    /// is byte-identical to that session's own profile.
-    pub fn assemble(
-        self,
-        event: PmuEvent,
-        period: u64,
-        size_filter: u64,
-        allocation_stats: AllocationStats,
-    ) -> ObjectCentricProfile {
-        let sites = self.acc.sites;
-        let threads = self.acc.threads.into_iter().map(|t| t.profile).collect();
-        ObjectCentricProfile { event, period, size_filter, sites, threads, allocation_stats }
+    /// Assembles the fold into an [`ObjectCentricProfile`] under its header, with
+    /// the finish record's agent counters (zero before the finish). After a checked
+    /// finish this is the replay endpoint of the loss-free guarantee: the result is
+    /// byte-identical to the streaming session's own profile.
+    pub fn assemble(self) -> ObjectCentricProfile {
+        ObjectCentricProfile {
+            event: self.event,
+            period: self.period,
+            size_filter: self.size_filter,
+            sites: self.acc.sites,
+            threads: self.acc.threads.into_iter().map(|t| t.profile).collect(),
+            allocation_stats: self.finish.map(|f| f.allocation_stats).unwrap_or_default(),
+        }
     }
 }
 
@@ -774,6 +881,9 @@ pub(crate) fn parse_u64(kv: &HashMap<String, String>, key: &str) -> Result<u64, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::live::LiveFold;
+    use crate::sink::ProfileSink;
+    use crate::wire::BinaryChunkedSink;
     use djx_memsim::{AccessKind, NumaNode};
     use djx_runtime::MethodId;
 
@@ -916,5 +1026,124 @@ mod tests {
         assert_eq!(encode_path(&[]), "-");
         assert_eq!(encode_path(&[f(1, 2), f(3, 4)]), "1:2,3:4");
         assert_eq!(unescape(&escape("Top Doc Collector")), "Top Doc Collector");
+    }
+
+    // The fold contract every stream consumer gets from `DeltaFold`.
+
+    /// A delta with one fragment of thread 1 (sequence 0) holding `samples`
+    /// unattributed samples.
+    fn delta(epoch: u64, name: &str, samples: u64) -> ProfileDelta {
+        let mut profile = ThreadProfile::new(ThreadId(1), name);
+        (0..samples).for_each(|i| profile.record_sample(None, &[], &sample(i, false), 10));
+        ProfileDelta { epoch, threads: vec![ThreadDelta { seq: 0, profile }], ..Default::default() }
+    }
+
+    /// A finish record under header (remote DRAM, 128, 0).
+    fn record(total_samples: u64, callbacks: u64) -> FinishRecord {
+        let allocation_stats = AllocationStats { callbacks, ..AllocationStats::default() };
+        let (event, period, size_filter) = (PmuEvent::RemoteDram, 128, 0);
+        FinishRecord { event, period, size_filter, allocation_stats, total_samples }
+    }
+
+    /// A fold of two deltas holding 5 samples, under header (L1 misses, 64, 1024).
+    fn five_samples() -> DeltaFold {
+        let mut fold = DeltaFold::with_header(PmuEvent::L1Miss, 64, 1024);
+        fold.absorb_ordered(&delta(1, "main", 2)).unwrap();
+        fold.absorb_ordered(&delta(2, "<attached>", 3)).unwrap();
+        fold
+    }
+
+    /// A binary log of `delta(1, "main", 2)`, then the given finish records.
+    fn log_with(finishes: &[FinishRecord]) -> Vec<u8> {
+        let mut log = Vec::new();
+        BinaryChunkedSink.on_delta(1, &delta(1, "main", 2), &mut log).unwrap();
+        finishes.iter().for_each(|f| BinaryChunkedSink.on_finish(f, &mut log).unwrap());
+        log
+    }
+
+    #[test]
+    fn a_delta_after_the_finish_is_refused() {
+        let mut fold = five_samples();
+        assert_eq!(fold.finish(record(5, 0), false), Ok(true));
+        let refused = Err(FoldError::AfterFinish { epoch: 3 });
+        assert_eq!(fold.absorb_ordered(&delta(3, "<attached>", 1)), refused);
+        assert_eq!((fold.total_samples(), fold.deltas(), fold.last_epoch()), (5, 2, Some(2)));
+        let live = LiveFold::new();
+        live.feed(&log_with(&[record(2, 0)])).unwrap();
+        assert_eq!(live.absorb(&delta(3, "<attached>", 1)), refused);
+        let mut log = log_with(&[record(2, 0)]);
+        BinaryChunkedSink.on_delta(3, &delta(3, "<attached>", 1), &mut log).unwrap();
+        let err = BinaryChunkedSink.read_log_bytes(&log).unwrap_err();
+        assert_eq!((err.frame, err.message.as_str()), (3, "frames after the finish frame"));
+    }
+
+    #[test]
+    fn each_consumer_keeps_its_repeated_finish_rule() {
+        // The fold and a live fold: a repeat that passes the check is ignored (the
+        // first record stays), one that fails it is refused.
+        let mut fold = five_samples();
+        assert_eq!(fold.finish(record(5, 7), false), Ok(true));
+        assert_eq!(fold.finish(record(5, 9), false), Ok(false));
+        let refused = FoldError::ChecksumMismatch { folded: 5, expected: 6 };
+        assert_eq!(fold.finish(record(6, 9), false), Err(refused));
+        assert_eq!(fold.assemble().allocation_stats.callbacks, 7);
+        let live = LiveFold::new();
+        live.feed(&log_with(&[record(2, 7)])).unwrap();
+        live.finish(record(2, 9)).unwrap();
+        let refused = FoldError::ChecksumMismatch { folded: 2, expected: 3 };
+        assert_eq!(live.finish(record(3, 9)), Err(refused));
+        assert_eq!(live.snapshot().allocation_stats.callbacks, 7);
+        // A log refuses a second finish frame outright.
+        let err = BinaryChunkedSink
+            .read_log_bytes(&log_with(&[record(2, 7), record(2, 7)]))
+            .unwrap_err();
+        assert_eq!((err.frame, err.message.as_str()), (3, "frames after the finish frame"));
+    }
+
+    #[test]
+    fn a_lossy_finish_needs_at_most_the_declared_samples() {
+        // The fold holds 5 samples: exactly 5 closes any stream, more only a lossy one.
+        let fold = five_samples();
+        for (declared, lossy) in
+            [(4, false), (5, false), (6, false), (4, true), (5, true), (6, true)]
+        {
+            let accepted = declared == 5 || (lossy && declared > 5);
+            assert_eq!(fold.check_finish(&record(declared, 0), lossy).is_ok(), accepted);
+            let mut closing = fold.clone();
+            assert_eq!(closing.finish(record(declared, 0), lossy).is_ok(), accepted);
+            assert_eq!(closing.is_finished(), accepted, "declared {declared}, lossy {lossy}");
+        }
+    }
+
+    #[test]
+    fn the_first_seen_name_survives_later_fragments() {
+        let mut fold = five_samples();
+        let [later] = <[ThreadDelta; 1]>::try_from(delta(3, "<attached>", 1).threads).unwrap();
+        assert_eq!(fold.thread_name(&later), "main");
+        // A sequence that disagrees with the first fragment's still finds the thread.
+        assert_eq!(fold.thread_name(&ThreadDelta { seq: 9, ..later.clone() }), "main");
+        // A thread the fold has not seen keeps the fragment's own name.
+        let worker = ThreadDelta { seq: 1, profile: ThreadProfile::new(ThreadId(2), "worker") };
+        assert_eq!(fold.thread_name(&worker), "worker");
+        fold.absorb(&ProfileDelta { epoch: 3, threads: vec![later, worker], ..Default::default() });
+        let names: Vec<String> =
+            fold.assemble().threads.into_iter().map(|t| t.thread_name).collect();
+        assert_eq!(names, ["main", "worker"]);
+    }
+
+    #[test]
+    fn the_header_is_the_initial_one_until_the_finish() {
+        let header = |f: &DeltaFold| {
+            let p = f.clone().assemble();
+            (p.event, p.period, p.size_filter, p.allocation_stats.callbacks)
+        };
+        assert_eq!(header(&DeltaFold::new()), (PmuEvent::L1Miss, 1, 0, 0));
+        let mut fold = five_samples();
+        assert_eq!((fold.header(), fold.size_filter()), ((PmuEvent::L1Miss, 64), 1024));
+        assert!(fold.finish(record(4, 3), false).is_err(), "a refused finish changes nothing");
+        assert_eq!(header(&fold), (PmuEvent::L1Miss, 64, 1024, 0));
+        fold.finish(record(5, 3), false).unwrap();
+        assert_eq!((fold.header(), fold.size_filter()), ((PmuEvent::RemoteDram, 128), 0));
+        assert_eq!(header(&fold), (PmuEvent::RemoteDram, 128, 0, 3));
     }
 }

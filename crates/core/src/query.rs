@@ -120,7 +120,9 @@ use crate::cct::{Cct, CctNodeId};
 use crate::fxhash::FxHashMap;
 use crate::metrics::MetricVector;
 use crate::object::AllocSite;
-use crate::profile::{encode_path, ObjectCentricProfile, ProfileParseError, ThreadProfile};
+use crate::profile::{
+    encode_path, DeltaFold, ObjectCentricProfile, ProfileParseError, ThreadProfile,
+};
 use crate::session::Session;
 use crate::sink::{json_metrics, json_path, json_string};
 pub mod live;
@@ -686,8 +688,8 @@ impl Query {
         profiles: impl Iterator<Item = &'p ObjectCentricProfile>,
     ) -> QueryResult {
         let mut state = GroupState::new(self);
-        for profile in profiles {
-            state.absorb_profile(self, profile);
+        for p in profiles {
+            state.absorb_threads(self, (p.event, p.period), &p.sites, &p.threads);
         }
         state.materialize(self)
     }
@@ -875,7 +877,7 @@ impl GroupState {
     }
 
     /// Adopts a source's event/period header (cold evaluation: last profile wins).
-    pub(crate) fn set_meta(&mut self, event: PmuEvent, period: u64) {
+    pub(crate) fn set_meta(&mut self, (event, period): (PmuEvent, u64)) {
         self.event = event;
         self.period = period;
     }
@@ -1092,16 +1094,17 @@ impl GroupState {
 
     /// Folds one profile's thread blocks against its site table, under its
     /// event/period header (the last source absorbed wins): the cold evaluation
-    /// step, the seed of a freshly registered live watch, and the fleet
-    /// aggregator's in-place evaluation of each producer's fold.
+    /// step, and through [`GroupState::absorb_fold`] the seed of a freshly
+    /// registered live watch and the fleet aggregator's walk over its producers'
+    /// folds.
     pub(crate) fn absorb_threads<'t>(
         &mut self,
         query: &Query,
-        (event, period): (PmuEvent, u64),
+        header: (PmuEvent, u64),
         sites: &[AllocSite],
         threads: impl IntoIterator<Item = &'t ThreadProfile>,
     ) {
-        self.set_meta(event, period);
+        self.set_meta(header);
         // Site id -> group slot. Under the Object/Site axes a group is a function
         // of the site, so each distinct site of this table hashes its key view once,
         // however many threads have rows at it. Ids index this table only.
@@ -1111,10 +1114,10 @@ impl GroupState {
         }
     }
 
-    /// [`GroupState::absorb_threads`] over a whole profile.
-    pub(crate) fn absorb_profile(&mut self, query: &Query, profile: &ObjectCentricProfile) {
-        let header = (profile.event, profile.period);
-        self.absorb_threads(query, header, &profile.sites, &profile.threads);
+    /// [`GroupState::absorb_threads`] over a fold in place: what absorbing its
+    /// assembled profile would do, without cloning or assembling it.
+    pub(crate) fn absorb_fold(&mut self, query: &Query, fold: &DeltaFold) {
+        self.absorb_threads(query, fold.header(), fold.sites(), fold.threads());
     }
 
     /// The slots of the groups a query shows, best first: groups under the

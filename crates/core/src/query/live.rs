@@ -18,8 +18,14 @@
 //!   [`BinaryChunkedSink`](crate::wire::BinaryChunkedSink) would have logged;
 //! * **replayed / tailed logs**: [`LiveFold::feed`] pushes raw binary epoch-log
 //!   bytes through a [`FrameTail`] — tail a growing log file and feed each read;
-//! * **manual**: [`LiveFold::absorb`] / [`LiveFold::finish`] for decoded records
-//!   (the fleet aggregator drives its per-producer watches this way).
+//! * **manual**: [`LiveFold::absorb`] / [`LiveFold::finish`] for decoded records.
+//!
+//! Every entry point calls the same [`DeltaFold`] methods log replay calls:
+//! [`DeltaFold::absorb_ordered`] for a delta and [`DeltaFold::finish`] for the
+//! finish record. The fold owns what the stream means — its header, each thread's
+//! first-seen name, the finish record and its checksum — so a `LiveFold` adds only
+//! the watches it feeds and the byte-stream decoder. The fleet aggregator feeds its
+//! watches from its per-producer folds the same way.
 //!
 //! # Identity contract
 //!
@@ -41,14 +47,9 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
 use std::time::{Duration, Instant};
 
 use djx_pmu::PmuEvent;
-use djx_runtime::ThreadId;
 
 use crate::export::DeltaTap;
-use crate::object::AllocSite;
-use crate::profile::{
-    AllocationStats, DeltaFold, FoldError, ObjectCentricProfile, ProfileDelta, ProfileParseError,
-    ThreadDelta, ThreadProfile,
-};
+use crate::profile::{DeltaFold, FoldError, ObjectCentricProfile, ProfileDelta, ProfileParseError};
 use crate::sink::{FinishRecord, LogRecord};
 use crate::wire::FrameTail;
 
@@ -74,99 +75,32 @@ pub(crate) struct LiveShared {
     state: Mutex<LiveState>,
 }
 
-/// What a stream key means: the fold maintains per-stream context a watch needs to
-/// absorb a fragment — the site table rows resolve against and the authoritative
-/// first-seen thread names (later fragments of a thread carry the `<attached>`
-/// placeholder; the fold keeps the identity cold evaluation would see).
-pub(crate) struct StreamCtx<'a> {
-    /// Distinguishes site tables when one watch folds several streams (the fleet
-    /// aggregator keys by producer name); a single-stream fold uses `""`.
-    pub(crate) key: &'a str,
-    pub(crate) sites: &'a [AllocSite],
-    pub(crate) names: &'a HashMap<ThreadId, String>,
-}
-
-impl StreamCtx<'_> {
-    /// The authoritative name for a fragment's thread: the stream's first-seen name
-    /// when known, the fragment's own otherwise.
-    pub(crate) fn name_of<'a>(&'a self, thread: &'a ThreadProfile) -> &'a str {
-        self.names
-            .get(&thread.thread)
-            .map(String::as_str)
-            .unwrap_or(&thread.thread_name)
-    }
-}
-
+/// A live fold is its stream's [`DeltaFold`] plus the watches it feeds and the
+/// byte-stream decoder behind [`LiveFold::feed`].
 struct LiveState {
     fold: DeltaFold,
-    event: PmuEvent,
-    period: u64,
-    size_filter: u64,
-    stats: AllocationStats,
-    /// First-seen thread names, kept across fragments (see [`StreamCtx`]).
-    thread_names: HashMap<ThreadId, String>,
-    finished: bool,
     watches: Vec<Weak<WatchShared>>,
-    /// Byte-stream decoder backing [`LiveFold::feed`].
     tail: FrameTail,
 }
 
 impl LiveState {
-    fn new(event: PmuEvent, period: u64, size_filter: u64) -> Self {
-        Self {
-            fold: DeltaFold::new(),
-            event,
-            period,
-            size_filter,
-            stats: AllocationStats::default(),
-            thread_names: HashMap::new(),
-            finished: false,
-            watches: Vec::new(),
-            tail: FrameTail::new(),
-        }
-    }
-
-    /// The cold-evaluation reference at this point of the stream: the fold assembled
-    /// with everything known so far. [`LiveQuery::current`] is byte-identical to a
-    /// cold evaluation of this snapshot.
-    fn snapshot_profile(&self) -> ObjectCentricProfile {
-        self.fold
-            .clone()
-            .assemble(self.event, self.period, self.size_filter, self.stats)
-    }
-
-    /// Folds one streamed delta: validate the epoch order and site base (a rejected
-    /// delta leaves the fold and every watch untouched), fold it — extending the site
-    /// table — record first-seen thread names, then feed the watches.
+    /// Folds one streamed delta (a rejected delta leaves the fold and every watch
+    /// untouched), then feeds the watches.
     fn absorb_delta(&mut self, delta: &ProfileDelta) -> Result<(), FoldError> {
-        if self.finished {
-            // The stream ended; any further epoch is out of order by definition.
-            return Err(FoldError::OutOfOrderEpoch {
-                epoch: delta.epoch,
-                last: self.fold.last_epoch().unwrap_or(0),
-            });
-        }
         self.fold.absorb_ordered(delta)?;
-        note_thread_names(&mut self.thread_names, &delta.threads);
-        let LiveState { watches, fold, thread_names, .. } = self;
-        let ctx = StreamCtx { key: "", sites: fold.sites(), names: thread_names };
-        for_watches(watches, |w| w.feed_fragment(&ctx, delta));
+        let LiveState { watches, fold, .. } = self;
+        for_watches(watches, |w| w.feed_fragment("", fold, delta));
         Ok(())
     }
 
-    /// Closes the stream: adopt the terminal metadata and counters and close every
-    /// watch. Idempotent — a second finish is ignored.
-    fn finish_record(&mut self, record: FinishRecord) {
-        if self.finished {
-            return;
+    /// Closes the stream with its finish record, verifying the loss-free checksum,
+    /// and closes every watch. A repeated finish that passes the check is ignored.
+    fn finish(&mut self, record: FinishRecord) -> Result<(), FoldError> {
+        if self.fold.finish(record, false)? {
+            let (header, epoch) = (self.fold.header(), self.fold.last_epoch());
+            for_watches(&mut self.watches, |w| w.feed_header(header, epoch, true));
         }
-        self.event = record.event;
-        self.period = record.period;
-        self.size_filter = record.size_filter;
-        self.stats = record.allocation_stats;
-        self.finished = true;
-        let epoch = self.fold.last_epoch();
-        for_watches(&mut self.watches, |w| w.feed_finish(record.event, record.period, epoch, true));
+        Ok(())
     }
 }
 
@@ -179,7 +113,9 @@ impl DeltaTap for LiveShared {
     }
 
     fn on_finish(&self, record: &FinishRecord) {
-        self.state.lock().expect("live fold state lock").finish_record(record.clone());
+        // The trailer counts exactly the retired samples: the seed plus every delta
+        // handed over since, so the checksum holds.
+        let _ = self.state.lock().expect("live fold state lock").finish(record.clone());
     }
 }
 
@@ -187,18 +123,19 @@ impl LiveFold {
     /// An empty fold with placeholder metadata (adopted from the stream's terminal
     /// record, or set up front with [`LiveFold::with_meta`]).
     pub fn new() -> Self {
-        Self::with_meta(PmuEvent::L1Miss, 1, 0)
+        Self::of(DeltaFold::new())
     }
 
     /// An empty fold that already knows the stream's event, period and size filter —
     /// what mid-stream snapshots and renders report before the terminal record
     /// confirms them.
     pub fn with_meta(event: PmuEvent, period: u64, size_filter: u64) -> Self {
-        Self {
-            shared: Arc::new(LiveShared {
-                state: Mutex::new(LiveState::new(event, period, size_filter)),
-            }),
-        }
+        Self::of(DeltaFold::with_header(event, period, size_filter))
+    }
+
+    fn of(fold: DeltaFold) -> Self {
+        let state = LiveState { fold, watches: Vec::new(), tail: FrameTail::new() };
+        Self { shared: Arc::new(LiveShared { state: Mutex::new(state) }) }
     }
 
     fn state(&self) -> MutexGuard<'_, LiveState> {
@@ -209,25 +146,24 @@ impl LiveFold {
     ///
     /// # Errors
     ///
-    /// [`FoldError::OutOfOrderEpoch`] when the epoch repeats or regresses (or the
-    /// stream already finished), [`FoldError::SiteGap`] when the delta's sites do
-    /// not join the fold's table; the fold and all watches are left untouched.
+    /// [`FoldError::AfterFinish`] once the stream finished,
+    /// [`FoldError::OutOfOrderEpoch`] when the epoch repeats or regresses,
+    /// [`FoldError::SiteGap`] when the delta's sites do not join the fold's table;
+    /// the fold and all watches are left untouched.
     pub fn absorb(&self, delta: &ProfileDelta) -> Result<(), FoldError> {
         self.state().absorb_delta(delta)
     }
 
     /// Closes the stream with a terminal record: verifies the loss-free checksum,
-    /// then adopts the run configuration and counters and closes every watch.
+    /// then adopts the run configuration and counters and closes every watch. A
+    /// repeated finish that passes the checksum is ignored.
     ///
     /// # Errors
     ///
     /// [`FoldError::ChecksumMismatch`] when the folded sample total does not match
-    /// the record (deltas were lost or duplicated); the stream stays open.
+    /// the record (deltas were lost or duplicated); the stream stays as it was.
     pub fn finish(&self, record: FinishRecord) -> Result<(), FoldError> {
-        let mut st = self.state();
-        st.fold.verify_checksum(record.total_samples)?;
-        st.finish_record(record);
-        Ok(())
+        self.state().finish(record)
     }
 
     /// Pushes raw binary epoch-log bytes ([`crate::wire`] frames), decoding and
@@ -242,30 +178,22 @@ impl LiveFold {
     pub fn feed(&self, bytes: &[u8]) -> Result<(), ProfileParseError> {
         let mut st = self.state();
         st.tail.push(bytes);
-        loop {
-            // `next_record` borrows the tail mutably; take the decoded record out
-            // before touching the rest of the state.
-            let record = match st.tail.next_record() {
-                Ok(Some(record)) => record,
-                Ok(None) => return Ok(()),
-                Err(e) => return Err(e),
-            };
-            let frame = st.tail.frames();
+        while let Some(record) = st.tail.next_record()? {
             let folded = match record {
                 LogRecord::Delta(delta) => st.absorb_delta(&delta),
-                LogRecord::Finish(record) => {
-                    st.fold.verify_checksum(record.total_samples).map(|()| st.finish_record(record))
-                }
+                LogRecord::Finish(record) => st.finish(record),
             };
+            let frame = st.tail.frames();
             folded.map_err(|e| ProfileParseError { frame, message: e.to_string() })?;
         }
+        Ok(())
     }
 
     /// Assembles the cold-evaluation reference snapshot at this point of the
     /// stream. `query.evaluate(&fold.snapshot())` renders byte-identically to
     /// `query.watch(&fold)`'s current result.
     pub fn snapshot(&self) -> ObjectCentricProfile {
-        self.state().snapshot_profile()
+        self.state().fold.clone().assemble()
     }
 
     /// The last epoch folded, or `None` while the fold is empty.
@@ -282,41 +210,23 @@ impl LiveFold {
     /// snapshot is the run's complete profile; its watches' pending iterators
     /// ([`LiveQuery::next_epoch`]) drain and return `None`.
     pub fn is_finished(&self) -> bool {
-        self.state().finished
+        self.state().fold.is_finished()
     }
 
     /// Seeds the fold with the accumulated retired state of a mid-run attach: the
     /// tap sees only epochs after the seed, the seed carries everything before it.
     pub(crate) fn adopt_seed(&self, acc: ProfileDelta) {
-        let mut st = self.state();
-        note_thread_names(&mut st.thread_names, &acc.threads);
-        st.fold = DeltaFold::seed_from(acc);
+        self.state().fold.seed(acc);
     }
 
     /// A finished fold equivalent to a terminal profile — the fallback when the
     /// export stream already closed before a watch could attach.
     pub(crate) fn from_terminal(profile: &ObjectCentricProfile) -> Self {
-        let fold = Self::with_meta(profile.event, profile.period, profile.size_filter);
-        {
-            let mut st = fold.state();
-            for thread in &profile.threads {
-                st.thread_names.insert(thread.thread, thread.thread_name.clone());
-            }
-            st.fold = DeltaFold::seed_from(ProfileDelta {
-                epoch: 0,
-                threads: profile
-                    .threads
-                    .iter()
-                    .enumerate()
-                    .map(|(seq, t)| ThreadDelta { seq: seq as u64, profile: t.clone() })
-                    .collect(),
-                site_base: 0,
-                sites: profile.sites.clone(),
-            });
-            st.stats = profile.allocation_stats;
-            st.finished = true;
-        }
-        fold
+        let mut fold = DeltaFold::new();
+        fold.seed(ProfileDelta::of_profile(profile, 0));
+        fold.finish(FinishRecord::of_profile(profile), false)
+            .expect("a profile's own finish record matches it");
+        Self::of(fold)
     }
 
     /// The fold's [`DeltaTap`] handle for [`DeltaDrainer::attach_tap`]
@@ -326,16 +236,14 @@ impl LiveFold {
         Arc::downgrade(&shared)
     }
 
-    /// Registers a watch: seed its group state from the current snapshot, then
+    /// Registers a watch: seed its group state from the fold in place, then
     /// subscribe it to subsequent fragments.
     fn register(&self, query: Query) -> LiveQuery {
         let mut st = self.state();
-        let watch = LiveQuery::seed_watch(
-            query,
-            std::iter::once(st.snapshot_profile()),
-            st.fold.last_epoch(),
-            st.finished,
-        );
+        let mut groups = GroupState::new(&query);
+        groups.absorb_fold(&query, &st.fold);
+        let watch =
+            LiveQuery::seed_watch(query, groups, st.fold.last_epoch(), st.fold.is_finished());
         st.watches.push(Arc::downgrade(&watch));
         LiveQuery { watch, _source: Some(Arc::clone(&self.shared)), last_seen: 1 }
     }
@@ -354,7 +262,7 @@ impl std::fmt::Debug for LiveFold {
             .field("deltas", &st.fold.deltas())
             .field("last_epoch", &st.fold.last_epoch())
             .field("sites", &st.fold.sites().len())
-            .field("finished", &st.finished)
+            .field("finished", &st.fold.is_finished())
             .field("watches", &st.watches.len())
             .finish()
     }
@@ -393,15 +301,6 @@ pub(crate) fn for_watches(watches: &mut Vec<Weak<WatchShared>>, mut f: impl FnMu
     });
 }
 
-/// Records each fragment thread's name unless the thread was seen before: later
-/// fragments of a thread carry the `<attached>` placeholder, and cold evaluation
-/// keeps the first-seen name (see [`StreamCtx`]).
-pub(crate) fn note_thread_names(names: &mut HashMap<ThreadId, String>, threads: &[ThreadDelta]) {
-    for td in threads {
-        names.entry(td.profile.thread).or_insert_with(|| td.profile.thread_name.clone());
-    }
-}
-
 pub(crate) struct WatchShared {
     query: Query,
     inner: Mutex<WatchInner>,
@@ -425,47 +324,33 @@ impl WatchShared {
     }
 
     /// Absorbs one epoch delta through [`GroupState::absorb_thread`], the thread
-    /// block step cold evaluation runs, with the site table of the fold the delta
-    /// was just folded into.
-    pub(crate) fn feed_fragment(&self, ctx: &StreamCtx<'_>, delta: &ProfileDelta) {
+    /// block step cold evaluation runs, against the fold the delta was just folded
+    /// into: its site table, and its first-seen thread names (later fragments of a
+    /// thread carry the `<attached>` placeholder). `key` names the stream when one
+    /// watch follows several (the fleet aggregator keys by producer, so each site
+    /// table gets its own memo); a single-stream fold uses `""`.
+    pub(crate) fn feed_fragment(&self, key: &str, fold: &DeltaFold, delta: &ProfileDelta) {
         let mut inner = self.lock();
         let WatchInner { state, memos, .. } = &mut *inner;
         // The stream key is allocated only the first time a stream is seen.
-        if !memos.contains_key(ctx.key) {
-            memos.insert(ctx.key.to_string(), Vec::new());
+        if !memos.contains_key(key) {
+            memos.insert(key.to_string(), Vec::new());
         }
-        let memo = memos.get_mut(ctx.key).expect("inserted above");
+        let memo = memos.get_mut(key).expect("inserted above");
         for td in &delta.threads {
-            let thread = &td.profile;
-            state.absorb_thread(&self.query, thread, ctx.name_of(thread), ctx.sites, memo);
+            state.absorb_thread(&self.query, &td.profile, fold.thread_name(td), fold.sites(), memo);
         }
         self.commit(inner, Some(delta.epoch), false);
     }
 
-    /// Adopts a stream's terminal event/period header and epoch. With `close` the
-    /// watch finishes: pending [`LiveQuery::next_epoch`] calls observe one final
-    /// result and then `None`. A multi-stream feeder (the fleet aggregator) passes
-    /// `close = false` — one producer finishing does not end the fleet.
-    pub(crate) fn feed_finish(
-        &self,
-        event: PmuEvent,
-        period: u64,
-        epoch: Option<u64>,
-        close: bool,
-    ) {
+    /// Adopts an event/period header without new samples: a stream's finish (with
+    /// its epoch), or the fleet-wide header when the producer set changes. With
+    /// `close` the watch finishes: pending [`LiveQuery::next_epoch`] calls observe
+    /// one final result and then `None`; the fleet aggregator passes `false`.
+    pub(crate) fn feed_header(&self, header: (PmuEvent, u64), epoch: Option<u64>, close: bool) {
         let mut inner = self.lock();
-        inner.state.set_meta(event, period);
+        inner.state.set_meta(header);
         self.commit(inner, epoch, close);
-    }
-
-    /// Adopts a new run-level event/period header without new samples — the fleet
-    /// aggregator re-derives the fleet-wide header when the producer set changes
-    /// (cold evaluation adopts the *last* view profile's header, so the live path
-    /// must track membership changes too).
-    pub(crate) fn refresh_meta(&self, event: PmuEvent, period: u64) {
-        let mut inner = self.lock();
-        inner.state.set_meta(event, period);
-        self.commit(inner, None, false);
     }
 
     /// Marks the watch finished without new data — the aggregator's shutdown path,
@@ -606,17 +491,13 @@ impl LiveQuery {
     }
 
     /// Builds the one watch shell every feeder registers (a [`LiveFold`], the fleet
-    /// aggregator): group state seeded from `profiles`, version 1.
+    /// aggregator) around group state the feeder seeded from its folds: version 1.
     pub(crate) fn seed_watch(
         query: Query,
-        profiles: impl Iterator<Item = ObjectCentricProfile>,
+        state: GroupState,
         epoch: Option<u64>,
         finished: bool,
     ) -> Arc<WatchShared> {
-        let mut state = GroupState::new(&query);
-        for profile in profiles {
-            state.absorb_profile(&query, &profile);
-        }
         let inner = WatchInner { state, memos: HashMap::new(), version: 1, epoch, finished };
         Arc::new(WatchShared { query, inner: Mutex::new(inner), cv: Condvar::new() })
     }

@@ -10,6 +10,9 @@
 //! * [`BinaryChunkedSink::read_log_bytes`](crate::wire::BinaryChunkedSink::read_log_bytes)
 //!   is the one function that turns bytes into a profile, so the offline analyzer
 //!   and cross-machine merging (§5.2 of the paper) read every log the same way.
+//!   Its [`LogRecord`]s go to a [`DeltaFold`](crate::DeltaFold), which owns what a
+//!   stream means — header, first-seen thread names, the [`FinishRecord`] and its
+//!   checksum — for log replay, live folds, fleet ingest and WAL recovery alike.
 //! * [`ObjectCentricProfile::to_text`] (the paper's line-oriented profile file) and
 //!   [`ObjectCentricProfile::to_json`] (a document for dashboards and external
 //!   tooling) render a whole profile. Nothing parses either back, and
@@ -22,9 +25,7 @@ use djx_runtime::Frame;
 
 use crate::metrics::MetricVector;
 use crate::object::AllocSite;
-use crate::profile::{
-    AllocationStats, DeltaFold, FoldError, ObjectCentricProfile, ProfileDelta, ThreadProfile,
-};
+use crate::profile::{AllocationStats, ObjectCentricProfile, ProfileDelta, ThreadProfile};
 
 /// A streaming export backend: the export pipeline ([`crate::export`]) calls
 /// [`ProfileSink::on_delta`] for every retired epoch and [`ProfileSink::on_finish`]
@@ -86,7 +87,8 @@ impl ObjectCentricProfile {
 /// The decoded payload of an epoch log's terminal `finish` frame — a trailer: run
 /// configuration, agent counters and the total-sample checksum. The deltas carry
 /// everything else (samples, allocation counts and the site table), so the record
-/// adds nothing [`DeltaFold::assemble`] could not have shown mid-run.
+/// adds nothing [`DeltaFold::assemble`](crate::DeltaFold::assemble) could not have
+/// shown mid-run. [`DeltaFold::finish`](crate::DeltaFold::finish) checks and keeps it.
 #[derive(Debug, Clone)]
 pub struct FinishRecord {
     /// The sampled PMU event.
@@ -111,30 +113,6 @@ impl FinishRecord {
             allocation_stats: profile.allocation_stats,
             total_samples: profile.total_samples(),
         }
-    }
-
-    /// Closes a fold with this record: verifies the total-sample checksum against
-    /// what was actually folded, then assembles the complete profile the way the
-    /// live session would have.
-    ///
-    /// # Errors
-    ///
-    /// [`FoldError::ChecksumMismatch`] when deltas were lost or duplicated between
-    /// the producer and the fold.
-    pub fn assemble(self, fold: DeltaFold) -> Result<ObjectCentricProfile, FoldError> {
-        fold.verify_checksum(self.total_samples)?;
-        Ok(self.assemble_lossy(fold))
-    }
-
-    /// Closes a fold that is **known** to be missing deltas: assembles without the
-    /// total-sample checksum. For streams where loss was chosen and accounted for —
-    /// a fleet producer running the
-    /// [`DropOldestEpochsFlaggedLossy`](crate::fleet::OverflowPolicy) overflow
-    /// policy declares its dropped epochs, the aggregator flags the producer
-    /// truncated, and this assembles what survived. Everywhere else use
-    /// [`FinishRecord::assemble`], which refuses silent gaps.
-    pub fn assemble_lossy(self, fold: DeltaFold) -> ObjectCentricProfile {
-        fold.assemble(self.event, self.period, self.size_filter, self.allocation_stats)
     }
 }
 

@@ -846,8 +846,9 @@ pub(crate) enum WireRecord {
     Control(Control),
 }
 
-/// Verifies and decodes one complete frame whose header [`frame_len`] accepted.
-fn decode_frame(frame: &[u8]) -> Result<WireRecord, ProfileParseError> {
+/// The payload of one complete frame whose header [`frame_len`] accepted, once its
+/// checksum verifies.
+fn verified_payload(frame: &[u8]) -> Result<&[u8], ProfileParseError> {
     let (body, stored) = frame.split_at(frame.len() - 4);
     let payload = &body[HEADER_LEN..];
     let stored = u32::from_le_bytes(stored.try_into().expect("4 checksum bytes"));
@@ -858,6 +859,21 @@ fn decode_frame(frame: &[u8]) -> Result<WireRecord, ProfileParseError> {
             body.len()
         )));
     }
+    Ok(payload)
+}
+
+/// Whether `frame` is a whole query frame with a valid checksum, refused for its
+/// payload alone (a filter list over [`MAX_QUERY_FILTER_LEN`]): the stream is still
+/// at a frame boundary, so the aggregator can answer and keep the connection.
+pub(crate) fn is_whole_query_frame(frame: &[u8]) -> bool {
+    frame.first_chunk::<HEADER_LEN>().is_some_and(|header| {
+        header[5] == KIND_QUERY && frame_len(header).is_ok_and(|len| len == frame.len())
+    }) && verified_payload(frame).is_ok()
+}
+
+/// Verifies and decodes one complete frame whose header [`frame_len`] accepted.
+fn decode_frame(frame: &[u8]) -> Result<WireRecord, ProfileParseError> {
+    let payload = verified_payload(frame)?;
     Ok(match frame[5] {
         KIND_DELTA => WireRecord::Log(LogRecord::Delta(decode_delta_payload(payload)?)),
         KIND_FINISH => WireRecord::Log(LogRecord::Finish(decode_finish_payload(payload)?)),
@@ -1092,13 +1108,9 @@ impl FrameTail {
 /// Unlike the render-only [`ObjectCentricProfile::to_text`] /
 /// [`ObjectCentricProfile::to_json`] documents, a binary log is a complete,
 /// self-verifying serialization of the run, and the one format the profiler reads
-/// back:
-/// [`BinaryChunkedSink::read_log_bytes`] folds the delta frames in epoch order
-/// ([`DeltaFold`]), applies the finish frame, verifies the checksum, and returns a
-/// profile **byte-identical** to the terminal snapshot of the session that
-/// streamed it. Out-of-order epochs, a missing finish frame, or a folded sample
-/// count that disagrees with the checksum are parse errors — a truncated or
-/// reordered stream can never silently masquerade as a whole profile.
+/// back: [`BinaryChunkedSink::read_log_bytes`] returns a profile
+/// **byte-identical** to the terminal snapshot of the session that streamed it,
+/// and a truncated or reordered stream is a parse error, never a whole profile.
 ///
 /// Binary logs are not UTF-8: use byte-based outputs
 /// ([`SharedBuffer`](crate::export::SharedBuffer), files) and
@@ -1123,25 +1135,17 @@ impl BinaryChunkedSink {
         profile: &ObjectCentricProfile,
         out: &mut dyn Write,
     ) -> io::Result<()> {
-        let delta = ProfileDelta {
-            epoch: 1,
-            threads: profile
-                .threads
-                .iter()
-                .enumerate()
-                .map(|(i, t)| ThreadDelta { seq: i as u64, profile: t.clone() })
-                .collect(),
-            site_base: 0,
-            sites: profile.sites.clone(),
-        };
+        let delta = ProfileDelta::of_profile(profile, 1);
         if !delta.is_empty() {
             write_delta_frame(1, &delta, out)?;
         }
         write_finish_frame(&FinishRecord::of_profile(profile), out)
     }
 
-    /// Replays a binary epoch log: folds the delta frames in order, applies the
-    /// finish frame, and verifies the total-sample checksum. This is the one
+    /// Replays a binary epoch log through one [`DeltaFold`]: delta frames through
+    /// [`DeltaFold::absorb_ordered`], the finish frame through
+    /// [`DeltaFold::finish`] (which verifies the total-sample checksum), then
+    /// [`DeltaFold::assemble`]. Nothing may follow the finish frame. This is the one
     /// function that turns bytes into a profile.
     ///
     /// ```
@@ -1186,32 +1190,27 @@ impl BinaryChunkedSink {
         }
         let mut reader = BinaryFrameReader::new(input);
         let mut fold = DeltaFold::new();
-        let mut finish: Option<FinishRecord> = None;
         while let Some(record) = reader.next_record()? {
             let frame = reader.frame_number();
-            if finish.is_some() {
+            if fold.is_finished() {
                 return Err(ProfileParseError {
                     frame,
                     message: "frames after the finish frame".to_string(),
                 });
             }
             match record {
-                LogRecord::Delta(delta) => fold
-                    .absorb_ordered(&delta)
-                    .map_err(|e| ProfileParseError { frame, message: e.to_string() })?,
-                LogRecord::Finish(record) => finish = Some(record),
+                LogRecord::Delta(delta) => fold.absorb_ordered(&delta),
+                LogRecord::Finish(record) => fold.finish(record, false).map(drop),
             }
+            .map_err(|e| ProfileParseError { frame, message: e.to_string() })?;
         }
-        let frame = reader.frame_number().max(1);
-        let Some(finish) = finish else {
+        if !fold.is_finished() {
             return Err(ProfileParseError {
-                frame,
+                frame: reader.frame_number().max(1),
                 message: "binary epoch log has no finish frame (truncated stream?)".to_string(),
             });
-        };
-        finish
-            .assemble(fold)
-            .map_err(|e| ProfileParseError { frame, message: e.to_string() })
+        }
+        Ok(fold.assemble())
     }
 }
 
@@ -1295,23 +1294,22 @@ mod tests {
         for later in &mut deltas[1..] {
             later.site_base = 2;
         }
-        let mut fold = DeltaFold::new();
-        for d in &deltas {
-            fold.absorb_ordered(d).unwrap();
-        }
-        let profile = fold.assemble(
-            PmuEvent::L1Miss,
-            100,
-            1024,
-            AllocationStats { callbacks: 9, monitored: 3, filtered: 6, ..Default::default() },
-        );
+        let mut fold = DeltaFold::with_header(PmuEvent::L1Miss, 100, 1024);
+        deltas.iter().for_each(|d| fold.absorb_ordered(d).unwrap());
+        let stats =
+            AllocationStats { callbacks: 9, monitored: 3, filtered: 6, ..Default::default() };
+        let record = FinishRecord {
+            allocation_stats: stats,
+            ..FinishRecord::of_profile(&fold.clone().assemble())
+        };
+        fold.finish(record.clone(), false).unwrap();
         let sink = BinaryChunkedSink::new();
         let mut log = Vec::new();
         for d in &deltas {
             sink.on_delta(d.epoch, d, &mut log).unwrap();
         }
-        sink.on_finish(&FinishRecord::of_profile(&profile), &mut log).unwrap();
-        (log, profile)
+        sink.on_finish(&record, &mut log).unwrap();
+        (log, fold.assemble())
     }
 
     #[test]

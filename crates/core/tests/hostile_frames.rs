@@ -198,9 +198,9 @@ fn frames_of_every_kind() -> Vec<Vec<u8>> {
         site_base: 0,
         sites,
     };
-    let mut fold = DeltaFold::new();
+    let mut fold = DeltaFold::with_header(PmuEvent::DEFAULT, 64, 1024);
     fold.absorb_ordered(&delta).unwrap();
-    let terminal = fold.assemble(PmuEvent::DEFAULT, 64, 1024, AllocationStats::default());
+    let terminal = fold.assemble();
     let sink = BinaryChunkedSink::new();
     let (mut delta_frame, mut finish_frame) = (Vec::new(), Vec::new());
     sink.on_delta(1, &delta, &mut delta_frame).unwrap();

@@ -1406,10 +1406,10 @@ proptest! {
             .iter()
             .enumerate()
             .map(|(s, stream)| {
-                let mut fold = DeltaFold::new();
-                stream.iter().for_each(|d| fold.absorb_ordered(d).expect("generated in order"));
                 let event = PmuEvent::all()[s % PmuEvent::all().len()];
-                fold.assemble(event, 10 + s as u64, 1024, AllocationStats::default())
+                let mut fold = DeltaFold::with_header(event, 10 + s as u64, 1024);
+                stream.iter().for_each(|d| fold.absorb_ordered(d).expect("generated in order"));
+                fold.assemble()
             })
             .collect();
         let specs: Vec<QuerySpec> = [GroupBy::Object, GroupBy::Site, GroupBy::Thread, GroupBy::NumaNode]

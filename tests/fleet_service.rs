@@ -382,14 +382,14 @@ fn running_producer_answers_object_queries_mid_run() {
     let wal = std::fs::read(wal).expect("the WAL reads");
     let body = &wal[wal.iter().position(|b| *b == b'\n').expect("header line") + 1..];
     let mut reader = djxperf::BinaryFrameReader::new(body);
-    let mut fold = DeltaFold::new();
+    let mut fold = DeltaFold::with_header(PmuEvent::DEFAULT, PERIOD, SIZE_FILTER);
     while let Some(record) = reader.next_record().expect("the WAL decodes") {
         match record {
             djxperf::LogRecord::Delta(delta) => fold.absorb_ordered(&delta).expect("in order"),
             djxperf::LogRecord::Finish(_) => panic!("the producer has not finished"),
         }
     }
-    let cold = fold.assemble(PmuEvent::DEFAULT, PERIOD, SIZE_FILTER, AllocationStats::default());
+    let cold = fold.assemble();
     let cold = query.evaluate(&cold).expect("the fold evaluates");
     assert_eq!(from_fleet.to_text(), cold.to_text(), "text identity mid-run");
     assert_eq!(from_fleet.to_json(), cold.to_json(), "json identity mid-run");
@@ -673,6 +673,113 @@ fn oversized_control_line_is_refused_and_the_aggregator_keeps_serving() {
     let mut probe = RawProducer::connect(&addr);
     assert_eq!(probe.hello("after"), ack(0));
     assert_eq!(probe.round_trip(&delta_frame(1, 9, 4)), ack(1));
+}
+
+#[test]
+fn a_refused_query_keeps_its_connection() {
+    // A whole query frame whose payload is refused costs the client that query:
+    // the error record answers it and the same connection keeps serving.
+    let aggregator = FleetAggregator::bind("127.0.0.1:0").expect("aggregator binds");
+    let addr = aggregator.local_addr().unwrap().to_string();
+    let _probe = raw_stream(&addr, "probe", PERIOD, 0, &[probe_delta(1, 4)]);
+    let mut client = FleetClient::connect(&addr).expect("client connects");
+    let over_cap = (0..=MAX_QUERY_FILTER_LEN as u64)
+        .map(ThreadId)
+        .fold(Query::new(), Query::filter_thread);
+    let err = client.query(&over_cap).expect_err("an over-cap filter list is refused");
+    assert!(err.to_string().contains("over the cap"), "{err}");
+    let query = Query::new().group_by(GroupBy::Thread);
+    let remote = client.query(&query).expect("the same client is still served");
+    assert_eq!(remote.text, aggregator.query(&query).expect("in process").to_text());
+    assert_eq!(client.status().expect("status still answers").len(), 1);
+}
+
+#[test]
+fn a_lossy_finish_survives_wal_recovery() {
+    // A producer that declared dropped epochs finishes with a checksum its fold
+    // cannot reach; recovery must restore it finished and flagged truncated, and
+    // answer exactly what the aggregator answered before the restart.
+    let wal_dir = TempDir::new("lossy-recovery");
+    let mut aggregator = FleetAggregator::builder()
+        .wal(&wal_dir.0, FsyncPolicy::EveryFrame)
+        .bind("127.0.0.1:0")
+        .expect("durable bind");
+    let addr = aggregator.local_addr().unwrap().to_string();
+    let deltas = [fanout_delta(1, 0..6, 1..3, PERIOD), fanout_delta(3, 6..9, 1..3, PERIOD)];
+    let folded: u64 = deltas.iter().map(ProfileDelta::total_samples).sum();
+    let mut producer = raw_stream(&addr, "lossy", PERIOD, 2, &deltas);
+    let finished = producer.round_trip(&finish_frame(2 * PERIOD, folded + 10));
+    assert_eq!(finished, Reply::Ack { epoch: 3, terminal: true }, "the lossy finish is accepted");
+    let queries = [
+        Query::new(),
+        Query::new().group_by(GroupBy::Thread),
+        Query::new().group_by(GroupBy::Site).rank_by(RankBy::Allocations),
+    ];
+    let answers = |aggregator: &FleetAggregator| {
+        let view = aggregator.view();
+        let profiles: Vec<(String, bool, String)> = view
+            .producers()
+            .iter()
+            .map(|p| (p.producer.clone(), p.truncated, p.profile.to_text()))
+            .collect();
+        let results: Vec<String> = queries
+            .iter()
+            .map(|q| aggregator.query(q).expect("evaluates").to_text())
+            .collect();
+        (profiles, results)
+    };
+    let before = answers(&aggregator);
+    let status = aggregator.status();
+    assert!(status[0].finished && status[0].truncated, "{status:?}");
+    drop(producer);
+    aggregator.shutdown();
+    drop(aggregator);
+
+    let restarted = FleetAggregator::recover(&wal_dir.0)
+        .expect("the WAL replays")
+        .bind("127.0.0.1:0")
+        .expect("rebinds");
+    let row = &restarted.recovery_report().expect("recovered").producers[0];
+    assert!(row.finished, "{row:?}");
+    assert_eq!((row.frames, row.last_epoch, row.torn_tail.as_deref()), (3, 3, None));
+    let status = restarted.status();
+    assert_eq!(status.len(), 1);
+    assert!(status[0].finished, "{status:?}");
+    assert!(status[0].truncated, "a lossy producer stays flagged: {status:?}");
+    assert_eq!(status[0].samples, folded);
+    assert_eq!(answers(&restarted), before, "recovery answers what the aggregator answered");
+    assert!(before.1[0].contains(&format!("period {}", 2 * PERIOD)), "{}", before.1[0]);
+}
+
+#[test]
+fn a_re_sent_finish_is_re_acknowledged_unchecked() {
+    // A finish re-sent after a lost final acknowledgement is acknowledged again,
+    // without another checksum check or WAL append; the first finish stays.
+    let aggregator = FleetAggregator::bind("127.0.0.1:0").expect("aggregator binds");
+    let addr = aggregator.local_addr().unwrap().to_string();
+    let mut producer = raw_stream(&addr, "twice", PERIOD, 0, &[probe_delta(1, 5)]);
+    for (period, total) in [(PERIOD, 5), (2 * PERIOD, 6)] {
+        let reply = producer.round_trip(&finish_frame(period, total));
+        assert_eq!(reply, Reply::Ack { epoch: 1, terminal: true }, "finish counting {total}");
+    }
+    assert_eq!(aggregator.view().producers()[0].profile.period, PERIOD, "the first finish stays");
+    assert!(aggregator.status()[0].finished);
+}
+
+#[test]
+fn one_refused_reconnect_reports_its_backoff() {
+    // Under a 1 ms initial delay the first backoff is 0.5–1 ms: it reports as one
+    // whole millisecond, not as no wait at all.
+    let aggregator = FleetAggregator::bind("127.0.0.1:0").expect("aggregator binds");
+    let sink = FleetSink::builder("sub-ms", PmuEvent::DEFAULT, PERIOD, SIZE_FILTER)
+        .backoff(fast_backoff(7))
+        .connect(&aggregator.local_addr().unwrap().to_string())
+        .expect("producer connects");
+    drop(aggregator);
+    sink.disconnect();
+    sink.flush_pending();
+    let stats = sink.stats();
+    assert_eq!((stats.connects, stats.reconnect_backoff_ms), (1, 1), "{stats:?}");
 }
 
 /// A scratch directory that cleans itself up.
@@ -1041,7 +1148,7 @@ fn lossy_overflow_policy_drops_oldest_and_flags_truncation() {
         .connect(&addr)
         .expect("producer connects");
     let mut out = std::io::sink();
-    let mut fold = DeltaFold::new();
+    let mut fold = DeltaFold::with_header(PmuEvent::DEFAULT, PERIOD, SIZE_FILTER);
 
     // A few acknowledged epochs, then an outage long enough (in frames) that the
     // 200-byte buffer must shed its oldest epochs.
@@ -1065,7 +1172,7 @@ fn lossy_overflow_policy_drops_oldest_and_flags_truncation() {
     // producer declared itself lossy so the finish is still accepted).
     let restarted = rebind(|| FleetAggregator::bind(&addr));
     let declared = fold.total_samples();
-    let profile = fold.assemble(PmuEvent::DEFAULT, PERIOD, SIZE_FILTER, AllocationStats::default());
+    let profile = fold.assemble();
     sink.on_finish(&FinishRecord::of_profile(&profile), &mut out)
         .expect("the lossy finish is accepted");
 
@@ -1149,7 +1256,7 @@ fn sink_fault_plan_heals_losslessly() {
         .connect(&addr)
         .expect("producer connects");
     let mut out = std::io::sink();
-    let mut fold = DeltaFold::new();
+    let mut fold = DeltaFold::with_header(PmuEvent::DEFAULT, PERIOD, SIZE_FILTER);
     for epoch in 1..=8u64 {
         let delta = probe_delta(epoch, 10 + epoch);
         fold.absorb_ordered(&delta).unwrap();
@@ -1157,7 +1264,7 @@ fn sink_fault_plan_heals_losslessly() {
             .expect("faults are absorbed, not surfaced");
     }
     let declared = fold.total_samples();
-    let profile = fold.assemble(PmuEvent::DEFAULT, PERIOD, SIZE_FILTER, AllocationStats::default());
+    let profile = fold.assemble();
     sink.on_finish(&FinishRecord::of_profile(&profile), &mut out)
         .expect("the finish lands after the faults");
 

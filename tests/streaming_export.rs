@@ -527,16 +527,14 @@ fn coalescing_deltas_first_equals_folding_them_in_order() {
         sites: sites(2..3),
     };
 
-    let render = |fold: DeltaFold| {
-        fold.assemble(djx_pmu::PmuEvent::L1Miss, PERIOD, 1024, djxperf::AllocationStats::default())
-            .to_text()
-    };
-    let mut sequential = DeltaFold::new();
+    let render = |fold: DeltaFold| fold.assemble().to_text();
+    let header = || DeltaFold::with_header(djx_pmu::PmuEvent::L1Miss, PERIOD, 1024);
+    let mut sequential = header();
     for d in [&d1, &d2, &d3] {
         sequential.absorb(d);
     }
     assert_eq!(sequential.deltas(), 3);
-    assert_eq!(sequential.epoch(), 3);
+    assert_eq!(sequential.last_epoch(), Some(3));
 
     let mut coalesced_tail = d2.clone();
     coalesced_tail.merge_from(&d3);
@@ -546,7 +544,7 @@ fn coalescing_deltas_first_equals_folding_them_in_order() {
         (2, 1),
         "coalescing concatenates the site suffixes"
     );
-    let mut coalesced = DeltaFold::new();
+    let mut coalesced = header();
     coalesced.absorb(&d1);
     coalesced.absorb(&coalesced_tail);
 
