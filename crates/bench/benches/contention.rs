@@ -385,9 +385,7 @@ struct SessionPipeline {
 impl SessionPipeline {
     fn new(ingest: Ingest, fixtures: &Fixtures) -> Self {
         let base = Session::builder().index_shards(INDEX_SHARDS);
-        let full = |base: SessionBuilder, period| {
-            base.period(period).collect_objects().collect_code().collect_numa()
-        };
+        let full = |base: SessionBuilder, period| base.period(period).collect_objects();
         let policy = DrainPolicy::new().capacity(8).coalesce().tick(Duration::from_millis(5));
         let builder = match ingest {
             Ingest::Substrate { cache, .. } => {

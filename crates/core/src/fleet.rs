@@ -2701,6 +2701,8 @@ mod tests {
             Query::new().group_by(GroupBy::Site),
             Query::new().group_by(GroupBy::Thread).rank_by(RankBy::RemoteFraction),
             Query::new().group_by(GroupBy::NumaNode).rank_by(RankBy::Latency),
+            Query::new().group_by(GroupBy::Context).rank_by(RankBy::MeanLatency).top(5),
+            Query::new().group_by(GroupBy::NodePair).rank_by(RankBy::Samples),
         ] {
             assert_query_round_trips(query);
         }

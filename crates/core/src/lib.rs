@@ -30,28 +30,27 @@
 //! | [`metrics`] | §4.1 | metric vectors attributed to sites and contexts |
 //! | [`object`] | §4.2 | allocation-site identity (allocation call paths) |
 //! | [`agent`] | §4.1, §4.5 | the allocation ("Java") agent and the shared object index |
-//! | [`session`] | §5, Fig. 1 | the one profiler: [`Session`] (one sampling stream, one record per sample — each thread's [`ThreadProfile`] — that all three views read, plus pluggable custom collectors), configured by [`ProfilerConfig`] |
+//! | [`session`] | §5, Fig. 1 | the one profiler: [`Session`] (one sampling stream, one record per sample — each thread's [`ThreadProfile`] — that all three views query, plus pluggable custom collectors), configured by [`ProfilerConfig`] |
 //! | [`sink`] | §5.2 | the streaming [`ProfileSink`] trait, the [`FinishRecord`] trailer, and the render-only JSON document ([`ObjectCentricProfile::to_json`]) |
 //! | [`wire`] | §5.2 | binary epoch frames: the one format the profiler reads back, for logs, the fleet wire and its WAL ([`BinaryChunkedSink::read_log_bytes`]) |
 //! | [`export`] | §5.2 | asynchronous delta export: background [`DeltaDrainer`] over epoch-retired snapshot deltas |
 //! | [`profile`] | §5.1/§5.2 | per-thread profiles and their render-only text form ([`ObjectCentricProfile::to_text`]) |
-//! | [`query`] | §5.2, §6 | the offline analyzer: [`ProfileSource`] + composable [`Query`] (merge, rank, filter) over live sessions, snapshots, logs and folds |
-//! | [`codecentric`] | §1, Fig. 1, §4.3 | the views read off the object profile: the code-centric (perf-like) baseline and the NUMA traffic matrix |
-//! | [`report`] | Fig. 5, §4.3 | the [`Report`] views (the GUI stand-in): query results, the code-centric baseline, and the NUMA view (traffic matrix plus a remote-ranked query) |
+//! | [`query`] | §1, Fig. 1, §4.3, §5.2, §6 | the offline analyzer: [`ProfileSource`] + composable [`Query`] (merge, rank, filter) over live sessions, snapshots, logs and folds; every view is a [`GroupBy`] axis — objects, the code-centric (perf-like) baseline ([`GroupBy::Context`]), the NUMA traffic matrix ([`GroupBy::NodePair`]) |
+//! | [`report`] | Fig. 5, §4.3 | [`Report::query`] (the GUI stand-in): any query result with symbolized frames |
 //!
 //! ## Quick start
 //!
 //! A [`SessionBuilder`] configures the sampling substrate once — event, period, size
 //! filter, jitter, launch/attach mode — and attaches to a runtime as one listener. Each
 //! sample is recorded once, and a single pass yields the object-centric ranking, the
-//! code-centric baseline and the NUMA view as reads of that record;
-//! [`Session::snapshot`] extracts all three mid-run from one retirement. A profile
-//! renders as text or JSON, and a [`ProfileSink`] streams its epochs out as a binary
-//! log for offline merging.
+//! code-centric baseline and the NUMA view as queries over that record;
+//! [`Session::object_profile`] extracts it mid-run without stopping measurement. A
+//! profile renders as text or JSON, and a [`ProfileSink`] streams its epochs out as a
+//! binary log for offline merging.
 //!
 //! ```
 //! use djx_runtime::{dsl, Runtime, RuntimeConfig};
-//! use djxperf::{CodeCentricProfile, NumaProfile, Query, RankBy, Report, Session};
+//! use djxperf::{GroupBy, Query, RankBy, Report, Session};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! // A runtime running a memory-bloat workload: a float[] allocated in a loop,
@@ -77,17 +76,19 @@
 //! assert_eq!(hottest.label, "float[]");
 //! println!("{}", Report::query(&ranked, rt.methods()));
 //!
-//! // The code-centric baseline of Figure 1, read off the same object profile —
-//! // as it would be off a replayed epoch log or a fleet fold.
+//! // The code-centric baseline of Figure 1 is another axis of the same query over
+//! // the same object profile — as it would be over a replayed epoch log or a fleet
+//! // fold.
 //! let profile = session.object_profile().expect("object collector registered");
-//! let code = CodeCentricProfile::from_profile(&profile);
+//! let code = Query::new().group_by(GroupBy::Context).evaluate(&profile)?;
 //! assert_eq!(code.total_samples, profile.total_samples());
+//! println!("{}", Report::query(&code, rt.methods()));
 //!
 //! // The NUMA view (§4.3): the node-to-node traffic matrix, and the objects ranked
-//! // by remote samples with a Query over the same object profile.
-//! let numa = NumaProfile::from_profile(&profile);
+//! // by remote samples.
+//! let matrix = Query::new().group_by(GroupBy::NodePair).evaluate(&profile)?;
 //! let remote = Query::new().rank_by(RankBy::RemoteSamples).evaluate(&profile)?;
-//! println!("{}", Report::numa_view(&numa, &remote, rt.methods()));
+//! println!("{}\n{}", Report::query(&matrix, rt.methods()), Report::query(&remote, rt.methods()));
 //!
 //! // Machine-readable render for dashboards, and a binary log that reads back for
 //! // cross-machine merging.
@@ -103,7 +104,6 @@
 
 pub mod agent;
 pub mod cct;
-pub mod codecentric;
 pub mod export;
 pub mod fleet;
 pub mod fxhash;
@@ -124,7 +124,6 @@ pub use agent::{
     DEFAULT_RESOLUTION_CACHE_SLOTS, DEFAULT_SHARD_COUNT, DEFAULT_SIZE_FILTER,
 };
 pub use cct::{Cct, CctNodeId};
-pub use codecentric::{CodeCentricProfile, CodeLocation, NumaProfile};
 pub use export::{Backpressure, DeltaDrainer, DrainPolicy, ExportStats, SharedBuffer};
 pub use fleet::{
     BackoffPolicy, FaultAction, FaultPlan, FleetAggregator, FleetAggregatorBuilder, FleetClient,
@@ -145,9 +144,25 @@ pub use query::{
 pub use report::{Report, ReportOptions};
 pub use session::{
     adaptive_shard_count, BatchContext, Collector, ProfilerConfig, SampleContext, Session,
-    SessionBuilder, SessionSnapshot, DEFAULT_SAMPLE_PERIOD,
+    SessionBuilder, DEFAULT_SAMPLE_PERIOD,
 };
 pub use sink::{FinishRecord, LogRecord, ProfileSink};
 pub use splay::{Interval, IntervalSplayTree, LookupStats};
 pub use sync::{Epoch, SpinLock, SpinLockGuard};
 pub use wire::{BinaryChunkedSink, BinaryFrameReader};
+
+/// The code-centric baseline of Figure 1 is the [`GroupBy::Context`] axis of a query
+/// over a session's object profile; these tests pin down the session that feeds it.
+#[cfg(test)]
+mod codecentric {
+    mod tests {
+        use crate::{GroupBy, Query, Session};
+
+        #[test]
+        #[should_panic(expected = "non-zero")]
+        fn zero_period_rejected() {
+            let session = Session::builder().period(0).collect_objects().build();
+            let _ = Query::new().group_by(GroupBy::Context).evaluate(&*session);
+        }
+    }
+}

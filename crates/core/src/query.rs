@@ -98,9 +98,11 @@
 //! analyzer's ranked object list (§5.2): profiles merge top-down, sites coalesce by
 //! `(class name, allocation path)` across threads and processes, and
 //! [`QueryResult::find_class`] looks an object up by class. Ranking by
-//! [`RankBy::RemoteSamples`] gives the per-object NUMA ranking (§4.3);
-//! [`Report::numa_view`](crate::report::Report::numa_view) lists it next to the NUMA
-//! collector's node traffic matrix. A result renders through
+//! [`RankBy::RemoteSamples`] gives the per-object NUMA ranking (§4.3), and
+//! [`GroupBy::NodePair`] the node-to-node traffic matrix it sits beside. Figure 1's
+//! comparison is two queries over the same samples: [`GroupBy::Object`] against
+//! [`GroupBy::Context`], the code-centric (perf-like) baseline that charges every
+//! sample to its calling context alone. A result renders through
 //! [`Report::query`](crate::report::Report::query) with symbolized frames (the
 //! Figure 5 layout), through its own [`Display`](std::fmt::Display) without a method
 //! registry, and through [`QueryResult::to_json`] for dashboards.
@@ -187,7 +189,8 @@ impl fmt::Display for UnknownGroupByError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "unknown grouping axis {:?} (expected one of: object, site, thread, numa_node)",
+            "unknown grouping axis {:?} (expected one of: object, site, thread, numa_node, \
+             context, node_pair)",
             self.name
         )
     }
@@ -364,12 +367,23 @@ pub enum GroupBy {
     /// thread's group).
     Thread,
     /// By NUMA locality of the sampled access — the local/remote partition of the
-    /// §4.3 signal. Site metrics aggregate per-node pairs down to local vs remote;
-    /// the node-to-node matrix is each thread profile's `node_traffic`, summed by
-    /// [`NumaProfile::from_profile`](crate::codecentric::NumaProfile::from_profile).
-    /// Groups under this axis carry the partitionable sample counters only and their
-    /// fractions are sample-based.
+    /// §4.3 signal, read off the per-object local and remote counts, so it is the
+    /// one NUMA axis that honours class and site filters. Without filters,
+    /// [`GroupBy::NodePair`] refines it: its diagonal cells sum to `local`, the
+    /// others to `remote`. Groups under this axis carry the partitionable sample
+    /// counters only and their fractions are sample-based.
     NumaNode,
+    /// By sampled access calling context — the code-centric (perf-like) baseline of
+    /// Figure 1: each thread's CCT node metrics hold every sample at its context,
+    /// attributed to an object or not. Class and site filters leave no group (an
+    /// unattributed sample has no class); fractions are weighted-events based.
+    Context,
+    /// By `(cpu_node, page_node)` cell of the node-to-node traffic matrix (§4.3):
+    /// each thread profile's `node_traffic`, attributed or not. A cell counts
+    /// `samples` plus `local_samples` on the diagonal or `remote_samples` off it.
+    /// Class and site filters leave no group; fractions are sample-based, like
+    /// [`GroupBy::NumaNode`].
+    NodePair,
 }
 
 impl GroupBy {
@@ -380,6 +394,8 @@ impl GroupBy {
             GroupBy::Site => "site",
             GroupBy::Thread => "thread",
             GroupBy::NumaNode => "numa_node",
+            GroupBy::Context => "context",
+            GroupBy::NodePair => "node_pair",
         }
     }
 }
@@ -399,6 +415,8 @@ impl FromStr for GroupBy {
             "site" => Ok(GroupBy::Site),
             "thread" => Ok(GroupBy::Thread),
             "numa_node" => Ok(GroupBy::NumaNode),
+            "context" => Ok(GroupBy::Context),
+            "node_pair" => Ok(GroupBy::NodePair),
             other => Err(UnknownGroupByError { name: other.to_string() }),
         }
     }
@@ -442,12 +460,21 @@ pub enum GroupKey {
     Thread(ThreadId),
     /// A NUMA locality class.
     NumaNode(Locality),
+    /// A sampled access calling context, root-first.
+    Context(Vec<Frame>),
+    /// A cell of the node-to-node traffic matrix.
+    NodePair {
+        /// NUMA node of the sampling CPU.
+        cpu_node: u32,
+        /// NUMA node owning the sampled page.
+        page_node: u32,
+    },
 }
 
 impl GroupKey {
     /// A registry-free label for the key (class name, `method:bci`, `thread N`,
-    /// `local`/`remote`). [`QueryGroup::label`] carries the richer first-seen label
-    /// (e.g. the thread's name).
+    /// `local`/`remote`, `node A -> node B`). [`QueryGroup::label`] carries the
+    /// richer first-seen label (e.g. the thread's name).
     fn basic_label(&self) -> String {
         match self {
             GroupKey::Object { class_name, .. } => class_name.clone(),
@@ -455,6 +482,13 @@ impl GroupKey {
             GroupKey::Site(None) => "<no allocation context>".to_string(),
             GroupKey::Thread(thread) => format!("thread {}", thread.0),
             GroupKey::NumaNode(locality) => locality.to_string(),
+            GroupKey::Context(path) => match path.last() {
+                Some(leaf) => format!("{}:{}", leaf.method.0, leaf.bci),
+                None => "<no calling context>".to_string(),
+            },
+            GroupKey::NodePair { cpu_node, page_node } => {
+                format!("node {cpu_node} -> node {page_node}")
+            }
         }
     }
 
@@ -473,6 +507,12 @@ impl GroupKey {
             GroupKey::NumaNode(locality) => {
                 format!("{{\"kind\":\"numa\",\"locality\":{}}}", json_string(&locality.to_string()))
             }
+            GroupKey::Context(path) => {
+                format!("{{\"kind\":\"context\",\"path\":{}}}", json_path(path))
+            }
+            GroupKey::NodePair { cpu_node, page_node } => format!(
+                "{{\"kind\":\"node_pair\",\"cpu_node\":{cpu_node},\"page_node\":{page_node}}}"
+            ),
         }
     }
 }
@@ -709,6 +749,8 @@ enum KeyView<'a> {
     Site(Option<Frame>),
     Thread(ThreadId),
     NumaNode(Locality),
+    Context(&'a [Frame]),
+    NodePair(u32, u32),
 }
 
 impl KeyView<'_> {
@@ -721,19 +763,23 @@ impl KeyView<'_> {
             KeyView::Site(frame) => GroupKey::Site(frame),
             KeyView::Thread(thread) => GroupKey::Thread(thread),
             KeyView::NumaNode(locality) => GroupKey::NumaNode(locality),
+            KeyView::Context(path) => GroupKey::Context(path.to_vec()),
+            KeyView::NodePair(cpu_node, page_node) => GroupKey::NodePair { cpu_node, page_node },
         }
     }
 }
 
-/// A stored group key. An object key's class name and allocation path are ranges
-/// of [`GroupState`]'s text and frame arenas, so storing a key allocates nothing of
-/// its own.
+/// A stored group key. An object key's class name and allocation path, and a
+/// context key's path, are ranges of [`GroupState`]'s text and frame arenas, so
+/// storing a key allocates nothing of its own.
 #[derive(Debug)]
 enum StoredKey {
     Object { class: Range<usize>, path: Range<usize> },
     Site(Option<Frame>),
     Thread(ThreadId),
     NumaNode(Locality),
+    Context(Range<usize>),
+    NodePair(u32, u32),
 }
 
 /// A query's row filters, built once per evaluation (and once per watch): class
@@ -814,12 +860,12 @@ struct ContextAcc {
 ///
 /// Absorbing allocates nothing per row, and per group only a thread group's name:
 /// - each group key is hashed once per site table and stored once, an object
-///   key's class name and path in shared arenas; only a thread group stores a
-///   label, the name its key cannot give;
+///   key's class name and path and a context key's path in shared arenas; only a
+///   thread group stores a label, the name its key cannot give;
 /// - each access context resolves once per thread block, from its CCT node to an
 ///   interned path id, and groups accumulate contexts by that id in one shared
-///   list. Keys and paths become owned values again only for the groups a result
-///   shows.
+///   list; a context group is found by the same id. Keys and paths become owned
+///   values again only for the groups a result shows.
 ///
 /// Keys, frames and thread ids come from producer or client data and hash with the
 /// std keyed hasher. The values the state derives itself — slots, path ids and
@@ -850,6 +896,10 @@ pub(crate) struct GroupState {
     node_paths: Vec<usize>,
     /// Scratch stack of [`GroupState::path_id`].
     climb: Vec<CctNodeId>,
+    /// The Context-axis slot of each path id, or [`NONE`]; indexed by path id.
+    context_slots: Vec<usize>,
+    /// Scratch frames of [`GroupState::context_slot`].
+    frames: Vec<Frame>,
 }
 
 impl GroupState {
@@ -873,6 +923,8 @@ impl GroupState {
             path_ids: HashMap::new(),
             node_paths: Vec::new(),
             climb: Vec::new(),
+            context_slots: Vec::new(),
+            frames: Vec::new(),
         }
     }
 
@@ -896,6 +948,8 @@ impl GroupState {
             StoredKey::Site(frame) => KeyView::Site(*frame),
             StoredKey::Thread(thread) => KeyView::Thread(*thread),
             StoredKey::NumaNode(locality) => KeyView::NumaNode(*locality),
+            StoredKey::Context(path) => KeyView::Context(&self.key_frames[path.clone()]),
+            StoredKey::NodePair(cpu_node, page_node) => KeyView::NodePair(*cpu_node, *page_node),
         }
     }
 
@@ -922,6 +976,12 @@ impl GroupState {
             KeyView::Site(frame) => StoredKey::Site(frame),
             KeyView::Thread(thread) => StoredKey::Thread(thread),
             KeyView::NumaNode(locality) => StoredKey::NumaNode(locality),
+            KeyView::Context(path) => {
+                let start = self.key_frames.len();
+                self.key_frames.extend_from_slice(path);
+                StoredKey::Context(start..self.key_frames.len())
+            }
+            KeyView::NodePair(cpu_node, page_node) => StoredKey::NodePair(cpu_node, page_node),
         };
         let slot = self.groups.len();
         self.groups.push(GroupAcc {
@@ -985,16 +1045,38 @@ impl GroupState {
         id
     }
 
-    /// The root-first frames of an interned path.
-    fn path(&self, mut id: usize) -> Vec<Frame> {
-        let mut frames = Vec::new();
+    /// Appends the root-first frames of an interned path to `frames`.
+    fn extend_path(&self, frames: &mut Vec<Frame>, mut id: usize) {
+        let start = frames.len();
         while id != 0 {
             let (parent, frame) = self.paths[id - 1];
             frames.push(frame);
             id = parent;
         }
-        frames.reverse();
+        frames[start..].reverse();
+    }
+
+    /// The root-first frames of an interned path.
+    fn path(&self, id: usize) -> Vec<Frame> {
+        let mut frames = Vec::new();
+        self.extend_path(&mut frames, id);
         frames
+    }
+
+    /// The slot of the Context group of an interned path, memoized by path id: a
+    /// path's frames are gathered and its key hashed only the first time it is seen.
+    fn context_slot(&mut self, path: usize) -> usize {
+        if self.context_slots.len() <= path {
+            self.context_slots.resize(self.paths.len() + 1, NONE);
+        }
+        if self.context_slots[path] == NONE {
+            let mut frames = std::mem::take(&mut self.frames);
+            frames.clear();
+            self.extend_path(&mut frames, path);
+            self.context_slots[path] = self.slot(KeyView::Context(&frames), "");
+            self.frames = frames;
+        }
+        self.context_slots[path]
     }
 
     /// Merges one access context's metrics into a group.
@@ -1015,7 +1097,9 @@ impl GroupState {
     }
 
     /// Folds one thread block: the run totals (unconditional), the thread's
-    /// unattributed share under the Thread/NumaNode axes, then its site rows.
+    /// unattributed share under the Thread/NumaNode axes, its CCT node metrics under
+    /// the Context axis or its traffic matrix under the NodePair axis, then its site
+    /// rows.
     /// `sites` is the table the rows' ids index (a row naming no entry is skipped);
     /// `site_slots` memoizes each site's group slot under the Object/Site axes —
     /// across the rows of a profile, and for a live watch across fragments, since
@@ -1039,6 +1123,8 @@ impl GroupState {
         // The block's own group slots: its thread's, or the two locality groups.
         let mut thread_slot = None;
         let mut locality_slots = [None; 2];
+        self.node_paths.clear();
+        self.node_paths.resize(thread.cct.len(), NONE);
         if thread_passes && self.filter.unattributed_passes() {
             match query.group_by {
                 GroupBy::Thread => {
@@ -1049,14 +1135,38 @@ impl GroupState {
                 GroupBy::NumaNode => {
                     self.fold_localities(&mut locality_slots, &thread.unattributed);
                 }
+                GroupBy::Context => {
+                    for node in thread.cct.node_ids() {
+                        let metrics = thread.cct.metrics(node);
+                        if metrics.is_empty() {
+                            continue;
+                        }
+                        let path = self.path_id(&thread.cct, node);
+                        let slot = self.context_slot(path);
+                        self.groups[slot].metrics.merge(metrics);
+                    }
+                }
+                GroupBy::NodePair => {
+                    for (&(cpu_node, page_node), &count) in &thread.node_traffic {
+                        if count == 0 {
+                            continue;
+                        }
+                        let slot = self.slot(KeyView::NodePair(cpu_node, page_node), "");
+                        let metrics = &mut self.groups[slot].metrics;
+                        metrics.samples += count;
+                        if cpu_node == page_node {
+                            metrics.local_samples += count;
+                        } else {
+                            metrics.remote_samples += count;
+                        }
+                    }
+                }
                 GroupBy::Object | GroupBy::Site => {}
             }
         }
         if site_slots.len() < sites.len() {
             site_slots.resize(sites.len(), None);
         }
-        self.node_paths.clear();
-        self.node_paths.resize(thread.cct.len(), NONE);
         for (site_id, sm) in &thread.sites {
             let Some(site) = sites.get(site_id.0 as usize) else { continue };
             self.total_weighted += sm.total.weighted_events;
@@ -1083,6 +1193,8 @@ impl GroupState {
                     self.fold_localities(&mut locality_slots, &sm.total);
                     continue;
                 }
+                // Both read the whole thread record above.
+                GroupBy::Context | GroupBy::NodePair => continue,
             };
             self.groups[slot].metrics.merge(&sm.total);
             for (ctx, m) in &sm.by_context {
@@ -1150,10 +1262,10 @@ impl GroupState {
     /// context paths are built only for the groups shown, and the state keeps
     /// absorbing.
     pub(crate) fn materialize(&self, query: &Query) -> QueryResult {
-        // Fractions are weighted-events based; the NumaNode axis only carries sample
-        // counts (see GroupBy::NumaNode), so its fractions are sample-based instead.
+        // Fractions are weighted-events based; the NumaNode and NodePair axes only
+        // carry sample counts, so their fractions are sample-based instead.
         let (fraction_total, fraction_of): (u64, fn(&MetricVector) -> u64) = match query.group_by {
-            GroupBy::NumaNode => (self.total_samples, |m| m.samples),
+            GroupBy::NumaNode | GroupBy::NodePair => (self.total_samples, |m| m.samples),
             _ => (self.total_weighted, |m| m.weighted_events),
         };
         let groups = self
@@ -1232,17 +1344,18 @@ pub struct QueryGroup {
     /// The group's source-independent identity.
     pub key: GroupKey,
     /// A human label for the key: the class name, the thread's first-seen name, the
-    /// `method:bci` site frame, or the locality class.
+    /// `method:bci` site or context leaf frame, the locality class, or the node pair.
     pub label: String,
     /// Aggregated metrics of the group.
     pub metrics: MetricVector,
     /// The group's share of the run: weighted-events based, except under
-    /// [`GroupBy::NumaNode`] where it is sample based (see [`GroupBy::NumaNode`]).
+    /// [`GroupBy::NumaNode`] and [`GroupBy::NodePair`] where it is sample based.
     pub fraction_of_total: f64,
     /// Fraction of the group's samples that were remote NUMA accesses.
     pub remote_fraction: f64,
     /// Access calling contexts ordered by contribution, hottest first (empty under
-    /// [`GroupBy::NumaNode`] and for sources without per-context breakdowns).
+    /// [`GroupBy::NumaNode`], [`GroupBy::Context`] and [`GroupBy::NodePair`], and for
+    /// sources without per-context breakdowns).
     pub contexts: Vec<AccessContext>,
 }
 
@@ -1289,13 +1402,13 @@ impl QueryResult {
 
     /// The cumulative fraction of the run covered by the `n` highest-ranked groups —
     /// "four problematic objects account for 84% of cache misses" (§7.1).
-    /// Weighted-events based, except under [`GroupBy::NumaNode`] where it is sample
-    /// based (locality groups only carry the partitionable sample counters; see
-    /// [`GroupBy::NumaNode`]) — the same axis rule as
+    /// Weighted-events based, except under [`GroupBy::NumaNode`] and
+    /// [`GroupBy::NodePair`] where it is sample based (their groups only carry the
+    /// partitionable sample counters) — the same axis rule as
     /// [`QueryGroup::fraction_of_total`].
     pub fn top_n_fraction(&self, n: usize) -> f64 {
         let (total, of): (u64, fn(&MetricVector) -> u64) = match self.group_by {
-            GroupBy::NumaNode => (self.total_samples, |m| m.samples),
+            GroupBy::NumaNode | GroupBy::NodePair => (self.total_samples, |m| m.samples),
             _ => (self.total_weighted_events, |m| m.weighted_events),
         };
         if total == 0 {
@@ -1404,8 +1517,12 @@ impl fmt::Display for QueryResult {
                 group.metrics.allocated_bytes,
                 group.remote_fraction * 100.0,
             )?;
-            if let GroupKey::Object { alloc_path, .. } = &group.key {
-                writeln!(f, "    allocated at {}", encode_path(alloc_path))?;
+            match &group.key {
+                GroupKey::Object { alloc_path, .. } => {
+                    writeln!(f, "    allocated at {}", encode_path(alloc_path))?;
+                }
+                GroupKey::Context(path) => writeln!(f, "    context {}", encode_path(path))?,
+                _ => {}
             }
             for ctx in &group.contexts {
                 writeln!(
@@ -1805,12 +1922,20 @@ mod tests {
 
     #[test]
     fn group_by_names_round_trip_and_reject_unknowns() {
-        for axis in [GroupBy::Object, GroupBy::Site, GroupBy::Thread, GroupBy::NumaNode] {
+        for axis in [
+            GroupBy::Object,
+            GroupBy::Site,
+            GroupBy::Thread,
+            GroupBy::NumaNode,
+            GroupBy::Context,
+            GroupBy::NodePair,
+        ] {
             assert_eq!(axis.to_string().parse::<GroupBy>().unwrap(), axis);
         }
         let err = "objects".parse::<GroupBy>().unwrap_err();
         assert_eq!(err.name, "objects");
         assert!(err.to_string().contains("objects"));
+        assert!(err.to_string().contains("node_pair"));
     }
 
     #[test]
@@ -1891,9 +2016,148 @@ mod tests {
             (GroupBy::Site, "\"kind\":\"site\""),
             (GroupBy::Thread, "\"kind\":\"thread\""),
             (GroupBy::NumaNode, "\"kind\":\"numa\""),
+            (GroupBy::Context, "\"kind\":\"context\",\"path\":[[1,5],[9,1]]"),
+            (GroupBy::NodePair, "\"kind\":\"node_pair\",\"cpu_node\":0,\"page_node\":1"),
         ] {
             let json = Query::new().group_by(axis).evaluate(&profile).unwrap().to_json();
             assert!(json.contains(kind), "{axis} renders {kind}");
         }
+    }
+
+    #[test]
+    fn context_grouping_counts_every_sample_at_its_call_path() {
+        let profile = two_site_profile();
+        let result = Query::new().group_by(GroupBy::Context).evaluate(&profile).unwrap();
+        // [f(1,5), f(9,1)] holds 6 + 4 samples over two threads; the unattributed
+        // sample sits at the empty path.
+        let rows: Vec<_> =
+            result.groups.iter().map(|g| (g.key.clone(), g.metrics.samples)).collect();
+        assert_eq!(
+            rows,
+            vec![
+                (GroupKey::Context(vec![f(1, 5), f(9, 1)]), 10),
+                (GroupKey::Context(vec![f(1, 5), f(8, 7)]), 2),
+                (GroupKey::Context(vec![]), 1),
+                (GroupKey::Context(vec![f(2, 3)]), 1),
+            ]
+        );
+        assert_eq!(result.groups[0].label, "9:1");
+        assert_eq!(result.groups[2].label, "<no calling context>");
+        assert!((result.groups[0].fraction_of_total - 10.0 / 14.0).abs() < 1e-9);
+        assert!((result.top_n_fraction(4) - 1.0).abs() < 1e-9);
+        assert!(result.groups.iter().all(|g| g.contexts.is_empty()));
+        assert!(result.to_text().contains("    context 1:5,9:1\n"));
+
+        // The thread filter applies; class and site filters leave no row.
+        let worker = Query::new().group_by(GroupBy::Context).filter_thread(ThreadId(2));
+        let worker = worker.evaluate(&profile).unwrap();
+        assert_eq!(worker.groups.len(), 1);
+        assert_eq!(worker.groups[0].metrics.samples, 4);
+        for query in [Query::new().filter_class("float[]"), Query::new().filter_site(f(1, 5))] {
+            let result = query.group_by(GroupBy::Context).evaluate(&profile).unwrap();
+            assert!(result.groups.is_empty());
+            assert_eq!(result.total_samples, 14, "totals stay unfiltered");
+        }
+    }
+
+    #[test]
+    fn node_pair_grouping_refines_the_locality_split() {
+        let profile = two_site_profile();
+        let cells = Query::new().group_by(GroupBy::NodePair).evaluate(&profile).unwrap();
+        assert_eq!(cells.groups.len(), 2);
+        let local = cells.find(&GroupKey::NodePair { cpu_node: 0, page_node: 0 }).unwrap();
+        let remote = cells.find(&GroupKey::NodePair { cpu_node: 0, page_node: 1 }).unwrap();
+        assert_eq!(remote.label, "node 0 -> node 1");
+        assert_eq!((local.metrics.samples, local.metrics.local_samples), (8, 8));
+        assert_eq!((remote.metrics.samples, remote.metrics.remote_samples), (6, 6));
+        assert_eq!(remote.remote_fraction, 1.0);
+        assert!((remote.fraction_of_total - 6.0 / 14.0).abs() < 1e-9);
+        assert!((cells.top_n_fraction(2) - 1.0).abs() < 1e-9);
+        let localities = Query::new().group_by(GroupBy::NumaNode).evaluate(&profile).unwrap();
+        assert_eq!(
+            localities.find(&GroupKey::NumaNode(Locality::Local)).unwrap().metrics,
+            local.metrics
+        );
+        assert_eq!(
+            localities.find(&GroupKey::NumaNode(Locality::Remote)).unwrap().metrics,
+            remote.metrics
+        );
+        let filtered = Query::new().group_by(GroupBy::NodePair).filter_class("float[]");
+        assert!(filtered.evaluate(&profile).unwrap().groups.is_empty());
+    }
+
+    #[test]
+    fn samples_attach_to_code_contexts() {
+        use djx_memsim::{HierarchyConfig, MemoryAccess, MemoryHierarchy};
+        use djx_runtime::{MemoryAccessEvent, RuntimeListener, ThreadEvent};
+
+        let session = Session::builder().period(4).collect_objects().build();
+        session.on_thread_start(&ThreadEvent { thread: ThreadId(1), name: "main", cpu: 0 });
+        let hot = [f(1, 0), f(2, 4)];
+        let cold = [f(1, 0), f(3, 8)];
+        let mut hier = MemoryHierarchy::new(HierarchyConfig::tiny());
+        for (base, count, trace) in [(0x10_0000, 512, &hot), (0x20_0000, 64, &cold)] {
+            for i in 0..count {
+                let outcome = hier.access(MemoryAccess::load(0, base + i * 64, 8));
+                let event = MemoryAccessEvent {
+                    thread: ThreadId(1),
+                    outcome,
+                    call_trace: trace,
+                    object: None,
+                };
+                session.on_memory_access(&event);
+            }
+        }
+
+        assert!(session.total_samples() > 0);
+        let code = Query::new().group_by(GroupBy::Context).evaluate(&*session).unwrap();
+        assert_eq!(code.total_samples, session.total_samples());
+        assert_eq!(code.groups.iter().map(|g| g.metrics.samples).sum::<u64>(), code.total_samples);
+        assert!(code.groups.len() >= 2);
+        assert_eq!(code.groups[0].key, GroupKey::Context(hot.to_vec()), "hot context ranks first");
+        assert_eq!(code.groups[0].label, "2:4");
+        assert!(code.groups[0].fraction_of_total > code.groups[1].fraction_of_total);
+        let sum: f64 = code.groups.iter().map(|g| g.fraction_of_total).sum();
+        assert!((sum - 1.0).abs() < 1e-9, "fractions sum to 1, got {sum}");
+        assert!(code.hottest().unwrap().fraction_of_total > 0.5);
+    }
+
+    #[test]
+    fn tied_locations_rank_by_path_whatever_the_insertion_order() {
+        // Three equally hot contexts and one hotter one, as path → samples.
+        let contexts: Vec<(Vec<Frame>, u64)> = vec![
+            (vec![f(0, 0), f(2, 0)], 1),
+            (vec![f(1, 0)], 1),
+            (vec![f(0, 0), f(1, 0)], 1),
+            (vec![f(2, 0)], 3),
+        ];
+        let profile = |order: &mut dyn Iterator<Item = &(Vec<Frame>, u64)>| {
+            let mut thread = ThreadProfile::new(ThreadId(1), "main");
+            for (path, samples) in order {
+                for _ in 0..*samples {
+                    thread.record_sample(None, path, &sample(false), 10);
+                }
+            }
+            ObjectCentricProfile { sites: vec![], threads: vec![thread], ..two_site_profile() }
+        };
+        let query = Query::new().group_by(GroupBy::Context);
+        let forward = query.evaluate(&profile(&mut contexts.iter())).unwrap();
+        let backward = query.evaluate(&profile(&mut contexts.iter().rev())).unwrap();
+        assert_eq!(forward.to_json(), backward.to_json());
+        let paths: Vec<GroupKey> = forward.groups.iter().map(|g| g.key.clone()).collect();
+        assert_eq!(
+            paths,
+            [vec![f(2, 0)], vec![f(0, 0), f(1, 0)], vec![f(0, 0), f(2, 0)], vec![f(1, 0)]]
+                .map(GroupKey::Context)
+        );
+    }
+
+    #[test]
+    fn empty_profile_has_no_locations() {
+        let session = Session::builder().period(100).collect_objects().build();
+        let code = Query::new().group_by(GroupBy::Context).evaluate(&*session).unwrap();
+        assert!(code.groups.is_empty());
+        assert!(code.hottest().is_none());
+        assert_eq!(code.top_n_fraction(1), 0.0);
     }
 }

@@ -4,20 +4,19 @@
 //! path, and the access call paths ordered by their contribution to the object's
 //! locality loss.
 //!
-//! The one entry point is [`Report`], a `Display`able view selected by constructor —
-//! [`Report::query`] over any [`QueryResult`] (object-grouped results in the Figure 5
-//! layout), [`Report::numa_view`] over the session's [`NumaProfile`] traffic matrix
-//! plus a [`QueryResult`] ranked by
-//! [`RankBy::RemoteSamples`](crate::query::RankBy::RemoteSamples), and
-//! [`Report::code_centric`] over the perf-like baseline — so every rendering composes
-//! with `println!`, `format!` and logging. Reports rank nothing themselves: the NUMA
-//! view lists objects in the order its query result gives them.
+//! The one entry point is [`Report::query`], a `Display`able view of any
+//! [`QueryResult`] — object-grouped results in the Figure 5 layout, every other axis
+//! as its ranked groups with symbolized frames — so every rendering composes with
+//! `println!`, `format!` and logging. Every view is a query: the code-centric
+//! baseline of Figure 1 is a [`GroupBy::Context`] result, the NUMA traffic matrix a
+//! [`GroupBy::NodePair`] one, and the per-object NUMA ranking an object result
+//! ranked by [`RankBy::RemoteSamples`](crate::query::RankBy::RemoteSamples). Reports
+//! rank nothing themselves: they list groups in the order the result gives them.
 
 use std::fmt::{self, Write as _};
 
 use djx_runtime::{Frame, MethodRegistry};
 
-use crate::codecentric::{CodeCentricProfile, NumaProfile};
 use crate::query::{GroupBy, GroupKey, QueryGroup, QueryResult};
 
 /// Renders one frame as `Class.method (File:line)` using the method registry — the same
@@ -50,7 +49,7 @@ pub fn describe_path(path: &[Frame], methods: &MethodRegistry, indent: usize) ->
 /// Options controlling how much of the report is rendered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReportOptions {
-    /// How many objects to show, hottest first.
+    /// How many groups to show, in the result's order.
     pub top_objects: usize,
     /// How many access contexts to show per object.
     pub top_contexts: usize,
@@ -64,58 +63,25 @@ impl Default for ReportOptions {
     }
 }
 
-/// One renderable view over analysis results: construct with [`Report::query`],
-/// [`Report::code_centric`] or [`Report::numa_view`], tune with
-/// [`Report::with_options`], and render via [`Display`](fmt::Display):
+/// The symbolized view of a [`QueryResult`]: construct with [`Report::query`], tune
+/// with [`Report::with_options`], and render via [`Display`](fmt::Display):
 ///
 /// ```ignore
 /// println!("{}", Report::query(&result, rt.methods()));
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct Report<'a> {
-    kind: ReportKind<'a>,
+    result: &'a QueryResult,
     methods: &'a MethodRegistry,
     options: ReportOptions,
 }
 
-#[derive(Debug, Clone, Copy)]
-enum ReportKind<'a> {
-    /// The code-centric (perf-like) baseline view (Figure 1b).
-    CodeCentric(&'a CodeCentricProfile),
-    /// The NUMA view's node traffic matrix and the objects with remote samples.
-    NumaView(&'a NumaProfile, &'a QueryResult),
-    /// A query result, symbolized (object-grouped results in the Figure 5 layout;
-    /// other groupings list their groups).
-    Query(&'a QueryResult),
-}
-
 impl<'a> Report<'a> {
-    /// The code-centric (perf-like) view used for the Figure 1 comparison.
-    pub fn code_centric(profile: &'a CodeCentricProfile, methods: &'a MethodRegistry) -> Self {
-        Self { kind: ReportKind::CodeCentric(profile), methods, options: ReportOptions::default() }
-    }
-
-    /// The NUMA view (§4.3): the profile's node-to-node traffic matrix, then the
-    /// groups of `objects` with at least one remote sample, in the result's order.
-    /// Pass a result grouped by object and ranked by
-    /// [`RankBy::RemoteSamples`](crate::query::RankBy::RemoteSamples).
-    pub fn numa_view(
-        profile: &'a NumaProfile,
-        objects: &'a QueryResult,
-        methods: &'a MethodRegistry,
-    ) -> Self {
-        Self {
-            kind: ReportKind::NumaView(profile, objects),
-            methods,
-            options: ReportOptions::default(),
-        }
-    }
-
     /// A symbolized view of a [`QueryResult`]: object-grouped results render in the
-    /// Figure 5 layout (allocation site, allocation path, access contexts); site,
-    /// thread and NUMA groupings list their ranked groups with resolved frames.
+    /// Figure 5 layout (allocation site, allocation path, access contexts); the other
+    /// axes list their ranked groups with resolved frames.
     pub fn query(result: &'a QueryResult, methods: &'a MethodRegistry) -> Self {
-        Self { kind: ReportKind::Query(result), methods, options: ReportOptions::default() }
+        Self { result, methods, options: ReportOptions::default() }
     }
 
     /// Replaces the rendering options.
@@ -127,16 +93,7 @@ impl<'a> Report<'a> {
 
 impl fmt::Display for Report<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let text = match self.kind {
-            ReportKind::CodeCentric(profile) => {
-                render_code_centric_text(profile, self.methods, self.options.top_objects)
-            }
-            ReportKind::NumaView(profile, objects) => {
-                render_numa_view_text(profile, objects, self.methods, self.options.top_objects)
-            }
-            ReportKind::Query(result) => render_query_text(result, self.methods, self.options),
-        };
-        f.write_str(&text)
+        f.write_str(&render_query_text(self.result, self.methods, self.options))
     }
 }
 
@@ -228,6 +185,9 @@ fn render_query_text(
             _ => {
                 let label = match &group.key {
                     GroupKey::Site(Some(frame)) => describe_frame(frame, methods),
+                    GroupKey::Context(path) => path
+                        .last()
+                        .map_or_else(|| group.label.clone(), |leaf| describe_frame(leaf, methods)),
                     _ => group.label.clone(),
                 };
                 let _ = writeln!(
@@ -239,6 +199,9 @@ fn render_query_text(
                     group.metrics.samples,
                     group.remote_fraction * 100.0
                 );
+                if let GroupKey::Context(path) = &group.key {
+                    out.push_str(&describe_path(path, methods, 8));
+                }
                 for ctx in group.contexts.iter().take(options.top_contexts) {
                     let _ = writeln!(
                         out,
@@ -254,85 +217,19 @@ fn render_query_text(
     out
 }
 
-fn render_code_centric_text(
-    profile: &CodeCentricProfile,
-    methods: &MethodRegistry,
-    top: usize,
-) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "== code-centric profile (perf-like) ==");
-    let _ = writeln!(
-        out,
-        "event {}  period {}  samples {}",
-        profile.event.hardware_name(),
-        profile.period,
-        profile.total_samples
-    );
-    for location in profile.top_locations(top) {
-        let _ = writeln!(
-            out,
-            "{:5.1}%  {}",
-            location.fraction * 100.0,
-            location.describe_leaf(methods)
-        );
-    }
-    out
-}
-
-fn render_numa_view_text(
-    profile: &NumaProfile,
-    objects: &QueryResult,
-    methods: &MethodRegistry,
-    top: usize,
-) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "== DJXPerf NUMA session view ==");
-    let _ = writeln!(
-        out,
-        "event {}  period {}  samples {}  remote {:.1}%",
-        profile.event.hardware_name(),
-        profile.period,
-        profile.total_samples(),
-        profile.remote_fraction() * 100.0
-    );
-    for ((cpu_node, page_node), samples) in &profile.node_traffic {
-        let _ = writeln!(
-            out,
-            "  node {cpu_node} -> node {page_node}: {samples} samples{}",
-            if cpu_node == page_node { "" } else { "  (remote)" }
-        );
-    }
-    let mut remote = objects.groups.iter().filter(|g| g.metrics.remote_samples > 0).peekable();
-    if remote.peek().is_none() {
-        let _ = writeln!(out, "(no monitored object shows remote accesses)");
-        return out;
-    }
-    for group in remote.take(top) {
-        let metrics = &group.metrics;
-        let _ = writeln!(
-            out,
-            "{}  remote {:.1}% ({} of {} samples)",
-            group.label,
-            metrics.remote_fraction() * 100.0,
-            metrics.remote_samples,
-            metrics.samples
-        );
-        if let GroupKey::Object { alloc_path, .. } = &group.key {
-            let _ = writeln!(out, "    allocated at:");
-            out.push_str(&describe_path(alloc_path, methods, 8));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use djx_pmu::PmuEvent;
     use djx_runtime::MethodId;
 
+    use djx_memsim::{AccessKind, NumaNode};
+    use djx_runtime::ThreadId;
+
     use crate::metrics::MetricVector;
-    use crate::query::{AccessContext, RankBy};
+    use crate::object::{AllocSite, AllocSiteId};
+    use crate::profile::{AllocationStats, ObjectCentricProfile, ThreadProfile};
+    use crate::query::{AccessContext, Query, RankBy};
 
     fn registry() -> MethodRegistry {
         let mut methods = MethodRegistry::new();
@@ -392,12 +289,36 @@ mod tests {
         }
     }
 
-    /// The traffic matrix of the same `float[]` object's samples.
-    fn numa_profile() -> NumaProfile {
-        NumaProfile {
+    /// A one-thread profile of `long[] (bitmap)` samples at `MethodId(1)`: `local`
+    /// samples on node 0's pages and `remote` on node 1's, all from a node-0 CPU.
+    fn bitmap_profile(local: u64, remote: u64) -> ObjectCentricProfile {
+        let mut thread = ThreadProfile::new(ThreadId(1), "main");
+        for i in 0..local + remote {
+            let sample = djx_pmu::Sample {
+                event: PmuEvent::L1Miss,
+                thread_id: 1,
+                cpu: 0,
+                cpu_node: NumaNode(0),
+                page_node: NumaNode(u32::from(i >= local)),
+                effective_addr: 0,
+                kind: AccessKind::Load,
+                value: 1,
+                latency: 100,
+                counter_value: 0,
+            };
+            thread.record_sample(Some(AllocSiteId(0)), &[Frame::new(MethodId(1), 0)], &sample, 512);
+        }
+        ObjectCentricProfile {
             event: PmuEvent::L1Miss,
             period: 512,
-            node_traffic: vec![((0, 0), 75), ((0, 1), 25)],
+            size_filter: 1024,
+            sites: vec![AllocSite {
+                id: AllocSiteId(0),
+                class_name: "long[] (bitmap)".into(),
+                call_path: vec![Frame::new(MethodId(0), 5)],
+            }],
+            threads: vec![thread],
+            allocation_stats: AllocationStats::default(),
         }
     }
 
@@ -441,17 +362,19 @@ mod tests {
         let empty = QueryResult { groups: vec![], ..result() };
         let text = Report::query(&empty, &methods).to_string();
         assert!(text.contains("no group matched the query"));
-        let numa = NumaProfile { node_traffic: vec![], ..numa_profile() };
-        let text = Report::numa_view(&numa, &empty, &methods).to_string();
-        assert!(text.contains("no monitored object"));
+        let no_cells = Query::new().group_by(GroupBy::NodePair).evaluate(&bitmap_profile(0, 0));
+        let text = Report::query(&no_cells.unwrap(), &methods).to_string();
+        assert!(text.contains("no group matched the query"));
     }
 
     #[test]
     fn numa_report_lists_remote_objects() {
         let methods = registry();
-        let text = Report::numa_view(&numa_profile(), &result(), &methods).to_string();
+        let remote = QueryResult { rank_by: RankBy::RemoteSamples, ..result() };
+        let text = Report::query(&remote, &methods).to_string();
+        assert!(text.contains("rank by remote_samples"));
         assert!(text.contains("float[]"));
-        assert!(text.contains("remote 25.0%"));
+        assert!(text.contains("remote accesses 25.0%"));
         assert!(text.contains("makeRoom"));
     }
 
@@ -478,47 +401,61 @@ mod tests {
     #[test]
     fn numa_view_report_renders_traffic_matrix_and_sites() {
         let methods = registry();
-        let metrics = MetricVector {
-            samples: 8,
-            remote_samples: 6,
-            local_samples: 2,
-            ..MetricVector::default()
-        };
-        let profile = NumaProfile {
-            event: PmuEvent::L1Miss,
-            period: 512,
-            node_traffic: vec![((0, 0), 2), ((0, 1), 6)],
-        };
-        let bitmap = one_object("long[] (bitmap)", metrics);
-        let text = Report::numa_view(&profile, &bitmap, &methods).to_string();
-        assert!(text.contains("NUMA session view"));
-        assert!(text.contains("samples 8  remote 75.0%"));
-        assert!(text.contains("node 0 -> node 1: 6 samples  (remote)"));
-        assert!(text.contains("long[] (bitmap)  remote 75.0% (6 of 8 samples)"));
+        let profile = bitmap_profile(2, 6);
+        let matrix = Query::new().group_by(GroupBy::NodePair).evaluate(&profile).unwrap();
+        let text = Report::query(&matrix, &methods).to_string();
+        assert!(text.contains("group by node_pair"));
+        assert!(text.contains("samples 8"));
+        // Cells carry no weighted events, so the default ranking lists them by pair.
+        assert!(text.contains("#1 node 0 -> node 0  —  25.0% of total (2 samples, remote 0.0%)"));
+        assert!(text.contains("#2 node 0 -> node 1  —  75.0% of total (6 samples, remote 100.0%)"));
+        let remote = Query::new().rank_by(RankBy::RemoteSamples).evaluate(&profile).unwrap();
+        let text = Report::query(&remote, &methods).to_string();
+        assert!(text.contains("#1 long[] (bitmap)"));
+        assert!(text.contains("remote accesses 75.0%"));
+        assert!(text.contains("(8 samples,"));
         assert!(text.contains("makeRoom"));
 
-        // An object without remote samples is no NUMA finding.
-        let local = MetricVector { remote_samples: 0, local_samples: 8, ..metrics };
-        let text = Report::numa_view(&profile, &one_object("long[] (bitmap)", local), &methods)
-            .to_string();
-        assert!(text.contains("no monitored object shows remote accesses"));
-        assert!(!text.contains("long[] (bitmap)"));
+        // An object without remote samples is no NUMA finding: the matrix has no
+        // off-diagonal cell, and the top remote object shows none.
+        let local = bitmap_profile(8, 0);
+        let matrix = Query::new().group_by(GroupBy::NodePair).evaluate(&local).unwrap();
+        let text = Report::query(&matrix, &methods).to_string();
+        assert!(text.contains("#1 node 0 -> node 0  —  100.0% of total (8 samples, remote 0.0%)"));
+        assert!(!text.contains("#2"));
+        let remote = Query::new().rank_by(RankBy::RemoteSamples).evaluate(&local).unwrap();
+        assert_eq!(remote.hottest().unwrap().metrics.remote_samples, 0);
+        assert!(Report::query(&remote, &methods).to_string().contains("remote accesses 0.0%"));
     }
 
     #[test]
     fn code_centric_report_renders_locations() {
-        use crate::cct::Cct;
         let methods = registry();
-        let mut cct = Cct::new();
-        let node = cct.insert_path(&[Frame::new(MethodId(1), 0)]);
-        cct.metrics_mut(node).weighted_events = 100;
-        cct.metrics_mut(node).samples = 1;
-        let profile =
-            CodeCentricProfile { event: PmuEvent::L1Miss, period: 512, cct, total_samples: 1 };
+        let profile = bitmap_profile(1, 0);
+        let code = Query::new().group_by(GroupBy::Context).evaluate(&profile).unwrap();
         let options = ReportOptions { top_objects: 3, ..ReportOptions::default() };
-        let text = Report::code_centric(&profile, &methods).with_options(options).to_string();
-        assert!(text.contains("code-centric"));
-        assert!(text.contains("SAHashMap.getNode:120"));
-        assert!(text.contains("100.0%"));
+        let text = Report::query(&code, &methods).with_options(options).to_string();
+        assert!(text.contains("group by context"));
+        assert!(text.contains("#1 SAHashMap.getNode (SAHashMap.java:120)  —  100.0% of total"));
+    }
+
+    #[test]
+    fn describe_leaf_resolves_names() {
+        let mut methods = MethodRegistry::new();
+        let m = methods.register("FFT", "transform_internal", "FFT.java", &[(0, 165), (10, 171)]);
+        let context = |path: Vec<Frame>| QueryGroup {
+            key: GroupKey::Context(path),
+            label: String::new(),
+            ..result().groups[0].clone()
+        };
+        let code = QueryResult {
+            group_by: GroupBy::Context,
+            groups: vec![context(vec![Frame::new(m, 12)]), context(vec![])],
+            ..result()
+        };
+        let text = Report::query(&code, &methods).to_string();
+        assert!(text.contains("#1 FFT.transform_internal (FFT.java:171)  —"), "{text}");
+        assert!(text.contains("#2   —"), "an empty path keeps its label: {text}");
+        assert!(text.contains("        <no calling context>\n"), "{text}");
     }
 }

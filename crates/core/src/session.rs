@@ -14,30 +14,29 @@
 //! built-in collector, [`ObjectCentricCollector`], and it records each sample once,
 //! into its thread's [`ThreadProfile`]: the call path's CCT node, the allocation
 //! site (or the unattributed bucket), and the node-to-node traffic matrix. The three
-//! classic views are reads of that one record, from the *same* samples of a
-//! *single* pass:
+//! classic views are [`Query`](crate::query::Query) axes over that one record
+//! ([`Session::object_profile`]), from the *same* samples of a *single* pass:
 //!
-//! * the **object-centric** view ([`Session::object_profile`]) — per allocation site,
-//!   its metrics and access contexts; every per-object ranking, the NUMA one
-//!   included, is a [`Query`](crate::query::Query) over it;
-//! * the **code-centric** view ([`Session::code_profile`]) — the merge of the thread
-//!   CCTs, whose node metrics hold every sample at its calling context: the perf-like
-//!   baseline;
-//! * the **NUMA** view ([`Session::numa_profile`]) — the sum of the thread traffic
-//!   matrices.
+//! * the **object-centric** view ([`GroupBy::Object`](crate::query::GroupBy::Object))
+//!   — per allocation site, its metrics and access contexts; ranked by
+//!   [`RankBy::RemoteSamples`](crate::query::RankBy::RemoteSamples) it is the
+//!   per-object NUMA view;
+//! * the **code-centric** view ([`GroupBy::Context`](crate::query::GroupBy::Context))
+//!   — the thread CCTs' node metrics, which hold every sample at its calling
+//!   context: the perf-like baseline;
+//! * the **NUMA** traffic matrix ([`GroupBy::NodePair`](crate::query::GroupBy::NodePair))
+//!   — the thread traffic matrices summed.
 //!
-//! Because the views are fields of one record, a replayed epoch log or a fleet
-//! aggregator's fold answers all three too
-//! ([`CodeCentricProfile::from_profile`], [`NumaProfile::from_profile`]). Custom
-//! collectors implement [`Collector`] and register via
-//! [`SessionBuilder::with_collector`].
+//! Because the views are queries over one record, a replayed epoch log, a live watch
+//! or a fleet aggregator's fold answers all three too. Custom collectors implement
+//! [`Collector`] and register via [`SessionBuilder::with_collector`].
 //!
 //! Sessions are configured with [`SessionBuilder`] (events, period, size filter, jitter,
 //! launch/attach mode — one by one, or at once as a [`ProfilerConfig`] through
 //! [`SessionBuilder::config`]), attach to a [`Runtime`] as one composite listener, and
 //! support
-//! incremental observation: [`Session::snapshot`] extracts the three views mid-run
-//! without stopping measurement (render the object profile with
+//! incremental observation: [`Session::object_profile`] extracts the record mid-run
+//! without stopping measurement (render it with
 //! [`ObjectCentricProfile::to_text`] or [`ObjectCentricProfile::to_json`]), and
 //! [`SessionBuilder::stream_to`] adds **continuous push**: a background drainer
 //! streams every retired epoch delta through a [`ProfileSink`] incrementally (see
@@ -88,9 +87,9 @@
 //!
 //! # Pause-free snapshots: epoch-retired double buffering
 //!
-//! The read paths — [`Session::object_profile`], [`Session::code_profile`],
-//! [`Session::numa_profile`], [`Session::snapshot`] — must not stall ingestion.
-//! Collector state therefore
+//! The read paths — [`Session::object_profile`] and every
+//! [`Query`](crate::query::Query) evaluated against the session — must not stall
+//! ingestion. Collector state therefore
 //! lives in epoch-buffered thread slots: each snapshot advances the buffer epoch
 //! and **retires** every slot's accumulated delta by taking it out under the slot's
 //! spin lock — an O(1) move, the only instant a sampling thread can even notice — then
@@ -104,15 +103,11 @@
 //!
 //! ```
 //! use djx_runtime::{dsl, Runtime, RuntimeConfig};
+//! use djxperf::query::{GroupBy, Query};
 //! use djxperf::session::Session;
 //!
 //! let mut rt = Runtime::new(RuntimeConfig::small());
-//! let session = Session::builder()
-//!     .period(64)
-//!     .collect_objects()
-//!     .collect_code()
-//!     .collect_numa()
-//!     .attach(&mut rt);
+//! let session = Session::builder().period(64).collect_objects().attach(&mut rt);
 //!
 //! let class = rt.register_array_class("float[]", 4);
 //! let method = dsl::MethodSpec::at_line("A", "run", "A.java", 1).register(&mut rt);
@@ -121,11 +116,14 @@
 //! rt.finish_thread(thread).unwrap();
 //! rt.shutdown();
 //!
-//! let snapshot = session.snapshot();
-//! let samples = snapshot.object.unwrap().total_samples();
+//! let samples = session.object_profile().unwrap().total_samples();
 //! assert!(samples > 0);
-//! assert_eq!(snapshot.code.unwrap().total_samples, samples);
-//! assert_eq!(snapshot.numa.unwrap().total_samples(), samples);
+//! for axis in [GroupBy::Object, GroupBy::Context, GroupBy::NodePair] {
+//!     let view = Query::new().group_by(axis).evaluate(&*session).unwrap();
+//!     assert_eq!(view.total_samples, samples);
+//! }
+//! let cells = Query::new().group_by(GroupBy::NodePair).evaluate(&*session).unwrap();
+//! assert_eq!(cells.groups.iter().map(|g| g.metrics.samples).sum::<u64>(), samples);
 //! ```
 
 use std::collections::HashMap;
@@ -142,7 +140,6 @@ use djx_runtime::{
 };
 
 use crate::agent::{AllocationAgent, AllocationConfig, ResolutionCache, SharedObjectIndex};
-use crate::codecentric::{CodeCentricProfile, NumaProfile};
 use crate::export::{DeltaDrainer, DrainPolicy, ExportShared, ExportStats};
 use crate::object::AllocSiteId;
 use crate::profile::{ObjectCentricProfile, ProfileDelta, ThreadDelta, ThreadProfile};
@@ -883,14 +880,18 @@ impl SessionBuilder {
         self
     }
 
-    /// Alias of [`SessionBuilder::collect_objects`]: the code-centric view is a read
-    /// of the object profile ([`Session::code_profile`]).
+    /// Alias of [`SessionBuilder::collect_objects`]: the code-centric view is the
+    /// [`GroupBy::Context`](crate::query::GroupBy::Context) query over the object
+    /// profile. Kept only because the pipeline benchmark still calls it; new code
+    /// calls `collect_objects`.
     pub fn collect_code(self) -> Self {
         self.collect_objects()
     }
 
-    /// Alias of [`SessionBuilder::collect_objects`]: the NUMA view is a read of the
-    /// object profile ([`Session::numa_profile`]).
+    /// Alias of [`SessionBuilder::collect_objects`]: the NUMA traffic matrix is the
+    /// [`GroupBy::NodePair`](crate::query::GroupBy::NodePair) query over the object
+    /// profile. Kept only because the pipeline benchmark still calls it; new code
+    /// calls `collect_objects`.
     pub fn collect_numa(self) -> Self {
         self.collect_objects()
     }
@@ -1042,21 +1043,6 @@ pub struct Session {
     /// [`SessionBuilder::stream_to`]. While it runs, every epoch retirement of the
     /// object-centric collector routes its delta into the stream.
     export: Option<DeltaDrainer>,
-}
-
-/// One incremental extraction of the three views (see [`Session::snapshot`]), all
-/// read from the same retirement. Each view is `None` when no
-/// [`ObjectCentricCollector`] is registered.
-#[derive(Debug, Clone)]
-pub struct SessionSnapshot {
-    /// The object-centric profile.
-    pub object: Option<ObjectCentricProfile>,
-    /// The code-centric view of `object`.
-    pub code: Option<CodeCentricProfile>,
-    /// The NUMA traffic matrix of `object`.
-    pub numa: Option<NumaProfile>,
-    /// Total PMU samples delivered when the snapshot was taken.
-    pub total_samples: u64,
 }
 
 impl Session {
@@ -1332,32 +1318,6 @@ impl Session {
         Ok(query.watch(&self.live_fold()?))
     }
 
-    /// The current code-centric view — the object profile's thread CCTs merged — or
-    /// `None` when no [`ObjectCentricCollector`] is registered.
-    pub fn code_profile(&self) -> Option<CodeCentricProfile> {
-        self.object_profile().as_ref().map(CodeCentricProfile::from_profile)
-    }
-
-    /// The current NUMA traffic matrix — the object profile's thread matrices summed —
-    /// or `None` when no [`ObjectCentricCollector`] is registered.
-    pub fn numa_profile(&self) -> Option<NumaProfile> {
-        self.object_profile().as_ref().map(NumaProfile::from_profile)
-    }
-
-    /// Extracts all three views without stopping measurement — the live-observation
-    /// entry point for long-running workloads. The views read one retirement, so
-    /// they always count the same samples. Snapshots are independent: later samples
-    /// never mutate an earlier snapshot.
-    pub fn snapshot(&self) -> SessionSnapshot {
-        let object = self.object_profile();
-        SessionSnapshot {
-            code: object.as_ref().map(CodeCentricProfile::from_profile),
-            numa: object.as_ref().map(NumaProfile::from_profile),
-            object,
-            total_samples: self.total_samples(),
-        }
-    }
-
     /// Dispatches one resolved sample batch to every collector.
     fn dispatch_samples(&self, event: &MemoryAccessEvent<'_>, samples: &[Sample]) {
         // Resolve each sample's effective address to the enclosing monitored object
@@ -1494,7 +1454,7 @@ mod tests {
     use djx_runtime::{dsl, RuntimeConfig};
     use parking_lot::Mutex;
 
-    use crate::query::{Query, RankBy};
+    use crate::query::{GroupBy, GroupKey, Query, RankBy};
     use crate::wire::BinaryChunkedSink;
 
     /// Runs the standard bloat kernel against a fresh runtime with `listener` attached.
@@ -1548,8 +1508,6 @@ mod tests {
             .jitter(true)
             .attach_mode(true)
             .collect_objects()
-            .collect_code()
-            .collect_numa()
             .build();
         let config = session.config();
         assert_eq!(config.event, PmuEvent::DtlbMiss);
@@ -1557,7 +1515,7 @@ mod tests {
         assert_eq!(config.size_filter, 4096);
         assert!(config.jitter);
         assert!(config.attach_mode);
-        // The code-centric and NUMA views are reads of the object profile.
+        // The code-centric and NUMA views are queries over the object profile.
         assert_eq!(session.collector_names(), vec!["object-centric"]);
         assert!(format!("{session:?}").contains("object-centric"));
     }
@@ -1566,6 +1524,40 @@ mod tests {
     #[should_panic(expected = "non-zero")]
     fn zero_period_rejected() {
         let _ = Session::builder().period(0);
+    }
+
+    /// Drives `count` line-strided loads at `trace` into a session used directly as
+    /// a listener.
+    fn drive(session: &Session, thread: u64, base: u64, count: u64, trace: &[Frame]) {
+        use djx_memsim::{HierarchyConfig, MemoryAccess, MemoryHierarchy};
+        let mut hier = MemoryHierarchy::new(HierarchyConfig::tiny());
+        for i in 0..count {
+            let outcome = hier.access(MemoryAccess::load(0, base + i * 64, 8));
+            session.on_memory_access(&MemoryAccessEvent {
+                thread: ThreadId(thread),
+                outcome,
+                call_trace: trace,
+                object: None,
+            });
+        }
+    }
+
+    #[test]
+    fn threads_without_start_event_are_handled() {
+        let session = Session::builder().period(2).collect_objects().build();
+        drive(&session, 9, 0x30_0000, 64, &[Frame::new(djx_runtime::MethodId(5), 0)]);
+        assert!(session.total_samples() > 0);
+    }
+
+    #[test]
+    fn thread_end_disables_sampling() {
+        let session = Session::builder().period(1).collect_objects().build();
+        session.on_thread_start(&ThreadEvent { thread: ThreadId(1), name: "t", cpu: 0 });
+        drive(&session, 1, 0x10_0000, 16, &[]);
+        let before = session.total_samples();
+        session.on_thread_end(&ThreadEvent { thread: ThreadId(1), name: "t", cpu: 0 });
+        drive(&session, 1, 0x10_0000, 16, &[]);
+        assert_eq!(session.total_samples(), before);
     }
 
     #[test]
@@ -1728,29 +1720,27 @@ mod tests {
 
     #[test]
     fn single_pass_produces_all_three_views() {
-        let (_rt, session) = bloat_run_with(|rt| {
-            Session::builder()
-                .period(16)
-                .collect_objects()
-                .collect_code()
-                .collect_numa()
-                .attach(rt)
-        });
+        let (_rt, session) =
+            bloat_run_with(|rt| Session::builder().period(16).collect_objects().attach(rt));
 
         let object = session.object_profile().expect("object collector registered");
-        let code = session.code_profile().expect("object collector registered");
-        let numa = session.numa_profile().expect("object collector registered");
+        let code = Query::new().group_by(GroupBy::Context).evaluate(&object).unwrap();
+        let numa = Query::new().group_by(GroupBy::NodePair).evaluate(&object).unwrap();
 
         assert!(object.total_samples() > 0);
-        assert_eq!(object.total_samples(), code.total_samples, "one shared sampling stream");
-        assert_eq!(object.total_samples(), numa.total_samples());
+        let code_samples: u64 = code.groups.iter().map(|g| g.metrics.samples).sum();
+        assert_eq!(object.total_samples(), code_samples, "one shared sampling stream");
+        assert_eq!(object.total_samples(), numa.total_samples);
         assert_eq!(object.sites.len(), 1);
         assert_eq!(object.sites[0].class_name, "float[]");
-        assert!(!code.top_locations(5).is_empty());
+        assert!(!code.groups.is_empty());
         // Single-node runtime: the traffic matrix is one local cell holding every
         // sample, and the one object ranks with zero remote samples.
-        assert_eq!(numa.node_traffic, vec![((0, 0), session.total_samples())]);
-        assert_eq!(numa.remote_fraction(), 0.0);
+        let cells: Vec<_> =
+            numa.groups.iter().map(|g| (g.key.clone(), g.metrics.samples)).collect();
+        let local = GroupKey::NodePair { cpu_node: 0, page_node: 0 };
+        assert_eq!(cells, vec![(local, session.total_samples())]);
+        assert_eq!(numa.groups[0].metrics.remote_samples, 0);
         let remote = Query::new().rank_by(RankBy::RemoteSamples).evaluate(&object).unwrap();
         assert_eq!(remote.groups.len(), 1, "all attributed samples share one site");
         assert_eq!(remote.groups[0].metrics.remote_samples, 0);
@@ -1758,12 +1748,11 @@ mod tests {
 
     #[test]
     fn session_object_view_is_identical_to_legacy_djxperf() {
-        // An objects + code session against an objects-only one on an identical,
-        // independently seeded runtime.
+        // A session configured field by field against one configured at once, on an
+        // identical, independently seeded runtime.
         let config = ProfilerConfig::default().with_period(16);
-        let (_rt, session) = bloat_run_with(|rt| {
-            Session::builder().config(config).collect_objects().collect_code().attach(rt)
-        });
+        let (_rt, session) =
+            bloat_run_with(|rt| Session::builder().period(16).collect_objects().attach(rt));
         let objects_only = bloat_run(config);
         assert_eq!(
             session.object_profile().unwrap().to_text(),
@@ -1775,27 +1764,27 @@ mod tests {
     #[test]
     fn snapshots_are_incremental_and_independent() {
         let mut rt = Runtime::new(RuntimeConfig::small());
-        let session = Session::builder().period(8).collect_objects().collect_code().attach(&mut rt);
+        let session = Session::builder().period(8).collect_objects().attach(&mut rt);
         let class = rt.register_array_class("byte[]", 1);
         let t = rt.spawn_thread("main");
         let arr = rt.alloc_array(t, class, 16 * 1024).unwrap();
 
         dsl::sequential_sweep(&mut rt, t, &arr).unwrap();
-        let first = session.snapshot();
-        assert!(first.total_samples > 0);
+        let (first, first_samples) = (session.object_profile().unwrap(), session.total_samples());
+        assert!(first_samples > 0);
 
         dsl::sequential_sweep(&mut rt, t, &arr).unwrap();
-        let second = session.snapshot();
-        assert!(second.total_samples >= first.total_samples);
+        let (second, second_samples) = (session.object_profile().unwrap(), session.total_samples());
+        assert!(second_samples >= first_samples);
         assert_eq!(
-            first.object.as_ref().unwrap().total_samples(),
-            first.total_samples,
+            first.total_samples(),
+            first_samples,
             "earlier snapshot is unchanged by later samples"
         );
-        assert_eq!(second.object.unwrap().total_samples(), second.total_samples);
-        assert_eq!(second.numa.unwrap().total_samples(), second.total_samples);
-        let bare = Session::builder().build().snapshot();
-        assert!(bare.object.is_none() && bare.code.is_none() && bare.numa.is_none());
+        assert_eq!(second.total_samples(), second_samples);
+        let numa = Query::new().group_by(GroupBy::NodePair).evaluate(&second).unwrap();
+        assert_eq!(numa.groups.iter().map(|g| g.metrics.samples).sum::<u64>(), second_samples);
+        assert!(Session::builder().build().object_profile().is_none());
     }
 
     #[test]
@@ -1814,18 +1803,18 @@ mod tests {
     #[test]
     fn detach_stops_all_collectors() {
         let mut rt = Runtime::new(RuntimeConfig::small());
-        let session = Session::builder().period(8).collect_objects().collect_code().attach(&mut rt);
+        let session = Session::builder().period(8).collect_objects().attach(&mut rt);
         let class = rt.register_array_class("byte[]", 1);
         let t = rt.spawn_thread("main");
         let arr = rt.alloc_array(t, class, 8192).unwrap();
+        let code = Query::new().group_by(GroupBy::Context);
         dsl::sequential_sweep(&mut rt, t, &arr).unwrap();
-        let before = session.snapshot();
-        assert!(before.total_samples > 0);
+        let (before, before_code) = (session.total_samples(), code.evaluate(&*session).unwrap());
+        assert!(before > 0);
         assert!(session.detach(&mut rt));
         dsl::sequential_sweep(&mut rt, t, &arr).unwrap();
-        let after = session.snapshot();
-        assert_eq!(after.total_samples, before.total_samples);
-        assert_eq!(after.code.unwrap().total_samples, before.code.unwrap().total_samples);
+        assert_eq!(session.total_samples(), before);
+        assert_eq!(code.evaluate(&*session).unwrap().to_text(), before_code.to_text());
         assert!(!session.detach(&mut rt), "double detach is a no-op");
     }
 

@@ -4,9 +4,9 @@
 //! binary profile codec against arbitrary profiles, and the render-only text form
 //! against every single-field mutation (it must tell any two profiles apart). Streamed
 //! sessions are checked against a sequential replay, and their code-centric and NUMA
-//! views against a reference collector recording every batch the way separate
-//! collectors did. Query evaluation — cold, folded and live — is checked against a
-//! naive reference evaluator.
+//! queries against a reference collector recording every batch the way separate
+//! collectors did. Query evaluation — cold, folded and live, every axis — is checked
+//! against a naive reference evaluator.
 
 use std::collections::HashMap;
 
@@ -17,10 +17,9 @@ use djx_pmu::{PmuEvent, Sample};
 use djx_runtime::{Frame, MethodId, ThreadId};
 use djxperf::{
     AccessContext, AllocSite, AllocSiteId, AllocSiteRegistry, AllocationStats, BatchContext,
-    BinaryChunkedSink, Cct, CodeCentricProfile, Collector, DeltaFold, GroupBy, GroupKey, Interval,
-    IntervalSplayTree, LiveFold, Locality, MetricVector, MultiSource, NumaProfile,
-    ObjectCentricProfile, ProfileDelta, Query, QueryGroup, QueryResult, RankBy, ThreadDelta,
-    ThreadProfile,
+    BinaryChunkedSink, Cct, Collector, DeltaFold, GroupBy, GroupKey, Interval, IntervalSplayTree,
+    LiveFold, Locality, MetricVector, MultiSource, ObjectCentricProfile, ProfileDelta, Query,
+    QueryGroup, QueryResult, RankBy, ThreadDelta, ThreadProfile,
 };
 
 // --------------------------------------------------------------------------------------
@@ -338,14 +337,52 @@ impl Collector for ReferenceViews {
 }
 
 impl ReferenceViews {
-    fn check(&self, code: &CodeCentricProfile, numa: &NumaProfile) -> Result<(), TestCaseError> {
+    /// Checks the `Context` and `NodePair` queries over `source` against the
+    /// recorded contexts and traffic.
+    fn check(&self, source: &dyn djxperf::ProfileSource) -> Result<(), TestCaseError> {
         let (cct, traffic) = (self.cct.lock().unwrap(), self.traffic.lock().unwrap());
-        prop_assert_eq!(contexts(&code.cct), contexts(&cct), "code-centric contexts");
+        let code = Query::new().group_by(GroupBy::Context).evaluate(source).unwrap();
+        prop_assert_eq!(context_rows(&code), contexts(&cct), "code-centric contexts");
         let mut traffic: Vec<((u32, u32), u64)> = traffic.iter().map(|(p, n)| (*p, *n)).collect();
         traffic.sort_unstable();
-        prop_assert_eq!(&numa.node_traffic, &traffic, "NUMA traffic matrix");
+        let numa = Query::new().group_by(GroupBy::NodePair).evaluate(source).unwrap();
+        prop_assert_eq!(node_cells(&numa), traffic, "NUMA traffic matrix");
         Ok(())
     }
+}
+
+/// A `Context` query's `(path, metrics)` rows, by path.
+fn context_rows(code: &QueryResult) -> Vec<(Vec<Frame>, MetricVector)> {
+    let mut rows: Vec<_> = code
+        .groups
+        .iter()
+        .map(|g| match &g.key {
+            GroupKey::Context(path) => (path.clone(), g.metrics),
+            other => panic!("not a context group: {other:?}"),
+        })
+        .collect();
+    rows.sort_by(|a, b| a.0.cmp(&b.0));
+    rows
+}
+
+/// A `NodePair` query's `(cell, samples)` rows, by cell; each cell's samples are
+/// all local on the diagonal and all remote off it.
+fn node_cells(numa: &QueryResult) -> Vec<((u32, u32), u64)> {
+    let mut cells: Vec<_> = numa
+        .groups
+        .iter()
+        .map(|g| match g.key {
+            GroupKey::NodePair { cpu_node, page_node } => {
+                let m = &g.metrics;
+                let split = if cpu_node == page_node { m.local_samples } else { m.remote_samples };
+                assert_eq!(split, m.samples, "a cell is all local or all remote");
+                ((cpu_node, page_node), m.samples)
+            }
+            ref other => panic!("not a node-pair group: {other:?}"),
+        })
+        .collect();
+    cells.sort_unstable();
+    cells
 }
 
 /// A CCT's `(path, metrics)` pairs, by path: node ids are tree-local.
@@ -558,11 +595,8 @@ proptest! {
         );
         // The code-centric and NUMA views, live and replayed, equal what separate
         // collectors recorded from the same batches.
-        views.check(&streaming.code_profile().unwrap(), &streaming.numa_profile().unwrap())?;
-        views.check(
-            &CodeCentricProfile::from_profile(&replayed),
-            &NumaProfile::from_profile(&replayed),
-        )?;
+        views.check(&*streaming)?;
+        views.check(&replayed)?;
     }
 
     /// The query layer's cross-source identity under the same arbitrary
@@ -786,13 +820,14 @@ proptest! {
         let parsed = sink.read_log_bytes(&doc).expect("round trip");
         prop_assert_eq!(parsed.to_text(), profile.to_text(), "serialization is a fixed point");
         // Node metrics and the traffic matrix cross the codec: both views read back.
+        let view = |axis, p: &ObjectCentricProfile| Query::new().group_by(axis).evaluate(p).unwrap();
         prop_assert_eq!(
-            contexts(&CodeCentricProfile::from_profile(&parsed).cct),
+            context_rows(&view(GroupBy::Context, &parsed)),
             contexts(&profile.threads[0].cct)
         );
         prop_assert_eq!(
-            NumaProfile::from_profile(&parsed).node_traffic,
-            NumaProfile::from_profile(&profile).node_traffic
+            node_cells(&view(GroupBy::NodePair, &parsed)),
+            node_cells(&view(GroupBy::NodePair, &profile))
         );
 
         let analyze = |p: &ObjectCentricProfile| djxperf::Query::new().evaluate(p).unwrap();
@@ -1244,6 +1279,8 @@ fn reference_rank(rank_by: RankBy, a: &MetricVector, b: &MetricVector) -> std::c
 /// The naive reference evaluator: one map from group key to (first-seen label,
 /// metrics, contexts keyed by `Cct::path_of`), a full sort with the documented tie
 /// chain (rank descending, weighted events descending, key ascending), then `top`.
+/// Context groups come from the passing threads' CCTs merged into one tree, the way
+/// the offline analyzer coalesces per-thread profiles (§5.2).
 fn reference_evaluate(spec: &QuerySpec, profiles: &[ObjectCentricProfile]) -> QueryResult {
     type Acc = (String, MetricVector, HashMap<Vec<Frame>, MetricVector>);
     let mut out = QueryResult {
@@ -1266,6 +1303,13 @@ fn reference_evaluate(spec: &QuerySpec, profiles: &[ObjectCentricProfile]) -> Qu
                 GroupKey::Thread(t) if name.is_empty() => format!("thread {}", t.0),
                 GroupKey::Thread(_) => name.to_string(),
                 GroupKey::NumaNode(l) => l.to_string(),
+                GroupKey::Context(path) => match path.last() {
+                    Some(f) => format!("{}:{}", f.method.0, f.bci),
+                    None => "<no calling context>".to_string(),
+                },
+                GroupKey::NodePair { cpu_node, page_node } => {
+                    format!("node {cpu_node} -> node {page_node}")
+                }
             };
             let acc = groups
                 .entry(key)
@@ -1290,6 +1334,7 @@ fn reference_evaluate(spec: &QuerySpec, profiles: &[ObjectCentricProfile]) -> Qu
             .collect::<Vec<_>>()
     };
     let filtered = !spec.classes.is_empty() || !spec.frames.is_empty();
+    let mut merged = Cct::new();
     for profile in profiles {
         (out.event, out.period) = (profile.event, profile.period);
         for thread in &profile.threads {
@@ -1303,7 +1348,23 @@ fn reference_evaluate(spec: &QuerySpec, profiles: &[ObjectCentricProfile]) -> Qu
                     GroupBy::NumaNode => localities(&thread.unattributed)
                         .into_iter()
                         .for_each(|(k, v)| add(k, "", &v, vec![])),
-                    _ => {}
+                    GroupBy::Context => {
+                        merged.merge(&thread.cct);
+                    }
+                    GroupBy::NodePair => {
+                        for (&(cpu_node, page_node), &n) in &thread.node_traffic {
+                            let mut v = MetricVector { samples: n, ..MetricVector::default() };
+                            *if cpu_node == page_node {
+                                &mut v.local_samples
+                            } else {
+                                &mut v.remote_samples
+                            } = n;
+                            if n > 0 {
+                                add(GroupKey::NodePair { cpu_node, page_node }, "", &v, vec![]);
+                            }
+                        }
+                    }
+                    GroupBy::Object | GroupBy::Site => {}
                 }
             }
             for (id, sm) in &thread.sites {
@@ -1330,10 +1391,14 @@ fn reference_evaluate(spec: &QuerySpec, profiles: &[ObjectCentricProfile]) -> Qu
                         localities(&sm.total).into_iter().for_each(|(k, v)| add(k, "", &v, vec![]));
                         continue;
                     }
+                    GroupBy::Context | GroupBy::NodePair => continue,
                 };
                 add(key, name, &sm.total, ctxs);
             }
         }
+    }
+    for (_, path, m) in merged.nodes_with_metrics() {
+        add(GroupKey::Context(path), "", m, vec![]);
     }
     let mut ranked: Vec<_> =
         groups.into_iter().filter(|(_, a)| a.1.samples >= spec.min_samples).collect();
@@ -1344,7 +1409,7 @@ fn reference_evaluate(spec: &QuerySpec, profiles: &[ObjectCentricProfile]) -> Qu
     });
     ranked.truncate(spec.top.unwrap_or(usize::MAX));
     let (total, of): (u64, fn(&MetricVector) -> u64) = match spec.group_by {
-        GroupBy::NumaNode => (out.total_samples, |m| m.samples),
+        GroupBy::NumaNode | GroupBy::NodePair => (out.total_samples, |m| m.samples),
         _ => (out.total_weighted_events, |m| m.weighted_events),
     };
     let share = |part: u64, whole: u64| if whole == 0 { 0.0 } else { part as f64 / whole as f64 };
@@ -1412,7 +1477,15 @@ proptest! {
                 fold.assemble()
             })
             .collect();
-        let specs: Vec<QuerySpec> = [GroupBy::Object, GroupBy::Site, GroupBy::Thread, GroupBy::NumaNode]
+        let axes = [
+            GroupBy::Object,
+            GroupBy::Site,
+            GroupBy::Thread,
+            GroupBy::NumaNode,
+            GroupBy::Context,
+            GroupBy::NodePair,
+        ];
+        let specs: Vec<QuerySpec> = axes
             .into_iter()
             .flat_map(|group_by| RankBy::all().map(|rank_by| (group_by, rank_by)))
             .map(|(group_by, rank_by)| QuerySpec {

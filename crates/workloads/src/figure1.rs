@@ -141,7 +141,7 @@ impl Workload for Figure1Workload {
 mod tests {
     use super::*;
     use crate::runner::{run_profiled, run_unprofiled};
-    use djxperf::ProfilerConfig;
+    use djxperf::{GroupBy, GroupKey, ProfilerConfig, Query};
 
     #[test]
     fn shares_in_the_table_sum_to_one_hundred_percent() {
@@ -177,19 +177,20 @@ mod tests {
     #[test]
     fn code_centric_view_ranks_ic_first_with_a_quarter_of_the_misses() {
         let run = run_profiled(&Figure1Workload::new(), ProfilerConfig::default().with_period(8));
-        let code_profile = run.session.code_profile().unwrap();
-        let top_code = &code_profile.top_locations(1)[0];
-        let leaf = top_code.leaf.unwrap();
+        let code = Query::new().group_by(GroupBy::Context).top(1).evaluate(&run.profile).unwrap();
+        let top_code = code.hottest().unwrap();
+        let GroupKey::Context(path) = &top_code.key else { panic!("a context group") };
+        let leaf = path.last().unwrap();
         assert_eq!(run.methods.get(leaf.method).unwrap().name, "Ic");
         assert!(
-            (0.18..0.30).contains(&top_code.fraction),
+            (0.18..0.30).contains(&top_code.fraction_of_total),
             "Ic should carry ~24% of misses, got {:.2}",
-            top_code.fraction
+            top_code.fraction_of_total
         );
 
         // The hottest object beats the hottest instruction by roughly 2x, which is the
         // argument Figure 1 makes for object-centric profiling.
         let top_object = run.report.hottest().unwrap();
-        assert!(top_object.fraction_of_total > top_code.fraction + 0.15);
+        assert!(top_object.fraction_of_total > top_code.fraction_of_total + 0.15);
     }
 }

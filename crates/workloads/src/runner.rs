@@ -173,6 +173,7 @@ mod tests {
     use super::*;
     use crate::bloat::BatikNvalsWorkload;
     use crate::Variant;
+    use djxperf::GroupBy;
 
     #[test]
     fn unprofiled_and_profiled_runs_agree_on_workload_behaviour() {
@@ -201,11 +202,12 @@ mod tests {
         assert_eq!(session.profile.to_text(), rerun.profile.to_text());
         assert_eq!(session.outcome.stats.accesses, rerun.outcome.stats.accesses);
         assert_eq!(session.outcome.modeled_cycles, rerun.outcome.modeled_cycles);
-        let code = session.session.code_profile().unwrap();
-        let numa = session.session.numa_profile().unwrap();
-        assert_eq!(code.total_samples, session.profile.total_samples());
-        assert_eq!(numa.total_samples(), session.profile.total_samples());
-        assert!(code.hottest_location_fraction() > 0.0);
+        let view = |axis| Query::new().group_by(axis).evaluate(&*session.session).unwrap();
+        let (code, numa) = (view(GroupBy::Context), view(GroupBy::NodePair));
+        let samples = |r: &QueryResult| r.groups.iter().map(|g| g.metrics.samples).sum::<u64>();
+        assert_eq!(samples(&code), session.profile.total_samples());
+        assert_eq!(samples(&numa), session.profile.total_samples());
+        assert!(code.hottest().unwrap().fraction_of_total > 0.0);
         assert!(session.profiler_bytes > 0);
         assert_eq!(session.report.total_samples, rerun.report.total_samples);
     }

@@ -13,7 +13,7 @@
 use djx_workloads::bloat::{BatikNvalsWorkload, LusearchCollectorWorkload};
 use djx_workloads::runner::{run_profiled, run_unprofiled, speedup};
 use djx_workloads::{Variant, Workload};
-use djxperf::{ProfilerConfig, Report, ReportOptions};
+use djxperf::{GroupBy, ProfilerConfig, Query, Report, ReportOptions};
 
 fn study(
     name: &str,
@@ -26,6 +26,8 @@ fn study(
     // object-centric ranking below *and* the code-centric baseline — where the original
     // architecture needed two profiled runs of the workload.
     let profiled = run_profiled(build(Variant::Baseline).as_ref(), config);
+    let code = Query::new().group_by(GroupBy::Context).top(1).evaluate(&profiled.profile);
+    let code = code.expect("an owned profile always evaluates");
 
     println!("== {name} ==");
     println!(
@@ -40,7 +42,7 @@ fn study(
         "one-pass Fig. 1 comparison: hottest object {:.1}% of misses vs hottest single \
          code location {:.1}% (same samples, two attributions)",
         profiled.report.hottest().map(|o| o.fraction_of_total * 100.0).unwrap_or(0.0),
-        profiled.session.code_profile().unwrap().hottest_location_fraction() * 100.0,
+        code.hottest().map_or(0.0, |c| c.fraction_of_total) * 100.0,
     );
 
     let baseline = run_unprofiled(build(Variant::Baseline).as_ref());

@@ -8,7 +8,7 @@
 use djx_workloads::numa::{DruidBitmapWorkload, EclipseCollectionsWorkload};
 use djx_workloads::runner::{run_profiled, speedup};
 use djx_workloads::{Variant, Workload};
-use djxperf::{ProfilerConfig, Query, RankBy, Report, ReportOptions};
+use djxperf::{GroupBy, ProfilerConfig, Query, RankBy, Report, ReportOptions};
 
 fn study(
     name: &str,
@@ -23,15 +23,16 @@ fn study(
     let optimized = run_profiled(build(Variant::Optimized).as_ref(), config);
 
     println!("== {name} ==");
-    // The NUMA view: the node-to-node traffic matrix, then the objects ranked by
-    // remote samples — a Query over the object profile, the one per-object ranking.
-    let numa = baseline.session.numa_profile().expect("object collector registered");
-    let remote = Query::new()
-        .rank_by(RankBy::RemoteSamples)
-        .evaluate(&baseline.profile)
-        .expect("an owned profile always evaluates");
-    let options = ReportOptions { top_objects: 3, ..ReportOptions::default() };
-    println!("{}", Report::numa_view(&numa, &remote, &baseline.methods).with_options(options));
+    // The NUMA view is two queries over the object profile: the node-to-node traffic
+    // matrix, then the object with the most remote samples.
+    let matrix = Query::new().group_by(GroupBy::NodePair);
+    let remote = Query::new().rank_by(RankBy::RemoteSamples).top(1);
+    let options = ReportOptions { top_contexts: 1, ..ReportOptions::default() };
+    for query in [matrix, remote] {
+        let result = query.evaluate(&baseline.profile).expect("an owned profile always evaluates");
+        print!("{}", Report::query(&result, &baseline.methods).with_options(options));
+    }
+    println!();
 
     let base_obj = baseline.report.find_class(class_name);
     let opt_obj = optimized.report.find_class(class_name);

@@ -72,10 +72,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 4. The same record also answers the code-centric baseline ...
-    let code = session.code_profile().expect("object collector registered");
+    let code = Query::new().group_by(GroupBy::Context).top(1).evaluate(&*session)?;
     println!(
         "\ncode-centric baseline from the same pass: hottest single location {:.1}%",
-        code.hottest_location_fraction() * 100.0
+        code.hottest().map_or(0.0, |c| c.fraction_of_total) * 100.0
     );
 
     // 5. ... and machine-readable exports: the raw profile for offline merging, and

@@ -23,8 +23,7 @@
 use std::time::Duration;
 
 use djx_runtime::{dsl, Runtime, RuntimeConfig};
-use djxperf::{BinaryChunkedSink, CodeCentricProfile, DrainPolicy, NumaProfile};
-use djxperf::{Query, Session, SharedBuffer};
+use djxperf::{BinaryChunkedSink, DrainPolicy, GroupBy, Query, Session, SharedBuffer};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. A session streaming its object-centric profile continuously: every retired
@@ -55,10 +54,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         dsl::bloat_loop(&mut rt, main_thread, float_array, make_room, round * 50, 50, 2048, 128)?;
         // A mid-run snapshot also closes an epoch; with a stream attached its delta
         // is routed into the log instead of being discarded.
-        let live = session.snapshot();
+        let live = session.object_profile().expect("object collector registered");
         let streamed = session.export_stats().expect("the session streams");
         assert!(streamed.epochs_drained > u64::from(round), "every snapshot closed an epoch");
-        println!("round {round:2}: {:6} samples live", live.total_samples);
+        println!("round {round:2}: {:6} samples live", live.total_samples());
     }
     rt.finish_thread(main_thread)?;
     rt.shutdown();
@@ -86,17 +85,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The log carries every view: the replay's code-centric contexts and NUMA
     // traffic matrix equal the session's own.
-    let code = session.code_profile().expect("object collector registered");
-    let replayed_code = CodeCentricProfile::from_profile(&replayed);
-    let contexts = |c: &CodeCentricProfile| {
-        let mut contexts: Vec<_> = c.cct.nodes_with_metrics().map(|(_, p, m)| (p, *m)).collect();
-        contexts.sort_by(|a, b| a.0.cmp(&b.0));
-        contexts
-    };
-    assert_eq!(contexts(&replayed_code), contexts(&code), "replayed code view");
-    assert_eq!(replayed_code.total_samples, code.total_samples);
-    let numa = session.numa_profile().expect("object collector registered");
-    assert_eq!(NumaProfile::from_profile(&replayed).node_traffic, numa.node_traffic);
+    for axis in [GroupBy::Context, GroupBy::NodePair] {
+        let query = Query::new().group_by(axis);
+        let (live, replayed) = (query.evaluate(&*session)?, query.evaluate(&replayed)?);
+        assert_eq!(replayed.to_json(), live.to_json(), "replayed {axis} view");
+    }
     println!("replayed code view and NUMA traffic matrix equal the session's ✓");
 
     // 5. The replayed profile answers offline queries like any profile file.

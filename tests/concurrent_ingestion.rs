@@ -10,7 +10,7 @@
 //! 2. **Merge fidelity**: the concurrently built per-thread profiles merge to exactly
 //!    the profiles a single-threaded replay of the same event log produces — the
 //!    interleaving of threads must not change any attributed metric — and the
-//!    code-centric and NUMA views read off them equal what a reference collector,
+//!    code-centric and NUMA queries over them equal what a reference collector,
 //!    recording every batch at its call path the way separate collectors did, saw.
 
 use std::collections::HashMap;
@@ -23,8 +23,8 @@ use djx_runtime::{
     ThreadId,
 };
 use djxperf::{
-    BatchContext, Cct, CodeCentricProfile, Collector, MetricVector, NumaProfile,
-    ObjectCentricProfile, Session,
+    BatchContext, Cct, Collector, GroupBy, GroupKey, MetricVector, ObjectCentricProfile, Query,
+    QueryResult, Session,
 };
 
 const THREADS: u64 = 4;
@@ -101,12 +101,18 @@ fn replay_accesses(session: &Session, log: &ThreadLog) {
 }
 
 fn new_session() -> Arc<Session> {
-    Session::builder()
-        .period(PERIOD)
-        .collect_objects()
-        .collect_code()
-        .collect_numa()
-        .build()
+    Session::builder().period(PERIOD).collect_objects().build()
+}
+
+/// The code-centric and NUMA views of a profile: its `Context` and `NodePair` queries.
+fn code_and_numa(profile: &ObjectCentricProfile) -> (QueryResult, QueryResult) {
+    let view = |axis| Query::new().group_by(axis).evaluate(profile).expect("an owned profile");
+    (view(GroupBy::Context), view(GroupBy::NodePair))
+}
+
+/// Samples over every group of a query result.
+fn grouped_samples(result: &QueryResult) -> u64 {
+    result.groups.iter().map(|g| g.metrics.samples).sum()
 }
 
 /// The code-centric and NUMA views as separate collectors computed them: every
@@ -134,20 +140,42 @@ impl Collector for ReferenceViews {
 }
 
 impl ReferenceViews {
-    fn check(&self, code: &CodeCentricProfile, numa: &NumaProfile) {
+    /// Checks a `Context` query (`code`) and a `NodePair` query (`numa`) against
+    /// the recorded contexts and traffic.
+    fn check(&self, code: &QueryResult, numa: &QueryResult) {
         let (cct, traffic) = (self.cct.lock().unwrap(), self.traffic.lock().unwrap());
-        assert_eq!(contexts(&code.cct), contexts(&cct), "code-centric contexts");
+        let mut reference: Vec<_> =
+            cct.nodes_with_metrics().map(|(_, path, m)| (path, *m)).collect();
+        reference.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut rows: Vec<(Vec<Frame>, MetricVector)> = code
+            .groups
+            .iter()
+            .map(|g| match &g.key {
+                GroupKey::Context(path) => (path.clone(), g.metrics),
+                other => panic!("not a context group: {other:?}"),
+            })
+            .collect();
+        rows.sort_by(|a, b| a.0.cmp(&b.0));
+        assert_eq!(rows, reference, "code-centric contexts");
         let mut traffic: Vec<((u32, u32), u64)> = traffic.iter().map(|(p, n)| (*p, *n)).collect();
         traffic.sort_unstable();
-        assert_eq!(numa.node_traffic, traffic, "NUMA traffic matrix");
+        let mut cells: Vec<((u32, u32), u64)> = numa
+            .groups
+            .iter()
+            .map(|g| match g.key {
+                GroupKey::NodePair { cpu_node, page_node } => {
+                    let m = &g.metrics;
+                    let split =
+                        if cpu_node == page_node { m.local_samples } else { m.remote_samples };
+                    assert_eq!(split, m.samples, "a cell is all local or all remote");
+                    ((cpu_node, page_node), m.samples)
+                }
+                ref other => panic!("not a node-pair group: {other:?}"),
+            })
+            .collect();
+        cells.sort_unstable();
+        assert_eq!(cells, traffic, "NUMA traffic matrix");
     }
-}
-
-/// A CCT's `(path, metrics)` pairs, by path: node ids are tree-local.
-fn contexts(cct: &Cct) -> Vec<(Vec<Frame>, MetricVector)> {
-    let mut contexts: Vec<_> = cct.nodes_with_metrics().map(|(_, path, m)| (path, *m)).collect();
-    contexts.sort_by(|a, b| a.0.cmp(&b.0));
-    contexts
 }
 
 /// A session with a [`ReferenceViews`] collector registered next to the built-in one.
@@ -201,11 +229,10 @@ fn concurrent_ingestion_loses_no_samples_and_merges_like_a_sequential_replay() {
     assert_eq!(concurrent.thread_count(), THREADS as usize);
 
     let object = concurrent.object_profile().expect("object collector registered");
-    let code = concurrent.code_profile().expect("object collector registered");
-    let numa = concurrent.numa_profile().expect("object collector registered");
+    let (code, numa) = code_and_numa(&object);
     assert_eq!(object.total_samples(), total, "object-centric view dropped samples");
-    assert_eq!(code.total_samples, total, "code-centric view dropped samples");
-    assert_eq!(numa.total_samples(), total, "NUMA view dropped samples");
+    assert_eq!(grouped_samples(&code), total, "code-centric view dropped samples");
+    assert_eq!(grouped_samples(&numa), total, "NUMA view dropped samples");
 
     // The PMU ground truth agrees between the runs: same streams, same counts — and
     // both count exactly the L1-missing loads the streams hold.
@@ -258,8 +285,6 @@ fn disabling_the_resolution_cache_preserves_profiles_exactly() {
         .period(PERIOD)
         .resolution_cache(false)
         .collect_objects()
-        .collect_code()
-        .collect_numa()
         .build();
     for log in logs.iter() {
         replay_allocs(&cached, log);
@@ -304,18 +329,18 @@ fn continuous_snapshots_never_lose_samples_and_merge_like_a_sequential_replay() 
         // Snapshot in a tight loop until every ingestion thread is done — every
         // iteration retires the collectors' open epochs mid-run.
         while !workers.iter().all(|w| w.is_finished()) {
-            let snapshot = session.snapshot();
-            let object = snapshot.object.expect("object collector registered");
+            let object = session.object_profile().expect("object collector registered");
             assert_eq!(
                 object.total_samples(),
                 object.threads.iter().map(|t| t.samples).sum::<u64>(),
                 "snapshot view is internally consistent"
             );
             // The three views read one retirement: they count the same samples.
-            assert_eq!(snapshot.code.expect("code view").total_samples, object.total_samples());
-            assert_eq!(snapshot.numa.expect("NUMA view").total_samples(), object.total_samples());
+            let (code, numa) = code_and_numa(&object);
+            assert_eq!(grouped_samples(&code), object.total_samples());
+            assert_eq!(grouped_samples(&numa), object.total_samples());
             assert!(
-                snapshot.total_samples <= session.total_samples(),
+                object.total_samples() <= session.total_samples(),
                 "a snapshot never reports samples from the future"
             );
             observed_snapshots += 1;
@@ -328,11 +353,11 @@ fn continuous_snapshots_never_lose_samples_and_merge_like_a_sequential_replay() 
     );
 
     // Zero lost samples.
-    let final_snapshot = session.snapshot();
-    assert_eq!(final_snapshot.total_samples, session.total_samples());
-    assert_eq!(final_snapshot.object.as_ref().unwrap().total_samples(), session.total_samples());
-    assert_eq!(final_snapshot.code.as_ref().unwrap().total_samples, session.total_samples());
-    assert_eq!(final_snapshot.numa.as_ref().unwrap().total_samples(), session.total_samples());
+    let final_object = session.object_profile().expect("object collector registered");
+    let (final_code, final_numa) = code_and_numa(&final_object);
+    assert_eq!(final_object.total_samples(), session.total_samples());
+    assert_eq!(grouped_samples(&final_code), session.total_samples());
+    assert_eq!(grouped_samples(&final_numa), session.total_samples());
 
     // Merge fidelity: identical to a never-snapshotted sequential replay.
     let sequential = new_session();
@@ -343,11 +368,11 @@ fn continuous_snapshots_never_lose_samples_and_merge_like_a_sequential_replay() 
         replay_accesses(&sequential, log);
     }
     assert_eq!(
-        canonical_text(final_snapshot.object.unwrap()),
+        canonical_text(final_object),
         canonical_text(sequential.object_profile().unwrap()),
         "continuous snapshotting must not perturb the final object profile"
     );
-    views.check(&final_snapshot.code.unwrap(), &final_snapshot.numa.unwrap());
+    views.check(&final_code, &final_numa);
 }
 
 #[test]
@@ -390,7 +415,8 @@ fn one_thread_id_driven_from_two_os_threads_loses_counts_but_never_consistency()
     let object = session.object_profile().expect("object collector registered");
     assert_eq!(object.threads.len(), 1);
     assert_eq!(object.total_samples(), total, "object-centric view dropped samples");
-    assert_eq!(session.code_profile().unwrap().total_samples, total, "code view dropped samples");
-    assert_eq!(session.numa_profile().unwrap().total_samples(), total, "NUMA view dropped samples");
+    let (code, numa) = code_and_numa(&object);
+    assert_eq!(grouped_samples(&code), total, "code view dropped samples");
+    assert_eq!(grouped_samples(&numa), total, "NUMA view dropped samples");
     assert_eq!(session.splay_lookup_stats().resolutions(), total);
 }

@@ -23,10 +23,10 @@ use djx_runtime::{
 };
 use djxperf::wire::MAX_QUERY_FILTER_LEN;
 use djxperf::{
-    AllocSite, AllocSiteId, AllocationStats, BackoffPolicy, BinaryChunkedSink, CodeCentricProfile,
-    DeltaFold, DrainPolicy, FaultPlan, FinishRecord, FleetAggregator, FleetClient, FleetSink,
-    FsyncPolicy, GroupBy, MultiSource, NumaProfile, ObjectCentricProfile, OverflowPolicy,
-    ProfileDelta, ProfileSink, Query, RankBy, Session, SharedBuffer, ThreadDelta, ThreadProfile,
+    AllocSite, AllocSiteId, AllocationStats, BackoffPolicy, BinaryChunkedSink, DeltaFold,
+    DrainPolicy, FaultPlan, FinishRecord, FleetAggregator, FleetClient, FleetSink, FsyncPolicy,
+    GroupBy, MultiSource, ObjectCentricProfile, OverflowPolicy, ProfileDelta, ProfileSink, Query,
+    RankBy, Session, SharedBuffer, ThreadDelta, ThreadProfile,
 };
 
 const PROCESSES: u64 = 3;
@@ -200,6 +200,9 @@ fn fleet_query_is_byte_identical_to_multisource_fold() {
         Query::new().group_by(GroupBy::Site),
         Query::new().group_by(GroupBy::Thread).rank_by(RankBy::Samples),
         Query::new().group_by(GroupBy::NumaNode).rank_by(RankBy::Samples),
+        Query::new().group_by(GroupBy::Context),
+        Query::new().group_by(GroupBy::Context).rank_by(RankBy::Latency).top(3),
+        Query::new().group_by(GroupBy::NodePair).rank_by(RankBy::Samples),
         Query::new().filter_class("proc1[]"),
         Query::new().min_samples(5).top(2),
     ];
@@ -305,13 +308,15 @@ fn crashed_producer_stays_queryable_flagged_truncated() {
     // The partial fold answers the code-centric and NUMA views too: every folded
     // sample sits at its calling context and in the traffic matrix.
     let partial = &view.producers()[2].profile;
-    let code = CodeCentricProfile::from_profile(partial);
-    let context_samples: u64 = code.cct.nodes_with_metrics().map(|(_, _, m)| m.samples).sum();
+    let view_of = |axis| Query::new().group_by(axis).evaluate(partial).expect("a folded profile");
+    let samples =
+        |r: &djxperf::QueryResult| r.groups.iter().map(|g| g.metrics.samples).sum::<u64>();
+    let code = view_of(GroupBy::Context);
     assert_eq!(code.total_samples, dead.samples);
-    assert_eq!(context_samples, dead.samples, "every folded sample has a context");
-    let numa = NumaProfile::from_profile(partial);
-    assert!(!numa.node_traffic.is_empty(), "the partial fold keeps its traffic matrix");
-    assert_eq!(numa.total_samples(), dead.samples);
+    assert_eq!(samples(&code), dead.samples, "every folded sample has a context");
+    let numa = view_of(GroupBy::NodePair);
+    assert!(!numa.groups.is_empty(), "the partial fold keeps its traffic matrix");
+    assert_eq!(samples(&numa), dead.samples);
 
     // And the fleet query equals the union session over what actually arrived, on
     // the object axis too: the streamed deltas carried the crashed producer's sites

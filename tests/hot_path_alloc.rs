@@ -15,7 +15,7 @@ use djx_runtime::{
     AllocationEvent, ClassId, Frame, GcId, MemoryAccessEvent, MethodId, ObjectId, ObjectMoveEvent,
     ObjectReclaimEvent, RuntimeListener, ThreadId,
 };
-use djxperf::Session;
+use djxperf::{GroupBy, Query, Session};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -96,15 +96,10 @@ fn access<'a>(trace: &'a [Frame], offset: u64, l1_miss: bool) -> MemoryAccessEve
     }
 }
 
-/// A session (every view enabled) with one monitored object, warmed by two sampled accesses
-/// from [`trace`] into it.
+/// A session with one monitored object, warmed by two sampled accesses from [`trace`]
+/// into it.
 fn warmed_session(trace: &[Frame]) -> Arc<Session> {
-    let session = Session::builder()
-        .period(PERIOD)
-        .collect_objects()
-        .collect_code()
-        .collect_numa()
-        .build();
+    let session = Session::builder().period(PERIOD).collect_objects().build();
     session.on_object_alloc(&AllocationEvent {
         object: ObjectId(1),
         class: ClassId(0),
@@ -153,8 +148,10 @@ fn sampled_accesses_allocate_nothing_once_warm() {
     // Every sample reached the collectors, attributed to the object's site.
     let profile = session.object_profile().expect("object collector registered");
     assert_eq!(profile.threads[0].attributed_samples(), 102);
-    assert_eq!(session.code_profile().expect("object collector registered").total_samples, 102);
-    assert_eq!(session.numa_profile().expect("object collector registered").total_samples(), 102);
+    for axis in [GroupBy::Context, GroupBy::NodePair] {
+        let view = Query::new().group_by(axis).evaluate(&profile).expect("an owned profile");
+        assert_eq!(view.groups.iter().map(|g| g.metrics.samples).sum::<u64>(), 102, "{axis}");
+    }
 }
 
 #[test]

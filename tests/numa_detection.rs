@@ -4,7 +4,9 @@
 use djx_workloads::numa::{DruidBitmapWorkload, EclipseCollectionsWorkload};
 use djx_workloads::runner::{run_profiled, ProfiledRun};
 use djx_workloads::Variant;
-use djxperf::{ProfilerConfig, Query, QueryResult, RankBy, Report, ReportOptions};
+use djxperf::{
+    GroupBy, GroupKey, ProfilerConfig, Query, QueryResult, RankBy, Report, ReportOptions,
+};
 
 fn config() -> ProfilerConfig {
     ProfilerConfig::default().with_period(64)
@@ -15,13 +17,27 @@ fn remote_ranking(run: &ProfiledRun) -> QueryResult {
     Query::new().rank_by(RankBy::RemoteSamples).evaluate(&run.profile).unwrap()
 }
 
-/// The top-`top` NUMA report of a run profiled with [`run_profiled`].
+/// The NUMA report of a run profiled with [`run_profiled`]: its traffic matrix, then
+/// its `top` objects ranked by remote samples.
 fn numa_report(run: &ProfiledRun, top: usize) -> String {
-    let numa = run.session.numa_profile().expect("object collector registered");
+    let matrix = Query::new().group_by(GroupBy::NodePair).evaluate(&run.profile).unwrap();
     let options = ReportOptions { top_objects: top, ..ReportOptions::default() };
-    Report::numa_view(&numa, &remote_ranking(run), &run.methods)
-        .with_options(options)
-        .to_string()
+    format!(
+        "{}{}",
+        Report::query(&matrix, &run.methods),
+        Report::query(&remote_ranking(run), &run.methods).with_options(options)
+    )
+}
+
+/// The samples a run's traffic matrix counts off the diagonal (remote accesses).
+fn off_diagonal_samples(run: &ProfiledRun) -> u64 {
+    let matrix = Query::new().group_by(GroupBy::NodePair).evaluate(&run.profile).unwrap();
+    matrix
+        .groups
+        .iter()
+        .filter(|g| !matches!(g.key, GroupKey::NodePair { cpu_node, page_node } if cpu_node == page_node))
+        .map(|g| g.metrics.samples)
+        .sum()
 }
 
 #[test]
@@ -36,8 +52,10 @@ fn eclipse_result_array_is_flagged_with_a_high_remote_fraction() {
     // The remote ranking puts it first and the NUMA report names it with its site.
     assert_eq!(remote_ranking(&run).groups[0].label, "Integer[] (result)");
     let text = numa_report(&run, 1);
-    assert!(text.contains("Integer[] (result)  remote"));
+    assert!(text.contains("#1 Integer[] (result)  —"), "{text}");
     assert!(text.contains("Interval.toArray (Interval.java:758)"));
+    assert!(off_diagonal_samples(&run) > 0);
+    assert!(text.contains("samples, remote 100.0%)"), "the matrix lists a remote cell: {text}");
 }
 
 #[test]
@@ -89,8 +107,13 @@ fn local_workloads_report_no_remote_objects() {
             object.remote_fraction
         );
     }
+    // The NUMA report shows no remote finding: no off-diagonal traffic, and the
+    // object ranked first by remote samples has none.
+    assert_eq!(off_diagonal_samples(&run), 0);
+    assert_eq!(remote_ranking(&run).groups[0].metrics.remote_samples, 0);
     let text = numa_report(&run, 3);
-    assert!(text.contains("no monitored object shows remote accesses"), "{text}");
+    assert!(!text.contains("samples, remote 100.0%)"), "no remote cell: {text}");
+    assert!(text.contains("remote accesses 0.0%"), "{text}");
 }
 
 #[test]

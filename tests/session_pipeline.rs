@@ -1,15 +1,18 @@
 //! The unified session pipeline, end to end: one pass over a workload yields the
-//! object-centric report, the code-centric report and the NUMA report; the
-//! object-centric results are identical to an objects-only session on the same seeded
-//! runtime; the binary epoch log round-trips the profiles of the workload suite, and
-//! the render-only text and JSON documents render them canonically.
+//! object-centric report, the code-centric report and the NUMA report, each a query
+//! over the one record; the object-centric results are identical to an objects-only
+//! session on the same seeded runtime; the binary epoch log round-trips the profiles
+//! of the workload suite, and the render-only text and JSON documents render them
+//! canonically.
 
 use djx_workloads::figure1::{expected_object_percent, Figure1Workload};
-use djx_workloads::numa::EclipseCollectionsWorkload;
+use djx_workloads::numa::{DruidBitmapWorkload, EclipseCollectionsWorkload};
 use djx_workloads::runner::run_profiled;
 use djx_workloads::{table1_case_studies, Variant};
 use djxperf::report::describe_frame;
-use djxperf::{BinaryChunkedSink, GroupKey, ProfilerConfig, Query, RankBy, Report};
+use djxperf::{
+    BinaryChunkedSink, GroupBy, GroupKey, Locality, ProfilerConfig, Query, RankBy, Report,
+};
 
 fn config() -> ProfilerConfig {
     ProfilerConfig::default().with_period(64)
@@ -30,15 +33,18 @@ fn one_session_pass_yields_all_three_reports_and_matches_the_legacy_path() {
     let object_text = Report::query(&session.report, &session.methods).to_string();
     assert!(object_text.contains("Integer[] (result)"));
 
-    let numa = session.session.numa_profile().expect("object collector registered");
+    let matrix = Query::new().group_by(GroupBy::NodePair).evaluate(&*session.session).unwrap();
+    let matrix_text = Report::query(&matrix, &session.methods).to_string();
+    assert!(matrix_text.contains("group by node_pair"));
+    assert!(matrix_text.contains("node 1 -> node 0"));
     let remote = Query::new().rank_by(RankBy::RemoteSamples).evaluate(&session.profile).unwrap();
-    let numa_text = Report::numa_view(&numa, &remote, &session.methods).to_string();
+    let numa_text = Report::query(&remote, &session.methods).to_string();
     assert!(numa_text.contains("Integer[] (result)"));
     assert!(numa_text.contains("Interval.toArray (Interval.java:758)"));
 
-    let code = session.session.code_profile().expect("object collector registered");
-    let code_text = Report::code_centric(&code, &session.methods).to_string();
-    assert!(code_text.contains("code-centric"));
+    let code = Query::new().group_by(GroupBy::Context).evaluate(&*session.session).unwrap();
+    let code_text = Report::query(&code, &session.methods).to_string();
+    assert!(code_text.contains("group by context"));
     assert!(code.total_samples > 0);
 
     // The top remote object is the case study's result array at its allocation site.
@@ -50,23 +56,35 @@ fn one_session_pass_yields_all_three_reports_and_matches_the_legacy_path() {
         describe_frame(alloc_path.last().unwrap(), &session.methods),
         "Interval.toArray (Interval.java:758)"
     );
+}
 
-    // The NUMA traffic matrix shows actual cross-node traffic for this
-    // two-node workload and agrees with the object profile: every sample lands in one
-    // cell, and the off-diagonal cells hold exactly the remote samples of every site
-    // plus the unattributed ones.
-    assert!(numa.remote_samples() > 0);
-    assert_eq!(numa.total_samples(), session.profile.total_samples());
-    let object_remote: u64 = session
-        .profile
-        .threads
-        .iter()
-        .map(|t| {
-            t.unattributed.remote_samples
-                + t.sites.values().map(|s| s.total.remote_samples).sum::<u64>()
-        })
-        .sum();
-    assert_eq!(numa.remote_samples(), object_remote);
+#[test]
+fn node_pair_cells_conserve_samples_and_refine_the_locality_split() {
+    // On both NUMA case studies the traffic matrix shows actual cross-node traffic
+    // and agrees with the per-object counts: every sample lands in one cell, the
+    // off-diagonal cells hold exactly the `NumaNode` remote samples (every site's
+    // plus the unattributed ones) and the diagonal exactly the local ones.
+    for run in [
+        run_profiled(&EclipseCollectionsWorkload::new(Variant::Baseline), config()),
+        run_profiled(&DruidBitmapWorkload::new(Variant::Baseline), config()),
+    ] {
+        let query = |axis| Query::new().group_by(axis).evaluate(&run.profile).unwrap();
+        let (cells, localities) = (query(GroupBy::NodePair), query(GroupBy::NumaNode));
+        let (mut diagonal, mut off_diagonal) = (0, 0);
+        for cell in &cells.groups {
+            let GroupKey::NodePair { cpu_node, page_node } = cell.key else {
+                panic!("a node-pair group")
+            };
+            *if cpu_node == page_node { &mut diagonal } else { &mut off_diagonal } +=
+                cell.metrics.samples;
+        }
+        let samples = |l| localities.find(&GroupKey::NumaNode(l)).map_or(0, |g| g.metrics.samples);
+        assert!(off_diagonal > 0, "the baseline has cross-node traffic");
+        assert_eq!(off_diagonal, samples(Locality::Remote));
+        assert_eq!(diagonal, samples(Locality::Local));
+        assert_eq!(diagonal + off_diagonal, cells.total_samples);
+        assert_eq!(cells.total_samples, run.profile.total_samples());
+    }
 }
 
 #[test]
@@ -77,7 +95,12 @@ fn figure1_comparison_needs_only_one_run() {
     let session = run_profiled(&Figure1Workload::new(), ProfilerConfig::default().with_period(8));
 
     let hottest_object = session.report.hottest().expect("objects sampled").fraction_of_total;
-    let hottest_code = session.session.code_profile().unwrap().hottest_location_fraction();
+    let code = Query::new()
+        .group_by(GroupBy::Context)
+        .top(1)
+        .evaluate(&session.profile)
+        .unwrap();
+    let hottest_code = code.hottest().expect("contexts sampled").fraction_of_total;
     assert!(
         hottest_object > hottest_code,
         "object-centric aggregation must dominate: {hottest_object:.2} vs {hottest_code:.2}"

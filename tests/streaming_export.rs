@@ -132,8 +132,7 @@ fn streamed_deltas_fold_byte_identically_under_concurrent_ingestion() {
         // User-driven snapshots retire epochs mid-stream; their deltas must be routed
         // into the stream, not discarded.
         while !workers.iter().all(|w| w.is_finished()) {
-            let snapshot = session.snapshot();
-            let object = snapshot.object.expect("object collector registered");
+            let object = session.object_profile().expect("object collector registered");
             assert_eq!(
                 object.total_samples(),
                 object.threads.iter().map(|t| t.samples).sum::<u64>(),
@@ -450,7 +449,7 @@ fn snapshot_retirements_are_monotonic_across_concurrent_snapshots() {
             scope.spawn(move || {
                 let mut last = s.snapshot_retirements();
                 for _ in 0..snapshots_per_observer {
-                    let _ = s.snapshot();
+                    let _ = s.object_profile();
                     let seen = s.snapshot_retirements();
                     assert!(seen >= last, "retirement counter went backwards: {seen} after {last}");
                     assert!(seen > last, "a snapshot must close at least one epoch");
