@@ -1,7 +1,7 @@
-//! Microbenchmark of the per-sample attribution path (§4.2): splay-tree lookup +
+//! Microbenchmark of the per-sample attribution path (§4.2): object-index lookup +
 //! calling-context insertion + metric update, i.e. exactly the work DJXPerf's signal
 //! handler performs per PMU sample, measured end to end through a profiling
-//! [`Session`] (allocation agent populating the shared index, sampler, splay
+//! [`Session`] (allocation agent populating the shared index, sampler, index
 //! resolution, object-centric collector).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};

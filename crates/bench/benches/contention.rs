@@ -33,7 +33,7 @@
 //! per thread), the distribution object-centric profiling exploits. By the
 //! region-interleaved shard routing, the same hot-object index of every thread lands
 //! on the *same shard*, so the uncached pipeline's hot shard takes cross-thread lock
-//! transfers and splay-root thrashing that the cache never sees.
+//! transfers that the cache never sees.
 //!
 //! The other rows time the analysis side: `query-eval` (`Query::evaluate` over a wide
 //! snapshot) against `analyze-legacy` (an in-bench reconstruction of the pre-query
@@ -70,9 +70,9 @@ const OBJECTS_PER_THREAD: u64 = 2048;
 const HOT_OBJECTS: u64 = 16;
 /// Hot objects are spaced [`INDEX_SHARDS`] object slots apart, so — regions
 /// interleaving round-robin — **every hot object of every thread routes to the same
-/// shard**: the adversarial case for the uncached pipeline (alternating hot lookups
-/// restructure that shard's splay tree on every sample, under one contended lock)
-/// and the representative case for the cache (each hot region keeps its own slot).
+/// shard**: the adversarial case for the uncached pipeline (every hot lookup of every
+/// thread takes that shard's one contended lock) and the representative case for the
+/// cache (each hot region keeps its own slot).
 const HOT_STRIDE: u64 = INDEX_SHARDS as u64;
 const OBJECT_SIZE: u64 = 8 * 1024;
 /// Sampling period of the full (three-collector) pipelines.

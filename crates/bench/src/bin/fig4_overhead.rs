@@ -100,7 +100,7 @@ fn main() {
         );
     }
 
-    // The profiler's self-monitoring view of sample resolution: splaying lookups (the
+    // The profiler's self-monitoring view of sample resolution: shard lookups (the
     // hot path) and read-only lookups, merged over every index shard and benchmark.
     let mut splay = LookupStats::default();
     for p in &points {

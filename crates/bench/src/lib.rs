@@ -137,7 +137,7 @@ pub struct OverheadPoint {
     pub allocation_callbacks: u64,
     /// PMU samples taken.
     pub samples: u64,
-    /// Object-index lookup statistics (splaying and read-only lookups, merged over
+    /// Object-index lookup statistics (shard and read-only lookups, merged over
     /// every shard) — the profiler's self-monitoring view of the resolution hot path.
     pub splay: djxperf::LookupStats,
 }

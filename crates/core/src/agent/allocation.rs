@@ -3,11 +3,14 @@
 //! Mirrors §4.1/§4.5 of the paper: ASM instrumentation of `new`/`newarray`/`anewarray`/
 //! `multianewarray` delivers every object allocation (pointer, type, size, allocation
 //! call path); the agent filters allocations smaller than the configurable size `S`
-//! (1 KiB by default), inserts monitored objects into the shared interval splay tree,
-//! batches GC-time relocations in a per-collection relocation map and applies them at GC
-//! end (the `memmove`-interposition + MXBean-notification scheme), and removes reclaimed
-//! objects (the `finalize`-interception scheme).
+//! (1 KiB by default) and inserts monitored objects into the shared interval index. The
+//! paper keeps them in a splay tree; this reproduction uses sorted arrays per shard
+//! (see [`crate::interval`] for why). GC-time relocations are batched in a per-collection
+//! relocation map (the `memmove`-interposition + MXBean-notification scheme) and so
+//! are the reclaims delivered during the collection (the `finalize`-interception
+//! scheme); at GC end both are applied in one rebuild per touched shard.
 
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -18,9 +21,10 @@ use djx_runtime::{
     AllocationEvent, GcEvent, ObjectId, ObjectMoveEvent, ObjectReclaimEvent, RuntimeListener,
 };
 
+use crate::fxhash::FxBuildHasher;
+use crate::interval::Interval;
 use crate::object::{AllocSiteId, MonitoredObject};
 use crate::profile::AllocationStats;
-use crate::splay::Interval;
 
 use super::SharedObjectIndex;
 
@@ -34,7 +38,7 @@ pub struct AllocationConfig {
     /// Minimum monitored allocation size in bytes (`S`). Zero monitors every object.
     pub size_filter: u64,
     /// When `true`, objects first seen when the collector moves them (because the
-    /// profiler attached after they were allocated) are inserted into the splay tree
+    /// profiler attached after they were allocated) are inserted into the index
     /// under an unattributed site instead of being ignored — unless they are smaller
     /// than `size_filter`: the agent keeps no record of the allocations it filtered,
     /// so it re-applies the filter to the size every move and reclaim event carries,
@@ -60,9 +64,14 @@ struct PendingMove {
 /// The GC side of the agent: only GC callbacks take its mutex.
 #[derive(Debug, Default)]
 struct AllocationState {
+    /// `true` between `on_gc_start` and `on_gc_end`: reclaims delivered meanwhile wait
+    /// in `reclaimed` and are applied with the collection's moves.
+    collecting: bool,
     /// The per-collection relocation map (§4.5): moves are batched here and applied to
-    /// the splay tree when the collection finishes.
+    /// the index when the collection finishes.
     relocation_map: Vec<PendingMove>,
+    /// Addresses of the objects the current collection reclaimed.
+    reclaimed: Vec<Addr>,
     relocations: u64,
     unknown_moves: u64,
     reclamations: u64,
@@ -115,9 +124,11 @@ impl AllocationAgent {
     }
 
     /// Approximate resident bytes of the agent's private state (memory-overhead
-    /// accounting; the shared splay tree is accounted separately).
+    /// accounting; the shared index is accounted separately).
     pub fn approx_bytes(&self) -> usize {
-        self.state.lock().relocation_map.len() * std::mem::size_of::<PendingMove>()
+        let state = self.state.lock();
+        state.relocation_map.len() * std::mem::size_of::<PendingMove>()
+            + state.reclaimed.len() * std::mem::size_of::<Addr>()
     }
 
     /// One allocation callback: inserts a monitored object into the shared index and
@@ -145,53 +156,72 @@ impl AllocationAgent {
         size < self.config.size_filter
     }
 
-    fn apply_relocations(&self, state: &mut AllocationState) {
-        if state.relocation_map.is_empty() {
+    /// Applies the pending collection — its reclaims, then its moves — to the index as
+    /// one batch ([`SharedObjectIndex::apply_collection`]).
+    ///
+    /// Every reclaim and every move's identity is resolved against the index as it
+    /// stood before the collection, with read-only probes: a move applies only when
+    /// its old address still holds the same object (a stale view — the profiler never
+    /// saw this object's allocation, and the old range now belongs to someone else —
+    /// must not disturb the live owner) and that object was not reclaimed. A
+    /// mark-compact pass moves each object at most once, so no move depends on another
+    /// one of the same collection.
+    fn apply_collection(&self, state: &mut AllocationState) {
+        state.collecting = false;
+        if state.relocation_map.is_empty() && state.reclaimed.is_empty() {
             return;
         }
-        let pending = std::mem::take(&mut state.relocation_map);
-        for mv in pending {
-            // Identity check via a read-only probe: a stale view (the profiler never
-            // saw this object's allocation, and the old range now belongs to someone
-            // else) must not disturb whatever live object owns the range. `find` also
-            // keeps the probe out of the hot-path splay statistics.
-            let monitored = self
+        let mut removed = Vec::new();
+        let mut gone: HashSet<Addr, FxBuildHasher> = HashSet::with_capacity_and_hasher(
+            state.reclaimed.len() + 2 * state.relocation_map.len(),
+            FxBuildHasher::default(),
+        );
+        for addr in std::mem::take(&mut state.reclaimed) {
+            if let Some((interval, _)) = self.shared.find(addr) {
+                if gone.insert(interval.start) {
+                    removed.push(interval);
+                    state.reclamations += 1;
+                }
+            }
+        }
+        let moves = std::mem::take(&mut state.relocation_map);
+        let mut added = Vec::with_capacity(moves.len());
+        for mv in moves {
+            let new_range = Interval::new(mv.new_addr, mv.new_addr + mv.size);
+            let owner = self
                 .shared
                 .find(mv.old_addr)
-                .filter(|(_, mo)| mo.object == mv.object)
-                .map(|(_, mo)| mo);
-            match monitored {
-                Some(mo) => {
-                    let new_range = Interval::new(mv.new_addr, mv.new_addr + mv.size);
-                    let overlaps =
-                        mv.new_addr < mv.old_addr + mv.size && mv.old_addr < mv.new_addr + mv.size;
-                    if overlaps {
-                        // Sliding compaction: the ranges overlap, so the old entry must
-                        // come out first to keep each shard tree's intervals disjoint.
-                        self.shared.remove(mv.old_addr);
-                        self.shared.insert(new_range, mo);
-                    } else {
-                        // Disjoint move: publish the new range before retiring the old
-                        // one, so a concurrently sampling thread resolves the object at
-                        // every instant of the move (both ranges name the same site).
-                        self.shared.insert(new_range, mo);
-                        self.shared.remove(mv.old_addr);
-                    }
+                .filter(|(interval, mo)| mo.object == mv.object && !gone.contains(&interval.start));
+            match owner {
+                Some((interval, mo)) => {
+                    gone.insert(interval.start);
+                    removed.push(interval);
+                    added.push((new_range, mo));
                     state.relocations += 1;
                 }
                 None if self.config.attach_mode => {
                     // Attach mode missed the allocation; insert the new range directly
                     // under the unattributed site, as §4.5 prescribes.
                     let site = self.shared.sites.lock().intern_unattributed();
-                    self.shared.insert(
-                        Interval::new(mv.new_addr, mv.new_addr + mv.size),
+                    added.push((
+                        new_range,
                         MonitoredObject { object: mv.object, site, size: mv.size },
-                    );
+                    ));
                     state.unknown_moves += 1;
                 }
                 None => {}
             }
         }
+        // A surviving entry containing a new range's start is stale (its reclaim never
+        // arrived): it gives way, exactly as on allocation. A start inside a range this
+        // collection already vacates finds that range, which `gone` already holds.
+        let stale: Vec<Interval> = added
+            .iter()
+            .filter_map(|(interval, _)| self.shared.find(interval.start))
+            .filter_map(|(stale, _)| gone.insert(stale.start).then_some(stale))
+            .collect();
+        removed.extend(stale);
+        self.shared.apply_collection(&removed, added);
     }
 }
 
@@ -200,12 +230,16 @@ impl RuntimeListener for AllocationAgent {
         AllocationAgent::on_object_alloc(self, event);
     }
 
+    fn on_gc_start(&self, _event: &GcEvent) {
+        self.state.lock().collecting = true;
+    }
+
     fn on_object_move(&self, event: &ObjectMoveEvent) {
         if self.filters(event.size) {
             return;
         }
-        // Updating the splay tree on every memmove would be costly; record the move in
-        // the relocation map and batch-apply at GC end (§4.5).
+        // Updating the index on every memmove would be costly; record the move in the
+        // relocation map and batch-apply at GC end (§4.5).
         self.state.lock().relocation_map.push(PendingMove {
             object: event.object,
             old_addr: event.old_addr,
@@ -216,7 +250,7 @@ impl RuntimeListener for AllocationAgent {
 
     fn on_gc_end(&self, _event: &GcEvent) {
         let mut state = self.state.lock();
-        self.apply_relocations(&mut state);
+        self.apply_collection(&mut state);
     }
 
     fn on_object_reclaim(&self, event: &ObjectReclaimEvent) {
@@ -224,16 +258,18 @@ impl RuntimeListener for AllocationAgent {
             return;
         }
         let mut state = self.state.lock();
-        if self.shared.remove(event.addr).is_some() {
+        if state.collecting {
+            state.reclaimed.push(event.addr);
+        } else if self.shared.remove(event.addr).is_some() {
             state.reclamations += 1;
         }
     }
 
     fn on_vm_end(&self) {
-        // Apply any moves from a collection that never delivered its end notification
-        // (e.g. the program exited mid-GC).
+        // Apply a collection that never delivered its end notification (e.g. the
+        // program exited mid-GC).
         let mut state = self.state.lock();
-        self.apply_relocations(&mut state);
+        self.apply_collection(&mut state);
     }
 }
 
@@ -500,10 +536,61 @@ mod tests {
         assert_eq!(agent.stats().reclamations, 1);
     }
 
+    fn gc_event(gc: u64) -> GcEvent {
+        GcEvent { gc: GcId(gc), heap_used: 0, objects_moved: 0, objects_reclaimed: 0 }
+    }
+
+    #[test]
+    fn reclaims_during_a_collection_apply_at_its_end() {
+        let (agent, shared) = agent(AllocationConfig::default());
+        agent.on_object_alloc(&alloc_event(1, 0x1000, 2048, "float[]", &[]));
+        let before = agent.approx_bytes();
+        agent.on_gc_start(&gc_event(1));
+        agent.on_object_reclaim(&ObjectReclaimEvent {
+            gc: GcId(1),
+            object: ObjectId(1),
+            addr: 0x1000,
+            size: 2048,
+            class: ClassId(0),
+        });
+        assert_eq!(shared.live_objects(), 1, "applied with the collection, not before");
+        assert!(agent.approx_bytes() > before, "the pending reclaim is agent state");
+        agent.on_gc_end(&gc_event(1));
+        assert_eq!(shared.live_objects(), 0);
+        assert!(shared.lookup(0x1400).is_none());
+        assert_eq!(agent.stats().reclamations, 1);
+        assert_eq!(agent.approx_bytes(), before);
+    }
+
+    #[test]
+    fn a_move_onto_a_stale_entry_replaces_every_copy_of_it() {
+        // Object 1 spans three regions (three shards) and its reclaim never arrives; a
+        // collection then slides object 2 into the middle of its range.
+        let (agent, shared) = agent(AllocationConfig::default());
+        agent.on_object_alloc(&alloc_event(1, 0x1000, 0x4000, "stale[]", &[]));
+        agent.on_object_alloc(&alloc_event(2, 0x9000, 0x1000, "live[]", &[]));
+        agent.on_gc_start(&gc_event(1));
+        agent.on_object_move(&ObjectMoveEvent {
+            gc: GcId(1),
+            object: ObjectId(2),
+            old_addr: 0x9000,
+            new_addr: 0x2000,
+            size: 0x1000,
+        });
+        agent.on_gc_end(&gc_event(1));
+        assert_eq!(shared.lookup(0x2100).unwrap().1.object, ObjectId(2));
+        for addr in [0x1100u64, 0x4100, 0x9100] {
+            assert!(shared.lookup(addr).is_none(), "{addr:#x} must not resolve");
+        }
+        assert_eq!(shared.live_objects(), 1);
+        let stats = agent.stats();
+        assert_eq!((stats.relocations, stats.reclamations), (1, 0));
+    }
+
     #[test]
     fn address_reuse_after_missed_reclaim_replaces_stale_entry() {
         // If the profiler somehow misses a reclamation (the paper's correctness concern
-        // in §4.5), a new allocation reusing the range must win the splay-tree entry so
+        // in §4.5), a new allocation reusing the range must win the index entry so
         // samples are not attributed to the dead object.
         let (agent, shared) = agent(AllocationConfig::default());
         agent.on_object_alloc(&alloc_event(1, 0x1000, 2048, "old[]", &[]));

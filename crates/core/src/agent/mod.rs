@@ -15,10 +15,12 @@
 //! The paper calls the concurrent splay tree of monitored objects "the only data
 //! structure shared among threads" (§5.1) and protects it with a spin lock. A single
 //! lock is exactly where a multi-threaded workload serializes: every PMU overflow on
-//! every thread resolves its effective address through the tree. [`SharedObjectIndex`]
-//! therefore shards the address space over `N` (power-of-two) independent splay trees,
-//! each behind its own [`SpinLock`] (the signal-handler-safe primitive the overflow
-//! path requires; see [`crate::sync`]):
+//! every thread resolves its effective address through the index. [`SharedObjectIndex`]
+//! therefore shards the address space over `N` (power-of-two) independent
+//! [`IntervalIndex`]es — flat arrays sorted by start address, not the paper's splay
+//! tree (the [`crate::interval`] module documentation gives the measurements) — each
+//! behind its own [`SpinLock`] (the signal-handler-safe primitive the overflow path
+//! requires; see [`crate::sync`]):
 //!
 //! * the address space is cut into fixed 8 KiB *regions*
 //!   ([`SharedObjectIndex::REGION_SHIFT`]) that interleave round-robin across shards,
@@ -27,40 +29,45 @@
 //! * an object whose `[start, end)` range spans several regions is inserted into
 //!   **every shard its range touches** (the record is a small `Copy` value), so a
 //!   point lookup only ever needs the one shard owning the queried address;
-//! * removal resolves the full interval from the queried address's shard first, then
-//!   drops the remaining copies shard by shard — never holding two shard locks at
-//!   once, so shard locks cannot deadlock;
-//! * GC relocation (§4.5) is remove + insert and therefore migrates copies across
-//!   shards naturally, wherever the new range lands;
+//! * single mutations (an allocation, a reclaim outside a collection) take shard locks
+//!   strictly one at a time: removal resolves the full interval from the queried
+//!   address's shard first, then drops the remaining copies shard by shard;
+//! * a garbage collection's relocations and reclaims (§4.5) are applied as one batch
+//!   (`SharedObjectIndex::apply_collection`): every touched shard is locked in
+//!   ascending order, its epoch bumped once and its array rebuilt once. Samplers,
+//!   batch resolution and single mutations never hold two shard locks, so the ordered
+//!   multi-lock cannot deadlock, and a sampler sees either all of a collection or
+//!   none of it;
 //! * [`SharedObjectIndex::live_objects`] counts distinct objects via an atomic
 //!   counter, and [`SharedObjectIndex::lookup_stats`] /
 //!   [`SharedObjectIndex::approx_bytes`] merge the per-shard statistics.
 //!
-//! The common-case sample resolution (`lookup`) thus touches exactly one shard mutex,
+//! The common-case sample resolution (`lookup`) thus touches exactly one shard lock,
 //! uncontended as long as two threads are not sampling addresses in the same region —
 //! which is the point: per-thread allocation sites mean per-thread address ranges.
 //!
 //! # Three-level sample resolution: thread cache → shard → miss
 //!
 //! Sharding removes *contention*, but every resolution still pays one lock round-trip
-//! and a splay — a **write** to the tree — even when a thread samples the same hot
-//! object thousands of times in a row, which is precisely the distribution
-//! object-centric profiling exploits (a handful of hot objects absorb most samples).
-//! The hot path therefore runs in three levels:
+//! and a binary search, even when a thread samples the same hot object thousands of
+//! times in a row, which is precisely the distribution object-centric profiling
+//! exploits (a handful of hot objects absorb most samples). The hot path therefore
+//! runs in three levels:
 //!
 //! 1. **Per-thread [`ResolutionCache`]** — a small direct-mapped table, private to the
 //!    sampling thread, mapping 8 KiB address regions to the enclosing
 //!    `(Interval, MonitoredObject)`. A hit is an array probe plus one atomic epoch
-//!    load: **no shard lock, no splay rotation, no shared-memory write**.
-//! 2. **Shard splay tree** — a cache miss falls through to the owning shard exactly as
-//!    before (one [`SpinLock`], splaying lookup), and refills the cache slot on a hit.
+//!    load: **no shard lock, no shared-memory write**.
+//! 2. **Shard index** — a cache miss falls through to the owning shard (one
+//!    [`SpinLock`], one read-only binary search), and refills the cache slot on a hit.
+//!    The paper's splay tree would rotate — write — the shared tree on this path.
 //! 3. **Miss** — addresses outside every monitored object resolve to `None`; misses
 //!    are never cached (a region can gain an object at any time).
 //!
 //! Correctness across mutation comes from a per-shard [`Epoch`]: every insert, removal
-//! and GC relocation bumps the epoch of each shard it touches *under that shard's
-//! lock, before mutating*. A cache entry records the shard epoch at fill time and is
-//! valid only while the epoch still matches, so a stale resolution after a GC move is
+//! and GC batch bumps the epoch of each shard it touches *under that shard's lock,
+//! before mutating*. A cache entry records the shard epoch at fill time and is valid
+//! only while the epoch still matches, so a stale resolution after a GC move is
 //! impossible by construction — the move bumped the epoch, the entry mismatches, the
 //! thread falls back to the shard. Cache probes and hits are self-monitored through
 //! [`LookupStats::cache_lookups`] / [`LookupStats::cache_hits`].
@@ -83,35 +90,35 @@ use parking_lot::Mutex;
 
 use djx_memsim::Addr;
 
+use crate::interval::{Interval, IntervalIndex, LookupStats};
 use crate::object::{AllocSiteRegistry, MonitoredObject};
-use crate::splay::{Interval, IntervalSplayTree, LookupStats};
-use crate::sync::{Epoch, SpinLock};
+use crate::sync::{Epoch, SpinLock, SpinLockGuard};
 
 /// Default number of shards of a [`SharedObjectIndex`]. Power of two, sized so that a
-/// handful of profiled threads rarely collide on a shard without making per-shard trees
-/// degenerate.
+/// handful of profiled threads rarely collide on a shard without making per-shard
+/// arrays long.
 pub const DEFAULT_SHARD_COUNT: usize = 16;
 
-/// One address shard: an interval splay tree behind a signal-handler-safe lock, plus
+/// One address shard: a sorted interval index behind a signal-handler-safe lock, plus
 /// the mutation epoch that keeps per-thread resolution caches honest.
 #[derive(Debug, Default)]
 struct Shard {
-    /// The shard's interval splay tree. Shard locks are [`SpinLock`]s: sample
-    /// resolution runs in signal-handler context (§5.1), and sharding keeps each lock
-    /// uncontended in the common case — see [`crate::sync`].
-    tree: SpinLock<IntervalSplayTree<MonitoredObject>>,
-    /// Bumped under the shard lock, *before* every tree mutation. A cache entry filled
+    /// The shard's interval index. Shard locks are [`SpinLock`]s: sample resolution
+    /// runs in signal-handler context (§5.1), and sharding keeps each lock uncontended
+    /// in the common case — see [`crate::sync`].
+    index: SpinLock<IntervalIndex<MonitoredObject>>,
+    /// Bumped under the shard lock, *before* every index mutation. A cache entry filled
     /// under epoch `E` is valid only while the epoch still reads `E` (see
     /// [`ResolutionCache`]).
     epoch: Epoch,
 }
 
-/// State shared between the two agents: the sharded splay-tree index of monitored-object
+/// State shared between the two agents: the sharded interval index of monitored-object
 /// address ranges (see the [module documentation](self) for the sharding scheme) and the
 /// allocation-site registry.
 #[derive(Debug)]
 pub struct SharedObjectIndex {
-    /// One splay tree + mutation epoch per address shard.
+    /// One interval index + mutation epoch per address shard.
     shards: Box<[Shard]>,
     /// `shards.len() - 1`; routing is `(addr >> REGION_SHIFT) & mask`.
     mask: u64,
@@ -189,22 +196,27 @@ impl SharedObjectIndex {
         set
     }
 
-    /// Runs a **mutation** on every shard in `set`, one shard lock at a time, bumping
-    /// each shard's epoch before its tree is touched so per-thread cache entries filled
-    /// under the previous epoch can never resolve through the mutated state.
-    fn mutate_shards_in(
+    /// The shard indices of `set`, ascending.
+    fn shards_in(mut set: u64) -> impl Iterator<Item = usize> {
+        std::iter::from_fn(move || {
+            let shard = (set != 0).then(|| set.trailing_zeros() as usize)?;
+            set &= set - 1;
+            Some(shard)
+        })
+    }
+
+    /// Runs a **mutation** on one shard under its lock, bumping the shard's epoch
+    /// before the index is touched so per-thread cache entries filled under the
+    /// previous epoch can never resolve through the mutated state.
+    fn mutate_shard<R>(
         &self,
-        set: u64,
-        mut f: impl FnMut(&mut IntervalSplayTree<MonitoredObject>),
-    ) {
-        for shard in 0..self.shards.len() {
-            if set & (1u64 << shard) != 0 {
-                let s = &self.shards[shard];
-                let mut tree = s.tree.lock();
-                s.epoch.bump();
-                f(&mut tree);
-            }
-        }
+        shard: usize,
+        f: impl FnOnce(&mut IntervalIndex<MonitoredObject>) -> R,
+    ) -> R {
+        let s = &self.shards[shard];
+        let mut index = s.index.lock();
+        s.epoch.bump();
+        f(&mut index)
     }
 
     /// Current mutation epoch of the shard owning `addr` (diagnostics and tests; cache
@@ -216,17 +228,29 @@ impl SharedObjectIndex {
     /// Inserts a monitored object under its address range, placing one copy of the
     /// record in every shard the range touches.
     ///
-    /// Mirrors the single-tree replacement semantics: an existing entry whose range
-    /// contains `interval.start` (an allocation reusing the range of an object whose
-    /// reclamation the profiler missed) is removed first — from *all* of its shards, so
-    /// no stale copy survives — and returned.
+    /// An existing entry whose range contains `interval.start` (an allocation reusing
+    /// the range of an object whose reclamation the profiler missed) is replaced — in
+    /// *all* of its shards, so no stale copy survives — and returned. Each shard is
+    /// searched once: where both objects have a copy the new one takes the old one's
+    /// slot, since nothing else can lie between them.
     pub fn insert(&self, interval: Interval, value: MonitoredObject) -> Option<MonitoredObject> {
-        let old = self.remove(interval.start).map(|(_, mo)| mo);
-        self.mutate_shards_in(self.shard_set(interval), |tree| {
-            tree.insert(interval, value);
-        });
-        self.live.fetch_add(1, Ordering::Relaxed);
-        old
+        let primary = self.shard_of(interval.start);
+        let old = self.mutate_shard(primary, |index| index.insert(interval, value));
+        let new_set = self.shard_set(interval);
+        let old_set = old.map_or(0, |(old_interval, _)| self.shard_set(old_interval));
+        for shard in Self::shards_in((new_set | old_set) & !(1u64 << primary)) {
+            self.mutate_shard(shard, |index| {
+                if new_set & (1u64 << shard) != 0 {
+                    index.insert(interval, value);
+                } else if let Some((old_interval, _)) = old {
+                    index.remove(old_interval.start);
+                }
+            });
+        }
+        if old.is_none() {
+            self.live.fetch_add(1, Ordering::Relaxed);
+        }
+        old.map(|(_, mo)| mo)
     }
 
     /// Removes the monitored object whose range contains `addr`, dropping every shard
@@ -236,39 +260,85 @@ impl SharedObjectIndex {
     /// interval, then the remaining copies are removed shard by shard.
     pub fn remove(&self, addr: Addr) -> Option<(Interval, MonitoredObject)> {
         let primary = self.shard_of(addr);
-        let (interval, value) = {
-            let shard = &self.shards[primary];
-            let mut tree = shard.tree.lock();
-            // Bump before probing: even a miss costs only spurious cache refills, and a
-            // hit must invalidate before the entry leaves the tree.
-            shard.epoch.bump();
-            tree.remove(addr)?
-        };
-        let rest = self.shard_set(interval) & !(1u64 << primary);
-        self.mutate_shards_in(rest, |tree| {
-            tree.remove(interval.start);
-        });
+        // Bump before probing: even a miss costs only spurious cache refills, and a hit
+        // must invalidate before the entry leaves the index.
+        let (interval, value) = self.mutate_shard(primary, |index| index.remove(addr))?;
+        for shard in Self::shards_in(self.shard_set(interval) & !(1u64 << primary)) {
+            self.mutate_shard(shard, |index| index.remove(interval.start));
+        }
         self.live.fetch_sub(1, Ordering::Relaxed);
         Some((interval, value))
     }
 
-    /// Resolves `addr` to its enclosing monitored object, splaying it towards the root
-    /// of the owning shard's tree (the sample-resolution hot path: one shard lock, near
-    /// O(1) under temporal locality).
+    /// Applies one garbage collection to the index as a single batch: every object in
+    /// `removed` (distinct stored intervals — the collection's reclaimed objects and the
+    /// old ranges of its moved ones) loses all of its copies, and every record in
+    /// `added` (the moved objects' new ranges) gains one in each shard it touches.
+    ///
+    /// Every touched shard is locked in ascending index order and its epoch bumped once
+    /// before any of them changes; each is then rebuilt with one
+    /// [`IntervalIndex::rebuild`]. Nothing else ever holds two shard locks, so the
+    /// ordered acquisition cannot deadlock, and a concurrent sampler resolves either
+    /// entirely through the pre-collection index or entirely through the new one.
+    pub(crate) fn apply_collection(
+        &self,
+        removed: &[Interval],
+        added: Vec<(Interval, MonitoredObject)>,
+    ) {
+        // Room for each shard's even share of the batch, twice over for objects that
+        // straddle two regions.
+        let shards = self.shards.len();
+        let mut removed_in: Vec<Vec<Addr>> =
+            (0..shards).map(|_| Vec::with_capacity(2 * removed.len() / shards)).collect();
+        let mut added_in: Vec<Vec<(Interval, MonitoredObject)>> =
+            (0..shards).map(|_| Vec::with_capacity(2 * added.len() / shards)).collect();
+        let mut touched = 0u64;
+        for &interval in removed {
+            let set = self.shard_set(interval);
+            touched |= set;
+            for shard in Self::shards_in(set) {
+                removed_in[shard].push(interval.start);
+            }
+        }
+        for &(interval, value) in &added {
+            let set = self.shard_set(interval);
+            touched |= set;
+            for shard in Self::shards_in(set) {
+                added_in[shard].push((interval, value));
+            }
+        }
+        let mut locked: Vec<(usize, SpinLockGuard<'_, IntervalIndex<MonitoredObject>>)> =
+            Vec::with_capacity(touched.count_ones() as usize);
+        for shard in Self::shards_in(touched) {
+            let s = &self.shards[shard];
+            let index = s.index.lock();
+            s.epoch.bump();
+            locked.push((shard, index));
+        }
+        for (shard, index) in &mut locked {
+            let starts = &mut removed_in[*shard];
+            starts.sort_unstable();
+            index.rebuild(starts, std::mem::take(&mut added_in[*shard]));
+        }
+        self.live.fetch_add(added.len(), Ordering::Relaxed);
+        self.live.fetch_sub(removed.len(), Ordering::Relaxed);
+    }
+
+    /// Resolves `addr` to its enclosing monitored object (the sample-resolution path:
+    /// one shard lock, one binary search).
     pub fn lookup(&self, addr: Addr) -> Option<(Interval, MonitoredObject)> {
         self.shards[self.shard_of(addr)]
-            .tree
+            .index
             .lock()
             .lookup(addr)
             .map(|(iv, mo)| (iv, *mo))
     }
 
-    /// Read-only resolution of `addr`: no splaying, counted under the read-side lookup
-    /// statistics. Use for inspection paths that must not perturb the tree shape the
-    /// sampling hot path depends on.
+    /// Read-only resolution of `addr`, counted under the read-side lookup statistics so
+    /// inspection paths stay apart from sample resolution.
     pub fn find(&self, addr: Addr) -> Option<(Interval, MonitoredObject)> {
         self.shards[self.shard_of(addr)]
-            .tree
+            .index
             .lock()
             .find(addr)
             .map(|(iv, mo)| (iv, *mo))
@@ -285,16 +355,16 @@ impl SharedObjectIndex {
     ) {
         let mut guard = ShardGuard::new(self);
         out.extend(
-            addrs.map(|&addr| guard.tree(self.shard_of(addr)).lookup(addr).map(|(_, mo)| mo.site)),
+            addrs.map(|&addr| guard.index(self.shard_of(addr)).lookup(addr).map(|(_, mo)| mo.site)),
         );
     }
 
     /// Resolves a batch of sampled addresses through the caller's per-thread
     /// [`ResolutionCache`] first, falling back to the owning shard (and refilling the
     /// cache) on a miss — the three-level hot path of the
-    /// [module documentation](self). Cache hits take **no shard lock and perform no
-    /// splay**; misses reuse the shard guard across consecutive same-shard addresses
-    /// exactly like [`SharedObjectIndex::resolve_batch`].
+    /// [module documentation](self). Cache hits take **no shard lock**; misses reuse
+    /// the shard guard across consecutive same-shard addresses exactly like
+    /// [`SharedObjectIndex::resolve_batch`].
     pub fn resolve_batch_cached<'a>(
         &self,
         cache: &mut ResolutionCache,
@@ -317,11 +387,11 @@ impl SharedObjectIndex {
                     return Some(entry.value.site);
                 }
             }
-            let tree = guard.tree(shard_index);
+            let index = guard.index(shard_index);
             // The lock is held, so the epoch recorded next to the refilled entry is
             // exactly the epoch the resolved value was read under.
             let epoch = shard.epoch.current();
-            let (interval, mo) = tree.lookup(addr)?;
+            let (interval, mo) = index.lookup(addr)?;
             cache.entries[slot] = Some(CacheEntry { region, epoch, interval, value: *mo });
             Some(mo.site)
         }));
@@ -341,7 +411,7 @@ impl SharedObjectIndex {
     pub fn lookup_stats(&self) -> LookupStats {
         let mut stats = LookupStats::default();
         for shard in self.shards.iter() {
-            stats.merge(&shard.tree.lock().stats());
+            stats.merge(&shard.index.lock().stats());
         }
         stats
     }
@@ -349,7 +419,7 @@ impl SharedObjectIndex {
     /// Approximate resident bytes of the shared structures (shard copies included —
     /// they are real memory).
     pub fn approx_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.tree.lock().approx_bytes()).sum::<usize>()
+        self.shards.iter().map(|s| s.index.lock().approx_bytes()).sum::<usize>()
             + self.sites.lock().approx_bytes()
     }
 }
@@ -359,20 +429,20 @@ impl SharedObjectIndex {
 /// so the common case is one lock acquisition per batch) and switches shards by
 /// dropping the held guard *before* acquiring the next — shard locks are never nested.
 struct ShardGuard<'a> {
-    index: &'a SharedObjectIndex,
-    held: Option<(usize, crate::sync::SpinLockGuard<'a, IntervalSplayTree<MonitoredObject>>)>,
+    shared: &'a SharedObjectIndex,
+    held: Option<(usize, SpinLockGuard<'a, IntervalIndex<MonitoredObject>>)>,
 }
 
 impl<'a> ShardGuard<'a> {
-    fn new(index: &'a SharedObjectIndex) -> Self {
-        Self { index, held: None }
+    fn new(shared: &'a SharedObjectIndex) -> Self {
+        Self { shared, held: None }
     }
 
-    /// The locked tree of `shard`, reusing the held guard when it is the same shard.
-    fn tree(&mut self, shard: usize) -> &mut IntervalSplayTree<MonitoredObject> {
+    /// The locked index of `shard`, reusing the held guard when it is the same shard.
+    fn index(&mut self, shard: usize) -> &mut IntervalIndex<MonitoredObject> {
         if !matches!(&self.held, Some((held, _)) if *held == shard) {
             self.held = None; // drop the previous guard before taking the next
-            self.held = Some((shard, self.index.shards[shard].tree.lock()));
+            self.held = Some((shard, self.shared.shards[shard].index.lock()));
         }
         &mut self.held.as_mut().expect("installed above").1
     }
@@ -689,6 +759,88 @@ mod tests {
         let mut plain = Vec::new();
         index.resolve_batch(addrs.iter(), &mut plain);
         assert_eq!(cached, plain);
+    }
+
+    #[test]
+    fn a_collection_rebuilds_each_touched_shard_once() {
+        use djx_runtime::{
+            AllocationEvent, ClassId, Frame, GcEvent, GcId, MethodId, ObjectMoveEvent,
+            ObjectReclaimEvent, RuntimeListener, ThreadId,
+        };
+
+        let index = SharedObjectIndex::with_shards(4);
+        let agent = AllocationAgent::new(AllocationConfig::default(), index.clone());
+        // 32 objects of 4 KiB, two per 8 KiB region, each with its own site (site i).
+        const SIZE: u64 = 0x1000;
+        for i in 0..32u64 {
+            let trace = [Frame::new(MethodId(i as u32), 0)];
+            agent.on_object_alloc(&AllocationEvent {
+                object: ObjectId(i),
+                class: ClassId(0),
+                class_name: "long[]",
+                start: i * SIZE,
+                size: SIZE,
+                thread: ThreadId(1),
+                call_trace: &trace,
+            });
+        }
+        // A cache entry for object 21, filled before the collection.
+        let probe = 21 * SIZE + 8;
+        let mut cache = ResolutionCache::new(64);
+        let mut out = Vec::new();
+        index.resolve_batch_cached(&mut cache, [probe].iter(), &mut out);
+        assert_eq!(out, vec![Some(AllocSiteId(21))]);
+        let before: Vec<u64> = (0..4u64).map(|shard| index.epoch_of(shard * 0x2000)).collect();
+
+        // A sliding collection: every fourth object dies, the 24 survivors slide down.
+        let gc = GcEvent { gc: GcId(1), heap_used: 0, objects_moved: 0, objects_reclaimed: 0 };
+        agent.on_gc_start(&gc);
+        let mut compact = 0;
+        for i in 0..32u64 {
+            if i % 4 == 0 {
+                agent.on_object_reclaim(&ObjectReclaimEvent {
+                    gc: GcId(1),
+                    object: ObjectId(i),
+                    addr: i * SIZE,
+                    size: SIZE,
+                    class: ClassId(0),
+                });
+                continue;
+            }
+            agent.on_object_move(&ObjectMoveEvent {
+                gc: GcId(1),
+                object: ObjectId(i),
+                old_addr: i * SIZE,
+                new_addr: compact,
+                size: SIZE,
+            });
+            compact += SIZE;
+        }
+        // Nothing is applied before the collection ends.
+        assert_eq!(index.live_objects(), 32);
+        assert_eq!(index.lookup(0).map(|(_, m)| m.object), Some(ObjectId(0)));
+        agent.on_gc_end(&gc);
+
+        for (shard, epoch) in before.iter().enumerate() {
+            assert_eq!(index.epoch_of(shard as u64 * 0x2000), epoch + 1, "shard {shard}");
+        }
+        let stats = agent.stats();
+        assert_eq!((stats.relocations, stats.reclamations), (24, 8));
+        assert_eq!(index.live_objects(), 24);
+        // The pre-collection cache entry is refused: the address now holds object 29
+        // (29 - 29 / 4 - 1 = 21), resolved through the shard.
+        let lookups = index.lookup_stats().lookups;
+        out.clear();
+        index.resolve_batch_cached(&mut cache, [probe].iter(), &mut out);
+        assert_eq!(out, vec![Some(AllocSiteId(29))]);
+        assert_eq!(cache.stats().cache_hits, 0);
+        assert_eq!(index.lookup_stats().lookups, lookups + 1);
+        // Every survivor resolves at its new address, and the vacated tail is cold.
+        for (slot, i) in (0..32u64).filter(|i| i % 4 != 0).enumerate() {
+            let (iv, mo) = index.lookup(slot as u64 * SIZE + 0x10).expect("survivor resolves");
+            assert_eq!((iv.start, mo.object), (slot as u64 * SIZE, ObjectId(i)));
+        }
+        assert!(index.lookup(24 * SIZE).is_none());
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //!
 //! | module | paper section | role |
 //! |---|---|---|
-//! | [`splay`] | §4.2 | interval splay tree mapping live object address ranges |
+//! | [`interval`] | §4.2 | sorted interval index mapping live object address ranges (the paper uses a splay tree; the module says why this does not) |
 //! | [`sync`] | §5.1 | signal-handler-safe spin lock for the ingestion hot path |
 //! | [`cct`] | §4.4, §5.1 | compact calling context tree |
 //! | [`fxhash`] | §5.1 | the hot-path hasher for runtime-issued ids |
@@ -107,6 +107,7 @@ pub mod cct;
 pub mod export;
 pub mod fleet;
 pub mod fxhash;
+pub mod interval;
 pub mod metrics;
 pub mod object;
 pub mod profile;
@@ -115,7 +116,9 @@ pub mod report;
 pub mod session;
 pub mod sink;
 mod slots;
-pub mod splay;
+#[cfg(test)]
+#[path = "interval_tests.rs"]
+mod splay;
 pub mod sync;
 pub mod wire;
 
@@ -130,6 +133,7 @@ pub use fleet::{
     FleetProducer, FleetSink, FleetSinkBuilder, FleetSinkStats, FleetView, FsyncPolicy,
     OverflowPolicy, ProducerRecovery, ProducerStatus, RecoveryReport, RemoteQueryResult,
 };
+pub use interval::{Interval, IntervalIndex, LookupStats};
 pub use metrics::MetricVector;
 pub use object::{AllocSite, AllocSiteId, AllocSiteRegistry, MonitoredObject};
 pub use profile::{
@@ -147,7 +151,6 @@ pub use session::{
     SessionBuilder, DEFAULT_SAMPLE_PERIOD,
 };
 pub use sink::{FinishRecord, LogRecord, ProfileSink};
-pub use splay::{Interval, IntervalSplayTree, LookupStats};
 pub use sync::{Epoch, SpinLock, SpinLockGuard};
 pub use wire::{BinaryChunkedSink, BinaryFrameReader};
 

@@ -1,10 +1,10 @@
 //! Object identity as the profiler sees it: allocation sites (allocation calling
-//! contexts) and the monitored-object records stored in the interval splay tree.
+//! contexts) and the monitored-object records stored in the object index.
 //!
 //! The paper represents an object to the developer by the *call path leading to its
 //! allocation* (§4.2): all objects allocated at the same call path share one identity,
 //! because they are expected to behave alike. [`AllocSiteRegistry`] interns those call
-//! paths; the splay tree then maps live address ranges to `(object id, site id)` pairs so
+//! paths; the object index then maps live address ranges to `(object id, site id)` pairs so
 //! that a sampled address resolves to a site in two steps.
 
 use std::hash::BuildHasher;
@@ -135,7 +135,7 @@ impl AllocSiteRegistry {
     }
 }
 
-/// The value stored in the interval splay tree for one live monitored object.
+/// The value stored in the object index for one live monitored object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MonitoredObject {
     /// Runtime identity of the object.

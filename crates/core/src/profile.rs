@@ -617,12 +617,12 @@ pub struct AllocationStats {
     pub monitored: u64,
     /// Allocations skipped by the size filter.
     pub filtered: u64,
-    /// Object moves applied to the splay tree at GC end.
+    /// Object moves applied to the object index at GC end.
     pub relocations: u64,
     /// Moved objects that were unknown to the profiler and were inserted directly
     /// (attach-mode behaviour).
     pub unknown_moves: u64,
-    /// Object reclamations removed from the splay tree.
+    /// Object reclamations removed from the object index.
     pub reclamations: u64,
 }
 

@@ -7,7 +7,8 @@
 //! profilers: the session owns
 //!
 //! * the per-thread PMUs (one sampling stream for the whole session),
-//! * the allocation agent and the shared object index (splay tree + site registry),
+//! * the allocation agent and the shared object index (sorted interval shards + site
+//!   registry; the paper's splay tree is replaced, see [`crate::interval`]),
 //!
 //! resolves every sample's effective address to its enclosing monitored object **once**,
 //! and fans the enriched sample out to every registered [`Collector`]. There is one
@@ -68,7 +69,7 @@
 //!    [`crate::agent`]): a per-thread direct-mapped
 //!    [`ResolutionCache`] first — repeat samples on hot
 //!    objects resolve with **zero shared-memory synchronization** beyond one atomic
-//!    epoch load: no shard lock, no splay rotation — then the address-sharded
+//!    epoch load: no shard lock — then the address-sharded
 //!    [`SharedObjectIndex`] on a miss (the batch locks only the shards it touches,
 //!    reusing the shard guard across spatially-local addresses), then `None`.
 //!    Per-shard mutation epochs invalidate cache entries across inserts, frees and GC
@@ -141,11 +142,11 @@ use djx_runtime::{
 
 use crate::agent::{AllocationAgent, AllocationConfig, ResolutionCache, SharedObjectIndex};
 use crate::export::{DeltaDrainer, DrainPolicy, ExportShared, ExportStats};
+use crate::interval::LookupStats;
 use crate::object::AllocSiteId;
 use crate::profile::{ObjectCentricProfile, ProfileDelta, ThreadDelta, ThreadProfile};
 use crate::sink::ProfileSink;
 use crate::slots::ThreadSlots;
-use crate::splay::LookupStats;
 use crate::sync::{Epoch, SpinLock};
 
 /// Default sampling period for simulated runs.
@@ -209,7 +210,7 @@ impl ProfilerConfig {
 /// One PMU sample enriched with everything the session resolved for it: the calling
 /// context the sample fired at and the allocation site of the enclosing monitored
 /// object (when the effective address hit one). Collectors receive this — they never
-/// talk to the PMU or the splay tree themselves.
+/// talk to the PMU or the object index themselves.
 #[derive(Debug, Clone, Copy)]
 pub struct SampleContext<'a> {
     /// The sampled thread.
@@ -221,7 +222,7 @@ pub struct SampleContext<'a> {
     /// Sampling period, for scaling samples into event-count estimates.
     pub period: u64,
     /// Allocation site of the monitored object enclosing the sampled address, resolved
-    /// once per sample via the shared splay tree; `None` for unattributed samples.
+    /// once per sample via the shared object index; `None` for unattributed samples.
     pub site: Option<AllocSiteId>,
 }
 
@@ -774,8 +775,8 @@ const DEFAULT_EXPECTED_LIVE_OBJECTS: usize = 2048;
 ///
 /// Two pressures argue for more shards: concurrently sampling threads colliding on a
 /// shard lock (≈4 shards per thread keeps the collision probability low under random
-/// region interleaving), and per-shard splay trees growing deep (≈512 live objects per
-/// shard keeps the miss-path walk short). The result is the next power of two covering
+/// region interleaving), and per-shard arrays growing long (≈512 live objects per
+/// shard keeps the miss-path binary search and each shard's GC-end rebuild short). The result is the next power of two covering
 /// the stronger pressure, clamped to `[4, 64]` (shard sets are 64-bit masks).
 pub fn adaptive_shard_count(threads: usize, expected_live_objects: usize) -> usize {
     let for_threads = threads.saturating_mul(4);
@@ -1074,7 +1075,8 @@ impl Session {
         self.collectors.iter().map(|c| c.name()).collect()
     }
 
-    /// Number of currently live monitored objects (splay-tree entries).
+    /// Number of currently live monitored objects (object-index entries, shard copies
+    /// excluded).
     pub fn live_monitored_objects(&self) -> usize {
         self.shared.live_objects()
     }
@@ -1102,11 +1104,16 @@ impl Session {
     }
 
     /// Object-index lookup statistics, merged over every shard and every per-thread
-    /// resolution cache: splaying lookups/hits (the shard-level miss path), read-only
-    /// lookups/hits (non-splaying queries such as [`Session::resolve_address`]), and
-    /// cache probes/hits (`cache_lookups` / `cache_hits` — resolutions that never
-    /// touched a shard). Cache hits and shard lookups partition the sample hot path:
+    /// resolution cache: shard lookups/hits (the shard-level miss path), read-only
+    /// lookups/hits (inspection queries such as [`Session::resolve_address`] and the
+    /// GC-end identity probes), and cache probes/hits (`cache_lookups` / `cache_hits`
+    /// — resolutions that never touched a shard). Cache hits and shard lookups
+    /// partition the sample hot path:
     /// [`LookupStats::resolutions`] is the total.
+    ///
+    /// The name predates the flat interval index that replaced the paper's splay tree
+    /// (see [`crate::interval`]); it stays until the benchmark harness that reads it is
+    /// renamed with it.
     pub fn splay_lookup_stats(&self) -> LookupStats {
         let stats = self.shared.lookup_stats();
         match &self.caches {
@@ -1125,9 +1132,8 @@ impl Session {
     }
 
     /// Read-only resolution of an address to the allocation site of its enclosing
-    /// monitored object. Unlike the hot-path resolution, this never splays — the tree
-    /// shape the sampling path depends on is not perturbed — and is counted under
-    /// `read_lookups` in [`Session::splay_lookup_stats`].
+    /// monitored object. It skips the resolution cache and is counted under
+    /// `read_lookups` in [`Session::splay_lookup_stats`], apart from sample resolution.
     pub fn resolve_address(&self, addr: u64) -> Option<AllocSiteId> {
         self.shared.find(addr).map(|(_, mo)| mo.site)
     }
@@ -1633,7 +1639,7 @@ mod tests {
         rt.shutdown();
 
         let profile = session.object_profile().unwrap();
-        // Both objects share one call path, hence one site — so check the splay tree's
+        // Both objects share one call path, hence one site — so check the index's
         // live view instead of per-site attribution.
         assert_eq!(session.live_monitored_objects(), 1);
         assert_eq!(session.allocation_stats().relocations, 1);

@@ -3,7 +3,7 @@
 //! DJXPerf resolves and attributes samples inside the PMU overflow **signal handler**
 //! (§4.1/§5.1 of the paper); a signal handler cannot block on a futex-backed mutex
 //! (the interrupted thread might hold it — instant self-deadlock), which is why the
-//! original tool guards the shared splay tree with a *spin lock*. [`SpinLock`] is that
+//! original tool guards its shared splay tree with a *spin lock*. [`SpinLock`] is that
 //! primitive: a pure test-and-set spin lock with no parking fallback.
 //!
 //! A pure spin lock is only a sane choice when contention is designed away — a
@@ -34,7 +34,7 @@
 //!
 //! * the per-shard epochs of [`SharedObjectIndex`](crate::agent::SharedObjectIndex),
 //!   which make the per-thread object-resolution caches safe across GC relocation —
-//!   a cache hit is one `Acquire` load, no shard lock, no splay;
+//!   a cache hit is one `Acquire` load, no shard lock;
 //! * the snapshot retirement of the per-thread collector state in [`crate::session`],
 //!   where each snapshot advances an epoch and moves the accumulated state of the
 //!   closing epoch into a retired buffer that is cloned *outside* every sampling lock.

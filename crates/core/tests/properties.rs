@@ -1,5 +1,6 @@
-//! Property-based tests over the profiler's core data structures: the interval splay
-//! tree is checked against a naive model, the calling context tree against path
+//! Property-based tests over the profiler's core data structures: the interval index,
+//! the sharded object index and the allocation agent's batched collections are checked
+//! against a naive model, the calling context tree against path
 //! round-trips and merge conservation, the metric vector against merge algebra, the
 //! binary profile codec against arbitrary profiles, and the render-only text form
 //! against every single-field mutation (it must tell any two profiles apart). Streamed
@@ -14,16 +15,20 @@ use proptest::prelude::*;
 
 use djx_memsim::{AccessKind, NumaNode};
 use djx_pmu::{PmuEvent, Sample};
-use djx_runtime::{Frame, MethodId, ThreadId};
+use djx_runtime::{
+    AllocationEvent, ClassId, Frame, GcEvent, GcId, MethodId, ObjectId, ObjectMoveEvent,
+    ObjectReclaimEvent, RuntimeListener, ThreadId,
+};
 use djxperf::{
-    AccessContext, AllocSite, AllocSiteId, AllocSiteRegistry, AllocationStats, BatchContext,
-    BinaryChunkedSink, Cct, Collector, DeltaFold, GroupBy, GroupKey, Interval, IntervalSplayTree,
-    LiveFold, Locality, MetricVector, MultiSource, ObjectCentricProfile, ProfileDelta, Query,
-    QueryGroup, QueryResult, RankBy, ThreadDelta, ThreadProfile,
+    AccessContext, AllocSite, AllocSiteId, AllocSiteRegistry, AllocationAgent, AllocationConfig,
+    AllocationStats, BatchContext, BinaryChunkedSink, Cct, Collector, DeltaFold, GroupBy, GroupKey,
+    Interval, IntervalIndex, LiveFold, Locality, MetricVector, MonitoredObject, MultiSource,
+    ObjectCentricProfile, ProfileDelta, Query, QueryGroup, QueryResult, RankBy, ResolutionCache,
+    SharedObjectIndex, ThreadDelta, ThreadProfile,
 };
 
 // --------------------------------------------------------------------------------------
-// Interval splay tree vs a naive model
+// Interval index vs a naive model
 // --------------------------------------------------------------------------------------
 
 /// Operations over disjoint, slot-aligned intervals (the way heap objects behave).
@@ -49,14 +54,46 @@ fn tree_op() -> impl Strategy<Value = TreeOp> {
     ]
 }
 
+/// The address → object half of a naive profiler: every monitored object as a
+/// `(range, record)` pair, resolved by linear scan. The reference the sharded index
+/// and the allocation agent's collections are checked against.
+#[derive(Debug, Default)]
+struct NaiveIndex {
+    entries: Vec<(Interval, MonitoredObject)>,
+}
+
+impl NaiveIndex {
+    fn lookup(&self, addr: u64) -> Option<(Interval, MonitoredObject)> {
+        self.entries.iter().find(|(interval, _)| interval.contains(addr)).copied()
+    }
+
+    fn remove(&mut self, addr: u64) -> Option<(Interval, MonitoredObject)> {
+        let at = self.entries.iter().position(|(interval, _)| interval.contains(addr))?;
+        Some(self.entries.swap_remove(at))
+    }
+
+    /// Replaces the entry containing `interval.start`, if any, like an allocation
+    /// reusing the range of an object whose reclaim was missed.
+    fn insert(&mut self, interval: Interval, mo: MonitoredObject) -> Option<MonitoredObject> {
+        let old = self.remove(interval.start).map(|(_, old)| old);
+        self.entries.push((interval, mo));
+        old
+    }
+
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The splay tree agrees with a hash-map model under arbitrary insert/remove/lookup
-    /// sequences over disjoint intervals, and its iteration stays sorted.
+    /// The interval index agrees with a hash-map model under arbitrary
+    /// insert/remove/lookup sequences over disjoint intervals, and its iteration stays
+    /// sorted.
     #[test]
     fn splay_tree_matches_naive_model(ops in prop::collection::vec(tree_op(), 1..200)) {
-        let mut tree: IntervalSplayTree<u64> = IntervalSplayTree::new();
+        let mut tree: IntervalIndex<u64> = IntervalIndex::new();
         // Model: slot -> (length, value).
         let mut model: HashMap<u64, (u64, u64)> = HashMap::new();
 
@@ -65,8 +102,8 @@ proptest! {
                 TreeOp::Insert { slot, len, value } => {
                     let start = slot * SLOT_SIZE;
                     let replaced = tree.insert(Interval::new(start, start + len), value);
-                    let model_replaced = model.insert(slot, (len, value)).map(|(_, v)| v);
-                    prop_assert_eq!(replaced, model_replaced);
+                    let model_replaced = model.insert(slot, (len, value));
+                    prop_assert_eq!(replaced.map(|(iv, v)| (iv.len(), v)), model_replaced);
                 }
                 TreeOp::Remove { slot } => {
                     let removed = tree.remove(slot * SLOT_SIZE).map(|(iv, v)| (iv.len(), v));
@@ -85,7 +122,7 @@ proptest! {
             prop_assert_eq!(tree.len(), model.len());
         }
 
-        // In-order iteration is sorted by start address and covers exactly the model.
+        // Iteration is sorted by start address and covers exactly the model.
         let entries: Vec<(u64, u64)> = tree.iter().map(|(iv, v)| (iv.start, *v)).collect();
         let mut starts: Vec<u64> = entries.iter().map(|(s, _)| *s).collect();
         let mut sorted = starts.clone();
@@ -95,22 +132,19 @@ proptest! {
         prop_assert_eq!(starts.len(), model.len());
     }
 
-    /// The sharded object index agrees with a single reference splay tree under
-    /// arbitrary insert/remove/lookup sequences — including objects that span several
-    /// shard regions — and its distinct-object count matches.
+    /// The sharded object index agrees with the naive model under arbitrary
+    /// insert/remove/lookup sequences — including objects that span several shard
+    /// regions — and its distinct-object count matches.
     #[test]
     fn sharded_index_matches_single_tree(
         ops in prop::collection::vec(tree_op(), 1..200),
         shards in (0u32..5).prop_map(|i| 1usize << i),
     ) {
-        use djxperf::{MonitoredObject, SharedObjectIndex};
-        use djx_runtime::ObjectId;
-
         // Span shard regions: scale slots up to 2 regions each so intervals regularly
         // cross region (and thus shard) boundaries.
         let scale = 2 * (1u64 << 13) / SLOT_SIZE;
         let index = SharedObjectIndex::with_shards(shards);
-        let mut reference: IntervalSplayTree<MonitoredObject> = IntervalSplayTree::new();
+        let mut reference = NaiveIndex::default();
 
         for op in ops {
             match op {
@@ -145,11 +179,11 @@ proptest! {
         }
     }
 
-    /// Cached resolution through a per-thread [`ResolutionCache`] agrees with a single
-    /// reference splay tree under arbitrary interleavings of insert, free, GC
-    /// relocation and resolution — the epoch-invalidation property: a mutation bumps
-    /// the touched shards' epochs, so a cache entry can never resolve to a freed or
-    /// moved object, no matter how the operations interleave or how small the cache.
+    /// Cached resolution through a per-thread [`ResolutionCache`] agrees with the
+    /// naive model under arbitrary interleavings of insert, free, relocation and
+    /// resolution — the epoch-invalidation property: a mutation bumps the touched
+    /// shards' epochs, so a cache entry can never resolve to a freed or moved object,
+    /// no matter how the operations interleave or how small the cache.
     #[test]
     fn cached_resolution_matches_single_tree_under_insert_free_relocate(
         ops in prop::collection::vec(
@@ -174,13 +208,10 @@ proptest! {
         shards in (0u32..5).prop_map(|i| 1usize << i),
         cache_slots in (1u32..7).prop_map(|i| 1usize << i),
     ) {
-        use djxperf::{MonitoredObject, ResolutionCache, SharedObjectIndex};
-        use djx_runtime::ObjectId;
-
         // Scale slots to two shard regions each so objects span shards regularly.
         let scale = 2 * (1u64 << 13) / SLOT_SIZE;
         let index = SharedObjectIndex::with_shards(shards);
-        let mut reference: IntervalSplayTree<MonitoredObject> = IntervalSplayTree::new();
+        let mut reference = NaiveIndex::default();
         // One persistent cache across the whole interleaving, as a sampling thread
         // would keep; small slot counts force aliasing evictions.
         let mut cache = ResolutionCache::new(cache_slots);
@@ -220,9 +251,8 @@ proptest! {
                     let addr = slot * SLOT_SIZE * scale + offset * scale;
                     let expected = reference.lookup(addr).map(|(_, m)| m.site.0);
                     prop_assert_eq!(resolve(&mut cache, addr), expected);
-                    // Interleave a GC relocation after some resolutions: move the
-                    // object owning `from` (if any) to slot `to`, exactly the
-                    // remove+insert the allocation agent performs at GC end.
+                    // Interleave a relocation after some resolutions: move the object
+                    // owning `from` (if any) to slot `to` with a single remove+insert.
                     if let Some((from, to)) = relocations.next() {
                         let from_addr = from * SLOT_SIZE * scale;
                         if let Some((iv, mo)) = reference.remove(from_addr) {
@@ -251,13 +281,13 @@ proptest! {
         prop_assert!(cache.stats().cache_lookups > 0);
     }
 
-    /// `find` (read-only) and `lookup` (splaying) always agree.
+    /// `find` (read-only, separately counted) and `lookup` always agree.
     #[test]
     fn splay_find_and_lookup_agree(
         slots in prop::collection::btree_set(0..SLOTS, 1..32),
         probes in prop::collection::vec((0..SLOTS, 0..SLOT_SIZE), 1..64),
     ) {
-        let mut tree: IntervalSplayTree<u64> = IntervalSplayTree::new();
+        let mut tree: IntervalIndex<u64> = IntervalIndex::new();
         for &slot in &slots {
             let start = slot * SLOT_SIZE;
             tree.insert(Interval::new(start, start + SLOT_SIZE / 2), slot);
@@ -267,6 +297,264 @@ proptest! {
             let by_find = tree.find(addr).map(|(_, v)| *v);
             let by_lookup = tree.lookup(addr).map(|(_, v)| *v);
             prop_assert_eq!(by_find, by_lookup);
+        }
+    }
+}
+
+// --------------------------------------------------------------------------------------
+// Allocation-agent collections vs the naive model
+// --------------------------------------------------------------------------------------
+
+/// One step of a simulated heap the allocation agent observes.
+#[derive(Debug, Clone)]
+enum HeapOp {
+    /// Bump-allocate an object; `seen: false` models an object allocated before the
+    /// profiler attached, whose allocation the agent never hears of.
+    Alloc { size: u64, seen: bool },
+    /// Reclaim an object right away, outside any collection.
+    Free { pick: usize },
+    /// An object dies; the next collection reclaims it.
+    Kill { pick: usize },
+    /// Resolve an address relative to an object's start (possibly past its end).
+    Lookup { pick: usize, offset: u64 },
+    /// A collection: a sliding mark-compact pass (moves overlap their old ranges when
+    /// the slide is shorter than the object, and reuse reclaimed ranges) or an
+    /// evacuation to fresh space (disjoint moves). `reclaims_first` delivers the
+    /// reclaims before the moves instead of after.
+    Collect { evacuate: bool, reclaims_first: bool },
+}
+
+/// Object sizes: one below the size filter, the rest spanning up to three 8 KiB
+/// regions (and thus shards).
+const HEAP_SIZES: [u64; 5] = [0x200, 0x800, 0x1000, 0x3000, 0x5000];
+const HEAP_FILTER: u64 = 0x400;
+const HEAP_BASE: u64 = 0x10_0000;
+
+fn heap_op() -> impl Strategy<Value = HeapOp> {
+    prop_oneof![
+        (0..HEAP_SIZES.len(), 0u32..4)
+            .prop_map(|(i, seen)| HeapOp::Alloc { size: HEAP_SIZES[i], seen: seen != 0 }),
+        (0..HEAP_SIZES.len(), 0u32..4)
+            .prop_map(|(i, seen)| HeapOp::Alloc { size: HEAP_SIZES[i], seen: seen != 0 }),
+        any::<usize>().prop_map(|pick| HeapOp::Free { pick }),
+        any::<usize>().prop_map(|pick| HeapOp::Kill { pick }),
+        any::<usize>().prop_map(|pick| HeapOp::Kill { pick }),
+        (any::<usize>(), 0..0x6000u64).prop_map(|(pick, offset)| HeapOp::Lookup { pick, offset }),
+        (any::<bool>(), any::<bool>())
+            .prop_map(|(evacuate, reclaims_first)| HeapOp::Collect { evacuate, reclaims_first }),
+    ]
+}
+
+#[derive(Debug, Clone, Copy)]
+struct HeapObject {
+    id: u64,
+    start: u64,
+    size: u64,
+    dead: bool,
+}
+
+/// The naive model of one collection: reclaims first, then every move resolved against
+/// the index as it stood before any move — a move applies when its old address still
+/// holds the same object — then the new ranges inserted.
+fn naive_collection(
+    model: &mut NaiveIndex,
+    stats: &mut AllocationStats,
+    reclaims: &[(u64, u64)],
+    moves: &[(HeapObject, u64)],
+    attach: bool,
+    unattributed: AllocSiteId,
+) {
+    for &(addr, size) in reclaims {
+        if size >= HEAP_FILTER && model.remove(addr).is_some() {
+            stats.reclamations += 1;
+        }
+    }
+    let resolved: Vec<(HeapObject, u64, Option<MonitoredObject>)> = moves
+        .iter()
+        .filter(|(object, _)| object.size >= HEAP_FILTER)
+        .map(|&(object, new)| {
+            let owner = model
+                .lookup(object.start)
+                .filter(|(_, mo)| mo.object == ObjectId(object.id))
+                .map(|(_, mo)| mo);
+            (object, new, owner)
+        })
+        .collect();
+    for (object, _, owner) in &resolved {
+        if owner.is_some() {
+            model.remove(object.start);
+        }
+    }
+    for (object, new, owner) in resolved {
+        let range = Interval::new(new, new + object.size);
+        match owner {
+            Some(mo) => {
+                model.insert(range, mo);
+                stats.relocations += 1;
+            }
+            None if attach => {
+                let mo = MonitoredObject {
+                    object: ObjectId(object.id),
+                    site: unattributed,
+                    size: object.size,
+                };
+                model.insert(range, mo);
+                stats.unknown_moves += 1;
+            }
+            None => {}
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Collections driven through the allocation agent's GC callbacks — applied as one
+    /// batch per collection — leave the sharded index resolving every address exactly
+    /// like the naive model, with the same live count and the same relocation,
+    /// unknown-move and reclamation counters. Covers sliding (overlapping) and
+    /// evacuating (disjoint) moves, reclaims whose range a moved object reuses,
+    /// objects the agent never saw allocated, and attach-mode unknown moves.
+    #[test]
+    fn agent_collections_match_naive_model(
+        ops in prop::collection::vec(heap_op(), 1..120),
+        shards in (0u32..4).prop_map(|i| 1usize << i),
+        attach in any::<bool>(),
+    ) {
+        let shared = SharedObjectIndex::with_shards(shards);
+        let config = AllocationConfig { size_filter: HEAP_FILTER, attach_mode: attach };
+        let agent = AllocationAgent::new(config, shared.clone());
+        let unattributed = shared.sites.lock().intern_unattributed();
+        let mut model = NaiveIndex::default();
+        let mut stats = AllocationStats::default();
+        let mut heap: Vec<HeapObject> = Vec::new();
+        let (mut top, mut next_id, mut gc) = (HEAP_BASE, 0u64, 0u64);
+
+        let resolves_alike = |model: &NaiveIndex, addr: u64| -> Result<(), TestCaseError> {
+            let got = shared.lookup(addr);
+            let expected = model.lookup(addr);
+            prop_assert_eq!(got, expected, "address {:#x}", addr);
+            Ok(())
+        };
+
+        for op in ops {
+            match op {
+                HeapOp::Alloc { size, seen } => {
+                    let object = HeapObject { id: next_id, start: top, size, dead: false };
+                    next_id += 1;
+                    top += size;
+                    heap.push(object);
+                    if seen {
+                        let trace = [Frame::new(MethodId((object.id % 5) as u32), 0)];
+                        let site = agent.on_object_alloc(&AllocationEvent {
+                            object: ObjectId(object.id),
+                            class: ClassId(0),
+                            class_name: "long[]",
+                            start: object.start,
+                            size,
+                            thread: ThreadId(1),
+                            call_trace: &trace,
+                        });
+                        prop_assert_eq!(site.is_some(), size >= HEAP_FILTER);
+                        if let Some(site) = site {
+                            let mo = MonitoredObject { object: ObjectId(object.id), site, size };
+                            model.insert(Interval::new(object.start, object.start + size), mo);
+                        }
+                    }
+                }
+                HeapOp::Free { pick } if !heap.is_empty() => {
+                    let object = heap.remove(pick % heap.len());
+                    agent.on_object_reclaim(&ObjectReclaimEvent {
+                        gc: GcId(gc),
+                        object: ObjectId(object.id),
+                        addr: object.start,
+                        size: object.size,
+                        class: ClassId(0),
+                    });
+                    naive_collection(&mut model, &mut stats, &[(object.start, object.size)], &[], attach, unattributed);
+                }
+                HeapOp::Kill { pick } if !heap.is_empty() => {
+                    let len = heap.len();
+                    heap[pick % len].dead = true;
+                }
+                HeapOp::Lookup { pick, offset } => {
+                    let base = if heap.is_empty() { HEAP_BASE } else { heap[pick % heap.len()].start };
+                    resolves_alike(&model, base + offset)?;
+                }
+                HeapOp::Collect { evacuate, reclaims_first } => {
+                    gc += 1;
+                    let mut compact = if evacuate { top } else { HEAP_BASE };
+                    let mut reclaims = Vec::new();
+                    let mut moves = Vec::new();
+                    let mut survivors = Vec::new();
+                    for object in heap.drain(..) {
+                        if object.dead {
+                            reclaims.push((object.start, object.size));
+                            continue;
+                        }
+                        if compact != object.start {
+                            moves.push((object, compact));
+                        }
+                        survivors.push(HeapObject { start: compact, ..object });
+                        compact += object.size;
+                    }
+                    heap = survivors;
+                    top = top.max(compact);
+
+                    let event = GcEvent { gc: GcId(gc), heap_used: 0, objects_moved: 0, objects_reclaimed: 0 };
+                    agent.on_gc_start(&event);
+                    let deliver_reclaims = || {
+                        for &(addr, size) in &reclaims {
+                            agent.on_object_reclaim(&ObjectReclaimEvent {
+                                gc: GcId(gc),
+                                object: ObjectId(0),
+                                addr,
+                                size,
+                                class: ClassId(0),
+                            });
+                        }
+                    };
+                    if reclaims_first {
+                        deliver_reclaims();
+                    }
+                    for &(object, new_addr) in &moves {
+                        agent.on_object_move(&ObjectMoveEvent {
+                            gc: GcId(gc),
+                            object: ObjectId(object.id),
+                            old_addr: object.start,
+                            new_addr,
+                            size: object.size,
+                        });
+                    }
+                    if !reclaims_first {
+                        deliver_reclaims();
+                    }
+                    // Until the collection ends, the index still shows the heap before it.
+                    for &(object, _) in &moves {
+                        resolves_alike(&model, object.start)?;
+                    }
+                    agent.on_gc_end(&event);
+                    naive_collection(&mut model, &mut stats, &reclaims, &moves, attach, unattributed);
+
+                    // After it, every surviving object and every vacated range resolves
+                    // like the model.
+                    for object in heap.iter().chain(moves.iter().map(|(object, _)| object)) {
+                        resolves_alike(&model, object.start)?;
+                        resolves_alike(&model, object.start + object.size - 1)?;
+                    }
+                    for &(addr, size) in &reclaims {
+                        resolves_alike(&model, addr)?;
+                        resolves_alike(&model, addr + size - 1)?;
+                    }
+                }
+                _ => {}
+            }
+            prop_assert_eq!(shared.live_objects(), model.len());
+            let agent_stats = agent.stats();
+            prop_assert_eq!(
+                (agent_stats.relocations, agent_stats.unknown_moves, agent_stats.reclamations),
+                (stats.relocations, stats.unknown_moves, stats.reclamations)
+            );
         }
     }
 }

@@ -9,7 +9,7 @@ use crate::ThreadId;
 /// handler on counter overflow.
 ///
 /// It carries everything §4 of the paper relies on: the *effective address* of the
-/// sampled access (used for the splay-tree lookup), the CPU that issued it
+/// sampled access (used for the object-index lookup), the CPU that issued it
 /// (`PERF_SAMPLE_CPU`, used for NUMA-locality detection), the owning node of the touched
 /// page (the `move_pages` query result), the metric value and the access latency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

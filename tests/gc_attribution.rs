@@ -63,7 +63,7 @@ fn attribution_survives_heavy_compaction() {
         rt.stats().gc_cycles
     );
     assert!(stats.relocations > 0, "the survivor must have been moved and re-indexed");
-    assert!(stats.reclamations > 0, "junk must have been removed from the splay tree");
+    assert!(stats.reclamations > 0, "junk must have been removed from the object index");
 
     let report = analyze(&profiler.object_profile().unwrap());
     let survivor_report = report.find_class("long[] (survivor)").expect("survivor attributed");
