@@ -17,17 +17,17 @@
 //! Ingest rows replay identical precomputed access streams through a real
 //! [`Session`], so within an entry the only variable is the pipeline:
 //!
-//! * **substrate** rows (`sharded`, `cached`) are collector-free sessions sampling
-//!   every counted event ([`SUBSTRATE_PERIOD`] = 1), with the per-thread
+//! * **substrate** rows (`sharded`, `cached`) are sessions without the object record,
+//!   sampling every counted event ([`SUBSTRATE_PERIOD`] = 1), with the per-thread
 //!   [`ResolutionCache`](djxperf::ResolutionCache) off or on. They isolate PMU
 //!   observation plus address resolution, the stage the cache optimizes. The `-churn`
 //!   rows add a background thread that relocates hot objects at GC end, invalidating
-//!   cache entries at a rate no real collector approaches.
-//! * **full** rows run all three built-in collectors: `stream-off` with no export,
-//!   `stream-on` with a [`DeltaDrainer`](djxperf::DeltaDrainer) writing the binary
-//!   epoch log into `io::sink()`, and `fleet-on`/`wal-off`/`wal-on` shipping every
-//!   retired delta over a loopback socket to a [`FleetAggregator`] without or with a
-//!   write-ahead log (`FsyncPolicy::Never`).
+//!   cache entries at a rate no real garbage collector approaches.
+//! * **full** rows keep the object record all three views query: `stream-off` with no
+//!   export, `stream-on` with a [`DeltaDrainer`](djxperf::DeltaDrainer) writing the
+//!   binary epoch log into `io::sink()`, and `fleet-on`/`wal-off`/`wal-on` shipping
+//!   every retired delta over a loopback socket to a [`FleetAggregator`] without or
+//!   with a write-ahead log (`FsyncPolicy::Never`).
 //!
 //! The access streams are **hot-object skewed** (⅞ of accesses hit a few hot objects
 //! per thread), the distribution object-centric profiling exploits. By the
@@ -75,7 +75,7 @@ const HOT_OBJECTS: u64 = 16;
 /// cache (each hot region keeps its own slot).
 const HOT_STRIDE: u64 = INDEX_SHARDS as u64;
 const OBJECT_SIZE: u64 = 8 * 1024;
-/// Sampling period of the full (three-collector) pipelines.
+/// Sampling period of the full (object-record) pipelines.
 const FULL_PERIOD: u64 = 8;
 /// Sampling period of the substrate pipelines: 1, so every counted event resolves —
 /// the pure stress of the resolution stage.
@@ -152,15 +152,15 @@ enum Pipe {
 
 #[derive(Clone, Copy)]
 enum Ingest {
-    /// Collector-free session at [`SUBSTRATE_PERIOD`]; `churn` adds the relocation
+    /// Session without the object record at [`SUBSTRATE_PERIOD`]; `churn` adds the relocation
     /// thread.
     Substrate { cache: bool, churn: bool },
-    /// The three-collector session at `period`, no export.
+    /// The object-record session at `period`, no export.
     Full { period: u64 },
-    /// The three-collector session at [`FULL_PERIOD`], streaming the binary epoch log
+    /// The object-record session at [`FULL_PERIOD`], streaming the binary epoch log
     /// into `io::sink()` (5 ms tick, coalescing backpressure).
     Stream,
-    /// The three-collector session at [`FLEET_PERIOD`], streaming to a loopback
+    /// The object-record session at [`FLEET_PERIOD`], streaming to a loopback
     /// aggregator with or without a WAL.
     Fleet { wal: bool },
 }

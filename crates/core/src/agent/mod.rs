@@ -6,7 +6,7 @@
 //! reproduction the Java-agent side lives here as [`AllocationAgent`], which subscribes
 //! to the runtime's allocation, GC, move and reclaim events and maintains the shared
 //! index of monitored objects. The JVMTI side — per-thread PMUs, sample resolution
-//! through the index, and fan-out to collectors — is owned by
+//! through the index, and recording into the object record — is owned by
 //! [`Session`](crate::session::Session), which combines both into one
 //! [`RuntimeListener`](djx_runtime::RuntimeListener).
 //!

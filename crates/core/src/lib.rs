@@ -30,7 +30,7 @@
 //! | [`metrics`] | §4.1 | metric vectors attributed to sites and contexts |
 //! | [`object`] | §4.2 | allocation-site identity (allocation call paths) |
 //! | [`agent`] | §4.1, §4.5 | the allocation ("Java") agent and the shared object index |
-//! | [`session`] | §5, Fig. 1 | the one profiler: [`Session`] (one sampling stream, one record per sample — each thread's [`ThreadProfile`] — that all three views query, plus pluggable custom collectors), configured by [`ProfilerConfig`] |
+//! | [`session`] | §5, Fig. 1 | the one profiler: [`Session`] (one sampling stream, one record per sample — each thread's [`ThreadProfile`] — that all three views query), configured by [`ProfilerConfig`] |
 //! | [`sink`] | §5.2 | the streaming [`ProfileSink`] trait, the [`FinishRecord`] trailer, and the render-only JSON document ([`ObjectCentricProfile::to_json`]) |
 //! | [`wire`] | §5.2 | binary epoch frames: the one format the profiler reads back, for logs, the fleet wire and its WAL ([`BinaryChunkedSink::read_log_bytes`]) |
 //! | [`export`] | §5.2 | asynchronous delta export: background [`DeltaDrainer`] over epoch-retired snapshot deltas |
@@ -147,8 +147,7 @@ pub use query::{
 };
 pub use report::{Report, ReportOptions};
 pub use session::{
-    adaptive_shard_count, BatchContext, Collector, ProfilerConfig, SampleContext, Session,
-    SessionBuilder, DEFAULT_SAMPLE_PERIOD,
+    adaptive_shard_count, ProfilerConfig, Session, SessionBuilder, DEFAULT_SAMPLE_PERIOD,
 };
 pub use sink::{FinishRecord, LogRecord, ProfileSink};
 pub use sync::{Epoch, SpinLock, SpinLockGuard};

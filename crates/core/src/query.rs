@@ -371,7 +371,10 @@ pub enum GroupBy {
     /// one NUMA axis that honours class and site filters. Without filters,
     /// [`GroupBy::NodePair`] refines it: its diagonal cells sum to `local`, the
     /// others to `remote`. Groups under this axis carry the partitionable sample
-    /// counters only and their fractions are sample-based.
+    /// counters only and their fractions are sample-based, so they rank by
+    /// [`RankBy::Samples`], [`RankBy::RemoteSamples`] or [`RankBy::RemoteFraction`];
+    /// every other ranking reads zero for each group, ties them, and lists them in
+    /// key order.
     NumaNode,
     /// By sampled access calling context — the code-centric (perf-like) baseline of
     /// Figure 1: each thread's CCT node metrics hold every sample at its context,
@@ -381,8 +384,10 @@ pub enum GroupBy {
     /// By `(cpu_node, page_node)` cell of the node-to-node traffic matrix (§4.3):
     /// each thread profile's `node_traffic`, attributed or not. A cell counts
     /// `samples` plus `local_samples` on the diagonal or `remote_samples` off it.
-    /// Class and site filters leave no group; fractions are sample-based, like
-    /// [`GroupBy::NumaNode`].
+    /// Class and site filters leave no group; fractions are sample-based and the
+    /// rankings a cell carries are [`RankBy::Samples`], [`RankBy::RemoteSamples`]
+    /// and [`RankBy::RemoteFraction`], like [`GroupBy::NumaNode`] — the default
+    /// [`RankBy::WeightedEvents`] ties every cell and lists them in key order.
     NodePair,
 }
 

@@ -229,8 +229,8 @@ impl LiveFold {
         Self::of(fold)
     }
 
-    /// The fold's [`DeltaTap`] handle for [`DeltaDrainer::attach_tap`]
-    /// (crate::export).
+    /// The fold's [`DeltaTap`] handle for
+    /// [`DeltaDrainer::attach_tap`](crate::export::DeltaDrainer::attach_tap).
     pub(crate) fn tap_handle(&self) -> Weak<dyn DeltaTap> {
         let shared: Arc<dyn DeltaTap> = Arc::clone(&self.shared) as Arc<dyn DeltaTap>;
         Arc::downgrade(&shared)

@@ -66,8 +66,23 @@ impl Default for ReportOptions {
 /// The symbolized view of a [`QueryResult`]: construct with [`Report::query`], tune
 /// with [`Report::with_options`], and render via [`Display`](fmt::Display):
 ///
-/// ```ignore
-/// println!("{}", Report::query(&result, rt.methods()));
+/// ```
+/// use djx_runtime::{dsl, Runtime, RuntimeConfig};
+/// use djxperf::{Query, RankBy, Report, Session};
+///
+/// let mut rt = Runtime::new(RuntimeConfig::small());
+/// let session = Session::builder().period(64).collect_objects().attach(&mut rt);
+/// let class = rt.register_array_class("float[]", 4);
+/// let method = dsl::MethodSpec::at_line("A", "run", "A.java", 7).register(&mut rt);
+/// let thread = rt.spawn_thread("main");
+/// dsl::bloat_loop(&mut rt, thread, class, method, 0, 50, 512, 16).unwrap();
+/// rt.finish_thread(thread).unwrap();
+/// rt.shutdown();
+///
+/// let result = Query::new().rank_by(RankBy::Samples).evaluate(&*session).unwrap();
+/// let text = Report::query(&result, rt.methods()).to_string();
+/// assert!(text.contains("#1 float[]  —  100.0% of sampled events"));
+/// assert!(text.contains("A.run (A.java:7)"));
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct Report<'a> {

@@ -1,21 +1,19 @@
 //! The unified profiling session — the crate's one online profiler (the paper's
-//! agent, §5.1): one sampling substrate, any number of collectors.
+//! agent, §5.1): one sampling substrate, one object record.
 //!
 //! Comparing views (the paper's Figure 1) must not take one profiler per view, each
 //! driving its *own* per-thread virtual PMUs, or a re-run of the workload. A
-//! [`Session`] organizes the profiler the way PROMPT-style pipelines organize memory
-//! profilers: the session owns
+//! [`Session`] owns
 //!
 //! * the per-thread PMUs (one sampling stream for the whole session),
 //! * the allocation agent and the shared object index (sorted interval shards + site
 //!   registry; the paper's splay tree is replaced, see [`crate::interval`]),
 //!
 //! resolves every sample's effective address to its enclosing monitored object **once**,
-//! and fans the enriched sample out to every registered [`Collector`]. There is one
-//! built-in collector, [`ObjectCentricCollector`], and it records each sample once,
-//! into its thread's [`ThreadProfile`]: the call path's CCT node, the allocation
-//! site (or the unattributed bucket), and the node-to-node traffic matrix. The three
-//! classic views are [`Query`](crate::query::Query) axes over that one record
+//! and records the resolved sample once, into its thread's [`ThreadProfile`]: the
+//! call path's CCT node, the allocation site (or the unattributed bucket), and the
+//! node-to-node traffic matrix. The three classic views are
+//! [`Query`](crate::query::Query) axes over that one record
 //! ([`Session::object_profile`]), from the *same* samples of a *single* pass:
 //!
 //! * the **object-centric** view ([`GroupBy::Object`](crate::query::GroupBy::Object))
@@ -29,8 +27,7 @@
 //!   — the thread traffic matrices summed.
 //!
 //! Because the views are queries over one record, a replayed epoch log, a live watch
-//! or a fleet aggregator's fold answers all three too. Custom collectors implement
-//! [`Collector`] and register via [`SessionBuilder::with_collector`].
+//! or a fleet aggregator's fold answers all three too.
 //!
 //! Sessions are configured with [`SessionBuilder`] (events, period, size filter, jitter,
 //! launch/attach mode — one by one, or at once as a [`ProfilerConfig`] through
@@ -49,10 +46,10 @@
 //! query answers identically over the terminal snapshot, a replayed epoch log, or a
 //! multi-process fold (see [`crate::query`]).
 //!
-//! # Contention-free ingestion: thread slots, sharded index, per-thread collector state
+//! # Contention-free ingestion: thread slots, sharded index, per-thread record
 //!
-//! Every per-thread table of the session — the PMUs, the resolution caches, each
-//! collector's open deltas — gives each profiled thread one slot, registered once and
+//! Every per-thread table of the session — the PMUs, the resolution caches, the
+//! record's open deltas — gives each profiled thread one slot, registered once and
 //! found by indexing with the runtime-issued [`ThreadId`]: no hash, no lock. An access
 //! that overflows no counter touches nothing but its thread's PMU countdown; the
 //! per-sample path then crosses three layers, and every one of them is built so two
@@ -75,22 +72,22 @@
 //!    Per-shard mutation epochs invalidate cache entries across inserts, frees and GC
 //!    relocations, so a stale resolution is impossible by construction. The cache is
 //!    on by default; [`SessionBuilder::resolution_cache`] disables it.
-//! 3. **Collectors** — each resolved batch is delivered **once per collector** via
-//!    [`Collector::on_sample_batch`] instead of `samples × collectors` individual lock
-//!    round-trips, and the built-in collector keeps *per-thread* state in its own
-//!    thread slots (a thread's samples arrive from that thread, so the state is
-//!    logically thread-private; the slot's spin lock is shared only with snapshots).
+//! 3. **Record: one slot lock per batch** — each resolved batch is recorded into its
+//!    thread's open delta under one acquisition of that thread's slot lock, not one
+//!    per sample. The record keeps *per-thread* state in its own thread slots (a
+//!    thread's samples arrive from that thread, so the state is logically
+//!    thread-private; the slot's spin lock is shared only with snapshots).
 //!
 //! The slots assume what JVMTI and `djx_runtime` guarantee: one logical thread is
 //! driven by one OS thread at a time. A caller that drives one [`ThreadId`] from two OS
 //! threads at once loses PMU increments, never samples or memory safety — overflows,
-//! resolution caches and collector state stay behind their per-slot locks.
+//! resolution caches and the record stay behind their per-slot locks.
 //!
 //! # Pause-free snapshots: epoch-retired double buffering
 //!
 //! The read paths — [`Session::object_profile`] and every
 //! [`Query`](crate::query::Query) evaluated against the session — must not stall
-//! ingestion. Collector state therefore
+//! ingestion. The record therefore
 //! lives in epoch-buffered thread slots: each snapshot advances the buffer epoch
 //! and **retires** every slot's accumulated delta by taking it out under the slot's
 //! spin lock — an O(1) move, the only instant a sampling thread can even notice — then
@@ -204,113 +201,6 @@ impl ProfilerConfig {
         assert!(period > 0, "sampling period must be non-zero");
         self.period = period;
         self
-    }
-}
-
-/// One PMU sample enriched with everything the session resolved for it: the calling
-/// context the sample fired at and the allocation site of the enclosing monitored
-/// object (when the effective address hit one). Collectors receive this — they never
-/// talk to the PMU or the object index themselves.
-#[derive(Debug, Clone, Copy)]
-pub struct SampleContext<'a> {
-    /// The sampled thread.
-    pub thread: ThreadId,
-    /// Calling context at the sample, root-first (`AsyncGetCallTrace`).
-    pub call_trace: &'a [Frame],
-    /// The raw PMU sample (address, latency, NUMA nodes, access kind).
-    pub sample: &'a Sample,
-    /// Sampling period, for scaling samples into event-count estimates.
-    pub period: u64,
-    /// Allocation site of the monitored object enclosing the sampled address, resolved
-    /// once per sample via the shared object index; `None` for unattributed samples.
-    pub site: Option<AllocSiteId>,
-}
-
-/// One overflow batch from a single thread, resolved once for *all* collectors: the
-/// raw PMU samples and, parallel to them, the allocation site of each sample's
-/// enclosing monitored object.
-///
-/// The session hands every collector one [`Collector::on_sample_batch`] call per batch
-/// instead of `samples × collectors` individual calls, so a collector with shared state
-/// can amortize one lock acquisition over the whole batch.
-#[derive(Debug, Clone, Copy)]
-pub struct BatchContext<'a> {
-    /// The sampled thread (one batch never mixes threads).
-    pub thread: ThreadId,
-    /// Calling context at the overflow, root-first (`AsyncGetCallTrace`).
-    pub call_trace: &'a [Frame],
-    /// Sampling period, for scaling samples into event-count estimates.
-    pub period: u64,
-    /// The raw PMU samples of the batch.
-    pub samples: &'a [Sample],
-    /// Allocation site resolved for each sample (parallel to `samples`; `None` for
-    /// unattributed samples).
-    pub sites: &'a [Option<AllocSiteId>],
-}
-
-impl<'a> BatchContext<'a> {
-    /// Number of samples in the batch.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// `true` when the batch carries no sample (the session never dispatches such a
-    /// batch; provided for completeness).
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Iterates the batch one resolved sample at a time — the per-sample view a
-    /// collector loops over inside [`Collector::on_sample_batch`].
-    pub fn iter(&self) -> impl Iterator<Item = SampleContext<'a>> + '_ {
-        self.samples.iter().zip(self.sites.iter()).map(|(sample, site)| SampleContext {
-            thread: self.thread,
-            call_trace: self.call_trace,
-            sample,
-            period: self.period,
-            site: *site,
-        })
-    }
-}
-
-/// A consumer of the session's shared sampling stream.
-///
-/// All methods take `&self`: collectors are invoked through a shared `Arc` from
-/// listener callbacks and use interior mutability, exactly like runtime listeners.
-/// Every non-sample hook has a default no-op implementation.
-///
-/// The sample hooks run on the sampling thread while the session holds that thread's
-/// PMU lock, which is not reentrant. They must not call back into
-/// [`Session::event_totals`], which takes every thread's PMU lock.
-pub trait Collector: Send + Sync {
-    /// Short collector name, used in diagnostics.
-    fn name(&self) -> &'static str;
-
-    /// One resolved overflow batch from a single thread — the session's one sample
-    /// hook. [`BatchContext::iter`] walks it sample by sample; a collector that guards
-    /// state with a lock takes the lock once per batch, not once per sample.
-    fn on_sample_batch(&self, batch: &BatchContext<'_>);
-
-    /// A thread became visible to the session. Called exactly once per thread — with
-    /// the thread's real name when the session saw it start, or `"<attached>"` when the
-    /// session attached after the thread began and first saw it through an access.
-    fn on_thread_seen(&self, _thread: ThreadId, _name: &str) {}
-
-    /// A thread terminated.
-    fn on_thread_end(&self, _event: &ThreadEvent<'_>) {}
-
-    /// An object was allocated (after the allocation agent updated the shared index).
-    fn on_object_alloc(&self, _event: &AllocationEvent<'_>) {}
-
-    /// A garbage collection started.
-    fn on_gc_start(&self, _event: &GcEvent) {}
-
-    /// A garbage collection finished (after the allocation agent applied relocations).
-    fn on_gc_end(&self, _event: &GcEvent) {}
-
-    /// Approximate resident bytes of the collector's state (memory-overhead accounting).
-    fn approx_bytes(&self) -> usize {
-        0
     }
 }
 
@@ -493,11 +383,11 @@ impl SnapshotBuffered {
 }
 
 // ---------------------------------------------------------------------------------------
-// The built-in collector
+// The object record
 // ---------------------------------------------------------------------------------------
 
-/// The object-centric collector (§4.2/§5.1 of the paper) — the session's one built-in
-/// collector: builds one [`ThreadProfile`] per thread, recording each sample at its
+/// The object-centric record (§4.2/§5.1 of the paper) — the session's one sample
+/// consumer: builds one [`ThreadProfile`] per thread, recording each sample at its
 /// calling context, in the traffic matrix, and at the allocation site of the
 /// enclosing object — or in the thread's unattributed bucket — and each monitored
 /// allocation at its site. Every view the session offers reads this record. State
@@ -505,7 +395,7 @@ impl SnapshotBuffered {
 /// thread's slot exactly once, and snapshots retire state instead of cloning it
 /// under the slot lock.
 #[derive(Debug)]
-pub struct ObjectCentricCollector {
+pub(crate) struct ObjectCentricCollector {
     state: SnapshotBuffered,
     /// The index whose site registry the recorded site ids point into.
     index: Arc<SharedObjectIndex>,
@@ -522,8 +412,8 @@ pub struct ObjectCentricCollector {
 }
 
 impl ObjectCentricCollector {
-    /// Creates an empty collector recording site ids of `index`'s registry.
-    pub fn new(index: Arc<SharedObjectIndex>) -> Self {
+    /// Creates an empty record of site ids of `index`'s registry.
+    pub(crate) fn new(index: Arc<SharedObjectIndex>) -> Self {
         Self {
             state: SnapshotBuffered::default(),
             index,
@@ -542,6 +432,40 @@ impl ObjectCentricCollector {
         );
     }
 
+    /// Opens the thread's delta under its real `name` (or `"<attached>"` when the
+    /// session first saw it through an access), so the thread's first-seen position
+    /// and name are fixed before anything is recorded for it. Called once per thread.
+    pub(crate) fn thread_seen(&self, thread: ThreadId, name: &str) {
+        self.state.with(thread, || ThreadProfile::new(thread, name), |_| ());
+    }
+
+    /// Records one resolved overflow batch of `thread` — the samples and, parallel to
+    /// them, each sample's allocation site (`None` when unattributed) — at the calling
+    /// context `call_trace`, taking the thread's slot lock once for the whole batch.
+    pub(crate) fn record_batch(
+        &self,
+        thread: ThreadId,
+        call_trace: &[Frame],
+        samples: &[Sample],
+        sites: &[Option<AllocSiteId>],
+        period: u64,
+    ) {
+        self.state.with(
+            thread,
+            || ThreadProfile::new(thread, "<attached>"),
+            |profile| {
+                for (sample, site) in samples.iter().zip(sites) {
+                    profile.record_sample(*site, call_trace, sample, period);
+                }
+            },
+        );
+    }
+
+    /// Approximate resident bytes of the record (memory-overhead accounting).
+    pub(crate) fn approx_bytes(&self) -> usize {
+        self.state.fold(self.state.slot_bytes(), |acc, p| acc + p.approx_bytes())
+    }
+
     /// Clones the per-thread profiles in thread-first-seen order.
     ///
     /// On a session streaming through [`SessionBuilder::stream_to`], the epoch this
@@ -549,7 +473,7 @@ impl ObjectCentricCollector {
     /// would leave samples in the retired buffer that never appear as a streamed
     /// delta, breaking the stream's loss-free replay. Once the stream has finished,
     /// reads take the plain merged path again.
-    pub fn thread_profiles(&self) -> Vec<ThreadProfile> {
+    pub(crate) fn thread_profiles(&self) -> Vec<ThreadProfile> {
         if let Some(stream) = self.stream() {
             if stream.produce(self) {
                 // The retirement went onto the wire; the retired buffer is, by
@@ -616,41 +540,10 @@ impl ObjectCentricCollector {
             sites,
         }
     }
-
-    /// Total samples recorded across every thread.
-    pub fn total_samples(&self) -> u64 {
-        self.state.fold(0, |acc, p| acc + p.samples)
-    }
-}
-
-impl Collector for ObjectCentricCollector {
-    fn name(&self) -> &'static str {
-        "object-centric"
-    }
-
-    fn on_thread_seen(&self, thread: ThreadId, name: &str) {
-        self.state.with(thread, || ThreadProfile::new(thread, name), |_| ());
-    }
-
-    fn on_sample_batch(&self, batch: &BatchContext<'_>) {
-        self.state.with(
-            batch.thread,
-            || ThreadProfile::new(batch.thread, "<attached>"),
-            |profile| {
-                for ctx in batch.iter() {
-                    profile.record_sample(ctx.site, ctx.call_trace, ctx.sample, ctx.period);
-                }
-            },
-        );
-    }
-
-    fn approx_bytes(&self) -> usize {
-        self.state.fold(self.state.slot_bytes(), |acc, p| acc + p.approx_bytes())
-    }
 }
 
 // ---------------------------------------------------------------------------------------
-// The sampler: one virtual PMU per thread, shared by every collector
+// The sampler: one virtual PMU per thread
 // ---------------------------------------------------------------------------------------
 
 /// The session's sampling substrate: one [`ThreadPmu`] per thread, in a
@@ -659,7 +552,7 @@ impl Collector for ObjectCentricCollector {
 /// with two loads and advances its lock-free countdown; only an overflow takes the
 /// PMU's lock. The lock stays held while the overflow is dispatched (the samples
 /// borrow the PMU's buffer); every lock the dispatch takes — the thread's
-/// resolution-cache slot, index shards, collector slots — nests inside it, and none of
+/// resolution-cache slot, index shards, the record's slot — nests inside it, and none of
 /// their holders ever takes a PMU lock, so no cycle exists.
 #[derive(Debug)]
 struct Sampler {
@@ -787,14 +680,14 @@ pub fn adaptive_shard_count(threads: usize, expected_live_objects: usize) -> usi
 /// Configures and builds a [`Session`].
 ///
 /// The builder fixes the sampling configuration once — event, period, size filter,
-/// jitter, launch/attach mode — then registers collectors and tunes the ingestion
-/// topology (index shard count, per-thread resolution cache).
+/// jitter, launch/attach mode — then turns on the object record
+/// ([`SessionBuilder::collect_objects`], or implicitly with an export stream) and tunes
+/// the ingestion topology (index shard count, per-thread resolution cache).
 /// [`SessionBuilder::attach`] registers the finished session with a runtime in one
 /// step.
 pub struct SessionBuilder {
     config: ProfilerConfig,
     objects: bool,
-    custom: Vec<Arc<dyn Collector>>,
     index_shards: Option<usize>,
     resolution_cache: bool,
     export: Option<ExportConfig>,
@@ -812,7 +705,6 @@ impl Default for SessionBuilder {
         Self {
             config: ProfilerConfig::default(),
             objects: false,
-            custom: Vec::new(),
             index_shards: None,
             resolution_cache: true,
             export: None,
@@ -821,7 +713,7 @@ impl Default for SessionBuilder {
 }
 
 impl SessionBuilder {
-    /// A builder with the default configuration and no collectors.
+    /// A builder with the default configuration and no object record.
     pub fn new() -> Self {
         Self::default()
     }
@@ -875,7 +767,10 @@ impl SessionBuilder {
         self
     }
 
-    /// Registers the built-in [`ObjectCentricCollector`].
+    /// Keeps the object record: each thread's [`ThreadProfile`], which
+    /// [`Session::object_profile`] and every [`Query`](crate::query::Query) read.
+    /// Without it (and without an export stream) the session still samples and
+    /// resolves, but records nothing — a bare sampler and index.
     pub fn collect_objects(mut self) -> Self {
         self.objects = true;
         self
@@ -895,13 +790,6 @@ impl SessionBuilder {
     /// calls `collect_objects`.
     pub fn collect_numa(self) -> Self {
         self.collect_objects()
-    }
-
-    /// Registers a custom collector. The session keeps one `Arc`; keep a clone to read
-    /// the collector's results after (or during) the run.
-    pub fn with_collector(mut self, collector: Arc<dyn Collector>) -> Self {
-        self.custom.push(collector);
-        self
     }
 
     /// Pins the object-index shard count, overriding the adaptive heuristic. Must be a
@@ -926,7 +814,7 @@ impl SessionBuilder {
     /// scales with the delta instead of the accumulated profile — see
     /// [`crate::export`] for the pipeline, backpressure and the loss-free guarantee.
     ///
-    /// Registers the built-in [`ObjectCentricCollector`] implicitly (the delta source).
+    /// Keeps the object record implicitly (the delta source).
     /// Close the stream with [`Session::finish_export`]; dropping the session's last
     /// reference finishes it implicitly.
     pub fn stream_to(
@@ -986,16 +874,9 @@ impl SessionBuilder {
         let objects = (self.objects || self.export.is_some())
             .then(|| Arc::new(ObjectCentricCollector::new(shared.clone())));
         let export = self.export.map(|cfg| {
-            let collector =
-                objects.clone().expect("stream_to registers the object-centric collector");
-            DeltaDrainer::spawn(collector, cfg.sink, cfg.out, cfg.policy)
+            let objects = objects.clone().expect("stream_to keeps the object record");
+            DeltaDrainer::spawn(objects, cfg.sink, cfg.out, cfg.policy)
         });
-
-        let mut collectors: Vec<Arc<dyn Collector>> = Vec::new();
-        if let Some(c) = &objects {
-            collectors.push(c.clone());
-        }
-        collectors.extend(self.custom);
 
         Arc::new(Session {
             config,
@@ -1003,7 +884,6 @@ impl SessionBuilder {
             allocation,
             sampler: Sampler::new(builder),
             caches: self.resolution_cache.then(ThreadSlots::new),
-            collectors,
             objects,
             export,
         })
@@ -1024,7 +904,7 @@ impl SessionBuilder {
 // ---------------------------------------------------------------------------------------
 
 /// A live profiling session: the composite runtime listener driving the allocation
-/// agent, the shared per-thread PMUs, and every registered collector. See the
+/// agent, the shared per-thread PMUs, and the object record. See the
 /// [module documentation](self).
 pub struct Session {
     config: ProfilerConfig,
@@ -1038,11 +918,12 @@ pub struct Session {
     /// take slot locks, so no cycle exists). Only the owning thread and
     /// [`Session::splay_lookup_stats`] readers take it.
     caches: Option<ThreadSlots<SpinLock<ResolutionCache>>>,
-    collectors: Vec<Arc<dyn Collector>>,
+    /// The object record; `None` when the builder asked for neither
+    /// [`SessionBuilder::collect_objects`] nor an export stream.
     objects: Option<Arc<ObjectCentricCollector>>,
     /// The asynchronous export pipeline, when the builder configured
     /// [`SessionBuilder::stream_to`]. While it runs, every epoch retirement of the
-    /// object-centric collector routes its delta into the stream.
+    /// object record routes its delta into the stream.
     export: Option<DeltaDrainer>,
 }
 
@@ -1068,11 +949,6 @@ impl Session {
     pub fn detach(self: &Arc<Self>, rt: &mut Runtime) -> bool {
         let listener: Arc<dyn RuntimeListener> = self.clone();
         rt.remove_listener(&listener)
-    }
-
-    /// Names of the registered collectors, in dispatch order.
-    pub fn collector_names(&self) -> Vec<&'static str> {
-        self.collectors.iter().map(|c| c.name()).collect()
     }
 
     /// Number of currently live monitored objects (object-index entries, shard copies
@@ -1143,9 +1019,9 @@ impl Session {
         self.shared.shard_count()
     }
 
-    /// Number of buffer epochs the object-centric collector has retired (every profile
+    /// Number of buffer epochs the object record has retired (every profile
     /// assembly and every export drain closes one epoch — a diagnostic for the
-    /// pause-free snapshot path; 0 when no [`ObjectCentricCollector`] is registered).
+    /// pause-free snapshot path; 0 when the session keeps no record).
     ///
     /// The counter is read with a single `Relaxed` atomic load: retirements increment
     /// it under the retired-buffer lock, so the value is **monotonically
@@ -1172,13 +1048,20 @@ impl Session {
     /// immediately, without waiting for the drainer's tick or a snapshot. Returns
     /// `false` when the session has no active export stream (nothing happens).
     pub fn flush_export(&self) -> bool {
-        match (self.export.as_ref().filter(|e| e.is_running()), self.objects.as_ref()) {
-            (Some(export), Some(collector)) => {
-                export.produce(collector);
+        match self.stream().filter(|(export, _)| export.is_running()) {
+            Some((export, objects)) => {
+                export.produce(objects);
                 true
             }
-            _ => false,
+            None => false,
         }
+    }
+
+    /// The export stream with the record it drains; `None` when the session streams
+    /// nowhere ([`SessionBuilder::stream_to`] always keeps the record).
+    fn stream(&self) -> Option<(&DeltaDrainer, &ObjectCentricCollector)> {
+        let export = self.export.as_ref()?;
+        Some((export, self.objects.as_deref().expect("stream_to keeps the object record")))
     }
 
     /// Ends the export stream: drains the closing delta, writes the stream's
@@ -1194,15 +1077,13 @@ impl Session {
     /// sink/write error the drainer encountered (the stream keeps consuming deltas
     /// after an error so producers never block, but stops writing).
     pub fn finish_export(&self) -> io::Result<ExportStats> {
-        let export = self.export.as_ref().ok_or_else(|| {
+        let (export, objects) = self.stream().ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::Unsupported,
                 "session has no export stream (configure one with SessionBuilder::stream_to)",
             )
         })?;
-        let collector =
-            self.objects.as_ref().expect("stream_to registers the object-centric collector");
-        export.finish(collector, &self.config, &self.allocation)
+        export.finish(objects, &self.config, &self.allocation)
     }
 
     /// Approximate resident bytes of every session-owned data structure — the quantity
@@ -1222,13 +1103,13 @@ impl Session {
             + self.allocation.approx_bytes()
             + self.sampler.approx_bytes()
             + cache_bytes
-            + self.collectors.iter().map(|c| c.approx_bytes()).sum::<usize>()
+            + self.objects.as_ref().map_or(0, |objects| objects.approx_bytes())
     }
 
-    /// Assembles the object-centric collector's current state into an
+    /// Assembles the object record's current state into an
     /// [`ObjectCentricProfile`]: per-thread profiles (samples and allocation counts),
     /// the allocation-site table, and the run configuration. Can be called repeatedly (including mid-run); each call produces
-    /// an independent snapshot. `None` when no [`ObjectCentricCollector`] is registered.
+    /// an independent snapshot. `None` when the session keeps no record.
     pub fn object_profile(&self) -> Option<ObjectCentricProfile> {
         let collector = self.objects.as_ref()?;
         // On a streaming session, thread_profiles routes the epoch this read retires
@@ -1252,8 +1133,8 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Returns [`QueryError::SourceUnavailable`](crate::query::QueryError) when no
-    /// [`ObjectCentricCollector`] is registered.
+    /// Returns [`QueryError::SourceUnavailable`](crate::query::QueryError) when the
+    /// session keeps no object record.
     pub fn query(
         &self,
         query: &crate::query::Query,
@@ -1278,31 +1159,26 @@ impl Session {
     ///
     /// Returns [`QueryError::SourceUnavailable`](crate::query::QueryError) when the
     /// session has no export stream (configure one with
-    /// [`SessionBuilder::stream_to`]) or no object-centric collector.
+    /// [`SessionBuilder::stream_to`]).
     pub fn live_fold(&self) -> Result<crate::query::live::LiveFold, crate::query::QueryError> {
         use crate::query::live::LiveFold;
         use crate::query::QueryError;
-        let export = self.export.as_ref().ok_or_else(|| {
+        let (export, objects) = self.stream().ok_or_else(|| {
             QueryError::SourceUnavailable(
                 "session has no export stream (configure one with SessionBuilder::stream_to)"
                     .to_string(),
             )
         })?;
-        let collector = self.objects.as_ref().ok_or_else(|| {
-            QueryError::SourceUnavailable("no object-centric collector registered".to_string())
-        })?;
         let fold =
             LiveFold::with_meta(self.config.event, self.config.period, self.config.size_filter);
-        let attached = export.attach_tap(collector, |seed| {
+        let attached = export.attach_tap(objects, |seed| {
             fold.adopt_seed(seed);
             fold.tap_handle()
         });
         if !attached {
             // The stream already flushed its terminal record; the session's own
             // profile is the complete run.
-            let profile = self.object_profile().ok_or_else(|| {
-                QueryError::SourceUnavailable("no object-centric collector registered".to_string())
-            })?;
+            let profile = self.object_profile().expect("stream_to keeps the object record");
             return Ok(LiveFold::from_terminal(&profile));
         }
         Ok(fold)
@@ -1324,10 +1200,10 @@ impl Session {
         Ok(query.watch(&self.live_fold()?))
     }
 
-    /// Dispatches one resolved sample batch to every collector.
+    /// Resolves one overflow batch and records it into the object record.
     fn dispatch_samples(&self, event: &MemoryAccessEvent<'_>, samples: &[Sample]) {
         // Resolve each sample's effective address to the enclosing monitored object
-        // once for *all* collectors: through the thread's private resolution cache
+        // once: through the thread's private resolution cache
         // when enabled (repeat samples on hot objects take no shard lock at all),
         // falling back to the index shards the batch touches (the guard is reused
         // across the batch's spatially local addresses).
@@ -1341,23 +1217,22 @@ impl Session {
             }
             None => self.shared.resolve_batch(addrs(), &mut sites),
         }
-        // One batch call per collector — not samples × collectors lock round-trips.
-        let batch = BatchContext {
-            thread: event.thread,
-            call_trace: event.call_trace,
-            period: self.config.period,
-            samples,
-            sites: sites.as_slice(),
-        };
-        for collector in &self.collectors {
-            collector.on_sample_batch(&batch);
+        if let Some(objects) = &self.objects {
+            objects.record_batch(
+                event.thread,
+                event.call_trace,
+                samples,
+                sites.as_slice(),
+                self.config.period,
+            );
         }
     }
 
+    /// Programs the thread's PMU on first sight and opens its record under `name`.
     fn thread_seen(&self, thread: ThreadId, name: &str) {
         if self.sampler.ensure_thread(thread) {
-            for collector in &self.collectors {
-                collector.on_thread_seen(thread, name);
+            if let Some(objects) = &self.objects {
+                objects.thread_seen(thread, name);
             }
         }
     }
@@ -1367,7 +1242,6 @@ impl std::fmt::Debug for Session {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session")
             .field("config", &self.config)
-            .field("collectors", &self.collector_names())
             .field("total_samples", &self.total_samples())
             .finish()
     }
@@ -1402,18 +1276,12 @@ impl RuntimeListener for Session {
     fn on_thread_end(&self, event: &ThreadEvent<'_>) {
         self.allocation.on_thread_end(event);
         self.sampler.disable_thread(event.thread);
-        for collector in &self.collectors {
-            collector.on_thread_end(event);
-        }
     }
 
     fn on_object_alloc(&self, event: &AllocationEvent<'_>) {
         if let (Some(site), Some(objects)) = (self.allocation.on_object_alloc(event), &self.objects)
         {
             objects.record_allocation(event.thread, site, event.size);
-        }
-        for collector in &self.collectors {
-            collector.on_object_alloc(event);
         }
     }
 
@@ -1423,8 +1291,8 @@ impl RuntimeListener for Session {
         self.sampler.observe_ensuring(
             event,
             || {
-                for collector in &self.collectors {
-                    collector.on_thread_seen(event.thread, "<attached>");
+                if let Some(objects) = &self.objects {
+                    objects.thread_seen(event.thread, "<attached>");
                 }
             },
             |samples| self.dispatch_samples(event, samples),
@@ -1433,16 +1301,10 @@ impl RuntimeListener for Session {
 
     fn on_gc_start(&self, event: &GcEvent) {
         self.allocation.on_gc_start(event);
-        for collector in &self.collectors {
-            collector.on_gc_start(event);
-        }
     }
 
     fn on_gc_end(&self, event: &GcEvent) {
         self.allocation.on_gc_end(event);
-        for collector in &self.collectors {
-            collector.on_gc_end(event);
-        }
     }
 
     fn on_object_move(&self, event: &ObjectMoveEvent) {
@@ -1458,7 +1320,6 @@ impl RuntimeListener for Session {
 mod tests {
     use super::*;
     use djx_runtime::{dsl, RuntimeConfig};
-    use parking_lot::Mutex;
 
     use crate::query::{GroupBy, GroupKey, Query, RankBy};
     use crate::wire::BinaryChunkedSink;
@@ -1521,9 +1382,9 @@ mod tests {
         assert_eq!(config.size_filter, 4096);
         assert!(config.jitter);
         assert!(config.attach_mode);
-        // The code-centric and NUMA views are queries over the object profile.
-        assert_eq!(session.collector_names(), vec!["object-centric"]);
-        assert!(format!("{session:?}").contains("object-centric"));
+        // The code-centric and NUMA views are queries over the one object record.
+        assert!(session.object_profile().is_some());
+        assert!(format!("{session:?}").contains("DtlbMiss"));
     }
 
     #[test]
@@ -1587,6 +1448,7 @@ mod tests {
         assert!(!site.call_path.is_empty());
 
         let main = &profile.threads[0];
+        assert_eq!(main.thread_name, "main", "a started thread's real name reaches the record");
         let sm = main.sites.values().next().unwrap();
         assert_eq!(sm.total.allocations, 200);
         assert!(sm.total.samples > 0);
@@ -1763,7 +1625,7 @@ mod tests {
         assert_eq!(
             session.object_profile().unwrap().to_text(),
             objects_only.object_profile().unwrap().to_text(),
-            "multi-collector session must not perturb object-centric results"
+            "field-by-field and at-once configuration must record identically"
         );
     }
 
@@ -1838,38 +1700,6 @@ mod tests {
         dsl::sequential_sweep(&mut rt, t, &arr).unwrap();
         assert_eq!(session.total_samples(), before);
         assert!(!session.detach(&mut rt), "double detach is a no-op");
-    }
-
-    #[test]
-    fn custom_collectors_receive_the_shared_stream() {
-        #[derive(Debug, Default)]
-        struct CountingCollector {
-            samples: Mutex<u64>,
-            threads: Mutex<Vec<String>>,
-        }
-        impl Collector for CountingCollector {
-            fn name(&self) -> &'static str {
-                "counting"
-            }
-            fn on_sample_batch(&self, batch: &BatchContext<'_>) {
-                *self.samples.lock() += batch.iter().count() as u64;
-            }
-            fn on_thread_seen(&self, _thread: ThreadId, name: &str) {
-                self.threads.lock().push(name.to_string());
-            }
-        }
-
-        let counting = Arc::new(CountingCollector::default());
-        let (_rt, session) = bloat_run_with(|rt| {
-            Session::builder()
-                .period(16)
-                .collect_objects()
-                .with_collector(counting.clone())
-                .attach(rt)
-        });
-        assert_eq!(*counting.samples.lock(), session.total_samples());
-        assert_eq!(*counting.threads.lock(), vec!["main".to_string()]);
-        assert_eq!(session.collector_names(), vec!["object-centric", "counting"]);
     }
 
     #[test]

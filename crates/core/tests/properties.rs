@@ -5,8 +5,8 @@
 //! binary profile codec against arbitrary profiles, and the render-only text form
 //! against every single-field mutation (it must tell any two profiles apart). Streamed
 //! sessions are checked against a sequential replay, and their code-centric and NUMA
-//! queries against a reference collector recording every batch the way separate
-//! collectors did. Query evaluation — cold, folded and live, every axis — is checked
+//! queries against an independent reference profiler with a PMU of its own, fed the
+//! same accesses. Query evaluation — cold, folded and live, every axis — is checked
 //! against a naive reference evaluator.
 
 use std::collections::HashMap;
@@ -14,16 +14,16 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 
 use djx_memsim::{AccessKind, NumaNode};
-use djx_pmu::{PmuEvent, Sample};
+use djx_pmu::{PerfEventBuilder, PmuEvent, Sample, ThreadPmu};
 use djx_runtime::{
     AllocationEvent, ClassId, Frame, GcEvent, GcId, MethodId, ObjectId, ObjectMoveEvent,
     ObjectReclaimEvent, RuntimeListener, ThreadId,
 };
 use djxperf::{
     AccessContext, AllocSite, AllocSiteId, AllocSiteRegistry, AllocationAgent, AllocationConfig,
-    AllocationStats, BatchContext, BinaryChunkedSink, Cct, Collector, DeltaFold, GroupBy, GroupKey,
-    Interval, IntervalIndex, LiveFold, Locality, MetricVector, MonitoredObject, MultiSource,
-    ObjectCentricProfile, ProfileDelta, Query, QueryGroup, QueryResult, RankBy, ResolutionCache,
+    AllocationStats, BinaryChunkedSink, Cct, DeltaFold, GroupBy, GroupKey, Interval, IntervalIndex,
+    LiveFold, Locality, MetricVector, MonitoredObject, MultiSource, ObjectCentricProfile,
+    ProfileDelta, ProfilerConfig, Query, QueryGroup, QueryResult, RankBy, ResolutionCache,
     SharedObjectIndex, ThreadDelta, ThreadProfile,
 };
 
@@ -599,39 +599,55 @@ fn stream_op() -> impl Strategy<Value = StreamOp> {
     ]
 }
 
-/// The code-centric and NUMA views as separate collectors computed them: every
-/// sample of every batch recorded at its call path in a CCT of its own, and its
+/// The code-centric and NUMA views as an independent naive profiler computes them:
+/// one PMU per thread, programmed like the session's and fed the same accesses, with
+/// every sample recorded at its call path in a CCT of its own and its
 /// `(cpu_node, page_node)` pair counted — the reference the session's views, read
-/// off the object profile, must equal.
-#[derive(Default)]
+/// off the object profile, must equal. A PMU seeds its jitter by thread id, so its
+/// samples equal the session's: the check covers the sampler as well as the record.
 struct ReferenceViews {
-    cct: std::sync::Mutex<Cct>,
-    traffic: std::sync::Mutex<HashMap<(u32, u32), u64>>,
-}
-
-impl Collector for ReferenceViews {
-    fn name(&self) -> &'static str {
-        "reference-views"
-    }
-
-    fn on_sample_batch(&self, batch: &BatchContext<'_>) {
-        let (mut cct, mut traffic) = (self.cct.lock().unwrap(), self.traffic.lock().unwrap());
-        for ctx in batch.iter() {
-            let node = cct.insert_path(ctx.call_trace);
-            cct.metrics_mut(node).record_sample(ctx.sample, ctx.period);
-            *traffic.entry((ctx.sample.cpu_node.0, ctx.sample.page_node.0)).or_insert(0) += 1;
-        }
-    }
+    pmu: PerfEventBuilder,
+    period: u64,
+    pmus: HashMap<ThreadId, ThreadPmu>,
+    cct: Cct,
+    traffic: HashMap<(u32, u32), u64>,
 }
 
 impl ReferenceViews {
+    /// An empty reference programmed from `config`; threads get a PMU on first sight.
+    fn new(config: ProfilerConfig) -> Self {
+        Self {
+            pmu: PerfEventBuilder::new(config.event)
+                .sample_period(config.period)
+                .jitter(config.jitter),
+            period: config.period,
+            pmus: HashMap::new(),
+            cct: Cct::new(),
+            traffic: HashMap::new(),
+        }
+    }
+
+    /// Counts one access on its thread's PMU and records the samples it fires.
+    fn observe(&mut self, event: &djx_runtime::MemoryAccessEvent<'_>) {
+        let Self { pmu, period, pmus, cct, traffic } = self;
+        let thread_pmu =
+            pmus.entry(event.thread).or_insert_with(|| pmu.open_for_thread(event.thread.0));
+        thread_pmu.observe(&event.outcome, |samples| {
+            for sample in samples {
+                let node = cct.insert_path(event.call_trace);
+                cct.metrics_mut(node).record_sample(sample, *period);
+                *traffic.entry((sample.cpu_node.0, sample.page_node.0)).or_insert(0) += 1;
+            }
+        });
+    }
+
     /// Checks the `Context` and `NodePair` queries over `source` against the
     /// recorded contexts and traffic.
     fn check(&self, source: &dyn djxperf::ProfileSource) -> Result<(), TestCaseError> {
-        let (cct, traffic) = (self.cct.lock().unwrap(), self.traffic.lock().unwrap());
         let code = Query::new().group_by(GroupBy::Context).evaluate(source).unwrap();
-        prop_assert_eq!(context_rows(&code), contexts(&cct), "code-centric contexts");
-        let mut traffic: Vec<((u32, u32), u64)> = traffic.iter().map(|(p, n)| (*p, *n)).collect();
+        prop_assert_eq!(context_rows(&code), contexts(&self.cct), "code-centric contexts");
+        let mut traffic: Vec<((u32, u32), u64)> =
+            self.traffic.iter().map(|(p, n)| (*p, *n)).collect();
         traffic.sort_unstable();
         let numa = Query::new().group_by(GroupBy::NodePair).evaluate(source).unwrap();
         prop_assert_eq!(node_cells(&numa), traffic, "NUMA traffic matrix");
@@ -683,14 +699,10 @@ fn contexts(cct: &Cct) -> Vec<(Vec<Frame>, MetricVector)> {
 /// Replays one interleaving of heap/access/pull operations into a streaming
 /// session (binary epoch log) and a never-drained reference session, finishes the
 /// stream, and returns `(streaming session, reference session, epoch log, the
-/// streaming session's reference views)`. Shared by the fold-identity and the
+/// reference views fed the same accesses)`. Shared by the fold-identity and the
 /// query-identity properties below.
-type StreamRun = (
-    std::sync::Arc<djxperf::Session>,
-    std::sync::Arc<djxperf::Session>,
-    Vec<u8>,
-    std::sync::Arc<ReferenceViews>,
-);
+type StreamRun =
+    (std::sync::Arc<djxperf::Session>, std::sync::Arc<djxperf::Session>, Vec<u8>, ReferenceViews);
 
 fn run_stream_ops(ops: Vec<StreamOp>) -> Result<StreamRun, TestCaseError> {
     use std::sync::Arc;
@@ -704,13 +716,11 @@ fn run_stream_ops(ops: Vec<StreamOp>) -> Result<StreamRun, TestCaseError> {
     use djxperf::{DrainPolicy, Session, SharedBuffer};
 
     let buffer = SharedBuffer::new();
-    let views = Arc::new(ReferenceViews::default());
     // Long tick: the proptest's explicit pulls (and its snapshots) drive the epoch
     // boundaries; the drainer still writes them.
     let streaming: Arc<Session> = Session::builder()
         .period(4)
         .size_filter(1024)
-        .with_collector(views.clone())
         .stream_to_binary(
             Box::new(buffer.clone()),
             DrainPolicy::new().capacity(4).tick(Duration::from_secs(60)),
@@ -718,6 +728,7 @@ fn run_stream_ops(ops: Vec<StreamOp>) -> Result<StreamRun, TestCaseError> {
         .build();
     let reference = Session::builder().period(4).size_filter(1024).collect_objects().build();
     let sessions = [&streaming, &reference];
+    let mut views = ReferenceViews::new(streaming.config());
 
     // Live watches on the streaming session, one per query shape: after every
     // pull each must render byte-identically to a cold evaluation over the live
@@ -803,18 +814,19 @@ fn run_stream_ops(ops: Vec<StreamOp>) -> Result<StreamRun, TestCaseError> {
                 slots.insert(to, object);
             }
             StreamOp::Access { slot, offset } => {
-                // One shared outcome, replayed into both sessions, so the PMU
-                // streams are bit-identical.
+                // One shared outcome, replayed into both sessions and the reference
+                // views, so the PMU streams are bit-identical.
                 let addr = slot_addr(slot) + offset * 8;
-                let outcome = hierarchy.access(MemoryAccess::load(0, addr, 8));
+                let event = MemoryAccessEvent {
+                    thread,
+                    outcome: hierarchy.access(MemoryAccess::load(0, addr, 8)),
+                    call_trace: access_traces[(offset % 3) as usize],
+                    object: None,
+                };
                 for session in sessions {
-                    session.on_memory_access(&MemoryAccessEvent {
-                        thread,
-                        outcome,
-                        call_trace: access_traces[(offset % 3) as usize],
-                        object: None,
-                    });
+                    session.on_memory_access(&event);
                 }
+                views.observe(&event);
             }
             StreamOp::Pull => {
                 prop_assert!(streaming.flush_export(), "the stream accepts pulls");
@@ -881,8 +893,8 @@ proptest! {
             &reference_text,
             "folded stream must equal the sequential replay"
         );
-        // The code-centric and NUMA views, live and replayed, equal what separate
-        // collectors recorded from the same batches.
+        // The code-centric and NUMA views, live and replayed, equal what the
+        // independent reference profiler recorded from the same accesses.
         views.check(&*streaming)?;
         views.check(&replayed)?;
     }

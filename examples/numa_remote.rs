@@ -25,7 +25,7 @@ fn study(
     println!("== {name} ==");
     // The NUMA view is two queries over the object profile: the node-to-node traffic
     // matrix, then the object with the most remote samples.
-    let matrix = Query::new().group_by(GroupBy::NodePair);
+    let matrix = Query::new().group_by(GroupBy::NodePair).rank_by(RankBy::Samples);
     let remote = Query::new().rank_by(RankBy::RemoteSamples).top(1);
     let options = ReportOptions { top_contexts: 1, ..ReportOptions::default() };
     for query in [matrix, remote] {

@@ -3,7 +3,7 @@
 //! This package exists to own the repository-level integration tests (`tests/`) and the
 //! runnable examples (`examples/`); the implementation lives in the `crates/` members:
 //!
-//! * [`djxperf`] — the profiler core: sessions, collectors, sinks, analyzer, reports;
+//! * [`djxperf`] — the profiler core: sessions, queries, sinks, analyzer, reports;
 //! * [`djx_runtime`] — the managed-runtime simulator;
 //! * [`djx_pmu`] — per-thread virtual PMUs;
 //! * [`djx_memsim`] — the simulated memory hierarchy;

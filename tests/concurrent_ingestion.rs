@@ -3,28 +3,29 @@
 //! Four OS threads drive one [`Session`] concurrently through its listener interface —
 //! the same call pattern a real profiler sees, where every thread's PMU overflow handler
 //! runs on that thread. The test asserts the two properties the sharded index and the
-//! per-thread collector state must preserve under concurrency:
+//! per-thread record must preserve under concurrency:
 //!
 //! 1. **Zero lost samples**: every sample emitted by any thread's PMU is present in
 //!    every view of the merged profiles.
 //! 2. **Merge fidelity**: the concurrently built per-thread profiles merge to exactly
 //!    the profiles a single-threaded replay of the same event log produces — the
 //!    interleaving of threads must not change any attributed metric — and the
-//!    code-centric and NUMA queries over them equal what a reference collector,
-//!    recording every batch at its call path the way separate collectors did, saw.
+//!    code-centric and NUMA queries over them equal what an independent reference
+//!    profiler — its own per-thread PMUs fed the same accesses, every sample recorded
+//!    at its call path — saw.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use djx_memsim::{HierarchyConfig, MemoryAccess, MemoryHierarchy};
-use djx_pmu::PmuEvent;
+use djx_pmu::{PerfEventBuilder, PmuEvent, ThreadPmu};
 use djx_runtime::{
     AllocationEvent, ClassId, Frame, MemoryAccessEvent, MethodId, ObjectId, RuntimeListener,
     ThreadId,
 };
 use djxperf::{
-    BatchContext, Cct, Collector, GroupBy, GroupKey, MetricVector, ObjectCentricProfile, Query,
-    QueryResult, Session,
+    Cct, GroupBy, GroupKey, MetricVector, ObjectCentricProfile, ProfilerConfig, Query, QueryResult,
+    Session,
 };
 
 const THREADS: u64 = 4;
@@ -90,8 +91,21 @@ fn replay_allocs(session: &Session, log: &ThreadLog) {
 }
 
 fn replay_accesses(session: &Session, log: &ThreadLog) {
+    for_each_access(log, |event| session.on_memory_access(event));
+}
+
+/// Replays the thread's accesses into `session` and, access by access, into `views`.
+fn replay_accesses_with(session: &Session, views: &ReferenceViews, log: &ThreadLog) {
+    for_each_access(log, |event| {
+        session.on_memory_access(event);
+        views.observe(event);
+    });
+}
+
+/// Hands `f` the thread's accesses as the runtime would report them.
+fn for_each_access(log: &ThreadLog, mut f: impl FnMut(&MemoryAccessEvent<'_>)) {
     for outcome in &log.outcomes {
-        session.on_memory_access(&MemoryAccessEvent {
+        f(&MemoryAccessEvent {
             thread: log.thread,
             outcome: *outcome,
             call_trace: &log.call_trace,
@@ -115,31 +129,44 @@ fn grouped_samples(result: &QueryResult) -> u64 {
     result.groups.iter().map(|g| g.metrics.samples).sum()
 }
 
-/// The code-centric and NUMA views as separate collectors computed them: every
-/// sample of every batch recorded at its call path in a CCT of its own, and its
-/// `(cpu_node, page_node)` pair counted.
-#[derive(Default)]
+/// The code-centric and NUMA views as an independent naive profiler computes them:
+/// one PMU per thread, programmed like the session's and fed the same accesses, with
+/// every sample recorded at its call path in a CCT of its own and its
+/// `(cpu_node, page_node)` pair counted. A PMU seeds its jitter by thread id, so its
+/// samples equal the session's: the check covers the sampler as well as the record.
 struct ReferenceViews {
+    period: u64,
+    pmus: HashMap<ThreadId, ThreadPmu>,
     cct: Mutex<Cct>,
     traffic: Mutex<HashMap<(u32, u32), u64>>,
 }
 
-impl Collector for ReferenceViews {
-    fn name(&self) -> &'static str {
-        "reference-views"
-    }
-
-    fn on_sample_batch(&self, batch: &BatchContext<'_>) {
-        let (mut cct, mut traffic) = (self.cct.lock().unwrap(), self.traffic.lock().unwrap());
-        for ctx in batch.iter() {
-            let node = cct.insert_path(ctx.call_trace);
-            cct.metrics_mut(node).record_sample(ctx.sample, ctx.period);
-            *traffic.entry((ctx.sample.cpu_node.0, ctx.sample.page_node.0)).or_insert(0) += 1;
+impl ReferenceViews {
+    /// A PMU per thread of `logs`, programmed from `config`.
+    fn new(config: ProfilerConfig, logs: &[ThreadLog]) -> Self {
+        let pmu = PerfEventBuilder::new(config.event)
+            .sample_period(config.period)
+            .jitter(config.jitter);
+        Self {
+            period: config.period,
+            pmus: logs.iter().map(|log| (log.thread, pmu.open_for_thread(log.thread.0))).collect(),
+            cct: Mutex::default(),
+            traffic: Mutex::default(),
         }
     }
-}
 
-impl ReferenceViews {
+    /// Counts one access on its thread's PMU and records the samples it fires.
+    fn observe(&self, event: &MemoryAccessEvent<'_>) {
+        self.pmus[&event.thread].observe(&event.outcome, |samples| {
+            let (mut cct, mut traffic) = (self.cct.lock().unwrap(), self.traffic.lock().unwrap());
+            for sample in samples {
+                let node = cct.insert_path(event.call_trace);
+                cct.metrics_mut(node).record_sample(sample, self.period);
+                *traffic.entry((sample.cpu_node.0, sample.page_node.0)).or_insert(0) += 1;
+            }
+        });
+    }
+
     /// Checks a `Context` query (`code`) and a `NodePair` query (`numa`) against
     /// the recorded contexts and traffic.
     fn check(&self, code: &QueryResult, numa: &QueryResult) {
@@ -178,14 +205,10 @@ impl ReferenceViews {
     }
 }
 
-/// A session with a [`ReferenceViews`] collector registered next to the built-in one.
-fn session_with_reference() -> (Arc<Session>, Arc<ReferenceViews>) {
-    let views = Arc::new(ReferenceViews::default());
-    let session = Session::builder()
-        .period(PERIOD)
-        .collect_objects()
-        .with_collector(views.clone())
-        .build();
+/// A session and a [`ReferenceViews`] programmed like it for the threads of `logs`.
+fn session_with_reference(logs: &[ThreadLog]) -> (Arc<Session>, ReferenceViews) {
+    let session = new_session();
+    let views = ReferenceViews::new(session.config(), logs);
     (session, views)
 }
 
@@ -202,15 +225,15 @@ fn concurrent_ingestion_loses_no_samples_and_merges_like_a_sequential_replay() {
 
     // Concurrent run: all allocations first (the log's program order), then every
     // thread replays its accesses from its own OS thread.
-    let (concurrent, views) = session_with_reference();
+    let (concurrent, views) = session_with_reference(&logs);
     for log in logs.iter() {
         replay_allocs(&concurrent, log);
     }
     std::thread::scope(|scope| {
         for i in 0..logs.len() {
-            let session = Arc::clone(&concurrent);
+            let (session, views) = (Arc::clone(&concurrent), &views);
             let logs = Arc::clone(&logs);
-            scope.spawn(move || replay_accesses(&session, &logs[i]));
+            scope.spawn(move || replay_accesses_with(&session, views, &logs[i]));
         }
     });
 
@@ -257,7 +280,7 @@ fn concurrent_ingestion_loses_no_samples_and_merges_like_a_sequential_replay() {
     );
 
     // The text above renders the code-centric contexts and the traffic matrix too;
-    // both views also equal what the reference collector recorded concurrently.
+    // both views also equal what the reference profiler recorded concurrently.
     views.check(&code, &numa);
 
     // The index saw every object, and every sample resolved through either a thread's
@@ -306,14 +329,14 @@ fn disabling_the_resolution_cache_preserves_profiles_exactly() {
 
 #[test]
 fn continuous_snapshots_never_lose_samples_and_merge_like_a_sequential_replay() {
-    // The pause-free snapshot path: a snapshot retires the collector's open buffer
+    // The pause-free snapshot path: a snapshot retires the record's open buffer
     // epoch (an O(1) take from each thread slot) instead of cloning state under the
     // sampling locks. Snapshotting *continuously* while four threads ingest must
     // therefore (a) keep every intermediate view internally consistent, (b) lose no
     // samples, and (c) leave the final profiles byte-identical to a sequential replay
     // that was never snapshotted — delta retirement must be exact.
     let logs = Arc::new(build_logs());
-    let (session, views) = session_with_reference();
+    let (session, views) = session_with_reference(&logs);
     for log in logs.iter() {
         replay_allocs(&session, log);
     }
@@ -321,13 +344,13 @@ fn continuous_snapshots_never_lose_samples_and_merge_like_a_sequential_replay() 
     std::thread::scope(|scope| {
         let workers: Vec<_> = (0..logs.len())
             .map(|i| {
-                let s = Arc::clone(&session);
+                let (s, views) = (Arc::clone(&session), &views);
                 let logs = Arc::clone(&logs);
-                scope.spawn(move || replay_accesses(&s, &logs[i]))
+                scope.spawn(move || replay_accesses_with(&s, views, &logs[i]))
             })
             .collect();
         // Snapshot in a tight loop until every ingestion thread is done — every
-        // iteration retires the collectors' open epochs mid-run.
+        // iteration retires the record's open epochs mid-run.
         while !workers.iter().all(|w| w.is_finished()) {
             let object = session.object_profile().expect("object collector registered");
             assert_eq!(

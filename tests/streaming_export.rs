@@ -9,7 +9,7 @@
 //! across user-driven snapshots that retire epochs mid-stream.
 
 use std::io;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -349,8 +349,8 @@ fn sink_without_delta_support_surfaces_at_finish() {
 fn a_finish_racing_sampling_checksums_exactly_the_streamed_deltas() {
     // The finish record's sample total must count the retired buffer — every delta
     // on the wire — and not the samples the workers keep adding to their open
-    // slots while the stream closes. Each round finishes a stream 20 ms into
-    // sampling, with both workers still replaying.
+    // slots while the stream closes. Each round finishes a stream once both workers
+    // have replayed their whole log once, with both still replaying.
     let logs = build_logs(2, 4_000);
     for round in 0..4 {
         let buffer = SharedBuffer::new();
@@ -359,16 +359,21 @@ fn a_finish_racing_sampling_checksums_exactly_the_streamed_deltas() {
             replay_allocs(&session, log);
         }
         let stop = AtomicBool::new(false);
+        let first_passes = AtomicUsize::new(0);
         let stats = std::thread::scope(|scope| {
             for log in &logs {
-                let (session, stop) = (&session, &stop);
+                let (session, stop, first_passes) = (&session, &stop, &first_passes);
                 scope.spawn(move || {
+                    replay_accesses(session, log);
+                    first_passes.fetch_add(1, Ordering::Release);
                     while !stop.load(Ordering::Relaxed) {
                         replay_accesses(session, log);
                     }
                 });
             }
-            std::thread::sleep(Duration::from_millis(20));
+            while first_passes.load(Ordering::Acquire) < logs.len() {
+                std::thread::yield_now();
+            }
             let stats = session.finish_export();
             stop.store(true, Ordering::Relaxed);
             stats.expect("the stream finishes while the workers sample")
