@@ -9,31 +9,23 @@
 //!
 //! * `--smoke-<gate>` runs one entry and gates it (what CI runs, one step per gate).
 //!   A name not in the table exits 2 and lists the gates.
-//! * `--quick`, or no flag, runs every entry plus [`REPORT_ONLY`] (the 8-thread and
-//!   GC-churn cache rows) and only reports: no floor fails the run. It writes
-//!   `BENCH_contention.json` at the workspace root unless `BENCH_CONTENTION_OUT`
-//!   names another path.
+//! * `--quick`, or no flag, runs every entry and only reports: no floor fails the
+//!   run. It writes `BENCH_contention.json` at the workspace root unless
+//!   `BENCH_CONTENTION_OUT` names another path.
 //!
 //! Ingest rows replay identical precomputed access streams through a real
-//! [`Session`], so within an entry the only variable is the pipeline:
-//!
-//! * **substrate** rows (`sharded`, `cached`) are sessions without the object record,
-//!   sampling every counted event ([`SUBSTRATE_PERIOD`] = 1), with the per-thread
-//!   [`ResolutionCache`](djxperf::ResolutionCache) off or on. They isolate PMU
-//!   observation plus address resolution, the stage the cache optimizes. The `-churn`
-//!   rows add a background thread that relocates hot objects at GC end, invalidating
-//!   cache entries at a rate no real garbage collector approaches.
-//! * **full** rows keep the object record all three views query: `stream-off` with no
-//!   export, `stream-on` with a [`DeltaDrainer`](djxperf::DeltaDrainer) writing the
-//!   binary epoch log into `io::sink()`, and `fleet-on`/`wal-off`/`wal-on` shipping
-//!   every retired delta over a loopback socket to a [`FleetAggregator`] without or
-//!   with a write-ahead log (`FsyncPolicy::Never`).
+//! [`Session`] that keeps the object record all three views query, so within an entry
+//! the only variable is the pipeline: `stream-off` with no export, `stream-on` with a
+//! [`DeltaDrainer`](djxperf::DeltaDrainer) writing the binary epoch log into
+//! `io::sink()`, and `fleet-on`/`wal-off`/`wal-on` shipping every retired delta over
+//! a loopback socket to a [`FleetAggregator`] without or with a write-ahead log
+//! (`FsyncPolicy::Never`).
 //!
 //! The access streams are **hot-object skewed** (⅞ of accesses hit a few hot objects
 //! per thread), the distribution object-centric profiling exploits. By the
 //! region-interleaved shard routing, the same hot-object index of every thread lands
-//! on the *same shard*, so the uncached pipeline's hot shard takes cross-thread lock
-//! transfers that the cache never sees.
+//! on the *same shard*, so multi-thread rows resolve their hot samples through one
+//! shard lock that every thread takes.
 //!
 //! The other rows time the analysis side: `query-eval` (`Query::evaluate` over a wide
 //! snapshot) against `analyze-legacy` (an in-bench reconstruction of the pre-query
@@ -54,8 +46,8 @@ use djx_memsim::{
 };
 use djx_pmu::{PmuEvent, Sample};
 use djx_runtime::{
-    AllocationEvent, ClassId, Frame, GcEvent, GcId, MemoryAccessEvent, MethodId, ObjectId,
-    ObjectMoveEvent, RuntimeListener, ThreadId,
+    AllocationEvent, ClassId, Frame, MemoryAccessEvent, MethodId, ObjectId, RuntimeListener,
+    ThreadId,
 };
 use djxperf::{
     AccessContext, AllocSite, AllocSiteId, DrainPolicy, FleetAggregator, FleetSink, FsyncPolicy,
@@ -64,37 +56,26 @@ use djxperf::{
 };
 
 const MULTI_THREADS: u64 = 4;
-const WIDE_THREADS: u64 = 8;
 const OBJECTS_PER_THREAD: u64 = 2048;
 /// Hot set per thread: ⅞ of accesses land on these objects.
 const HOT_OBJECTS: u64 = 16;
 /// Hot objects are spaced [`INDEX_SHARDS`] object slots apart, so — regions
 /// interleaving round-robin — **every hot object of every thread routes to the same
-/// shard**: the adversarial case for the uncached pipeline (every hot lookup of every
-/// thread takes that shard's one contended lock) and the representative case for the
-/// cache (each hot region keeps its own slot).
+/// shard**: the adversarial case for sample resolution (every hot lookup of every
+/// thread takes that shard's one contended lock).
 const HOT_STRIDE: u64 = INDEX_SHARDS as u64;
 const OBJECT_SIZE: u64 = 8 * 1024;
 /// Sampling period of the full (object-record) pipelines.
 const FULL_PERIOD: u64 = 8;
-/// Sampling period of the substrate pipelines: 1, so every counted event resolves —
-/// the pure stress of the resolution stage.
-const SUBSTRATE_PERIOD: u64 = 1;
 /// Sampling period of the fleet and WAL rows (both sides of each ratio). These gates
 /// measure *producer-side* ingest overhead of the socket transport at a
 /// deployment-realistic cadence (production default is 512); under the stress
 /// period a single-core runner time-slices the aggregator's decode+fold onto the
 /// ingest core and the row measures aggregator CPU instead of producer overhead.
 const FLEET_PERIOD: u64 = 64;
-/// Index shard count pinned on every session so the resolution cache is the only
-/// variable between `sharded` and `cached`.
+/// Index shard count pinned on every session, so the hot-object routing above holds
+/// whatever the machine's parallelism.
 const INDEX_SHARDS: usize = 16;
-/// Churn relocation target: far inside the owning thread's arena, outside the accessed
-/// object range.
-const SHADOW_OFFSET: u64 = 0x800_0000;
-/// GC-relocation rounds per churn run, per 100k accesses (fixed work, so churned runs
-/// of different pipelines stay comparable).
-const CHURN_ROUNDS_PER_100K: u64 = 2_000;
 /// Frames in the WAL the `wal-replay` row recovers.
 const REPLAY_FRAMES: u64 = 20_000;
 
@@ -130,8 +111,7 @@ struct Ratio {
     numerator: &'static str,
     denominator: Option<&'static str>,
     threads: u64,
-    /// `None` reports the value without gating it.
-    floor: Option<f64>,
+    floor: f64,
 }
 
 #[derive(Clone, Copy)]
@@ -152,9 +132,6 @@ enum Pipe {
 
 #[derive(Clone, Copy)]
 enum Ingest {
-    /// Session without the object record at [`SUBSTRATE_PERIOD`]; `churn` adds the relocation
-    /// thread.
-    Substrate { cache: bool, churn: bool },
     /// The object-record session at `period`, no export.
     Full { period: u64 },
     /// The object-record session at [`FULL_PERIOD`], streaming the binary epoch log
@@ -165,8 +142,6 @@ enum Ingest {
     Fleet { wal: bool },
 }
 
-const SHARDED: Pipe = Pipe::Ingest(Ingest::Substrate { cache: false, churn: false });
-const CACHED: Pipe = Pipe::Ingest(Ingest::Substrate { cache: true, churn: false });
 const STREAM_OFF: Pipe = Pipe::Ingest(Ingest::Full { period: FULL_PERIOD });
 const STREAM_ON: Pipe = Pipe::Ingest(Ingest::Stream);
 const FLEET_OFF: Pipe = Pipe::Ingest(Ingest::Full { period: FLEET_PERIOD });
@@ -184,64 +159,10 @@ const fn gate(
     threads: u64,
     floor: f64,
 ) -> Ratio {
-    Ratio { key, numerator, denominator: Some(denominator), threads, floor: Some(floor) }
+    Ratio { key, numerator, denominator: Some(denominator), threads, floor }
 }
-
-const fn report(
-    key: &'static str,
-    numerator: &'static str,
-    denominator: &'static str,
-    threads: u64,
-) -> Ratio {
-    Ratio { key, numerator, denominator: Some(denominator), threads, floor: None }
-}
-
-/// Rows of the `--quick` run that no gate reads.
-const REPORT_ONLY: Gate = Gate {
-    name: "report",
-    title: "cache at 8 threads and under GC-relocation churn (report only)",
-    accesses: 150_000,
-    reps: 2,
-    rows: &[
-        row("sharded", SHARDED, WIDE_THREADS),
-        row("cached", CACHED, WIDE_THREADS),
-        row(
-            "sharded-churn",
-            Pipe::Ingest(Ingest::Substrate { cache: false, churn: true }),
-            MULTI_THREADS,
-        ),
-        row(
-            "cached-churn",
-            Pipe::Ingest(Ingest::Substrate { cache: true, churn: true }),
-            MULTI_THREADS,
-        ),
-    ],
-    ratios: &[
-        report("cached_wide_thread_speedup", "cached", "sharded", WIDE_THREADS),
-        report("gc_churn_ratio", "cached-churn", "sharded-churn", MULTI_THREADS),
-    ],
-};
 
 const GATES: &[Gate] = &[
-    // The cache's floors sit under its acceptance targets (1.5x multi-thread, 0.95
-    // single-thread) so an oversubscribed runner does not flake while a real
-    // regression still fails.
-    Gate {
-        name: "cached",
-        title: "cached resolution fast path",
-        accesses: 150_000,
-        reps: 2,
-        rows: &[
-            row("sharded", SHARDED, 1),
-            row("cached", CACHED, 1),
-            row("sharded", SHARDED, MULTI_THREADS),
-            row("cached", CACHED, MULTI_THREADS),
-        ],
-        ratios: &[
-            gate("cached_multi_thread_speedup", "cached", "sharded", MULTI_THREADS, 1.20),
-            gate("cached_single_thread_ratio", "cached", "sharded", 1, 0.85),
-        ],
-    },
     // Export drains are off the ingest path, so the expected ratio is ~1.0 and there
     // is no structural speedup to absorb runner noise: more, shorter reps let the
     // best of each side converge on the scheduler's good case.
@@ -320,7 +241,7 @@ const GATES: &[Gate] = &[
                 numerator: "wal-replay",
                 denominator: None,
                 threads: 1,
-                floor: Some(100_000.0),
+                floor: 100_000.0,
             },
         ],
     },
@@ -388,9 +309,6 @@ impl SessionPipeline {
         let full = |base: SessionBuilder, period| base.period(period).collect_objects();
         let policy = DrainPolicy::new().capacity(8).coalesce().tick(Duration::from_millis(5));
         let builder = match ingest {
-            Ingest::Substrate { cache, .. } => {
-                base.period(SUBSTRATE_PERIOD).resolution_cache(cache)
-            }
             Ingest::Full { period } => full(base, period),
             Ingest::Stream => {
                 full(base, FULL_PERIOD).stream_to_binary(Box::new(io::sink()), policy)
@@ -428,48 +346,10 @@ impl SessionPipeline {
             object: None,
         });
     }
-
-    /// One adversarial GC-relocation round: relocate one (hot) object per arena out
-    /// to a shadow range and back, each half applied at a GC end. Epochs on both
-    /// ranges' shards bump, every cached entry for the object invalidates, and the
-    /// index returns to its baseline so rounds compose indefinitely.
-    fn churn_step(&self, logs: &[ThreadLog], round: u64) {
-        let index = (round % HOT_OBJECTS) * HOT_STRIDE;
-        for (half, flip) in [(0u64, false), (1, true)] {
-            // One GC id per half, shared by the moves and their matching GC end.
-            let gc = GcId(round * 2 + half);
-            for log in logs {
-                let home = log.base + index * OBJECT_SIZE;
-                let (old_addr, new_addr) =
-                    if flip { (home + SHADOW_OFFSET, home) } else { (home, home + SHADOW_OFFSET) };
-                self.session.on_object_move(&ObjectMoveEvent {
-                    gc,
-                    object: Self::object_id(log.thread, index),
-                    old_addr,
-                    new_addr,
-                    size: OBJECT_SIZE,
-                });
-            }
-            self.session.on_gc_end(&GcEvent {
-                gc,
-                heap_used: 0,
-                objects_moved: logs.len() as u64,
-                objects_reclaimed: 0,
-            });
-        }
-    }
-
-    fn cache_hit_rate(&self) -> Option<f64> {
-        let stats = self.session.splay_lookup_stats();
-        (stats.cache_lookups > 0).then(|| stats.cache_hit_fraction())
-    }
 }
 
 /// Allocates every arena, then replays each thread's stream on its own OS thread.
-/// With `churn_rounds > 0`, a concurrent thread performs that **fixed** number of
-/// GC-relocation rounds (fixed work keeps churned runs of different pipelines
-/// comparable) and the wall clock covers both.
-fn run_once(pipeline: &SessionPipeline, logs: &[ThreadLog], churn_rounds: u64) -> Duration {
+fn run_once(pipeline: &SessionPipeline, logs: &[ThreadLog]) -> Duration {
     for log in logs {
         pipeline.alloc(log);
     }
@@ -479,18 +359,6 @@ fn run_once(pipeline: &SessionPipeline, logs: &[ThreadLog], churn_rounds: u64) -
             scope.spawn(|| {
                 for outcome in &log.outcomes {
                     pipeline.access(log, outcome);
-                }
-            });
-        }
-        if churn_rounds > 0 {
-            scope.spawn(|| {
-                for round in 1..=churn_rounds {
-                    pipeline.churn_step(logs, round);
-                    if round % 64 == 0 {
-                        // Let ingestion interleave on narrow machines instead of
-                        // applying the whole relocation storm in one burst.
-                        std::thread::yield_now();
-                    }
                 }
             });
         }
@@ -506,20 +374,12 @@ fn measure_ingest(
     fixtures: &Fixtures,
 ) -> Measurement {
     let logs = build_logs(row.threads, accesses);
-    let churn_rounds = match ingest {
-        Ingest::Substrate { churn: true, .. } => {
-            (accesses / 100_000).max(1) * CHURN_ROUNDS_PER_100K
-        }
-        _ => 0,
-    };
     let mut best = Duration::MAX;
     let mut samples = 0;
-    let mut cache_hit_rate = None;
     for _ in 0..reps {
         let pipeline = SessionPipeline::new(ingest, fixtures);
-        best = best.min(run_once(&pipeline, &logs, churn_rounds));
+        best = best.min(run_once(&pipeline, &logs));
         samples = pipeline.session.total_samples();
-        cache_hit_rate = pipeline.cache_hit_rate();
     }
     Measurement {
         pipeline: row.name,
@@ -527,7 +387,6 @@ fn measure_ingest(
         accesses: row.threads * accesses,
         samples,
         best,
-        cache_hit_rate,
     }
 }
 
@@ -943,7 +802,6 @@ fn measure_replay(row: &Row, dir: &Path) -> Measurement {
         accesses: frames,
         samples: frames,
         best,
-        cache_hit_rate: None,
     }
 }
 
@@ -957,7 +815,6 @@ struct Measurement {
     accesses: u64,
     samples: u64,
     best: Duration,
-    cache_hit_rate: Option<f64>,
 }
 
 impl Measurement {
@@ -984,14 +841,7 @@ fn best_of(
         best = best.min(start.elapsed());
     }
     assert!(checksum > 0, "{}: the measured work must not be optimized away", row.name);
-    Measurement {
-        pipeline: row.name,
-        threads: row.threads,
-        accesses,
-        samples,
-        best,
-        cache_hit_rate: None,
-    }
+    Measurement { pipeline: row.name, threads: row.threads, accesses, samples, best }
 }
 
 fn measure_row(row: &Row, gate: &Gate, fixtures: &Fixtures) -> Measurement {
@@ -1044,12 +894,8 @@ fn write_json(path: &str, results: &[(&str, Measurement)], ratios: &[(&Ratio, f6
     let rows: Vec<String> = results
         .iter()
         .map(|(gate, m)| {
-            let cache = match m.cache_hit_rate {
-                Some(rate) => format!(", \"cache_hit_rate\": {}", json_number(rate)),
-                None => String::new(),
-            };
             format!(
-                "    {{\"gate\": \"{gate}\", \"pipeline\": \"{}\", \"threads\": {}, \"accesses\": {}, \"samples\": {}, \"best_secs\": {}, \"throughput_accesses_per_sec\": {}{cache}}}",
+                "    {{\"gate\": \"{gate}\", \"pipeline\": \"{}\", \"threads\": {}, \"accesses\": {}, \"samples\": {}, \"best_secs\": {}, \"throughput_accesses_per_sec\": {}}}",
                 m.pipeline,
                 m.threads,
                 m.accesses,
@@ -1076,21 +922,18 @@ fn write_json(path: &str, results: &[(&str, Measurement)], ratios: &[(&Ratio, f6
 
 fn print_rows(rows: &[Measurement]) {
     println!(
-        "{:<16} {:>8} {:>12} {:>10} {:>14} {:>16} {:>12}",
-        "pipeline", "threads", "accesses", "samples", "best (ms)", "accesses/s", "cache hits"
+        "{:<16} {:>8} {:>12} {:>10} {:>14} {:>16}",
+        "pipeline", "threads", "accesses", "samples", "best (ms)", "accesses/s"
     );
     for m in rows {
         println!(
-            "{:<16} {:>8} {:>12} {:>10} {:>14.2} {:>16.0} {:>12}",
+            "{:<16} {:>8} {:>12} {:>10} {:>14.2} {:>16.0}",
             m.pipeline,
             m.threads,
             m.accesses,
             m.samples,
             m.best.as_secs_f64() * 1e3,
             m.throughput(),
-            m.cache_hit_rate
-                .map(|r| format!("{:.1}%", r * 100.0))
-                .unwrap_or_else(|| "-".into()),
         );
     }
 }
@@ -1112,7 +955,7 @@ fn main() {
             })
             .collect()
     } else {
-        GATES.iter().chain([&REPORT_ONLY]).collect()
+        GATES.iter().collect()
     };
 
     let fixtures = Fixtures::new();
@@ -1134,10 +977,11 @@ fn main() {
                 None => numerator,
             };
             let over = ratio.denominator.map(|d| format!("/{d}")).unwrap_or_default();
-            let verdict = match ratio.floor {
-                Some(floor) if value >= floor => format!("gate >= {floor:.3}"),
-                Some(floor) => format!("gate >= {floor:.3}: MISSED"),
-                None => "report only".to_string(),
+            let floor = ratio.floor;
+            let verdict = if value >= floor {
+                format!("gate >= {floor:.3}")
+            } else {
+                format!("gate >= {floor:.3}: MISSED")
             };
             println!(
                 "{:<32} {}{over} @{}: {value:.2} ({verdict})",
@@ -1165,7 +1009,8 @@ fn main() {
     if gated {
         let mut failed = false;
         for (ratio, value) in &ratios {
-            if let Some(floor) = ratio.floor.filter(|floor| value < floor) {
+            if *value < ratio.floor {
+                let floor = ratio.floor;
                 eprintln!("FAIL: {} = {value:.2}, below its floor {floor:.3}", ratio.key);
                 failed = true;
             }

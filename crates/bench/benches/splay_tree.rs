@@ -1,12 +1,11 @@
 //! Microbenchmarks for the object index (§4.2 / §5.1).
 //!
-//! The index sits on the hot path of every PMU sample that misses the per-thread
-//! resolution cache (one lookup per sample) and absorbs every monitored allocation,
-//! move and reclaim. The paper uses a splay tree; this reproduction uses a flat
-//! [`IntervalIndex`] per shard (see the `djxperf::interval` module documentation). The
-//! lookup group compares it under a temporally clustered address stream (the case a
-//! splay tree is chosen for), a uniformly random stream, and a `BTreeMap` range-query
-//! baseline. The update group times one garbage collection of 1,000 moves through the
+//! The index sits on the hot path of every PMU sample (one lookup per sample) and
+//! absorbs every monitored allocation, move and reclaim. The paper uses a splay tree;
+//! this reproduction uses a flat [`IntervalIndex`] per shard (see the
+//! `djxperf::interval` module documentation). The lookup group compares it under a
+//! temporally clustered address stream (the case a splay tree is chosen for), a
+//! uniformly random stream, and a `BTreeMap` range-query baseline. The update group times one garbage collection of 1,000 moves through the
 //! allocation agent — applied as one rebuild per shard — against the same 1,000 moves
 //! applied one at a time as a probe, a remove and an insert each, the per-move pattern
 //! that made a B-tree index lose at GC end.

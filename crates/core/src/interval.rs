@@ -6,14 +6,12 @@
 //! objects. The paper picks a splay tree for the temporal locality of PMU samples: the
 //! most recently touched objects bubble up to the root.
 //!
-//! This reproduction does not use a splay tree. Each shard of the
-//! [`SharedObjectIndex`](crate::agent::SharedObjectIndex) sits behind a per-thread
-//! [`ResolutionCache`](crate::agent::ResolutionCache) that absorbs the temporal
-//! locality a splay tree exploits, so the lookups that reach a shard are the cache's
-//! misses. On the `miss-dense` perfbench workload (site-fanout, period 8) the cache hit
-//! only 0.41 of probes, and each remaining splay-tree lookup ran 8.4 top-down splay
+//! This reproduction does not use a splay tree. On the `miss-dense` perfbench workload
+//! (site-fanout, period 8), samples spread over thousands of objects, so the locality
+//! a splay tree exploits is thin: each splay-tree lookup ran 8.4 top-down splay
 //! steps — each a rotation, a write to the shared tree — for 527 ns of resolution per
-//! sample. An [`IntervalIndex`] instead holds a shard's intervals in two parallel
+//! sample. (Those lookups were the misses of a per-thread resolution cache, since
+//! deleted, that served 0.41 of the samples.) An [`IntervalIndex`] instead holds a shard's intervals in two parallel
 //! arrays sorted by start address and answers a lookup with one read-only binary
 //! search. A garbage collection reaches it as one [`IntervalIndex::rebuild`] per shard
 //! rather than a remove and an insert per moved object; per-move updates are what
@@ -30,17 +28,14 @@ use std::cell::Cell;
 
 use djx_memsim::Addr;
 
-/// Lookup counters of one index — or, summed, of a whole sharded index plus the
-/// per-thread resolution caches in front of it.
+/// Lookup counters of one index — or, summed, of a whole sharded index.
 ///
-/// Shard lookups ([`IntervalIndex::lookup`]) are the sample-resolution path; read-only
-/// queries ([`IntervalIndex::find`]) are counted separately so that inspection paths
-/// (snapshot inspection, diagnostics, the GC-end identity probes) remain visible in the
-/// profiler's self-monitoring statistics without inflating the sample path's count.
-/// Cache probes (`cache_lookups` / `cache_hits`) come from the per-thread
-/// [`ResolutionCache`](crate::agent::ResolutionCache)s sitting in front of the shards:
-/// a cache hit resolves with no shard lock, so every sample accounts as either one
-/// cache hit or one shard lookup — never both.
+/// Shard lookups ([`IntervalIndex::lookup`]) are the sample-resolution path: every
+/// sample is exactly one lookup, and a hit is a sample inside a monitored object.
+/// Read-only queries ([`IntervalIndex::find`]) are counted separately so that
+/// inspection paths (snapshot inspection, diagnostics, the GC-end identity probes)
+/// remain visible in the profiler's self-monitoring statistics without inflating the
+/// sample path's count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LookupStats {
     /// Shard lookups performed.
@@ -51,14 +46,15 @@ pub struct LookupStats {
     pub read_lookups: u64,
     /// Read-only queries that found an enclosing interval.
     pub read_hits: u64,
-    /// Per-thread resolution-cache probes (every cached resolution probes once).
+    /// Always 0: the per-thread resolution cache these counted was deleted. The field
+    /// stays until the pipeline benchmark that reads it drops it.
     pub cache_lookups: u64,
-    /// Cache probes that resolved without touching any shard.
+    /// Always 0, like [`LookupStats::cache_lookups`].
     pub cache_hits: u64,
 }
 
 impl LookupStats {
-    /// Sums another stat block into this one (shard and cache merging).
+    /// Sums another stat block into this one (shard merging).
     pub fn merge(&mut self, other: &LookupStats) {
         self.lookups += other.lookups;
         self.hits += other.hits;
@@ -76,36 +72,18 @@ impl LookupStats {
             self.hits as f64 / self.lookups as f64
         }
     }
-
-    /// Fraction of cache probes that resolved without a shard lock, in `[0, 1]`.
-    pub fn cache_hit_fraction(&self) -> f64 {
-        if self.cache_lookups == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / self.cache_lookups as f64
-        }
-    }
-
-    /// Total resolutions of the sample hot path: cache hits plus shard lookups (cache
-    /// misses fall through to a shard lookup, so the two partition the samples).
-    pub fn resolutions(&self) -> u64 {
-        self.cache_hits + self.lookups
-    }
 }
 
 impl std::fmt::Display for LookupStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "lookups={} hits={} ({:.1}%) read_lookups={} read_hits={} cache_lookups={} cache_hits={} ({:.1}%)",
+            "lookups={} hits={} ({:.1}%) read_lookups={} read_hits={}",
             self.lookups,
             self.hits,
             self.hit_fraction() * 100.0,
             self.read_lookups,
-            self.read_hits,
-            self.cache_lookups,
-            self.cache_hits,
-            self.cache_hit_fraction() * 100.0
+            self.read_hits
         )
     }
 }
@@ -227,7 +205,6 @@ impl<T> IntervalIndex<T> {
             hits: self.hits,
             read_lookups: self.read_lookups.get(),
             read_hits: self.read_hits.get(),
-            // An index knows nothing of the per-thread caches in front of it.
             cache_lookups: 0,
             cache_hits: 0,
         }

@@ -123,8 +123,7 @@ pub mod sync;
 pub mod wire;
 
 pub use agent::{
-    AllocationAgent, AllocationConfig, ResolutionCache, SharedObjectIndex,
-    DEFAULT_RESOLUTION_CACHE_SLOTS, DEFAULT_SHARD_COUNT, DEFAULT_SIZE_FILTER,
+    AllocationAgent, AllocationConfig, SharedObjectIndex, DEFAULT_SHARD_COUNT, DEFAULT_SIZE_FILTER,
 };
 pub use cct::{Cct, CctNodeId};
 pub use export::{Backpressure, DeltaDrainer, DrainPolicy, ExportStats, SharedBuffer};

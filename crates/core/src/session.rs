@@ -48,12 +48,12 @@
 //!
 //! # Contention-free ingestion: thread slots, sharded index, per-thread record
 //!
-//! Every per-thread table of the session — the PMUs, the resolution caches, the
-//! record's open deltas — gives each profiled thread one slot, registered once and
-//! found by indexing with the runtime-issued [`ThreadId`]: no hash, no lock. An access
-//! that overflows no counter touches nothing but its thread's PMU countdown; the
-//! per-sample path then crosses three layers, and every one of them is built so two
-//! profiled threads do not serialize on a shared lock in the common case:
+//! Every per-thread table of the session — the PMUs and the record's open deltas —
+//! gives each profiled thread one slot, registered once and found by indexing with
+//! the runtime-issued [`ThreadId`]: no hash, no lock. An access that overflows no
+//! counter touches nothing but its thread's PMU countdown; the per-sample path then
+//! crosses three layers, and every one of them is built so two profiled threads do
+//! not serialize on a shared lock in the common case:
 //!
 //! 1. **Sampler** — each thread's virtual PMU counts down to its next overflow with a
 //!    relaxed load and store, and only an overflow takes the PMU's lock (see
@@ -62,16 +62,12 @@
 //!    still held, so the whole path — unsampled or sampled — allocates nothing once the
 //!    thread's slots exist, and every per-thread map on it hashes its runtime-issued
 //!    keys with [`FxHasher`](crate::fxhash::FxHasher) instead of SipHash.
-//! 2. **Object index** — sample addresses resolve in three levels (see
-//!    [`crate::agent`]): a per-thread direct-mapped
-//!    [`ResolutionCache`] first — repeat samples on hot
-//!    objects resolve with **zero shared-memory synchronization** beyond one atomic
-//!    epoch load: no shard lock — then the address-sharded
-//!    [`SharedObjectIndex`] on a miss (the batch locks only the shards it touches,
-//!    reusing the shard guard across spatially-local addresses), then `None`.
-//!    Per-shard mutation epochs invalidate cache entries across inserts, frees and GC
-//!    relocations, so a stale resolution is impossible by construction. The cache is
-//!    on by default; [`SessionBuilder::resolution_cache`] disables it.
+//! 2. **Object index** — sample addresses resolve one way (see [`crate::agent`]):
+//!    through the address-sharded [`SharedObjectIndex`], one read-only binary search
+//!    per address. The batch locks only the shards it touches and reuses the shard
+//!    guard across spatially local addresses; an address outside every monitored
+//!    object resolves to `None`. A garbage collection rebuilds each shard it touches
+//!    under that shard's lock, so a batch sees all of a collection or none of it.
 //! 3. **Record: one slot lock per batch** — each resolved batch is recorded into its
 //!    thread's open delta under one acquisition of that thread's slot lock, not one
 //!    per sample. The record keeps *per-thread* state in its own thread slots (a
@@ -80,8 +76,8 @@
 //!
 //! The slots assume what JVMTI and `djx_runtime` guarantee: one logical thread is
 //! driven by one OS thread at a time. A caller that drives one [`ThreadId`] from two OS
-//! threads at once loses PMU increments, never samples or memory safety — overflows,
-//! resolution caches and the record stay behind their per-slot locks.
+//! threads at once loses PMU increments, never samples or memory safety — overflows
+//! and the record stay behind their per-slot locks.
 //!
 //! # Pause-free snapshots: epoch-retired double buffering
 //!
@@ -137,7 +133,7 @@ use djx_runtime::{
     Runtime, RuntimeListener, ThreadEvent, ThreadId,
 };
 
-use crate::agent::{AllocationAgent, AllocationConfig, ResolutionCache, SharedObjectIndex};
+use crate::agent::{AllocationAgent, AllocationConfig, SharedObjectIndex};
 use crate::export::{DeltaDrainer, DrainPolicy, ExportShared, ExportStats};
 use crate::interval::LookupStats;
 use crate::object::AllocSiteId;
@@ -551,9 +547,9 @@ impl ObjectCentricCollector {
 /// session, it runs for every memory access, sampled or not — finds the thread's PMU
 /// with two loads and advances its lock-free countdown; only an overflow takes the
 /// PMU's lock. The lock stays held while the overflow is dispatched (the samples
-/// borrow the PMU's buffer); every lock the dispatch takes — the thread's
-/// resolution-cache slot, index shards, the record's slot — nests inside it, and none of
-/// their holders ever takes a PMU lock, so no cycle exists.
+/// borrow the PMU's buffer); every lock the dispatch takes — index shards, then the
+/// record's slot — nests inside it, and none of their holders ever takes a PMU lock,
+/// so no cycle exists.
 #[derive(Debug)]
 struct Sampler {
     builder: PerfEventBuilder,
@@ -682,14 +678,14 @@ pub fn adaptive_shard_count(threads: usize, expected_live_objects: usize) -> usi
 /// The builder fixes the sampling configuration once — event, period, size filter,
 /// jitter, launch/attach mode — then turns on the object record
 /// ([`SessionBuilder::collect_objects`], or implicitly with an export stream) and tunes
-/// the ingestion topology (index shard count, per-thread resolution cache).
+/// the ingestion topology (index shard count).
 /// [`SessionBuilder::attach`] registers the finished session with a runtime in one
 /// step.
+#[derive(Default)]
 pub struct SessionBuilder {
     config: ProfilerConfig,
     objects: bool,
     index_shards: Option<usize>,
-    resolution_cache: bool,
     export: Option<ExportConfig>,
 }
 
@@ -698,18 +694,6 @@ struct ExportConfig {
     sink: Arc<dyn ProfileSink>,
     out: Box<dyn io::Write + Send>,
     policy: DrainPolicy,
-}
-
-impl Default for SessionBuilder {
-    fn default() -> Self {
-        Self {
-            config: ProfilerConfig::default(),
-            objects: false,
-            index_shards: None,
-            resolution_cache: true,
-            export: None,
-        }
-    }
 }
 
 impl SessionBuilder {
@@ -799,14 +783,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Enables or disables the per-thread object-resolution cache in front of the
-    /// index shards (on by default). Disable to measure the bare sharded topology or
-    /// when the sampled address stream has no re-reference locality at all.
-    pub fn resolution_cache(mut self, enabled: bool) -> Self {
-        self.resolution_cache = enabled;
-        self
-    }
-
     /// Streams the session's object-centric profile **continuously** through `sink`
     /// into `out`: a background [`DeltaDrainer`] closes
     /// buffer epochs on the cadence of `policy` and writes each retired
@@ -883,7 +859,6 @@ impl SessionBuilder {
             shared,
             allocation,
             sampler: Sampler::new(builder),
-            caches: self.resolution_cache.then(ThreadSlots::new),
             objects,
             export,
         })
@@ -911,13 +886,6 @@ pub struct Session {
     shared: Arc<SharedObjectIndex>,
     allocation: AllocationAgent,
     sampler: Sampler,
-    /// Per-thread object-resolution caches (level 1 of the resolution path), one slot
-    /// per thread like every other per-thread table; `None` when the builder disabled
-    /// the cache. The slot's spin lock is held across the batch resolution (nested
-    /// inside the thread's PMU lock; shard locks nest inside it, and shard locks never
-    /// take slot locks, so no cycle exists). Only the owning thread and
-    /// [`Session::splay_lookup_stats`] readers take it.
-    caches: Option<ThreadSlots<SpinLock<ResolutionCache>>>,
     /// The object record; `None` when the builder asked for neither
     /// [`SessionBuilder::collect_objects`] nor an export stream.
     objects: Option<Arc<ObjectCentricCollector>>,
@@ -979,37 +947,21 @@ impl Session {
         self.sampler.event_totals()
     }
 
-    /// Object-index lookup statistics, merged over every shard and every per-thread
-    /// resolution cache: shard lookups/hits (the shard-level miss path), read-only
-    /// lookups/hits (inspection queries such as [`Session::resolve_address`] and the
-    /// GC-end identity probes), and cache probes/hits (`cache_lookups` / `cache_hits`
-    /// — resolutions that never touched a shard). Cache hits and shard lookups
-    /// partition the sample hot path:
-    /// [`LookupStats::resolutions`] is the total.
+    /// Object-index lookup statistics, merged over every shard: shard lookups/hits
+    /// (one lookup per sample; a hit is a sample inside a monitored object) and
+    /// read-only lookups/hits (inspection queries such as
+    /// [`Session::resolve_address`] and the GC-end identity probes).
     ///
     /// The name predates the flat interval index that replaced the paper's splay tree
     /// (see [`crate::interval`]); it stays until the benchmark harness that reads it is
     /// renamed with it.
     pub fn splay_lookup_stats(&self) -> LookupStats {
-        let stats = self.shared.lookup_stats();
-        match &self.caches {
-            Some(caches) => caches.iter().fold(stats, |mut acc, (_, cache)| {
-                acc.merge(&cache.lock_yielding().stats());
-                acc
-            }),
-            None => stats,
-        }
-    }
-
-    /// `true` when the session resolves samples through per-thread caches (see
-    /// [`SessionBuilder::resolution_cache`]).
-    pub fn resolution_cache_enabled(&self) -> bool {
-        self.caches.is_some()
+        self.shared.lookup_stats()
     }
 
     /// Read-only resolution of an address to the allocation site of its enclosing
-    /// monitored object. It skips the resolution cache and is counted under
-    /// `read_lookups` in [`Session::splay_lookup_stats`], apart from sample resolution.
+    /// monitored object, counted under `read_lookups` in
+    /// [`Session::splay_lookup_stats`], apart from sample resolution.
     pub fn resolve_address(&self, addr: u64) -> Option<AllocSiteId> {
         self.shared.find(addr).map(|(_, mo)| mo.site)
     }
@@ -1089,20 +1041,9 @@ impl Session {
     /// Approximate resident bytes of every session-owned data structure — the quantity
     /// behind the paper's memory-overhead figure (Fig. 4b).
     pub fn memory_footprint_bytes(&self) -> usize {
-        let cache_bytes = match &self.caches {
-            Some(caches) => {
-                caches.approx_bytes()
-                    + caches
-                        .iter()
-                        .map(|(_, cache)| cache.lock_yielding().approx_bytes())
-                        .sum::<usize>()
-            }
-            None => 0,
-        };
         self.shared.approx_bytes()
             + self.allocation.approx_bytes()
             + self.sampler.approx_bytes()
-            + cache_bytes
             + self.objects.as_ref().map_or(0, |objects| objects.approx_bytes())
     }
 
@@ -1203,20 +1144,10 @@ impl Session {
     /// Resolves one overflow batch and records it into the object record.
     fn dispatch_samples(&self, event: &MemoryAccessEvent<'_>, samples: &[Sample]) {
         // Resolve each sample's effective address to the enclosing monitored object
-        // once: through the thread's private resolution cache
-        // when enabled (repeat samples on hot objects take no shard lock at all),
-        // falling back to the index shards the batch touches (the guard is reused
-        // across the batch's spatially local addresses).
+        // once, through the index shards the batch touches (the guard is reused across
+        // the batch's spatially local addresses).
         let mut sites = SiteBatch::default();
-        let addrs = || samples.iter().map(|s| &s.effective_addr);
-        match &self.caches {
-            Some(caches) => {
-                let (cache, _) = caches
-                    .get_or_register(event.thread, || SpinLock::new(ResolutionCache::default()));
-                self.shared.resolve_batch_cached(&mut cache.lock(), addrs(), &mut sites)
-            }
-            None => self.shared.resolve_batch(addrs(), &mut sites),
-        }
+        self.shared.resolve_batch(samples.iter().map(|s| &s.effective_addr), &mut sites);
         if let Some(objects) = &self.objects {
             objects.record_batch(
                 event.thread,
@@ -1459,12 +1390,11 @@ mod tests {
             main.samples
         );
         let stats = session.splay_lookup_stats();
-        assert!(
-            stats.resolutions() >= main.samples,
-            "every sample resolves through the cache or a shard"
-        );
-        assert!(stats.hits + stats.cache_hits > 0);
-        assert!(stats.cache_hits > 0, "the hot bloat loop re-references its arrays");
+        assert_eq!(stats.lookups, session.total_samples(), "one shard lookup per sample");
+        let in_object: u64 =
+            profile.threads.iter().map(|t| t.samples - t.unattributed.samples).sum();
+        assert!(in_object > 0);
+        assert_eq!(stats.hits, in_object, "a shard hit is a sample inside a monitored object");
         assert_eq!(stats.read_lookups, 0, "the hot path never uses read-only resolution");
         assert!(session.memory_footprint_bytes() > 0);
     }
@@ -1556,34 +1486,6 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn invalid_explicit_shard_count_is_rejected_at_build() {
         let _ = Session::builder().index_shards(3).build();
-    }
-
-    #[test]
-    fn resolution_cache_accelerates_hot_objects_and_can_be_disabled() {
-        let (_rt, cached) =
-            bloat_run_with(|rt| Session::builder().period(16).collect_objects().attach(rt));
-        assert!(cached.resolution_cache_enabled());
-        let stats = cached.splay_lookup_stats();
-        assert_eq!(stats.cache_lookups, cached.total_samples());
-        assert!(stats.cache_hits > 0, "the bloat loop re-references its hot arrays");
-        assert_eq!(stats.resolutions(), cached.total_samples());
-
-        let (_rt, uncached) = bloat_run_with(|rt| {
-            Session::builder()
-                .period(16)
-                .resolution_cache(false)
-                .collect_objects()
-                .attach(rt)
-        });
-        assert!(!uncached.resolution_cache_enabled());
-        let stats = uncached.splay_lookup_stats();
-        assert_eq!(stats.cache_lookups, 0);
-        assert_eq!(stats.lookups, uncached.total_samples());
-        // The cache never changes attribution, only where it is resolved.
-        assert_eq!(
-            cached.object_profile().unwrap().to_text(),
-            uncached.object_profile().unwrap().to_text()
-        );
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Per-thread slots reached without a hash or a lock.
 //!
-//! Every table the session keeps per profiled thread — the thread's PMU, its
-//! resolution cache, each collector's open delta — is a [`ThreadSlots`]: one slot per
-//! thread, registered on first sight and never moved or freed while the table lives.
+//! Every table the session keeps per profiled thread — the thread's PMU, the record's
+//! open delta — is a [`ThreadSlots`]: one slot per thread, registered on first sight
+//! and never moved or freed while the table lives.
 //! The runtime issues dense thread ids (the simulated runtime counts from 1; JVMTI
 //! threads map to Linux TIDs, which stay below 2²²), so the table indexes slots by the
 //! id itself: finding a thread's slot is two acquire loads — the id's segment, then

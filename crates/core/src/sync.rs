@@ -32,12 +32,11 @@
 //!
 //! Two subsystems are built on this:
 //!
-//! * the per-shard epochs of [`SharedObjectIndex`](crate::agent::SharedObjectIndex),
-//!   which make the per-thread object-resolution caches safe across GC relocation —
-//!   a cache hit is one `Acquire` load, no shard lock;
-//! * the snapshot retirement of the per-thread collector state in [`crate::session`],
+//! * the snapshot retirement of the per-thread object record in [`crate::session`],
 //!   where each snapshot advances an epoch and moves the accumulated state of the
-//!   closing epoch into a retired buffer that is cloned *outside* every sampling lock.
+//!   closing epoch into a retired buffer that is cloned *outside* every sampling lock;
+//! * the export drainer's push epoch in [`crate::export`], which closes the race
+//!   between the drainer finding its queue empty and parking.
 //!
 //! Bumps use `Release` and validations `Acquire`, so any reader that has a
 //! happens-before edge from a mutation's completion (a lock release, a published

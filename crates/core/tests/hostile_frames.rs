@@ -495,11 +495,19 @@ impl WalDir {
     }
 
     /// Writes `bytes` as the directory's one WAL file and runs recovery over it.
-    /// Recovery must not panic, and an error must name the file.
+    /// Recovery must not panic, must allocate no more than [`HOSTILE_ALLOC_BOUND`] at
+    /// once, and an error must name the file.
     fn recover(&self, bytes: &[u8]) -> Result<bool, TestCaseError> {
         let name = "hostile.wal";
         std::fs::write(self.0.join(name), bytes).expect("WAL writes");
-        match FleetAggregator::recover(&self.0) {
+        let mut outcome = None;
+        let peak = peak_allocation(|| outcome = Some(FleetAggregator::recover(&self.0)));
+        prop_assert!(
+            peak <= HOSTILE_ALLOC_BOUND,
+            "recovering {} WAL bytes made a {peak}-byte allocation",
+            bytes.len()
+        );
+        match outcome.expect("recovery ran") {
             Ok(_) => Ok(true),
             Err(e) => {
                 prop_assert!(e.to_string().contains(name), "error names no file: {}", e);
@@ -534,6 +542,17 @@ fn a_valid_wal_recovers() {
     assert_eq!(report.producers.len(), 1);
     assert_eq!(report.producers[0].producer, "web 1");
     assert!(report.producers[0].finished && report.producers[0].torn_tail.is_none());
+}
+
+#[test]
+fn a_wal_frame_claiming_the_cap_allocates_only_what_arrives() {
+    let dir = WalDir::new("wal-cap");
+    let mut claimed = frames_of_every_kind().swap_remove(0);
+    claimed[6..10].copy_from_slice(&CAP.to_le_bytes());
+    // The header line, then a frame header claiming a 16 MiB payload followed by
+    // only a few of its bytes.
+    let wal = [WAL_HEADER.as_bytes(), &claimed[..HEADER_LEN + 8]].concat();
+    dir.recover(&wal).expect("recovery stays within the allocation bound");
 }
 
 proptest! {

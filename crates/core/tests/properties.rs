@@ -23,8 +23,8 @@ use djxperf::{
     AccessContext, AllocSite, AllocSiteId, AllocSiteRegistry, AllocationAgent, AllocationConfig,
     AllocationStats, BinaryChunkedSink, Cct, DeltaFold, GroupBy, GroupKey, Interval, IntervalIndex,
     LiveFold, Locality, MetricVector, MonitoredObject, MultiSource, ObjectCentricProfile,
-    ProfileDelta, ProfilerConfig, Query, QueryGroup, QueryResult, RankBy, ResolutionCache,
-    SharedObjectIndex, ThreadDelta, ThreadProfile,
+    ProfileDelta, ProfilerConfig, Query, QueryGroup, QueryResult, RankBy, SharedObjectIndex,
+    ThreadDelta, ThreadProfile,
 };
 
 // --------------------------------------------------------------------------------------
@@ -179,20 +179,19 @@ proptest! {
         }
     }
 
-    /// Cached resolution through a per-thread [`ResolutionCache`] agrees with the
-    /// naive model under arbitrary interleavings of insert, free, relocation and
-    /// resolution — the epoch-invalidation property: a mutation bumps the touched
-    /// shards' epochs, so a cache entry can never resolve to a freed or moved object,
-    /// no matter how the operations interleave or how small the cache.
+    /// Batch resolution ([`SharedObjectIndex::resolve_batch`], the sample path) agrees
+    /// with the naive model under arbitrary interleavings of insert, free, relocation
+    /// and resolution. Every check resolves a multi-address batch, so the shard guard
+    /// is reused across same-shard addresses and switched between shards, and a freed
+    /// or moved object never resolves at its old range.
     #[test]
-    fn cached_resolution_matches_single_tree_under_insert_free_relocate(
+    fn batch_resolution_matches_naive_index_under_insert_free_relocate(
         ops in prop::collection::vec(
             prop_oneof![
                 (0..SLOTS, 1..SLOT_SIZE, any::<u64>())
                     .prop_map(|(slot, len, value)| TreeOp::Insert { slot, len, value }),
                 (0..SLOTS).prop_map(|slot| TreeOp::Remove { slot }),
-                // The lookup arm appears twice: resolution is the common operation,
-                // and repeat resolutions are what fill and re-validate the cache.
+                // The lookup arm appears twice: resolution is the common operation.
                 (0..SLOTS, 0..SLOT_SIZE).prop_map(|(slot, offset)| TreeOp::Lookup {
                     slot,
                     offset
@@ -206,28 +205,30 @@ proptest! {
         ),
         relocations in prop::collection::vec((0..SLOTS, 0..SLOTS), 0..40),
         shards in (0u32..5).prop_map(|i| 1usize << i),
-        cache_slots in (1u32..7).prop_map(|i| 1usize << i),
     ) {
         // Scale slots to two shard regions each so objects span shards regularly.
         let scale = 2 * (1u64 << 13) / SLOT_SIZE;
         let index = SharedObjectIndex::with_shards(shards);
         let mut reference = NaiveIndex::default();
-        // One persistent cache across the whole interleaving, as a sampling thread
-        // would keep; small slot counts force aliasing evictions.
-        let mut cache = ResolutionCache::new(cache_slots);
         let mut relocations = relocations.into_iter();
+        let mut resolved = 0u64;
 
-        let resolve = |cache: &mut ResolutionCache, addr: u64| -> Option<u32> {
+        let mut resolve = |addrs: &[u64]| -> Vec<Option<u32>> {
             let mut out = Vec::new();
-            index.resolve_batch_cached(cache, [addr].iter(), &mut out);
-            out[0].map(|site| site.0)
+            index.resolve_batch(addrs.iter(), &mut out);
+            resolved += addrs.len() as u64;
+            out.into_iter().map(|site| site.map(|site| site.0)).collect()
+        };
+        let expect = |reference: &NaiveIndex, addrs: &[u64]| -> Vec<Option<u32>> {
+            addrs.iter().map(|&addr| reference.lookup(addr).map(|(_, m)| m.site.0)).collect()
         };
 
         for op in ops {
             match op {
                 TreeOp::Insert { slot, len, value } => {
                     let start = slot * SLOT_SIZE * scale;
-                    let interval = Interval::new(start, start + len * scale);
+                    let end = start + len * scale;
+                    let interval = Interval::new(start, end);
                     let mo = MonitoredObject {
                         object: ObjectId(value),
                         site: AllocSiteId(value as u32),
@@ -235,22 +236,29 @@ proptest! {
                     };
                     index.insert(interval, mo);
                     reference.insert(interval, mo);
-                    // The freshly inserted object resolves immediately, even if the
-                    // cache held the slot's previous occupant.
-                    prop_assert_eq!(resolve(&mut cache, start), Some(value as u32));
+                    // The freshly inserted object resolves immediately at both ends.
+                    let batch = [start, end - 1, end];
+                    let got = resolve(&batch);
+                    prop_assert_eq!(got[..2].to_vec(), vec![Some(value as u32); 2]);
+                    prop_assert_eq!(got, expect(&reference, &batch));
                 }
                 TreeOp::Remove { slot } => {
                     let addr = slot * SLOT_SIZE * scale;
                     let removed = index.remove(addr).map(|(_, m)| m.object);
                     let expected = reference.remove(addr).map(|(_, m)| m.object);
                     prop_assert_eq!(removed, expected);
-                    // A freed object must never resolve from a stale cache entry.
-                    prop_assert_eq!(resolve(&mut cache, addr), None);
+                    // A freed object never resolves again.
+                    let batch = [addr, addr + 1, addr + SLOT_SIZE * scale];
+                    let got = resolve(&batch);
+                    prop_assert_eq!(got[0], None);
+                    prop_assert_eq!(got, expect(&reference, &batch));
                 }
                 TreeOp::Lookup { slot, offset } => {
                     let addr = slot * SLOT_SIZE * scale + offset * scale;
-                    let expected = reference.lookup(addr).map(|(_, m)| m.site.0);
-                    prop_assert_eq!(resolve(&mut cache, addr), expected);
+                    // Neighbouring slots share the address's shard or cross into the
+                    // next one, so the batch both reuses and switches the guard.
+                    let batch = [addr, addr + scale, addr + SLOT_SIZE * scale, addr];
+                    prop_assert_eq!(resolve(&batch), expect(&reference, &batch));
                     // Interleave a relocation after some resolutions: move the object
                     // owning `from` (if any) to slot `to` with a single remove+insert.
                     if let Some((from, to)) = relocations.next() {
@@ -266,19 +274,18 @@ proptest! {
                             index.insert(new_iv, mo);
                             reference.insert(new_iv, mo);
                             // Old range is cold, new range resolves — immediately.
-                            prop_assert_eq!(
-                                resolve(&mut cache, from_addr),
-                                reference.lookup(from_addr).map(|(_, m)| m.site.0)
-                            );
-                            prop_assert_eq!(resolve(&mut cache, to_addr), Some(mo.site.0));
+                            let batch = [from_addr, to_addr, new_iv.end - 1];
+                            let got = resolve(&batch);
+                            prop_assert_eq!(got[1], Some(mo.site.0));
+                            prop_assert_eq!(got, expect(&reference, &batch));
                         }
                     }
                 }
             }
             prop_assert_eq!(index.live_objects(), reference.len());
         }
-        // The cache did real work: every resolution probed it.
-        prop_assert!(cache.stats().cache_lookups > 0);
+        // Every resolved address was one shard lookup.
+        prop_assert_eq!(index.lookup_stats().lookups, resolved);
     }
 
     /// `find` (read-only, separately counted) and `lookup` always agree.

@@ -3,7 +3,7 @@
 //! A counting global allocator tallies allocations per thread (tests run on parallel
 //! threads, so a process-wide count would pick up the neighbours' allocations). Each
 //! test warms a session — the thread's PMU and collector state, the CCT path, the
-//! traffic-matrix cell, the site entries and the resolution cache exist — then asserts
+//! traffic-matrix cell and the site entries exist — then asserts
 //! that the measured callbacks allocate nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
