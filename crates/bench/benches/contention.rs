@@ -135,7 +135,7 @@ enum Ingest {
     /// The object-record session at `period`, no export.
     Full { period: u64 },
     /// The object-record session at [`FULL_PERIOD`], streaming the binary epoch log
-    /// into `io::sink()` (5 ms tick, coalescing backpressure).
+    /// into `io::sink()` (5 ms tick; a full queue merges deltas).
     Stream,
     /// The object-record session at [`FLEET_PERIOD`], streaming to a loopback
     /// aggregator with or without a WAL.
@@ -307,7 +307,7 @@ impl SessionPipeline {
     fn new(ingest: Ingest, fixtures: &Fixtures) -> Self {
         let base = Session::builder().index_shards(INDEX_SHARDS);
         let full = |base: SessionBuilder, period| base.period(period).collect_objects();
-        let policy = DrainPolicy::new().capacity(8).coalesce().tick(Duration::from_millis(5));
+        let policy = DrainPolicy::new().tick(Duration::from_millis(5));
         let builder = match ingest {
             Ingest::Full { period } => full(base, period),
             Ingest::Stream => {

@@ -43,22 +43,23 @@
 //! once ingestion has quiesced. Deltas appear on the wire in strictly increasing
 //! epoch order; empty epochs are skipped.
 //!
-//! # Backpressure
+//! # The hand-off rule
 //!
-//! The hand-off queue is bounded ([`DrainPolicy::capacity`]). When the drainer falls
-//! behind, a full queue is resolved by [`Backpressure`]:
-//!
-//! * [`Backpressure::Coalesce`] (default) — the new delta is merged into the newest
-//!   queued delta ([`ProfileDelta::merge_from`], a keyed fold costing O(accumulated +
-//!   incoming) threads per merge — a long-backpressured queue never degrades into
-//!   quadratic rescans of the growing accumulator); nothing is lost, the stream just
-//!   carries coarser partitions. Export cost stays bounded and ingestion never waits.
-//! * [`Backpressure::Block`] — the producer spins (yielding) until the drainer makes
-//!   room, preserving the exact epoch granularity. Only snapshot-side threads ever
-//!   block; the sampling hot path never touches the queue.
+//! The hand-off queue is bounded ([`DrainPolicy::capacity`]) and no push ever
+//! waits. When the drainer falls behind, a full queue merges the new delta into its
+//! newest queued delta ([`ProfileDelta::merge_from`], a keyed fold costing
+//! O(accumulated + incoming) threads per merge — a long-backed-up queue never
+//! degrades into quadratic rescans of the growing accumulator): nothing is lost, the
+//! stream just carries coarser partitions, and the merge count is
+//! [`ExportStats::coalesced`]. The capacity bounds deltas only: the terminal
+//! [`FinishRecord`] is always appended, so it may take one slot past it. The
+//! drainer's tick is one more producer — it takes the same gate, closes an epoch the
+//! same way and queues behind whatever is already queued. Only snapshot-side threads
+//! and the drainer ever touch the queue; the sampling hot path never does.
 //!
 //! A slow or hung **sink** is a different failure than a slow drainer: the drainer
-//! thread itself is the one stuck in `on_delta`. Local writers are fast, but a
+//! thread itself is the one stuck in `on_delta`. Producers still never wait: the
+//! queue fills, then merges. Local writers are fast, but a
 //! socket-backed [`FleetSink`](crate::fleet::FleetSink) caps that stall with an ack
 //! deadline and fails the frame back into its own bounded, spillable buffer — the
 //! drainer's `on_delta` call returns and the queue keeps draining even when the
@@ -88,48 +89,30 @@ use crate::session::{ObjectCentricCollector, ProfilerConfig};
 use crate::sink::{FinishRecord, LogRecord, ProfileSink};
 use crate::sync::{Epoch, SpinLock};
 
-/// What a producer does when the hand-off queue is full. See the
-/// [module documentation](self).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backpressure {
-    /// Spin (yielding the timeslice) until the drainer makes room: exact epoch
-    /// granularity on the wire, at the cost of stalling the snapshotting thread.
-    Block,
-    /// Merge the new delta into the newest queued one: bounded memory and no waiting,
-    /// at the cost of coarser delta granularity. Loss-free either way.
-    Coalesce,
-}
-
-/// Configuration of the background drain pipeline.
+/// Configuration of the background drain pipeline. Set it through its builder
+/// methods, which validate every value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DrainPolicy {
-    /// Maximum number of deltas queued between producers and the drainer. Must be
-    /// ≥ 1 — asserted both by [`DrainPolicy::capacity`] and when the stream spawns,
-    /// so a zero smuggled in through a struct literal panics instead of hanging
-    /// every push.
-    pub capacity: usize,
-    /// What producers do when the queue is full.
-    pub backpressure: Backpressure,
-    /// How often the drainer closes an epoch on its own when nobody snapshots. Must
-    /// be non-zero — asserted both by [`DrainPolicy::tick`] and when the stream
-    /// spawns, so a zero smuggled in through a struct literal panics instead of
-    /// busy-spinning the drainer at 100% of a core.
-    pub tick: Duration,
+    /// Maximum number of deltas queued between producers and the drainer.
+    capacity: usize,
+    /// How often the drainer closes an epoch on its own when nobody snapshots.
+    tick: Duration,
 }
 
 impl Default for DrainPolicy {
     fn default() -> Self {
-        Self { capacity: 8, backpressure: Backpressure::Coalesce, tick: Duration::from_millis(5) }
+        Self { capacity: 8, tick: Duration::from_millis(5) }
     }
 }
 
 impl DrainPolicy {
-    /// The default policy: capacity 8, [`Backpressure::Coalesce`], 5 ms tick.
+    /// The default policy: capacity 8, 5 ms tick.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Sets the queue capacity.
+    /// Sets the queue capacity: how many deltas may wait for the drainer before
+    /// new ones are merged into the newest queued delta.
     ///
     /// # Panics
     ///
@@ -137,18 +120,6 @@ impl DrainPolicy {
     pub fn capacity(mut self, capacity: usize) -> Self {
         assert!(capacity > 0, "drain queue capacity must be non-zero");
         self.capacity = capacity;
-        self
-    }
-
-    /// Selects [`Backpressure::Block`].
-    pub fn block(mut self) -> Self {
-        self.backpressure = Backpressure::Block;
-        self
-    }
-
-    /// Selects [`Backpressure::Coalesce`].
-    pub fn coalesce(mut self) -> Self {
-        self.backpressure = Backpressure::Coalesce;
         self
     }
 
@@ -176,10 +147,10 @@ pub struct ExportStats {
     /// Buffer epochs closed on behalf of the stream (including empty ones, which are
     /// never put on the wire).
     pub epochs_drained: u64,
-    /// Deltas merged into a queued delta because the queue was full
-    /// ([`Backpressure::Coalesce`]).
+    /// Deltas merged into the newest queued delta because the queue was full.
     pub coalesced: u64,
-    /// Pushes that had to wait for the drainer ([`Backpressure::Block`]).
+    /// Pushes that had to wait for the drainer. Always 0 — no push waits; kept
+    /// only because perfbench still reports it as `export.blocked`.
     pub blocked: u64,
 }
 
@@ -238,25 +209,17 @@ pub(crate) trait DeltaTap: Send + Sync {
 
 /// State shared between producers (snapshot threads, the session) and the drainer.
 pub(crate) struct ExportShared {
-    /// Serializes drain→push hand-offs so epochs are strictly ordered on the wire.
-    /// Held across a drain and its push; the drainer only ever `try_lock`s it, so a
-    /// producer blocking on a full queue can never deadlock against the drainer.
+    /// Serializes epoch hand-offs ([`ExportShared::close_epoch`]) so epochs are
+    /// strictly ordered on the wire. Held across a drain and its push, which never
+    /// waits, so the drainer's tick takes it like any producer.
     gate: SpinLock<()>,
     /// The bounded delta queue.
     queue: SpinLock<VecDeque<LogRecord>>,
     capacity: usize,
-    backpressure: Backpressure,
     /// Set under the gate after the [`LogRecord::Finish`] item is queued; deltas
     /// arriving later (post-finish races) are dropped — they carry samples recorded
     /// after the stream's endpoint by definition.
     closed: AtomicBool,
-    /// Set when the drainer thread exits — normally (after the terminal flush) or by
-    /// unwinding out of a panicking sink. Producers waiting for queue room check it
-    /// so a dead drainer can never leave a push (or [`Session::drop`]'s implicit
-    /// finish) spinning forever on a queue nobody will ever pop.
-    ///
-    /// [`Session::drop`]: crate::session::Session
-    worker_dead: AtomicBool,
     /// Bumped on every push; the drainer validates its recorded generation before
     /// parking so a push between "queue looked empty" and "park" is never slept over.
     pushed: Epoch,
@@ -271,24 +234,15 @@ pub(crate) struct ExportShared {
     samples_streamed: AtomicU64,
     epochs_drained: AtomicU64,
     coalesced: AtomicU64,
-    blocked: AtomicU64,
 }
 
 impl ExportShared {
     fn new(policy: DrainPolicy) -> Self {
-        // The builder methods assert these too, but the fields are pub: a struct
-        // literal with capacity 0 would make every push spin forever on a queue that
-        // can never gain room, and a zero tick would busy-spin the drainer at 100%
-        // of a core — both hangs caught here as a panic instead.
-        assert!(policy.capacity > 0, "drain queue capacity must be non-zero");
-        assert!(!policy.tick.is_zero(), "drain tick must be non-zero");
         Self {
             gate: SpinLock::new(()),
             queue: SpinLock::new(VecDeque::with_capacity(policy.capacity)),
             capacity: policy.capacity,
-            backpressure: policy.backpressure,
             closed: AtomicBool::new(false),
-            worker_dead: AtomicBool::new(false),
             pushed: Epoch::new(),
             drainer: SpinLock::new(None),
             taps: SpinLock::new(Vec::new()),
@@ -296,7 +250,6 @@ impl ExportShared {
             samples_streamed: AtomicU64::new(0),
             epochs_drained: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
-            blocked: AtomicU64::new(0),
         }
     }
 
@@ -306,16 +259,12 @@ impl ExportShared {
             samples_streamed: self.samples_streamed.load(Ordering::Relaxed),
             epochs_drained: self.epochs_drained.load(Ordering::Relaxed),
             coalesced: self.coalesced.load(Ordering::Relaxed),
-            blocked: self.blocked.load(Ordering::Relaxed),
+            blocked: 0,
         }
     }
 
     fn is_closed(&self) -> bool {
         self.closed.load(Ordering::Acquire)
-    }
-
-    fn worker_is_dead(&self) -> bool {
-        self.worker_dead.load(Ordering::Acquire)
     }
 
     fn wake(&self) {
@@ -333,8 +282,9 @@ impl ExportShared {
 
     // Queue accesses acquire yielding throughout: the queue is only ever touched
     // from normal thread context (snapshot producers, the drainer — never the
-    // sampling hot path), and a Coalesce producer merges whole ThreadProfiles under
-    // the lock, which a pure spin on the other side would burn a core waiting out.
+    // sampling hot path), and a producer merges whole ThreadProfiles under the lock
+    // when the queue is full, which a pure spin on the other side would burn a core
+    // waiting out.
 
     fn pop(&self) -> Option<LogRecord> {
         self.queue.lock_yielding().pop_front()
@@ -344,74 +294,51 @@ impl ExportShared {
         self.queue.lock_yielding().is_empty()
     }
 
-    /// Enqueues one delta, resolving a full queue per the backpressure policy. Deltas
-    /// arriving after the stream closed — or once the drainer thread is dead (a
-    /// panicking sink; the panic surfaces at finish) — are dropped. Call with the
-    /// gate held so epochs stay ordered.
-    fn push_delta(&self, delta: ProfileDelta) {
-        let mut pending = Some(delta);
-        let mut waited = false;
-        loop {
-            if self.is_closed() || self.worker_is_dead() {
-                return;
-            }
-            {
-                let mut queue = self.queue.lock_yielding();
-                if queue.len() < self.capacity {
-                    queue.push_back(LogRecord::Delta(pending.take().unwrap()));
-                } else if self.backpressure == Backpressure::Coalesce {
-                    if let Some(LogRecord::Delta(back)) = queue.back_mut() {
-                        back.merge_from(pending.as_ref().unwrap());
-                        pending = None;
-                        self.coalesced.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-            if pending.is_none() {
-                self.pushed.bump();
-                self.wake();
-                return;
-            }
-            if !waited {
-                waited = true;
-                self.blocked.fetch_add(1, Ordering::Relaxed);
-            }
-            self.wake();
-            std::thread::yield_now();
-        }
+    /// Queues an item and wakes the drainer.
+    fn push(&self, item: LogRecord) {
+        self.queue.lock_yielding().push_back(item);
+        self.pushed.bump();
+        self.wake();
     }
 
-    /// Enqueues the terminal item, waiting for room regardless of policy — unless the
-    /// drainer thread is dead, in which case nothing will ever pop the queue and the
-    /// caller's join will surface the panic instead. Call with the gate held, before
-    /// marking the stream closed.
-    fn push_finish(&self, record: FinishRecord) {
-        let mut pending = Some(record);
-        loop {
-            if self.worker_is_dead() {
-                return;
-            }
-            {
-                let mut queue = self.queue.lock_yielding();
-                if queue.len() < self.capacity {
-                    queue.push_back(LogRecord::Finish(pending.take().unwrap()));
+    /// Enqueues one delta, merging it into the newest queued delta when the queue is
+    /// full. Deltas arriving after the stream closed are dropped. Call with the gate
+    /// held so epochs stay ordered.
+    fn push_delta(&self, delta: ProfileDelta) {
+        if self.is_closed() {
+            return;
+        }
+        {
+            let mut queue = self.queue.lock_yielding();
+            if queue.len() >= self.capacity {
+                if let Some(LogRecord::Delta(back)) = queue.back_mut() {
+                    back.merge_from(&delta);
+                    self.coalesced.fetch_add(1, Ordering::Relaxed);
+                    return;
                 }
             }
-            if pending.is_none() {
-                self.pushed.bump();
-                self.wake();
-                return;
-            }
-            self.wake();
-            std::thread::yield_now();
+        }
+        self.push(LogRecord::Delta(delta));
+    }
+
+    /// Closes one epoch of `collector` for the stream: drains its delta, counts the
+    /// epoch, and hands a non-empty delta to the taps and the queue. Every epoch the
+    /// stream carries — a snapshot's, a flush's, the drainer's tick and the finish's
+    /// closing one — is closed here. Call with the gate held.
+    fn close_epoch(&self, collector: &ObjectCentricCollector) {
+        let delta = collector.drain_delta();
+        self.epochs_drained.fetch_add(1, Ordering::Relaxed);
+        if !delta.is_empty() {
+            self.tap(|tap| tap.on_delta(&delta));
+            self.push_delta(delta);
         }
     }
 
     /// Closes one epoch of `collector` and routes its delta into the stream — the
-    /// producer-side hand-off. The gate serializes concurrent producers (and the
-    /// drainer's own tick), so wire order follows epoch order. Acquired yielding:
-    /// every gate holder runs in normal thread context, and yielding to a preempted
-    /// holder beats spinning out its timeslice
+    /// producer-side hand-off. The gate serializes concurrent producers (the
+    /// drainer's own tick included), so wire order follows epoch order. Acquired
+    /// yielding: every gate holder runs in normal thread context, and yielding to a
+    /// preempted holder beats spinning out its timeslice
     /// ([`SpinLock::lock_yielding`]).
     ///
     /// Returns `false` when the stream has already closed: no epoch is retired, and
@@ -421,12 +348,7 @@ impl ExportShared {
         if self.is_closed() {
             return false;
         }
-        let delta = collector.drain_delta();
-        self.epochs_drained.fetch_add(1, Ordering::Relaxed);
-        if !delta.is_empty() {
-            self.tap(|tap| tap.on_delta(&delta));
-            self.push_delta(delta);
-        }
+        self.close_epoch(collector);
         true
     }
 }
@@ -440,7 +362,7 @@ struct DrainWorker {
     out: Box<dyn Write + Send>,
     tick: Duration,
     /// First sink/write error; once set, further items are consumed and discarded so
-    /// producers can never block on a dead stream.
+    /// the stream still runs to its terminal item.
     error: Option<io::Error>,
 }
 
@@ -484,77 +406,30 @@ impl DrainWorker {
 
     fn run(mut self) -> io::Result<()> {
         let mut last_drain = Instant::now();
-        // Cloned handle for gate guards: a guard's lifetime must not be tied to a
-        // borrow of `self` (emit needs `&mut self` while the gate is held).
-        let shared = Arc::clone(&self.shared);
-        loop {
-            // 1. Flush everything queued, in FIFO (= epoch) order.
+        'stream: loop {
+            // 1. Flush everything queued, in FIFO (= epoch) order. `closed` is read
+            // first: a finish publishes it (Release) only after queueing the closing
+            // delta and the terminal item, so a stream seen closed here has both in
+            // the queue, and this pass writes them.
+            let closed = self.shared.is_closed();
             while let Some(item) = self.shared.pop() {
                 if self.emit(item) {
-                    return match self.error.take() {
-                        Some(err) => Err(err),
-                        None => Ok(()),
-                    };
+                    break 'stream;
                 }
             }
-            if self.shared.is_closed() {
-                // The close may have raced the pop loop: a concurrent finish can
-                // enqueue the closing delta plus the terminal item *after* the loop
-                // saw an empty queue and *before* this check. `closed` is published
-                // (Release) only after those pushes, and nothing enqueues once it is
-                // set, so one more drain here is race-free and final — without it the
-                // last delta and the terminal record would be dropped silently.
-                while let Some(item) = self.shared.pop() {
-                    if self.emit(item) {
-                        return match self.error.take() {
-                            Some(err) => Err(err),
-                            None => Ok(()),
-                        };
-                    }
-                }
+            if closed {
                 // Defensive: closed without a terminal item (not produced by the
                 // session, but a clean exit beats a zombie thread).
-                return match self.error.take() {
-                    Some(err) => Err(err),
-                    None => self.out.flush(),
-                };
+                break;
             }
             // 2. Tick self-drain — only when the tick actually elapsed, so producer
             // pushes (which also wake this thread) do not inflate the epoch cadence
-            // beyond the documented DrainPolicy::tick. `try_lock`: if a producer is
-            // mid-hand-off we simply pop its delta on the next iteration; never
-            // block while holding nothing. The gate is held only for the O(1)
-            // queue take + epoch drain — sink I/O happens after it is released, so
-            // a producer (a snapshot on the session) never waits out a write. Wire
-            // order is safe: everything taken here predates anything a producer can
-            // enqueue after the release, and only this thread writes the sink.
+            // beyond the documented DrainPolicy::tick. The tick is one more
+            // producer: its delta queues behind everything queued before it, and
+            // the next pass writes it.
             if last_drain.elapsed() >= self.tick {
-                let mut pending = Vec::new();
-                if let Some(_gate) = shared.gate.try_lock() {
-                    if !self.shared.is_closed() {
-                        // Earlier queued epochs first, so the write stays ordered.
-                        while let Some(item) = self.shared.pop() {
-                            pending.push(item);
-                        }
-                        let delta = self.collector.drain_delta();
-                        last_drain = Instant::now();
-                        self.shared.epochs_drained.fetch_add(1, Ordering::Relaxed);
-                        if !delta.is_empty() {
-                            // This path bypasses push_delta (the pending batch is
-                            // emitted outside the gate), so taps fire here too.
-                            self.shared.tap(|tap| tap.on_delta(&delta));
-                            pending.push(LogRecord::Delta(delta));
-                        }
-                    }
-                }
-                for item in pending {
-                    if self.emit(item) {
-                        return match self.error.take() {
-                            Some(err) => Err(err),
-                            None => Ok(()),
-                        };
-                    }
-                }
+                self.shared.produce(&self.collector);
+                last_drain = Instant::now();
             }
             // 3. Park until the next push or tick. The pushed-epoch validation closes
             // the race between "queue looked empty" and the park itself.
@@ -565,6 +440,10 @@ impl DrainWorker {
             {
                 std::thread::park_timeout(self.tick);
             }
+        }
+        match self.error.take() {
+            Some(err) => Err(err),
+            None => self.out.flush(),
         }
     }
 }
@@ -615,20 +494,9 @@ impl DeltaDrainer {
             tick: policy.tick,
             error: None,
         };
-        /// Marks the worker dead on *any* exit — including unwinding out of a
-        /// panicking sink — so producers waiting for queue room stop waiting and the
-        /// panic surfaces at the join instead of hanging the session.
-        struct AliveGuard(Arc<ExportShared>);
-        impl Drop for AliveGuard {
-            fn drop(&mut self) {
-                self.0.worker_dead.store(true, Ordering::Release);
-            }
-        }
-        let alive = AliveGuard(shared.clone());
         let handle = std::thread::Builder::new()
             .name("djxperf-delta-drainer".to_string())
             .spawn(move || {
-                let _alive = alive;
                 // Register the wake handle *before* the first pop, on this thread:
                 // registering after spawn returns leaves a window in which a
                 // producer's wake() finds no handle and no-ops, leaving the first
@@ -701,12 +569,7 @@ impl DeltaDrainer {
         }
         {
             let _gate = self.shared.gate.lock_yielding();
-            let delta = collector.drain_delta();
-            self.shared.epochs_drained.fetch_add(1, Ordering::Relaxed);
-            if !delta.is_empty() {
-                self.shared.tap(|tap| tap.on_delta(&delta));
-                self.shared.push_delta(delta);
-            }
+            self.shared.close_epoch(collector);
             let record = FinishRecord {
                 event: config.event,
                 period: config.period,
@@ -715,7 +578,8 @@ impl DeltaDrainer {
                 total_samples: collector.retired_samples(),
             };
             self.shared.tap(|tap| tap.on_finish(&record));
-            self.shared.push_finish(record);
+            // The capacity bounds deltas only: the terminal item always queues.
+            self.shared.push(LogRecord::Finish(record));
             self.shared.closed.store(true, Ordering::Release);
         }
         self.shared.wake();
@@ -760,12 +624,11 @@ mod tests {
 
     #[test]
     fn policy_builder_round_trips() {
-        let policy = DrainPolicy::new().capacity(3).block().tick(Duration::from_millis(1));
+        let policy = DrainPolicy::new().capacity(3).tick(Duration::from_millis(1));
         assert_eq!(policy.capacity, 3);
-        assert_eq!(policy.backpressure, Backpressure::Block);
         assert_eq!(policy.tick, Duration::from_millis(1));
-        assert_eq!(DrainPolicy::default().backpressure, Backpressure::Coalesce);
-        assert_eq!(policy.coalesce().backpressure, Backpressure::Coalesce);
+        let default = DrainPolicy::default();
+        assert_eq!((default.capacity, default.tick), (8, Duration::from_millis(5)));
     }
 
     #[test]
@@ -781,21 +644,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "capacity must be non-zero")]
-    fn struct_literal_zero_capacity_rejected_at_spawn() {
-        // The fields are pub, so the builder asserts alone are bypassable.
-        let _ = ExportShared::new(DrainPolicy { capacity: 0, ..DrainPolicy::default() });
-    }
-
-    #[test]
-    #[should_panic(expected = "tick must be non-zero")]
-    fn struct_literal_zero_tick_rejected_at_spawn() {
-        let _ = ExportShared::new(DrainPolicy { tick: Duration::ZERO, ..DrainPolicy::default() });
-    }
-
-    #[test]
     fn coalesce_merges_into_the_newest_queued_delta_when_full() {
-        let shared = ExportShared::new(DrainPolicy::new().capacity(1).coalesce());
+        let shared = ExportShared::new(DrainPolicy::new().capacity(1));
         shared.push_delta(delta(1, 1, 5));
         shared.push_delta(delta(2, 1, 7));
         shared.push_delta(delta(3, 2, 2));
@@ -810,21 +660,19 @@ mod tests {
     }
 
     #[test]
-    fn block_waits_for_the_consumer() {
-        let shared = Arc::new(ExportShared::new(DrainPolicy::new().capacity(1).block()));
-        shared.push_delta(delta(1, 1, 1));
-        let producer = {
-            let shared = shared.clone();
-            std::thread::spawn(move || shared.push_delta(delta(2, 1, 1)))
-        };
-        // The producer can only finish once this thread pops.
-        while shared.stats().blocked == 0 {
-            std::thread::yield_now();
-        }
-        assert!(shared.pop().is_some());
-        producer.join().unwrap();
-        assert!(shared.pop().is_some(), "the blocked push landed after the pop");
-        assert_eq!(shared.stats().blocked, 1);
+    fn the_finish_queues_past_a_full_queue() {
+        let shared = ExportShared::new(DrainPolicy::new().capacity(1));
+        shared.push_delta(delta(1, 1, 5));
+        shared.push(LogRecord::Finish(FinishRecord {
+            event: djx_pmu::PmuEvent::DEFAULT,
+            period: 1,
+            size_filter: 0,
+            allocation_stats: Default::default(),
+            total_samples: 5,
+        }));
+        assert!(matches!(shared.pop(), Some(LogRecord::Delta(_))));
+        assert!(matches!(shared.pop(), Some(LogRecord::Finish(_))), "the finish is never merged");
+        assert_eq!(shared.stats().blocked, 0);
     }
 
     #[test]

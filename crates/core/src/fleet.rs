@@ -107,7 +107,9 @@
 //! crash → restart with [`FleetAggregator::recover`]; producers buffer (bounded by
 //! [`FleetSinkBuilder::buffer_budget_bytes`], spilling to disk under the default
 //! [`OverflowPolicy::SpillThenBlock`]), reconnect under capped jittered backoff
-//! ([`BackoffPolicy`]), and backfill losslessly. A hung peer trips the ack
+//! ([`BackoffPolicy`]), and backfill losslessly. Only a spill file that fails or
+//! fills holds the export drainer, and even then no snapshot or flush waits: the
+//! export queue merges the deltas arriving meanwhile. A hung peer trips the ack
 //! deadline ([`FleetSinkBuilder::ack_deadline`]) instead of wedging the export
 //! drainer: the frame fails back into the buffer and is re-sent after reconnect.
 //! Losses chosen via [`OverflowPolicy::DropOldestEpochsFlaggedLossy`] are counted
@@ -151,10 +153,9 @@ pub(crate) const FLEET_VERSION: u64 = 3;
 /// torn tail and truncating them.
 const WAL_MAGIC: &str = "djxperf-wal v4";
 
-/// Default TCP connect timeout ([`FleetSinkBuilder::connect_timeout`]): without
-/// one, a black-holed address hangs the first delivery for the OS default
-/// (minutes).
-const DEFAULT_CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
+/// Bound on each TCP connection attempt: without one, a black-holed address
+/// hangs the first delivery for the OS default (minutes).
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Default acknowledgement deadline ([`FleetSinkBuilder::ack_deadline`]): a peer
 /// that accepts frames but never acknowledges fails the frame back into the
@@ -169,9 +170,9 @@ const DEFAULT_FINISH_DEADLINE: Duration = Duration::from_secs(5);
 /// ([`FleetSinkBuilder::buffer_budget_bytes`]).
 const DEFAULT_BUFFER_BUDGET: usize = 16 * 1024 * 1024;
 
-/// Default on-disk budget for spilled frames
-/// ([`FleetSinkBuilder::spill_budget_bytes`]).
-const DEFAULT_SPILL_BUDGET: u64 = 1024 * 1024 * 1024;
+/// On-disk budget for spilled frames: [`OverflowPolicy::SpillThenBlock`] blocks
+/// once the spill file would outgrow it.
+const SPILL_BUDGET: u64 = 1024 * 1024 * 1024;
 
 // ---------------------------------------------------------------------------------------
 // Stream plumbing: one enum over TCP and Unix sockets
@@ -202,21 +203,20 @@ impl WireStream {
         }
     }
 
-    /// Arms read/write deadlines on the socket (`None` blocks forever, the OS
-    /// default). A read past the deadline fails with
-    /// [`io::ErrorKind::WouldBlock`]/[`io::ErrorKind::TimedOut`]; the producer
-    /// link treats that as a transport failure — the frame stays buffered, the
-    /// connection is dropped, and the drainer moves on.
-    fn set_io_timeouts(&self, read: Option<Duration>, write: Option<Duration>) -> io::Result<()> {
+    /// Arms one deadline on the socket's reads and writes. A read past the
+    /// deadline fails with [`io::ErrorKind::WouldBlock`]/[`io::ErrorKind::TimedOut`];
+    /// the producer link treats that as a transport failure — the frame stays
+    /// buffered, the connection is dropped, and the drainer moves on.
+    fn set_io_timeouts(&self, deadline: Duration) -> io::Result<()> {
         match self {
             WireStream::Tcp(s) => {
-                s.set_read_timeout(read)?;
-                s.set_write_timeout(write)
+                s.set_read_timeout(Some(deadline))?;
+                s.set_write_timeout(Some(deadline))
             }
             #[cfg(unix)]
             WireStream::Unix(s) => {
-                s.set_read_timeout(read)?;
-                s.set_write_timeout(write)
+                s.set_read_timeout(Some(deadline))?;
+                s.set_write_timeout(Some(deadline))
             }
         }
     }
@@ -287,42 +287,29 @@ enum Target {
 }
 
 impl Target {
-    /// Connects, bounded by `timeout` where the OS supports it. TCP resolves the
-    /// address and tries each candidate under [`TcpStream::connect_timeout`];
-    /// Unix-socket connects are local rendezvous with no std timeout — they
-    /// cannot black-hole the way a routed TCP address can.
-    fn connect(&self, timeout: Option<Duration>) -> io::Result<WireStream> {
+    /// Connects. TCP resolves the address and tries each candidate under
+    /// [`TcpStream::connect_timeout`] with [`CONNECT_TIMEOUT`]; Unix-socket
+    /// connects are local rendezvous with no std timeout — they cannot black-hole
+    /// the way a routed TCP address can.
+    fn connect(&self) -> io::Result<WireStream> {
         match self {
             Target::Tcp(addr) => {
-                let stream = match timeout {
-                    None => TcpStream::connect(addr.as_str())?,
-                    Some(timeout) => {
-                        let mut last_error = None;
-                        let mut connected = None;
-                        for candidate in addr.as_str().to_socket_addrs()? {
-                            match TcpStream::connect_timeout(&candidate, timeout) {
-                                Ok(stream) => {
-                                    connected = Some(stream);
-                                    break;
-                                }
-                                Err(e) => last_error = Some(e),
-                            }
+                let mut last_error = None;
+                for candidate in addr.as_str().to_socket_addrs()? {
+                    match TcpStream::connect_timeout(&candidate, CONNECT_TIMEOUT) {
+                        Ok(stream) => {
+                            stream.set_nodelay(true)?;
+                            return Ok(WireStream::Tcp(stream));
                         }
-                        match connected {
-                            Some(stream) => stream,
-                            None => {
-                                return Err(last_error.unwrap_or_else(|| {
-                                    io::Error::new(
-                                        io::ErrorKind::InvalidInput,
-                                        format!("address {addr:?} resolved to no candidates"),
-                                    )
-                                }))
-                            }
-                        }
+                        Err(e) => last_error = Some(e),
                     }
-                };
-                stream.set_nodelay(true)?;
-                Ok(WireStream::Tcp(stream))
+                }
+                Err(last_error.unwrap_or_else(|| {
+                    io::Error::new(
+                        io::ErrorKind::InvalidInput,
+                        format!("address {addr:?} resolved to no candidates"),
+                    )
+                }))
             }
             #[cfg(unix)]
             Target::Unix(path) => Ok(WireStream::Unix(UnixStream::connect(path)?)),
@@ -473,14 +460,11 @@ impl Backoff {
 /// budget ([`FleetSinkBuilder::buffer_budget_bytes`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum OverflowPolicy {
-    /// Block the caller (the export drainer) until the aggregator drains the
-    /// buffer. Loss-free and disk-free, but a long outage stalls the drainer —
-    /// the in-process export queue then applies its own
-    /// [`Backpressure`](crate::export::Backpressure) policy.
-    Block,
     /// Spill overflowing frames to a temporary file of binary wire frames and
-    /// backfill from it once the buffer drains; block only when the spill file
-    /// hits its own budget ([`FleetSinkBuilder::spill_budget_bytes`]). A
+    /// backfill from it once the buffer drains. Only when the spill file cannot
+    /// be written, or would outgrow its 1 GiB budget, does the caller (the export
+    /// drainer) block until the aggregator drains the buffer; the export queue
+    /// then merges the deltas arriving meanwhile (see [`crate::export`]). A
     /// day-long outage costs disk, not RSS. The default.
     #[default]
     SpillThenBlock,
@@ -695,8 +679,8 @@ impl Drop for SpillFile {
 }
 
 /// The bounded buffer of unacknowledged frames: an in-memory deque up to a byte
-/// budget, then the [`OverflowPolicy`] — spill tier, oldest-epoch drops, or
-/// blocking the caller. Frame order is strictly preserved: once frames have
+/// budget, then the [`OverflowPolicy`] — spill tier (blocking the caller only
+/// when it fails or fills) or oldest-epoch drops. Frame order is strictly preserved: once frames have
 /// spilled, new frames spill too (they are younger than everything on disk) until
 /// the file drains and resets.
 #[derive(Debug)]
@@ -706,7 +690,6 @@ struct PendingBuffer {
     budget: usize,
     policy: OverflowPolicy,
     spill_dir: PathBuf,
-    spill_budget: u64,
     spill: Option<SpillFile>,
     /// Reconnect trim watermark: spilled delta frames at or below it are already
     /// folded aggregator-side and are discarded (and counted) at refill.
@@ -716,19 +699,13 @@ struct PendingBuffer {
 }
 
 impl PendingBuffer {
-    fn new(
-        budget: usize,
-        policy: OverflowPolicy,
-        spill_dir: PathBuf,
-        spill_budget: u64,
-    ) -> PendingBuffer {
+    fn new(budget: usize, policy: OverflowPolicy, spill_dir: PathBuf) -> PendingBuffer {
         PendingBuffer {
             mem: VecDeque::new(),
             mem_bytes: 0,
             budget,
             policy,
             spill_dir,
-            spill_budget,
             spill: None,
             trim_below: 0,
             spilled_frames: 0,
@@ -745,7 +722,8 @@ impl PendingBuffer {
         self.mem.len() as u64 + self.spill.as_ref().map_or(0, |s| s.frames)
     }
 
-    /// Offers a frame; `Err(frame)` hands it back when the policy says block.
+    /// Offers a frame; `Err(frame)` hands it back when the spill tier fails or
+    /// fills and the caller must block.
     /// The terminal finish frame (`epoch == None`) is never refused and never
     /// dropped — it must be the last frame out, whatever the budget says.
     #[allow(clippy::result_large_err)]
@@ -758,12 +736,6 @@ impl PendingBuffer {
             return Ok(());
         }
         match self.policy {
-            OverflowPolicy::Block if is_finish => {
-                self.mem_bytes += len;
-                self.mem.push_back(frame);
-                Ok(())
-            }
-            OverflowPolicy::Block => Err(frame),
             OverflowPolicy::SpillThenBlock => {
                 let spill = match &mut self.spill {
                     Some(spill) => spill,
@@ -773,7 +745,7 @@ impl PendingBuffer {
                         Err(_) => return Err(frame),
                     },
                 };
-                if !is_finish && spill.bytes_on_disk() + len as u64 > self.spill_budget {
+                if !is_finish && spill.bytes_on_disk() + len as u64 > SPILL_BUDGET {
                     return Err(frame);
                 }
                 // A full disk degrades to blocking too — the frame is handed
@@ -907,8 +879,7 @@ struct Conn {
 /// The sink-side failure knobs, frozen at build time.
 #[derive(Debug)]
 struct LinkConfig {
-    connect_timeout: Option<Duration>,
-    ack_deadline: Option<Duration>,
+    ack_deadline: Duration,
     finish_deadline: Duration,
 }
 
@@ -978,8 +949,8 @@ impl Link {
     /// carries the aggregator's last folded epoch for this producer, and the
     /// pending buffer is trimmed to frames after it — the backfill resume point.
     fn try_handshake(&mut self) -> io::Result<()> {
-        let writer = self.target.connect(self.config.connect_timeout)?;
-        writer.set_io_timeouts(self.config.ack_deadline, self.config.ack_deadline)?;
+        let writer = self.target.connect()?;
+        writer.set_io_timeouts(self.config.ack_deadline)?;
         let reader = BufReader::new(writer.try_clone()?);
         let mut conn = Conn { writer, reader };
         send(&mut conn.writer, &self.hello_record())?;
@@ -1139,9 +1110,9 @@ impl FleetSink {
         Self::builder(producer, event, period, size_filter).connect_unix(path)
     }
 
-    /// Starts configuring a sink with explicit failure-model knobs:
-    /// connect/ack/finish deadlines, reconnect backoff, buffer budget, overflow
-    /// policy, spill location and fault injection. The plain `connect*`
+    /// Starts configuring a sink with explicit failure-model knobs: ack and
+    /// finish deadlines, reconnect backoff, buffer budget, overflow policy, spill
+    /// location and fault injection. The plain `connect*`
     /// constructors above are shorthands for the builder's defaults.
     pub fn builder(
         producer: &str,
@@ -1154,12 +1125,10 @@ impl FleetSink {
             event,
             period,
             size_filter,
-            connect_timeout: Some(DEFAULT_CONNECT_TIMEOUT),
-            ack_deadline: Some(DEFAULT_ACK_DEADLINE),
+            ack_deadline: DEFAULT_ACK_DEADLINE,
             finish_deadline: DEFAULT_FINISH_DEADLINE,
             backoff: None,
             buffer_budget: DEFAULT_BUFFER_BUDGET,
-            spill_budget: DEFAULT_SPILL_BUDGET,
             overflow: OverflowPolicy::default(),
             spill_dir: None,
             fault_plan: None,
@@ -1230,48 +1199,38 @@ impl Drop for FleetSink {
 ///
 /// | knob | default |
 /// |---|---|
-/// | [`connect_timeout`](Self::connect_timeout) | 10 s |
 /// | [`ack_deadline`](Self::ack_deadline) | 5 s |
 /// | [`finish_deadline`](Self::finish_deadline) | 5 s |
 /// | [`backoff`](Self::backoff) | 50 ms doubling to 2 s, jitter seeded from the producer name |
 /// | [`buffer_budget_bytes`](Self::buffer_budget_bytes) | 16 MiB |
 /// | [`overflow`](Self::overflow) | [`OverflowPolicy::SpillThenBlock`] |
 /// | [`spill_dir`](Self::spill_dir) | the OS temp directory |
-/// | [`spill_budget_bytes`](Self::spill_budget_bytes) | 1 GiB |
 /// | [`fault_plan`](Self::fault_plan) | none |
+///
+/// Fixed, not knobs: each TCP connection attempt gives up after 10 s, and the
+/// spill file holds at most 1 GiB.
 #[derive(Debug, Clone)]
 pub struct FleetSinkBuilder {
     producer: String,
     event: PmuEvent,
     period: u64,
     size_filter: u64,
-    connect_timeout: Option<Duration>,
-    ack_deadline: Option<Duration>,
+    ack_deadline: Duration,
     finish_deadline: Duration,
     /// `None` = the default policy, seeded from the producer name.
     backoff: Option<BackoffPolicy>,
     buffer_budget: usize,
-    spill_budget: u64,
     overflow: OverflowPolicy,
     spill_dir: Option<PathBuf>,
     fault_plan: Option<FaultPlan>,
 }
 
 impl FleetSinkBuilder {
-    /// Bounds each TCP connection attempt (`None` = the OS default, minutes
-    /// against a black-holed address). Unix-socket connects are local and take
-    /// no timeout.
+    /// Bounds each synchronous acknowledgement wait. On expiry the frame fails
+    /// back into the buffer, the connection is dropped, and the export drainer
+    /// moves on — a hung peer cannot wedge it.
     #[must_use]
-    pub fn connect_timeout(mut self, timeout: Option<Duration>) -> Self {
-        self.connect_timeout = timeout;
-        self
-    }
-
-    /// Bounds each synchronous acknowledgement wait (`None` = wait forever). On
-    /// expiry the frame fails back into the buffer, the connection is dropped,
-    /// and the export drainer moves on — a hung peer cannot wedge it.
-    #[must_use]
-    pub fn ack_deadline(mut self, deadline: Option<Duration>) -> Self {
+    pub fn ack_deadline(mut self, deadline: Duration) -> Self {
         self.ack_deadline = deadline;
         self
     }
@@ -1300,14 +1259,6 @@ impl FleetSinkBuilder {
     #[must_use]
     pub fn buffer_budget_bytes(mut self, budget: usize) -> Self {
         self.buffer_budget = budget;
-        self
-    }
-
-    /// Byte budget for the on-disk spill tier
-    /// ([`OverflowPolicy::SpillThenBlock`] blocks once it fills).
-    #[must_use]
-    pub fn spill_budget_bytes(mut self, budget: u64) -> Self {
-        self.spill_budget = budget;
         self
     }
 
@@ -1377,16 +1328,10 @@ impl FleetSinkBuilder {
             target,
             hello,
             conn: None,
-            pending: PendingBuffer::new(
-                self.buffer_budget,
-                self.overflow,
-                spill_dir,
-                self.spill_budget,
-            ),
+            pending: PendingBuffer::new(self.buffer_budget, self.overflow, spill_dir),
             severed: false,
             stats: FleetSinkStats::default(),
             config: LinkConfig {
-                connect_timeout: self.connect_timeout,
                 ack_deadline: self.ack_deadline,
                 finish_deadline: self.finish_deadline,
             },
@@ -1404,9 +1349,10 @@ impl ProfileSink for FleetSink {
     /// is unused — the socket is the destination). Transport failures are
     /// absorbed: the frame stays buffered (spilling to disk past the byte budget
     /// under the default policy) and the next delta (or the finish) retries after
-    /// reconnecting, gated by the backoff schedule. Only when the
-    /// [`OverflowPolicy`] demands blocking does this wait — releasing the link
-    /// lock between attempts so [`FleetSink::sever`] stays reachable.
+    /// reconnecting, gated by the backoff schedule. Only when the spill tier of
+    /// [`OverflowPolicy::SpillThenBlock`] fails or fills does this wait —
+    /// releasing the link lock between attempts so [`FleetSink::sever`] stays
+    /// reachable.
     fn on_delta(&self, epoch: u64, delta: &ProfileDelta, _out: &mut dyn Write) -> io::Result<()> {
         let mut encoded: Option<Vec<u8>> = None;
         loop {
@@ -1429,9 +1375,9 @@ impl ProfileSink for FleetSink {
                     return Ok(());
                 }
                 Err(frame) => {
-                    // Budget exhausted and the policy says block: drain what we
-                    // can, release the lock, retry. Backpressure propagates to
-                    // the export queue, never silently drops.
+                    // Spill tier failed or full: drain what we can, release the
+                    // lock, retry. The export queue merges the deltas arriving
+                    // meanwhile; nothing is silently dropped.
                     let _ = link.pump();
                     encoded = Some(frame.bytes);
                     drop(link);
@@ -2612,8 +2558,8 @@ impl FleetClient {
     }
 
     fn from_target(target: Target) -> io::Result<FleetClient> {
-        let writer = target.connect(Some(DEFAULT_CONNECT_TIMEOUT))?;
-        writer.set_io_timeouts(Some(DEFAULT_ACK_DEADLINE), Some(DEFAULT_ACK_DEADLINE))?;
+        let writer = target.connect()?;
+        writer.set_io_timeouts(DEFAULT_ACK_DEADLINE)?;
         let reader = BufReader::new(writer.try_clone()?);
         Ok(FleetClient { writer, reader })
     }
@@ -2879,8 +2825,7 @@ mod tests {
     #[test]
     fn pending_buffer_spills_in_order_and_trims_spilled_frames() {
         let dir = scratch_dir("pending");
-        let mut pending =
-            PendingBuffer::new(48, OverflowPolicy::SpillThenBlock, dir.clone(), 1 << 20);
+        let mut pending = PendingBuffer::new(48, OverflowPolicy::SpillThenBlock, dir.clone());
         for epoch in 1..=6u64 {
             pending
                 .offer(PendingFrame {
@@ -2913,7 +2858,7 @@ mod tests {
     fn lossy_buffer_drops_oldest_epochs_but_never_the_finish() {
         let dir = scratch_dir("lossy");
         let mut pending =
-            PendingBuffer::new(96, OverflowPolicy::DropOldestEpochsFlaggedLossy, dir.clone(), 0);
+            PendingBuffer::new(96, OverflowPolicy::DropOldestEpochsFlaggedLossy, dir.clone());
         for epoch in 1..=5u64 {
             pending
                 .offer(PendingFrame { epoch: Some(epoch), sites: false, bytes: vec![0; 40] })
@@ -2936,7 +2881,7 @@ mod tests {
     fn lossy_buffer_keeps_frames_that_define_sites() {
         let dir = scratch_dir("lossy-sites");
         let mut pending =
-            PendingBuffer::new(96, OverflowPolicy::DropOldestEpochsFlaggedLossy, dir.clone(), 0);
+            PendingBuffer::new(96, OverflowPolicy::DropOldestEpochsFlaggedLossy, dir.clone());
         for epoch in 1..=6u64 {
             // Epochs 1 and 4 define sites; the rest only reference them.
             let sites = epoch % 3 == 1;

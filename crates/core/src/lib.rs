@@ -126,7 +126,7 @@ pub use agent::{
     AllocationAgent, AllocationConfig, SharedObjectIndex, DEFAULT_SHARD_COUNT, DEFAULT_SIZE_FILTER,
 };
 pub use cct::{Cct, CctNodeId};
-pub use export::{Backpressure, DeltaDrainer, DrainPolicy, ExportStats, SharedBuffer};
+pub use export::{DeltaDrainer, DrainPolicy, ExportStats, SharedBuffer};
 pub use fleet::{
     BackoffPolicy, FaultAction, FaultPlan, FleetAggregator, FleetAggregatorBuilder, FleetClient,
     FleetProducer, FleetSink, FleetSinkBuilder, FleetSinkStats, FleetView, FsyncPolicy,

@@ -176,9 +176,9 @@ pub struct ThreadDelta {
 ///
 /// A delta is a *partition* of the run: folding every delta of a session in epoch
 /// order reproduces the session's own [`ObjectCentricProfile`] byte-identically.
-/// [`ProfileDelta::merge_from`] is the fold step; it is also how the export queue
-/// coalesces adjacent deltas under backpressure — merging two deltas first is
-/// equivalent to folding them one after the other.
+/// [`ProfileDelta::merge_from`] is the fold step; it is also how a full export
+/// queue coalesces adjacent deltas — merging two deltas first is equivalent to
+/// folding them one after the other.
 #[derive(Debug, Clone, Default)]
 pub struct ProfileDelta {
     /// The buffer epoch this delta closed. Epochs are strictly monotonic per session
@@ -243,8 +243,8 @@ impl ProfileDelta {
     ///
     /// The fold is keyed: one thread→slot map is built per call, so absorbing a delta
     /// costs O(self + later) instead of the old O(self × later) linear re-scan per
-    /// fragment — this is the accumulation step of both [`DeltaFold`] and the export
-    /// queue's Coalesce backpressure, where the accumulator side keeps growing. The
+    /// fragment — this is the accumulation step of both [`DeltaFold`] and a full
+    /// export queue's merge, where the accumulator side keeps growing. The
     /// `(seq, thread)` ordering is preserved without a re-sort in the common case
     /// (threads new to the accumulator usually carry later first-seen sequences);
     /// adversarial orders fall back to one sort.

@@ -788,7 +788,8 @@ impl SessionBuilder {
     /// buffer epochs on the cadence of `policy` and writes each retired
     /// [`ProfileDelta`] incrementally ([`ProfileSink::on_delta`]), so export cost
     /// scales with the delta instead of the accumulated profile — see
-    /// [`crate::export`] for the pipeline, backpressure and the loss-free guarantee.
+    /// [`crate::export`] for the pipeline, the hand-off rule and the loss-free
+    /// guarantee.
     ///
     /// Keeps the object record implicitly (the delta source).
     /// Close the stream with [`Session::finish_export`]; dropping the session's last
@@ -822,9 +823,11 @@ impl SessionBuilder {
     ///
     /// The sink never wedges the drainer: ack deadlines fail slow frames back
     /// into its bounded buffer, outages spill to disk, and reconnects back off
-    /// with jitter — tune all three through
+    /// with jitter — tune the deadlines, buffer and backoff through
     /// [`FleetSink::builder`](crate::fleet::FleetSink::builder) before handing
-    /// the sink here.
+    /// the sink here. Even a drainer held by the sink (a failed or full spill
+    /// file) never makes a snapshot or flush wait: the export queue merges the
+    /// deltas arriving meanwhile.
     pub fn stream_to_fleet(self, sink: Arc<crate::fleet::FleetSink>, policy: DrainPolicy) -> Self {
         self.stream_to(sink, Box::new(io::sink()), policy)
     }
@@ -1027,7 +1030,7 @@ impl Session {
     ///
     /// Returns an error when no export stream was configured, or with the first
     /// sink/write error the drainer encountered (the stream keeps consuming deltas
-    /// after an error so producers never block, but stops writing).
+    /// after an error, up to its terminal record, but stops writing).
     pub fn finish_export(&self) -> io::Result<ExportStats> {
         let (export, objects) = self.stream().ok_or_else(|| {
             io::Error::new(

@@ -85,7 +85,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let addr = aggregator.local_addr().expect("tcp aggregator").to_string();
     println!("aggregator listening on {addr}");
 
-    let policy = || DrainPolicy::new().capacity(8).coalesce().tick(Duration::from_millis(2));
+    let policy = || DrainPolicy::new().tick(Duration::from_millis(2));
     let procs = producers();
 
     // Per producer: a socket-backed fleet session plus a local epoch-log session

@@ -221,7 +221,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|p| {
             Ok(Arc::new(
                 FleetSink::builder(&format!("soak{p}"), PmuEvent::DEFAULT, PERIOD, SIZE_FILTER)
-                    .ack_deadline(Some(Duration::from_millis(500)))
+                    .ack_deadline(Duration::from_millis(500))
                     .backoff(
                         BackoffPolicy::new()
                             .initial(Duration::from_millis(2))
@@ -234,7 +234,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ))
         })
         .collect::<std::io::Result<_>>()?;
-    let policy = || DrainPolicy::new().capacity(8).coalesce().tick(Duration::from_millis(1));
+    let policy = || DrainPolicy::new().tick(Duration::from_millis(1));
     let fleet_sessions: Vec<Arc<Session>> = sinks
         .iter()
         .map(|sink| {

@@ -72,10 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let session = Session::builder()
         .period(64)
         .size_filter(1024)
-        .stream_to_binary(
-            Box::new(log.clone()),
-            DrainPolicy::new().capacity(8).coalesce().tick(Duration::from_millis(5)),
-        )
+        .stream_to_binary(Box::new(log.clone()), DrainPolicy::new().tick(Duration::from_millis(5)))
         .build();
 
     // 2. The dashboard subscription: one query, updated per retired epoch.

@@ -95,7 +95,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .index_shards(8)
             .stream_to_binary(
                 Box::new(buffer.clone()),
-                DrainPolicy::new().capacity(8).coalesce().tick(Duration::from_millis(2)),
+                DrainPolicy::new().tick(Duration::from_millis(2)),
             )
             .build()
     };

@@ -33,10 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rt = Runtime::new(RuntimeConfig::evaluation());
     let session = Session::builder()
         .period(128)
-        .stream_to_binary(
-            Box::new(log.clone()),
-            DrainPolicy::new().capacity(8).coalesce().tick(Duration::from_millis(2)),
-        )
+        .stream_to_binary(Box::new(log.clone()), DrainPolicy::new().tick(Duration::from_millis(2)))
         .attach(&mut rt);
 
     // 2. The monitored program: the batik Listing-1 bloat loop (a float[] allocated

@@ -100,7 +100,7 @@ fn replay_accesses(session: &Session, log: &ProcessLog, range: std::ops::Range<u
 }
 
 fn drain_policy() -> DrainPolicy {
-    DrainPolicy::new().capacity(8).coalesce().tick(Duration::from_millis(1))
+    DrainPolicy::new().tick(Duration::from_millis(1))
 }
 
 fn fleet_session(sink: &Arc<FleetSink>) -> Arc<Session> {
@@ -848,7 +848,7 @@ fn aggregator_kill_restart_with_wal_recovery_is_byte_identical() {
         .map(|p| {
             Arc::new(
                 FleetSink::builder(&format!("proc{p}"), PmuEvent::DEFAULT, PERIOD, SIZE_FILTER)
-                    .ack_deadline(Some(Duration::from_millis(500)))
+                    .ack_deadline(Duration::from_millis(500))
                     .backoff(fast_backoff(p + 1))
                     .buffer_budget_bytes(512)
                     .spill_dir(&spill_dir.0)
@@ -889,9 +889,13 @@ fn aggregator_kill_restart_with_wal_recovery_is_byte_identical() {
     drop(aggregator);
 
     // Phase 2: the rest of the workload lands during the outage, flushed in
-    // chunks so multiple epoch frames pile up and overflow the 512-byte memory
-    // budget into the spill tier.
+    // chunks. After each flush the test waits until that producer's drainer has
+    // handed one more delta to its sink, so every producer delivers at least eight
+    // frames while the aggregator is down: at most one fails on the stale
+    // connection, the next is a refused handshake that arms the backoff, and the
+    // undelivered frames outgrow the 512-byte memory budget into the spill tier.
     let chunk = (ACCESSES_PER_PROCESS as usize - half) / 8;
+    let streamed = |p: usize| fleet_sessions[p].export_stats().unwrap().deltas_streamed;
     for c in 0..8 {
         let range = (half + c * chunk)..if c == 7 {
             ACCESSES_PER_PROCESS as usize
@@ -899,9 +903,15 @@ fn aggregator_kill_restart_with_wal_recovery_is_byte_identical() {
             half + (c + 1) * chunk
         };
         for p in 0..PROCESSES as usize {
+            let before = streamed(p);
             replay_accesses(&fleet_sessions[p], &logs[p], range.clone());
             replay_accesses(&log_sessions[p], &logs[p], range.clone());
             fleet_sessions[p].flush_export();
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while streamed(p) == before {
+                assert!(Instant::now() < deadline, "proc{p} never streamed outage chunk {c}");
+                std::thread::sleep(Duration::from_millis(1));
+            }
         }
     }
     assert!(
@@ -1147,7 +1157,7 @@ fn lossy_overflow_policy_drops_oldest_and_flags_truncation() {
     let sink = FleetSink::builder("lossy", PmuEvent::DEFAULT, PERIOD, SIZE_FILTER)
         .overflow(OverflowPolicy::DropOldestEpochsFlaggedLossy)
         .buffer_budget_bytes(200)
-        .ack_deadline(Some(Duration::from_millis(250)))
+        .ack_deadline(Duration::from_millis(250))
         .backoff(fast_backoff(42))
         .finish_deadline(Duration::from_secs(20))
         .connect(&addr)
@@ -1208,7 +1218,7 @@ fn hung_aggregator_never_wedges_the_drainer() {
     let addr = aggregator.local_addr().expect("tcp aggregator").to_string();
     let sink = Arc::new(
         FleetSink::builder("hung", PmuEvent::DEFAULT, PERIOD, SIZE_FILTER)
-            .ack_deadline(Some(Duration::from_millis(100)))
+            .ack_deadline(Duration::from_millis(100))
             .finish_deadline(Duration::from_millis(500))
             .backoff(fast_backoff(9))
             .connect(&addr)
@@ -1255,7 +1265,7 @@ fn sink_fault_plan_heals_losslessly() {
     let addr = aggregator.local_addr().expect("tcp aggregator").to_string();
     let sink = FleetSink::builder("faulty", PmuEvent::DEFAULT, PERIOD, SIZE_FILTER)
         .fault_plan(FaultPlan::new().drop_at(2).corrupt_at(4).delay_at(6, Duration::from_millis(5)))
-        .ack_deadline(Some(Duration::from_millis(500)))
+        .ack_deadline(Duration::from_millis(500))
         .backoff(fast_backoff(5))
         .finish_deadline(Duration::from_secs(20))
         .connect(&addr)

@@ -96,7 +96,7 @@ fn streaming_session(buffer: &SharedBuffer) -> Arc<Session> {
         .index_shards(8)
         .stream_to_binary(
             Box::new(buffer.clone()),
-            DrainPolicy::new().capacity(8).coalesce().tick(Duration::from_millis(1)),
+            DrainPolicy::new().tick(Duration::from_millis(1)),
         )
         .build()
 }

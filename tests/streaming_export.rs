@@ -5,13 +5,14 @@
 //! The load-bearing property is **loss-free, order-preserving replay**: folding the
 //! streamed deltas (here by replaying the binary [`BinaryChunkedSink`] epoch log) must
 //! reproduce a profile *byte-identical* to a terminal [`Session::snapshot`] — under
-//! concurrent ingestion racing the drainer, under both backpressure policies, and
-//! across user-driven snapshots that retire epochs mid-stream.
+//! concurrent ingestion racing the drainer, under a full queue that merges deltas,
+//! behind a sink that stalls, and across user-driven snapshots that retire epochs
+//! mid-stream.
 
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use djx_memsim::{HierarchyConfig, MemoryAccess, MemoryHierarchy};
 use djx_runtime::{
@@ -158,47 +159,11 @@ fn streamed_deltas_fold_byte_identically_under_concurrent_ingestion() {
 }
 
 #[test]
-fn block_backpressure_preserves_every_delta_at_exact_granularity() {
-    let logs = build_logs(2, 4_000);
-    let buffer = SharedBuffer::new();
-    // Capacity 1 + Block + a tick long enough that explicit flushes are the only
-    // drain source: pushes must wait for the drainer instead of folding.
-    let session = streaming_session(
-        DrainPolicy::new().capacity(1).block().tick(Duration::from_secs(60)),
-        &buffer,
-    );
-    for log in &logs {
-        replay_allocs(&session, log);
-    }
-    for log in &logs {
-        // Flush after every chunk of accesses so many small deltas cross the queue.
-        for chunk in log.outcomes.chunks(256) {
-            for outcome in chunk {
-                session.on_memory_access(&MemoryAccessEvent {
-                    thread: log.thread,
-                    outcome: *outcome,
-                    call_trace: &log.call_trace,
-                    object: None,
-                });
-            }
-            assert!(session.flush_export(), "the stream accepts flushes while running");
-        }
-    }
-    let stats = session.finish_export().unwrap();
-    assert_eq!(stats.samples_streamed, session.total_samples());
-    assert_eq!(stats.coalesced, 0, "Block never folds deltas");
-    let terminal = session.object_profile().unwrap();
-    assert_log_replays_terminal(&buffer, &terminal);
-}
-
-#[test]
 fn coalesce_backpressure_folds_but_never_loses() {
     let logs = build_logs(2, 4_000);
     let buffer = SharedBuffer::new();
-    let session = streaming_session(
-        DrainPolicy::new().capacity(1).coalesce().tick(Duration::from_secs(60)),
-        &buffer,
-    );
+    let session =
+        streaming_session(DrainPolicy::new().capacity(1).tick(Duration::from_secs(60)), &buffer);
     for log in &logs {
         replay_allocs(&session, log);
     }
@@ -215,15 +180,15 @@ fn coalesce_backpressure_folds_but_never_loses() {
                             object: None,
                         });
                     }
-                    // Concurrent flushes race each other and the drainer; under
-                    // Coalesce none of them ever waits.
+                    // Concurrent flushes race each other and the drainer; a full
+                    // queue merges, so none of them ever waits.
                     session.flush_export();
                 }
             });
         }
     });
     let stats = session.finish_export().unwrap();
-    assert_eq!(stats.blocked, 0, "Coalesce never blocks a producer");
+    assert_eq!(stats.blocked, 0, "no push ever waits");
     assert_eq!(
         stats.samples_streamed,
         session.total_samples(),
@@ -389,8 +354,8 @@ fn a_finish_racing_sampling_checksums_exactly_the_streamed_deltas() {
 
 #[test]
 fn panicking_sink_surfaces_at_finish_instead_of_hanging() {
-    // A sink that panics mid-stream kills the drainer thread. Producers must stop
-    // waiting for queue room (nothing will ever pop again) and the panic must
+    // A sink that panics mid-stream kills the drainer thread, so nothing ever pops
+    // the queue again. Producers never wait for queue room, and the panic must
     // surface as finish_export's error — not as a session that hangs on drop.
     struct PanickingSink;
     impl ProfileSink for PanickingSink {
@@ -409,14 +374,14 @@ fn panicking_sink_surfaces_at_finish_instead_of_hanging() {
 
     let logs = build_logs(1, 2_000);
     let buffer = SharedBuffer::new();
-    // Capacity 1 + Block: without dead-drainer detection, the flushes after the
-    // panic — and the finish itself — would spin forever on the full queue.
+    // Capacity 1: the flushes after the panic merge into the one queued delta, and
+    // the finish queues one slot past it; a push that waited for room would hang.
     let session = Session::builder()
         .period(PERIOD)
         .stream_to(
             Arc::new(PanickingSink),
             Box::new(buffer.clone()),
-            DrainPolicy::new().capacity(1).block().tick(Duration::from_millis(1)),
+            DrainPolicy::new().capacity(1).tick(Duration::from_millis(1)),
         )
         .build();
     replay_allocs(&session, &logs[0]);
@@ -429,6 +394,94 @@ fn panicking_sink_surfaces_at_finish_instead_of_hanging() {
     // Repeated finishes replay the failure; profiles stay readable.
     assert!(session.finish_export().is_err());
     assert!(session.object_profile().unwrap().total_samples() > 0);
+}
+
+#[test]
+fn a_stuck_sink_never_stalls_a_producer() {
+    // The drainer sits inside the sink's on_delta until the test releases it, so
+    // nothing leaves the capacity-1 queue while four threads flush 50 times each.
+    // Every flush must return while the sink is still held: a full queue merges the
+    // new delta into its newest one instead of waiting for room.
+    struct StuckSink {
+        entered: AtomicBool,
+        released: AtomicBool,
+    }
+    impl ProfileSink for StuckSink {
+        fn on_delta(
+            &self,
+            epoch: u64,
+            delta: &ProfileDelta,
+            out: &mut dyn io::Write,
+        ) -> io::Result<()> {
+            self.entered.store(true, Ordering::Release);
+            while !self.released.load(Ordering::Acquire) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            BinaryChunkedSink.on_delta(epoch, delta, out)
+        }
+        fn on_finish(&self, record: &FinishRecord, out: &mut dyn io::Write) -> io::Result<()> {
+            BinaryChunkedSink.on_finish(record, out)
+        }
+    }
+
+    const FLUSHES: usize = 50;
+    const ACCESSES: u64 = 4_000;
+    let logs = build_logs(THREADS, ACCESSES);
+    let buffer = SharedBuffer::new();
+    let sink =
+        Arc::new(StuckSink { entered: AtomicBool::new(false), released: AtomicBool::new(false) });
+    let session = Session::builder()
+        .period(PERIOD)
+        .stream_to(sink.clone(), Box::new(buffer.clone()), DrainPolicy::new().capacity(1))
+        .build();
+    for log in &logs {
+        replay_allocs(&session, log);
+    }
+    // Get the drainer stuck in the sink before the producers start.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !sink.entered.load(Ordering::Acquire) {
+        assert!(Instant::now() < deadline, "the drainer never reached the sink");
+        replay_accesses(&session, &logs[0]);
+        session.flush_export();
+    }
+
+    let total = logs.len() * FLUSHES;
+    let returned = AtomicUsize::new(0);
+    let returned_while_held = std::thread::scope(|scope| {
+        for log in &logs {
+            let (session, returned) = (&session, &returned);
+            scope.spawn(move || {
+                for chunk in log.outcomes.chunks(ACCESSES as usize / FLUSHES) {
+                    for outcome in chunk {
+                        session.on_memory_access(&MemoryAccessEvent {
+                            thread: log.thread,
+                            outcome: *outcome,
+                            call_trace: &log.call_trace,
+                            object: None,
+                        });
+                    }
+                    session.flush_export();
+                    returned.fetch_add(1, Ordering::Release);
+                }
+            });
+        }
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while returned.load(Ordering::Acquire) < total && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Counted before the release: these flushes returned with the sink held.
+        let held = returned.load(Ordering::Acquire);
+        sink.released.store(true, Ordering::Release);
+        held
+    });
+    assert_eq!(returned_while_held, total, "every flush returned while the sink was stuck");
+
+    let stats = session.finish_export().expect("the stream finishes once the sink moves");
+    assert!(stats.coalesced > 0, "the full queue merged deltas: {stats:?}");
+    assert_eq!(stats.blocked, 0, "no push ever waits");
+    assert_eq!(stats.samples_streamed, session.total_samples());
+    let terminal = session.object_profile().unwrap();
+    assert_log_replays_terminal(&buffer, &terminal);
 }
 
 #[test]
