@@ -85,6 +85,7 @@ use parking_lot::Mutex;
 
 use crate::agent::AllocationAgent;
 use crate::profile::ProfileDelta;
+use crate::query::live::LiveShared;
 use crate::session::{ObjectCentricCollector, ProfilerConfig};
 use crate::sink::{FinishRecord, LogRecord, ProfileSink};
 use crate::sync::{Epoch, SpinLock};
@@ -193,18 +194,23 @@ impl Write for SharedBuffer {
     }
 }
 
-/// An in-process subscriber to the epoch-retired delta stream — the hook a
-/// [`LiveFold`](crate::query::live::LiveFold) registers beside the sink hand-off.
-///
-/// Callbacks run **under the hand-off gate**: subscribers observe every drained
-/// delta exactly once, in strict epoch order, atomically with the drain that
-/// produced it. Implementations must be quick (they stall producers and the
-/// drainer's tick) and must never call back into the export pipeline.
-pub(crate) trait DeltaTap: Send + Sync {
-    /// One non-empty epoch-retired delta, observed before it is queued for the sink.
-    fn on_delta(&self, delta: &ProfileDelta);
-    /// The stream's terminal record, after the final delta.
-    fn on_finish(&self, record: &FinishRecord);
+/// What a fleet sink re-sends when its aggregator lost the producer's state: the
+/// retired buffer as one delta at base 0 ([`ObjectCentricCollector::retired_delta`]),
+/// the same seed a live tap adopts, taken under the hand-off gate so it is exactly
+/// the fold of every delta drained so far. Weak both ways: `None` once the session
+/// and its drainer are gone.
+#[derive(Debug)]
+pub(crate) struct RebaseSource {
+    shared: Weak<ExportShared>,
+    collector: Weak<ObjectCentricCollector>,
+}
+
+impl RebaseSource {
+    pub(crate) fn delta(&self) -> Option<ProfileDelta> {
+        let (shared, collector) = (self.shared.upgrade()?, self.collector.upgrade()?);
+        let _gate = shared.gate.lock_yielding();
+        Some(collector.retired_delta())
+    }
 }
 
 /// State shared between producers (snapshot threads, the session) and the drainer.
@@ -225,10 +231,11 @@ pub(crate) struct ExportShared {
     pushed: Epoch,
     /// The drainer's thread handle, for wakeups.
     drainer: SpinLock<Option<std::thread::Thread>>,
-    /// Live-fold subscribers (see [`DeltaTap`]). Only ever touched under the hand-off
-    /// gate — registration included — so taps observe a strictly ordered stream.
-    /// Weak: dropping the last `LiveFold` handle unsubscribes on the next drain.
-    taps: SpinLock<Vec<Weak<dyn DeltaTap>>>,
+    /// Live-fold subscribers, fed every drained delta and the finish exactly once,
+    /// in strict epoch order. Only ever touched under the hand-off gate —
+    /// registration included. Weak: dropping the last `LiveFold` handle
+    /// unsubscribes on the next drain.
+    taps: SpinLock<Vec<Weak<LiveShared>>>,
     // Stream statistics (see [`ExportStats`]).
     deltas_streamed: AtomicU64,
     samples_streamed: AtomicU64,
@@ -276,8 +283,8 @@ impl ExportShared {
     /// Runs `f` on every live tap, pruning dropped subscribers. Call with the gate
     /// held, to hand over non-empty deltas only — empty epochs are skipped on the
     /// wire, and taps mirror the wire — and the finish after the closing delta.
-    fn tap(&self, f: impl Fn(&dyn DeltaTap)) {
-        self.taps.lock().retain(|tap| tap.upgrade().map(|tap| f(&*tap)).is_some());
+    fn tap(&self, f: impl Fn(&LiveShared)) {
+        self.taps.lock().retain(|tap| tap.upgrade().map(|tap| f(&tap)).is_some());
     }
 
     // Queue accesses acquire yielding throughout: the queue is only ever touched
@@ -540,7 +547,7 @@ impl DeltaDrainer {
     pub(crate) fn attach_tap(
         &self,
         collector: &ObjectCentricCollector,
-        seed: impl FnOnce(ProfileDelta) -> Weak<dyn DeltaTap>,
+        seed: impl FnOnce(ProfileDelta) -> Weak<LiveShared>,
     ) -> bool {
         let _gate = self.shared.gate.lock_yielding();
         if self.shared.is_closed() {
@@ -549,6 +556,11 @@ impl DeltaDrainer {
         let tap = seed(collector.retired_delta());
         self.shared.taps.lock().push(tap);
         true
+    }
+
+    /// The stream's re-base source for a fleet sink (see [`RebaseSource`]).
+    pub(crate) fn rebase_source(&self, collector: &Arc<ObjectCentricCollector>) -> RebaseSource {
+        RebaseSource { shared: Arc::downgrade(&self.shared), collector: Arc::downgrade(collector) }
     }
 
     /// Ends the stream: drains the closing delta, pushes the terminal

@@ -5,22 +5,23 @@
 //! This module crosses the process boundary with the pieces the in-process pipeline
 //! already guarantees: the export drainer ([`crate::export`]) retires epoch deltas,
 //! the binary frame codec ([`crate::wire`]) frames them replayably, and
-//! [`DeltaFold`] folds them back incrementally. Three parts:
+//! [`DeltaFold`](crate::profile::DeltaFold) folds them back incrementally. Three parts:
 //!
 //! * [`FleetSink`] — a [`ProfileSink`] that ships each epoch frame over a TCP or
 //!   Unix socket instead of a file. Plug it into
 //!   [`SessionBuilder::stream_to_fleet`](crate::session::SessionBuilder::stream_to_fleet)
 //!   and the profiled process needs no other change.
 //! * [`FleetAggregator`] — the daemon: accepts producer connections, keeps one
-//!   running [`DeltaFold`] per producer (incremental — history is never re-read),
-//!   exposes the merged fleet as a [`ProfileSource`] ([`FleetAggregator::view`]),
-//!   and answers [`Query`] requests, in process and over the same wire, by
-//!   evaluating straight from the folds ([`FleetAggregator::query`]). The fold is
-//!   the producer's stream state — header, first-seen thread names, the finish
-//!   record — so ingest, WAL recovery, views and watches all read the same one;
-//!   the aggregator adds only protocol counters and the write-ahead log.
+//!   running fold per producer (incremental — history is never re-read), exposes
+//!   the merged fleet as a [`ProfileSource`] ([`FleetAggregator::view`]), and
+//!   answers [`Query`] requests, in process and over the same wire, by evaluating
+//!   straight from the folds ([`FleetAggregator::query`]).
 //! * [`FleetClient`] — sends queries/status requests to an aggregator and returns
 //!   the rendered results.
+//!
+//! Every protocol decision — handshake, resume point, trim, backoff, duplicate
+//! drop, log-before-ack, finish, re-base — is made by two state machines with no
+//! socket, file, thread or clock (`protocol`); the rest of the module drives them.
 //!
 //! # Wire protocol (`djxperf-fleet`, version 3)
 //!
@@ -45,34 +46,23 @@
 //! | aggregator → client | result | `0x08` | the [`QueryResult`] text and JSON renderings — byte-identical to a local evaluation |
 //! | aggregator → client | status | `0x09` | one [`ProducerStatus`] row per producer |
 //!
-//! # Epoch / acknowledgement semantics
+//! # Acknowledgement, resume and truncation
 //!
-//! Every frame is acknowledged synchronously with the fold's
-//! [`last_epoch`](DeltaFold::last_epoch). The hello acknowledgement tells a
-//! reconnecting producer where to resume: the sink trims its unacknowledged buffer
-//! to frames **after** that epoch and re-sends the rest, so a connection lost
-//! mid-frame (or an acknowledgement lost in flight) backfills without loss and
-//! without double-folding. The aggregator never folds an epoch twice:
-//! [`DeltaFold::absorb_ordered`] rejects out-of-order epochs, and a rejected
-//! duplicate is dropped and re-acknowledged (counted in
-//! [`ProducerStatus::duplicates`]).
-//!
-//! # Truncation detection
-//!
-//! The finish frame carries the run's `total_samples` checksum; the aggregator
-//! refuses it ([`crate::profile::FoldError::ChecksumMismatch`]) unless the folded
-//! samples agree, so
-//! silent gaps cannot end a stream cleanly. A producer that disconnects **without**
-//! a finish keeps its partial fold queryable but flagged
-//! ([`ProducerStatus::truncated`], [`FleetProducer::truncated`]) until it
-//! reconnects and finishes — loss is always visible, end to end.
-//!
-//! Deltas are self-describing — each carries its allocation counts and the sites
-//! interned since the previous one — so a producer's partial (pre-finish) fold,
-//! running or crashed, answers every query axis, object-grouped included, at every
-//! epoch. A delta whose sites do not join the fold's table is refused
-//! ([`crate::profile::FoldError::SiteGap`]). Choosing a deployment (in-process /
-//! log replay / fleet daemon) is covered in the README's "Fleet profiling" section.
+//! Every frame is acknowledged synchronously with the fold's last epoch. The hello
+//! acknowledgement tells a reconnecting producer where to resume: the sink trims
+//! its buffer to frames **after** that epoch and re-sends the rest, so a lost
+//! connection or acknowledgement backfills without loss, and an epoch the fold has
+//! seen is dropped and re-acknowledged ([`ProducerStatus::duplicates`]) — never
+//! folded twice. Deltas are self-describing — each carries its allocation counts
+//! and the sites interned since the previous one — so a partial fold answers every
+//! query axis at every epoch, and a delta whose sites do not join the fold's table
+//! is refused ([`crate::profile::FoldError::SiteGap`]). The finish frame's
+//! `total_samples` checksum must match the fold
+//! ([`crate::profile::FoldError::ChecksumMismatch`]), and a producer that
+//! disconnects without a finish stays queryable but flagged
+//! ([`ProducerStatus::truncated`], [`FleetProducer::truncated`]): loss is always
+//! visible, end to end. Choosing a deployment (in-process / log replay / fleet
+//! daemon) is covered in the README's "Fleet profiling" section.
 //!
 //! # Durability: the write-ahead log
 //!
@@ -88,18 +78,14 @@
 //! <binary finish frame>           the finish frame as received, if the run finished
 //! ```
 //!
-//! The header line uses the text rendering's `key=value` fields and escaping
-//! (backslash, space, tab, LF and CR escaped), so any producer name fits on the
-//! one line. [`BinaryFrameReader`] replays the body unmodified.
-//! [`FleetAggregator::recover`] scans a WAL directory, replays every log through a
-//! fresh [`DeltaFold`] with the calls ingest made — [`DeltaFold::absorb_ordered`]
-//! and [`DeltaFold::finish`], lossy when the checksum cannot hold — truncating a
-//! torn tail after a mid-append crash (any frame the fold refuses ends replay), and
-//! returns a builder whose aggregator resumes exactly where the old one died:
-//! reconnecting producers learn the recovered fold's last epoch from the hello
-//! acknowledgement, re-send what is missing, and have re-sent duplicates dropped
-//! and re-acknowledged. Durability against an OS or machine crash (not just a
-//! process crash) is governed by the [`FsyncPolicy`] knob.
+//! The header line uses the text rendering's `key=value` fields and escaping, so
+//! any producer name fits on the one line. [`FleetAggregator::recover`] replays
+//! every log through ingest's own rules, cuts a torn tail after a mid-append crash
+//! (any frame the fold refuses ends replay), and returns a builder whose aggregator
+//! resumes where the old one died: reconnecting producers learn the recovered
+//! fold's last epoch from the hello acknowledgement and re-send what is missing.
+//! Durability against an OS or machine crash (not just a process crash) is
+//! governed by the [`FsyncPolicy`] knob.
 //!
 //! # Failure model
 //!
@@ -107,55 +93,60 @@
 //! crash → restart with [`FleetAggregator::recover`]; producers buffer (bounded by
 //! [`FleetSinkBuilder::buffer_budget_bytes`], spilling to disk under the default
 //! [`OverflowPolicy::SpillThenBlock`]), reconnect under capped jittered backoff
-//! ([`BackoffPolicy`]), and backfill losslessly. Only a spill file that fails or
-//! fills holds the export drainer, and even then no snapshot or flush waits: the
-//! export queue merges the deltas arriving meanwhile. A hung peer trips the ack
-//! deadline ([`FleetSinkBuilder::ack_deadline`]) instead of wedging the export
-//! drainer: the frame fails back into the buffer and is re-sent after reconnect.
-//! Losses chosen via [`OverflowPolicy::DropOldestEpochsFlaggedLossy`] are counted
-//! ([`ProducerStatus::dropped_epochs`]) and flag the producer truncated. The
-//! deterministic [`FaultPlan`] harness injects drops, delays, black holes and
-//! frame corruption at exact frame ordinals on either side, so every one of these
-//! paths is tested, not assumed. The README's "Failure model" section tabulates
+//! ([`BackoffPolicy`]), and backfill losslessly. An aggregator that lost its state
+//! (no WAL, or the WAL gone) acknowledges a hello below what the producer already
+//! had acknowledged; the producer then re-bases ([`FleetSinkStats::rebases`]): one
+//! delta of its whole stream so far, taken from the session, replaces its backlog,
+//! and the stream heals without loss. With no session left to re-base from, the
+//! backlog is given up as declared dropped epochs instead of being retried forever.
+//! Only a spill file that fails or fills holds the export drainer, and even then
+//! no snapshot or flush waits: the export queue merges the deltas arriving
+//! meanwhile. A hung peer trips the ack deadline
+//! ([`FleetSinkBuilder::ack_deadline`]): the frame fails back into the buffer and
+//! is re-sent after reconnect. Losses chosen via
+//! [`OverflowPolicy::DropOldestEpochsFlaggedLossy`] are counted
+//! ([`ProducerStatus::dropped_epochs`]) and flag the producer truncated. A
+//! deterministic simulator drives the protocol's state machines through hundreds
+//! of seeded fault schedules — frames dropped, corrupted and delayed, connections
+//! severed and hung, the aggregator crashed with its WAL kept, torn or lost — and
+//! checks after each that every producer's fleet fold equals a cold fold of what
+//! it generated; the [`FaultPlan`] harness injects faults at exact frame ordinals
+//! into the socket drivers. The README's "Failure model" section tabulates
 //! failure × guarantee.
 
+mod protocol;
+mod store;
+mod transport;
+
 use std::borrow::Cow;
-use std::collections::{BTreeMap, VecDeque};
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, BufRead, BufReader, Read, Seek, SeekFrom, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::collections::BTreeMap;
+use std::fs;
+use std::io::{self, BufReader, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use djx_pmu::PmuEvent;
 
-use crate::profile::{
-    escape, event_from_name, parse_kv, parse_u64, unescape, DeltaFold, FoldError,
-    ObjectCentricProfile, ProfileDelta,
-};
-use crate::query::live::for_watches;
+use crate::export::RebaseSource;
+use crate::profile::{ObjectCentricProfile, ProfileDelta};
 use crate::query::{GroupState, ProfileSource, Query, QueryError, QueryResult};
 use crate::sink::{FinishRecord, LogRecord, ProfileSink};
-use crate::wire::{self, BinaryChunkedSink, BinaryFrameReader, Control, Hello, WireRecord};
+use crate::wire::{self, BinaryChunkedSink, Control, Hello, WireRecord};
+use protocol::{
+    protocol_error, AggregatorCore, LinkStep, PendingBuffer, PendingFrame, ProducerLink, Verdict,
+};
+use store::{recover_wal_file, SpillFile, Wal};
+use transport::{send, write_faulted, Conn, Target, WireListener, WireStream};
 
 /// Current version of the fleet wire protocol: version 3 carries every record —
 /// epoch frames and control records alike — as a binary [`crate::wire`] frame.
 pub(crate) const FLEET_VERSION: u64 = 3;
-
-/// The first two fields of the WAL header line. The version moves with
-/// [`BINARY_VERSION`](crate::wire::BINARY_VERSION): v4 logs hold version-3 frames.
-/// Recovery refuses a WAL of another version instead of reading its frames as a
-/// torn tail and truncating them.
-const WAL_MAGIC: &str = "djxperf-wal v4";
-
-/// Bound on each TCP connection attempt: without one, a black-holed address
-/// hangs the first delivery for the OS default (minutes).
-const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Default acknowledgement deadline ([`FleetSinkBuilder::ack_deadline`]): a peer
 /// that accepts frames but never acknowledges fails the frame back into the
@@ -170,187 +161,7 @@ const DEFAULT_FINISH_DEADLINE: Duration = Duration::from_secs(5);
 /// ([`FleetSinkBuilder::buffer_budget_bytes`]).
 const DEFAULT_BUFFER_BUDGET: usize = 16 * 1024 * 1024;
 
-/// On-disk budget for spilled frames: [`OverflowPolicy::SpillThenBlock`] blocks
-/// once the spill file would outgrow it.
-const SPILL_BUDGET: u64 = 1024 * 1024 * 1024;
-
-// ---------------------------------------------------------------------------------------
-// Stream plumbing: one enum over TCP and Unix sockets
-// ---------------------------------------------------------------------------------------
-
-/// A connected socket of either family.
-#[derive(Debug)]
-enum WireStream {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Unix(UnixStream),
-}
-
-impl WireStream {
-    fn try_clone(&self) -> io::Result<WireStream> {
-        match self {
-            WireStream::Tcp(s) => Ok(WireStream::Tcp(s.try_clone()?)),
-            #[cfg(unix)]
-            WireStream::Unix(s) => Ok(WireStream::Unix(s.try_clone()?)),
-        }
-    }
-
-    fn shutdown(&self) -> io::Result<()> {
-        match self {
-            WireStream::Tcp(s) => s.shutdown(Shutdown::Both),
-            #[cfg(unix)]
-            WireStream::Unix(s) => s.shutdown(Shutdown::Both),
-        }
-    }
-
-    /// Arms one deadline on the socket's reads and writes. A read past the
-    /// deadline fails with [`io::ErrorKind::WouldBlock`]/[`io::ErrorKind::TimedOut`];
-    /// the producer link treats that as a transport failure — the frame stays
-    /// buffered, the connection is dropped, and the drainer moves on.
-    fn set_io_timeouts(&self, deadline: Duration) -> io::Result<()> {
-        match self {
-            WireStream::Tcp(s) => {
-                s.set_read_timeout(Some(deadline))?;
-                s.set_write_timeout(Some(deadline))
-            }
-            #[cfg(unix)]
-            WireStream::Unix(s) => {
-                s.set_read_timeout(Some(deadline))?;
-                s.set_write_timeout(Some(deadline))
-            }
-        }
-    }
-}
-
-impl Read for WireStream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            WireStream::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            WireStream::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for WireStream {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            WireStream::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            WireStream::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            WireStream::Tcp(s) => s.flush(),
-            #[cfg(unix)]
-            WireStream::Unix(s) => s.flush(),
-        }
-    }
-}
-
-/// A bound listener of either family.
-#[derive(Debug)]
-enum WireListener {
-    Tcp(TcpListener),
-    #[cfg(unix)]
-    Unix(UnixListener),
-}
-
-impl WireListener {
-    /// Accepts one connection. An error ends only this attempt: a stream whose
-    /// `set_nodelay` fails is dropped here, and the listener stays usable.
-    fn accept(&self) -> io::Result<WireStream> {
-        match self {
-            WireListener::Tcp(l) => {
-                let (stream, _) = l.accept()?;
-                // Frames are small and acknowledged synchronously; never batch them.
-                stream.set_nodelay(true)?;
-                Ok(WireStream::Tcp(stream))
-            }
-            #[cfg(unix)]
-            WireListener::Unix(l) => {
-                let (stream, _) = l.accept()?;
-                Ok(WireStream::Unix(stream))
-            }
-        }
-    }
-}
-
-/// Where a producer sink or query client connects (reconnection re-resolves it).
-#[derive(Debug, Clone)]
-enum Target {
-    Tcp(String),
-    #[cfg(unix)]
-    Unix(PathBuf),
-}
-
-impl Target {
-    /// Connects. TCP resolves the address and tries each candidate under
-    /// [`TcpStream::connect_timeout`] with [`CONNECT_TIMEOUT`]; Unix-socket
-    /// connects are local rendezvous with no std timeout — they cannot black-hole
-    /// the way a routed TCP address can.
-    fn connect(&self) -> io::Result<WireStream> {
-        match self {
-            Target::Tcp(addr) => {
-                let mut last_error = None;
-                for candidate in addr.as_str().to_socket_addrs()? {
-                    match TcpStream::connect_timeout(&candidate, CONNECT_TIMEOUT) {
-                        Ok(stream) => {
-                            stream.set_nodelay(true)?;
-                            return Ok(WireStream::Tcp(stream));
-                        }
-                        Err(e) => last_error = Some(e),
-                    }
-                }
-                Err(last_error.unwrap_or_else(|| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        format!("address {addr:?} resolved to no candidates"),
-                    )
-                }))
-            }
-            #[cfg(unix)]
-            Target::Unix(path) => Ok(WireStream::Unix(UnixStream::connect(path)?)),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------------------
-// Control-record plumbing
-// ---------------------------------------------------------------------------------------
-
-fn protocol_error(message: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, message.into())
-}
-
-/// Writes one control record as a frame.
-fn send(writer: &mut impl Write, control: &Control) -> io::Result<()> {
-    writer.write_all(&control.to_frame()?)
-}
-
-/// Reads the aggregator's next reply frame. Transport failures (a tripped
-/// deadline, a closed connection) keep their [`io::ErrorKind`]; anything the
-/// frame parser refuses — a bad checksum included — is
-/// [`io::ErrorKind::InvalidData`].
-fn read_reply<R: BufRead>(reader: &mut R) -> io::Result<Control> {
-    if wire::at_end(reader)? {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "aggregator closed the connection",
-        ));
-    }
-    match wire::read_binary_frame(reader, &mut Vec::new()) {
-        Ok(WireRecord::Control(control)) => Ok(control),
-        Ok(WireRecord::Log(_)) => Err(protocol_error("aggregator replied with an epoch frame")),
-        Err(e) => Err(protocol_error(format!("malformed aggregator reply: {}", e.message))),
-    }
-}
-
-// ---------------------------------------------------------------------------------------
 // Failure-handling policy: backoff, overflow, fsync, fault injection
-// ---------------------------------------------------------------------------------------
 
 /// Capped exponential reconnect backoff with **deterministic** jitter.
 ///
@@ -407,55 +218,6 @@ impl BackoffPolicy {
     }
 }
 
-fn xorshift64(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x
-}
-
-/// Runtime state of a [`BackoffPolicy`]: the attempt counter, the jitter stream and
-/// the total delay handed out.
-#[derive(Debug)]
-struct Backoff {
-    policy: BackoffPolicy,
-    attempt: u32,
-    rng: u64,
-    waited: Duration,
-}
-
-impl Backoff {
-    fn new(policy: BackoffPolicy) -> Backoff {
-        // A zero seed would freeze xorshift at zero; nudge it onto the cycle.
-        Backoff { policy, attempt: 0, rng: policy.seed | 1, waited: Duration::ZERO }
-    }
-
-    /// Every delay handed out so far in whole milliseconds, rounded up: a
-    /// sub-millisecond backoff still reports as waited.
-    fn waited_ms(&self) -> u64 {
-        u64::try_from(self.waited.as_nanos().div_ceil(1_000_000)).unwrap_or(u64::MAX)
-    }
-
-    /// The next jittered delay; advances the attempt counter.
-    fn next_delay(&mut self) -> Duration {
-        let initial = self.policy.initial.as_micros() as u64;
-        let max = self.policy.max.as_micros() as u64;
-        let cap = initial.saturating_mul(1u64 << self.attempt.min(20)).min(max).max(1);
-        self.attempt = self.attempt.saturating_add(1);
-        let half = cap / 2;
-        let jittered = Duration::from_micros(half + xorshift64(&mut self.rng) % (cap - half + 1));
-        self.waited += jittered;
-        jittered
-    }
-
-    /// Back to the initial cap after a successful handshake.
-    fn reset(&mut self) {
-        self.attempt = 0;
-    }
-}
-
 /// What happens when a producer's unacknowledged-frame buffer exceeds its byte
 /// budget ([`FleetSinkBuilder::buffer_budget_bytes`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -496,31 +258,18 @@ pub enum FsyncPolicy {
     EveryN(u32),
 }
 
-/// A one-shot injected fault at a frame ordinal.
+/// An injected fault at a frame ordinal: close the connection instead, delay the
+/// frame, corrupt it (sink-side the frame, aggregator-side its acknowledgement, so
+/// the receiver's checksum rejects it), or swallow it and keep the connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultAction {
-    /// Close the connection instead of handling the frame.
-    Drop,
-    /// Sleep this long before handling the frame (a slow peer).
-    Delay(Duration),
-    /// Deliver the frame corrupted: sink-side a flipped checksum byte (the
-    /// aggregator rejects the frame), aggregator-side a mangled acknowledgement
-    /// (its checksum fails, so the producer rejects it).
-    Corrupt,
-}
-
-/// What a fault lookup resolved to (the persistent black hole has no
-/// [`FaultAction`] form).
-#[derive(Debug, Clone, Copy)]
-enum FaultEffect {
+pub(crate) enum FaultAction {
     Drop,
     Delay(Duration),
     Corrupt,
     BlackHole,
 }
 
-/// A deterministic fault schedule keyed by frame ordinal — the public
-/// generalization of the old private drop-the-connection test hook.
+/// A deterministic fault schedule keyed by frame ordinal.
 ///
 /// Epoch frames (deltas and the finish) are counted from 1 on each side
 /// independently: sink-side per delivery attempt, aggregator-side per received
@@ -574,265 +323,15 @@ impl FaultPlan {
         self
     }
 
-    fn effect(&self, frame: u64) -> Option<FaultEffect> {
+    fn effect(&self, frame: u64) -> Option<FaultAction> {
         if self.black_hole_from.is_some_and(|from| frame >= from) {
-            return Some(FaultEffect::BlackHole);
+            return Some(FaultAction::BlackHole);
         }
-        match self.actions.get(&frame)? {
-            FaultAction::Drop => Some(FaultEffect::Drop),
-            FaultAction::Delay(d) => Some(FaultEffect::Delay(*d)),
-            FaultAction::Corrupt => Some(FaultEffect::Corrupt),
-        }
+        self.actions.get(&frame).copied()
     }
 }
 
-/// Sink-side fault bookkeeping: the plan plus the delivery-attempt counter.
-#[derive(Debug)]
-struct FaultState {
-    plan: FaultPlan,
-    seen: u64,
-}
-
-impl FaultState {
-    fn next(&mut self) -> Option<FaultEffect> {
-        self.seen += 1;
-        self.plan.effect(self.seen)
-    }
-}
-
-// ---------------------------------------------------------------------------------------
-// PendingBuffer: the bounded unacknowledged-frame buffer with a spill-to-disk tier
-// ---------------------------------------------------------------------------------------
-
-/// Names a process-unique spill file (several sinks may share one directory).
-fn spill_file_path(dir: &Path) -> PathBuf {
-    static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
-    let seq = SPILL_SEQ.fetch_add(1, Ordering::Relaxed);
-    dir.join(format!("djxperf-fleet-spill-{}-{seq}.bin", std::process::id()))
-}
-
-/// The disk tier of a [`PendingBuffer`]: a temporary file of
-/// `u64 epoch-key (LE, 0 = finish) · u8 sites flag · u32 length (LE) · frame bytes`
-/// records, appended at the tail and consumed from a read cursor. Deleted on drop.
-#[derive(Debug)]
-struct SpillFile {
-    file: File,
-    path: PathBuf,
-    read_off: u64,
-    write_off: u64,
-    frames: u64,
-}
-
-impl SpillFile {
-    fn create(dir: &Path) -> io::Result<SpillFile> {
-        let path = spill_file_path(dir);
-        let file = OpenOptions::new().create_new(true).read(true).write(true).open(&path)?;
-        Ok(SpillFile { file, path, read_off: 0, write_off: 0, frames: 0 })
-    }
-
-    fn bytes_on_disk(&self) -> u64 {
-        self.write_off - self.read_off
-    }
-
-    fn append(&mut self, frame: &PendingFrame) -> io::Result<()> {
-        self.file.seek(SeekFrom::Start(self.write_off))?;
-        self.file.write_all(&frame.epoch.unwrap_or(0).to_le_bytes())?;
-        self.file.write_all(&[u8::from(frame.sites)])?;
-        self.file.write_all(&(frame.bytes.len() as u32).to_le_bytes())?;
-        self.file.write_all(&frame.bytes)?;
-        self.write_off += 13 + frame.bytes.len() as u64;
-        self.frames += 1;
-        Ok(())
-    }
-
-    /// Reads the record at the cursor; the caller tracks `frames`.
-    fn read_next(&mut self) -> io::Result<PendingFrame> {
-        self.file.seek(SeekFrom::Start(self.read_off))?;
-        let mut header = [0u8; 13];
-        self.file.read_exact(&mut header)?;
-        let epoch_key = u64::from_le_bytes(header[..8].try_into().expect("8 bytes"));
-        let len = u32::from_le_bytes(header[9..].try_into().expect("4 bytes"));
-        let mut bytes = vec![0u8; len as usize];
-        self.file.read_exact(&mut bytes)?;
-        self.read_off += 13 + u64::from(len);
-        Ok(PendingFrame {
-            epoch: (epoch_key != 0).then_some(epoch_key),
-            sites: header[8] != 0,
-            bytes,
-        })
-    }
-
-    /// Rewinds an emptied file so the space is reused instead of growing forever.
-    fn reset(&mut self) -> io::Result<()> {
-        debug_assert_eq!(self.frames, 0);
-        self.file.set_len(0)?;
-        self.read_off = 0;
-        self.write_off = 0;
-        Ok(())
-    }
-}
-
-impl Drop for SpillFile {
-    fn drop(&mut self) {
-        let _ = fs::remove_file(&self.path);
-    }
-}
-
-/// The bounded buffer of unacknowledged frames: an in-memory deque up to a byte
-/// budget, then the [`OverflowPolicy`] — spill tier (blocking the caller only
-/// when it fails or fills) or oldest-epoch drops. Frame order is strictly preserved: once frames have
-/// spilled, new frames spill too (they are younger than everything on disk) until
-/// the file drains and resets.
-#[derive(Debug)]
-struct PendingBuffer {
-    mem: VecDeque<PendingFrame>,
-    mem_bytes: usize,
-    budget: usize,
-    policy: OverflowPolicy,
-    spill_dir: PathBuf,
-    spill: Option<SpillFile>,
-    /// Reconnect trim watermark: spilled delta frames at or below it are already
-    /// folded aggregator-side and are discarded (and counted) at refill.
-    trim_below: u64,
-    spilled_frames: u64,
-    dropped_epochs: u64,
-}
-
-impl PendingBuffer {
-    fn new(budget: usize, policy: OverflowPolicy, spill_dir: PathBuf) -> PendingBuffer {
-        PendingBuffer {
-            mem: VecDeque::new(),
-            mem_bytes: 0,
-            budget,
-            policy,
-            spill_dir,
-            spill: None,
-            trim_below: 0,
-            spilled_frames: 0,
-            dropped_epochs: 0,
-        }
-    }
-
-    fn spill_active(&self) -> bool {
-        self.spill.as_ref().is_some_and(|s| s.frames > 0)
-    }
-
-    /// Frames awaiting delivery (memory plus disk).
-    fn len(&self) -> u64 {
-        self.mem.len() as u64 + self.spill.as_ref().map_or(0, |s| s.frames)
-    }
-
-    /// Offers a frame; `Err(frame)` hands it back when the spill tier fails or
-    /// fills and the caller must block.
-    /// The terminal finish frame (`epoch == None`) is never refused and never
-    /// dropped — it must be the last frame out, whatever the budget says.
-    #[allow(clippy::result_large_err)]
-    fn offer(&mut self, frame: PendingFrame) -> Result<(), PendingFrame> {
-        let len = frame.bytes.len();
-        let is_finish = frame.epoch.is_none();
-        if !self.spill_active() && (self.mem.is_empty() || self.mem_bytes + len <= self.budget) {
-            self.mem_bytes += len;
-            self.mem.push_back(frame);
-            return Ok(());
-        }
-        match self.policy {
-            OverflowPolicy::SpillThenBlock => {
-                let spill = match &mut self.spill {
-                    Some(spill) => spill,
-                    None => match SpillFile::create(&self.spill_dir) {
-                        Ok(spill) => self.spill.insert(spill),
-                        // No spill file (unwritable dir): degrade to blocking.
-                        Err(_) => return Err(frame),
-                    },
-                };
-                if !is_finish && spill.bytes_on_disk() + len as u64 > SPILL_BUDGET {
-                    return Err(frame);
-                }
-                // A full disk degrades to blocking too — the frame is handed
-                // back intact, never half-written (append seeks per record).
-                match spill.append(&frame) {
-                    Ok(()) => {
-                        self.spilled_frames += 1;
-                        Ok(())
-                    }
-                    Err(_) => Err(frame),
-                }
-            }
-            OverflowPolicy::DropOldestEpochsFlaggedLossy => {
-                // Frames carrying site definitions survive: without one, every
-                // later delta would be refused for its site gap.
-                while self.mem_bytes + len > self.budget {
-                    let Some(oldest) = self.mem.iter().position(|f| f.epoch.is_some() && !f.sites)
-                    else {
-                        break;
-                    };
-                    let dropped = self.mem.remove(oldest).expect("position is in range");
-                    self.mem_bytes -= dropped.bytes.len();
-                    self.dropped_epochs += 1;
-                }
-                self.mem_bytes += len;
-                self.mem.push_back(frame);
-                Ok(())
-            }
-        }
-    }
-
-    fn pop_front(&mut self) -> Option<PendingFrame> {
-        let frame = self.mem.pop_front();
-        if let Some(frame) = &frame {
-            self.mem_bytes -= frame.bytes.len();
-        }
-        frame
-    }
-
-    /// Discards frames the aggregator has already folded (reconnect handshake
-    /// told us so); returns how many were trimmed from memory — spilled frames
-    /// are trimmed lazily at refill against the watermark.
-    fn trim_acked(&mut self, acked: u64) -> u64 {
-        self.trim_below = self.trim_below.max(acked);
-        let mut trimmed = 0;
-        while self.mem.front().is_some_and(|f| f.epoch.is_some_and(|e| e <= acked)) {
-            let _ = self.pop_front();
-            trimmed += 1;
-        }
-        trimmed
-    }
-
-    /// Moves spilled frames back into memory, oldest first, up to the budget.
-    /// Safe whenever the spill tier is non-empty: everything on disk is younger
-    /// than everything in memory.
-    fn refill(&mut self) -> io::Result<u64> {
-        let mut trimmed = 0;
-        let Some(spill) = &mut self.spill else {
-            return Ok(0);
-        };
-        while spill.frames > 0 && (self.mem.is_empty() || self.mem_bytes < self.budget) {
-            let frame = spill.read_next()?;
-            spill.frames -= 1;
-            if frame.epoch.is_some_and(|e| e <= self.trim_below) {
-                trimmed += 1;
-                continue;
-            }
-            self.mem_bytes += frame.bytes.len();
-            self.mem.push_back(frame);
-        }
-        if spill.frames == 0 {
-            spill.reset()?;
-        }
-        Ok(trimmed)
-    }
-
-    fn clear(&mut self) {
-        self.mem.clear();
-        self.mem_bytes = 0;
-        // Dropping the spill file deletes it.
-        self.spill = None;
-    }
-}
-
-// ---------------------------------------------------------------------------------------
 // FleetSink: the producer-side transport
-// ---------------------------------------------------------------------------------------
 
 /// Transport counters of a [`FleetSink`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -844,7 +343,8 @@ pub struct FleetSinkStats {
     /// Buffered frames dropped at a reconnect handshake because the aggregator had
     /// already folded their epochs (the acknowledgement was lost, not the frame).
     pub frames_trimmed: u64,
-    /// Highest epoch the aggregator has acknowledged.
+    /// Highest epoch the aggregator has acknowledged (since the last time it lost
+    /// this producer's state).
     pub acked_epoch: u64,
     /// Frames awaiting delivery right now (in memory plus spilled to disk).
     pub pending_frames: u64,
@@ -852,202 +352,71 @@ pub struct FleetSinkStats {
     /// ([`OverflowPolicy::SpillThenBlock`]).
     pub spilled_frames: u64,
     /// Buffered epochs dropped under
-    /// [`OverflowPolicy::DropOldestEpochsFlaggedLossy`] — reported to the
-    /// aggregator with the next hello, which flags the producer truncated.
+    /// [`OverflowPolicy::DropOldestEpochsFlaggedLossy`], or given up after an
+    /// aggregator lost this producer's state with no session left to re-base
+    /// from — reported to the aggregator with the next hello, which flags the
+    /// producer truncated.
     pub dropped_epochs: u64,
     /// Cumulative reconnect backoff scheduled, in milliseconds.
     pub reconnect_backoff_ms: u64,
+    /// Re-bases: a reconnect found the aggregator had lost this producer's state,
+    /// and one delta of the whole stream so far replaced the buffered frames.
+    pub rebases: u64,
 }
 
-/// One buffered, not-yet-acknowledged wire frame. Delta frames carry their epoch
-/// (the reconnect trim key); the terminal finish frame carries `None` and is never
-/// trimmed.
-#[derive(Debug)]
-struct PendingFrame {
-    epoch: Option<u64>,
-    /// The frame defines allocation sites: never dropped for room.
-    sites: bool,
-    bytes: Vec<u8>,
-}
-
-#[derive(Debug)]
-struct Conn {
-    writer: WireStream,
-    reader: BufReader<WireStream>,
-}
-
-/// The sink-side failure knobs, frozen at build time.
-#[derive(Debug)]
-struct LinkConfig {
-    ack_deadline: Duration,
-    finish_deadline: Duration,
-}
-
+/// The driver of a [`FleetSink`]: the protocol link plus its socket, deadlines,
+/// fault plan and re-base source.
 #[derive(Debug)]
 struct Link {
+    proto: ProducerLink<SpillFile>,
     target: Target,
-    /// The hello this producer sends; [`Link::hello_record`] fills in the current
-    /// loss/backoff counters.
-    hello: Hello,
     conn: Option<Conn>,
-    pending: PendingBuffer,
-    severed: bool,
-    stats: FleetSinkStats,
-    config: LinkConfig,
-    backoff: Backoff,
-    /// While set, reconnection is gated: attempts before this instant fail fast
-    /// with [`io::ErrorKind::WouldBlock`] and frames keep buffering.
-    next_attempt: Option<Instant>,
-    faults: Option<FaultState>,
+    ack_deadline: Duration,
+    finish_deadline: Duration,
+    /// The fault plan and the delivery attempts counted against it.
+    faults: Option<(FaultPlan, u64)>,
+    /// The session's stream, for a re-base
+    /// ([`SessionBuilder::stream_to_fleet`](crate::session::SessionBuilder::stream_to_fleet)
+    /// installs it).
+    rebase: Option<RebaseSource>,
 }
 
 impl Link {
-    /// The hello record, carrying the current loss/backoff counters.
-    fn hello_record(&self) -> Control {
-        Control::Hello(Hello {
-            spilled_frames: self.pending.spilled_frames,
-            dropped_epochs: self.pending.dropped_epochs,
-            backoff_ms: self.stats.reconnect_backoff_ms,
-            ..self.hello.clone()
-        })
-    }
-
-    /// Connects (or reconnects) and runs the hello handshake, under the reconnect
-    /// backoff gate: while a previous failure's jittered delay is pending, the
-    /// attempt fails fast (frames keep buffering) instead of hammering the peer.
-    fn ensure_connected(&mut self) -> io::Result<()> {
-        if self.severed {
-            return Err(protocol_error("fleet link severed"));
-        }
-        if self.conn.is_some() {
-            return Ok(());
-        }
-        if let Some(at) = self.next_attempt {
-            if Instant::now() < at {
-                return Err(io::Error::new(
-                    io::ErrorKind::WouldBlock,
-                    "reconnect backoff in progress",
-                ));
-            }
-        }
-        match self.try_handshake() {
-            Ok(()) => {
-                self.backoff.reset();
-                self.next_attempt = None;
-                Ok(())
-            }
-            Err(e) => {
-                let delay = self.backoff.next_delay();
-                self.stats.reconnect_backoff_ms = self.backoff.waited_ms();
-                self.next_attempt = Some(Instant::now() + delay);
-                Err(e)
-            }
-        }
-    }
-
-    /// One connection attempt plus the hello handshake: the acknowledgement
-    /// carries the aggregator's last folded epoch for this producer, and the
-    /// pending buffer is trimmed to frames after it — the backfill resume point.
-    fn try_handshake(&mut self) -> io::Result<()> {
-        let writer = self.target.connect()?;
-        writer.set_io_timeouts(self.config.ack_deadline)?;
-        let reader = BufReader::new(writer.try_clone()?);
-        let mut conn = Conn { writer, reader };
-        send(&mut conn.writer, &self.hello_record())?;
-        conn.writer.flush()?;
-        let acked = match read_reply(&mut conn.reader)? {
-            Control::Ack { epoch, .. } => epoch,
-            Control::Error(message) => {
-                return Err(protocol_error(format!("aggregator refused hello: {message}")))
-            }
-            other => {
-                return Err(protocol_error(format!(
-                    "expected an ack to the hello frame, got a {} record",
-                    other.name()
-                )))
-            }
-        };
-        self.stats.connects += 1;
-        self.stats.acked_epoch = self.stats.acked_epoch.max(acked);
-        self.stats.frames_trimmed += self.pending.trim_acked(acked);
-        self.conn = Some(conn);
-        Ok(())
-    }
-
-    /// Delivers every pending frame in order, each acknowledged synchronously. On a
-    /// transport failure — including a tripped ack deadline — the connection is
-    /// dropped and the undelivered frames stay buffered for the next attempt; the
-    /// caller (the export drainer) is never wedged by a hung peer.
+    /// Runs the protocol until it has nothing to send. A transport failure — a
+    /// tripped ack deadline included — drops the connection with the frames still
+    /// buffered, so the caller (the export drainer) is never wedged by a hung peer.
     fn pump(&mut self) -> io::Result<()> {
-        self.ensure_connected()?;
         loop {
-            self.stats.frames_trimmed += self.pending.refill()?;
-            let Some(frame) = self.pending.mem.front() else { break };
-            let conn = self.conn.as_mut().expect("ensure_connected leaves a connection");
-            let effect = self.faults.as_mut().and_then(FaultState::next);
-            let written = match effect {
-                Some(FaultEffect::Drop) => Err(io::Error::new(
-                    io::ErrorKind::ConnectionReset,
-                    "fault injection: connection dropped before the frame write",
-                )),
-                // Swallow the write; the ack read below starves until the
-                // deadline — exactly what a hung peer looks like.
-                Some(FaultEffect::BlackHole) => Ok(()),
-                Some(FaultEffect::Delay(d)) => {
-                    thread::sleep(d);
-                    conn.writer.write_all(&frame.bytes).and_then(|()| conn.writer.flush())
+            let now = Instant::now();
+            let reply = match self.proto.step(now)? {
+                LinkStep::Idle => return Ok(()),
+                LinkStep::Wait(at) => {
+                    let left = at.saturating_duration_since(now);
+                    let message = format!("reconnect backoff in progress for {left:?}");
+                    return Err(io::Error::new(io::ErrorKind::WouldBlock, message));
                 }
-                Some(FaultEffect::Corrupt) => {
-                    let mut corrupted = frame.bytes.clone();
-                    // Flip the second-to-last byte, inside the frame's checksum:
-                    // the aggregator rejects the frame, never folds it.
-                    if let Some(i) = corrupted.len().checked_sub(2) {
-                        corrupted[i] ^= 0xFF;
-                    }
-                    conn.writer.write_all(&corrupted).and_then(|()| conn.writer.flush())
+                LinkStep::Rebase => {
+                    self.proto.rebase(self.rebase.as_ref().and_then(RebaseSource::delta));
+                    continue;
                 }
-                None => conn.writer.write_all(&frame.bytes).and_then(|()| conn.writer.flush()),
+                LinkStep::Connect(hello) => {
+                    self.conn = None;
+                    Conn::open(&self.target, self.ack_deadline).and_then(|conn| {
+                        self.conn.insert(conn).round_trip(&hello.to_frame()?, None)
+                    })
+                }
+                LinkStep::Frame(frame) => {
+                    let fault = self.faults.as_mut().and_then(|(plan, attempts)| {
+                        *attempts += 1;
+                        plan.effect(*attempts)
+                    });
+                    self.conn.as_mut().expect("connected before a frame").round_trip(frame, fault)
+                }
             };
-            let delivery = written.and_then(|()| read_reply(&mut conn.reader));
-            let is_finish = frame.epoch.is_none();
-            match delivery {
-                Ok(Control::Ack { epoch, terminal }) => {
-                    if is_finish && !terminal {
-                        // The finish frame must be answered by the terminal ack;
-                        // anything else means the aggregator never folded it.
-                        self.conn = None;
-                        return Err(protocol_error("finish frame acknowledged as non-terminal"));
-                    }
-                    self.stats.acked_epoch = self.stats.acked_epoch.max(epoch);
-                    self.stats.frames_sent += 1;
-                    let _ = self.pending.pop_front();
-                }
-                Ok(Control::Error(message)) => {
-                    // A protocol-level refusal (e.g. checksum mismatch), not a
-                    // transport blip: surface it. The frame stays pending so the
-                    // failure repeats rather than vanishing.
-                    self.conn = None;
-                    return Err(protocol_error(format!("aggregator rejected frame: {message}")));
-                }
-                Ok(other) => {
-                    self.conn = None;
-                    return Err(protocol_error(format!(
-                        "expected an ack frame, got a {} record",
-                        other.name()
-                    )));
-                }
-                Err(e) => {
-                    self.conn = None;
-                    return Err(e);
-                }
+            if let Err(e) = self.proto.on_reply(reply, now) {
+                self.conn = None;
+                return Err(e);
             }
-        }
-        Ok(())
-    }
-
-    fn drop_connection(&mut self) {
-        if let Some(conn) = self.conn.take() {
-            let _ = conn.writer.shutdown();
         }
     }
 }
@@ -1121,10 +490,13 @@ impl FleetSink {
         size_filter: u64,
     ) -> FleetSinkBuilder {
         FleetSinkBuilder {
-            producer: producer.to_string(),
-            event,
-            period,
-            size_filter,
+            hello: Hello {
+                producer: producer.to_string(),
+                event,
+                period,
+                size_filter,
+                ..Hello::default()
+            },
             ack_deadline: DEFAULT_ACK_DEADLINE,
             finish_deadline: DEFAULT_FINISH_DEADLINE,
             backoff: None,
@@ -1137,12 +509,7 @@ impl FleetSink {
 
     /// Transport counters so far.
     pub fn stats(&self) -> FleetSinkStats {
-        let link = self.link.lock().expect("fleet link lock");
-        let mut stats = link.stats;
-        stats.pending_frames = link.pending.len();
-        stats.spilled_frames = link.pending.spilled_frames;
-        stats.dropped_epochs = link.pending.dropped_epochs;
-        stats
+        self.link().proto.stats()
     }
 
     /// Attempts delivery of every buffered frame right now — reconnecting under
@@ -1153,16 +520,17 @@ impl FleetSink {
     /// polling this instead. A failed attempt leaves the frames buffered,
     /// exactly like a delivery failure under [`ProfileSink::on_delta`].
     pub fn flush_pending(&self) -> u64 {
-        let mut link = self.link.lock().expect("fleet link lock");
-        let _ = link.pump();
-        link.pending.len()
+        let _ = self.deliver(None, None);
+        self.link().proto.pending.len()
     }
 
     /// Fault injection for reconnect testing: drops the current connection without
     /// telling the aggregator (as a network partition would). The next frame
     /// reconnects, re-handshakes and backfills; nothing is lost.
     pub fn disconnect(&self) {
-        self.link.lock().expect("fleet link lock").drop_connection();
+        let mut link = self.link();
+        link.conn = None;
+        let _ = link.proto.on_reply(Err(io::ErrorKind::NotConnected.into()), Instant::now());
     }
 
     /// Fault injection for crash testing: drops the connection and disables the
@@ -1170,10 +538,57 @@ impl FleetSink {
     /// are discarded and [`ProfileSink::on_finish`] fails — on the aggregator the
     /// producer's partial fold stays queryable, flagged truncated.
     pub fn sever(&self) {
-        let mut link = self.link.lock().expect("fleet link lock");
-        link.severed = true;
-        link.drop_connection();
-        link.pending.clear();
+        let mut link = self.link();
+        link.conn = None;
+        link.proto.sever();
+    }
+
+    /// Installs the session's stream as the re-base source.
+    pub(crate) fn set_rebase_source(&self, source: RebaseSource) {
+        self.link().rebase = Some(source);
+    }
+
+    /// The link; a thread that panicked holding it does not disable the sink.
+    fn link(&self) -> MutexGuard<'_, Link> {
+        self.link.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The one delivery loop of [`ProfileSink::on_delta`] and
+    /// [`ProfileSink::on_finish`], [`FleetSink::flush_pending`] and the drop:
+    /// offers `frame`, then delivers what is buffered — once, or until `deadline`
+    /// under the backoff gate. A frame the spill tier refuses waits with the lock
+    /// released, so [`FleetSink::sever`] stays reachable.
+    fn deliver(
+        &self,
+        mut frame: Option<PendingFrame>,
+        deadline: Option<Instant>,
+    ) -> io::Result<()> {
+        loop {
+            let mut link = self.link();
+            if link.proto.severed {
+                return Err(protocol_error("fleet link severed"));
+            }
+            if let Some(Err(refused)) = frame.take().map(|f| link.proto.offer(f)) {
+                let _ = link.pump();
+                frame = Some(refused);
+                drop(link);
+                thread::sleep(Duration::from_millis(1));
+                continue;
+            }
+            let error = match link.pump() {
+                Ok(()) => return Ok(()),
+                Err(e) => e,
+            };
+            // Retry at the backoff gate, or shortly after a failure that armed none
+            // (an ack deadline tripped on a live connection), never spinning hot.
+            let now = Instant::now();
+            let retry = link.proto.next_attempt().unwrap_or(now + Duration::from_millis(5));
+            if deadline.is_none_or(|deadline| retry >= deadline) {
+                return Err(error);
+            }
+            drop(link);
+            thread::sleep(retry.saturating_duration_since(now));
+        }
     }
 }
 
@@ -1184,11 +599,8 @@ impl Drop for FleetSink {
         // Failures stay non-fatal — the drop path must never block shutdown on a
         // dead aggregator (the backoff policy caps the attempt), and a sink with
         // nothing pending (the common clean-finish case) must not reconnect at all.
-        let has_pending = {
-            let link = self.link.lock().expect("fleet link lock");
-            !link.severed && link.pending.len() > 0
-        };
-        if has_pending {
+        // A severed link holds nothing.
+        if self.stats().pending_frames > 0 {
             let _ = self.flush_pending();
         }
     }
@@ -1211,10 +623,8 @@ impl Drop for FleetSink {
 /// spill file holds at most 1 GiB.
 #[derive(Debug, Clone)]
 pub struct FleetSinkBuilder {
-    producer: String,
-    event: PmuEvent,
-    period: u64,
-    size_filter: u64,
+    /// The producer's name and run configuration, with zero loss counters.
+    hello: Hello,
     ack_deadline: Duration,
     finish_deadline: Duration,
     /// `None` = the default policy, seeded from the producer name.
@@ -1308,83 +718,38 @@ impl FleetSinkBuilder {
     /// default seeded from the producer name.
     fn backoff_policy(&self) -> BackoffPolicy {
         self.backoff.unwrap_or_else(|| {
-            BackoffPolicy::default().seed(u64::from(wire::fnv1a(self.producer.as_bytes())))
+            BackoffPolicy::default().seed(u64::from(wire::fnv1a(self.hello.producer.as_bytes())))
         })
     }
 
     fn connect_target(self, target: Target) -> io::Result<FleetSink> {
-        let backoff = Backoff::new(self.backoff_policy());
-        let hello = Hello {
-            producer: self.producer,
-            event: self.event,
-            period: self.period,
-            size_filter: self.size_filter,
-            spilled_frames: 0,
-            dropped_epochs: 0,
-            backoff_ms: 0,
-        };
-        let spill_dir = self.spill_dir.unwrap_or_else(std::env::temp_dir);
+        let spill_dir = self.spill_dir.clone().unwrap_or_else(std::env::temp_dir);
+        let pending = PendingBuffer::<SpillFile>::new(self.buffer_budget, self.overflow, spill_dir);
         let mut link = Link {
+            proto: ProducerLink::new(self.hello.clone(), pending, self.backoff_policy()),
             target,
-            hello,
             conn: None,
-            pending: PendingBuffer::new(self.buffer_budget, self.overflow, spill_dir),
-            severed: false,
-            stats: FleetSinkStats::default(),
-            config: LinkConfig {
-                ack_deadline: self.ack_deadline,
-                finish_deadline: self.finish_deadline,
-            },
-            backoff,
-            next_attempt: None,
-            faults: self.fault_plan.map(|plan| FaultState { plan, seen: 0 }),
+            ack_deadline: self.ack_deadline,
+            finish_deadline: self.finish_deadline,
+            faults: self.fault_plan.map(|plan| (plan, 0)),
+            rebase: None,
         };
-        link.ensure_connected()?;
+        link.pump()?;
         Ok(FleetSink { link: Mutex::new(link) })
     }
 }
 
 impl ProfileSink for FleetSink {
-    /// Frames the delta as a [`crate::wire`] delta frame and ships it (`out`
-    /// is unused — the socket is the destination). Transport failures are
-    /// absorbed: the frame stays buffered (spilling to disk past the byte budget
-    /// under the default policy) and the next delta (or the finish) retries after
-    /// reconnecting, gated by the backoff schedule. Only when the spill tier of
-    /// [`OverflowPolicy::SpillThenBlock`] fails or fills does this wait —
-    /// releasing the link lock between attempts so [`FleetSink::sever`] stays
-    /// reachable.
+    /// Frames the delta as a [`crate::wire`] delta frame and ships it (`out` is
+    /// unused). Transport failures are absorbed: the frame stays buffered and the
+    /// next delta (or the finish) retries, gated by the backoff schedule. Only a
+    /// spill tier that fails or fills makes this wait (see [`OverflowPolicy`]).
     fn on_delta(&self, epoch: u64, delta: &ProfileDelta, _out: &mut dyn Write) -> io::Result<()> {
-        let mut encoded: Option<Vec<u8>> = None;
-        loop {
-            let mut link = self.link.lock().expect("fleet link lock");
-            if link.severed {
-                return Ok(());
-            }
-            let bytes = match encoded.take() {
-                Some(bytes) => bytes,
-                None => {
-                    let mut bytes = Vec::new();
-                    BinaryChunkedSink.on_delta(epoch, delta, &mut bytes)?;
-                    bytes
-                }
-            };
-            let frame = PendingFrame { epoch: Some(epoch), sites: !delta.sites.is_empty(), bytes };
-            match link.pending.offer(frame) {
-                Ok(()) => {
-                    let _ = link.pump();
-                    return Ok(());
-                }
-                Err(frame) => {
-                    // Spill tier failed or full: drain what we can, release the
-                    // lock, retry. The export queue merges the deltas arriving
-                    // meanwhile; nothing is silently dropped.
-                    let _ = link.pump();
-                    encoded = Some(frame.bytes);
-                    drop(link);
-                    thread::sleep(Duration::from_millis(1));
-                }
-            }
-        }
+        let mut bytes = Vec::new();
+        BinaryChunkedSink.on_delta(epoch, delta, &mut bytes)?;
+        let frame = PendingFrame { epoch: Some(epoch), sites: !delta.sites.is_empty(), bytes };
+        let _ = self.deliver(Some(frame), None);
+        Ok(())
     }
 
     /// Ships the terminal finish frame and waits for its acknowledgement,
@@ -1392,62 +757,14 @@ impl ProfileSink for FleetSink {
     /// deadline. An error here means the aggregator never confirmed the complete
     /// stream — the loss is reported, never silent.
     fn on_finish(&self, record: &FinishRecord, _out: &mut dyn Write) -> io::Result<()> {
-        let mut link = self.link.lock().expect("fleet link lock");
-        if link.severed {
-            return Err(protocol_error("fleet link severed before the finish frame"));
-        }
         let mut bytes = Vec::new();
         BinaryChunkedSink.on_finish(record, &mut bytes)?;
-        if link.pending.offer(PendingFrame { epoch: None, sites: false, bytes }).is_err() {
-            // Only a failing spill tier refuses a finish frame; queueing it in
-            // memory would deliver it ahead of the spilled deltas, so surface
-            // the loss instead.
-            return Err(io::Error::other(
-                "spill tier failed; the finish frame cannot be queued behind spilled deltas",
-            ));
-        }
-        let deadline = Instant::now() + link.config.finish_deadline;
-        let mut last_error: Option<io::Error> = None;
-        loop {
-            // Wait out a pending backoff gate (bounded by the deadline).
-            if let Some(at) = link.next_attempt {
-                let now = Instant::now();
-                if at > now {
-                    if at >= deadline {
-                        break;
-                    }
-                    thread::sleep(at - now);
-                }
-            }
-            match link.pump() {
-                Ok(()) => return Ok(()),
-                Err(e) => {
-                    if link.severed {
-                        return Err(e);
-                    }
-                    last_error = Some(e);
-                }
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            if link.next_attempt.is_none() {
-                // Delivery failed without arming the backoff gate (an ack
-                // deadline trip on a live connection): pause briefly so the
-                // retry loop never spins hot.
-                thread::sleep(Duration::from_millis(5).min(deadline - now));
-            }
-        }
-        Err(last_error.unwrap_or_else(|| {
-            io::Error::new(io::ErrorKind::TimedOut, "finish deadline exceeded before delivery")
-        }))
+        let deadline = Instant::now() + self.link().finish_deadline;
+        self.deliver(Some(PendingFrame { epoch: None, sites: false, bytes }), Some(deadline))
     }
 }
 
-// ---------------------------------------------------------------------------------------
 // FleetAggregator: the daemon
-// ---------------------------------------------------------------------------------------
 
 /// One producer's row in the aggregator's status report.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1494,111 +811,6 @@ pub struct ProducerStatus {
     pub reconnect_backoff_ms: u64,
 }
 
-// ---------------------------------------------------------------------------------------
-// The write-ahead log: per-producer durability and crash recovery
-// ---------------------------------------------------------------------------------------
-
-/// Maps a producer name to its WAL file: a sanitized slug for human readability
-/// plus an FNV-1a hash of the exact name for uniqueness (the header line inside
-/// the file carries the authoritative name, so sanitization may be lossy).
-fn wal_path(dir: &Path, producer: &str) -> PathBuf {
-    let hash = wire::fnv1a(producer.as_bytes());
-    let slug: String = producer
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '_' { c } else { '_' })
-        .take(48)
-        .collect();
-    dir.join(format!("{slug}-{hash:08x}.wal"))
-}
-
-fn wal_header_line(producer: &str, event: PmuEvent, period: u64, size_filter: u64) -> String {
-    format!(
-        "{WAL_MAGIC} producer={} event={} period={period} size_filter={size_filter}\n",
-        escape(producer),
-        event.hardware_name(),
-    )
-}
-
-/// Parses a WAL header line (without its newline) into
-/// `(producer, event, period, size_filter)`.
-fn parse_wal_header(line: &str) -> Result<(String, PmuEvent, u64, u64), String> {
-    let version = line.strip_prefix("djxperf-wal ").and_then(|rest| rest.split(' ').next());
-    let fields = line
-        .strip_prefix(WAL_MAGIC)
-        .filter(|rest| rest.is_empty() || rest.starts_with(' '))
-        .ok_or_else(|| match version {
-            Some(version) => format!(
-                "WAL format version {version} is not supported (this build reads {WAL_MAGIC:?})"
-            ),
-            None => format!("the header does not start with {WAL_MAGIC:?}"),
-        })?;
-    let kv = parse_kv(fields.split_whitespace());
-    let producer = kv.get("producer").ok_or("the header misses the producer")?;
-    let event =
-        event_from_name(kv.get("event").map_or("", String::as_str)).map_err(|e| e.to_string())?;
-    Ok((unescape(producer), event, parse_u64(&kv, "period")?, parse_u64(&kv, "size_filter")?))
-}
-
-/// One producer's write-ahead log: the header line followed by the received
-/// [`crate::wire`] frames, appended verbatim **before** each acknowledgement, so
-/// [`BinaryFrameReader`] replays it unmodified.
-#[derive(Debug)]
-struct Wal {
-    file: File,
-    bytes: u64,
-    fsync: FsyncPolicy,
-    appends_since_sync: u32,
-}
-
-impl Wal {
-    /// Creates (truncating) the log for a fresh producer and writes the header.
-    fn create(
-        dir: &Path,
-        producer: &str,
-        event: PmuEvent,
-        period: u64,
-        size_filter: u64,
-        fsync: FsyncPolicy,
-    ) -> io::Result<Wal> {
-        fs::create_dir_all(dir)?;
-        let path = wal_path(dir, producer);
-        let mut file = OpenOptions::new().create(true).write(true).truncate(true).open(&path)?;
-        let header = wal_header_line(producer, event, period, size_filter);
-        file.write_all(header.as_bytes())?;
-        let mut wal = Wal { file, bytes: header.len() as u64, fsync, appends_since_sync: 0 };
-        wal.sync_point()?;
-        Ok(wal)
-    }
-
-    /// Reopens a recovered log for appending at `bytes` (its post-truncation
-    /// length).
-    fn reopen(path: &Path, bytes: u64, fsync: FsyncPolicy) -> io::Result<Wal> {
-        let mut file = OpenOptions::new().write(true).open(path)?;
-        file.seek(SeekFrom::Start(bytes))?;
-        Ok(Wal { file, bytes, fsync, appends_since_sync: 0 })
-    }
-
-    fn append(&mut self, frame: &[u8]) -> io::Result<()> {
-        self.file.write_all(frame)?;
-        self.bytes += frame.len() as u64;
-        self.appends_since_sync += 1;
-        self.sync_point()
-    }
-
-    fn sync_point(&mut self) -> io::Result<()> {
-        let due = match self.fsync {
-            FsyncPolicy::Never => false,
-            FsyncPolicy::EveryFrame => true,
-            FsyncPolicy::EveryN(n) => self.appends_since_sync >= n.max(1),
-        };
-        if due {
-            self.file.sync_data()?;
-            self.appends_since_sync = 0;
-        }
-        Ok(())
-    }
-}
-
 /// What [`FleetAggregator::recover`] rebuilt from one producer's WAL.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProducerRecovery {
@@ -1629,176 +841,22 @@ pub struct RecoveryReport {
     pub producers: Vec<ProducerRecovery>,
 }
 
-/// Replays one WAL file. `Ok(None)` means the file never got past its header
-/// line (crash mid-create) — nothing was acknowledged from it, so it is skipped
-/// and overwritten when its producer reconnects.
-///
-/// # Errors
-///
-/// IO failures, and [`io::ErrorKind::InvalidData`] when its header line is
-/// complete but does not parse (a foreign or older-format file): skipping it
-/// would let the producer's reconnect overwrite acknowledged frames. The caller
-/// names the file in every error.
-fn recover_wal_file(
-    path: &Path,
-    fsync: FsyncPolicy,
-) -> io::Result<Option<(String, ProducerState, ProducerRecovery)>> {
-    let data = fs::read(path)?;
-    let Some(header_end) = data.iter().position(|b| *b == b'\n') else {
-        return Ok(None);
-    };
-    let (producer, event, period, size_filter) = std::str::from_utf8(&data[..header_end])
-        .map_err(|e| e.to_string())
-        .and_then(parse_wal_header)
-        .map_err(|e| protocol_error(format!("unreadable header line: {e}")))?;
-    let body = &data[header_end + 1..];
-    let mut reader = BinaryFrameReader::new(body);
-    let mut state = ProducerState::new(event, period, size_filter);
-    let mut frames = 0u64;
-    let mut torn = None;
-    let mut good = header_end as u64 + 1;
-    loop {
-        let start = reader.byte_offset();
-        let folded = match reader.next_record() {
-            Ok(Some(LogRecord::Delta(delta))) => state.fold.absorb_ordered(&delta),
-            Ok(Some(LogRecord::Finish(record))) => {
-                // Ingest only ever accepted a checksum-failing finish from a
-                // declared-lossy producer; restore the lossy flag (the exact drop
-                // count returns with the producer's next hello).
-                let lossy = state.fold.check_finish(&record, false).is_err();
-                state.dropped_epochs = state.dropped_epochs.max(u64::from(lossy));
-                state.fold.finish(record, lossy).map(drop)
-            }
-            Ok(None) => break,
-            Err(e) => {
-                torn = Some(e.to_string());
-                break;
-            }
-        };
-        if let Err(e) = folded {
-            torn = Some(format!("binary frame {} at byte offset {start}: {e}", frames + 1));
-            break;
-        }
-        frames += 1;
-        good = header_end as u64 + 1 + reader.byte_offset();
-    }
-    let torn = torn.map(|why| {
-        let cut = data.len() as u64 - good;
-        format!("{why}; cut {cut} bytes at file offset {good}")
-    });
-    if torn.is_some() {
-        let file = OpenOptions::new().write(true).open(path)?;
-        file.set_len(good)?;
-    }
-    state.wal = Some(Wal::reopen(path, good, fsync)?);
-    let recovery = ProducerRecovery {
-        producer: producer.clone(),
-        frames,
-        last_epoch: state.fold.last_epoch().unwrap_or(0),
-        finished: state.fold.is_finished(),
-        torn_tail: torn,
-        wal_bytes: good,
-    };
-    Ok(Some((producer, state, recovery)))
-}
-
-/// Per-producer aggregator state: the producer's fold (header, samples and finish
-/// record) plus the protocol counters and the WAL.
-#[derive(Debug, Default)]
-struct ProducerState {
-    fold: DeltaFold,
-    connected: bool,
-    /// Bumped at every hello; a connection handler only clears `connected` when its
-    /// own generation is still current, so a reconnect racing the old handler's
-    /// cleanup cannot be marked dead.
-    generation: u64,
-    resumes: u64,
-    duplicates: u64,
-    frames_received: u64,
-    bytes_received: u64,
-    /// This producer's write-ahead log, when the aggregator runs durable.
-    wal: Option<Wal>,
-    /// Producer-reported loss/backoff counters (hello frames carry them).
-    spilled_frames: u64,
-    dropped_epochs: u64,
-    reconnect_backoff_ms: u64,
-}
-
-impl ProducerState {
-    /// A producer whose stream announced `event`, `period` and `size_filter`,
-    /// with nothing folded, not connected, without a WAL.
-    fn new(event: PmuEvent, period: u64, size_filter: u64) -> ProducerState {
-        let fold = DeltaFold::with_header(event, period, size_filter);
-        ProducerState { fold, ..ProducerState::default() }
-    }
-
-    /// A declared-lossy stream: epochs were dropped by choice, so the finish
-    /// checksum cannot hold and the producer stays flagged truncated.
-    fn lossy(&self) -> bool {
-        self.dropped_epochs > 0
-    }
-
-    fn truncated(&self) -> bool {
-        (!self.connected && !self.fold.is_finished()) || self.lossy()
-    }
-
-    fn status(&self, name: &str) -> ProducerStatus {
-        ProducerStatus {
-            producer: name.to_string(),
-            connected: self.connected,
-            finished: self.fold.is_finished(),
-            truncated: self.truncated(),
-            deltas: self.fold.deltas(),
-            last_epoch: self.fold.last_epoch().unwrap_or(0),
-            samples: self.fold.total_samples(),
-            resumes: self.resumes,
-            duplicates: self.duplicates,
-            frames_received: self.frames_received,
-            bytes_received: self.bytes_received,
-            wal_bytes: self.wal.as_ref().map_or(0, |w| w.bytes),
-            spilled_frames: self.spilled_frames,
-            dropped_epochs: self.dropped_epochs,
-            reconnect_backoff_ms: self.reconnect_backoff_ms,
-        }
-    }
-}
-
 #[derive(Debug, Default)]
 struct FleetState {
-    /// Keyed by producer name: deterministic iteration order, so the fleet view
-    /// lists producers the same way on every snapshot.
-    producers: BTreeMap<String, ProducerState>,
+    /// The protocol state: every producer's fold and counters, and the watches.
+    core: AggregatorCore,
+    /// Each producer's write-ahead log, when the aggregator runs durable.
+    wals: BTreeMap<String, Wal>,
     /// One row per connection handler that may still be running: its join handle
     /// and a clone of its stream, for shutdown. Finished rows are reaped at every
     /// accept, so reconnect churn cannot grow this without bound.
     handlers: Vec<(JoinHandle<()>, Option<WireStream>)>,
-    /// Live query subscriptions ([`FleetAggregator::watch`]), fed under the state
-    /// lock as producer frames are accepted; dead watches are pruned on the way.
-    watches: Vec<std::sync::Weak<crate::query::live::WatchShared>>,
 }
 
 impl FleetState {
-    /// The fleet-wide event/period header a query result reports: cold evaluation
-    /// over a [`FleetView`] adopts the *last* producer profile's header
-    /// (producer-name order), finished producers contributing their finish
-    /// record's. The live path re-derives the same value whenever membership or
-    /// finish state changes.
-    fn fleet_meta(&self) -> Option<(PmuEvent, u64)> {
-        self.producers.values().next_back().map(|p| p.fold.header())
-    }
-
-    /// Folds every producer's fold into `groups` in place, in name order — what
-    /// evaluating a [`FleetView`] does, for [`AggregatorShared::evaluate`] and
-    /// [`FleetAggregator::watch`].
-    fn absorb_producers(&self, query: &Query, groups: &mut GroupState) {
-        for p in self.producers.values() {
-            groups.absorb_fold(query, &p.fold);
-        }
-    }
-
-    /// Per-producer protocol status, in producer-name order.
+    /// Per-producer protocol status with the log sizes, in producer-name order.
     fn status(&self) -> Vec<ProducerStatus> {
-        self.producers.iter().map(|(name, p)| p.status(name)).collect()
+        self.core.status(|name| self.wals.get(name).map_or(0, |w| w.bytes))
     }
 }
 
@@ -1822,15 +880,17 @@ struct AggregatorShared {
 }
 
 impl AggregatorShared {
+    /// The fleet state; a handler that panicked holding it costs its connection only.
+    fn state(&self) -> MutexGuard<'_, FleetState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Evaluates a query from the producers' folds in place. Only that walk holds
     /// the state lock: the query's filters are built before it, and the groups
     /// ranked and materialized after it.
     fn evaluate(&self, query: &Query) -> QueryResult {
         let mut groups = GroupState::new(query);
-        self.state
-            .lock()
-            .expect("fleet state lock")
-            .absorb_producers(query, &mut groups);
+        self.state().core.absorb_producers(query, &mut groups);
         groups.materialize(query)
     }
 }
@@ -1936,10 +996,10 @@ impl FleetAggregator {
 
     /// A builder for an aggregator with durability and fault-injection knobs.
     pub fn builder() -> FleetAggregatorBuilder {
-        FleetAggregatorBuilder { wal: None, faults: None, recovered: BTreeMap::new(), report: None }
+        FleetAggregatorBuilder::default()
     }
 
-    /// Replays every `*.wal` file under `dir` through [`DeltaFold`] and returns a
+    /// Replays every `*.wal` file under `dir` through ingest's rules and returns a
     /// builder pre-loaded with the recovered producers, WAL-enabled on the same
     /// directory. Torn tails (a crash mid-append) are truncated away — those
     /// frames were never acknowledged under [`FsyncPolicy::EveryFrame`], so the
@@ -1962,56 +1022,27 @@ impl FleetAggregator {
             .filter(|p| p.extension().is_some_and(|ext| ext == "wal"))
             .collect();
         paths.sort();
-        let mut recovered = BTreeMap::new();
+        let mut recovered = FleetState::default();
         let mut report = RecoveryReport::default();
         for path in paths {
-            let recovered_file = recover_wal_file(&path, fsync)
-                .map_err(|e| io::Error::new(e.kind(), format!("WAL {}: {e}", path.display())))?;
-            if let Some((producer, state, row)) = recovered_file {
+            let name_file =
+                |e: io::Error| io::Error::new(e.kind(), format!("WAL {}: {e}", path.display()));
+            if let Some((producer, state, row)) = recover_wal_file(&path).map_err(name_file)? {
+                let wal = Wal::reopen(&path, row.wal_bytes, fsync).map_err(name_file)?;
+                recovered.wals.insert(producer.clone(), wal);
+                recovered.core.producers.insert(producer, state);
                 report.producers.push(row);
-                recovered.insert(producer, state);
             }
         }
         report.producers.sort_by(|a, b| a.producer.cmp(&b.producer));
-        Ok(FleetAggregatorBuilder {
-            wal: Some((dir.to_path_buf(), fsync)),
-            faults: None,
-            recovered,
-            report: Some(report),
-        })
+        let config = AggregatorConfig { wal: Some((dir.to_path_buf(), fsync)), faults: None };
+        Ok(FleetAggregatorBuilder { config, recovered, report: Some(report) })
     }
 
     /// The recovery report, when this aggregator came from
     /// [`FleetAggregator::recover`].
     pub fn recovery_report(&self) -> Option<&RecoveryReport> {
         self.recovery.as_ref()
-    }
-
-    fn start(
-        listener: WireListener,
-        tcp_addr: Option<SocketAddr>,
-        #[cfg(unix)] unix_path: Option<PathBuf>,
-        config: AggregatorConfig,
-        producers: BTreeMap<String, ProducerState>,
-        recovery: Option<RecoveryReport>,
-    ) -> FleetAggregator {
-        let shared = Arc::new(AggregatorShared {
-            state: Mutex::new(FleetState { producers, ..FleetState::default() }),
-            shutdown: AtomicBool::new(false),
-            config,
-            fault_frames: AtomicU64::new(0),
-        });
-        let accept_shared = Arc::clone(&shared);
-        let accept_handle =
-            thread::spawn(move || accept_loop(move || listener.accept(), accept_shared));
-        FleetAggregator {
-            shared,
-            accept_handle: Some(accept_handle),
-            tcp_addr,
-            #[cfg(unix)]
-            unix_path,
-            recovery,
-        }
     }
 
     /// The bound TCP address (`None` for a Unix-socket aggregator).
@@ -2025,8 +1056,8 @@ impl FleetAggregator {
     /// [`FleetAggregator::query`] for one-shot questions: it reads the folds in
     /// place instead of copying them.
     pub fn view(&self) -> FleetView {
-        let state = self.shared.state.lock().expect("fleet state lock");
-        let producers = state.producers.iter().map(|(name, p)| FleetProducer {
+        let state = self.shared.state();
+        let producers = state.core.producers.iter().map(|(name, p)| FleetProducer {
             producer: name.clone(),
             truncated: p.truncated(),
             profile: p.fold.clone().assemble(),
@@ -2036,7 +1067,7 @@ impl FleetAggregator {
 
     /// Per-producer protocol status, in producer-name order.
     pub fn status(&self) -> Vec<ProducerStatus> {
-        self.shared.state.lock().expect("fleet state lock").status()
+        self.shared.state().status()
     }
 
     /// Evaluates a query over the merged fleet — the same evaluation a
@@ -2076,12 +1107,12 @@ impl FleetAggregator {
     pub fn watch(&self, query: &Query) -> crate::query::live::LiveQuery {
         use crate::query::live::LiveQuery;
         let mut groups = GroupState::new(query);
-        let mut state = self.shared.state.lock().expect("fleet state lock");
-        state.absorb_producers(query, &mut groups);
-        let epoch = state.producers.values().filter_map(|p| p.fold.last_epoch()).max();
+        let mut state = self.shared.state();
+        state.core.absorb_producers(query, &mut groups);
+        let epoch = state.core.producers.values().filter_map(|p| p.fold.last_epoch()).max();
         let finished = self.shared.shutdown.load(Ordering::SeqCst);
         let watch = LiveQuery::seed_watch(query.clone(), groups, epoch, finished);
-        state.watches.push(Arc::downgrade(&watch));
+        state.core.watches.push(Arc::downgrade(&watch));
         LiveQuery::from_watch(watch)
     }
 
@@ -2102,8 +1133,8 @@ impl FleetAggregator {
         }
         let _ = accept_handle.join();
         let (handlers, watches) = {
-            let mut state = self.shared.state.lock().expect("fleet state lock");
-            (std::mem::take(&mut state.handlers), std::mem::take(&mut state.watches))
+            let mut state = self.shared.state();
+            (std::mem::take(&mut state.handlers), std::mem::take(&mut state.core.watches))
         };
         for (_, conn) in &handlers {
             if let Some(conn) = conn {
@@ -2136,11 +1167,10 @@ impl Drop for FleetAggregator {
 /// Configures a [`FleetAggregator`] before binding: WAL durability, fsync
 /// policy, fault injection, and (via [`FleetAggregator::recover`]) a set of
 /// producers replayed from a previous incarnation's logs.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct FleetAggregatorBuilder {
-    wal: Option<(PathBuf, FsyncPolicy)>,
-    faults: Option<FaultPlan>,
-    recovered: BTreeMap<String, ProducerState>,
+    config: AggregatorConfig,
+    recovered: FleetState,
     report: Option<RecoveryReport>,
 }
 
@@ -2152,11 +1182,9 @@ impl FleetAggregatorBuilder {
     /// reaches).
     #[must_use]
     pub fn wal(mut self, dir: impl Into<PathBuf>, fsync: FsyncPolicy) -> Self {
-        self.wal = Some((dir.into(), fsync));
-        for p in self.recovered.values_mut() {
-            if let Some(w) = &mut p.wal {
-                w.fsync = fsync;
-            }
+        self.config.wal = Some((dir.into(), fsync));
+        for w in self.recovered.wals.values_mut() {
+            w.fsync = fsync;
         }
         self
     }
@@ -2168,7 +1196,7 @@ impl FleetAggregatorBuilder {
     /// shape the producer's ack deadline exists for.
     #[must_use]
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
+        self.config.faults = Some(plan);
         self
     }
 
@@ -2185,17 +1213,8 @@ impl FleetAggregatorBuilder {
     /// Propagates bind failures.
     pub fn bind(self, addr: &str) -> io::Result<FleetAggregator> {
         let listener = TcpListener::bind(addr)?;
-        let tcp_addr = listener.local_addr()?;
-        let config = AggregatorConfig { wal: self.wal, faults: self.faults };
-        Ok(FleetAggregator::start(
-            WireListener::Tcp(listener),
-            Some(tcp_addr),
-            #[cfg(unix)]
-            None,
-            config,
-            self.recovered,
-            self.report,
-        ))
+        let tcp_addr = Some(listener.local_addr()?);
+        Ok(self.start(WireListener::Tcp(listener), tcp_addr, None))
     }
 
     /// Binds a Unix domain socket and starts the daemon. See
@@ -2207,15 +1226,34 @@ impl FleetAggregatorBuilder {
     #[cfg(unix)]
     pub fn bind_unix(self, path: &Path) -> io::Result<FleetAggregator> {
         let listener = UnixListener::bind(path)?;
-        let config = AggregatorConfig { wal: self.wal, faults: self.faults };
-        Ok(FleetAggregator::start(
-            WireListener::Unix(listener),
-            None,
-            Some(path.to_path_buf()),
-            config,
-            self.recovered,
-            self.report,
-        ))
+        Ok(self.start(WireListener::Unix(listener), None, Some(path.to_path_buf())))
+    }
+
+    fn start(
+        self,
+        listener: WireListener,
+        tcp_addr: Option<SocketAddr>,
+        unix_path: Option<PathBuf>,
+    ) -> FleetAggregator {
+        let shared = Arc::new(AggregatorShared {
+            state: Mutex::new(self.recovered),
+            shutdown: AtomicBool::new(false),
+            config: self.config,
+            fault_frames: AtomicU64::new(0),
+        });
+        let accept_shared = Arc::clone(&shared);
+        let accept_handle =
+            thread::spawn(move || accept_loop(move || listener.accept(), accept_shared));
+        #[cfg(not(unix))]
+        let _ = unix_path;
+        FleetAggregator {
+            shared,
+            accept_handle: Some(accept_handle),
+            tcp_addr,
+            #[cfg(unix)]
+            unix_path,
+            recovery: self.report,
+        }
     }
 }
 
@@ -2239,7 +1277,7 @@ fn accept_loop(mut accept: impl FnMut() -> io::Result<WireStream>, shared: Arc<A
         let conn_clone = stream.try_clone().ok();
         let handler_shared = Arc::clone(&shared);
         let handle = thread::spawn(move || handle_connection(stream, handler_shared));
-        let mut state = shared.state.lock().expect("fleet state lock");
+        let mut state = shared.state();
         // Reap exited handlers (joining a finished thread does not block) and
         // close the last clone of each one's stream.
         for (finished, _) in state.handlers.extract_if(.., |(h, _)| h.is_finished()) {
@@ -2249,30 +1287,23 @@ fn accept_loop(mut accept: impl FnMut() -> io::Result<WireStream>, shared: Arc<A
     }
 }
 
-/// What a connection handler learned about its peer.
-struct ConnCtx {
-    /// Set once a hello frame arrives: the producer name and the generation this
-    /// connection owns.
-    producer: Option<(String, u64)>,
-}
-
 fn handle_connection(stream: WireStream, shared: Arc<AggregatorShared>) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = stream;
-    let mut ctx = ConnCtx { producer: None };
+    let (mut reader, mut writer) = (BufReader::new(read_half), stream);
+    // Set by a hello: the producer name and the generation this connection owns.
+    let mut producer = None;
     // The raw bytes of the current frame, reused across frames (an accepted epoch
     // frame is appended verbatim to the WAL).
     let mut frame = Vec::new();
     while let Ok(false) = wire::at_end(&mut reader) {
         let handled = match wire::read_binary_frame(&mut reader, &mut frame) {
             Ok(WireRecord::Log(record)) => {
-                dispatch_epoch_record(record, &frame, &mut ctx, &shared, &mut writer)
+                dispatch_epoch_record(record, &frame, producer.as_ref(), &shared, &mut writer)
             }
             Ok(WireRecord::Control(control)) => {
-                dispatch_control(control, &mut ctx, &shared, &mut writer)
+                dispatch_control(control, &mut producer, &shared, &mut writer)
             }
             // A whole query frame whose payload was refused costs the client that
             // query, not the connection: the stream is still at a frame boundary.
@@ -2288,15 +1319,8 @@ fn handle_connection(stream: WireStream, shared: Arc<AggregatorShared>) {
     // The handler owns the connection's lifetime: close it now rather than when
     // the accept loop reaps the stream clone it keeps for shutdown.
     let _ = writer.shutdown();
-    // Disconnect cleanup: mark the producer dead unless a newer connection has
-    // already taken the name over.
-    if let Some((name, generation)) = ctx.producer {
-        let mut state = shared.state.lock().expect("fleet state lock");
-        if let Some(p) = state.producers.get_mut(&name) {
-            if p.generation == generation {
-                p.connected = false;
-            }
-        }
+    if let Some((name, generation)) = producer {
+        shared.state().core.disconnected(&name, generation);
     }
 }
 
@@ -2306,215 +1330,103 @@ fn refuse(writer: &mut WireStream, message: String) -> io::Result<()> {
     Err(protocol_error(message))
 }
 
-/// Handles one inbound control record; an `Err` closes the connection (the peer
+/// Answers one inbound control record; an `Err` closes the connection (the peer
 /// already got an error record where one applies).
 fn dispatch_control(
     control: Control,
-    ctx: &mut ConnCtx,
-    shared: &Arc<AggregatorShared>,
+    producer: &mut Option<(String, u64)>,
+    shared: &AggregatorShared,
     writer: &mut WireStream,
 ) -> io::Result<()> {
-    match control {
-        Control::Hello(hello) => dispatch_hello(hello, ctx, shared, writer),
-        Control::Query(query) => dispatch_query(&query, shared, writer),
-        Control::StatusRequest => {
-            let status = shared.state.lock().expect("fleet state lock").status();
-            send(writer, &Control::Status(status))
-        }
-        other => refuse(writer, format!("unexpected {} record from a peer", other.name())),
-    }
-}
-
-fn dispatch_hello(
-    hello: Hello,
-    ctx: &mut ConnCtx,
-    shared: &Arc<AggregatorShared>,
-    writer: &mut WireStream,
-) -> io::Result<()> {
-    let acked = {
-        let mut state = shared.state.lock().expect("fleet state lock");
-        let existed = state.producers.contains_key(&hello.producer);
-        let p = state
-            .producers
-            .entry(hello.producer.clone())
-            .or_insert_with(|| ProducerState::new(hello.event, hello.period, hello.size_filter));
-        if existed {
-            p.resumes += 1;
-        }
-        // The producer reports lifetime counters; a reconnect after a quiet
-        // stretch may re-send older (equal) values, so merge by max.
-        p.spilled_frames = p.spilled_frames.max(hello.spilled_frames);
-        p.dropped_epochs = p.dropped_epochs.max(hello.dropped_epochs);
-        p.reconnect_backoff_ms = p.reconnect_backoff_ms.max(hello.backoff_ms);
-        // Durability: open the WAL at first contact, before anything is acked.
-        // A producer recovered from disk already carries its reopened log.
-        if p.wal.is_none() {
-            if let Some((dir, fsync)) = &shared.config.wal {
-                let (event, period) = p.fold.header();
-                let size_filter = p.fold.size_filter();
-                match Wal::create(dir, &hello.producer, event, period, size_filter, *fsync) {
-                    Ok(wal) => p.wal = Some(wal),
-                    Err(e) => {
-                        // Refuse the hello rather than silently running
-                        // undurable: the producer keeps buffering and retrying.
-                        return refuse(writer, format!("WAL create failed: {e}"));
-                    }
+    let reply = match control {
+        Control::Hello(hello) => {
+            let mut state = shared.state();
+            // Durability: open the WAL at first contact, before anything is acked.
+            // A producer recovered from disk already carries its reopened log.
+            let wal = shared.config.wal.as_ref();
+            if let Some((dir, fsync)) = wal.filter(|_| !state.wals.contains_key(&hello.producer)) {
+                let Hello { producer, event, period, size_filter, .. } = &hello;
+                match Wal::create(dir, producer, *event, *period, *size_filter, *fsync) {
+                    Ok(wal) => drop(state.wals.insert(producer.clone(), wal)),
+                    // Refuse the hello rather than silently running undurable: the
+                    // producer keeps buffering and retrying.
+                    Err(e) => return refuse(writer, format!("WAL create failed: {e}")),
                 }
             }
+            let (generation, ack) = state.core.hello(&hello);
+            *producer = Some((hello.producer, generation));
+            ack
         }
-        p.connected = true;
-        p.generation += 1;
-        let generation = p.generation;
-        let acked = p.fold.last_epoch().unwrap_or(0);
-        ctx.producer = Some((hello.producer, generation));
-        // A new producer changes the fleet-wide event/period header a query
-        // result reports (cold evaluation adopts the last view profile's, in
-        // producer-name order) — live watches adopt the same.
-        if !existed {
-            if let Some(header) = state.fleet_meta() {
-                for_watches(&mut state.watches, |w| w.feed_header(header, None, false));
-            }
+        // Only the walk over the folds holds the state lock; ranking, rendering
+        // and the send run after it is released.
+        Control::Query(query) => {
+            let result = shared.evaluate(&query);
+            Control::Result { text: result.to_text(), json: result.to_json() }
         }
-        acked
+        Control::StatusRequest => Control::Status(shared.state().status()),
+        other => return refuse(writer, format!("unexpected {} record from a peer", other.name())),
     };
-    send(writer, &Control::Ack { epoch: acked, terminal: false })
+    match reply.to_frame() {
+        Ok(frame) => writer.write_all(&frame),
+        Err(e) => refuse(writer, format!("the {} record cannot be sent: {e}", reply.name())),
+    }
 }
 
 /// Folds one decoded epoch frame; `frame` holds its raw bytes, which an accepted
-/// frame appends verbatim to the producer's WAL.
+/// frame appends verbatim to the producer's WAL before its acknowledgement.
 fn dispatch_epoch_record(
     record: LogRecord,
     frame: &[u8],
-    ctx: &mut ConnCtx,
-    shared: &Arc<AggregatorShared>,
+    producer: Option<&(String, u64)>,
+    shared: &AggregatorShared,
     writer: &mut WireStream,
 ) -> io::Result<()> {
-    let Some((name, _)) = &ctx.producer else {
-        return refuse(writer, "epoch frames require a hello frame first".to_string());
-    };
     // Aggregator-side fault injection, resolved before any state changes so a
     // dropped or black-holed frame leaves no trace in the fold or the WAL.
-    let effect = shared.config.faults.as_ref().and_then(|plan| {
-        let ordinal = shared.fault_frames.fetch_add(1, Ordering::SeqCst) + 1;
-        plan.effect(ordinal)
-    });
-    match effect {
-        Some(FaultEffect::Drop) => {
-            return Err(io::Error::new(
-                io::ErrorKind::ConnectionReset,
-                "fault injection: connection dropped before processing",
-            ));
-        }
+    let fault = shared
+        .config
+        .faults
+        .as_ref()
+        .and_then(|plan| plan.effect(shared.fault_frames.fetch_add(1, Ordering::SeqCst) + 1));
+    match fault {
+        Some(FaultAction::Drop) => return Err(io::ErrorKind::ConnectionReset.into()),
         // Swallow the frame, keep the connection: the producer's ack deadline
         // fires against a peer that looks alive but never answers.
-        Some(FaultEffect::BlackHole) => return Ok(()),
-        Some(FaultEffect::Delay(d)) => thread::sleep(d),
-        Some(FaultEffect::Corrupt) | None => {}
+        Some(FaultAction::BlackHole) => return Ok(()),
+        Some(FaultAction::Delay(d)) => thread::sleep(d),
+        Some(FaultAction::Corrupt) | None => {}
     }
+    let name = producer.map(|(name, _)| name.as_str());
     let reply = {
-        let mut state = shared.state.lock().expect("fleet state lock");
-        let p = state.producers.get_mut(name).expect("hello inserted the producer");
-        // Counted per received epoch frame, duplicates included: these measure wire
-        // traffic, not fold outcomes.
-        p.frames_received += 1;
-        p.bytes_received += frame.len() as u64;
-        let last = p.fold.last_epoch().unwrap_or(0);
-        let checked = match &record {
-            // A re-sent finish after a lost final acknowledgement is acknowledged
-            // again; the first finish stays.
-            LogRecord::Finish(_) if p.fold.is_finished() => Ok(false),
-            LogRecord::Finish(finish) => p.fold.check_finish(finish, p.lossy()).map(|()| true),
-            LogRecord::Delta(delta) => p.fold.check(delta).map(|()| true),
-        };
-        // `Ok((ack, folded))`: the acknowledgement, and whether the fold moved.
-        let reply = match checked {
-            // An epoch the fold has seen: a backfill overlap (the frame was folded
-            // but its acknowledgement was lost). Checked before the WAL append so
-            // replaying the log never hits a duplicate; drop it and re-acknowledge
-            // — folding twice would double-count. Live watches never see the
-            // duplicate either, for the same reason.
-            Err(FoldError::OutOfOrderEpoch { last, .. }) => {
-                p.duplicates += 1;
-                Ok((Control::Ack { epoch: last, terminal: false }, false))
-            }
-            // Anything else the fold refuses is refused before the WAL sees it, so
-            // replaying the log never hits a frame the fold refused.
-            Err(e) => Err(e.to_string()),
-            Ok(false) => Ok((Control::Ack { epoch: last, terminal: true }, false)),
+        let mut state = shared.state();
+        let FleetState { core, wals, .. } = &mut *state;
+        match core.frame(name, &record, frame.len()) {
+            Verdict::Reply(ack) => Ok(ack),
+            Verdict::Refuse(message) => Err(message),
             // Durability order: log, then fold, then ack. A WAL append failure
             // refuses the frame — the producer re-sends it, and the fold never
             // holds a sample the log doesn't.
-            Ok(true) => match p.wal.as_mut().map_or(Ok(()), |w| w.append(frame)) {
-                Err(e) => Err(format!("WAL append failed: {e}")),
-                Ok(()) => Ok(match &record {
-                    LogRecord::Delta(delta) => {
-                        p.fold.absorb(delta);
-                        (Control::Ack { epoch: delta.epoch, terminal: false }, true)
-                    }
-                    LogRecord::Finish(finish) => {
-                        p.fold.finish(finish.clone(), p.lossy()).expect("checked above");
-                        (Control::Ack { epoch: last, terminal: true }, true)
-                    }
-                }),
-            },
-        };
-        // Feed folded frames to the live watches under the same state lock, so a
-        // watch render interleaves with whole frames, never half of one.
-        if matches!(reply, Ok((_, true))) && !state.watches.is_empty() {
-            let meta = state.fleet_meta();
-            let FleetState { producers, watches, .. } = &mut *state;
-            let fold = &producers[name.as_str()].fold;
-            match &record {
-                // The producer's fold already holds the delta's sites.
-                LogRecord::Delta(delta) => {
-                    for_watches(watches, |w| w.feed_fragment(name, fold, delta));
-                }
-                // The finish adds no rows, only the run header; `close: false` —
-                // one producer finishing does not end the fleet.
-                LogRecord::Finish(_) => {
-                    let (header, epoch) = (meta.expect("this producer exists"), fold.last_epoch());
-                    for_watches(watches, |w| w.feed_header(header, epoch, false));
+            Verdict::Append => {
+                let name = name.expect("only a producer's frame is appended");
+                match wals.get_mut(name).map_or(Ok(()), |w| w.append(frame)) {
+                    Ok(()) => Ok(core.commit(name, &record)),
+                    Err(e) => Err(format!("WAL append failed: {e}")),
                 }
             }
         }
-        reply.map(|(ack, _)| ack)
     };
     match reply {
-        Ok(ack) => match effect {
-            // Corrupt the acknowledgement, not the state: the frame was folded
-            // and logged, but the ack's checksum fails at the producer, which
-            // severs, reconnects, and gets trimmed by the duplicate pre-check
-            // above.
-            Some(FaultEffect::Corrupt) => {
-                let mut corrupted = ack.to_frame()?;
-                if let Some(i) = corrupted.len().checked_sub(2) {
-                    corrupted[i] ^= 0xFF;
-                }
-                writer.write_all(&corrupted)
-            }
-            _ => send(writer, &ack),
-        },
+        // Corrupt the acknowledgement, not the state: the frame was folded and
+        // logged, but the ack's checksum fails at the producer, which reconnects
+        // and gets trimmed by the hello's resume point.
+        Ok(ack) => {
+            write_faulted(writer, &ack.to_frame()?, fault.filter(|f| *f == FaultAction::Corrupt))
+        }
         Err(message) => refuse(writer, message),
     }
 }
 
-fn dispatch_query(
-    query: &Query,
-    shared: &Arc<AggregatorShared>,
-    writer: &mut WireStream,
-) -> io::Result<()> {
-    // Only the walk over the folds holds the state lock; ranking, rendering and the
-    // send run after it is released.
-    let result = shared.evaluate(query);
-    match (Control::Result { text: result.to_text(), json: result.to_json() }).to_frame() {
-        Ok(frame) => writer.write_all(&frame),
-        Err(e) => refuse(writer, format!("the query result cannot be sent: {e}")),
-    }
-}
-
-// ---------------------------------------------------------------------------------------
 // FleetClient: querying the aggregator over the wire
-// ---------------------------------------------------------------------------------------
 
 /// A query answer rendered by the aggregator: both output forms, exactly as the
 /// same [`QueryResult`] would render them in process.
@@ -2533,8 +1445,7 @@ pub struct RemoteQueryResult {
 /// aggregator fails a call instead of blocking it forever.
 #[derive(Debug)]
 pub struct FleetClient {
-    writer: WireStream,
-    reader: BufReader<WireStream>,
+    conn: Conn,
 }
 
 impl FleetClient {
@@ -2544,7 +1455,7 @@ impl FleetClient {
     ///
     /// Propagates connection failures.
     pub fn connect(addr: &str) -> io::Result<FleetClient> {
-        Self::from_target(Target::Tcp(addr.to_string()))
+        Ok(FleetClient { conn: Conn::open(&Target::Tcp(addr.to_string()), DEFAULT_ACK_DEADLINE)? })
     }
 
     /// Connects to an aggregator over a Unix domain socket.
@@ -2554,20 +1465,11 @@ impl FleetClient {
     /// Propagates connection failures.
     #[cfg(unix)]
     pub fn connect_unix(path: &Path) -> io::Result<FleetClient> {
-        Self::from_target(Target::Unix(path.to_path_buf()))
-    }
-
-    fn from_target(target: Target) -> io::Result<FleetClient> {
-        let writer = target.connect()?;
-        writer.set_io_timeouts(DEFAULT_ACK_DEADLINE)?;
-        let reader = BufReader::new(writer.try_clone()?);
-        Ok(FleetClient { writer, reader })
+        Ok(FleetClient { conn: Conn::open(&Target::Unix(path.into()), DEFAULT_ACK_DEADLINE)? })
     }
 
     fn round_trip(&mut self, request: &Control) -> io::Result<Control> {
-        send(&mut self.writer, request)?;
-        self.writer.flush()?;
-        read_reply(&mut self.reader)
+        self.conn.round_trip(&request.to_frame()?, None)
     }
 
     /// Evaluates `query` over the aggregator's current fleet view and returns both
@@ -2605,11 +1507,19 @@ impl FleetClient {
 }
 
 #[cfg(test)]
+mod sim;
+
+#[cfg(test)]
 mod tests {
+    use super::protocol::Backoff;
+    use super::store::wal_path;
+    use super::transport::read_reply;
     use super::*;
+    use crate::profile::DeltaFold;
     use crate::profile::{ThreadDelta, ThreadProfile};
     use crate::query::{GroupBy, RankBy};
     use djx_runtime::{Frame, MethodId, ThreadId};
+    use std::fs::OpenOptions;
 
     fn delta(epoch: u64, thread: u64, samples: u64) -> ProfileDelta {
         let mut profile = ThreadProfile::new(ThreadId(thread), "worker");
@@ -2811,21 +1721,22 @@ mod tests {
             .corrupt_at(4)
             .black_hole_from(6);
         assert!(plan.effect(1).is_none());
-        assert!(matches!(plan.effect(2), Some(FaultEffect::Drop)));
+        assert!(matches!(plan.effect(2), Some(FaultAction::Drop)));
         assert!(
-            matches!(plan.effect(3), Some(FaultEffect::Delay(d)) if d == Duration::from_millis(7))
+            matches!(plan.effect(3), Some(FaultAction::Delay(d)) if d == Duration::from_millis(7))
         );
-        assert!(matches!(plan.effect(4), Some(FaultEffect::Corrupt)));
+        assert!(matches!(plan.effect(4), Some(FaultAction::Corrupt)));
         assert!(plan.effect(5).is_none());
         for frame in 6..20 {
-            assert!(matches!(plan.effect(frame), Some(FaultEffect::BlackHole)));
+            assert!(matches!(plan.effect(frame), Some(FaultAction::BlackHole)));
         }
     }
 
     #[test]
     fn pending_buffer_spills_in_order_and_trims_spilled_frames() {
         let dir = scratch_dir("pending");
-        let mut pending = PendingBuffer::new(48, OverflowPolicy::SpillThenBlock, dir.clone());
+        let mut pending =
+            PendingBuffer::<SpillFile>::new(48, OverflowPolicy::SpillThenBlock, dir.clone());
         for epoch in 1..=6u64 {
             pending
                 .offer(PendingFrame {
@@ -2857,8 +1768,11 @@ mod tests {
     #[test]
     fn lossy_buffer_drops_oldest_epochs_but_never_the_finish() {
         let dir = scratch_dir("lossy");
-        let mut pending =
-            PendingBuffer::new(96, OverflowPolicy::DropOldestEpochsFlaggedLossy, dir.clone());
+        let mut pending = PendingBuffer::<SpillFile>::new(
+            96,
+            OverflowPolicy::DropOldestEpochsFlaggedLossy,
+            dir.clone(),
+        );
         for epoch in 1..=5u64 {
             pending
                 .offer(PendingFrame { epoch: Some(epoch), sites: false, bytes: vec![0; 40] })
@@ -2880,8 +1794,11 @@ mod tests {
     #[test]
     fn lossy_buffer_keeps_frames_that_define_sites() {
         let dir = scratch_dir("lossy-sites");
-        let mut pending =
-            PendingBuffer::new(96, OverflowPolicy::DropOldestEpochsFlaggedLossy, dir.clone());
+        let mut pending = PendingBuffer::<SpillFile>::new(
+            96,
+            OverflowPolicy::DropOldestEpochsFlaggedLossy,
+            dir.clone(),
+        );
         for epoch in 1..=6u64 {
             // Epochs 1 and 4 define sites; the rest only reference them.
             let sites = epoch % 3 == 1;
@@ -2915,9 +1832,8 @@ mod tests {
         assert!(path.exists(), "the sanitized path exists");
 
         // A clean replay: both frames, no truncation.
-        let (name, state, report) = recover_wal_file(&path, FsyncPolicy::Never)
-            .expect("replay reads")
-            .expect("header parsed");
+        let (name, state, report) =
+            recover_wal_file(&path).expect("replay reads").expect("header parsed");
         assert_eq!(name, "proc/0");
         assert_eq!(report.frames, 2);
         assert_eq!(report.last_epoch, 2);
@@ -2932,9 +1848,8 @@ mod tests {
         let mut file = OpenOptions::new().append(true).open(&path).expect("reopen for tearing");
         file.write_all(&[wire::BINARY_MAGIC[0], 0x01, 0x02]).expect("torn bytes");
         drop(file);
-        let (_, state, report) = recover_wal_file(&path, FsyncPolicy::Never)
-            .expect("replay reads")
-            .expect("header parsed");
+        let (_, state, report) =
+            recover_wal_file(&path).expect("replay reads").expect("header parsed");
         let why = report.torn_tail.expect("the tear was detected");
         assert!(why.contains(&format!("cut 3 bytes at file offset {clean_bytes}")), "{why}");
         assert!(why.contains("binary frame 3 at byte offset "), "names the torn frame: {why}");
@@ -3077,5 +1992,29 @@ mod tests {
             FleetSink::connect(&addr2, "unit", PmuEvent::DEFAULT, 16, 0).expect("reconnect");
         assert_eq!(resumed.stats().acked_epoch, 2, "the hello ack carries the recovered epoch");
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_poisoned_state_lock_keeps_the_aggregator_serving() {
+        let aggregator = FleetAggregator::bind("127.0.0.1:0").expect("bind");
+        let addr = aggregator.local_addr().expect("tcp addr").to_string();
+        let shared = Arc::clone(&aggregator.shared);
+        let panicked = thread::spawn(move || {
+            let _state = shared.state();
+            panic!("a connection handler panics holding the state lock");
+        })
+        .join();
+        assert!(panicked.is_err() && aggregator.shared.state.is_poisoned());
+        assert!(aggregator.status().is_empty(), "status still answers");
+        aggregator.query(&Query::new()).expect("queries still answer");
+        let sink = FleetSink::connect(&addr, "after", PmuEvent::DEFAULT, 16, 0)
+            .expect("a new producer's hello is still acknowledged");
+        sink.on_delta(1, &delta(1, 7, 5), &mut io::sink()).expect("delta");
+        let status = aggregator.status();
+        assert_eq!(
+            (status[0].producer.as_str(), status[0].deltas, status[0].samples),
+            ("after", 1, 5)
+        );
+        assert_eq!(sink.stats().acked_epoch, 1, "the delta was acknowledged");
     }
 }

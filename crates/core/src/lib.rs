@@ -128,9 +128,9 @@ pub use agent::{
 pub use cct::{Cct, CctNodeId};
 pub use export::{DeltaDrainer, DrainPolicy, ExportStats, SharedBuffer};
 pub use fleet::{
-    BackoffPolicy, FaultAction, FaultPlan, FleetAggregator, FleetAggregatorBuilder, FleetClient,
-    FleetProducer, FleetSink, FleetSinkBuilder, FleetSinkStats, FleetView, FsyncPolicy,
-    OverflowPolicy, ProducerRecovery, ProducerStatus, RecoveryReport, RemoteQueryResult,
+    BackoffPolicy, FaultPlan, FleetAggregator, FleetAggregatorBuilder, FleetClient, FleetProducer,
+    FleetSink, FleetSinkBuilder, FleetSinkStats, FleetView, FsyncPolicy, OverflowPolicy,
+    ProducerRecovery, ProducerStatus, RecoveryReport, RemoteQueryResult,
 };
 pub use interval::{Interval, IntervalIndex, LookupStats};
 pub use metrics::MetricVector;

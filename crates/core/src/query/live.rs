@@ -48,7 +48,6 @@ use std::time::{Duration, Instant};
 
 use djx_pmu::PmuEvent;
 
-use crate::export::DeltaTap;
 use crate::profile::{DeltaFold, FoldError, ObjectCentricProfile, ProfileDelta, ProfileParseError};
 use crate::sink::{FinishRecord, LogRecord};
 use crate::wire::FrameTail;
@@ -104,15 +103,18 @@ impl LiveState {
     }
 }
 
-impl DeltaTap for LiveShared {
-    fn on_delta(&self, delta: &ProfileDelta) {
+impl LiveShared {
+    /// One non-empty epoch-retired delta from the export stream, handed over under
+    /// its hand-off gate before the delta is queued for the sink.
+    pub(crate) fn on_delta(&self, delta: &ProfileDelta) {
         // The drainer hands epochs over strictly ordered under the hand-off gate, so
         // a rejection here can only be the seed epoch re-drained with no new
         // retirements — the rows are already folded, dropping it is the dedupe.
         let _ = self.state.lock().expect("live fold state lock").absorb_delta(delta);
     }
 
-    fn on_finish(&self, record: &FinishRecord) {
+    /// The stream's terminal record, after the final delta.
+    pub(crate) fn on_finish(&self, record: &FinishRecord) {
         // The trailer counts exactly the retired samples: the seed plus every delta
         // handed over since, so the checksum holds.
         let _ = self.state.lock().expect("live fold state lock").finish(record.clone());
@@ -229,11 +231,10 @@ impl LiveFold {
         Self::of(fold)
     }
 
-    /// The fold's [`DeltaTap`] handle for
+    /// The fold's tap handle for
     /// [`DeltaDrainer::attach_tap`](crate::export::DeltaDrainer::attach_tap).
-    pub(crate) fn tap_handle(&self) -> Weak<dyn DeltaTap> {
-        let shared: Arc<dyn DeltaTap> = Arc::clone(&self.shared) as Arc<dyn DeltaTap>;
-        Arc::downgrade(&shared)
+    pub(crate) fn tap_handle(&self) -> Weak<LiveShared> {
+        Arc::downgrade(&self.shared)
     }
 
     /// Registers a watch: seed its group state from the fold in place, then

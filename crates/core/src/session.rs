@@ -694,6 +694,8 @@ struct ExportConfig {
     sink: Arc<dyn ProfileSink>,
     out: Box<dyn io::Write + Send>,
     policy: DrainPolicy,
+    /// The same sink when it is a fleet sink, which re-bases from the stream.
+    fleet: Option<Arc<crate::fleet::FleetSink>>,
 }
 
 impl SessionBuilder {
@@ -800,7 +802,7 @@ impl SessionBuilder {
         out: Box<dyn io::Write + Send>,
         policy: DrainPolicy,
     ) -> Self {
-        self.export = Some(ExportConfig { sink, out, policy });
+        self.export = Some(ExportConfig { sink, out, policy, fleet: None });
         self
     }
 
@@ -827,9 +829,14 @@ impl SessionBuilder {
     /// [`FleetSink::builder`](crate::fleet::FleetSink::builder) before handing
     /// the sink here. Even a drainer held by the sink (a failed or full spill
     /// file) never makes a snapshot or flush wait: the export queue merges the
-    /// deltas arriving meanwhile.
+    /// deltas arriving meanwhile. An aggregator that lost its state gets one delta
+    /// of this session's whole stream so far instead of the backlog (a re-base).
     pub fn stream_to_fleet(self, sink: Arc<crate::fleet::FleetSink>, policy: DrainPolicy) -> Self {
-        self.stream_to(sink, Box::new(io::sink()), policy)
+        let out = Box::new(io::sink());
+        Self {
+            export: Some(ExportConfig { sink: sink.clone(), out, policy, fleet: Some(sink) }),
+            ..self
+        }
     }
 
     /// Builds the session without attaching it (use
@@ -854,7 +861,11 @@ impl SessionBuilder {
             .then(|| Arc::new(ObjectCentricCollector::new(shared.clone())));
         let export = self.export.map(|cfg| {
             let objects = objects.clone().expect("stream_to keeps the object record");
-            DeltaDrainer::spawn(objects, cfg.sink, cfg.out, cfg.policy)
+            let drainer = DeltaDrainer::spawn(objects.clone(), cfg.sink, cfg.out, cfg.policy);
+            if let Some(fleet) = cfg.fleet {
+                fleet.set_rebase_source(drainer.rebase_source(&objects));
+            }
+            drainer
         });
 
         Arc::new(Session {

@@ -566,7 +566,7 @@ fn decode_finish_payload(payload: &[u8]) -> Result<FinishRecord, ProfileParseErr
 /// The hello frame a producer opens every fleet connection with: its name, the
 /// profiled run's configuration (so the aggregator can expose a partial fold
 /// before the finish frame arrives), and its lifetime loss/backoff counters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Hello {
     pub(crate) producer: String,
     pub(crate) event: PmuEvent,

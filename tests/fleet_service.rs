@@ -1256,6 +1256,61 @@ fn hung_aggregator_never_wedges_the_drainer() {
     assert!(!row.finished);
 }
 
+/// An aggregator that lost its state — killed without a WAL and restarted fresh —
+/// acknowledges 0 to a producer it had already acknowledged further. The
+/// producer's later deltas reference sites only the lost frames defined, so
+/// re-sending its backlog would be refused forever; instead it re-bases: one
+/// delta of its whole stream so far replaces the backlog. The finish checksum
+/// then holds without a lossy declaration, and the fleet answers exactly what the
+/// producer's own profile answers.
+#[test]
+fn a_producer_re_bases_onto_an_aggregator_that_lost_its_state() {
+    let mut aggregator = FleetAggregator::bind("127.0.0.1:0").expect("aggregator binds");
+    let addr = aggregator.local_addr().expect("tcp aggregator").to_string();
+    let logs = build_process_logs();
+    let sink = Arc::new(
+        FleetSink::builder("rebased", PmuEvent::DEFAULT, PERIOD, SIZE_FILTER)
+            .ack_deadline(Duration::from_millis(500))
+            .backoff(fast_backoff(3))
+            .finish_deadline(Duration::from_secs(20))
+            .connect(&addr)
+            .expect("producer connects"),
+    );
+    let session = fleet_session(&sink);
+    replay_allocs(&session, &logs[0]);
+    let half = ACCESSES_PER_PROCESS as usize / 2;
+    replay_accesses(&session, &logs[0], 0..half);
+    quiesce(&aggregator, &[("rebased", &*session, &*sink)]);
+    assert!(sink.stats().acked_epoch > 0, "the first aggregator acknowledged frames");
+
+    // The kill: no WAL, so the restarted aggregator knows nothing of the producer.
+    aggregator.shutdown();
+    drop(aggregator);
+    let restarted = rebind(|| FleetAggregator::bind(&addr));
+    replay_accesses(&session, &logs[0], half..ACCESSES_PER_PROCESS as usize);
+    session.finish_export().expect("the stream finishes on the fresh aggregator");
+
+    let stats = sink.stats();
+    assert_eq!((stats.rebases, stats.dropped_epochs, stats.pending_frames), (1, 0, 0), "{stats:?}");
+    let row = &restarted.status()[0];
+    assert!(row.finished && !row.truncated, "the finish is not lossy: {row:?}");
+    assert_eq!(row.dropped_epochs, 0);
+    let profile = session.object_profile().expect("the session keeps its record");
+    assert_eq!(row.samples, profile.total_samples());
+    let mut client = FleetClient::connect(&addr).expect("client connects");
+    for query in [
+        Query::new(),
+        Query::new().group_by(GroupBy::Site).rank_by(RankBy::Allocations),
+        Query::new().group_by(GroupBy::Thread).rank_by(RankBy::Samples),
+        Query::new().group_by(GroupBy::Context),
+    ] {
+        let own = query.evaluate(&profile).expect("the profile evaluates");
+        let remote = client.query(&query).expect("the wire query answers");
+        assert_eq!(remote.text, own.to_text(), "text identity for {query:?}");
+        assert_eq!(remote.json, own.to_json(), "json identity for {query:?}");
+    }
+}
+
 /// Sink-side deterministic fault injection: a scheduled connection drop, a
 /// corrupted frame (rejected by the aggregator's checksum) and a delayed frame —
 /// the stream heals around all three with zero loss.
