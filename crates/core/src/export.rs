@@ -3,14 +3,14 @@
 //!
 //! The snapshot machinery of [`crate::session`] already partitions the collector's
 //! state into **per-epoch deltas**: retiring a buffer epoch takes each thread slot's
-//! open delta out in O(1) and absorbs the taken deltas into a retired buffer. Before this module, the
-//! only consumer of that partition was [`Session::snapshot`](crate::session::Session) —
-//! which re-clones the *whole* retired buffer on every call, so exporting a live
-//! profile costs O(accumulated profile) each time. `djxperf::export` turns the
-//! profiler from snapshot-pull into continuous-push: a [`DeltaDrainer`] background
-//! thread streams each retired [`ProfileDelta`] through an extended [`ProfileSink`]
-//! ([`ProfileSink::on_delta`] / [`ProfileSink::on_finish`]) as it is produced, so
-//! export cost scales with the delta — not with the whole accumulated profile.
+//! open profile out in O(1) as one [`ProfileDelta`] and absorbs it into the session's
+//! producer fold, the [`DeltaFold`](crate::profile::DeltaFold) every profile read
+//! clones. Exporting by reading profiles would cost O(accumulated profile) per read.
+//! `djxperf::export` turns the profiler from snapshot-pull into continuous-push: a
+//! [`DeltaDrainer`] background thread streams each retired [`ProfileDelta`] through an
+//! extended [`ProfileSink`] ([`ProfileSink::on_delta`] / [`ProfileSink::on_finish`])
+//! as it is produced, so export cost scales with the delta — not with the whole
+//! accumulated profile.
 //!
 //! # Pipeline
 //!
@@ -39,9 +39,10 @@
 //! the terminal flush): folding the streamed deltas with
 //! [`DeltaFold`](crate::profile::DeltaFold) — or replaying a
 //! [`BinaryChunkedSink`](crate::wire::BinaryChunkedSink) epoch log — reproduces a profile
-//! **byte-identical** to a terminal [`Session::snapshot`](crate::session::Session)
-//! once ingestion has quiesced. Deltas appear on the wire in strictly increasing
-//! epoch order; empty epochs are skipped.
+//! **byte-identical** to the session's own
+//! [`Session::object_profile`](crate::session::Session::object_profile), because that
+//! profile *is* the producer fold of the same deltas. Deltas appear on the wire in
+//! strictly increasing epoch order; empty epochs are skipped.
 //!
 //! # The hand-off rule
 //!
@@ -85,8 +86,8 @@ use parking_lot::Mutex;
 
 use crate::agent::AllocationAgent;
 use crate::profile::ProfileDelta;
-use crate::query::live::LiveShared;
-use crate::session::{ObjectCentricCollector, ProfilerConfig};
+use crate::query::live::{LiveFold, LiveShared};
+use crate::session::ObjectCentricCollector;
 use crate::sink::{FinishRecord, LogRecord, ProfileSink};
 use crate::sync::{Epoch, SpinLock};
 
@@ -195,10 +196,9 @@ impl Write for SharedBuffer {
 }
 
 /// What a fleet sink re-sends when its aggregator lost the producer's state: the
-/// retired buffer as one delta at base 0 ([`ObjectCentricCollector::retired_delta`]),
-/// the same seed a live tap adopts, taken under the hand-off gate so it is exactly
-/// the fold of every delta drained so far. Weak both ways: `None` once the session
-/// and its drainer are gone.
+/// producer fold's accumulator, one delta at base 0 — the fold a live tap copies,
+/// read under the hand-off gate so it is exactly the fold of every delta drained so
+/// far. Weak both ways: `None` once the session and its drainer are gone.
 #[derive(Debug)]
 pub(crate) struct RebaseSource {
     shared: Weak<ExportShared>,
@@ -209,7 +209,7 @@ impl RebaseSource {
     pub(crate) fn delta(&self) -> Option<ProfileDelta> {
         let (shared, collector) = (self.shared.upgrade()?, self.collector.upgrade()?);
         let _gate = shared.gate.lock_yielding();
-        Some(collector.retired_delta())
+        Some(collector.fold(|fold| fold.accumulator().clone()))
     }
 }
 
@@ -538,24 +538,18 @@ impl DeltaDrainer {
         self.shared.stats()
     }
 
-    /// Registers a live tap on the stream, atomically with its seed read: `seed`
-    /// runs with the hand-off gate held and receives the fold of every delta drained
-    /// so far (the collector's retired buffer at the current epoch counter), so the
-    /// tap misses nothing and double-counts nothing. Returns `false` — registering
-    /// nothing, never calling `seed` — once the stream has closed; the caller seeds
-    /// from the terminal snapshot instead.
-    pub(crate) fn attach_tap(
-        &self,
-        collector: &ObjectCentricCollector,
-        seed: impl FnOnce(ProfileDelta) -> Weak<LiveShared>,
-    ) -> bool {
+    /// A live fold on the stream: under the hand-off gate it starts as a copy of the
+    /// collector's producer fold — every delta drained so far — and is registered as
+    /// a tap for every later one, so it misses nothing and double-counts nothing.
+    /// Once the stream has closed, the copy is the finished terminal fold and no tap
+    /// is registered.
+    pub(crate) fn attach_tap(&self, collector: &ObjectCentricCollector) -> LiveFold {
         let _gate = self.shared.gate.lock_yielding();
-        if self.shared.is_closed() {
-            return false;
+        let fold = LiveFold::of(collector.fold(|fold| fold.clone()));
+        if !self.shared.is_closed() {
+            self.shared.taps.lock().push(fold.tap_handle());
         }
-        let tap = seed(collector.retired_delta());
-        self.shared.taps.lock().push(tap);
-        true
+        fold
     }
 
     /// The stream's re-base source for a fleet sink (see [`RebaseSource`]).
@@ -563,16 +557,15 @@ impl DeltaDrainer {
         RebaseSource { shared: Arc::downgrade(&self.shared), collector: Arc::downgrade(collector) }
     }
 
-    /// Ends the stream: drains the closing delta, pushes the terminal
-    /// [`FinishRecord`] (built under the hand-off gate from `config`, the agent's
-    /// counters and the retired buffer's sample total, so the checksum counts
-    /// exactly the streamed deltas), joins the worker and returns the accumulated
-    /// statistics or the first sink/write error. Idempotent — later calls replay
-    /// the first outcome.
+    /// Ends the stream: drains the closing delta, closes the producer fold with the
+    /// terminal [`FinishRecord`] (built under the hand-off gate from the fold's
+    /// header and sample total and the agent's counters, so the checksum counts
+    /// exactly the streamed deltas) and pushes that record, joins the worker and
+    /// returns the accumulated statistics or the first sink/write error. Idempotent
+    /// — later calls replay the first outcome.
     pub(crate) fn finish(
         &self,
         collector: &ObjectCentricCollector,
-        config: &ProfilerConfig,
         allocation: &AllocationAgent,
     ) -> io::Result<ExportStats> {
         let mut slot = self.result.lock();
@@ -582,13 +575,18 @@ impl DeltaDrainer {
         {
             let _gate = self.shared.gate.lock_yielding();
             self.shared.close_epoch(collector);
-            let record = FinishRecord {
-                event: config.event,
-                period: config.period,
-                size_filter: config.size_filter,
-                allocation_stats: allocation.stats(),
-                total_samples: collector.retired_samples(),
-            };
+            let record = collector.fold(|fold| {
+                let (event, period) = fold.header();
+                let record = FinishRecord {
+                    event,
+                    period,
+                    size_filter: fold.size_filter(),
+                    allocation_stats: allocation.stats(),
+                    total_samples: fold.total_samples(),
+                };
+                fold.finish(record.clone(), false).expect("the fold's own sample total");
+                record
+            });
             self.shared.tap(|tap| tap.on_finish(&record));
             // The capacity bounds deltas only: the terminal item always queues.
             self.shared.push(LogRecord::Finish(record));

@@ -96,8 +96,8 @@
 //! ([`BackoffPolicy`]), and backfill losslessly. An aggregator that lost its state
 //! (no WAL, or the WAL gone) acknowledges a hello below what the producer already
 //! had acknowledged; the producer then re-bases ([`FleetSinkStats::rebases`]): one
-//! delta of its whole stream so far, taken from the session, replaces its backlog,
-//! and the stream heals without loss. With no session left to re-base from, the
+//! delta of its whole stream so far, the session's producer fold, replaces its
+//! backlog, and the stream heals without loss — epochs dropped before it included. With no session left to re-base from, the
 //! backlog is given up as declared dropped epochs instead of being retried forever.
 //! Only a spill file that fails or fills holds the export drainer, and even then
 //! no snapshot or flush waits: the export queue merges the deltas arriving
@@ -354,8 +354,8 @@ pub struct FleetSinkStats {
     /// Buffered epochs dropped under
     /// [`OverflowPolicy::DropOldestEpochsFlaggedLossy`], or given up after an
     /// aggregator lost this producer's state with no session left to re-base
-    /// from — reported to the aggregator with the next hello, which flags the
-    /// producer truncated.
+    /// from, over the sink's lifetime. Each hello reports those no re-base has
+    /// covered since, which flags the producer truncated.
     pub dropped_epochs: u64,
     /// Cumulative reconnect backoff scheduled, in milliseconds.
     pub reconnect_backoff_ms: u64,
@@ -802,9 +802,10 @@ pub struct ProducerStatus {
     /// ([`OverflowPolicy::SpillThenBlock`]), carried by reconnect hellos.
     pub spilled_frames: u64,
     /// Epochs the producer reports having dropped under
-    /// [`OverflowPolicy::DropOldestEpochsFlaggedLossy`]. Nonzero flags the
-    /// producer truncated and relaxes the finish-frame sample checksum — the
-    /// loss was chosen and declared, so it is surfaced rather than refused.
+    /// [`OverflowPolicy::DropOldestEpochsFlaggedLossy`] since its last re-base
+    /// (whose delta holds the earlier ones). Nonzero flags the producer truncated
+    /// and relaxes the finish-frame sample checksum — the loss was chosen and
+    /// declared, so it is surfaced rather than refused.
     pub dropped_epochs: u64,
     /// Cumulative reconnect backoff the producer reports having scheduled, in
     /// milliseconds — the remote view of how rough this link's life has been.

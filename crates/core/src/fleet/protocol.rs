@@ -324,6 +324,9 @@ pub(crate) struct ProducerLink<S> {
     /// The aggregator lost state this link could not re-base: every later delta
     /// is dropped and counted, and the finish goes out declared lossy.
     lossy: bool,
+    /// Dropped epochs the last re-base covered: its delta holds them, so a hello
+    /// declares only the drops after it.
+    covered: u64,
     pub(crate) severed: bool,
 }
 
@@ -338,6 +341,7 @@ impl<S: SpillStore> ProducerLink<S> {
             next_attempt: None,
             floor: 0,
             lossy: false,
+            covered: 0,
             severed: false,
         }
     }
@@ -389,7 +393,7 @@ impl<S: SpillStore> ProducerLink<S> {
                     self.phase = Phase::AwaitHello;
                     LinkStep::Connect(Control::Hello(Hello {
                         spilled_frames: self.pending.spilled_frames,
-                        dropped_epochs: self.pending.dropped_epochs,
+                        dropped_epochs: self.pending.dropped_epochs - self.covered,
                         backoff_ms: self.stats.reconnect_backoff_ms,
                         ..self.hello.clone()
                     }))
@@ -478,7 +482,9 @@ impl<S: SpillStore> ProducerLink<S> {
     /// Answers [`LinkStep::Rebase`] with the stream's cumulative delta — every
     /// thread and the whole site table at base 0, through the last epoch drained —
     /// which replaces every buffered delta: to the aggregator's fresh fold it is an
-    /// ordinary first delta, and the finish checksum still holds. `None` (the
+    /// ordinary first delta, and the finish checksum still holds. The delta also
+    /// holds every epoch dropped so far, so the link stops declaring them and
+    /// reconnects at once: the next hello tells the aggregator. `None` (the
     /// session is gone), or a stream too big for one frame, gives the buffered
     /// deltas up, counted as dropped epochs.
     pub(crate) fn rebase(&mut self, delta: Option<ProfileDelta>) {
@@ -493,7 +499,8 @@ impl<S: SpillStore> ProducerLink<S> {
         self.floor = delta.epoch;
         let frame = PendingFrame { epoch: Some(delta.epoch), sites: true, bytes };
         self.pending.replace_deltas(Some(frame));
-        self.phase = Phase::Ready;
+        (self.covered, self.lossy) = (self.pending.dropped_epochs, false);
+        self.phase = Phase::Down;
     }
 
     /// Lost state without a re-base: drops every buffered delta (one more epoch
@@ -713,9 +720,16 @@ impl AggregatorCore {
             .or_insert_with(|| ProducerState::new(hello.event, hello.period, hello.size_filter));
         p.resumes += u64::from(existed);
         // The producer reports lifetime counters; a reconnect after a quiet
-        // stretch may re-send older (equal) values, so merge by max.
+        // stretch may re-send older (equal) values, so merge by max. The drop
+        // count is the producer's current declaration instead — a re-base covers
+        // the drops before it — but a finished stream stays as lossy as its finish
+        // was taken, WAL replay's restored flag included.
         p.spilled_frames = p.spilled_frames.max(hello.spilled_frames);
-        p.dropped_epochs = p.dropped_epochs.max(hello.dropped_epochs);
+        p.dropped_epochs = if p.fold.is_finished() {
+            p.dropped_epochs.max(hello.dropped_epochs)
+        } else {
+            hello.dropped_epochs
+        };
         p.reconnect_backoff_ms = p.reconnect_backoff_ms.max(hello.backoff_ms);
         p.connected = true;
         p.generation += 1;

@@ -9,15 +9,16 @@
 //! deadline trips), and aggregator crashes between any two of its outputs — its
 //! log kept, torn mid-append, or lost — including restarts of an aggregator that
 //! never had a log. Each producer generates site-defining deltas and keeps their
-//! fold as its re-base source, the way a session's retired buffer is.
+//! fold as its re-base source, the way a session's producer fold is.
 //!
 //! After quiescence every schedule must hold:
 //!
 //! 1. each producer's fleet fold renders byte-identically (object and context
 //!    queries, text and JSON) to a cold fold of the deltas it generated minus the
-//!    epochs its link reported dropping, and a lossless producer's finish is not
-//!    lossy (a producer whose finish was folded before the aggregator lost its
-//!    state may never connect again, so its absence is exempt);
+//!    epochs its link reported dropping since its last re-base, and a producer
+//!    with no such epoch finishes neither lossy nor truncated (a producer whose
+//!    finish was folded before the aggregator lost its state may never connect
+//!    again, so its absence is exempt);
 //! 2. quiescence comes within [`MAX_STEPS`] steps — no producer retries forever;
 //! 3. folded samples plus the samples of dropped epochs equal the samples
 //!    generated.
@@ -43,7 +44,7 @@ use super::protocol::{
 use super::transport::read_reply;
 use super::{BackoffPolicy, FaultAction, FaultPlan, OverflowPolicy};
 use crate::object::{AllocSite, AllocSiteId};
-use crate::profile::{ProfileDelta, ThreadDelta, ThreadProfile};
+use crate::profile::{DeltaFold, ProfileDelta, ThreadDelta, ThreadProfile};
 use crate::query::{GroupBy, Query};
 use crate::sink::{FinishRecord, LogRecord, ProfileSink};
 use crate::wire::{self, BinaryChunkedSink, Control, Hello, WireRecord};
@@ -233,7 +234,7 @@ struct Producer {
     /// Every delta generated, in epoch order.
     generated: Vec<ProfileDelta>,
     /// The fold of `generated`: the re-base source.
-    retired: ProfileDelta,
+    retired: DeltaFold,
     sites: usize,
     next_epoch: u64,
     /// Generated records not yet offered to the link (the export queue).
@@ -266,7 +267,7 @@ impl Producer {
             link: ProducerLink::new(hello, pending, backoff),
             plan,
             generated: Vec::new(),
-            retired: ProfileDelta::default(),
+            retired: DeltaFold::new(),
             sites: 0,
             next_epoch: 1,
             queue: VecDeque::new(),
@@ -333,7 +334,7 @@ impl Producer {
             sites: !delta.sites.is_empty(),
             bytes,
         });
-        self.retired.merge_from(&delta);
+        self.retired.absorb(&delta);
         self.generated.push(delta);
     }
 
@@ -632,8 +633,8 @@ impl Sim {
                 return Ok(());
             }
             LinkStep::Rebase => {
-                let epoch = producer.generated.last().map_or(0, |d| d.epoch);
-                let delta = ProfileDelta { epoch, ..producer.retired.clone() };
+                let delta = producer.retired.accumulator().clone();
+                let epoch = delta.epoch;
                 producer.link.rebase(Some(delta));
                 producer.dropped.clear();
                 let name = producer.name.clone();
@@ -913,7 +914,7 @@ impl Sim {
                     p.generated_samples()
                 ));
             }
-            if !state.fold.is_finished() || (stats.dropped_epochs == 0 && state.truncated()) {
+            if !state.fold.is_finished() || (p.dropped.is_empty() && state.truncated()) {
                 return Err(format!(
                     "invariant 1: {} finished lossy or not at all: {stats:?}",
                     p.name
@@ -1065,4 +1066,34 @@ fn a_lost_state_without_a_re_base_source_is_declared_not_retried() {
     p.offer(frame);
     assert_eq!(p.dropped, BTreeSet::from([epoch]));
     assert!(matches!(p.link.step(now), Ok(LinkStep::Idle)));
+}
+
+/// A lossy producer drops epochs while the aggregator is down, and the restarted
+/// aggregator has lost its state: the re-base delta holds the dropped epochs, so the
+/// producer stops declaring them and finishes neither lossy nor truncated.
+#[test]
+fn a_re_base_covers_the_epochs_dropped_before_it() {
+    let producer = ProducerPlan {
+        deltas: 4,
+        policy: OverflowPolicy::DropOldestEpochsFlaggedLossy,
+        budget: 150,
+        faults: FaultPlan::new(),
+    };
+    let mut sim = Sim::new(Schedule {
+        seed: 0,
+        producers: vec![producer],
+        durable: false,
+        aggregator_faults: FaultPlan::new(),
+        crashes: BTreeMap::from([(2, WalFate::Lost)]),
+        severs: BTreeSet::new(),
+        hangs: BTreeSet::new(),
+    });
+    if let Err(why) = sim.run() {
+        panic!("{why}\nevents: {:?}", sim.trace);
+    }
+    let stats = sim.producers[0].link.stats();
+    assert_eq!((stats.rebases, stats.dropped_epochs), (1, 1), "{stats:?}");
+    assert!(sim.producers[0].dropped.is_empty());
+    let [row] = <[_; 1]>::try_from(sim.core.as_ref().expect("running").status(|_| 0)).unwrap();
+    assert!(row.finished && !row.truncated && row.dropped_epochs == 0, "{row:?}");
 }

@@ -16,8 +16,8 @@
 //! bytecode indices) or by the profiler itself (site and node ids are dense counters),
 //! never picked by a peer, so [`FxHashMap`] is used for them and nothing else. Maps
 //! keyed by peer-supplied or wire-decoded data — query groups and memos, the fleet
-//! fold's thread names, delta folds' thread slots, the snapshot-side retired buffer —
-//! keep the standard `RandomState`.
+//! fold's thread names, delta folds' thread slots (the session's producer fold among
+//! them) — keep the standard `RandomState`.
 //!
 //! The same profile types are also rebuilt from decoded wire frames (a fleet aggregator
 //! folds its producers' deltas into them), so two precautions limit what a hostile

@@ -145,9 +145,7 @@ pub use query::{
     QueryGroup, QueryResult, RankBy, UnknownGroupByError, UnknownRankByError,
 };
 pub use report::{Report, ReportOptions};
-pub use session::{
-    adaptive_shard_count, ProfilerConfig, Session, SessionBuilder, DEFAULT_SAMPLE_PERIOD,
-};
+pub use session::{ProfilerConfig, Session, SessionBuilder, DEFAULT_SAMPLE_PERIOD};
 pub use sink::{FinishRecord, LogRecord, ProfileSink};
 pub use sync::{Epoch, SpinLock, SpinLockGuard};
 pub use wire::{BinaryChunkedSink, BinaryFrameReader};

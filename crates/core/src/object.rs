@@ -40,6 +40,13 @@ impl AllocSite {
     pub fn is_unattributed(&self) -> bool {
         self.call_path.is_empty() && self.class_name == AllocSiteRegistry::UNATTRIBUTED_CLASS
     }
+
+    /// Approximate resident bytes of the site (memory-overhead accounting).
+    pub(crate) fn approx_bytes(&self) -> usize {
+        std::mem::size_of::<AllocSite>()
+            + self.class_name.len()
+            + self.call_path.len() * std::mem::size_of::<Frame>()
+    }
 }
 
 /// Registry interning allocation sites.
@@ -119,15 +126,7 @@ impl AllocSiteRegistry {
 
     /// Approximate resident bytes (memory-overhead accounting).
     pub fn approx_bytes(&self) -> usize {
-        let sites = self
-            .sites
-            .iter()
-            .map(|s| {
-                std::mem::size_of::<AllocSite>()
-                    + s.class_name.len()
-                    + s.call_path.len() * std::mem::size_of::<Frame>()
-            })
-            .sum::<usize>();
+        let sites = self.sites.iter().map(AllocSite::approx_bytes).sum::<usize>();
         let index = self.by_hash.len()
             * (std::mem::size_of::<u64>() + std::mem::size_of::<Vec<AllocSiteId>>())
             + self.sites.len() * std::mem::size_of::<AllocSiteId>();

@@ -3,6 +3,7 @@
 //! generates a profile per thread; the offline analyzer merges them). The text is
 //! render-only: profiles read back from binary epoch logs ([`crate::wire`]).
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
@@ -166,8 +167,9 @@ pub struct ThreadDelta {
     pub profile: ThreadProfile,
 }
 
-/// The object-centric state one retired buffer epoch accumulated — the unit the
-/// asynchronous export pipeline streams (see [`crate::export`]).
+/// The object-centric state one buffer epoch accumulated — the unit the session
+/// retires into its producer fold and the asynchronous export pipeline streams (see
+/// [`crate::export`]).
 ///
 /// A delta is **self-describing**: besides the per-thread fragments (samples and
 /// allocation counts alike) it carries the allocation sites interned since the
@@ -212,12 +214,12 @@ impl ProfileDelta {
         self.threads.iter().map(|t| t.profile.samples).sum()
     }
 
-    /// A whole profile as one delta of its own stream: every thread, first-seen in
-    /// profile order, and the whole site table — how a profile is written as a
-    /// one-delta log and how a fold adopts a profile that already finished.
-    pub(crate) fn of_profile(profile: &ObjectCentricProfile, epoch: u64) -> ProfileDelta {
+    /// A whole profile as the one delta, at epoch 1, of its own stream: every
+    /// thread, first-seen in profile order, and the whole site table — how a profile
+    /// is written as a one-delta log.
+    pub(crate) fn of_profile(profile: &ObjectCentricProfile) -> ProfileDelta {
         ProfileDelta {
-            epoch,
+            epoch: 1,
             threads: profile
                 .threads
                 .iter()
@@ -249,13 +251,32 @@ impl ProfileDelta {
     /// (threads new to the accumulator usually carry later first-seen sequences);
     /// adversarial orders fall back to one sort.
     pub fn merge_from(&mut self, later: &ProfileDelta) {
-        self.epoch = self.epoch.max(later.epoch);
+        let threads = later.threads.iter().map(Cow::Borrowed);
+        self.merge(later.epoch, later.site_base, Cow::Borrowed(&later.sites), threads);
+    }
+
+    /// [`ProfileDelta::merge_from`] taking the later delta by value: its sites and
+    /// the fragments of threads new to this delta move in instead of being cloned.
+    fn merge_owned(&mut self, later: ProfileDelta) {
+        let ProfileDelta { epoch, threads, site_base, sites } = later;
+        self.merge(epoch, site_base, Cow::Owned(sites), threads.into_iter().map(Cow::Owned));
+    }
+
+    fn merge<'a>(
+        &mut self,
+        epoch: u64,
+        site_base: usize,
+        sites: Cow<'a, [AllocSite]>,
+        threads: impl ExactSizeIterator<Item = Cow<'a, ThreadDelta>>,
+    ) {
+        self.epoch = self.epoch.max(epoch);
         let end = self.site_base + self.sites.len();
-        if let Some(new) = end.checked_sub(later.site_base).and_then(|skip| later.sites.get(skip..))
-        {
-            self.sites.extend_from_slice(new);
+        match (end.checked_sub(site_base).filter(|skip| *skip <= sites.len()), sites) {
+            (Some(skip), Cow::Borrowed(sites)) => self.sites.extend_from_slice(&sites[skip..]),
+            (Some(skip), Cow::Owned(mut sites)) => self.sites.extend(sites.drain(skip..)),
+            (None, _) => {}
         }
-        if later.threads.is_empty() {
+        if threads.len() == 0 {
             return;
         }
         let mut slots: HashMap<ThreadId, usize> = self
@@ -264,14 +285,14 @@ impl ProfileDelta {
             .enumerate()
             .map(|(slot, t)| (t.profile.thread, slot))
             .collect();
-        for td in &later.threads {
+        for td in threads {
             match slots.entry(td.profile.thread) {
                 std::collections::hash_map::Entry::Occupied(e) => {
                     self.threads[*e.get()].profile.merge_from(&td.profile);
                 }
                 std::collections::hash_map::Entry::Vacant(v) => {
                     v.insert(self.threads.len());
-                    self.threads.push(td.clone());
+                    self.threads.push(td.into_owned());
                 }
             }
         }
@@ -364,9 +385,11 @@ impl std::error::Error for FoldError {}
 /// one owner of a delta stream's state. Log replay
 /// ([`BinaryChunkedSink::read_log_bytes`](crate::wire::BinaryChunkedSink::read_log_bytes)),
 /// a [`LiveFold`](crate::query::live::LiveFold), fleet ingest and WAL recovery
-/// ([`crate::fleet`]) all turn a stream into state through it. Internally this is one
-/// growing delta folded with [`ProfileDelta::merge_from`], so replay and coalescing
-/// share one exactness argument.
+/// ([`crate::fleet`]) all turn a stream into state through it, and a
+/// [`Session`](crate::session::Session) keeps its own retired state as one: the
+/// producer fold its profile reads, live taps and fleet re-bases copy. Internally
+/// this is one growing delta folded with [`ProfileDelta::merge_from`], so replay and
+/// coalescing share one exactness argument.
 ///
 /// The fold is **incremental**: each [`DeltaFold::absorb_ordered`] call does O(delta)
 /// work against the accumulator — history is never re-read, so a long-lived consumer
@@ -433,14 +456,11 @@ impl DeltaFold {
         }
     }
 
-    /// Replaces the folded state with an already-merged accumulator — how a live
-    /// tap attaching mid-stream adopts everything retired before it subscribed (its
-    /// sites must start at id 0). A seed at epoch 0 is the empty pre-stream state,
-    /// so ordering starts unconstrained there. The header is kept.
-    pub(crate) fn seed(&mut self, acc: ProfileDelta) {
-        self.last_epoch = (acc.epoch > 0).then_some(acc.epoch);
-        self.acc = acc;
-        self.deltas = 0;
+    /// Everything folded so far as one delta at site base 0: every thread in
+    /// first-seen order and the whole site table, at the last folded epoch — what a
+    /// fleet producer re-sends to an aggregator that lost its state.
+    pub(crate) fn accumulator(&self) -> &ProfileDelta {
+        &self.acc
     }
 
     /// The stream's site table so far: every site the folded deltas carried, indexed
@@ -476,8 +496,20 @@ impl DeltaFold {
     /// cannot trust the transport should use [`DeltaFold::absorb_ordered`] instead.
     pub fn absorb(&mut self, delta: &ProfileDelta) {
         self.acc.merge_from(delta);
+        self.count(delta.epoch);
+    }
+
+    /// [`DeltaFold::absorb`] taking the delta by value, so its sites and the
+    /// fragments of threads new to the fold move in instead of being cloned.
+    pub(crate) fn absorb_owned(&mut self, delta: ProfileDelta) {
+        let epoch = delta.epoch;
+        self.acc.merge_owned(delta);
+        self.count(epoch);
+    }
+
+    fn count(&mut self, epoch: u64) {
         self.deltas += 1;
-        self.last_epoch = Some(self.last_epoch.map_or(delta.epoch, |e| e.max(delta.epoch)));
+        self.last_epoch = Some(self.last_epoch.map_or(epoch, |e| e.max(epoch)));
     }
 
     /// Proves that `delta` may be folded next without folding it: the stream must

@@ -107,16 +107,15 @@ impl LiveShared {
     /// One non-empty epoch-retired delta from the export stream, handed over under
     /// its hand-off gate before the delta is queued for the sink.
     pub(crate) fn on_delta(&self, delta: &ProfileDelta) {
-        // The drainer hands epochs over strictly ordered under the hand-off gate, so
-        // a rejection here can only be the seed epoch re-drained with no new
-        // retirements — the rows are already folded, dropping it is the dedupe.
+        // The drainer hands epochs over strictly ordered under the hand-off gate,
+        // each after the producer-fold copy the tap started from, so none is refused.
         let _ = self.state.lock().expect("live fold state lock").absorb_delta(delta);
     }
 
     /// The stream's terminal record, after the final delta.
     pub(crate) fn on_finish(&self, record: &FinishRecord) {
-        // The trailer counts exactly the retired samples: the seed plus every delta
-        // handed over since, so the checksum holds.
+        // The trailer counts the producer fold's samples: the copy this fold started
+        // from plus every delta handed over since, so the checksum holds.
         let _ = self.state.lock().expect("live fold state lock").finish(record.clone());
     }
 }
@@ -135,7 +134,9 @@ impl LiveFold {
         Self::of(DeltaFold::with_header(event, period, size_filter))
     }
 
-    fn of(fold: DeltaFold) -> Self {
+    /// A fold that continues from `fold`'s state — how a session's live tap starts
+    /// from a copy of the producer fold.
+    pub(crate) fn of(fold: DeltaFold) -> Self {
         let state = LiveState { fold, watches: Vec::new(), tail: FrameTail::new() };
         Self { shared: Arc::new(LiveShared { state: Mutex::new(state) }) }
     }
@@ -213,22 +214,6 @@ impl LiveFold {
     /// ([`LiveQuery::next_epoch`]) drain and return `None`.
     pub fn is_finished(&self) -> bool {
         self.state().fold.is_finished()
-    }
-
-    /// Seeds the fold with the accumulated retired state of a mid-run attach: the
-    /// tap sees only epochs after the seed, the seed carries everything before it.
-    pub(crate) fn adopt_seed(&self, acc: ProfileDelta) {
-        self.state().fold.seed(acc);
-    }
-
-    /// A finished fold equivalent to a terminal profile — the fallback when the
-    /// export stream already closed before a watch could attach.
-    pub(crate) fn from_terminal(profile: &ObjectCentricProfile) -> Self {
-        let mut fold = DeltaFold::new();
-        fold.seed(ProfileDelta::of_profile(profile, 0));
-        fold.finish(FinishRecord::of_profile(profile), false)
-            .expect("a profile's own finish record matches it");
-        Self::of(fold)
     }
 
     /// The fold's tap handle for

@@ -87,11 +87,11 @@
 //! lives in epoch-buffered thread slots: each snapshot advances the buffer epoch
 //! and **retires** every slot's accumulated delta by taking it out under the slot's
 //! spin lock — an O(1) move, the only instant a sampling thread can even notice — then
-//! absorbs the retired deltas into a snapshot-side buffer and clones *that* outside
-//! every sampling lock. A sampling thread arriving mid-snapshot
-//! simply starts a fresh delta; delta absorption is exact (metric sums, CCT merges
-//! re-keyed by call path), so profiles assembled from any snapshot cadence render
-//! identically to a single-piece run. Per-thread views merge in thread-first-seen
+//! absorbs the retired delta into the producer fold, a [`DeltaFold`] like the one
+//! every consumer of the stream folds with, and clones *that* outside every sampling
+//! lock. A sampling thread arriving mid-snapshot simply starts a fresh delta; delta
+//! absorption is exact (metric sums, CCT merges re-keyed by call path), so profiles
+//! assembled from any snapshot cadence render identically to a single-piece run. Per-thread views merge in thread-first-seen
 //! order, which keeps single-threaded profiles bit-identical to the pre-sharding
 //! implementation.
 //!
@@ -120,9 +120,8 @@
 //! assert_eq!(cells.groups.iter().map(|g| g.metrics.samples).sum::<u64>(), samples);
 //! ```
 
-use std::collections::HashMap;
 use std::io;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
@@ -136,8 +135,8 @@ use djx_runtime::{
 use crate::agent::{AllocationAgent, AllocationConfig, SharedObjectIndex};
 use crate::export::{DeltaDrainer, DrainPolicy, ExportShared, ExportStats};
 use crate::interval::LookupStats;
-use crate::object::AllocSiteId;
-use crate::profile::{ObjectCentricProfile, ProfileDelta, ThreadDelta, ThreadProfile};
+use crate::object::{AllocSite, AllocSiteId};
+use crate::profile::{DeltaFold, ObjectCentricProfile, ProfileDelta, ThreadDelta, ThreadProfile};
 use crate::sink::ProfileSink;
 use crate::slots::ThreadSlots;
 use crate::sync::{Epoch, SpinLock};
@@ -204,51 +203,51 @@ impl ProfilerConfig {
 // Epoch-retired double buffering (pause-free snapshots)
 // ---------------------------------------------------------------------------------------
 
-/// Per-thread [`ThreadProfile`]s with epoch-based double buffering. Each entry is a
-/// [`ThreadDelta`]: the profile tagged with its thread's first-seen sequence.
+/// One thread's slot on the active side: the profile it accumulated in the open
+/// epoch, and the first-seen sequence of its first delta, which every later delta of
+/// the thread carries.
+#[derive(Debug, Default)]
+struct OpenDelta {
+    seq: Option<u64>,
+    profile: Option<ThreadProfile>,
+}
+
+/// Per-thread [`ThreadProfile`]s with epoch-based double buffering.
 ///
 /// The **active** side is a [`ThreadSlots`] table the sampling hot path writes: each
-/// thread's slot holds the delta it accumulated in the open epoch, behind a spin lock
-/// only that thread and snapshot readers take. A snapshot advances
-/// [`SnapshotBuffered::epoch`] and retires the active buffer: every slot's delta is
-/// taken out under its spin lock (O(1) — the only moment a sampling thread can block
-/// on a snapshot) and the taken deltas are absorbed into the **retired** buffer, which
-/// only snapshot-side threads touch (a blocking mutex, never held while a slot lock is
-/// held... it *encloses* brief slot takes, but sampling threads never take it, so no
-/// lock-order cycle exists). The clone a snapshot returns is made from the retired
-/// buffer, outside every sampling lock.
+/// thread's slot holds the profile it accumulated in the open epoch, behind a spin
+/// lock only that thread and retirements take. A retirement advances
+/// [`SnapshotBuffered::epoch`] and takes every slot's profile out under its spin lock
+/// (O(1) — the only moment a sampling thread can block on a snapshot) as one
+/// [`ProfileDelta`], which the **retired** side absorbs: the producer fold, a
+/// [`DeltaFold`] over every delta the session retired, the same type every consumer
+/// of the stream folds with. Only snapshot-side threads take the fold's blocking
+/// mutex; it encloses the brief slot takes, but sampling threads never take it, so no
+/// lock-order cycle exists. Reads clone from the fold outside every sampling lock.
 #[derive(Debug)]
 struct SnapshotBuffered {
-    /// Thread → its open delta (`None` until the thread records something in the
-    /// open epoch).
-    active: ThreadSlots<SpinLock<Option<ThreadDelta>>>,
+    active: ThreadSlots<SpinLock<OpenDelta>>,
     /// Next first-seen sequence: one is drawn whenever a thread opens a delta.
     seq: AtomicU64,
-    /// Thread → its absorbed state. Guarded by a blocking mutex: only snapshot/read
-    /// paths running in normal thread context take it.
-    retired: Mutex<HashMap<ThreadId, ThreadDelta>>,
+    /// The producer fold.
+    retired: Mutex<DeltaFold>,
     /// Buffer generation; each retirement closes one epoch.
     epoch: Epoch,
 }
 
-impl Default for SnapshotBuffered {
-    fn default() -> Self {
+impl SnapshotBuffered {
+    /// An empty buffer whose producer fold carries the session's header.
+    fn new(config: &ProfilerConfig) -> Self {
+        let fold = DeltaFold::with_header(config.event, config.period, config.size_filter);
         Self {
             active: ThreadSlots::new(),
             seq: AtomicU64::new(0),
-            retired: Mutex::new(HashMap::new()),
+            retired: Mutex::new(fold),
             epoch: Epoch::new(),
         }
     }
-}
 
-/// Sorts deltas into thread-first-seen order.
-fn first_seen_order(deltas: &mut [ThreadDelta]) {
-    deltas.sort_unstable_by_key(|d| (d.seq, d.profile.thread));
-}
-
-impl SnapshotBuffered {
-    /// Runs `f` on the thread's open delta, creating it with `init` on first sight
+    /// Runs `f` on the thread's open profile, creating it with `init` on first sight
     /// within the current epoch — the sampling-side entry point. Only the thread's own
     /// slot is locked.
     fn with<R>(
@@ -257,39 +256,16 @@ impl SnapshotBuffered {
         init: impl FnOnce() -> ThreadProfile,
         f: impl FnOnce(&mut ThreadProfile) -> R,
     ) -> R {
-        let (slot, _) = self.active.get_or_register(thread, || SpinLock::new(None));
-        let mut delta = slot.lock();
-        let delta = delta.get_or_insert_with(|| ThreadDelta {
-            seq: self.seq.fetch_add(1, Ordering::Relaxed),
-            profile: init(),
+        let (slot, _) = self.active.get_or_register(thread, || SpinLock::new(OpenDelta::default()));
+        let mut slot = slot.lock();
+        let OpenDelta { seq, profile } = &mut *slot;
+        let profile = profile.get_or_insert_with(|| {
+            // Every opened delta draws a sequence; the thread keeps its first.
+            let drawn = self.seq.fetch_add(1, Ordering::Relaxed);
+            seq.get_or_insert(drawn);
+            init()
         });
-        f(&mut delta.profile)
-    }
-
-    /// Folds over every *partial* profile — retired first, then the open deltas. A
-    /// thread present on both sides is visited twice with complementary partitions of
-    /// its samples, so `f` must be a commutative accumulation (sums); identity reads
-    /// (names, thread counts) belong on [`SnapshotBuffered::merged`].
-    ///
-    /// The retired mutex is held across *both* reads: a retirement completing between
-    /// them would move state out of the active slots after they were visited but into
-    /// the retired buffer after it was visited, making pre-snapshot state vanish from
-    /// the fold entirely. Holding the mutex excludes [`SnapshotBuffered::merged`] for
-    /// the duration (same retired → slot lock order, so no deadlock; sampling threads
-    /// only ever take slot locks).
-    fn fold<A>(&self, acc: A, mut f: impl FnMut(A, &ThreadProfile) -> A) -> A {
-        let retired = self.retired.lock();
-        let acc = retired.values().fold(acc, |acc, d| f(acc, &d.profile));
-        self.active.iter().fold(acc, |acc, (_, slot)| match &*slot.lock_yielding() {
-            Some(d) => f(acc, &d.profile),
-            None => acc,
-        })
-    }
-
-    /// Resident bytes of the active table itself (the states are counted through
-    /// [`SnapshotBuffered::fold`]).
-    fn slot_bytes(&self) -> usize {
-        self.active.approx_bytes()
+        f(profile)
     }
 
     /// Number of completed retirements (diagnostics).
@@ -297,84 +273,23 @@ impl SnapshotBuffered {
         self.epoch.current()
     }
 
-    /// Closes the open epoch under an already-held retired lock: every active slot's
-    /// delta is taken out (O(1) under its spin lock; contended slots are acquired
-    /// yielding, since this runs in normal thread context) and absorbed into the
-    /// retired buffer. When `collect` is given, the taken deltas are also handed out
-    /// through it, each tagged with the seq the *retired* entry keeps, so any stream
-    /// of drains sorts threads exactly the way [`SnapshotBuffered::merged`] would;
-    /// without a collector, the vacant arm moves the delta into the retired buffer
-    /// outright — no clone. Returns the epoch the retirement closed.
-    fn retire_locked(
-        &self,
-        retired: &mut HashMap<ThreadId, ThreadDelta>,
-        mut collect: Option<&mut Vec<ThreadDelta>>,
-    ) -> u64 {
+    /// Closes the open epoch: every active slot's profile is taken out (O(1) under its
+    /// spin lock; contended slots are acquired yielding, since this runs in normal
+    /// thread context) as one delta in thread-first-seen order, carrying no sites yet.
+    /// Call with the producer fold locked, which serializes retirements.
+    fn take_epoch(&self) -> ProfileDelta {
         let epoch = self.epoch.bump();
-        for (thread, slot) in self.active.iter() {
-            let Some(mut delta) = slot.lock_yielding().take() else { continue };
-            match retired.entry(thread) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    // The retired entry is older: keep its seq and identity.
-                    e.get_mut().profile.merge_from(&delta.profile);
-                    delta.seq = e.get().seq;
-                    if let Some(out) = collect.as_deref_mut() {
-                        out.push(delta);
-                    }
-                }
-                std::collections::hash_map::Entry::Vacant(v) => match collect.as_deref_mut() {
-                    Some(out) => {
-                        v.insert(delta.clone());
-                        out.push(delta);
-                    }
-                    None => {
-                        v.insert(delta);
-                    }
-                },
-            }
-        }
-        epoch
-    }
-
-    /// Closes the open epoch and hands its deltas out in thread-first-seen order
-    /// (absorbing them into the retired buffer on the way) — the producer side of the
-    /// asynchronous export pipeline. The delta carries no sites yet.
-    fn drain(&self) -> ProfileDelta {
-        let mut threads = Vec::new();
-        let epoch = self.retire_locked(&mut self.retired.lock(), Some(&mut threads));
-        first_seen_order(&mut threads);
+        let mut threads: Vec<ThreadDelta> = self
+            .active
+            .iter()
+            .filter_map(|(_, slot)| {
+                let mut slot = slot.lock_yielding();
+                let profile = slot.profile.take()?;
+                Some(ThreadDelta { seq: slot.seq.expect("drawn when the delta opened"), profile })
+            })
+            .collect();
+        threads.sort_unstable_by_key(|d| (d.seq, d.profile.thread));
         ProfileDelta { epoch, threads, ..ProfileDelta::default() }
-    }
-
-    /// Clones an already-locked retired buffer in thread-first-seen order.
-    fn clone_locked(retired: &HashMap<ThreadId, ThreadDelta>) -> Vec<ThreadDelta> {
-        let mut all: Vec<ThreadDelta> = retired.values().cloned().collect();
-        first_seen_order(&mut all);
-        all
-    }
-
-    /// Total samples in the retired buffer, summed in place **without** closing the
-    /// open epoch or cloning a profile.
-    fn retired_samples(&self) -> u64 {
-        self.retired.lock().values().map(|d| d.profile.samples).sum()
-    }
-
-    /// Clones the retired buffer in thread-first-seen order **without** closing the
-    /// open epoch: deltas still accumulating in the active slots are not included.
-    /// After a [`SnapshotBuffered::drain`], this is by construction the fold of every
-    /// delta ever drained.
-    fn retired_clone(&self) -> Vec<ThreadDelta> {
-        Self::clone_locked(&self.retired.lock())
-    }
-
-    /// Retires the open epoch and clones the merged profiles out in thread-first-seen
-    /// order. Slot locks are held only for the O(1) delta take; absorption, cloning
-    /// and sorting all happen on the retired buffer outside every sampling lock. The
-    /// retirement itself collects nothing — this caller only wants the merged whole.
-    fn merged(&self) -> Vec<ThreadProfile> {
-        let mut retired = self.retired.lock();
-        let _ = self.retire_locked(&mut retired, None);
-        Self::clone_locked(&retired).into_iter().map(|d| d.profile).collect()
     }
 }
 
@@ -395,27 +310,20 @@ pub(crate) struct ObjectCentricCollector {
     state: SnapshotBuffered,
     /// The index whose site registry the recorded site ids point into.
     index: Arc<SharedObjectIndex>,
-    /// How many sites the drained deltas have carried so far. Only drains advance
-    /// it, and every drain runs under the export hand-off gate.
-    sites_sent: AtomicUsize,
     /// The export stream this collector feeds, when the session attached one
     /// ([`SessionBuilder::stream_to`]). Weak — the drainer owns the collector, never
     /// the other way around. While the stream runs, every profile read that retires
     /// an epoch routes the retired delta into it (see
-    /// [`ObjectCentricCollector::thread_profiles`]), which is what keeps the stream
+    /// [`ObjectCentricCollector::profile_parts`]), which is what keeps the stream
     /// loss-free no matter who triggers the retirement.
     stream: SpinLock<Option<Weak<ExportShared>>>,
 }
 
 impl ObjectCentricCollector {
-    /// Creates an empty record of site ids of `index`'s registry.
-    pub(crate) fn new(index: Arc<SharedObjectIndex>) -> Self {
-        Self {
-            state: SnapshotBuffered::default(),
-            index,
-            sites_sent: AtomicUsize::new(0),
-            stream: SpinLock::new(None),
-        }
+    /// Creates an empty record of site ids of `index`'s registry, under the
+    /// session's `config` header.
+    pub(crate) fn new(index: Arc<SharedObjectIndex>, config: &ProfilerConfig) -> Self {
+        Self { state: SnapshotBuffered::new(config), index, stream: SpinLock::new(None) }
     }
 
     /// Records one monitored allocation of `bytes` bytes at `site` into the
@@ -457,27 +365,41 @@ impl ObjectCentricCollector {
         );
     }
 
-    /// Approximate resident bytes of the record (memory-overhead accounting).
+    /// Approximate resident bytes of the record (memory-overhead accounting): the
+    /// active table and its open profiles, and the producer fold with its copy of the
+    /// site table. The fold's lock is held across both reads, so a retirement cannot
+    /// move state between them.
     pub(crate) fn approx_bytes(&self) -> usize {
-        self.state.fold(self.state.slot_bytes(), |acc, p| acc + p.approx_bytes())
+        let fold = self.state.retired.lock();
+        let retired = fold.threads().map(ThreadProfile::approx_bytes).sum::<usize>()
+            + fold.sites().iter().map(AllocSite::approx_bytes).sum::<usize>();
+        let open: usize = self
+            .state
+            .active
+            .iter()
+            .map(|(_, slot)| {
+                slot.lock_yielding().profile.as_ref().map_or(0, ThreadProfile::approx_bytes)
+            })
+            .sum();
+        self.state.active.approx_bytes() + retired + open
     }
 
-    /// Clones the per-thread profiles in thread-first-seen order.
+    /// The record's site table and per-thread profiles, in thread-first-seen order:
+    /// the open epoch is retired into the producer fold, which is then cloned out.
     ///
-    /// On a session streaming through [`SessionBuilder::stream_to`], the epoch this
-    /// read closes is routed into the export stream first — absorbing it silently
-    /// would leave samples in the retired buffer that never appear as a streamed
-    /// delta, breaking the stream's loss-free replay. Once the stream has finished,
-    /// reads take the plain merged path again.
-    pub(crate) fn thread_profiles(&self) -> Vec<ThreadProfile> {
-        if let Some(stream) = self.stream() {
-            if stream.produce(self) {
-                // The retirement went onto the wire; the retired buffer is, by
-                // construction, the fold of every delta ever streamed.
-                return self.retired_profiles();
-            }
+    /// On a session streaming through [`SessionBuilder::stream_to`], the retirement
+    /// goes through the export stream — absorbing it silently would leave samples in
+    /// the fold that never appear as a streamed delta, breaking the stream's
+    /// loss-free replay. Without a running stream, the taken fragments move into the
+    /// fold.
+    pub(crate) fn profile_parts(&self) -> (Vec<AllocSite>, Vec<ThreadProfile>) {
+        let streamed = self.stream().is_some_and(|stream| stream.produce(self));
+        let mut fold = self.state.retired.lock();
+        if !streamed {
+            let delta = self.retire(&fold);
+            fold.absorb_owned(delta);
         }
-        self.state.merged()
+        (fold.sites().to_vec(), fold.threads().cloned().collect())
     }
 
     /// Registers the export stream this collector feeds (called when the drainer
@@ -491,50 +413,33 @@ impl ObjectCentricCollector {
         self.stream.lock().as_ref().and_then(Weak::upgrade)
     }
 
-    /// Closes the open buffer epoch and hands its accumulated per-thread deltas out as
-    /// a [`ProfileDelta`] (absorbing them into the retired buffer on the way, so later
-    /// whole-profile reads still see them) — the hand-off the asynchronous export
-    /// pipeline streams instead of re-cloning the whole retired buffer. The delta
-    /// carries every site interned since the previous drain: sites are interned
-    /// before anything records them, so reading the registry after taking the slots
-    /// covers every id the taken fragments reference. Must run under the export
-    /// hand-off gate, which serializes drains.
-    pub(crate) fn drain_delta(&self) -> ProfileDelta {
-        let mut delta = self.state.drain();
-        delta.site_base = self.sites_sent.load(Ordering::Relaxed);
+    /// Closes the open epoch as a delta carrying every site interned since the locked
+    /// producer fold's table ends: sites are interned before anything records them,
+    /// so reading the registry after taking the slots covers every id the taken
+    /// fragments reference. The caller absorbs it into the fold.
+    fn retire(&self, fold: &DeltaFold) -> ProfileDelta {
+        let mut delta = self.state.take_epoch();
+        delta.site_base = fold.sites().len();
         delta.sites = self.index.sites.lock().since(delta.site_base);
-        self.sites_sent.store(delta.site_base + delta.sites.len(), Ordering::Relaxed);
         delta
     }
 
-    /// Clones the retired per-thread profiles in thread-first-seen order without
-    /// closing the open epoch. Immediately after [`ObjectCentricCollector::drain_delta`]
-    /// this is, by construction, the fold of every delta ever drained.
-    pub(crate) fn retired_profiles(&self) -> Vec<ThreadProfile> {
-        self.state.retired_clone().into_iter().map(|d| d.profile).collect()
+    /// Closes the open epoch for the export stream: the delta is absorbed into the
+    /// producer fold, which clones only the fragments of threads new to it, and
+    /// handed out for the queue. Must run under the export hand-off gate, which
+    /// orders the stream's retirements.
+    pub(crate) fn drain_delta(&self) -> ProfileDelta {
+        let mut fold = self.state.retired.lock();
+        let delta = self.retire(&fold);
+        fold.absorb(&delta);
+        delta
     }
 
-    /// Total samples in the retired buffer. Immediately after
-    /// [`ObjectCentricCollector::drain_delta`] this is, by construction, the sample
-    /// total of every delta ever drained — the stream's checksum.
-    pub(crate) fn retired_samples(&self) -> u64 {
-        self.state.retired_samples()
-    }
-
-    /// The retired buffer as an already-merged [`ProfileDelta`] at the current epoch
-    /// counter — the seed a live tap adopts when it attaches mid-stream. Must run
-    /// with the export hand-off gate held: every drain on a streaming session holds
-    /// that gate, so under it the retired buffer is exactly the fold of every delta
-    /// streamed so far and no epoch can close concurrently.
-    pub(crate) fn retired_delta(&self) -> ProfileDelta {
-        let sent = self.sites_sent.load(Ordering::Relaxed);
-        let sites = self.index.sites.lock().iter().take(sent).cloned().collect();
-        ProfileDelta {
-            epoch: self.state.retirements(),
-            threads: self.state.retired_clone(),
-            site_base: 0,
-            sites,
-        }
+    /// Runs `f` on the producer fold — the fold of every delta retired so far. Under
+    /// the export hand-off gate that is exactly the stream so far: the seed a live tap
+    /// clones, the re-base delta, and the fold the finish record closes.
+    pub(crate) fn fold<R>(&self, f: impl FnOnce(&mut DeltaFold) -> R) -> R {
+        f(&mut self.state.retired.lock())
     }
 }
 
@@ -660,16 +565,16 @@ impl Extend<Option<AllocSiteId>> for SiteBatch {
 const DEFAULT_EXPECTED_LIVE_OBJECTS: usize = 2048;
 
 /// The adaptive shard-count heuristic: sizes a [`SharedObjectIndex`] from the expected
-/// thread parallelism and live-object volume.
+/// thread parallelism and [`DEFAULT_EXPECTED_LIVE_OBJECTS`].
 ///
 /// Two pressures argue for more shards: concurrently sampling threads colliding on a
 /// shard lock (≈4 shards per thread keeps the collision probability low under random
 /// region interleaving), and per-shard arrays growing long (≈512 live objects per
 /// shard keeps the miss-path binary search and each shard's GC-end rebuild short). The result is the next power of two covering
 /// the stronger pressure, clamped to `[4, 64]` (shard sets are 64-bit masks).
-pub fn adaptive_shard_count(threads: usize, expected_live_objects: usize) -> usize {
+fn adaptive_shard_count(threads: usize) -> usize {
     let for_threads = threads.saturating_mul(4);
-    let for_volume = expected_live_objects / 512;
+    let for_volume = DEFAULT_EXPECTED_LIVE_OBJECTS / 512;
     for_threads.max(for_volume).clamp(4, 64).next_power_of_two().min(64)
 }
 
@@ -846,7 +751,7 @@ impl SessionBuilder {
         let config = self.config;
         let shards = self.index_shards.unwrap_or_else(|| {
             let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-            adaptive_shard_count(threads, DEFAULT_EXPECTED_LIVE_OBJECTS)
+            adaptive_shard_count(threads)
         });
         let shared = SharedObjectIndex::with_shards(shards);
         let allocation = AllocationAgent::new(
@@ -858,7 +763,7 @@ impl SessionBuilder {
             .jitter(config.jitter);
 
         let objects = (self.objects || self.export.is_some())
-            .then(|| Arc::new(ObjectCentricCollector::new(shared.clone())));
+            .then(|| Arc::new(ObjectCentricCollector::new(shared.clone(), &config)));
         let export = self.export.map(|cfg| {
             let objects = objects.clone().expect("stream_to keeps the object record");
             let drainer = DeltaDrainer::spawn(objects.clone(), cfg.sink, cfg.out, cfg.policy);
@@ -963,21 +868,13 @@ impl Session {
 
     /// Object-index lookup statistics, merged over every shard: shard lookups/hits
     /// (one lookup per sample; a hit is a sample inside a monitored object) and
-    /// read-only lookups/hits (inspection queries such as
-    /// [`Session::resolve_address`] and the GC-end identity probes).
+    /// read-only lookups/hits (the GC-end identity probes).
     ///
     /// The name predates the flat interval index that replaced the paper's splay tree
     /// (see [`crate::interval`]); it stays until the benchmark harness that reads it is
     /// renamed with it.
     pub fn splay_lookup_stats(&self) -> LookupStats {
         self.shared.lookup_stats()
-    }
-
-    /// Read-only resolution of an address to the allocation site of its enclosing
-    /// monitored object, counted under `read_lookups` in
-    /// [`Session::splay_lookup_stats`], apart from sample resolution.
-    pub fn resolve_address(&self, addr: u64) -> Option<AllocSiteId> {
-        self.shared.find(addr).map(|(_, mo)| mo.site)
     }
 
     /// Number of shards of the session's object index.
@@ -990,7 +887,7 @@ impl Session {
     /// pause-free snapshot path; 0 when the session keeps no record).
     ///
     /// The counter is read with a single `Relaxed` atomic load: retirements increment
-    /// it under the retired-buffer lock, so the value is **monotonically
+    /// it under the producer fold's lock, so the value is **monotonically
     /// non-decreasing** across any sequence of reads (from any thread), but a read is
     /// not ordered against the retired *state* itself — treat it as a lower bound on
     /// the retirements that have completed, never as a synchronization point.
@@ -1049,7 +946,7 @@ impl Session {
                 "session has no export stream (configure one with SessionBuilder::stream_to)",
             )
         })?;
-        export.finish(objects, &self.config, &self.allocation)
+        export.finish(objects, &self.allocation)
     }
 
     /// Approximate resident bytes of every session-owned data structure — the quantity
@@ -1066,16 +963,14 @@ impl Session {
     /// the allocation-site table, and the run configuration. Can be called repeatedly (including mid-run); each call produces
     /// an independent snapshot. `None` when the session keeps no record.
     pub fn object_profile(&self) -> Option<ObjectCentricProfile> {
-        let collector = self.objects.as_ref()?;
-        // On a streaming session, thread_profiles routes the epoch this read retires
-        // into the export stream (never discarding it), so the profile assembles from
-        // the retired buffer — by construction the fold of every streamed delta.
-        let threads = collector.thread_profiles();
+        // The profile is the producer fold: on a streaming session, by construction
+        // the fold of every streamed delta.
+        let (sites, threads) = self.objects.as_ref()?.profile_parts();
         Some(ObjectCentricProfile {
             event: self.config.event,
             period: self.config.period,
             size_filter: self.config.size_filter,
-            sites: self.shared.sites.lock().since(0),
+            sites,
             threads,
             allocation_stats: self.allocation.stats(),
         })
@@ -1098,16 +993,16 @@ impl Session {
     }
 
     /// Subscribes a [`LiveFold`](crate::query::live::LiveFold) to this session's
-    /// epoch-retired delta stream: the fold is seeded with everything retired so
-    /// far and then fed every epoch the export drainer hands over, under the same
-    /// hand-off gate that orders the export queue — the fold observes exactly the
-    /// stream the sink logs, site table included, and the terminal flush (an explicit
-    /// [`Session::finish_export`] or drain-on-drop) closes the fold with the
-    /// stream's finish record.
+    /// epoch-retired delta stream: the fold starts as a copy of the session's own
+    /// producer fold — everything retired so far — and is then fed every epoch the
+    /// export drainer hands over, under the same hand-off gate that orders the export
+    /// queue — the fold observes exactly the stream the sink logs, site table
+    /// included, and the terminal flush (an explicit [`Session::finish_export`] or
+    /// drain-on-drop) closes the fold with the stream's finish record.
     ///
-    /// When the export stream already finished, the returned fold is the terminal
-    /// profile, already closed — watches registered on it render the final state
-    /// and their [`next_epoch`](crate::query::live::LiveQuery::next_epoch)
+    /// When the export stream already finished, the returned fold is a copy of the
+    /// terminal fold, already closed — watches registered on it render the final
+    /// state and their [`next_epoch`](crate::query::live::LiveQuery::next_epoch)
     /// iterators drain immediately.
     ///
     /// # Errors
@@ -1116,27 +1011,13 @@ impl Session {
     /// session has no export stream (configure one with
     /// [`SessionBuilder::stream_to`]).
     pub fn live_fold(&self) -> Result<crate::query::live::LiveFold, crate::query::QueryError> {
-        use crate::query::live::LiveFold;
-        use crate::query::QueryError;
         let (export, objects) = self.stream().ok_or_else(|| {
-            QueryError::SourceUnavailable(
+            crate::query::QueryError::SourceUnavailable(
                 "session has no export stream (configure one with SessionBuilder::stream_to)"
                     .to_string(),
             )
         })?;
-        let fold =
-            LiveFold::with_meta(self.config.event, self.config.period, self.config.size_filter);
-        let attached = export.attach_tap(objects, |seed| {
-            fold.adopt_seed(seed);
-            fold.tap_handle()
-        });
-        if !attached {
-            // The stream already flushed its terminal record; the session's own
-            // profile is the complete run.
-            let profile = self.object_profile().expect("stream_to keeps the object record");
-            return Ok(LiveFold::from_terminal(&profile));
-        }
-        Ok(fold)
+        Ok(export.attach_tap(objects))
     }
 
     /// Registers a live subscription for `query` on this session's delta stream —
@@ -1468,16 +1349,13 @@ mod tests {
     #[test]
     fn adaptive_shard_heuristic_scales_with_threads_and_volume() {
         // Thread pressure: ~4 shards per thread, next power of two.
-        assert_eq!(adaptive_shard_count(1, 0), 4);
-        assert_eq!(adaptive_shard_count(4, DEFAULT_EXPECTED_LIVE_OBJECTS), 16);
-        assert_eq!(adaptive_shard_count(6, 0), 32, "24 rounds up to 32");
-        // Volume pressure dominates when the live set is huge.
-        assert_eq!(adaptive_shard_count(1, 16_384), 32);
-        // Both clamp at the 64-shard bitmask width.
-        assert_eq!(adaptive_shard_count(64, 0), 64);
-        assert_eq!(adaptive_shard_count(1, 1 << 20), 64);
+        assert_eq!(adaptive_shard_count(1), 4);
+        assert_eq!(adaptive_shard_count(4), 16);
+        assert_eq!(adaptive_shard_count(6), 32, "24 rounds up to 32");
+        // Clamped at the 64-shard bitmask width.
+        assert_eq!(adaptive_shard_count(64), 64);
         // And never below the 4-shard floor.
-        assert_eq!(adaptive_shard_count(0, 0), 4);
+        assert_eq!(adaptive_shard_count(0), 4);
     }
 
     #[test]
@@ -1486,10 +1364,7 @@ mod tests {
         // of two within the mask width.
         let default = Session::builder().build();
         let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-        assert_eq!(
-            default.index_shard_count(),
-            adaptive_shard_count(threads, DEFAULT_EXPECTED_LIVE_OBJECTS)
-        );
+        assert_eq!(default.index_shard_count(), adaptive_shard_count(threads));
         assert!(default.index_shard_count().is_power_of_two());
         assert!((4..=64).contains(&default.index_shard_count()));
         let pinned = Session::builder().index_shards(2).build();
@@ -1616,6 +1491,37 @@ mod tests {
         dsl::sequential_sweep(&mut rt, t, &arr).unwrap();
         assert_eq!(session.total_samples(), before);
         assert!(!session.detach(&mut rt), "double detach is a no-op");
+    }
+
+    #[test]
+    fn the_re_base_delta_folded_alone_renders_like_the_session() {
+        let mut rt = Runtime::new(RuntimeConfig::small());
+        let policy = DrainPolicy::new().tick(std::time::Duration::from_secs(60));
+        let session = Session::builder().period(8).stream_to_binary(Box::new(io::sink()), policy);
+        let session = session.attach(&mut rt);
+        let objects = session.objects.as_ref().expect("stream_to keeps the object record");
+        let rebase = session.export.as_ref().expect("streaming").rebase_source(objects);
+        let class = rt.register_array_class("byte[]", 1);
+        let t = rt.spawn_thread("main");
+        let renders = |source: &dyn crate::query::ProfileSource| -> Vec<String> {
+            [Query::new(), Query::new().group_by(GroupBy::Context)]
+                .iter()
+                .flat_map(|q| {
+                    let result = q.evaluate(source).unwrap();
+                    [result.to_text(), result.to_json()]
+                })
+                .collect()
+        };
+        for len in [4096, 8192, 2048] {
+            let arr = rt.alloc_array(t, class, len).unwrap();
+            dsl::sequential_sweep(&mut rt, t, &arr).unwrap();
+            assert!(session.flush_export());
+            let config = session.config();
+            let mut alone = DeltaFold::with_header(config.event, config.period, config.size_filter);
+            alone.absorb_ordered(&rebase.delta().expect("the session is alive")).unwrap();
+            assert_eq!(renders(&alone.assemble()), renders(&*session));
+        }
+        rt.shutdown();
     }
 
     #[test]

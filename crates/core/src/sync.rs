@@ -34,7 +34,8 @@
 //!
 //! * the snapshot retirement of the per-thread object record in [`crate::session`],
 //!   where each snapshot advances an epoch and moves the accumulated state of the
-//!   closing epoch into a retired buffer that is cloned *outside* every sampling lock;
+//!   closing epoch into the session's producer fold, which is cloned *outside* every
+//!   sampling lock;
 //! * the export drainer's push epoch in [`crate::export`], which closes the race
 //!   between the drainer finding its queue empty and parking.
 //!

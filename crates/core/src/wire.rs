@@ -1135,7 +1135,7 @@ impl BinaryChunkedSink {
         profile: &ObjectCentricProfile,
         out: &mut dyn Write,
     ) -> io::Result<()> {
-        let delta = ProfileDelta::of_profile(profile, 1);
+        let delta = ProfileDelta::of_profile(profile);
         if !delta.is_empty() {
             write_delta_frame(1, &delta, out)?;
         }

@@ -696,6 +696,29 @@ fn node_cells(numa: &QueryResult) -> Vec<((u32, u32), u64)> {
     cells
 }
 
+/// The object and code-centric (`GroupBy::Context`) queries over `source`, rendered
+/// as text and JSON.
+fn object_and_context_renders(source: &dyn djxperf::ProfileSource) -> Vec<String> {
+    [Query::new(), Query::new().group_by(GroupBy::Context)]
+        .iter()
+        .flat_map(|query| {
+            let result = query.evaluate(source).expect("the source evaluates");
+            [result.to_text(), result.to_json()]
+        })
+        .collect()
+}
+
+/// A fresh fold of the delta frames decoded from the front of a growing epoch log;
+/// decoding stops at the first frame still being written.
+fn fold_of_written_frames(log: &[u8], config: ProfilerConfig) -> DeltaFold {
+    let mut fold = DeltaFold::with_header(config.event, config.period, config.size_filter);
+    let mut frames = djxperf::BinaryFrameReader::new(log);
+    while let Ok(Some(djxperf::LogRecord::Delta(delta))) = frames.next_record() {
+        fold.absorb_ordered(&delta).expect("the written frames fold in order");
+    }
+    fold
+}
+
 /// A CCT's `(path, metrics)` pairs, by path: node ids are tree-local.
 fn contexts(cct: &Cct) -> Vec<(Vec<Frame>, MetricVector)> {
     let mut contexts: Vec<_> = cct.nodes_with_metrics().map(|(_, path, m)| (path, *m)).collect();
@@ -847,6 +870,24 @@ fn run_stream_ops(ops: Vec<StreamOp>) -> Result<StreamRun, TestCaseError> {
                         "after a pull, the watch and a cold evaluation render identically"
                     );
                     prop_assert_eq!(live.result.to_json(), cold.to_json());
+                }
+                // The session's profile is its producer fold: it renders like a
+                // fresh fold of the frames written so far, and like a live fold
+                // attached now, which starts from a copy of it.
+                let renders = object_and_context_renders(&*streaming);
+                let attached = streaming.live_fold().expect("the stream accepts taps");
+                prop_assert_eq!(&object_and_context_renders(&attached), &renders);
+                let deadline = std::time::Instant::now() + Duration::from_secs(10);
+                loop {
+                    let written = fold_of_written_frames(&buffer.contents(), streaming.config());
+                    if object_and_context_renders(&written.assemble()) == renders {
+                        break;
+                    }
+                    prop_assert!(
+                        std::time::Instant::now() < deadline,
+                        "the written frames never fold to the session's profile"
+                    );
+                    std::thread::sleep(Duration::from_millis(1));
                 }
             }
         }

@@ -4,7 +4,8 @@
 //!
 //! The load-bearing property is **loss-free, order-preserving replay**: folding the
 //! streamed deltas (here by replaying the binary [`BinaryChunkedSink`] epoch log) must
-//! reproduce a profile *byte-identical* to a terminal [`Session::snapshot`] — under
+//! reproduce a profile *byte-identical* to the session's terminal
+//! [`Session::object_profile`] — under
 //! concurrent ingestion racing the drainer, under a full queue that merges deltas,
 //! behind a sink that stalls, and across user-driven snapshots that retire epochs
 //! mid-stream.
@@ -312,8 +313,8 @@ fn sink_without_delta_support_surfaces_at_finish() {
 
 #[test]
 fn a_finish_racing_sampling_checksums_exactly_the_streamed_deltas() {
-    // The finish record's sample total must count the retired buffer — every delta
-    // on the wire — and not the samples the workers keep adding to their open
+    // The finish record's sample total must count the session's producer fold —
+    // every delta on the wire — and not the samples the workers keep adding to their open
     // slots while the stream closes. Each round finishes a stream once both workers
     // have replayed their whole log once, with both still replaying.
     let logs = build_logs(2, 4_000);
@@ -488,8 +489,8 @@ fn a_stuck_sink_never_stalls_a_producer() {
 fn snapshot_retirements_are_monotonic_across_concurrent_snapshots() {
     // Regression for the `snapshot_retirements` counter: its single Relaxed load must
     // observe a monotonically non-decreasing sequence from every thread, no matter
-    // how many snapshots race — each retirement increments it under the retired
-    // buffer's lock, so going backwards would mean a torn or double-counted drain.
+    // how many snapshots race — each retirement increments it under the producer
+    // fold's lock, so going backwards would mean a torn or double-counted drain.
     let logs = Arc::new(build_logs(THREADS, 8_000));
     let session = Session::builder().period(PERIOD).collect_objects().build();
     for log in logs.iter() {
