@@ -15,9 +15,9 @@
 //! # Pipeline
 //!
 //! ```text
-//! sampling threads ──► active slots ──drain──► ProfileDelta ──queue──► DeltaDrainer ──► sink
-//!                        (hot path,    (epoch     (bounded,    (background   (on_delta /
-//!                         untouched)   retire)    in-process)     thread)     on_finish)
+//! sampling threads ──► active slots ─retire─► producer fold ─queue─► DeltaDrainer ──► sink
+//!                      (hot path,             (+ watches,            (background      (on_delta /
+//!                       untouched)             one lock)              thread)          on_finish)
 //! ```
 //!
 //! Configure with [`SessionBuilder::stream_to`](crate::session::SessionBuilder::stream_to);
@@ -25,10 +25,14 @@
 //! pipeline a socket-backed [`FleetSink`](crate::fleet::FleetSink) via
 //! [`SessionBuilder::stream_to_fleet`](crate::session::SessionBuilder::stream_to_fleet)
 //! (see [`crate::fleet`] for the wire protocol).
-//! Deltas enter the stream from two producers, serialized by one hand-off gate so
-//! epochs are strictly ordered on the wire:
+//! The session's producer fold is the stream's one state. Its lock orders every
+//! retirement, and one critical section under it takes the epoch, absorbs the
+//! delta, feeds the watches of the session's
+//! [`LiveFold`](crate::query::live::LiveFold) and queues the delta, so epochs are
+//! strictly ordered on the wire. Retirements come from:
 //!
-//! * the drainer's own periodic tick ([`DrainPolicy::tick`]), and
+//! * the drainer's own periodic tick ([`DrainPolicy::tick`]),
+//! * [`Session::flush_export`](crate::session::Session::flush_export), and
 //! * any snapshot/profile read on the session (a snapshot closes an epoch; when a
 //!   stream is attached the closed epoch's delta is routed into it, never discarded —
 //!   this is what makes the stream **loss-free**).
@@ -53,32 +57,39 @@
 //! degrades into quadratic rescans of the growing accumulator): nothing is lost, the
 //! stream just carries coarser partitions, and the merge count is
 //! [`ExportStats::coalesced`]. The capacity bounds deltas only: the terminal
-//! [`FinishRecord`] is always appended, so it may take one slot past it. The
-//! drainer's tick is one more producer — it takes the same gate, closes an epoch the
-//! same way and queues behind whatever is already queued. Only snapshot-side threads
-//! and the drainer ever touch the queue; the sampling hot path never does.
+//! [`FinishRecord`](crate::sink::FinishRecord) is always appended, so it may take one
+//! slot past it. The drainer's tick is one more retirement — it takes the fold's
+//! lock, closes an epoch the same way and queues behind whatever is already queued.
+//! Only retirements and the drainer ever touch the queue; the sampling hot path
+//! never does, and it never takes the fold's lock either.
 //!
 //! A slow or hung **sink** is a different failure than a slow drainer: the drainer
-//! thread itself is the one stuck in `on_delta`. Producers still never wait: the
-//! queue fills, then merges. Local writers are fast, but a
-//! socket-backed [`FleetSink`](crate::fleet::FleetSink) caps that stall with an ack
-//! deadline and fails the frame back into its own bounded, spillable buffer — the
-//! drainer's `on_delta` call returns and the queue keeps draining even when the
-//! aggregator is down for hours (see the failure model in [`crate::fleet`]).
+//! thread itself is the one stuck in `on_delta`. Retirements still never wait: the
+//! queue fills, then merges. Nothing that holds the fold's lock waits on the drainer
+//! or a sink, so a [`FleetSink`](crate::fleet::FleetSink) may read the fold for a
+//! re-base from the drainer thread. Local writers are fast, but a socket-backed
+//! fleet sink caps that stall with an ack deadline and fails the frame back into its
+//! own bounded, spillable buffer — the drainer's `on_delta` call returns and the
+//! queue keeps draining even when the aggregator is down for hours (see the failure
+//! model in [`crate::fleet`]).
 //!
 //! # Shutdown
 //!
 //! [`Session::finish_export`](crate::session::Session::finish_export) closes the
-//! stream: a final delta is drained, the stream's [`FinishRecord`] trailer (run
-//! configuration, agent counters, total-sample checksum) is pushed through
-//! [`ProfileSink::on_finish`], the writer is flushed, and the background thread joins,
-//! returning accumulated [`ExportStats`] (or the first sink/write error). Dropping the
-//! last reference to a streaming session finishes the export as well (drain-on-drop),
-//! so no delta is lost even when the caller forgets the explicit finish.
+//! stream: under the fold's lock a final delta is retired, the fold is closed with
+//! the stream's [`FinishRecord`](crate::sink::FinishRecord) trailer (run
+//! configuration, agent counters, total-sample checksum) — the one record that the
+//! stream ended, which closes every watch and stops later retirements from reaching
+//! the queue — and the trailer is queued. The drainer writes it through
+//! [`ProfileSink::on_finish`] and flushes the writer, and the background thread
+//! joins, returning accumulated [`ExportStats`] (or the first sink/write error).
+//! Dropping the last reference to a streaming session finishes the export as well
+//! (drain-on-drop), so no delta is lost even when the caller forgets the explicit
+//! finish.
 
 use std::collections::VecDeque;
 use std::io::{self, Write};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
@@ -86,9 +97,8 @@ use parking_lot::Mutex;
 
 use crate::agent::AllocationAgent;
 use crate::profile::ProfileDelta;
-use crate::query::live::{LiveFold, LiveShared};
 use crate::session::ObjectCentricCollector;
-use crate::sink::{FinishRecord, LogRecord, ProfileSink};
+use crate::sink::{LogRecord, ProfileSink};
 use crate::sync::{Epoch, SpinLock};
 
 /// Configuration of the background drain pipeline. Set it through its builder
@@ -196,46 +206,28 @@ impl Write for SharedBuffer {
 }
 
 /// What a fleet sink re-sends when its aggregator lost the producer's state: the
-/// producer fold's accumulator, one delta at base 0 — the fold a live tap copies,
-/// read under the hand-off gate so it is exactly the fold of every delta drained so
-/// far. Weak both ways: `None` once the session and its drainer are gone.
+/// session's producer fold as one delta at base 0, read under the fold's lock, so it
+/// is exactly the fold of every delta queued so far. Weak: `None` once the session
+/// and its drainer are gone.
 #[derive(Debug)]
-pub(crate) struct RebaseSource {
-    shared: Weak<ExportShared>,
-    collector: Weak<ObjectCentricCollector>,
-}
+pub(crate) struct RebaseSource(pub(crate) Weak<ObjectCentricCollector>);
 
 impl RebaseSource {
     pub(crate) fn delta(&self) -> Option<ProfileDelta> {
-        let (shared, collector) = (self.shared.upgrade()?, self.collector.upgrade()?);
-        let _gate = shared.gate.lock_yielding();
-        Some(collector.fold(|fold| fold.accumulator().clone()))
+        Some(self.0.upgrade()?.rebase_delta())
     }
 }
 
-/// State shared between producers (snapshot threads, the session) and the drainer.
+/// The hand-off queue between the session's retirements and the drainer.
 pub(crate) struct ExportShared {
-    /// Serializes epoch hand-offs ([`ExportShared::close_epoch`]) so epochs are
-    /// strictly ordered on the wire. Held across a drain and its push, which never
-    /// waits, so the drainer's tick takes it like any producer.
-    gate: SpinLock<()>,
     /// The bounded delta queue.
     queue: SpinLock<VecDeque<LogRecord>>,
     capacity: usize,
-    /// Set under the gate after the [`LogRecord::Finish`] item is queued; deltas
-    /// arriving later (post-finish races) are dropped — they carry samples recorded
-    /// after the stream's endpoint by definition.
-    closed: AtomicBool,
     /// Bumped on every push; the drainer validates its recorded generation before
     /// parking so a push between "queue looked empty" and "park" is never slept over.
     pushed: Epoch,
     /// The drainer's thread handle, for wakeups.
     drainer: SpinLock<Option<std::thread::Thread>>,
-    /// Live-fold subscribers, fed every drained delta and the finish exactly once,
-    /// in strict epoch order. Only ever touched under the hand-off gate —
-    /// registration included. Weak: dropping the last `LiveFold` handle
-    /// unsubscribes on the next drain.
-    taps: SpinLock<Vec<Weak<LiveShared>>>,
     // Stream statistics (see [`ExportStats`]).
     deltas_streamed: AtomicU64,
     samples_streamed: AtomicU64,
@@ -244,15 +236,12 @@ pub(crate) struct ExportShared {
 }
 
 impl ExportShared {
-    fn new(policy: DrainPolicy) -> Self {
+    pub(crate) fn new(policy: DrainPolicy) -> Self {
         Self {
-            gate: SpinLock::new(()),
             queue: SpinLock::new(VecDeque::with_capacity(policy.capacity)),
             capacity: policy.capacity,
-            closed: AtomicBool::new(false),
             pushed: Epoch::new(),
             drainer: SpinLock::new(None),
-            taps: SpinLock::new(Vec::new()),
             deltas_streamed: AtomicU64::new(0),
             samples_streamed: AtomicU64::new(0),
             epochs_drained: AtomicU64::new(0),
@@ -270,28 +259,17 @@ impl ExportShared {
         }
     }
 
-    fn is_closed(&self) -> bool {
-        self.closed.load(Ordering::Acquire)
-    }
-
     fn wake(&self) {
         if let Some(thread) = &*self.drainer.lock() {
             thread.unpark();
         }
     }
 
-    /// Runs `f` on every live tap, pruning dropped subscribers. Call with the gate
-    /// held, to hand over non-empty deltas only — empty epochs are skipped on the
-    /// wire, and taps mirror the wire — and the finish after the closing delta.
-    fn tap(&self, f: impl Fn(&LiveShared)) {
-        self.taps.lock().retain(|tap| tap.upgrade().map(|tap| f(&tap)).is_some());
-    }
-
     // Queue accesses acquire yielding throughout: the queue is only ever touched
-    // from normal thread context (snapshot producers, the drainer — never the
-    // sampling hot path), and a producer merges whole ThreadProfiles under the lock
-    // when the queue is full, which a pure spin on the other side would burn a core
-    // waiting out.
+    // from normal thread context (retirements, the drainer — never the sampling hot
+    // path), and a retirement merges whole ThreadProfiles under the lock when the
+    // queue is full, which a pure spin on the other side would burn a core waiting
+    // out.
 
     fn pop(&self) -> Option<LogRecord> {
         self.queue.lock_yielding().pop_front()
@@ -302,17 +280,18 @@ impl ExportShared {
     }
 
     /// Queues an item and wakes the drainer.
-    fn push(&self, item: LogRecord) {
+    pub(crate) fn push(&self, item: LogRecord) {
         self.queue.lock_yielding().push_back(item);
         self.pushed.bump();
         self.wake();
     }
 
-    /// Enqueues one delta, merging it into the newest queued delta when the queue is
-    /// full. Deltas arriving after the stream closed are dropped. Call with the gate
-    /// held so epochs stay ordered.
-    fn push_delta(&self, delta: ProfileDelta) {
-        if self.is_closed() {
+    /// Hands one retired epoch to the stream: counts it, and queues a non-empty
+    /// delta — merged into the newest queued delta when the queue is full. Called
+    /// under the producer fold's lock, which orders the epochs.
+    pub(crate) fn push_epoch(&self, delta: ProfileDelta) {
+        self.epochs_drained.fetch_add(1, Ordering::Relaxed);
+        if delta.is_empty() {
             return;
         }
         {
@@ -327,41 +306,10 @@ impl ExportShared {
         }
         self.push(LogRecord::Delta(delta));
     }
-
-    /// Closes one epoch of `collector` for the stream: drains its delta, counts the
-    /// epoch, and hands a non-empty delta to the taps and the queue. Every epoch the
-    /// stream carries — a snapshot's, a flush's, the drainer's tick and the finish's
-    /// closing one — is closed here. Call with the gate held.
-    fn close_epoch(&self, collector: &ObjectCentricCollector) {
-        let delta = collector.drain_delta();
-        self.epochs_drained.fetch_add(1, Ordering::Relaxed);
-        if !delta.is_empty() {
-            self.tap(|tap| tap.on_delta(&delta));
-            self.push_delta(delta);
-        }
-    }
-
-    /// Closes one epoch of `collector` and routes its delta into the stream — the
-    /// producer-side hand-off. The gate serializes concurrent producers (the
-    /// drainer's own tick included), so wire order follows epoch order. Acquired
-    /// yielding: every gate holder runs in normal thread context, and yielding to a
-    /// preempted holder beats spinning out its timeslice
-    /// ([`SpinLock::lock_yielding`]).
-    ///
-    /// Returns `false` when the stream has already closed: no epoch is retired, and
-    /// the caller must fall back to the plain (non-streaming) read path.
-    pub(crate) fn produce(&self, collector: &ObjectCentricCollector) -> bool {
-        let _gate = self.gate.lock_yielding();
-        if self.is_closed() {
-            return false;
-        }
-        self.close_epoch(collector);
-        true
-    }
 }
 
-/// The background worker: pops queued deltas, self-drains on its tick, and writes
-/// everything through the sink in epoch order.
+/// The background worker: pops queued deltas, retires an epoch on its tick, and
+/// writes everything through the sink in epoch order.
 struct DrainWorker {
     shared: Arc<ExportShared>,
     collector: Arc<ObjectCentricCollector>,
@@ -414,37 +362,27 @@ impl DrainWorker {
     fn run(mut self) -> io::Result<()> {
         let mut last_drain = Instant::now();
         'stream: loop {
-            // 1. Flush everything queued, in FIFO (= epoch) order. `closed` is read
-            // first: a finish publishes it (Release) only after queueing the closing
-            // delta and the terminal item, so a stream seen closed here has both in
-            // the queue, and this pass writes them.
-            let closed = self.shared.is_closed();
+            // 1. Write everything queued, in FIFO (= epoch) order, up to the terminal
+            // item: the finish queues it last, under the fold's lock, after which no
+            // retirement queues anything.
             while let Some(item) = self.shared.pop() {
                 if self.emit(item) {
                     break 'stream;
                 }
             }
-            if closed {
-                // Defensive: closed without a terminal item (not produced by the
-                // session, but a clean exit beats a zombie thread).
-                break;
-            }
             // 2. Tick self-drain — only when the tick actually elapsed, so producer
             // pushes (which also wake this thread) do not inflate the epoch cadence
             // beyond the documented DrainPolicy::tick. The tick is one more
-            // producer: its delta queues behind everything queued before it, and
+            // retirement: its delta queues behind everything queued before it, and
             // the next pass writes it.
             if last_drain.elapsed() >= self.tick {
-                self.shared.produce(&self.collector);
+                self.collector.flush();
                 last_drain = Instant::now();
             }
             // 3. Park until the next push or tick. The pushed-epoch validation closes
             // the race between "queue looked empty" and the park itself.
             let generation = self.shared.pushed.current();
-            if self.shared.queue_is_empty()
-                && !self.shared.is_closed()
-                && self.shared.pushed.validate(generation)
-            {
+            if self.shared.queue_is_empty() && self.shared.pushed.validate(generation) {
                 std::thread::park_timeout(self.tick);
             }
         }
@@ -460,10 +398,8 @@ impl DrainWorker {
 /// [`SessionBuilder::stream_to`](crate::session::SessionBuilder::stream_to).
 pub struct DeltaDrainer {
     shared: Arc<ExportShared>,
+    collector: Arc<ObjectCentricCollector>,
     worker: Mutex<Option<std::thread::JoinHandle<io::Result<()>>>>,
-    /// Set once [`DeltaDrainer::finish`] completed; later profile reads take the
-    /// plain snapshot path again.
-    finished: AtomicBool,
     /// The first finish's outcome, replayed to later finish calls (io errors are not
     /// clonable; the kind and message are kept, the original error goes to the first
     /// caller intact).
@@ -472,30 +408,23 @@ pub struct DeltaDrainer {
 
 impl std::fmt::Debug for DeltaDrainer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DeltaDrainer")
-            .field("finished", &self.finished.load(Ordering::Relaxed))
-            .field("stats", &self.shared.stats())
-            .finish()
+        f.debug_struct("DeltaDrainer").field("stats", &self.shared.stats()).finish()
     }
 }
 
 impl DeltaDrainer {
-    /// Spawns the background drainer over `collector`, streaming through `sink` into
-    /// `out` under `policy`.
+    /// Spawns the background drainer of `shared`, the queue `collector` retires
+    /// into, streaming through `sink` into `out` on the tick of `policy`.
     pub(crate) fn spawn(
+        shared: Arc<ExportShared>,
         collector: Arc<ObjectCentricCollector>,
         sink: Arc<dyn ProfileSink>,
         out: Box<dyn Write + Send>,
         policy: DrainPolicy,
     ) -> Self {
-        let shared = Arc::new(ExportShared::new(policy));
-        // The collector keeps a weak back-reference so its own profile reads route
-        // epoch retirements into this stream instead of absorbing them silently
-        // (weak: the drainer owns the collector, never the other way around).
-        collector.attach_stream(Arc::downgrade(&shared));
         let worker = DrainWorker {
             shared: shared.clone(),
-            collector,
+            collector: collector.clone(),
             sink,
             out,
             tick: policy.tick,
@@ -514,23 +443,7 @@ impl DeltaDrainer {
                 worker.run()
             })
             .expect("spawning the export drainer thread");
-        Self {
-            shared,
-            worker: Mutex::new(Some(handle)),
-            finished: AtomicBool::new(false),
-            result: Mutex::new(None),
-        }
-    }
-
-    /// `true` while the stream accepts deltas (i.e. before [`DeltaDrainer::finish`]).
-    pub(crate) fn is_running(&self) -> bool {
-        !self.finished.load(Ordering::Acquire)
-    }
-
-    /// Routes one closed epoch of `collector` into the stream (see
-    /// [`ExportShared::produce`]); a no-op once the stream closed.
-    pub(crate) fn produce(&self, collector: &ObjectCentricCollector) {
-        let _ = self.shared.produce(collector);
+        Self { shared, collector, worker: Mutex::new(Some(handle)), result: Mutex::new(None) }
     }
 
     /// Live statistics of the stream.
@@ -538,68 +451,23 @@ impl DeltaDrainer {
         self.shared.stats()
     }
 
-    /// A live fold on the stream: under the hand-off gate it starts as a copy of the
-    /// collector's producer fold — every delta drained so far — and is registered as
-    /// a tap for every later one, so it misses nothing and double-counts nothing.
-    /// Once the stream has closed, the copy is the finished terminal fold and no tap
-    /// is registered.
-    pub(crate) fn attach_tap(&self, collector: &ObjectCentricCollector) -> LiveFold {
-        let _gate = self.shared.gate.lock_yielding();
-        let fold = LiveFold::of(collector.fold(|fold| fold.clone()));
-        if !self.shared.is_closed() {
-            self.shared.taps.lock().push(fold.tap_handle());
-        }
-        fold
-    }
-
-    /// The stream's re-base source for a fleet sink (see [`RebaseSource`]).
-    pub(crate) fn rebase_source(&self, collector: &Arc<ObjectCentricCollector>) -> RebaseSource {
-        RebaseSource { shared: Arc::downgrade(&self.shared), collector: Arc::downgrade(collector) }
-    }
-
-    /// Ends the stream: drains the closing delta, closes the producer fold with the
-    /// terminal [`FinishRecord`] (built under the hand-off gate from the fold's
-    /// header and sample total and the agent's counters, so the checksum counts
-    /// exactly the streamed deltas) and pushes that record, joins the worker and
-    /// returns the accumulated statistics or the first sink/write error. Idempotent
-    /// — later calls replay the first outcome.
-    pub(crate) fn finish(
-        &self,
-        collector: &ObjectCentricCollector,
-        allocation: &AllocationAgent,
-    ) -> io::Result<ExportStats> {
+    /// Ends the stream: the collector retires the closing epoch, closes its fold
+    /// with the terminal [`FinishRecord`] and queues that record; then the worker
+    /// joins — after the fold's lock is released, since a fleet re-base reads the
+    /// fold from the drainer thread. Returns the accumulated statistics or the first
+    /// sink/write error. Idempotent — later calls replay the first outcome.
+    pub(crate) fn finish(&self, allocation: &AllocationAgent) -> io::Result<ExportStats> {
         let mut slot = self.result.lock();
         if let Some(previous) = &*slot {
             return previous.clone().map_err(|(kind, msg)| io::Error::new(kind, msg));
         }
-        {
-            let _gate = self.shared.gate.lock_yielding();
-            self.shared.close_epoch(collector);
-            let record = collector.fold(|fold| {
-                let (event, period) = fold.header();
-                let record = FinishRecord {
-                    event,
-                    period,
-                    size_filter: fold.size_filter(),
-                    allocation_stats: allocation.stats(),
-                    total_samples: fold.total_samples(),
-                };
-                fold.finish(record.clone(), false).expect("the fold's own sample total");
-                record
-            });
-            self.shared.tap(|tap| tap.on_finish(&record));
-            // The capacity bounds deltas only: the terminal item always queues.
-            self.shared.push(LogRecord::Finish(record));
-            self.shared.closed.store(true, Ordering::Release);
-        }
-        self.shared.wake();
+        self.collector.finish_stream(allocation);
         let io_result = match self.worker.lock().take() {
             Some(handle) => handle
                 .join()
                 .unwrap_or_else(|_| Err(io::Error::other("export drainer thread panicked"))),
             None => Ok(()),
         };
-        self.finished.store(true, Ordering::Release);
         match io_result {
             Ok(()) => {
                 let stats = self.shared.stats();
@@ -619,7 +487,8 @@ impl DeltaDrainer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::{ProfileDelta, ThreadDelta, ThreadProfile};
+    use crate::profile::{ThreadDelta, ThreadProfile};
+    use crate::sink::FinishRecord;
     use djx_runtime::ThreadId;
 
     fn delta(epoch: u64, thread: u64, samples: u64) -> ProfileDelta {
@@ -656,9 +525,9 @@ mod tests {
     #[test]
     fn coalesce_merges_into_the_newest_queued_delta_when_full() {
         let shared = ExportShared::new(DrainPolicy::new().capacity(1));
-        shared.push_delta(delta(1, 1, 5));
-        shared.push_delta(delta(2, 1, 7));
-        shared.push_delta(delta(3, 2, 2));
+        shared.push_epoch(delta(1, 1, 5));
+        shared.push_epoch(delta(2, 1, 7));
+        shared.push_epoch(delta(3, 2, 2));
         assert_eq!(shared.stats().coalesced, 2);
         let Some(LogRecord::Delta(folded)) = shared.pop() else {
             panic!("one coalesced delta expected");
@@ -672,7 +541,7 @@ mod tests {
     #[test]
     fn the_finish_queues_past_a_full_queue() {
         let shared = ExportShared::new(DrainPolicy::new().capacity(1));
-        shared.push_delta(delta(1, 1, 5));
+        shared.push_epoch(delta(1, 1, 5));
         shared.push(LogRecord::Finish(FinishRecord {
             event: djx_pmu::PmuEvent::DEFAULT,
             period: 1,
@@ -683,14 +552,6 @@ mod tests {
         assert!(matches!(shared.pop(), Some(LogRecord::Delta(_))));
         assert!(matches!(shared.pop(), Some(LogRecord::Finish(_))), "the finish is never merged");
         assert_eq!(shared.stats().blocked, 0);
-    }
-
-    #[test]
-    fn closed_stream_drops_late_deltas() {
-        let shared = ExportShared::new(DrainPolicy::new().capacity(2));
-        shared.closed.store(true, Ordering::Release);
-        shared.push_delta(delta(1, 1, 1));
-        assert!(shared.pop().is_none(), "post-finish deltas are dropped");
     }
 
     #[test]

@@ -116,9 +116,6 @@ pub mod report;
 pub mod session;
 pub mod sink;
 mod slots;
-#[cfg(test)]
-#[path = "interval_tests.rs"]
-mod splay;
 pub mod sync;
 pub mod wire;
 
@@ -149,19 +146,3 @@ pub use session::{ProfilerConfig, Session, SessionBuilder, DEFAULT_SAMPLE_PERIOD
 pub use sink::{FinishRecord, LogRecord, ProfileSink};
 pub use sync::{Epoch, SpinLock, SpinLockGuard};
 pub use wire::{BinaryChunkedSink, BinaryFrameReader};
-
-/// The code-centric baseline of Figure 1 is the [`GroupBy::Context`] axis of a query
-/// over a session's object profile; these tests pin down the session that feeds it.
-#[cfg(test)]
-mod codecentric {
-    mod tests {
-        use crate::{GroupBy, Query, Session};
-
-        #[test]
-        #[should_panic(expected = "non-zero")]
-        fn zero_period_rejected() {
-            let session = Session::builder().period(0).collect_objects().build();
-            let _ = Query::new().group_by(GroupBy::Context).evaluate(&*session);
-        }
-    }
-}

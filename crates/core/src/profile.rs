@@ -355,6 +355,10 @@ pub enum FoldError {
         /// Samples the terminal record promised.
         expected: u64,
     },
+    /// A caller tried to feed a session's live fold
+    /// ([`Session::live_fold`](crate::session::Session::live_fold)): the session
+    /// feeds that fold with its own stream, so it is read-only to everyone else.
+    ReadOnly,
 }
 
 impl fmt::Display for FoldError {
@@ -375,6 +379,9 @@ impl fmt::Display for FoldError {
                 f,
                 "streamed deltas fold to {folded} samples but the finish record counts {expected} — lost or duplicated deltas"
             ),
+            FoldError::ReadOnly => {
+                f.write_str("a session's live fold is read-only: only the session feeds it")
+            }
         }
     }
 }
@@ -387,9 +394,9 @@ impl std::error::Error for FoldError {}
 /// a [`LiveFold`](crate::query::live::LiveFold), fleet ingest and WAL recovery
 /// ([`crate::fleet`]) all turn a stream into state through it, and a
 /// [`Session`](crate::session::Session) keeps its own retired state as one: the
-/// producer fold its profile reads, live taps and fleet re-bases copy. Internally
-/// this is one growing delta folded with [`ProfileDelta::merge_from`], so replay and
-/// coalescing share one exactness argument.
+/// producer fold behind its profile reads and its live fold, which a fleet re-base
+/// copies. Internally this is one growing delta folded with
+/// [`ProfileDelta::merge_from`], so replay and coalescing share one exactness argument.
 ///
 /// The fold is **incremental**: each [`DeltaFold::absorb_ordered`] call does O(delta)
 /// work against the accumulator — history is never re-read, so a long-lived consumer

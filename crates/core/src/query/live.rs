@@ -10,12 +10,14 @@
 //! A [`LiveFold`] accepts the delta stream from any of the transports the profiler
 //! already has:
 //!
-//! * **in-process**: [`Session::watch`](crate::session::Session::watch) /
-//!   [`Session::live_fold`](crate::session::Session::live_fold) register the fold as
-//!   a tap on the streaming drainer — every epoch the drainer retires is handed to
-//!   the fold under the same hand-off gate that orders the export queue, so the fold
-//!   observes exactly the stream a
-//!   [`BinaryChunkedSink`](crate::wire::BinaryChunkedSink) would have logged;
+//! * **in-process**: [`Session::live_fold`](crate::session::Session::live_fold) /
+//!   [`Session::watch`](crate::session::Session::watch) hand out the session's own
+//!   producer fold, the one its profile reads. Each retirement absorbs its delta,
+//!   feeds the watches and queues the delta for the sink in one critical section
+//!   under the fold's lock, so the fold observes exactly the stream a
+//!   [`BinaryChunkedSink`](crate::wire::BinaryChunkedSink) would have logged. The
+//!   session is its one feeder: [`LiveFold::absorb`], [`LiveFold::finish`] and
+//!   [`LiveFold::feed`] on it are refused ([`FoldError::ReadOnly`]);
 //! * **replayed / tailed logs**: [`LiveFold::feed`] pushes raw binary epoch-log
 //!   bytes through a [`FrameTail`] — tail a growing log file and feed each read;
 //! * **manual**: [`LiveFold::absorb`] / [`LiveFold::finish`] for decoded records.
@@ -64,28 +66,56 @@ use super::{GroupState, ProfileSource, Query, QueryError, QueryResult};
 ///
 /// Cloning is cheap and shares the fold: every clone sees the same stream, and
 /// watches registered through any clone survive as long as one clone (or the
-/// session tap) is alive.
+/// session that feeds it) is alive.
 #[derive(Clone)]
 pub struct LiveFold {
     shared: Arc<LiveShared>,
 }
 
-pub(crate) struct LiveShared {
-    state: Mutex<LiveState>,
+struct LiveShared {
+    state: parking_lot::Mutex<LiveState>,
+    /// `true` for a session's producer fold, which only the session feeds.
+    session: bool,
 }
 
 /// A live fold is its stream's [`DeltaFold`] plus the watches it feeds and the
 /// byte-stream decoder behind [`LiveFold::feed`].
-struct LiveState {
+pub(crate) struct LiveState {
     fold: DeltaFold,
     watches: Vec<Weak<WatchShared>>,
     tail: FrameTail,
+    /// A session's record once its stream finished and a later retirement brought
+    /// data: a copy of the terminal fold that absorbs the reads after the finish, so
+    /// `fold` stays the terminal stream its closed watches render.
+    after_finish: Option<DeltaFold>,
 }
 
 impl LiveState {
+    /// The stream's fold.
+    pub(crate) fn fold(&self) -> &DeltaFold {
+        &self.fold
+    }
+
+    /// What a session's profile reads: the stream's fold, plus what was retired after
+    /// the stream finished.
+    pub(crate) fn record(&self) -> &DeltaFold {
+        self.after_finish.as_ref().unwrap_or(&self.fold)
+    }
+
+    /// Folds a retirement no stream carries — a session that does not stream, or one
+    /// read after its stream finished — moving the delta's sites and new fragments in.
+    pub(crate) fn absorb_unstreamed(&mut self, delta: ProfileDelta) {
+        if !self.fold.is_finished() {
+            self.fold.absorb_owned(delta);
+        } else if !delta.is_empty() {
+            let fold = &self.fold;
+            self.after_finish.get_or_insert_with(|| fold.clone()).absorb_owned(delta);
+        }
+    }
+
     /// Folds one streamed delta (a rejected delta leaves the fold and every watch
     /// untouched), then feeds the watches.
-    fn absorb_delta(&mut self, delta: &ProfileDelta) -> Result<(), FoldError> {
+    pub(crate) fn absorb_delta(&mut self, delta: &ProfileDelta) -> Result<(), FoldError> {
         self.fold.absorb_ordered(delta)?;
         let LiveState { watches, fold, .. } = self;
         for_watches(watches, |w| w.feed_fragment("", fold, delta));
@@ -94,7 +124,7 @@ impl LiveState {
 
     /// Closes the stream with its finish record, verifying the loss-free checksum,
     /// and closes every watch. A repeated finish that passes the check is ignored.
-    fn finish(&mut self, record: FinishRecord) -> Result<(), FoldError> {
+    pub(crate) fn finish(&mut self, record: FinishRecord) -> Result<(), FoldError> {
         if self.fold.finish(record, false)? {
             let (header, epoch) = (self.fold.header(), self.fold.last_epoch());
             for_watches(&mut self.watches, |w| w.feed_header(header, epoch, true));
@@ -103,58 +133,58 @@ impl LiveState {
     }
 }
 
-impl LiveShared {
-    /// One non-empty epoch-retired delta from the export stream, handed over under
-    /// its hand-off gate before the delta is queued for the sink.
-    pub(crate) fn on_delta(&self, delta: &ProfileDelta) {
-        // The drainer hands epochs over strictly ordered under the hand-off gate,
-        // each after the producer-fold copy the tap started from, so none is refused.
-        let _ = self.state.lock().expect("live fold state lock").absorb_delta(delta);
-    }
-
-    /// The stream's terminal record, after the final delta.
-    pub(crate) fn on_finish(&self, record: &FinishRecord) {
-        // The trailer counts the producer fold's samples: the copy this fold started
-        // from plus every delta handed over since, so the checksum holds.
-        let _ = self.state.lock().expect("live fold state lock").finish(record.clone());
-    }
-}
-
 impl LiveFold {
     /// An empty fold with placeholder metadata (adopted from the stream's terminal
     /// record, or set up front with [`LiveFold::with_meta`]).
     pub fn new() -> Self {
-        Self::of(DeltaFold::new())
+        Self::of(DeltaFold::new(), false)
     }
 
     /// An empty fold that already knows the stream's event, period and size filter —
     /// what mid-stream snapshots and renders report before the terminal record
     /// confirms them.
     pub fn with_meta(event: PmuEvent, period: u64, size_filter: u64) -> Self {
-        Self::of(DeltaFold::with_header(event, period, size_filter))
+        Self::of(DeltaFold::with_header(event, period, size_filter), false)
     }
 
-    /// A fold that continues from `fold`'s state — how a session's live tap starts
-    /// from a copy of the producer fold.
-    pub(crate) fn of(fold: DeltaFold) -> Self {
-        let state = LiveState { fold, watches: Vec::new(), tail: FrameTail::new() };
-        Self { shared: Arc::new(LiveShared { state: Mutex::new(state) }) }
+    /// A session's producer fold: empty under the session's header, fed only by the
+    /// session, through [`LiveFold::lock`].
+    pub(crate) fn producer(event: PmuEvent, period: u64, size_filter: u64) -> Self {
+        Self::of(DeltaFold::with_header(event, period, size_filter), true)
     }
 
-    fn state(&self) -> MutexGuard<'_, LiveState> {
-        self.shared.state.lock().expect("live fold state lock")
+    fn of(fold: DeltaFold, session: bool) -> Self {
+        let state =
+            LiveState { fold, watches: Vec::new(), tail: FrameTail::new(), after_finish: None };
+        Self { shared: Arc::new(LiveShared { state: parking_lot::Mutex::new(state), session }) }
+    }
+
+    /// The fold's state under its lock — the lock that orders a session's
+    /// retirements.
+    pub(crate) fn lock(&self) -> parking_lot::MutexGuard<'_, LiveState> {
+        self.shared.state.lock()
+    }
+
+    /// Refuses callers' writes to a session's fold.
+    fn writable(&self) -> Result<(), FoldError> {
+        if self.shared.session {
+            return Err(FoldError::ReadOnly);
+        }
+        Ok(())
     }
 
     /// Folds one decoded epoch delta, feeding every registered watch.
     ///
     /// # Errors
     ///
+    /// [`FoldError::ReadOnly`] on a session's live fold,
     /// [`FoldError::AfterFinish`] once the stream finished,
     /// [`FoldError::OutOfOrderEpoch`] when the epoch repeats or regresses,
     /// [`FoldError::SiteGap`] when the delta's sites do not join the fold's table;
     /// the fold and all watches are left untouched.
     pub fn absorb(&self, delta: &ProfileDelta) -> Result<(), FoldError> {
-        self.state().absorb_delta(delta)
+        self.writable()?;
+        self.lock().absorb_delta(delta)
     }
 
     /// Closes the stream with a terminal record: verifies the loss-free checksum,
@@ -163,10 +193,12 @@ impl LiveFold {
     ///
     /// # Errors
     ///
+    /// [`FoldError::ReadOnly`] on a session's live fold;
     /// [`FoldError::ChecksumMismatch`] when the folded sample total does not match
-    /// the record (deltas were lost or duplicated); the stream stays as it was.
+    /// the record (deltas were lost or duplicated). The stream stays as it was.
     pub fn finish(&self, record: FinishRecord) -> Result<(), FoldError> {
-        self.state().finish(record)
+        self.writable()?;
+        self.lock().finish(record)
     }
 
     /// Pushes raw binary epoch-log bytes ([`crate::wire`] frames), decoding and
@@ -177,9 +209,12 @@ impl LiveFold {
     /// # Errors
     ///
     /// [`ProfileParseError`] on malformed frames, out-of-order epochs or a failing
-    /// terminal checksum, anchored to the offending frame's position.
+    /// terminal checksum, anchored to the offending frame's position — or at frame 0
+    /// on a session's live fold, which takes no bytes.
     pub fn feed(&self, bytes: &[u8]) -> Result<(), ProfileParseError> {
-        let mut st = self.state();
+        self.writable()
+            .map_err(|e| ProfileParseError { frame: 0, message: e.to_string() })?;
+        let mut st = self.lock();
         st.tail.push(bytes);
         while let Some(record) = st.tail.next_record()? {
             let folded = match record {
@@ -196,36 +231,30 @@ impl LiveFold {
     /// stream. `query.evaluate(&fold.snapshot())` renders byte-identically to
     /// `query.watch(&fold)`'s current result.
     pub fn snapshot(&self) -> ObjectCentricProfile {
-        self.state().fold.clone().assemble()
+        self.lock().fold.clone().assemble()
     }
 
     /// The last epoch folded, or `None` while the fold is empty.
     pub fn last_epoch(&self) -> Option<u64> {
-        self.state().fold.last_epoch()
+        self.lock().fold.last_epoch()
     }
 
     /// Number of deltas folded so far.
     pub fn deltas(&self) -> u64 {
-        self.state().fold.deltas()
+        self.lock().fold.deltas()
     }
 
     /// Whether the stream's terminal record has been folded. A finished fold's
     /// snapshot is the run's complete profile; its watches' pending iterators
     /// ([`LiveQuery::next_epoch`]) drain and return `None`.
     pub fn is_finished(&self) -> bool {
-        self.state().fold.is_finished()
-    }
-
-    /// The fold's tap handle for
-    /// [`DeltaDrainer::attach_tap`](crate::export::DeltaDrainer::attach_tap).
-    pub(crate) fn tap_handle(&self) -> Weak<LiveShared> {
-        Arc::downgrade(&self.shared)
+        self.lock().fold.is_finished()
     }
 
     /// Registers a watch: seed its group state from the fold in place, then
     /// subscribe it to subsequent fragments.
     fn register(&self, query: Query) -> LiveQuery {
-        let mut st = self.state();
+        let mut st = self.lock();
         let mut groups = GroupState::new(&query);
         groups.absorb_fold(&query, &st.fold);
         let watch =
@@ -243,7 +272,7 @@ impl Default for LiveFold {
 
 impl std::fmt::Debug for LiveFold {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let st = self.state();
+        let st = self.lock();
         f.debug_struct("LiveFold")
             .field("deltas", &st.fold.deltas())
             .field("last_epoch", &st.fold.last_epoch())
@@ -401,8 +430,9 @@ pub struct LiveResult {
 /// feed.
 pub struct LiveQuery {
     watch: Arc<WatchShared>,
-    /// Keeps the fold (and with it the tap registration) alive for session-backed
-    /// watches; aggregator-backed watches are owned by the aggregator instead.
+    /// Keeps the fold that feeds the watch alive — a session's live fold included,
+    /// so the watch outlives every other handle to it; aggregator-backed watches
+    /// are owned by the aggregator instead.
     _source: Option<Arc<LiveShared>>,
     last_seen: u64,
 }

@@ -87,13 +87,14 @@
 //! lives in epoch-buffered thread slots: each snapshot advances the buffer epoch
 //! and **retires** every slot's accumulated delta by taking it out under the slot's
 //! spin lock — an O(1) move, the only instant a sampling thread can even notice — then
-//! absorbs the retired delta into the producer fold, a [`DeltaFold`] like the one
-//! every consumer of the stream folds with, and clones *that* outside every sampling
-//! lock. A sampling thread arriving mid-snapshot simply starts a fresh delta; delta
-//! absorption is exact (metric sums, CCT merges re-keyed by call path), so profiles
-//! assembled from any snapshot cadence render identically to a single-piece run. Per-thread views merge in thread-first-seen
-//! order, which keeps single-threaded profiles bit-identical to the pre-sharding
-//! implementation.
+//! absorbs the retired delta into the producer fold, a
+//! [`DeltaFold`](crate::profile::DeltaFold) like the one every consumer of the stream
+//! folds with, and clones *that* outside every sampling lock. A sampling thread
+//! arriving mid-snapshot simply starts a fresh delta; delta absorption is exact
+//! (metric sums, CCT merges re-keyed by call path), so profiles assembled from any
+//! snapshot cadence render identically to a single-piece run.
+//! Per-thread views merge in thread-first-seen order, which keeps single-threaded
+//! profiles bit-identical to the pre-sharding implementation.
 //!
 //! ```
 //! use djx_runtime::{dsl, Runtime, RuntimeConfig};
@@ -122,9 +123,7 @@
 
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
-
-use parking_lot::Mutex;
+use std::sync::Arc;
 
 use djx_pmu::{PerfEventBuilder, PmuEvent, Sample, ThreadPmu, MAX_SAMPLED_EVENTS};
 use djx_runtime::{
@@ -133,11 +132,12 @@ use djx_runtime::{
 };
 
 use crate::agent::{AllocationAgent, AllocationConfig, SharedObjectIndex};
-use crate::export::{DeltaDrainer, DrainPolicy, ExportShared, ExportStats};
+use crate::export::{DeltaDrainer, DrainPolicy, ExportShared, ExportStats, RebaseSource};
 use crate::interval::LookupStats;
 use crate::object::{AllocSite, AllocSiteId};
-use crate::profile::{DeltaFold, ObjectCentricProfile, ProfileDelta, ThreadDelta, ThreadProfile};
-use crate::sink::ProfileSink;
+use crate::profile::{ObjectCentricProfile, ProfileDelta, ThreadDelta, ThreadProfile};
+use crate::query::live::{LiveFold, LiveState};
+use crate::sink::{FinishRecord, LogRecord, ProfileSink};
 use crate::slots::ThreadSlots;
 use crate::sync::{Epoch, SpinLock};
 
@@ -220,17 +220,18 @@ struct OpenDelta {
 /// [`SnapshotBuffered::epoch`] and takes every slot's profile out under its spin lock
 /// (O(1) — the only moment a sampling thread can block on a snapshot) as one
 /// [`ProfileDelta`], which the **retired** side absorbs: the producer fold, a
-/// [`DeltaFold`] over every delta the session retired, the same type every consumer
-/// of the stream folds with. Only snapshot-side threads take the fold's blocking
-/// mutex; it encloses the brief slot takes, but sampling threads never take it, so no
-/// lock-order cycle exists. Reads clone from the fold outside every sampling lock.
-#[derive(Debug)]
+/// [`DeltaFold`](crate::profile::DeltaFold) over every delta the session retired, the
+/// same type every consumer of the stream folds with, held as the [`LiveFold`] a
+/// streaming session hands out.
+/// Only snapshot-side threads take the fold's non-poisoning mutex; it encloses the
+/// brief slot takes, but sampling threads never take it, so no lock-order cycle
+/// exists. Reads clone from the fold outside every sampling lock.
 struct SnapshotBuffered {
     active: ThreadSlots<SpinLock<OpenDelta>>,
     /// Next first-seen sequence: one is drawn whenever a thread opens a delta.
     seq: AtomicU64,
-    /// The producer fold.
-    retired: Mutex<DeltaFold>,
+    /// The producer fold, with the watches of the session's live fold.
+    retired: LiveFold,
     /// Buffer generation; each retirement closes one epoch.
     epoch: Epoch,
 }
@@ -238,11 +239,10 @@ struct SnapshotBuffered {
 impl SnapshotBuffered {
     /// An empty buffer whose producer fold carries the session's header.
     fn new(config: &ProfilerConfig) -> Self {
-        let fold = DeltaFold::with_header(config.event, config.period, config.size_filter);
         Self {
             active: ThreadSlots::new(),
             seq: AtomicU64::new(0),
-            retired: Mutex::new(fold),
+            retired: LiveFold::producer(config.event, config.period, config.size_filter),
             epoch: Epoch::new(),
         }
     }
@@ -305,25 +305,25 @@ impl SnapshotBuffered {
 /// is per-thread and epoch-buffered (see [the module docs](self)); a batch locks its
 /// thread's slot exactly once, and snapshots retire state instead of cloning it
 /// under the slot lock.
-#[derive(Debug)]
 pub(crate) struct ObjectCentricCollector {
     state: SnapshotBuffered,
     /// The index whose site registry the recorded site ids point into.
     index: Arc<SharedObjectIndex>,
-    /// The export stream this collector feeds, when the session attached one
-    /// ([`SessionBuilder::stream_to`]). Weak — the drainer owns the collector, never
-    /// the other way around. While the stream runs, every profile read that retires
-    /// an epoch routes the retired delta into it (see
-    /// [`ObjectCentricCollector::profile_parts`]), which is what keeps the stream
-    /// loss-free no matter who triggers the retirement.
-    stream: SpinLock<Option<Weak<ExportShared>>>,
+    /// The export queue, when the session streams ([`SessionBuilder::stream_to`]).
+    /// Until the stream's finish, every retirement hands its delta there, which is
+    /// what keeps the stream loss-free no matter who triggers the retirement.
+    stream: Option<Arc<ExportShared>>,
 }
 
 impl ObjectCentricCollector {
     /// Creates an empty record of site ids of `index`'s registry, under the
-    /// session's `config` header.
-    pub(crate) fn new(index: Arc<SharedObjectIndex>, config: &ProfilerConfig) -> Self {
-        Self { state: SnapshotBuffered::new(config), index, stream: SpinLock::new(None) }
+    /// session's `config` header, retiring into `stream` when the session streams.
+    pub(crate) fn new(
+        index: Arc<SharedObjectIndex>,
+        config: &ProfilerConfig,
+        stream: Option<Arc<ExportShared>>,
+    ) -> Self {
+        Self { state: SnapshotBuffered::new(config), index, stream }
     }
 
     /// Records one monitored allocation of `bytes` bytes at `site` into the
@@ -370,7 +370,8 @@ impl ObjectCentricCollector {
     /// site table. The fold's lock is held across both reads, so a retirement cannot
     /// move state between them.
     pub(crate) fn approx_bytes(&self) -> usize {
-        let fold = self.state.retired.lock();
+        let st = self.state.retired.lock();
+        let fold = st.record();
         let retired = fold.threads().map(ThreadProfile::approx_bytes).sum::<usize>()
             + fold.sites().iter().map(AllocSite::approx_bytes).sum::<usize>();
         let open: usize = self
@@ -384,62 +385,99 @@ impl ObjectCentricCollector {
         self.state.active.approx_bytes() + retired + open
     }
 
+    /// Closes the open epoch — the one retirement behind every profile read, flush,
+    /// drainer tick and finish; the caller holds the producer fold's lock, which
+    /// orders them. The delta carries every site interned since the record's table
+    /// ends: sites are interned before anything records them, so reading the
+    /// registry after taking the slots covers every id the taken fragments
+    /// reference. Until the stream's finish, a streaming session absorbs a non-empty
+    /// delta, feeds the live fold's watches and queues it, all in this one critical
+    /// section; otherwise the delta moves into the record.
+    fn retire(&self, st: &mut LiveState) {
+        let mut delta = self.state.take_epoch();
+        delta.site_base = st.record().sites().len();
+        delta.sites = self.index.sites.lock().since(delta.site_base);
+        match self.open_stream(st) {
+            Some(stream) => {
+                if !delta.is_empty() {
+                    st.absorb_delta(&delta).expect("retirements are ordered under the fold lock");
+                }
+                stream.push_epoch(delta);
+            }
+            None => st.absorb_unstreamed(delta),
+        }
+    }
+
+    /// The export queue while the stream is open: the session streams and the fold
+    /// holds no finish record — the one record that the stream ended.
+    fn open_stream(&self, st: &LiveState) -> Option<&ExportShared> {
+        self.stream.as_deref().filter(|_| !st.fold().is_finished())
+    }
+
     /// The record's site table and per-thread profiles, in thread-first-seen order:
     /// the open epoch is retired into the producer fold, which is then cloned out.
-    ///
-    /// On a session streaming through [`SessionBuilder::stream_to`], the retirement
-    /// goes through the export stream — absorbing it silently would leave samples in
-    /// the fold that never appear as a streamed delta, breaking the stream's
-    /// loss-free replay. Without a running stream, the taken fragments move into the
-    /// fold.
+    /// On a streaming session the retirement goes through the export stream —
+    /// absorbing it silently would leave samples in the fold that never appear as a
+    /// streamed delta, breaking the stream's loss-free replay.
     pub(crate) fn profile_parts(&self) -> (Vec<AllocSite>, Vec<ThreadProfile>) {
-        let streamed = self.stream().is_some_and(|stream| stream.produce(self));
-        let mut fold = self.state.retired.lock();
-        if !streamed {
-            let delta = self.retire(&fold);
-            fold.absorb_owned(delta);
-        }
+        let mut st = self.state.retired.lock();
+        self.retire(&mut st);
+        let fold = st.record();
         (fold.sites().to_vec(), fold.threads().cloned().collect())
     }
 
-    /// Registers the export stream this collector feeds (called when the drainer
-    /// spawns).
-    pub(crate) fn attach_stream(&self, stream: Weak<ExportShared>) {
-        *self.stream.lock() = Some(stream);
+    /// `true` while the session streams and its stream has not finished.
+    pub(crate) fn streaming(&self) -> bool {
+        self.open_stream(&self.state.retired.lock()).is_some()
     }
 
-    /// The attached export stream, while its pipeline is still alive.
-    fn stream(&self) -> Option<Arc<ExportShared>> {
-        self.stream.lock().as_ref().and_then(Weak::upgrade)
+    /// Retires one epoch into the export stream — a flush or the drainer's tick.
+    /// Returns `false`, retiring nothing, when the session does not stream or its
+    /// stream finished.
+    pub(crate) fn flush(&self) -> bool {
+        let mut st = self.state.retired.lock();
+        if self.open_stream(&st).is_none() {
+            return false;
+        }
+        self.retire(&mut st);
+        true
     }
 
-    /// Closes the open epoch as a delta carrying every site interned since the locked
-    /// producer fold's table ends: sites are interned before anything records them,
-    /// so reading the registry after taking the slots covers every id the taken
-    /// fragments reference. The caller absorbs it into the fold.
-    fn retire(&self, fold: &DeltaFold) -> ProfileDelta {
-        let mut delta = self.state.take_epoch();
-        delta.site_base = fold.sites().len();
-        delta.sites = self.index.sites.lock().since(delta.site_base);
-        delta
+    /// Ends the stream in one critical section: retires the closing epoch, closes the
+    /// fold with the terminal [`FinishRecord`] — built from the fold's header and
+    /// sample total and the agent's counters, so the checksum counts exactly the
+    /// streamed deltas — which closes every watch, and queues the record. A no-op on
+    /// a session that does not stream or already finished.
+    pub(crate) fn finish_stream(&self, allocation: &AllocationAgent) {
+        let mut st = self.state.retired.lock();
+        let Some(stream) = self.open_stream(&st) else {
+            return;
+        };
+        self.retire(&mut st);
+        let fold = st.fold();
+        let (event, period) = fold.header();
+        let record = FinishRecord {
+            event,
+            period,
+            size_filter: fold.size_filter(),
+            allocation_stats: allocation.stats(),
+            total_samples: fold.total_samples(),
+        };
+        st.finish(record.clone()).expect("the fold's own sample total");
+        // The capacity bounds deltas only: the terminal item always queues.
+        stream.push(LogRecord::Finish(record));
     }
 
-    /// Closes the open epoch for the export stream: the delta is absorbed into the
-    /// producer fold, which clones only the fragments of threads new to it, and
-    /// handed out for the queue. Must run under the export hand-off gate, which
-    /// orders the stream's retirements.
-    pub(crate) fn drain_delta(&self) -> ProfileDelta {
-        let mut fold = self.state.retired.lock();
-        let delta = self.retire(&fold);
-        fold.absorb(&delta);
-        delta
+    /// The session's live fold — the producer fold itself — when the session
+    /// streams.
+    pub(crate) fn live_fold(&self) -> Option<LiveFold> {
+        self.stream.is_some().then(|| self.state.retired.clone())
     }
 
-    /// Runs `f` on the producer fold — the fold of every delta retired so far. Under
-    /// the export hand-off gate that is exactly the stream so far: the seed a live tap
-    /// clones, the re-base delta, and the fold the finish record closes.
-    pub(crate) fn fold<R>(&self, f: impl FnOnce(&mut DeltaFold) -> R) -> R {
-        f(&mut self.state.retired.lock())
+    /// Everything the stream carried so far as one delta at site base 0: the fleet
+    /// re-base delta.
+    pub(crate) fn rebase_delta(&self) -> ProfileDelta {
+        self.state.retired.lock().fold().accumulator().clone()
     }
 }
 
@@ -570,8 +608,9 @@ const DEFAULT_EXPECTED_LIVE_OBJECTS: usize = 2048;
 /// Two pressures argue for more shards: concurrently sampling threads colliding on a
 /// shard lock (≈4 shards per thread keeps the collision probability low under random
 /// region interleaving), and per-shard arrays growing long (≈512 live objects per
-/// shard keeps the miss-path binary search and each shard's GC-end rebuild short). The result is the next power of two covering
-/// the stronger pressure, clamped to `[4, 64]` (shard sets are 64-bit masks).
+/// shard keeps the miss-path binary search and each shard's GC-end rebuild short).
+/// The result is the next power of two covering the stronger pressure, clamped to
+/// `[4, 64]` (shard sets are 64-bit masks).
 fn adaptive_shard_count(threads: usize) -> usize {
     let for_threads = threads.saturating_mul(4);
     let for_volume = DEFAULT_EXPECTED_LIVE_OBJECTS / 512;
@@ -762,15 +801,18 @@ impl SessionBuilder {
             .sample_period(config.period)
             .jitter(config.jitter);
 
-        let objects = (self.objects || self.export.is_some())
-            .then(|| Arc::new(ObjectCentricCollector::new(shared.clone(), &config)));
-        let export = self.export.map(|cfg| {
+        // The collector gets its queue here; the queue refers to nothing, so the
+        // drainer's hold on the collector makes no cycle.
+        let stream = self.export.as_ref().map(|cfg| Arc::new(ExportShared::new(cfg.policy)));
+        let objects = (self.objects || self.export.is_some()).then(|| {
+            Arc::new(ObjectCentricCollector::new(shared.clone(), &config, stream.clone()))
+        });
+        let export = self.export.zip(stream).map(|(cfg, stream)| {
             let objects = objects.clone().expect("stream_to keeps the object record");
-            let drainer = DeltaDrainer::spawn(objects.clone(), cfg.sink, cfg.out, cfg.policy);
             if let Some(fleet) = cfg.fleet {
-                fleet.set_rebase_source(drainer.rebase_source(&objects));
+                fleet.set_rebase_source(RebaseSource(Arc::downgrade(&objects)));
             }
-            drainer
+            DeltaDrainer::spawn(stream, objects, cfg.sink, cfg.out, cfg.policy)
         });
 
         Arc::new(Session {
@@ -809,7 +851,7 @@ pub struct Session {
     /// [`SessionBuilder::collect_objects`] nor an export stream.
     objects: Option<Arc<ObjectCentricCollector>>,
     /// The asynchronous export pipeline, when the builder configured
-    /// [`SessionBuilder::stream_to`]. While it runs, every epoch retirement of the
+    /// [`SessionBuilder::stream_to`]. Until its finish, every epoch retirement of the
     /// object record routes its delta into the stream.
     export: Option<DeltaDrainer>,
 }
@@ -898,7 +940,7 @@ impl Session {
     /// `true` while an export stream configured with [`SessionBuilder::stream_to`] is
     /// accepting deltas.
     pub fn export_active(&self) -> bool {
-        self.export.as_ref().is_some_and(|e| e.is_running())
+        self.objects.as_ref().is_some_and(|objects| objects.streaming())
     }
 
     /// Live statistics of the export stream, or `None` when the session streams
@@ -911,26 +953,12 @@ impl Session {
     /// immediately, without waiting for the drainer's tick or a snapshot. Returns
     /// `false` when the session has no active export stream (nothing happens).
     pub fn flush_export(&self) -> bool {
-        match self.stream().filter(|(export, _)| export.is_running()) {
-            Some((export, objects)) => {
-                export.produce(objects);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// The export stream with the record it drains; `None` when the session streams
-    /// nowhere ([`SessionBuilder::stream_to`] always keeps the record).
-    fn stream(&self) -> Option<(&DeltaDrainer, &ObjectCentricCollector)> {
-        let export = self.export.as_ref()?;
-        Some((export, self.objects.as_deref().expect("stream_to keeps the object record")))
+        self.objects.as_ref().is_some_and(|objects| objects.flush())
     }
 
     /// Ends the export stream: drains the closing delta, writes the stream's
-    /// [`FinishRecord`](crate::sink::FinishRecord) trailer through
-    /// [`ProfileSink::on_finish`], flushes the writer, and joins the
-    /// background drainer. Returns the stream's accumulated [`ExportStats`].
+    /// [`FinishRecord`] trailer through [`ProfileSink::on_finish`], flushes the
+    /// writer, and joins the background drainer. Returns the stream's accumulated [`ExportStats`].
     /// Idempotent — repeated calls replay the first outcome. Dropping the session's
     /// last reference calls this implicitly (drain-on-drop), discarding the result.
     ///
@@ -940,13 +968,13 @@ impl Session {
     /// sink/write error the drainer encountered (the stream keeps consuming deltas
     /// after an error, up to its terminal record, but stops writing).
     pub fn finish_export(&self) -> io::Result<ExportStats> {
-        let (export, objects) = self.stream().ok_or_else(|| {
+        let export = self.export.as_ref().ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::Unsupported,
                 "session has no export stream (configure one with SessionBuilder::stream_to)",
             )
         })?;
-        export.finish(objects, &self.allocation)
+        export.finish(&self.allocation)
     }
 
     /// Approximate resident bytes of every session-owned data structure — the quantity
@@ -960,11 +988,13 @@ impl Session {
 
     /// Assembles the object record's current state into an
     /// [`ObjectCentricProfile`]: per-thread profiles (samples and allocation counts),
-    /// the allocation-site table, and the run configuration. Can be called repeatedly (including mid-run); each call produces
-    /// an independent snapshot. `None` when the session keeps no record.
+    /// the allocation-site table, and the run configuration. Can be called repeatedly
+    /// (including mid-run); each call produces an independent snapshot. `None` when
+    /// the session keeps no record.
     pub fn object_profile(&self) -> Option<ObjectCentricProfile> {
         // The profile is the producer fold: on a streaming session, by construction
-        // the fold of every streamed delta.
+        // the fold of every streamed delta (and, after the finish, of every later
+        // retirement).
         let (sites, threads) = self.objects.as_ref()?.profile_parts();
         Some(ObjectCentricProfile {
             event: self.config.event,
@@ -992,39 +1022,44 @@ impl Session {
         query.evaluate(self)
     }
 
-    /// Subscribes a [`LiveFold`](crate::query::live::LiveFold) to this session's
-    /// epoch-retired delta stream: the fold starts as a copy of the session's own
-    /// producer fold — everything retired so far — and is then fed every epoch the
-    /// export drainer hands over, under the same hand-off gate that orders the export
-    /// queue — the fold observes exactly the stream the sink logs, site table
-    /// included, and the terminal flush (an explicit [`Session::finish_export`] or
-    /// drain-on-drop) closes the fold with the stream's finish record.
+    /// The session's [`LiveFold`]: its producer fold itself, shared by `Arc` — the
+    /// fold its profile reads, with the watches registered on it. Every retirement
+    /// absorbs its delta, feeds the watches and queues the delta for the sink under
+    /// the fold's one lock, so the fold observes exactly the stream the sink logs,
+    /// site table included, and the terminal flush (an explicit
+    /// [`Session::finish_export`] or drain-on-drop) closes it with the stream's
+    /// finish record. Attaching one copies and allocates nothing.
     ///
-    /// When the export stream already finished, the returned fold is a copy of the
-    /// terminal fold, already closed — watches registered on it render the final
-    /// state and their [`next_epoch`](crate::query::live::LiveQuery::next_epoch)
-    /// iterators drain immediately.
+    /// After the finish the fold stays the terminal stream — watches registered on
+    /// it render the final state and their
+    /// [`next_epoch`](crate::query::live::LiveQuery::next_epoch) iterators drain
+    /// immediately — while later reads still reach the session's profile.
+    ///
+    /// The fold is read-only to callers: [`LiveFold::absorb`], [`LiveFold::finish`]
+    /// and [`LiveFold::feed`] on it return
+    /// [`FoldError::ReadOnly`](crate::profile::FoldError::ReadOnly) and leave it
+    /// untouched.
     ///
     /// # Errors
     ///
     /// Returns [`QueryError::SourceUnavailable`](crate::query::QueryError) when the
     /// session has no export stream (configure one with
     /// [`SessionBuilder::stream_to`]).
-    pub fn live_fold(&self) -> Result<crate::query::live::LiveFold, crate::query::QueryError> {
-        let (export, objects) = self.stream().ok_or_else(|| {
+    pub fn live_fold(&self) -> Result<LiveFold, crate::query::QueryError> {
+        self.objects.as_ref().and_then(|objects| objects.live_fold()).ok_or_else(|| {
             crate::query::QueryError::SourceUnavailable(
                 "session has no export stream (configure one with SessionBuilder::stream_to)"
                     .to_string(),
             )
-        })?;
-        Ok(export.attach_tap(objects))
+        })
     }
 
     /// Registers a live subscription for `query` on this session's delta stream —
-    /// shorthand for `query.watch(&session.live_fold()?)`. The returned
-    /// [`LiveQuery`](crate::query::live::LiveQuery) keeps the underlying fold
-    /// alive; its results are epoch-versioned and byte-identical to cold
-    /// evaluations over the fold's snapshots.
+    /// shorthand for `query.watch(&session.live_fold()?)`: the watch is registered
+    /// on the session's producer fold, seeded from it in place and fed by every
+    /// later retirement. The returned [`LiveQuery`](crate::query::live::LiveQuery)
+    /// keeps the fold alive; its results are epoch-versioned and byte-identical to
+    /// cold evaluations over the fold's snapshots.
     ///
     /// # Errors
     ///
@@ -1500,7 +1535,7 @@ mod tests {
         let session = Session::builder().period(8).stream_to_binary(Box::new(io::sink()), policy);
         let session = session.attach(&mut rt);
         let objects = session.objects.as_ref().expect("stream_to keeps the object record");
-        let rebase = session.export.as_ref().expect("streaming").rebase_source(objects);
+        let rebase = RebaseSource(Arc::downgrade(objects));
         let class = rt.register_array_class("byte[]", 1);
         let t = rt.spawn_thread("main");
         let renders = |source: &dyn crate::query::ProfileSource| -> Vec<String> {
@@ -1517,7 +1552,11 @@ mod tests {
             dsl::sequential_sweep(&mut rt, t, &arr).unwrap();
             assert!(session.flush_export());
             let config = session.config();
-            let mut alone = DeltaFold::with_header(config.event, config.period, config.size_filter);
+            let mut alone = crate::profile::DeltaFold::with_header(
+                config.event,
+                config.period,
+                config.size_filter,
+            );
             alone.absorb_ordered(&rebase.delta().expect("the session is alive")).unwrap();
             assert_eq!(renders(&alone.assemble()), renders(&*session));
         }

@@ -771,7 +771,7 @@ fn run_stream_ops(ops: Vec<StreamOp>) -> Result<StreamRun, TestCaseError> {
         Query::new().rank_by(RankBy::RemoteFraction).top(2).min_samples(1),
         Query::new().rank_by(RankBy::Samples).top(1),
     ];
-    let live_fold = streaming.live_fold().expect("the streaming session taps its export");
+    let live_fold = streaming.live_fold().expect("the streaming session has a live fold");
     let mut watches: Vec<djxperf::LiveQuery> = shapes.iter().map(|q| q.watch(&live_fold)).collect();
 
     let thread = ThreadId(1);
@@ -873,9 +873,9 @@ fn run_stream_ops(ops: Vec<StreamOp>) -> Result<StreamRun, TestCaseError> {
                 }
                 // The session's profile is its producer fold: it renders like a
                 // fresh fold of the frames written so far, and like a live fold
-                // attached now, which starts from a copy of it.
+                // attached now, which is that fold itself.
                 let renders = object_and_context_renders(&*streaming);
-                let attached = streaming.live_fold().expect("the stream accepts taps");
+                let attached = streaming.live_fold().expect("the stream is running");
                 prop_assert_eq!(&object_and_context_renders(&attached), &renders);
                 let deadline = std::time::Instant::now() + Duration::from_secs(10);
                 loop {

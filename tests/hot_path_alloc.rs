@@ -4,18 +4,21 @@
 //! threads, so a process-wide count would pick up the neighbours' allocations). Each
 //! test warms a session — the thread's PMU and collector state, the CCT path, the
 //! traffic-matrix cell and the site entries exist — then asserts
-//! that the measured callbacks allocate nothing.
+//! that the measured callbacks allocate nothing. Attaching a live fold to a
+//! streaming session shares the session's fold, so its cost does not grow with the
+//! profile either.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
+use std::time::Duration;
 
 use djx_memsim::{AccessOutcome, MemoryAccess, NumaNode};
 use djx_runtime::{
     AllocationEvent, ClassId, Frame, GcId, MemoryAccessEvent, MethodId, ObjectId, ObjectMoveEvent,
     ObjectReclaimEvent, RuntimeListener, ThreadId,
 };
-use djxperf::{GroupBy, Query, Session};
+use djxperf::{DrainPolicy, GroupBy, Query, Session};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -190,4 +193,38 @@ fn filtered_allocations_moves_and_reclaims_allocate_nothing() {
     assert_eq!(allocations, 0, "filtered allocation callbacks allocated");
     assert_eq!(session.allocation_stats().filtered, 1000);
     assert_eq!(session.live_monitored_objects(), 1);
+}
+
+/// Heap allocations of `Session::live_fold` on a streaming session whose producer
+/// fold holds `sites` allocation sites.
+fn live_fold_allocations(sites: u64) -> u64 {
+    let policy = DrainPolicy::new().tick(Duration::from_secs(60));
+    let session = Session::builder()
+        .period(PERIOD)
+        .stream_to_binary(Box::new(std::io::sink()), policy)
+        .build();
+    for i in 0..sites {
+        let trace = [Frame::new(MethodId(1), 3), Frame::new(MethodId(2), i as u32)];
+        session.on_object_alloc(&AllocationEvent {
+            object: ObjectId(i + 1),
+            class: ClassId(0),
+            class_name: "float[]",
+            start: OBJECT_START + i * OBJECT_SIZE,
+            size: OBJECT_SIZE,
+            thread: THREAD,
+            call_trace: &trace,
+        });
+    }
+    assert!(session.flush_export(), "the session streams");
+    let mut fold = None;
+    let allocations = allocations_during(|| fold = session.live_fold().ok());
+    let fold = fold.expect("a streaming session has a live fold");
+    assert_eq!(fold.snapshot().sites.len() as u64, sites, "the fold holds every site");
+    allocations
+}
+
+#[test]
+fn attaching_a_live_fold_costs_the_same_for_any_profile_size() {
+    let (one, many) = (live_fold_allocations(1), live_fold_allocations(500));
+    assert_eq!(one, many, "live_fold() allocated {one} times with 1 site, {many} with 500");
 }

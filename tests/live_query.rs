@@ -14,7 +14,9 @@ use djx_runtime::{
 };
 use djxperf::query::live::LiveFold;
 use djxperf::query::{GroupBy, Query, RankBy};
-use djxperf::{BinaryChunkedSink, DrainPolicy, Session, SharedBuffer};
+use djxperf::{
+    BinaryChunkedSink, DrainPolicy, FinishRecord, FoldError, ProfileDelta, Session, SharedBuffer,
+};
 
 const THREADS: u64 = 4;
 const OBJECTS_PER_THREAD: u64 = 24;
@@ -177,7 +179,7 @@ fn live_watches_track_the_stream_under_concurrent_ingestion() {
     }
     assert!(applied > 0, "the identity check must have applied at least once");
     assert!(!fold.is_finished());
-    assert!(fold.deltas() > 0, "the tap saw streamed epochs");
+    assert!(fold.deltas() > 0, "the live fold saw streamed epochs");
 
     session.finish_export().expect("the stream finishes cleanly");
     assert!(fold.is_finished(), "the terminal flush closes the fold");
@@ -256,6 +258,86 @@ fn a_watch_after_the_stream_finished_renders_the_terminal_state() {
     let terminal = session.object_profile().expect("object collector registered");
     assert_eq!(live.result.to_text(), query.evaluate(&terminal).unwrap().to_text());
     assert!(lq.next_epoch().is_none());
+}
+
+/// One two-thread streaming run; with `write`, every caller write to the session's
+/// live fold is tried between the halves, and each must be refused without a trace.
+/// Returns the session's object and `GroupBy::Context` renders and the log bytes.
+fn run_trying_writes_to_the_live_fold(write: bool) -> (String, String, Vec<u8>) {
+    let logs = build_logs(2, 4_000);
+    let buffer = SharedBuffer::new();
+    let session: Arc<Session> = Session::builder()
+        .period(PERIOD)
+        .stream_to_binary(
+            Box::new(buffer.clone()),
+            DrainPolicy::new().tick(Duration::from_secs(60)),
+        )
+        .build();
+    for log in &logs {
+        replay_allocs(&session, log);
+    }
+    replay_accesses(&session, &logs[0]);
+    assert!(session.flush_export());
+    if write {
+        let fold = session.live_fold().expect("the streaming session offers a live fold");
+        let state = |fold: &LiveFold| (fold.deltas(), fold.last_epoch(), fold.snapshot().to_text());
+        let before = state(&fold);
+        // Writes a caller-owned fold in this state would accept.
+        let next = ProfileDelta::empty(fold.last_epoch().expect("an epoch was streamed") + 1);
+        assert_eq!(fold.absorb(&next), Err(FoldError::ReadOnly));
+        let record = FinishRecord::of_profile(&fold.snapshot());
+        assert_eq!(fold.finish(record), Err(FoldError::ReadOnly));
+        let refused = fold.feed(&buffer.contents()).expect_err("feeding the session's fold");
+        assert!(refused.message.contains("read-only"), "{refused}");
+        assert_eq!(state(&fold), before, "a refused write leaves the fold untouched");
+        assert!(!fold.is_finished());
+    }
+    replay_accesses(&session, &logs[1]);
+    session.finish_export().expect("the stream finishes cleanly");
+    let render = |query: Query| session.query(&query).expect("the session records").to_text();
+    (render(Query::new()), render(Query::new().group_by(GroupBy::Context)), buffer.contents())
+}
+
+#[test]
+fn a_sessions_live_fold_refuses_caller_writes() {
+    let (object, context, log) = run_trying_writes_to_the_live_fold(true);
+    let (plain_object, plain_context, plain_log) = run_trying_writes_to_the_live_fold(false);
+    assert_eq!(object, plain_object, "the object render is the run's without the writes");
+    assert_eq!(context, plain_context, "so is the GroupBy::Context render");
+    assert_eq!(log, plain_log, "and the written log bytes");
+}
+
+#[test]
+fn reads_after_the_finish_reach_the_profile_but_not_the_stream() {
+    let logs = build_logs(2, 4_000);
+    let buffer = SharedBuffer::new();
+    let session: Arc<Session> = Session::builder()
+        .period(PERIOD)
+        .stream_to_binary(Box::new(buffer.clone()), DrainPolicy::new())
+        .build();
+    for log in &logs {
+        replay_allocs(&session, log);
+    }
+    replay_accesses(&session, &logs[0]);
+    let fold = session.live_fold().expect("the streaming session offers a live fold");
+    let query = Query::new().group_by(GroupBy::Thread).rank_by(RankBy::Samples);
+    let mut lq = query.watch(&fold);
+    session.finish_export().expect("the stream finishes cleanly");
+    let stream = |fold: &LiveFold| (fold.deltas(), fold.last_epoch(), fold.snapshot().to_text());
+    let (terminal, log, watched) = (stream(&fold), buffer.contents(), lq.current());
+    let streamed = session.object_profile().expect("the session records").total_samples();
+
+    replay_accesses(&session, &logs[1]);
+    let profile = session.object_profile().expect("the session records");
+    assert!(profile.total_samples() > streamed, "reads after the finish reach the profile");
+    assert_eq!(profile.total_samples(), session.total_samples());
+    assert_eq!(buffer.contents(), log, "but not the log");
+    assert_eq!(stream(&fold), terminal, "nor the live fold, which stays the terminal stream");
+    let live = lq.current();
+    assert_eq!(live.version, watched.version, "nor its closed watches");
+    assert_eq!(live.result.to_text(), watched.result.to_text());
+    let mut late = query.watch(&fold);
+    assert_eq!(late.current().result.to_text(), watched.result.to_text());
 }
 
 #[test]
