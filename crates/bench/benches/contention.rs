@@ -16,7 +16,7 @@
 //! Ingest rows replay identical precomputed access streams through a real
 //! [`Session`] that keeps the object record all three views query, so within an entry
 //! the only variable is the pipeline: `stream-off` with no export, `stream-on` with a
-//! [`DeltaDrainer`](djxperf::DeltaDrainer) writing the binary epoch log into
+//! [drainer](djxperf::export) writing the binary epoch log into
 //! `io::sink()`, and `fleet-on`/`wal-off`/`wal-on` shipping every retired delta over
 //! a loopback socket to a [`FleetAggregator`] without or with a write-ahead log
 //! (`FsyncPolicy::Never`).
@@ -135,7 +135,7 @@ enum Ingest {
     /// The object-record session at `period`, no export.
     Full { period: u64 },
     /// The object-record session at [`FULL_PERIOD`], streaming the binary epoch log
-    /// into `io::sink()` (5 ms tick; a full queue merges deltas).
+    /// into `io::sink()` (5 ms tick; a delta still pending takes later merges).
     Stream,
     /// The object-record session at [`FLEET_PERIOD`], streaming to a loopback
     /// aggregator with or without a WAL.

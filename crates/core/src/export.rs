@@ -7,7 +7,7 @@
 //! producer fold, the [`DeltaFold`](crate::profile::DeltaFold) every profile read
 //! clones. Exporting by reading profiles would cost O(accumulated profile) per read.
 //! `djxperf::export` turns the profiler from snapshot-pull into continuous-push: a
-//! [`DeltaDrainer`] background thread streams each retired [`ProfileDelta`] through an
+//! background drainer thread streams each retired [`ProfileDelta`] through an
 //! extended [`ProfileSink`] ([`ProfileSink::on_delta`] / [`ProfileSink::on_finish`])
 //! as it is produced, so export cost scales with the delta — not with the whole
 //! accumulated profile.
@@ -15,9 +15,10 @@
 //! # Pipeline
 //!
 //! ```text
-//! sampling threads ──► active slots ─retire─► producer fold ─queue─► DeltaDrainer ──► sink
-//!                      (hot path,             (+ watches,            (background      (on_delta /
-//!                       untouched)             one lock)              thread)          on_finish)
+//! sampling threads ──► active slots ─retire─► producer fold ─take─► drainer ──► sink
+//!                      (hot path,             (+ watches,           (background  (on_delta /
+//!                       untouched)             pending delta,        thread)      on_finish)
+//!                                              one lock)
 //! ```
 //!
 //! Configure with [`SessionBuilder::stream_to`](crate::session::SessionBuilder::stream_to);
@@ -28,8 +29,9 @@
 //! The session's producer fold is the stream's one state. Its lock orders every
 //! retirement, and one critical section under it takes the epoch, absorbs the
 //! delta, feeds the watches of the session's
-//! [`LiveFold`](crate::query::live::LiveFold) and queues the delta, so epochs are
-//! strictly ordered on the wire. Retirements come from:
+//! [`LiveFold`](crate::query::live::LiveFold) and merges the delta into the one
+//! pending delta the drainer takes next, so epochs are strictly ordered on the wire.
+//! Retirements come from:
 //!
 //! * the drainer's own periodic tick ([`DrainPolicy::tick`]),
 //! * [`Session::flush_export`](crate::session::Session::flush_export), and
@@ -50,44 +52,46 @@
 //!
 //! # The hand-off rule
 //!
-//! The hand-off queue is bounded ([`DrainPolicy::capacity`]) and no push ever
-//! waits. When the drainer falls behind, a full queue merges the new delta into its
-//! newest queued delta ([`ProfileDelta::merge_from`], a keyed fold costing
-//! O(accumulated + incoming) threads per merge — a long-backed-up queue never
-//! degrades into quadratic rescans of the growing accumulator): nothing is lost, the
-//! stream just carries coarser partitions, and the merge count is
-//! [`ExportStats::coalesced`]. The capacity bounds deltas only: the terminal
-//! [`FinishRecord`](crate::sink::FinishRecord) is always appended, so it may take one
-//! slot past it. The drainer's tick is one more retirement — it takes the fold's
-//! lock, closes an epoch the same way and queues behind whatever is already queued.
-//! Only retirements and the drainer ever touch the queue; the sampling hot path
-//! never does, and it never takes the fold's lock either.
+//! One delta waits between the retirements and the drainer, beside the producer fold
+//! under its lock, and no retirement ever waits. A retirement that finds a delta
+//! still pending merges its own into it ([`ProfileDelta::merge_from`], a keyed fold
+//! costing O(pending + incoming) threads per merge — a long-stalled drainer never
+//! degrades into quadratic rescans of the growing pending delta): nothing is lost,
+//! the stream just carries coarser partitions, and the merge count is
+//! [`ExportStats::coalesced`]. The drainer takes the pending delta and reads whether
+//! the fold has finished in one short critical section, then writes with the lock
+//! released; the terminal [`FinishRecord`] is the fold's own, so nothing terminal
+//! waits in the slot. Every retirement that fills the slot unparks the drainer, and
+//! an unpark that lands before the drainer parks makes that park return at once, so
+//! no delta waits out a tick. The drainer's tick is one more retirement — it takes
+//! the fold's lock and closes an epoch the same way. The sampling hot path never
+//! touches the slot, and it never takes the fold's lock.
 //!
 //! A slow or hung **sink** is a different failure than a slow drainer: the drainer
-//! thread itself is the one stuck in `on_delta`. Retirements still never wait: the
-//! queue fills, then merges. Nothing that holds the fold's lock waits on the drainer
-//! or a sink, so a [`FleetSink`](crate::fleet::FleetSink) may read the fold for a
-//! re-base from the drainer thread. Local writers are fast, but a socket-backed
+//! thread itself is the one stuck in `on_delta`. Retirements still never wait: they
+//! merge into the pending delta. Nothing that holds the fold's lock waits on the
+//! drainer or a sink, so a [`FleetSink`](crate::fleet::FleetSink) may read the fold
+//! for a re-base from the drainer thread. Local writers are fast, but a socket-backed
 //! fleet sink caps that stall with an ack deadline and fails the frame back into its
 //! own bounded, spillable buffer — the drainer's `on_delta` call returns and the
-//! queue keeps draining even when the aggregator is down for hours (see the failure
-//! model in [`crate::fleet`]).
+//! drainer keeps taking deltas even when the aggregator is down for hours (see the
+//! failure model in [`crate::fleet`]).
 //!
 //! # Shutdown
 //!
 //! [`Session::finish_export`](crate::session::Session::finish_export) closes the
-//! stream: under the fold's lock a final delta is retired, the fold is closed with
-//! the stream's [`FinishRecord`](crate::sink::FinishRecord) trailer (run
+//! stream: under the fold's lock a final delta is retired into the pending one and
+//! the fold is closed with the stream's [`FinishRecord`] trailer (run
 //! configuration, agent counters, total-sample checksum) — the one record that the
-//! stream ended, which closes every watch and stops later retirements from reaching
-//! the queue — and the trailer is queued. The drainer writes it through
-//! [`ProfileSink::on_finish`] and flushes the writer, and the background thread
-//! joins, returning accumulated [`ExportStats`] (or the first sink/write error).
+//! stream ended, which closes every watch and stops later
+//! retirements from reaching the stream. The drainer's next take returns the last
+//! pending delta together with that record; it writes both, the record through
+//! [`ProfileSink::on_finish`], flushes the writer, and the background thread joins,
+//! returning accumulated [`ExportStats`] (or the first sink/write error).
 //! Dropping the last reference to a streaming session finishes the export as well
 //! (drain-on-drop), so no delta is lost even when the caller forgets the explicit
 //! finish.
 
-use std::collections::VecDeque;
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -97,42 +101,29 @@ use parking_lot::Mutex;
 
 use crate::agent::AllocationAgent;
 use crate::profile::ProfileDelta;
+use crate::query::live::LiveState;
 use crate::session::ObjectCentricCollector;
-use crate::sink::{LogRecord, ProfileSink};
-use crate::sync::{Epoch, SpinLock};
+use crate::sink::{FinishRecord, ProfileSink};
+use crate::sync::SpinLock;
 
 /// Configuration of the background drain pipeline. Set it through its builder
-/// methods, which validate every value.
+/// method, which validates the value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DrainPolicy {
-    /// Maximum number of deltas queued between producers and the drainer.
-    capacity: usize,
     /// How often the drainer closes an epoch on its own when nobody snapshots.
     tick: Duration,
 }
 
 impl Default for DrainPolicy {
     fn default() -> Self {
-        Self { capacity: 8, tick: Duration::from_millis(5) }
+        Self { tick: Duration::from_millis(5) }
     }
 }
 
 impl DrainPolicy {
-    /// The default policy: capacity 8, 5 ms tick.
+    /// The default policy: a 5 ms tick.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Sets the queue capacity: how many deltas may wait for the drainer before
-    /// new ones are merged into the newest queued delta.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn capacity(mut self, capacity: usize) -> Self {
-        assert!(capacity > 0, "drain queue capacity must be non-zero");
-        self.capacity = capacity;
-        self
     }
 
     /// Sets the drainer's self-drain cadence.
@@ -159,7 +150,7 @@ pub struct ExportStats {
     /// Buffer epochs closed on behalf of the stream (including empty ones, which are
     /// never put on the wire).
     pub epochs_drained: u64,
-    /// Deltas merged into the newest queued delta because the queue was full.
+    /// Deltas merged into the pending delta because the drainer had not taken it yet.
     pub coalesced: u64,
     /// Pushes that had to wait for the drainer. Always 0 — no push waits; kept
     /// only because perfbench still reports it as `export.blocked`.
@@ -207,8 +198,8 @@ impl Write for SharedBuffer {
 
 /// What a fleet sink re-sends when its aggregator lost the producer's state: the
 /// session's producer fold as one delta at base 0, read under the fold's lock, so it
-/// is exactly the fold of every delta queued so far. Weak: `None` once the session
-/// and its drainer are gone.
+/// is exactly the fold of every delta handed to the stream so far. Weak: `None` once
+/// the session and its drainer are gone.
 #[derive(Debug)]
 pub(crate) struct RebaseSource(pub(crate) Weak<ObjectCentricCollector>);
 
@@ -218,14 +209,11 @@ impl RebaseSource {
     }
 }
 
-/// The hand-off queue between the session's retirements and the drainer.
+/// The stream's counters and the drainer's wake handle, shared by the session's
+/// retirements and the drainer. The pending delta itself waits beside the producer
+/// fold, under its lock ([`LiveState`]).
+#[derive(Default)]
 pub(crate) struct ExportShared {
-    /// The bounded delta queue.
-    queue: SpinLock<VecDeque<LogRecord>>,
-    capacity: usize,
-    /// Bumped on every push; the drainer validates its recorded generation before
-    /// parking so a push between "queue looked empty" and "park" is never slept over.
-    pushed: Epoch,
     /// The drainer's thread handle, for wakeups.
     drainer: SpinLock<Option<std::thread::Thread>>,
     // Stream statistics (see [`ExportStats`]).
@@ -236,19 +224,6 @@ pub(crate) struct ExportShared {
 }
 
 impl ExportShared {
-    pub(crate) fn new(policy: DrainPolicy) -> Self {
-        Self {
-            queue: SpinLock::new(VecDeque::with_capacity(policy.capacity)),
-            capacity: policy.capacity,
-            pushed: Epoch::new(),
-            drainer: SpinLock::new(None),
-            deltas_streamed: AtomicU64::new(0),
-            samples_streamed: AtomicU64::new(0),
-            epochs_drained: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-        }
-    }
-
     fn stats(&self) -> ExportStats {
         ExportStats {
             deltas_streamed: self.deltas_streamed.load(Ordering::Relaxed),
@@ -259,56 +234,34 @@ impl ExportShared {
         }
     }
 
-    fn wake(&self) {
+    /// Wakes the drainer. An unpark that lands before the drainer parks makes that
+    /// park return at once, so a wake is never lost between its take and its park.
+    pub(crate) fn wake(&self) {
         if let Some(thread) = &*self.drainer.lock() {
             thread.unpark();
         }
     }
 
-    // Queue accesses acquire yielding throughout: the queue is only ever touched
-    // from normal thread context (retirements, the drainer — never the sampling hot
-    // path), and a retirement merges whole ThreadProfiles under the lock when the
-    // queue is full, which a pure spin on the other side would burn a core waiting
-    // out.
-
-    fn pop(&self) -> Option<LogRecord> {
-        self.queue.lock_yielding().pop_front()
-    }
-
-    fn queue_is_empty(&self) -> bool {
-        self.queue.lock_yielding().is_empty()
-    }
-
-    /// Queues an item and wakes the drainer.
-    pub(crate) fn push(&self, item: LogRecord) {
-        self.queue.lock_yielding().push_back(item);
-        self.pushed.bump();
-        self.wake();
-    }
-
-    /// Hands one retired epoch to the stream: counts it, and queues a non-empty
-    /// delta — merged into the newest queued delta when the queue is full. Called
-    /// under the producer fold's lock, which orders the epochs.
-    pub(crate) fn push_epoch(&self, delta: ProfileDelta) {
+    /// Hands one retired epoch to the stream: counts it, and a non-empty delta is
+    /// absorbed into the fold — feeding its watches — and merged into the pending
+    /// delta. Called under the producer fold's lock, which orders the epochs.
+    /// Returns `true` when a delta was handed on; the caller then wakes the drainer
+    /// once the lock is released, so the drainer never wakes into a lock its waker
+    /// still holds.
+    pub(crate) fn hand_off(&self, st: &mut LiveState, delta: ProfileDelta) -> bool {
         self.epochs_drained.fetch_add(1, Ordering::Relaxed);
         if delta.is_empty() {
-            return;
+            return false;
         }
-        {
-            let mut queue = self.queue.lock_yielding();
-            if queue.len() >= self.capacity {
-                if let Some(LogRecord::Delta(back)) = queue.back_mut() {
-                    back.merge_from(&delta);
-                    self.coalesced.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-            }
+        st.absorb_delta(&delta).expect("retirements are ordered under the fold lock");
+        if st.hold(delta) {
+            self.coalesced.fetch_add(1, Ordering::Relaxed);
         }
-        self.push(LogRecord::Delta(delta));
+        true
     }
 }
 
-/// The background worker: pops queued deltas, retires an epoch on its tick, and
+/// The background worker: takes the pending delta, retires an epoch on its tick, and
 /// writes everything through the sink in epoch order.
 struct DrainWorker {
     shared: Arc<ExportShared>,
@@ -316,75 +269,71 @@ struct DrainWorker {
     sink: Arc<dyn ProfileSink>,
     out: Box<dyn Write + Send>,
     tick: Duration,
-    /// First sink/write error; once set, further items are consumed and discarded so
-    /// the stream still runs to its terminal item.
+    /// First sink/write error; once set, later deltas are taken and discarded so the
+    /// stream still runs to its finish.
     error: Option<io::Error>,
 }
 
 impl DrainWorker {
-    /// Writes one popped item; returns `true` when the item was the terminal flush.
-    fn emit(&mut self, item: LogRecord) -> bool {
-        match item {
-            LogRecord::Delta(delta) => {
-                if self.error.is_none() {
-                    let samples = delta.total_samples();
-                    // Flush per delta: the stream advertises a live feed, and a
-                    // buffered writer (BufWriter over a file or socket) would
-                    // otherwise deliver nothing until the terminal flush — and lose
-                    // every buffered delta if the process dies before it.
-                    match self
-                        .sink
-                        .on_delta(delta.epoch, &delta, &mut self.out)
-                        .and_then(|()| self.out.flush())
-                    {
-                        Ok(()) => {
-                            self.shared.deltas_streamed.fetch_add(1, Ordering::Relaxed);
-                            self.shared.samples_streamed.fetch_add(samples, Ordering::Relaxed);
-                        }
-                        Err(err) => self.error = Some(err),
-                    }
-                }
-                false
+    /// Writes one taken delta.
+    fn emit_delta(&mut self, delta: &ProfileDelta) {
+        if self.error.is_some() {
+            return;
+        }
+        // Flush per delta: the stream advertises a live feed, and a buffered writer
+        // (BufWriter over a file or socket) would otherwise deliver nothing until the
+        // terminal flush — and lose every buffered delta if the process dies before
+        // it.
+        match self
+            .sink
+            .on_delta(delta.epoch, delta, &mut self.out)
+            .and_then(|()| self.out.flush())
+        {
+            Ok(()) => {
+                self.shared.deltas_streamed.fetch_add(1, Ordering::Relaxed);
+                self.shared.samples_streamed.fetch_add(delta.total_samples(), Ordering::Relaxed);
             }
-            LogRecord::Finish(record) => {
-                if self.error.is_none() {
-                    if let Err(err) =
-                        self.sink.on_finish(&record, &mut self.out).and_then(|()| self.out.flush())
-                    {
-                        self.error = Some(err);
-                    }
-                }
-                true
+            Err(err) => self.error = Some(err),
+        }
+    }
+
+    /// Writes the stream's terminal record.
+    fn emit_finish(&mut self, record: &FinishRecord) {
+        if self.error.is_none() {
+            if let Err(err) =
+                self.sink.on_finish(record, &mut self.out).and_then(|()| self.out.flush())
+            {
+                self.error = Some(err);
             }
         }
     }
 
     fn run(mut self) -> io::Result<()> {
         let mut last_drain = Instant::now();
-        'stream: loop {
-            // 1. Write everything queued, in FIFO (= epoch) order, up to the terminal
-            // item: the finish queues it last, under the fold's lock, after which no
-            // retirement queues anything.
-            while let Some(item) = self.shared.pop() {
-                if self.emit(item) {
-                    break 'stream;
-                }
+        loop {
+            // 1. Take the pending delta and the finish state in one short critical
+            // section, then write with the fold's lock released. The finish retires
+            // its closing epoch into the pending delta before it closes the fold, so
+            // the take that sees the finish holds the last delta.
+            let (delta, finish) = self.collector.take_pending();
+            if let Some(delta) = delta {
+                self.emit_delta(&delta);
             }
-            // 2. Tick self-drain — only when the tick actually elapsed, so producer
-            // pushes (which also wake this thread) do not inflate the epoch cadence
-            // beyond the documented DrainPolicy::tick. The tick is one more
-            // retirement: its delta queues behind everything queued before it, and
-            // the next pass writes it.
+            if let Some(record) = finish {
+                self.emit_finish(&record);
+                break;
+            }
+            // 2. Tick self-drain — only when the tick actually elapsed, so retirements
+            // (which also wake this thread) do not inflate the epoch cadence beyond
+            // the documented DrainPolicy::tick. Its delta lands in the pending slot,
+            // and the wake it sends makes the park below return at once.
             if last_drain.elapsed() >= self.tick {
                 self.collector.flush();
                 last_drain = Instant::now();
             }
-            // 3. Park until the next push or tick. The pushed-epoch validation closes
-            // the race between "queue looked empty" and the park itself.
-            let generation = self.shared.pushed.current();
-            if self.shared.queue_is_empty() && self.shared.pushed.validate(generation) {
-                std::thread::park_timeout(self.tick);
-            }
+            // 3. Park until the next retirement or tick. Every retirement since the
+            // take woke this thread, and that unpark makes the park return at once.
+            std::thread::park_timeout(self.tick);
         }
         match self.error.take() {
             Some(err) => Err(err),
@@ -393,10 +342,10 @@ impl DrainWorker {
     }
 }
 
-/// Handle to a running export pipeline: the hand-off queue plus the background
-/// drainer thread. Owned by the session; create one with
+/// Handle to a running export pipeline: the stream's counters plus the background
+/// drainer thread. Owned by the session; created by
 /// [`SessionBuilder::stream_to`](crate::session::SessionBuilder::stream_to).
-pub struct DeltaDrainer {
+pub(crate) struct DeltaDrainer {
     shared: Arc<ExportShared>,
     collector: Arc<ObjectCentricCollector>,
     worker: Mutex<Option<std::thread::JoinHandle<io::Result<()>>>>,
@@ -406,15 +355,9 @@ pub struct DeltaDrainer {
     result: Mutex<Option<Result<ExportStats, (io::ErrorKind, String)>>>,
 }
 
-impl std::fmt::Debug for DeltaDrainer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DeltaDrainer").field("stats", &self.shared.stats()).finish()
-    }
-}
-
 impl DeltaDrainer {
-    /// Spawns the background drainer of `shared`, the queue `collector` retires
-    /// into, streaming through `sink` into `out` on the tick of `policy`.
+    /// Spawns the background drainer of `shared`, taking what `collector` retires
+    /// and streaming it through `sink` into `out` on the tick of `policy`.
     pub(crate) fn spawn(
         shared: Arc<ExportShared>,
         collector: Arc<ObjectCentricCollector>,
@@ -433,12 +376,12 @@ impl DeltaDrainer {
         let handle = std::thread::Builder::new()
             .name("djxperf-delta-drainer".to_string())
             .spawn(move || {
-                // Register the wake handle *before* the first pop, on this thread:
+                // Register the wake handle *before* the first take, on this thread:
                 // registering after spawn returns leaves a window in which a
-                // producer's wake() finds no handle and no-ops, leaving the first
-                // queued delta to wait out a full (possibly long) tick. A wake lost
-                // before this store is harmless — its item is already queued, and
-                // run()'s opening pop loop drains it.
+                // retirement's wake() finds no handle and no-ops, leaving the first
+                // pending delta to wait out a full (possibly long) tick. A wake lost
+                // before this store is harmless — its delta is already pending, and
+                // run()'s opening take finds it.
                 *worker.shared.drainer.lock() = Some(std::thread::current());
                 worker.run()
             })
@@ -451,11 +394,11 @@ impl DeltaDrainer {
         self.shared.stats()
     }
 
-    /// Ends the stream: the collector retires the closing epoch, closes its fold
-    /// with the terminal [`FinishRecord`] and queues that record; then the worker
-    /// joins — after the fold's lock is released, since a fleet re-base reads the
-    /// fold from the drainer thread. Returns the accumulated statistics or the first
-    /// sink/write error. Idempotent — later calls replay the first outcome.
+    /// Ends the stream: the collector retires the closing epoch and closes its fold
+    /// with the terminal [`FinishRecord`]; then the worker joins — after the fold's
+    /// lock is released, since a fleet re-base reads the fold from the drainer
+    /// thread. Returns the accumulated statistics or the first sink/write error.
+    /// Idempotent — later calls replay the first outcome.
     pub(crate) fn finish(&self, allocation: &AllocationAgent) -> io::Result<ExportStats> {
         let mut slot = self.result.lock();
         if let Some(previous) = &*slot {
@@ -488,7 +431,7 @@ impl DeltaDrainer {
 mod tests {
     use super::*;
     use crate::profile::{ThreadDelta, ThreadProfile};
-    use crate::sink::FinishRecord;
+    use crate::query::live::LiveFold;
     use djx_runtime::ThreadId;
 
     fn delta(epoch: u64, thread: u64, samples: u64) -> ProfileDelta {
@@ -503,17 +446,9 @@ mod tests {
 
     #[test]
     fn policy_builder_round_trips() {
-        let policy = DrainPolicy::new().capacity(3).tick(Duration::from_millis(1));
-        assert_eq!(policy.capacity, 3);
+        let policy = DrainPolicy::new().tick(Duration::from_millis(1));
         assert_eq!(policy.tick, Duration::from_millis(1));
-        let default = DrainPolicy::default();
-        assert_eq!((default.capacity, default.tick), (8, Duration::from_millis(5)));
-    }
-
-    #[test]
-    #[should_panic(expected = "non-zero")]
-    fn zero_capacity_rejected() {
-        let _ = DrainPolicy::new().capacity(0);
+        assert_eq!(DrainPolicy::default().tick, Duration::from_millis(5));
     }
 
     #[test]
@@ -523,35 +458,27 @@ mod tests {
     }
 
     #[test]
-    fn coalesce_merges_into_the_newest_queued_delta_when_full() {
-        let shared = ExportShared::new(DrainPolicy::new().capacity(1));
-        shared.push_epoch(delta(1, 1, 5));
-        shared.push_epoch(delta(2, 1, 7));
-        shared.push_epoch(delta(3, 2, 2));
-        assert_eq!(shared.stats().coalesced, 2);
-        let Some(LogRecord::Delta(folded)) = shared.pop() else {
-            panic!("one coalesced delta expected");
+    fn coalesce_merges_into_the_pending_delta() {
+        let shared = ExportShared::default();
+        let fold = LiveFold::producer(djx_pmu::PmuEvent::DEFAULT, 1, 0);
+        let mut st = fold.lock();
+        assert!(shared.hand_off(&mut st, delta(1, 1, 5)));
+        assert!(shared.hand_off(&mut st, delta(2, 1, 7)));
+        assert!(shared.hand_off(&mut st, delta(3, 2, 2)));
+        assert!(
+            !shared.hand_off(&mut st, ProfileDelta::empty(4)),
+            "an empty epoch hands nothing on"
+        );
+        let stats = shared.stats();
+        assert_eq!((stats.epochs_drained, stats.coalesced), (4, 2));
+        let (Some(folded), None) = st.take_pending() else {
+            panic!("one coalesced delta pending, the stream open");
         };
-        assert_eq!(folded.epoch, 3, "coalescing keeps the latest epoch");
+        assert_eq!(folded.epoch, 3, "coalescing keeps the latest non-empty epoch");
         assert_eq!(folded.total_samples(), 14, "coalescing loses no samples");
         assert_eq!(folded.threads.len(), 2);
-        assert!(shared.pop().is_none());
-    }
-
-    #[test]
-    fn the_finish_queues_past_a_full_queue() {
-        let shared = ExportShared::new(DrainPolicy::new().capacity(1));
-        shared.push_epoch(delta(1, 1, 5));
-        shared.push(LogRecord::Finish(FinishRecord {
-            event: djx_pmu::PmuEvent::DEFAULT,
-            period: 1,
-            size_filter: 0,
-            allocation_stats: Default::default(),
-            total_samples: 5,
-        }));
-        assert!(matches!(shared.pop(), Some(LogRecord::Delta(_))));
-        assert!(matches!(shared.pop(), Some(LogRecord::Finish(_))), "the finish is never merged");
-        assert_eq!(shared.stats().blocked, 0);
+        assert_eq!(st.fold().total_samples(), 14, "the fold absorbed every delta");
+        assert!(st.take_pending().0.is_none(), "the take empties the slot");
     }
 
     #[test]

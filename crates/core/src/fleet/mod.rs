@@ -100,8 +100,8 @@
 //! backlog, and the stream heals without loss — epochs dropped before it included. With no session left to re-base from, the
 //! backlog is given up as declared dropped epochs instead of being retried forever.
 //! Only a spill file that fails or fills holds the export drainer, and even then
-//! no snapshot or flush waits: the export queue merges the deltas arriving
-//! meanwhile. A hung peer trips the ack deadline
+//! no snapshot or flush waits: the deltas retired meanwhile merge into the one
+//! pending delta. A hung peer trips the ack deadline
 //! ([`FleetSinkBuilder::ack_deadline`]): the frame fails back into the buffer and
 //! is re-sent after reconnect. Losses chosen via
 //! [`OverflowPolicy::DropOldestEpochsFlaggedLossy`] are counted
@@ -225,8 +225,8 @@ pub enum OverflowPolicy {
     /// Spill overflowing frames to a temporary file of binary wire frames and
     /// backfill from it once the buffer drains. Only when the spill file cannot
     /// be written, or would outgrow its 1 GiB budget, does the caller (the export
-    /// drainer) block until the aggregator drains the buffer; the export queue
-    /// then merges the deltas arriving meanwhile (see [`crate::export`]). A
+    /// drainer) block until the aggregator drains the buffer; the deltas retired
+    /// meanwhile merge into the one pending delta (see [`crate::export`]). A
     /// day-long outage costs disk, not RSS. The default.
     #[default]
     SpillThenBlock,

@@ -226,7 +226,7 @@ fn sample(i: u64) -> Sample {
     }
 }
 
-/// A producer: the deltas its session generates, its export queue, and its link.
+/// A producer: the deltas its session generates, its export hand-off, and its link.
 struct Producer {
     name: String,
     plan: ProducerPlan,
@@ -237,7 +237,8 @@ struct Producer {
     retired: DeltaFold,
     sites: usize,
     next_epoch: u64,
-    /// Generated records not yet offered to the link (the export queue).
+    /// Generated records not yet offered to the link: the export hand-off, kept
+    /// unmerged so every epoch reaches the link as its own frame.
     queue: VecDeque<PendingFrame>,
     finish_queued: bool,
     /// A frame the spill tier refused, waiting to be offered again.
@@ -406,7 +407,7 @@ impl Conn {
 enum Action {
     /// A producer's session retires an epoch, or finishes.
     Generate(usize),
-    /// A producer's export queue hands its next record to the link.
+    /// A producer's export hand-off gives its next record to the link.
     Offer(usize),
     /// A producer's link takes its next step.
     Step(usize),

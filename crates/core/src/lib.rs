@@ -33,7 +33,7 @@
 //! | [`session`] | §5, Fig. 1 | the one profiler: [`Session`] (one sampling stream, one record per sample — each thread's [`ThreadProfile`] — that all three views query), configured by [`ProfilerConfig`] |
 //! | [`sink`] | §5.2 | the streaming [`ProfileSink`] trait, the [`FinishRecord`] trailer, and the render-only JSON document ([`ObjectCentricProfile::to_json`]) |
 //! | [`wire`] | §5.2 | binary epoch frames: the one format the profiler reads back, for logs, the fleet wire and its WAL ([`BinaryChunkedSink::read_log_bytes`]) |
-//! | [`export`] | §5.2 | asynchronous delta export: background [`DeltaDrainer`] over epoch-retired snapshot deltas |
+//! | [`export`] | §5.2 | asynchronous delta export: a background drainer streaming epoch-retired snapshot deltas, one pending delta at a time |
 //! | [`profile`] | §5.1/§5.2 | per-thread profiles and their render-only text form ([`ObjectCentricProfile::to_text`]) |
 //! | [`query`] | §1, Fig. 1, §4.3, §5.2, §6 | the offline analyzer: [`ProfileSource`] + composable [`Query`] (merge, rank, filter) over live sessions, snapshots, logs and folds; every view is a [`GroupBy`] axis — objects, the code-centric (perf-like) baseline ([`GroupBy::Context`]), the NUMA traffic matrix ([`GroupBy::NodePair`]) |
 //! | [`report`] | Fig. 5, §4.3 | [`Report::query`] (the GUI stand-in): any query result with symbolized frames |
@@ -123,7 +123,7 @@ pub use agent::{
     AllocationAgent, AllocationConfig, SharedObjectIndex, DEFAULT_SHARD_COUNT, DEFAULT_SIZE_FILTER,
 };
 pub use cct::{Cct, CctNodeId};
-pub use export::{DeltaDrainer, DrainPolicy, ExportStats, SharedBuffer};
+pub use export::{DrainPolicy, ExportStats, SharedBuffer};
 pub use fleet::{
     BackoffPolicy, FaultPlan, FleetAggregator, FleetAggregatorBuilder, FleetClient, FleetProducer,
     FleetSink, FleetSinkBuilder, FleetSinkStats, FleetView, FsyncPolicy, OverflowPolicy,
@@ -144,5 +144,5 @@ pub use query::{
 pub use report::{Report, ReportOptions};
 pub use session::{ProfilerConfig, Session, SessionBuilder, DEFAULT_SAMPLE_PERIOD};
 pub use sink::{FinishRecord, LogRecord, ProfileSink};
-pub use sync::{Epoch, SpinLock, SpinLockGuard};
+pub use sync::{SpinLock, SpinLockGuard};
 pub use wire::{BinaryChunkedSink, BinaryFrameReader};

@@ -245,8 +245,8 @@ impl ProfileDelta {
     ///
     /// The fold is keyed: one thread→slot map is built per call, so absorbing a delta
     /// costs O(self + later) instead of the old O(self × later) linear re-scan per
-    /// fragment — this is the accumulation step of both [`DeltaFold`] and a full
-    /// export queue's merge, where the accumulator side keeps growing. The
+    /// fragment — this is the accumulation step of both [`DeltaFold`] and the
+    /// export's pending delta, where the accumulator side keeps growing. The
     /// `(seq, thread)` ordering is preserved without a re-sort in the common case
     /// (threads new to the accumulator usually carry later first-seen sequences);
     /// adversarial orders fall back to one sort.
@@ -257,7 +257,7 @@ impl ProfileDelta {
 
     /// [`ProfileDelta::merge_from`] taking the later delta by value: its sites and
     /// the fragments of threads new to this delta move in instead of being cloned.
-    fn merge_owned(&mut self, later: ProfileDelta) {
+    pub(crate) fn merge_owned(&mut self, later: ProfileDelta) {
         let ProfileDelta { epoch, threads, site_base, sites } = later;
         self.merge(epoch, site_base, Cow::Owned(sites), threads.into_iter().map(Cow::Owned));
     }
@@ -600,6 +600,11 @@ impl DeltaFold {
     /// Whether the finish record has been folded.
     pub fn is_finished(&self) -> bool {
         self.finish.is_some()
+    }
+
+    /// The folded finish record, once the stream finished.
+    pub(crate) fn finish_record(&self) -> Option<&FinishRecord> {
+        self.finish.as_ref()
     }
 
     /// The event and period an assembled profile reports: the finish record's once

@@ -13,7 +13,7 @@
 //! * **in-process**: [`Session::live_fold`](crate::session::Session::live_fold) /
 //!   [`Session::watch`](crate::session::Session::watch) hand out the session's own
 //!   producer fold, the one its profile reads. Each retirement absorbs its delta,
-//!   feeds the watches and queues the delta for the sink in one critical section
+//!   feeds the watches and hands the delta to the drainer in one critical section
 //!   under the fold's lock, so the fold observes exactly the stream a
 //!   [`BinaryChunkedSink`](crate::wire::BinaryChunkedSink) would have logged. The
 //!   session is its one feeder: [`LiveFold::absorb`], [`LiveFold::finish`] and
@@ -79,7 +79,9 @@ struct LiveShared {
 }
 
 /// A live fold is its stream's [`DeltaFold`] plus the watches it feeds and the
-/// byte-stream decoder behind [`LiveFold::feed`].
+/// byte-stream decoder behind [`LiveFold::feed`] — and, on a streaming session's
+/// producer fold, the delta the export drainer takes next.
+#[derive(Default)]
 pub(crate) struct LiveState {
     fold: DeltaFold,
     watches: Vec<Weak<WatchShared>>,
@@ -88,6 +90,9 @@ pub(crate) struct LiveState {
     /// data: a copy of the terminal fold that absorbs the reads after the finish, so
     /// `fold` stays the terminal stream its closed watches render.
     after_finish: Option<DeltaFold>,
+    /// A streaming session's deltas that the drainer has not taken yet, merged into
+    /// one; the fold has absorbed them already.
+    pending: Option<ProfileDelta>,
 }
 
 impl LiveState {
@@ -122,6 +127,27 @@ impl LiveState {
         Ok(())
     }
 
+    /// Merges a streamed delta into the pending one; `true` when a delta was already
+    /// pending (the new one coalesced).
+    pub(crate) fn hold(&mut self, delta: ProfileDelta) -> bool {
+        match &mut self.pending {
+            Some(pending) => {
+                pending.merge_owned(delta);
+                true
+            }
+            None => {
+                self.pending = Some(delta);
+                false
+            }
+        }
+    }
+
+    /// The drainer's take: the pending delta, and the stream's finish record once the
+    /// fold finished — after which nothing is ever pending again.
+    pub(crate) fn take_pending(&mut self) -> (Option<ProfileDelta>, Option<FinishRecord>) {
+        (self.pending.take(), self.fold.finish_record().cloned())
+    }
+
     /// Closes the stream with its finish record, verifying the loss-free checksum,
     /// and closes every watch. A repeated finish that passes the check is ignored.
     pub(crate) fn finish(&mut self, record: FinishRecord) -> Result<(), FoldError> {
@@ -154,8 +180,7 @@ impl LiveFold {
     }
 
     fn of(fold: DeltaFold, session: bool) -> Self {
-        let state =
-            LiveState { fold, watches: Vec::new(), tail: FrameTail::new(), after_finish: None };
+        let state = LiveState { fold, ..LiveState::default() };
         Self { shared: Arc::new(LiveShared { state: parking_lot::Mutex::new(state), session }) }
     }
 

@@ -137,9 +137,9 @@ use crate::interval::LookupStats;
 use crate::object::{AllocSite, AllocSiteId};
 use crate::profile::{ObjectCentricProfile, ProfileDelta, ThreadDelta, ThreadProfile};
 use crate::query::live::{LiveFold, LiveState};
-use crate::sink::{FinishRecord, LogRecord, ProfileSink};
+use crate::sink::{FinishRecord, ProfileSink};
 use crate::slots::ThreadSlots;
-use crate::sync::{Epoch, SpinLock};
+use crate::sync::SpinLock;
 
 /// Default sampling period for simulated runs.
 ///
@@ -232,8 +232,8 @@ struct SnapshotBuffered {
     seq: AtomicU64,
     /// The producer fold, with the watches of the session's live fold.
     retired: LiveFold,
-    /// Buffer generation; each retirement closes one epoch.
-    epoch: Epoch,
+    /// Buffer generation; each retirement closes one epoch, under the fold's lock.
+    epoch: AtomicU64,
 }
 
 impl SnapshotBuffered {
@@ -243,7 +243,7 @@ impl SnapshotBuffered {
             active: ThreadSlots::new(),
             seq: AtomicU64::new(0),
             retired: LiveFold::producer(config.event, config.period, config.size_filter),
-            epoch: Epoch::new(),
+            epoch: AtomicU64::new(0),
         }
     }
 
@@ -270,7 +270,7 @@ impl SnapshotBuffered {
 
     /// Number of completed retirements (diagnostics).
     fn retirements(&self) -> u64 {
-        self.epoch.current()
+        self.epoch.load(Ordering::Relaxed)
     }
 
     /// Closes the open epoch: every active slot's profile is taken out (O(1) under its
@@ -278,7 +278,7 @@ impl SnapshotBuffered {
     /// thread context) as one delta in thread-first-seen order, carrying no sites yet.
     /// Call with the producer fold locked, which serializes retirements.
     fn take_epoch(&self) -> ProfileDelta {
-        let epoch = self.epoch.bump();
+        let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
         let mut threads: Vec<ThreadDelta> = self
             .active
             .iter()
@@ -309,9 +309,10 @@ pub(crate) struct ObjectCentricCollector {
     state: SnapshotBuffered,
     /// The index whose site registry the recorded site ids point into.
     index: Arc<SharedObjectIndex>,
-    /// The export queue, when the session streams ([`SessionBuilder::stream_to`]).
-    /// Until the stream's finish, every retirement hands its delta there, which is
-    /// what keeps the stream loss-free no matter who triggers the retirement.
+    /// The export stream's counters and drainer wake-up, when the session streams
+    /// ([`SessionBuilder::stream_to`]). Until the stream's finish, every retirement
+    /// hands its delta to the stream, which is what keeps the stream loss-free no
+    /// matter who triggers the retirement.
     stream: Option<Arc<ExportShared>>,
 }
 
@@ -391,25 +392,25 @@ impl ObjectCentricCollector {
     /// ends: sites are interned before anything records them, so reading the
     /// registry after taking the slots covers every id the taken fragments
     /// reference. Until the stream's finish, a streaming session absorbs a non-empty
-    /// delta, feeds the live fold's watches and queues it, all in this one critical
-    /// section; otherwise the delta moves into the record.
-    fn retire(&self, st: &mut LiveState) {
+    /// delta, feeds the live fold's watches and merges it into the pending delta,
+    /// all in this one critical section; otherwise the delta moves into the record.
+    /// Returns the stream when its drainer has a delta to take: the caller wakes it
+    /// ([`ExportShared::wake`]) once the lock is released.
+    fn retire(&self, st: &mut LiveState) -> Option<&ExportShared> {
         let mut delta = self.state.take_epoch();
         delta.site_base = st.record().sites().len();
         delta.sites = self.index.sites.lock().since(delta.site_base);
         match self.open_stream(st) {
-            Some(stream) => {
-                if !delta.is_empty() {
-                    st.absorb_delta(&delta).expect("retirements are ordered under the fold lock");
-                }
-                stream.push_epoch(delta);
+            Some(stream) => stream.hand_off(st, delta).then_some(stream),
+            None => {
+                st.absorb_unstreamed(delta);
+                None
             }
-            None => st.absorb_unstreamed(delta),
         }
     }
 
-    /// The export queue while the stream is open: the session streams and the fold
-    /// holds no finish record — the one record that the stream ended.
+    /// The export stream while it is open: the session streams and the fold holds
+    /// no finish record — the one record that the stream ended.
     fn open_stream(&self, st: &LiveState) -> Option<&ExportShared> {
         self.stream.as_deref().filter(|_| !st.fold().is_finished())
     }
@@ -421,9 +422,14 @@ impl ObjectCentricCollector {
     /// streamed delta, breaking the stream's loss-free replay.
     pub(crate) fn profile_parts(&self) -> (Vec<AllocSite>, Vec<ThreadProfile>) {
         let mut st = self.state.retired.lock();
-        self.retire(&mut st);
+        let woken = self.retire(&mut st);
         let fold = st.record();
-        (fold.sites().to_vec(), fold.threads().cloned().collect())
+        let parts = (fold.sites().to_vec(), fold.threads().cloned().collect());
+        drop(st);
+        if let Some(stream) = woken {
+            stream.wake();
+        }
+        parts
     }
 
     /// `true` while the session streams and its stream has not finished.
@@ -439,15 +445,19 @@ impl ObjectCentricCollector {
         if self.open_stream(&st).is_none() {
             return false;
         }
-        self.retire(&mut st);
+        if let Some(stream) = self.retire(&mut st) {
+            drop(st);
+            stream.wake();
+        }
         true
     }
 
     /// Ends the stream in one critical section: retires the closing epoch, closes the
     /// fold with the terminal [`FinishRecord`] — built from the fold's header and
     /// sample total and the agent's counters, so the checksum counts exactly the
-    /// streamed deltas — which closes every watch, and queues the record. A no-op on
-    /// a session that does not stream or already finished.
+    /// streamed deltas — which closes every watch; then, with the lock released, wakes
+    /// the drainer to write the last pending delta and the record. A no-op on a
+    /// session that does not stream or already finished.
     pub(crate) fn finish_stream(&self, allocation: &AllocationAgent) {
         let mut st = self.state.retired.lock();
         let Some(stream) = self.open_stream(&st) else {
@@ -463,9 +473,15 @@ impl ObjectCentricCollector {
             allocation_stats: allocation.stats(),
             total_samples: fold.total_samples(),
         };
-        st.finish(record.clone()).expect("the fold's own sample total");
-        // The capacity bounds deltas only: the terminal item always queues.
-        stream.push(LogRecord::Finish(record));
+        st.finish(record).expect("the fold's own sample total");
+        drop(st);
+        stream.wake();
+    }
+
+    /// The drainer's take, in one short critical section under the fold's lock: the
+    /// pending delta and, once the stream finished, its finish record.
+    pub(crate) fn take_pending(&self) -> (Option<ProfileDelta>, Option<FinishRecord>) {
+        self.state.retired.lock().take_pending()
     }
 
     /// The session's live fold — the producer fold itself — when the session
@@ -730,7 +746,7 @@ impl SessionBuilder {
     }
 
     /// Streams the session's object-centric profile **continuously** through `sink`
-    /// into `out`: a background [`DeltaDrainer`] closes
+    /// into `out`: a background drainer thread closes
     /// buffer epochs on the cadence of `policy` and writes each retired
     /// [`ProfileDelta`] incrementally ([`ProfileSink::on_delta`]), so export cost
     /// scales with the delta instead of the accumulated profile — see
@@ -762,7 +778,7 @@ impl SessionBuilder {
 
     /// Streams the session's epoch deltas to a fleet aggregator through an
     /// already-connected [`FleetSink`](crate::fleet::FleetSink): the same
-    /// [`DeltaDrainer`] pipeline as [`SessionBuilder::stream_to`], with frames
+    /// [drain pipeline](crate::export) as [`SessionBuilder::stream_to`], with frames
     /// going over the sink's socket instead of a local writer (the local writer
     /// slot is a no-op [`io::sink`]). See [`crate::fleet`] for the wire protocol
     /// and reconnect semantics.
@@ -772,9 +788,10 @@ impl SessionBuilder {
     /// with jitter — tune the deadlines, buffer and backoff through
     /// [`FleetSink::builder`](crate::fleet::FleetSink::builder) before handing
     /// the sink here. Even a drainer held by the sink (a failed or full spill
-    /// file) never makes a snapshot or flush wait: the export queue merges the
-    /// deltas arriving meanwhile. An aggregator that lost its state gets one delta
-    /// of this session's whole stream so far instead of the backlog (a re-base).
+    /// file) never makes a snapshot or flush wait: the deltas retired meanwhile
+    /// merge into the one pending delta. An aggregator that lost its state gets one
+    /// delta of this session's whole stream so far instead of the backlog (a
+    /// re-base).
     pub fn stream_to_fleet(self, sink: Arc<crate::fleet::FleetSink>, policy: DrainPolicy) -> Self {
         let out = Box::new(io::sink());
         Self {
@@ -801,9 +818,9 @@ impl SessionBuilder {
             .sample_period(config.period)
             .jitter(config.jitter);
 
-        // The collector gets its queue here; the queue refers to nothing, so the
-        // drainer's hold on the collector makes no cycle.
-        let stream = self.export.as_ref().map(|cfg| Arc::new(ExportShared::new(cfg.policy)));
+        // The collector gets the stream's counters here; they refer to nothing, so
+        // the drainer's hold on the collector makes no cycle.
+        let stream = self.export.is_some().then(|| Arc::new(ExportShared::default()));
         let objects = (self.objects || self.export.is_some()).then(|| {
             Arc::new(ObjectCentricCollector::new(shared.clone(), &config, stream.clone()))
         });
@@ -1024,7 +1041,7 @@ impl Session {
 
     /// The session's [`LiveFold`]: its producer fold itself, shared by `Arc` — the
     /// fold its profile reads, with the watches registered on it. Every retirement
-    /// absorbs its delta, feeds the watches and queues the delta for the sink under
+    /// absorbs its delta, feeds the watches and hands the delta to the drainer under
     /// the fold's one lock, so the fold observes exactly the stream the sink logs,
     /// site table included, and the terminal flush (an explicit
     /// [`Session::finish_export`] or drain-on-drop) closes it with the stream's

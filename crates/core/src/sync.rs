@@ -20,72 +20,13 @@
 //! signal-handler constraint applies and the access pattern is contention-free by
 //! construction.
 //!
-//! # Epochs: lock-free staleness detection
-//!
-//! [`Epoch`] is the second hot-path primitive: a monotonically increasing generation
-//! counter that a writer bumps (while holding whatever lock protects the guarded
-//! structure) on every mutation, and that readers sample *without* any lock. A reader
-//! that recorded the epoch at publication time can later validate a cached derivative
-//! of the structure with one atomic load: if the epoch still matches, no mutation
-//! completed in between, so the cached value is current; if it moved, the cache entry
-//! is stale by construction and the reader falls back to the locked path.
-//!
-//! Two subsystems are built on this:
-//!
-//! * the snapshot retirement of the per-thread object record in [`crate::session`],
-//!   where each snapshot advances an epoch and moves the accumulated state of the
-//!   closing epoch into the session's producer fold, which is cloned *outside* every
-//!   sampling lock;
-//! * the export drainer's push epoch in [`crate::export`], which closes the race
-//!   between the drainer finding its queue empty and parking.
-//!
-//! Bumps use `Release` and validations `Acquire`, so any reader that has a
-//! happens-before edge from a mutation's completion (a lock release, a published
-//! generation, a thread join) is guaranteed to observe the bump and miss its stale
-//! cache entry. A reader racing the mutation itself may still use the value published
-//! *before* the mutation — indistinguishable from having resolved an instant earlier,
-//! which is the same linearization any locked lookup would give it.
+//! Every acquisition is `Acquire` and every guard drop `Release`, so a holder sees
+//! everything the previous holder wrote before it dropped its guard.
 
 use std::cell::UnsafeCell;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-/// A monotonically increasing generation counter for lock-free staleness checks. See
-/// the [module documentation](self) for the protocol.
-#[derive(Debug, Default)]
-pub struct Epoch(AtomicU64);
-
-impl Epoch {
-    /// Creates an epoch counter at generation zero.
-    pub const fn new() -> Self {
-        Self(AtomicU64::new(0))
-    }
-
-    /// Advances the epoch, invalidating every value cached under the previous
-    /// generation. Call with the guarded structure's lock held, *before* mutating, so
-    /// the bump is in the counter's modification order by the time the mutation starts.
-    /// Returns the new generation.
-    #[inline]
-    pub fn bump(&self) -> u64 {
-        self.0.fetch_add(1, Ordering::Release) + 1
-    }
-
-    /// The current generation, for recording next to a value derived from the guarded
-    /// structure. Call with the structure's lock held so the generation is stable.
-    #[inline]
-    pub fn current(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-
-    /// Lock-free validation: `true` when `recorded` is still the current generation,
-    /// i.e. no mutation completed since the value was cached. `Acquire` pairs with the
-    /// `Release` bump.
-    #[inline]
-    pub fn validate(&self, recorded: u64) -> bool {
-        self.0.load(Ordering::Acquire) == recorded
-    }
-}
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A test-and-set spin lock. See the [module documentation](self) for when (not) to
 /// use it.
@@ -247,38 +188,6 @@ mod tests {
         let guard = lock.lock();
         assert!(format!("{lock:?}").contains("<locked>"));
         drop(guard);
-    }
-
-    #[test]
-    fn epoch_bump_invalidates_recorded_generations() {
-        let epoch = Epoch::new();
-        let recorded = epoch.current();
-        assert!(epoch.validate(recorded));
-        assert_eq!(epoch.bump(), recorded + 1);
-        assert!(!epoch.validate(recorded), "a bump invalidates earlier generations");
-        assert!(epoch.validate(epoch.current()));
-    }
-
-    #[test]
-    fn epoch_is_monotonic_under_threads() {
-        let epoch = Arc::new(Epoch::new());
-        let threads: Vec<_> = (0..4)
-            .map(|_| {
-                let epoch = Arc::clone(&epoch);
-                std::thread::spawn(move || {
-                    let mut last = 0;
-                    for _ in 0..10_000 {
-                        let next = epoch.bump();
-                        assert!(next > last, "bumps must strictly increase");
-                        last = next;
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        assert_eq!(epoch.current(), 40_000);
     }
 
     #[test]

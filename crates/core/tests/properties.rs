@@ -753,7 +753,7 @@ fn run_stream_ops(ops: Vec<StreamOp>) -> Result<StreamRun, TestCaseError> {
         .size_filter(1024)
         .stream_to_binary(
             Box::new(buffer.clone()),
-            DrainPolicy::new().capacity(4).tick(Duration::from_secs(60)),
+            DrainPolicy::new().tick(Duration::from_secs(60)),
         )
         .build();
     let reference = Session::builder().period(4).size_filter(1024).collect_objects().build();

@@ -65,12 +65,6 @@ impl MemoryHierarchy {
         &self.placement
     }
 
-    /// Mutable access to the NUMA page-placement table, used by workload "optimizations"
-    /// that call the simulated `numa_alloc_interleaved` / first-touch-reset APIs.
-    pub fn placement_mut(&mut self) -> &mut PagePlacement {
-        &mut self.placement
-    }
-
     /// Number of logical CPUs in the simulated machine.
     pub fn cpu_count(&self) -> usize {
         self.cpus.len()

@@ -127,12 +127,6 @@ impl PagePlacement {
         self.policy
     }
 
-    /// Changes the default placement policy for pages touched from now on. Already
-    /// placed pages keep their owner.
-    pub fn set_policy(&mut self, policy: PlacementPolicy) {
-        self.policy = policy;
-    }
-
     /// Number of pages that have been placed so far.
     pub fn placed_pages(&self) -> usize {
         self.pages.len()

@@ -41,11 +41,6 @@ impl HierarchyStats {
         ratio(self.l3_misses, self.accesses)
     }
 
-    /// TLB miss ratio over all accesses.
-    pub fn tlb_miss_ratio(&self) -> f64 {
-        ratio(self.tlb_misses, self.accesses)
-    }
-
     /// Fraction of DRAM accesses that were remote.
     pub fn remote_dram_ratio(&self) -> f64 {
         ratio(self.remote_dram_accesses, self.l3_misses)

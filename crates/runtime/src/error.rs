@@ -28,8 +28,6 @@ pub enum RuntimeError {
     },
     /// A frame operation was attempted on an empty call stack.
     EmptyCallStack(ThreadId),
-    /// A bytecode program was malformed (bad jump target, stack underflow, ...).
-    InvalidBytecode(String),
 }
 
 impl std::fmt::Display for RuntimeError {
@@ -45,7 +43,6 @@ impl std::fmt::Display for RuntimeError {
                 write!(f, "access at offset {offset} is out of bounds for {object} of size {size}")
             }
             RuntimeError::EmptyCallStack(t) => write!(f, "call stack of {t} is empty"),
-            RuntimeError::InvalidBytecode(msg) => write!(f, "invalid bytecode: {msg}"),
         }
     }
 }

@@ -201,11 +201,6 @@ impl Heap {
         self.peak_live
     }
 
-    /// Number of objects tracked (live or awaiting reclamation).
-    pub fn object_count(&self) -> usize {
-        self.objects.len()
-    }
-
     /// Rounds a payload size up to the heap's allocation granularity, header included.
     pub fn aligned_total_size(payload: u64) -> u64 {
         let total = payload + OBJECT_HEADER_SIZE;

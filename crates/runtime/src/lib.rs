@@ -23,8 +23,6 @@
 //! * [`heap`]/[`gc`] — the object heap and the mark-compact collector,
 //! * [`class`]/[`method`] — type and method metadata with line-number tables,
 //! * [`callstack`] — frames and async call-trace capture,
-//! * [`bytecode`] — a small stack bytecode and interpreter, so workloads can also be
-//!   expressed as "class files" and run through an interpretation path,
 //! * [`dsl`] — convenience builders on top of [`Runtime`] used by `djx-workloads`.
 //!
 //! The runtime routes every load and store through the `djx-memsim` memory hierarchy, so
@@ -52,7 +50,6 @@
 //! assert!(rt.modeled_cycles() > 0);
 //! ```
 
-pub mod bytecode;
 pub mod callstack;
 pub mod class;
 pub mod dsl;

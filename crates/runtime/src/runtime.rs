@@ -184,11 +184,6 @@ impl Runtime {
         removed
     }
 
-    /// Number of attached listeners.
-    pub fn listener_count(&self) -> usize {
-        self.listeners.len()
-    }
-
     /// Notifies every listener that the program has ended (the `VMDeath` analogue).
     /// Idempotent from the runtime's perspective; call it once at the end of a workload.
     pub fn shutdown(&mut self) {
@@ -682,12 +677,6 @@ impl Runtime {
     /// The simulated memory hierarchy (read-only): ground-truth cache/TLB/NUMA counters.
     pub fn hierarchy(&self) -> &MemoryHierarchy {
         &self.hierarchy
-    }
-
-    /// Mutable access to the hierarchy, for experiments that flush caches between
-    /// repetitions or change placement policy mid-run.
-    pub fn hierarchy_mut(&mut self) -> &mut MemoryHierarchy {
-        &mut self.hierarchy
     }
 
     fn live_thread(&self, thread: ThreadId) -> Result<&ThreadState> {

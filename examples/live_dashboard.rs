@@ -6,7 +6,7 @@
 //! cargo run --release --example live_dashboard
 //! ```
 //!
-//! The session streams epoch-retired deltas through a background [`DeltaDrainer`];
+//! The session streams epoch-retired deltas through a background [drainer];
 //! [`Session::watch`] registers a [`Query`] on the session's [`LiveFold`], whose
 //! group accumulators update incrementally as each delta retires; each render
 //! ranks them the way a cold evaluation does.
@@ -15,7 +15,7 @@
 //! guarantee: the final watched result is byte-identical to a cold
 //! [`Query::evaluate`] over the session's terminal profile.
 //!
-//! [`DeltaDrainer`]: djxperf::DeltaDrainer
+//! [drainer]: djxperf::export
 //! [`LiveFold`]: djxperf::LiveFold
 //! [`LiveQuery::next_epoch_timeout`]: djxperf::LiveQuery::next_epoch_timeout
 

@@ -6,8 +6,8 @@
 //! cargo run --release --example streaming_export
 //! ```
 //!
-//! The session is built with [`SessionBuilder::stream_to_binary`]: a [`DeltaDrainer`]
-//! background thread closes buffer epochs every few milliseconds and appends each
+//! The session is built with [`SessionBuilder::stream_to_binary`]: a background
+//! drainer thread closes buffer epochs every few milliseconds and appends each
 //! non-empty delta to a binary epoch log (`djxperf::wire` frames).
 //! Export cost scales with the *delta* — what changed since the last epoch — not
 //! with the whole accumulated profile, and the sampling hot path never blocks on the

@@ -6,7 +6,7 @@
 //! streamed deltas (here by replaying the binary [`BinaryChunkedSink`] epoch log) must
 //! reproduce a profile *byte-identical* to the session's terminal
 //! [`Session::object_profile`] — under
-//! concurrent ingestion racing the drainer, under a full queue that merges deltas,
+//! concurrent ingestion racing the drainer, under a pending delta that merges deltas,
 //! behind a sink that stalls, and across user-driven snapshots that retire epochs
 //! mid-stream.
 
@@ -163,8 +163,7 @@ fn streamed_deltas_fold_byte_identically_under_concurrent_ingestion() {
 fn coalesce_backpressure_folds_but_never_loses() {
     let logs = build_logs(2, 4_000);
     let buffer = SharedBuffer::new();
-    let session =
-        streaming_session(DrainPolicy::new().capacity(1).tick(Duration::from_secs(60)), &buffer);
+    let session = streaming_session(DrainPolicy::new().tick(Duration::from_secs(60)), &buffer);
     for log in &logs {
         replay_allocs(&session, log);
     }
@@ -181,8 +180,8 @@ fn coalesce_backpressure_folds_but_never_loses() {
                             object: None,
                         });
                     }
-                    // Concurrent flushes race each other and the drainer; a full
-                    // queue merges, so none of them ever waits.
+                    // Concurrent flushes race each other and the drainer; a delta
+                    // still pending takes the merge, so none of them ever waits.
                     session.flush_export();
                 }
             });
@@ -201,10 +200,10 @@ fn coalesce_backpressure_folds_but_never_loses() {
 
 #[test]
 fn rapid_finishes_never_drop_the_terminal_record() {
-    // Regression for a shutdown race: finish_export enqueues the closing delta and
-    // the terminal item and only then marks the stream closed. A drainer whose pop
-    // loop had just seen an empty queue could observe `closed` and exit without one
-    // final drain, silently dropping both items — the log then carries no finish
+    // Regression for a shutdown race: an earlier finish_export queued the closing
+    // delta and the terminal item and only then marked the stream closed. A drainer
+    // whose pop loop had just seen an empty queue could observe `closed` and exit
+    // without one final drain, silently dropping both items — the log then carries no finish
     // record and replay rejects it despite a clean reported finish. Finishing right
     // after an ingestion burst, against a very fast tick, races exactly that window;
     // iterate to give the interleaving many chances to land.
@@ -355,8 +354,8 @@ fn a_finish_racing_sampling_checksums_exactly_the_streamed_deltas() {
 
 #[test]
 fn panicking_sink_surfaces_at_finish_instead_of_hanging() {
-    // A sink that panics mid-stream kills the drainer thread, so nothing ever pops
-    // the queue again. Producers never wait for queue room, and the panic must
+    // A sink that panics mid-stream kills the drainer thread, so nothing ever takes
+    // the pending delta again. Producers never wait for the drainer, and the panic must
     // surface as finish_export's error — not as a session that hangs on drop.
     struct PanickingSink;
     impl ProfileSink for PanickingSink {
@@ -375,14 +374,14 @@ fn panicking_sink_surfaces_at_finish_instead_of_hanging() {
 
     let logs = build_logs(1, 2_000);
     let buffer = SharedBuffer::new();
-    // Capacity 1: the flushes after the panic merge into the one queued delta, and
-    // the finish queues one slot past it; a push that waited for room would hang.
+    // The flushes after the panic merge into the one pending delta, which no
+    // drainer takes any more; a retirement that waited for the drainer would hang.
     let session = Session::builder()
         .period(PERIOD)
         .stream_to(
             Arc::new(PanickingSink),
             Box::new(buffer.clone()),
-            DrainPolicy::new().capacity(1).tick(Duration::from_millis(1)),
+            DrainPolicy::new().tick(Duration::from_millis(1)),
         )
         .build();
     replay_allocs(&session, &logs[0]);
@@ -400,9 +399,9 @@ fn panicking_sink_surfaces_at_finish_instead_of_hanging() {
 #[test]
 fn a_stuck_sink_never_stalls_a_producer() {
     // The drainer sits inside the sink's on_delta until the test releases it, so
-    // nothing leaves the capacity-1 queue while four threads flush 50 times each.
-    // Every flush must return while the sink is still held: a full queue merges the
-    // new delta into its newest one instead of waiting for room.
+    // the pending delta is never taken while four threads flush 50 times each.
+    // Every flush must return while the sink is still held: each merges its delta
+    // into the pending one instead of waiting for the drainer.
     struct StuckSink {
         entered: AtomicBool,
         released: AtomicBool,
@@ -433,7 +432,7 @@ fn a_stuck_sink_never_stalls_a_producer() {
         Arc::new(StuckSink { entered: AtomicBool::new(false), released: AtomicBool::new(false) });
     let session = Session::builder()
         .period(PERIOD)
-        .stream_to(sink.clone(), Box::new(buffer.clone()), DrainPolicy::new().capacity(1))
+        .stream_to(sink.clone(), Box::new(buffer.clone()), DrainPolicy::new())
         .build();
     for log in &logs {
         replay_allocs(&session, log);
@@ -478,9 +477,13 @@ fn a_stuck_sink_never_stalls_a_producer() {
     assert_eq!(returned_while_held, total, "every flush returned while the sink was stuck");
 
     let stats = session.finish_export().expect("the stream finishes once the sink moves");
-    assert!(stats.coalesced > 0, "the full queue merged deltas: {stats:?}");
+    assert!(stats.coalesced > 0, "the pending delta merged deltas: {stats:?}");
     assert_eq!(stats.blocked, 0, "no push ever waits");
     assert_eq!(stats.samples_streamed, session.total_samples());
+    assert_eq!(
+        stats.deltas_streamed, 2,
+        "the delta the sink held, then one merge of everything flushed meanwhile: {stats:?}"
+    );
     let terminal = session.object_profile().unwrap();
     assert_log_replays_terminal(&buffer, &terminal);
 }
@@ -526,7 +529,7 @@ fn snapshot_retirements_are_monotonic_across_concurrent_snapshots() {
 #[test]
 fn coalescing_deltas_first_equals_folding_them_in_order() {
     // ProfileDelta::merge_from is the shared exactness argument for replay folding
-    // *and* queue coalescing: folding [d1, d2, d3] one by one must equal folding
+    // *and* export coalescing: folding [d1, d2, d3] one by one must equal folding
     // [d1, merge(d2, d3)] — so a coalesced stream replays identically to an exact one.
     use djx_memsim::{AccessKind, NumaNode};
     use djxperf::{AllocSiteId, DeltaFold, ThreadDelta, ThreadProfile};
