@@ -1,4 +1,4 @@
-//! Fleet profiling: a socket transport for epoch deltas plus an aggregator daemon
+//! Fleet profiling: a TCP transport for epoch deltas plus an aggregator daemon
 //! that serves the [`Query`] API over N producer processes.
 //!
 //! DJXPerf profiles one process; the production-scale deployment profiles fleets.
@@ -7,8 +7,8 @@
 //! the binary frame codec ([`crate::wire`]) frames them replayably, and
 //! [`DeltaFold`](crate::profile::DeltaFold) folds them back incrementally. Three parts:
 //!
-//! * [`FleetSink`] — a [`ProfileSink`] that ships each epoch frame over a TCP or
-//!   Unix socket instead of a file. Plug it into
+//! * [`FleetSink`] — a [`ProfileSink`] that ships each epoch frame over TCP
+//!   instead of a file. Plug it into
 //!   [`SessionBuilder::stream_to_fleet`](crate::session::SessionBuilder::stream_to_fleet)
 //!   and the profiled process needs no other change.
 //! * [`FleetAggregator`] — the daemon: accepts producer connections, keeps one
@@ -122,9 +122,7 @@ use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fs;
 use std::io::{self, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-#[cfg(unix)]
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -142,7 +140,7 @@ use protocol::{
     protocol_error, AggregatorCore, LinkStep, PendingBuffer, PendingFrame, ProducerLink, Verdict,
 };
 use store::{recover_wal_file, SpillFile, Wal};
-use transport::{send, write_faulted, Conn, Target, WireListener, WireStream};
+use transport::{send, write_faulted, Conn};
 
 /// Current version of the fleet wire protocol: version 3 carries every record —
 /// epoch frames and control records alike — as a binary [`crate::wire`] frame.
@@ -369,7 +367,8 @@ pub struct FleetSinkStats {
 #[derive(Debug)]
 struct Link {
     proto: ProducerLink<SpillFile>,
-    target: Target,
+    /// The aggregator's address, re-resolved on every reconnect.
+    addr: String,
     conn: Option<Conn>,
     ack_deadline: Duration,
     finish_deadline: Duration,
@@ -401,7 +400,7 @@ impl Link {
                 }
                 LinkStep::Connect(hello) => {
                     self.conn = None;
-                    Conn::open(&self.target, self.ack_deadline).and_then(|conn| {
+                    Conn::open(&self.addr, self.ack_deadline).and_then(|conn| {
                         self.conn.insert(conn).round_trip(&hello.to_frame()?, None)
                     })
                 }
@@ -422,7 +421,7 @@ impl Link {
 }
 
 /// The producer-side transport: a [`ProfileSink`] that frames every epoch delta
-/// as a [`crate::wire`] frame and ships it to a [`FleetAggregator`] over a socket,
+/// as a [`crate::wire`] frame and ships it to a [`FleetAggregator`] over TCP,
 /// synchronously acknowledged. Wire the sink into a session with
 /// [`SessionBuilder::stream_to_fleet`](crate::session::SessionBuilder::stream_to_fleet);
 /// the export drainer then drives it exactly like a file sink.
@@ -463,26 +462,10 @@ impl FleetSink {
         Self::builder(producer, event, period, size_filter).connect(addr)
     }
 
-    /// [`FleetSink::connect`] over a Unix domain socket.
-    ///
-    /// # Errors
-    ///
-    /// Connection or handshake failures.
-    #[cfg(unix)]
-    pub fn connect_unix(
-        path: &Path,
-        producer: &str,
-        event: PmuEvent,
-        period: u64,
-        size_filter: u64,
-    ) -> io::Result<FleetSink> {
-        Self::builder(producer, event, period, size_filter).connect_unix(path)
-    }
-
     /// Starts configuring a sink with explicit failure-model knobs: ack and
     /// finish deadlines, reconnect backoff, buffer budget, overflow policy, spill
-    /// location and fault injection. The plain `connect*`
-    /// constructors above are shorthands for the builder's defaults.
+    /// location and fault injection. [`FleetSink::connect`] is the shorthand for
+    /// the builder's defaults.
     pub fn builder(
         producer: &str,
         event: PmuEvent,
@@ -701,33 +684,11 @@ impl FleetSinkBuilder {
     ///
     /// Connection or handshake failures.
     pub fn connect(self, addr: &str) -> io::Result<FleetSink> {
-        self.connect_target(Target::Tcp(addr.to_string()))
-    }
-
-    /// [`FleetSinkBuilder::connect`] over a Unix domain socket.
-    ///
-    /// # Errors
-    ///
-    /// Connection or handshake failures.
-    #[cfg(unix)]
-    pub fn connect_unix(self, path: &Path) -> io::Result<FleetSink> {
-        self.connect_target(Target::Unix(path.to_path_buf()))
-    }
-
-    /// The backoff policy the sink will run: the configured one, else the
-    /// default seeded from the producer name.
-    fn backoff_policy(&self) -> BackoffPolicy {
-        self.backoff.unwrap_or_else(|| {
-            BackoffPolicy::default().seed(u64::from(wire::fnv1a(self.hello.producer.as_bytes())))
-        })
-    }
-
-    fn connect_target(self, target: Target) -> io::Result<FleetSink> {
         let spill_dir = self.spill_dir.clone().unwrap_or_else(std::env::temp_dir);
         let pending = PendingBuffer::<SpillFile>::new(self.buffer_budget, self.overflow, spill_dir);
         let mut link = Link {
             proto: ProducerLink::new(self.hello.clone(), pending, self.backoff_policy()),
-            target,
+            addr: addr.to_string(),
             conn: None,
             ack_deadline: self.ack_deadline,
             finish_deadline: self.finish_deadline,
@@ -736,6 +697,14 @@ impl FleetSinkBuilder {
         };
         link.pump()?;
         Ok(FleetSink { link: Mutex::new(link) })
+    }
+
+    /// The backoff policy the sink will run: the configured one, else the
+    /// default seeded from the producer name.
+    fn backoff_policy(&self) -> BackoffPolicy {
+        self.backoff.unwrap_or_else(|| {
+            BackoffPolicy::default().seed(u64::from(wire::fnv1a(self.hello.producer.as_bytes())))
+        })
     }
 }
 
@@ -851,7 +820,7 @@ struct FleetState {
     /// One row per connection handler that may still be running: its join handle
     /// and a clone of its stream, for shutdown. Finished rows are reaped at every
     /// accept, so reconnect churn cannot grow this without bound.
-    handlers: Vec<(JoinHandle<()>, Option<WireStream>)>,
+    handlers: Vec<(JoinHandle<()>, Option<TcpStream>)>,
 }
 
 impl FleetState {
@@ -965,9 +934,8 @@ impl ProfileSource for FleetView {
 pub struct FleetAggregator {
     shared: Arc<AggregatorShared>,
     accept_handle: Option<JoinHandle<()>>,
-    tcp_addr: Option<SocketAddr>,
-    #[cfg(unix)]
-    unix_path: Option<PathBuf>,
+    /// The bound listener's address.
+    addr: SocketAddr,
     recovery: Option<RecoveryReport>,
 }
 
@@ -981,18 +949,6 @@ impl FleetAggregator {
     /// Propagates bind failures.
     pub fn bind(addr: &str) -> io::Result<FleetAggregator> {
         Self::builder().bind(addr)
-    }
-
-    /// Binds a Unix domain socket at `path` (which must not exist yet; it is
-    /// removed again on shutdown). Runs without a WAL; use
-    /// [`FleetAggregator::builder`] for durability.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind failures.
-    #[cfg(unix)]
-    pub fn bind_unix(path: &Path) -> io::Result<FleetAggregator> {
-        Self::builder().bind_unix(path)
     }
 
     /// A builder for an aggregator with durability and fault-injection knobs.
@@ -1046,9 +1002,9 @@ impl FleetAggregator {
         self.recovery.as_ref()
     }
 
-    /// The bound TCP address (`None` for a Unix-socket aggregator).
+    /// The bound TCP address. Always `Some`: the aggregator listens on TCP only.
     pub fn local_addr(&self) -> Option<SocketAddr> {
-        self.tcp_addr
+        Some(self.addr)
     }
 
     /// A point-in-time snapshot of the merged fleet: one assembled profile per
@@ -1125,13 +1081,7 @@ impl FleetAggregator {
         };
         self.shared.shutdown.store(true, Ordering::SeqCst);
         // Unblock the accept loop with a throwaway connection.
-        if let Some(addr) = &self.tcp_addr {
-            let _ = TcpStream::connect(addr);
-        }
-        #[cfg(unix)]
-        if let Some(path) = &self.unix_path {
-            let _ = UnixStream::connect(path);
-        }
+        let _ = TcpStream::connect(self.addr);
         let _ = accept_handle.join();
         let (handlers, watches) = {
             let mut state = self.shared.state();
@@ -1139,7 +1089,7 @@ impl FleetAggregator {
         };
         for (_, conn) in &handlers {
             if let Some(conn) = conn {
-                let _ = conn.shutdown();
+                let _ = conn.shutdown(Shutdown::Both);
             }
         }
         for (handle, _) in handlers {
@@ -1151,10 +1101,6 @@ impl FleetAggregator {
             if let Some(watch) = watch.upgrade() {
                 watch.mark_finished();
             }
-        }
-        #[cfg(unix)]
-        if let Some(path) = self.unix_path.take() {
-            let _ = std::fs::remove_file(path);
         }
     }
 }
@@ -1214,28 +1160,7 @@ impl FleetAggregatorBuilder {
     /// Propagates bind failures.
     pub fn bind(self, addr: &str) -> io::Result<FleetAggregator> {
         let listener = TcpListener::bind(addr)?;
-        let tcp_addr = Some(listener.local_addr()?);
-        Ok(self.start(WireListener::Tcp(listener), tcp_addr, None))
-    }
-
-    /// Binds a Unix domain socket and starts the daemon. See
-    /// [`FleetAggregator::bind_unix`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind failures.
-    #[cfg(unix)]
-    pub fn bind_unix(self, path: &Path) -> io::Result<FleetAggregator> {
-        let listener = UnixListener::bind(path)?;
-        Ok(self.start(WireListener::Unix(listener), None, Some(path.to_path_buf())))
-    }
-
-    fn start(
-        self,
-        listener: WireListener,
-        tcp_addr: Option<SocketAddr>,
-        unix_path: Option<PathBuf>,
-    ) -> FleetAggregator {
+        let addr = listener.local_addr()?;
         let shared = Arc::new(AggregatorShared {
             state: Mutex::new(self.recovered),
             shutdown: AtomicBool::new(false),
@@ -1244,17 +1169,13 @@ impl FleetAggregatorBuilder {
         });
         let accept_shared = Arc::clone(&shared);
         let accept_handle =
-            thread::spawn(move || accept_loop(move || listener.accept(), accept_shared));
-        #[cfg(not(unix))]
-        let _ = unix_path;
-        FleetAggregator {
+            thread::spawn(move || accept_loop(move || transport::accept(&listener), accept_shared));
+        Ok(FleetAggregator {
             shared,
             accept_handle: Some(accept_handle),
-            tcp_addr,
-            #[cfg(unix)]
-            unix_path,
+            addr,
             recovery: self.report,
-        }
+        })
     }
 }
 
@@ -1265,7 +1186,7 @@ const ACCEPT_RETRY_DELAY: Duration = Duration::from_millis(10);
 /// Serves every connection `accept` yields until shutdown — the only thing that
 /// ends the loop. A failed accept (`ECONNABORTED`, `EMFILE`, a stream that could
 /// not be configured) loses that one connection, never the listener.
-fn accept_loop(mut accept: impl FnMut() -> io::Result<WireStream>, shared: Arc<AggregatorShared>) {
+fn accept_loop(mut accept: impl FnMut() -> io::Result<TcpStream>, shared: Arc<AggregatorShared>) {
     loop {
         let accepted = accept();
         if shared.shutdown.load(Ordering::SeqCst) {
@@ -1288,7 +1209,7 @@ fn accept_loop(mut accept: impl FnMut() -> io::Result<WireStream>, shared: Arc<A
     }
 }
 
-fn handle_connection(stream: WireStream, shared: Arc<AggregatorShared>) {
+fn handle_connection(stream: TcpStream, shared: Arc<AggregatorShared>) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
@@ -1319,14 +1240,14 @@ fn handle_connection(stream: WireStream, shared: Arc<AggregatorShared>) {
     }
     // The handler owns the connection's lifetime: close it now rather than when
     // the accept loop reaps the stream clone it keeps for shutdown.
-    let _ = writer.shutdown();
+    let _ = writer.shutdown(Shutdown::Both);
     if let Some((name, generation)) = producer {
         shared.state().core.disconnected(&name, generation);
     }
 }
 
 /// Sends an error record and fails, so the caller closes the connection.
-fn refuse(writer: &mut WireStream, message: String) -> io::Result<()> {
+fn refuse(writer: &mut TcpStream, message: String) -> io::Result<()> {
     let _ = send(writer, &Control::Error(message.clone()));
     Err(protocol_error(message))
 }
@@ -1337,7 +1258,7 @@ fn dispatch_control(
     control: Control,
     producer: &mut Option<(String, u64)>,
     shared: &AggregatorShared,
-    writer: &mut WireStream,
+    writer: &mut TcpStream,
 ) -> io::Result<()> {
     let reply = match control {
         Control::Hello(hello) => {
@@ -1380,7 +1301,7 @@ fn dispatch_epoch_record(
     frame: &[u8],
     producer: Option<&(String, u64)>,
     shared: &AggregatorShared,
-    writer: &mut WireStream,
+    writer: &mut TcpStream,
 ) -> io::Result<()> {
     // Aggregator-side fault injection, resolved before any state changes so a
     // dropped or black-holed frame leaves no trace in the fold or the WAL.
@@ -1456,17 +1377,7 @@ impl FleetClient {
     ///
     /// Propagates connection failures.
     pub fn connect(addr: &str) -> io::Result<FleetClient> {
-        Ok(FleetClient { conn: Conn::open(&Target::Tcp(addr.to_string()), DEFAULT_ACK_DEADLINE)? })
-    }
-
-    /// Connects to an aggregator over a Unix domain socket.
-    ///
-    /// # Errors
-    ///
-    /// Propagates connection failures.
-    #[cfg(unix)]
-    pub fn connect_unix(path: &Path) -> io::Result<FleetClient> {
-        Ok(FleetClient { conn: Conn::open(&Target::Unix(path.into()), DEFAULT_ACK_DEADLINE)? })
+        Ok(FleetClient { conn: Conn::open(addr, DEFAULT_ACK_DEADLINE)? })
     }
 
     fn round_trip(&mut self, request: &Control) -> io::Result<Control> {
@@ -1911,7 +1822,7 @@ mod tests {
             if !std::mem::replace(&mut failed, true) {
                 return Err(io::Error::from(io::ErrorKind::ConnectionAborted));
             }
-            listener.accept().map(|(stream, _)| WireStream::Tcp(stream))
+            listener.accept().map(|(stream, _)| stream)
         };
         let loop_shared = Arc::clone(&shared);
         let accept_thread = thread::spawn(move || accept_loop(accept, loop_shared));

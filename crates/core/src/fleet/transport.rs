@@ -1,12 +1,8 @@
-//! The fleet's sockets: one stream and listener type over TCP and Unix sockets,
-//! connection targets, and reading and writing control frames.
+//! The fleet's sockets: connecting and accepting over TCP, and reading and
+//! writing control frames.
 
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
-#[cfg(unix)]
-use std::os::unix::net::{UnixListener, UnixStream};
-#[cfg(unix)]
-use std::path::PathBuf;
 use std::thread;
 use std::time::Duration;
 
@@ -18,124 +14,33 @@ use crate::wire::{self, Control, WireRecord};
 /// hangs the first delivery for the OS default (minutes).
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// A connected socket of either family.
-#[derive(Debug)]
-pub(crate) enum WireStream {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Unix(UnixStream),
+/// Accepts one connection. An error ends only this attempt: a stream whose
+/// `set_nodelay` fails is dropped here, and the listener stays usable.
+pub(crate) fn accept(listener: &TcpListener) -> io::Result<TcpStream> {
+    // Frames are small and acknowledged synchronously; never batch them.
+    let (stream, _) = listener.accept()?;
+    stream.set_nodelay(true).map(|()| stream)
 }
 
-/// Evaluates `$body` with `$s` bound to the socket inside a [`WireStream`].
-macro_rules! on_socket {
-    ($stream:expr, $s:ident => $body:expr) => {
-        match $stream {
-            WireStream::Tcp($s) => $body,
-            #[cfg(unix)]
-            WireStream::Unix($s) => $body,
-        }
-    };
-}
-
-impl WireStream {
-    pub(crate) fn try_clone(&self) -> io::Result<WireStream> {
-        Ok(match self {
-            WireStream::Tcp(s) => WireStream::Tcp(s.try_clone()?),
-            #[cfg(unix)]
-            WireStream::Unix(s) => WireStream::Unix(s.try_clone()?),
-        })
-    }
-
-    pub(crate) fn shutdown(&self) -> io::Result<()> {
-        on_socket!(self, s => s.shutdown(Shutdown::Both))
-    }
-
-    /// Arms one deadline on the socket's reads and writes. A read past the
-    /// deadline fails with [`io::ErrorKind::WouldBlock`]/[`io::ErrorKind::TimedOut`];
-    /// the producer link treats that as a transport failure — the frame stays
-    /// buffered, the connection is dropped, and the drainer moves on.
-    pub(crate) fn set_io_timeouts(&self, deadline: Duration) -> io::Result<()> {
-        on_socket!(self, s => s.set_read_timeout(Some(deadline)).and(s.set_write_timeout(Some(deadline))))
-    }
-}
-
-impl Read for WireStream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        on_socket!(self, s => s.read(buf))
-    }
-}
-
-impl Write for WireStream {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        on_socket!(self, s => s.write(buf))
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        on_socket!(self, s => s.flush())
-    }
-}
-
-/// A bound listener of either family.
-#[derive(Debug)]
-pub(crate) enum WireListener {
-    Tcp(TcpListener),
-    #[cfg(unix)]
-    Unix(UnixListener),
-}
-
-impl WireListener {
-    /// Accepts one connection. An error ends only this attempt: a stream whose
-    /// `set_nodelay` fails is dropped here, and the listener stays usable.
-    pub(crate) fn accept(&self) -> io::Result<WireStream> {
-        match self {
-            WireListener::Tcp(l) => {
-                // Frames are small and acknowledged synchronously; never batch them.
-                let (stream, _) = l.accept()?;
-                stream.set_nodelay(true).map(|()| WireStream::Tcp(stream))
+/// Connects to `addr` (reconnection re-resolves it), trying each candidate under
+/// [`TcpStream::connect_timeout`] with [`CONNECT_TIMEOUT`].
+fn connect(addr: &str) -> io::Result<TcpStream> {
+    let mut last_error = None;
+    for candidate in addr.to_socket_addrs()? {
+        match TcpStream::connect_timeout(&candidate, CONNECT_TIMEOUT) {
+            Ok(stream) => {
+                stream.set_nodelay(true)?;
+                return Ok(stream);
             }
-            #[cfg(unix)]
-            WireListener::Unix(l) => l.accept().map(|(stream, _)| WireStream::Unix(stream)),
+            Err(e) => last_error = Some(e),
         }
     }
-}
-
-/// Where a producer sink or query client connects (reconnection re-resolves it).
-#[derive(Debug, Clone)]
-pub(crate) enum Target {
-    Tcp(String),
-    #[cfg(unix)]
-    Unix(PathBuf),
-}
-
-impl Target {
-    /// Connects. TCP resolves the address and tries each candidate under
-    /// [`TcpStream::connect_timeout`] with [`CONNECT_TIMEOUT`]; Unix-socket
-    /// connects are local rendezvous with no std timeout — they cannot black-hole
-    /// the way a routed TCP address can.
-    pub(crate) fn connect(&self) -> io::Result<WireStream> {
-        match self {
-            Target::Tcp(addr) => {
-                let mut last_error = None;
-                for candidate in addr.as_str().to_socket_addrs()? {
-                    match TcpStream::connect_timeout(&candidate, CONNECT_TIMEOUT) {
-                        Ok(stream) => {
-                            stream.set_nodelay(true)?;
-                            return Ok(WireStream::Tcp(stream));
-                        }
-                        Err(e) => last_error = Some(e),
-                    }
-                }
-                Err(last_error.unwrap_or_else(|| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        format!("address {addr:?} resolved to no candidates"),
-                    )
-                }))
-            }
-            #[cfg(unix)]
-            Target::Unix(path) => Ok(WireStream::Unix(UnixStream::connect(path)?)),
-        }
-    }
+    Err(last_error.unwrap_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("address {addr:?} resolved to no candidates"),
+        )
+    }))
 }
 
 /// Writes one control record as a frame.
@@ -189,16 +94,22 @@ pub(crate) fn write_faulted(
 
 /// A connection to an aggregator with a deadline on every read and write, so a
 /// silent peer fails the call instead of blocking it. Dropping it shuts it down.
+///
+/// A read past the deadline fails with
+/// [`io::ErrorKind::WouldBlock`]/[`io::ErrorKind::TimedOut`]; the producer link
+/// treats that as a transport failure — the frame stays buffered, the connection
+/// is dropped, and the drainer moves on.
 #[derive(Debug)]
 pub(crate) struct Conn {
-    writer: WireStream,
-    reader: BufReader<WireStream>,
+    writer: TcpStream,
+    reader: BufReader<TcpStream>,
 }
 
 impl Conn {
-    pub(crate) fn open(target: &Target, deadline: Duration) -> io::Result<Conn> {
-        let writer = target.connect()?;
-        writer.set_io_timeouts(deadline)?;
+    pub(crate) fn open(addr: &str, deadline: Duration) -> io::Result<Conn> {
+        let writer = connect(addr)?;
+        writer.set_read_timeout(Some(deadline))?;
+        writer.set_write_timeout(Some(deadline))?;
         let reader = BufReader::new(writer.try_clone()?);
         Ok(Conn { writer, reader })
     }
@@ -217,6 +128,6 @@ impl Conn {
 
 impl Drop for Conn {
     fn drop(&mut self) {
-        let _ = self.writer.shutdown();
+        let _ = self.writer.shutdown(Shutdown::Both);
     }
 }

@@ -31,7 +31,7 @@
 //! | [`object`] | §4.2 | allocation-site identity (allocation call paths) |
 //! | [`agent`] | §4.1, §4.5 | the allocation ("Java") agent and the shared object index |
 //! | [`session`] | §5, Fig. 1 | the one profiler: [`Session`] (one sampling stream, one record per sample — each thread's [`ThreadProfile`] — that all three views query), configured by [`ProfilerConfig`] |
-//! | [`sink`] | §5.2 | the streaming [`ProfileSink`] trait, the [`FinishRecord`] trailer, and the render-only JSON document ([`ObjectCentricProfile::to_json`]) |
+//! | [`sink`] | §5.2 | the streaming [`ProfileSink`] trait, the [`FinishRecord`] trailer, and the JSON helpers behind [`QueryResult::to_json`] |
 //! | [`wire`] | §5.2 | binary epoch frames: the one format the profiler reads back, for logs, the fleet wire and its WAL ([`BinaryChunkedSink::read_log_bytes`]) |
 //! | [`export`] | §5.2 | asynchronous delta export: a background drainer streaming epoch-retired snapshot deltas, one pending delta at a time |
 //! | [`profile`] | §5.1/§5.2 | per-thread profiles and their render-only text form ([`ObjectCentricProfile::to_text`]) |
@@ -92,8 +92,8 @@
 //!
 //! // Machine-readable render for dashboards, and a binary log that reads back for
 //! // cross-machine merging.
-//! let json = profile.to_json();
-//! assert!(json.starts_with("{\"format\":\"djxperf-profile\""));
+//! let json = ranked.to_json();
+//! assert!(json.starts_with("{\"format\":\"djxperf-query\""));
 //! let sink = djxperf::BinaryChunkedSink::new();
 //! let mut log = Vec::new();
 //! sink.write_profile(&profile, &mut log)?;

@@ -355,7 +355,7 @@ pub enum FoldError {
         /// Samples the terminal record promised.
         expected: u64,
     },
-    /// A caller tried to feed a session's live fold
+    /// A caller tried to absorb a delta into, or finish, a session's live fold
     /// ([`Session::live_fold`](crate::session::Session::live_fold)): the session
     /// feeds that fold with its own stream, so it is read-only to everyone else.
     ReadOnly,
@@ -926,8 +926,8 @@ pub(crate) fn parse_u64(kv: &HashMap<String, String>, key: &str) -> Result<u64, 
 mod tests {
     use super::*;
     use crate::query::live::LiveFold;
-    use crate::sink::ProfileSink;
-    use crate::wire::BinaryChunkedSink;
+    use crate::sink::{LogRecord, ProfileSink};
+    use crate::wire::{BinaryChunkedSink, BinaryFrameReader};
     use djx_memsim::{AccessKind, NumaNode};
     use djx_runtime::MethodId;
 
@@ -1105,6 +1105,19 @@ mod tests {
         log
     }
 
+    /// A live fold fed `log`'s records, decoded by the one frame reader.
+    fn live_fold_of(log: &[u8]) -> LiveFold {
+        let live = LiveFold::new();
+        let mut reader = BinaryFrameReader::new(log);
+        while let Some(record) = reader.next_record().unwrap() {
+            match record {
+                LogRecord::Delta(delta) => live.absorb(&delta).unwrap(),
+                LogRecord::Finish(record) => live.finish(record).unwrap(),
+            }
+        }
+        live
+    }
+
     #[test]
     fn a_delta_after_the_finish_is_refused() {
         let mut fold = five_samples();
@@ -1112,8 +1125,7 @@ mod tests {
         let refused = Err(FoldError::AfterFinish { epoch: 3 });
         assert_eq!(fold.absorb_ordered(&delta(3, "<attached>", 1)), refused);
         assert_eq!((fold.total_samples(), fold.deltas(), fold.last_epoch()), (5, 2, Some(2)));
-        let live = LiveFold::new();
-        live.feed(&log_with(&[record(2, 0)])).unwrap();
+        let live = live_fold_of(&log_with(&[record(2, 0)]));
         assert_eq!(live.absorb(&delta(3, "<attached>", 1)), refused);
         let mut log = log_with(&[record(2, 0)]);
         BinaryChunkedSink.on_delta(3, &delta(3, "<attached>", 1), &mut log).unwrap();
@@ -1131,8 +1143,7 @@ mod tests {
         let refused = FoldError::ChecksumMismatch { folded: 5, expected: 6 };
         assert_eq!(fold.finish(record(6, 9), false), Err(refused));
         assert_eq!(fold.assemble().allocation_stats.callbacks, 7);
-        let live = LiveFold::new();
-        live.feed(&log_with(&[record(2, 7)])).unwrap();
+        let live = live_fold_of(&log_with(&[record(2, 7)]));
         live.finish(record(2, 9)).unwrap();
         let refused = FoldError::ChecksumMismatch { folded: 2, expected: 3 };
         assert_eq!(live.finish(record(3, 9)), Err(refused));

@@ -26,7 +26,7 @@
 //! | source | backing data | when to use |
 //! |---|---|---|
 //! | [`Session`] | live pause-free snapshot ([`Session::object_profile`]) | one-shot queries against a run that is still ingesting |
-//! | [`live::LiveFold`] | the epoch-retired delta stream, folded incrementally ([`Session::watch`], [`FleetAggregator::watch`](crate::fleet::FleetAggregator::watch), [`live::LiveFold::feed`]) | repeated queries over a changing run: dashboards, watch loops, aggregator daemons |
+//! | [`live::LiveFold`] | the epoch-retired delta stream, folded incrementally ([`Session::watch`], [`FleetAggregator::watch`](crate::fleet::FleetAggregator::watch), [`live::LiveFold::absorb`]) | repeated queries over a changing run: dashboards, watch loops, aggregator daemons |
 //! | [`ObjectCentricProfile`] | an owned snapshot, or a binary epoch log replayed by [`BinaryChunkedSink::read_log_bytes`](crate::wire::BinaryChunkedSink::read_log_bytes) | offline analysis of extracted profiles; re-querying a streamed run after the fact |
 //! | `[ObjectCentricProfile]` | a sequence of snapshots | the classic one-file-per-process merge workflow |
 //! | [`MultiSource`] | a fold of any other sources | cross-machine / multi-process merging |
@@ -54,8 +54,9 @@
 //! }
 //! ```
 //!
-//! The same watch API covers replayed logs (feed bytes to [`live::LiveFold::feed`]
-//! as they arrive) and the fleet aggregator
+//! The same watch API covers replayed logs (pass each record a
+//! [`BinaryFrameReader`](crate::wire::BinaryFrameReader) reads to
+//! [`live::LiveFold::absorb`] / [`live::LiveFold::finish`]) and the fleet aggregator
 //! ([`FleetAggregator::watch`](crate::fleet::FleetAggregator::watch) updates per
 //! producer frame instead of re-evaluating the merged view). `examples/live_dashboard.rs`
 //! runs the whole loop against a concurrently-ingesting session.
@@ -1443,9 +1444,8 @@ impl QueryResult {
         self.to_string()
     }
 
-    /// The canonical JSON rendering, through the same codec helpers as the
-    /// [`ObjectCentricProfile::to_json`] profile document. Byte-identical across
-    /// sources describing the same samples.
+    /// The canonical JSON rendering, for dashboards and the fleet's result frames.
+    /// Byte-identical across sources describing the same samples.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         let _ = write!(

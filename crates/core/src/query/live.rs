@@ -7,8 +7,7 @@
 //!
 //! # Feeding a fold
 //!
-//! A [`LiveFold`] accepts the delta stream from any of the transports the profiler
-//! already has:
+//! A [`LiveFold`] is fed in one of two ways:
 //!
 //! * **in-process**: [`Session::live_fold`](crate::session::Session::live_fold) /
 //!   [`Session::watch`](crate::session::Session::watch) hand out the session's own
@@ -16,18 +15,18 @@
 //!   feeds the watches and hands the delta to the drainer in one critical section
 //!   under the fold's lock, so the fold observes exactly the stream a
 //!   [`BinaryChunkedSink`](crate::wire::BinaryChunkedSink) would have logged. The
-//!   session is its one feeder: [`LiveFold::absorb`], [`LiveFold::finish`] and
-//!   [`LiveFold::feed`] on it are refused ([`FoldError::ReadOnly`]);
-//! * **replayed / tailed logs**: [`LiveFold::feed`] pushes raw binary epoch-log
-//!   bytes through a [`FrameTail`] — tail a growing log file and feed each read;
-//! * **manual**: [`LiveFold::absorb`] / [`LiveFold::finish`] for decoded records.
+//!   session is its one feeder: [`LiveFold::absorb`] and [`LiveFold::finish`] on
+//!   it are refused ([`FoldError::ReadOnly`]);
+//! * **decoded records**: [`LiveFold::absorb`] / [`LiveFold::finish`], for
+//!   example with the records a
+//!   [`BinaryFrameReader`](crate::wire::BinaryFrameReader) reads from a log.
 //!
-//! Every entry point calls the same [`DeltaFold`] methods log replay calls:
+//! Both call the same [`DeltaFold`] methods log replay calls:
 //! [`DeltaFold::absorb_ordered`] for a delta and [`DeltaFold::finish`] for the
 //! finish record. The fold owns what the stream means — its header, each thread's
 //! first-seen name, the finish record and its checksum — so a `LiveFold` adds only
-//! the watches it feeds and the byte-stream decoder. The fleet aggregator feeds its
-//! watches from its per-producer folds the same way.
+//! the watches it feeds. The fleet aggregator feeds its watches from its
+//! per-producer folds the same way.
 //!
 //! # Identity contract
 //!
@@ -50,9 +49,8 @@ use std::time::{Duration, Instant};
 
 use djx_pmu::PmuEvent;
 
-use crate::profile::{DeltaFold, FoldError, ObjectCentricProfile, ProfileDelta, ProfileParseError};
-use crate::sink::{FinishRecord, LogRecord};
-use crate::wire::FrameTail;
+use crate::profile::{DeltaFold, FoldError, ObjectCentricProfile, ProfileDelta};
+use crate::sink::FinishRecord;
 
 use super::{GroupState, ProfileSource, Query, QueryError, QueryResult};
 
@@ -78,14 +76,12 @@ struct LiveShared {
     session: bool,
 }
 
-/// A live fold is its stream's [`DeltaFold`] plus the watches it feeds and the
-/// byte-stream decoder behind [`LiveFold::feed`] — and, on a streaming session's
-/// producer fold, the delta the export drainer takes next.
+/// A live fold is its stream's [`DeltaFold`] plus the watches it feeds — and, on a
+/// streaming session's producer fold, the delta the export drainer takes next.
 #[derive(Default)]
 pub(crate) struct LiveState {
     fold: DeltaFold,
     watches: Vec<Weak<WatchShared>>,
-    tail: FrameTail,
     /// A session's record once its stream finished and a later retirement brought
     /// data: a copy of the terminal fold that absorbs the reads after the finish, so
     /// `fold` stays the terminal stream its closed watches render.
@@ -224,32 +220,6 @@ impl LiveFold {
     pub fn finish(&self, record: FinishRecord) -> Result<(), FoldError> {
         self.writable()?;
         self.lock().finish(record)
-    }
-
-    /// Pushes raw binary epoch-log bytes ([`crate::wire`] frames), decoding and
-    /// folding every complete frame. This is the log-tailing entry point: read a
-    /// growing log in chunks and feed each read; partial frames buffer until
-    /// completed by a later feed.
-    ///
-    /// # Errors
-    ///
-    /// [`ProfileParseError`] on malformed frames, out-of-order epochs or a failing
-    /// terminal checksum, anchored to the offending frame's position — or at frame 0
-    /// on a session's live fold, which takes no bytes.
-    pub fn feed(&self, bytes: &[u8]) -> Result<(), ProfileParseError> {
-        self.writable()
-            .map_err(|e| ProfileParseError { frame: 0, message: e.to_string() })?;
-        let mut st = self.lock();
-        st.tail.push(bytes);
-        while let Some(record) = st.tail.next_record()? {
-            let folded = match record {
-                LogRecord::Delta(delta) => st.absorb_delta(&delta),
-                LogRecord::Finish(record) => st.finish(record),
-            };
-            let frame = st.tail.frames();
-            folded.map_err(|e| ProfileParseError { frame, message: e.to_string() })?;
-        }
-        Ok(())
     }
 
     /// Assembles the cold-evaluation reference snapshot at this point of the

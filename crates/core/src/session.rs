@@ -35,7 +35,7 @@
 //! support
 //! incremental observation: [`Session::object_profile`] extracts the record mid-run
 //! without stopping measurement (render it with
-//! [`ObjectCentricProfile::to_text`] or [`ObjectCentricProfile::to_json`]), and
+//! [`ObjectCentricProfile::to_text`]), and
 //! [`SessionBuilder::stream_to`] adds **continuous push**: a background drainer
 //! streams every retired epoch delta through a [`ProfileSink`] incrementally (see
 //! [`crate::export`]).
@@ -1052,8 +1052,8 @@ impl Session {
     /// [`next_epoch`](crate::query::live::LiveQuery::next_epoch) iterators drain
     /// immediately — while later reads still reach the session's profile.
     ///
-    /// The fold is read-only to callers: [`LiveFold::absorb`], [`LiveFold::finish`]
-    /// and [`LiveFold::feed`] on it return
+    /// The fold is read-only to callers: [`LiveFold::absorb`] and
+    /// [`LiveFold::finish`] on it return
     /// [`FoldError::ReadOnly`](crate::profile::FoldError::ReadOnly) and leave it
     /// untouched.
     ///
@@ -1088,7 +1088,10 @@ impl Session {
         Ok(query.watch(&self.live_fold()?))
     }
 
-    /// Resolves one overflow batch and records it into the object record.
+    /// Resolves one overflow batch and records it into the object record. Inlined
+    /// into the sample path: on its own it may land in another codegen unit than
+    /// its one caller, at a cost to every overflow batch.
+    #[inline]
     fn dispatch_samples(&self, event: &MemoryAccessEvent<'_>, samples: &[Sample]) {
         // Resolve each sample's effective address to the enclosing monitored object
         // once, through the index shards the batch touches (the guard is reused across
@@ -1508,7 +1511,6 @@ mod tests {
         BinaryChunkedSink::new().write_profile(&profile, &mut out).unwrap();
         let parsed = BinaryChunkedSink::new().read_log_bytes(&out).unwrap();
         assert_eq!(parsed.to_text(), profile.to_text(), "binary log round trip");
-        assert_eq!(parsed.to_json(), profile.to_json());
     }
 
     #[test]

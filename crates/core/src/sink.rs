@@ -1,7 +1,7 @@
 //! Profile export: the streaming trait, the records every epoch-log frame decodes
-//! to, and the JSON render.
+//! to, and the JSON helpers of the query render.
 //!
-//! The export surface is one writer trait, one reader function and two renders:
+//! The export surface is one writer trait, one reader function and one render:
 //!
 //! * [`ProfileSink`] streams retired epochs. Its implementations are
 //!   [`BinaryChunkedSink`](crate::wire::BinaryChunkedSink) (the replayable binary
@@ -13,19 +13,18 @@
 //!   Its [`LogRecord`]s go to a [`DeltaFold`](crate::DeltaFold), which owns what a
 //!   stream means — header, first-seen thread names, the [`FinishRecord`] and its
 //!   checksum — for log replay, live folds, fleet ingest and WAL recovery alike.
-//! * [`ObjectCentricProfile::to_text`] (the paper's line-oriented profile file) and
-//!   [`ObjectCentricProfile::to_json`] (a document for dashboards and external
-//!   tooling) render a whole profile. Nothing parses either back, and
-//!   `read_log_bytes` refuses them with an error saying so.
+//! * [`ObjectCentricProfile::to_text`] (the paper's line-oriented profile file)
+//!   renders a whole profile. Nothing parses it back, and `read_log_bytes`
+//!   refuses it with an error saying so. Dashboards read
+//!   [`QueryResult::to_json`](crate::query::QueryResult::to_json), which writes
+//!   through this module's JSON helpers.
 
-use std::fmt::Write as _;
 use std::io::{self, Write};
 
 use djx_runtime::Frame;
 
 use crate::metrics::MetricVector;
-use crate::object::AllocSite;
-use crate::profile::{AllocationStats, ObjectCentricProfile, ProfileDelta, ThreadProfile};
+use crate::profile::{AllocationStats, ObjectCentricProfile, ProfileDelta};
 
 /// A streaming export backend: the export pipeline ([`crate::export`]) calls
 /// [`ProfileSink::on_delta`] for every retired epoch and [`ProfileSink::on_finish`]
@@ -47,37 +46,6 @@ pub trait ProfileSink: Send + Sync {
     ///
     /// Propagates write errors from `out`.
     fn on_finish(&self, record: &FinishRecord, out: &mut dyn Write) -> io::Result<()>;
-}
-
-/// Current version of the JSON document layout.
-const JSON_VERSION: u64 = 1;
-
-impl ObjectCentricProfile {
-    /// Renders the profile as a machine-readable JSON document for dashboards and
-    /// external tooling. Render-only: nothing parses it back.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"format\":\"djxperf-profile\",\"version\":{JSON_VERSION},\"event\":{},\"period\":{},\"size_filter\":{}",
-            json_string(self.event.hardware_name()),
-            self.period,
-            self.size_filter
-        );
-        out.push_str(",\"allocation_stats\":");
-        write_alloc_stats_json(&self.allocation_stats, &mut out);
-        out.push_str(",\"sites\":");
-        write_sites_json(&self.sites, &mut out);
-        out.push_str(",\"threads\":[");
-        for (i, thread) in self.threads.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_thread_json(thread, &mut out);
-        }
-        out.push_str("]}");
-        out
-    }
 }
 
 // ---------------------------------------------------------------------------------------
@@ -183,75 +151,11 @@ pub(crate) fn json_metrics(m: &MetricVector) -> String {
     )
 }
 
-/// Writes the allocation-stats object of the whole-profile document.
-fn write_alloc_stats_json(s: &AllocationStats, out: &mut String) {
-    let _ = write!(
-        out,
-        "{{\"callbacks\":{},\"monitored\":{},\"filtered\":{},\"relocations\":{},\"unknown_moves\":{},\"reclamations\":{}}}",
-        s.callbacks, s.monitored, s.filtered, s.relocations, s.unknown_moves, s.reclamations
-    );
-}
-
-/// Writes the site-table array of the whole-profile document.
-fn write_sites_json(sites: &[AllocSite], out: &mut String) {
-    out.push('[');
-    for (i, site) in sites.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"id\":{},\"class\":{},\"path\":{}}}",
-            site.id.0,
-            json_string(&site.class_name),
-            json_path(&site.call_path)
-        );
-    }
-    out.push(']');
-}
-
-/// Writes one element of the whole-profile document's `threads` array.
-fn write_thread_json(thread: &ThreadProfile, out: &mut String) {
-    let _ = write!(
-        out,
-        "{{\"id\":{},\"name\":{},\"samples\":{},\"unattributed\":{}",
-        thread.thread.0,
-        json_string(&thread.thread_name),
-        thread.samples,
-        json_metrics(&thread.unattributed)
-    );
-    out.push_str(",\"objects\":[");
-    let mut site_ids: Vec<_> = thread.sites.keys().copied().collect();
-    site_ids.sort_unstable();
-    for (j, sid) in site_ids.iter().enumerate() {
-        if j > 0 {
-            out.push(',');
-        }
-        let sm = &thread.sites[sid];
-        let _ = write!(out, "{{\"site\":{},\"total\":{}", sid.0, json_metrics(&sm.total));
-        out.push_str(",\"accesses\":[");
-        // Canonical context order (by encoded path), matching the text rendering.
-        let mut contexts: Vec<(String, &MetricVector)> = sm
-            .by_context
-            .iter()
-            .map(|(ctx, m)| (json_path(&thread.cct.path_of(*ctx)), m))
-            .collect();
-        contexts.sort_by(|a, b| a.0.cmp(&b.0));
-        for (k, (encoded, metrics)) in contexts.iter().enumerate() {
-            if k > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"path\":{},\"metrics\":{}}}", encoded, json_metrics(metrics));
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::object::AllocSiteId;
+    use crate::object::{AllocSite, AllocSiteId};
+    use crate::profile::ThreadProfile;
     use crate::wire::BinaryChunkedSink;
     use djx_memsim::{AccessKind, NumaNode};
     use djx_pmu::PmuEvent;
@@ -311,39 +215,6 @@ mod tests {
     }
 
     #[test]
-    fn json_sink_round_trips_structure_and_metrics() {
-        // JSON is write-only, so the writer is pinned by a golden document over a
-        // profile that sets every field.
-        let json = build_profile().to_json();
-        let golden = concat!(
-            r#"{"format":"djxperf-profile","version":1,"event":"MEM_LOAD_UOPS_RETIRED:L1_MISS","#,
-            r#""period":100,"size_filter":1024,"allocation_stats":{"callbacks":10,"monitored":2,"#,
-            r#""filtered":8,"relocations":1,"unknown_moves":3,"reclamations":1},"sites":["#,
-            r#"{"id":0,"class":"float[] \"quoted\" \\slash","path":[[1,5],[2,3]]},"#,
-            r#"{"id":1,"class":"Top Doc","path":[]}],"threads":["#,
-            r#"{"id":1,"name":"main","samples":4,"unattributed":{"samples":1,"weighted":100,"#,
-            r#""latency":100,"local":1,"remote":0,"loads":1,"stores":0,"allocs":0,"bytes":0},"#,
-            r#""objects":[{"site":0,"total":{"samples":2,"weighted":200,"latency":200,"local":1,"#,
-            r#""remote":1,"loads":2,"stores":0,"allocs":1,"bytes":4096},"accesses":["#,
-            r#"{"path":[[1,5],[4,9]],"metrics":{"samples":1,"weighted":100,"latency":100,"#,
-            r#""local":1,"remote":0,"loads":1,"stores":0,"allocs":0,"bytes":0}},"#,
-            r#"{"path":[[1,5],[5,2]],"metrics":{"samples":1,"weighted":100,"latency":100,"#,
-            r#""local":0,"remote":1,"loads":1,"stores":0,"allocs":0,"bytes":0}}]},"#,
-            r#"{"site":1,"total":{"samples":1,"weighted":100,"latency":100,"local":1,"remote":0,"#,
-            r#""loads":1,"stores":0,"allocs":0,"bytes":0},"accesses":[{"path":[],"metrics":"#,
-            r#"{"samples":1,"weighted":100,"latency":100,"local":1,"remote":0,"loads":1,"#,
-            r#""stores":0,"allocs":0,"bytes":0}}]}]},"#,
-            r#"{"id":2,"name":"worker\t1","samples":1,"unattributed":{"samples":0,"weighted":0,"#,
-            r#""latency":0,"local":0,"remote":0,"loads":0,"stores":0,"allocs":0,"bytes":0},"#,
-            r#""objects":[{"site":1,"total":{"samples":1,"weighted":100,"latency":100,"local":0,"#,
-            r#""remote":1,"loads":1,"stores":0,"allocs":0,"bytes":0},"accesses":["#,
-            r#"{"path":[[3,0],[6,6]],"metrics":{"samples":1,"weighted":100,"latency":100,"#,
-            r#""local":0,"remote":1,"loads":1,"stores":0,"allocs":0,"bytes":0}}]}]}]}"#,
-        );
-        assert_eq!(json, golden);
-    }
-
-    #[test]
     fn json_string_escaping_round_trips() {
         for (name, literal) in [
             ("plain", r#""plain""#),
@@ -358,6 +229,32 @@ mod tests {
     }
 
     #[test]
+    fn json_paths_and_metrics_keep_their_layout() {
+        // Every field of the shared helpers, as dashboards read them in
+        // `QueryResult::to_json`.
+        assert_eq!(json_path(&[f(1, 5), f(2, 3)]), "[[1,5],[2,3]]");
+        assert_eq!(json_path(&[]), "[]");
+        let metrics = MetricVector {
+            samples: 1,
+            weighted_events: 2,
+            latency_cycles: 3,
+            local_samples: 4,
+            remote_samples: 5,
+            load_samples: 6,
+            store_samples: 7,
+            allocations: 8,
+            allocated_bytes: 9,
+        };
+        assert_eq!(
+            json_metrics(&metrics),
+            concat!(
+                r#"{"samples":1,"weighted":2,"latency":3,"local":4,"remote":5,"#,
+                r#""loads":6,"stores":7,"allocs":8,"bytes":9}"#
+            )
+        );
+    }
+
+    #[test]
     fn read_any_profile_detects_the_format() {
         // The binary log is the one format read back; text and JSON renders are
         // recognized as such and refused rather than misread.
@@ -366,7 +263,8 @@ mod tests {
         let mut log = Vec::new();
         sink.write_profile(&profile, &mut log).unwrap();
         assert_eq!(sink.read_log_bytes(&log).unwrap().to_text(), profile.to_text());
-        let (text, json) = (profile.to_text(), profile.to_json());
+        let text = profile.to_text();
+        let json = crate::query::Query::new().evaluate(&profile).unwrap().to_json();
         for input in [text.as_str(), json.as_str(), "  {}", "{"] {
             let err = sink.read_log_bytes(input.as_bytes()).unwrap_err();
             assert!(err.message.contains("render-only"), "{err}");

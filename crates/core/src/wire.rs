@@ -6,14 +6,14 @@
 //! records (hello, acknowledgements, queries, results, status) are frames of the
 //! same layout with their own kind bytes, so a fleet connection is one frame
 //! stream in both directions. Text and JSON are render targets only
-//! ([`ObjectCentricProfile::to_text`], [`ObjectCentricProfile::to_json`],
+//! ([`ObjectCentricProfile::to_text`],
 //! [`QueryResult::to_json`](crate::query::QueryResult::to_json)); the profiler
 //! never parses either.
 //!
-//! One frame parser serves every source, through thin drivers: the pull-driven
-//! [`BinaryFrameReader`] (files, sockets — anything [`BufRead`]), the
-//! push-driven [`FrameTail`] (byte chunks of a log still being written), and the
-//! fleet's producer, client and aggregator connections. Folding the epoch frames
+//! One frame parser serves every source, through one pull driver:
+//! [`BinaryFrameReader`] over anything [`BufRead`] (log files, the write-ahead
+//! log, sockets). The fleet's producer, client and aggregator connections call
+//! the same parser on their sockets. Folding the epoch frames
 //! through [`DeltaFold`] reproduces the streaming session's terminal profile
 //! **byte-identically** (as rendered by [`ObjectCentricProfile::to_text`], the
 //! query layer, and every other consumer).
@@ -901,8 +901,7 @@ fn log_record(record: WireRecord) -> Result<LogRecord, ProfileParseError> {
 /// The payload is read through [`Read::take`], never into a buffer pre-sized from
 /// the untrusted length prefix. Errors name the frame-relative byte offset of the
 /// defect (payload decode errors the payload-relative one) and carry `frame == 0`;
-/// callers tracking a stream position ([`BinaryFrameReader`], [`FrameTail`])
-/// re-anchor them.
+/// callers tracking a stream position ([`BinaryFrameReader`]) re-anchor them.
 pub(crate) fn read_binary_frame<R: Read>(
     input: &mut R,
     frame: &mut Vec<u8>,
@@ -1006,94 +1005,6 @@ impl<R: BufRead> BinaryFrameReader<R> {
     }
 }
 
-/// Push driver over the frame parser, for **tailing a log that is still being
-/// written**: feed it byte chunks as they arrive ([`FrameTail::push`] — from a
-/// growing file, a pipe, a socket) and pull complete decoded [`LogRecord`]s out
-/// ([`FrameTail::next_record`]); partial frames stay buffered until their bytes
-/// arrive. The decoding layer behind
-/// [`LiveFold::feed`](crate::query::live::LiveFold::feed).
-///
-/// ```
-/// use djxperf::wire::FrameTail;
-/// use djxperf::{BinaryChunkedSink, LogRecord, ProfileDelta, ProfileSink};
-///
-/// let mut log = Vec::new();
-/// let delta = ProfileDelta::empty(1);
-/// BinaryChunkedSink::new().on_delta(1, &delta, &mut log).unwrap();
-///
-/// let mut tail = FrameTail::new();
-/// let (head, rest) = log.split_at(7);
-/// tail.push(head);
-/// assert!(tail.next_record().unwrap().is_none(), "a partial frame waits");
-/// tail.push(rest);
-/// assert!(matches!(tail.next_record().unwrap(), Some(LogRecord::Delta(d)) if d.epoch == 1));
-/// assert_eq!((tail.frames(), tail.buffered()), (1, 0));
-/// ```
-#[derive(Debug, Default)]
-pub struct FrameTail {
-    buf: Vec<u8>,
-    /// Offset of the first unconsumed byte; consumed prefixes are compacted away
-    /// once they outgrow the unconsumed remainder.
-    pos: usize,
-    frames: usize,
-}
-
-impl FrameTail {
-    /// An empty tail.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends newly arrived bytes to the tail buffer.
-    pub fn push(&mut self, bytes: &[u8]) {
-        if self.pos > 0 && self.pos >= self.buf.len().saturating_sub(self.pos) {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Number of buffered bytes not yet consumed by a decoded frame.
-    pub fn buffered(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Number of complete frames decoded so far (the position parse errors anchor
-    /// to).
-    pub fn frames(&self) -> usize {
-        self.frames
-    }
-
-    /// Decodes the next complete frame, or `Ok(None)` when the buffered bytes end
-    /// mid-frame — push more and try again.
-    ///
-    /// # Errors
-    ///
-    /// [`ProfileParseError`] for malformed frames and control frames, anchored to
-    /// the running frame count. A header is validated as soon as it is buffered,
-    /// so a corrupt length prefix fails fast instead of stalling the tail on bytes
-    /// that never come. A tail that errored is not recoverable: the stream
-    /// position inside a corrupt frame is unknowable.
-    pub fn next_record(&mut self) -> Result<Option<LogRecord>, ProfileParseError> {
-        let avail = &self.buf[self.pos..];
-        let Some(header) = avail.first_chunk::<HEADER_LEN>() else {
-            return Ok(None);
-        };
-        let anchor = |e: ProfileParseError| ProfileParseError {
-            frame: self.frames + 1,
-            message: format!("frame {}: {}", self.frames + 1, e.message),
-        };
-        let total = frame_len(header).map_err(anchor)?;
-        let Some(frame) = avail.get(..total) else {
-            return Ok(None);
-        };
-        let record = decode_frame(frame).and_then(log_record).map_err(anchor)?;
-        self.pos += total;
-        self.frames += 1;
-        Ok(Some(record))
-    }
-}
-
 // ---------------------------------------------------------------------------------------
 // BinaryChunkedSink: the replayable binary epoch log
 // ---------------------------------------------------------------------------------------
@@ -1105,10 +1016,9 @@ impl FrameTail {
 /// counters and a total-sample checksum. Wire it into a session with
 /// [`SessionBuilder::stream_to_binary`](crate::session::SessionBuilder::stream_to_binary).
 ///
-/// Unlike the render-only [`ObjectCentricProfile::to_text`] /
-/// [`ObjectCentricProfile::to_json`] documents, a binary log is a complete,
-/// self-verifying serialization of the run, and the one format the profiler reads
-/// back: [`BinaryChunkedSink::read_log_bytes`] returns a profile
+/// Unlike the render-only [`ObjectCentricProfile::to_text`] document, a binary
+/// log is a complete, self-verifying serialization of the run, and the one format
+/// the profiler reads back: [`BinaryChunkedSink::read_log_bytes`] returns a profile
 /// **byte-identical** to the terminal snapshot of the session that streamed it,
 /// and a truncated or reordered stream is a parse error, never a whole profile.
 ///
@@ -1369,7 +1279,8 @@ mod tests {
         assert_eq!(sink.read_log_bytes(&doc).unwrap().to_text(), profile.to_text());
         // Text and JSON are render-only: a render is recognized and refused, not
         // misread.
-        let (text, json) = (profile.to_text(), profile.to_json());
+        let text = profile.to_text();
+        let json = crate::query::Query::new().evaluate(&profile).unwrap().to_json();
         for input in [text.as_str(), json.as_str(), "  {}", "{"] {
             let err = sink.read_log_bytes(input.as_bytes()).unwrap_err();
             assert!(err.message.contains("render-only"), "{err}");
@@ -1536,11 +1447,9 @@ mod tests {
             frame.extend_from_slice(&[0u8; 16]);
             let err = BinaryChunkedSink::new().read_log_bytes(&frame).unwrap_err();
             assert!(err.message.contains("cap"), "{err}");
-            // The push driver rejects the header alone instead of waiting for
-            // payload bytes a corrupt prefix promises.
-            let mut tail = FrameTail::new();
-            tail.push(&frame[..HEADER_LEN]);
-            let err = tail.next_record().unwrap_err();
+            // The header alone is refused: no reader waits for payload bytes a
+            // corrupt prefix promises.
+            let err = BinaryFrameReader::new(&frame[..HEADER_LEN]).next_record().unwrap_err();
             assert!(err.message.contains("cap"), "{err}");
         }
         // A payload over the cap is refused by the writer instead of emitted as a

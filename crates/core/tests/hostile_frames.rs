@@ -1,14 +1,15 @@
-//! Hostile bytes against the one frame parser, through both public drivers
-//! (`BinaryFrameReader`, pull; `FrameTail`, push): arbitrary bytes, payloads of
-//! extreme varints behind a valid header, and one-byte mutations and truncations
-//! of a valid frame of every kind. The parser must never panic, never let a
-//! length prefix or count size an allocation, and name the byte offset of every
-//! defect it reports.
+//! Hostile bytes against the one frame parser, through its one driver
+//! (`BinaryFrameReader`), over whole slices and over a reader that returns one
+//! byte per call, as a socket may: arbitrary bytes, payloads of extreme varints
+//! behind a valid header, and one-byte mutations and truncations of a valid frame
+//! of every kind. The parser must never panic, never let a length prefix or count
+//! size an allocation, and name the byte offset of every defect it reports.
 //!
-//! The one profile reader (`BinaryChunkedSink::read_log_bytes`) gets arbitrary bytes and the render-only text and JSON documents: it
-//! must refuse all of them, naming text and JSON render-only. WAL recovery gets
-//! write-ahead logs with a valid header and a hostile body, and header lines of
-//! random bytes: it must never panic, and every error must name the file.
+//! The one profile reader (`BinaryChunkedSink::read_log_bytes`) gets arbitrary
+//! bytes and the render-only text document: it must refuse all of them, naming
+//! text render-only. WAL recovery gets write-ahead logs with a valid header and a
+//! hostile body, and header lines of random bytes: it must never panic, and every
+//! error must name the file.
 //!
 //! Control frames are built by a small encoder written from the `djxperf::wire`
 //! module-doc tables; the log drivers decode them fully before refusing them, so
@@ -17,12 +18,12 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::io::{self, BufRead, BufReader, Read};
 
 use proptest::prelude::*;
 
 use djx_pmu::PmuEvent;
 use djx_runtime::{Frame, MethodId, ThreadId};
-use djxperf::wire::FrameTail;
 use djxperf::{
     AllocSite, AllocSiteId, AllocationStats, BinaryChunkedSink, BinaryFrameReader, DeltaFold,
     FinishRecord, FleetAggregator, ObjectCentricProfile, ProfileDelta, ProfileSink, ThreadDelta,
@@ -224,29 +225,37 @@ fn names_byte_offset(message: &str) -> bool {
     })
 }
 
-/// Drives `bytes` through both drivers of the frame parser.
+/// A reader that returns at most one byte per call: every frame arrives in short
+/// reads, as it may from a socket.
+struct Trickle<'a>(&'a [u8]);
+
+impl Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = buf.len().min(self.0.len()).min(1);
+        buf[..n].copy_from_slice(&self.0[..n]);
+        self.0 = &self.0[n..];
+        Ok(n)
+    }
+}
+
+/// Reads frames until the end of `input` or the first error, which is returned.
+fn first_error(input: impl BufRead) -> Option<String> {
+    let mut reader = BinaryFrameReader::new(input);
+    loop {
+        match reader.next_record() {
+            Ok(Some(_)) => {}
+            Ok(None) => return None,
+            Err(e) => return Some(e.message),
+        }
+    }
+}
+
+/// Drives `bytes` through the frame reader, as one slice and one byte per read.
 fn check_hostile(bytes: &[u8]) -> Result<(), TestCaseError> {
     let mut errors = Vec::new();
     let peak = peak_allocation(|| {
-        let mut reader = BinaryFrameReader::new(bytes);
-        loop {
-            match reader.next_record() {
-                Ok(Some(_)) => {}
-                Ok(None) => break,
-                Err(e) => {
-                    errors.push(e.message);
-                    break;
-                }
-            }
-        }
-        let mut tail = FrameTail::new();
-        tail.push(bytes);
-        while let Some(outcome) = tail.next_record().transpose() {
-            if let Err(e) = outcome {
-                errors.push(e.message);
-                break;
-            }
-        }
+        errors.extend(first_error(bytes));
+        errors.extend(first_error(BufReader::new(Trickle(bytes))));
     });
     prop_assert!(
         peak <= HOSTILE_ALLOC_BOUND,
@@ -280,15 +289,16 @@ fn a_length_prefix_at_the_cap_allocates_only_what_arrives() {
         let mut claimed = valid.clone();
         claimed[6..10].copy_from_slice(&CAP.to_le_bytes());
         let peak = peak_allocation(|| {
-            let err = BinaryFrameReader::new(claimed.as_slice()).next_record().unwrap_err();
-            assert!(err.message.contains("truncated mid-payload"), "{err}");
+            let trickled = BufReader::new(Trickle(&claimed));
+            for err in [first_error(claimed.as_slice()), first_error(trickled)] {
+                let err = err.expect("a frame short of its claimed length is refused");
+                assert!(err.contains("truncated mid-payload"), "{err}");
+            }
         });
         assert!(peak < 64 << 10, "a 16 MiB length claim allocated {peak} bytes");
         // One byte over the cap is refused from the header alone.
         claimed[6..10].copy_from_slice(&(CAP + 1).to_le_bytes());
-        let mut tail = FrameTail::new();
-        tail.push(&claimed[..HEADER_LEN]);
-        let err = tail.next_record().unwrap_err();
+        let err = BinaryFrameReader::new(&claimed[..HEADER_LEN]).next_record().unwrap_err();
         assert!(err.message.contains("cap") && names_byte_offset(&err.message), "{err}");
     }
 }
@@ -409,13 +419,13 @@ fn check_refused(bytes: &[u8]) -> Result<String, TestCaseError> {
 }
 
 /// Arbitrary names, with control characters, whitespace and replacement
-/// characters the renderings must escape.
+/// characters the rendering must handle.
 fn name_strategy() -> impl Strategy<Value = String> {
     prop::collection::vec(any::<u8>(), 0..16)
         .prop_map(|bytes| String::from_utf8_lossy(&bytes).into_owned())
 }
 
-/// A profile with arbitrary names and counters, to render as text and JSON.
+/// A profile with arbitrary names and counters, to render as text.
 fn render_profile(names: &[String], samples: u64, event: usize) -> ObjectCentricProfile {
     let sites = names
         .iter()
@@ -462,19 +472,13 @@ proptest! {
         samples in any::<u64>(),
         event in 0usize..8,
     ) {
-        let profile = render_profile(&names, samples, event);
-        for (format, render) in [
-            ("text", profile.to_text()),
-            ("JSON", profile.to_json()),
-        ] {
-            let message = check_refused(render.as_bytes())?;
-            prop_assert!(
-                message.contains("render-only"),
-                "the {} render is not named render-only: {}",
-                format,
-                message
-            );
-        }
+        let render = render_profile(&names, samples, event).to_text();
+        let message = check_refused(render.as_bytes())?;
+        prop_assert!(
+            message.contains("render-only"),
+            "the text render is not named render-only: {}",
+            message
+        );
     }
 }
 

@@ -78,13 +78,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         code.hottest().map_or(0.0, |c| c.fraction_of_total) * 100.0
     );
 
-    // 5. ... and machine-readable exports: the raw profile for offline merging, and
-    //    the query result itself for dashboards.
-    let json = session.object_profile().expect("object collector registered").to_json();
+    // 5. ... and a machine-readable export of the query result for dashboards.
     println!(
-        "JSON snapshot: {} bytes (a write-only render; only a binary epoch log reads \
-         back, through read_log_bytes); query result JSON: {} bytes",
-        json.len(),
+        "query result JSON: {} bytes (a write-only render; only a binary epoch log \
+         reads back, through read_log_bytes)",
         ranked.to_json().len()
     );
     Ok(())

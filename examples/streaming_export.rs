@@ -99,10 +99,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 6. Text and JSON are render targets, not transports: the terminal snapshot
-    //    renders as a text profile for humans and a JSON document for dashboards,
-    //    and neither reads back. The epoch log is the one format that does.
+    //    renders as a text profile for humans, a query result as a JSON document
+    //    for dashboards, and neither reads back. The epoch log is the one format
+    //    that does.
     let text_doc = terminal.to_text();
-    let json_doc = terminal.to_json();
+    let json_doc = report.to_json();
     for (name, render) in [("text", &text_doc), ("JSON", &json_doc)] {
         let err = BinaryChunkedSink::new()
             .read_log_bytes(render.as_bytes())
@@ -111,7 +112,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!(
         "binary epoch log: the one format that reads back ✓ \
-         (text snapshot: {} bytes, JSON rendering: {} bytes, both render-only)",
+         (text snapshot: {} bytes, query JSON: {} bytes, both render-only)",
         text_doc.len(),
         json_doc.len(),
     );

@@ -15,6 +15,8 @@
 //!    at its call path — saw.
 
 use std::collections::HashMap;
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use djx_memsim::{HierarchyConfig, MemoryAccess, MemoryHierarchy};
@@ -91,20 +93,31 @@ fn replay_allocs(session: &Session, log: &ThreadLog) {
 }
 
 fn replay_accesses(session: &Session, log: &ThreadLog) {
-    for_each_access(log, |event| session.on_memory_access(event));
+    for_each_access(log, 0..log.outcomes.len(), |event| session.on_memory_access(event));
 }
 
-/// Replays the thread's accesses into `session` and, access by access, into `views`.
-fn replay_accesses_with(session: &Session, views: &ReferenceViews, log: &ThreadLog) {
-    for_each_access(log, |event| {
+/// Replays the thread's accesses numbered `accesses` into `session` and, access by
+/// access, into `views`.
+fn replay_accesses_with(
+    session: &Session,
+    views: &ReferenceViews,
+    log: &ThreadLog,
+    accesses: Range<usize>,
+) {
+    for_each_access(log, accesses, |event| {
         session.on_memory_access(event);
         views.observe(event);
     });
 }
 
-/// Hands `f` the thread's accesses as the runtime would report them.
-fn for_each_access(log: &ThreadLog, mut f: impl FnMut(&MemoryAccessEvent<'_>)) {
-    for outcome in &log.outcomes {
+/// Hands `f` the thread's accesses numbered `accesses` as the runtime would report
+/// them.
+fn for_each_access(
+    log: &ThreadLog,
+    accesses: Range<usize>,
+    mut f: impl FnMut(&MemoryAccessEvent<'_>),
+) {
+    for outcome in &log.outcomes[accesses] {
         f(&MemoryAccessEvent {
             thread: log.thread,
             outcome: *outcome,
@@ -233,7 +246,9 @@ fn concurrent_ingestion_loses_no_samples_and_merges_like_a_sequential_replay() {
         for i in 0..logs.len() {
             let (session, views) = (Arc::clone(&concurrent), &views);
             let logs = Arc::clone(&logs);
-            scope.spawn(move || replay_accesses_with(&session, views, &logs[i]));
+            scope.spawn(move || {
+                replay_accesses_with(&session, views, &logs[i], 0..logs[i].outcomes.len());
+            });
         }
     });
 
@@ -306,12 +321,23 @@ fn continuous_snapshots_never_lose_samples_and_merge_like_a_sequential_replay() 
         replay_allocs(&session, log);
     }
     let mut observed_snapshots = 0u64;
+    // Set once the loop below has taken a snapshot. Each worker replays half its
+    // log and then waits for it, so at least one snapshot races the ingestion
+    // however the threads are scheduled.
+    let snapshot_taken = AtomicBool::new(false);
     std::thread::scope(|scope| {
         let workers: Vec<_> = (0..logs.len())
             .map(|i| {
-                let (s, views) = (Arc::clone(&session), &views);
+                let (s, views, snapshot_taken) = (Arc::clone(&session), &views, &snapshot_taken);
                 let logs = Arc::clone(&logs);
-                scope.spawn(move || replay_accesses_with(&s, views, &logs[i]))
+                scope.spawn(move || {
+                    let (log, half) = (&logs[i], logs[i].outcomes.len() / 2);
+                    replay_accesses_with(&s, views, log, 0..half);
+                    while !snapshot_taken.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                    replay_accesses_with(&s, views, log, half..log.outcomes.len());
+                })
             })
             .collect();
         // Snapshot in a tight loop until every ingestion thread is done — every
@@ -332,6 +358,7 @@ fn continuous_snapshots_never_lose_samples_and_merge_like_a_sequential_replay() 
                 "a snapshot never reports samples from the future"
             );
             observed_snapshots += 1;
+            snapshot_taken.store(true, Ordering::Release);
         }
     });
     assert!(observed_snapshots > 0, "at least one snapshot raced the ingestion");

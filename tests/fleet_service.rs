@@ -1380,35 +1380,6 @@ fn corrupted_acks_fail_their_checksum_at_the_producer() {
     assert_eq!((row.deltas, row.samples, row.duplicates), (2, 3, 0));
 }
 
-#[cfg(unix)]
-#[test]
-fn fleet_over_unix_domain_sockets() {
-    let path = std::env::temp_dir().join(format!("djxperf-fleet-{}.sock", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    let mut aggregator = FleetAggregator::bind_unix(&path).expect("unix aggregator binds");
-    let sink = Arc::new(
-        FleetSink::connect_unix(&path, "unix-proc", PmuEvent::DEFAULT, PERIOD, SIZE_FILTER)
-            .expect("unix producer connects"),
-    );
-    let session = fleet_session(&sink);
-    let logs = build_process_logs();
-    replay_allocs(&session, &logs[0]);
-    replay_accesses(&session, &logs[0], 0..ACCESSES_PER_PROCESS as usize);
-    session.finish_export().expect("unix stream finishes");
-
-    let mut client = FleetClient::connect_unix(&path).expect("unix client connects");
-    let status = client.status().expect("unix status answers");
-    assert_eq!(status.len(), 1);
-    assert!(status[0].finished);
-    let local = aggregator.query(&Query::new()).unwrap();
-    let remote = client.query(&Query::new()).expect("unix query answers");
-    assert_eq!(remote.text, local.to_text());
-    assert_eq!(remote.json, local.to_json());
-    drop(client);
-    aggregator.shutdown();
-    assert!(!path.exists(), "the socket file is removed on shutdown");
-}
-
 /// Waits until nothing is in flight between the producers and the aggregator:
 /// each producer's status row reports every sample its session took, and its sink
 /// has no frame left to deliver. `Session::flush_export` only enqueues a delta —

@@ -2,7 +2,7 @@
 //! (`djxperf::query::live`): a [`LiveFold`] follows the epoch-retired delta stream
 //! and registered [`LiveQuery`] watches render **byte-identically** to cold
 //! [`Query::evaluate`] calls over the fold's snapshots — under concurrent
-//! ingestion, over replayed log bytes, and across mid-run attachment.
+//! ingestion, over replayed log records, and across mid-run attachment.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -15,7 +15,8 @@ use djx_runtime::{
 use djxperf::query::live::LiveFold;
 use djxperf::query::{GroupBy, Query, RankBy};
 use djxperf::{
-    BinaryChunkedSink, DrainPolicy, FinishRecord, FoldError, ProfileDelta, Session, SharedBuffer,
+    BinaryChunkedSink, BinaryFrameReader, DrainPolicy, FinishRecord, FoldError, LogRecord,
+    ProfileDelta, Session, SharedBuffer,
 };
 
 const THREADS: u64 = 4;
@@ -260,6 +261,20 @@ fn a_watch_after_the_stream_finished_renders_the_terminal_state() {
     assert!(lq.next_epoch().is_none());
 }
 
+/// Decodes `log` with the frame reader and folds each record into `fold`, calling
+/// `each` after every record.
+fn replay_log(fold: &LiveFold, log: &[u8], mut each: impl FnMut()) {
+    let mut reader = BinaryFrameReader::new(log);
+    while let Some(record) = reader.next_record().expect("the log bytes decode") {
+        match record {
+            LogRecord::Delta(delta) => fold.absorb(&delta),
+            LogRecord::Finish(record) => fold.finish(record),
+        }
+        .expect("the log replays cleanly");
+        each();
+    }
+}
+
 /// One two-thread streaming run; with `write`, every caller write to the session's
 /// live fold is tried between the halves, and each must be refused without a trace.
 /// Returns the session's object and `GroupBy::Context` renders and the log bytes.
@@ -295,8 +310,6 @@ fn run_trying_writes_to_the_live_fold(write: bool) -> (String, String, Vec<u8>) 
         assert_eq!(fold.absorb(&next), Err(FoldError::ReadOnly));
         let record = FinishRecord::of_profile(&fold.snapshot());
         assert_eq!(fold.finish(record), Err(FoldError::ReadOnly));
-        let refused = fold.feed(&buffer.contents()).expect_err("feeding the session's fold");
-        assert!(refused.message.contains("read-only"), "{refused}");
         assert_eq!(state(&fold), before, "a refused write leaves the fold untouched");
         assert!(!fold.is_finished());
     }
@@ -371,18 +384,16 @@ fn a_fold_fed_replayed_log_bytes_matches_the_cold_replay() {
     session.finish_export().expect("the stream finishes cleanly");
     let terminal = session.object_profile().expect("object collector registered");
 
-    // Feed the raw log bytes in awkward chunk sizes — the tail decoder must
-    // reassemble frames split at arbitrary boundaries.
-    let bytes = buffer.contents();
+    // Fold the log record by record; every watch matches cold evaluation after
+    // each one.
     let fold = LiveFold::new();
     let queries = query_shapes();
     let mut watches: Vec<_> = queries.iter().map(|q| q.watch(&fold)).collect();
-    for chunk in bytes.chunks(97) {
-        fold.feed(chunk).expect("the log bytes replay cleanly");
+    replay_log(&fold, &buffer.contents(), || {
         for (query, lq) in queries.iter().zip(watches.iter_mut()) {
             assert!(check_identity(query, lq, &fold), "single-threaded: always applies");
         }
-    }
+    });
     assert!(fold.is_finished(), "the log's finish record closes the fold");
 
     for (query, lq) in queries.iter().zip(watches.iter_mut()) {
@@ -399,8 +410,8 @@ fn a_fold_fed_replayed_log_bytes_matches_the_cold_replay() {
 #[test]
 fn a_fold_fed_binary_log_bytes_matches_the_json_replay() {
     // The binary epoch log is the transport, JSON a write-only render target: a
-    // fold fed the log bytes renders exactly what a query over the terminal
-    // profile renders, and the JSON document is refused on read-back.
+    // fold fed the log's records renders exactly what a query over the terminal
+    // profile renders, and the JSON render is refused on read-back.
     let logs = build_logs(2, 6_000);
     let buffer = SharedBuffer::new();
     let session: Arc<Session> = Session::builder()
@@ -420,21 +431,18 @@ fn a_fold_fed_binary_log_bytes_matches_the_json_replay() {
     }
     session.finish_export().expect("finish");
     let terminal = session.object_profile().expect("object collector registered");
-    let json = terminal.to_json();
+    let query = Query::new().top(8);
+    let cold = query.evaluate(&terminal).expect("cold evaluation succeeds");
     let err = BinaryChunkedSink::new()
-        .read_log_bytes(json.as_bytes())
+        .read_log_bytes(cold.to_json().as_bytes())
         .expect_err("JSON is render-only");
     assert!(err.message.contains("render-only"), "{err}");
 
-    let query = Query::new().top(8);
     let fold = LiveFold::new();
     let mut lq = query.watch(&fold);
-    for chunk in buffer.contents().chunks(61) {
-        fold.feed(chunk).expect("the log bytes replay cleanly");
-    }
+    replay_log(&fold, &buffer.contents(), || {});
     assert!(fold.is_finished());
     let live = lq.current().result;
-    let cold = query.evaluate(&terminal).expect("cold evaluation succeeds");
     assert_eq!(live.to_text(), cold.to_text(), "the log and the terminal profile describe one run");
     assert_eq!(live.to_json(), cold.to_json());
 }

@@ -228,7 +228,8 @@ fn truncated_or_reordered_logs_cannot_masquerade_as_sources() {
     assert!(BinaryChunkedSink::new().read_log_bytes(b"not a log").is_err());
     // Text and JSON are render-only: neither replays.
     let profile = BinaryChunkedSink::new().read_log_bytes(log).unwrap();
-    for (name, render) in [("text", profile.to_text()), ("JSON", profile.to_json())] {
+    let json = Query::new().evaluate(&profile).unwrap().to_json();
+    for (name, render) in [("text", profile.to_text()), ("JSON", json)] {
         let err = BinaryChunkedSink::new().read_log_bytes(render.as_bytes()).expect_err(name);
         assert!(err.message.contains("render-only"), "{name}: {err}");
     }
