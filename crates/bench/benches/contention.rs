@@ -619,7 +619,8 @@ fn legacy_analyze(profile: &ObjectCentricProfile) -> LegacyReport {
         total_weighted += thread.unattributed.weighted_events;
         let mut thread_sites: Vec<_> = thread.sites.iter().collect();
         thread_sites.sort_unstable_by_key(|(id, _)| **id);
-        for (site_id, sm) in thread_sites {
+        let mut merged_of: HashMap<AllocSiteId, usize> = HashMap::new();
+        for (site_id, total) in thread_sites {
             let Some(site) = profile.site(*site_id) else { continue };
             let key = (site.class_name.clone(), site.call_path.clone());
             let index = *merged_index.entry(key).or_insert_with(|| {
@@ -634,12 +635,13 @@ fn legacy_analyze(profile: &ObjectCentricProfile) -> LegacyReport {
                 });
                 merged.len() - 1
             });
-            let entry = &mut merged[index];
-            entry.metrics.merge(&sm.total);
-            total_weighted += sm.total.weighted_events;
-            for (ctx, m) in &sm.by_context {
-                entry.contexts.entry(thread.cct.path_of(*ctx)).or_default().merge(m);
-            }
+            merged[index].metrics.merge(total);
+            total_weighted += total.weighted_events;
+            merged_of.insert(*site_id, index);
+        }
+        for (&(site_id, ctx), m) in &thread.contexts {
+            let Some(&index) = merged_of.get(&site_id) else { continue };
+            merged[index].contexts.entry(thread.cct.path_of(ctx)).or_default().merge(m);
         }
     }
     let attributed_weighted: u64 = merged.iter().map(|m| m.metrics.weighted_events).sum();

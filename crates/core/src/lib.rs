@@ -134,7 +134,7 @@ pub use metrics::MetricVector;
 pub use object::{AllocSite, AllocSiteId, AllocSiteRegistry, MonitoredObject};
 pub use profile::{
     AllocationStats, DeltaFold, FoldError, ObjectCentricProfile, ProfileDelta, ProfileParseError,
-    SiteMetrics, ThreadDelta, ThreadProfile, UnknownEventError,
+    ThreadDelta, ThreadProfile, UnknownEventError,
 };
 pub use query::live::{LiveFold, LiveQuery, LiveResult, WatchTimeout};
 pub use query::{

@@ -1,7 +1,9 @@
-//! Per-thread object-centric profiles and the whole-run profile container, including
-//! the plain-text rendering of "profile files" (§5 of the paper: the online collector
-//! generates a profile per thread; the offline analyzer merges them). The text is
-//! render-only: profiles read back from binary epoch logs ([`crate::wire`]).
+//! Per-thread object-centric profiles — site totals and flat `(allocation site,
+//! access context)` cells beside each thread's CCT — and the whole-run profile
+//! container, including the plain-text rendering of "profile files" (§5 of the
+//! paper: the online collector generates a profile per thread; the offline analyzer
+//! merges them). The text is render-only: profiles read back from binary epoch logs
+//! ([`crate::wire`]).
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -17,32 +19,15 @@ use crate::metrics::MetricVector;
 use crate::object::{AllocSite, AllocSiteId};
 use crate::sink::FinishRecord;
 
-/// Sample-side metrics of one allocation site within one thread: the aggregate over all
-/// accesses, and the breakdown per access calling context.
-#[derive(Debug, Clone, Default)]
-pub struct SiteMetrics {
-    /// Aggregate over every sample attributed to the site by this thread.
-    pub total: MetricVector,
-    /// Breakdown by access calling context (node of the thread's CCT).
-    pub by_context: FxHashMap<CctNodeId, MetricVector>,
-}
-
-impl SiteMetrics {
-    /// Folds one sample attributed at access context `ctx` into the site.
-    pub fn record_sample(&mut self, ctx: CctNodeId, sample: &djx_pmu::Sample, period: u64) {
-        self.total.record_sample(sample, period);
-        self.by_context.entry(ctx).or_default().record_sample(sample, period);
-    }
-
-    /// Records one allocation of `bytes` bytes at the site.
-    pub fn record_allocation(&mut self, bytes: u64) {
-        self.total.record_allocation(bytes);
-    }
-}
-
 /// The profile one thread produces — the one record every view reads: the
-/// object-centric view from `sites`, the code-centric view from the CCT's node
-/// metrics, and the NUMA view from `node_traffic`.
+/// object-centric view from `sites` and `contexts`, the code-centric view from the
+/// CCT's node metrics, and the NUMA view from `node_traffic`.
+///
+/// The object-centric record is two flat tables: per allocation site its totals,
+/// and per `(allocation site, access context)` cell the samples the thread took at
+/// that context in an object of that site (the paper's allocation context combined
+/// with its usage context, §4.2). Every cell's site has a totals row, and a row's
+/// sample counters are the sum of its cells'; its allocation counters have no cell.
 #[derive(Debug, Clone)]
 pub struct ThreadProfile {
     /// The thread.
@@ -50,11 +35,15 @@ pub struct ThreadProfile {
     /// Thread name.
     pub thread_name: String,
     /// Calling context tree of every sample the thread took: each node's metrics
-    /// hold the samples taken at that context, attributed or not, and `sites`
-    /// reference its nodes as access contexts.
+    /// hold the samples taken at that context, attributed or not, and `contexts`
+    /// cells reference its nodes as access contexts.
     pub cct: Cct,
-    /// Per-allocation-site metrics.
-    pub sites: FxHashMap<AllocSiteId, SiteMetrics>,
+    /// Per-allocation-site totals: every sample the thread attributed to the site
+    /// and every allocation it made there.
+    pub sites: FxHashMap<AllocSiteId, MetricVector>,
+    /// The `(allocation site, access context)` cells: the samples attributed to a
+    /// site at one node of `cct`.
+    pub contexts: FxHashMap<(AllocSiteId, CctNodeId), MetricVector>,
     /// Samples whose effective address was not enclosed by any monitored object
     /// (unmonitored small objects, stack/runtime memory).
     pub unattributed: MetricVector,
@@ -72,6 +61,7 @@ impl ThreadProfile {
             thread_name: thread_name.to_string(),
             cct: Cct::new(),
             sites: FxHashMap::default(),
+            contexts: FxHashMap::default(),
             unattributed: MetricVector::default(),
             node_traffic: FxHashMap::default(),
             samples: 0,
@@ -79,8 +69,9 @@ impl ThreadProfile {
     }
 
     /// Records one sample taken at the calling context `path`: into the context's
-    /// CCT node, the traffic matrix, and `site` — or the unattributed bucket when the
-    /// sampled address belonged to no monitored object.
+    /// CCT node, the traffic matrix, and `site`'s total and `(site, context)` cell —
+    /// or the unattributed bucket when the sampled address belonged to no monitored
+    /// object.
     pub fn record_sample(
         &mut self,
         site: Option<AllocSiteId>,
@@ -93,7 +84,10 @@ impl ThreadProfile {
         self.cct.metrics_mut(ctx).record_sample(sample, period);
         *self.node_traffic.entry((sample.cpu_node.0, sample.page_node.0)).or_insert(0) += 1;
         match site {
-            Some(site) => self.sites.entry(site).or_default().record_sample(ctx, sample, period),
+            Some(site) => {
+                self.sites.entry(site).or_default().record_sample(sample, period);
+                self.contexts.entry((site, ctx)).or_default().record_sample(sample, period);
+            }
             None => self.unattributed.record_sample(sample, period),
         }
     }
@@ -104,7 +98,7 @@ impl ThreadProfile {
     }
 
     /// Merges a later delta of the same thread's profile into this one: metric totals
-    /// and traffic counts sum, CCT node metrics and per-context breakdowns are
+    /// and traffic counts sum, CCT node metrics and `(site, context)` cells are
     /// re-keyed through a CCT merge, and this profile's identity (thread id,
     /// first-seen name) wins. Merging partitioned deltas is exact: the result renders
     /// byte-identically to a profile built in one piece
@@ -117,34 +111,28 @@ impl ThreadProfile {
         for (pair, samples) in &delta.node_traffic {
             *self.node_traffic.entry(*pair).or_insert(0) += samples;
         }
-        for (site, metrics) in &delta.sites {
-            let target = self.sites.entry(*site).or_default();
-            target.total.merge(&metrics.total);
-            for (ctx, m) in &metrics.by_context {
-                target.by_context.entry(mapping[ctx.0 as usize]).or_default().merge(m);
-            }
+        for (site, m) in &delta.sites {
+            self.sites.entry(*site).or_default().merge(m);
+        }
+        for (&(site, ctx), m) in &delta.contexts {
+            self.contexts.entry((site, mapping[ctx.0 as usize])).or_default().merge(m);
         }
     }
 
     /// Total samples attributed to monitored objects.
     pub fn attributed_samples(&self) -> u64 {
-        self.sites.values().map(|s| s.total.samples).sum()
+        self.sites.values().map(|m| m.samples).sum()
     }
 
-    /// Approximate resident bytes of the profile (memory-overhead accounting).
+    /// Approximate resident bytes of the profile (memory-overhead accounting): each
+    /// table's entries times its key and value sizes.
     pub fn approx_bytes(&self) -> usize {
+        use std::mem::size_of;
         self.cct.approx_bytes()
-            + self.node_traffic.len() * std::mem::size_of::<((u32, u32), u64)>()
-            + self
-                .sites
-                .values()
-                .map(|s| {
-                    std::mem::size_of::<SiteMetrics>()
-                        + s.by_context.len()
-                            * (std::mem::size_of::<CctNodeId>()
-                                + std::mem::size_of::<MetricVector>())
-                })
-                .sum::<usize>()
+            + self.node_traffic.len() * size_of::<((u32, u32), u64)>()
+            + self.sites.len() * (size_of::<AllocSiteId>() + size_of::<MetricVector>())
+            + self.contexts.len()
+                * (size_of::<(AllocSiteId, CctNodeId)>() + size_of::<MetricVector>())
     }
 }
 
@@ -748,18 +736,19 @@ impl ObjectCentricProfile {
             for ((cpu, page), samples) in traffic {
                 let _ = writeln!(out, "  traffic {cpu}->{page} samples={samples}");
             }
-            let mut site_ids: Vec<_> = t.sites.keys().copied().collect();
-            site_ids.sort_unstable();
-            for sid in site_ids {
-                let sm = &t.sites[&sid];
-                let _ = writeln!(out, "  object {} {}", sid.0, encode_metrics(&sm.total));
-                let mut ctxs: Vec<_> = sm
-                    .by_context
-                    .iter()
-                    .map(|(ctx, m)| (encode_path(&t.cct.path_of(*ctx)), m))
-                    .collect();
-                ctxs.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-                for (path, m) in ctxs {
+            let mut sites: Vec<_> = t.sites.iter().collect();
+            sites.sort_unstable_by_key(|(sid, _)| **sid);
+            let mut cells: Vec<_> = t
+                .contexts
+                .iter()
+                .map(|(&(sid, ctx), m)| (sid, encode_path(&t.cct.path_of(ctx)), m))
+                .collect();
+            cells.sort_unstable_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
+            for (sid, total) in sites {
+                let _ = writeln!(out, "  object {} {}", sid.0, encode_metrics(total));
+                let run =
+                    cells.partition_point(|c| c.0 < *sid)..cells.partition_point(|c| c.0 <= *sid);
+                for (_, path, m) in &cells[run] {
                     let _ = writeln!(out, "    access {} {}", path, encode_metrics(m));
                 }
             }
@@ -1046,9 +1035,9 @@ mod tests {
         assert_eq!(t1.samples, 4);
         assert_eq!(t1.attributed_samples(), 3);
         assert_eq!(t1.unattributed.samples, 1);
-        assert_eq!(t1.sites[&AllocSiteId(0)].total.samples, 2);
-        assert_eq!(t1.sites[&AllocSiteId(0)].total.allocations, 1);
-        assert_eq!(t1.sites[&AllocSiteId(0)].by_context.len(), 2);
+        assert_eq!(t1.sites[&AllocSiteId(0)].samples, 2);
+        assert_eq!(t1.sites[&AllocSiteId(0)].allocations, 1);
+        assert_eq!(t1.contexts.keys().filter(|(site, _)| *site == AllocSiteId(0)).count(), 2);
         assert_eq!(p.total_samples(), 5);
         assert!(t1.approx_bytes() > 0);
         assert_eq!(p.site(AllocSiteId(1)).unwrap().class_name, "Top Doc");

@@ -900,6 +900,9 @@ pub(crate) struct GroupState {
     /// The path id of each CCT node of the thread block being absorbed, or
     /// [`NONE`]; indexed by [`CctNodeId`].
     node_paths: Vec<usize>,
+    /// The group slot of each site row of the thread block being absorbed, or
+    /// [`NONE`]; indexed by site id, and reset to [`NONE`] after the block.
+    site_groups: Vec<usize>,
     /// Scratch stack of [`GroupState::path_id`].
     climb: Vec<CctNodeId>,
     /// The Context-axis slot of each path id, or [`NONE`]; indexed by path id.
@@ -928,6 +931,7 @@ impl GroupState {
             paths: Vec::new(),
             path_ids: HashMap::new(),
             node_paths: Vec::new(),
+            site_groups: Vec::new(),
             climb: Vec::new(),
             context_slots: Vec::new(),
             frames: Vec::new(),
@@ -1105,7 +1109,7 @@ impl GroupState {
     /// Folds one thread block: the run totals (unconditional), the thread's
     /// unattributed share under the Thread/NumaNode axes, its CCT node metrics under
     /// the Context axis or its traffic matrix under the NodePair axis, then its site
-    /// rows.
+    /// rows, and its `(site, context)` cells into the groups their sites' rows went to.
     /// `sites` is the table the rows' ids index (a row naming no entry is skipped);
     /// `site_slots` memoizes each site's group slot under the Object/Site axes —
     /// across the rows of a profile, and for a live watch across fragments, since
@@ -1173,10 +1177,15 @@ impl GroupState {
         if site_slots.len() < sites.len() {
             site_slots.resize(sites.len(), None);
         }
-        for (site_id, sm) in &thread.sites {
+        // Each site row's group slot for this block, then one walk of the cells.
+        if self.site_groups.len() < sites.len() {
+            self.site_groups.resize(sites.len(), NONE);
+        }
+        let mut grouped = false;
+        for (site_id, total) in &thread.sites {
             let Some(site) = sites.get(site_id.0 as usize) else { continue };
-            self.total_weighted += sm.total.weighted_events;
-            self.attributed_weighted += sm.total.weighted_events;
+            self.total_weighted += total.weighted_events;
+            self.attributed_weighted += total.weighted_events;
             if !thread_passes || !self.filter.site_passes(site) {
                 continue;
             }
@@ -1196,16 +1205,29 @@ impl GroupState {
                 GroupBy::Thread => *thread_slot
                     .get_or_insert_with(|| self.slot(KeyView::Thread(thread.thread), name)),
                 GroupBy::NumaNode => {
-                    self.fold_localities(&mut locality_slots, &sm.total);
+                    self.fold_localities(&mut locality_slots, total);
                     continue;
                 }
                 // Both read the whole thread record above.
                 GroupBy::Context | GroupBy::NodePair => continue,
             };
-            self.groups[slot].metrics.merge(&sm.total);
-            for (ctx, m) in &sm.by_context {
-                let path = self.path_id(&thread.cct, *ctx);
+            self.groups[slot].metrics.merge(total);
+            self.site_groups[site_id.0 as usize] = slot;
+            grouped = true;
+        }
+        if !grouped {
+            return;
+        }
+        for (&(site_id, ctx), m) in &thread.contexts {
+            let Some(&slot) = self.site_groups.get(site_id.0 as usize) else { continue };
+            if slot != NONE {
+                let path = self.path_id(&thread.cct, ctx);
                 self.add_context(slot, path, m);
+            }
+        }
+        for site_id in thread.sites.keys() {
+            if let Some(slot) = self.site_groups.get_mut(site_id.0 as usize) {
+                *slot = NONE;
             }
         }
     }

@@ -11,8 +11,9 @@
 //!
 //! resolves every sample's effective address to its enclosing monitored object **once**,
 //! and records the resolved sample once, into its thread's [`ThreadProfile`]: the
-//! call path's CCT node, the allocation site (or the unattributed bucket), and the
-//! node-to-node traffic matrix. The three classic views are
+//! call path's CCT node, the allocation site's total and its one flat
+//! `(site, access context)` cell (or the unattributed bucket), and the node-to-node
+//! traffic matrix. The three classic views are
 //! [`Query`](crate::query::Query) axes over that one record
 //! ([`Session::object_profile`]), from the *same* samples of a *single* pass:
 //!
@@ -299,9 +300,9 @@ impl SnapshotBuffered {
 
 /// The object-centric record (§4.2/§5.1 of the paper) — the session's one sample
 /// consumer: builds one [`ThreadProfile`] per thread, recording each sample at its
-/// calling context, in the traffic matrix, and at the allocation site of the
-/// enclosing object — or in the thread's unattributed bucket — and each monitored
-/// allocation at its site. Every view the session offers reads this record. State
+/// calling context, in the traffic matrix, and in the total and the
+/// `(site, context)` cell of the enclosing object's allocation site — or in the
+/// thread's unattributed bucket — and each monitored allocation in its site's total. Every view the session offers reads this record. State
 /// is per-thread and epoch-buffered (see [the module docs](self)); a batch locks its
 /// thread's slot exactly once, and snapshots retire state instead of cloning it
 /// under the slot lock.
@@ -1330,13 +1331,13 @@ mod tests {
 
         let main = &profile.threads[0];
         assert_eq!(main.thread_name, "main", "a started thread's real name reaches the record");
-        let sm = main.sites.values().next().unwrap();
-        assert_eq!(sm.total.allocations, 200);
-        assert!(sm.total.samples > 0);
+        let total = main.sites.values().next().unwrap();
+        assert_eq!(total.allocations, 200);
+        assert!(total.samples > 0);
         assert!(
-            sm.total.samples * 2 >= main.samples,
+            total.samples * 2 >= main.samples,
             "most samples land inside the hot arrays ({} of {})",
-            sm.total.samples,
+            total.samples,
             main.samples
         );
         let stats = session.splay_lookup_stats();
@@ -1396,8 +1397,8 @@ mod tests {
         let a = session.object_profile().unwrap();
         let b = session.object_profile().unwrap();
         assert_eq!(a.total_samples(), b.total_samples());
-        let sa = a.threads[0].sites.values().next().unwrap().total;
-        let sb = b.threads[0].sites.values().next().unwrap().total;
+        let sa = a.threads[0].sites.values().next().unwrap();
+        let sb = b.threads[0].sites.values().next().unwrap();
         assert_eq!(sa, sb, "taking a second profile must not double-count allocations");
     }
 

@@ -45,8 +45,8 @@
 //!
 //! Epoch logs hold delta and finish frames only; a control frame in a log is a
 //! parse error. Every parse error names the byte offset it found the defect at —
-//! including a context index past the table's end and a table whose paths do not
-//! strictly ascend.
+//! including a context index past the table's end, and a context table, site ids
+//! or a site's context indexes that do not strictly ascend.
 //!
 //! # Varint rule
 //!
@@ -73,10 +73,10 @@
 //! | … per table entry: call path | varint frame count, then per frame: method id varint + BCI varint; entries are strictly ascending by path (frame by frame: method id, then BCI; a prefix sorts first), and the table holds every CCT node that carries metrics or that a site below references |
 //! | … … node metrics | metric vector: every sample the thread took at this context, attributed or not (the code-centric view) |
 //! | … site count | varint |
-//! | … per site: site id | varint, **delta-encoded**: the first site's id is absolute, every subsequent one stores the difference from the previous id (sites are sorted ascending, so the deltas stay small) |
+//! | … per site: site id | varint, **delta-encoded**: the first site's id is absolute, every subsequent one stores the difference from the previous id (sites strictly ascend, so every later delta is at least 1 and stays small) |
 //! | … … total metrics | metric vector |
 //! | … … context count | varint |
-//! | … … per context: table index | varint, 0-based index into the thread's context table (ascending, so contexts keep the table's path order) |
+//! | … … per context: table index | varint, 0-based index into the thread's context table (strictly ascending within the site, so contexts keep the table's path order) |
 //! | … … … metrics | metric vector |
 //! | … traffic pair count | varint |
 //! | … per pair: cpu node, page node, samples | three varints, pairs strictly ascending by `(cpu node, page node)` (the NUMA traffic matrix) |
@@ -401,7 +401,7 @@ fn encode_delta_payload(epoch: u64, delta: &ProfileDelta) -> Vec<u8> {
         let cct = &profile.cct;
         let mut in_table: Vec<bool> =
             cct.node_ids().map(|id| !cct.metrics(id).is_empty()).collect();
-        for ctx in profile.sites.values().flat_map(|sm| sm.by_context.keys()) {
+        for &(_, ctx) in profile.contexts.keys() {
             in_table[ctx.0 as usize] = true;
         }
         put_varint(&mut p, in_table.iter().filter(|&&entry| entry).count() as u64);
@@ -415,22 +415,27 @@ fn encode_delta_payload(epoch: u64, delta: &ProfileDelta) -> Vec<u8> {
                 put_metrics(&mut p, cct.metrics(id));
             }
         });
-        let mut site_ids: Vec<_> = profile.sites.keys().copied().collect();
-        site_ids.sort_unstable();
-        put_varint(&mut p, site_ids.len() as u64);
+        let mut sites: Vec<_> = profile.sites.iter().collect();
+        sites.sort_unstable_by_key(|(sid, _)| **sid);
+        // One sort of the cells by (site, table index): each site's contexts are
+        // then one run, in the table's path order.
+        let mut cells: Vec<(AllocSiteId, u64, &MetricVector)> = profile
+            .contexts
+            .iter()
+            .map(|(&(sid, ctx), m)| (sid, index[ctx.0 as usize], m))
+            .collect();
+        cells.sort_unstable_by_key(|&(sid, i, _)| (sid, i));
+        put_varint(&mut p, sites.len() as u64);
         let mut prev = 0u64;
-        for (j, sid) in site_ids.iter().enumerate() {
+        for (j, (sid, total)) in sites.into_iter().enumerate() {
             let id = u64::from(sid.0);
             // Delta-encoded within the frame: ascending ids shrink to tiny varints.
             put_varint(&mut p, if j == 0 { id } else { id - prev });
             prev = id;
-            let sm = &profile.sites[sid];
-            put_metrics(&mut p, &sm.total);
-            let mut contexts: Vec<(u64, &MetricVector)> =
-                sm.by_context.iter().map(|(ctx, m)| (index[ctx.0 as usize], m)).collect();
-            contexts.sort_unstable_by_key(|(i, _)| *i);
-            put_varint(&mut p, contexts.len() as u64);
-            for (i, m) in contexts {
+            put_metrics(&mut p, total);
+            let run = cells.partition_point(|c| c.0 < *sid)..cells.partition_point(|c| c.0 <= *sid);
+            put_varint(&mut p, run.len() as u64);
+            for &(_, i, m) in &cells[run] {
                 put_varint(&mut p, i);
                 put_metrics(&mut p, m);
             }
@@ -486,21 +491,29 @@ fn decode_delta_payload(payload: &[u8]) -> Result<ProfileDelta, ProfileParseErro
         let mut prev = 0u64;
         for j in 0..site_count {
             let delta_id = r.varint()?;
+            if j > 0 && delta_id == 0 {
+                return Err(r.error("site ids do not strictly ascend"));
+            }
             let id = if j == 0 { Some(delta_id) } else { prev.checked_add(delta_id) };
             let Some(site) = id.and_then(|id| u32::try_from(id).ok()) else {
                 return Err(r.error(format!("site id delta {delta_id} leaves the u32 range")));
             };
             prev = u64::from(site);
-            let entry = profile.sites.entry(AllocSiteId(site)).or_default();
-            entry.total = r.metrics()?;
+            let site = AllocSiteId(site);
+            profile.sites.insert(site, r.metrics()?);
+            let mut prev_index = None;
             for _ in 0..r.varint()? {
                 let index = r.varint()?;
+                if prev_index.is_some_and(|prev| prev >= index) {
+                    return Err(r.error("context indexes of a site do not strictly ascend"));
+                }
+                prev_index = Some(index);
                 let Some(&node) = usize::try_from(index).ok().and_then(|i| table.get(i)) else {
                     return Err(r.error(format!(
                         "context index {index} is past the end of a {table_len}-entry table"
                     )));
                 };
-                entry.by_context.insert(node, r.metrics()?);
+                profile.contexts.insert((site, node), r.metrics()?);
             }
         }
         let mut prev_pair = None;
@@ -1160,11 +1173,9 @@ mod tests {
     fn thread_fragment(id: u64, name: &str, site: u32, samples: u64) -> ThreadProfile {
         let mut profile = ThreadProfile::new(ThreadId(id), name);
         profile.samples = samples;
-        let entry = profile.sites.entry(AllocSiteId(site)).or_default();
-        entry.total = metrics(samples);
+        profile.sites.insert(AllocSiteId(site), metrics(samples));
         let ctx = profile.cct.insert_path(&[f(1, 5), f(4, 9)]);
-        let by_context = &mut profile.sites.get_mut(&AllocSiteId(site)).unwrap().by_context;
-        by_context.insert(ctx, metrics(samples));
+        profile.contexts.insert((AllocSiteId(site), ctx), metrics(samples));
         profile
     }
 
@@ -1385,9 +1396,10 @@ mod tests {
         );
     }
 
-    /// A one-thread, one-site delta payload whose context table holds `paths` and
-    /// whose site names its one access context by `index`.
-    fn table_payload(paths: &[Vec<Frame>], index: u64) -> Vec<u8> {
+    /// A one-thread delta payload whose context table holds `paths` and whose site
+    /// rows are `rows`: each a site-id delta and the table indexes of its access
+    /// contexts, one sample per context.
+    fn rows_payload(paths: &[Vec<Frame>], rows: &[(u64, &[u64])]) -> Vec<u8> {
         let mut p = Vec::new();
         for v in [1, 0, 0, 1, 0, 7] {
             put_varint(&mut p, v); // epoch, site base, site count, thread count, seq, thread id
@@ -1400,15 +1412,37 @@ mod tests {
             put_path(&mut p, path);
             put_metrics(&mut p, &metrics(1));
         }
-        for v in [1, 0] {
-            put_varint(&mut p, v); // site count, site id
+        put_varint(&mut p, rows.len() as u64);
+        for (site_delta, indexes) in rows {
+            put_varint(&mut p, *site_delta);
+            put_metrics(&mut p, &metrics(indexes.len() as u64));
+            put_varint(&mut p, indexes.len() as u64);
+            for index in *indexes {
+                put_varint(&mut p, *index);
+                put_metrics(&mut p, &metrics(1));
+            }
         }
-        put_metrics(&mut p, &metrics(1));
-        put_varint(&mut p, 1);
-        put_varint(&mut p, index);
-        put_metrics(&mut p, &metrics(1));
         put_varint(&mut p, 0); // no traffic pairs
         p
+    }
+
+    /// A one-thread, one-site delta payload whose context table holds `paths` and
+    /// whose site names its one access context by `index`.
+    fn table_payload(paths: &[Vec<Frame>], index: u64) -> Vec<u8> {
+        rows_payload(paths, &[(0, &[index])])
+    }
+
+    /// Asserts that decoding `payload` fails with `what` at a named payload byte,
+    /// alone and inside a checksum-valid frame.
+    fn assert_refused(payload: &[u8], what: &str) {
+        let err = decode_delta_payload(payload).unwrap_err();
+        assert!(err.message.contains(what), "{err}");
+        assert!(err.message.starts_with("payload byte "), "{err}");
+        // Through the frame reader, the offset survives the re-anchoring.
+        let mut frame = Vec::new();
+        write_frame(KIND_DELTA, payload, &mut frame).unwrap();
+        let err = BinaryFrameReader::new(frame.as_slice()).next_record().unwrap_err();
+        assert!(err.message.contains(what) && err.message.contains("payload byte"), "{err}");
     }
 
     #[test]
@@ -1416,24 +1450,121 @@ mod tests {
         let (a, b) = (vec![f(1, 5)], vec![f(1, 5), f(4, 9)]);
         let delta = decode_delta_payload(&table_payload(&[a.clone(), b.clone()], 1)).unwrap();
         let profile = &delta.threads[0].profile;
-        let (ctx, _) = profile.sites[&AllocSiteId(0)].by_context.iter().next().unwrap();
-        assert_eq!(profile.cct.path_of(*ctx), b);
+        let cells: Vec<_> =
+            profile.contexts.keys().map(|&(s, c)| (s, profile.cct.path_of(c))).collect();
+        assert_eq!(cells, [(AllocSiteId(0), b.clone())]);
         assert_eq!(profile.cct.nodes_with_metrics().count(), 2);
 
-        let refused = |payload: Vec<u8>, what: &str| {
-            let err = decode_delta_payload(&payload).unwrap_err();
-            assert!(err.message.contains(what), "{err}");
-            assert!(err.message.starts_with("payload byte "), "{err}");
-            // Through the frame reader, the offset survives the re-anchoring.
-            let mut frame = Vec::new();
-            write_frame(KIND_DELTA, &payload, &mut frame).unwrap();
-            let err = BinaryFrameReader::new(frame.as_slice()).next_record().unwrap_err();
-            assert!(err.message.contains(what) && err.message.contains("payload byte"), "{err}");
-        };
+        let refused = |payload: Vec<u8>, what: &str| assert_refused(&payload, what);
         refused(table_payload(&[a.clone(), b.clone()], 2), "context index 2 is past the end");
         refused(table_payload(&[], 0), "context index 0 is past the end of a 0-entry table");
         refused(table_payload(&[b.clone(), a.clone()], 0), "do not strictly ascend");
         refused(table_payload(&[a.clone(), a], 0), "do not strictly ascend");
+    }
+
+    #[test]
+    fn decoder_refuses_repeated_or_out_of_order_rows() {
+        let paths = [vec![f(1, 5)], vec![f(1, 5), f(4, 9)]];
+        // Ascending site ids, each site's contexts ascending: sites 0 and 2.
+        let delta = decode_delta_payload(&rows_payload(&paths, &[(0, &[0, 1]), (2, &[1])]));
+        let profile = &delta.unwrap().threads[0].profile;
+        assert_eq!((profile.sites.len(), profile.contexts.len()), (2, 3));
+        assert_eq!(profile.sites[&AllocSiteId(2)].samples, 1);
+
+        // Two rows for site 0, the second a zero id delta: folding them would keep
+        // one row's samples and drop the other's.
+        let sites = "site ids do not strictly ascend";
+        assert_refused(&rows_payload(&paths, &[(0, &[0]), (0, &[1])]), sites);
+        assert_refused(&rows_payload(&paths, &[(3, &[0]), (1, &[0]), (0, &[1])]), sites);
+        // A site naming one context twice, or its contexts out of table order.
+        let contexts = "context indexes of a site do not strictly ascend";
+        assert_refused(&rows_payload(&paths, &[(0, &[0, 0])]), contexts);
+        assert_refused(&rows_payload(&paths, &[(0, &[1, 0])]), contexts);
+        // Both at once: two rows for site 0, each naming context 0 twice — four
+        // context samples that a lenient decoder folds into one.
+        assert_refused(&rows_payload(&paths, &[(0, &[0, 0]), (0, &[0, 0])]), contexts);
+        // Only ascending within one site: the next site starts afresh.
+        assert!(decode_delta_payload(&rows_payload(&paths, &[(0, &[1]), (1, &[0])])).is_ok());
+    }
+
+    /// A fixed two-thread delta defining three sites: thread 1 samples sites 0 and
+    /// 2 at three contexts (two shared), thread 4 samples site 1 and allocates at
+    /// site 2 without sampling it; both also take unattributed and remote samples.
+    fn pinned_delta() -> ProfileDelta {
+        let sample = |addr: u64, remote: bool, store: bool| djx_pmu::Sample {
+            event: PmuEvent::L1Miss,
+            thread_id: 1,
+            cpu: 0,
+            cpu_node: djx_memsim::NumaNode(0),
+            page_node: djx_memsim::NumaNode(u32::from(remote)),
+            effective_addr: addr,
+            kind: if store { djx_memsim::AccessKind::Store } else { djx_memsim::AccessKind::Load },
+            value: 1 + addr % 3,
+            latency: 40 + addr % 200,
+            counter_value: 1,
+        };
+        let (x, y, z) = ([f(1, 5), f(4, 9)], [f(1, 5), f(5, 2)], [f(3, 0)]);
+        let mut main = ThreadProfile::new(ThreadId(1), "main");
+        main.record_allocation(AllocSiteId(0), 4096);
+        for (i, (site, path)) in [(0, &x[..]), (0, &y), (2, &x), (0, &x), (2, &z), (2, &y), (0, &y)]
+            .iter()
+            .enumerate()
+        {
+            let addr = 0x1000 + 0x40 * i as u64;
+            main.record_sample(
+                Some(AllocSiteId(*site)),
+                path,
+                &sample(addr, i % 3 == 0, i == 4),
+                64,
+            );
+        }
+        main.record_sample(None, &z, &sample(0x9000, false, false), 64);
+        let mut worker = ThreadProfile::new(ThreadId(4), "worker 1");
+        worker.record_allocation(AllocSiteId(1), 48);
+        worker.record_allocation(AllocSiteId(2), 1 << 20);
+        worker.record_sample(Some(AllocSiteId(1)), &y, &sample(0x2010, true, false), 64);
+        worker.record_sample(Some(AllocSiteId(1)), &z, &sample(0x2050, false, true), 64);
+        worker.record_sample(None, &[], &sample(0x9040, true, false), 64);
+        ProfileDelta {
+            epoch: 3,
+            threads: vec![
+                ThreadDelta { seq: 0, profile: main },
+                ThreadDelta { seq: 1, profile: worker },
+            ],
+            site_base: 0,
+            sites: sites(3),
+        }
+    }
+
+    /// The frame [`pinned_delta`] encodes to, in hex. The frame format is fixed:
+    /// how the record stores its sites and cells must not move a byte of it.
+    const PINNED_DELTA_FRAME: &str = concat!(
+        "df4a584203016901000003000316666c6f61745b5d202330202271756f7465642220cebb02010502",
+        "0316666c6f61745b5d202331202271756f7465642220cebb020205020316666c6f61745b5d202332",
+        "202271756f7465642220cebb0203050203020001046d61696e080140680100010000000302010504",
+        "0903c002c8020102030000000201050502038003f802020103000000010300028002a80202000101",
+        "0000020004c004c80401030400018020020002800288020002020000000102c002c0020101020000",
+        "000203c002b8020300020100000300014040010001000000010140380100010000000201c001c001",
+        "01000001000002000005000103010408776f726b6572203103018001a80100010100000003000180",
+        "01a801000101000000020105050201403000010100000001030001800170010000010000020102c0",
+        "01a00101010101013002010140300001010000000201800170010000010000010000000000000001",
+        "8080400002000001000102e65c714a",
+    );
+
+    #[test]
+    fn a_multi_thread_delta_encodes_to_pinned_bytes() {
+        let mut frame = Vec::new();
+        BinaryChunkedSink::new().on_delta(3, &pinned_delta(), &mut frame).unwrap();
+        let hex: String = frame.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, PINNED_DELTA_FRAME);
+        // And the frame decodes back to the same delta.
+        let mut reader = BinaryFrameReader::new(frame.as_slice());
+        let Some(LogRecord::Delta(decoded)) = reader.next_record().unwrap() else {
+            panic!("one delta frame");
+        };
+        let mut again = Vec::new();
+        BinaryChunkedSink::new().on_delta(3, &decoded, &mut again).unwrap();
+        assert_eq!(again, frame);
     }
 
     #[test]

@@ -26,8 +26,8 @@ use djx_pmu::PmuEvent;
 use djx_runtime::{Frame, MethodId, ThreadId};
 use djxperf::{
     AllocSite, AllocSiteId, AllocationStats, BinaryChunkedSink, BinaryFrameReader, DeltaFold,
-    FinishRecord, FleetAggregator, ObjectCentricProfile, ProfileDelta, ProfileSink, ThreadDelta,
-    ThreadProfile,
+    FinishRecord, FleetAggregator, MetricVector, ObjectCentricProfile, ProfileDelta, ProfileSink,
+    ThreadDelta, ThreadProfile,
 };
 
 // --------------------------------------------------------------------------------------
@@ -181,9 +181,9 @@ fn frames_of_every_kind() -> Vec<Vec<u8>> {
         let ctx = profile
             .cct
             .insert_path(&[Frame::new(MethodId(1), 4), Frame::new(MethodId(2), 9)]);
-        let entry = profile.sites.entry(AllocSiteId(site)).or_default();
-        entry.total.samples = 1;
-        entry.by_context.insert(ctx, entry.total);
+        let total = MetricVector { samples: 1, ..MetricVector::default() };
+        profile.sites.insert(AllocSiteId(site), total);
+        profile.contexts.insert((AllocSiteId(site), ctx), total);
     }
     profile.record_allocation(AllocSiteId(2), 4096);
     let sites = (0..6)

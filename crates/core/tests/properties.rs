@@ -945,6 +945,10 @@ proptest! {
         // independent reference profiler recorded from the same accesses.
         views.check(&*streaming)?;
         views.check(&replayed)?;
+        // Record → retire → encode → decode → fold keeps the cells summing to the
+        // site totals, on the replayed log and on the session's own fold.
+        assert_cells_sum_to_site_totals(&replayed)?;
+        assert_cells_sum_to_site_totals(&streaming.object_profile().unwrap())?;
     }
 
     /// The query layer's cross-source identity under the same arbitrary
@@ -1195,8 +1199,40 @@ proptest! {
 // Sink backends on multi-thread profiles with the attach-mode unattributed site
 // --------------------------------------------------------------------------------------
 
-/// Checks that a reparsed profile reproduces the original's `SiteMetrics` (totals and
-/// per-context breakdowns, compared by call path) and `AllocationStats` exactly.
+/// A thread's `(site, context)` cells as `(site, call path, metrics)`, sorted:
+/// CCT node ids are tree-local, call paths are not.
+fn cells_by_path(thread: &ThreadProfile) -> Vec<(AllocSiteId, Vec<Frame>, MetricVector)> {
+    let mut cells: Vec<_> = thread
+        .contexts
+        .iter()
+        .map(|(&(s, c), m)| (s, thread.cct.path_of(c), *m))
+        .collect();
+    cells.sort_by(|x, y| (x.0, &x.1).cmp(&(y.0, &y.1)));
+    cells
+}
+
+/// Checks the record's invariant on every thread: every cell's site has a totals
+/// row, and each row's sample fields are the sum of its site's cells (the
+/// allocation fields belong to the row alone).
+fn assert_cells_sum_to_site_totals(
+    profile: &ObjectCentricProfile,
+) -> Result<(), proptest::prelude::TestCaseError> {
+    for thread in &profile.threads {
+        let mut sums: HashMap<AllocSiteId, MetricVector> = HashMap::new();
+        for (&(site, _), m) in &thread.contexts {
+            prop_assert!(thread.sites.contains_key(&site), "cell of {:?} has no totals row", site);
+            sums.entry(site).or_default().merge(m);
+        }
+        for (site, total) in &thread.sites {
+            let samples_only = MetricVector { allocations: 0, allocated_bytes: 0, ..*total };
+            prop_assert_eq!(sums.get(site).copied().unwrap_or_default(), samples_only);
+        }
+    }
+    Ok(())
+}
+
+/// Checks that a reparsed profile reproduces the original's site totals, its
+/// `(site, context)` cells (compared by call path) and `AllocationStats` exactly.
 fn assert_profiles_equivalent(
     original: &ObjectCentricProfile,
     reparsed: &ObjectCentricProfile,
@@ -1212,19 +1248,9 @@ fn assert_profiles_equivalent(
         prop_assert_eq!(&a.thread_name, &b.thread_name);
         prop_assert_eq!(a.samples, b.samples);
         prop_assert_eq!(a.unattributed, b.unattributed);
-        prop_assert_eq!(a.sites.len(), b.sites.len());
-        for (site_id, original_metrics) in &b.sites {
-            let reparsed_metrics = &a.sites[site_id];
-            prop_assert_eq!(reparsed_metrics.total, original_metrics.total);
-            // Context node ids are tree-local; compare breakdowns by call path.
-            let by_path = |thread: &ThreadProfile, sm: &djxperf::SiteMetrics| {
-                let mut v: Vec<(Vec<Frame>, MetricVector)> =
-                    sm.by_context.iter().map(|(ctx, m)| (thread.cct.path_of(*ctx), *m)).collect();
-                v.sort_by(|x, y| x.0.cmp(&y.0));
-                v
-            };
-            prop_assert_eq!(by_path(a, reparsed_metrics), by_path(b, original_metrics));
-        }
+        prop_assert_eq!(&a.sites, &b.sites);
+        // Context node ids are tree-local; compare cells by call path.
+        prop_assert_eq!(cells_by_path(a), cells_by_path(b));
     }
     Ok(())
 }
@@ -1305,21 +1331,20 @@ const ALLOCATION_COUNTERS: [fn(&mut AllocationStats) -> &mut u64; 6] = [
 fn bump_a_context_frame(profile: &mut ObjectCentricProfile) -> bool {
     for thread in &mut profile.threads {
         let cct = &mut thread.cct;
-        for sm in thread.sites.values_mut() {
-            let Some((ctx, mut path)) = sm
-                .by_context
-                .keys()
-                .map(|ctx| (*ctx, cct.path_of(*ctx)))
-                .find(|(_, path)| !path.is_empty())
-            else {
-                continue;
-            };
-            let metrics = sm.by_context.remove(&ctx).expect("context listed above");
-            let leaf = path.last_mut().expect("non-empty path");
-            *leaf = Frame::new(leaf.method, leaf.bci.wrapping_add(1));
-            sm.by_context.entry(cct.insert_path(&path)).or_default().merge(&metrics);
-            return true;
-        }
+        let Some((cell, mut path)) = thread
+            .contexts
+            .keys()
+            .map(|&(site, ctx)| ((site, ctx), cct.path_of(ctx)))
+            .find(|(_, path)| !path.is_empty())
+        else {
+            continue;
+        };
+        let metrics = thread.contexts.remove(&cell).expect("cell listed above");
+        let leaf = path.last_mut().expect("non-empty path");
+        *leaf = Frame::new(leaf.method, leaf.bci.wrapping_add(1));
+        let bumped = (cell.0, cct.insert_path(&path));
+        thread.contexts.entry(bumped).or_default().merge(&metrics);
+        return true;
     }
     false
 }
@@ -1328,7 +1353,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Multi-thread profiles — including the attach-mode unattributed site — survive
-    /// the binary sink with identical `SiteMetrics` and `AllocationStats`.
+    /// the binary sink with identical site totals, `(site, context)` cells and `AllocationStats`.
     #[test]
     fn sink_backends_round_trip_multi_thread_profiles(
         class_names in prop::collection::vec(class_name_strategy(), 1..3),
@@ -1354,6 +1379,7 @@ proptest! {
         sink.write_profile(&profile, &mut written).expect("writing to a Vec cannot fail");
         let reparsed = sink.read_log_bytes(&written).expect("sink round trip");
         assert_profiles_equivalent(&profile, &reparsed)?;
+        assert_cells_sum_to_site_totals(&reparsed)?;
         // Re-serialization through the same sink is a fixed point.
         let mut rewritten = Vec::new();
         sink.write_profile(&reparsed, &mut rewritten).expect("writing to a Vec cannot fail");
@@ -1394,16 +1420,12 @@ proptest! {
 
         for (i, counter) in METRIC_COUNTERS.iter().enumerate() {
             changes(&format!("site total counter {i}"), &|p| {
-                let site = p.threads[0].sites.values_mut().next().expect("allocation site");
-                *counter(&mut site.total) += 1;
+                let total = p.threads[0].sites.values_mut().next().expect("allocation site");
+                *counter(total) += 1;
                 true
             })?;
             changes(&format!("access context counter {i}"), &|p| {
-                let entry = p
-                    .threads
-                    .iter_mut()
-                    .flat_map(|t| t.sites.values_mut())
-                    .find_map(|sm| sm.by_context.values_mut().next());
+                let entry = p.threads.iter_mut().find_map(|t| t.contexts.values_mut().next());
                 entry.map(|m| *counter(m) += 1).is_some()
             })?;
             changes(&format!("unattributed counter {i}"), &|p| {
@@ -1715,10 +1737,10 @@ fn reference_evaluate(spec: &QuerySpec, profiles: &[ObjectCentricProfile]) -> Qu
                     GroupBy::Object | GroupBy::Site => {}
                 }
             }
-            for (id, sm) in &thread.sites {
+            for (id, total) in &thread.sites {
                 let Some(site) = profile.sites.get(id.0 as usize) else { continue };
-                out.total_weighted_events += sm.total.weighted_events;
-                out.attributed_weighted_events += sm.total.weighted_events;
+                out.total_weighted_events += total.weighted_events;
+                out.attributed_weighted_events += total.weighted_events;
                 let leaf = site.call_path.last().copied();
                 if !thread_ok
                     || !(spec.classes.is_empty() || spec.classes.contains(&site.class_name))
@@ -1726,8 +1748,12 @@ fn reference_evaluate(spec: &QuerySpec, profiles: &[ObjectCentricProfile]) -> Qu
                 {
                     continue;
                 }
-                let ctxs =
-                    sm.by_context.iter().map(|(c, m)| (thread.cct.path_of(*c), *m)).collect();
+                let ctxs = thread
+                    .contexts
+                    .iter()
+                    .filter(|((cell_site, _), _)| cell_site == id)
+                    .map(|(&(_, c), m)| (thread.cct.path_of(c), *m))
+                    .collect();
                 let key = match spec.group_by {
                     GroupBy::Object => GroupKey::Object {
                         class_name: site.class_name.clone(),
@@ -1736,12 +1762,12 @@ fn reference_evaluate(spec: &QuerySpec, profiles: &[ObjectCentricProfile]) -> Qu
                     GroupBy::Site => GroupKey::Site(leaf),
                     GroupBy::Thread => GroupKey::Thread(t),
                     GroupBy::NumaNode => {
-                        localities(&sm.total).into_iter().for_each(|(k, v)| add(k, "", &v, vec![]));
+                        localities(total).into_iter().for_each(|(k, v)| add(k, "", &v, vec![]));
                         continue;
                     }
                     GroupBy::Context | GroupBy::NodePair => continue,
                 };
-                add(key, name, &sm.total, ctxs);
+                add(key, name, total, ctxs);
             }
         }
     }

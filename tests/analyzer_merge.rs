@@ -36,7 +36,7 @@ fn merging_coalesces_the_same_allocation_site_across_threads() {
         .threads
         .iter()
         .flat_map(|t| t.sites.values())
-        .map(|s| s.total.samples)
+        .map(|total| total.samples)
         .sum();
     let merged_samples: u64 = run.report.groups.iter().map(|o| o.metrics.samples).sum();
     assert_eq!(per_thread_samples, merged_samples, "merging neither drops nor duplicates samples");

@@ -1,10 +1,14 @@
 //! End-to-end integration: runtime + profiler + profile files + analyzer + reports, on
 //! the Listing 1 (batik) kernel, checking the whole §4–§5 pipeline holds together.
 
+use std::collections::HashMap;
+
 use djx_workloads::bloat::BatikNvalsWorkload;
 use djx_workloads::runner::run_profiled;
 use djx_workloads::Variant;
-use djxperf::{BinaryChunkedSink, ObjectCentricProfile, ProfilerConfig, Query, Report, Session};
+use djxperf::{
+    AllocSiteId, BinaryChunkedSink, ObjectCentricProfile, ProfilerConfig, Query, Report, Session,
+};
 
 fn profiled_run() -> djx_workloads::runner::ProfiledRun {
     run_profiled(
@@ -18,16 +22,21 @@ fn samples_are_conserved_between_threads_sites_and_unattributed_bucket() {
     let run = profiled_run();
     let profile = &run.profile;
     for thread in &profile.threads {
-        let attributed: u64 = thread.sites.values().map(|s| s.total.samples).sum();
+        let attributed: u64 = thread.sites.values().map(|total| total.samples).sum();
         assert_eq!(
             attributed + thread.unattributed.samples,
             thread.samples,
             "every sample is either attributed to a site or counted as unattributed"
         );
-        // Context breakdown sums back to the site totals.
-        for site in thread.sites.values() {
-            let by_ctx: u64 = site.by_context.values().map(|m| m.samples).sum();
-            assert_eq!(by_ctx, site.total.samples);
+        // The (site, context) cells sum back to the site totals, and every cell's
+        // site has a totals row.
+        let mut by_cells: HashMap<AllocSiteId, u64> = HashMap::new();
+        for (&(site, _), m) in &thread.contexts {
+            assert!(thread.sites.contains_key(&site), "cell of site {site:?} has no totals row");
+            *by_cells.entry(site).or_default() += m.samples;
+        }
+        for (site, total) in &thread.sites {
+            assert_eq!(by_cells.get(site).copied().unwrap_or(0), total.samples);
         }
     }
     assert_eq!(profile.total_samples(), profile.threads.iter().map(|t| t.samples).sum::<u64>());

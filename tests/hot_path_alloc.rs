@@ -5,20 +5,21 @@
 //! test warms a session — the thread's PMU and collector state, the CCT path, the
 //! traffic-matrix cell and the site entries exist — then asserts
 //! that the measured callbacks allocate nothing. Attaching a live fold to a
-//! streaming session shares the session's fold, so its cost does not grow with the
-//! profile either.
+//! streaming session shares the session's fold, and a thread profile keeps its
+//! `(site, context)` cells in one table, so neither attaching nor cloning costs
+//! allocations that grow with the profile.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 use std::time::Duration;
 
-use djx_memsim::{AccessOutcome, MemoryAccess, NumaNode};
+use djx_memsim::{AccessKind, AccessOutcome, MemoryAccess, NumaNode};
 use djx_runtime::{
     AllocationEvent, ClassId, Frame, GcId, MemoryAccessEvent, MethodId, ObjectId, ObjectMoveEvent,
     ObjectReclaimEvent, RuntimeListener, ThreadId,
 };
-use djxperf::{DrainPolicy, GroupBy, Query, Session};
+use djxperf::{AllocSiteId, DrainPolicy, GroupBy, Query, Session, ThreadProfile};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -227,4 +228,43 @@ fn live_fold_allocations(sites: u64) -> u64 {
 fn attaching_a_live_fold_costs_the_same_for_any_profile_size() {
     let (one, many) = (live_fold_allocations(1), live_fold_allocations(500));
     assert_eq!(one, many, "live_fold() allocated {one} times with 1 site, {many} with 500");
+}
+
+/// A thread profile whose `sites` allocation sites were each sampled at the same
+/// two calling contexts.
+fn profile_sampled_at_two_contexts(sites: u32) -> ThreadProfile {
+    let sample = djx_pmu::Sample {
+        event: djx_pmu::PmuEvent::L1Miss,
+        thread_id: THREAD.0,
+        cpu: 0,
+        cpu_node: NumaNode(0),
+        page_node: NumaNode(1),
+        effective_addr: OBJECT_START,
+        kind: AccessKind::Load,
+        value: 1,
+        latency: 14,
+        counter_value: 1,
+    };
+    let mut profile = ThreadProfile::new(THREAD, "main");
+    let (a, b) = (trace(), [Frame::new(MethodId(1), 3), Frame::new(MethodId(3), 9)]);
+    for site in 0..sites {
+        for path in [&a, &b] {
+            profile.record_sample(Some(AllocSiteId(site)), path, &sample, PERIOD);
+        }
+    }
+    profile
+}
+
+#[test]
+fn cloning_a_thread_profile_costs_the_same_for_any_site_count() {
+    let (small, large) = (profile_sampled_at_two_contexts(1), profile_sampled_at_two_contexts(500));
+    assert_eq!(large.attributed_samples(), 1000);
+    let clones = |profile: &ThreadProfile| {
+        let mut copy = None;
+        let allocations = allocations_during(|| copy = Some(profile.clone()));
+        assert_eq!(copy.map(|c| c.samples), Some(profile.samples));
+        allocations
+    };
+    let (one, many) = (clones(&small), clones(&large));
+    assert_eq!(one, many, "cloning allocated {one} times with 1 site, {many} with 500");
 }
